@@ -97,7 +97,6 @@ class LyingBlinder:
         # Same attested handshake and wire format as the honest path; only
         # the mask inside the authenticated ciphertext differs from the
         # committed one.
-        self.inner._require_blinding().mask_for(round_id, party_index)
         tampered = self._tampered(self.inner.mask_opening(round_id, party_index))
         return self.inner._deliver(
             session_id,
@@ -139,22 +138,20 @@ class LyingBlinder:
         delta = 1 + self.rng.randint((1 << 16) - 1)
         masks[slot][0] = (int(masks[slot][0]) + delta) % (1 << family.modulus_bits)
         corrupted = tuple(tuple(int(v) for v in mask) for mask in masks)
-        openings = self.inner._openings[round_id]
-        salts = [opening.salt for opening in openings]
-        randomizers = [opening.randomizer for opening in openings]
+        # The openings' (salt, randomizer) rows are kept as sampled; only
+        # the mask family they open to is swapped for the corrupted one.
+        opening_rows = self.inner._openings[round_id]
+        salts = [salt for salt, _ in opening_rows]
+        randomizers = [randomizer for _, randomizer in opening_rows]
         forged = _forge_commitments(
             self.inner.identity.group, honest, corrupted, salts, randomizers
         )
-        new_openings = tuple(
-            MaskOpening(mask=corrupted[i], salt=salts[i], randomizer=randomizers[i])
-            for i in range(len(corrupted))
+        blinding._round_masks[round_id] = SumZeroMasks(
+            masks=corrupted, modulus_bits=family.modulus_bits
         )
-        new_family = SumZeroMasks(masks=corrupted, modulus_bits=family.modulus_bits)
-        blinding._round_masks[round_id] = new_family
-        self.inner._openings[round_id] = new_openings
         self.inner._commitments[round_id] = forged
         self.inner._sealed_rounds[round_id] = self.inner._seal_round(
-            round_id, new_family, new_openings
+            round_id, corrupted, family.modulus_bits, opening_rows
         )
         self.lies_told += 1
         return forged

@@ -49,8 +49,8 @@ from repro.errors import (
     NetworkError,
     RoundAbortedError,
 )
-from repro.runtime.endpoints import BlinderEndpoint, ServiceEndpoint
-from repro.runtime.messages import BLINDER, SERVICE, client_endpoint
+from repro.runtime.endpoints import BlinderEndpoint
+from repro.runtime.messages import BLINDER, client_endpoint
 from repro.runtime.protocol import FLOOD_THRESHOLD, VIOLATION_MASK_OPENING
 from repro.runtime.telemetry import (
     OUTCOME_ACCEPTED,
@@ -113,11 +113,7 @@ def install_attacks(deployment, plan: AttackPlan, rng: HmacDrbg | None = None):
             service, spec.kind, rng=rng.fork("tampering-aggregator")
         )
     deployment.service = service
-    engine.service = service
-    for kind, handler in (
-        ServiceEndpoint(service, monitor=engine.monitor).handlers().items()
-    ):
-        deployment.network.add_handler(SERVICE, kind, handler)
+    engine.attach_service(service)
 
     return deployment
 

@@ -201,6 +201,16 @@ class BlinderProvisioner(_ProvisionerBase):
     can still provision remaining parties and, critically, still reveal
     dropout masks for §3 repair.  Without that persistence a mid-round
     blinder crash would force aborting every open round.
+
+    All of that state lives exactly as long as the round is open.
+    Between open and :meth:`close_round` the masks exist once, inside the
+    :class:`BlindingService`; this class keeps per slot only the
+    commitment opening's ``(salt, randomizer)`` and builds a
+    :class:`MaskOpening` around the mask on demand.  Closing drops masks,
+    commitments, openings and the sealed blob, and leaves the round id
+    as a tombstone: a finished round can be neither re-opened nor
+    revealed, because §3's privacy argument needs ``p_i`` gone once
+    ``y_i`` has been aggregated.
     """
 
     def __init__(
@@ -220,7 +230,10 @@ class BlinderProvisioner(_ProvisionerBase):
         )
         self._sealed_rounds: dict[int, bytes] = {}
         self._commitments: dict[int, MaskCommitmentSet] = {}
-        self._openings: dict[int, tuple[MaskOpening, ...]] = {}
+        #: round -> per-slot ``(salt, randomizer)``; the masks themselves
+        #: stay in ``blinding`` (one resident copy per open round).
+        self._openings: dict[int, tuple[tuple[bytes, int], ...]] = {}
+        self._closed: set[int] = set()
         self.restarts = 0
 
     def _require_blinding(self) -> BlindingService:
@@ -228,14 +241,24 @@ class BlinderProvisioner(_ProvisionerBase):
             raise CryptoError("blinding service is down (crashed, not restarted)")
         return self.blinding
 
+    def _refuse_closed(self, round_id: int) -> None:
+        if round_id in self._closed:
+            raise CryptoError(f"round {round_id} is closed")
+
+    def _blinding_for(self, round_id: int) -> BlindingService:
+        """The live blinding service, for a round that may still be served."""
+        self._refuse_closed(round_id)
+        return self._require_blinding()
+
     def _seal_round(
-        self, round_id: int, masks: SumZeroMasks, openings: tuple[MaskOpening, ...]
+        self,
+        round_id: int,
+        mask_rows: tuple[tuple[int, ...], ...],
+        modulus_bits: int,
+        opening_rows: tuple[tuple[bytes, int], ...],
     ) -> bytes:
-        opening_rows = tuple(
-            (opening.salt, opening.randomizer) for opening in openings
-        )
         blob = pickle.dumps(
-            (masks.masks, masks.modulus_bits, opening_rows),
+            (mask_rows, modulus_bits, opening_rows),
             protocol=pickle.HIGHEST_PROTOCOL,
         )
         cipher = AuthenticatedCipher(self._seal_key)
@@ -247,18 +270,14 @@ class BlinderProvisioner(_ProvisionerBase):
 
     def _unseal_round(
         self, round_id: int, sealed: bytes
-    ) -> tuple[SumZeroMasks, tuple[MaskOpening, ...]]:
+    ) -> tuple[SumZeroMasks, tuple[tuple[bytes, int], ...]]:
         cipher = AuthenticatedCipher(self._seal_key)
         blob = cipher.decrypt(
             SealedBox.from_bytes(sealed), associated_data=round_id.to_bytes(8, "big")
         )
         mask_rows, modulus_bits, opening_rows = pickle.loads(blob)
         masks = SumZeroMasks(masks=mask_rows, modulus_bits=modulus_bits)
-        openings = tuple(
-            MaskOpening(mask=tuple(mask), salt=salt, randomizer=randomizer)
-            for mask, (salt, randomizer) in zip(mask_rows, opening_rows)
-        )
-        return masks, openings
+        return masks, tuple(opening_rows)
 
     def open_round(
         self, round_id: int, num_parties: int, length: int, subgroup_size: int = 0
@@ -279,24 +298,54 @@ class BlinderProvisioner(_ProvisionerBase):
         this call — sealing, delivery, reveal verification — is
         construction-agnostic.
         """
-        blinding = self._require_blinding()
+        blinding = self._blinding_for(round_id)
         if subgroup_size > 0:
             masks = blinding.open_round_grouped(
                 round_id, num_parties, length, subgroup_size
             )
         else:
             masks = blinding.open_round(round_id, num_parties, length)
+        # One expansion serves commit and seal: a grouped family rebuilds
+        # every row per ``.masks`` access, and none of them is kept here.
+        mask_rows = masks.masks
         commitments, openings = commit_masks(
             self.identity.group,
             round_id,
-            masks.masks,
+            mask_rows,
             masks.modulus_bits,
             self.rng.fork(f"mask-commitments-{round_id}"),
         )
+        opening_rows = tuple(
+            (opening.salt, opening.randomizer) for opening in openings
+        )
         self._commitments[round_id] = commitments
-        self._openings[round_id] = openings
-        self._sealed_rounds[round_id] = self._seal_round(round_id, masks, openings)
+        self._openings[round_id] = opening_rows
+        self._sealed_rounds[round_id] = self._seal_round(
+            round_id, mask_rows, masks.modulus_bits, opening_rows
+        )
         return commitments
+
+    def close_round(self, round_id: int) -> None:
+        """The round is over: drop everything held for it (idempotent).
+
+        Masks, commitments, openings and the sealed blob — in the
+        persistent store too, so a later :meth:`restart` no longer
+        recovers the round — all go; only the round id stays, and with it
+        :meth:`open_round`, :meth:`provision_mask`, :meth:`mask_opening`
+        and :meth:`reveal_dropout_mask` refuse the round for good.  Safe
+        while the blinding service is down: the sealed blob is what a
+        restart would have recovered from.
+        """
+        self._closed.add(round_id)
+        if self.blinding is not None:
+            self.blinding.close_round(round_id)
+        self._commitments.pop(round_id, None)
+        self._openings.pop(round_id, None)
+        try:
+            # One store operation; ``pop`` on a persistent map is two.
+            del self._sealed_rounds[round_id]
+        except KeyError:
+            pass
 
     def attach_sealed_store(self, store) -> None:
         """Swap the sealed-round holder for a persistent mapping.
@@ -305,9 +354,11 @@ class BlinderProvisioner(_ProvisionerBase):
         :class:`repro.service.storage.SealedBlobMap`); blobs already
         sealed in memory are migrated into it, and blobs already in the
         store — a previous process's rounds — become recoverable by
-        :meth:`restart`.  The blobs are ciphertext under the identity-
-        derived seal key either way, so moving them to external storage
-        widens availability, never the trust boundary.
+        :meth:`restart`.  Only rounds that were never closed have a blob,
+        so that is the rounds a crashed process left open.  The blobs are
+        ciphertext under the identity-derived seal key either way, so
+        moving them to external storage widens availability, never the
+        trust boundary.
         """
         for round_id, blob in self._sealed_rounds.items():
             store[round_id] = blob
@@ -320,11 +371,14 @@ class BlinderProvisioner(_ProvisionerBase):
         """The published commitment set for an open (or recovered) round."""
         commitments = self._commitments.get(round_id)
         if commitments is None:
+            self._refuse_closed(round_id)
             raise CryptoError(f"no mask commitments for round {round_id}")
         return commitments
 
-    def mask_opening(self, round_id: int, party_index: int) -> MaskOpening:
-        """One slot's full opening (mask, salt, randomizer)."""
+    def _opening(
+        self, round_id: int, party_index: int, mask: tuple[int, ...]
+    ) -> MaskOpening:
+        """Wrap a slot's mask in its commitment opening."""
         openings = self._openings.get(round_id)
         if openings is None:
             raise CryptoError(f"no mask openings for round {round_id}")
@@ -332,7 +386,13 @@ class BlinderProvisioner(_ProvisionerBase):
             raise CryptoError(
                 f"round {round_id} has no party {party_index}"
             )
-        return openings[party_index]
+        salt, randomizer = openings[party_index]
+        return MaskOpening(mask=mask, salt=salt, randomizer=randomizer)
+
+    def mask_opening(self, round_id: int, party_index: int) -> MaskOpening:
+        """One slot's full opening (mask, salt, randomizer)."""
+        mask = self._blinding_for(round_id).mask_for(round_id, party_index)
+        return self._opening(round_id, party_index, mask)
 
     def crash(self) -> None:
         """The blinding service process dies; in-memory mask state is gone."""
@@ -342,28 +402,33 @@ class BlinderProvisioner(_ProvisionerBase):
         self.restarts += 1
 
     def restart(self) -> list[int]:
-        """Stand the service back up and recover all sealed rounds.
+        """Stand the service back up and recover every *open* round.
 
-        Commitments are rebuilt *deterministically* from the sealed
-        openings, so the recovered service republishes byte-identical
-        commitment sets — the engine's copies from round open stay valid.
+        Closed rounds have no sealed blob left, so recovery costs O(open
+        rounds), not O(rounds ever run).  Commitments are rebuilt
+        *deterministically* from the sealed openings, so the recovered
+        service republishes byte-identical commitment sets — the
+        engine's copies from round open stay valid.
         """
         self.blinding = BlindingService(
             self.rng.fork(f"blinder-restart-{self.restarts}"), self._codec
         )
         recovered: list[int] = []
         for round_id in sorted(self._sealed_rounds):
-            masks, openings = self._unseal_round(
+            masks, opening_rows = self._unseal_round(
                 round_id, self._sealed_rounds[round_id]
             )
             self.blinding.restore_round(round_id, masks)
-            self._openings[round_id] = openings
+            self._openings[round_id] = opening_rows
             self._commitments[round_id] = recommit_masks(
                 self.identity.group,
                 round_id,
                 masks.masks,
                 masks.modulus_bits,
-                openings,
+                [
+                    MaskOpening(mask=mask, salt=salt, randomizer=randomizer)
+                    for mask, (salt, randomizer) in zip(masks.masks, opening_rows)
+                ],
             )
             recovered.append(round_id)
         return recovered
@@ -377,7 +442,6 @@ class BlinderProvisioner(_ProvisionerBase):
         party_index: int,
     ) -> KeyDelivery:
         """Verify the attested handshake and ship the party's mask opening."""
-        self._require_blinding().mask_for(round_id, party_index)
         opening = self.mask_opening(round_id, party_index)
         return self._deliver(
             session_id,
@@ -395,5 +459,7 @@ class BlinderProvisioner(_ProvisionerBase):
         it for repair — a lying blinder cannot corrupt the aggregate by
         mis-revealing.
         """
-        self._require_blinding().mask_for_dropout(round_id, party_index)
-        return self.mask_opening(round_id, party_index)
+        mask = self._blinding_for(round_id).mask_for_dropout(
+            round_id, party_index
+        )
+        return self._opening(round_id, party_index, mask)

@@ -154,6 +154,7 @@ class CloudService:
         )
         self._codec = codec or FixedPointCodec()
         self._rounds: dict[int, RoundState] = {}
+        self._closed: set[int] = set()
         self.aggregation_reducer = None
         """Optional ``callable(matrix, modulus_bits) -> row`` replacing the
         flat :func:`repro.perf.kernels.ring_sum_rows` at finalize.  The
@@ -180,6 +181,8 @@ class CloudService:
         instead of retaining it — see :class:`StreamingRoundState` for
         the trade.  ``subgroup_size == 0`` keeps today's flat round.
         """
+        if round_id in self._closed:
+            raise ProtocolError(f"round {round_id} is closed")
         if round_id in self._rounds:
             raise ProtocolError(f"round {round_id} already open")
         if expected_parties < 1:
@@ -199,8 +202,23 @@ class CloudService:
     def round_state(self, round_id: int) -> RoundState:
         state = self._rounds.get(round_id)
         if state is None:
+            if round_id in self._closed:
+                raise ProtocolError(f"round {round_id} is closed")
             raise ProtocolError(f"round {round_id} not open")
         return state
+
+    def close_round(self, round_id: int) -> None:
+        """The round is over: drop its accounting state (idempotent).
+
+        Accepted contributions, ring rows (or subgroup partials), nonces
+        and the rejection ledger all go; what the caller needs afterwards
+        is in the :class:`RoundResult` it already holds.  The round id
+        stays behind as a tombstone, so the round cannot be re-opened and
+        a late :meth:`submit` is refused rather than admitted into a
+        fresh, empty round.
+        """
+        self._rounds.pop(round_id, None)
+        self._closed.add(round_id)
 
     # ------------------------------------------------------------ admission
 

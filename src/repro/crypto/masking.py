@@ -102,8 +102,12 @@ class GroupedSumZeroMasks:
     stream.  What changes is the resident state: instead of O(n·k) mask
     words the service holds one 32-byte seed per subgroup and
     re-expands a subgroup's :class:`SumZeroMasks` only when a slot in it
-    is provisioned or repaired.  A small LRU keeps the hot subgroup
-    warm, so §3 dropout repair touches O(g) mask words, never O(n).
+    is provisioned or repaired.  A small FIFO cache keeps the hot
+    subgroups warm, so between round open and round close the family
+    holds at most ``CACHE_GROUPS`` · g · k mask words, and §3 dropout
+    repair touches O(g) of them, never O(n).  (Committing the round
+    walks every subgroup once through :attr:`masks`; that O(n·k) pass is
+    transient — nothing it builds outlives ``open_round``.)
     """
 
     #: Materialized subgroups kept warm per family.
@@ -154,11 +158,13 @@ class GroupedSumZeroMasks:
 
     @property
     def masks(self) -> tuple[tuple[int, ...], ...]:
-        """All masks in slot order (commitment/sealing path; O(n·k)).
+        """All masks in slot order, rebuilt on every access (O(n·k)).
 
-        The engine-scale verifiable-blinding path still commits to every
-        slot's mask, which requires the full family once at round open;
-        the memory-bounded streaming path never calls this.
+        The verifiable-blinding path commits to and seals every slot's
+        mask, so round open expands the whole family once through here.
+        The rows are fresh objects the family keeps no reference to (they
+        bypass the cache): they are garbage as soon as the caller drops
+        them, which the blinder does before ``open_round`` returns.
         """
         rows: list[tuple[int, ...] | None] = [None] * self.plan.num_slots
         for group in range(self.plan.num_groups):
@@ -227,6 +233,7 @@ class BlindingService:
         self._rng = rng
         self._codec = codec or FixedPointCodec()
         self._round_masks: dict[int, SumZeroMasks] = {}
+        self._closed: set[int] = set()
 
     @property
     def codec(self) -> FixedPointCodec:
@@ -234,8 +241,7 @@ class BlindingService:
 
     def open_round(self, round_id: int, num_parties: int, length: int) -> SumZeroMasks:
         """Sample the mask family for a round (idempotent per round id)."""
-        if round_id in self._round_masks:
-            raise CryptoError(f"round {round_id} already opened")
+        self._require_unopened(round_id)
         masks = SumZeroMasks.sample(
             num_parties, length, self._rng.fork(f"round-{round_id}"),
             modulus_bits=self._codec.modulus_bits,
@@ -254,8 +260,7 @@ class BlindingService:
         untouched — grouped rounds fork a distinct label, so enabling
         subgrouping for one round never shifts another round's masks.
         """
-        if round_id in self._round_masks:
-            raise CryptoError(f"round {round_id} already opened")
+        self._require_unopened(round_id)
         from repro.scale.subgroup import plan_subgroups
 
         plan = plan_subgroups(round_id, num_parties, subgroup_size)
@@ -269,6 +274,33 @@ class BlindingService:
     def has_round(self, round_id: int) -> bool:
         return round_id in self._round_masks
 
+    def _refuse_closed(self, round_id: int) -> None:
+        if round_id in self._closed:
+            raise CryptoError(f"round {round_id} is closed")
+
+    def _require_unopened(self, round_id: int) -> None:
+        self._refuse_closed(round_id)
+        if round_id in self._round_masks:
+            raise CryptoError(f"round {round_id} already opened")
+
+    def _open_masks(self, round_id: int) -> SumZeroMasks:
+        masks = self._round_masks.get(round_id)
+        if masks is None:
+            self._refuse_closed(round_id)
+            raise CryptoError(f"round {round_id} not opened")
+        return masks
+
+    def close_round(self, round_id: int) -> None:
+        """The round is over: forget its masks for good (idempotent).
+
+        §3's privacy argument holds only while ``p_i`` is not available
+        next to the blinded ``y_i``, so a finished round's masks must not
+        stay revealable.  Only the round id survives, as a tombstone that
+        refuses re-opening, restoring and every later mask lookup.
+        """
+        self._round_masks.pop(round_id, None)
+        self._closed.add(round_id)
+
     def restore_round(self, round_id: int, masks: SumZeroMasks) -> None:
         """Reinstate a round's mask family from durable (sealed) storage.
 
@@ -279,6 +311,7 @@ class BlindingService:
         with *different* masks is refused: that would split the sum-zero
         family and silently corrupt the aggregate.
         """
+        self._refuse_closed(round_id)
         existing = self._round_masks.get(round_id)
         if existing is not None:
             if existing != masks:
@@ -294,10 +327,7 @@ class BlindingService:
         self, round_id: int, party_index: int, client_key: bytes
     ) -> EncryptedMask:
         """Encrypt party ``i``'s mask under its key, bound to the round id."""
-        masks = self._round_masks.get(round_id)
-        if masks is None:
-            raise CryptoError(f"round {round_id} not opened")
-        mask = masks.mask_for(party_index)
+        mask = self._open_masks(round_id).mask_for(party_index)
         payload = kernels.be_words_to_bytes(mask)
         cipher = AuthenticatedCipher(client_key)
         nonce = self._rng.generate(16)
@@ -322,10 +352,7 @@ class BlindingService:
 
     def mask_for(self, round_id: int, party_index: int) -> tuple[int, ...]:
         """The raw mask for one party in one round (provisioning-side view)."""
-        masks = self._round_masks.get(round_id)
-        if masks is None:
-            raise CryptoError(f"round {round_id} not opened")
-        return masks.mask_for(party_index)
+        return self._open_masks(round_id).mask_for(party_index)
 
     def mask_for_dropout(self, round_id: int, party_index: int) -> tuple[int, ...]:
         """Reveal a dropped-out party's mask so the round sum stays exact.

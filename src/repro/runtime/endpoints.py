@@ -80,7 +80,8 @@ class ServiceEndpoint:
     def __init__(self, service, monitor=None) -> None:
         self.service = service
         self.monitor = monitor
-        self._submit_results: dict[bytes, bool] = {}
+        #: round -> nonce -> verdict, for answering retransmissions.
+        self._submit_results: dict[int, dict[bytes, bool]] = {}
 
     def handlers(self) -> dict:
         return {
@@ -120,17 +121,14 @@ class ServiceEndpoint:
         _checked(self.monitor, message)
         request: m.SubmitContribution = message.payload
         nonce = getattr(request.contribution, "nonce", None)
-        if (
-            message.attempt > 1
-            and nonce is not None
-            and nonce in self._submit_results
-        ):
+        verdicts = self._submit_results.get(request.round_id)
+        if message.attempt > 1 and verdicts and nonce in verdicts:
             # Retransmission of a submission whose verdict we already
             # issued but whose response leg was lost.  Answering from
             # cache keeps at-least-once delivery from double-counting.
             # Fresh replays (attempt == 1) skip this and hit the
             # replayed-nonce check below, as they must.
-            return self._submit_results[nonce]
+            return verdicts[nonce]
         if self.monitor is not None and nonce is not None:
             self.monitor.check_submit(
                 request.round_id,
@@ -149,7 +147,7 @@ class ServiceEndpoint:
         else:
             accepted = self.service.submit(request.round_id, request.contribution)
         if nonce is not None:
-            self._submit_results[nonce] = accepted
+            self._submit_results.setdefault(request.round_id, {})[nonce] = accepted
         if self.monitor is not None:
             if accepted:
                 self.monitor.note_accepted(
@@ -179,6 +177,10 @@ class ServiceEndpoint:
                 request.round_id, request.dropout_masks
             )
         return self.service.finalize_plain_round(request.round_id)
+
+    def close_round(self, round_id: int) -> None:
+        """Drop the round's retransmission verdicts (engine lifecycle call)."""
+        self._submit_results.pop(round_id, None)
 
 
 class BlinderEndpoint:
@@ -439,4 +441,5 @@ class ClientEndpoint:
         command: m.CloseRound = message.payload
         if hasattr(self.client, "close_round"):
             self.client.close_round(command.round_id)
+        self._contribute_outcomes.pop(command.round_id, None)
         return True

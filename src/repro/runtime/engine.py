@@ -14,7 +14,10 @@ finalize — and drives it entirely with typed messages over
 * **finalize**: every mask slot that never produced an *accepted*
   contribution (dropout, validation rejection, lost submission) is
   revealed by the blinding service and handed to the cloud service for §3
-  repair, so the aggregate over survivors is exact.
+  repair, so the aggregate over survivors is exact.  Finalizing — like
+  abandoning an aborted round — then *retires* the round at every party
+  (:meth:`RoundEngine._retire_round`): each drops what it held for the
+  round and keeps only the id, so resident state is O(open rounds).
 
 Delivery is **at-least-once**: either leg of a call can drop, so a failed
 call may still have executed its handler.  Retries are therefore paired
@@ -193,9 +196,8 @@ class RoundEngine:
         self.reports: dict[int, RoundReport] = {}
         self._rounds: dict[int, _RoundRecord] = {}
         network.register(ENGINE, {})
-        network.register(
-            SERVICE, ServiceEndpoint(service, monitor=self.monitor).handlers()
-        )
+        self._service_endpoint = ServiceEndpoint(service, monitor=self.monitor)
+        network.register(SERVICE, self._service_endpoint.handlers())
         network.register(
             BLINDER,
             BlinderEndpoint(blinder_provisioner, monitor=self.monitor).handlers(),
@@ -218,6 +220,19 @@ class RoundEngine:
             self.network.register(name, endpoint.handlers())
         self.clients[client.client_id] = client
         return name
+
+    def attach_service(self, service) -> None:
+        """Swap the cloud service behind the engine and its bus endpoint.
+
+        The engine, the ``SERVICE`` handlers and the endpoint whose
+        per-round cache :meth:`_retire_round` purges must all name the
+        same object, so a wrapper (e.g. a Byzantine aggregator) goes in
+        through here rather than by re-registering handlers by hand.
+        """
+        self.service = service
+        self._service_endpoint = ServiceEndpoint(service, monitor=self.monitor)
+        for kind, handler in self._service_endpoint.handlers().items():
+            self.network.add_handler(SERVICE, kind, handler)
 
     def _client_name(self, client_id: str) -> str:
         if client_id not in self.clients:
@@ -717,7 +732,7 @@ class RoundEngine:
             accumulator = getattr(streaming_state, "accumulator", None)
             if accumulator is not None:
                 record.streamed = accumulator.folded
-        self._close_round_clients(record)
+        self._retire_round(record)
         report = self._build_report(record, result, len(repairs))
         self.reports[round_id] = report
         del self._rounds[round_id]
@@ -1013,18 +1028,38 @@ class RoundEngine:
             except (NetworkError, ReproError):
                 pass
 
+    def _retire_round(self, record: _RoundRecord) -> None:
+        """A round's one terminal step: every state holder lets go of it.
+
+        Finalize and abandon both end here.  Clients are told over the
+        bus (as before); the blinding service, the cloud service and the
+        service endpoint's verdict cache are closed by direct call, like
+        ``service.round_state()`` and ``blinder_provisioner.restart()``
+        elsewhere in this class — the orchestrator's own lifecycle
+        control, not protocol traffic, so the wire is unchanged.  After
+        this, each party holds only the round id, as a tombstone that
+        refuses re-opening, late submissions and mask reveals.
+        """
+        self._close_round_clients(record)
+        if record.blinded:
+            self.blinder_provisioner.close_round(record.round_id)
+        self.service.close_round(record.round_id)
+        self._service_endpoint.close_round(record.round_id)
+
     def abandon_round(self, round_id: int) -> None:
-        """Forget an aborted round's engine-side state.
+        """Forget an aborted round, at the engine and at every party.
 
         Safe mid-phase (an open phase window is closed first, so the
         record never leaks a dangling window) and idempotent: abandoning
         a round that was already abandoned — or never tracked — is a
         no-op.  Monitor state for the round is closed if it was still
-        live, so a monitor entry cannot outlive its round record.
+        live, so a monitor entry cannot outlive its round record.  The
+        round id is spent: its masks are gone, so it cannot be re-run.
         """
         record = self._rounds.pop(round_id, None)
         if record is not None:
             self._close_phase(record)
+            self._retire_round(record)
             self.monitor.close(round_id)
 
     def _abort(self, record: _RoundRecord, reason: str) -> RoundAbortedError:

@@ -20,6 +20,33 @@ SEED = b"scale-determinism"
 NUM_USERS = 6
 
 
+def _capture_at_open(deployment):
+    """Record each round's commitments and masks as the blinder publishes them.
+
+    The blinder forgets both when the round closes, so the fingerprint's
+    raw mask material is taken at open, on either path, by wrapping the
+    provisioner's ``open_round`` (an instance attribute, so the parallel
+    eligibility gate still sees a stock ``BlinderProvisioner``).
+    """
+    provisioner = deployment.engine.blinder_provisioner
+    publish = provisioner.open_round
+    opened = {}
+
+    def open_round(round_id, *args, **kwargs):
+        commitments = publish(round_id, *args, **kwargs)
+        opened[round_id] = (
+            commitments,
+            [
+                provisioner.mask_opening(round_id, slot).mask
+                for slot in range(commitments.num_slots)
+            ],
+        )
+        return commitments
+
+    provisioner.open_round = open_round
+    return opened
+
+
 def _run_round(workers, shards, round_id=1):
     parallelism = (
         ScaleConfig(workers=workers, shards=shards, chunk_size=2) if workers else None
@@ -27,28 +54,26 @@ def _run_round(workers, shards, round_id=1):
     deployment = Deployment.build(
         num_users=NUM_USERS, seed=SEED, parallelism=parallelism
     )
+    opened = _capture_at_open(deployment)
     users = [u.user_id for u in deployment.corpus.users]
     vectors = deployment.local_vectors()
     with deployment.engine as engine:
         report = engine.run_round(
             round_id, users, vectors, deployment.features.bigrams
         )
-    return deployment, report
+    return opened, report
 
 
-def _fingerprint(deployment, report, round_id=1):
-    provisioner = deployment.engine.blinder_provisioner
-    commitments = provisioner.round_commitments(round_id)
+def _fingerprint(opened, report, round_id=1):
+    commitments, masks = opened[round_id]
+    assert len(masks) == len(report.participants)
     return {
         "aggregate": report.aggregate.tobytes(),
         "blinded": [c.ring_payload for c in report.service_result.accepted],
         "nonces": [c.nonce for c in report.service_result.accepted],
         "root": commitments.root(),
         "hash_commitments": commitments.hash_commitments,
-        "masks": [
-            provisioner.mask_opening(round_id, slot).mask
-            for slot in range(len(report.participants))
-        ],
+        "masks": masks,
         "outcomes": report.outcomes,
         "ecalls": report.ecalls,
     }
@@ -56,8 +81,7 @@ def _fingerprint(deployment, report, round_id=1):
 
 @pytest.fixture(scope="module")
 def serial_fingerprint():
-    deployment, report = _run_round(workers=0, shards=1)
-    return _fingerprint(deployment, report)
+    return _fingerprint(*_run_round(workers=0, shards=1))
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
@@ -65,8 +89,10 @@ def serial_fingerprint():
 def test_parallel_round_is_byte_identical_to_serial(
     workers, shards, serial_fingerprint
 ):
-    deployment, report = _run_round(workers=workers, shards=shards)
-    assert _fingerprint(deployment, report) == serial_fingerprint
+    assert (
+        _fingerprint(*_run_round(workers=workers, shards=shards))
+        == serial_fingerprint
+    )
 
 
 def test_parallel_is_self_deterministic_across_repeat_builds():
@@ -87,6 +113,7 @@ def test_multi_round_drbg_state_stays_in_lockstep():
         deployment = Deployment.build(
             num_users=NUM_USERS, seed=SEED, parallelism=parallelism
         )
+        opened = _capture_at_open(deployment)
         users = [u.user_id for u in deployment.corpus.users]
         vectors = deployment.local_vectors()
         with deployment.engine as engine:
@@ -97,7 +124,7 @@ def test_multi_round_drbg_state_stays_in_lockstep():
                 for round_id in (1, 2)
             ]
         return [
-            _fingerprint(deployment, report, round_id)
+            _fingerprint(opened, report, round_id)
             for round_id, report in zip((1, 2), reports)
         ]
 

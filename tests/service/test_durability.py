@@ -138,20 +138,53 @@ def test_replaying_the_journal_twice_never_double_applies(backend_factory):
         third.audit.verify_chain()
 
 
+def _drive_to_open(service, tenant="alpha"):
+    """Open one round on the tenant's engine and stop before provisioning."""
+    runtime = service.tenant(tenant)
+    round_id, _ = _open_without_driving(service, tenant)
+    users = sorted(runtime.deployment.clients)
+    stages = runtime.engine.round_stages(
+        round_id,
+        users,
+        runtime.deployment.local_vectors(users),
+        runtime.deployment.features.bigrams,
+    )
+    assert next(stages) == "open"
+    return round_id, stages
+
+
+def _drain(stages):
+    while True:
+        try:
+            next(stages)
+        except StopIteration as stop:
+            return stop.value
+
+
 def test_sealed_rounds_survive_blinder_crash_via_persistent_store(backend_factory):
     with _service(backend_factory()) as service:
         _submit_all(service)
-        (report,) = service.run_pending_sync()
+        round_id, stages = _drive_to_open(service)
         blinder = service.shared_blinder
         assert isinstance(blinder._sealed_rounds, SealedBlobMap)
+        # The sealed blob lives in the backend, not the process: a fresh
+        # backend handle over the same state sees the open round.
+        sealed = SealedBlobMap(backend_factory(), "sealed/blinder")
+        assert round_id in sealed
+        assert isinstance(sealed[round_id], bytes)
+        # A crash mid-round recovers from it and the round still finalizes.
         blinder.crash()
-        assert report.round_id in blinder.restart()
-        assert blinder.has_round(report.round_id)
-    # The sealed blobs live in the backend, not the process: a fresh
-    # backend handle over the same state still sees them.
-    sealed = SealedBlobMap(backend_factory(), "sealed/blinder")
-    assert report.round_id in sealed
-    assert isinstance(sealed[report.round_id], bytes)
+        assert not blinder.has_round(round_id)
+        assert blinder.restart() == [round_id]
+        assert blinder.has_round(round_id)
+        report = _drain(stages)
+        assert report.num_contributions == USERS
+        # Finalizing retires the round: nothing left to unseal, anywhere.
+        assert not blinder.has_round(round_id)
+        assert round_id not in blinder._sealed_rounds
+        blinder.crash()
+        assert blinder.restart() == []
+    assert list(SealedBlobMap(backend_factory(), "sealed/blinder")) == []
 
 
 def test_second_process_continues_round_numbering(backend_factory):
@@ -165,12 +198,19 @@ def test_second_process_continues_round_numbering(backend_factory):
         _submit_all(second)
         (second_report,) = second.run_pending_sync()
         assert second_report.round_id == first_report.round_id + 1
-        # The persistent sealed store holds both processes' rounds; a
-        # blinder restart unseals them all into the live service.
+        # The persistent sealed store holds only what is still open, so
+        # neither process's finalized round is left for a restart to find.
         blinder = second.shared_blinder
-        assert first_report.round_id in blinder._sealed_rounds
+        assert list(blinder._sealed_rounds) == []
         blinder.crash()
-        recovered_rounds = blinder.restart()
-        assert first_report.round_id in recovered_rounds
-        assert second_report.round_id in recovered_rounds
-        assert blinder.has_round(first_report.round_id)
+        assert blinder.restart() == []
+        assert not blinder.has_round(first_report.round_id)
+        assert not blinder.has_round(second_report.round_id)
+        # A round the crash catches open is exactly what it does recover.
+        _submit_all(second)
+        round_id, stages = _drive_to_open(second)
+        assert round_id == second_report.round_id + 1
+        blinder.crash()
+        assert blinder.restart() == [round_id]
+        assert _drain(stages).num_contributions == USERS
+        assert list(blinder._sealed_rounds) == []

@@ -41,6 +41,15 @@ def test_tenants_share_one_blinder():
 def test_three_tenants_overlap_on_one_event_loop():
     with _service() as service:
         _fill(service)
+        blinder = service.shared_blinder
+        retire = blinder.close_round
+        held_until_close = {}
+
+        def close_round(round_id):
+            held_until_close[round_id] = blinder.has_round(round_id)
+            retire(round_id)
+
+        blinder.close_round = close_round
         reports = service.run_pending_sync()
         assert len(reports) == len(TENANTS)
         round_ids = [report.round_id for report in reports]
@@ -52,9 +61,12 @@ def test_three_tenants_overlap_on_one_event_loop():
         first = reports[0].as_dict()["aggregate"]
         for report in reports[1:]:
             assert report.as_dict()["aggregate"] == first
-        # All rounds live on the one shared blinder's sealed store.
+        # All rounds lived on the one shared blinder for as long as they
+        # were open, and it retired each of them at finalize.
+        assert held_until_close == {round_id: True for round_id in round_ids}
         for round_id in round_ids:
-            assert service.shared_blinder.has_round(round_id)
+            assert not blinder.has_round(round_id)
+        assert list(blinder._sealed_rounds) == []
 
 
 def test_every_round_has_its_own_audit_trail():
