@@ -96,9 +96,9 @@ class _ProvisionerBase:
     handshake digest — which binds the *current* session's values — is
     still signed on every delivery.  Resumption skips this provisioner's
     per-leg DRBG keypair draws, so enabling it changes the provisioner's
-    random stream: serial parity suites and the bit-exact parallel round
-    path both require it off (see
-    :func:`repro.scale.rounds.parallel_eligible`).
+    random stream: serial parity suites and the bit-exact worker-pool
+    executor both require it off (``"session_cache"`` in
+    :func:`repro.scale.rounds.plan_route`).
     """
 
     identity: SchnorrKeyPair

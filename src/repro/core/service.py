@@ -79,7 +79,7 @@ class StreamingRoundState:
     passes through, legacy-style) and quarantine eviction reports
     failure rather than un-folding — which is why the engine only
     routes adversary-free rounds here (see :func:`repro.scale.
-    hierarchy.hierarchical_eligible`).
+    rounds.plan_route`).
     """
 
     blinded = True

@@ -353,8 +353,9 @@ class DHSessionCache:
 
     Resumption deliberately skips the initiator's per-leg DRBG keypair
     draws, so enabling a cache changes the initiator's random stream:
-    caches are strictly opt-in and disqualify the bit-exact parallel
-    round path (see :func:`repro.scale.rounds.parallel_eligible`).
+    caches are strictly opt-in and keep a round off the bit-exact
+    worker-pool executor (``"session_cache"`` in
+    :func:`repro.scale.rounds.plan_route`).
     """
 
     def __init__(self, max_entries: int = 256) -> None:

@@ -74,6 +74,13 @@ def _checked(monitor, message: Message) -> None:
         raise
 
 
+def _streamed(request) -> dict:
+    """An open request's ``subgroup_size`` keyword, when it has one: only
+    stock parties are ever planned a streamed round (``plan_route``);
+    legacy and wrapped ones are always opened with the flat signature."""
+    return {"subgroup_size": request.subgroup_size} if request.subgroup_size else {}
+
+
 class ServiceEndpoint:
     """The cloud service as a transport endpoint."""
 
@@ -101,19 +108,11 @@ class ServiceEndpoint:
                 state = None
             if state is not None and state.blinded == request.blinded:
                 return True  # the earlier attempt's open landed; ack again
-        if request.subgroup_size:
-            # Only reached when the engine's hierarchical gate already
-            # established the service is a stock CloudService; legacy and
-            # wrapped services are always opened with the flat signature.
-            self.service.open_round(
-                request.round_id,
-                request.expected_parties,
-                blinded=request.blinded,
-                subgroup_size=request.subgroup_size,
-            )
-            return True
         self.service.open_round(
-            request.round_id, request.expected_parties, blinded=request.blinded
+            request.round_id,
+            request.expected_parties,
+            blinded=request.blinded,
+            **_streamed(request),
         )
         return True
 
@@ -127,36 +126,55 @@ class ServiceEndpoint:
             # issued but whose response leg was lost.  Answering from
             # cache keeps at-least-once delivery from double-counting.
             # Fresh replays (attempt == 1) skip this and hit the
-            # replayed-nonce check below, as they must.
+            # replayed-nonce check in admit(), as they must.
             return verdicts[nonce]
+        return self.admit(
+            request.round_id,
+            message.sender,
+            request.slot,
+            request.contribution,
+            retransmit=message.attempt > 1,
+        )
+
+    def admit(
+        self,
+        round_id: int,
+        sender: str,
+        slot: int | None,
+        contribution,
+        *,
+        retransmit: bool = False,
+        verified: bool = False,
+    ) -> bool:
+        """The one admission sequence: monitor gate, service, monitor ledger.
+
+        Every contribution that can count passes through here exactly
+        once — off the wire (:meth:`_handle_submit`) or from the pool
+        merge, which sets ``verified`` when a worker already checked the
+        Glimmer signature (``CloudService.submit_verified``).  Raises
+        :class:`ProtocolViolation` when the monitor refuses the sender.
+        """
+        nonce = getattr(contribution, "nonce", None)
         if self.monitor is not None and nonce is not None:
             self.monitor.check_submit(
-                request.round_id,
-                message.sender,
-                request.slot,
-                nonce,
-                retransmit=message.attempt > 1,
+                round_id, sender, slot, nonce, retransmit=retransmit
             )
-        if getattr(type(self.service), "accepts_submit_slot", False):
+        if verified:
+            accepted = self.service.submit_verified(round_id, contribution, slot=slot)
+        elif getattr(type(self.service), "accepts_submit_slot", False):
             # Checked on the class so Byzantine wrappers whose __getattr__
             # forwards attributes (but whose shadowing submit keeps the
             # legacy two-argument shape) still get the legacy call.
-            accepted = self.service.submit(
-                request.round_id, request.contribution, slot=request.slot
-            )
+            accepted = self.service.submit(round_id, contribution, slot=slot)
         else:
-            accepted = self.service.submit(request.round_id, request.contribution)
+            accepted = self.service.submit(round_id, contribution)
         if nonce is not None:
-            self._submit_results.setdefault(request.round_id, {})[nonce] = accepted
+            self._submit_results.setdefault(round_id, {})[nonce] = accepted
         if self.monitor is not None:
             if accepted:
-                self.monitor.note_accepted(
-                    request.round_id, message.sender, request.slot, nonce
-                )
+                self.monitor.note_accepted(round_id, sender, slot, nonce)
             else:
-                self.monitor.note_rejected(
-                    request.round_id, message.sender, "service-rejected"
-                )
+                self.monitor.note_rejected(round_id, sender, "service-rejected")
         return accepted
 
     def _handle_query_submission(self, message: Message) -> bool:
@@ -213,17 +231,12 @@ class BlinderEndpoint:
                     except CryptoError:
                         pass
                 return True
-        if request.subgroup_size:
-            result = self.provisioner.open_round(
-                request.round_id,
-                request.num_parties,
-                request.vector_length,
-                subgroup_size=request.subgroup_size,
-            )
-        else:
-            result = self.provisioner.open_round(
-                request.round_id, request.num_parties, request.vector_length
-            )
+        result = self.provisioner.open_round(
+            request.round_id,
+            request.num_parties,
+            request.vector_length,
+            **_streamed(request),
+        )
         # Commitment-aware provisioners publish their MaskCommitmentSet;
         # legacy ones return None and the engine skips verification.
         return result if result is not None else True

@@ -41,6 +41,7 @@ window closed and a partial :class:`~repro.runtime.telemetry.RoundReport`
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -49,6 +50,7 @@ from repro.crypto import group_ops
 from repro.crypto.commitments import (
     MaskOpening,
     batch_verify_openings,
+    resolve_group,
     verify_opening,
 )
 from repro.crypto.drbg import HmacDrbg
@@ -96,6 +98,9 @@ from repro.runtime.telemetry import (
     meter_delta,
     meter_snapshot,
 )
+from repro.scale import shard as scale_shard
+from repro.scale.config import RoutePlan
+from repro.scale.subgroup import plan_subgroups
 
 __all__ = ["RoundEngine", "ENGINE", "SERVICE", "BLINDER", "client_endpoint"]
 
@@ -106,10 +111,18 @@ PHASE_STALL_MS = 40.0
 class _RoundRecord:
     """Engine-side accounting for one in-flight round."""
 
-    def __init__(self, network: Network, round_id: int, num_slots: int, blinded: bool):
+    def __init__(
+        self,
+        network: Network,
+        round_id: int,
+        num_slots: int,
+        blinded: bool,
+        route: RoutePlan = RoutePlan(),
+    ):
         self.round_id = round_id
         self.num_slots = num_slots
         self.blinded = blinded
+        self.route = route  # executor + accumulator; open, pool and finalize read it
         self.opened_at_ms = network.clock.now_ms()
         self.participants: list[str] = []
         self.provisioned: dict[int, str] = {}
@@ -146,6 +159,18 @@ class _RoundRecord:
             self.participants.append(client_id)
 
 
+class StageDrain:
+    """The one drain loop over :meth:`RoundEngine.round_stages`: the sync and
+    asyncio drivers both ``for stage in drain``, then read :attr:`report`."""
+
+    def __init__(self, stages) -> None:
+        self._stages = stages
+        self.report: RoundReport | None = None
+
+    def __iter__(self):
+        self.report = yield from self._stages
+
+
 class RoundEngine:
     """Orchestrates contribution rounds over a simulated transport."""
 
@@ -180,12 +205,13 @@ class RoundEngine:
         self.group = group
         self.quarantine = quarantine or Quarantine()
         self.parallelism = parallelism
-        """Optional :class:`repro.scale.ScaleConfig`.  When set with
-        ``workers > 0``, eligible rounds (see
-        :func:`repro.scale.rounds.parallel_eligible`) run their provision
-        and collect phases on a process pool with sharded aggregation;
-        everything else — and ``workers == 0`` — takes the serial bus
-        path below, unchanged."""
+        """Optional :class:`repro.scale.ScaleConfig`: what the engine
+        *wants* — ``workers > 0`` a process pool for provision and
+        collect with sharded aggregation, ``subgroup_size > 0`` streamed
+        subgroup accumulators.  What a given round *gets* is decided by
+        :func:`repro.scale.rounds.plan_route`, once, in
+        :meth:`round_stages`; a blocked round — and an engine with no
+        config — takes the serial flat bus path below, unchanged."""
         self._scale_pool = None
         self.link_conditions = None
         """Optional :class:`repro.network.conditions.LinkConditions`
@@ -435,26 +461,26 @@ class RoundEngine:
         num_slots: int,
         vector_length: int,
         blinded: bool = True,
-        subgroup_size: int = 0,
+        route: RoutePlan = RoutePlan(),
     ) -> None:
         """Open the round at the blinding service and the cloud service.
 
-        ``subgroup_size > 0`` opens a hierarchical round: the blinder
-        samples per-subgroup sum-zero families and the service streams
-        submissions into per-subgroup accumulators.  The plan is a pure
-        function of the round id, so the engine's copy (kept for repair
+        ``route`` is the round's :class:`~repro.scale.config.RoutePlan`
+        (the default is the serial flat round).  A streamed accumulator
+        opens a hierarchical round: the blinder samples per-subgroup
+        sum-zero families and the service streams submissions into
+        per-subgroup accumulators.  The subgroup plan is a pure function
+        of the round id, so the engine's copy (kept for repair
         telemetry) matches both parties' without coordination.
         """
         if round_id in self._rounds:
             raise ProtocolError(f"round {round_id} is already tracked by the engine")
-        record = _RoundRecord(self.network, round_id, num_slots, blinded)
+        record = _RoundRecord(self.network, round_id, num_slots, blinded, route)
         if self.fault_injector is not None:
             record.faults0 = len(self.fault_injector.fired)
-        if subgroup_size > 0 and blinded:
-            from repro.scale.subgroup import plan_subgroups
-
+        if route.subgroup_size > 0 and blinded:
             record.subgroup_plan = plan_subgroups(
-                round_id, num_slots, subgroup_size
+                round_id, num_slots, route.subgroup_size
             )
             # Telemetry reports the *effective* group size (the plan
             # clamps g to the cohort), not the configured knob.
@@ -638,12 +664,35 @@ class RoundEngine:
                 raise
             accepted = True
         if accepted and slot is not None:
-            record.consumed.add(slot)
-            record.unresolved.discard(slot)
-            nonce = getattr(contribution, "nonce", None)
-            if nonce is not None:
-                record.slot_nonce.setdefault(slot, nonce)
+            self._note_slot_consumed(record, slot, contribution)
         return accepted
+
+    def _note_slot_consumed(self, record: _RoundRecord, slot: int, contribution) -> None:
+        """Book an accepted submission against its mask slot — once, here,
+        on every route.  A consumed slot is exempt from §3 repair: its mask
+        is never revealed."""
+        record.consumed.add(slot)
+        record.unresolved.discard(slot)
+        nonce = getattr(contribution, "nonce", None)
+        if nonce is not None:
+            record.slot_nonce.setdefault(slot, nonce)
+
+    def _evict_consumed_slot(self, record: _RoundRecord, slot: int) -> bool:
+        """Undo :meth:`_note_slot_consumed` (so §3 repair reveals the mask) —
+        only when the service verifiably removed the contribution; if it
+        cannot (plain, streamed, legacy-service rounds) the accept stands."""
+        nonce = record.slot_nonce.get(slot)
+        if (
+            slot not in record.consumed
+            or nonce is None
+            or not hasattr(self.service, "evict_nonce")
+            or not self.service.evict_nonce(record.round_id, nonce)
+        ):
+            return False
+        record.consumed.discard(slot)
+        del record.slot_nonce[slot]
+        self.monitor.forget_slot(record.round_id, slot)
+        return True
 
     def finalize_round(self, round_id: int) -> RoundReport:
         """Repair unconsumed slots, finalize at the service, emit the report.
@@ -714,24 +763,13 @@ class RoundEngine:
                             for slot, _ in revealed_by_slot
                         }
                     )
-            result = self.call_with_retry(
-                record,
-                ENGINE,
-                SERVICE,
-                m.KIND_FINALIZE,
-                m.FinalizeRound(round_id, tuple(repairs)),
-            )
+            result = self._finalize_at_service(record, repairs)
         except NetworkError as exc:
             raise self._abort(record, f"finalize could not complete: {exc}")
         self._audit_result(record, result, repairs)
         if record.subgroup_plan is not None:
-            try:
-                streaming_state = self.service.round_state(round_id)
-            except (ProtocolError, AttributeError):
-                streaming_state = None
-            accumulator = getattr(streaming_state, "accumulator", None)
-            if accumulator is not None:
-                record.streamed = accumulator.folded
+            # A streamed plan is only drawn for a stock CloudService.
+            record.streamed = self.service.round_state(round_id).accumulator.folded
         self._retire_round(record)
         report = self._build_report(record, result, len(repairs))
         self.reports[round_id] = report
@@ -739,21 +777,33 @@ class RoundEngine:
         self.monitor.close(round_id)
         return report
 
+    def _finalize_at_service(self, record: _RoundRecord, repairs):
+        """Send finalize; a pool round's cohort sum runs through shard
+        partials (associative, so the very integers the flat sum yields)."""
+        request = m.FinalizeRound(record.round_id, tuple(repairs))
+        if not record.route.pool:
+            return self.call_with_retry(record, ENGINE, SERVICE, m.KIND_FINALIZE, request)
+        previous = self.service.aggregation_reducer
+        self.service.aggregation_reducer = scale_shard.ShardedRingReducer(record.route.shards)
+        try:
+            return self.call_with_retry(record, ENGINE, SERVICE, m.KIND_FINALIZE, request)
+        finally:
+            self.service.aggregation_reducer = previous
+
     def _scale_point_product(self, record: _RoundRecord):
         """Merged per-shard partial products for the sum-zero audit.
 
-        ``None`` (the serial flat product) unless the round ran the scale
-        path, which leaves its shard plan on the record.  Modular
-        multiplication is associative, so the merged product equals the
-        flat one — this only changes *where* the multiplies happen.
+        ``None`` (the serial flat product) unless the round's plan put it
+        on the pool.  Modular multiplication is associative, so the
+        merged product equals the flat one — this only changes *where*
+        the multiplies happen.
         """
-        plan = getattr(record, "scale_plan", None)
-        if plan is None or record.commitments is None:
+        if not record.route.pool or record.commitments is None:
             return None
-        from repro.crypto.commitments import resolve_group
-        from repro.scale import shard as scale_shard
-
         prime = resolve_group(record.commitments.group_name).prime
+        plan = scale_shard.plan_shards(
+            record.round_id, record.participants, record.route.shards
+        )
         partials = scale_shard.partial_point_products(
             record.commitments.points, plan, prime
         )
@@ -887,15 +937,7 @@ class RoundEngine:
             client_id = offender[len(prefix):]
             evicted = False
             for slot, user_id in record.provisioned.items():
-                if user_id != client_id or slot not in record.consumed:
-                    continue
-                nonce = record.slot_nonce.get(slot)
-                if nonce is None or not hasattr(self.service, "evict_nonce"):
-                    continue
-                if self.service.evict_nonce(round_id, nonce):
-                    record.consumed.discard(slot)
-                    record.slot_nonce.pop(slot, None)
-                    self.monitor.forget_slot(round_id, slot)
+                if user_id == client_id and self._evict_consumed_slot(record, slot):
                     evicted = True
             if client_id in record.participants:
                 record.outcomes[client_id] = (
@@ -934,11 +976,9 @@ class RoundEngine:
                 f"repair count {result.num_dropouts_repaired} != "
                 f"{len(repairs)} masks handed over"
             )
-        if self.signing_public is not None and not getattr(
-            record, "preverified", False
-        ):
-            # Scale-path rounds verified every accepted signature exactly
-            # once already (worker pre-verification or service admission);
+        if self.signing_public is not None and not record.route.pool:
+            # Pool rounds verified every accepted signature exactly once
+            # already (worker pre-verification or service admission);
             # re-walking them here would serialize what the pool spread out.
             # The cohort is first tried as ONE randomized batch (~25x
             # cheaper than the loop); only a failed or unbatchable cohort
@@ -1173,11 +1213,10 @@ class RoundEngine:
             blind=blind,
             adaptive=adaptive,
         )
-        while True:
-            try:
-                next(stages)
-            except StopIteration as stop:
-                return stop.value
+        drain = StageDrain(stages)
+        for _stage in drain:
+            pass
+        return drain.report
 
     def round_stages(
         self,
@@ -1209,6 +1248,14 @@ class RoundEngine:
         :class:`RoundReport` is the generator's return value
         (``StopIteration.value``); aborts raise through ``next()``
         unchanged.
+
+        Every route runs this one skeleton: the round's
+        :class:`~repro.scale.config.RoutePlan` is decided once, up front,
+        and open, quarantine, the abort checks and :meth:`finalize_round`
+        are the same code whatever it names.  Only the middle differs —
+        a pool round hands provision and collect to
+        :func:`repro.scale.rounds.run_parallel_round` behind one
+        suspension point instead of working them on the bus.
         """
         participants = list(participants)
         silent = set(dropouts)
@@ -1220,68 +1267,23 @@ class RoundEngine:
         )
         phase_deadlines = dict(phase_deadlines_ms or {})
         features = tuple(features)
-        if (
-            self.parallelism is not None
-            and self.parallelism.enabled
-            and adaptive is None
-            and self.link_conditions is None
-        ):
-            # Adaptive deadlines and link-conditions trimming are serial-
-            # path features: both observe per-operation timing on the bus,
-            # which the sharded fast path deliberately does not expose.
-            from repro.scale import rounds as scale_rounds
+        # Imported here: repro.scale.rounds itself imports this package.
+        from repro.scale import rounds as scale_rounds
 
-            if scale_rounds.parallel_eligible(
-                self,
-                participants=participants,
-                blind=blind,
-                deadline_ms=deadline_ms,
-                phase_deadlines_ms=phase_deadlines,
-                claims_by_user=claims_by_user,
-                context_fields=context_fields,
-            ):
-                return scale_rounds.run_parallel_round(
-                    self,
-                    self.parallelism,
-                    round_id,
-                    participants,
-                    values_by_user,
-                    features,
-                    dropouts=silent,
-                    collect_dropouts=silent_after_provision,
-                    recovery_threshold=threshold,
-                )
-        subgroup_size = 0
-        if (
-            self.parallelism is not None
-            and getattr(self.parallelism, "hierarchical", False)
-            and adaptive is None
-            and self.link_conditions is None
-        ):
-            # Hierarchical rounds are the serial path with grouped masks
-            # and a streaming service round — same messages, same slots,
-            # same per-slot repair.  The gate (PR-5 style) routes anything
-            # that could need eviction or per-row audit back to the flat
-            # path unchanged.
-            from repro.scale import hierarchy
-
-            if hierarchy.hierarchical_eligible(
-                self,
-                participants=participants,
-                blind=blind,
-                deadline_ms=deadline_ms,
-                phase_deadlines_ms=phase_deadlines,
-                claims_by_user=claims_by_user,
-                context_fields=context_fields,
-            ):
-                subgroup_size = self.parallelism.subgroup_size
+        route = scale_rounds.plan_route(
+            self,
+            self.parallelism,
+            participants=participants,
+            blind=blind,
+            deadline_ms=deadline_ms,
+            phase_deadlines_ms=phase_deadlines,
+            claims_by_user=claims_by_user,
+            context_fields=context_fields,
+            adaptive=adaptive,
+        )
         try:
             self.open_round(
-                round_id,
-                len(participants),
-                len(features),
-                blinded=blind,
-                subgroup_size=subgroup_size,
+                round_id, len(participants), len(features), blinded=blind, route=route
             )
         except NetworkError as exc:
             # The round is tracked the moment open_round starts, so a
@@ -1301,175 +1303,117 @@ class RoundEngine:
             # Known offenders sit the round out entirely: no mask slot is
             # charged to them and no command reaches them.
             record.outcomes[user_id] = OUTCOME_QUARANTINED
-        hedging = adaptive is not None and adaptive.hedge
-        if blind:
-            self._start_phase(record, "provision")
-            provision_deadline = self._phase_deadline(phase_deadlines, "provision")
-            controller = None
-            if adaptive is not None:
-                provision_deadline = None
-                controller = PhaseDeadlineController(
-                    adaptive,
-                    self.network.clock.now_ms(),
-                    len(participants) - len(quarantined),
+        if route.pool:
+            # The whole cohort's provision and collect work happens behind
+            # this one suspension point, in the worker processes.
+            yield "provision"
+            scale_rounds.run_parallel_round(
+                self,
+                record,
+                participants,
+                values_by_user,
+                features,
+                quarantined=quarantined,
+                dropouts=silent,
+                collect_dropouts=silent_after_provision,
+            )
+        else:
+            hedging = adaptive is not None and adaptive.hedge
+            if blind:
+                controller, fixed_cutoff = self._open_bus_phase(
+                    record, "provision", participants, quarantined, phase_deadlines, adaptive
                 )
-            self._trim_partitioned(record, participants, quarantined)
-            for index, user_id in enumerate(participants):
-                yield "provision"
+                for index, user_id in enumerate(participants):
+                    yield "provision"
+                    if user_id in quarantined:
+                        continue
+                    if record.outcomes.get(user_id) == OUTCOME_PARTITIONED:
+                        continue
+                    if user_id in silent:
+                        record.outcomes[user_id] = OUTCOME_DROPOUT
+                        continue
+                    cutoff_ms = controller.cutoff_ms() if controller else fixed_cutoff
+                    if cutoff_ms is not None and self.network.clock.now_ms() > cutoff_ms:
+                        record.outcomes[user_id] = OUTCOME_DEADLINE_MISSED
+                        continue
+                    started = self.network.clock.now_ms()
+                    provision = partial(self.provision_mask, user_id, round_id, index)
+                    try:
+                        provision()
+                    except MaskVerificationError as exc:
+                        raise self._abort_on_bad_mask(record, str(exc))
+                    except NetworkError:
+                        if not (hedging and self._hedge_provision(record, provision)):
+                            record.outcomes[user_id] = OUTCOME_PROVISION_FAILED
+                            continue
+                    except EnclaveError:
+                        # Client enclave died mid-provision.  Restart it from
+                        # sealed state and retry the slot once; a second death
+                        # writes the client off for this round.
+                        if not self._recover_and_retry_provision(
+                            record, user_id, provision
+                        ):
+                            record.outcomes[user_id] = OUTCOME_CRASHED
+                            continue
+                    self._observe_op(record, controller, started)
+            controller, fixed_cutoff = self._open_bus_phase(
+                record, "collect", participants, quarantined, phase_deadlines, adaptive
+            )
+            deadline = None if deadline_ms is None else record.opened_at_ms + deadline_ms
+            for user_id in participants:
+                yield "collect"
                 if user_id in quarantined:
                     continue
-                if record.outcomes.get(user_id) == OUTCOME_PARTITIONED:
-                    continue
                 if user_id in silent:
+                    record.outcomes.setdefault(user_id, OUTCOME_DROPOUT)
+                    continue
+                if user_id in silent_after_provision:
                     record.outcomes[user_id] = OUTCOME_DROPOUT
                     continue
-                cutoff = (
-                    controller.cutoff_ms()
-                    if controller is not None
-                    else provision_deadline
+                if record.outcomes.get(user_id) in (
+                    OUTCOME_PROVISION_FAILED,
+                    OUTCOME_CRASHED,
+                    OUTCOME_DEADLINE_MISSED,
+                    OUTCOME_PARTITIONED,
+                ):
+                    continue
+                phase_cutoff = controller.cutoff_ms() if controller else fixed_cutoff
+                cutoff_ms = min(
+                    (c for c in (deadline, phase_cutoff) if c is not None), default=None
                 )
-                if cutoff is not None and self.network.clock.now_ms() > cutoff:
+                if cutoff_ms is not None and self.network.clock.now_ms() > cutoff_ms:
                     record.outcomes[user_id] = OUTCOME_DEADLINE_MISSED
                     continue
                 started = self.network.clock.now_ms()
-                try:
-                    self.provision_mask(user_id, round_id, index)
-                except MaskVerificationError as exc:
-                    # The client's Glimmer refused a delivered mask that
-                    # fails its published commitment: the blinding service
-                    # is lying, and no aggregate this round can be trusted.
-                    self.monitor.record(
-                        round_id, BLINDER, VIOLATION_MASK_OPENING, str(exc)
-                    )
-                    raise self._abort(
-                        record,
-                        f"blinding service delivered a mask that fails its "
-                        f"commitment: {exc}",
-                    )
-                except NetworkError:
-                    if hedging and self._hedge_provision(
-                        record, user_id, round_id, index
-                    ):
-                        self._observe_op(record, controller, started)
-                        continue
-                    record.outcomes[user_id] = OUTCOME_PROVISION_FAILED
-                except EnclaveError:
-                    # Client enclave died mid-provision.  Restart it from
-                    # sealed state and retry the slot once; a second death
-                    # writes the client off for this round.
-                    if self._recover_and_retry_provision(
-                        record, user_id, round_id, index
-                    ):
-                        self._observe_op(record, controller, started)
-                        continue
-                    record.outcomes[user_id] = OUTCOME_CRASHED
-                else:
-                    self._observe_op(record, controller, started)
-        self._start_phase(record, "collect")
-        deadline = None if deadline_ms is None else record.opened_at_ms + deadline_ms
-        collect_deadline = self._phase_deadline(phase_deadlines, "collect")
-        collect_controller = None
-        if adaptive is not None:
-            collect_deadline = None
-            collect_controller = PhaseDeadlineController(
-                adaptive,
-                self.network.clock.now_ms(),
-                len(participants) - len(quarantined),
-            )
-        self._trim_partitioned(record, participants, quarantined)
-        for user_id in participants:
-            yield "collect"
-            if user_id in quarantined:
-                continue
-            if user_id in silent:
-                record.outcomes.setdefault(user_id, OUTCOME_DROPOUT)
-                continue
-            if user_id in silent_after_provision:
-                record.outcomes[user_id] = OUTCOME_DROPOUT
-                continue
-            if record.outcomes.get(user_id) in (
-                OUTCOME_PROVISION_FAILED,
-                OUTCOME_CRASHED,
-                OUTCOME_DEADLINE_MISSED,
-                OUTCOME_PARTITIONED,
-            ):
-                continue
-            phase_cutoff = (
-                collect_controller.cutoff_ms()
-                if collect_controller is not None
-                else collect_deadline
-            )
-            if deadline is not None and self.network.clock.now_ms() > deadline:
-                record.outcomes[user_id] = OUTCOME_DEADLINE_MISSED
-                continue
-            if (
-                phase_cutoff is not None
-                and self.network.clock.now_ms() > phase_cutoff
-            ):
-                record.outcomes[user_id] = OUTCOME_DEADLINE_MISSED
-                continue
-            effective_cutoff = min(
-                (c for c in (deadline, phase_cutoff) if c is not None),
-                default=None,
-            )
-            started = self.network.clock.now_ms()
-            claims = (claims_by_user or {}).get(user_id)
-            try:
-                outcome = self.contribute(
+                contribute = partial(
+                    self.contribute,
                     user_id,
                     round_id,
                     values_by_user[user_id],
                     features,
                     blind=blind,
-                    claims=claims,
+                    claims=(claims_by_user or {}).get(user_id),
                     context_fields=context_fields,
                 )
-            except NetworkError:
-                outcome = None
-                if hedging:
-                    outcome = self._hedge_contribute(
-                        record,
-                        user_id,
-                        round_id,
-                        values_by_user[user_id],
-                        features,
-                        blind=blind,
-                        claims=claims,
-                        context_fields=context_fields,
-                    )
-                if outcome is None:
-                    record.outcomes[user_id] = OUTCOME_UNREACHABLE
-                    continue
-            self._observe_op(record, collect_controller, started)
-            if outcome == OUTCOME_ACCEPTED and (
-                effective_cutoff is not None
-                and self.network.clock.now_ms() > effective_cutoff
-            ):
-                # The reply landed, but only after the deadline had
-                # passed — from the round's point of view this client
-                # missed it, and counting the contribution anyway would
-                # double-book the slot against the deadline bookkeeping.
-                self._discard_late_reply(record, user_id)
-                continue
-            if outcome == OUTCOME_CRASHED:
-                # One recovery attempt: restart the enclave from sealed
-                # checkpoints and re-issue the contribute command.  If the
-                # checkpoint was refused (rollback) the retry fails closed
-                # inside the enclave and the slot is repaired by reveal.
-                client = self.clients.get(user_id)
-                if client is not None and self._restart_client(record, client):
-                    try:
-                        self.contribute(
-                            user_id,
-                            round_id,
-                            values_by_user[user_id],
-                            features,
-                            blind=blind,
-                            claims=claims,
-                            context_fields=context_fields,
-                        )
-                    except NetworkError:
+                try:
+                    outcome = contribute()
+                except NetworkError:
+                    outcome = self._hedge_contribute(record, contribute) if hedging else None
+                    if outcome is None:
                         record.outcomes[user_id] = OUTCOME_UNREACHABLE
+                        continue
+                self._observe_op(record, controller, started)
+                if outcome == OUTCOME_ACCEPTED and (
+                    cutoff_ms is not None and self.network.clock.now_ms() > cutoff_ms
+                ):
+                    # The reply landed, but only after the deadline had
+                    # passed — from the round's point of view this client
+                    # missed it, and counting the contribution anyway would
+                    # double-book the slot against the deadline bookkeeping.
+                    self._discard_late_reply(record, user_id)
+                    continue
+                if outcome == OUTCOME_CRASHED:
+                    self._recover_and_retry_contribute(record, user_id, contribute)
         if record.unresolved:
             raise self._abort(
                 record,
@@ -1499,25 +1443,69 @@ class RoundEngine:
         yield "finalize"
         return self.finalize_round(round_id)
 
-    def _phase_deadline(
-        self, phase_deadlines: Mapping[str, float], phase: str
-    ) -> float | None:
-        budget = phase_deadlines.get(phase)
-        if budget is None:
-            return None
-        return self.network.clock.now_ms() + float(budget)
+    def _abort_on_bad_mask(self, record: _RoundRecord, detail: str) -> RoundAbortedError:
+        """A client's Glimmer refused a delivered mask that fails its
+        published commitment: the blinding service is lying, and no
+        aggregate this round can be trusted.  Blames it and aborts."""
+        self.monitor.record(record.round_id, BLINDER, VIOLATION_MASK_OPENING, detail)
+        return self._abort(
+            record,
+            f"blinding service delivered a mask that fails its commitment: {detail}",
+        )
+
+    def _open_bus_phase(
+        self,
+        record: _RoundRecord,
+        name: str,
+        participants: Sequence[str],
+        quarantined: set[str],
+        phase_deadlines: Mapping[str, float],
+        adaptive: AdaptiveDeadlines | None,
+    ):
+        """Start a bus phase; returns its ``(controller, fixed_cutoff)`` pair:
+        under ``adaptive`` a controller deriving the deadline from observed
+        operations, otherwise the ``phase_deadlines`` budget from now."""
+        self._start_phase(record, name)
+        now = self.network.clock.now_ms()
+        controller = fixed_cutoff = None
+        if adaptive is not None:
+            controller = PhaseDeadlineController(
+                adaptive, now, len(participants) - len(quarantined)
+            )
+        elif phase_deadlines.get(name) is not None:
+            fixed_cutoff = now + float(phase_deadlines[name])
+        self._trim_partitioned(record, participants, quarantined)
+        return controller, fixed_cutoff
 
     def _recover_and_retry_provision(
-        self, record: _RoundRecord, user_id: str, round_id: int, index: int
+        self, record: _RoundRecord, user_id: str, provision
     ) -> bool:
         client = self.clients.get(user_id)
         if client is None or not self._restart_client(record, client):
             return False
         try:
-            self.provision_mask(user_id, round_id, index)
+            provision()
         except (NetworkError, EnclaveError):
             return False
         return True
+
+    def _recover_and_retry_contribute(
+        self, record: _RoundRecord, user_id: str, contribute
+    ) -> None:
+        """One recovery attempt for a client that crashed while contributing.
+
+        Restart the enclave from sealed checkpoints and re-issue the
+        (bound) contribute command over the bus.  If the checkpoint was
+        refused (rollback) the retry fails closed inside the enclave and
+        the slot is repaired by reveal.
+        """
+        client = self.clients.get(user_id)
+        if client is None or not self._restart_client(record, client):
+            return
+        try:
+            contribute()
+        except NetworkError:
+            record.outcomes[user_id] = OUTCOME_UNREACHABLE
 
     def _trim_partitioned(
         self,
@@ -1559,9 +1547,7 @@ class RoundEngine:
         if controller.observe(self.network.clock.now_ms() - started_ms):
             record.stragglers += 1
 
-    def _hedge_provision(
-        self, record: _RoundRecord, user_id: str, round_id: int, index: int
-    ) -> bool:
+    def _hedge_provision(self, record: _RoundRecord, provision) -> bool:
         """One hedged provision re-delivery before writing the slot off.
 
         The re-issued command starts its attempt numbering past
@@ -1572,38 +1558,16 @@ class RoundEngine:
         """
         record.hedged += 1
         try:
-            self.provision_mask(
-                user_id, round_id, index, first_attempt=self.max_attempts + 1
-            )
+            provision(first_attempt=self.max_attempts + 1)
         except (NetworkError, EnclaveError):
             return False
         return True
 
-    def _hedge_contribute(
-        self,
-        record: _RoundRecord,
-        user_id: str,
-        round_id: int,
-        values: Sequence[float],
-        features: Sequence,
-        *,
-        blind: bool,
-        claims: Mapping | None,
-        context_fields: Sequence[str],
-    ) -> str | None:
+    def _hedge_contribute(self, record: _RoundRecord, contribute) -> str | None:
         """One hedged contribute re-delivery; outcome or ``None`` if lost."""
         record.hedged += 1
         try:
-            return self.contribute(
-                user_id,
-                round_id,
-                values,
-                features,
-                blind=blind,
-                claims=claims,
-                context_fields=context_fields,
-                first_attempt=self.max_attempts + 1,
-            )
+            return contribute(first_attempt=self.max_attempts + 1)
         except NetworkError:
             return None
 
@@ -1620,19 +1584,8 @@ class RoundEngine:
         cannot evict (plain rounds, legacy services), the accept stands —
         exactness outranks deadline hygiene.
         """
-        slots = [
-            slot
-            for slot, owner in record.provisioned.items()
-            if owner == user_id and slot in record.consumed
-        ]
-        for slot in slots:
-            nonce = record.slot_nonce.get(slot)
-            if nonce is None or not hasattr(self.service, "evict_nonce"):
-                continue
-            if self.service.evict_nonce(record.round_id, nonce):
-                record.consumed.discard(slot)
-                record.slot_nonce.pop(slot, None)
-                self.monitor.forget_slot(record.round_id, slot)
+        for slot, owner in record.provisioned.items():
+            if owner == user_id and self._evict_consumed_slot(record, slot):
                 record.outcomes[user_id] = OUTCOME_DEADLINE_MISSED
                 record.late_discards += 1
 

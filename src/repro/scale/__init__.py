@@ -6,19 +6,21 @@ contribution, and signature check on one core.  This package splits the
 pipeline the way a production deployment would (see DESIGN.md §10):
 
 * :mod:`repro.scale.config` — the ``ScaleConfig(workers, shards,
-  chunk_size)`` knob the engine accepts; ``workers=0`` keeps today's
-  serial bus path.
+  chunk_size, subgroup_size)`` knob the engine accepts, and the
+  per-round ``RoutePlan`` (executor, accumulator, blocking reason)
+  drawn from it; ``workers=0`` keeps today's serial bus path.
 * :mod:`repro.scale.shard` — deterministic hash-partitioning of
   participants into cohort shards, plus the partial ring-sum /
   limb-column / sum-zero reducers whose root merges are bit-exact
   against the flat serial computations.
 * :mod:`repro.scale.pool` — the picklable per-client worker task and the
   ``ProcessPoolExecutor`` wrapper that runs it.
-* :mod:`repro.scale.rounds` — the parallel round driver: eligibility
-  gating (anything faulty, adversarial, or non-standard falls back to
-  the serial path, so chaos and Byzantine replays are untouched), RNG
-  pre-draws that pin the provisioner's DRBG stream to the serial order,
-  and the slot-ordered merge that makes worker scheduling unobservable.
+* :mod:`repro.scale.rounds` — ``plan_route``, the one routing decision
+  (anything faulty, adversarial, or non-standard runs the serial flat
+  path, so chaos and Byzantine replays are untouched), and the pool
+  executor: RNG pre-draws that pin the provisioner's DRBG stream to the
+  serial order, and the slot-ordered merge that makes worker scheduling
+  unobservable.
 * :mod:`repro.scale.subgroup` — the DRBG-keyed subgroup planner for
   hierarchical sum-zero aggregation: a pure function of
   ``(round_id, num_slots, group_size)``, numpy-backed so a u1M plan is
@@ -26,8 +28,8 @@ pipeline the way a production deployment would (see DESIGN.md §10):
 * :mod:`repro.scale.streaming` — per-subgroup ring accumulators that
   fold submissions on arrival and release the raw vectors, bounding
   parent ingest memory at O(n/g · k) (DESIGN.md §16).
-* :mod:`repro.scale.hierarchy` — the eligibility gate routing rounds
-  onto (or away from) the subgroup + streaming path, PR-5 style.
+* :mod:`repro.scale.hierarchy` — what the streamed accumulator gives
+  up, and ``hierarchical_eligible``, a one-line view over ``plan_route``.
 
 Determinism contract: with the same seed, a parallel round produces the
 same masks, blinded vectors, aggregate, commitment digests, outcomes,
@@ -36,11 +38,12 @@ and any ``shards >= 1``.  Only transport telemetry (message/byte/latency
 counters) differs, because worker dispatch replaces simulated wire hops.
 """
 
-from repro.scale.config import ScaleConfig
+from repro.scale.config import RoutePlan, ScaleConfig
 from repro.scale.shard import ShardedRingReducer, shard_of, plan_shards
 from repro.scale.subgroup import SubgroupPlan, plan_subgroups
 
 __all__ = [
+    "RoutePlan",
     "ScaleConfig",
     "ShardedRingReducer",
     "shard_of",

@@ -1,4 +1,4 @@
-"""The engine-facing parallelism knob."""
+"""The engine-facing parallelism knob and the per-round plan drawn from it."""
 
 from __future__ import annotations
 
@@ -26,12 +26,19 @@ class ScaleConfig:
     subgroup_size:
         Bounded subgroup size ``g`` for hierarchical sum-zero
         aggregation.  ``0`` keeps the flat cohort; any value >= 1 makes
-        eligible rounds (see :func:`repro.scale.hierarchy.
-        hierarchical_eligible`) sample per-subgroup mask families and
-        stream submissions into per-subgroup accumulators — bit-exact
-        against the flat path (each subgroup sums to zero, ring
-        addition is associative), with mask state and §3 repair O(g)
-        and parent ingest memory O(n/g · k) instead of O(n·k).
+        eligible rounds (see :func:`repro.scale.rounds.plan_route`)
+        sample per-subgroup mask families and stream submissions into
+        per-subgroup accumulators — bit-exact against the flat path
+        (each subgroup sums to zero, ring addition is associative), with
+        mask state and §3 repair O(g) and parent ingest memory
+        O(n/g · k) instead of O(n·k).
+
+    ``workers`` picks a round's *executor* and ``subgroup_size`` its
+    *accumulator*, independently: with both set, an eligible round runs
+    its clients on the pool **and** streams their submissions into
+    subgroup partials — neither takes precedence.  Only a provisioner
+    ``session_cache`` separates them: it blocks the pool alone, so such
+    a round streams on the bus and its :class:`RoutePlan` says why.
     """
 
     workers: int = 0
@@ -56,3 +63,24 @@ class ScaleConfig:
     @property
     def hierarchical(self) -> bool:
         return self.subgroup_size > 0
+
+
+@dataclass(frozen=True)
+class RoutePlan:
+    """How one round runs: its executor, its accumulator, and why not more.
+
+    Decided once per round by :func:`repro.scale.rounds.plan_route` and
+    kept on the engine's round record, where open, the pool driver and
+    finalize read it.  The default is the serial flat round on the bus.
+    """
+
+    #: Executor: cohort shards for the fork pool; 0 = inline, on the bus.
+    shards: int = 0
+    #: Accumulator: streamed subgroups of at most this size; 0 = flat.
+    subgroup_size: int = 0
+    #: First condition that kept the round off a configured fast path.
+    reason: str | None = None
+
+    @property
+    def pool(self) -> bool:
+        return self.shards > 0

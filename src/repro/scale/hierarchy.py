@@ -1,4 +1,4 @@
-"""Routing for hierarchical (subgroup + streaming) rounds.
+"""What the streamed (subgroup) accumulator gives up, and its routing view.
 
 The hierarchical path changes *where* mask state lives and *when*
 submissions are folded, never what the aggregate is: per-subgroup
@@ -6,74 +6,20 @@ sum-zero families still sum to zero cohort-wide, and fold-on-arrival is
 an associative ring sum.  What it gives up is per-row hindsight — a
 streaming service releases each payload at admission, so it cannot
 un-fold a contribution (quarantine eviction, late-reply discard) or
-replay the accepted set for the finalize audit.
-
-:func:`hierarchical_eligible` is therefore the same PR-5-style silent
-gate as :func:`repro.scale.rounds.parallel_eligible`: any condition
-that could *need* eviction or per-row audit — injected faults,
-adversarial middleboxes, deadlines, subclassed parties, wrapped
-services — routes the round to the flat path unchanged, which is what
-keeps the chaos and Byzantine suites bit-identical with subgrouping
-configured.  Unlike the parallel gate, DH session resumption does not
-disqualify a round: the hierarchical path never replays the
-provisioner's DRBG stream, so a shifted stream cannot desynchronize
-anything.
+replay the accepted set for the finalize audit.  That is why
+:func:`repro.scale.rounds.plan_route` blocks it under the same
+conditions as the worker pool, which keeps the chaos and Byzantine
+suites bit-identical with subgrouping configured.  Unlike the pool, DH
+session resumption does not block it: the streamed path never replays
+the provisioner's DRBG stream.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from repro.core.client import ClientDevice
-from repro.core.provisioning import BlinderProvisioner
-from repro.core.service import CloudService
+from repro.scale.config import ScaleConfig
+from repro.scale.rounds import plan_route
 
 
-def hierarchical_eligible(
-    engine,
-    *,
-    participants: Sequence[str],
-    blind: bool,
-    deadline_ms,
-    phase_deadlines_ms,
-    claims_by_user,
-    context_fields: Sequence[str],
-) -> bool:
-    """Can this round stream through subgroup accumulators and stay exact?
-
-    The answer is a pure routing choice: ineligible rounds run the flat
-    serial path unchanged, so configuring ``subgroup_size`` can never
-    alter a faulty, adversarial, or deadline-bound round's behavior.
-    """
-    if not blind:
-        return False
-    if deadline_ms is not None or phase_deadlines_ms:
-        # Deadline enforcement may evict an accepted-but-late submission;
-        # a folded payload cannot be evicted.
-        return False
-    if claims_by_user:
-        return False
-    if tuple(context_fields):
-        return False
-    if engine.fault_injector is not None:
-        return False
-    network = engine.network
-    if getattr(network, "fault_injector", None) is not None:
-        return False
-    if getattr(network, "_adversaries", ()):
-        return False
-    if type(engine.service) is not CloudService:
-        # Wrapped services (Byzantine aggregators, recorders) may shadow
-        # submit/finalize with the legacy flat shapes.
-        return False
-    if type(engine.blinder_provisioner) is not BlinderProvisioner:
-        return False
-    for user_id in participants:
-        client = engine.clients.get(user_id)
-        if client is None or type(client) is not ClientDevice:
-            # Subclassed parties (malicious clients) can draw violations
-            # that end in quarantine eviction.
-            return False
-        if getattr(client.platform, "fault_injector", None) is not None:
-            return False
-    return True
+def hierarchical_eligible(engine, **round_inputs) -> bool:
+    """Would nothing keep this round off streamed subgroups, were they configured?"""
+    return plan_route(engine, ScaleConfig(subgroup_size=1), **round_inputs).reason is None

@@ -1,9 +1,12 @@
-"""The parallel round driver: dispatch, slot-ordered merge, sharded finalize.
+"""Round routing, and the worker-pool executor for provision and collect.
 
-:func:`run_parallel_round` is :meth:`RoundEngine.run_round` with the
-provision and collect phases fanned out over the engine's worker pool.
-The contract is bit-exactness: everything order-sensitive runs in the
-parent, in serial slot order —
+:func:`plan_route` is the one place a round's path is chosen; the
+engine's :meth:`~repro.runtime.engine.RoundEngine.round_stages` consults
+it once and runs the same skeleton on every route.
+:func:`run_parallel_round` is what the pool changes about that skeleton:
+the provision and collect phases fanned out over the engine's worker
+pool.  The contract is bit-exactness: everything order-sensitive runs in
+the parent, in serial slot order —
 
 * the blinding service's DRBG draws (ephemeral DH keypair + delivery
   nonce per slot) happen *before* dispatch, pinning the provisioner's
@@ -11,51 +14,45 @@ parent, in serial slot order —
 * quote screening, protocol-monitor bookkeeping, service admission, and
   outcome recording happen *after* dispatch, in a merge that walks slots
   in ascending order regardless of which worker finished first;
-* finalize runs the engine's own :meth:`finalize_round`, with the
-  service's flat ring sum swapped for a :class:`ShardedRingReducer` and
-  the sum-zero audit fed the merged per-shard partial point products —
-  both associative folds, so the aggregate and the audit verdict are the
-  same integers the serial path computes.
+* finalize is the engine's own :meth:`finalize_round`, which for a pool
+  plan swaps the service's flat ring sum for a :class:`ShardedRingReducer`
+  and feeds the sum-zero audit the merged per-shard partial point
+  products — both associative folds, so the aggregate and the audit
+  verdict are the same integers the serial path computes.
 
-Eligibility is deliberately narrow (:func:`parallel_eligible`): any
-fault injector, network adversary, deadline, claim, plaintext round, or
-subclassed participant silently falls back to the serial bus path.  That
-is what makes chaos and Byzantine replays trivially parity-safe — under
-those conditions the parallel engine *is* the serial engine.
+Eligibility is deliberately narrow: any fault injector, network
+adversary, deadline, claim, plaintext round, or subclassed participant
+routes the round to the serial bus path.  That is what makes chaos and
+Byzantine replays trivially parity-safe — under those conditions the
+scale engine *is* the serial engine.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from functools import partial
+from typing import Mapping, Sequence
 
 from repro.core.client import ClientDevice
 from repro.core.provisioning import BlinderProvisioner
 from repro.core.service import CloudService
 from repro.crypto.dh import DHKeyPair
-from repro.errors import (
-    AttestationError,
-    NetworkError,
-    ProtocolViolation,
-)
-from repro.runtime.messages import BLINDER, client_endpoint
-from repro.runtime.protocol import VIOLATION_MASK_OPENING
+from repro.errors import AttestationError, ProtocolViolation
+from repro.runtime.messages import client_endpoint
 from repro.runtime.telemetry import (
     OUTCOME_ACCEPTED,
     OUTCOME_CRASHED,
     OUTCOME_DROPOUT,
-    OUTCOME_QUARANTINED,
     OUTCOME_SERVICE_REJECTED,
-    OUTCOME_UNREACHABLE,
-    RoundReport,
 )
-from repro.scale.config import ScaleConfig
+from repro.scale.config import RoutePlan, ScaleConfig
 from repro.scale.pool import ClientTask, WorkerContext
-from repro.scale.shard import ShardedRingReducer, plan_shards, shard_of
+from repro.scale.shard import shard_of
 from repro.sgx.attestation import QuotePolicy, report_data_for
 
 
-def parallel_eligible(
+def plan_route(
     engine,
+    config: ScaleConfig | None,
     *,
     participants: Sequence[str],
     blind: bool,
@@ -63,48 +60,76 @@ def parallel_eligible(
     phase_deadlines_ms,
     claims_by_user,
     context_fields: Sequence[str],
-) -> bool:
-    """Can this round take the parallel path and stay bit-exact?
+    adaptive=None,
+) -> RoutePlan:
+    """Choose this round's executor and accumulator, and say what blocked.
 
+    ``config`` is what the engine wants; the plan is what the round gets.
     Anything that makes outcomes depend on fine-grained event
     interleaving — injected faults, adversarial middleboxes, simulated
-    deadlines — or that runs code the worker task does not model —
-    claims, private-context ocalls, plaintext rounds, subclassed
-    parties — disqualifies the round.  Ineligible rounds run the serial
-    path unchanged, so the answer here is a pure routing choice, never a
-    behavioral one.
+    deadlines, link weather — or that runs code the worker task and the
+    streaming service do not model — claims, private-context ocalls,
+    plaintext rounds, subclassed parties — blocks both fast paths, and
+    is tested here and nowhere else (table: DESIGN.md "Round routing").
+    A blocked round runs the serial flat path unchanged, so the answer
+    is a pure routing choice, never a behavioral one.
     """
-    if not blind:
-        return False
-    if deadline_ms is not None or phase_deadlines_ms:
-        return False
-    if claims_by_user:
-        return False
-    if tuple(context_fields):
-        return False
-    if engine.fault_injector is not None:
-        return False
-    network = engine.network
-    if getattr(network, "fault_injector", None) is not None:
-        return False
-    if getattr(network, "_adversaries", ()):
-        return False
-    if type(engine.service) is not CloudService:
-        return False
-    if type(engine.blinder_provisioner) is not BlinderProvisioner:
-        return False
-    if getattr(engine.blinder_provisioner, "session_cache", None) is not None:
+    if config is None or not (config.enabled or config.hierarchical):
+        return RoutePlan()
+    clients = [engine.clients.get(user_id) for user_id in participants]
+    blockers = (
+        ("plaintext", not blind),
+        # Deadline enforcement may evict an accepted-but-late submission;
+        # a folded payload cannot be evicted.
+        ("deadlines", deadline_ms is not None or bool(phase_deadlines_ms)),
+        ("claims", bool(claims_by_user)),
+        ("context_fields", bool(tuple(context_fields))),
+        (
+            "fault_injector",
+            engine.fault_injector is not None
+            or getattr(engine.network, "fault_injector", None) is not None
+            or any(
+                client is not None
+                and getattr(client.platform, "fault_injector", None) is not None
+                for client in clients
+            ),
+        ),
+        ("network_adversary", bool(getattr(engine.network, "_adversaries", ()))),
+        # Wrapped services (Byzantine aggregators, recorders) may shadow
+        # submit/finalize with the legacy flat shapes; subclassed clients
+        # (malicious ones) can draw violations that end in eviction.
+        (
+            "non_stock_party",
+            type(engine.service) is not CloudService
+            or type(engine.blinder_provisioner) is not BlinderProvisioner
+            or any(type(client) is not ClientDevice for client in clients),
+        ),
+        # Adaptive deadlines and link-conditions trimming both observe
+        # per-operation timing on the bus, which neither fast path exposes.
+        ("adaptive_deadlines", adaptive is not None),
+        ("link_conditions", engine.link_conditions is not None),
+    )
+    reason = next((name for name, holds in blockers if holds), None)
+    if reason is not None:
+        return RoutePlan(reason=reason)
+    if (
+        config.enabled
+        and getattr(engine.blinder_provisioner, "session_cache", None) is not None
+    ):
         # Session resumption skips the provisioner's per-delivery DH
         # keypair draws, so its DRBG stream diverges from what the
-        # worker-task replay models.  Cached provisioners run serial.
-        return False
-    for user_id in participants:
-        client = engine.clients.get(user_id)
-        if client is None or type(client) is not ClientDevice:
-            return False
-        if getattr(client.platform, "fault_injector", None) is not None:
-            return False
-    return True
+        # worker-task replay models.  The streamed accumulator never
+        # replays that stream, so it stays available on the bus.
+        return RoutePlan(subgroup_size=config.subgroup_size, reason="session_cache")
+    return RoutePlan(
+        shards=config.shards if config.enabled else 0,
+        subgroup_size=config.subgroup_size,
+    )
+
+
+def parallel_eligible(engine, **round_inputs) -> bool:
+    """Would nothing keep this round off the worker pool, were one configured?"""
+    return plan_route(engine, ScaleConfig(workers=1), **round_inputs).reason is None
 
 
 def _transplant(live, worked) -> None:
@@ -124,44 +149,22 @@ def _transplant(live, worked) -> None:
 
 def run_parallel_round(
     engine,
-    config: ScaleConfig,
-    round_id: int,
-    participants: Iterable[str],
+    record,
+    participants: Sequence[str],
     values_by_user: Mapping[str, Sequence[float]],
     features: Sequence,
     *,
-    dropouts: Iterable[str] = (),
-    collect_dropouts: Iterable[str] = (),
-    recovery_threshold: float = 0.0,
-) -> RoundReport:
-    """One full round with worker-pool provision/collect and sharded finalize.
+    quarantined: set,
+    dropouts: set,
+    collect_dropouts: set,
+) -> None:
+    """Provision and collect an opened round's cohort on the worker pool.
 
-    Mirrors :meth:`RoundEngine.run_round` decision for decision; see the
-    module docstring for where the order-sensitive work stays serial.
+    Everything else about the round is :meth:`RoundEngine.round_stages`';
+    the module docstring says where the order-sensitive work stays serial.
     """
-    participants = list(participants)
-    silent = set(dropouts)
-    silent_after_provision = set(collect_dropouts)
-    threshold = float(recovery_threshold)
-    features = tuple(features)
-    try:
-        engine.open_round(round_id, len(participants), len(features), blinded=True)
-    except NetworkError as exc:
-        record = engine.round_record(round_id)
-        raise engine._abort(record, f"round could not be opened: {exc}")
-    record = engine.round_record(round_id)
-    for user_id in participants:
-        record.note_participant(user_id)
-    quarantined = {
-        user_id
-        for user_id in participants
-        if engine.quarantine.is_blocked(client_endpoint(user_id))
-    }
-    for user_id in quarantined:
-        record.outcomes[user_id] = OUTCOME_QUARANTINED
-
+    round_id = record.round_id
     provisioner = engine.blinder_provisioner
-    service = engine.service
 
     # ------------------------------------------------ provision: pre-draw
     engine._start_phase(record, "provision")
@@ -169,7 +172,7 @@ def run_parallel_round(
     for index, user_id in enumerate(participants):
         if user_id in quarantined:
             continue
-        if user_id in silent:
+        if user_id in dropouts:
             record.outcomes[user_id] = OUTCOME_DROPOUT
             continue
         client = engine.clients[user_id]
@@ -185,7 +188,7 @@ def run_parallel_round(
             if record.commitments is not None
             else None
         )
-        contribute = user_id not in silent_after_provision
+        contribute = user_id not in collect_dropouts
         tasks.append(
             ClientTask(
                 slot=index,
@@ -205,24 +208,23 @@ def run_parallel_round(
         )
 
     # ------------------------------------------------------- dispatch
-    shard_groups: list[list[ClientTask]] = [[] for _ in range(config.shards)]
+    shards = record.route.shards
+    chunk_size = engine.parallelism.chunk_size
+    shard_groups: list[list[ClientTask]] = [[] for _ in range(shards)]
     for task in tasks:
-        shard_groups[shard_of(round_id, task.user_id, config.shards)].append(task)
+        shard_groups[shard_of(round_id, task.user_id, shards)].append(task)
     chunks: list[list[ClientTask]] = []
     for group in shard_groups:
-        for start in range(0, len(group), config.chunk_size):
-            chunks.append(group[start : start + config.chunk_size])
+        for start in range(0, len(group), chunk_size):
+            chunks.append(group[start : start + chunk_size])
     context = WorkerContext(
         round_id=round_id,
         identity=provisioner.identity,
         signing_public=engine.signing_public,
         features=features,
     )
-    results = {}
-    if chunks:
-        for chunk in engine.scale_pool().map_chunks(context, chunks):
-            for result in chunk:
-                results[result.slot] = result
+    dispatched = engine.scale_pool().map_chunks(context, chunks) if chunks else ()
+    results = {result.slot: result for chunk in dispatched for result in chunk}
 
     # -------------------------------------------- provision: merge (slot order)
     policy = QuotePolicy(
@@ -246,107 +248,49 @@ def run_parallel_round(
             )
         record.ecalls += result.provision_ecalls
         if result.mask_error is not None:
-            engine.monitor.record(
-                round_id, BLINDER, VIOLATION_MASK_OPENING, result.mask_error
-            )
-            raise engine._abort(
-                record,
-                f"blinding service delivered a mask that fails its "
-                f"commitment: {result.mask_error}",
-            )
+            raise engine._abort_on_bad_mask(record, result.mask_error)
         record.provisioned[task.slot] = task.user_id
 
     # ---------------------------------------------- collect: merge (slot order)
     engine._start_phase(record, "collect")
-    monitor = engine.monitor
-    for index, user_id in enumerate(participants):
-        if user_id in quarantined:
-            continue
-        if user_id in silent:
-            record.outcomes.setdefault(user_id, OUTCOME_DROPOUT)
-            continue
-        if user_id in silent_after_provision:
+    for task in tasks:
+        user_id = task.user_id
+        if task.values is None:
             record.outcomes[user_id] = OUTCOME_DROPOUT
             continue
-        result = results[index]
+        result = results[task.slot]
         record.ecalls += result.contribute_ecalls
         if result.outcome == OUTCOME_CRASHED:
-            # Same one-shot recovery as the serial path: restart from
-            # sealed checkpoints and re-issue contribute over the bus.
             record.outcomes[user_id] = OUTCOME_CRASHED
-            live = engine.clients[user_id]
-            if engine._restart_client(record, live):
-                try:
-                    engine.contribute(
-                        user_id,
-                        round_id,
-                        values_by_user[user_id],
-                        features,
-                        blind=True,
-                        claims=None,
-                        context_fields=(),
-                    )
-                except NetworkError:
-                    record.outcomes[user_id] = OUTCOME_UNREACHABLE
+            engine._recover_and_retry_contribute(
+                record,
+                user_id,
+                partial(
+                    engine.contribute, user_id, round_id, values_by_user[user_id], features
+                ),
+            )
             continue
         if result.outcome is not None:  # validation-rejected in the worker
             record.outcomes[user_id] = result.outcome
             continue
-        signed = result.signed
-        sender = client_endpoint(user_id)
+        # Every accepted signature is verified exactly once — here in the
+        # worker (``verified``) or by the service — so the finalize audit
+        # of a pool round does not re-verify them serially.
         try:
-            monitor.check_submit(
-                round_id, sender, index, signed.nonce, retransmit=False
+            accepted = engine._service_endpoint.admit(
+                round_id,
+                client_endpoint(user_id),
+                task.slot,
+                result.signed,
+                verified=result.signature_ok,
             )
         except ProtocolViolation:
             # Recorded by the monitor; to the sender it is a rejection,
             # exactly as submit_signed treats it.
-            record.outcomes[user_id] = OUTCOME_SERVICE_REJECTED
-            continue
-        if result.signature_ok:
-            accepted = service.submit_verified(round_id, signed)
-        else:
-            accepted = service.submit(round_id, signed)
+            accepted = False
         if accepted:
-            monitor.note_accepted(round_id, sender, index, signed.nonce)
-            record.consumed.add(index)
-            record.slot_nonce.setdefault(index, signed.nonce)
-            live = engine.clients[user_id]
-            if hasattr(live, "discard_checkpoint"):
-                live.discard_checkpoint(round_id)
+            engine._note_slot_consumed(record, task.slot, result.signed)
+            engine.clients[user_id].discard_checkpoint(round_id)
             record.outcomes[user_id] = OUTCOME_ACCEPTED
         else:
-            monitor.note_rejected(round_id, sender, "service-rejected")
             record.outcomes[user_id] = OUTCOME_SERVICE_REJECTED
-
-    # --------------------------------------------------- survivors + finalize
-    survivors = [
-        u for u in participants if record.outcomes.get(u) == OUTCOME_ACCEPTED
-    ]
-    survivors += [
-        u
-        for slot, u in record.provisioned.items()
-        if slot in record.consumed and u not in survivors
-    ]
-    if not survivors:
-        raise engine._abort(
-            record,
-            f"no contribution was accepted ({len(participants)} participants)",
-        )
-    if threshold and len(survivors) < threshold * len(participants):
-        raise engine._abort(
-            record,
-            f"{len(survivors)}/{len(participants)} survivors is below "
-            f"the recovery threshold of {threshold:.0%}",
-        )
-    # Every accepted contribution's signature was verified exactly once —
-    # in a worker (submit_verified) or by the service (submit) — so the
-    # finalize audit may skip re-verifying them serially.
-    record.preverified = True
-    record.scale_plan = plan_shards(round_id, participants, config.shards)
-    previous_reducer = service.aggregation_reducer
-    service.aggregation_reducer = ShardedRingReducer(config.shards)
-    try:
-        return engine.finalize_round(round_id)
-    finally:
-        service.aggregation_reducer = previous_reducer

@@ -27,7 +27,7 @@ from __future__ import annotations
 import asyncio
 from typing import Any, Iterable, Mapping, Sequence
 
-from repro.runtime.engine import RoundEngine
+from repro.runtime.engine import RoundEngine, StageDrain
 from repro.runtime.telemetry import RoundReport
 
 
@@ -64,13 +64,11 @@ class AsyncRoundEngine:
             stages = self.engine.round_stages(
                 round_id, participants, values_by_user, features, **kwargs
             )
-            while True:
-                try:
-                    next(stages)
-                except StopIteration as stop:
-                    return stop.value
+            drain = StageDrain(stages)
+            for _stage in drain:
                 self.stages_driven += 1
                 await asyncio.sleep(0)
+            return drain.report
 
     def run_round_sync(self, *args: Any, **kwargs: Any) -> RoundReport:
         """Drive one round through a private event loop, synchronously.
@@ -88,10 +86,8 @@ def install_async_drive(engine: RoundEngine) -> AsyncRoundEngine:
     """Make ``engine.run_round`` drive rounds through the event loop.
 
     Returns the :class:`AsyncRoundEngine` (whose ``stages_driven`` counter
-    lets callers assert the async path actually ran).  The original bound
-    method is preserved as ``engine.run_round_serial``.
+    lets callers assert the async path actually ran).
     """
     driver = AsyncRoundEngine(engine)
-    engine.run_round_serial = engine.run_round
     engine.run_round = driver.run_round_sync
     return driver

@@ -76,19 +76,3 @@ def test_glimmer_restart_heals_by_full_handshake():
         cached.honest_round(3), plain.honest_round(3)
     )
     assert cached.last_report.handshakes_resumed >= NUM_USERS
-
-
-def test_parallel_path_disqualified_by_session_cache():
-    from repro.scale.rounds import parallel_eligible
-
-    cached, plain = _deployments()
-    kwargs = dict(
-        participants=[u.user_id for u in plain.corpus.users],
-        blind=True,
-        deadline_ms=None,
-        phase_deadlines_ms=None,
-        claims_by_user={},
-        context_fields=(),
-    )
-    assert parallel_eligible(plain.engine, **kwargs)
-    assert not parallel_eligible(cached.engine, **kwargs)

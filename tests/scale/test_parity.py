@@ -10,6 +10,8 @@ the serial path itself, not a lookalike.
 
 from __future__ import annotations
 
+import asyncio
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,9 @@ from repro.errors import RoundAbortedError
 from repro.experiments.common import Deployment
 from repro.faults import FaultInjector, FaultPlan
 from repro.scale import ScaleConfig
+from repro.service.async_engine import AsyncRoundEngine
+
+from tests.scale.test_routing import route_of
 
 
 def _build(workers=0, shards=1, chunk_size=32, num_users=8, seed=b"scale-parity"):
@@ -141,7 +146,9 @@ def test_byzantine_round_falls_back_to_serial():
         return deployment
 
     serial = _run(build_with_attacker())
-    parallel = _run(build_with_attacker(workers=2, shards=3))
+    routed = build_with_attacker(workers=2, shards=3)
+    assert route_of(routed).reason == "non_stock_party"
+    parallel = _run(routed)
     _assert_identical_reports(serial, parallel)
 
 
@@ -158,6 +165,8 @@ def test_chaos_round_falls_back_to_serial():
             label="scale-chaos",
         )
         deployment.enable_faults(FaultInjector(plan, seed=b"scale-chaos"))
+        if deployment.engine.parallelism is not None:
+            assert route_of(deployment).reason == "fault_injector"
         try:
             return _run(deployment, recovery_threshold=0.25)
         except RoundAbortedError as err:
@@ -191,3 +200,20 @@ def test_quarantined_participant_parity():
     _assert_bit_exact(serial, parallel)
     quarantined_user = serial.participants[3]
     assert serial.outcomes[quarantined_user] == "quarantined"
+
+
+def test_async_driven_pool_round_reaches_the_event_loop():
+    """A pool round suspends at open, provision and finalize like any other."""
+    sync_driven = _run(_build(workers=2, shards=3))
+    async_dep = _build(workers=2, shards=3)
+    assert route_of(async_dep).pool
+    users = [u.user_id for u in async_dep.corpus.users]
+    driver = AsyncRoundEngine(async_dep.engine)
+    with async_dep.engine:
+        async_driven = asyncio.run(
+            driver.run_round(
+                1, users, async_dep.local_vectors(), async_dep.features.bigrams
+            )
+        )
+    assert driver.stages_driven >= 3
+    _assert_bit_exact(sync_driven, async_driven)

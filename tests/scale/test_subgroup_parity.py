@@ -18,7 +18,9 @@ import numpy as np
 import pytest
 
 from repro.experiments.common import Deployment
-from repro.scale import ScaleConfig, plan_subgroups
+from repro.scale import RoutePlan, ScaleConfig, plan_subgroups
+
+from tests.scale.test_routing import route_of
 
 _SEED = b"subgroup-parity"
 
@@ -172,7 +174,9 @@ def test_byzantine_round_falls_back_to_flat():
         return deployment
 
     flat = _run(build_with_attacker())
-    hierarchical = _run(build_with_attacker(subgroup_size=4))
+    routed = build_with_attacker(subgroup_size=4)
+    assert route_of(routed).reason == "non_stock_party"
+    hierarchical = _run(routed)
     _assert_identical_reports(flat, hierarchical)
 
 
@@ -191,7 +195,9 @@ def test_quarantined_participant_falls_back_identically():
         return _run(deployment)
 
     flat = run_with_quarantine(_build(num_users=8))
-    hierarchical = run_with_quarantine(_build(subgroup_size=4, num_users=8))
+    routed = _build(subgroup_size=4, num_users=8)
+    assert route_of(routed) == RoutePlan(subgroup_size=4)
+    hierarchical = run_with_quarantine(routed)
     # Quarantine trims participants before the gate, and the survivors
     # are stock clients — the hierarchical path may lawfully engage; the
     # aggregate and the quarantine verdicts must be identical either way.
@@ -206,13 +212,15 @@ def test_quarantined_participant_falls_back_identically():
 def test_deadline_round_falls_back_to_flat():
     """Deadline enforcement may evict; the gate must route the round flat."""
     flat = _run(_build(num_users=8), deadline_ms=10_000.0)
-    hierarchical = _run(
-        _build(subgroup_size=4, num_users=8), deadline_ms=10_000.0
-    )
+    routed = _build(subgroup_size=4, num_users=8)
+    assert route_of(routed, deadline_ms=10_000.0).reason == "deadlines"
+    hierarchical = _run(routed, deadline_ms=10_000.0)
     _assert_identical_reports(flat, hierarchical)
 
 
 def test_plaintext_round_falls_back_to_flat():
     flat = _run(_build(num_users=8), blind=False)
-    hierarchical = _run(_build(subgroup_size=4, num_users=8), blind=False)
+    routed = _build(subgroup_size=4, num_users=8)
+    assert route_of(routed, blind=False).reason == "plaintext"
+    hierarchical = _run(routed, blind=False)
     _assert_identical_reports(flat, hierarchical)
