@@ -27,6 +27,7 @@ import pickle
 import struct
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 from repro.core.blinding import BlindingComponent
@@ -113,7 +114,13 @@ class GlimmerConfig:
 
 
 def features_digest(bigrams: Sequence[tuple[str, str]]) -> bytes:
-    """Digest of the service-published feature space."""
+    """Digest of the service-published feature space (memoised on the
+    tuple: a Glimmer re-checks the same list on every contribution)."""
+    return _features_digest(tuple(map(tuple, bigrams)))
+
+
+@lru_cache(maxsize=8)
+def _features_digest(bigrams: tuple[tuple[str, str], ...]) -> bytes:
     return hash_items(
         "feature-space",
         [f"{left}\x00{right}".encode("utf-8") for left, right in bigrams],

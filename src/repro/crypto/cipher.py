@@ -17,6 +17,9 @@ import hmac
 import hashlib
 from dataclasses import dataclass
 
+import numpy as np
+
+from repro.crypto.hashing import keyed_hmac_sha256
 from repro.crypto.kdf import hkdf
 from repro.errors import AuthenticationError, CryptoError
 
@@ -60,18 +63,22 @@ class AuthenticatedCipher:
     def __init__(self, key: bytes) -> None:
         if len(key) < 16:
             raise CryptoError("key must be at least 16 bytes")
-        self._enc_key = hkdf(key, "ae-encryption-key")
+        self._keystream_block = keyed_hmac_sha256(hkdf(key, "ae-encryption-key"))
         self._mac_key = hkdf(key, "ae-mac-key")
 
-    def _keystream(self, nonce: bytes, length: int) -> bytes:
-        blocks = []
-        for i in range((length + _BLOCK - 1) // _BLOCK):
-            blocks.append(
-                hmac.new(
-                    self._enc_key, nonce + i.to_bytes(8, "big"), hashlib.sha256
-                ).digest()
-            )
-        return b"".join(blocks)[:length]
+    def _xor_keystream(self, nonce: bytes, data: bytes) -> bytes:
+        """``data`` XOR the first ``len(data)`` keystream bytes, as one buffer."""
+        block = self._keystream_block
+        stream = b"".join(
+            [
+                block(nonce + i.to_bytes(8, "big"))
+                for i in range((len(data) + _BLOCK - 1) // _BLOCK)
+            ]
+        )
+        return (
+            np.frombuffer(data, dtype=np.uint8)
+            ^ np.frombuffer(stream, dtype=np.uint8, count=len(data))
+        ).tobytes()
 
     def _tag(self, nonce: bytes, associated_data: bytes, ciphertext: bytes) -> bytes:
         framing = (
@@ -86,8 +93,7 @@ class AuthenticatedCipher:
         """Encrypt and authenticate ``plaintext`` (and bind ``associated_data``)."""
         if len(nonce) != NONCE_SIZE:
             raise CryptoError(f"nonce must be {NONCE_SIZE} bytes")
-        stream = self._keystream(nonce, len(plaintext))
-        ciphertext = bytes(p ^ s for p, s in zip(plaintext, stream))
+        ciphertext = self._xor_keystream(nonce, plaintext)
         return SealedBox(nonce, ciphertext, self._tag(nonce, associated_data, ciphertext))
 
     def decrypt(self, box: SealedBox, associated_data: bytes = b"") -> bytes:
@@ -95,5 +101,4 @@ class AuthenticatedCipher:
         expected = self._tag(box.nonce, associated_data, box.ciphertext)
         if not hmac.compare_digest(expected, box.tag):
             raise AuthenticationError("ciphertext authentication failed")
-        stream = self._keystream(box.nonce, len(box.ciphertext))
-        return bytes(c ^ s for c, s in zip(box.ciphertext, stream))
+        return self._xor_keystream(box.nonce, box.ciphertext)

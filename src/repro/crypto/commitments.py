@@ -63,6 +63,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
+from operator import mul
 from typing import Sequence
 
 import numpy as np
@@ -70,7 +72,7 @@ import numpy as np
 from repro.crypto import group_ops
 from repro.crypto.dh import DHGroup, OAKLEY_GROUP_1, TEST_GROUP
 from repro.crypto.drbg import HmacDrbg
-from repro.crypto.hashing import hash_bytes, hash_items, hash_to_int
+from repro.crypto.hashing import hash_bytes, hash_items, hash_to_int, seeded_hash_to_int
 from repro.errors import ConfigurationError, MaskVerificationError
 from repro.perf import kernels
 
@@ -92,9 +94,23 @@ def _limbs_per_word(modulus_bits: int) -> int:
     return (modulus_bits + LIMB_BITS - 1) // LIMB_BITS
 
 
-def _word_limbs(value: int, limbs: int) -> list[int]:
-    mask = (1 << LIMB_BITS) - 1
-    return [(value >> (LIMB_BITS * l)) & mask for l in range(limbs)]
+def _weighted_limb_sum(
+    mask: Sequence[int] | np.ndarray,
+    weights: tuple[tuple[int, ...], ...],
+    limbs: int,
+    q: int,
+) -> int:
+    """``Σ_{i,l} weights[i][l]·limb_l(mask[i]) mod q``.
+
+    One shift/mask yields every limb, row-major like ``weights``; the dot
+    product runs over Python integers (a weight is as wide as ``q``) and
+    is reduced once — the same residue as reducing after every term.
+    """
+    shifts = np.uint64(LIMB_BITS) * np.arange(limbs, dtype=np.uint64)
+    limb_values = (kernels.as_ring(mask)[:, None] >> shifts) & np.uint64(
+        (1 << LIMB_BITS) - 1
+    )
+    return sum(map(mul, chain.from_iterable(weights), limb_values.ravel().tolist())) % q
 
 
 @lru_cache(maxsize=None)
@@ -383,19 +399,16 @@ def challenge_weights(
     shared by every consumer — the set-level :meth:`MaskCommitmentSet.weights`,
     the per-slot record path Glimmers verify against at install, and the
     engine's dropout-repair sweep.  Deriving it costs one hash per limb
-    column (``vector_length × limbs``), which used to be repeated per slot.
+    column (``vector_length × limbs``), each from a hasher that already
+    absorbed the tag and the root.
     """
-    q = resolve_group(group_name).subgroup_order
     limbs = _limbs_per_word(modulus_bits)
+    weight = seeded_hash_to_int(
+        "mask-commitment-weight", root, resolve_group(group_name).subgroup_order
+    )
+    suffixes = [l.to_bytes(2, "big") for l in range(limbs)]
     return tuple(
-        tuple(
-            hash_to_int(
-                "mask-commitment-weight",
-                root + i.to_bytes(4, "big") + l.to_bytes(2, "big"),
-                q,
-            )
-            for l in range(limbs)
-        )
+        tuple(weight(i.to_bytes(4, "big") + suffix) for suffix in suffixes)
         for i in range(vector_length)
     )
 
@@ -410,17 +423,12 @@ def scalar_for_mask(
     Pass precomputed ``weights`` when verifying many slots of one round —
     deriving them costs one hash per limb column.
     """
-    group = resolve_group(commitments.group_name)
-    q = group.subgroup_order
-    limbs = _limbs_per_word(commitments.modulus_bits)
-    if weights is None:
-        weights = commitments.weights()
-    scalar = 0
-    for i, word in enumerate(mask):
-        for l, limb in enumerate(_word_limbs(int(word), limbs)):
-            if limb:
-                scalar = (scalar + weights[i][l] * limb) % q
-    return scalar
+    return _weighted_limb_sum(
+        mask,
+        commitments.weights() if weights is None else weights,
+        _limbs_per_word(commitments.modulus_bits),
+        resolve_group(commitments.group_name).subgroup_order,
+    )
 
 
 def _checked_scalar(
@@ -456,12 +464,13 @@ def _checked_scalar(
             f"slot {slot}: mask length {len(opening.mask)} does not match "
             f"the committed vector length {set_like.vector_length}"
         )
-    modulus = 1 << set_like.modulus_bits
-    if any(not 0 <= int(v) < modulus for v in opening.mask):
+    try:
+        words = np.asarray(opening.mask, dtype=np.uint64)  # refuses < 0 and >= 2^64
+    except (OverflowError, TypeError, ValueError):
+        words = None
+    if words is None or (words > kernels.ring_bitmask(set_like.modulus_bits)).any():
         raise MaskVerificationError(f"slot {slot}: mask word out of ring range")
-    if hash_commitment(
-        set_like.round_id, slot, opening.mask, opening.salt
-    ) != expected_hc:
+    if hash_commitment(set_like.round_id, slot, words, opening.salt) != expected_hc:
         raise MaskVerificationError(
             f"slot {slot}: delivered mask does not match its hash commitment"
         )
@@ -469,9 +478,17 @@ def _checked_scalar(
     if not 0 <= opening.randomizer < group.subgroup_order:
         raise MaskVerificationError(f"slot {slot}: randomizer out of range")
     if isinstance(set_like, MaskCommitmentRecord):
-        scalar = _scalar_from_record(set_like, opening.mask)
-    else:
-        scalar = scalar_for_mask(set_like, opening.mask, weights)
+        weights = challenge_weights(
+            set_like.root,
+            set_like.group_name,
+            set_like.vector_length,
+            set_like.modulus_bits,
+        )
+    elif weights is None:
+        weights = set_like.weights()
+    scalar = _weighted_limb_sum(
+        words, weights, _limbs_per_word(set_like.modulus_bits), group.subgroup_order
+    )
     return scalar, point
 
 
@@ -556,21 +573,6 @@ def batch_verify_openings(
         group.prime, [point for _, _, _, point in checked], scalars
     )
     return lhs == rhs
-
-
-def _scalar_from_record(record: MaskCommitmentRecord, mask: Sequence[int]) -> int:
-    group = resolve_group(record.group_name)
-    q = group.subgroup_order
-    limbs = _limbs_per_word(record.modulus_bits)
-    weights = challenge_weights(
-        record.root, record.group_name, record.vector_length, record.modulus_bits
-    )
-    scalar = 0
-    for i, word in enumerate(mask):
-        for l, limb in enumerate(_word_limbs(int(word), limbs)):
-            if limb:
-                scalar = (scalar + weights[i][l] * limb) % q
-    return scalar
 
 
 def commit_masks(

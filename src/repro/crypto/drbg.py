@@ -14,6 +14,8 @@ import math
 
 import numpy as np
 
+from repro.crypto.hashing import keyed_hmac_sha256
+
 _DIGEST = hashlib.sha256
 _OUTLEN = 32
 
@@ -70,23 +72,19 @@ class HmacDrbg:
         """Bulk form of :meth:`generate`: same byte stream, one keyed pass.
 
         Emits exactly the bytes :meth:`generate` would for the same state
-        (pinned by golden-value tests), but reuses a single keyed HMAC
-        object across the ``num_bytes / 32`` output blocks instead of
-        re-running the key schedule per block — the difference between
-        per-element and memory-bandwidth mask expansion.
+        (pinned by golden-value tests), but keys HMAC once for the
+        ``num_bytes / 32`` output blocks instead of re-running the key
+        schedule per block — the difference between per-element and
+        memory-bandwidth mask expansion.
         """
         if num_bytes < 0:
             raise ValueError("num_bytes must be non-negative")
-        keyed = hmac.new(self._key, digestmod=_DIGEST)
+        mac = keyed_hmac_sha256(self._key)
         value = self._value
         blocks: list[bytes] = []
-        produced = 0
-        while produced < num_bytes:
-            block = keyed.copy()
-            block.update(value)
-            value = block.digest()
+        for _ in range((num_bytes + _OUTLEN - 1) // _OUTLEN):
+            value = mac(value)
             blocks.append(value)
-            produced += _OUTLEN
         self._value = value
         self._update()
         self.reseed_counter += 1

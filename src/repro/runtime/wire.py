@@ -14,8 +14,9 @@ in [0, 1], floats must be finite.
 
 from __future__ import annotations
 
-import math
 from typing import Any, Callable
+
+import numpy as np
 
 from repro.core.signing import SignedContribution
 from repro.crypto.schnorr import SchnorrSignature
@@ -66,11 +67,18 @@ def _check_finite_floats(
 ) -> None:
     if not isinstance(values, tuple):
         raise _fail(sender, round_id, f"{name} must be a tuple")
-    for v in values:
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise _fail(sender, round_id, f"{name} holds a non-number: {v!r}")
-        if not math.isfinite(v):
-            raise _fail(sender, round_id, f"{name} holds a non-finite value")
+    # Judged on the set of types present and one array pass over the
+    # values; only a rejection walks the elements, to name the offender.
+    for kind in set(map(type, values)):
+        if not issubclass(kind, (int, float)) or issubclass(kind, bool):
+            stray = next(v for v in values if type(v) is kind)
+            raise _fail(sender, round_id, f"{name} holds a non-number: {stray!r}")
+    try:
+        finite = np.isfinite(np.asarray(values, dtype=np.float64)).all()
+    except OverflowError:  # an int too large for a float
+        finite = False
+    if not finite:
+        raise _fail(sender, round_id, f"{name} holds a non-finite value")
 
 
 def _check_ring_words(
@@ -80,11 +88,13 @@ def _check_ring_words(
         raise _fail(sender, round_id, f"{name} must be a tuple")
     if len(values) > MAX_VECTOR_LENGTH:
         raise _fail(sender, round_id, f"{name} exceeds the vector-length cap")
-    for v in values:
-        if type(v) is not int or not 0 <= v < RING_MODULUS:
-            raise _fail(
-                sender, round_id, f"{name} holds a non-ring word: {v!r}"
-            )
+    if set(map(type, values)) - {int} or (
+        values and not 0 <= min(values) <= max(values) < RING_MODULUS
+    ):
+        stray = next(
+            v for v in values if type(v) is not int or not 0 <= v < RING_MODULUS
+        )
+        raise _fail(sender, round_id, f"{name} holds a non-ring word: {stray!r}")
 
 
 def validate_contribution(
@@ -121,8 +131,9 @@ def validate_contribution(
     if (
         not isinstance(confidence, (int, float))
         or isinstance(confidence, bool)
-        or not math.isfinite(confidence)
-        or not 0.0 <= float(confidence) <= 1.0
+        # Compared as it is: NaN fails every comparison, and an int too
+        # large for a float is out of range, not an OverflowError.
+        or not 0.0 <= confidence <= 1.0
     ):
         raise _fail(sender, round_id, f"confidence out of [0, 1]: {confidence!r}")
     signature = contribution.signature

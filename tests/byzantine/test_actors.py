@@ -8,6 +8,8 @@ abort.  Undetected corruption must never appear.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.byzantine import (
@@ -29,6 +31,8 @@ from repro.byzantine import (
     AttackSpec,
     LyingBlinder,
     TamperingAggregator,
+    forged_contribution,
+    harness,
     install_attacks,
     run_byzantine_round,
 )
@@ -38,6 +42,7 @@ from repro.runtime.messages import client_endpoint
 from repro.runtime.protocol import (
     VIOLATION_EQUIVOCATION,
     VIOLATION_FLOODING,
+    VIOLATION_MALFORMED,
     VIOLATION_MASK_OPENING,
     VIOLATION_NON_SUM_ZERO,
     VIOLATION_REPLAY,
@@ -124,6 +129,36 @@ def test_forged_contribution_is_rejected_by_signature_alone():
     assert result.outcome == OUTCOME_EXACT
     assert not result.corrupted
     assert target not in result.report.survivors
+
+
+@pytest.mark.parametrize(
+    "forgery",
+    [
+        {"confidence": 10**400},
+        {"blinded": False, "ring_payload": None, "plain_payload": (1.0, 10**400)},
+    ],
+    ids=["confidence", "plain-payload"],
+)
+def test_forgery_no_float_can_hold_is_blamed_on_the_forger(monkeypatch, forgery):
+    """An int too large for a float is a malformed value from the sender,
+    not an ``OverflowError`` inside the validator that blames nobody."""
+    deployment = _deploy(b"overflow")
+    target = _users(deployment)[0]
+    monkeypatch.setattr(
+        harness,
+        "forged_contribution",
+        lambda client, round_id, values: replace(
+            forged_contribution(client, round_id, values), **forgery
+        ),
+    )
+    result = _run(deployment, _single(ATTACK_FORGE, target))
+    assert result.outcome == OUTCOME_EXACT
+    assert not result.corrupted
+    assert target not in result.report.survivors
+    assert (client_endpoint(target), VIOLATION_MALFORMED) in {
+        (violation.offender, violation.kind)
+        for violation in result.report.violations
+    }
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,19 @@
 """Tests for tagged hashing and HKDF."""
 
+import hashlib
+import hmac
+
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.crypto.hashing import hash_bytes, hash_items, hash_to_int, hexdigest
+from repro.crypto.hashing import (
+    hash_bytes,
+    hash_items,
+    hash_to_int,
+    hexdigest,
+    keyed_hmac_sha256,
+    seeded_hash_to_int,
+)
 from repro.crypto.kdf import hkdf, hkdf_expand, hkdf_extract
 
 
@@ -36,6 +46,38 @@ def test_hash_to_int_in_range():
     for modulus in (2, 17, 1 << 61, (1 << 255) - 19):
         value = hash_to_int("t", b"data", modulus)
         assert 0 <= value < modulus
+
+
+def test_hash_to_int_golden_values():
+    """Recorded before ``hash_to_int`` was rebuilt on the seeded form."""
+    assert hash_to_int("golden", b"hash-to-int", (1 << 61) - 1) == 388370394976527696
+    assert hash_to_int("golden", b"hash-to-int", (1 << 767) - 1) % (1 << 64) == (
+        8844387436674413671
+    )
+
+
+@given(
+    st.binary(max_size=64),
+    st.binary(max_size=64),
+    st.integers(min_value=1, max_value=1 << 800),
+)
+def test_hash_to_int_and_its_seeded_form_match_the_definition(prefix, suffix, modulus):
+    blocks = (modulus.bit_length() + 128 + 255) // 256
+    stream = b"".join(
+        hash_bytes("p", counter.to_bytes(4, "big") + prefix + suffix)
+        for counter in range(blocks)
+    )
+    expected = int.from_bytes(stream, "big") % modulus
+    assert hash_to_int("p", prefix + suffix, modulus) == expected
+    assert seeded_hash_to_int("p", prefix, modulus)(suffix) == expected
+
+
+@given(st.binary(max_size=200), st.binary(max_size=200))
+def test_keyed_hmac_matches_hmac_new(key, data):
+    mac = keyed_hmac_sha256(key)
+    expected = hmac.new(key, data, hashlib.sha256).digest()
+    assert mac(data) == expected
+    assert mac(data) == expected  # the keyed states are copied, not consumed
 
 
 def test_hash_to_int_invalid_modulus():

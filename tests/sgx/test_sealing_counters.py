@@ -54,6 +54,23 @@ def test_unknown_policy_rejected(sealing):
         sealing.seal(identity(), b"x", "mrwhatever")
 
 
+def test_seal_golden_blob():
+    """Byte-level pin of a sealed blob (header, nonce, tag, ciphertext),
+    recorded before the cipher's keystream and XOR went whole-buffer."""
+    manager = SealingManager(b"golden-root-secret", HmacDrbg(b"golden-seal-nonce"))
+    ident = identity(mrenclave=b"\x11" * 32, mrsigner=b"\x22" * 32)
+    payload = b"sealed golden payload: " + bytes(range(40))
+    blob = manager.seal(ident, payload, "mrenclave")
+    assert blob.hex() == (
+        "00" + "11" * 32
+        + "ee4363e3a836213b63c950c3a57afa47"
+        "1f06d45b584efc3cbed5902487da8c208efd283639fb6cf42c554392a7165f7f"
+        "f849eb7c2da1c63b2b9a1aa1a24f7384affa0ba6785d85affe57224302b7e533"
+        "2b662d1b2b37b7568de0056f05b5e150e5b12588252c0ea4b7497b6a53a0e8"
+    )
+    assert manager.unseal(ident, blob) == payload
+
+
 def test_truncated_blob_rejected(sealing):
     with pytest.raises(SealingError):
         sealing.unseal(identity(), b"\x00" * 10)
