@@ -31,9 +31,11 @@ from repro.byzantine.harness import (
 )
 from repro.byzantine.plan import (
     ALL_ATTACKS,
+    ATTACK_BLINDER_BARE_REVEAL,
     ATTACK_BLINDER_FORGED_CLAIMS,
     ATTACK_BLINDER_TAMPER_DELIVERY,
     ATTACK_BLINDER_TAMPER_REVEAL,
+    ATTACK_BLINDER_WITHHOLD_COMMITMENTS,
     ATTACK_EQUIVOCATE,
     ATTACK_FLOOD,
     ATTACK_FORGE,
@@ -42,6 +44,7 @@ from repro.byzantine.plan import (
     ATTACK_SERVICE_DUPLICATE,
     ATTACK_SERVICE_MISCOUNT,
     ATTACK_SERVICE_OMIT,
+    ATTACK_SERVICE_STRIP_TRAIL,
     BLINDER_ATTACKS,
     CLIENT_ATTACKS,
     SERVICE_ATTACKS,
@@ -51,9 +54,11 @@ from repro.byzantine.plan import (
 
 __all__ = [
     "ALL_ATTACKS",
+    "ATTACK_BLINDER_BARE_REVEAL",
     "ATTACK_BLINDER_FORGED_CLAIMS",
     "ATTACK_BLINDER_TAMPER_DELIVERY",
     "ATTACK_BLINDER_TAMPER_REVEAL",
+    "ATTACK_BLINDER_WITHHOLD_COMMITMENTS",
     "ATTACK_EQUIVOCATE",
     "ATTACK_FLOOD",
     "ATTACK_FORGE",
@@ -62,6 +67,7 @@ __all__ = [
     "ATTACK_SERVICE_DUPLICATE",
     "ATTACK_SERVICE_MISCOUNT",
     "ATTACK_SERVICE_OMIT",
+    "ATTACK_SERVICE_STRIP_TRAIL",
     "BLINDER_ATTACKS",
     "CLIENT_ATTACKS",
     "SERVICE_ATTACKS",

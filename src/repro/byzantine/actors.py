@@ -10,11 +10,17 @@ caught it:
   opening check at install; ``tamper-reveal`` by the engine's
   commitment check on repair masks; ``forged-claims`` — the strongest
   lie, a non-sum-zero family behind internally consistent commitments —
-  by the engine's homomorphic sum-zero check at finalize.
+  by the engine's homomorphic sum-zero check at finalize.  The two
+  downgrades — ``withhold-commitments`` (ack the open, publish nothing)
+  and ``bare-reveal`` (tampered repair words, no opening) — try to opt
+  out of those checks instead of beating them; the engine blames the
+  missing set at open and the missing opening at finalize.
 * :class:`TamperingAggregator` wraps a
   :class:`~repro.core.service.CloudService` and mutates its finalize
   result; every mode is caught by the engine's result audit
-  (nonce/count/signature cross-checks plus bit-exact recomputation).
+  (nonce/count/signature cross-checks plus bit-exact recomputation),
+  ``strip-audit-trail`` included: a corrupted aggregate returned with
+  no trail to recompute it from.
 
 Both actors draw their perturbations from an :class:`HmacDrbg`, so an
 attack schedule replays identically under the same seed.
@@ -27,13 +33,16 @@ import dataclasses
 import numpy as np
 
 from repro.byzantine.plan import (
+    ATTACK_BLINDER_BARE_REVEAL,
     ATTACK_BLINDER_FORGED_CLAIMS,
     ATTACK_BLINDER_TAMPER_DELIVERY,
     ATTACK_BLINDER_TAMPER_REVEAL,
+    ATTACK_BLINDER_WITHHOLD_COMMITMENTS,
     ATTACK_SERVICE_CORRUPT,
     ATTACK_SERVICE_DUPLICATE,
     ATTACK_SERVICE_MISCOUNT,
     ATTACK_SERVICE_OMIT,
+    ATTACK_SERVICE_STRIP_TRAIL,
     BLINDER_ATTACKS,
     SERVICE_ATTACKS,
 )
@@ -110,10 +119,15 @@ class LyingBlinder:
         opening = self.inner.reveal_dropout_mask(round_id, party_index)
         if self.mode == ATTACK_BLINDER_TAMPER_REVEAL:
             return self._tampered(opening)
+        if self.mode == ATTACK_BLINDER_BARE_REVEAL:
+            return self._tampered(opening).mask
         return opening
 
-    def open_round(self, round_id, num_parties, length):
-        honest = self.inner.open_round(round_id, num_parties, length)
+    def open_round(self, round_id, num_parties, length, subgroup_size=0):
+        honest = self.inner.open_round(round_id, num_parties, length, subgroup_size)
+        if self.mode == ATTACK_BLINDER_WITHHOLD_COMMITMENTS:
+            self.lies_told += 1
+            return True
         if self.mode != ATTACK_BLINDER_FORGED_CLAIMS:
             return honest
         return self._forge_round(round_id, honest)
@@ -207,13 +221,18 @@ class TamperingAggregator:
     def finalize_plain_round(self, round_id):
         return self._tamper(self.inner.finalize_plain_round(round_id))
 
+    def _corrupted(self, result):
+        aggregate = np.array(result.aggregate, dtype=float, copy=True)
+        bump = 1.0 + float(self.rng.randint(538))
+        aggregate[self.rng.randint(len(aggregate))] += bump
+        return dataclasses.replace(result, aggregate=aggregate)
+
     def _tamper(self, result):
         self.lies_told += 1
         if self.mode == ATTACK_SERVICE_CORRUPT:
-            aggregate = np.array(result.aggregate, dtype=float, copy=True)
-            bump = 1.0 + float(self.rng.randint(538))
-            aggregate[self.rng.randint(len(aggregate))] += bump
-            return dataclasses.replace(result, aggregate=aggregate)
+            return self._corrupted(result)
+        if self.mode == ATTACK_SERVICE_STRIP_TRAIL:
+            return dataclasses.replace(self._corrupted(result), accepted=())
         if self.mode == ATTACK_SERVICE_OMIT:
             if not result.accepted:
                 return result

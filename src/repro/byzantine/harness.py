@@ -33,6 +33,7 @@ import numpy as np
 
 from repro.byzantine.actors import LyingBlinder, TamperingAggregator
 from repro.byzantine.plan import (
+    ATTACK_BLINDER_BARE_REVEAL,
     ATTACK_BLINDER_TAMPER_REVEAL,
     ATTACK_EQUIVOCATE,
     ATTACK_FLOOD,
@@ -165,7 +166,8 @@ def run_byzantine_round(
     blinder_spec = plan.blinder_attack(round_id)
     if (
         blinder_spec is not None
-        and blinder_spec.kind == ATTACK_BLINDER_TAMPER_REVEAL
+        and blinder_spec.kind
+        in (ATTACK_BLINDER_TAMPER_REVEAL, ATTACK_BLINDER_BARE_REVEAL)
         and not silent
         and len(participants) > 1
     ):

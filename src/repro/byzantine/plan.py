@@ -42,6 +42,12 @@ ATTACK_BLINDER_TAMPER_REVEAL = "blinder.tamper-reveal"
 ATTACK_BLINDER_FORGED_CLAIMS = "blinder.forged-claims"
 """Publish a non-sum-zero mask family behind forged sum-zero claims."""
 
+ATTACK_BLINDER_WITHHOLD_COMMITMENTS = "blinder.withhold-commitments"
+"""Ack the round open without publishing the commitment set."""
+
+ATTACK_BLINDER_BARE_REVEAL = "blinder.bare-reveal"
+"""Reveal tampered dropout-repair words with no opening to check them by."""
+
 # Aggregation-service attack kinds ------------------------------------------
 ATTACK_SERVICE_CORRUPT = "service.corrupt-aggregate"
 """Return a finalize result whose aggregate was perturbed."""
@@ -55,6 +61,9 @@ ATTACK_SERVICE_DUPLICATE = "service.duplicate-contribution"
 ATTACK_SERVICE_MISCOUNT = "service.miscount"
 """Report a contribution count that does not match the aggregated set."""
 
+ATTACK_SERVICE_STRIP_TRAIL = "service.strip-audit-trail"
+"""Perturb the aggregate and return it with an empty audit trail."""
+
 CLIENT_ATTACKS: tuple[str, ...] = (
     ATTACK_REPLAY,
     ATTACK_EQUIVOCATE,
@@ -66,6 +75,8 @@ BLINDER_ATTACKS: tuple[str, ...] = (
     ATTACK_BLINDER_TAMPER_DELIVERY,
     ATTACK_BLINDER_TAMPER_REVEAL,
     ATTACK_BLINDER_FORGED_CLAIMS,
+    ATTACK_BLINDER_WITHHOLD_COMMITMENTS,
+    ATTACK_BLINDER_BARE_REVEAL,
 )
 
 SERVICE_ATTACKS: tuple[str, ...] = (
@@ -73,6 +84,7 @@ SERVICE_ATTACKS: tuple[str, ...] = (
     ATTACK_SERVICE_OMIT,
     ATTACK_SERVICE_DUPLICATE,
     ATTACK_SERVICE_MISCOUNT,
+    ATTACK_SERVICE_STRIP_TRAIL,
 )
 
 ALL_ATTACKS: tuple[str, ...] = CLIENT_ATTACKS + BLINDER_ATTACKS + SERVICE_ATTACKS

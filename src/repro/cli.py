@@ -13,16 +13,11 @@ with :func:`ast.literal_eval`, e.g.::
 
     python -m repro run e4 num_users=12 "magnitudes=(538.0,)"
 
-The benchmark-regression harness lives under ``bench``::
+Round-level performance is measured by ``benchmarks/roundbench`` (see its
+README), not by this CLI; ``stream-smoke`` is the one memory-budget check
+that lives here::
 
-    python -m repro bench                    # full run, compare vs newest BENCH_*.json
-    python -m repro bench --quick            # CI smoke: small sizes, short timings
-    python -m repro bench --json             # machine-readable comparison
-    python -m repro bench --threshold 0.1    # fail if any metric loses >10%
-    python -m repro bench --workers 2        # also time the parallel pipeline
-
-``bench`` exits 1 when any tracked metric regresses beyond the threshold
-against the baseline snapshot.
+    python -m repro stream-smoke --users 100000 --max-rss-kb 262144
 
 The long-lived service runs under ``serve``/``submit``::
 
@@ -57,7 +52,6 @@ import argparse
 import ast
 import json
 import sys
-from pathlib import Path
 
 from repro.experiments.registry import EXPERIMENTS, run_experiment
 
@@ -140,28 +134,6 @@ def _cmd_demo(_args: argparse.Namespace) -> int:
     if outcome == OUTCOME_VALIDATION_REJECTED:
         print("and the 538 attack is stopped in-enclave: validation-rejected")
     return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.perf import bench
-
-    if not 0.0 < args.threshold < 1.0:
-        print("--threshold must be in (0, 1)", file=sys.stderr)
-        return 2
-    if args.workers < 0:
-        print("--workers must be >= 0", file=sys.stderr)
-        return 2
-    return bench.main(
-        out_dir=Path(args.out_dir),
-        quick=args.quick,
-        baseline=Path(args.baseline) if args.baseline else None,
-        threshold=args.threshold,
-        as_json=args.json,
-        write=not args.no_write,
-        workers=args.workers,
-        chaos=args.chaos,
-        fleet=args.fleet,
-    )
 
 
 def _cmd_stream_smoke(args: argparse.Namespace) -> int:
@@ -412,53 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("demo", help="run the quickstart narrative").set_defaults(
         func=_cmd_demo
     )
-
-    bench_parser = sub.add_parser(
-        "bench", help="run kernel/round benchmarks and compare to the baseline"
-    )
-    bench_parser.add_argument(
-        "--quick", action="store_true", help="small sizes and short timings (CI smoke)"
-    )
-    bench_parser.add_argument(
-        "--out-dir", default=".", help="directory for BENCH_<date>.json (default: cwd)"
-    )
-    bench_parser.add_argument(
-        "--baseline",
-        help="explicit baseline snapshot (default: newest BENCH_*.json in --out-dir)",
-    )
-    bench_parser.add_argument(
-        "--threshold",
-        type=float,
-        default=0.25,
-        help="fractional regression that fails the run (default 0.25)",
-    )
-    bench_parser.add_argument(
-        "--json", action="store_true", help="machine-readable comparison output"
-    )
-    bench_parser.add_argument(
-        "--no-write", action="store_true", help="measure and compare without writing"
-    )
-    bench_parser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="also time the parallel round pipeline with this many worker "
-        "processes and record its speedup vs serial (default 0: serial only)",
-    )
-    bench_parser.add_argument(
-        "--chaos",
-        action="store_true",
-        help="also run chaos schedules and record recovery telemetry in a "
-        "non-gated 'robustness' snapshot section",
-    )
-    bench_parser.add_argument(
-        "--fleet",
-        action="store_true",
-        help="also run degraded-link fleet schedules and record rounds "
-        "recovered, time-to-settle, and re-attestations avoided in a "
-        "non-gated 'fleet' snapshot section",
-    )
-    bench_parser.set_defaults(func=_cmd_bench)
 
     stream_parser = sub.add_parser(
         "stream-smoke",

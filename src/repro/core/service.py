@@ -75,10 +75,10 @@ class StreamingRoundState:
     the raw vector is released — parent memory is O(n/g · k + nonces),
     not O(n·k).  The price is auditability of individual rows: the
     service cannot replay what it no longer holds, so finalize returns
-    an empty ``accepted`` audit trail (the engine's recomputation audit
-    passes through, legacy-style) and quarantine eviction reports
-    failure rather than un-folding — which is why the engine only
-    routes adversary-free rounds here (see :func:`repro.scale.
+    an empty ``accepted`` audit trail (the engine, having chosen this
+    route itself, audits the counts only) and quarantine eviction
+    reports failure rather than un-folding — which is why the engine
+    only routes adversary-free rounds here (see :func:`repro.scale.
     rounds.plan_route`).
     """
 
@@ -132,12 +132,6 @@ class RoundResult:
 
 class CloudService:
     """Verifies signed contributions and aggregates per round."""
-
-    #: Endpoints check this *on the class* (never through wrapper
-    #: ``__getattr__`` passthrough) before forwarding the wire message's
-    #: ``slot`` into :meth:`submit` — Byzantine wrappers that shadow
-    #: ``submit`` with the legacy two-argument signature keep working.
-    accepts_submit_slot = True
 
     def __init__(
         self,
@@ -401,9 +395,9 @@ class CloudService:
         the merge runs through ``aggregation_reducer`` when the scale
         layer installed one, so the subgroup leaves feed the same parent
         tree the flat path's rows would.  ``accepted`` stays empty: the
-        folded rows no longer exist to re-audit, which the engine treats
-        as a legacy pass-through (exactness is proven by the subgroup
-        parity suite instead).
+        folded rows no longer exist to re-audit, so the engine checks a
+        round it streamed by its counts (exactness is proven by the
+        subgroup parity suite instead).
         """
         modulus_bits = self._codec.modulus_bits
         length = state.accumulator.length

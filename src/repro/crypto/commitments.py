@@ -165,8 +165,9 @@ def hash_commitment(
 class MaskOpening:
     """What a slot's recipient gets: the mask plus its commitment opening.
 
-    Iterating an opening yields the bare mask words, so legacy code that
-    treats a revealed dropout mask as a word sequence keeps working.
+    Iterating an opening yields the bare mask words, so a caller holding
+    a reveal can hand it straight to ``remove_mask`` or
+    ``finalize_blinded_round`` (``tests/core/test_dp_release.py`` does).
     """
 
     mask: tuple[int, ...]

@@ -1,26 +1,18 @@
-"""Vectorized kernel layer and the benchmark-regression harness.
+"""Vectorized kernels, their scalar reference twins, and the stream smoke.
 
 The §3 secure-aggregation pipeline is arithmetic over ``Z_{2^64}`` vectors
 plus bulk pseudorandomness — exactly the shapes numpy executes at memory
-bandwidth while pure Python pays interpreter overhead per element.  This
-package concentrates the fast paths:
+bandwidth while pure Python pays interpreter overhead per element.
 
 * :mod:`repro.perf.kernels` — ring arithmetic and big-endian word
   serialization as ``np.uint64`` array operations, bit-exact against the
   scalar definitions;
-* :mod:`repro.perf.reference` — the scalar definitions themselves, kept
-  importable so parity tests and benchmarks can always compare the two
-  implementations on the same inputs;
-* :mod:`repro.perf.bench` — the ``repro bench`` harness: runs micro and
-  experiment benchmarks, emits ``BENCH_<date>.json`` snapshots, and
-  compares against a previous snapshot with a regression threshold.
-
-The public-key hot path (fixed-base windowed exponentiation, Pippenger
-multi-exponentiation, batch Schnorr/Pedersen verification, DH session
-resumption) lives in :mod:`repro.crypto.group_ops` and is re-exported
-here — it is a performance layer in the same sense as the kernels, with
-its own naive twins in :mod:`repro.perf.reference` and its own kernel
-rows in the bench table.
+* :mod:`repro.perf.reference` — the scalar definitions themselves (and
+  the naive public-key twins of :mod:`repro.crypto.group_ops`), kept
+  importable so parity tests can always compare the two implementations
+  on the same inputs;
+* :mod:`repro.perf.stream_smoke` — the memory-bounded large-cohort
+  ingest round behind ``repro stream-smoke``.
 
 Determinism contract
 --------------------
@@ -32,39 +24,3 @@ point or consumes the DRBG stream differently is a correctness bug here,
 not an optimization.  ``tests/perf/test_parity.py`` enforces the contract
 with seeded sweeps over degenerate and large lengths.
 """
-
-from repro.crypto.group_ops import (
-    DHSessionCache,
-    FixedBaseTable,
-    fixed_power,
-    multi_power,
-    register_base,
-)
-from repro.perf.kernels import (
-    as_ring,
-    as_ring_rows,
-    be_words_to_bytes,
-    bytes_to_be_words,
-    ring_add,
-    ring_neg,
-    ring_sub,
-    ring_sum_rows,
-    ring_words,
-)
-
-__all__ = [
-    "DHSessionCache",
-    "FixedBaseTable",
-    "as_ring",
-    "as_ring_rows",
-    "be_words_to_bytes",
-    "bytes_to_be_words",
-    "fixed_power",
-    "multi_power",
-    "register_base",
-    "ring_add",
-    "ring_neg",
-    "ring_sub",
-    "ring_sum_rows",
-    "ring_words",
-]

@@ -176,13 +176,6 @@ def limb_column_sums(
     )
 
 
-def ring_words(arr: np.ndarray | Sequence[int]) -> list[int]:
-    """Back to a list of Python ints (the legacy in-memory representation)."""
-    if isinstance(arr, np.ndarray):
-        return arr.tolist()
-    return [int(v) for v in arr]
-
-
 # ------------------------------------------------------------- serialization
 
 

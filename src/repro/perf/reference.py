@@ -1,19 +1,15 @@
 """Scalar reference implementations for the vectorized kernels.
 
-Two distinct families live here, and the distinction matters:
-
 * ``*_scalar`` functions are the **parity references**: the same
   algorithm as the numpy fast path, written as plain Python loops.  The
   parity suite (``tests/perf/test_parity.py``) asserts bit-identical
   outputs between each fast path and its ``_scalar`` twin on the same
   inputs / same DRBG state.
 
-* ``*_legacy`` functions preserve the **pre-kernel implementations**
-  (per-element ``randint`` sampling, per-element ring loops) exactly as
-  the seed revision shipped them.  They are *not* stream-compatible with
-  the bulk DRBG expansion — they exist so ``repro bench`` measures the
-  speedup against what the code actually used to do, not against a straw
-  man.
+* ``*_naive`` functions are the public-key twins: builtin ``pow`` loops
+  with no tables, memoization or batching, which
+  ``tests/perf/test_pk_parity.py`` holds :mod:`repro.crypto.group_ops`
+  and the batch verifiers to.
 """
 
 from __future__ import annotations
@@ -93,29 +89,6 @@ def sum_vectors_scalar(
     return total
 
 
-def streaming_fold_scalar(
-    rows: Sequence[Sequence[int]],
-    groups: Sequence[int],
-    num_groups: int,
-    modulus_bits: int = 64,
-) -> list[int]:
-    """Scalar twin of the subgroup streaming fold + parent merge.
-
-    Folds each row into its subgroup's per-element partial sum, then
-    merges the partials — the same shape as
-    :class:`repro.scale.streaming.StreamingSubgroupAccumulator` followed
-    by ``total()``, as plain Python loops.
-    """
-    modulus = 1 << modulus_bits
-    length = len(rows[0])
-    partials = [[0] * length for _ in range(num_groups)]
-    for row, group in zip(rows, groups):
-        bucket = partials[group]
-        for i, value in enumerate(row):
-            bucket[i] = (bucket[i] + int(value)) % modulus
-    return sum_vectors_scalar(partials, modulus_bits)
-
-
 def encode_scalar(codec, values: Sequence[float]) -> list[int]:
     """Scalar fixed-point encode: per-value ``round(v * scale) % modulus``."""
     return [codec.encode_value(float(v)) for v in values]
@@ -135,32 +108,6 @@ def bytes_to_words_scalar(payload: bytes) -> tuple[int, ...]:
         int.from_bytes(payload[i : i + 8], "big")
         for i in range(0, len(payload), 8)
     )
-
-
-# ------------------------------------------------------------------- legacy
-
-
-def sample_sum_zero_legacy(
-    num_parties: int, length: int, rng: HmacDrbg, modulus_bits: int = 64
-) -> list[tuple[int, ...]]:
-    """The seed revision's per-element mask sampler (benchmark baseline)."""
-    modulus = 1 << modulus_bits
-    masks: list[tuple[int, ...]] = []
-    running = [0] * length
-    for _ in range(num_parties - 1):
-        mask = tuple(rng.randint(modulus) for _ in range(length))
-        for i, value in enumerate(mask):
-            running[i] = (running[i] + value) % modulus
-        masks.append(mask)
-    masks.append(tuple((-total) % modulus for total in running))
-    return masks
-
-
-def sum_vectors_legacy(
-    vectors: Sequence[Sequence[int]], modulus_bits: int = 64
-) -> list[int]:
-    """The seed revision's blinded-sum loop (benchmark baseline)."""
-    return sum_vectors_scalar(vectors, modulus_bits)
 
 
 # ----------------------------------------------------- public-key baselines

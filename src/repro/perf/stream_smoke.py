@@ -11,9 +11,9 @@ plaintexts.
 
 Peak RSS is read at the end (``VmHWM`` where procfs exists, else
 ``resource.getrusage``), so the harness is meant to run in its own
-process (the CLI command, or the bench harness's subprocess): the
-measurement is then "memory needed for the whole ingest", which is the
-quantity the CI ``large-cohort`` job budgets.
+process (the CLI command): the measurement is then "memory needed for
+the whole ingest", which is the quantity the CI ``large-cohort`` job
+budgets.
 """
 
 from __future__ import annotations
@@ -111,10 +111,31 @@ def run_stream_smoke(
 
 
 def peak_rss_kb() -> int | None:
-    """Process-lifetime peak RSS in KiB (None off-POSIX)."""
-    from repro.perf.bench import _peak_rss_kb
+    """This process's lifetime peak RSS in KiB (None where unavailable).
 
-    return _peak_rss_kb()
+    Prefers ``VmHWM`` from ``/proc/self/status``: some kernels carry the
+    parent's ``ru_maxrss`` high-water mark across fork+exec, which would
+    make a subprocess-isolated measurement report the *parent's* peak.
+    ``VmHWM`` is re-established on exec, so it is the child's own.  Falls
+    back to ``ru_maxrss`` (kilobytes on Linux, bytes on macOS —
+    normalized) elsewhere.
+    """
+    try:
+        with open("/proc/self/status", encoding="ascii") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1])
+    except OSError:  # pragma: no cover - no procfs
+        pass
+    try:
+        import resource
+        import sys
+    except ImportError:  # pragma: no cover - non-POSIX platform
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    if sys.platform == "darwin":  # pragma: no cover - macOS units
+        peak //= 1024
+    return int(peak)
 
 
 def main(

@@ -74,13 +74,6 @@ def _checked(monitor, message: Message) -> None:
         raise
 
 
-def _streamed(request) -> dict:
-    """An open request's ``subgroup_size`` keyword, when it has one: only
-    stock parties are ever planned a streamed round (``plan_route``);
-    legacy and wrapped ones are always opened with the flat signature."""
-    return {"subgroup_size": request.subgroup_size} if request.subgroup_size else {}
-
-
 class ServiceEndpoint:
     """The cloud service as a transport endpoint."""
 
@@ -112,7 +105,7 @@ class ServiceEndpoint:
             request.round_id,
             request.expected_parties,
             blinded=request.blinded,
-            **_streamed(request),
+            subgroup_size=request.subgroup_size,
         )
         return True
 
@@ -159,15 +152,8 @@ class ServiceEndpoint:
             self.monitor.check_submit(
                 round_id, sender, slot, nonce, retransmit=retransmit
             )
-        if verified:
-            accepted = self.service.submit_verified(round_id, contribution, slot=slot)
-        elif getattr(type(self.service), "accepts_submit_slot", False):
-            # Checked on the class so Byzantine wrappers whose __getattr__
-            # forwards attributes (but whose shadowing submit keeps the
-            # legacy two-argument shape) still get the legacy call.
-            accepted = self.service.submit(round_id, contribution, slot=slot)
-        else:
-            accepted = self.service.submit(round_id, contribution)
+        submit = self.service.submit_verified if verified else self.service.submit
+        accepted = submit(round_id, contribution, slot=slot)
         if nonce is not None:
             self._submit_results.setdefault(round_id, {})[nonce] = accepted
         if self.monitor is not None:
@@ -218,28 +204,16 @@ class BlinderEndpoint:
     def _handle_open(self, message: Message):
         _checked(self.monitor, message)
         request: m.OpenBlinderRound = message.payload
-        if message.attempt > 1 and getattr(self.provisioner, "has_round", None):
-            if self.provisioner.has_round(request.round_id):
-                # Re-answer with the same published commitment set, when
-                # the provisioner keeps one (legacy provisioners ack).
-                commitments = getattr(
-                    self.provisioner, "round_commitments", None
-                )
-                if commitments is not None:
-                    try:
-                        return commitments(request.round_id)
-                    except CryptoError:
-                        pass
-                return True
-        result = self.provisioner.open_round(
+        if message.attempt > 1 and self.provisioner.has_round(request.round_id):
+            # The earlier attempt's open landed and only its reply was
+            # lost: re-answer with the same published commitment set.
+            return self.provisioner.round_commitments(request.round_id)
+        return self.provisioner.open_round(
             request.round_id,
             request.num_parties,
             request.vector_length,
-            **_streamed(request),
+            subgroup_size=request.subgroup_size,
         )
-        # Commitment-aware provisioners publish their MaskCommitmentSet;
-        # legacy ones return None and the engine skips verification.
-        return result if result is not None else True
 
     def _handle_mask_request(self, message: Message):
         # Stateless per request: re-answering a retransmitted handshake
@@ -319,36 +293,11 @@ class ClientEndpoint:
                 f"client {self.client.client_id!r} crashed while provisioning "
                 f"round {request.round_id} (injected fault)"
             )
-        session_id, dh_public, quote = self.client.handshake_request()
-        record.ecalls += 1  # begin_handshake
-        delivery = self.engine.call_with_retry(
-            record,
-            self.name,
-            m.BLINDER,
-            m.KIND_MASK_REQUEST,
-            m.MaskRequest(
-                session_id=session_id,
-                dh_public=dh_public,
-                quote=quote,
-                round_id=request.round_id,
-                party_index=request.party_index,
-            ),
-        )
-        try:
-            self._install_mask(request, delivery)
-        except CryptoError:
-            # A resumed delivery this (restarted) Glimmer could not open:
-            # its session-key cache is gone.  Evict the provisioner's
-            # entry and re-run the full handshake once; without a session
-            # cache the failure is genuine.
-            cache = getattr(
-                self.engine.blinder_provisioner, "session_cache", None
-            )
-            if cache is None:
-                raise
-            cache.evict(quote.platform_id, "blinding-mask-provisioning")
+
+        def fetch_and_install() -> None:
+            """Attested handshake → mask request → install, once."""
             session_id, dh_public, quote = self.client.handshake_request()
-            record.ecalls += 1  # begin_handshake (retry)
+            record.ecalls += 1  # begin_handshake
             delivery = self.engine.call_with_retry(
                 record,
                 self.name,
@@ -362,27 +311,33 @@ class ClientEndpoint:
                     party_index=request.party_index,
                 ),
             )
-            self._install_mask(request, delivery)
-        record.ecalls += 1  # install_blinding_mask
-        if hasattr(self.client, "checkpoint_round"):
-            # Seal the freshly installed mask so a later crash in this
-            # round is recoverable.  Not counted in record.ecalls, which
-            # tracks the paper's three-ecall protocol path per client.
-            self.client.checkpoint_round(request.round_id)
-        return True
-
-    def _install_mask(self, request, delivery) -> None:
-        if request.commitment is not None:
             self.client.install_mask(
                 request.round_id,
                 request.party_index,
                 delivery,
                 commitment=request.commitment,
             )
-        else:
-            self.client.install_mask(
-                request.round_id, request.party_index, delivery
+
+        try:
+            fetch_and_install()
+        except CryptoError:
+            # A resumed delivery this (restarted) Glimmer could not open:
+            # its session-key cache is gone.  Evict the provisioner's
+            # entry and re-run the full handshake once; without a session
+            # cache the failure is genuine.
+            cache = self.engine.blinder_provisioner.session_cache
+            if cache is None:
+                raise
+            cache.evict(
+                self.client.platform.platform_id, "blinding-mask-provisioning"
             )
+            fetch_and_install()
+        record.ecalls += 1  # install_blinding_mask
+        # Seal the freshly installed mask so a later crash in this round
+        # is recoverable.  Not counted in record.ecalls, which tracks the
+        # paper's three-ecall protocol path per client.
+        self.client.checkpoint_round(request.round_id)
+        return True
 
     def _remember(
         self, round_id: int, outcome: tuple[str, str | None]
@@ -444,15 +399,13 @@ class ClientEndpoint:
                 command.round_id, (OUTCOME_SUBMIT_FAILED, str(exc))
             )
         if accepted:
-            if hasattr(self.client, "discard_checkpoint"):
-                self.client.discard_checkpoint(command.round_id)
+            self.client.discard_checkpoint(command.round_id)
             return self._remember(command.round_id, (OUTCOME_ACCEPTED, None))
         return self._remember(command.round_id, (OUTCOME_SERVICE_REJECTED, None))
 
     def _handle_close(self, message: Message) -> bool:
         """Round teardown: purge the Glimmer's per-round mask state."""
         command: m.CloseRound = message.payload
-        if hasattr(self.client, "close_round"):
-            self.client.close_round(command.round_id)
+        self.client.close_round(command.round_id)
         self._contribute_outcomes.pop(command.round_id, None)
         return True

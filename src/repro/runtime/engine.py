@@ -48,6 +48,7 @@ import numpy as np
 
 from repro.crypto import group_ops
 from repro.crypto.commitments import (
+    MaskCommitmentSet,
     MaskOpening,
     batch_verify_openings,
     resolve_group,
@@ -377,7 +378,7 @@ class RoundEngine:
         action = injector.fire(
             SITE_BLINDER, round_id=record.round_id, phase=phase
         )
-        if action == ACTION_CRASH and hasattr(self.blinder_provisioner, "crash"):
+        if action == ACTION_CRASH:
             self.blinder_provisioner.crash()
             self.blinder_provisioner.restart()
         if (
@@ -515,14 +516,19 @@ class RoundEngine:
     ):
         """Structurally validate the blinder's published commitment set.
 
-        Legacy provisioners ack with ``True``/``None`` and skip the
-        verifiable-blinding path entirely.  A commitment-aware blinder
-        that publishes a malformed or mis-shaped set is blamed and the
-        round aborts before any client is provisioned.
+        Every later check on the blinder — a client's opening check at
+        install, the reveal checks and the sum-zero audit at finalize —
+        is made against this set, so a blinder that withholds it (acks
+        the open with anything else) or publishes a malformed or
+        mis-shaped one is blamed and the round aborts before any client
+        is provisioned.
         """
-        if published is None or not hasattr(published, "validate_structure"):
-            return None
         try:
+            if not isinstance(published, MaskCommitmentSet):
+                raise MaskVerificationError(
+                    f"open reply is a {type(published).__name__}, "
+                    "not a commitment set"
+                )
             published.validate_structure(
                 round_id=record.round_id,
                 num_slots=num_slots,
@@ -680,12 +686,11 @@ class RoundEngine:
     def _evict_consumed_slot(self, record: _RoundRecord, slot: int) -> bool:
         """Undo :meth:`_note_slot_consumed` (so §3 repair reveals the mask) —
         only when the service verifiably removed the contribution; if it
-        cannot (plain, streamed, legacy-service rounds) the accept stands."""
+        cannot (plain and streamed rounds) the accept stands."""
         nonce = record.slot_nonce.get(slot)
         if (
             slot not in record.consumed
             or nonce is None
-            or not hasattr(self.service, "evict_nonce")
             or not self.service.evict_nonce(record.round_id, nonce)
         ):
             return False
@@ -721,7 +726,7 @@ class RoundEngine:
                 record.outcomes[user_id] = OUTCOME_ACCEPTED
         self._start_phase(record, "finalize")
         self._evict_offenders(record)
-        if record.blinded and record.commitments is not None:
+        if record.blinded:
             try:
                 record.commitments.verify_sum_zero(
                     self._scale_point_product(record)
@@ -798,7 +803,7 @@ class RoundEngine:
         merged product equals the flat one — this only changes *where*
         the multiplies happen.
         """
-        if not record.route.pool or record.commitments is None:
+        if not record.route.pool:
             return None
         prime = resolve_group(record.commitments.group_name).prime
         plan = scale_shard.plan_shards(
@@ -816,21 +821,16 @@ class RoundEngine:
 
         ``True`` means all reveals verified in a single randomized batch
         and the per-slot sweep may skip its point checks.  ``False``
-        means either the batch was not applicable (too few openings,
-        legacy bare-word reveals, no commitments) or it failed — in both
-        cases :meth:`_verified_repair_mask` runs the per-slot check
-        unchanged, preserving exact blame and abort behavior.
+        means either the batch was not applicable (too few reveals, or
+        one that is not an opening at all) or it failed — in both cases
+        :meth:`_verified_repair_mask` runs the per-slot check unchanged,
+        preserving exact blame and abort behavior.
         """
-        if record.commitments is None:
+        if len(revealed_by_slot) < 2 or not all(
+            isinstance(revealed, MaskOpening) for _, revealed in revealed_by_slot
+        ):
             return False
-        openings = [
-            (slot, revealed)
-            for slot, revealed in revealed_by_slot
-            if isinstance(revealed, MaskOpening)
-        ]
-        if len(openings) < 2 or len(openings) != len(revealed_by_slot):
-            return False
-        if batch_verify_openings(record.commitments, openings):
+        if batch_verify_openings(record.commitments, revealed_by_slot):
             group_ops.bump("batch_verifications")
             return True
         group_ops.bump("batch_fallbacks")
@@ -841,35 +841,36 @@ class RoundEngine:
     ) -> tuple[int, ...]:
         """Check a revealed dropout mask against the round's commitments.
 
-        Commitment-aware provisioners reveal a full
+        The blinder reveals a full
         :class:`~repro.crypto.commitments.MaskOpening`; the engine verifies
         it against the slot's published commitment before trusting the
         mask.  A blinder that reveals a mask other than the one it
-        committed to is blamed and the round aborts — §3 repair never
-        silently folds a forged mask into the aggregate.  Legacy
-        provisioners reveal a bare word sequence, which is used as-is.
-        ``preverified`` marks reveals already covered by a successful
-        :meth:`_batch_verified_reveals` sweep, whose checks subsume this
-        slot's.
+        committed to — or bare words with no opening to check — is
+        blamed and the round aborts: §3 repair never silently folds a
+        forged mask into the aggregate.  ``preverified`` marks reveals
+        already covered by a successful :meth:`_batch_verified_reveals`
+        sweep, whose checks subsume this slot's.
         """
-        if isinstance(revealed, MaskOpening):
-            if record.commitments is not None and not preverified:
-                try:
-                    verify_opening(record.commitments, slot, revealed)
-                except MaskVerificationError as exc:
-                    self.monitor.record(
-                        record.round_id,
-                        BLINDER,
-                        VIOLATION_MASK_OPENING,
-                        f"dropout reveal for slot {slot}: {exc}",
+        if not preverified:
+            try:
+                if not isinstance(revealed, MaskOpening):
+                    raise MaskVerificationError(
+                        f"reveal is a {type(revealed).__name__}, not an opening"
                     )
-                    raise self._abort(
-                        record,
-                        f"blinding service revealed a mask for slot {slot} "
-                        f"that does not match its commitment: {exc}",
-                    )
-            return tuple(int(v) for v in revealed.mask)
-        return tuple(int(v) for v in revealed)
+                verify_opening(record.commitments, slot, revealed)
+            except MaskVerificationError as exc:
+                self.monitor.record(
+                    record.round_id,
+                    BLINDER,
+                    VIOLATION_MASK_OPENING,
+                    f"dropout reveal for slot {slot}: {exc}",
+                )
+                raise self._abort(
+                    record,
+                    f"blinding service revealed a mask for slot {slot} "
+                    f"that does not match its commitment: {exc}",
+                )
+        return tuple(int(v) for v in revealed.mask)
 
     def _reconcile_consumed(self, record: _RoundRecord) -> None:
         """Adopt acceptances the service holds that the engine never saw.
@@ -887,14 +888,11 @@ class RoundEngine:
         contributions a genuine Glimmer signed, and the finalize audit
         recomputes the aggregate over exactly that set.
         """
-        state_getter = getattr(self.service, "round_state", None)
-        if state_getter is None:
-            return
         try:
-            state = state_getter(record.round_id)
+            state = self.service.round_state(record.round_id)
         except ProtocolError:
             return
-        held = {c.nonce for c in getattr(state, "accepted", ())}
+        held = {c.nonce for c in state.accepted}
         if not held:
             return
         claimed = self.monitor.accepted_slots(record.round_id)
@@ -951,32 +949,38 @@ class RoundEngine:
         re-checks nonce uniqueness, that every contribution it witnessed
         being accepted is present, the counts, every signature, and —
         decisive against a tampering aggregator — recomputes the aggregate
-        bit-exactly.  Legacy service results without the audit trail
-        (``accepted`` empty) pass through unchecked.
+        bit-exactly.  Only a round the *engine* routed to the streamed
+        accumulator (``record.subgroup_plan``) has no trail to walk: its
+        rows were folded and released at admission, so its counts are
+        held to the engine's own witness instead.  Anywhere else a
+        missing trail is a missing contribution, and blamed as one.
         """
-        accepted = getattr(result, "accepted", ())
-        if not accepted:
-            return
         problems: list[str] = []
-        nonces = [c.nonce for c in accepted]
-        if len(set(nonces)) != len(nonces):
-            problems.append("duplicate nonces in the aggregated set")
         witnessed = set(record.slot_nonce.values())
-        if not witnessed.issubset(set(nonces)):
-            problems.append(
-                "an engine-witnessed accepted contribution is missing"
-            )
-        if result.num_contributions != len(accepted):
+        if record.subgroup_plan is not None:
+            accepted, aggregated = (), len(witnessed)
+        else:
+            accepted, aggregated = result.accepted, len(result.accepted)
+            if not accepted:
+                problems.append("the audit trail is empty")
+            nonces = [c.nonce for c in accepted]
+            if len(set(nonces)) != len(nonces):
+                problems.append("duplicate nonces in the aggregated set")
+            if not witnessed.issubset(nonces):
+                problems.append(
+                    "an engine-witnessed accepted contribution is missing"
+                )
+        if result.num_contributions != aggregated:
             problems.append(
                 f"contribution count {result.num_contributions} != "
-                f"{len(accepted)} aggregated"
+                f"{aggregated} aggregated"
             )
         if result.num_dropouts_repaired != len(repairs):
             problems.append(
                 f"repair count {result.num_dropouts_repaired} != "
                 f"{len(repairs)} masks handed over"
             )
-        if self.signing_public is not None and not record.route.pool:
+        if self.signing_public is not None and accepted and not record.route.pool:
             # Pool rounds verified every accepted signature exactly once
             # already (worker pre-verification or service admission);
             # re-walking them here would serialize what the pool spread out.
@@ -1008,9 +1012,10 @@ class RoundEngine:
                     if not valid:
                         problems.append("an aggregated contribution is unsigned")
                         break
-        codec = self.codec or getattr(self.service, "codec", None)
-        if not problems and codec is not None:
-            expected = self._recompute_aggregate(record, accepted, repairs, codec)
+        if not problems and accepted:
+            expected = self._recompute_aggregate(
+                record, accepted, repairs, self.codec or self.service.codec
+            )
             if expected is not None and not np.array_equal(
                 np.asarray(expected), np.asarray(result.aggregate)
             ):
@@ -1118,7 +1123,7 @@ class RoundEngine:
             state = self.service.round_state(record.round_id)
             num_contributions = len(state.accepted)
             rejected = dict(state.rejected)
-        except (ProtocolError, AttributeError):
+        except ProtocolError:
             pass
         report = self._report_from(
             record,
@@ -1140,8 +1145,6 @@ class RoundEngine:
 
     def _restart_client(self, record: _RoundRecord, client) -> bool:
         """Try to bring a crashed client back from its sealed checkpoints."""
-        if not hasattr(client, "restart"):
-            return False
         try:
             client.restart()
         except Exception:
@@ -1581,8 +1584,8 @@ class RoundEngine:
         reverts to unconsumed (so §3 repair reveals its mask), and the
         client is marked ``deadline-missed`` after all.  Discard only
         happens when the eviction verifiably succeeds; if the service
-        cannot evict (plain rounds, legacy services), the accept stands —
-        exactness outranks deadline hygiene.
+        cannot evict (plain rounds), the accept stands — exactness
+        outranks deadline hygiene.
         """
         for slot, owner in record.provisioned.items():
             if owner == user_id and self._evict_consumed_slot(record, slot):

@@ -142,8 +142,7 @@ def _run_client(context: WorkerContext, task: ClientTask) -> ClientResult:
         result.mask_error = str(exc)
         return result
     result.provision_ecalls = 2
-    if hasattr(client, "checkpoint_round"):
-        client.checkpoint_round(context.round_id)
+    client.checkpoint_round(context.round_id)
     if task.values is None:
         return result
     result.contribute_ecalls = 1  # charged even on rejection, as serial does

@@ -95,8 +95,8 @@ def plan_route(
             ),
         ),
         ("network_adversary", bool(getattr(engine.network, "_adversaries", ()))),
-        # Wrapped services (Byzantine aggregators, recorders) may shadow
-        # submit/finalize with the legacy flat shapes; subclassed clients
+        # Wrapped services and blinders (Byzantine actors, recorders) lie
+        # in ways only the flat audit trail exposes; subclassed clients
         # (malicious ones) can draw violations that end in eviction.
         (
             "non_stock_party",
@@ -114,7 +114,7 @@ def plan_route(
         return RoutePlan(reason=reason)
     if (
         config.enabled
-        and getattr(engine.blinder_provisioner, "session_cache", None) is not None
+        and engine.blinder_provisioner.session_cache is not None
     ):
         # Session resumption skips the provisioner's per-delivery DH
         # keypair draws, so its DRBG stream diverges from what the
@@ -183,11 +183,7 @@ def run_parallel_round(
         keypair = DHKeyPair.generate(provisioner.identity.group, provisioner.rng)
         nonce = provisioner.rng.generate(16)
         opening = provisioner.mask_opening(round_id, index)
-        commitment = (
-            record.commitments.record_for(index)
-            if record.commitments is not None
-            else None
-        )
+        commitment = record.commitments.record_for(index)
         contribute = user_id not in collect_dropouts
         tasks.append(
             ClientTask(

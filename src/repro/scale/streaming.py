@@ -56,9 +56,9 @@ class StreamingSubgroupAccumulator:
         """Fold one submission into its subgroup's partial; returns the group.
 
         ``slot`` names the mask slot the submission consumes; its
-        subgroup comes from the plan.  A slot-less submission (legacy
-        senders) folds into group 0 — attribution is telemetry, the
-        total is exact either way because the merge sums every group.
+        subgroup comes from the plan.  A submission whose sender named
+        no slot folds into group 0 — attribution is telemetry, the total
+        is exact either way because the merge sums every group.
         """
         group = self.plan.group_of(slot) if slot is not None else 0
         row = self._row(values)

