@@ -46,6 +46,7 @@ from repro.byzantine.plan import (
     BLINDER_ATTACKS,
     SERVICE_ATTACKS,
 )
+from repro.core.glimmer import BLINDING_MASK_CONTEXT
 from repro.crypto.commitments import (
     MaskCommitmentSet,
     MaskOpening,
@@ -112,7 +113,7 @@ class LyingBlinder:
             glimmer_dh_public,
             quote,
             encode_mask_payload(tampered),
-            "blinding-mask-provisioning",
+            BLINDING_MASK_CONTEXT,
         )
 
     def reveal_dropout_mask(self, round_id, party_index):

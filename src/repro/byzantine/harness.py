@@ -45,14 +45,10 @@ from repro.byzantine.plan import (
 from repro.core.signing import SignedContribution, contribution_digest
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.schnorr import SchnorrKeyPair
-from repro.errors import (
-    MaskVerificationError,
-    NetworkError,
-    RoundAbortedError,
-)
+from repro.errors import NetworkError, RoundAbortedError
 from repro.runtime.endpoints import BlinderEndpoint
 from repro.runtime.messages import BLINDER, client_endpoint
-from repro.runtime.protocol import FLOOD_THRESHOLD, VIOLATION_MASK_OPENING
+from repro.runtime.protocol import FLOOD_THRESHOLD
 from repro.runtime.telemetry import (
     OUTCOME_ACCEPTED,
     OUTCOME_DROPOUT,
@@ -196,17 +192,7 @@ def run_byzantine_round(
             if user_id in silent:
                 record.outcomes[user_id] = OUTCOME_DROPOUT
                 continue
-            try:
-                engine.provision_mask(user_id, round_id, index)
-            except MaskVerificationError as exc:
-                engine.monitor.record(
-                    round_id, BLINDER, VIOLATION_MASK_OPENING, str(exc)
-                )
-                raise engine.abort_round(
-                    round_id,
-                    f"blinding service delivered a mask that fails its "
-                    f"commitment: {exc}",
-                )
+            engine.provision_mask(user_id, round_id, index)
         engine.begin_phase(round_id, "collect")
         for user_id in participants:
             if user_id in quarantined or user_id in silent:

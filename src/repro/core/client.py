@@ -21,15 +21,20 @@ train → hand to Glimmer → relay whatever the Glimmer endorsed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence
 
-from repro.core.glimmer import ProcessRequest
+from repro.core.glimmer import (
+    BLINDING_MASK_CONTEXT,
+    SIGNING_KEY_CONTEXT,
+    ProcessRequest,
+)
 from repro.core.provisioning import BlinderProvisioner, ServiceProvisioner
 from repro.core.signing import SignedContribution
 from repro.core.validation import PrivateContext
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.schnorr import SchnorrKeyPair
-from repro.errors import CryptoError, EnclaveError, ReproError
+from repro.errors import AuthenticationError, EnclaveError, ReproError
 from repro.faults import ACTION_LOSE, SITE_SEAL_LOSS
 from repro.sgx.attestation import AttestationService, report_data_for
 from repro.sgx.enclave import Enclave
@@ -55,6 +60,42 @@ class LocalDataStore:
             if hasattr(context, name):
                 setattr(context, name, getattr(self, name))
         return context
+
+
+def attested_handshake(platform, enclave, session_id: bytes):
+    """``begin_handshake``, and the quote that binds its DH value."""
+    dh_public = enclave.ecall("begin_handshake", session_id)
+    quote = platform.quote_enclave(
+        enclave, report_data_for(dh_public.to_bytes(256, "big"))
+    )
+    return session_id, dh_public, quote
+
+
+def attested_delivery(
+    handshake, request_delivery, install, context: str, session_cache=None
+):
+    """The host half of §3's attested delivery; returns what ``install`` did.
+
+    ``handshake()`` yields the enclave's ``(session_id, dh_public, quote)``,
+    ``request_delivery(*those)`` is the transport to the provisioner (direct
+    call, bus call, a worker's local seal), ``install(delivery)`` the ecall.
+
+    The one retry rule: while the provisioner keeps a ``session_cache``, a
+    delivery the enclave cannot *open* (:class:`AuthenticationError`) may
+    be a resumed session a restarted enclave holds no key for, so the
+    entry is evicted and the full handshake runs once.  Anything else —
+    above all a :class:`~repro.errors.MaskVerificationError`, which is
+    evidence against the blinder — propagates from the first attempt.
+    """
+    for resumable in (session_cache is not None, False):
+        session_id, dh_public, quote = handshake()
+        delivery = request_delivery(session_id, dh_public, quote)
+        try:
+            return install(delivery)
+        except AuthenticationError:
+            if not resumable:
+                raise
+            session_cache.evict(quote.platform_id, context)
 
 
 class ClientDevice:
@@ -92,28 +133,16 @@ class ClientDevice:
 
     # --------------------------------------------------------- provisioning
 
-    def _attested_handshake(self) -> tuple[bytes, int, object]:
-        """Run begin_handshake and quote the binding (session, dh_pub, quote)."""
+    def handshake_request(self) -> tuple[bytes, int, object]:
+        """Start an attested handshake; the tuple is what goes on the wire
+        to a provisioner, whose :class:`KeyDelivery` answer is fed to
+        :meth:`install_mask` (or ``install_signing_key``)."""
         self._session_counter += 1
         session_id = (
             self.client_id.encode("utf-8")
             + self._session_counter.to_bytes(4, "big")
         )
-        dh_public = self.glimmer.ecall("begin_handshake", session_id)
-        quote = self.platform.quote_enclave(
-            self.glimmer, report_data_for(dh_public.to_bytes(256, "big"))
-        )
-        return session_id, dh_public, quote
-
-    def handshake_request(self) -> tuple[bytes, int, object]:
-        """Start an attested handshake; the tuple is what goes on the wire.
-
-        Provisioning over a transport sends this to a provisioner endpoint
-        and feeds the returned :class:`KeyDelivery` to :meth:`install_mask`
-        (or ``install_signing_key``).  Direct-call provisioning keeps using
-        :meth:`provision_signing_key` / :meth:`provision_mask`.
-        """
-        return self._attested_handshake()
+        return attested_handshake(self.platform, self.glimmer, session_id)
 
     def install_mask(
         self, round_id: int, party_index: int, delivery, commitment=None
@@ -141,59 +170,31 @@ class ClientDevice:
         Glimmer can reload its key via ``restore_signing_key`` — sealing
         means keeping it here leaks nothing.
         """
-        session_id, dh_public, quote = self._attested_handshake()
-        delivery = provisioner.provision_signing_key(session_id, dh_public, quote)
-        try:
-            sealed = self.glimmer.ecall("install_signing_key", delivery)
-        except CryptoError:
-            self._evict_resumed_session(
-                provisioner, quote, "signing-key-provisioning"
-            )
-            session_id, dh_public, quote = self._attested_handshake()
-            delivery = provisioner.provision_signing_key(
-                session_id, dh_public, quote
-            )
-            sealed = self.glimmer.ecall("install_signing_key", delivery)
-        self._sealed_signing_key = sealed
-        return sealed
-
-    def _evict_resumed_session(self, provisioner, quote, context: str) -> None:
-        """Heal a resumed delivery the enclave could not open.
-
-        A restarted Glimmer loses its session-key cache, so a provisioner
-        resuming the old session produces a delivery that fails
-        authenticated decryption.  Evicting the cache entry makes the
-        retry run the full handshake; without a cache the failure is
-        genuine and re-raised.
-        """
-        cache = getattr(provisioner, "session_cache", None)
-        if cache is None:
-            raise
-        cache.evict(quote.platform_id, context)
+        self._sealed_signing_key = attested_delivery(
+            self.handshake_request,
+            provisioner.provision_signing_key,
+            partial(self.glimmer.ecall, "install_signing_key"),
+            SIGNING_KEY_CONTEXT,
+            provisioner.session_cache,
+        )
+        return self._sealed_signing_key
 
     def provision_mask(
         self, provisioner: BlinderProvisioner, round_id: int, party_index: int
     ) -> None:
         """Obtain this round's blinding mask from the blinding service."""
-        session_id, dh_public, quote = self._attested_handshake()
-        delivery = provisioner.provision_mask(
-            session_id, dh_public, quote, round_id, party_index
+        attested_delivery(
+            self.handshake_request,
+            lambda *offer: provisioner.provision_mask(*offer, round_id, party_index),
+            lambda delivery: self.install_mask(
+                round_id,
+                party_index,
+                delivery,
+                provisioner.round_commitments(round_id).record_for(party_index),
+            ),
+            BLINDING_MASK_CONTEXT,
+            provisioner.session_cache,
         )
-        try:
-            record = provisioner.round_commitments(round_id).record_for(party_index)
-        except CryptoError:
-            record = None
-        try:
-            self.install_mask(round_id, party_index, delivery, record)
-        except CryptoError:
-            self._evict_resumed_session(
-                provisioner, quote, "blinding-mask-provisioning"
-            )
-            session_id, dh_public, quote = self._attested_handshake()
-            delivery = provisioner.provision_mask(
-                session_id, dh_public, quote, round_id, party_index
-            )
-            self.install_mask(round_id, party_index, delivery, record)
 
     # --------------------------------------------------------- contribution
 

@@ -26,12 +26,9 @@ import struct
 
 from repro.core.auditor import VerdictMessage, expected_response
 from repro.core.encoding import decode_public_key
-from repro.core.glimmer import KeyDelivery, handshake_digest
-from repro.core.provisioning import VettingRegistry, _verify_bound_quote
-from repro.crypto.cipher import AuthenticatedCipher, SealedBox
-from repro.crypto.dh import DHKeyPair
+from repro.core.glimmer import DETECTOR_CONTEXT, HandshakeSessions, KeyDelivery
+from repro.core.provisioning import VettingRegistry, _ProvisionerBase
 from repro.crypto.drbg import HmacDrbg
-from repro.crypto.group_ops import DHSessionCache
 from repro.crypto.hashing import hash_bytes, hash_items
 from repro.crypto.schnorr import SchnorrKeyPair, SchnorrPublicKey, SchnorrSignature
 from repro.errors import AuthenticationError, CryptoError, ProtocolError
@@ -91,58 +88,21 @@ class ConfidentialGlimmerProgram(EnclaveProgram):
 
     def on_load(self) -> None:
         self._service_identity = decode_public_key(self.api.config)
-        self._sessions: dict[bytes, DHKeyPair] = {}
-        # (peer DH public, context) -> established key; a repeated peer
-        # public means the provisioner is resuming a cached session (see
-        # GlimmerProgram._open_delivery for the protocol).
-        self._session_keys: dict[tuple[int, str], bytes] = {}
+        self._handshakes = HandshakeSessions(
+            self.api, self._service_identity.group
+        )
         self._detector: DetectorWeights | None = None
         self._reporting: SchnorrKeyPair | None = None
 
     @ecall
     def begin_handshake(self, session_id: bytes) -> int:
-        if session_id in self._sessions:
-            raise ProtocolError("session id already in use")
-        self.api.charge_dh()
-        keypair = DHKeyPair.generate(self._service_identity.group, self.api.rng)
-        self._sessions[session_id] = keypair
-        return keypair.public
+        return self._handshakes.begin(session_id)
 
     @ecall
     def install_detector(self, delivery: KeyDelivery) -> None:
         """Decrypt and install the service's secret detector."""
-        keypair = self._sessions.pop(delivery.session_id, None)
-        if keypair is None:
-            raise ProtocolError("no handshake in progress for this session")
-        digest = handshake_digest(
-            "detector-provisioning",
-            delivery.session_id,
-            keypair.public,
-            delivery.peer_dh_public,
-        )
-        try:
-            self._service_identity.verify(digest, delivery.handshake_signature)
-        except AuthenticationError as exc:
-            raise AuthenticationError("service handshake signature invalid") from exc
-        cache_key = (delivery.peer_dh_public, "detector-provisioning")
-        base_key = self._session_keys.get(cache_key)
-        if base_key is not None:
-            key = DHSessionCache.resume_key(
-                base_key, delivery.session_id, "detector-provisioning"
-            )
-        else:
-            self.api.charge_dh()
-            key = keypair.derive_key(
-                delivery.peer_dh_public, "detector-provisioning"
-            )
-            if len(self._session_keys) >= 128:
-                self._session_keys.pop(next(iter(self._session_keys)))
-            self._session_keys[cache_key] = key
-        cipher = AuthenticatedCipher(key)
-        self.api.charge_aead(len(delivery.encrypted_payload))
-        plaintext = cipher.decrypt(
-            SealedBox.from_bytes(delivery.encrypted_payload),
-            associated_data=delivery.session_id,
+        plaintext = self._handshakes.open(
+            delivery, self._service_identity, DETECTOR_CONTEXT
         )
         detector, reporting_secret = decode_detector(plaintext)
         self._detector = detector
@@ -232,7 +192,7 @@ class MalformedOutputGlimmerProgram(ConfidentialGlimmerProgram):
 
 # --------------------------------------------------------- the service side
 
-class BotDetectionService:
+class BotDetectionService(_ProvisionerBase):
     """The web service: ships the secret detector, challenges, verifies verdicts."""
 
     def __init__(
@@ -244,58 +204,23 @@ class BotDetectionService:
         glimmer_name: str,
         rng: HmacDrbg,
     ) -> None:
-        self.identity = identity
+        super().__init__(identity, attestation, registry, glimmer_name, rng)
         self.detector = detector
-        self.attestation = attestation
-        self.registry = registry
-        self.glimmer_name = glimmer_name
-        self.rng = rng
         self.reporting_keypair = SchnorrKeyPair.generate(
             rng.fork("reporting-key"), identity.group
         )
         self._outstanding: dict[str, bytes] = {}
-        self.session_cache: DHSessionCache | None = None
-        """Opt-in cross-round handshake resumption (changes this
-        provisioner's DRBG stream when enabled — see
-        :class:`repro.core.provisioning._ProvisionerBase`)."""
 
     def provision_detector(
         self, session_id: bytes, glimmer_dh_public: int, quote
     ) -> KeyDelivery:
         """Attest the Glimmer, then ship detector + reporting key encrypted."""
-        expected = self.registry.approved_measurement(self.glimmer_name)
-        _verify_bound_quote(self.attestation, quote, expected, glimmer_dh_public)
-        cached = (
-            self.session_cache.lookup(quote.platform_id, "detector-provisioning")
-            if self.session_cache is not None
-            else None
-        )
-        if cached is not None:
-            own_public, base_key = cached
-            key = DHSessionCache.resume_key(
-                base_key, session_id, "detector-provisioning"
-            )
-        else:
-            keypair = DHKeyPair.generate(self.identity.group, self.rng)
-            own_public = keypair.public
-            key = keypair.derive_key(glimmer_dh_public, "detector-provisioning")
-            if self.session_cache is not None:
-                self.session_cache.store(
-                    quote.platform_id, "detector-provisioning", own_public, key
-                )
-        digest = handshake_digest(
-            "detector-provisioning", session_id, glimmer_dh_public, own_public
-        )
-        signature = self.identity.sign(digest)
-        cipher = AuthenticatedCipher(key)
-        payload = encode_detector(self.detector, self.reporting_keypair.secret)
-        nonce = self.rng.generate(16)
-        box = cipher.encrypt(nonce, payload, associated_data=session_id)
-        return KeyDelivery(
-            session_id=session_id,
-            peer_dh_public=own_public,
-            handshake_signature=signature,
-            encrypted_payload=box.to_bytes(),
+        return self._deliver(
+            session_id,
+            glimmer_dh_public,
+            quote,
+            encode_detector(self.detector, self.reporting_keypair.secret),
+            DETECTOR_CONTEXT,
         )
 
     def new_challenge(self, session_id: str) -> bytes:

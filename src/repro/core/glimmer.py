@@ -167,54 +167,60 @@ def handshake_digest(
     )
 
 
-#: Established-session keys a Glimmer retains for handshake resumption.
+#: §3's three deliveries.  The label is bound into the handshake digest
+#: and the derived key, so a delivery sealed for one cannot open as another.
+SIGNING_KEY_CONTEXT = "signing-key-provisioning"
+BLINDING_MASK_CONTEXT = "blinding-mask-provisioning"
+DETECTOR_CONTEXT = "detector-provisioning"
+
+
+#: Established-session keys an enclave retains for handshake resumption.
 _MAX_SESSION_KEYS = 128
 
 
-class GlimmerProgram(EnclaveProgram):
-    """The single-enclave Glimmer (Figure 3)."""
+class HandshakeSessions:
+    """The enclave half of §3's attested delivery, for every Glimmer variant.
 
-    def on_load(self) -> None:
-        self._config = GlimmerConfig.decode(self.api.config)
-        self._predicate = default_registry().build(self._config.predicate_spec)
-        self._blinding = BlindingComponent()
-        self._signing: SigningComponent | None = None
+    Owns the handshakes in progress and the established-session keys an
+    enclave retains for resumption.  A peer public only ever *repeats*
+    when the provisioner is resuming a cached session (fresh handshakes
+    draw fresh keypairs), so this side needs no opt-in flag: on repeat the
+    per-round key is ratcheted from the cached shared key; otherwise the
+    full DH leg runs.  Enclave-resident state — a restart wipes it, and a
+    provisioner that still resumes gets an authenticated-decryption
+    failure from :meth:`open`, evicts, and re-establishes.
+    """
+
+    def __init__(self, api, group) -> None:
+        self._api = api
+        self._group = group
         self._sessions: dict[bytes, DHKeyPair] = {}
-        # (peer DH public, context) -> established shared key.  A peer
-        # public only ever *repeats* when the provisioner is resuming a
-        # cached session (fresh handshakes draw fresh keypairs), so this
-        # side needs no opt-in flag: on repeat the per-round key is
-        # ratcheted from the cached shared key; otherwise the full DH leg
-        # runs exactly as before.  Enclave-resident state — a restart
-        # wipes it, and a provisioner that still resumes gets an
-        # authenticated-decryption failure, evicts, and re-establishes.
+        #: (peer DH public, context) -> established shared key.
         self._session_keys: dict[tuple[int, str], bytes] = {}
 
-    # ------------------------------------------------- attested provisioning
-
-    @ecall
-    def begin_handshake(self, session_id: bytes) -> int:
-        """Start a provisioning session; returns the Glimmer's DH public value.
-
-        The host must bind this value into an attestation quote
-        (``report_data_for(dh_public bytes)``) so the remote peer knows the
-        handshake terminates inside this measured Glimmer.
-        """
+    def begin(self, session_id: bytes) -> int:
+        """Start a session; returns the DH public the host must bind into
+        a quote (``report_data_for(dh_public bytes)``), so the remote peer
+        knows the handshake terminates inside this measured enclave."""
         if session_id in self._sessions:
             raise ProtocolError("session id already in use")
-        self.api.charge_dh()
-        keypair = DHKeyPair.generate(
-            self._config.service_identity.group, self.api.rng
-        )
+        self._api.charge_dh()
+        keypair = DHKeyPair.generate(self._group, self._api.rng)
         self._sessions[session_id] = keypair
         return keypair.public
 
-    def _open_delivery(
-        self, delivery: KeyDelivery, signer: SchnorrPublicKey, context: str
-    ) -> bytes:
-        keypair = self._sessions.pop(delivery.session_id, None)
+    def take(self, session_id: bytes) -> DHKeyPair:
+        """Consume a session's keypair: each handshake opens one payload."""
+        keypair = self._sessions.pop(session_id, None)
         if keypair is None:
             raise ProtocolError("no handshake in progress for this session")
+        return keypair
+
+    def open(
+        self, delivery: KeyDelivery, signer: SchnorrPublicKey, context: str
+    ) -> bytes:
+        """Authenticate the peer's handshake half, then open its payload."""
+        keypair = self.take(delivery.session_id)
         digest = handshake_digest(
             context, delivery.session_id, keypair.public, delivery.peer_dh_public
         )
@@ -234,17 +240,36 @@ class GlimmerProgram(EnclaveProgram):
                 base_key, delivery.session_id, context
             )
         else:
-            self.api.charge_dh()
+            self._api.charge_dh()
             key = keypair.derive_key(delivery.peer_dh_public, context)
             if len(self._session_keys) >= _MAX_SESSION_KEYS:
                 self._session_keys.pop(next(iter(self._session_keys)))
             self._session_keys[cache_key] = key
-        cipher = AuthenticatedCipher(key)
-        self.api.charge_aead(len(delivery.encrypted_payload))
-        return cipher.decrypt(
+        self._api.charge_aead(len(delivery.encrypted_payload))
+        return AuthenticatedCipher(key).decrypt(
             SealedBox.from_bytes(delivery.encrypted_payload),
             associated_data=delivery.session_id,
         )
+
+
+class GlimmerProgram(EnclaveProgram):
+    """The single-enclave Glimmer (Figure 3)."""
+
+    def on_load(self) -> None:
+        self._config = GlimmerConfig.decode(self.api.config)
+        self._predicate = default_registry().build(self._config.predicate_spec)
+        self._blinding = BlindingComponent()
+        self._signing: SigningComponent | None = None
+        self._handshakes = HandshakeSessions(
+            self.api, self._config.service_identity.group
+        )
+
+    # ------------------------------------------------- attested provisioning
+
+    @ecall
+    def begin_handshake(self, session_id: bytes) -> int:
+        """Start a provisioning session; returns the Glimmer's DH public value."""
+        return self._handshakes.begin(session_id)
 
     @ecall
     def install_signing_key(self, delivery: KeyDelivery) -> bytes:
@@ -255,8 +280,8 @@ class GlimmerProgram(EnclaveProgram):
         instances of Glimmer enclaves") so the host can persist it without
         being able to read it.
         """
-        plaintext = self._open_delivery(
-            delivery, self._config.service_identity, "signing-key-provisioning"
+        plaintext = self._handshakes.open(
+            delivery, self._config.service_identity, SIGNING_KEY_CONTEXT
         )
         secret = int.from_bytes(plaintext, "big")
         keypair = SchnorrKeyPair.from_secret(
@@ -292,8 +317,8 @@ class GlimmerProgram(EnclaveProgram):
         mask is caught *here*, inside the enclave, and the round aborts
         with the blinder blamed rather than aggregating garbage.
         """
-        plaintext = self._open_delivery(
-            delivery, self._config.blinder_identity, "blinding-mask-provisioning"
+        plaintext = self._handshakes.open(
+            delivery, self._config.blinder_identity, BLINDING_MASK_CONTEXT
         )
         opening = decode_mask_payload(plaintext)
         if commitment is not None:
@@ -336,9 +361,7 @@ class GlimmerProgram(EnclaveProgram):
         data, not the remote client's).  The response — a signed
         contribution — returns encrypted under the same channel.
         """
-        keypair = self._sessions.pop(session_id, None)
-        if keypair is None:
-            raise ProtocolError("no handshake in progress for this session")
+        keypair = self._handshakes.take(session_id)
         self.api.charge_dh()
         key = keypair.derive_key(client_dh_public, "glimmer-as-a-service")
         cipher = AuthenticatedCipher(key)

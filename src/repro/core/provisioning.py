@@ -23,7 +23,12 @@ from __future__ import annotations
 import pickle
 from dataclasses import dataclass
 
-from repro.core.glimmer import KeyDelivery, handshake_digest
+from repro.core.glimmer import (
+    BLINDING_MASK_CONTEXT,
+    SIGNING_KEY_CONTEXT,
+    KeyDelivery,
+    handshake_digest,
+)
 from repro.crypto.cipher import AuthenticatedCipher, SealedBox
 from repro.crypto.commitments import (
     MaskCommitmentSet,
@@ -72,16 +77,69 @@ def _verify_bound_quote(
     quote: Quote,
     expected_mrenclave: bytes,
     glimmer_dh_public: int,
+    *,
+    screen: bool = False,
 ) -> None:
-    """Verify a quote and that it binds the given handshake value."""
-    result = attestation.verify(
-        quote, QuotePolicy(expected_mrenclave=expected_mrenclave)
-    )
+    """Verify a quote and that it binds the given handshake value.
+
+    ``screen`` — for a quote minted inside the caller's own worker fork —
+    skips only the platform-signature exponentiations (see
+    :meth:`AttestationService.screen`).
+    """
+    check = attestation.screen if screen else attestation.verify
+    result = check(quote, QuotePolicy(expected_mrenclave=expected_mrenclave))
     expected_binding = report_data_for(glimmer_dh_public.to_bytes(256, "big"))
     if result.report_data != expected_binding:
         raise AttestationError(
             "quote does not bind the presented DH handshake value"
         )
+
+
+@dataclass(frozen=True)
+class DeliveryLeg:
+    """A provisioner's half of one delivery, drawn before the Glimmer's:
+    a fresh ``keypair`` (full handshake), or else the cached ``(own
+    public, base key)`` of the session being ``resumed``."""
+
+    keypair: DHKeyPair | None
+    resumed: tuple[int, bytes] | None
+    nonce: bytes
+
+
+def seal_delivery(
+    identity: SchnorrKeyPair,
+    leg: DeliveryLeg,
+    session_id: bytes,
+    glimmer_dh_public: int,
+    payload: bytes,
+    context: str,
+) -> tuple[KeyDelivery, bytes]:
+    """Sign this side's handshake half and seal ``payload``; also returns
+    the key it sealed under.
+
+    Pure in its arguments — no DRBG, no cache — so a pool worker handed a
+    parent-drawn leg seals the very bytes the provisioner would have.
+    """
+    if leg.keypair is not None:
+        own_public = leg.keypair.public
+        key = leg.keypair.derive_key(glimmer_dh_public, context)
+    else:
+        # Same long-lived DH public as the establishing handshake (which
+        # is how the Glimmer recognizes the session); per-round key
+        # ratcheted from the cached shared key.
+        own_public, base_key = leg.resumed
+        key = DHSessionCache.resume_key(base_key, session_id, context)
+    digest = handshake_digest(context, session_id, glimmer_dh_public, own_public)
+    box = AuthenticatedCipher(key).encrypt(
+        leg.nonce, payload, associated_data=session_id
+    )
+    delivery = KeyDelivery(
+        session_id=session_id,
+        peer_dh_public=own_public,
+        handshake_signature=identity.sign(digest),
+        encrypted_payload=box.to_bytes(),
+    )
+    return delivery, key
 
 
 @dataclass
@@ -96,9 +154,7 @@ class _ProvisionerBase:
     handshake digest — which binds the *current* session's values — is
     still signed on every delivery.  Resumption skips this provisioner's
     per-leg DRBG keypair draws, so enabling it changes the provisioner's
-    random stream: serial parity suites and the bit-exact worker-pool
-    executor both require it off (``"session_cache"`` in
-    :func:`repro.scale.rounds.plan_route`).
+    random stream relative to a deployment without a cache.
     """
 
     identity: SchnorrKeyPair
@@ -107,6 +163,25 @@ class _ProvisionerBase:
     glimmer_name: str
     rng: HmacDrbg
     session_cache: DHSessionCache | None = None
+
+    def _draw_leg(self, platform_id, context: str) -> DeliveryLeg:
+        """The only code that touches ``rng`` or reads ``session_cache``
+        for a delivery: the platform's cached session or else a fresh
+        keypair, then the nonce.  The pool draws every slot's leg here,
+        in slot order, before dispatch."""
+        resumed = keypair = None
+        if self.session_cache is not None:
+            resumed = self.session_cache.lookup(platform_id, context)
+        if resumed is None:
+            keypair = DHKeyPair.generate(self.identity.group, self.rng)
+        return DeliveryLeg(keypair, resumed, self.rng.generate(16))
+
+    def _keep_leg(
+        self, platform_id, context: str, leg: DeliveryLeg, key: bytes
+    ) -> None:
+        """Remember the shared key a full handshake established."""
+        if leg.keypair is not None and self.session_cache is not None:
+            self.session_cache.store(platform_id, context, leg.keypair.public, key)
 
     def _deliver(
         self,
@@ -118,38 +193,12 @@ class _ProvisionerBase:
     ) -> KeyDelivery:
         expected = self.registry.approved_measurement(self.glimmer_name)
         _verify_bound_quote(self.attestation, quote, expected, glimmer_dh_public)
-        cached = (
-            self.session_cache.lookup(quote.platform_id, context)
-            if self.session_cache is not None
-            else None
+        leg = self._draw_leg(quote.platform_id, context)
+        delivery, key = seal_delivery(
+            self.identity, leg, session_id, glimmer_dh_public, payload, context
         )
-        if cached is not None:
-            # Resumed leg: same long-lived DH public as the establishing
-            # handshake (which is how the Glimmer recognizes the session),
-            # per-round key ratcheted from the cached shared key.  If the
-            # enclave lost its side (restart), decryption fails there; the
-            # caller evicts this peer and retries the full path.
-            own_public, base_key = cached
-            key = DHSessionCache.resume_key(base_key, session_id, context)
-        else:
-            keypair = DHKeyPair.generate(self.identity.group, self.rng)
-            own_public = keypair.public
-            key = keypair.derive_key(glimmer_dh_public, context)
-            if self.session_cache is not None:
-                self.session_cache.store(
-                    quote.platform_id, context, own_public, key
-                )
-        digest = handshake_digest(context, session_id, glimmer_dh_public, own_public)
-        signature = self.identity.sign(digest)
-        cipher = AuthenticatedCipher(key)
-        nonce = self.rng.generate(16)
-        box = cipher.encrypt(nonce, payload, associated_data=session_id)
-        return KeyDelivery(
-            session_id=session_id,
-            peer_dh_public=own_public,
-            handshake_signature=signature,
-            encrypted_payload=box.to_bytes(),
-        )
+        self._keep_leg(quote.platform_id, context, leg, key)
+        return delivery
 
 
 class ServiceProvisioner(_ProvisionerBase):
@@ -183,7 +232,7 @@ class ServiceProvisioner(_ProvisionerBase):
             glimmer_dh_public,
             quote,
             secret_bytes,
-            "signing-key-provisioning",
+            SIGNING_KEY_CONTEXT,
         )
 
 
@@ -448,7 +497,7 @@ class BlinderProvisioner(_ProvisionerBase):
             glimmer_dh_public,
             quote,
             encode_mask_payload(opening),
-            "blinding-mask-provisioning",
+            BLINDING_MASK_CONTEXT,
         )
 
     def reveal_dropout_mask(self, round_id: int, party_index: int) -> MaskOpening:

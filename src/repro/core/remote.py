@@ -25,22 +25,25 @@ price the three host placements the paper lists.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
+from repro.core.client import attested_delivery, attested_handshake
 from repro.core.glimmer import (
+    BLINDING_MASK_CONTEXT,
+    SIGNING_KEY_CONTEXT,
     ProcessRequest,
     _encode_remote_payload,
     decode_remote_response,
 )
-from repro.core.provisioning import VettingRegistry
+from repro.core.provisioning import VettingRegistry, _verify_bound_quote
 from repro.core.signing import SignedContribution
 from repro.core.validation import PrivateContext
 from repro.crypto.cipher import AuthenticatedCipher, SealedBox
 from repro.crypto.dh import DHGroup, DHKeyPair, OAKLEY_GROUP_1
 from repro.crypto.drbg import HmacDrbg
-from repro.errors import AttestationError, CryptoError
 from repro.network.transport import Network
-from repro.sgx.attestation import AttestationService, QuotePolicy, report_data_for
+from repro.sgx.attestation import AttestationService
 from repro.sgx.measurement import EnclaveImage
 from repro.sgx.platform import SgxPlatform
 
@@ -79,42 +82,21 @@ class RemoteGlimmerHost:
             {
                 "attest-glimmer": self._handle_attest,
                 "remote-contribution": self._handle_contribution,
-                "provisioning-handshake": self._handle_provisioning_handshake,
-                "install-signing-key": self._handle_install_key,
-                "install-blinding-mask": self._handle_install_mask,
             },
         )
         self._session_counter = 0
 
     # ------------------------------------------------------ request handlers
 
-    def _fresh_session_id(self, prefix: str) -> bytes:
-        self._session_counter += 1
-        return f"{self.host_name}:{prefix}:{self._session_counter}".encode("utf-8")
-
     def _attested_offer(self, prefix: str) -> AttestedOffer:
-        session_id = self._fresh_session_id(prefix)
-        dh_public = self.glimmer.ecall("begin_handshake", session_id)
-        quote = self.platform.quote_enclave(
-            self.glimmer, report_data_for(dh_public.to_bytes(256, "big"))
+        self._session_counter += 1
+        session_id = f"{self.host_name}:{prefix}:{self._session_counter}".encode()
+        return AttestedOffer(
+            *attested_handshake(self.platform, self.glimmer, session_id)
         )
-        return AttestedOffer(session_id=session_id, dh_public=dh_public, quote=quote)
 
     def _handle_attest(self, message) -> AttestedOffer:
         return self._attested_offer("client")
-
-    def _handle_provisioning_handshake(self, message) -> AttestedOffer:
-        return self._attested_offer("provisioning")
-
-    def _handle_install_key(self, message):
-        return self.glimmer.ecall("install_signing_key", message.payload)
-
-    def _handle_install_mask(self, message):
-        round_id, party_index, delivery, *rest = message.payload
-        commitment = rest[0] if rest else None
-        return self.glimmer.ecall(
-            "install_blinding_mask", round_id, party_index, delivery, commitment
-        )
 
     def _handle_contribution(self, message) -> bytes:
         session_id, client_dh_public, ciphertext = message.payload
@@ -124,25 +106,33 @@ class RemoteGlimmerHost:
 
     # ----------------------------------------------- operator-side plumbing
 
+    def _operator_handshake(self) -> tuple[bytes, int, object]:
+        offer = self._attested_offer("operator")
+        return offer.session_id, offer.dh_public, offer.quote
+
     def provision_signing_key(self, provisioner) -> bytes:
         """The host operator provisions the service signing key once."""
-        offer = self._attested_offer("operator")
-        delivery = provisioner.provision_signing_key(
-            offer.session_id, offer.dh_public, offer.quote
+        return attested_delivery(
+            self._operator_handshake,
+            provisioner.provision_signing_key,
+            partial(self.glimmer.ecall, "install_signing_key"),
+            SIGNING_KEY_CONTEXT,
+            provisioner.session_cache,
         )
-        return self.glimmer.ecall("install_signing_key", delivery)
 
     def provision_mask(self, provisioner, round_id: int, party_index: int) -> None:
-        offer = self._attested_offer("operator")
-        delivery = provisioner.provision_mask(
-            offer.session_id, offer.dh_public, offer.quote, round_id, party_index
-        )
-        try:
-            record = provisioner.round_commitments(round_id).record_for(party_index)
-        except CryptoError:
-            record = None
-        self.glimmer.ecall(
-            "install_blinding_mask", round_id, party_index, delivery, record
+        attested_delivery(
+            self._operator_handshake,
+            lambda *offer: provisioner.provision_mask(*offer, round_id, party_index),
+            lambda delivery: self.glimmer.ecall(
+                "install_blinding_mask",
+                round_id,
+                party_index,
+                delivery,
+                provisioner.round_commitments(round_id).record_for(party_index),
+            ),
+            BLINDING_MASK_CONTEXT,
+            provisioner.session_cache,
         )
 
 
@@ -191,14 +181,7 @@ class IoTClient:
             self.client_id, host_name, "attest-glimmer", None
         )
         expected = self.registry.approved_measurement(self.glimmer_name)
-        result = self.attestation.verify(
-            offer.quote, QuotePolicy(expected_mrenclave=expected)
-        )
-        binding = report_data_for(offer.dh_public.to_bytes(256, "big"))
-        if result.report_data != binding:
-            raise AttestationError(
-                "host's quote does not bind the offered handshake value"
-            )
+        _verify_bound_quote(self.attestation, offer.quote, expected, offer.dh_public)
         keypair = DHKeyPair.generate(self.group, self.rng)
         key = keypair.derive_key(offer.dh_public, "glimmer-as-a-service")
         cipher = AuthenticatedCipher(key)

@@ -30,25 +30,21 @@ from dataclasses import dataclass
 
 from repro.core.blinding import BlindingComponent
 from repro.core.glimmer import (
+    BLINDING_MASK_CONTEXT,
+    SIGNING_KEY_CONTEXT,
     GlimmerConfig,
+    HandshakeSessions,
     KeyDelivery,
     ProcessRequest,
     features_digest,
-    handshake_digest,
 )
 from repro.core.signing import SignedContribution, SigningComponent
 from repro.core.validation import PrivateContext, default_registry
 from repro.crypto.cipher import AuthenticatedCipher, SealedBox
 from repro.crypto.commitments import decode_mask_payload
 from repro.crypto.dh import DHKeyPair
-from repro.crypto.group_ops import DHSessionCache
 from repro.crypto.schnorr import SchnorrKeyPair
-from repro.errors import (
-    AttestationError,
-    AuthenticationError,
-    ProtocolError,
-    ValidationError,
-)
+from repro.errors import AttestationError, ProtocolError, ValidationError
 from repro.sgx.attestation import report_data_for
 from repro.sgx.enclave import EnclaveProgram, ecall
 from repro.sgx.measurement import EnclaveImage, VendorKey
@@ -71,36 +67,9 @@ class _ComponentProgram(EnclaveProgram):
         self._link_send_seq: dict[str, int] = {}
         self._link_recv_seq: dict[str, int] = {}
         self._pending_pairings: dict[str, DHKeyPair] = {}
-        # (peer DH public, context) -> established provisioning key, for
-        # cross-round handshake resumption — same protocol as the
-        # single-enclave Glimmer (see GlimmerProgram._open_delivery).
-        self._session_keys: dict[tuple[int, str], bytes] = {}
 
     def _group(self):
         raise NotImplementedError
-
-    def _provisioning_key(
-        self, keypair: DHKeyPair, delivery: KeyDelivery, context: str
-    ) -> bytes:
-        """Session key for a delivery: resumed when the peer public repeats.
-
-        A fresh handshake draws a fresh peer keypair, so a *repeated*
-        peer public can only mean the provisioner is resuming its cached
-        session; both ends then ratchet the established key with this
-        session's id and skip the shared-secret exponentiation.
-        """
-        cache_key = (delivery.peer_dh_public, context)
-        base_key = self._session_keys.get(cache_key)
-        if base_key is not None:
-            return DHSessionCache.resume_key(
-                base_key, delivery.session_id, context
-            )
-        self.api.charge_dh()
-        key = keypair.derive_key(delivery.peer_dh_public, context)
-        if len(self._session_keys) >= 128:
-            self._session_keys.pop(next(iter(self._session_keys)))
-        self._session_keys[cache_key] = key
-        return key
 
     @ecall
     def offer_pairing(self, link: str) -> PairingOffer:
@@ -246,45 +215,21 @@ class BlindingEnclaveProgram(_ComponentProgram):
         super().on_load()
         self._config = GlimmerConfig.decode(self.api.config)
         self._blinding = BlindingComponent()
-        self._sessions: dict[bytes, DHKeyPair] = {}
+        self._handshakes = HandshakeSessions(self.api, self._group())
 
     def _group(self):
         return self._config.blinder_identity.group
 
     @ecall
     def begin_handshake(self, session_id: bytes) -> int:
-        if session_id in self._sessions:
-            raise ProtocolError("session id already in use")
-        self.api.charge_dh()
-        keypair = DHKeyPair.generate(self._group(), self.api.rng)
-        self._sessions[session_id] = keypair
-        return keypair.public
+        return self._handshakes.begin(session_id)
 
     @ecall
     def install_blinding_mask(
         self, round_id: int, party_index: int, delivery: KeyDelivery
     ) -> None:
-        keypair = self._sessions.pop(delivery.session_id, None)
-        if keypair is None:
-            raise ProtocolError("no handshake in progress for this session")
-        digest = handshake_digest(
-            "blinding-mask-provisioning",
-            delivery.session_id,
-            keypair.public,
-            delivery.peer_dh_public,
-        )
-        try:
-            self._config.blinder_identity.verify(digest, delivery.handshake_signature)
-        except AuthenticationError as exc:
-            raise AuthenticationError("blinder handshake signature invalid") from exc
-        key = self._provisioning_key(
-            keypair, delivery, "blinding-mask-provisioning"
-        )
-        cipher = AuthenticatedCipher(key)
-        self.api.charge_aead(len(delivery.encrypted_payload))
-        plaintext = cipher.decrypt(
-            SealedBox.from_bytes(delivery.encrypted_payload),
-            associated_data=delivery.session_id,
+        plaintext = self._handshakes.open(
+            delivery, self._config.blinder_identity, BLINDING_MASK_CONTEXT
         )
         opening = decode_mask_payload(plaintext)
         self._blinding.install_mask(round_id, party_index, opening.mask)
@@ -322,43 +267,19 @@ class SigningEnclaveProgram(_ComponentProgram):
         super().on_load()
         self._config = GlimmerConfig.decode(self.api.config)
         self._signing: SigningComponent | None = None
-        self._sessions: dict[bytes, DHKeyPair] = {}
+        self._handshakes = HandshakeSessions(self.api, self._group())
 
     def _group(self):
         return self._config.service_identity.group
 
     @ecall
     def begin_handshake(self, session_id: bytes) -> int:
-        if session_id in self._sessions:
-            raise ProtocolError("session id already in use")
-        self.api.charge_dh()
-        keypair = DHKeyPair.generate(self._group(), self.api.rng)
-        self._sessions[session_id] = keypair
-        return keypair.public
+        return self._handshakes.begin(session_id)
 
     @ecall
     def install_signing_key(self, delivery: KeyDelivery) -> bytes:
-        keypair = self._sessions.pop(delivery.session_id, None)
-        if keypair is None:
-            raise ProtocolError("no handshake in progress for this session")
-        digest = handshake_digest(
-            "signing-key-provisioning",
-            delivery.session_id,
-            keypair.public,
-            delivery.peer_dh_public,
-        )
-        try:
-            self._config.service_identity.verify(digest, delivery.handshake_signature)
-        except AuthenticationError as exc:
-            raise AuthenticationError("service handshake signature invalid") from exc
-        key = self._provisioning_key(
-            keypair, delivery, "signing-key-provisioning"
-        )
-        cipher = AuthenticatedCipher(key)
-        self.api.charge_aead(len(delivery.encrypted_payload))
-        plaintext = cipher.decrypt(
-            SealedBox.from_bytes(delivery.encrypted_payload),
-            associated_data=delivery.session_id,
+        plaintext = self._handshakes.open(
+            delivery, self._config.service_identity, SIGNING_KEY_CONTEXT
         )
         secret = int.from_bytes(plaintext, "big")
         self._signing = SigningComponent(

@@ -353,9 +353,7 @@ class DHSessionCache:
 
     Resumption deliberately skips the initiator's per-leg DRBG keypair
     draws, so enabling a cache changes the initiator's random stream:
-    caches are strictly opt-in and keep a round off the bit-exact
-    worker-pool executor (``"session_cache"`` in
-    :func:`repro.scale.rounds.plan_route`).
+    caches are strictly opt-in.
     """
 
     def __init__(self, max_entries: int = 256) -> None:

@@ -87,8 +87,8 @@ class Deployment:
         ``session_resumption`` attaches a
         :class:`~repro.crypto.group_ops.DHSessionCache` to both
         provisioners so repeat clients resume handshakes across rounds.
-        Off by default: resumption skips provisioner DRBG draws, which
-        disqualifies the bit-exact parallel round path.
+        Off by default: resumption skips provisioner DRBG draws, so the
+        round's bytes differ from an uncached deployment's.
         """
         rng = HmacDrbg(seed, personalization="deployment")
         corpus = KeyboardCorpus.generate(

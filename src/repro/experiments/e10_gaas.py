@@ -120,18 +120,14 @@ def run(num_clients: int = 6, seed: bytes = b"e10") -> GaasResult:
         NotAGlimmerProgram, deployment.vendor, name="keyboard-glimmer"
     )
     from repro.sgx.platform import SgxPlatform
-    from repro.sgx.attestation import report_data_for
+    from repro.core.client import attested_handshake
     from repro.core.remote import AttestedOffer
 
     platform = SgxPlatform(seed + b":malhost", attestation_service=deployment.attestation)
     fake_enclave = platform.load_enclave(fake_image)
 
     def malicious_attest(message):
-        public = fake_enclave.ecall("begin_handshake", b"x")
-        quote = platform.quote_enclave(
-            fake_enclave, report_data_for(int(public).to_bytes(256, "big"))
-        )
-        return AttestedOffer(session_id=b"x", dh_public=public, quote=quote)
+        return AttestedOffer(*attested_handshake(platform, fake_enclave, b"x"))
 
     network.register("host", {"attest-glimmer": malicious_attest})
     client = IoTClient(

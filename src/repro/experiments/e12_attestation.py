@@ -119,7 +119,7 @@ def run(seed: bytes = b"e12") -> AttestationResult:
 
     # Attack 4: replay a genuine quote (from a real honest handshake) with
     # the attacker's own DH value substituted into the report data.
-    __, honest_dh_public, genuine_quote = honest._attested_handshake()
+    __, honest_dh_public, genuine_quote = honest.handshake_request()
     attacker_dh_public = 16
     replayed = replay_quote_with_new_data(
         genuine_quote, report_data_for(attacker_dh_public.to_bytes(256, "big"))

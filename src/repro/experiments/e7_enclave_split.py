@@ -18,12 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.reporting import Table
-from repro.core.client import ClientDevice, LocalDataStore
+from repro.core.client import ClientDevice, LocalDataStore, attested_handshake
 from repro.core.glimmer import ProcessRequest
 from repro.core.split import SplitGlimmer, build_split_images
 from repro.core.validation import PrivateContext
 from repro.experiments.common import Deployment
-from repro.sgx.attestation import report_data_for
 from repro.sgx.platform import SgxPlatform
 
 
@@ -73,25 +72,16 @@ def _provision_split(deployment: Deployment, split: SplitGlimmer, platform, roun
         deployment.rng.fork("e7-bp"),
     )
     blinder_prov.open_round(round_id, 1, length)
-    session = b"e7-sign"
-    public = split.signing.ecall("begin_handshake", session)
-    quote = platform.quote_enclave(
-        split.signing, report_data_for(public.to_bytes(256, "big"))
-    )
+    offer = attested_handshake(platform, split.signing, b"e7-sign")
     split.signing.ecall(
-        "install_signing_key",
-        service_prov.provision_signing_key(session, public, quote),
+        "install_signing_key", service_prov.provision_signing_key(*offer)
     )
-    session = b"e7-mask"
-    public = split.blinding.ecall("begin_handshake", session)
-    quote = platform.quote_enclave(
-        split.blinding, report_data_for(public.to_bytes(256, "big"))
-    )
+    offer = attested_handshake(platform, split.blinding, b"e7-mask")
     split.blinding.ecall(
         "install_blinding_mask",
         round_id,
         0,
-        blinder_prov.provision_mask(session, public, quote, round_id, 0),
+        blinder_prov.provision_mask(*offer, round_id, 0),
     )
     return blinder_prov
 

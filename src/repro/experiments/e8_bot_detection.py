@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from repro.analysis.reporting import Table
 from repro.core.auditor import RuntimeAuditor
+from repro.core.client import attested_handshake
 from repro.core.confidential import (
     BotDetectionService,
     build_confidential_image,
@@ -31,7 +32,7 @@ from repro.core.provisioning import VettingRegistry
 from repro.crypto.dh import TEST_GROUP
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.schnorr import SchnorrKeyPair
-from repro.sgx.attestation import AttestationService, report_data_for
+from repro.sgx.attestation import AttestationService
 from repro.sgx.measurement import VendorKey
 from repro.sgx.platform import SgxPlatform
 from repro.workloads.botnet import BotnetWorkload, DetectorWeights
@@ -138,15 +139,10 @@ def run(
             image,
             ocall_handlers={"collect_session_signals": lambda sid: store[sid]},
         )
-        session_id = f"prov-{sophistication}".encode()
-        public = enclave.ecall("begin_handshake", session_id)
-        quote = platform.quote_enclave(
-            enclave, report_data_for(public.to_bytes(256, "big"))
+        offer = attested_handshake(
+            platform, enclave, f"prov-{sophistication}".encode()
         )
-        enclave.ecall(
-            "install_detector",
-            service.provision_detector(session_id, public, quote),
-        )
+        enclave.ecall("install_detector", service.provision_detector(*offer))
         auditor = RuntimeAuditor()
         correct = 0
         bits_total = 0

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 from repro.analysis.reporting import Table
 from repro.core.auditor import RuntimeAuditor
+from repro.core.client import attested_handshake
 from repro.core.confidential import (
     BotDetectionService,
     ExfiltratingGlimmerProgram,
@@ -37,7 +38,7 @@ from repro.crypto.drbg import HmacDrbg
 from repro.crypto.hashing import hash_bytes
 from repro.crypto.schnorr import SchnorrKeyPair
 from repro.errors import AuditError
-from repro.sgx.attestation import AttestationService, report_data_for
+from repro.sgx.attestation import AttestationService
 from repro.sgx.measurement import VendorKey
 from repro.sgx.platform import SgxPlatform
 from repro.workloads.botnet import BotnetWorkload, DetectorWeights
@@ -80,14 +81,8 @@ def _provisioned_enclave(program_class, name, rng, ias, seed):
     enclave = platform.load_enclave(
         image, ocall_handlers={"collect_session_signals": lambda sid: store[sid]}
     )
-    session = b"prov:" + name.encode()
-    public = enclave.ecall("begin_handshake", session)
-    quote = platform.quote_enclave(
-        enclave, report_data_for(public.to_bytes(256, "big"))
-    )
-    enclave.ecall(
-        "install_detector", service.provision_detector(session, public, quote)
-    )
+    offer = attested_handshake(platform, enclave, b"prov:" + name.encode())
+    enclave.ecall("install_detector", service.provision_detector(*offer))
     return enclave, service, store
 
 

@@ -28,6 +28,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.core.client import attested_delivery
+from repro.core.glimmer import BLINDING_MASK_CONTEXT
 from repro.errors import (
     CryptoError,
     EnclaveError,
@@ -294,11 +296,9 @@ class ClientEndpoint:
                 f"round {request.round_id} (injected fault)"
             )
 
-        def fetch_and_install() -> None:
-            """Attested handshake → mask request → install, once."""
-            session_id, dh_public, quote = self.client.handshake_request()
+        def request_mask(session_id: bytes, dh_public: int, quote):
             record.ecalls += 1  # begin_handshake
-            delivery = self.engine.call_with_retry(
+            return self.engine.call_with_retry(
                 record,
                 self.name,
                 m.BLINDER,
@@ -311,27 +311,19 @@ class ClientEndpoint:
                     party_index=request.party_index,
                 ),
             )
-            self.client.install_mask(
+
+        attested_delivery(
+            self.client.handshake_request,
+            request_mask,
+            lambda delivery: self.client.install_mask(
                 request.round_id,
                 request.party_index,
                 delivery,
                 commitment=request.commitment,
-            )
-
-        try:
-            fetch_and_install()
-        except CryptoError:
-            # A resumed delivery this (restarted) Glimmer could not open:
-            # its session-key cache is gone.  Evict the provisioner's
-            # entry and re-run the full handshake once; without a session
-            # cache the failure is genuine.
-            cache = self.engine.blinder_provisioner.session_cache
-            if cache is None:
-                raise
-            cache.evict(
-                self.client.platform.platform_id, "blinding-mask-provisioning"
-            )
-            fetch_and_install()
+            ),
+            BLINDING_MASK_CONTEXT,
+            self.engine.blinder_provisioner.session_cache,
+        )
         record.ecalls += 1  # install_blinding_mask
         # Seal the freshly installed mask so a later crash in this round
         # is recoverable.  Not counted in record.ecalls, which tracks the

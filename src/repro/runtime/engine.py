@@ -559,20 +559,29 @@ class RoundEngine:
         *,
         first_attempt: int = 1,
     ) -> None:
-        """Command a client to fetch and install its mask for one slot."""
+        """Command a client to fetch and install its mask for one slot.
+
+        A Glimmer that refuses the delivered mask because it fails its
+        published commitment has caught the blinding service lying: no
+        aggregate this round can be trusted, so the round aborts with the
+        blinder blamed — here, for every caller.
+        """
         record = self.round_record(round_id)
         record.note_participant(client_id)
         commitment = None
         if record.commitments is not None:
             commitment = record.commitments.record_for(party_index)
-        self.call_with_retry(
-            record,
-            ENGINE,
-            self._client_name(client_id),
-            m.KIND_PROVISION_MASK,
-            m.ProvisionMask(round_id, party_index, commitment),
-            first_attempt=first_attempt,
-        )
+        try:
+            self.call_with_retry(
+                record,
+                ENGINE,
+                self._client_name(client_id),
+                m.KIND_PROVISION_MASK,
+                m.ProvisionMask(round_id, party_index, commitment),
+                first_attempt=first_attempt,
+            )
+        except MaskVerificationError as exc:
+            raise self._abort_on_bad_mask(record, str(exc))
         record.provisioned[party_index] = client_id
 
     def contribute(
@@ -1343,8 +1352,6 @@ class RoundEngine:
                     provision = partial(self.provision_mask, user_id, round_id, index)
                     try:
                         provision()
-                    except MaskVerificationError as exc:
-                        raise self._abort_on_bad_mask(record, str(exc))
                     except NetworkError:
                         if not (hedging and self._hedge_provision(record, provision)):
                             record.outcomes[user_id] = OUTCOME_PROVISION_FAILED
@@ -1447,9 +1454,7 @@ class RoundEngine:
         return self.finalize_round(round_id)
 
     def _abort_on_bad_mask(self, record: _RoundRecord, detail: str) -> RoundAbortedError:
-        """A client's Glimmer refused a delivered mask that fails its
-        published commitment: the blinding service is lying, and no
-        aggregate this round can be trusted.  Blames it and aborts."""
+        """Blame the blinder for a delivered mask that fails its commitment."""
         self.monitor.record(record.round_id, BLINDER, VIOLATION_MASK_OPENING, detail)
         return self._abort(
             record,

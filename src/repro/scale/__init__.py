@@ -18,9 +18,9 @@ pipeline the way a production deployment would (see DESIGN.md §10):
 * :mod:`repro.scale.rounds` — ``plan_route``, the one routing decision
   (anything faulty, adversarial, or non-standard runs the serial flat
   path, so chaos and Byzantine replays are untouched), and the pool
-  executor: RNG pre-draws that pin the provisioner's DRBG stream to the
-  serial order, and the slot-ordered merge that makes worker scheduling
-  unobservable.
+  executor: the provisioner draws every slot's delivery leg in serial
+  order before dispatch, and the slot-ordered merge makes worker
+  scheduling unobservable.
 * :mod:`repro.scale.subgroup` — the DRBG-keyed subgroup planner for
   hierarchical sum-zero aggregation: a pure function of
   ``(round_id, num_slots, group_size)``, numpy-backed so a u1M plan is

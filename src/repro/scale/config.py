@@ -36,9 +36,8 @@ class ScaleConfig:
     ``workers`` picks a round's *executor* and ``subgroup_size`` its
     *accumulator*, independently: with both set, an eligible round runs
     its clients on the pool **and** streams their submissions into
-    subgroup partials — neither takes precedence.  Only a provisioner
-    ``session_cache`` separates them: it blocks the pool alone, so such
-    a round streams on the bus and its :class:`RoutePlan` says why.
+    subgroup partials — neither takes precedence, and every blocking
+    condition blocks both.
     """
 
     workers: int = 0

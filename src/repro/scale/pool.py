@@ -1,16 +1,16 @@
 """The process-pool client worker layer.
 
 One worker task carries a *chunk* of clients through the per-client hot
-path — attested handshake, mask delivery rebuild, mask install, sealed
+path — attested handshake, mask delivery, mask install, sealed
 checkpoint, Glimmer contribution, and the contribution-signature check —
 entirely inside a worker process.  Everything that must stay globally
-ordered (the blinding service's DRBG draws, the protocol monitor, the
-service's admission ledger) stays in the parent: the parent pre-draws
-each slot's ephemeral DH keypair and delivery nonce in serial slot order
-and ships them in the task, so a worker rebuilds *exactly* the
-:class:`~repro.core.glimmer.KeyDelivery` the serial
-:meth:`~repro.core.provisioning.BlinderProvisioner.provision_mask` would
-have produced, byte for byte.  The mutated client (enclave state, cycle
+ordered (the blinding service's DRBG draws and session cache, the
+protocol monitor, the service's admission ledger) stays in the parent:
+the parent draws each slot's :class:`~repro.core.provisioning.DeliveryLeg`
+through the provisioner in serial slot order and ships it in the task,
+and the worker seals with :func:`~repro.core.provisioning.seal_delivery`
+— the function the provisioner itself seals with — so the delivery is
+the serial one, byte for byte.  The mutated client (enclave state, cycle
 meter, session counter) rides back in the result and is transplanted
 over the parent's instance, so downstream rounds and telemetry cannot
 tell which process did the work.
@@ -31,11 +31,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from repro.core.glimmer import KeyDelivery, handshake_digest
-from repro.crypto.cipher import AuthenticatedCipher
+from repro.core.client import attested_delivery
+from repro.core.glimmer import BLINDING_MASK_CONTEXT
+from repro.core.provisioning import seal_delivery
 from repro.crypto.commitments import encode_mask_payload
-from repro.crypto.dh import DHKeyPair
 from repro.errors import (
+    AuthenticationError,
     ConfigurationError,
     CryptoError,
     EnclaveError,
@@ -44,10 +45,6 @@ from repro.errors import (
     ValidationError,
 )
 from repro.runtime.telemetry import OUTCOME_CRASHED, OUTCOME_VALIDATION_REJECTED
-
-#: The handshake context label for mask provisioning — must match what
-#: ``BlinderProvisioner.provision_mask`` passes to ``_deliver``.
-PROVISION_CONTEXT = "blinding-mask-provisioning"
 
 
 @dataclass(frozen=True)
@@ -58,7 +55,7 @@ class WorkerContext:
     Shipping it to a worker does not widen the trust boundary: workers
     are forks of the very process that owns the provisioner, and the
     signature they produce is the one the provisioner itself would have
-    produced for the parent-drawn ``(keypair, nonce)``.
+    produced for the parent-drawn leg.
     """
 
     round_id: int
@@ -75,9 +72,7 @@ class ClientTask:
     user_id: str
     client: Any  # the ClientDevice, pickled with its enclave state
     values: tuple | None  # None: provision only (a collect dropout)
-    dh_secret: int  # parent-drawn ephemeral DH exponent (serial order)
-    dh_public: int
-    nonce: bytes  # parent-drawn delivery nonce (serial order)
+    leg: Any  # parent-drawn DeliveryLeg (serial slot order)
     opening: Any  # this slot's MaskOpening
     commitment: Any  # the engine-vouched MaskCommitmentRecord
 
@@ -89,9 +84,11 @@ class ClientResult:
     slot: int
     user_id: str
     client: Any
-    quote: Any
-    glimmer_dh_public: int
+    quote: Any = None
+    glimmer_dh_public: int = 0
+    delivery_key: bytes | None = None  # for the parent's session cache
     provision_ecalls: int = 1
+    unopened: bool = False  # resumed delivery this Glimmer holds no key for
     mask_error: str | None = None
     outcome: str | None = None
     detail: str | None = None
@@ -103,43 +100,38 @@ class ClientResult:
 def _run_client(context: WorkerContext, task: ClientTask) -> ClientResult:
     """The serial per-client path, verbatim, minus the simulated wire."""
     client = task.client
-    session_id, glimmer_dh_public, quote = client.handshake_request()
-    result = ClientResult(
-        slot=task.slot,
-        user_id=task.user_id,
-        client=client,
-        quote=quote,
-        glimmer_dh_public=glimmer_dh_public,
-    )
-    # Rebuild the provisioner's delivery with the parent's pre-drawn
-    # keypair and nonce — the same digest, signature, derived key, and
-    # sealed box _deliver() computes, with the quote check deferred to
-    # the parent's screen pass.
-    keypair = DHKeyPair(
-        group=context.identity.group,
-        secret=task.dh_secret,
-        public=task.dh_public,
-    )
-    digest = handshake_digest(
-        PROVISION_CONTEXT, session_id, glimmer_dh_public, keypair.public
-    )
-    signature = context.identity.sign(digest)
-    key = keypair.derive_key(glimmer_dh_public, PROVISION_CONTEXT)
-    box = AuthenticatedCipher(key).encrypt(
-        task.nonce, encode_mask_payload(task.opening), associated_data=session_id
-    )
-    delivery = KeyDelivery(
-        session_id=session_id,
-        peer_dh_public=keypair.public,
-        handshake_signature=signature,
-        encrypted_payload=box.to_bytes(),
-    )
+    result = ClientResult(slot=task.slot, user_id=task.user_id, client=client)
+
+    def seal(session_id: bytes, glimmer_dh_public: int, quote):
+        # _deliver() after its draw; the parent's screen pass checks the quote.
+        result.quote, result.glimmer_dh_public = quote, glimmer_dh_public
+        delivery, result.delivery_key = seal_delivery(
+            context.identity,
+            task.leg,
+            session_id,
+            glimmer_dh_public,
+            encode_mask_payload(task.opening),
+            BLINDING_MASK_CONTEXT,
+        )
+        return delivery
+
     try:
-        client.install_mask(
-            context.round_id, task.slot, delivery, commitment=task.commitment
+        # No session cache here, so the driver makes its single attempt.
+        attested_delivery(
+            client.handshake_request,
+            seal,
+            lambda delivery: client.install_mask(
+                context.round_id, task.slot, delivery, commitment=task.commitment
+            ),
+            BLINDING_MASK_CONTEXT,
         )
     except MaskVerificationError as exc:
         result.mask_error = str(exc)
+        return result
+    except AuthenticationError:
+        if task.leg.resumed is None:
+            raise
+        result.unopened = True
         return result
     result.provision_ecalls = 2
     client.checkpoint_round(context.round_id)

@@ -8,9 +8,9 @@ the provision and collect phases fanned out over the engine's worker
 pool.  The contract is bit-exactness: everything order-sensitive runs in
 the parent, in serial slot order —
 
-* the blinding service's DRBG draws (ephemeral DH keypair + delivery
-  nonce per slot) happen *before* dispatch, pinning the provisioner's
-  random stream to exactly what the serial path consumes;
+* the blinding service draws every slot's delivery leg itself *before*
+  dispatch, so its random stream and session cache see exactly what the
+  serial path shows them;
 * quote screening, protocol-monitor bookkeeping, service admission, and
   outcome recording happen *after* dispatch, in a merge that walks slots
   in ascending order regardless of which worker finished first;
@@ -33,10 +33,10 @@ from functools import partial
 from typing import Mapping, Sequence
 
 from repro.core.client import ClientDevice
-from repro.core.provisioning import BlinderProvisioner
+from repro.core.glimmer import BLINDING_MASK_CONTEXT
+from repro.core.provisioning import BlinderProvisioner, _verify_bound_quote
 from repro.core.service import CloudService
-from repro.crypto.dh import DHKeyPair
-from repro.errors import AttestationError, ProtocolViolation
+from repro.errors import ProtocolViolation
 from repro.runtime.messages import client_endpoint
 from repro.runtime.telemetry import (
     OUTCOME_ACCEPTED,
@@ -47,7 +47,6 @@ from repro.runtime.telemetry import (
 from repro.scale.config import RoutePlan, ScaleConfig
 from repro.scale.pool import ClientTask, WorkerContext
 from repro.scale.shard import shard_of
-from repro.sgx.attestation import QuotePolicy, report_data_for
 
 
 def plan_route(
@@ -112,15 +111,6 @@ def plan_route(
     reason = next((name for name, holds in blockers if holds), None)
     if reason is not None:
         return RoutePlan(reason=reason)
-    if (
-        config.enabled
-        and engine.blinder_provisioner.session_cache is not None
-    ):
-        # Session resumption skips the provisioner's per-delivery DH
-        # keypair draws, so its DRBG stream diverges from what the
-        # worker-task replay models.  The streamed accumulator never
-        # replays that stream, so it stays available on the bus.
-        return RoutePlan(subgroup_size=config.subgroup_size, reason="session_cache")
     return RoutePlan(
         shards=config.shards if config.enabled else 0,
         subgroup_size=config.subgroup_size,
@@ -177,11 +167,9 @@ def run_parallel_round(
             continue
         client = engine.clients[user_id]
         engine.note_client_join(record, client)
-        # The serial _deliver draws exactly (DH keypair, 16-byte nonce)
-        # per provisioned slot, in slot order.  Draw them here so the
-        # provisioner's DRBG stream is byte-identical either way.
-        keypair = DHKeyPair.generate(provisioner.identity.group, provisioner.rng)
-        nonce = provisioner.rng.generate(16)
+        leg = provisioner._draw_leg(
+            client.platform.platform_id, BLINDING_MASK_CONTEXT
+        )
         opening = provisioner.mask_opening(round_id, index)
         commitment = record.commitments.record_for(index)
         contribute = user_id not in collect_dropouts
@@ -195,9 +183,7 @@ def run_parallel_round(
                     if contribute
                     else None
                 ),
-                dh_secret=keypair.secret,
-                dh_public=keypair.public,
-                nonce=nonce,
+                leg=leg,
                 opening=opening,
                 commitment=commitment,
             )
@@ -223,28 +209,35 @@ def run_parallel_round(
     results = {result.slot: result for chunk in dispatched for result in chunk}
 
     # -------------------------------------------- provision: merge (slot order)
-    policy = QuotePolicy(
-        expected_mrenclave=provisioner.registry.approved_measurement(
-            provisioner.glimmer_name
-        )
-    )
+    expected = provisioner.registry.approved_measurement(provisioner.glimmer_name)
     for task in tasks:
         result = results[task.slot]
         live = engine.clients[task.user_id]
         _transplant(live, result.client)
         record.joined[task.user_id] = live
-        # The quote was minted inside our own worker fork; screen() keeps
-        # every structural/policy/revocation check and skips only the
-        # platform-signature exponentiations (see AttestationService.screen).
-        screened = provisioner.attestation.screen(result.quote, policy)
-        binding = report_data_for(result.glimmer_dh_public.to_bytes(256, "big"))
-        if screened.report_data != binding:
-            raise AttestationError(
-                "quote does not bind the presented DH handshake value"
-            )
+        # The quote was minted inside our own worker fork, so it is
+        # screened rather than verified.
+        _verify_bound_quote(
+            provisioner.attestation,
+            result.quote,
+            expected,
+            result.glimmer_dh_public,
+            screen=True,
+        )
         record.ecalls += result.provision_ecalls
         if result.mask_error is not None:
             raise engine._abort_on_bad_mask(record, result.mask_error)
+        if result.unopened:
+            # This Glimmer restarted since its session was established: the
+            # slot runs on the bus, where the driver evicts and re-establishes.
+            engine.provision_mask(task.user_id, round_id, task.slot)
+            continue
+        provisioner._keep_leg(
+            live.platform.platform_id,
+            BLINDING_MASK_CONTEXT,
+            task.leg,
+            result.delivery_key,
+        )
         record.provisioned[task.slot] = task.user_id
 
     # ---------------------------------------------- collect: merge (slot order)
@@ -255,6 +248,9 @@ def run_parallel_round(
             record.outcomes[user_id] = OUTCOME_DROPOUT
             continue
         result = results[task.slot]
+        if result.unopened:
+            engine.contribute(user_id, round_id, values_by_user[user_id], features)
+            continue
         record.ecalls += result.contribute_ecalls
         if result.outcome == OUTCOME_CRASHED:
             record.outcomes[user_id] = OUTCOME_CRASHED

@@ -52,7 +52,7 @@ def test_provision_rejects_forged_quote(deployment):
 
 def test_provision_rejects_unbound_dh_value(deployment):
     client = next(iter(deployment.clients.values()))
-    session, dh_public, quote = client._attested_handshake()
+    session, dh_public, quote = client.handshake_request()
     with pytest.raises(AttestationError):
         deployment.service_provisioner.provision_signing_key(
             session, dh_public + 1, quote

@@ -26,7 +26,7 @@ from repro.crypto.commitments import (
     verify_opening,
 )
 from repro.core.client import ClientDevice, LocalDataStore
-from repro.core.glimmer import GlimmerConfig, build_glimmer_image, features_digest
+from repro.core.glimmer import GlimmerConfig, GlimmerProgram, features_digest
 from repro.core.provisioning import (
     BlinderProvisioner,
     ServiceProvisioner,
@@ -45,7 +45,7 @@ from repro.perf import kernels, reference
 from repro.runtime.engine import RoundEngine
 from repro.scale import ScaleConfig
 from repro.sgx.attestation import AttestationService
-from repro.sgx.measurement import VendorKey
+from repro.sgx.measurement import EnclaveImage, VendorKey
 
 SWEEP = (0, 1, 7, 4096)
 NONEMPTY_SWEEP = (1, 7, 4096)
@@ -373,7 +373,10 @@ def _wide_streamed_round_digests():
         blinder_identity=blinder_identity.public_key,
         features_digest=features_digest(features),
     )
-    image = build_glimmer_image(vendor, config, name=name)
+    image = EnclaveImage.build(
+        GlimmerProgram, vendor, name=name, config=config.encode(),
+        code=b"GlimmerProgram",
+    )
     registry = VettingRegistry()
     registry.publish(name, image.mrenclave)
     service_provisioner = ServiceProvisioner(
@@ -457,7 +460,7 @@ def test_wide_streamed_round_is_byte_identical_to_recorded():
     """
     assert _wide_streamed_round_digests() == {
         "root": "f303be600295bf7b16b2cf4801e2090af5403b4887294898763449ed5dd5d3b1",
-        "sealed": "e9e66320fe2d63cffecc4f453859c6d5638b71f4533ff4a016d4b5951d602cbc",
-        "signatures": "89f62c0039351e31cc775ec99e33f4018407366f860f966e6e2d5327037b5a69",
+        "sealed": "6922740f89d53df20c0a41bb9926475da01659bf38d3e2b4b9dafbfa98206380",
+        "signatures": "a5515df9698a71a7fd08a301760b85b8e889268943d87c1e945669ea5a962455",
         "aggregate": "b8557277e14cafd0f8f2a7befff5613092a335bba97d6d0fa83195c95702b0c2",
     }

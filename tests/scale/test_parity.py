@@ -19,19 +19,25 @@ from repro.crypto.drbg import HmacDrbg
 from repro.errors import RoundAbortedError
 from repro.experiments.common import Deployment
 from repro.faults import FaultInjector, FaultPlan
+from repro.runtime.telemetry import OUTCOME_ACCEPTED
 from repro.scale import ScaleConfig
 from repro.service.async_engine import AsyncRoundEngine
 
+from tests.runtime.test_dropout_repair import _exact_mean
 from tests.scale.test_routing import route_of
 
 
-def _build(workers=0, shards=1, chunk_size=32, num_users=8, seed=b"scale-parity"):
+def _build(
+    workers=0, shards=1, chunk_size=32, num_users=8, seed=b"scale-parity", **options
+):
     parallelism = (
         ScaleConfig(workers=workers, shards=shards, chunk_size=chunk_size)
         if workers
         else None
     )
-    return Deployment.build(num_users=num_users, seed=seed, parallelism=parallelism)
+    return Deployment.build(
+        num_users=num_users, seed=seed, parallelism=parallelism, **options
+    )
 
 
 def _run(deployment, round_id=1, **round_kwargs):
@@ -217,3 +223,53 @@ def test_async_driven_pool_round_reaches_the_event_loop():
         )
     assert driver.stages_driven >= 3
     _assert_bit_exact(sync_driven, async_driven)
+
+
+# ------------------------------------------------- pool x session resumption
+
+
+def test_resumed_rounds_run_on_the_pool_and_match_serial():
+    """A provisioner session cache no longer keeps a round off the pool:
+    the parent draws each slot's leg (resumed or fresh) through the
+    provisioner, so both rounds are the serial twin's, byte for byte."""
+    serial = _build(session_resumption=True)
+    parallel = _build(workers=2, shards=2, session_resumption=True)
+    plan = route_of(parallel)
+    assert plan.shards > 0 and plan.reason is None
+    for round_id in (1, 2):
+        serial_report = _run(serial, round_id)
+        parallel_report = _run(parallel, round_id)
+        _assert_bit_exact(serial_report, parallel_report)
+        assert parallel_report.messages_sent < serial_report.messages_sent
+        assert (
+            serial_report.handshakes_resumed == parallel_report.handshakes_resumed
+        )
+    assert parallel_report.handshakes_resumed >= len(parallel.clients)
+    assert (
+        serial.blinder_provisioner.session_cache.counters()
+        == parallel.blinder_provisioner.session_cache.counters()
+    )
+
+
+def test_pool_round_heals_a_glimmer_restarted_between_resumed_rounds():
+    """The restarted Glimmer cannot open its resumed delivery in the
+    worker; that one slot is evicted and re-run on the bus, and the round
+    still counts everyone, exactly."""
+    deployment = _build(workers=2, shards=2, session_resumption=True)
+    users = [u.user_id for u in deployment.corpus.users]
+    _run(deployment, 1)
+    victim = users[3]
+    deployment.clients[victim].restart()
+    cache = deployment.blinder_provisioner.session_cache
+    evictions = cache.counters()["evictions"]
+    assert route_of(deployment).pool
+    report = _run(deployment, 2)
+    assert cache.counters()["evictions"] == evictions + 1
+    assert report.outcomes == {user: OUTCOME_ACCEPTED for user in users}
+    assert report.num_contributions == len(users)
+    np.testing.assert_array_equal(
+        np.asarray(report.aggregate),
+        _exact_mean(deployment, deployment.local_vectors(), users),
+    )
+    # the victim re-established on the bus; round 3 resumes for everyone
+    assert _run(deployment, 3).handshakes_resumed >= len(users)

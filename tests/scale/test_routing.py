@@ -16,7 +16,6 @@ from repro.byzantine.actors import ATTACK_SERVICE_CORRUPT, TamperingAggregator
 from repro.core.client import LocalDataStore, MaliciousClient
 from repro.core.provisioning import BlinderProvisioner
 from repro.crypto.drbg import HmacDrbg
-from repro.crypto.group_ops import DHSessionCache
 from repro.experiments.common import Deployment
 from repro.faults import FaultInjector, FaultPlan
 from repro.network.adversary import DropAdversary
@@ -110,10 +109,6 @@ def _link_conditions(deployment):
     deployment.engine.attach_conditions(object())
 
 
-def _session_cache(deployment):
-    deployment.blinder_provisioner.session_cache = DHSessionCache()
-
-
 #: id -> (arrange(deployment) or None, round-input overrides, reason)
 _ROWS = {
     "stock": (None, {}, None),
@@ -139,9 +134,6 @@ _ROWS = {
         "adaptive_deadlines",
     ),
     "link_conditions": (_link_conditions, {}, "link_conditions"),
-    # The one pool-only clause; was test_session_resumption's
-    # test_parallel_path_disqualified_by_session_cache.
-    "session_cache": (_session_cache, {}, "session_cache"),
 }
 
 
@@ -155,8 +147,6 @@ def test_route_plan_names_the_first_blocking_condition(case):
     plan = plan_route(deployment.engine, _BOTH, **inputs)
     if reason is None:
         expected = RoutePlan(shards=3, subgroup_size=4)
-    elif reason == "session_cache":
-        expected = RoutePlan(subgroup_size=4, reason=reason)  # streams on the bus
     else:
         expected = RoutePlan(reason=reason)  # serial, flat
     assert plan == expected
@@ -171,8 +161,7 @@ def test_route_plan_names_the_first_blocking_condition(case):
     assert plan_route(deployment.engine, None, **inputs) == RoutePlan()
     streaming_only = ScaleConfig(subgroup_size=4)
     assert plan_route(deployment.engine, streaming_only, **inputs) == RoutePlan(
-        subgroup_size=plan.subgroup_size,
-        reason=None if reason == "session_cache" else reason,
+        subgroup_size=plan.subgroup_size, reason=reason
     )
 
 
