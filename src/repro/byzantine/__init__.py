@@ -1,4 +1,4 @@
-"""Byzantine actors, attack plans, and the round harness that drives them.
+"""Byzantine actors, attack plans, and the harness that installs and judges them.
 
 The crash/omission fault model of :mod:`repro.faults` covers an
 environment that *fails*; this package covers parties that *lie* — a
@@ -12,22 +12,25 @@ Typical use::
 
     plan = AttackPlan.sample(rng, clients=user_ids)
     install_attacks(deployment, plan, rng)
-    result = run_byzantine_round(deployment, round_id, user_ids, plan)
-    assert result.outcome != OUTCOME_UNDETECTED_CORRUPTION
+    verdict = run_byzantine_round(deployment, round_id, user_ids, plan)
+    assert verdict.outcome != OUTCOME_UNDETECTED_CORRUPTION
+
+The ``OUTCOME_*`` verdict words are :mod:`repro.invariants`', re-exported.
 """
 
-from repro.byzantine.actors import LyingBlinder, TamperingAggregator
-from repro.byzantine.harness import (
+from repro.byzantine.actors import (
+    AttackerEndpoint,
+    LyingBlinder,
+    TamperingAggregator,
+    forged_contribution,
+)
+from repro.byzantine.harness import install_attacks, run_byzantine_round
+from repro.invariants import (
     OUTCOME_BENIGN_ABORT,
     OUTCOME_CLEAN,
     OUTCOME_DETECTED_ABORT,
     OUTCOME_EXACT,
     OUTCOME_UNDETECTED_CORRUPTION,
-    ByzantineRoundResult,
-    expected_aggregate,
-    forged_contribution,
-    install_attacks,
-    run_byzantine_round,
 )
 from repro.byzantine.plan import (
     ALL_ATTACKS,
@@ -73,7 +76,7 @@ __all__ = [
     "SERVICE_ATTACKS",
     "AttackPlan",
     "AttackSpec",
-    "ByzantineRoundResult",
+    "AttackerEndpoint",
     "LyingBlinder",
     "TamperingAggregator",
     "OUTCOME_BENIGN_ABORT",
@@ -81,7 +84,6 @@ __all__ = [
     "OUTCOME_DETECTED_ABORT",
     "OUTCOME_EXACT",
     "OUTCOME_UNDETECTED_CORRUPTION",
-    "expected_aggregate",
     "forged_contribution",
     "install_attacks",
     "run_byzantine_round",

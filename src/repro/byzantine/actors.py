@@ -1,9 +1,14 @@
-"""Deterministic Byzantine actors: a lying blinder, a tampering aggregator.
+"""Deterministic Byzantine actors: lying blinder, tampering aggregator, attacker.
 
 Each actor wraps the honest implementation and lies in exactly one
 configured way, so every experiment row names precisely which defence
 caught it:
 
+* :class:`AttackerEndpoint` is a client's bus endpoint whose owner plays
+  an :class:`~repro.byzantine.plan.AttackPlan`: told to contribute, it
+  forges, floods, replays or equivocates under its own name — caught by
+  the service's signature check, the monitor's gates, and eviction at
+  finalize — and is the honest endpoint whenever the plan leaves it alone.
 * :class:`LyingBlinder` wraps a
   :class:`~repro.core.provisioning.BlinderProvisioner`.  Its
   ``tamper-delivery`` mode is caught by the client Glimmer's per-slot
@@ -22,13 +27,15 @@ caught it:
   ``strip-audit-trail`` included: a corrupted aggregate returned with
   no trail to recompute it from.
 
-Both actors draw their perturbations from an :class:`HmacDrbg`, so an
-attack schedule replays identically under the same seed.
+Every actor draws its perturbations from an :class:`HmacDrbg` (the
+attacker from its device's own), so an attack schedule replays
+identically under the same seed.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from contextlib import suppress
 
 import numpy as np
 
@@ -38,6 +45,10 @@ from repro.byzantine.plan import (
     ATTACK_BLINDER_TAMPER_DELIVERY,
     ATTACK_BLINDER_TAMPER_REVEAL,
     ATTACK_BLINDER_WITHHOLD_COMMITMENTS,
+    ATTACK_EQUIVOCATE,
+    ATTACK_FLOOD,
+    ATTACK_FORGE,
+    ATTACK_REPLAY,
     ATTACK_SERVICE_CORRUPT,
     ATTACK_SERVICE_DUPLICATE,
     ATTACK_SERVICE_MISCOUNT,
@@ -45,8 +56,11 @@ from repro.byzantine.plan import (
     ATTACK_SERVICE_STRIP_TRAIL,
     BLINDER_ATTACKS,
     SERVICE_ATTACKS,
+    AttackPlan,
 )
+from repro.core.client import MaliciousClient
 from repro.core.glimmer import BLINDING_MASK_CONTEXT
+from repro.core.signing import SignedContribution
 from repro.crypto.commitments import (
     MaskCommitmentSet,
     MaskOpening,
@@ -57,7 +71,62 @@ from repro.crypto.commitments import (
 )
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.masking import SumZeroMasks
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, NetworkError
+from repro.runtime.endpoints import ClientEndpoint
+from repro.runtime.protocol import FLOOD_THRESHOLD
+from repro.runtime.telemetry import OUTCOME_SUBMIT_FAILED
+
+
+def forged_contribution(client, round_id: int, values) -> SignedContribution:
+    """A contribution in the honest wire shape, signed with a made-up key.
+
+    :meth:`MaliciousClient.bypass_glimmer`, run on any client device — an
+    attacker does not need a special build of the client software to put
+    bytes on the wire.
+    """
+    return MaliciousClient.bypass_glimmer(client, round_id, values)
+
+
+class AttackerEndpoint(ClientEndpoint):
+    """A client device whose owner plays ``plan`` when told to contribute.
+
+    Forging and flooding never touch the Glimmer: self-signed bytes
+    answer the command.  Replaying and equivocating ride the honest
+    contribution — same Glimmer, fault sites and recovery — and add one
+    more submission behind it.  A move the weather eats is just lost.
+    """
+
+    def __init__(self, engine, client, name: str, plan: AttackPlan) -> None:
+        super().__init__(engine, client, name)
+        self.plan = plan
+
+    def _attack(self, round_id: int) -> str | None:
+        spec = self.plan.client_attack(round_id, self.client.client_id)
+        return None if spec is None else spec.kind
+
+    def _forge(self, command, bump: float = 0.0) -> None:
+        values = [v + bump for v in command.values]
+        forged = forged_contribution(self.client, command.round_id, values)
+        super()._submit(command, forged)
+
+    def _contribute(self, command, record):
+        kind = self._attack(command.round_id)
+        if kind not in (ATTACK_FORGE, ATTACK_FLOOD):
+            return super()._contribute(command, record)
+        with suppress(NetworkError):
+            for index in range(FLOOD_THRESHOLD + 1 if kind == ATTACK_FLOOD else 1):
+                self._forge(command, float(index))
+        return OUTCOME_SUBMIT_FAILED, None
+
+    def _submit(self, command, signed) -> bool:
+        accepted = super()._submit(command, signed)
+        kind = self._attack(command.round_id)
+        with suppress(NetworkError):
+            if kind == ATTACK_REPLAY:
+                super()._submit(command, signed)
+            elif kind == ATTACK_EQUIVOCATE:
+                self._forge(command)
+        return accepted
 
 
 class LyingBlinder:

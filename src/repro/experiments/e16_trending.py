@@ -116,7 +116,14 @@ def run(
 
     # Each epoch's round runs over its own message bus through the engine.
     network = Network(seed=seed + b":trend-network")
-    engine = RoundEngine(network, service, blinder_prov)
+    engine = RoundEngine(
+        network,
+        service,
+        blinder_prov,
+        signing_public=deployment.signing_keypair.public_key,
+        codec=deployment.codec,
+        group=deployment.group,
+    )
 
     user_ids = [user.user_id for user in epochs[0].users]
     clients = {}

@@ -114,7 +114,14 @@ def run(
         service = CloudService(signing.public_key, codec)
         # Every home's provisioning and submission goes over the message bus.
         network = Network(seed=seed + f":activity-{tolerance}".encode())
-        engine = RoundEngine(network, service, blinder_prov)
+        engine = RoundEngine(
+            network,
+            service,
+            blinder_prov,
+            signing_public=signing.public_key,
+            codec=codec,
+            group=TEST_GROUP,
+        )
         engine.open_round(round_id, num_users, MOTION_BINS)
 
         forged_total = honest_total = 0

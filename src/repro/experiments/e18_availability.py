@@ -10,13 +10,12 @@ loss, blinding-service crashes at phase boundaries, EPC pressure — runs a
 full round through the engine under each schedule, and tallies what came
 out:
 
-* **finalized exactly** — the round produced an aggregate, and it equals
-  the fixed-point mean over exactly the accepted contributions (checked
-  bit-for-bit against a direct codec computation);
+* **finalized exactly** — :func:`repro.invariants.judge` finds the
+  aggregate bit-equal to the exact mean over the accepted contributions;
 * **aborted** — the round raised :class:`RoundAbortedError` with a
   partial report, publishing nothing;
-* **inexact** — the failure mode the design forbids; the expected count
-  is zero at every fault rate.
+* **inexact** — ``undetected-corruption``, the failure mode the design
+  forbids; the expected count is zero at every fault rate.
 
 Repair and recovery machinery is also tallied: masks revealed for §3
 repair, client enclaves restarted from sealed checkpoints, transport
@@ -27,14 +26,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from repro import invariants
 from repro.analysis.reporting import Table
 from repro.crypto.drbg import HmacDrbg
 from repro.errors import RoundAbortedError
 from repro.experiments.common import Deployment
 from repro.faults import FaultInjector, FaultPlan
-from repro.runtime.telemetry import OUTCOME_ACCEPTED
 
 
 @dataclass
@@ -60,12 +57,6 @@ class AvailabilityResult:
         for row in self.rows:
             table.add_row(*row)
         return table
-
-
-def _expected_aggregate(codec, vectors, accepted):
-    """The ground truth: fixed-point mean over exactly ``accepted``."""
-    encoded = [codec.encode(list(vectors[user_id])) for user_id in accepted]
-    return codec.decode(codec.sum_vectors(encoded)) / len(encoded)
 
 
 def run(
@@ -99,29 +90,22 @@ def run(
             )
             deployment.enable_faults(injector)
             try:
-                report = deployment.engine.run_round(
+                finished = deployment.engine.run_round(
                     round_id,
                     user_ids,
                     vectors,
                     deployment.features.bigrams,
                     recovery_threshold=0.25,
                 )
-            except RoundAbortedError:
-                aborted += 1
-                report = deployment.engine.reports[round_id]
+            except RoundAbortedError as abort:
                 deployment.engine.abandon_round(round_id)
-            else:
-                accepted = [
-                    u
-                    for u in report.participants
-                    if report.outcomes.get(u) == OUTCOME_ACCEPTED
-                ]
-                truth = _expected_aggregate(deployment.codec, vectors, accepted)
-                if np.array_equal(np.asarray(report.aggregate), truth):
-                    finalized += 1
-                else:
-                    inexact += 1
-                repaired += report.masks_repaired
+                finished = abort
+            verdict = invariants.judge(finished, deployment.codec, vectors)
+            report = verdict.report
+            aborted += verdict.aborted
+            finalized += verdict.exact
+            inexact += verdict.corrupted
+            repaired += report.masks_repaired
             restarts += report.client_restarts
             retries += report.retries
             faults += report.faults_injected

@@ -3,17 +3,15 @@
 E18 showed the runtime is exact-or-abort when the environment *fails*;
 this experiment shows the same holds when parties actively *lie*.  For
 each attacker mix it installs the :mod:`repro.byzantine` actors on a
-fresh deployment and drives several full rounds through the engine,
-tallying how each ended:
+fresh deployment — attackers are endpoints on the bus — runs several
+rounds with the engine's own ``run_round``, and tallies the verdicts of
+:func:`repro.invariants.judge`:
 
-* **exact finalizes** — the round produced an aggregate equal, bit for
-  bit, to the fixed-point mean over exactly the honest contributions
-  that stayed accepted (a misbehaving client may have been evicted and
-  its slot repaired on the way);
-* **detected aborts** — the round aborted with at least one
-  :class:`~repro.runtime.protocol.ViolationRecord` naming the offender
-  (the only possible ending once the blinding service or aggregator
-  itself cheats);
+* **exact finalizes** — ``clean-finalize`` / ``exact-finalize`` (a
+  misbehaving client may have been evicted and its slot repaired on the
+  way);
+* **detected aborts** — ``detected-abort``, the only possible ending
+  once the blinding service or aggregator itself cheats;
 * **undetected corruption** — a finalized-but-wrong aggregate.  The
   design target, asserted by the claims table, is **zero** such rounds
   for every mix.
@@ -38,10 +36,7 @@ from repro.byzantine import (
     ATTACK_SERVICE_CORRUPT,
     ATTACK_SERVICE_OMIT,
     OUTCOME_BENIGN_ABORT,
-    OUTCOME_CLEAN,
     OUTCOME_DETECTED_ABORT,
-    OUTCOME_EXACT,
-    OUTCOME_UNDETECTED_CORRUPTION,
     AttackPlan,
     AttackSpec,
     install_attacks,
@@ -138,14 +133,10 @@ def run(
             violations += len(result.report.violations)
             offenders.update(result.offenders)
             quarantined.update(result.report.quarantined)
-            if result.outcome in (OUTCOME_CLEAN, OUTCOME_EXACT):
-                exact += 1
-            elif result.outcome == OUTCOME_DETECTED_ABORT:
-                detected += 1
-            elif result.outcome == OUTCOME_BENIGN_ABORT:
-                benign += 1
-            elif result.outcome == OUTCOME_UNDETECTED_CORRUPTION:
-                undetected += 1
+            exact += result.exact
+            detected += result.outcome == OUTCOME_DETECTED_ABORT
+            benign += result.outcome == OUTCOME_BENIGN_ABORT
+            undetected += result.corrupted
         undetected_total += undetected
         rows.append(
             (

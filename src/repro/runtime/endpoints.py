@@ -264,10 +264,6 @@ class ClientEndpoint:
             m.KIND_CLOSE_ROUND: self._handle_close,
         }
 
-    def outcome_for(self, round_id: int) -> tuple[str, str | None] | None:
-        """The last contribute outcome this endpoint issued for a round."""
-        return self._contribute_outcomes.get(round_id)
-
     def _fire(self, site: str, round_id: int) -> bool:
         injector = self.engine.fault_injector
         if injector is None:
@@ -331,12 +327,6 @@ class ClientEndpoint:
         self.client.checkpoint_round(request.round_id)
         return True
 
-    def _remember(
-        self, round_id: int, outcome: tuple[str, str | None]
-    ) -> tuple[str, str | None]:
-        self._contribute_outcomes[round_id] = outcome
-        return outcome
-
     def _handle_contribute(self, message: Message) -> tuple[str, str | None]:
         _checked(self.engine.monitor, message)
         command: m.ContributeCommand = message.payload
@@ -347,12 +337,17 @@ class ClientEndpoint:
             # and only its response was lost.  Re-running it would re-sign
             # (or double-submit); answer from the cache instead.
             return self._contribute_outcomes[command.round_id]
+        outcome = self._contribute(command, record)
+        self._contribute_outcomes[command.round_id] = outcome
+        return outcome
+
+    def _contribute(
+        self, command: m.ContributeCommand, record
+    ) -> tuple[str, str | None]:
+        """What this device does with a contribute command: its outcome."""
         if self._fire(SITE_CLIENT_PRE_SIGN, command.round_id):
             self.client.crash()
-            return self._remember(
-                command.round_id,
-                (OUTCOME_CRASHED, "killed before the Glimmer signed"),
-            )
+            return OUTCOME_CRASHED, "killed before the Glimmer signed"
         record.ecalls += 1  # process_contribution (charged even on rejection)
         try:
             signed = self.client.contribute(
@@ -364,36 +359,33 @@ class ClientEndpoint:
                 context_fields=command.context_fields,
             )
         except ValidationError as exc:
-            return self._remember(
-                command.round_id, (OUTCOME_VALIDATION_REJECTED, str(exc))
-            )
+            return OUTCOME_VALIDATION_REJECTED, str(exc)
         except (EnclaveError, CryptoError, ProtocolError) as exc:
             # Enclave killed mid-ecall, mask unavailable after an
             # unrecoverable checkpoint, or key state missing: the client
             # is effectively down for this round until restarted.
-            return self._remember(command.round_id, (OUTCOME_CRASHED, str(exc)))
+            return OUTCOME_CRASHED, str(exc)
         if self._fire(SITE_CLIENT_POST_SIGN, command.round_id):
             # The nastiest timing: the mask is consumed and the signing
             # counter advanced, but nothing was submitted.  Recovery must
             # NOT resurrect the mask (rollback check) — the slot gets
             # repaired by reveal instead.
             self.client.crash()
-            return self._remember(
-                command.round_id,
-                (OUTCOME_CRASHED, "killed after signing, before submission"),
-            )
+            return OUTCOME_CRASHED, "killed after signing, before submission"
         try:
-            accepted = self.engine.submit_signed(
-                self.client.client_id, command.round_id, signed
-            )
+            accepted = self._submit(command, signed)
         except NetworkError as exc:
-            return self._remember(
-                command.round_id, (OUTCOME_SUBMIT_FAILED, str(exc))
-            )
+            return OUTCOME_SUBMIT_FAILED, str(exc)
         if accepted:
             self.client.discard_checkpoint(command.round_id)
-            return self._remember(command.round_id, (OUTCOME_ACCEPTED, None))
-        return self._remember(command.round_id, (OUTCOME_SERVICE_REJECTED, None))
+            return OUTCOME_ACCEPTED, None
+        return OUTCOME_SERVICE_REJECTED, None
+
+    def _submit(self, command: m.ContributeCommand, signed) -> bool:
+        """Put one signed contribution on the wire, under this device's name."""
+        return self.engine.submit_signed(
+            self.client.client_id, command.round_id, signed
+        )
 
     def _handle_close(self, message: Message) -> bool:
         """Round teardown: purge the Glimmer's per-round mask state."""

@@ -58,6 +58,7 @@ from repro.crypto.drbg import HmacDrbg
 from repro.crypto.schnorr import batch_verify as batch_verify_signatures
 from repro.perf import kernels
 from repro.errors import (
+    CryptoError,
     EnclaveError,
     MaskVerificationError,
     NetworkError,
@@ -220,6 +221,7 @@ class RoundEngine:
         self.monitor = ProtocolMonitor(self.quarantine)
         self._retry_rng = HmacDrbg(seed, personalization="retry-jitter")
         self.clients: dict[str, Any] = {}
+        self.client_endpoints: dict[str, ClientEndpoint] = {}
         self.reports: dict[int, RoundReport] = {}
         self._rounds: dict[int, _RoundRecord] = {}
         network.register(ENGINE, {})
@@ -236,17 +238,29 @@ class RoundEngine:
         """Attach a client device to the bus; returns its endpoint name.
 
         Re-registering the same client id replaces its handlers (E15's
-        restart-evasion arm rebuilds enclaves mid-round).
+        restart-evasion arm rebuilds enclaves mid-round) with the stock
+        :class:`ClientEndpoint`, whatever endpoint stood there before.
         """
-        name = client_endpoint(client.client_id)
-        endpoint = ClientEndpoint(self, client, name)
-        if client.client_id in self.clients:
+        return self.attach_client(
+            ClientEndpoint(self, client, client_endpoint(client.client_id))
+        )
+
+    def attach_client(self, endpoint: ClientEndpoint) -> str:
+        """Put a client endpoint on the bus under its device's name.
+
+        The engine keeps it, as it keeps ``_service_endpoint``:
+        :func:`repro.scale.rounds.plan_route` holds a round with a
+        non-stock endpoint (a Byzantine attacker's) to the serial path.
+        """
+        client_id = endpoint.client.client_id
+        if client_id in self.clients:
             for kind, handler in endpoint.handlers().items():
-                self.network.add_handler(name, kind, handler)
+                self.network.add_handler(endpoint.name, kind, handler)
         else:
-            self.network.register(name, endpoint.handlers())
-        self.clients[client.client_id] = client
-        return name
+            self.network.register(endpoint.name, endpoint.handlers())
+        self.clients[client_id] = endpoint.client
+        self.client_endpoints[client_id] = endpoint
+        return endpoint.name
 
     def attach_service(self, service) -> None:
         """Swap the cloud service behind the engine and its bus endpoint.
@@ -260,6 +274,13 @@ class RoundEngine:
         self._service_endpoint = ServiceEndpoint(service, monitor=self.monitor)
         for kind, handler in self._service_endpoint.handlers().items():
             self.network.add_handler(SERVICE, kind, handler)
+
+    def attach_blinder(self, provisioner) -> None:
+        """Swap the blinding service behind the engine and its bus endpoint."""
+        self.blinder_provisioner = provisioner
+        endpoint = BlinderEndpoint(provisioner, monitor=self.monitor)
+        for kind, handler in endpoint.handlers().items():
+            self.network.add_handler(BLINDER, kind, handler)
 
     def _client_name(self, client_id: str) -> str:
         if client_id not in self.clients:
@@ -333,25 +354,6 @@ class RoundEngine:
             record.meter_start[client.client_id] = meter_snapshot(client.glimmer.meter)
         record.joined[client.client_id] = client
 
-    def begin_phase(self, round_id: int, name: str) -> None:
-        """Open a named phase window for a manually orchestrated round.
-
-        :meth:`run_round` narrates phases itself; experiment flows that
-        drive provisioning/collection directly (e.g. the Byzantine
-        harness) use this so phase telemetry and the protocol monitor's
-        phase gating stay accurate.
-        """
-        self._start_phase(self.round_record(round_id), name)
-
-    def abort_round(self, round_id: int, reason: str) -> RoundAbortedError:
-        """Close a round's books as aborted; returns the error to raise.
-
-        The partial ``aborted=True`` report is recorded under the round id
-        exactly as :meth:`run_round`'s internal aborts do.  Callers
-        ``raise engine.abort_round(...)``.
-        """
-        return self._abort(self.round_record(round_id), reason)
-
     def _start_phase(self, record: _RoundRecord, name: str) -> None:
         self._close_phase(record)
         self.monitor.advance(record.round_id, name)
@@ -380,7 +382,16 @@ class RoundEngine:
         )
         if action == ACTION_CRASH:
             self.blinder_provisioner.crash()
-            self.blinder_provisioner.restart()
+            try:
+                self.blinder_provisioner.restart()
+            except CryptoError as exc:
+                # Its sealed state fails its own integrity/sum-zero check.
+                self.monitor.record(
+                    record.round_id, BLINDER, VIOLATION_MASK_COMMITMENT, str(exc)
+                )
+                raise self._abort(
+                    record, f"blinding service could not recover its rounds: {exc}"
+                )
         if (
             injector.fire(SITE_PHASE_STALL, round_id=record.round_id, phase=phase)
             == ACTION_STALL
@@ -734,7 +745,12 @@ class RoundEngine:
             ):
                 record.outcomes[user_id] = OUTCOME_ACCEPTED
         self._start_phase(record, "finalize")
+        held = len(record.consumed)
         self._evict_offenders(record)
+        if held and not record.consumed:
+            raise self._abort(
+                record, "every accepted contribution was an evicted offender's"
+            )
         if record.blinded:
             try:
                 record.commitments.verify_sum_zero(
@@ -1669,6 +1685,7 @@ class RoundEngine:
             ),
             subgroup_dropout_repairs=record.subgroup_repairs,
             submissions_streamed=record.streamed,
+            route_reason=record.route.reason,
         )
 
     def _build_report(

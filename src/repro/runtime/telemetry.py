@@ -10,7 +10,7 @@ JSON-safe dicts so benchmark trajectories can be tracked by machines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Mapping
 
 import numpy as np
@@ -121,14 +121,15 @@ class RoundReport:
     submissions_streamed: int = 0
     """Ring payloads folded into a subgroup accumulator and released at
     admission instead of being retained until finalize."""
-    _survivors: tuple[str, ...] = field(default=(), repr=False)
+    route_reason: str | None = None
+    """First condition that kept the round off a fast path its engine is
+    configured for (:class:`~repro.scale.config.RoutePlan.reason`);
+    ``None`` when nothing blocked, or nothing was configured."""
 
     # ---------------------------------------------------------- derived views
 
     @property
     def survivors(self) -> tuple[str, ...]:
-        if self._survivors:
-            return self._survivors
         return tuple(
             uid
             for uid in self.participants
@@ -219,6 +220,8 @@ class RoundReport:
             table.add_row(
                 "membership checks skipped", self.membership_checks_skipped
             )
+        if self.route_reason:
+            table.add_row("kept off the fast path by", self.route_reason)
         if self.violations:
             table.add_row("protocol violations", len(self.violations))
         if self.quarantined:
@@ -279,6 +282,7 @@ class RoundReport:
             "subgroups_aggregated": self.subgroups_aggregated,
             "subgroup_dropout_repairs": self.subgroup_dropout_repairs,
             "submissions_streamed": self.submissions_streamed,
+            "route_reason": self.route_reason,
         }
 
     def to_dict(self) -> dict[str, Any]:
@@ -345,6 +349,7 @@ class RoundReport:
                 data.get("subgroup_dropout_repairs", 0)
             ),
             submissions_streamed=int(data.get("submissions_streamed", 0)),
+            route_reason=data.get("route_reason"),
         )
 
 

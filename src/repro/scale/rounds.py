@@ -37,6 +37,7 @@ from repro.core.glimmer import BLINDING_MASK_CONTEXT
 from repro.core.provisioning import BlinderProvisioner, _verify_bound_quote
 from repro.core.service import CloudService
 from repro.errors import ProtocolViolation
+from repro.runtime.endpoints import ClientEndpoint
 from repro.runtime.messages import client_endpoint
 from repro.runtime.telemetry import (
     OUTCOME_ACCEPTED,
@@ -96,12 +97,16 @@ def plan_route(
         ("network_adversary", bool(getattr(engine.network, "_adversaries", ()))),
         # Wrapped services and blinders (Byzantine actors, recorders) lie
         # in ways only the flat audit trail exposes; subclassed clients
-        # (malicious ones) can draw violations that end in eviction.
+        # and attacker endpoints can draw violations that end in eviction.
         (
             "non_stock_party",
             type(engine.service) is not CloudService
             or type(engine.blinder_provisioner) is not BlinderProvisioner
-            or any(type(client) is not ClientDevice for client in clients),
+            or any(type(client) is not ClientDevice for client in clients)
+            or any(
+                type(engine.client_endpoints.get(user_id)) is not ClientEndpoint
+                for user_id in participants
+            ),
         ),
         # Adaptive deadlines and link-conditions trimming both observe
         # per-operation timing on the bus, which neither fast path exposes.

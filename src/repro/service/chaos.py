@@ -13,16 +13,13 @@ breaker), it restarts the service **from persisted state only** —
 workload drains.
 
 The invariant proved at the end of every schedule is *exact-or-
-recovered*:
+recovered*, stated in :mod:`repro.invariants`:
 
-* every acknowledged submission is applied **exactly once** — it is
-  either ``applied`` in the queue or named by exactly one finalized
-  journaled round (when storage tore its queue record, the journal is
-  the surviving witness);
-* no submission appears in two finalized rounds (no double-count);
-* every finalized round's recorded aggregate equals, bit for bit, the
-  codec-exact mean over its journaled contribution values — a recovered
-  round is indistinguishable from one that never crashed;
+* :func:`~repro.invariants.applied_exactly_once` — every acknowledged
+  submission applied, none lost, none named by two finalized rounds;
+* every finalized round's recorded aggregate is bit-equal to
+  :func:`~repro.invariants.exact_mean` over its journaled values — a
+  recovered round is indistinguishable from one that never crashed;
 * the audit chain verifies end-to-end, possibly through explicit
   ``audit-repaired`` records for the history the storage destroyed.
 
@@ -42,6 +39,7 @@ from __future__ import annotations
 import time
 from typing import Any, Callable
 
+from repro import invariants
 from repro.crypto.drbg import HmacDrbg
 from repro.errors import (
     AdmissionError,
@@ -56,59 +54,12 @@ from repro.faults.injector import FaultInjector
 from repro.faults.service_plan import sample_service_plan
 from repro.faults.storage import FaultyStorageBackend
 from repro.service.audit import EVENT_REPAIR, AuditLog
-from repro.service.journal import (
-    STATUS_FINALIZED,
-    STATUS_OPENED,
-    RoundJournal,
-)
-from repro.service.queue import (
-    STATE_APPLIED,
-    STATE_ASSIGNED,
-    STATE_DEFERRED,
-    STATE_PENDING,
-)
+from repro.service.journal import RoundJournal
+from repro.service.queue import STATE_ASSIGNED, STATE_DEFERRED, STATE_PENDING
 from repro.service.service import GlimmerService
 
 #: Exceptions that mean "the process is dead; restart from disk".
 RESTARTABLE = (ServiceKilledError, StorageError)
-
-
-def _journal_rounds(journal: RoundJournal) -> tuple[dict, set]:
-    """(first opened entry per round id, ids of finalized rounds)."""
-    opened: dict[int, dict] = {}
-    finalized: set[int] = set()
-    for entry in journal.entries():
-        if not isinstance(entry, dict):
-            continue
-        round_id = entry.get("round_id")
-        if not isinstance(round_id, int):
-            continue
-        if entry.get("status") == STATUS_OPENED:
-            opened.setdefault(round_id, entry)
-        elif entry.get("status") == STATUS_FINALIZED:
-            finalized.add(round_id)
-    return opened, finalized
-
-
-def _finalized_sids(journal: RoundJournal) -> dict[str, int]:
-    """submission id -> how many distinct finalized rounds name it."""
-    opened, finalized = _journal_rounds(journal)
-    counts: dict[str, int] = {}
-    for round_id in finalized:
-        entry = opened.get(round_id)
-        if entry is None:
-            continue
-        for sid in entry.get("submission_ids", ()):
-            counts[sid] = counts.get(sid, 0) + 1
-    return counts
-
-
-def expected_aggregate(codec, values_by_user: dict) -> list[float]:
-    """The codec-exact mean a finalized round must reproduce bit-for-bit."""
-    users = sorted(values_by_user)
-    encoded = [codec.encode(list(values_by_user[u])) for u in users]
-    mean = codec.decode(codec.sum_vectors(encoded)) / len(encoded)
-    return [float(v) for v in mean]
 
 
 def run_service_schedule(
@@ -225,17 +176,10 @@ def run_service_schedule(
         queue = svc.tenant(tenant).queue
         if queue.count(STATE_PENDING, STATE_ASSIGNED, STATE_DEFERRED):
             return False
-        finalized = _finalized_sids(svc.journal)
-        for sid in acked:
-            entry = queue.entry_or_none(sid)
-            if entry is not None:
-                if entry["state"] != STATE_APPLIED:
-                    return False
-            elif finalized.get(sid, 0) != 1:
-                # Storage destroyed the queue record; the journal must
-                # vouch for the submission instead.
-                return False
-        return True
+        ledger = invariants.applied_exactly_once(
+            svc.journal, queue.entry_or_none, acked
+        )
+        return not (ledger.lost or ledger.in_flight)
 
     users = _guard(
         lambda svc: sorted(svc.tenant(tenant).deployment.clients)
@@ -269,46 +213,28 @@ def run_service_schedule(
     # ------------------------------------------------------------ invariants
     raw = backend_factory()
     journal = RoundJournal(raw)
-    opened, finalized = _journal_rounds(journal)
-    counts = _finalized_sids(journal)
-    doubled = sorted(sid for sid, n in counts.items() if n > 1)
-    assert not doubled, (
-        f"{plan.label}: submissions double-counted across finalized "
-        f"rounds: {doubled}"
+    ledger = invariants.applied_exactly_once(
+        journal, lambda sid: raw.get(f"queue/{tenant}", sid), acked
     )
-    for sid in acked:
-        entry = raw.get(f"queue/{tenant}", sid)
-        if isinstance(entry, dict) and "state" in entry:
-            assert entry["state"] == STATE_APPLIED, (
-                f"{plan.label}: acked submission {sid} ended "
-                f"{entry['state']!r}, not applied"
-            )
-        else:
-            assert counts.get(sid, 0) == 1, (
-                f"{plan.label}: acked submission {sid} lost by storage "
-                f"and not vouched for by any finalized round"
-            )
+    assert not ledger.doubled, (
+        f"{plan.label}: submissions double-counted across finalized "
+        f"rounds: {ledger.doubled}"
+    )
+    assert not (ledger.lost or ledger.in_flight), (
+        f"{plan.label}: acked submissions lost {ledger.lost} or never "
+        f"applied {ledger.in_flight}"
+    )
 
+    finalized = invariants.finalized_rounds(journal)
     aggregates: list[tuple[int, tuple[float, ...]]] = []
-    for round_id in sorted(finalized):
-        entry = opened.get(round_id)
-        if entry is None or "values_by_user" not in entry:
-            continue
-        recorded = None
-        for record in journal.entries():
-            if (
-                isinstance(record, dict)
-                and record.get("round_id") == round_id
-                and record.get("status") == STATUS_FINALIZED
-                and "aggregate" in record
-            ):
-                recorded = record["aggregate"]
-        if recorded is None:
-            continue  # settled round whose original aggregate record was lost
+    for round_id, entry, recorded in finalized:
+        if entry is None or "values_by_user" not in entry or recorded is None:
+            continue  # e.g. a settled round whose aggregate record was lost
         aggregates.append((round_id, tuple(float(v) for v in recorded)))
         if codec is not None:
-            truth = expected_aggregate(codec, entry["values_by_user"])
-            assert [float(v) for v in recorded] == truth, (
+            values = entry["values_by_user"]
+            truth = invariants.exact_mean(codec, values, values)
+            assert [float(v) for v in recorded] == [float(v) for v in truth], (
                 f"{plan.label}: round {round_id} aggregate is not the "
                 f"codec-exact mean over its journaled values"
             )
@@ -347,6 +273,6 @@ def run_service_schedule(
         "signature": (
             injector.fired_log(),
             tuple(aggregates),
-            tuple(sorted(counts.items())),
+            tuple(sorted(ledger.named.items())),
         ),
     }

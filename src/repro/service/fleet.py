@@ -26,13 +26,12 @@ plays that schedule against a fresh deployment:
 
 Invariants checked per schedule (``AssertionError`` on violation):
 
-* **exact-or-recovered** — every finalized round's aggregate equals,
-  bit for bit, the codec-exact mean over the accepted participants'
-  original vectors;
+* **exact-or-recovered** — every finalized round is judged exact by
+  :func:`repro.invariants.judge`;
 * **zero undetected corruption** — firmware-skew perturbations never
   reach an aggregate: a perturbed submission is rejected by wire
-  validation and its sender quarantined, which the exactness oracle
-  would otherwise expose;
+  validation and its sender quarantined, which that judgement would
+  otherwise expose;
 * **replayability** — the returned ``signature`` tuple is a pure
   function of ``(seed, index, profile)``; the chaos tests compare two
   independent runs directly.
@@ -46,6 +45,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import invariants
 from repro.crypto.drbg import HmacDrbg
 from repro.errors import AttestationError, RoundAbortedError
 from repro.experiments.common import Deployment
@@ -58,7 +58,6 @@ from repro.network.conditions import (
 )
 from repro.runtime import messages as m
 from repro.runtime.deadlines import AdaptiveDeadlines
-from repro.runtime.telemetry import OUTCOME_ACCEPTED
 from repro.sgx.attestation import QuotePolicy, report_data_for
 from repro.sgx.sessions import SessionBroker
 
@@ -67,12 +66,6 @@ __all__ = ["run_fleet_schedule"]
 #: Round ids for storm-cleared retries start here (well clear of the
 #: scheduled ids, which count up from 1).
 _RECOVERY_BASE = 1000
-
-
-def _expected_mean(codec, vectors: dict[str, np.ndarray], accepted) -> np.ndarray:
-    """The codec-exact mean a finalized round must reproduce bit-for-bit."""
-    encoded = [codec.encode(list(vectors[user])) for user in sorted(accepted)]
-    return codec.decode(codec.sum_vectors(encoded)) / len(encoded)
 
 
 def run_fleet_schedule(
@@ -208,16 +201,7 @@ def run_fleet_schedule(
                 _RECOVERY_BASE + round_id, users, vectors, features
             )
 
-        accepted = sorted(
-            user
-            for user in report.participants
-            if report.outcomes.get(user) == OUTCOME_ACCEPTED
-        )
-        assert accepted, f"{label_seed}: round {report.round_id} kept nobody"
-        expected = _expected_mean(deployment.codec, vectors, accepted)
-        assert np.array_equal(
-            np.asarray(report.aggregate), expected
-        ), (
+        assert invariants.judge(report, deployment.codec, vectors).exact, (
             f"{label_seed}: round {report.round_id} aggregate is not the "
             f"codec-exact mean over its accepted participants"
         )

@@ -48,8 +48,6 @@ from repro.errors import (
 )
 from repro.experiments.common import Deployment
 from repro.faults.plan import ACTION_KILL, SITE_SERVICE_KILL
-from repro.runtime.endpoints import BlinderEndpoint
-from repro.runtime.messages import BLINDER
 from repro.runtime.telemetry import RoundReport
 from repro.service.async_engine import AsyncRoundEngine
 from repro.service.audit import AuditLog
@@ -161,11 +159,8 @@ class GlimmerService:
                 SealedBlobMap(self.backend, "sealed/blinder")
             )
             return
-        engine.blinder_provisioner = self._shared_blinder
+        engine.attach_blinder(self._shared_blinder)
         runtime.deployment.blinder_provisioner = self._shared_blinder
-        endpoint = BlinderEndpoint(self._shared_blinder, monitor=engine.monitor)
-        for kind, handler in endpoint.handlers().items():
-            runtime.deployment.network.add_handler(BLINDER, kind, handler)
 
     def add_tenant(
         self, name: str, *, backend: StorageBackend | None = None

@@ -34,14 +34,15 @@ from repro.byzantine import (
     AttackSpec,
     LyingBlinder,
     TamperingAggregator,
+    actors,
     forged_contribution,
-    harness,
     install_attacks,
     run_byzantine_round,
 )
 from repro.crypto.drbg import HmacDrbg
 from repro.errors import RoundAbortedError
 from repro.experiments.common import Deployment
+from repro.faults import SITE_BLINDER, FaultInjector, FaultPlan, FaultSpec
 from repro.runtime.messages import client_endpoint
 from repro.runtime.protocol import (
     VIOLATION_AGGREGATE_TAMPERING,
@@ -151,7 +152,7 @@ def test_forgery_no_float_can_hold_is_blamed_on_the_forger(monkeypatch, forgery)
     deployment = _deploy(b"overflow")
     target = _users(deployment)[0]
     monkeypatch.setattr(
-        harness,
+        actors,
         "forged_contribution",
         lambda client, round_id, values: replace(
             forged_contribution(client, round_id, values), **forgery
@@ -214,6 +215,36 @@ def test_omitting_the_only_contribution_is_still_caught():
     assert result.aborted and not result.corrupted
     assert "service" in result.offenders
     assert VIOLATION_AGGREGATE_TAMPERING in _kinds(result)
+
+
+def test_evicting_the_only_contributor_is_a_blamed_abort():
+    """Eviction can empty a round; that is an abort naming the offender,
+    not the service's "no accepted contributions" escaping the engine."""
+    deployment = _deploy(b"equivocate-alone")
+    target = _users(deployment)[0]
+    plan = _single(ATTACK_EQUIVOCATE, target)
+    install_attacks(deployment, plan, HmacDrbg(b"install:equivocate-alone"))
+    result = run_byzantine_round(deployment, 1, [target], plan)
+    assert result.outcome == OUTCOME_DETECTED_ABORT
+    assert result.offenders == (client_endpoint(target),)
+    assert VIOLATION_EQUIVOCATION in _kinds(result)
+
+
+def test_a_lying_blinder_that_cannot_restart_is_blamed():
+    """A crash at a phase boundary makes the forged-claims blinder restore
+    its own non-sum-zero family — which its own recovery refuses.  The
+    engine blames it instead of letting the ``CryptoError`` escape."""
+    deployment = _deploy(b"forged-claims-crash")
+    deployment.enable_faults(
+        FaultInjector(
+            FaultPlan(specs=(FaultSpec(site=SITE_BLINDER, phase="collect"),)),
+            seed=b"forged-claims-crash",
+        )
+    )
+    result = _run(deployment, _single(ATTACK_BLINDER_FORGED_CLAIMS))
+    assert result.outcome == OUTCOME_DETECTED_ABORT
+    assert "blinder" in result.offenders
+    assert VIOLATION_MASK_COMMITMENT in _kinds(result)
 
 
 def test_a_plain_round_cannot_finalize_without_an_audit_trail():

@@ -15,6 +15,13 @@ so every sampled round must end in exactly one of two ways:
 ``undetected-corruption`` — a finalized-but-wrong aggregate — fails the
 suite on sight, and the same seed must replay the identical violation
 sequence on a fresh deployment.
+
+Attackers are endpoints on the bus and the round is the engine's own
+``run_round``, so the mixes also compose with the weather: a second
+sweep samples an :class:`AttackPlan` *and* a :class:`FaultPlan` per
+schedule, where a starved round may additionally end in a benign abort —
+but every schedule still ends in a verdict, abandoned rounds leave
+nothing tracked, and no consumed slot's mask is ever asked for.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ import os
 
 import pytest
 
+from repro import invariants
 from repro.byzantine import (
     OUTCOME_CLEAN,
     OUTCOME_DETECTED_ABORT,
@@ -33,9 +41,15 @@ from repro.byzantine import (
     run_byzantine_round,
 )
 from repro.crypto.drbg import HmacDrbg
+from repro.errors import ProtocolError
 from repro.experiments.common import Deployment
+from repro.faults import FaultInjector, FaultPlan
+from repro.network.adversary import DropAdversary, EavesdropAdversary
+from repro.runtime import messages as m
 
 SCHEDULES_PER_SEED = 50
+COMPOSED_SCHEDULES_PER_SEED = 24
+FAULT_RATES = (0.02, 0.05, 0.1, 0.2)
 NUM_USERS = 4
 
 DEFAULT_SEEDS = ("byz-a", "byz-b", "byz-c")
@@ -61,6 +75,24 @@ def _plan(seed: str, index: int, user_ids) -> AttackPlan:
     )
 
 
+def _trace(verdict):
+    """What a schedule's replay must reproduce, as a comparable tuple."""
+    aggregate = verdict.report.aggregate
+    return (
+        verdict.outcome,
+        verdict.offenders,
+        tuple((v.offender, v.kind) for v in verdict.report.violations),
+        None if aggregate is None else tuple(float(v) for v in aggregate),
+    )
+
+
+def _pardon_all(deployment):
+    """Operator pardon between schedules: re-arms quarantine for the next mix."""
+    quarantine = deployment.engine.quarantine
+    for name in quarantine.blocked():
+        quarantine.pardon(name)
+
+
 def _run_schedule(deployment, seed: str, index: int, user_ids):
     """One sampled mix through one round; returns a comparable trace."""
     plan = _plan(seed, index, user_ids)
@@ -82,22 +114,8 @@ def _run_schedule(deployment, seed: str, index: int, user_ids):
         assert result.offenders, (
             f"{plan.label}: aborted without naming an offender in telemetry"
         )
-    aggregate = (
-        None
-        if result.report.aggregate is None
-        else tuple(float(v) for v in result.report.aggregate)
-    )
-    trace = (
-        result.outcome,
-        result.offenders,
-        tuple((v.offender, v.kind) for v in result.report.violations),
-        aggregate,
-    )
-    # Operator pardon between schedules: re-arms quarantine for the next mix.
-    quarantine = deployment.engine.quarantine
-    for name in quarantine.blocked():
-        quarantine.pardon(name)
-    return plan, trace
+    _pardon_all(deployment)
+    return plan, _trace(result)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -148,3 +166,93 @@ def test_distinct_seeds_sample_distinct_attacks():
             fired.append((plan.specs, trace[:3]))
         traces.append(tuple(fired))
     assert traces[0] != traces[1]
+
+
+def _run_in_weather(deployment, spy, seed: str, index: int, user_ids):
+    """One sampled mix through one round that the weather may also starve.
+
+    Unlike :func:`_run_schedule` a benign abort is a legitimate ending
+    here — but the round must still end in a *verdict*, abandoned rounds
+    leave nothing tracked, and no consumed slot's mask is ever asked for
+    (``spy`` is the eavesdropper the caller interposed on the bus).
+    """
+    plan = _plan(seed, index, user_ids)
+    install_attacks(
+        deployment,
+        plan,
+        HmacDrbg(f"{seed}:{index}".encode(), personalization="byz-install"),
+    )
+    verdict = run_byzantine_round(deployment, index + 1, user_ids, plan)
+    assert verdict.outcome != OUTCOME_UNDETECTED_CORRUPTION, (
+        f"{plan.label}: round {index + 1} finalized a corrupted aggregate"
+    )
+    assert not invariants.consumed_slots_revealed(verdict.report, spy.captured)
+    with pytest.raises(ProtocolError):
+        deployment.engine.round_record(index + 1)
+    _pardon_all(deployment)
+    return _trace(verdict)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_attacker_mixes_compose_with_fault_schedules(seed):
+    """``AttackPlan.sample`` + ``FaultPlan.sample`` on one deployment: every
+    schedule ends in a verdict — never corruption, never a raw transport
+    error — and the whole sweep replays identically from its seed."""
+    replays = []
+    for _ in range(2):
+        deployment = _build(seed)
+        user_ids = [user.user_id for user in deployment.corpus.users]
+        spy = EavesdropAdversary()
+        deployment.network.interpose(spy)
+        traces = []
+        for index in range(COMPOSED_SCHEDULES_PER_SEED):
+            faults = FaultPlan.sample(
+                HmacDrbg(seed.encode(), personalization=f"byz-faults-{index}"),
+                FAULT_RATES[index % len(FAULT_RATES)],
+                clients=user_ids,
+                rounds=(index + 1,),
+                label=f"{seed}#{index}",
+            )
+            deployment.enable_faults(
+                FaultInjector(faults, seed=f"{seed}:{index}:faults".encode())
+            )
+            traces.append(_run_in_weather(deployment, spy, seed, index, user_ids))
+        replays.append(traces)
+    assert replays[0] == replays[1], "composed schedules must replay exactly"
+    outcomes = {trace[0] for trace in replays[0]}
+    # Only meaningful if both pressures bite: some rounds finalize exactly
+    # through the weather, some are aborted by an attacker.
+    assert outcomes & {OUTCOME_CLEAN, OUTCOME_EXACT}
+    assert OUTCOME_DETECTED_ABORT in outcomes
+
+
+class _LossyProvisioning(DropAdversary):
+    """Weather that only eats the provisioning exchange."""
+
+    def process(self, message):
+        if message.kind in (m.KIND_PROVISION_MASK, m.KIND_MASK_REQUEST):
+            return super().process(message)
+        return message
+
+
+def test_lossy_provisioning_is_a_verdict_not_a_transport_error():
+    """Provisioning lost to the network degrades slots into §3 repair (or
+    starves the round into an abort): the Byzantine harness classifies
+    either — on the parent a raw ``NetworkError`` escaped with the round
+    still tracked."""
+    deployment = _build("byz-lossy")
+    user_ids = [user.user_id for user in deployment.corpus.users]
+    spy = EavesdropAdversary()
+    deployment.network.interpose(spy)
+    deployment.network.interpose(
+        _LossyProvisioning(
+            drop_rate=0.6, rng=HmacDrbg(b"byz-lossy", personalization="drop")
+        )
+    )
+    degraded = 0
+    for index in range(8):
+        _run_in_weather(deployment, spy, "byz-lossy", index, user_ids)
+        degraded += "provision-failed" in deployment.engine.reports[
+            index + 1
+        ].outcomes.values()
+    assert degraded, "the weather never bit: the test exercises nothing"

@@ -29,6 +29,7 @@ from repro.crypto.drbg import HmacDrbg
 from repro.errors import RoundAbortedError
 from repro.experiments.common import Deployment
 from repro.faults import FaultInjector, FaultPlan
+from repro.invariants import exact_mean
 from repro.runtime.telemetry import OUTCOME_ACCEPTED
 
 SCHEDULES_PER_SEED = 50
@@ -86,12 +87,7 @@ def _run_schedule(deployment, round_id, injector, user_ids, vectors):
         u for u in report.participants if report.outcomes.get(u) == OUTCOME_ACCEPTED
     ]
     assert accepted, "a finalized round must have accepted contributions"
-    encoded = [
-        deployment.codec.encode(list(vectors[u])) for u in accepted
-    ]
-    truth = deployment.codec.decode(
-        deployment.codec.sum_vectors(encoded)
-    ) / len(encoded)
+    truth = exact_mean(deployment.codec, vectors, accepted)
     assert np.array_equal(np.asarray(report.aggregate), truth), (
         f"round {round_id}: finalized aggregate is not the exact mean over "
         f"the {len(accepted)} accepted contributions"

@@ -12,6 +12,7 @@ import pytest
 
 from repro.crypto.drbg import HmacDrbg
 from repro.experiments.common import Deployment
+from repro.invariants import exact_mean
 from repro.network.adversary import NetworkAdversary
 from repro.network.conditions import (
     Episode,
@@ -130,11 +131,6 @@ def _round_inputs(deployment: Deployment):
     return users, deployment.local_vectors(users), deployment.features.bigrams
 
 
-def _exact_mean(codec, vectors, accepted) -> np.ndarray:
-    encoded = [codec.encode(list(vectors[u])) for u in sorted(accepted)]
-    return codec.decode(codec.sum_vectors(encoded)) / len(encoded)
-
-
 # ------------------------------------------------------- engine integration
 
 
@@ -177,7 +173,7 @@ def test_hedged_redelivery_recovers_a_dropped_reply():
     )
     assert np.array_equal(
         np.asarray(report.aggregate),
-        _exact_mean(deployment.codec, vectors, users),
+        exact_mean(deployment.codec, vectors, users),
     )
 
 
@@ -221,7 +217,7 @@ def test_partitioned_client_is_trimmed_not_timed_out():
     assert all(report.outcomes[u] == OUTCOME_ACCEPTED for u in survivors)
     assert np.array_equal(
         np.asarray(report.aggregate),
-        _exact_mean(deployment.codec, vectors, survivors),
+        exact_mean(deployment.codec, vectors, survivors),
     )
     # No traffic was wasted probing the dead link.
     assert conditions.offline_drops == 0
@@ -261,7 +257,7 @@ def test_late_reply_is_discarded_not_double_counted():
     assert all(report.outcomes[u] == OUTCOME_ACCEPTED for u in survivors)
     assert np.array_equal(
         np.asarray(report.aggregate),
-        _exact_mean(deployment.codec, vectors, survivors),
+        exact_mean(deployment.codec, vectors, survivors),
     )
     # The reply leg accounting is untouched by the discard: the late
     # reply was *delivered* (then discarded above the transport), and

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.experiments.common import Deployment
+from repro.invariants import exact_mean
 from repro.runtime.telemetry import OUTCOME_ACCEPTED, OUTCOME_DROPOUT
 
 SEEDS = (b"repair-seed-1", b"repair-seed-2", b"repair-seed-3")
@@ -31,13 +32,6 @@ PATTERNS = (
     ("collect-pair", (0, 4)),
     ("mixed", (1, 2)),
 )
-
-
-def _exact_mean(deployment, vectors, cohort):
-    encoded = [deployment.codec.encode(list(vectors[u])) for u in cohort]
-    return deployment.codec.decode(
-        deployment.codec.sum_vectors(encoded)
-    ) / len(encoded)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -69,7 +63,7 @@ def test_dropout_repair_is_bit_exact(seed, pattern, indices):
     assert [u for u in user_ids if report.outcomes[u] == OUTCOME_DROPOUT] == dropped
     assert report.survivors == tuple(survivors)
     assert np.array_equal(
-        np.asarray(report.aggregate), _exact_mean(deployment, vectors, survivors)
+        np.asarray(report.aggregate), exact_mean(deployment.codec, vectors, survivors)
     )
 
 
@@ -94,5 +88,5 @@ def test_collect_dropout_consumed_a_provisioned_mask(seed):
     survivors = [u for u in user_ids if u != silent]
     assert set(report.outcomes[u] for u in survivors) == {OUTCOME_ACCEPTED}
     assert np.array_equal(
-        np.asarray(report.aggregate), _exact_mean(deployment, vectors, survivors)
+        np.asarray(report.aggregate), exact_mean(deployment.codec, vectors, survivors)
     )

@@ -16,6 +16,7 @@ from repro.faults import (
     FaultPlan,
     FaultSpec,
 )
+from repro.invariants import exact_mean
 from repro.network.adversary import DropAdversary
 from repro.network.transport import Network
 from repro.runtime.engine import RoundEngine, _RoundRecord
@@ -33,13 +34,6 @@ def deployment():
 def _cohort(deployment):
     user_ids = [user.user_id for user in deployment.corpus.users]
     return user_ids, deployment.local_vectors()
-
-
-def _exact_mean(deployment, vectors, accepted):
-    encoded = [deployment.codec.encode(list(vectors[u])) for u in accepted]
-    return deployment.codec.decode(
-        deployment.codec.sum_vectors(encoded)
-    ) / len(encoded)
 
 
 def _inject(deployment, *specs):
@@ -69,7 +63,7 @@ def test_pre_sign_crash_recovers_from_checkpoint_and_contributes(deployment):
     assert report.client_restarts == 1
     assert report.masks_repaired == 0
     assert np.array_equal(
-        np.asarray(report.aggregate), _exact_mean(deployment, vectors, user_ids)
+        np.asarray(report.aggregate), exact_mean(deployment.codec, vectors, user_ids)
     )
 
 
@@ -93,7 +87,7 @@ def test_post_sign_crash_cannot_double_submit(deployment):
     assert report.masks_repaired == 1
     assert report.num_contributions == len(survivors)
     assert np.array_equal(
-        np.asarray(report.aggregate), _exact_mean(deployment, vectors, survivors)
+        np.asarray(report.aggregate), exact_mean(deployment.codec, vectors, survivors)
     )
 
 
@@ -133,7 +127,7 @@ def test_seal_loss_degrades_to_reveal_repair(deployment):
     assert report.outcomes[victim] == OUTCOME_CRASHED
     assert report.masks_repaired == 1
     assert np.array_equal(
-        np.asarray(report.aggregate), _exact_mean(deployment, vectors, survivors)
+        np.asarray(report.aggregate), exact_mean(deployment.codec, vectors, survivors)
     )
 
 
@@ -161,7 +155,7 @@ def test_blinder_crash_and_restart_still_reveals_masks(deployment):
     assert report.masks_repaired == len(user_ids) - len(contributors)
     assert np.array_equal(
         np.asarray(report.aggregate),
-        _exact_mean(deployment, vectors, contributors),
+        exact_mean(deployment.codec, vectors, contributors),
     )
 
 
@@ -179,7 +173,7 @@ def test_scheduled_blinder_crash_at_finalize_boundary(deployment):
     survivors = user_ids[1:]
     assert report.masks_repaired == 1
     assert np.array_equal(
-        np.asarray(report.aggregate), _exact_mean(deployment, vectors, survivors)
+        np.asarray(report.aggregate), exact_mean(deployment.codec, vectors, survivors)
     )
 
 
@@ -198,7 +192,7 @@ def test_lost_submit_response_is_reconciled_not_double_counted(deployment):
     assert report.masks_repaired == 0
     assert report.num_contributions == len(user_ids)
     assert np.array_equal(
-        np.asarray(report.aggregate), _exact_mean(deployment, vectors, user_ids)
+        np.asarray(report.aggregate), exact_mean(deployment.codec, vectors, user_ids)
     )
 
 

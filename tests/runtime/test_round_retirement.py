@@ -22,6 +22,7 @@ import pytest
 
 from repro.errors import CryptoError, ProtocolError, RoundAbortedError
 from repro.experiments.common import Deployment
+from repro.invariants import exact_mean
 from repro.network.adversary import DropAdversary
 from repro.runtime import messages as m
 from repro.scale import ScaleConfig
@@ -51,13 +52,6 @@ def _build(route):
 def _cohort(deployment):
     users = [user.user_id for user in deployment.corpus.users]
     return users, deployment.local_vectors()
-
-
-def _exact_mean(deployment, vectors, accepted):
-    encoded = [deployment.codec.encode(list(vectors[u])) for u in accepted]
-    return deployment.codec.decode(
-        deployment.codec.sum_vectors(encoded)
-    ) / len(encoded)
 
 
 def _client_endpoint(deployment, user_id):
@@ -113,7 +107,7 @@ def _soak_engine(route):
             survivors = [u for u in users if u != silent]
             assert np.array_equal(
                 np.asarray(report.aggregate),
-                _exact_mean(deployment, vectors, survivors),
+                exact_mean(deployment.codec, vectors, survivors),
             )
             if route == "streamed":
                 assert report.submissions_streamed == len(survivors)
@@ -311,7 +305,7 @@ def test_blinder_crash_before_finalize_is_still_repaired_by_reveal(route):
     assert report.masks_repaired == 2
     assert np.array_equal(
         np.asarray(report.aggregate),
-        _exact_mean(deployment, vectors, users[2:]),
+        exact_mean(deployment.codec, vectors, users[2:]),
     )
     _assert_retired(deployment)
 

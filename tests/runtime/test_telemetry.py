@@ -74,12 +74,12 @@ def _full_report() -> RoundReport:
 def test_to_dict_is_json_serializable_and_complete():
     report = _full_report()
     payload = json.loads(json.dumps(report.to_dict()))
-    # Every dataclass field except the live service handle and the
-    # private survivors cache must appear in the serialized form.
+    # Every dataclass field except the live service handle must appear
+    # in the serialized form.
     field_names = {
         f.name
         for f in dataclasses.fields(RoundReport)
-        if f.name not in ("service_result", "_survivors")
+        if f.name != "service_result"
     }
     assert field_names <= set(payload)
     assert payload["violations"][0]["kind"] == VIOLATION_EQUIVOCATION
@@ -91,7 +91,7 @@ def test_round_trip_preserves_every_field():
     report = _full_report()
     restored = RoundReport.from_dict(json.loads(json.dumps(report.to_dict())))
     for f in dataclasses.fields(RoundReport):
-        if f.name in ("service_result", "_survivors", "aggregate"):
+        if f.name in ("service_result", "aggregate"):
             continue
         assert getattr(restored, f.name) == getattr(report, f.name), f.name
     assert np.array_equal(restored.aggregate, report.aggregate)

@@ -19,11 +19,11 @@ from repro.crypto.drbg import HmacDrbg
 from repro.errors import RoundAbortedError
 from repro.experiments.common import Deployment
 from repro.faults import FaultInjector, FaultPlan
+from repro.invariants import exact_mean
 from repro.runtime.telemetry import OUTCOME_ACCEPTED
 from repro.scale import ScaleConfig
 from repro.service.async_engine import AsyncRoundEngine
 
-from tests.runtime.test_dropout_repair import _exact_mean
 from tests.scale.test_routing import route_of
 
 
@@ -269,7 +269,7 @@ def test_pool_round_heals_a_glimmer_restarted_between_resumed_rounds():
     assert report.num_contributions == len(users)
     np.testing.assert_array_equal(
         np.asarray(report.aggregate),
-        _exact_mean(deployment, deployment.local_vectors(), users),
+        exact_mean(deployment.codec, deployment.local_vectors(), users),
     )
     # the victim re-established on the bus; round 3 resumes for everyone
     assert _run(deployment, 3).handshakes_resumed >= len(users)

@@ -12,7 +12,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.byzantine.actors import ATTACK_SERVICE_CORRUPT, TamperingAggregator
+from repro.byzantine import (
+    ATTACK_EQUIVOCATE,
+    ATTACK_SERVICE_CORRUPT,
+    AttackPlan,
+    AttackSpec,
+    TamperingAggregator,
+    install_attacks,
+    run_byzantine_round,
+)
 from repro.core.client import LocalDataStore, MaliciousClient
 from repro.core.provisioning import BlinderProvisioner
 from repro.crypto.drbg import HmacDrbg
@@ -23,6 +31,8 @@ from repro.runtime.deadlines import AdaptiveDeadlines
 from repro.scale import RoutePlan, ScaleConfig
 from repro.scale.hierarchy import hierarchical_eligible
 from repro.scale.rounds import parallel_eligible, plan_route
+
+from tests.chaos import test_byzantine as byz
 
 _SEED = b"routing"
 #: Both fast paths wanted, so every row shows what a condition blocks.
@@ -86,6 +96,12 @@ def _malicious_client(deployment):
     )
 
 
+def _attacker_endpoint(deployment):
+    attacker = deployment.corpus.users[2].user_id
+    plan = AttackPlan(specs=(AttackSpec(ATTACK_EQUIVOCATE, target=attacker),))
+    install_attacks(deployment, plan, HmacDrbg(_SEED, personalization="install"))
+
+
 def _engine_injector(deployment):
     deployment.engine.fault_injector = _injector()
 
@@ -128,6 +144,7 @@ _ROWS = {
     "wrapped_service": (_wrap_service, {}, "non_stock_party"),
     "subclassed_provisioner": (_subclass_provisioner, {}, "non_stock_party"),
     "malicious_client": (_malicious_client, {}, "non_stock_party"),
+    "attacker_endpoint": (_attacker_endpoint, {}, "non_stock_party"),
     "adaptive_deadlines": (
         None,
         dict(adaptive=AdaptiveDeadlines()),
@@ -221,3 +238,41 @@ def test_workers_and_subgroup_size_are_both_honoured():
     assert flat.num_contributions == both.num_contributions
     # Client traffic left the bus: the pool really was the executor.
     assert both.messages_sent < flat.messages_sent
+
+
+@pytest.mark.parametrize(
+    "parallelism",
+    [ScaleConfig(workers=2, shards=3), ScaleConfig(subgroup_size=4)],
+    ids=["pool", "streamed"],
+)
+def test_an_attacker_endpoint_keeps_its_rounds_on_the_serial_path(parallelism):
+    """Stock client *devices*, one of them behind an attacker's endpoint:
+    the round is blocked as ``non_stock_party`` and the Byzantine trace is
+    the unconfigured engine's; a benign plan restores the fast path."""
+
+    def byzantine_round(deployment):
+        users = [u.user_id for u in deployment.corpus.users]
+        plan = AttackPlan(specs=(AttackSpec(ATTACK_EQUIVOCATE, target=users[1]),))
+        install_attacks(deployment, plan, HmacDrbg(_SEED, personalization="install"))
+        with deployment.engine:
+            verdict = run_byzantine_round(deployment, 1, users, plan)
+            trace = byz._trace(verdict)
+            byz._pardon_all(deployment)
+            install_attacks(deployment, AttackPlan(), HmacDrbg(_SEED))
+            benign = run_byzantine_round(deployment, 2, users, AttackPlan())
+        return trace, verdict.report, benign.report
+
+    trace, attacked, restored = byzantine_round(_build(parallelism))
+    assert attacked.route_reason == "non_stock_party"
+    assert attacked.submissions_streamed == 0
+    reference, unconfigured, _ = byzantine_round(_build(None))
+    assert unconfigured.route_reason is None
+    assert trace == reference
+    assert trace[:2] == ("exact-finalize", ("client:" + attacked.participants[1],))
+    # Uninstalled: every endpoint is stock again and the round is routed.
+    assert restored.route_reason is None
+    assert restored.outcomes == {u: "accepted" for u in restored.participants}
+    if parallelism.hierarchical:
+        assert restored.submissions_streamed == len(restored.participants)
+    else:
+        assert restored.messages_sent < attacked.messages_sent  # left the bus

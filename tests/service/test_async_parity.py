@@ -156,7 +156,7 @@ def test_chaos_schedules_run_unchanged_on_the_async_engine(seed):
 def test_byzantine_schedules_run_unchanged_on_the_async_engine(seed):
     """The Byzantine harness, verbatim, against the async engine."""
     async_dep = byz._build(seed)
-    install_async_drive(async_dep.engine)
+    driver = install_async_drive(async_dep.engine)
     serial_dep = byz._build(seed)
     async_users = [u.user_id for u in async_dep.corpus.users]
     serial_users = [u.user_id for u in serial_dep.corpus.users]
@@ -164,3 +164,4 @@ def test_byzantine_schedules_run_unchanged_on_the_async_engine(seed):
         outcome_async = byz._run_schedule(async_dep, seed, index, async_users)
         outcome_serial = byz._run_schedule(serial_dep, seed, index, serial_users)
         assert outcome_async == outcome_serial, f"attack mix {index} diverged"
+    assert driver.stages_driven > 0, "the Byzantine rounds never reached the loop"

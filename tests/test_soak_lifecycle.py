@@ -11,6 +11,7 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.experiments.common import Deployment
+from repro.invariants import exact_mean
 
 
 @pytest.fixture(scope="module")
@@ -47,11 +48,6 @@ def run_round(deployment, round_id, participants, dropouts=(), poisoners=()):
     return result.aggregate, accepted
 
 
-def expected_mean(deployment, accepted):
-    vectors = deployment.local_vectors()
-    return np.mean(np.stack([vectors[u] for u in accepted]), axis=0)
-
-
 def test_three_rounds_with_churn(deployment):
     user_ids = [u.user_id for u in deployment.corpus.users]
 
@@ -60,14 +56,14 @@ def test_three_rounds_with_churn(deployment):
         deployment, 1, user_ids, poisoners={user_ids[0]}
     )
     assert user_ids[0] not in accepted
-    assert np.allclose(aggregate, expected_mean(deployment, accepted), atol=1e-3)
+    assert np.allclose(aggregate, exact_mean(deployment.codec, deployment.local_vectors(), accepted), atol=1e-3)
 
     # Round 2: two clients drop after mask provisioning.
     aggregate, accepted = run_round(
         deployment, 2, user_ids, dropouts={user_ids[1], user_ids[4]}
     )
     assert len(accepted) == len(user_ids) - 2
-    assert np.allclose(aggregate, expected_mean(deployment, accepted), atol=1e-3)
+    assert np.allclose(aggregate, exact_mean(deployment.codec, deployment.local_vectors(), accepted), atol=1e-3)
 
     # Mid-deployment: client 2's enclave restarts and restores its key.
     victim = deployment.clients[user_ids[2]]
@@ -83,7 +79,7 @@ def test_three_rounds_with_churn(deployment):
     subset = user_ids[1:5]
     aggregate, accepted = run_round(deployment, 3, subset)
     assert accepted == subset
-    assert np.allclose(aggregate, expected_mean(deployment, accepted), atol=1e-3)
+    assert np.allclose(aggregate, exact_mean(deployment.codec, deployment.local_vectors(), accepted), atol=1e-3)
 
 
 def test_rounds_do_not_interfere(deployment):
