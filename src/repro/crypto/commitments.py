@@ -357,15 +357,8 @@ class MaskCommitmentSet:
                 f"claimed column sums violate sum-zero at component {i}"
             )
 
-    def verify_sum_zero(self, point_product: int | None = None) -> None:
-        """The homomorphic check: ``Π C_j ≡ h^{Σ w·T} · u^R`` (finalize).
-
-        ``point_product`` optionally supplies ``Π_j C_j mod p`` computed
-        elsewhere — the sharded aggregation tree folds each cohort's
-        partial product and merges them at the root (modular
-        multiplication is associative, so the merged product is the same
-        integer the serial loop computes).
-        """
+    def verify_sum_zero(self) -> None:
+        """The homomorphic check: ``Π C_j ≡ h^{Σ w·T} · u^R`` (finalize)."""
         group = resolve_group(self.group_name)
         q = group.subgroup_order
         h, u = pedersen_generators(group)
@@ -374,12 +367,9 @@ class MaskCommitmentSet:
         for i, column in enumerate(self.column_sums):
             for l, claimed in enumerate(column):
                 target = (target + weights[i][l] * int(claimed)) % q
-        if point_product is None:
-            product = 1
-            for point in self.points:
-                product = (product * point) % group.prime
-        else:
-            product = int(point_product) % group.prime
+        product = 1
+        for point in self.points:
+            product = (product * point) % group.prime
         expected = (
             group.power(h, target) * group.power(u, self.randomizer_sum)
         ) % group.prime

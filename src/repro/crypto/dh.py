@@ -2,7 +2,7 @@
 
 §4.1 and §4.2 of the paper establish secure channels by binding DH handshake
 values to an attested enclave.  This module supplies the group arithmetic;
-:mod:`repro.network.channel` and :mod:`repro.core.confidential` build the
+:mod:`repro.core.glimmer` and :mod:`repro.core.confidential` build the
 authenticated handshakes on top.
 
 Two groups ship by default:

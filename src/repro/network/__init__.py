@@ -1,12 +1,12 @@
-"""Simulated network: clock, transport, secure channels, adversaries.
+"""Simulated network: clock, transport, link weather, adversaries.
 
 The Glimmer protocols (key provisioning, encrypted predicate delivery,
 Glimmer-as-a-service) are message exchanges between a client device, the
 cloud service, a blinding service, and possibly a remote Glimmer host.  This
 package provides the substrate: a deterministic simulated clock, an RPC-style
-transport with a latency model, Diffie-Hellman secure channels with replay
-protection, and man-in-the-middle adversaries that experiments interpose to
-show which attacks the architecture stops.
+transport with a latency model, per-device link conditions, and
+man-in-the-middle adversaries that experiments interpose to show which
+attacks the architecture stops.
 """
 
 from repro.network.adversary import (
@@ -16,7 +16,6 @@ from repro.network.adversary import (
     ReplayAdversary,
     TamperAdversary,
 )
-from repro.network.channel import SecureChannel, establish_channel
 from repro.network.clock import LatencyModel, SimulatedClock
 from repro.network.conditions import (
     CELLULAR_EDGE,
@@ -39,8 +38,6 @@ __all__ = [
     "NetworkAdversary",
     "ReplayAdversary",
     "TamperAdversary",
-    "SecureChannel",
-    "establish_channel",
     "LatencyModel",
     "SimulatedClock",
     "ConditionProfile",

@@ -436,16 +436,6 @@ class LinkConditions(NetworkAdversary):
         schedule = self.plan.schedule_for(client_id)
         return schedule is not None and schedule.offline_at(self._rel_now(now_ms))
 
-    def disconnected_for(
-        self, client_id: str, now_ms: float | None = None
-    ) -> bool:
-        if self._calm:
-            return False
-        schedule = self.plan.schedule_for(client_id)
-        return schedule is not None and schedule.disconnected_at(
-            self._rel_now(now_ms)
-        )
-
     # ------------------------------------------------------------ processing
 
     def process(self, message: Message) -> Message | None:

@@ -2,8 +2,9 @@
 
 A :class:`Message` is what crosses the simulated wire.  Payloads are
 arbitrary Python objects at the transport layer; *secure* payloads are
-byte strings produced by :class:`repro.network.channel.SecureChannel`, so
-an on-path adversary holding a raw message sees only ciphertext.
+sealed by the parties themselves (an attested ``KeyDelivery``, a Glimmer
+signature), so an on-path adversary holding a raw message sees only
+ciphertext or cannot forge it.
 """
 
 from __future__ import annotations

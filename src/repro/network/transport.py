@@ -16,7 +16,7 @@ which keeps phase accounting comparable across experiments) but a dropped
 response does count as a drop.
 
 The transport itself offers **no** security: anything an adversary should
-not read or forge must go through :mod:`repro.network.channel` or carry a
+not read or forge must be sealed to an attested enclave or carry a
 Glimmer signature.  That is the point — experiments show the architecture's
 guarantees surviving a hostile network, not a polite one.
 """

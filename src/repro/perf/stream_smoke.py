@@ -1,7 +1,7 @@
 """Memory-bounded large-cohort smoke round (``repro stream-smoke``).
 
 The engine-scale hierarchical path still pays O(n) once per round for
-Pedersen mask commitments, so it cannot demonstrate the DESIGN.md §16
+Pedersen mask commitments, so it cannot demonstrate the DESIGN.md §10
 memory claim at 100k+ clients.  This harness exercises exactly the
 subsystems that claim covers — the DRBG-keyed subgroup plan, per-subgroup
 sum-zero families re-expanded O(g) at a time, and fold-on-arrival

@@ -26,6 +26,7 @@ exists to survive.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.core.client import attested_delivery
@@ -242,6 +243,92 @@ class BlinderEndpoint:
         )
 
 
+# ------------------------------------------------------------ the device step
+#
+# What a device does with a provision or a contribute command, written once
+# and free of transport: the bus handler below, the pool worker
+# (:mod:`repro.scale.pool`) and the parent's slot-order merge
+# (:mod:`repro.scale.rounds`) all run these, each plugging in its own I/O.
+# ``ledger`` is whatever books the paper's three-ecall path for the caller
+# (the engine's round record, a worker's result): anything with ``ecalls``.
+
+
+def provision_step(
+    client, command: m.ProvisionMask, request_delivery, ledger, session_cache=None
+) -> None:
+    """Attested handshake → install the delivered mask → sealed checkpoint.
+
+    ``request_delivery(session_id, dh_public, quote)`` is the leg to the
+    blinding service: a bus call with retries, or a worker's local
+    :func:`~repro.core.provisioning.seal_delivery`.  Whatever the Glimmer
+    raises — above all :class:`~repro.errors.MaskVerificationError`, which
+    is evidence against the blinder — propagates to the caller.
+    """
+
+    def charged_request(session_id: bytes, dh_public: int, quote):
+        ledger.ecalls += 1  # begin_handshake
+        return request_delivery(session_id, dh_public, quote)
+
+    attested_delivery(
+        client.handshake_request,
+        charged_request,
+        lambda delivery: client.install_mask(
+            command.round_id,
+            command.party_index,
+            delivery,
+            commitment=command.commitment,
+        ),
+        BLINDING_MASK_CONTEXT,
+        session_cache,
+    )
+    ledger.ecalls += 1  # install_blinding_mask
+    # Seal the freshly installed mask so a later crash in this round is
+    # recoverable.  Not charged to the ledger, which tracks the paper's
+    # three-ecall protocol path per client.
+    client.checkpoint_round(command.round_id)
+
+
+def sign_step(client, command: m.ContributeCommand, ledger):
+    """Validate, blind and sign: ``(signed, None)``, or ``(None, (outcome,
+    detail))`` when the Glimmer refused the values or is down."""
+    ledger.ecalls += 1  # process_contribution (charged even on rejection)
+    try:
+        signed = client.contribute(
+            command.round_id,
+            list(command.values),
+            list(command.features),
+            blind=command.blind,
+            claims=dict(command.claims),
+            context_fields=command.context_fields,
+        )
+    except ValidationError as exc:
+        return None, (OUTCOME_VALIDATION_REJECTED, str(exc))
+    except (EnclaveError, CryptoError, ProtocolError) as exc:
+        # Enclave killed mid-ecall, mask unavailable after an
+        # unrecoverable checkpoint, or key state missing: the client
+        # is effectively down for this round until restarted.
+        return None, (OUTCOME_CRASHED, str(exc))
+    return signed, None
+
+
+def submit_step(client, round_id: int, submit) -> tuple[str, str | None]:
+    """Hand the signed contribution over; the device's outcome for the round.
+
+    ``submit()`` says whether the service accepted it — over the bus
+    (:meth:`RoundEngine.submit_signed`) or by the pool merge's direct
+    :meth:`ServiceEndpoint.admit`.  Only an accepted contribution lets go
+    of the round's sealed checkpoint.
+    """
+    try:
+        accepted = submit()
+    except NetworkError as exc:
+        return OUTCOME_SUBMIT_FAILED, str(exc)
+    if accepted:
+        client.discard_checkpoint(round_id)
+        return OUTCOME_ACCEPTED, None
+    return OUTCOME_SERVICE_REJECTED, None
+
+
 class ClientEndpoint:
     """One client device as a transport endpoint.
 
@@ -293,7 +380,6 @@ class ClientEndpoint:
             )
 
         def request_mask(session_id: bytes, dh_public: int, quote):
-            record.ecalls += 1  # begin_handshake
             return self.engine.call_with_retry(
                 record,
                 self.name,
@@ -308,23 +394,13 @@ class ClientEndpoint:
                 ),
             )
 
-        attested_delivery(
-            self.client.handshake_request,
+        provision_step(
+            self.client,
+            request,
             request_mask,
-            lambda delivery: self.client.install_mask(
-                request.round_id,
-                request.party_index,
-                delivery,
-                commitment=request.commitment,
-            ),
-            BLINDING_MASK_CONTEXT,
+            record,
             self.engine.blinder_provisioner.session_cache,
         )
-        record.ecalls += 1  # install_blinding_mask
-        # Seal the freshly installed mask so a later crash in this round
-        # is recoverable.  Not counted in record.ecalls, which tracks the
-        # paper's three-ecall protocol path per client.
-        self.client.checkpoint_round(request.round_id)
         return True
 
     def _handle_contribute(self, message: Message) -> tuple[str, str | None]:
@@ -344,27 +420,13 @@ class ClientEndpoint:
     def _contribute(
         self, command: m.ContributeCommand, record
     ) -> tuple[str, str | None]:
-        """What this device does with a contribute command: its outcome."""
+        """The device steps for a contribute command, between the fault sites."""
         if self._fire(SITE_CLIENT_PRE_SIGN, command.round_id):
             self.client.crash()
             return OUTCOME_CRASHED, "killed before the Glimmer signed"
-        record.ecalls += 1  # process_contribution (charged even on rejection)
-        try:
-            signed = self.client.contribute(
-                command.round_id,
-                list(command.values),
-                list(command.features),
-                blind=command.blind,
-                claims=dict(command.claims),
-                context_fields=command.context_fields,
-            )
-        except ValidationError as exc:
-            return OUTCOME_VALIDATION_REJECTED, str(exc)
-        except (EnclaveError, CryptoError, ProtocolError) as exc:
-            # Enclave killed mid-ecall, mask unavailable after an
-            # unrecoverable checkpoint, or key state missing: the client
-            # is effectively down for this round until restarted.
-            return OUTCOME_CRASHED, str(exc)
+        signed, failure = sign_step(self.client, command, record)
+        if failure is not None:
+            return failure
         if self._fire(SITE_CLIENT_POST_SIGN, command.round_id):
             # The nastiest timing: the mask is consumed and the signing
             # counter advanced, but nothing was submitted.  Recovery must
@@ -372,14 +434,9 @@ class ClientEndpoint:
             # repaired by reveal instead.
             self.client.crash()
             return OUTCOME_CRASHED, "killed after signing, before submission"
-        try:
-            accepted = self._submit(command, signed)
-        except NetworkError as exc:
-            return OUTCOME_SUBMIT_FAILED, str(exc)
-        if accepted:
-            self.client.discard_checkpoint(command.round_id)
-            return OUTCOME_ACCEPTED, None
-        return OUTCOME_SERVICE_REJECTED, None
+        return submit_step(
+            self.client, command.round_id, partial(self._submit, command, signed)
+        )
 
     def _submit(self, command: m.ContributeCommand, signed) -> bool:
         """Put one signed contribution on the wire, under this device's name."""

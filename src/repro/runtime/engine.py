@@ -51,7 +51,6 @@ from repro.crypto.commitments import (
     MaskCommitmentSet,
     MaskOpening,
     batch_verify_openings,
-    resolve_group,
     verify_opening,
 )
 from repro.crypto.drbg import HmacDrbg
@@ -110,6 +109,24 @@ __all__ = ["RoundEngine", "ENGINE", "SERVICE", "BLINDER", "client_endpoint"]
 PHASE_STALL_MS = 40.0
 
 
+#: The :class:`RoundReport` counters a round accumulates while it is open.
+#: The record carries each under the report's own field name, so it is
+#: declared there and listed here — nowhere else.
+_REPORT_COUNTERS = (
+    "retries",
+    "ecalls",
+    "client_restarts",
+    "late_replies_discarded",
+    "hedged_deliveries",
+    "stragglers",
+    "partition_trimmed",
+    "submissions_reconciled",
+    "subgroup_size",
+    "subgroup_dropout_repairs",
+    "submissions_streamed",
+)
+
+
 class _RoundRecord:
     """Engine-side accounting for one in-flight round."""
 
@@ -134,20 +151,11 @@ class _RoundRecord:
         self.slot_nonce: dict[int, bytes] = {}  # engine-witnessed accepts
         self.quarantined_now: list[str] = []
         self.outcomes: dict[str, str] = {}
-        self.retries = 0
-        self.recoveries = 0
+        for counter in _REPORT_COUNTERS:
+            setattr(self, counter, 0)
         self.faults0 = 0
-        self.ecalls = 0
         self.joined: dict[str, Any] = {}
-        self.late_discards = 0
-        self.hedged = 0
-        self.stragglers = 0
-        self.partition_trimmed = 0
-        self.reconciled = 0
         self.subgroup_plan = None  # SubgroupPlan on hierarchical rounds
-        self.subgroup_size = 0
-        self.subgroup_repairs = 0  # distinct subgroups touched by §3 repair
-        self.streamed = 0  # submissions folded-and-released at admission
         self.meter_start: dict[str, dict[str, int]] = {}
         self.pk_counters0 = group_ops.counters()
         self.messages0 = network.messages_delivered + network.messages_dropped
@@ -569,8 +577,10 @@ class RoundEngine:
         party_index: int,
         *,
         first_attempt: int = 1,
-    ) -> None:
+    ) -> bool:
         """Command a client to fetch and install its mask for one slot.
+
+        Returns ``True`` once the client acknowledged the installed mask.
 
         A Glimmer that refuses the delivered mask because it fails its
         published commitment has caught the blinding service lying: no
@@ -594,6 +604,7 @@ class RoundEngine:
         except MaskVerificationError as exc:
             raise self._abort_on_bad_mask(record, str(exc))
         record.provisioned[party_index] = client_id
+        return True
 
     def contribute(
         self,
@@ -730,12 +741,7 @@ class RoundEngine:
         ground truth that it counted.
         """
         record = self.round_record(round_id)
-        if record.unresolved:
-            raise self._abort(
-                record,
-                f"{len(record.unresolved)} submission(s) could not be "
-                "reconciled (accepted-or-not unknown)",
-            )
+        self._require_resolved(record)
         self._reconcile_consumed(record)
         for slot, user_id in record.provisioned.items():
             if slot in record.consumed and record.outcomes.get(user_id) in (
@@ -753,9 +759,7 @@ class RoundEngine:
             )
         if record.blinded:
             try:
-                record.commitments.verify_sum_zero(
-                    self._scale_point_product(record)
-                )
+                record.commitments.verify_sum_zero()
             except MaskVerificationError as exc:
                 self.monitor.record(
                     round_id, BLINDER, VIOLATION_NON_SUM_ZERO, str(exc)
@@ -787,7 +791,7 @@ class RoundEngine:
                 if record.subgroup_plan is not None and revealed_by_slot:
                     # Hierarchical repair locality: each reveal re-expanded
                     # only the dropped slot's O(g) subgroup family.
-                    record.subgroup_repairs = len(
+                    record.subgroup_dropout_repairs = len(
                         {
                             record.subgroup_plan.group_of(slot)
                             for slot, _ in revealed_by_slot
@@ -799,13 +803,25 @@ class RoundEngine:
         self._audit_result(record, result, repairs)
         if record.subgroup_plan is not None:
             # A streamed plan is only drawn for a stock CloudService.
-            record.streamed = self.service.round_state(round_id).accumulator.folded
+            record.submissions_streamed = self.service.round_state(
+                round_id
+            ).accumulator.folded
         self._retire_round(record)
-        report = self._build_report(record, result, len(repairs))
+        report = self._report_from(record, result, len(repairs))
         self.reports[round_id] = report
         del self._rounds[round_id]
         self.monitor.close(round_id)
         return report
+
+    def _require_resolved(self, record: _RoundRecord) -> None:
+        """Abort while any submission's fate is unknown: revealing such a
+        slot's mask might double-count a contribution that did land."""
+        if record.unresolved:
+            raise self._abort(
+                record,
+                f"{len(record.unresolved)} submission(s) could not be "
+                "reconciled (accepted-or-not unknown)",
+            )
 
     def _finalize_at_service(self, record: _RoundRecord, repairs):
         """Send finalize; a pool round's cohort sum runs through shard
@@ -819,25 +835,6 @@ class RoundEngine:
             return self.call_with_retry(record, ENGINE, SERVICE, m.KIND_FINALIZE, request)
         finally:
             self.service.aggregation_reducer = previous
-
-    def _scale_point_product(self, record: _RoundRecord):
-        """Merged per-shard partial products for the sum-zero audit.
-
-        ``None`` (the serial flat product) unless the round's plan put it
-        on the pool.  Modular multiplication is associative, so the
-        merged product equals the flat one — this only changes *where*
-        the multiplies happen.
-        """
-        if not record.route.pool:
-            return None
-        prime = resolve_group(record.commitments.group_name).prime
-        plan = scale_shard.plan_shards(
-            record.round_id, record.participants, record.route.shards
-        )
-        partials = scale_shard.partial_point_products(
-            record.commitments.points, plan, prime
-        )
-        return scale_shard.merge_point_partials(partials, prime)
 
     def _batch_verified_reveals(
         self, record: _RoundRecord, revealed_by_slot
@@ -929,7 +926,7 @@ class RoundEngine:
                 continue
             record.consumed.add(slot)
             record.slot_nonce[slot] = nonce
-            record.reconciled += 1
+            record.submissions_reconciled += 1
 
     def _evict_offenders(self, record: _RoundRecord) -> None:
         """Quarantine this round's offenders and evict their contributions.
@@ -1141,25 +1138,7 @@ class RoundEngine:
         The record stays tracked so callers can inspect it before
         :meth:`abandon_round`.  Callers ``raise self._abort(...)``.
         """
-        self._close_phase(record)
-        num_contributions = 0
-        rejected: dict[str, int] = {}
-        try:
-            state = self.service.round_state(record.round_id)
-            num_contributions = len(state.accepted)
-            rejected = dict(state.rejected)
-        except ProtocolError:
-            pass
-        report = self._report_from(
-            record,
-            masks_repaired=0,
-            num_contributions=num_contributions,
-            rejected=rejected,
-            aggregate=None,
-            service_result=None,
-            aborted=True,
-            abort_reason=reason,
-        )
+        report = self._report_from(record, abort_reason=reason)
         self.reports[record.round_id] = report
         self.monitor.close(record.round_id)
         error = RoundAbortedError(f"round {record.round_id}: {reason}")
@@ -1174,7 +1153,7 @@ class RoundEngine:
             client.restart()
         except Exception:
             return False
-        record.recoveries += 1
+        record.client_restarts += 1
         return True
 
     def run_round(
@@ -1369,16 +1348,14 @@ class RoundEngine:
                     try:
                         provision()
                     except NetworkError:
-                        if not (hedging and self._hedge_provision(record, provision)):
+                        if not (hedging and self._hedge(record, provision)):
                             record.outcomes[user_id] = OUTCOME_PROVISION_FAILED
                             continue
                     except EnclaveError:
                         # Client enclave died mid-provision.  Restart it from
                         # sealed state and retry the slot once; a second death
                         # writes the client off for this round.
-                        if not self._recover_and_retry_provision(
-                            record, user_id, provision
-                        ):
+                        if not self._recover(record, user_id, provision):
                             record.outcomes[user_id] = OUTCOME_CRASHED
                             continue
                     self._observe_op(record, controller, started)
@@ -1424,7 +1401,7 @@ class RoundEngine:
                 try:
                     outcome = contribute()
                 except NetworkError:
-                    outcome = self._hedge_contribute(record, contribute) if hedging else None
+                    outcome = self._hedge(record, contribute) if hedging else None
                     if outcome is None:
                         record.outcomes[user_id] = OUTCOME_UNREACHABLE
                         continue
@@ -1439,13 +1416,8 @@ class RoundEngine:
                     self._discard_late_reply(record, user_id)
                     continue
                 if outcome == OUTCOME_CRASHED:
-                    self._recover_and_retry_contribute(record, user_id, contribute)
-        if record.unresolved:
-            raise self._abort(
-                record,
-                f"{len(record.unresolved)} submission(s) could not be "
-                "reconciled (accepted-or-not unknown)",
-            )
+                    self._recover(record, user_id, contribute)
+        self._require_resolved(record)
         survivors = [
             u for u in participants if record.outcomes.get(u) == OUTCOME_ACCEPTED
         ]
@@ -1501,35 +1473,27 @@ class RoundEngine:
         self._trim_partitioned(record, participants, quarantined)
         return controller, fixed_cutoff
 
-    def _recover_and_retry_provision(
-        self, record: _RoundRecord, user_id: str, provision
-    ) -> bool:
-        client = self.clients.get(user_id)
-        if client is None or not self._restart_client(record, client):
-            return False
-        try:
-            provision()
-        except (NetworkError, EnclaveError):
-            return False
-        return True
-
-    def _recover_and_retry_contribute(
-        self, record: _RoundRecord, user_id: str, contribute
-    ) -> None:
-        """One recovery attempt for a client that crashed while contributing.
+    def _recover(self, record: _RoundRecord, user_id: str, command) -> bool:
+        """One recovery attempt for a client whose enclave died under a command.
 
         Restart the enclave from sealed checkpoints and re-issue the
-        (bound) contribute command over the bus.  If the checkpoint was
-        refused (rollback) the retry fails closed inside the enclave and
-        the slot is repaired by reveal.
+        (bound) provision or contribute command over the bus; ``True``
+        when it got through.  A contribute retry whose checkpoint was
+        refused (rollback) fails closed inside the enclave and the slot
+        is repaired by reveal; one the network loses leaves the client
+        ``unreachable`` (a provision caller writes it off as ``crashed``).
         """
         client = self.clients.get(user_id)
         if client is None or not self._restart_client(record, client):
-            return
+            return False
         try:
-            contribute()
+            command()
         except NetworkError:
             record.outcomes[user_id] = OUTCOME_UNREACHABLE
+            return False
+        except EnclaveError:
+            return False
+        return True
 
     def _trim_partitioned(
         self,
@@ -1571,28 +1535,20 @@ class RoundEngine:
         if controller.observe(self.network.clock.now_ms() - started_ms):
             record.stragglers += 1
 
-    def _hedge_provision(self, record: _RoundRecord, provision) -> bool:
-        """One hedged provision re-delivery before writing the slot off.
+    def _hedge(self, record: _RoundRecord, command):
+        """One hedged re-delivery of a bound command before writing the slot off.
 
         The re-issued command starts its attempt numbering past
         ``max_attempts``, so the client endpoint sees an unambiguous
         retransmission and answers from its idempotency cache if the
         original actually executed — pure re-delivery, never
-        re-execution.
+        re-execution.  Returns what the command returned (a provision's
+        ``True``, a contribute's outcome), or ``None`` if it is lost too.
         """
-        record.hedged += 1
+        record.hedged_deliveries += 1
         try:
-            provision(first_attempt=self.max_attempts + 1)
+            return command(first_attempt=self.max_attempts + 1)
         except (NetworkError, EnclaveError):
-            return False
-        return True
-
-    def _hedge_contribute(self, record: _RoundRecord, contribute) -> str | None:
-        """One hedged contribute re-delivery; outcome or ``None`` if lost."""
-        record.hedged += 1
-        try:
-            return contribute(first_attempt=self.max_attempts + 1)
-        except NetworkError:
             return None
 
     def _discard_late_reply(self, record: _RoundRecord, user_id: str) -> None:
@@ -1611,22 +1567,33 @@ class RoundEngine:
         for slot, owner in record.provisioned.items():
             if owner == user_id and self._evict_consumed_slot(record, slot):
                 record.outcomes[user_id] = OUTCOME_DEADLINE_MISSED
-                record.late_discards += 1
+                record.late_replies_discarded += 1
 
     # --------------------------------------------------------------- reports
 
     def _report_from(
         self,
         record: _RoundRecord,
-        *,
-        masks_repaired: int,
-        num_contributions: int,
-        rejected: Mapping[str, int],
-        aggregate,
-        service_result,
-        aborted: bool = False,
+        result=None,
+        masks_repaired: int = 0,
         abort_reason: str | None = None,
     ) -> RoundReport:
+        """Close the open phase and read the round's report off its record.
+
+        ``result`` is the service's audited finalize result; without one
+        the report is an abort's partial report (no aggregate), counting
+        whatever the service holds for the round right now.
+        """
+        self._close_phase(record)
+        if result is not None:
+            num_contributions, rejected = result.num_contributions, dict(result.rejected)
+        else:
+            num_contributions, rejected = 0, {}
+            try:
+                state = self.service.round_state(record.round_id)
+                num_contributions, rejected = len(state.accepted), dict(state.rejected)
+            except ProtocolError:
+                pass
         cycles: dict[str, int] = {}
         for client_id, before in record.meter_start.items():
             client = record.joined.get(client_id)
@@ -1649,54 +1616,31 @@ class RoundEngine:
             num_slots=record.num_slots,
             masks_repaired=masks_repaired,
             num_contributions=num_contributions,
-            rejected=dict(rejected),
+            rejected=rejected,
             messages_sent=self.network.messages_delivered
             + self.network.messages_dropped
             - record.messages0,
             messages_dropped=self.network.messages_dropped - record.dropped0,
-            retries=record.retries,
             bytes_on_wire=self.network.bytes_delivered - record.bytes0,
             latency_ms=self.network.clock.now_ms() - record.opened_at_ms,
-            ecalls=record.ecalls,
             enclave_cycles=cycles,
             phases=tuple(record.phases),
-            aggregate=aggregate,
-            service_result=service_result,
-            aborted=aborted,
+            aggregate=None if result is None else result.aggregate,
+            service_result=result,
+            aborted=result is None,
             abort_reason=abort_reason,
-            client_restarts=record.recoveries,
             faults_injected=faults,
             violations=self.monitor.violations_for(record.round_id),
             quarantined=tuple(record.quarantined_now),
-            late_replies_discarded=record.late_discards,
-            hedged_deliveries=record.hedged,
-            stragglers=record.stragglers,
-            partition_trimmed=record.partition_trimmed,
-            submissions_reconciled=record.reconciled,
-            batch_verifications=pk_delta["batch_verifications"],
-            batch_fallbacks=pk_delta["batch_fallbacks"],
-            handshakes_resumed=pk_delta["handshakes_resumed"],
-            membership_checks_skipped=pk_delta["membership_checks_skipped"],
-            subgroup_size=record.subgroup_size,
             subgroups_aggregated=(
                 record.subgroup_plan.num_groups
                 if record.subgroup_plan is not None
                 else 0
             ),
-            subgroup_dropout_repairs=record.subgroup_repairs,
-            submissions_streamed=record.streamed,
             route_reason=record.route.reason,
-        )
-
-    def _build_report(
-        self, record: _RoundRecord, result, masks_repaired: int
-    ) -> RoundReport:
-        self._close_phase(record)
-        return self._report_from(
-            record,
-            masks_repaired=masks_repaired,
-            num_contributions=result.num_contributions,
-            rejected=dict(result.rejected),
-            aggregate=result.aggregate,
-            service_result=result,
+            batch_verifications=pk_delta["batch_verifications"],
+            batch_fallbacks=pk_delta["batch_fallbacks"],
+            handshakes_resumed=pk_delta["handshakes_resumed"],
+            membership_checks_skipped=pk_delta["membership_checks_skipped"],
+            **{name: getattr(record, name) for name in _REPORT_COUNTERS},
         )

@@ -10,7 +10,7 @@ JSON-safe dicts so benchmark trajectories can be tracked by machines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Mapping
 
 import numpy as np
@@ -235,55 +235,21 @@ class RoundReport:
         return table
 
     def as_dict(self) -> dict[str, Any]:
-        """A JSON-serializable view (numpy arrays become lists)."""
-        aggregate = None
-        if self.aggregate is not None:
-            aggregate = [float(v) for v in np.asarray(self.aggregate).ravel()]
-        return {
-            "round_id": self.round_id,
-            "blinded": self.blinded,
-            "participants": list(self.participants),
-            "outcomes": dict(self.outcomes),
-            "survivors": list(self.survivors),
-            "dropouts": list(self.dropouts),
-            "num_slots": self.num_slots,
-            "masks_repaired": self.masks_repaired,
-            "num_contributions": self.num_contributions,
-            "validation_rejections": self.validation_rejections,
-            "rejected": dict(self.rejected),
-            "messages_sent": self.messages_sent,
-            "messages_dropped": self.messages_dropped,
-            "retries": self.retries,
-            "bytes_on_wire": self.bytes_on_wire,
-            "latency_ms": self.latency_ms,
-            "ecalls": self.ecalls,
-            "enclave_cycles": dict(self.enclave_cycles),
-            "enclave_transition_cycles": self.enclave_transition_cycles,
-            "phases": [phase.as_dict() for phase in self.phases],
-            "aggregate": aggregate,
-            "aborted": self.aborted,
-            "abort_reason": self.abort_reason,
-            "client_restarts": self.client_restarts,
-            "faults_injected": self.faults_injected,
-            "violations": [
-                violation.as_dict() for violation in self.violations
-            ],
-            "quarantined": list(self.quarantined),
-            "late_replies_discarded": self.late_replies_discarded,
-            "hedged_deliveries": self.hedged_deliveries,
-            "stragglers": self.stragglers,
-            "partition_trimmed": self.partition_trimmed,
-            "submissions_reconciled": self.submissions_reconciled,
-            "batch_verifications": self.batch_verifications,
-            "batch_fallbacks": self.batch_fallbacks,
-            "handshakes_resumed": self.handshakes_resumed,
-            "membership_checks_skipped": self.membership_checks_skipped,
-            "subgroup_size": self.subgroup_size,
-            "subgroups_aggregated": self.subgroups_aggregated,
-            "subgroup_dropout_repairs": self.subgroup_dropout_repairs,
-            "submissions_streamed": self.submissions_streamed,
-            "route_reason": self.route_reason,
+        """A JSON-serializable view: every declared field except the live
+        ``service_result``, plus the four derived views (tuples and numpy
+        arrays become lists)."""
+        view = {
+            f.name: _plain(getattr(self, f.name))
+            for f in fields(self)
+            if f.name != "service_result"
         }
+        view.update(
+            survivors=list(self.survivors),
+            dropouts=list(self.dropouts),
+            validation_rejections=self.validation_rejections,
+            enclave_transition_cycles=self.enclave_transition_cycles,
+        )
+        return view
 
     def to_dict(self) -> dict[str, Any]:
         """Alias for :meth:`as_dict` (the JSON-facing name)."""
@@ -296,61 +262,35 @@ class RoundReport:
         Derived fields (``survivors``, ``dropouts``, the cycle totals)
         are recomputed, not restored; the ``aggregate`` comes back as a
         numpy array; ``service_result`` does not round-trip (it holds a
-        live object).
+        live object).  A counter the dict lacks takes its declared
+        default.
         """
         from repro.runtime.protocol import ViolationRecord
 
-        aggregate = data.get("aggregate")
-        return cls(
-            round_id=int(data["round_id"]),
-            blinded=bool(data["blinded"]),
+        restored = {f.name: data[f.name] for f in fields(cls) if f.name in data}
+        restored.update(
             participants=tuple(data["participants"]),
-            outcomes=dict(data["outcomes"]),
-            num_slots=int(data["num_slots"]),
-            masks_repaired=int(data["masks_repaired"]),
-            num_contributions=int(data["num_contributions"]),
-            rejected={k: int(v) for k, v in data["rejected"].items()},
-            messages_sent=int(data["messages_sent"]),
-            messages_dropped=int(data["messages_dropped"]),
-            retries=int(data["retries"]),
-            bytes_on_wire=int(data["bytes_on_wire"]),
-            latency_ms=float(data["latency_ms"]),
-            ecalls=int(data["ecalls"]),
-            enclave_cycles={
-                k: int(v) for k, v in data["enclave_cycles"].items()
-            },
-            phases=tuple(
-                PhaseStats(**phase) for phase in data.get("phases", ())
-            ),
-            aggregate=None if aggregate is None else np.asarray(aggregate),
-            aborted=bool(data.get("aborted", False)),
-            abort_reason=data.get("abort_reason"),
-            client_restarts=int(data.get("client_restarts", 0)),
-            faults_injected=int(data.get("faults_injected", 0)),
+            quarantined=tuple(data.get("quarantined", ())),
+            phases=tuple(PhaseStats(**phase) for phase in data.get("phases", ())),
             violations=tuple(
                 ViolationRecord.from_dict(violation)
                 for violation in data.get("violations", ())
             ),
-            quarantined=tuple(data.get("quarantined", ())),
-            late_replies_discarded=int(data.get("late_replies_discarded", 0)),
-            hedged_deliveries=int(data.get("hedged_deliveries", 0)),
-            stragglers=int(data.get("stragglers", 0)),
-            partition_trimmed=int(data.get("partition_trimmed", 0)),
-            submissions_reconciled=int(data.get("submissions_reconciled", 0)),
-            batch_verifications=int(data.get("batch_verifications", 0)),
-            batch_fallbacks=int(data.get("batch_fallbacks", 0)),
-            handshakes_resumed=int(data.get("handshakes_resumed", 0)),
-            membership_checks_skipped=int(
-                data.get("membership_checks_skipped", 0)
-            ),
-            subgroup_size=int(data.get("subgroup_size", 0)),
-            subgroups_aggregated=int(data.get("subgroups_aggregated", 0)),
-            subgroup_dropout_repairs=int(
-                data.get("subgroup_dropout_repairs", 0)
-            ),
-            submissions_streamed=int(data.get("submissions_streamed", 0)),
-            route_reason=data.get("route_reason"),
         )
+        if restored.get("aggregate") is not None:
+            restored["aggregate"] = np.asarray(restored["aggregate"])
+        return cls(**restored)
+
+
+def _plain(value):
+    """One report field as JSON-safe data."""
+    if isinstance(value, np.ndarray):
+        return [float(v) for v in value.ravel()]
+    if isinstance(value, tuple):
+        return [_plain(item) for item in value]
+    if isinstance(value, dict):
+        return dict(value)
+    return value.as_dict() if hasattr(value, "as_dict") else value
 
 
 def meter_snapshot(meter) -> dict[str, int]:

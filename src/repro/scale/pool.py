@@ -1,19 +1,20 @@
 """The process-pool client worker layer.
 
-One worker task carries a *chunk* of clients through the per-client hot
-path — attested handshake, mask delivery, mask install, sealed
-checkpoint, Glimmer contribution, and the contribution-signature check —
-entirely inside a worker process.  Everything that must stay globally
-ordered (the blinding service's DRBG draws and session cache, the
-protocol monitor, the service's admission ledger) stays in the parent:
-the parent draws each slot's :class:`~repro.core.provisioning.DeliveryLeg`
-through the provisioner in serial slot order and ships it in the task,
-and the worker seals with :func:`~repro.core.provisioning.seal_delivery`
-— the function the provisioner itself seals with — so the delivery is
-the serial one, byte for byte.  The mutated client (enclave state, cycle
-meter, session counter) rides back in the result and is transplanted
-over the parent's instance, so downstream rounds and telemetry cannot
-tell which process did the work.
+One worker task carries a *chunk* of clients through the device step —
+the provision and sign steps of :mod:`repro.runtime.endpoints`, the very
+functions the bus handler runs — entirely inside a worker process, with
+the blinding service's leg of the exchange computed locally.
+Everything that must stay globally ordered (the blinding service's DRBG
+draws and session cache, the protocol monitor, the service's admission
+ledger) stays in the parent: the parent draws each slot's
+:class:`~repro.core.provisioning.DeliveryLeg` through the provisioner in
+serial slot order and ships it in the task, and the worker seals with
+:func:`~repro.core.provisioning.seal_delivery` — the function the
+provisioner itself seals with — so the delivery is the serial one, byte
+for byte.  The mutated client (enclave state, cycle meter, session
+counter) rides back in the result and is transplanted over the parent's
+instance, so downstream rounds and telemetry cannot tell which process
+did the work.
 
 Quote signatures are *not* verified here — the worker returns the quote
 and the parent screens it (:meth:`repro.sgx.attestation.AttestationService
@@ -31,20 +32,17 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from repro.core.client import attested_delivery
 from repro.core.glimmer import BLINDING_MASK_CONTEXT
 from repro.core.provisioning import seal_delivery
 from repro.crypto.commitments import encode_mask_payload
 from repro.errors import (
     AuthenticationError,
     ConfigurationError,
-    CryptoError,
     EnclaveError,
     MaskVerificationError,
-    ProtocolError,
-    ValidationError,
 )
-from repro.runtime.telemetry import OUTCOME_CRASHED, OUTCOME_VALIDATION_REJECTED
+from repro.runtime import messages as m
+from repro.runtime.endpoints import provision_step, sign_step
 
 
 @dataclass(frozen=True)
@@ -58,23 +56,27 @@ class WorkerContext:
     produced for the parent-drawn leg.
     """
 
-    round_id: int
     identity: Any  # SchnorrKeyPair (blinder handshake identity)
     signing_public: Any  # SchnorrPublicKey for contribution pre-verification
-    features: tuple
 
 
 @dataclass(frozen=True)
 class ClientTask:
-    """One client's slice of the round, fully self-contained."""
+    """One client's slice of the round: the commands the bus would carry.
 
-    slot: int
-    user_id: str
+    Every command in a chunk holds the *same* features tuple, so a chunk
+    pickles it once.
+    """
+
     client: Any  # the ClientDevice, pickled with its enclave state
-    values: tuple | None  # None: provision only (a collect dropout)
+    provision: m.ProvisionMask
+    contribute: m.ContributeCommand | None  # None: a collect dropout
     leg: Any  # parent-drawn DeliveryLeg (serial slot order)
     opening: Any  # this slot's MaskOpening
-    commitment: Any  # the engine-vouched MaskCommitmentRecord
+
+    @property
+    def slot(self) -> int:
+        return self.provision.party_index
 
 
 @dataclass
@@ -82,25 +84,23 @@ class ClientResult:
     """What comes back: the mutated client plus everything to merge."""
 
     slot: int
-    user_id: str
     client: Any
+    ecalls: int = 0  # charged by the device steps, as on the bus
     quote: Any = None
     glimmer_dh_public: int = 0
     delivery_key: bytes | None = None  # for the parent's session cache
-    provision_ecalls: int = 1
-    unopened: bool = False  # resumed delivery this Glimmer holds no key for
-    mask_error: str | None = None
-    outcome: str | None = None
-    detail: str | None = None
+    #: Why the slot was not provisioned here: a mask that fails its
+    #: commitment, a resumed delivery this Glimmer holds no key for, or a
+    #: Glimmer that is down.  The parent handles each as the bus path does.
+    error: Exception | None = None
+    outcome: tuple[str, str | None] | None = None  # set when signing failed
     signed: Any = None
     signature_ok: bool = False
-    contribute_ecalls: int = 0
 
 
 def _run_client(context: WorkerContext, task: ClientTask) -> ClientResult:
-    """The serial per-client path, verbatim, minus the simulated wire."""
-    client = task.client
-    result = ClientResult(slot=task.slot, user_id=task.user_id, client=client)
+    """The device step with the blinding service's leg sealed locally."""
+    result = ClientResult(slot=task.slot, client=task.client)
 
     def seal(session_id: bytes, glimmer_dh_public: int, quote):
         # _deliver() after its draw; the parent's screen pass checks the quote.
@@ -116,51 +116,21 @@ def _run_client(context: WorkerContext, task: ClientTask) -> ClientResult:
         return delivery
 
     try:
-        # No session cache here, so the driver makes its single attempt.
-        attested_delivery(
-            client.handshake_request,
-            seal,
-            lambda delivery: client.install_mask(
-                context.round_id, task.slot, delivery, commitment=task.commitment
-            ),
-            BLINDING_MASK_CONTEXT,
-        )
-    except MaskVerificationError as exc:
-        result.mask_error = str(exc)
+        # No session cache here, so the delivery gets its single attempt.
+        provision_step(task.client, task.provision, seal, result)
+    except (MaskVerificationError, AuthenticationError, EnclaveError) as exc:
+        if isinstance(exc, AuthenticationError) and task.leg.resumed is None:
+            raise  # only a *resumed* delivery may be one a restart orphaned
+        result.error = exc
         return result
-    except AuthenticationError:
-        if task.leg.resumed is None:
-            raise
-        result.unopened = True
+    if task.contribute is None:
         return result
-    result.provision_ecalls = 2
-    client.checkpoint_round(context.round_id)
-    if task.values is None:
-        return result
-    result.contribute_ecalls = 1  # charged even on rejection, as serial does
-    try:
-        signed = client.contribute(
-            context.round_id,
-            list(task.values),
-            list(context.features),
-            blind=True,
-            claims={},
-            context_fields=(),
-        )
-    except ValidationError as exc:
-        result.outcome = OUTCOME_VALIDATION_REJECTED
-        result.detail = str(exc)
-        return result
-    except (EnclaveError, CryptoError, ProtocolError) as exc:
-        result.outcome = OUTCOME_CRASHED
-        result.detail = str(exc)
-        return result
-    result.signed = signed
-    if context.signing_public is not None:
+    result.signed, result.outcome = sign_step(task.client, task.contribute, result)
+    if result.signed is not None and context.signing_public is not None:
         try:
             result.signature_ok = bool(
                 context.signing_public.is_valid(
-                    signed.signed_bytes(), signed.signature
+                    result.signed.signed_bytes(), result.signed.signature
                 )
             )
         except Exception:

@@ -16,9 +16,17 @@ the parent, in serial slot order —
   in ascending order regardless of which worker finished first;
 * finalize is the engine's own :meth:`finalize_round`, which for a pool
   plan swaps the service's flat ring sum for a :class:`ShardedRingReducer`
-  and feeds the sum-zero audit the merged per-shard partial point
-  products — both associative folds, so the aggregate and the audit
-  verdict are the same integers the serial path computes.
+  — an associative fold, so the aggregate is the same integers the
+  serial path computes.
+
+What a device does is not this module's to decide: workers run the
+provision and sign steps of :mod:`repro.runtime.endpoints`, the merge
+runs its submit step with :meth:`ServiceEndpoint.admit` plugged in, and
+a slot a worker could not serve (a Glimmer that is down, or holds no key
+for a resumed delivery, or crashed while signing) is recovered on the
+bus by the engine's own ``_recover``.  A worker *process* that dies
+breaks the executor: the round aborts (benign, no offender), the pool is
+dropped, and the next round forks a fresh one — never a silent rerun.
 
 Eligibility is deliberately narrow: any fault injector, network
 adversary, deadline, claim, plaintext round, or subclassed participant
@@ -32,22 +40,20 @@ from __future__ import annotations
 from functools import partial
 from typing import Mapping, Sequence
 
+from concurrent.futures import BrokenExecutor
+
 from repro.core.client import ClientDevice
 from repro.core.glimmer import BLINDING_MASK_CONTEXT
 from repro.core.provisioning import BlinderProvisioner, _verify_bound_quote
 from repro.core.service import CloudService
-from repro.errors import ProtocolViolation
-from repro.runtime.endpoints import ClientEndpoint
+from repro.errors import EnclaveError, MaskVerificationError, ProtocolViolation
+from repro.runtime import messages as m
+from repro.runtime.endpoints import ClientEndpoint, submit_step
 from repro.runtime.messages import client_endpoint
-from repro.runtime.telemetry import (
-    OUTCOME_ACCEPTED,
-    OUTCOME_CRASHED,
-    OUTCOME_DROPOUT,
-    OUTCOME_SERVICE_REJECTED,
-)
+from repro.runtime.telemetry import OUTCOME_CRASHED, OUTCOME_DROPOUT
 from repro.scale.config import RoutePlan, ScaleConfig
 from repro.scale.pool import ClientTask, WorkerContext
-from repro.scale.shard import shard_of
+from repro.scale.shard import plan_shards
 
 
 def plan_route(
@@ -163,7 +169,7 @@ def run_parallel_round(
 
     # ------------------------------------------------ provision: pre-draw
     engine._start_phase(record, "provision")
-    tasks: list[ClientTask] = []
+    tasks: dict[int, ClientTask] = {}
     for index, user_id in enumerate(participants):
         if user_id in quarantined:
             continue
@@ -172,54 +178,64 @@ def run_parallel_round(
             continue
         client = engine.clients[user_id]
         engine.note_client_join(record, client)
-        leg = provisioner._draw_leg(
-            client.platform.platform_id, BLINDING_MASK_CONTEXT
-        )
-        opening = provisioner.mask_opening(round_id, index)
-        commitment = record.commitments.record_for(index)
-        contribute = user_id not in collect_dropouts
-        tasks.append(
-            ClientTask(
-                slot=index,
-                user_id=user_id,
-                client=client,
-                values=(
-                    tuple(float(v) for v in values_by_user[user_id])
-                    if contribute
-                    else None
-                ),
-                leg=leg,
-                opening=opening,
-                commitment=commitment,
-            )
+        tasks[index] = ClientTask(
+            client=client,
+            provision=m.ProvisionMask(
+                round_id, index, record.commitments.record_for(index)
+            ),
+            contribute=(
+                None
+                if user_id in collect_dropouts
+                else m.ContributeCommand(
+                    round_id,
+                    tuple(float(v) for v in values_by_user[user_id]),
+                    features,
+                )
+            ),
+            leg=provisioner._draw_leg(
+                client.platform.platform_id, BLINDING_MASK_CONTEXT
+            ),
+            opening=provisioner.mask_opening(round_id, index),
         )
 
     # ------------------------------------------------------- dispatch
-    shards = record.route.shards
     chunk_size = engine.parallelism.chunk_size
-    shard_groups: list[list[ClientTask]] = [[] for _ in range(shards)]
-    for task in tasks:
-        shard_groups[shard_of(round_id, task.user_id, shards)].append(task)
     chunks: list[list[ClientTask]] = []
-    for group in shard_groups:
+    for shard in plan_shards(round_id, participants, record.route.shards):
+        group = [tasks[slot] for slot in shard if slot in tasks]
         for start in range(0, len(group), chunk_size):
             chunks.append(group[start : start + chunk_size])
     context = WorkerContext(
-        round_id=round_id,
-        identity=provisioner.identity,
-        signing_public=engine.signing_public,
-        features=features,
+        identity=provisioner.identity, signing_public=engine.signing_public
     )
-    dispatched = engine.scale_pool().map_chunks(context, chunks) if chunks else ()
+    try:
+        dispatched = engine.scale_pool().map_chunks(context, chunks) if chunks else ()
+    except BrokenExecutor as exc:
+        # A worker died under the round (OOM kill, signal), which takes the
+        # whole executor with it: drop the pool so the next round forks a
+        # fresh one, and abort — the parent's clients are untouched, but
+        # the blinder's draws are spent, so the round cannot be rerun.
+        engine.close_scale_pool()
+        raise engine._abort(record, f"the worker pool broke under the round: {exc}")
     results = {result.slot: result for chunk in dispatched for result in chunk}
 
     # -------------------------------------------- provision: merge (slot order)
     expected = provisioner.registry.approved_measurement(provisioner.glimmer_name)
-    for task in tasks:
-        result = results[task.slot]
-        live = engine.clients[task.user_id]
+    for slot, task in tasks.items():
+        result = results[slot]
+        user_id = task.client.client_id
+        live = engine.clients[user_id]
         _transplant(live, result.client)
-        record.joined[task.user_id] = live
+        record.joined[user_id] = live
+        record.ecalls += result.ecalls
+        provision = partial(engine.provision_mask, user_id, round_id, slot)
+        if isinstance(result.error, EnclaveError):
+            # This Glimmer was down when the round reached it: restart it
+            # from sealed state and run the slot on the bus, as the bus
+            # path does for a device that dies mid-provision.
+            if not engine._recover(record, user_id, provision):
+                record.outcomes[user_id] = OUTCOME_CRASHED
+            continue
         # The quote was minted inside our own worker fork, so it is
         # screened rather than verified.
         _verify_bound_quote(
@@ -229,13 +245,12 @@ def run_parallel_round(
             result.glimmer_dh_public,
             screen=True,
         )
-        record.ecalls += result.provision_ecalls
-        if result.mask_error is not None:
-            raise engine._abort_on_bad_mask(record, result.mask_error)
-        if result.unopened:
+        if isinstance(result.error, MaskVerificationError):
+            raise engine._abort_on_bad_mask(record, str(result.error))
+        if result.error is not None:
             # This Glimmer restarted since its session was established: the
             # slot runs on the bus, where the driver evicts and re-establishes.
-            engine.provision_mask(task.user_id, round_id, task.slot)
+            provision()
             continue
         provisioner._keep_leg(
             live.platform.platform_id,
@@ -243,51 +258,48 @@ def run_parallel_round(
             task.leg,
             result.delivery_key,
         )
-        record.provisioned[task.slot] = task.user_id
+        record.provisioned[slot] = user_id
 
     # ---------------------------------------------- collect: merge (slot order)
     engine._start_phase(record, "collect")
-    for task in tasks:
-        user_id = task.user_id
-        if task.values is None:
-            record.outcomes[user_id] = OUTCOME_DROPOUT
-            continue
-        result = results[task.slot]
-        if result.unopened:
-            engine.contribute(user_id, round_id, values_by_user[user_id], features)
-            continue
-        record.ecalls += result.contribute_ecalls
-        if result.outcome == OUTCOME_CRASHED:
-            record.outcomes[user_id] = OUTCOME_CRASHED
-            engine._recover_and_retry_contribute(
-                record,
-                user_id,
-                partial(
-                    engine.contribute, user_id, round_id, values_by_user[user_id], features
-                ),
-            )
-            continue
-        if result.outcome is not None:  # validation-rejected in the worker
-            record.outcomes[user_id] = result.outcome
-            continue
-        # Every accepted signature is verified exactly once — here in the
-        # worker (``verified``) or by the service — so the finalize audit
-        # of a pool round does not re-verify them serially.
+
+    def admit(slot: int, result) -> bool:
+        # Every accepted signature is verified exactly once — in the worker
+        # (``verified``) or by the service — so the finalize audit of a
+        # pool round does not re-verify them serially.
         try:
             accepted = engine._service_endpoint.admit(
                 round_id,
-                client_endpoint(user_id),
-                task.slot,
+                client_endpoint(result.client.client_id),
+                slot,
                 result.signed,
                 verified=result.signature_ok,
             )
         except ProtocolViolation:
             # Recorded by the monitor; to the sender it is a rejection,
             # exactly as submit_signed treats it.
-            accepted = False
+            return False
         if accepted:
-            engine._note_slot_consumed(record, task.slot, result.signed)
-            engine.clients[user_id].discard_checkpoint(round_id)
-            record.outcomes[user_id] = OUTCOME_ACCEPTED
+            engine._note_slot_consumed(record, slot, result.signed)
+        return accepted
+
+    for slot, task in tasks.items():
+        user_id = task.client.client_id
+        if task.contribute is None:
+            record.outcomes[user_id] = OUTCOME_DROPOUT
+            continue
+        if record.outcomes.get(user_id) == OUTCOME_CRASHED:
+            continue  # could not be restarted for provisioning
+        result = results[slot]
+        contribute = partial(
+            engine.contribute, user_id, round_id, values_by_user[user_id], features
+        )
+        if result.error is not None:
+            outcome = contribute()  # provisioned on the bus, so it collects there
         else:
-            record.outcomes[user_id] = OUTCOME_SERVICE_REJECTED
+            outcome, _detail = result.outcome or submit_step(
+                engine.clients[user_id], round_id, partial(admit, slot, result)
+            )
+            record.outcomes[user_id] = outcome
+        if outcome == OUTCOME_CRASHED:
+            engine._recover(record, user_id, contribute)

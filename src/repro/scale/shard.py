@@ -1,15 +1,13 @@
-"""Deterministic cohort sharding and bit-exact partial reducers.
+"""Deterministic cohort sharding and the bit-exact sharded ring sum.
 
 Participants are hash-partitioned into ``K`` cohort shards with sha256
 (never Python's seeded ``hash``), so the assignment is stable across
-processes, interpreters, and ``PYTHONHASHSEED`` values.  Each shard
-computes *partials* — a partial ring sum over its stacked rows, partial
-limb-column sums, a partial product of its Pedersen commitment points —
-and a root reducer merges them.  Every merge is an associative,
-commutative fold (``uint64`` addition mod ``2^64``, integer addition,
-modular multiplication), so the merged result is the *same integer* the
-flat serial computation produces: sharding is a topology choice, never a
-numerical one.
+processes, interpreters, and ``PYTHONHASHSEED`` values; the pool groups
+its worker dispatch by that partition.  :class:`ShardedRingReducer`
+folds a blinded matrix as per-block partial ring sums merged at a root —
+an associative, commutative fold (``uint64`` addition mod ``2^64``), so
+the merged result is the *same integer* the flat serial sum produces:
+sharding is a topology choice, never a numerical one.
 """
 
 from __future__ import annotations
@@ -55,28 +53,6 @@ def plan_shards(
     return tuple(tuple(group) for group in groups)
 
 
-# ----------------------------------------------------------- ring partials
-
-
-def partial_ring_sums(
-    matrix: np.ndarray, groups: Sequence[Sequence[int]], modulus_bits: int
-) -> np.ndarray:
-    """One partial ring sum per row group (empty groups sum to zero)."""
-    rows = kernels.as_ring_rows(matrix, modulus_bits)
-    partials = np.zeros((len(groups), rows.shape[1]), dtype=kernels.U64)
-    for index, group in enumerate(groups):
-        if group:
-            partials[index] = kernels.ring_sum_rows(
-                rows[np.asarray(group, dtype=np.intp)], modulus_bits
-            )
-    return partials
-
-
-def merge_ring_partials(partials: np.ndarray, modulus_bits: int) -> np.ndarray:
-    """Root reduce: ring-sum the per-shard partial rows."""
-    return kernels.ring_sum_rows(partials, modulus_bits)
-
-
 class ShardedRingReducer:
     """A ``callable(matrix, modulus_bits) -> row`` that sums via shard partials.
 
@@ -102,64 +78,4 @@ class ShardedRingReducer:
         partials = np.stack(
             [kernels.ring_sum_rows(block, modulus_bits) for block in blocks]
         )
-        return merge_ring_partials(partials, modulus_bits)
-
-
-# ------------------------------------------------------ limb-column partials
-
-
-def partial_limb_column_sums(
-    matrix: np.ndarray,
-    groups: Sequence[Sequence[int]],
-    num_limbs: int,
-    limb_bits: int = 16,
-) -> list[np.ndarray]:
-    """Per-shard partial limb-column sums (empty shards contribute zeros)."""
-    rows = kernels.as_ring_rows(matrix)
-    partials = []
-    for group in groups:
-        if group:
-            partials.append(
-                kernels.limb_column_sums(
-                    rows[np.asarray(group, dtype=np.intp)], num_limbs, limb_bits
-                )
-            )
-        else:
-            partials.append(
-                np.zeros((num_limbs, rows.shape[1]), dtype=kernels.U64)
-            )
-    return partials
-
-
-def merge_limb_partials(partials: Sequence[np.ndarray]) -> np.ndarray:
-    """Root reduce: integer-sum the per-shard limb-column partials.
-
-    Each partial entry is bounded by ``rows_in_shard · 2^limb_bits`` and
-    the merged entry by ``total_rows · 2^limb_bits`` — far inside
-    ``uint64`` for every supported cohort size, so the sum is exact.
-    """
-    return np.sum(np.stack(list(partials)), axis=0, dtype=kernels.U64)
-
-
-# ------------------------------------------------------- sum-zero partials
-
-
-def partial_point_products(
-    points: Sequence[int], groups: Sequence[Sequence[int]], prime: int
-) -> tuple[int, ...]:
-    """Per-shard partial products of Pedersen commitment points mod ``p``."""
-    partials = []
-    for group in groups:
-        product = 1
-        for slot in group:
-            product = (product * int(points[slot])) % prime
-        partials.append(product)
-    return tuple(partials)
-
-
-def merge_point_partials(partials: Sequence[int], prime: int) -> int:
-    """Root reduce: multiply the per-shard partial products mod ``p``."""
-    product = 1
-    for partial in partials:
-        product = (product * int(partial)) % prime
-    return product
+        return kernels.ring_sum_rows(partials, modulus_bits)

@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.perf import kernels
-from repro.scale.shard import merge_ring_partials
 from repro.scale.subgroup import SubgroupPlan
 
 
@@ -103,7 +102,7 @@ class StreamingSubgroupAccumulator:
         partials = self.partials()
         if reducer is not None:
             return reducer(partials, self.modulus_bits)
-        return merge_ring_partials(partials, self.modulus_bits)
+        return kernels.ring_sum_rows(partials, self.modulus_bits)
 
     def groups_touched(self) -> int:
         return int(np.count_nonzero(self.group_counts))

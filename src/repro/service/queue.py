@@ -316,13 +316,6 @@ class SubmissionQueue:
             entry["state"] = STATE_APPLIED
             self._store(entry)
 
-    def mark_rejected(self, submission_ids: Sequence[str], reason: str) -> None:
-        for submission_id in submission_ids:
-            entry = self._entry(submission_id)
-            entry["state"] = STATE_REJECTED
-            entry["reason"] = str(reason)
-            self._store(entry)
-
     def assigned(self) -> list[dict]:
         """Every submission currently assigned to some round."""
         return [dict(entry) for entry in self._entries_in(STATE_ASSIGNED)]

@@ -226,8 +226,7 @@ class SessionBroker:
 
         Derived from the broker's ticket secret and the ticket identity,
         so only the broker and the ticket holder (who received the key at
-        establishment) can compute it.  Callers feed it straight to
-        :class:`repro.network.channel.SecureChannel`.
+        establishment) can compute it.
         """
         return hkdf(
             self._mac_key + ticket.body(), "session-resume-key", length=32

@@ -109,7 +109,7 @@ def test_restart_client_recovers_crashed_client(deployment):
     assert client.crashed
     assert engine._restart_client(record, client) is True
     assert not client.crashed
-    assert record.recoveries == 1
+    assert record.client_restarts == 1
     engine.abandon_round(1)
 
 
@@ -125,7 +125,7 @@ def test_restart_client_without_restart_support_fails_closed(deployment):
             raise RuntimeError("sealed state corrupt")
 
     assert engine._restart_client(record, Exploding()) is False
-    assert record.recoveries == 0
+    assert record.client_restarts == 0
     engine.abandon_round(1)
 
 

@@ -20,7 +20,11 @@ from repro.errors import RoundAbortedError
 from repro.experiments.common import Deployment
 from repro.faults import FaultInjector, FaultPlan
 from repro.invariants import exact_mean
-from repro.runtime.telemetry import OUTCOME_ACCEPTED
+from repro.runtime.telemetry import (
+    OUTCOME_ACCEPTED,
+    OUTCOME_DROPOUT,
+    OUTCOME_VALIDATION_REJECTED,
+)
 from repro.scale import ScaleConfig
 from repro.service.async_engine import AsyncRoundEngine
 
@@ -40,20 +44,25 @@ def _build(
     )
 
 
-def _run(deployment, round_id=1, **round_kwargs):
+def _run(deployment, round_id=1, vectors=None, **round_kwargs):
     users = [u.user_id for u in deployment.corpus.users]
-    vectors = deployment.local_vectors()
+    vectors = vectors or deployment.local_vectors()
     with deployment.engine as engine:
         return engine.run_round(
             round_id, users, vectors, deployment.features.bigrams, **round_kwargs
         )
 
 
-def _assert_bit_exact(serial, parallel):
+def _assert_bit_exact(serial, parallel, *, copy_cycles=True):
     assert np.array_equal(serial.aggregate, parallel.aggregate)
     assert serial.outcomes == parallel.outcomes
     assert serial.ecalls == parallel.ecalls
-    assert serial.enclave_cycles == parallel.enclave_cycles
+    skipped = () if copy_cycles else ("boundary-copies",)
+    s_cycles, p_cycles = (
+        {bucket: n for bucket, n in report.enclave_cycles.items() if bucket not in skipped}
+        for report in (serial, parallel)
+    )
+    assert s_cycles == p_cycles
     assert serial.masks_repaired == parallel.masks_repaired
     assert serial.num_contributions == parallel.num_contributions
     assert serial.rejected == parallel.rejected
@@ -223,6 +232,70 @@ def test_async_driven_pool_round_reaches_the_event_loop():
         )
     assert driver.stages_driven >= 3
     _assert_bit_exact(sync_driven, async_driven)
+
+
+# ------------------------------------------------------- the one device step
+#
+# The rules below live once, in ``repro.runtime.endpoints``; the pool
+# worker and the parent's merge call the same functions the bus handler
+# does, so both paths must book them identically — ecalls and enclave
+# cycles included (``_assert_bit_exact``).
+
+
+def test_out_of_range_vector_is_validation_rejected_on_both_paths():
+    """The 538 attack through ``values_by_user``: a stock device's Glimmer
+    refuses to sign it, the ecall is charged anyway, the slot is repaired."""
+
+    def run_poisoned(deployment):
+        vectors = dict(deployment.local_vectors())
+        attacker = deployment.corpus.users[2].user_id
+        vectors[attacker] = [538.0] + [0.0] * (len(deployment.features) - 1)
+        return attacker, _run(deployment, vectors=vectors)
+
+    attacker, serial = run_poisoned(_build())
+    _, parallel = run_poisoned(_build(workers=2, shards=2))
+    _assert_bit_exact(serial, parallel)
+    assert parallel.outcomes[attacker] == OUTCOME_VALIDATION_REJECTED
+    assert parallel.validation_rejections == 1
+    assert parallel.masks_repaired == 1
+    assert parallel.num_contributions == len(parallel.participants) - 1
+
+
+def test_collect_dropout_and_provision_only_task_share_a_chunk():
+    """One shard, one chunk: tasks that only provision (collect dropouts)
+    ride beside tasks that also sign, and a silent dropout gets no task."""
+    users = [u.user_id for u in _build().corpus.users]
+    kwargs = dict(dropouts=(users[0],), collect_dropouts=(users[3], users[5]))
+    serial = _run(_build(), **kwargs)
+    parallel = _run(_build(workers=2, shards=1, chunk_size=32), **kwargs)
+    _assert_bit_exact(serial, parallel)
+    assert parallel.masks_repaired == 3
+    assert [parallel.outcomes[u] for u in (users[0], users[3], users[5])] == [
+        OUTCOME_DROPOUT
+    ] * 3
+
+
+def test_glimmer_down_at_round_start_is_restarted_on_the_pool_as_on_the_bus():
+    """A device whose Glimmer is down when the round reaches it is
+    restarted from sealed state and counted — the provision-time
+    recover-and-retry the bus path has, not a raw ``EnclaveError``."""
+
+    def run_with_a_dead_glimmer(deployment):
+        victim = deployment.corpus.users[2].user_id
+        deployment.clients[victim].crash()
+        return _run(deployment)
+
+    serial = run_with_a_dead_glimmer(_build(num_users=6))
+    parallel = run_with_a_dead_glimmer(_build(workers=2, shards=2, num_users=6))
+    # The slot is recovered over the bus, so the blinder draws it a second
+    # delivery leg: same mask, other ciphertext bytes — the copy cost of
+    # that one delivery is all that may differ from the serial twin.
+    _assert_bit_exact(serial, parallel, copy_cycles=False)
+    assert serial.client_restarts == parallel.client_restarts == 1
+    assert parallel.num_contributions == 6
+    assert set(parallel.outcomes.values()) == {OUTCOME_ACCEPTED}
+    # Only the restarted slot went over the bus.
+    assert parallel.messages_sent < serial.messages_sent
 
 
 # ------------------------------------------------- pool x session resumption

@@ -15,14 +15,6 @@ from repro.crypto.drbg import HmacDrbg
 from repro.errors import ConfigurationError
 from repro.perf import kernels
 from repro.scale import ScaleConfig, ShardedRingReducer, plan_shards, shard_of
-from repro.scale.shard import (
-    merge_limb_partials,
-    merge_point_partials,
-    merge_ring_partials,
-    partial_limb_column_sums,
-    partial_point_products,
-    partial_ring_sums,
-)
 
 
 def _matrix(rows: int, length: int, seed: bytes = b"shard-matrix") -> np.ndarray:
@@ -92,16 +84,6 @@ def test_sharded_ring_reducer_rejects_zero_shards():
         ShardedRingReducer(0)
 
 
-def test_partial_ring_sums_merge_matches_flat_for_any_partition():
-    matrix = _matrix(9, 21)
-    groups = [(0, 4, 8), (2,), (), (1, 3, 5, 6, 7)]
-    partials = partial_ring_sums(matrix, groups, 64)
-    assert partials.shape == (4, 21)
-    assert np.array_equal(partials[2], np.zeros(21, dtype=kernels.U64))
-    merged = merge_ring_partials(partials, 64)
-    assert np.array_equal(merged, kernels.ring_sum_rows(matrix, 64))
-
-
 # ----------------------------------------------------- limb-column partials
 
 
@@ -114,30 +96,6 @@ def test_limb_column_sums_kernel_matches_manual():
             axis=0, dtype=np.uint64
         )
         assert np.array_equal(sums[limb], expected)
-
-
-def test_partial_limb_sums_merge_matches_flat():
-    matrix = _matrix(8, 13)
-    groups = [(1, 2, 3), (0, 7), (4, 5, 6), ()]
-    partials = partial_limb_column_sums(matrix, groups, 4, 16)
-    merged = merge_limb_partials(partials)
-    assert np.array_equal(merged, kernels.limb_column_sums(matrix, 4, 16))
-
-
-# ------------------------------------------------------- sum-zero partials
-
-
-def test_partial_point_products_merge_matches_flat():
-    prime = 2_147_483_647
-    rng = HmacDrbg(b"points")
-    points = [int.from_bytes(rng.generate(8), "big") % prime for _ in range(12)]
-    groups = [(0, 3, 6, 9), (1, 4, 7, 10), (2, 5, 8, 11), ()]
-    partials = partial_point_products(points, groups, prime)
-    merged = merge_point_partials(partials, prime)
-    flat = 1
-    for point in points:
-        flat = (flat * point) % prime
-    assert merged == flat
 
 
 # ------------------------------------------------------------------ config
