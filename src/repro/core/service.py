@@ -23,7 +23,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.signing import SignedContribution
-from repro.crypto import group_ops
 from repro.crypto.fixedpoint import FixedPointCodec
 from repro.crypto.schnorr import SchnorrPublicKey
 from repro.errors import ConfigurationError, ProtocolError
@@ -139,13 +138,6 @@ class CloudService:
         codec: FixedPointCodec | None = None,
     ) -> None:
         self._signing_public = signing_public
-        # The service verifies against this one long-lived key for every
-        # contribution; pre-building its fixed-base window table makes the
-        # very first verification fast instead of waiting for the
-        # auto-build use-count threshold.
-        group_ops.register_base(
-            signing_public.group.prime, signing_public.element
-        )
         self._codec = codec or FixedPointCodec()
         self._rounds: dict[int, RoundState] = {}
         self._closed: set[int] = set()

@@ -3,7 +3,10 @@
 §4.1 and §4.2 of the paper establish secure channels by binding DH handshake
 values to an attested enclave.  This module supplies the group arithmetic;
 :mod:`repro.core.glimmer` and :mod:`repro.core.confidential` build the
-authenticated handshakes on top.
+authenticated handshakes on top.  Both shipped groups are safe-prime
+groups, which is what lets :meth:`DHGroup.is_valid_element` decide
+subgroup membership by Euler's criterion through the Jacobi symbol
+instead of a full-width exponentiation.
 
 Two groups ship by default:
 
@@ -53,8 +56,10 @@ class DHGroup:
         """``base^exponent mod p`` — through a fixed-base table when hot.
 
         Bit-exact with ``pow`` on every input (tables only change how the
-        product is computed); hot bases like the subgroup generator and
-        long-lived public keys earn precomputed tables automatically.
+        product is computed); bases raised to many non-negative exponents,
+        like the subgroup generator, earn precomputed tables
+        automatically.  A negative exponent is the inverse's power
+        (``pow`` semantics) and never touches the tables.
         """
         return group_ops.fixed_power(self.prime, base, exponent)
 
@@ -81,16 +86,20 @@ class DHGroup:
         """Subgroup-membership check: rejects 0, 1, p-1, and non-residues.
 
         Skipping this check enables small-subgroup confinement attacks, so
-        channel code calls it on every received handshake value.  Elements
-        that already passed are memoized (True results only — see
+        channel code calls it on every received handshake value.  For a
+        safe prime ``x^q ≡ (x|p)`` (Euler's criterion), so the predicate
+        ``x^q == 1`` is decided by the Jacobi symbol — the same answer on
+        every input at a tenth of the exponentiation's cost.  Anything
+        that is not an ``int`` is not an element.  Elements that already
+        passed are memoized (True results only — see
         :func:`repro.crypto.group_ops.is_known_member` — so a cache hit
         can never admit an element the full check would reject).
         """
-        if not 1 < element < self.prime - 1:
+        if type(element) is not int or not 1 < element < self.prime - 1:
             return False
         if group_ops.is_known_member(self.prime, element):
             return True
-        if pow(element, self.subgroup_order, self.prime) != 1:
+        if group_ops.jacobi(element, self.prime) != 1:
             return False
         group_ops.remember_member(self.prime, element)
         return True

@@ -9,12 +9,16 @@ in :mod:`repro.perf.reference`:
 
 * **Fixed-base windowed tables** (:class:`FixedBaseTable`,
   :func:`fixed_power`) — the subgroup generator ``h``, the Pedersen
-  second generator ``u``, and long-lived public keys are raised to fresh
-  exponents thousands of times per deployment.  Precomputing
-  ``base^(d·2^(w·i))`` once turns each exponentiation into ~128 table
-  multiplies instead of ~1150 square-and-multiply steps.  Tables build
-  lazily: any base exponentiated more than :data:`AUTO_BUILD_THRESHOLD`
-  times earns one, so hot public keys are discovered, not declared.
+  second generator ``u`` and any other base raised to *non-negative*
+  fresh exponents many times.  Precomputing ``base^(d·2^(w·i))`` once
+  turns each exponentiation into ~128 table multiplies instead of ~1150
+  square-and-multiply steps.  Tables build lazily: a base exponentiated
+  :data:`AUTO_BUILD_THRESHOLD` times earns one.  Verification keys never
+  do: a Schnorr verifier raises the key to the *negative* short
+  challenge (``y^(−e)``, :mod:`repro.crypto.schnorr`), which no table
+  can serve and ``pow`` does in ~0.35 ms — so a negative exponent goes
+  straight to ``pow`` and is not counted, and the table budget is left
+  to generators however many keys a verifier meets.
 * **Simultaneous multi-exponentiation** (:func:`multi_power`, Pippenger's
   bucket method) — verifying a whole cohort at once (batch Schnorr, batch
   Pedersen openings) needs ``Π base_i^{z_i}`` for small random ``z_i``;
@@ -26,11 +30,13 @@ in :mod:`repro.perf.reference`:
   keygen + membership check + shared-secret exponentiation again,
   mirroring the quote-resumption pattern of :mod:`repro.sgx.sessions`.
 
-The module also memoizes subgroup-membership checks (True results only —
-an element proven in the subgroup stays in the subgroup; invalid elements
-always re-run the full check) and exposes the counters the engine folds
-into :class:`~repro.runtime.telemetry.RoundReport` so cache efficacy is
-observable per round.
+The module also carries the Jacobi symbol (:func:`jacobi`) — for a safe
+prime it *is* the subgroup-membership predicate (Euler's criterion), at
+a tenth of the exponentiation's cost — memoizes membership checks (True
+results only — an element proven in the subgroup stays in the subgroup;
+invalid elements always re-run the full check) and exposes the counters
+the engine folds into :class:`~repro.runtime.telemetry.RoundReport` so
+cache efficacy is observable per round.
 
 Everything here is plain-int arithmetic: no imports from
 :mod:`repro.crypto.dh` or :mod:`repro.crypto.schnorr`, which lets those
@@ -185,10 +191,13 @@ def fixed_power(prime: int, base: int, exponent: int) -> int:
 
     Bit-exact with ``pow`` on every input: tables only change *how* the
     product is computed.  Cold bases are counted and earn a table after
-    :data:`AUTO_BUILD_THRESHOLD` uses, which is how long-lived public
-    keys (service signing key, provisioner identities) get fast without
-    any call site declaring them.
+    :data:`AUTO_BUILD_THRESHOLD` uses, without any call site declaring
+    them.  A negative exponent (a verifier's key term ``y^(−e)``) is
+    ``pow``'s inverse-then-ladder and is not counted: a table cannot
+    serve it, so it must not earn one.
     """
+    if exponent < 0:
+        return pow(base, exponent, prime)
     key = (prime, base)
     table = _TABLES.get(key)
     if table is not None:
@@ -266,21 +275,24 @@ def jacobi(a: int, n: int) -> int:
     """The Jacobi symbol ``(a|n)`` for odd ``n`` (standard binary algorithm).
 
     For a safe prime ``p = 2q+1`` the order-``q`` subgroup is exactly the
-    quadratic residues, so ``jacobi(x, p) == 1`` is a cheap (no
-    exponentiation) membership pre-filter used by the batch verifiers to
-    keep full-group forgeries out of subgroup-soundness arguments.
+    quadratic residues and ``x^q ≡ (x|p)`` (Euler's criterion), so
+    ``jacobi(x, p) == 1`` *is* the membership predicate at no
+    exponentiation: :meth:`repro.crypto.dh.DHGroup.is_valid_element` uses
+    it for every enrolment, and the batch verifiers use it to keep
+    full-group forgeries out of subgroup-soundness arguments.
     """
-    if n <= 0 or n % 2 == 0:
+    if n <= 0 or n & 1 == 0:
         raise ValueError("jacobi is defined for positive odd n")
     a %= n
     result = 1
     while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
+        # (2|n)^twos: strip every trailing zero bit in one shift.
+        twos = (a & -a).bit_length() - 1
+        a >>= twos
+        if twos & 1 and n & 7 in (3, 5):
+            result = -result
         a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
+        if a & 3 == 3 and n & 3 == 3:
             result = -result
         a %= n
     return result if n == 1 else 0
@@ -311,7 +323,7 @@ def is_known_member(prime: int, element: int) -> bool:
 
     Only ``True`` results are ever cached (:func:`remember_member`), so a
     hit can never turn an invalid element valid — invalid elements always
-    pay the full exponentiation and always fail it.
+    pay the full check and always fail it.
     """
     if (prime, element) in _MEMBERS:
         bump("membership_checks_skipped")

@@ -6,9 +6,23 @@ aggregation.  The scheme is classic Schnorr (Fiat-Shamir transformed):
 
 * keygen:  ``x ← [1, q)``, ``y = h^x mod p`` where ``h = g^2`` generates the
   order-``q`` subgroup of a safe prime ``p = 2q + 1``.
-* sign:    ``k ← [1, q)``, ``r = h^k``, ``e = H(r, y, m) mod q``,
+* sign:    ``k ← [1, q)``, ``r = h^k``, ``e = H(r, y, m) mod min(q, 2^128)``,
   ``s = (k + e·x) mod q``; signature is ``(e, s)``.
-* verify:  ``r' = h^s · y^{-e}``; accept iff ``H(r', y, m) ≡ e (mod q)``.
+* verify:  ``0 ≤ e < min(q, 2^128)``, ``0 ≤ s < q``, ``y`` in the subgroup;
+  ``r' = h^s · y^{-e}``; accept iff ``H(r', y, m) mod min(q, 2^128) = e``.
+
+The challenge is *short* (:data:`CHALLENGE_BITS`), as in Schnorr's original
+design: a forger without the key succeeds with probability ``2^-128`` per
+hash query, which is more than a 768-bit group offers against discrete
+logs, so a wider challenge buys nothing.  What it would cost is the
+verifier's time: the key term ``y^{-e}`` is a ladder over ``e``, computed
+as ``pow(y, -e, p)`` (one modular inverse plus a 128-bit ladder, ~0.35 ms
+on Oakley) where a challenge reduced mod ``q`` needs the 767-bit
+``y^{q-e}`` (~1.5 ms) or a per-key table.  So every verification key costs
+the same with no per-key state — a verifier that meets one platform key
+per user (the TEE is on the client, §3) pays for the millionth key what it
+paid for the first.  A challenge outside the range is rejected before any
+exponentiation, so nobody can make the verifier walk a wide one.
 
 Signing is *derandomized* (RFC 6979 style): the nonce ``k`` is derived from
 the secret key and message through the DRBG, so the simulator never risks
@@ -26,8 +40,17 @@ from repro.crypto.hashing import hash_items, hash_to_int
 from repro.errors import AuthenticationError, CryptoError
 
 
+#: Width of the Fiat-Shamir challenge.  Groups whose subgroup order is
+#: narrower (the 64-bit test group) keep reducing modulo ``q``.
+CHALLENGE_BITS = 128
+
+
 def _subgroup_generator(group: DHGroup) -> int:
     return group.subgroup_generator()
+
+
+def _challenge_bound(group: DHGroup) -> int:
+    return min(group.subgroup_order, 1 << CHALLENGE_BITS)
 
 
 def _int_bytes(value: int, group: DHGroup) -> bytes:
@@ -78,16 +101,18 @@ class SchnorrPublicKey:
     def verify(self, message: bytes, signature: SchnorrSignature) -> None:
         """Raise :class:`AuthenticationError` unless ``signature`` is valid."""
         group = self.group
-        q = group.subgroup_order
-        if not (0 <= signature.challenge < q and 0 <= signature.response < q):
+        if not (
+            0 <= signature.challenge < _challenge_bound(group)
+            and 0 <= signature.response < group.subgroup_order
+        ):
             raise AuthenticationError("signature components out of range")
         if not group.is_valid_element(self.element):
             raise AuthenticationError("public key is not a valid group element")
         h = _subgroup_generator(group)
-        # r' = h^s * y^(-e)  =  h^s * y^(q - e)   (y has order q)
+        # r' = h^s * y^(-e): the inverse and a ladder over the short e.
         r_prime = (
             group.power(h, signature.response)
-            * group.power(self.element, q - signature.challenge)
+            * group.power(self.element, -signature.challenge)
         ) % group.prime
         expected = _challenge(group, r_prime, self.element, message)
         if expected != signature.challenge:
@@ -119,7 +144,7 @@ def _challenge(group: DHGroup, commitment: int, public: int, message: bytes) -> 
             message,
         ],
     )
-    return hash_to_int("schnorr-challenge-int", data, group.subgroup_order)
+    return hash_to_int("schnorr-challenge-int", data, _challenge_bound(group))
 
 
 @dataclass(frozen=True)
@@ -176,8 +201,8 @@ def batch_verify(
     per-signature :meth:`SchnorrPublicKey.verify` to blame the culprit),
     and ``None`` when the batch is not batchable (fewer than two
     signatures, a signature without its nonce commitment, or a
-    commitment outside the QR subgroup) — in which case nothing was
-    checked and the caller must verify per signature.
+    commitment that is not an ``int`` inside the QR subgroup) — in which
+    case nothing was checked and the caller must verify per signature.
 
     Soundness (small-exponent / Bellare-Garay-Rabin): per signature the
     cheap hash check ``e_i == H(R_i, y, m_i)`` binds the challenge to the
@@ -199,6 +224,7 @@ def batch_verify(
         return None
     group = public.group
     q = group.subgroup_order
+    e_bound = _challenge_bound(group)
     prime = group.prime
     if not group.is_valid_element(public.element):
         return None
@@ -206,9 +232,13 @@ def batch_verify(
     commitments: list[int] = []
     for message, signature in items:
         r = signature.commitment
-        if r is None or not 1 <= r < prime or group_ops.jacobi(r, prime) != 1:
+        if (
+            type(r) is not int
+            or not 1 <= r < prime
+            or group_ops.jacobi(r, prime) != 1
+        ):
             return None
-        if not (0 <= signature.challenge < q and 0 <= signature.response < q):
+        if not (0 <= signature.challenge < e_bound and 0 <= signature.response < q):
             return None
         if _challenge(group, r, public.element, message) != signature.challenge:
             # The challenge does not even match the carried commitment;
@@ -224,11 +254,10 @@ def batch_verify(
     e_combined = 0
     for (message, signature), z in zip(items, scalars):
         s_combined = (s_combined + z * signature.response) % q
-        e_combined = (e_combined + z * signature.challenge) % q
+        e_combined += z * signature.challenge
     h = _subgroup_generator(group)
     lhs = (
-        group.power(h, s_combined)
-        * group.power(public.element, (q - e_combined) % q)
+        group.power(h, s_combined) * group.power(public.element, -e_combined)
     ) % prime
     rhs = group_ops.multi_power(prime, commitments, scalars)
     return lhs == rhs

@@ -1,11 +1,13 @@
 """Tests for Diffie-Hellman and Schnorr signatures."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto.dh import DHGroup, DHKeyPair, OAKLEY_GROUP_1, TEST_GROUP
 from repro.crypto.drbg import HmacDrbg
-from repro.crypto.schnorr import SchnorrKeyPair, SchnorrSignature
+from repro.crypto.schnorr import SchnorrKeyPair, SchnorrSignature, batch_verify
 from repro.errors import AuthenticationError, CryptoError
 
 
@@ -61,6 +63,14 @@ def test_element_validity():
     assert group.is_valid_element(group.public_element(12345))
 
 
+@pytest.mark.parametrize("group", [TEST_GROUP, OAKLEY_GROUP_1], ids=lambda g: g.name)
+@pytest.mark.parametrize("bad", [2.5, 4.0, "4", b"\x04", None, (4,)])
+def test_non_int_is_not_an_element(group, bad):
+    """Regression: a float used to reach ``pow`` and raise ``TypeError``."""
+    assert group.is_valid_element(4)
+    assert group.is_valid_element(bad) is False
+
+
 def test_group_requires_odd_prime():
     with pytest.raises(CryptoError):
         DHGroup(name="bad", prime=10)
@@ -101,6 +111,19 @@ def test_schnorr_components_out_of_range_rejected():
     bad = SchnorrSignature(challenge=q, response=1)
     with pytest.raises(AuthenticationError):
         keypair.public_key.verify(b"m", bad)
+
+
+@pytest.mark.parametrize("bad", ["garbage", b"xx", 2.5, True, (1, 2)])
+def test_batch_verify_abstains_on_non_int_commitment(bad):
+    """Regression: the docstring promises ``None`` for an unbatchable item;
+    a ``str`` commitment used to raise ``TypeError`` out of the range check."""
+    keypair = SchnorrKeyPair.generate(HmacDrbg(b"sig"), group=TEST_GROUP)
+    items = [(b"m%d" % i, keypair.sign(b"m%d" % i)) for i in range(4)]
+    assert batch_verify(keypair.public_key, items) is True
+    items[2] = (items[2][0], dataclasses.replace(items[2][1], commitment=bad))
+    assert batch_verify(keypair.public_key, items) is None
+    # the commitment is redundant metadata: (e, s) still verifies alone
+    assert keypair.public_key.is_valid(*items[2])
 
 
 def test_schnorr_deterministic_signing():

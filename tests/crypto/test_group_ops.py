@@ -70,6 +70,24 @@ def test_fixed_power_auto_builds_after_threshold():
     )
 
 
+def test_negative_exponent_is_pow_and_earns_no_table():
+    """A verifier's key term ``y^(−e)``: exact, uncounted, table-free —
+    also when the base already has a table."""
+    group = OAKLEY_GROUP_1
+    base = pow(group.subgroup_generator(), 7, group.prime)
+    key = (group.prime, base)
+    for _ in range(group_ops.AUTO_BUILD_THRESHOLD + 1):
+        assert group_ops.fixed_power(group.prime, base, -12345) == pow(
+            base, -12345, group.prime
+        )
+    assert key not in group_ops._TABLES
+    assert key not in group_ops._USE_COUNTS
+    group_ops.register_base(group.prime, base)
+    assert group_ops.fixed_power(group.prime, base, -12345) == pow(
+        base, -12345, group.prime
+    )
+
+
 # ------------------------------------------------------------- membership
 
 
@@ -102,12 +120,31 @@ def test_invalid_element_rejected_after_warm_cache():
 
 
 def test_jacobi_agrees_with_euler_criterion():
-    prime = TEST_GROUP.prime
-    for value in range(1, 50):
-        euler = pow(value, (prime - 1) // 2, prime)
-        expected = 1 if euler == 1 else -1
-        assert group_ops.jacobi(value, prime) == expected
-    assert group_ops.jacobi(0, prime) == 0
+    for group in (TEST_GROUP, OAKLEY_GROUP_1):
+        prime = group.prime
+        rng = HmacDrbg(b"jacobi-" + group.name.encode())
+        values = list(range(1, 50))
+        values += [rng.randrange(1, prime) for _ in range(40)]
+        values += [prime - 1, prime - 2, prime + 3, 1 << 40, 3 << 41, -5]
+        for value in values:
+            euler = pow(value, (prime - 1) // 2, prime)
+            expected = 1 if euler == 1 else -1
+            assert group_ops.jacobi(value, prime) == expected
+        for multiple in (0, prime, 7 * prime, -prime):
+            assert group_ops.jacobi(multiple, prime) == 0
+
+
+def test_jacobi_of_composite_modulus():
+    # (a|15) = (a|3)(a|5); a shared factor gives 0
+    assert [group_ops.jacobi(a, 15) for a in range(15)] == [
+        0, 1, 1, 0, 1, 0, 0, -1, 1, 0, 0, -1, 0, -1, -1
+    ]
+
+
+@pytest.mark.parametrize("modulus", [0, -7, 2, 10, TEST_GROUP.prime - 1])
+def test_jacobi_rejects_even_or_non_positive_modulus(modulus):
+    with pytest.raises(ValueError):
+        group_ops.jacobi(3, modulus)
 
 
 # ----------------------------------------------------------- batch scalars
