@@ -26,6 +26,7 @@ exists to survive.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import partial
 from typing import TYPE_CHECKING
 
@@ -336,6 +337,11 @@ class ClientEndpoint:
     (attested mask requests, signed submissions) goes back out over the
     same network under this endpoint's name, so eavesdroppers see exactly
     what a real on-path attacker would.
+
+    The host keeps the last feature list it received (public data, its
+    digest already checked at the wire) and puts it back into a command
+    that carries ``()`` under the same digest, so the Glimmer always gets
+    — and checks — the whole list.
     """
 
     def __init__(self, engine: "RoundEngine", client, name: str) -> None:
@@ -343,6 +349,8 @@ class ClientEndpoint:
         self.client = client
         self.name = name
         self._contribute_outcomes: dict[int, tuple[str, str | None]] = {}
+        self._features: tuple = ()
+        self._features_digest = b""
 
     def handlers(self) -> dict:
         return {
@@ -413,6 +421,11 @@ class ClientEndpoint:
             # and only its response was lost.  Re-running it would re-sign
             # (or double-submit); answer from the cache instead.
             return self._contribute_outcomes[command.round_id]
+        if command.features:
+            self._features = command.features
+            self._features_digest = command.features_digest
+        elif command.features_digest == self._features_digest:
+            command = replace(command, features=self._features)
         outcome = self._contribute(command, record)
         self._contribute_outcomes[command.round_id] = outcome
         return outcome

@@ -46,6 +46,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from repro.core.glimmer import features_digest
 from repro.crypto import group_ops
 from repro.crypto.commitments import (
     MaskCommitmentSet,
@@ -230,6 +231,9 @@ class RoundEngine:
         self._retry_rng = HmacDrbg(seed, personalization="retry-jitter")
         self.clients: dict[str, Any] = {}
         self.client_endpoints: dict[str, ClientEndpoint] = {}
+        #: client id -> digest of the feature list its host holds, set only
+        #: by an accepted bus contribution (:meth:`contribute`).
+        self._published: dict[str, bytes] = {}
         self.reports: dict[int, RoundReport] = {}
         self._rounds: dict[int, _RoundRecord] = {}
         network.register(ENGINE, {})
@@ -259,8 +263,10 @@ class RoundEngine:
         The engine keeps it, as it keeps ``_service_endpoint``:
         :func:`repro.scale.rounds.plan_route` holds a round with a
         non-stock endpoint (a Byzantine attacker's) to the serial path.
+        A new endpoint is a new host, holding no feature list yet.
         """
         client_id = endpoint.client.client_id
+        self._published.pop(client_id, None)
         if client_id in self.clients:
             for kind, handler in endpoint.handlers().items():
                 self.network.add_handler(endpoint.name, kind, handler)
@@ -618,9 +624,17 @@ class RoundEngine:
         context_fields: Sequence[str] = (),
         first_attempt: int = 1,
     ) -> str:
-        """Command a client to contribute; returns its outcome label."""
+        """Command a client to contribute; returns its outcome label.
+
+        The command carries ``()`` for the feature list only to a device
+        whose last contribution under the same digest was accepted — its
+        host kept the list — and the full list to every other (see
+        :class:`~repro.runtime.messages.ContributeCommand`).
+        """
         record = self.round_record(round_id)
         record.note_participant(client_id)
+        digest = features_digest(features)
+        held = self._published.pop(client_id, None) == digest
         outcome, _detail = self.call_with_retry(
             record,
             ENGINE,
@@ -629,7 +643,8 @@ class RoundEngine:
             m.ContributeCommand(
                 round_id=round_id,
                 values=tuple(float(v) for v in values),
-                features=tuple(features),
+                features=() if held else tuple(features),
+                features_digest=digest,
                 blind=blind,
                 claims=tuple(sorted((claims or {}).items())),
                 context_fields=tuple(context_fields),
@@ -637,6 +652,8 @@ class RoundEngine:
             first_attempt=first_attempt,
         )
         record.outcomes[client_id] = outcome
+        if outcome == OUTCOME_ACCEPTED:
+            self._published[client_id] = digest
         return outcome
 
     def submit_signed(

@@ -101,11 +101,23 @@ class MaskRequest:
 
 @dataclass(frozen=True)
 class ContributeCommand:
-    """Command a client to train-endorse-submit for a round."""
+    """Command a client to train-endorse-submit for a round.
+
+    ``features_digest`` names the service-published feature list
+    (:func:`repro.core.glimmer.features_digest`, the value vetted into
+    every Glimmer's measured config).  ``features`` carries the list
+    itself only on its first trip to a device host: once a device's last
+    contribution under this digest was accepted, the engine sends ``()``
+    and the host's :class:`~repro.runtime.endpoints.ClientEndpoint` puts
+    back the list it kept.  A device whose round ended any other way gets
+    the full list again, so a list stripped or swapped in transit costs
+    that device one round, never more.
+    """
 
     round_id: int
     values: tuple
     features: tuple
+    features_digest: bytes
     blind: bool = True
     claims: tuple = ()  # (key, value) pairs, immutable like the rest
     context_fields: tuple = ()

@@ -18,6 +18,7 @@ from typing import Any, Callable
 
 import numpy as np
 
+from repro.core.glimmer import features_digest
 from repro.core.signing import SignedContribution
 from repro.crypto.schnorr import SchnorrSignature
 from repro.errors import ProtocolViolation
@@ -29,6 +30,7 @@ MAX_PARTIES = 1_000_000
 MAX_VECTOR_LENGTH = 10_000_000
 RING_MODULUS = 1 << 64
 NONCE_BYTES = 16
+DIGEST_BYTES = 32
 
 
 def _fail(sender: str, round_id: int | None, detail: str) -> ProtocolViolation:
@@ -193,6 +195,22 @@ def _validate_mask_request(sender: str, payload: Any) -> None:
         raise _fail(sender, rid, "dh_public must be a positive int")
 
 
+def _check_pairs(
+    sender: str, round_id: int, name: str, pairs: Any, *, str_values: bool
+) -> None:
+    """A capped tuple of 2-tuples with ``str`` keys (and values, if asked)."""
+    if not isinstance(pairs, tuple) or len(pairs) > MAX_VECTOR_LENGTH:
+        raise _fail(sender, round_id, f"{name} must be a tuple within the cap")
+    for pair in pairs:
+        if (
+            not isinstance(pair, tuple)
+            or len(pair) != 2
+            or not isinstance(pair[0], str)
+            or (str_values and not isinstance(pair[1], str))
+        ):
+            raise _fail(sender, round_id, f"{name} holds a malformed pair: {pair!r}")
+
+
 def _validate_contribute(sender: str, payload: Any) -> None:
     if not isinstance(payload, m.ContributeCommand):
         raise _fail(sender, None, "expected ContributeCommand payload")
@@ -200,6 +218,20 @@ def _validate_contribute(sender: str, payload: Any) -> None:
     _check_finite_floats(sender, rid, "values", payload.values)
     if len(payload.values) > MAX_VECTOR_LENGTH:
         raise _fail(sender, rid, "values exceed the vector-length cap")
+    digest = payload.features_digest
+    if not isinstance(digest, bytes) or len(digest) != DIGEST_BYTES:
+        raise _fail(sender, rid, "features_digest must be exactly 32 bytes")
+    _check_pairs(sender, rid, "features", payload.features, str_values=True)
+    # A device host keeps the list it receives: one that does not hash to
+    # the digest it travels under must never be kept.
+    if payload.features and features_digest(payload.features) != digest:
+        raise _fail(sender, rid, "features do not hash to features_digest")
+    if type(payload.blind) is not bool:
+        raise _fail(sender, rid, f"blind must be a bool: {payload.blind!r}")
+    _check_pairs(sender, rid, "claims", payload.claims, str_values=False)
+    fields = payload.context_fields
+    if not isinstance(fields, tuple) or not all(isinstance(f, str) for f in fields):
+        raise _fail(sender, rid, "context_fields must be a tuple of str")
 
 
 def _validate_submit(sender: str, payload: Any) -> None:

@@ -64,8 +64,8 @@ class WorkerContext:
 class ClientTask:
     """One client's slice of the round: the commands the bus would carry.
 
-    Every command in a chunk holds the *same* features tuple, so a chunk
-    pickles it once.
+    Every command in a chunk holds the *same* features tuple and digest,
+    so a chunk pickles them once.
     """
 
     client: Any  # the ClientDevice, pickled with its enclave state

@@ -43,7 +43,7 @@ from typing import Mapping, Sequence
 from concurrent.futures import BrokenExecutor
 
 from repro.core.client import ClientDevice
-from repro.core.glimmer import BLINDING_MASK_CONTEXT
+from repro.core.glimmer import BLINDING_MASK_CONTEXT, features_digest
 from repro.core.provisioning import BlinderProvisioner, _verify_bound_quote
 from repro.core.service import CloudService
 from repro.errors import EnclaveError, MaskVerificationError, ProtocolViolation
@@ -190,6 +190,7 @@ def run_parallel_round(
                     round_id,
                     tuple(float(v) for v in values_by_user[user_id]),
                     features,
+                    features_digest(features),
                 )
             ),
             leg=provisioner._draw_leg(

@@ -4,15 +4,21 @@
 set of types in it plus one pass over the values; these tests pin the
 accept/reject boundary element by element, including the values that
 used to escape as a bare ``OverflowError`` instead of a violation blamed
-on the sender.
+on the sender, and every field of the contribute command, checked at the
+wire so a rewrite in transit is a blamed violation end to end.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from repro.core.glimmer import features_digest
 from repro.core.signing import SignedContribution
 from repro.crypto.schnorr import SchnorrSignature
 from repro.errors import ProtocolViolation
+from repro.experiments.common import Deployment
+from repro.network.adversary import NetworkAdversary
 from repro.runtime import messages as m
 from repro.runtime.protocol import VIOLATION_MALFORMED
 from repro.runtime.wire import (
@@ -124,3 +130,114 @@ def test_unrepresentable_plain_payload_is_a_violation_not_a_crash():
             m.KIND_SUBMIT, SENDER, m.SubmitContribution(round_id=1, contribution=forged)
         )
     _assert_blamed(excinfo)
+
+
+# ------------------------------------------------------- the contribute command
+
+BIGRAMS = (("the", "cat"), ("cat", "sat"))
+
+
+def _command(**overrides):
+    fields = dict(
+        round_id=1,
+        values=(0.5, 0.25),
+        features=BIGRAMS,
+        features_digest=features_digest(BIGRAMS),
+    )
+    fields.update(overrides)
+    return m.ContributeCommand(**fields)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},
+        dict(features=()),
+        dict(features=(), features_digest=b"\x00" * 32),
+        dict(blind=False),
+        dict(claims=(("age", 30), ("region", "eu"))),
+        dict(context_fields=("typing-speed",)),
+    ],
+)
+def test_contribute_command_accepted(overrides):
+    validate_payload(m.KIND_CONTRIBUTE, SENDER, _command(**overrides))
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(features_digest=b"\x00" * 31),
+        dict(features_digest=b"\x00" * 33),
+        dict(features_digest="0" * 32),
+        dict(features_digest=None),
+        dict(features=None),
+        dict(features=7),
+        dict(features=list(BIGRAMS)),
+        dict(features=(["the", "cat"],)),
+        dict(features=(("a",),) * 3),
+        dict(features=(("the", "cat", "sat"),)),
+        dict(features=(("the", 1),)),
+        pytest.param(dict(features=BIGRAMS[:1]), id="list-misses-its-digest"),
+        dict(blind="yes"),
+        dict(blind=None),
+        dict(blind=1),
+        dict(claims=None),
+        dict(claims=(("a",),)),
+        dict(claims=((1, "x"),)),
+        dict(claims=[("a", 1)]),
+        dict(context_fields=None),
+        dict(context_fields=(1, 2)),
+        dict(context_fields=["typing-speed"]),
+    ],
+)
+def test_malformed_contribute_command_is_blamed_on_the_sender(overrides):
+    with pytest.raises(ProtocolViolation) as excinfo:
+        validate_payload(m.KIND_CONTRIBUTE, SENDER, _command(**overrides))
+    _assert_blamed(excinfo)
+
+
+class RewriteContribute(NetworkAdversary):
+    """On-path: rewrite fields of the contribute commands to one device, in
+    the rounds named (all rounds when ``rounds`` is ``None``)."""
+
+    def __init__(self, user_id: str, rounds=None, **fields) -> None:
+        self.receiver = m.client_endpoint(user_id)
+        self.rounds = rounds
+        self.fields = fields
+
+    def process(self, message):
+        if (
+            message.kind == m.KIND_CONTRIBUTE
+            and message.receiver == self.receiver
+            and (self.rounds is None or message.payload.round_id in self.rounds)
+        ):
+            return message.with_payload(replace(message.payload, **self.fields))
+        return message
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        pytest.param(dict(values=(float("nan"),) * 77), id="values-nan"),
+        pytest.param(dict(features=None), id="features-none"),
+        pytest.param(dict(features=7), id="features-int"),
+        pytest.param(dict(features=(("a",),) * 3), id="features-short-pairs"),
+        pytest.param(dict(claims=None), id="claims-none"),
+        pytest.param(dict(claims=(("a",),)), id="claims-short-pair"),
+        pytest.param(dict(context_fields=None), id="context-none"),
+        pytest.param(dict(context_fields=(1, 2)), id="context-ints"),
+        pytest.param(dict(blind="yes"), id="blind-str"),
+        pytest.param(dict(blind=None), id="blind-none"),
+    ],
+)
+def test_tampered_contribute_command_is_a_violation_end_to_end(fields):
+    """Each rewrite reaches ``run_round`` as the same blamed violation the
+    tampered ``values`` always did, never a raw ``TypeError``/``ValueError``
+    and never an unblinded signature."""
+    deployment = Deployment.build(num_users=4, seed=b"wire-tamper")
+    victim = deployment.corpus.users[1].user_id
+    deployment.network.interpose(RewriteContribute(victim, **fields))
+    with pytest.raises(ProtocolViolation) as excinfo:
+        deployment.honest_round(1)
+    assert excinfo.value.kind == VIOLATION_MALFORMED
+    assert excinfo.value.offender == m.ENGINE
