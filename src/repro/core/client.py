@@ -252,13 +252,12 @@ class ClientDevice:
         self._checkpoints.pop(round_id, None)
 
     def close_round(self, round_id: int) -> None:
-        """The round is over: purge Glimmer mask state and the checkpoint.
+        """The round is over: purge Glimmer mask state, checkpoint, slot.
 
         Best-effort — a crashed client simply has nothing to purge, and
         a purge failure must never fail the round that already closed.
-        The host-side party-index map survives (it holds no secrets and
-        stays inspectable after the round); only enclave mask state and
-        the sealed checkpoint are reclaimed.
+        Enclave mask state, the sealed checkpoint and the host-side slot
+        number all go; the device keeps nothing for a closed round.
         """
         if self.glimmer.alive:
             try:
@@ -266,6 +265,7 @@ class ClientDevice:
             except ReproError:
                 pass
         self.discard_checkpoint(round_id)
+        self._party_index_for_round.pop(round_id, None)
 
     def crash(self) -> None:
         """The untrusted OS kills the client process: enclave memory is gone.

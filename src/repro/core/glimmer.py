@@ -524,8 +524,12 @@ class GlimmerProgram(EnclaveProgram):
 
         Called when the engine closes the round; returns how many
         unconsumed masks were purged.  Keeps a long-lived Glimmer's mask
-        table bounded by its open rounds.
+        table bounded by its open rounds.  The round's blind-signing
+        counter advances too, so every checkpoint cut before the close is
+        stale: a host replaying one cannot reinstall a mask the service
+        may already have received as §3 repair.
         """
+        self.api.monotonic_counter(f"blind-signings-round-{round_id}").increment()
         return self._blinding.purge_round(round_id)
 
     # ----------------------------------------------------------- inspection

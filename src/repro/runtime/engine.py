@@ -36,7 +36,7 @@ at the next phase boundary and recovers from its sealed round state.  A
 round that still loses more participants than ``recovery_threshold``
 allows raises :class:`~repro.errors.RoundAbortedError` — with its phase
 window closed and a partial :class:`~repro.runtime.telemetry.RoundReport`
-(``aborted=True``) recorded, so telemetry survives the failure.
+(``aborted=True``) as its ``.report``, so telemetry survives the failure.
 """
 
 from __future__ import annotations
@@ -234,7 +234,6 @@ class RoundEngine:
         #: client id -> digest of the feature list its host holds, set only
         #: by an accepted bus contribution (:meth:`contribute`).
         self._published: dict[str, bytes] = {}
-        self.reports: dict[int, RoundReport] = {}
         self._rounds: dict[int, _RoundRecord] = {}
         network.register(ENGINE, {})
         self._service_endpoint = ServiceEndpoint(service, monitor=self.monitor)
@@ -825,7 +824,6 @@ class RoundEngine:
             ).accumulator.folded
         self._retire_round(record)
         report = self._report_from(record, result, len(repairs))
-        self.reports[round_id] = report
         del self._rounds[round_id]
         self.monitor.close(round_id)
         return report
@@ -931,7 +929,7 @@ class RoundEngine:
             state = self.service.round_state(record.round_id)
         except ProtocolError:
             return
-        held = {c.nonce for c in state.accepted}
+        held = set(state.counted)
         if not held:
             return
         claimed = self.monitor.accepted_slots(record.round_id)
@@ -1149,14 +1147,13 @@ class RoundEngine:
     def _abort(self, record: _RoundRecord, reason: str) -> RoundAbortedError:
         """Close the round's books and build the error for an abort.
 
-        The phase window is closed, a *partial* report (``aborted=True``,
-        no aggregate) is recorded under the round id, and the returned
-        :class:`RoundAbortedError` carries that report as ``.report``.
+        The phase window is closed and the returned
+        :class:`RoundAbortedError` carries a *partial* report
+        (``aborted=True``, no aggregate) as ``.report``.
         The record stays tracked so callers can inspect it before
         :meth:`abandon_round`.  Callers ``raise self._abort(...)``.
         """
         report = self._report_from(record, abort_reason=reason)
-        self.reports[record.round_id] = report
         self.monitor.close(record.round_id)
         error = RoundAbortedError(f"round {record.round_id}: {reason}")
         error.report = report
@@ -1220,7 +1217,7 @@ class RoundEngine:
         accepted, when survivors fall below ``recovery_threshold`` (a
         fraction of participants), or when a submission cannot be
         reconciled — in every case with phases closed and a partial
-        ``aborted=True`` report recorded in :attr:`reports`.
+        ``aborted=True`` report as the error's ``.report``.
         """
         stages = self.round_stages(
             round_id,
@@ -1608,7 +1605,7 @@ class RoundEngine:
             num_contributions, rejected = 0, {}
             try:
                 state = self.service.round_state(record.round_id)
-                num_contributions, rejected = len(state.accepted), dict(state.rejected)
+                num_contributions, rejected = len(state.counted), dict(state.rejected)
             except ProtocolError:
                 pass
         cycles: dict[str, int] = {}

@@ -1,11 +1,13 @@
-"""Memory-bounded streaming ingest: per-subgroup ring accumulators.
+"""Fold-on-admission ingest: per-subgroup ring accumulators.
 
-The flat service keeps every admitted ring vector until finalize, so a
-round's parent memory is O(n·k).  The streaming path folds each
-submission into its subgroup's running partial the moment it is
-admitted and releases the raw vector — resident state is one
-``(num_groups, length)`` uint64 matrix plus per-group counters,
-O(n/g · k), independent of how many submissions stream past.
+Every blinded round at the cloud service folds each admitted submission
+into its group's running partial the moment it passes admission — one
+``(num_groups, length)`` uint64 matrix plus per-group counters.  A flat
+round is the one-group case (``g = n``): its signed trail is kept for
+the engine's audit, and quarantine eviction takes a row back out with
+``unfold``.  A streamed round plans groups of ``g`` and releases each
+raw vector at admission, so its resident state is O(n/g · k),
+independent of how many submissions stream past.
 
 Exactness is structural: ``uint64`` addition wraps mod ``2^64``,
 ``2^modulus_bits`` divides ``2^64``, and ring addition is associative
@@ -51,15 +53,24 @@ class StreamingSubgroupAccumulator:
             raise ConfigurationError("vector length mismatch")
         return row
 
+    def _group(self, slot: int | None) -> int:
+        """The group a slot's row folds into; one group owns every slot.
+
+        A submission whose sender named no slot folds into group 0 —
+        attribution is telemetry, the total is exact either way because
+        the merge sums every group.
+        """
+        if slot is None or self.plan.num_groups == 1:
+            return 0
+        return self.plan.group_of(slot)
+
     def fold(self, values, slot: int | None = None) -> int:
         """Fold one submission into its subgroup's partial; returns the group.
 
         ``slot`` names the mask slot the submission consumes; its
-        subgroup comes from the plan.  A submission whose sender named
-        no slot folds into group 0 — attribution is telemetry, the total
-        is exact either way because the merge sums every group.
+        subgroup comes from the plan.
         """
-        group = self.plan.group_of(slot) if slot is not None else 0
+        group = self._group(slot)
         row = self._row(values)
         # Unreduced fold: uint64 wrap keeps the running value exact mod
         # 2^64; one bitmask at read time lands it in the smaller ring.
@@ -68,11 +79,22 @@ class StreamingSubgroupAccumulator:
         self.folded += 1
         return group
 
+    def unfold(self, values, slot: int | None = None) -> int:
+        """Take a folded submission back out (quarantine eviction).
+
+        Ring addition forms a group, so subtracting the row leaves the
+        partial exactly as if it had never been folded.
+        """
+        group = self._group(slot)
+        self._partials[group] -= self._row(values)
+        self.group_counts[group] -= 1
+        self.folded -= 1
+        return group
+
     def fold_repair(self, mask, slot: int | None = None) -> int:
         """Fold a §3 dropout-repair mask into the dropped slot's subgroup."""
-        group = self.plan.group_of(slot) if slot is not None else 0
-        row = self._row(mask)
-        self._partials[group] += row
+        group = self._group(slot)
+        self._partials[group] += self._row(mask)
         self.repairs_folded += 1
         return group
 

@@ -114,7 +114,6 @@ class GlimmerService:
         self.audit = AuditLog(backend)
         self.journal = RoundJournal(backend)
         self.tenants: dict[str, TenantRuntime] = {}
-        self.reports: dict[int, RoundReport] = {}
         self.round_deadline = round_deadline
         #: Tenants quarantined behind their bulkhead: name -> reason.
         self.degraded: dict[str, str] = {}
@@ -487,7 +486,6 @@ class GlimmerService:
             contributions=report.num_contributions,
             repaired=report.masks_repaired,
         )
-        self.reports[round_id] = report
         return report
 
     async def run_pending(self, *, limit: int | None = None) -> list[RoundReport]:

@@ -190,7 +190,7 @@ def _run_in_weather(deployment, spy, seed: str, index: int, user_ids):
     with pytest.raises(ProtocolError):
         deployment.engine.round_record(index + 1)
     _pardon_all(deployment)
-    return _trace(verdict)
+    return verdict
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -216,7 +216,9 @@ def test_attacker_mixes_compose_with_fault_schedules(seed):
             deployment.enable_faults(
                 FaultInjector(faults, seed=f"{seed}:{index}:faults".encode())
             )
-            traces.append(_run_in_weather(deployment, spy, seed, index, user_ids))
+            traces.append(
+                _trace(_run_in_weather(deployment, spy, seed, index, user_ids))
+            )
         replays.append(traces)
     assert replays[0] == replays[1], "composed schedules must replay exactly"
     outcomes = {trace[0] for trace in replays[0]}
@@ -251,8 +253,6 @@ def test_lossy_provisioning_is_a_verdict_not_a_transport_error():
     )
     degraded = 0
     for index in range(8):
-        _run_in_weather(deployment, spy, "byz-lossy", index, user_ids)
-        degraded += "provision-failed" in deployment.engine.reports[
-            index + 1
-        ].outcomes.values()
+        verdict = _run_in_weather(deployment, spy, "byz-lossy", index, user_ids)
+        degraded += "provision-failed" in verdict.report.outcomes.values()
     assert degraded, "the weather never bit: the test exercises nothing"

@@ -81,10 +81,11 @@ def test_collect_dropout_consumed_a_provisioned_mask(seed):
         deployment.features.bigrams,
         collect_dropouts=[silent],
     )
-    # The silent party holds a live mask for the round (it provisioned),
+    # The silent party held a live mask for the round (it provisioned),
     # yet the aggregate is exact over the others: its mask was revealed
     # and cancelled, not left to poison the sum.
-    assert deployment.clients[silent].party_index_for(1) == 1
+    assert report.outcomes[silent] == OUTCOME_DROPOUT
+    assert report.masks_repaired == 1
     survivors = [u for u in user_ids if u != silent]
     assert set(report.outcomes[u] for u in survivors) == {OUTCOME_ACCEPTED}
     assert np.array_equal(

@@ -75,6 +75,9 @@ def _resident(deployment) -> dict[str, int]:
         ),
         "engine._rounds": len(engine._rounds),
         "client._checkpoints": sum(len(c._checkpoints) for c in clients.values()),
+        "client._party_index_for_round": sum(
+            len(c._party_index_for_round) for c in clients.values()
+        ),
         "client_endpoint._contribute_outcomes": sum(
             len(_client_endpoint(deployment, user)._contribute_outcomes)
             for user in clients
@@ -112,8 +115,6 @@ def _soak_engine(route):
             if route == "streamed":
                 assert report.submissions_streamed == len(survivors)
             _assert_retired(deployment)
-            # Finished reports are the caller's to keep or drop.
-            engine.reports.clear()
             del report
             yield round_id
 
@@ -132,9 +133,7 @@ def _soak_service(kind, state_dir):
             assert len(reports) == len(service.tenants)
             for runtime in service.tenants.values():
                 _assert_retired(runtime.deployment)
-                runtime.engine.reports.clear()
             assert list(SealedBlobMap(backend, "sealed/blinder")) == []
-            service.reports.clear()
             del reports
             yield iteration
 
@@ -186,14 +185,14 @@ def test_abandoned_round_is_retired_like_a_finalized_one():
     # provisioned, checkpoints sealed, contributions signed — then loses
     # every submission and aborts.
     deployment.network.interpose(DropAdversary(drop_kinds={m.KIND_SUBMIT}))
-    with pytest.raises(RoundAbortedError):
+    with pytest.raises(RoundAbortedError) as aborted:
         engine.run_round(2, users, vectors, features)
     deployment.network.clear_adversaries()
     assert _resident(deployment)["blinder._sealed_rounds"] == 1
     assert _resident(deployment)["client._checkpoints"] == USERS
     engine.abandon_round(2)
     _assert_retired(deployment)
-    assert engine.reports[2].aborted, "the partial report survives"
+    assert aborted.value.report.aborted, "the partial report survives"
     with pytest.raises(CryptoError, match="round 2 is closed"):
         engine.blinder_provisioner.reveal_dropout_mask(2, 0)
     with pytest.raises(ProtocolError, match="round 2 is closed"):

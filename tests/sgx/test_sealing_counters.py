@@ -160,3 +160,35 @@ def test_counter_store_scoping():
     assert same_a.value == 1
     assert b.value == 0
     assert len(store) == 2
+
+
+def test_closed_round_checkpoint_is_refused_as_stale():
+    """Closing a round advances its signing counter, so a checkpoint the
+    host kept from before the close cannot reinstall a mask the service
+    already received as §3 repair."""
+    from repro.errors import CryptoError
+    from repro.experiments.common import Deployment
+
+    deployment = Deployment.build(
+        num_users=3, seed=b"closed-checkpoint", sentences_per_user=8
+    )
+    users = [user.user_id for user in deployment.corpus.users]
+    vectors = deployment.local_vectors()
+    features = deployment.features.bigrams
+    silent = deployment.clients[users[0]]
+    kept = []
+    checkpoint_round = silent.checkpoint_round
+
+    def keep(round_id):
+        kept.append(checkpoint_round(round_id))
+        return kept[-1]
+
+    silent.checkpoint_round = keep
+    report = deployment.engine.run_round(
+        1, users, vectors, features, collect_dropouts=[users[0]]
+    )
+    assert report.masks_repaired == 1 and kept
+    with pytest.raises(EnclaveError, match="stale"):
+        silent.glimmer.ecall("restore_round", kept[-1])
+    with pytest.raises(CryptoError):
+        silent.contribute(1, vectors[users[0]], features)
