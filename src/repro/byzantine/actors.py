@@ -59,12 +59,10 @@ from repro.byzantine.plan import (
     AttackPlan,
 )
 from repro.core.client import MaliciousClient
-from repro.core.glimmer import BLINDING_MASK_CONTEXT
 from repro.core.signing import SignedContribution
 from repro.crypto.commitments import (
     MaskCommitmentSet,
     MaskOpening,
-    encode_mask_payload,
     hash_commitment,
     pedersen_generators,
     scalar_for_mask,
@@ -173,16 +171,12 @@ class LyingBlinder:
             return self.inner.provision_mask(
                 session_id, glimmer_dh_public, quote, round_id, party_index
             )
-        # Same attested handshake and wire format as the honest path; only
-        # the mask inside the authenticated ciphertext differs from the
-        # committed one.
+        # Same channel and wire format as the honest path — a full attested
+        # delivery, or one in the device's live session — only the mask
+        # inside the authenticated ciphertext differs from the committed one.
         tampered = self._tampered(self.inner.mask_opening(round_id, party_index))
-        return self.inner._deliver(
-            session_id,
-            glimmer_dh_public,
-            quote,
-            encode_mask_payload(tampered),
-            BLINDING_MASK_CONTEXT,
+        return self.inner.deliver_opening(
+            session_id, glimmer_dh_public, quote, round_id, party_index, tampered
         )
 
     def reveal_dropout_mask(self, round_id, party_index):

@@ -21,20 +21,24 @@ train → hand to Glimmer → relay whatever the Glimmer endorsed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Sequence
 
 from repro.core.glimmer import (
     BLINDING_MASK_CONTEXT,
-    SIGNING_KEY_CONTEXT,
     ProcessRequest,
+    session_handle,
 )
 from repro.core.provisioning import BlinderProvisioner, ServiceProvisioner
 from repro.core.signing import SignedContribution
 from repro.core.validation import PrivateContext
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.schnorr import SchnorrKeyPair
-from repro.errors import AuthenticationError, EnclaveError, ReproError
+from repro.errors import (
+    AttestationError,
+    AuthenticationError,
+    EnclaveError,
+    ReproError,
+)
 from repro.faults import ACTION_LOSE, SITE_SEAL_LOSS
 from repro.sgx.attestation import AttestationService, report_data_for
 from repro.sgx.enclave import Enclave
@@ -71,31 +75,47 @@ def attested_handshake(platform, enclave, session_id: bytes):
     return session_id, dh_public, quote
 
 
-def attested_delivery(
-    handshake, request_delivery, install, context: str, session_cache=None
-):
-    """The host half of §3's attested delivery; returns what ``install`` did.
+def mask_delivery(host, handshake, request_delivery, install):
+    """The host half of §3's attested mask delivery; returns what
+    ``install`` did.
 
-    ``handshake()`` yields the enclave's ``(session_id, dh_public, quote)``,
-    ``request_delivery(*those)`` is the transport to the provisioner (direct
-    call, bus call, a worker's local seal), ``install(delivery)`` the ecall.
+    ``request_delivery(session_id, dh_public, quote)`` is the transport to
+    the blinding service (direct call, bus call, a worker's local seal),
+    ``install(delivery)`` the ecall.  ``host.mask_session`` is the handle
+    of the host's live session with the blinder, if any.  Holding one, the
+    host asks in it — ``request_delivery(handle, None, None)``: no quote,
+    no DH value.  Otherwise ``handshake()`` yields the enclave's
+    ``(session_id, dh_public, quote)`` for a full attested delivery, and
+    the host keeps the :func:`~repro.core.glimmer.session_handle` of the
+    session it opens.  A handshake whose request got no answer is kept in
+    ``host.unanswered_handshake`` and sent again, rather than a new one
+    begun: the blinder answers a repeat without a second session, and the
+    enclave holds no keypair for a handshake nobody will answer.
 
-    The one retry rule: while the provisioner keeps a ``session_cache``, a
-    delivery the enclave cannot *open* (:class:`AuthenticationError`) may
-    be a resumed session a restarted enclave holds no key for, so the
-    entry is evicted and the full handshake runs once.  Anything else —
-    above all a :class:`~repro.errors.MaskVerificationError`, which is
-    evidence against the blinder — propagates from the first attempt.
+    The one retry rule: an in-session request the blinder refuses
+    (:class:`AttestationError`: revoked, new epoch, lapsed, unknown) or
+    whose delivery the enclave cannot open (:class:`AuthenticationError`:
+    it restarted) ends the session, and one full delivery runs.  Anything
+    else — above all a :class:`~repro.errors.MaskVerificationError`,
+    which is evidence against the blinder — propagates, and the session
+    stands.
     """
-    for resumable in (session_cache is not None, False):
-        session_id, dh_public, quote = handshake()
-        delivery = request_delivery(session_id, dh_public, quote)
+    if host.mask_session is not None:
         try:
-            return install(delivery)
-        except AuthenticationError:
-            if not resumable:
-                raise
-            session_cache.evict(quote.platform_id, context)
+            return install(request_delivery(host.mask_session, None, None))
+        except (AttestationError, AuthenticationError):
+            host.mask_session = None
+    if host.unanswered_handshake is None:
+        host.unanswered_handshake = handshake()
+    offer = host.unanswered_handshake
+    delivery = request_delivery(*offer)
+    host.unanswered_handshake = None
+    installed = install(delivery)
+    session_id, dh_public, _quote = offer
+    host.mask_session = session_handle(
+        BLINDING_MASK_CONTEXT, session_id, dh_public, delivery.peer_dh_public
+    )
+    return installed
 
 
 class ClientDevice:
@@ -121,6 +141,10 @@ class ClientDevice:
             ocall_handlers={"collect_private_data": self._serve_private_data},
         )
         self._session_counter = 0
+        #: Handle of this host's live session with the blinding service,
+        #: and a full mask request still waiting for its answer.
+        self.mask_session: bytes | None = None
+        self.unanswered_handshake: tuple | None = None
         self._party_index_for_round: dict[int, int] = {}
         self._sealed_signing_key: bytes | None = None
         self._checkpoints: dict[int, bytes] = {}
@@ -170,12 +194,9 @@ class ClientDevice:
         Glimmer can reload its key via ``restore_signing_key`` — sealing
         means keeping it here leaks nothing.
         """
-        self._sealed_signing_key = attested_delivery(
-            self.handshake_request,
-            provisioner.provision_signing_key,
-            partial(self.glimmer.ecall, "install_signing_key"),
-            SIGNING_KEY_CONTEXT,
-            provisioner.session_cache,
+        self._sealed_signing_key = self.glimmer.ecall(
+            "install_signing_key",
+            provisioner.provision_signing_key(*self.handshake_request()),
         )
         return self._sealed_signing_key
 
@@ -183,17 +204,16 @@ class ClientDevice:
         self, provisioner: BlinderProvisioner, round_id: int, party_index: int
     ) -> None:
         """Obtain this round's blinding mask from the blinding service."""
-        attested_delivery(
+        commitment = provisioner.round_commitments(round_id).record_for(party_index)
+        mask_delivery(
+            self,
             self.handshake_request,
-            lambda *offer: provisioner.provision_mask(*offer, round_id, party_index),
-            lambda delivery: self.install_mask(
-                round_id,
-                party_index,
-                delivery,
-                provisioner.round_commitments(round_id).record_for(party_index),
+            lambda *request: provisioner.provision_mask(
+                *request, round_id, party_index
             ),
-            BLINDING_MASK_CONTEXT,
-            provisioner.session_cache,
+            lambda delivery: self.install_mask(
+                round_id, party_index, delivery, commitment
+            ),
         )
 
     # --------------------------------------------------------- contribution
@@ -289,6 +309,7 @@ class ClientDevice:
         """
         if self.glimmer.alive:
             self.glimmer.destroy()
+        self.unanswered_handshake = None  # its keypair died with the enclave
         self.glimmer = self.platform.load_enclave(
             self.image,
             ocall_handlers={"collect_private_data": self._serve_private_data},

@@ -41,8 +41,8 @@ from repro.crypto.commitments import (
     verify_opening,
 )
 from repro.crypto.dh import DHKeyPair
-from repro.crypto.group_ops import DHSessionCache
 from repro.crypto.hashing import hash_items
+from repro.crypto.kdf import hkdf
 from repro.crypto.schnorr import SchnorrKeyPair, SchnorrPublicKey, SchnorrSignature
 from repro.errors import (
     AuthenticationError,
@@ -144,11 +144,17 @@ class ProcessRequest:
 
 @dataclass(frozen=True)
 class KeyDelivery:
-    """Service → Glimmer: the signing key, over the attested handshake."""
+    """Provisioner → Glimmer: a secret, over the attested handshake.
+
+    A full delivery carries the provisioner's DH half and its signature
+    over :func:`handshake_digest`.  An in-session one names its session
+    by ``session_id`` (the :func:`session_handle`) and carries neither:
+    ``peer_dh_public`` is 0 and ``handshake_signature`` ``None``.
+    """
 
     session_id: bytes
     peer_dh_public: int
-    handshake_signature: SchnorrSignature
+    handshake_signature: SchnorrSignature | None
     encrypted_payload: bytes
 
 
@@ -173,30 +179,54 @@ SIGNING_KEY_CONTEXT = "signing-key-provisioning"
 BLINDING_MASK_CONTEXT = "blinding-mask-provisioning"
 DETECTOR_CONTEXT = "detector-provisioning"
 
+#: Length of the handle that names an attested session on the wire.
+HANDLE_BYTES = 16
 
-#: Established-session keys an enclave retains for handshake resumption.
-_MAX_SESSION_KEYS = 128
+
+def session_handle(
+    context: str, session_id: bytes, glimmer_dh_public: int, peer_dh_public: int
+) -> bytes:
+    """The public name of the session a full delivery opens.
+
+    A function of the establishing handshake, both DH publics included,
+    so the provisioner, the Glimmer and the host between them each
+    compute it from what they already hold.
+    """
+    return hash_items(
+        "glimmer-session-handle",
+        [
+            context.encode("utf-8"),
+            session_id,
+            glimmer_dh_public.to_bytes(256, "big"),
+            peer_dh_public.to_bytes(256, "big"),
+        ],
+    )[:HANDLE_BYTES]
+
+
+def session_round_key(session_key: bytes, context: str, round_id: int, slot: int) -> bytes:
+    """The key one in-session delivery is sealed under: one per (round,
+    slot), so a delivery captured for one opens for no other."""
+    return hkdf(session_key, f"session:{context}:{round_id}:{slot}")
 
 
 class HandshakeSessions:
     """The enclave half of §3's attested delivery, for every Glimmer variant.
 
-    Owns the handshakes in progress and the established-session keys an
-    enclave retains for resumption.  A peer public only ever *repeats*
-    when the provisioner is resuming a cached session (fresh handshakes
-    draw fresh keypairs), so this side needs no opt-in flag: on repeat the
-    per-round key is ratcheted from the cached shared key; otherwise the
-    full DH leg runs.  Enclave-resident state — a restart wipes it, and a
-    provisioner that still resumes gets an authenticated-decryption
-    failure from :meth:`open`, evicts, and re-establishes.
+    Owns the handshakes in progress and, for each per-round delivery
+    context, the one session its last full delivery opened.  A full delivery runs
+    the DH leg and checks the provisioner's signature; an in-session one
+    opens under :func:`session_round_key` with no public-key work at all.
+    Enclave-resident state — a restart wipes it, the next in-session
+    delivery fails to open (:class:`AuthenticationError`), and the host
+    re-attests with one full delivery.
     """
 
     def __init__(self, api, group) -> None:
         self._api = api
         self._group = group
         self._sessions: dict[bytes, DHKeyPair] = {}
-        #: (peer DH public, context) -> established shared key.
-        self._session_keys: dict[tuple[int, str], bytes] = {}
+        #: context -> (handle, key) of the session its last full delivery opened.
+        self._session_keys: dict[str, tuple[bytes, bytes]] = {}
 
     def begin(self, session_id: bytes) -> int:
         """Start a session; returns the DH public the host must bind into
@@ -217,34 +247,49 @@ class HandshakeSessions:
         return keypair
 
     def open(
-        self, delivery: KeyDelivery, signer: SchnorrPublicKey, context: str
+        self,
+        delivery: KeyDelivery,
+        signer: SchnorrPublicKey,
+        context: str,
+        binding: tuple[int, int] | None = None,
     ) -> bytes:
-        """Authenticate the peer's handshake half, then open its payload."""
-        keypair = self.take(delivery.session_id)
-        digest = handshake_digest(
-            context, delivery.session_id, keypair.public, delivery.peer_dh_public
-        )
-        try:
-            signer.verify(digest, delivery.handshake_signature)
-        except AuthenticationError as exc:
-            raise AuthenticationError(
-                f"peer handshake signature invalid for {context!r}"
-            ) from exc
-        cache_key = (delivery.peer_dh_public, context)
-        base_key = self._session_keys.get(cache_key)
-        if base_key is not None:
-            # Resumed session: the peer reused its established DH public,
-            # so both ends ratchet the cached shared key with this
-            # session's id — no shared-secret exponentiation.
-            key = DHSessionCache.resume_key(
-                base_key, delivery.session_id, context
-            )
+        """Authenticate a delivery, then open its payload.
+
+        ``binding`` is the ``(round_id, slot)`` of a per-round delivery:
+        a full one then keeps its key as the context's session, and an
+        in-session one — which opens only with a binding — derives its
+        key from that session.  One-shot deliveries keep nothing.
+        """
+        if delivery.handshake_signature is None:
+            handle, session_key = self._session_keys.get(context, (None, b""))
+            if binding is None or handle != delivery.session_id:
+                raise AuthenticationError(
+                    f"no live {context!r} session for this delivery"
+                )
+            key = session_round_key(session_key, context, *binding)
         else:
+            keypair = self.take(delivery.session_id)
+            digest = handshake_digest(
+                context, delivery.session_id, keypair.public, delivery.peer_dh_public
+            )
+            try:
+                signer.verify(digest, delivery.handshake_signature)
+            except AuthenticationError as exc:
+                raise AuthenticationError(
+                    f"peer handshake signature invalid for {context!r}"
+                ) from exc
             self._api.charge_dh()
             key = keypair.derive_key(delivery.peer_dh_public, context)
-            if len(self._session_keys) >= _MAX_SESSION_KEYS:
-                self._session_keys.pop(next(iter(self._session_keys)))
-            self._session_keys[cache_key] = key
+            if binding is not None:
+                self._session_keys[context] = (
+                    session_handle(
+                        context,
+                        delivery.session_id,
+                        keypair.public,
+                        delivery.peer_dh_public,
+                    ),
+                    key,
+                )
         self._api.charge_aead(len(delivery.encrypted_payload))
         return AuthenticatedCipher(key).decrypt(
             SealedBox.from_bytes(delivery.encrypted_payload),
@@ -309,8 +354,10 @@ class GlimmerProgram(EnclaveProgram):
     ) -> None:
         """Accept a (round, party) mask from the blinding service.
 
-        The delivery arrives over the attested channel and carries the
-        slot's full commitment opening.  When the caller supplies the
+        The delivery arrives over the attested channel — a full one, or
+        one in the session the last full one opened, keyed to this round
+        and slot — and carries the slot's full commitment opening.  When
+        the caller supplies the
         engine-vouched :class:`MaskCommitmentRecord` for the slot, the
         Glimmer verifies the opening before installing — a blinding
         service that delivers a wrong-length, tampered, or equivocated
@@ -318,7 +365,10 @@ class GlimmerProgram(EnclaveProgram):
         with the blinder blamed rather than aggregating garbage.
         """
         plaintext = self._handshakes.open(
-            delivery, self._config.blinder_identity, BLINDING_MASK_CONTEXT
+            delivery,
+            self._config.blinder_identity,
+            BLINDING_MASK_CONTEXT,
+            (round_id, party_index),
         )
         opening = decode_mask_payload(plaintext)
         if commitment is not None:

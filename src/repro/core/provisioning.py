@@ -12,7 +12,10 @@
    handshake half so the Glimmer knows it talks to the real service
    (mutual authentication, as §4.1 spells out).
 3. **Blinding-mask provisioning** — the blinding service does the same
-   dance per aggregation round, delivering each client's sum-zero mask.
+   dance once per device, and keeps the agreed key as a *session*: each
+   round's sum-zero mask then arrives sealed under a key derived from it
+   for that round and slot, while the session stays live (see
+   :class:`~repro.sgx.sessions.SessionBroker`).
 
 Both provisioners refuse unattested, mis-measured, debug, or mis-bound
 Glimmers — the checks experiment E12 exercises one by one.
@@ -28,6 +31,8 @@ from repro.core.glimmer import (
     SIGNING_KEY_CONTEXT,
     KeyDelivery,
     handshake_digest,
+    session_handle,
+    session_round_key,
 )
 from repro.crypto.cipher import AuthenticatedCipher, SealedBox
 from repro.crypto.commitments import (
@@ -39,12 +44,18 @@ from repro.crypto.commitments import (
 )
 from repro.crypto.dh import DHKeyPair
 from repro.crypto.drbg import HmacDrbg
-from repro.crypto.group_ops import DHSessionCache
 from repro.crypto.kdf import hkdf
 from repro.crypto.masking import BlindingService, SumZeroMasks
 from repro.crypto.schnorr import SchnorrKeyPair
 from repro.errors import AttestationError, ConfigurationError, CryptoError
-from repro.sgx.attestation import AttestationService, Quote, QuotePolicy, report_data_for
+from repro.sgx.attestation import (
+    AttestationResult,
+    AttestationService,
+    Quote,
+    QuotePolicy,
+    report_data_for,
+)
+from repro.sgx.sessions import SessionBroker
 
 
 class VettingRegistry:
@@ -73,36 +84,36 @@ class VettingRegistry:
 
 
 def _verify_bound_quote(
-    attestation: AttestationService,
+    check,
     quote: Quote,
     expected_mrenclave: bytes,
     glimmer_dh_public: int,
-    *,
-    screen: bool = False,
-) -> None:
+) -> AttestationResult:
     """Verify a quote and that it binds the given handshake value.
 
-    ``screen`` — for a quote minted inside the caller's own worker fork —
-    skips only the platform-signature exponentiations (see
-    :meth:`AttestationService.screen`).
+    ``check(quote, policy)`` is :meth:`AttestationService.verify`, or a
+    :meth:`SessionBroker.verify <repro.sgx.sessions.SessionBroker.verify>`
+    (which answers a quote it verified this epoch from its cache, and
+    with ``screen`` skips only the platform-signature exponentiations of
+    a quote minted inside the caller's own worker fork).
     """
-    check = attestation.screen if screen else attestation.verify
     result = check(quote, QuotePolicy(expected_mrenclave=expected_mrenclave))
     expected_binding = report_data_for(glimmer_dh_public.to_bytes(256, "big"))
     if result.report_data != expected_binding:
         raise AttestationError(
             "quote does not bind the presented DH handshake value"
         )
+    return result
 
 
 @dataclass(frozen=True)
 class DeliveryLeg:
     """A provisioner's half of one delivery, drawn before the Glimmer's:
-    a fresh ``keypair`` (full handshake), or else the cached ``(own
-    public, base key)`` of the session being ``resumed``."""
+    a fresh ``keypair`` (full attested delivery), or else the ``(handle,
+    key)`` of the live ``session`` it rides in; and the AEAD nonce."""
 
     keypair: DHKeyPair | None
-    resumed: tuple[int, bytes] | None
+    session: tuple[bytes, bytes] | None
     nonce: bytes
 
 
@@ -110,78 +121,69 @@ def seal_delivery(
     identity: SchnorrKeyPair,
     leg: DeliveryLeg,
     session_id: bytes,
-    glimmer_dh_public: int,
+    glimmer_dh_public: int | None,
     payload: bytes,
     context: str,
-) -> tuple[KeyDelivery, bytes]:
-    """Sign this side's handshake half and seal ``payload``; also returns
-    the key it sealed under.
+    binding: tuple[int, int] | None = None,
+) -> tuple[KeyDelivery, tuple[bytes, bytes] | None]:
+    """Seal ``payload`` for the Glimmer; also returns the ``(handle, key)``
+    session a full leg opens (``None`` for an in-session leg).
 
-    Pure in its arguments — no DRBG, no cache — so a pool worker handed a
-    parent-drawn leg seals the very bytes the provisioner would have.
+    A full leg signs this side's handshake half and seals under the DH
+    key.  An in-session leg seals under :func:`session_round_key` for
+    ``binding`` — the ``(round_id, slot)`` it serves — and signs nothing.
+    Pure in its arguments — no DRBG, no session table — so a pool worker
+    handed a parent-drawn leg seals the very bytes the provisioner would
+    have.
     """
-    if leg.keypair is not None:
+    if leg.keypair is None:
+        session_id, session_key = leg.session  # the handle names the session
+        key = session_round_key(session_key, context, *binding)
+        own_public, signature, opened = 0, None, None
+    else:
         own_public = leg.keypair.public
         key = leg.keypair.derive_key(glimmer_dh_public, context)
-    else:
-        # Same long-lived DH public as the establishing handshake (which
-        # is how the Glimmer recognizes the session); per-round key
-        # ratcheted from the cached shared key.
-        own_public, base_key = leg.resumed
-        key = DHSessionCache.resume_key(base_key, session_id, context)
-    digest = handshake_digest(context, session_id, glimmer_dh_public, own_public)
+        signature = identity.sign(
+            handshake_digest(context, session_id, glimmer_dh_public, own_public)
+        )
+        handle = session_handle(context, session_id, glimmer_dh_public, own_public)
+        opened = (handle, key)
     box = AuthenticatedCipher(key).encrypt(
         leg.nonce, payload, associated_data=session_id
     )
     delivery = KeyDelivery(
         session_id=session_id,
         peer_dh_public=own_public,
-        handshake_signature=identity.sign(digest),
+        handshake_signature=signature,
         encrypted_payload=box.to_bytes(),
     )
-    return delivery, key
+    return delivery, opened
 
 
 @dataclass
 class _ProvisionerBase:
-    """Shared quote-check + encrypted-delivery machinery.
-
-    ``session_cache`` (opt-in, default off) resumes repeat handshakes:
-    after one full DH leg with an attested platform, later deliveries to
-    the same ``(platform, context)`` ratchet the cached shared key with
-    the fresh session id instead of re-running keygen + membership check
-    + shared-secret exponentiation.  The quote is still verified and the
-    handshake digest — which binds the *current* session's values — is
-    still signed on every delivery.  Resumption skips this provisioner's
-    per-leg DRBG keypair draws, so enabling it changes the provisioner's
-    random stream relative to a deployment without a cache.
-    """
+    """Shared quote-check + encrypted-delivery machinery."""
 
     identity: SchnorrKeyPair
     attestation: AttestationService
     registry: VettingRegistry
     glimmer_name: str
     rng: HmacDrbg
-    session_cache: DHSessionCache | None = None
 
-    def _draw_leg(self, platform_id, context: str) -> DeliveryLeg:
-        """The only code that touches ``rng`` or reads ``session_cache``
-        for a delivery: the platform's cached session or else a fresh
-        keypair, then the nonce.  The pool draws every slot's leg here,
-        in slot order, before dispatch."""
-        resumed = keypair = None
-        if self.session_cache is not None:
-            resumed = self.session_cache.lookup(platform_id, context)
-        if resumed is None:
-            keypair = DHKeyPair.generate(self.identity.group, self.rng)
-        return DeliveryLeg(keypair, resumed, self.rng.generate(16))
+    def _check_quote(
+        self, quote: Quote, glimmer_dh_public: int, check=None
+    ) -> AttestationResult:
+        """The quote against the approved measurement, bound to the DH
+        value; ``check`` defaults to a full verification."""
+        expected = self.registry.approved_measurement(self.glimmer_name)
+        return _verify_bound_quote(
+            check or self.attestation.verify, quote, expected, glimmer_dh_public
+        )
 
-    def _keep_leg(
-        self, platform_id, context: str, leg: DeliveryLeg, key: bytes
-    ) -> None:
-        """Remember the shared key a full handshake established."""
-        if leg.keypair is not None and self.session_cache is not None:
-            self.session_cache.store(platform_id, context, leg.keypair.public, key)
+    def _fresh_leg(self) -> DeliveryLeg:
+        """A full leg: a fresh DH keypair, then the nonce."""
+        keypair = DHKeyPair.generate(self.identity.group, self.rng)
+        return DeliveryLeg(keypair, None, self.rng.generate(16))
 
     def _deliver(
         self,
@@ -191,13 +193,16 @@ class _ProvisionerBase:
         payload: bytes,
         context: str,
     ) -> KeyDelivery:
-        expected = self.registry.approved_measurement(self.glimmer_name)
-        _verify_bound_quote(self.attestation, quote, expected, glimmer_dh_public)
-        leg = self._draw_leg(quote.platform_id, context)
-        delivery, key = seal_delivery(
-            self.identity, leg, session_id, glimmer_dh_public, payload, context
+        """One full attested delivery of a one-shot secret: no session."""
+        self._check_quote(quote, glimmer_dh_public)
+        delivery, _opened = seal_delivery(
+            self.identity,
+            self._fresh_leg(),
+            session_id,
+            glimmer_dh_public,
+            payload,
+            context,
         )
-        self._keep_leg(quote.platform_id, context, leg, key)
         return delivery
 
 
@@ -260,6 +265,13 @@ class BlinderProvisioner(_ProvisionerBase):
     as a tombstone: a finished round can be neither re-opened nor
     revealed, because §3's privacy argument needs ``p_i`` gone once
     ``y_i`` has been aggregated.
+
+    Devices are attested once per *session*, not once per round.  The
+    first mask a device receives is a full attested delivery, and the
+    blinder keeps its DH key in :attr:`sessions`, the one session table;
+    while that session stays live each later request names it by handle
+    alone and is answered in it.  The table is process memory: a crash
+    forgets it, and each device pays one full delivery after the restart.
     """
 
     def __init__(
@@ -272,6 +284,7 @@ class BlinderProvisioner(_ProvisionerBase):
         rng: HmacDrbg,
     ) -> None:
         super().__init__(identity, attestation, registry, glimmer_name, rng)
+        self.sessions = SessionBroker(attestation)
         self.blinding: BlindingService | None = blinding
         self._codec = blinding.codec
         self._seal_key = hkdf(
@@ -444,10 +457,12 @@ class BlinderProvisioner(_ProvisionerBase):
         return self._opening(round_id, party_index, mask)
 
     def crash(self) -> None:
-        """The blinding service process dies; in-memory mask state is gone."""
+        """The blinding service process dies; in-memory mask state and
+        sessions are gone."""
         self.blinding = None
         self._commitments.clear()
         self._openings.clear()
+        self.sessions.end_sessions()
         self.restarts += 1
 
     def restart(self) -> list[int]:
@@ -485,20 +500,64 @@ class BlinderProvisioner(_ProvisionerBase):
     def provision_mask(
         self,
         session_id: bytes,
-        glimmer_dh_public: int,
-        quote: Quote,
+        glimmer_dh_public: int | None,
+        quote: Quote | None,
         round_id: int,
         party_index: int,
     ) -> KeyDelivery:
-        """Verify the attested handshake and ship the party's mask opening."""
+        """Ship the party's mask opening over an attested channel.
+
+        With a ``quote``, a full attested delivery that opens a session;
+        without one, a delivery in the live session ``session_id`` names
+        (refused with :class:`AttestationError` when it is not live).
+        """
         opening = self.mask_opening(round_id, party_index)
-        return self._deliver(
+        return self.deliver_opening(
+            session_id, glimmer_dh_public, quote, round_id, party_index, opening
+        )
+
+    def deliver_opening(
+        self,
+        session_id: bytes,
+        glimmer_dh_public: int | None,
+        quote: Quote | None,
+        round_id: int,
+        party_index: int,
+        opening: MaskOpening,
+    ) -> KeyDelivery:
+        """:meth:`provision_mask` for a given ``opening``."""
+        attested = None
+        if quote is not None:
+            # A repeat of a handshake whose answer was lost is answered
+            # from the table's quote cache: the same attestation, not a
+            # second one.
+            attested = self._check_quote(quote, glimmer_dh_public, self.sessions.verify)
+        leg = self._draw_leg(session_id if quote is None else None)
+        delivery, opened = seal_delivery(
+            self.identity,
+            leg,
             session_id,
             glimmer_dh_public,
-            quote,
             encode_mask_payload(opening),
             BLINDING_MASK_CONTEXT,
+            (round_id, party_index),
         )
+        if opened is not None:
+            self.sessions.open_session(*opened, attested)
+        return delivery
+
+    def _draw_leg(self, handle: bytes | None) -> DeliveryLeg:
+        """The only code that touches ``rng`` or the session table for a
+        delivery: the live session ``handle`` names — refused with
+        :class:`AttestationError` when it is not live — or, for no
+        handle, a fresh keypair; then the nonce.  The pool draws every
+        slot's leg here, in slot order, before dispatch."""
+        if handle is None:
+            return self._fresh_leg()
+        key = self.sessions.session_key(
+            handle, self.registry.approved_measurement(self.glimmer_name)
+        )
+        return DeliveryLeg(None, (handle, key), self.rng.generate(16))
 
     def reveal_dropout_mask(self, round_id: int, party_index: int) -> MaskOpening:
         """§3 dropout repair: disclose a non-submitting party's full opening.

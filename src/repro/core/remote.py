@@ -25,13 +25,10 @@ price the three host placements the paper lists.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Sequence
 
-from repro.core.client import attested_delivery, attested_handshake
+from repro.core.client import attested_handshake, mask_delivery
 from repro.core.glimmer import (
-    BLINDING_MASK_CONTEXT,
-    SIGNING_KEY_CONTEXT,
     ProcessRequest,
     _encode_remote_payload,
     decode_remote_response,
@@ -85,6 +82,10 @@ class RemoteGlimmerHost:
             },
         )
         self._session_counter = 0
+        #: Handle of the hosted Glimmer's live session with the blinder,
+        #: and a full mask request still waiting for its answer.
+        self.mask_session: bytes | None = None
+        self.unanswered_handshake: tuple | None = None
 
     # ------------------------------------------------------ request handlers
 
@@ -112,27 +113,23 @@ class RemoteGlimmerHost:
 
     def provision_signing_key(self, provisioner) -> bytes:
         """The host operator provisions the service signing key once."""
-        return attested_delivery(
-            self._operator_handshake,
-            provisioner.provision_signing_key,
-            partial(self.glimmer.ecall, "install_signing_key"),
-            SIGNING_KEY_CONTEXT,
-            provisioner.session_cache,
+        return self.glimmer.ecall(
+            "install_signing_key",
+            provisioner.provision_signing_key(*self._operator_handshake()),
         )
 
     def provision_mask(self, provisioner, round_id: int, party_index: int) -> None:
-        attested_delivery(
+        """Every slot the hosted Glimmer serves rides the host's one session."""
+        commitment = provisioner.round_commitments(round_id).record_for(party_index)
+        mask_delivery(
+            self,
             self._operator_handshake,
-            lambda *offer: provisioner.provision_mask(*offer, round_id, party_index),
-            lambda delivery: self.glimmer.ecall(
-                "install_blinding_mask",
-                round_id,
-                party_index,
-                delivery,
-                provisioner.round_commitments(round_id).record_for(party_index),
+            lambda *request: provisioner.provision_mask(
+                *request, round_id, party_index
             ),
-            BLINDING_MASK_CONTEXT,
-            provisioner.session_cache,
+            lambda delivery: self.glimmer.ecall(
+                "install_blinding_mask", round_id, party_index, delivery, commitment
+            ),
         )
 
 
@@ -181,7 +178,9 @@ class IoTClient:
             self.client_id, host_name, "attest-glimmer", None
         )
         expected = self.registry.approved_measurement(self.glimmer_name)
-        _verify_bound_quote(self.attestation, offer.quote, expected, offer.dh_public)
+        _verify_bound_quote(
+            self.attestation.verify, offer.quote, expected, offer.dh_public
+        )
         keypair = DHKeyPair.generate(self.group, self.rng)
         key = keypair.derive_key(offer.dh_public, "glimmer-as-a-service")
         cipher = AuthenticatedCipher(key)

@@ -229,7 +229,10 @@ class BlindingEnclaveProgram(_ComponentProgram):
         self, round_id: int, party_index: int, delivery: KeyDelivery
     ) -> None:
         plaintext = self._handshakes.open(
-            delivery, self._config.blinder_identity, BLINDING_MASK_CONTEXT
+            delivery,
+            self._config.blinder_identity,
+            BLINDING_MASK_CONTEXT,
+            (round_id, party_index),
         )
         opening = decode_mask_payload(plaintext)
         self._blinding.install_mask(round_id, party_index, opening.mask)

@@ -1,4 +1,4 @@
-"""Fast public-key group operations: tables, multi-exp, session resume.
+"""Fast public-key group operations: tables, multi-exp, membership.
 
 PR 4 made the masking/ring kernels 10-500x faster, which left pure-python
 ``pow`` over the safe-prime group as the dominant cost of a round: Schnorr
@@ -24,11 +24,6 @@ in :mod:`repro.perf.reference`:
   Pedersen openings) needs ``Π base_i^{z_i}`` for small random ``z_i``;
   sharing the squarings across the products beats a ``pow`` loop by the
   ratio of exponent widths.
-* **Cross-round DH session cache** (:class:`DHSessionCache`) — repeat
-  provisioning legs to the same peer resume a previously established
-  shared secret with an HKDF-ratcheted per-round key instead of paying
-  keygen + membership check + shared-secret exponentiation again,
-  mirroring the quote-resumption pattern of :mod:`repro.sgx.sessions`.
 
 The module also carries the Jacobi symbol (:func:`jacobi`) — for a safe
 prime it *is* the subgroup-membership predicate (Euler's criterion), at
@@ -46,11 +41,9 @@ modules build on this one without cycles.
 from __future__ import annotations
 
 from repro.crypto.drbg import HmacDrbg
-from repro.crypto.kdf import hkdf
 
 __all__ = [
     "FixedBaseTable",
-    "DHSessionCache",
     "fixed_power",
     "register_base",
     "multi_power",
@@ -91,7 +84,6 @@ BATCH_SCALAR_BITS = 128
 _COUNTERS = {
     "batch_verifications": 0,
     "batch_fallbacks": 0,
-    "handshakes_resumed": 0,
     "membership_checks_skipped": 0,
 }
 
@@ -336,83 +328,3 @@ def remember_member(prime: int, element: int) -> None:
     if len(_MEMBERS) >= _MAX_MEMBERS:
         _MEMBERS.clear()
     _MEMBERS.add((prime, element))
-
-
-# -------------------------------------------------------- DH session cache
-
-
-class DHSessionCache:
-    """Resume prior DH handshakes instead of re-running them.
-
-    One side of a provisioning relationship (a provisioner, a glimmer)
-    keeps ``(peer identity, context) → (own public, base key)``: the
-    shared key both ends derived the first time they completed a full
-    handshake.  Later rounds derive a fresh per-round key by ratcheting
-    the base key with the round's session id (:meth:`resume_key`) — no
-    keygen, no membership check, no shared-secret exponentiation.
-
-    Keying mirrors :mod:`repro.sgx.sessions`: the *initiating* side keys
-    on a stable peer identity (the attested platform id — the glimmer's
-    own DH public is fresh per session and useless as a key), the
-    *responding* side keys on the initiator's long-lived DH public, which
-    only ever repeats when the initiator is resuming.  Eviction on either
-    side is self-announcing: a fresh keypair means a fresh public, so the
-    peer's cache misses and the pair falls back to the full handshake.
-    The one asymmetric case — the responder lost its cache (enclave
-    restart) while the initiator resumes — surfaces as an authenticated-
-    decryption failure; the initiator heals by :meth:`evict`-ing the peer
-    and retrying the full path.
-
-    Resumption deliberately skips the initiator's per-leg DRBG keypair
-    draws, so enabling a cache changes the initiator's random stream:
-    caches are strictly opt-in.
-    """
-
-    def __init__(self, max_entries: int = 256) -> None:
-        self.max_entries = max_entries
-        self._entries: dict[tuple[object, str], tuple[int, bytes]] = {}
-        self.stores = 0
-        self.hits = 0
-        self.evictions = 0
-
-    def lookup(self, peer, context: str) -> tuple[int, bytes] | None:
-        """``(own public, base key)`` for a resumable peer, else ``None``."""
-        entry = self._entries.get((peer, context))
-        if entry is not None:
-            self.hits += 1
-            bump("handshakes_resumed")
-        return entry
-
-    def store(self, peer, context: str, own_public: int, base_key: bytes) -> None:
-        """Record a completed full handshake for later resumption."""
-        if len(self._entries) >= self.max_entries:
-            self._entries.pop(next(iter(self._entries)))
-            self.evictions += 1
-        self._entries[(peer, context)] = (own_public, base_key)
-        self.stores += 1
-
-    @staticmethod
-    def resume_key(base_key: bytes, session_id: bytes, context: str) -> bytes:
-        """The per-round key: HKDF over the base key and this session.
-
-        Stateless in the session id (no counters to desync), so retries
-        and out-of-order rounds derive the same key on both ends.
-        """
-        return hkdf(base_key + session_id, "dh-session-resume:" + context)
-
-    def evict(self, peer, context: str) -> None:
-        """Forget one peer (e.g. after a resumed delivery failed to open)."""
-        if self._entries.pop((peer, context), None) is not None:
-            self.evictions += 1
-
-    def clear(self) -> None:
-        self.evictions += len(self._entries)
-        self._entries.clear()
-
-    def counters(self) -> dict[str, int]:
-        return {
-            "stores": self.stores,
-            "hits": self.hits,
-            "evictions": self.evictions,
-            "entries": len(self._entries),
-        }

@@ -80,16 +80,8 @@ class Deployment:
         provision_clients: bool = True,
         dp_sigma: float = 0.0,
         parallelism=None,
-        session_resumption: bool = False,
     ) -> "Deployment":
-        """Stand up the whole cast and (optionally) provision every client.
-
-        ``session_resumption`` attaches a
-        :class:`~repro.crypto.group_ops.DHSessionCache` to both
-        provisioners so repeat clients resume handshakes across rounds.
-        Off by default: resumption skips provisioner DRBG draws, so the
-        round's bytes differ from an uncached deployment's.
-        """
+        """Stand up the whole cast and (optionally) provision every client."""
         rng = HmacDrbg(seed, personalization="deployment")
         corpus = KeyboardCorpus.generate(
             num_users, rng.fork("corpus"), sentences_per_user=sentences_per_user
@@ -120,11 +112,6 @@ class Deployment:
             BlindingService(rng.fork("blinding-service"), codec),
             attestation, registry, GLIMMER_NAME, rng.fork("blinder-provisioner"),
         )
-        if session_resumption:
-            from repro.crypto.group_ops import DHSessionCache
-
-            service_provisioner.session_cache = DHSessionCache()
-            blinder_provisioner.session_cache = DHSessionCache()
         service = CloudService(signing_keypair.public_key, codec)
         network = Network(seed=seed + b":network")
         engine = RoundEngine(

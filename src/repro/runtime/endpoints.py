@@ -30,8 +30,7 @@ from dataclasses import replace
 from functools import partial
 from typing import TYPE_CHECKING
 
-from repro.core.client import attested_delivery
-from repro.core.glimmer import BLINDING_MASK_CONTEXT
+from repro.core.client import mask_delivery
 from repro.errors import (
     CryptoError,
     EnclaveError,
@@ -220,14 +219,14 @@ class BlinderEndpoint:
         )
 
     def _handle_mask_request(self, message: Message):
-        # Stateless per request: re-answering a retransmitted handshake
-        # just re-derives a fresh delivery for the same session.
         _checked(self.monitor, message)
         request: m.MaskRequest = message.payload
         if self.monitor is not None:
             self.monitor.check_active(
                 request.round_id, message.sender, "mask request"
             )
+        # Stateless per request: a repeated full request is answered with
+        # a fresh delivery, and its quote from the session table's cache.
         return self.provisioner.provision_mask(
             request.session_id,
             request.dh_public,
@@ -250,37 +249,33 @@ class BlinderEndpoint:
 # and free of transport: the bus handler below, the pool worker
 # (:mod:`repro.scale.pool`) and the parent's slot-order merge
 # (:mod:`repro.scale.rounds`) all run these, each plugging in its own I/O.
-# ``ledger`` is whatever books the paper's three-ecall path for the caller
+# ``ledger`` is whatever books the paper's protocol ecalls for the caller
 # (the engine's round record, a worker's result): anything with ``ecalls``.
 
 
-def provision_step(
-    client, command: m.ProvisionMask, request_delivery, ledger, session_cache=None
-) -> None:
-    """Attested handshake → install the delivered mask → sealed checkpoint.
+def provision_step(client, command: m.ProvisionMask, request_delivery, ledger) -> None:
+    """Mask request (in session, or attested handshake) → install the
+    delivered mask → sealed checkpoint.
 
     ``request_delivery(session_id, dh_public, quote)`` is the leg to the
     blinding service: a bus call with retries, or a worker's local
-    :func:`~repro.core.provisioning.seal_delivery`.  Whatever the Glimmer
+    :func:`~repro.core.provisioning.seal_delivery`; the host's side is
+    :func:`~repro.core.client.mask_delivery`.  Whatever the Glimmer
     raises — above all :class:`~repro.errors.MaskVerificationError`, which
     is evidence against the blinder — propagates to the caller.
     """
 
-    def charged_request(session_id: bytes, dh_public: int, quote):
+    def handshake():
         ledger.ecalls += 1  # begin_handshake
-        return request_delivery(session_id, dh_public, quote)
+        return client.handshake_request()
 
-    attested_delivery(
-        client.handshake_request,
-        charged_request,
+    mask_delivery(
+        client,
+        handshake,
+        request_delivery,
         lambda delivery: client.install_mask(
-            command.round_id,
-            command.party_index,
-            delivery,
-            commitment=command.commitment,
+            command.round_id, command.party_index, delivery, command.commitment
         ),
-        BLINDING_MASK_CONTEXT,
-        session_cache,
     )
     ledger.ecalls += 1  # install_blinding_mask
     # Seal the freshly installed mask so a later crash in this round is
@@ -387,7 +382,7 @@ class ClientEndpoint:
                 f"round {request.round_id} (injected fault)"
             )
 
-        def request_mask(session_id: bytes, dh_public: int, quote):
+        def request_mask(session_id: bytes, dh_public, quote):
             return self.engine.call_with_retry(
                 record,
                 self.name,
@@ -402,13 +397,7 @@ class ClientEndpoint:
                 ),
             )
 
-        provision_step(
-            self.client,
-            request,
-            request_mask,
-            record,
-            self.engine.blinder_provisioner.session_cache,
-        )
+        provision_step(self.client, request, request_mask, record)
         return True
 
     def _handle_contribute(self, message: Message) -> tuple[str, str | None]:

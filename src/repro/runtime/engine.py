@@ -159,6 +159,7 @@ class _RoundRecord:
         self.subgroup_plan = None  # SubgroupPlan on hierarchical rounds
         self.meter_start: dict[str, dict[str, int]] = {}
         self.pk_counters0 = group_ops.counters()
+        self.sessions_resumed0 = 0  # the blinder session table's, at open
         self.messages0 = network.messages_delivered + network.messages_dropped
         self.dropped0 = network.messages_dropped
         self.bytes0 = network.bytes_delivered
@@ -501,6 +502,7 @@ class RoundEngine:
         if round_id in self._rounds:
             raise ProtocolError(f"round {round_id} is already tracked by the engine")
         record = _RoundRecord(self.network, round_id, num_slots, blinded, route)
+        record.sessions_resumed0 = self.blinder_provisioner.sessions.resumed
         if self.fault_injector is not None:
             record.faults0 = len(self.fault_injector.fired)
         if route.subgroup_size > 0 and blinded:
@@ -1365,6 +1367,12 @@ class RoundEngine:
                         if not (hedging and self._hedge(record, provision)):
                             record.outcomes[user_id] = OUTCOME_PROVISION_FAILED
                             continue
+                    except ProtocolViolation:
+                        # A request refused at the wire (malformed, say): the
+                        # monitor holds the violation, and finalize
+                        # quarantines whoever it names.
+                        record.outcomes[user_id] = OUTCOME_PROVISION_FAILED
+                        continue
                     except EnclaveError:
                         # Client enclave died mid-provision.  Restart it from
                         # sealed state and retry the slot once; a second death
@@ -1654,7 +1662,8 @@ class RoundEngine:
             route_reason=record.route.reason,
             batch_verifications=pk_delta["batch_verifications"],
             batch_fallbacks=pk_delta["batch_fallbacks"],
-            handshakes_resumed=pk_delta["handshakes_resumed"],
+            handshakes_resumed=self.blinder_provisioner.sessions.resumed
+            - record.sessions_resumed0,
             membership_checks_skipped=pk_delta["membership_checks_skipped"],
             **{name: getattr(record, name) for name in _REPORT_COUNTERS},
         )

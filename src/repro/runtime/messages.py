@@ -90,10 +90,17 @@ class ProvisionMask:
 
 @dataclass(frozen=True)
 class MaskRequest:
-    """A client's attested handshake, forwarded to the blinding service."""
+    """A client's request for its slot's mask, to the blinding service.
+
+    Two shapes.  A full request is the Glimmer's attested handshake: its
+    ``session_id``, its DH value and the quote binding it.  An in-session
+    request names the live session the last full delivery opened —
+    ``session_id`` is that session's 16-byte handle — and carries no
+    quote and no DH value.
+    """
 
     session_id: bytes
-    dh_public: int
+    dh_public: int | None
     quote: Any
     round_id: int
     party_index: int

@@ -104,8 +104,9 @@ class RoundReport:
     """Batch verifications that failed and fell back to the per-item loop
     to blame the culprit — nonzero only when something was forged."""
     handshakes_resumed: int = 0
-    """Provisioning legs that resumed a cached DH session instead of
-    running keygen + membership check + shared-secret exponentiation."""
+    """Mask deliveries served in a live session — no quote, no DH leg, no
+    handshake signature — while this round was open (the blinder session
+    table's ``resumed`` counter)."""
     membership_checks_skipped: int = 0
     """Subgroup-membership exponentiations answered from the True-only
     memo (:mod:`repro.crypto.group_ops`) instead of recomputed."""

@@ -18,12 +18,13 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.core.glimmer import features_digest
+from repro.core.glimmer import HANDLE_BYTES, features_digest
 from repro.core.signing import SignedContribution
 from repro.crypto.schnorr import SchnorrSignature
 from repro.errors import ProtocolViolation
 from repro.runtime import messages as m
 from repro.runtime.protocol import VIOLATION_MALFORMED
+from repro.sgx.attestation import Quote
 
 MAX_ROUND_ID = (1 << 63) - 1
 MAX_PARTIES = 1_000_000
@@ -184,13 +185,39 @@ def _validate_provision(sender: str, payload: Any) -> None:
     _check_int(sender, rid, "party_index", payload.party_index, 0, MAX_PARTIES - 1)
 
 
+def _check_quote(sender: str, round_id: int, quote: Any) -> None:
+    """A :class:`Quote` whose every field has its type: a verifier then
+    refuses a bad one with :class:`AttestationError`, never a crash."""
+    if not isinstance(quote, Quote):
+        raise _fail(sender, round_id, f"quote is not a Quote: {quote!r}")
+    fields = (quote.mrenclave, quote.mrsigner, quote.report_data, quote.platform_id)
+    if (
+        not all(isinstance(field, bytes) for field in fields)
+        or type(quote.version) is not int
+        or type(quote.debug) is not bool
+        or not isinstance(quote.signature, SchnorrSignature)
+        or type(quote.signature.challenge) is not int
+        or type(quote.signature.response) is not int
+    ):
+        raise _fail(sender, round_id, "quote holds a mistyped field")
+
+
 def _validate_mask_request(sender: str, payload: Any) -> None:
+    """Exactly two shapes: a full request (a quote, a positive DH value, a
+    session id) or an in-session one (a handle, and neither of those)."""
     if not isinstance(payload, m.MaskRequest):
         raise _fail(sender, None, "expected MaskRequest payload")
     rid = _check_round_id(sender, payload.round_id)
     _check_int(sender, rid, "party_index", payload.party_index, 0, MAX_PARTIES - 1)
     if not isinstance(payload.session_id, bytes) or not payload.session_id:
         raise _fail(sender, rid, "session_id must be non-empty bytes")
+    if payload.quote is None and payload.dh_public is None:
+        if len(payload.session_id) != HANDLE_BYTES:
+            raise _fail(
+                sender, rid, f"an in-session request names a {HANDLE_BYTES}-byte handle"
+            )
+        return
+    _check_quote(sender, rid, payload.quote)
     if type(payload.dh_public) is not int or payload.dh_public <= 0:
         raise _fail(sender, rid, "dh_public must be a positive int")
 

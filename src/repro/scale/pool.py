@@ -5,23 +5,25 @@ the provision and sign steps of :mod:`repro.runtime.endpoints`, the very
 functions the bus handler runs — entirely inside a worker process, with
 the blinding service's leg of the exchange computed locally.
 Everything that must stay globally ordered (the blinding service's DRBG
-draws and session cache, the protocol monitor, the service's admission
+draws and session table, the protocol monitor, the service's admission
 ledger) stays in the parent: the parent draws each slot's
-:class:`~repro.core.provisioning.DeliveryLeg` through the provisioner in
-serial slot order and ships it in the task, and the worker seals with
+:class:`~repro.core.provisioning.DeliveryLeg` — in the device's live
+session, or a fresh keypair — through the provisioner in serial slot
+order and ships it in the task, and the worker seals with
 :func:`~repro.core.provisioning.seal_delivery` — the function the
 provisioner itself seals with — so the delivery is the serial one, byte
 for byte.  The mutated client (enclave state, cycle meter, session
-counter) rides back in the result and is transplanted over the parent's
-instance, so downstream rounds and telemetry cannot tell which process
-did the work.
+counter and handle) rides back in the result and is transplanted over
+the parent's instance, so downstream rounds and telemetry cannot tell
+which process did the work.
 
-Quote signatures are *not* verified here — the worker returns the quote
-and the parent screens it (:meth:`repro.sgx.attestation.AttestationService
-.screen` plus the DH-binding check).  Contribution signatures *are*
-verified here, once, so the parent can admit via
-``CloudService.submit_verified`` without re-serializing the very
-exponentiations this pool exists to spread out.
+Quote signatures are *not* verified here — a full leg's worker returns
+the quote and the parent screens it
+(:meth:`repro.sgx.attestation.AttestationService.screen` plus the
+DH-binding check) before it keeps the session the leg opened.
+Contribution signatures *are* verified here, once, so the parent can
+admit via ``CloudService.submit_verified`` without re-serializing the
+very exponentiations this pool exists to spread out.
 """
 
 from __future__ import annotations
@@ -88,10 +90,12 @@ class ClientResult:
     ecalls: int = 0  # charged by the device steps, as on the bus
     quote: Any = None
     glimmer_dh_public: int = 0
-    delivery_key: bytes | None = None  # for the parent's session cache
+    #: ``(handle, key)`` a full leg opened, for the parent's session table.
+    session: tuple[bytes, bytes] | None = None
     #: Why the slot was not provisioned here: a mask that fails its
-    #: commitment, a resumed delivery this Glimmer holds no key for, or a
-    #: Glimmer that is down.  The parent handles each as the bus path does.
+    #: commitment, an in-session delivery this Glimmer holds no key for,
+    #: or a Glimmer that is down.  The parent handles each as the bus path
+    #: does.
     error: Exception | None = None
     outcome: tuple[str, str | None] | None = None  # set when signing failed
     signed: Any = None
@@ -102,25 +106,30 @@ def _run_client(context: WorkerContext, task: ClientTask) -> ClientResult:
     """The device step with the blinding service's leg sealed locally."""
     result = ClientResult(slot=task.slot, client=task.client)
 
-    def seal(session_id: bytes, glimmer_dh_public: int, quote):
-        # _deliver() after its draw; the parent's screen pass checks the quote.
+    def seal(session_id: bytes, glimmer_dh_public, quote):
+        # deliver_opening() after its draw; the parent's screen pass checks
+        # a full leg's quote.
+        if quote is not None and task.leg.keypair is None:
+            # The host re-attests after an in-session delivery it could not
+            # open; that full delivery is drawn on the bus, not here.
+            raise AuthenticationError("no full leg was drawn for this slot")
         result.quote, result.glimmer_dh_public = quote, glimmer_dh_public
-        delivery, result.delivery_key = seal_delivery(
+        delivery, result.session = seal_delivery(
             context.identity,
             task.leg,
             session_id,
             glimmer_dh_public,
             encode_mask_payload(task.opening),
             BLINDING_MASK_CONTEXT,
+            (task.provision.round_id, task.slot),
         )
         return delivery
 
     try:
-        # No session cache here, so the delivery gets its single attempt.
         provision_step(task.client, task.provision, seal, result)
     except (MaskVerificationError, AuthenticationError, EnclaveError) as exc:
-        if isinstance(exc, AuthenticationError) and task.leg.resumed is None:
-            raise  # only a *resumed* delivery may be one a restart orphaned
+        if isinstance(exc, AuthenticationError) and task.leg.session is None:
+            raise  # only an in-session delivery may be one a restart orphaned
         result.error = exc
         return result
     if task.contribute is None:

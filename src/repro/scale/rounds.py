@@ -9,7 +9,7 @@ pool.  The contract is bit-exactness: everything order-sensitive runs in
 the parent, in serial slot order —
 
 * the blinding service draws every slot's delivery leg itself *before*
-  dispatch, so its random stream and session cache see exactly what the
+  dispatch, so its random stream and session table see exactly what the
   serial path shows them;
 * quote screening, protocol-monitor bookkeeping, service admission, and
   outcome recording happen *after* dispatch, in a merge that walks slots
@@ -23,8 +23,8 @@ What a device does is not this module's to decide: workers run the
 provision and sign steps of :mod:`repro.runtime.endpoints`, the merge
 runs its submit step with :meth:`ServiceEndpoint.admit` plugged in, and
 a slot a worker could not serve (a Glimmer that is down, or holds no key
-for a resumed delivery, or crashed while signing) is recovered on the
-bus by the engine's own ``_recover``.  A worker *process* that dies
+for an in-session delivery, or crashed while signing) is recovered on
+the bus by the engine's own ``_recover``.  A worker *process* that dies
 breaks the executor: the round aborts (benign, no offender), the pool is
 dropped, and the next round forks a fresh one — never a silent rerun.
 
@@ -43,10 +43,15 @@ from typing import Mapping, Sequence
 from concurrent.futures import BrokenExecutor
 
 from repro.core.client import ClientDevice
-from repro.core.glimmer import BLINDING_MASK_CONTEXT, features_digest
+from repro.core.glimmer import features_digest
 from repro.core.provisioning import BlinderProvisioner, _verify_bound_quote
 from repro.core.service import CloudService
-from repro.errors import EnclaveError, MaskVerificationError, ProtocolViolation
+from repro.errors import (
+    AttestationError,
+    EnclaveError,
+    MaskVerificationError,
+    ProtocolViolation,
+)
 from repro.runtime import messages as m
 from repro.runtime.endpoints import ClientEndpoint, submit_step
 from repro.runtime.messages import client_endpoint
@@ -133,6 +138,17 @@ def parallel_eligible(engine, **round_inputs) -> bool:
     return plan_route(engine, ScaleConfig(workers=1), **round_inputs).reason is None
 
 
+def _draw_leg(provisioner, client):
+    """The slot's leg, drawn as the serial round's requests would draw it:
+    in the device's live session, or — when it has none, or the blinder
+    refuses it — a fresh keypair, and the host forgets the refused one."""
+    try:
+        return provisioner._draw_leg(client.mask_session)
+    except AttestationError:
+        client.mask_session = None
+        return provisioner._draw_leg(None)
+
+
 def _transplant(live, worked) -> None:
     """Adopt the worker-mutated client state into the parent's instance.
 
@@ -193,9 +209,7 @@ def run_parallel_round(
                     features_digest(features),
                 )
             ),
-            leg=provisioner._draw_leg(
-                client.platform.platform_id, BLINDING_MASK_CONTEXT
-            ),
+            leg=_draw_leg(provisioner, client),
             opening=provisioner.mask_opening(round_id, index),
         )
 
@@ -237,28 +251,24 @@ def run_parallel_round(
             if not engine._recover(record, user_id, provision):
                 record.outcomes[user_id] = OUTCOME_CRASHED
             continue
-        # The quote was minted inside our own worker fork, so it is
-        # screened rather than verified.
-        _verify_bound_quote(
-            provisioner.attestation,
-            result.quote,
-            expected,
-            result.glimmer_dh_public,
-            screen=True,
-        )
+        if result.session is not None:
+            # A full leg's quote was minted inside our own worker fork, so
+            # it is screened rather than verified; then the blinder keeps
+            # the session, as it does the moment it seals on the bus.
+            screened = _verify_bound_quote(
+                partial(provisioner.sessions.verify, screen=True),
+                result.quote,
+                expected,
+                result.glimmer_dh_public,
+            )
+            provisioner.sessions.open_session(*result.session, screened)
         if isinstance(result.error, MaskVerificationError):
             raise engine._abort_on_bad_mask(record, str(result.error))
         if result.error is not None:
-            # This Glimmer restarted since its session was established: the
-            # slot runs on the bus, where the driver evicts and re-establishes.
+            # This Glimmer restarted since its session was opened: the slot
+            # runs on the bus, where the host re-attests in full.
             provision()
             continue
-        provisioner._keep_leg(
-            live.platform.platform_id,
-            BLINDING_MASK_CONTEXT,
-            task.leg,
-            result.delivery_key,
-        )
         record.provisioned[slot] = user_id
 
     # ---------------------------------------------- collect: merge (slot order)

@@ -16,10 +16,12 @@ plays that schedule against a fresh deployment:
   re-delivery, and partition-aware cohort trimming
   (:class:`~repro.runtime.deadlines.AdaptiveDeadlines` +
   :meth:`~repro.runtime.engine.RoundEngine.attach_conditions`);
-* each round opens with a *session step*: online devices resume their
-  attestation session with a :class:`~repro.sgx.sessions.SessionBroker`
-  ticket when they can, and pay a full quote-verify only on first join,
-  after a policy-epoch bump, or when resumption is rejected;
+* attestation is per *session*: a device's first mask delivery is a
+  full attested one and opens a session in the blinding service's table
+  (:attr:`~repro.core.provisioning.BlinderProvisioner.sessions`); later
+  rounds ride it — through disconnects and rejoins — and the device pays
+  another full quote-verify only after the schedule bumps that table's
+  policy epoch, or when its session is otherwise refused;
 * a round the weather manages to abort is retried once after the storm
   clears (conditions calmed, adversaries removed) under a fresh round
   id — *recovered*, in the report's terms.
@@ -47,7 +49,7 @@ import numpy as np
 
 from repro import invariants
 from repro.crypto.drbg import HmacDrbg
-from repro.errors import AttestationError, RoundAbortedError
+from repro.errors import RoundAbortedError
 from repro.experiments.common import Deployment
 from repro.network.adversary import DropAdversary, ReplayAdversary
 from repro.network.conditions import (
@@ -58,8 +60,6 @@ from repro.network.conditions import (
 )
 from repro.runtime import messages as m
 from repro.runtime.deadlines import AdaptiveDeadlines
-from repro.sgx.attestation import QuotePolicy, report_data_for
-from repro.sgx.sessions import SessionBroker
 
 __all__ = ["run_fleet_schedule"]
 
@@ -124,21 +124,7 @@ def run_fleet_schedule(
     deployment.network.interpose(replayer)
     deployment.engine.attach_conditions(conditions)
 
-    broker = SessionBroker(
-        deployment.attestation,
-        QuotePolicy(expected_mrenclave=deployment.image.mrenclave),
-        seed=seed + b":sessions",
-    )
-
-    def _full_attest(user_id: str):
-        client = deployment.clients[user_id]
-        quote = client.platform.quote_enclave(
-            client.glimmer,
-            report_data_for(b"fleet-session:" + user_id.encode("utf-8")),
-        )
-        return broker.establish(quote)
-
-    tickets: dict[str, object] = {}
+    sessions = deployment.blinder_provisioner.sessions
     online_before: dict[str, bool] = {}
     rejoins = 0
     rounds_recovered = 0
@@ -157,30 +143,16 @@ def run_fleet_schedule(
 
     for ordinal in range(rounds):
         if ordinal in plan.epoch_bumps:
-            broker.bump_policy_epoch()
+            sessions.bump_policy_epoch()
 
-        # Session step: every device reachable right now either resumes
-        # its attestation session or pays a full quote-verify.
+        # A device reachable again after an episode offline rejoins — in
+        # the session it already holds.
         now = deployment.network.clock.now_ms()
         for user_id in users:
             online = not (stormy and conditions.offline_for(user_id, now))
-            was_online = online_before.get(user_id)
-            if online and was_online is False:
+            if online and online_before.get(user_id) is False:
                 rejoins += 1
             online_before[user_id] = online
-            if not online:
-                continue
-            ticket = tickets.get(user_id)
-            if ticket is not None:
-                try:
-                    broker.resume(ticket)
-                    key = broker.resume_key(ticket)
-                    assert len(key) == 32
-                    continue
-                except AttestationError:
-                    tickets.pop(user_id, None)
-            _result, ticket = _full_attest(user_id)
-            tickets[user_id] = ticket
 
         round_id = ordinal + 1
         try:
@@ -241,7 +213,7 @@ def run_fleet_schedule(
     mean_settle_ms = float(
         np.mean([report.latency_ms for report in round_reports])
     )
-    counters = broker.counters()
+    counters = sessions.counters()
     return {
         "label": label_seed,
         "profile": resolved.name,

@@ -15,8 +15,9 @@ recover it).  This package models exactly that contract:
 * :mod:`repro.sgx.attestation` — local reports, the quoting enclave, and an
   IAS-style attestation verification service.
 * :mod:`repro.sgx.sessions` — incremental attestation: quote-verification
-  caching and MACed resumption tickets, so rejoining fleet devices skip
-  the full quote-verify + DH leg until the policy epoch moves.
+  caching, MACed resumption tickets, and the blinding service's delivery
+  sessions, so a device pays the full quote-verify + DH leg once, not
+  every round, until the policy epoch moves.
 * :mod:`repro.sgx.sealing` — sealing keys and sealed blobs.
 * :mod:`repro.sgx.counters` — monotonic counters for rollback protection.
 * :mod:`repro.sgx.threats` — the knobs experiments use to *break* the

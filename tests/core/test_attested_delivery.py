@@ -1,21 +1,24 @@
-"""§3's attested delivery resumes the same way into every enclave variant.
+"""§3's attested delivery, into every enclave variant.
 
 The single-enclave Glimmer, the split signing and blinding components and
 the §4.1 confidential Glimmer all open deliveries through one
-:class:`~repro.core.glimmer.HandshakeSessions`; this pins the behaviour
-only the first of them used to have a test for.
+:class:`~repro.core.glimmer.HandshakeSessions`.  A per-round mask opens a
+session on its first full delivery and rides it afterwards; a one-shot
+secret (signing key, detector) is a full attested delivery every time.
 """
+
+from functools import partial
+from types import SimpleNamespace
 
 import pytest
 
+from repro.core.client import attested_handshake, mask_delivery
 from repro.core.confidential import BotDetectionService, build_confidential_image
 from repro.core.glimmer import GlimmerConfig, features_digest
 from repro.core.provisioning import BlinderProvisioner, ServiceProvisioner
 from repro.core.split import build_split_images
-from repro.crypto.group_ops import DHSessionCache
 from repro.crypto.masking import BlindingService
 from repro.experiments.common import Deployment
-from repro.sgx.attestation import report_data_for
 from repro.sgx.platform import SgxPlatform
 from repro.workloads.botnet import DetectorWeights
 
@@ -36,8 +39,9 @@ def _glimmer(deployment):
         client.platform,
         client.glimmer,
         provisioner,
-        lambda n, *offer: client.glimmer.ecall(
-            "install_blinding_mask", n, 0, provisioner.provision_mask(*offer, n, 0)
+        lambda n, *request: provisioner.provision_mask(*request, n, 0),
+        lambda n, delivery: client.glimmer.ecall(
+            "install_blinding_mask", n, 0, delivery
         ),
     )
 
@@ -66,9 +70,8 @@ def _split_signing(deployment):
         platform,
         enclave,
         provisioner,
-        lambda n, *offer: enclave.ecall(
-            "install_signing_key", provisioner.provision_signing_key(*offer)
-        ),
+        lambda n, *request: provisioner.provision_signing_key(*request),
+        lambda n, delivery: enclave.ecall("install_signing_key", delivery),
     )
 
 
@@ -89,9 +92,8 @@ def _split_blinding(deployment):
         platform,
         enclave,
         provisioner,
-        lambda n, *offer: enclave.ecall(
-            "install_blinding_mask", n, 0, provisioner.provision_mask(*offer, n, 0)
-        ),
+        lambda n, *request: provisioner.provision_mask(*request, n, 0),
+        lambda n, delivery: enclave.ecall("install_blinding_mask", n, 0, delivery),
     )
 
 
@@ -110,39 +112,54 @@ def _confidential(deployment):
         platform,
         enclave,
         provisioner,
-        lambda n, *offer: enclave.ecall(
-            "install_detector", provisioner.provision_detector(*offer)
-        ),
+        lambda n, *request: provisioner.provision_detector(*request),
+        lambda n, delivery: enclave.ecall("install_detector", delivery),
     )
 
 
-@pytest.mark.parametrize(
-    "variant", [_glimmer, _split_signing, _split_blinding, _confidential]
-)
-def test_second_delivery_to_a_platform_resumes(variant):
+def _cycles_per_delivery(variant, deliver):
+    """Build the variant on a default deployment; ``deliver(...)`` twice,
+    returning the enclave-crypto cycles each cost."""
     deployment = Deployment.build(
         num_users=1, seed=b"attested-delivery", provision_clients=False
     )
-    platform, enclave, provisioner, deliver = variant(deployment)
-    provisioner.session_cache = DHSessionCache()
+    platform, enclave, provisioner, request, install = variant(deployment)
 
     def crypto_cycles_of_delivery(n):
         before = enclave.meter.buckets.get("enclave-crypto", 0)
-        session = b"delivery-%d" % n
-        public = enclave.ecall("begin_handshake", session)
-        quote = platform.quote_enclave(
-            enclave, report_data_for(public.to_bytes(256, "big"))
-        )
-        deliver(n, session, public, quote)  # raises if it does not open
+        handshake = partial(attested_handshake, platform, enclave, b"delivery-%d" % n)
+        deliver(handshake, partial(request, n), partial(install, n))
         return enclave.meter.buckets["enclave-crypto"] - before
 
-    full, resumed = crypto_cycles_of_delivery(1), crypto_cycles_of_delivery(2)
-    # The difference is the second charge_dh — the shared-secret
-    # exponentiation a resumed leg skips — give or take the AEAD charge
-    # on a payload whose integer fields encode a few bytes apart.
-    costs = platform.cost_model
-    assert abs(full - resumed - costs.dh_cycles) <= 16 * costs.aead_cycles_per_byte
-    assert resumed >= costs.dh_cycles  # the handshake itself
-    assert provisioner.session_cache.counters() == {
-        "stores": 1, "hits": 1, "evictions": 0, "entries": 1,
-    }
+    cycles = crypto_cycles_of_delivery(1), crypto_cycles_of_delivery(2)
+    return platform.cost_model, provisioner, cycles
+
+
+@pytest.mark.parametrize("variant", [_glimmer, _split_blinding])
+def test_second_delivery_to_a_platform_resumes(variant):
+    """The second mask rides the session the first opened: no keygen, no
+    shared-secret exponentiation, no handshake signature — only AEAD."""
+    host = SimpleNamespace(mask_session=None, unanswered_handshake=None)
+    costs, provisioner, (full, resumed) = _cycles_per_delivery(
+        variant, partial(mask_delivery, host)
+    )
+    # The difference is the two DH charges (begin_handshake's keygen,
+    # open's shared secret) plus the hashing of the report the quote is
+    # built on; what is left in session is the AEAD alone.
+    extra = full - resumed - 2 * costs.dh_cycles
+    assert 0 <= extra <= 512 * costs.hash_cycles_per_byte
+    assert 0 < resumed < costs.dh_cycles
+    counters = provisioner.sessions.counters()
+    assert (counters["full_verifications"], counters["resumed"]) == (1, 1)
+
+
+@pytest.mark.parametrize("variant", [_split_signing, _confidential])
+def test_one_shot_delivery_never_resumes(variant):
+    """A signing key or detector is delivered in full every time, and the
+    enclave keeps no session for it."""
+    costs, _provisioner, (first, second) = _cycles_per_delivery(
+        variant,
+        lambda handshake, request, install: install(request(*handshake())),
+    )
+    assert first == second
+    assert first >= 2 * costs.dh_cycles

@@ -2,17 +2,21 @@
 
 Parity against the frozen naive twins lives in
 ``tests/perf/test_pk_parity.py``; this file covers the machinery itself —
-table lifecycle, membership memoization, batch scalars, the DH session
-cache, and the fast-path counters.
+table lifecycle, membership memoization, batch scalars and the fast-path
+counters — and the delivery sessions that keep the DH leg off every round
+but a device's first, on the default deployment.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core.glimmer import BLINDING_MASK_CONTEXT, session_round_key
 from repro.crypto import group_ops
 from repro.crypto.dh import OAKLEY_GROUP_1, TEST_GROUP
 from repro.crypto.drbg import HmacDrbg
+from repro.errors import AttestationError
+from repro.experiments.common import Deployment
 
 
 @pytest.fixture(autouse=True)
@@ -158,41 +162,50 @@ def test_batch_scalars_deterministic_and_nonzero():
     assert group_ops.batch_scalars(b"other", 64) != first
 
 
-# ------------------------------------------------------------ session cache
+# ---------------------------------------------------------- delivery sessions
 
 
-def test_session_cache_roundtrip_and_counters():
-    cache = group_ops.DHSessionCache(max_entries=4)
+def test_session_table_roundtrip_and_counters():
+    """Round 1 opens one session per device; round 2 rides them, and the
+    report counts exactly those deliveries."""
+    deployment = Deployment.build(num_users=3, seed=b"session-table")
     before = group_ops.counters()
-    assert cache.lookup(b"peer", "ctx") is None
-    cache.store(b"peer", "ctx", 123, b"k" * 32)
-    assert cache.lookup(b"peer", "ctx") == (123, b"k" * 32)
-    assert cache.lookup(b"peer", "other-ctx") is None
-    delta = group_ops.counters_delta(before)
-    assert delta["handshakes_resumed"] == 1
+    deployment.honest_round(1)
+    assert deployment.last_report.handshakes_resumed == 0
+    deployment.honest_round(2)
+    assert deployment.last_report.handshakes_resumed == 3
+    counters = deployment.blinder_provisioner.sessions.counters()
+    assert (counters["full_verifications"], counters["resumed"]) == (3, 3)
+    assert "handshakes_resumed" not in group_ops.counters_delta(before)
 
 
-def test_session_cache_resume_key_contextual():
+def test_session_round_key_contextual():
     base = b"b" * 32
-    key1 = group_ops.DHSessionCache.resume_key(base, b"s1", "ctx")
-    assert key1 == group_ops.DHSessionCache.resume_key(base, b"s1", "ctx")
-    assert key1 != group_ops.DHSessionCache.resume_key(base, b"s2", "ctx")
-    assert key1 != group_ops.DHSessionCache.resume_key(base, b"s1", "ctx2")
-    assert key1 != group_ops.DHSessionCache.resume_key(b"c" * 32, b"s1", "ctx")
+    key = session_round_key(base, BLINDING_MASK_CONTEXT, 1, 0)
+    assert key == session_round_key(base, BLINDING_MASK_CONTEXT, 1, 0)
+    assert key != session_round_key(base, BLINDING_MASK_CONTEXT, 2, 0)
+    assert key != session_round_key(base, BLINDING_MASK_CONTEXT, 1, 1)
+    assert key != session_round_key(base, "other-context", 1, 0)
+    assert key != session_round_key(b"c" * 32, BLINDING_MASK_CONTEXT, 1, 0)
 
 
-def test_session_cache_eviction_and_clear():
-    cache = group_ops.DHSessionCache(max_entries=2)
-    cache.store(b"a", "ctx", 1, b"ka")
-    cache.store(b"b", "ctx", 2, b"kb")
-    cache.store(b"c", "ctx", 3, b"kc")  # evicts the oldest entry
-    assert cache.lookup(b"a", "ctx") is None
-    assert cache.lookup(b"b", "ctx") is not None
-    cache.evict(b"b", "ctx")
-    assert cache.lookup(b"b", "ctx") is None
-    cache.store(b"d", "ctx", 4, b"kd")
-    cache.clear()
-    assert cache.lookup(b"d", "ctx") is None
+def test_session_table_eviction_and_clear():
+    """A refused session is gone for good; a blinder that forgets its
+    table (a crash) forgets every session."""
+    deployment = Deployment.build(num_users=2, seed=b"session-table")
+    deployment.honest_round(1)
+    sessions = deployment.blinder_provisioner.sessions
+    first, second = (client.mask_session for client in deployment.clients.values())
+    approved = deployment.image.mrenclave
+    with pytest.raises(AttestationError, match="measurement"):
+        sessions.session_key(first, b"\x42" * 32)
+    with pytest.raises(AttestationError, match="no such session"):
+        sessions.session_key(first, approved)
+    assert len(sessions.session_key(second, approved)) == 32
+    sessions.end_sessions()
+    with pytest.raises(AttestationError, match="no such session"):
+        sessions.session_key(second, approved)
+    assert sessions.counters()["resume_rejected"] == 3
 
 
 # ---------------------------------------------------------------- counters
@@ -205,4 +218,3 @@ def test_counters_delta_is_monotone_snapshot():
     delta = group_ops.counters_delta(before)
     assert delta["batch_verifications"] == 1
     assert delta["batch_fallbacks"] == 2
-    assert delta["handshakes_resumed"] == 0

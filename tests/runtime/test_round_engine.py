@@ -60,6 +60,14 @@ def test_clean_round_is_exact_with_full_telemetry(deployment):
     ]
     assert sum(phase.messages for phase in report.phases) == report.messages_sent
 
+    # Round 2 rides the sessions round 1 opened: no begin_handshake, so
+    # 1 ecall to install the mask + 1 to contribute, per client.
+    second = deployment.engine.run_round(
+        2, user_ids, vectors, deployment.features.bigrams
+    )
+    assert second.ecalls == 2 * len(user_ids)
+    assert second.handshakes_resumed == len(user_ids)
+
 
 def test_dropout_below_threshold_repairs_and_stays_exact(deployment):
     user_ids, vectors = _cohort(deployment)

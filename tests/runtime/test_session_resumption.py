@@ -1,8 +1,8 @@
-"""Cross-round DH session resumption: same outcomes, fewer handshakes.
+"""Cross-round mask sessions: the same rounds, without the per-round handshake.
 
-The session cache is an opt-in transport optimization — with it on, every
-round must produce the same accept/reject decisions and the same
-aggregate as the uncached deployment, while the telemetry shows repeat
+Every deployment keeps a device's attested session across rounds: the
+first mask is a full attested delivery, later ones ride the session.
+Every round must still finalize exactly, while the telemetry shows repeat
 clients resuming instead of re-running full handshakes.
 """
 
@@ -11,11 +11,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.glimmer import BLINDING_MASK_CONTEXT
 from repro.crypto import group_ops
 from repro.crypto.commitments import MaskOpening
 from repro.errors import MaskVerificationError, RoundAbortedError
 from repro.experiments.common import Deployment
+from repro.invariants import exact_mean
 from repro.runtime.protocol import VIOLATION_MASK_OPENING
 from repro.scale import ScaleConfig
 
@@ -32,69 +32,56 @@ def _clean_group_ops_state():
     group_ops.reset_tables()
 
 
-def _deployments():
-    cached = Deployment.build(
-        num_users=NUM_USERS, seed=b"session-resume", session_resumption=True
+def _assert_exact(deployment):
+    users = [user.user_id for user in deployment.corpus.users]
+    np.testing.assert_array_equal(
+        np.asarray(deployment.last_report.aggregate),
+        exact_mean(deployment.codec, deployment.local_vectors(), users),
     )
-    plain = Deployment.build(num_users=NUM_USERS, seed=b"session-resume")
-    return cached, plain
+    assert deployment.last_report.survivors == tuple(users)
 
 
 def test_cached_rounds_match_uncached_and_resume():
-    cached, plain = _deployments()
+    deployment = Deployment.build(num_users=NUM_USERS, seed=b"session-resume")
     for round_id in ROUNDS:
-        aggregate_cached = cached.honest_round(round_id)
-        aggregate_plain = plain.honest_round(round_id)
-        np.testing.assert_array_equal(aggregate_cached, aggregate_plain)
-        assert (
-            cached.last_report.num_contributions
-            == plain.last_report.num_contributions
-        )
-        assert cached.last_report.survivors == plain.last_report.survivors
-        assert plain.last_report.handshakes_resumed == 0
-        if round_id == 1:
-            assert cached.last_report.handshakes_resumed == 0
-        else:
-            # every repeat client resumes its blinding-mask handshake
-            assert cached.last_report.handshakes_resumed >= NUM_USERS
-    counters = cached.blinder_provisioner.session_cache.counters()
-    assert counters["stores"] == NUM_USERS
-    assert counters["hits"] >= NUM_USERS * (len(ROUNDS) - 1)
+        deployment.honest_round(round_id)
+        _assert_exact(deployment)
+        # round 1 opens every session; every later mask rides one
+        resumed = 0 if round_id == 1 else NUM_USERS
+        assert deployment.last_report.handshakes_resumed == resumed
+        assert deployment.last_report.ecalls == (3 if round_id == 1 else 2) * NUM_USERS
+    counters = deployment.blinder_provisioner.sessions.counters()
+    assert counters["full_verifications"] == NUM_USERS
+    assert counters["resumed"] == NUM_USERS * (len(ROUNDS) - 1)
 
 
 def test_glimmer_restart_heals_by_full_handshake():
-    """A restarted Glimmer lost its session keys; the resumed delivery
-    fails to open, the client evicts the cache entry, and the retry runs
-    the full handshake — the round still completes correctly."""
-    cached, plain = _deployments()
-    np.testing.assert_array_equal(
-        cached.honest_round(1), plain.honest_round(1)
-    )
-    victim = cached.corpus.users[0].user_id
-    cached.clients[victim].restart()
-    cache = cached.blinder_provisioner.session_cache
-    evictions_before = cache.counters()["evictions"]
-    np.testing.assert_array_equal(
-        cached.honest_round(2), plain.honest_round(2)
-    )
-    assert cache.counters()["evictions"] == evictions_before + 1
+    """A restarted Glimmer lost its session key; its in-session delivery
+    fails to open, the host drops the session, and the retry runs the
+    full handshake — the round still completes exactly."""
+    deployment = Deployment.build(num_users=NUM_USERS, seed=b"session-resume")
+    deployment.honest_round(1)
+    victim = deployment.clients[deployment.corpus.users[0].user_id]
+    victim.restart()
+    sessions = deployment.blinder_provisioner.sessions
+    stale, full_before = victim.mask_session, sessions.full_verifications
+    deployment.honest_round(2)
+    _assert_exact(deployment)
+    assert sessions.full_verifications == full_before + 1
+    assert victim.mask_session not in (None, stale)
     # the victim re-established: round 3 resumes for everyone again
-    np.testing.assert_array_equal(
-        cached.honest_round(3), plain.honest_round(3)
-    )
-    assert cached.last_report.handshakes_resumed >= NUM_USERS
+    deployment.honest_round(3)
+    _assert_exact(deployment)
+    assert deployment.last_report.handshakes_resumed == NUM_USERS
 
 
 # ------------------------------------------------- blame survives resumption
 
 
 def _established(parallelism=None):
-    """A resuming deployment with round 1 done: every session is cached."""
+    """A deployment with round 1 done: every device holds a session."""
     deployment = Deployment.build(
-        num_users=NUM_USERS,
-        seed=b"session-resume",
-        session_resumption=True,
-        parallelism=parallelism,
+        num_users=NUM_USERS, seed=b"session-resume", parallelism=parallelism
     )
     with deployment.engine:
         deployment.honest_round(1)
@@ -128,21 +115,21 @@ def _lie_about_slot_0_once(provisioner):
 
 def _assert_asked_once_and_still_cached(deployment, client, asked, sessions_before):
     assert asked == [2]
-    assert client._session_counter == sessions_before + 1  # no second handshake
-    cache = deployment.blinder_provisioner.session_cache
-    assert cache.counters()["evictions"] == 0
-    assert (
-        cache.lookup(client.platform.platform_id, BLINDING_MASK_CONTEXT)
-        is not None
-    )
+    assert client._session_counter == sessions_before  # asked in session only
+    sessions = deployment.blinder_provisioner.sessions
+    assert sessions.counters()["resume_rejected"] == 0
+    handle = client.mask_session
+    assert handle is not None  # the host kept its session
+    assert sessions.session_key(handle, deployment.image.mrenclave)
 
 
 @pytest.mark.parametrize(
     "parallelism", [None, ScaleConfig(workers=2, shards=2)], ids=["bus", "pool"]
 )
 def test_one_shot_tampered_delivery_is_blamed_under_resumption(parallelism):
-    """Resumption may retry a delivery it cannot *open*; one that opens to
-    a mask failing its commitment is the blinder lying, on every route."""
+    """The host may retry an in-session delivery it cannot *open*; one
+    that opens to a mask failing its commitment is the blinder lying, on
+    every route."""
     deployment = _established(parallelism)
     client = deployment.clients[deployment.corpus.users[0].user_id]
     sessions_before = client._session_counter

@@ -4,8 +4,9 @@
 set of types in it plus one pass over the values; these tests pin the
 accept/reject boundary element by element, including the values that
 used to escape as a bare ``OverflowError`` instead of a violation blamed
-on the sender, and every field of the contribute command, checked at the
-wire so a rewrite in transit is a blamed violation end to end.
+on the sender, and every field of the contribute command and of the
+mask request's two shapes, checked at the wire so a rewrite in transit is
+a blamed violation end to end.
 """
 
 from dataclasses import replace
@@ -13,7 +14,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.core.glimmer import features_digest
+from repro import invariants
+from repro.core.glimmer import HANDLE_BYTES, features_digest
 from repro.core.signing import SignedContribution
 from repro.crypto.schnorr import SchnorrSignature
 from repro.errors import ProtocolViolation
@@ -21,12 +23,14 @@ from repro.experiments.common import Deployment
 from repro.network.adversary import NetworkAdversary
 from repro.runtime import messages as m
 from repro.runtime.protocol import VIOLATION_MALFORMED
+from repro.runtime.telemetry import OUTCOME_QUARANTINED
 from repro.runtime.wire import (
     _check_finite_floats,
     _check_ring_words,
     validate_contribution,
     validate_payload,
 )
+from repro.sgx.attestation import Quote
 
 SENDER = "client:mallory"
 HUGE = 10**400  # an int no float can hold
@@ -241,3 +245,106 @@ def test_tampered_contribute_command_is_a_violation_end_to_end(fields):
         deployment.honest_round(1)
     assert excinfo.value.kind == VIOLATION_MALFORMED
     assert excinfo.value.offender == m.ENGINE
+
+
+# ------------------------------------------------------------ the mask request
+
+QUOTE = Quote(
+    mrenclave=b"\x01" * 32,
+    mrsigner=b"\x02" * 32,
+    version=1,
+    debug=False,
+    report_data=b"\x03" * 64,
+    platform_id=b"\x04" * 16,
+    signature=SchnorrSignature(challenge=1, response=1),
+)
+HANDLE = b"\x05" * HANDLE_BYTES
+
+
+def _mask_request(**overrides):
+    fields = dict(
+        session_id=b"user-0000\x00\x00\x00\x01",
+        dh_public=5,
+        quote=QUOTE,
+        round_id=1,
+        party_index=0,
+    )
+    fields.update(overrides)
+    return m.MaskRequest(**fields)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        pytest.param({}, id="full"),
+        pytest.param(dict(session_id=HANDLE, dh_public=None, quote=None), id="in-session"),
+    ],
+)
+def test_mask_request_accepted(overrides):
+    validate_payload(m.KIND_MASK_REQUEST, SENDER, _mask_request(**overrides))
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        # the full shape, type-confused
+        dict(quote="not-a-quote"),
+        dict(quote=7),
+        dict(quote=None),
+        dict(quote=replace(QUOTE, platform_id=[4])),
+        dict(quote=replace(QUOTE, version="1")),
+        dict(quote=replace(QUOTE, debug=0)),
+        dict(quote=replace(QUOTE, signature=(1, 1))),
+        dict(quote=replace(QUOTE, signature=SchnorrSignature(challenge=1.0, response=1))),
+        dict(dh_public=None),
+        dict(dh_public=0),
+        dict(dh_public=True),
+        dict(session_id=b""),
+        dict(session_id="user-0000"),
+        # the in-session shape, with something of the other or a bad handle
+        dict(session_id=HANDLE, dh_public=None, quote=QUOTE),
+        dict(session_id=HANDLE, dh_public=5, quote=None),
+        dict(session_id=HANDLE[:-1], dh_public=None, quote=None),
+        dict(session_id=HANDLE + b"\x00", dh_public=None, quote=None),
+        dict(session_id=None, dh_public=None, quote=None),
+    ],
+)
+def test_malformed_mask_request_is_blamed_on_the_sender(overrides):
+    with pytest.raises(ProtocolViolation) as excinfo:
+        validate_payload(m.KIND_MASK_REQUEST, SENDER, _mask_request(**overrides))
+    _assert_blamed(excinfo)
+
+
+class RewriteMaskRequest(NetworkAdversary):
+    """On-path: rewrite fields of one device's mask requests."""
+
+    def __init__(self, user_id: str, **fields) -> None:
+        self.sender = m.client_endpoint(user_id)
+        self.fields = fields
+
+    def process(self, message):
+        if message.kind == m.KIND_MASK_REQUEST and message.sender == self.sender:
+            return message.with_payload(replace(message.payload, **self.fields))
+        return message
+
+
+@pytest.mark.parametrize("quote", ["not-a-quote", None, 7], ids=["str", "none", "int"])
+def test_type_confused_quote_ends_in_a_verdict(quote):
+    """A rewritten quote is a ``malformed`` violation blamed on the device
+    whose request carried it: the round finalizes exactly over the rest,
+    with that device quarantined — never a raw ``AttributeError``."""
+    deployment = Deployment.build(num_users=4, seed=b"wire-tamper")
+    users = [user.user_id for user in deployment.corpus.users]
+    victim = users[1]
+    deployment.network.interpose(RewriteMaskRequest(victim, quote=quote))
+    vectors = deployment.local_vectors()
+    report = deployment.engine.run_round(
+        1, users, vectors, deployment.features.bigrams
+    )
+    verdict = invariants.judge(report, deployment.codec, vectors)
+    assert verdict.outcome == invariants.OUTCOME_EXACT
+    assert verdict.offenders == (m.client_endpoint(victim),)
+    assert report.outcomes[victim] == OUTCOME_QUARANTINED
+    assert [(v.offender, v.kind) for v in report.violations] == [
+        (m.client_endpoint(victim), VIOLATION_MALFORMED)
+    ]

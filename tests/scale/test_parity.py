@@ -298,18 +298,18 @@ def test_glimmer_down_at_round_start_is_restarted_on_the_pool_as_on_the_bus():
     assert parallel.messages_sent < serial.messages_sent
 
 
-# ------------------------------------------------- pool x session resumption
+# ------------------------------------------------------ pool x mask sessions
 
 
 def test_resumed_rounds_run_on_the_pool_and_match_serial():
-    """A provisioner session cache no longer keeps a round off the pool:
-    the parent draws each slot's leg (resumed or fresh) through the
-    provisioner, so both rounds are the serial twin's, byte for byte."""
-    serial = _build(session_resumption=True)
-    parallel = _build(workers=2, shards=2, session_resumption=True)
+    """The parent draws each slot's leg (in session, or a fresh keypair)
+    through the provisioner, so the round that opens the sessions and the
+    rounds that ride them are the serial twin's, byte for byte."""
+    serial = _build()
+    parallel = _build(workers=2, shards=2)
     plan = route_of(parallel)
     assert plan.shards > 0 and plan.reason is None
-    for round_id in (1, 2):
+    for round_id in (1, 2, 3):
         serial_report = _run(serial, round_id)
         parallel_report = _run(parallel, round_id)
         _assert_bit_exact(serial_report, parallel_report)
@@ -317,27 +317,27 @@ def test_resumed_rounds_run_on_the_pool_and_match_serial():
         assert (
             serial_report.handshakes_resumed == parallel_report.handshakes_resumed
         )
-    assert parallel_report.handshakes_resumed >= len(parallel.clients)
+    assert parallel_report.handshakes_resumed == len(parallel.clients)
     assert (
-        serial.blinder_provisioner.session_cache.counters()
-        == parallel.blinder_provisioner.session_cache.counters()
+        serial.blinder_provisioner.sessions.counters()
+        == parallel.blinder_provisioner.sessions.counters()
     )
 
 
 def test_pool_round_heals_a_glimmer_restarted_between_resumed_rounds():
-    """The restarted Glimmer cannot open its resumed delivery in the
-    worker; that one slot is evicted and re-run on the bus, and the round
-    still counts everyone, exactly."""
-    deployment = _build(workers=2, shards=2, session_resumption=True)
+    """The restarted Glimmer cannot open its in-session delivery in the
+    worker; that one slot re-attests on the bus, and the round still
+    counts everyone, exactly."""
+    deployment = _build(workers=2, shards=2)
     users = [u.user_id for u in deployment.corpus.users]
     _run(deployment, 1)
     victim = users[3]
     deployment.clients[victim].restart()
-    cache = deployment.blinder_provisioner.session_cache
-    evictions = cache.counters()["evictions"]
+    sessions = deployment.blinder_provisioner.sessions
+    full = sessions.full_verifications
     assert route_of(deployment).pool
     report = _run(deployment, 2)
-    assert cache.counters()["evictions"] == evictions + 1
+    assert sessions.full_verifications == full + 1
     assert report.outcomes == {user: OUTCOME_ACCEPTED for user in users}
     assert report.num_contributions == len(users)
     np.testing.assert_array_equal(
@@ -345,4 +345,4 @@ def test_pool_round_heals_a_glimmer_restarted_between_resumed_rounds():
         exact_mean(deployment.codec, deployment.local_vectors(), users),
     )
     # the victim re-established on the bus; round 3 resumes for everyone
-    assert _run(deployment, 3).handshakes_resumed >= len(users)
+    assert _run(deployment, 3).handshakes_resumed == len(users)
