@@ -8,8 +8,8 @@ a plan first restores the stock parties, so one long-lived deployment
 runs many sampled schedules (quarantine carrying over, like a fleet).
 
 :func:`run_byzantine_round` is then the engine's own ``run_round`` — the
-code under attack is the code that runs, weather, routing and asyncio
-driver included — judged by :func:`repro.invariants.judge`.  The verdict
+code under attack is the code that runs, weather and routing included —
+judged by :func:`repro.invariants.judge`.  The verdict
 must never be ``undetected-corruption``.
 """
 

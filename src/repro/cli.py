@@ -27,7 +27,7 @@ The long-lived service runs under ``serve``/``submit``::
 
 ``submit`` enqueues into the durable submission queue (admission control
 applies: a full queue exits 3); ``serve`` drains queued submissions
-through concurrent async rounds, one per tenant at a time, and ``--resume``
+through overlapping rounds, one per tenant at a time, and ``--resume``
 first finishes any round a previous process left open in the journal.
 Both commands default to the ``disk`` backend so separate invocations
 share state through ``--state-dir``.
@@ -418,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     stream_parser.set_defaults(func=_cmd_stream_smoke)
 
     serve_parser = sub.add_parser(
-        "serve", help="drain queued submissions through concurrent async rounds"
+        "serve", help="drain queued submissions through overlapping rounds"
     )
     _add_service_arguments(serve_parser)
     serve_parser.add_argument(

@@ -171,18 +171,6 @@ class _RoundRecord:
             self.participants.append(client_id)
 
 
-class StageDrain:
-    """The one drain loop over :meth:`RoundEngine.round_stages`: the sync and
-    asyncio drivers both ``for stage in drain``, then read :attr:`report`."""
-
-    def __init__(self, stages) -> None:
-        self._stages = stages
-        self.report: RoundReport | None = None
-
-    def __iter__(self):
-        self.report = yield from self._stages
-
-
 class RoundEngine:
     """Orchestrates contribution rounds over a simulated transport."""
 
@@ -734,8 +722,10 @@ class RoundEngine:
 
     def _evict_consumed_slot(self, record: _RoundRecord, slot: int) -> bool:
         """Undo :meth:`_note_slot_consumed` (so §3 repair reveals the mask) —
-        only when the service verifiably removed the contribution; if it
-        cannot (plain and streamed rounds) the accept stands."""
+        only when the service verifiably removed the contribution.  Flat
+        and plain rounds keep their accepted trail, so ``evict_nonce``
+        finds the row; a streamed round keeps none, and there the accept
+        stands."""
         nonce = record.slot_nonce.get(slot)
         if (
             slot not in record.consumed
@@ -1236,10 +1226,11 @@ class RoundEngine:
             blind=blind,
             adaptive=adaptive,
         )
-        drain = StageDrain(stages)
-        for _stage in drain:
-            pass
-        return drain.report
+        try:
+            while True:
+                next(stages)
+        except StopIteration as done:
+            return done.value
 
     def round_stages(
         self,

@@ -9,9 +9,7 @@ un-fold a contribution (quarantine eviction, late-reply discard) or
 replay the accepted set for the finalize audit.  That is why
 :func:`repro.scale.rounds.plan_route` blocks it under the same
 conditions as the worker pool, which keeps the chaos and Byzantine
-suites bit-identical with subgrouping configured.  Unlike the pool, DH
-session resumption does not block it: the streamed path never replays
-the provisioner's DRBG stream.
+suites bit-identical with subgrouping configured.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""The long-lived Glimmer service: async rounds over durable state.
+"""The long-lived Glimmer service: overlapping rounds over durable state.
 
 The :mod:`repro.runtime` engine runs one round at a time, in memory, to
 completion.  This package wraps it in a service shape:
@@ -11,16 +11,15 @@ completion.  This package wraps it in a service shape:
   mid-round recoverable without double-counting anything;
 * :mod:`repro.service.queue` — the durable submission queue with
   admission control (bounded depth, reject-or-defer overflow);
-* :mod:`repro.service.async_engine` — the asyncio driver that interleaves
-  many rounds' :meth:`~repro.runtime.engine.RoundEngine.round_stages`
-  generators on one event loop, bit-exact per round;
 * :mod:`repro.service.resilience` — the armor between the service and its
   storage: capped-jittered retries, a per-backend circuit breaker, and
   fail-fast :class:`~repro.errors.StorageUnavailableError` conversion;
 * :mod:`repro.service.service` — :class:`GlimmerService`, the multi-tenant
   composition: several cloud services sharing one blinding provisioner,
-  continuous intake, overlapping rounds, crash recovery, per-tenant
-  bulkheads, a round watchdog, and chaos kill-points;
+  continuous intake, crash recovery, per-tenant bulkheads, a round
+  watchdog, chaos kill-points, and the one round scheduler, which steps
+  the tenants' :meth:`~repro.runtime.engine.RoundEngine.round_stages`
+  generators round-robin so their rounds overlap, bit-exact per round;
 * :mod:`repro.service.chaos` — the kill-and-restart self-healing harness
   driving all of the above under scheduled storage faults;
 * :mod:`repro.service.fleet` — the flaky-fleet chaos harness: deterministic
@@ -31,7 +30,6 @@ The synchronous engine remains the bit-exact reference; everything here
 reuses its phase logic verbatim and only changes *when* it runs.
 """
 
-from repro.service.async_engine import AsyncRoundEngine, install_async_drive
 from repro.service.audit import EVENT_REPAIR, AuditLog
 from repro.service.fleet import run_fleet_schedule
 from repro.service.journal import RoundJournal
@@ -61,7 +59,6 @@ from repro.service.storage import (
 )
 
 __all__ = [
-    "AsyncRoundEngine",
     "AuditLog",
     "CircuitBreaker",
     "DiskBackend",
@@ -84,6 +81,5 @@ __all__ = [
     "SubmissionQueue",
     "TenantRuntime",
     "build_backend",
-    "install_async_drive",
     "run_fleet_schedule",
 ]

@@ -9,7 +9,7 @@ plays the operator: it boots the service over faulty storage, submits a
 workload, and every time the process "dies" (:class:`ServiceKilledError`)
 or storage gives out (:class:`StorageUnavailableError` after retries and
 breaker), it restarts the service **from persisted state only** —
-``GlimmerService.recover`` + ``resume`` — and keeps going until the
+``GlimmerService.recover`` + ``resume_sync`` — and keeps going until the
 workload drains.
 
 The invariant proved at the end of every schedule is *exact-or-
@@ -45,7 +45,6 @@ from repro.errors import (
     AdmissionError,
     ConfigurationError,
     ReproError,
-    RoundAbortedError,
     ServiceKilledError,
     StorageError,
     StorageUnavailableError,
@@ -122,12 +121,10 @@ def run_service_schedule(
             svc.attach_chaos(injector)
         if tenant not in svc.tenants:
             svc.add_tenant(tenant)
-        while True:
-            try:
-                rounds_recovered += len(svc.resume_sync())
-                break
-            except RoundAbortedError:
-                rounds_aborted += 1
+        try:
+            rounds_recovered += len(svc.resume_sync())
+        finally:
+            rounds_aborted += svc.rounds_aborted
         return svc
 
     def _guard(op: Callable[[GlimmerService], Any]) -> Any:

@@ -34,12 +34,13 @@ party.  :class:`GlimmerService` realizes that shape:
 
 from __future__ import annotations
 
-import asyncio
-from typing import Sequence
+import time
+from typing import Generator, Sequence
 
 from repro.errors import (
     AdmissionError,
     ConfigurationError,
+    ReproError,
     RoundAbortedError,
     ServiceKilledError,
     StorageError,
@@ -49,7 +50,6 @@ from repro.errors import (
 from repro.experiments.common import Deployment
 from repro.faults.plan import ACTION_KILL, SITE_SERVICE_KILL
 from repro.runtime.telemetry import RoundReport
-from repro.service.async_engine import AsyncRoundEngine
 from repro.service.audit import AuditLog
 from repro.service.journal import RoundJournal
 from repro.service.queue import (
@@ -76,7 +76,6 @@ class TenantRuntime:
         self.name = name
         self.deployment = deployment
         self.queue = queue
-        self.driver = AsyncRoundEngine(deployment.engine)
 
     @property
     def engine(self):
@@ -115,6 +114,8 @@ class GlimmerService:
         self.journal = RoundJournal(backend)
         self.tenants: dict[str, TenantRuntime] = {}
         self.round_deadline = round_deadline
+        #: Rounds this instance aborted (engine abort or watchdog).
+        self.rounds_aborted = 0
         #: Tenants quarantined behind their bulkhead: name -> reason.
         self.degraded: dict[str, str] = {}
         self._tenant_backends: dict[str, StorageBackend] = {}
@@ -364,19 +365,18 @@ class GlimmerService:
             )
         return next_id
 
-    async def run_round(
-        self, tenant: str, *, limit: int | None = None
-    ) -> RoundReport | None:
-        """Drain one batch from a tenant's queue through one async round.
+    def _open_round(
+        self, runtime: TenantRuntime, limit: int | None
+    ) -> Generator[None, None, RoundReport | None] | None:
+        """Take one batch from a tenant's queue and open a round over it.
 
-        Returns ``None`` when the queue has nothing pending.  The round
-        is journaled before the first protocol message and closed in the
-        journal before the queue marks its submissions applied, so a
-        crash at any point is recoverable without double-counting.
+        Returns ``None`` when the queue has nothing pending, else the
+        round's :meth:`_drive` generator.  The round is journaled before
+        the first protocol message and closed in the journal before the
+        queue marks its submissions applied, so a crash at any point is
+        recoverable without double-counting.
         """
-        runtime = self.tenant(tenant)
-        if tenant in self.degraded:
-            return None
+        tenant = runtime.name
         try:
             batch = runtime.queue.take(limit)
         except StorageUnavailableError as exc:
@@ -408,61 +408,74 @@ class GlimmerService:
             submissions=submission_ids,
         )
         self._kill_point("post-assign", target=tenant, round_id=round_id)
-        return await self._drive_round(
+        return self._drive(
             runtime, round_id, participants, values_by_user, submission_ids
         )
 
-    async def _drive_round(
+    def _tenant_round(
+        self, runtime: TenantRuntime, limit: int | None
+    ) -> Generator[None, None, RoundReport | None]:
+        """Open a round on the tenant's pending batch and drive it."""
+        try:
+            drive = self._open_round(runtime, limit)
+            return None if drive is None else (yield from drive)
+        except StorageUnavailableError:
+            # The tenant was degraded on the way out; its bulkhead
+            # keeps the failure from touching the other tenants.
+            return None
+
+    def _drive(
         self,
         runtime: TenantRuntime,
         round_id: int,
         participants: list[str],
         values_by_user: dict[str, list[float]],
         submission_ids: list[str],
-    ) -> RoundReport:
-        try:
-            drive = runtime.driver.run_round(
-                round_id,
-                participants,
-                values_by_user,
-                runtime.deployment.features.bigrams,
-            )
-            if self.round_deadline is not None:
-                report = await asyncio.wait_for(
-                    drive, timeout=self.round_deadline
+    ) -> Generator[None, None, RoundReport | None]:
+        """Step one opened round's stages, yielding after each.
+
+        Returns the report once the engine's generator stops and the
+        round is finished (journal, queue, audit).  A round that aborts,
+        or finds on resuming that it has outlived ``round_deadline``, is
+        journaled ``aborted``, its submissions requeued, and abandoned;
+        it returns ``None``.
+        """
+        stages = runtime.engine.round_stages(
+            round_id,
+            participants,
+            values_by_user,
+            runtime.deployment.features.bigrams,
+        )
+        started = time.monotonic()
+        while True:
+            try:
+                next(stages)
+            except StopIteration as done:
+                report = done.value
+                break
+            except RoundAbortedError as exc:
+                self._abort_round(
+                    runtime, round_id, str(exc), self.audit.record,
+                    "round-aborted", reason=str(exc),
                 )
-            else:
-                report = await drive
-        except asyncio.TimeoutError:
-            # The watchdog path: a wedged round is aborted with full
-            # telemetry instead of hanging the service forever.
-            reason = (
-                f"watchdog: round exceeded its "
-                f"{self.round_deadline}s deadline"
-            )
-            self.journal.round_aborted(round_id, reason)
-            requeued = runtime.queue.requeue_round(round_id)
-            self._audit_safe(
-                "round-watchdog-abort",
-                tenant=runtime.name,
-                round_id=round_id,
-                deadline=self.round_deadline,
-                requeued=requeued,
-            )
-            runtime.engine.abandon_round(round_id)
-            raise RoundAbortedError(f"round {round_id}: {reason}") from None
-        except RoundAbortedError as exc:
-            self.journal.round_aborted(round_id, str(exc))
-            requeued = runtime.queue.requeue_round(round_id)
-            self.audit.record(
-                "round-aborted",
-                tenant=runtime.name,
-                round_id=round_id,
-                reason=str(exc),
-                requeued=requeued,
-            )
-            runtime.engine.abandon_round(round_id)
-            raise
+                return None
+            yield
+            if (
+                self.round_deadline is not None
+                and time.monotonic() - started > self.round_deadline
+            ):
+                # The watchdog path: a wedged round is aborted with full
+                # telemetry instead of hanging the service forever.
+                self._abort_round(
+                    runtime,
+                    round_id,
+                    f"watchdog: round exceeded its {self.round_deadline}s "
+                    f"deadline",
+                    self._audit_safe,
+                    "round-watchdog-abort",
+                    deadline=self.round_deadline,
+                )
+                return None
         self._kill_point(
             "post-drive", target=runtime.name, round_id=round_id
         )
@@ -488,30 +501,73 @@ class GlimmerService:
         )
         return report
 
-    async def run_pending(self, *, limit: int | None = None) -> list[RoundReport]:
-        """One concurrent round per tenant with pending work.
+    def _abort_round(
+        self,
+        runtime: TenantRuntime,
+        round_id: int,
+        reason: str,
+        record,
+        event: str,
+        /,
+        **fields,
+    ) -> None:
+        """Journal ``aborted``, requeue, audit ``event`` via ``record``,
+        and abandon the round at the engine."""
+        self.journal.round_aborted(round_id, reason)
+        requeued = runtime.queue.requeue_round(round_id)
+        record(
+            event,
+            tenant=runtime.name,
+            round_id=round_id,
+            **fields,
+            requeued=requeued,
+        )
+        runtime.engine.abandon_round(round_id)
+        self.rounds_aborted += 1
 
-        Rounds interleave stage-by-stage on the event loop — this is the
-        overlap path.  Aborted rounds surface in the audit log and
-        journal but do not fail the batch.
+    @staticmethod
+    def _schedule(rounds: list[Generator]) -> list:
+        """Step round generators round-robin to their ends; their results.
+
+        Each pass steps every live round once, in order.  A round that
+        raises (a kill point, a storage failure) still lets the rest of
+        its pass run, so an incident in one tenant's round never changes
+        what the others do in that pass; the first error propagates when
+        the pass ends.
         """
-
-        async def _one(name: str) -> RoundReport | None:
-            try:
-                return await self.run_round(name, limit=limit)
-            except RoundAbortedError:
-                return None
-            except StorageUnavailableError:
-                # The tenant was degraded on the way out; its bulkhead
-                # keeps the failure from touching the other tenants.
-                return None
-
-        names = [name for name in self.tenants if name not in self.degraded]
-        results = await asyncio.gather(*(_one(name) for name in names))
-        return [report for report in results if report is not None]
+        results: list = [None] * len(rounds)
+        live = list(enumerate(rounds))
+        while live:
+            error = None
+            still = []
+            for index, steps in live:
+                try:
+                    next(steps)
+                except StopIteration as done:
+                    results[index] = done.value
+                except ReproError as exc:
+                    error = exc if error is None else error
+                else:
+                    still.append((index, steps))
+            if error is not None:
+                raise error
+            live = still
+        return results
 
     def run_pending_sync(self, *, limit: int | None = None) -> list[RoundReport]:
-        return asyncio.run(self.run_pending(limit=limit))
+        """One round per tenant with pending work, all overlapping.
+
+        Each non-degraded tenant in turn has its round opened and stepped
+        to its first stage; the live rounds then step round-robin, one
+        stage each, and each is finished at the step its generator stops.
+        Aborted rounds surface in the audit log and journal but do not
+        fail the batch.
+        """
+        names = [name for name in self.tenants if name not in self.degraded]
+        results = self._schedule(
+            [self._tenant_round(self.tenants[name], limit) for name in names]
+        )
+        return [report for report in results if report is not None]
 
     # ------------------------------------------------------------- recovery
 
@@ -545,7 +601,7 @@ class GlimmerService:
         )
         return service
 
-    async def resume(self) -> list[RoundReport]:
+    def resume_sync(self) -> list[RoundReport]:
         """Finish every round the previous process left open.
 
         Two cases, both driven by persisted state only:
@@ -555,6 +611,10 @@ class GlimmerService:
           queue update): complete the bookkeeping, no re-run;
         * journal says *opened* with no close: re-run the round under its
           original id over its journaled submission set, then close it.
+
+        Replays run one after another, each stepped to its end.  One that
+        aborts is journaled ``aborted`` with its submissions requeued, as
+        in :meth:`run_pending_sync`, and the remaining replays still run.
         """
         completed: list[RoundReport] = []
         for runtime in self.tenants.values():
@@ -633,11 +693,17 @@ class GlimmerService:
             self.audit.record(
                 "round-replayed", tenant=tenant, round_id=round_id
             )
-            report = await self._drive_round(
-                runtime, round_id, participants, values_by_user, submission_ids
+            (report,) = self._schedule(
+                [
+                    self._drive(
+                        runtime,
+                        round_id,
+                        participants,
+                        values_by_user,
+                        submission_ids,
+                    )
+                ]
             )
-            completed.append(report)
+            if report is not None:
+                completed.append(report)
         return completed
-
-    def resume_sync(self) -> list[RoundReport]:
-        return asyncio.run(self.resume())

@@ -15,8 +15,7 @@ recover it).  This package models exactly that contract:
 * :mod:`repro.sgx.attestation` — local reports, the quoting enclave, and an
   IAS-style attestation verification service.
 * :mod:`repro.sgx.sessions` — incremental attestation: quote-verification
-  caching, MACed resumption tickets, and the blinding service's delivery
-  sessions, so a device pays the full quote-verify + DH leg once, not
+  caching and the blinding service's delivery sessions, so a device pays the full quote-verify + DH leg once, not
   every round, until the policy epoch moves.
 * :mod:`repro.sgx.sealing` — sealing keys and sealed blobs.
 * :mod:`repro.sgx.counters` — monotonic counters for rollback protection.
@@ -33,7 +32,7 @@ from repro.sgx.costs import CostModel, CycleMeter, DEFAULT_COST_MODEL
 from repro.sgx.enclave import Enclave, EnclaveApi, EnclaveProgram, ecall
 from repro.sgx.measurement import EnclaveImage, VendorKey
 from repro.sgx.platform import SgxPlatform, ThreatModel
-from repro.sgx.sessions import SessionBroker, SessionTicket
+from repro.sgx.sessions import SessionBroker
 
 __all__ = [
     "AttestationService",
@@ -41,7 +40,6 @@ __all__ = [
     "QuotePolicy",
     "Report",
     "SessionBroker",
-    "SessionTicket",
     "CostModel",
     "CycleMeter",
     "DEFAULT_COST_MODEL",

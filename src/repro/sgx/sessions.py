@@ -1,4 +1,4 @@
-"""Incremental attestation sessions: quote caching, tickets, delivery sessions.
+"""Incremental attestation sessions: quote caching and delivery sessions.
 
 Full remote attestation is the most expensive leg of bringing a device
 online — a quote-verify (Schnorr) plus a DH handshake per join.  At IoT
@@ -14,13 +14,6 @@ about the platform or the enclave changed while the radio faded.
   change to the quote digest, the measurement, or the epoch forces a
   full verify.  A stale quote replayed after a policy bump therefore
   never hits cache — the epoch in the key has moved on.
-* **Resumption tickets** — :meth:`establish` mints a MACed
-  :class:`SessionTicket` naming the platform, its measurement, and the
-  epoch it attested under.  A rejoining client presents the ticket to
-  :meth:`resume` and skips both the quote-verify and the DH leg:
-  :meth:`resume_key` derives the resumed channel's traffic key from the
-  broker's ticket secret, so both ends agree on keys without a fresh
-  handshake.
 * **Delivery sessions** — the blinding service's session table.  A full
   attested delivery (quote-bound DH, signed handshake) opens a session
   under the current epoch (:meth:`open_session`), named by a handle both
@@ -28,11 +21,11 @@ about the platform or the enclave changed while the radio faded.
   :meth:`session_key` for its key, at the cost of a few set lookups.
 * **Forced re-attestation** — :meth:`bump_policy_epoch` advances the
   verifier's trust epoch (new published measurement, revocation sweep);
-  every outstanding ticket, cache entry and session is instantly stale,
-  because all are keyed by epoch.  Resumption also re-checks revocation
-  and the current measurement policy on every call: a ticket or session
-  never outlives a revocation, and a measurement-policy change rejects
-  tickets minted for the old hash even within an epoch.
+  every cache entry and session is instantly stale, because both are
+  keyed by epoch.  Every session key lookup also re-checks revocation
+  and the approved measurement: a session never outlives a revocation,
+  and a measurement-policy change ends sessions attested under the old
+  hash even within an epoch.
 
 The broker is deliberately *count-transparent* (``counters()``): the
 fleet chaos harness asserts that full re-attestations grow sublinearly
@@ -44,7 +37,6 @@ from __future__ import annotations
 import hmac as _hmac
 from dataclasses import dataclass, replace
 
-from repro.crypto.kdf import hkdf
 from repro.errors import AttestationError
 from repro.sgx.attestation import (
     AttestationResult,
@@ -53,9 +45,7 @@ from repro.sgx.attestation import (
     QuotePolicy,
 )
 
-__all__ = ["SessionTicket", "SessionBroker", "SESSION_DELIVERIES"]
-
-_TICKET_ID_BYTES = 16
+__all__ = ["SessionBroker", "SESSION_DELIVERIES"]
 
 #: Deliveries one session serves, the establishing one included, before
 #: its device must present a fresh quote: whatever else holds, no key and
@@ -78,54 +68,18 @@ class _Session:
     deliveries: int = 1
 
 
-@dataclass(frozen=True)
-class SessionTicket:
-    """A resumption ticket: proof of a prior full attestation.
-
-    The MAC binds the ticket to the broker that minted it; the embedded
-    ``policy_epoch`` pins the trust state it attested under.  Tickets
-    are bearer tokens *within the simulation* — confidentiality of the
-    ticket on the wire is the secure channel's job, exactly as with TLS
-    session tickets.
-    """
-
-    ticket_id: bytes
-    platform_id: bytes
-    mrenclave: bytes
-    policy_epoch: int
-    mac: bytes
-
-    def body(self) -> bytes:
-        return b"|".join(
-            (
-                b"attestation-session-ticket",
-                self.ticket_id,
-                self.platform_id,
-                self.mrenclave,
-                self.policy_epoch.to_bytes(8, "big"),
-            )
-        )
-
-
 class SessionBroker:
-    """Verifier-side session state: quote cache, ticket registry, and the
-    delivery session table."""
+    """Verifier-side session state: the quote cache and the delivery
+    session table."""
 
     def __init__(
-        self,
-        verifier: AttestationService,
-        policy: QuotePolicy | None = None,
-        *,
-        seed: bytes = b"attestation-sessions",
+        self, verifier: AttestationService, policy: QuotePolicy | None = None
     ) -> None:
         self.verifier = verifier
         self.policy = policy or QuotePolicy()
-        self._mac_key = hkdf(seed, "session-ticket-mac", length=32)
-        self._next_ticket = 0
         # (platform_id, mrenclave, policy_epoch) -> digest of the quote
         # last verified in full under that key
         self._cache: dict[tuple[bytes, bytes, int], bytes] = {}
-        self._results: dict[bytes, AttestationResult] = {}
         #: handle -> live delivery session, oldest first.
         self._sessions: dict[bytes, _Session] = {}
         self.full_verifications = 0
@@ -137,11 +91,10 @@ class SessionBroker:
     # ------------------------------------------------------------- lifecycle
 
     def bump_policy_epoch(self) -> int:
-        """Advance the trust epoch; all tickets, cache entries and sessions
-        go stale.
+        """Advance the trust epoch; all cache entries and sessions go stale.
 
-        Nothing is explicitly purged: cache entries, tickets and sessions
-        are keyed/pinned by epoch, so stale state is unreachable by
+        Nothing is explicitly purged: cache entries and sessions are
+        keyed/pinned by epoch, so stale state is unreachable by
         construction rather than by cleanup — there is no window where a
         missed purge would honor stale trust.
         """
@@ -193,80 +146,6 @@ class SessionBroker:
         self.full_verifications += 1
         self._cache[key] = digest
         return result
-
-    def establish(self, quote: Quote) -> tuple[AttestationResult, SessionTicket]:
-        """Verify (cached or full) and mint a resumption ticket."""
-        result = self.verify(quote)
-        self._next_ticket += 1
-        ticket_id = b"ticket-" + self._next_ticket.to_bytes(
-            _TICKET_ID_BYTES - 7, "big"
-        )
-        ticket = SessionTicket(
-            ticket_id=ticket_id,
-            platform_id=quote.platform_id,
-            mrenclave=quote.mrenclave,
-            policy_epoch=self.policy.policy_epoch,
-            mac=b"",
-        )
-        ticket = replace(
-            ticket,
-            mac=_hmac.new(self._mac_key, ticket.body(), "sha256").digest(),
-        )
-        self._results[ticket_id] = result
-        return result, ticket
-
-    def resume(self, ticket: SessionTicket) -> AttestationResult:
-        """Admit a rejoining client without a full quote-verify.
-
-        The cheap checks still run on *every* resumption: ticket MAC
-        (the broker minted it), policy epoch (no bump since), current
-        measurement policy (the hash the ticket names is still the
-        published one), and revocation (the platform is still in good
-        standing).  Any failure raises :class:`AttestationError` — the
-        client falls back to a full attestation.
-        """
-        expected = _hmac.new(self._mac_key, ticket.body(), "sha256").digest()
-        if not _hmac.compare_digest(expected, ticket.mac):
-            self.resume_rejected += 1
-            raise AttestationError("session ticket MAC invalid")
-        if ticket.policy_epoch != self.policy.policy_epoch:
-            self.resume_rejected += 1
-            raise AttestationError(
-                f"session ticket is from policy epoch {ticket.policy_epoch}; "
-                f"current epoch is {self.policy.policy_epoch} — re-attest"
-            )
-        if (
-            self.policy.expected_mrenclave is not None
-            and ticket.mrenclave != self.policy.expected_mrenclave
-        ):
-            self.resume_rejected += 1
-            raise AttestationError(
-                "session ticket names a measurement the policy no longer "
-                "trusts — re-attest"
-            )
-        if self.verifier.is_revoked(ticket.platform_id):
-            self.resume_rejected += 1
-            raise AttestationError("session ticket from a revoked platform")
-        if not self.verifier.is_provisioned(ticket.platform_id):
-            self.resume_rejected += 1
-            raise AttestationError("session ticket from an unknown platform")
-        result = self._results.get(ticket.ticket_id)
-        if result is None:
-            self.resume_rejected += 1
-            raise AttestationError("session ticket is not registered here")
-        self.resumed += 1
-        return result
-
-    def resume_key(self, ticket: SessionTicket) -> bytes:
-        """Traffic key for a resumed channel — no DH leg required.
-
-        Derived from the broker's ticket secret and the ticket identity,
-        so only the broker and the ticket holder (who received the key at
-        establishment) can compute it.
-        """
-        return hkdf(
-            self._mac_key + ticket.body(), "session-resume-key", length=32
-        )
 
     # ------------------------------------------------------ delivery sessions
 

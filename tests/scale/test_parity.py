@@ -10,8 +10,6 @@ the serial path itself, not a lookalike.
 
 from __future__ import annotations
 
-import asyncio
-
 import numpy as np
 import pytest
 
@@ -26,7 +24,6 @@ from repro.runtime.telemetry import (
     OUTCOME_VALIDATION_REJECTED,
 )
 from repro.scale import ScaleConfig
-from repro.service.async_engine import AsyncRoundEngine
 
 from tests.scale.test_routing import route_of
 
@@ -215,23 +212,6 @@ def test_quarantined_participant_parity():
     _assert_bit_exact(serial, parallel)
     quarantined_user = serial.participants[3]
     assert serial.outcomes[quarantined_user] == "quarantined"
-
-
-def test_async_driven_pool_round_reaches_the_event_loop():
-    """A pool round suspends at open, provision and finalize like any other."""
-    sync_driven = _run(_build(workers=2, shards=3))
-    async_dep = _build(workers=2, shards=3)
-    assert route_of(async_dep).pool
-    users = [u.user_id for u in async_dep.corpus.users]
-    driver = AsyncRoundEngine(async_dep.engine)
-    with async_dep.engine:
-        async_driven = asyncio.run(
-            driver.run_round(
-                1, users, async_dep.local_vectors(), async_dep.features.bigrams
-            )
-        )
-    assert driver.stages_driven >= 3
-    _assert_bit_exact(sync_driven, async_driven)
 
 
 # ------------------------------------------------------- the one device step

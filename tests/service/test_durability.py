@@ -28,10 +28,10 @@ def _submit_all(service, tenant="alpha"):
         service.submit_honest(tenant, user)
 
 
-def _open_without_driving(service, tenant="alpha"):
-    """Replicate ``run_round`` up to the crash point: journaled + assigned."""
+def _open_without_driving(service, tenant="alpha", limit=None):
+    """Open a round up to the crash point: journaled + assigned."""
     runtime = service.tenant(tenant)
-    batch = runtime.queue.take()
+    batch = runtime.queue.take(limit)
     round_id = service._allocate_round_id()
     submission_ids = [entry["submission_id"] for entry in batch]
     service.journal.round_opened(
@@ -136,6 +136,39 @@ def test_replaying_the_journal_twice_never_double_applies(backend_factory):
         assert len(finalized) == 1
         assert len(third.audit.trail(event="round-replayed")) == 1
         third.audit.verify_chain()
+
+
+def test_an_aborted_replay_does_not_stop_the_others(backend_factory):
+    crashed = _service(backend_factory())
+    _submit_all(crashed)
+    first, first_ids = _open_without_driving(crashed, limit=USERS // 2)
+    second, _ = _open_without_driving(crashed)
+    crashed.close()
+
+    recovered = GlimmerService.recover(backend_factory())
+    with recovered:
+        engine = recovered.tenant("alpha").engine
+        real = engine.round_stages
+
+        def round_stages(round_id, participants, *args, **kwargs):
+            if round_id == first:
+                kwargs["dropouts"] = participants  # the replay aborts
+            return real(round_id, participants, *args, **kwargs)
+
+        engine.round_stages = round_stages
+        (report,) = recovered.resume_sync()
+        assert report.round_id == second
+        assert recovered.journal.status_of(first) == "aborted"
+        assert recovered.journal.unfinished() == []
+        assert recovered.rounds_aborted == 1
+        # The aborted replay's submissions went back to pending and ride
+        # the next round.
+        engine.round_stages = real
+        (rerun,) = recovered.run_pending_sync()
+        assert rerun.num_contributions == len(first_ids)
+        queue = recovered.tenant("alpha").queue
+        assert all(queue.state_of(sid) == STATE_APPLIED for sid in first_ids)
+        recovered.audit.verify_chain()
 
 
 def _drive_to_open(service, tenant="alpha"):

@@ -38,7 +38,24 @@ def test_tenants_share_one_blinder():
             assert runtime.engine.blinder_provisioner is service.shared_blinder
 
 
-def test_three_tenants_overlap_on_one_event_loop():
+def _log_stages(runtime, name, order):
+    """Record ``(tenant, stage)`` each time the tenant's round yields."""
+    real = runtime.engine.round_stages
+
+    def round_stages(*args, **kwargs):
+        stages = real(*args, **kwargs)
+        while True:
+            try:
+                stage = next(stages)
+            except StopIteration as done:
+                return done.value
+            order.append((name, stage))
+            yield stage
+
+    runtime.engine.round_stages = round_stages
+
+
+def test_three_tenants_overlap_on_one_scheduler():
     with _service() as service:
         _fill(service)
         blinder = service.shared_blinder
@@ -50,13 +67,22 @@ def test_three_tenants_overlap_on_one_event_loop():
             retire(round_id)
 
         blinder.close_round = close_round
+        order = []
+        for name, runtime in service.tenants.items():
+            _log_stages(runtime, name, order)
         reports = service.run_pending_sync()
         assert len(reports) == len(TENANTS)
         round_ids = [report.round_id for report in reports]
         assert len(set(round_ids)) == len(TENANTS), "global ids must not collide"
-        # Each driver actually interleaved stages on the loop.
-        for runtime in service.tenants.values():
-            assert runtime.driver.stages_driven > 0
+        # Every tenant's round opens before any finalizes, and the live
+        # rounds take their stages round-robin, in tenant order.
+        opens = [i for i, (_, stage) in enumerate(order) if stage == "open"]
+        finals = [i for i, (_, stage) in enumerate(order) if stage == "finalize"]
+        assert len(opens) == len(finals) == len(TENANTS)
+        assert max(opens) < min(finals)
+        assert order[:6] == [(name, "open") for name in TENANTS] + [
+            (name, "provision") for name in TENANTS
+        ]
         # Identical tenants, identical honest inputs: identical aggregates.
         first = reports[0].as_dict()["aggregate"]
         for report in reports[1:]:

@@ -1,8 +1,8 @@
-"""The round watchdog: a wedged async round aborts instead of hanging."""
+"""The round watchdog: a wedged round aborts instead of hanging."""
 
 from __future__ import annotations
 
-import asyncio
+import time
 
 from repro.service.queue import STATE_PENDING
 from repro.service.service import GlimmerService
@@ -11,8 +11,19 @@ from repro.service.storage import build_backend
 KNOBS = dict(num_users=3, sentences_per_user=3, max_features=8)
 
 
-async def _wedged(*args, **kwargs):
-    await asyncio.sleep(30.0)
+def _wedge(engine):
+    """Wedge the engine's rounds: the stage after open takes 0.3 s, longer
+    than the test's 0.1 s ``round_deadline``.  Returns the real method."""
+    real = engine.round_stages
+
+    def round_stages(*args, **kwargs):
+        stages = real(*args, **kwargs)
+        yield next(stages)
+        time.sleep(0.3)
+        yield from stages
+
+    engine.round_stages = round_stages
+    return real
 
 
 def test_watchdog_aborts_requeues_and_the_round_reruns():
@@ -24,8 +35,7 @@ def test_watchdog_aborts_requeues_and_the_round_reruns():
     for user in sorted(runtime.deployment.clients):
         service.submit_honest("alpha", user)
 
-    real_driver = runtime.driver
-    runtime.driver = type("Wedged", (), {"run_round": _wedged})()
+    real_stages = _wedge(runtime.engine)
     assert service.run_pending_sync() == [], "wedged round yields no report"
 
     # Abort-with-telemetry: journaled, audited, submissions requeued.
@@ -36,9 +46,11 @@ def test_watchdog_aborts_requeues_and_the_round_reruns():
     queue = runtime.queue
     assert queue.count(STATE_PENDING) == KNOBS["num_users"]
 
-    # The service is still healthy: restore the driver and the very same
-    # submissions complete in the next round.
-    runtime.driver = real_driver
+    # The wedged round was abandoned at the engine.  The service is still
+    # healthy: unwedge it and the very same submissions complete in the
+    # next round.
+    assert not service.shared_blinder.has_round(1)
+    runtime.engine.round_stages = real_stages
     (report,) = service.run_pending_sync()
     assert report.round_id == 2
     assert report.num_contributions == KNOBS["num_users"]

@@ -1,4 +1,5 @@
-"""Incremental attestation sessions: caching, tickets, forced re-attestation.
+"""Incremental attestation sessions: caching, delivery sessions, forced
+re-attestation.
 
 Covers the :class:`repro.sgx.sessions.SessionBroker` contract the fleet
 harness leans on — and the edge cases that would quietly break trust if
@@ -7,13 +8,12 @@ accepts (firmware skew), and a stale quote replayed after a policy bump
 trying to poison the verification cache.
 """
 
-from dataclasses import replace
-
 import pytest
 
 from repro.errors import AttestationError
 from repro.sgx import QuotePolicy, SessionBroker
 from repro.sgx.attestation import report_data_for
+from repro.sgx.sessions import SESSION_DELIVERIES
 from repro.sgx.threats import tamper_quote_measurement
 
 
@@ -76,79 +76,86 @@ def test_stale_quote_after_policy_bump_cannot_poison_cache(broker, quote):
 
 # ----------------------------------------------------------------- sessions
 
+KEY = b"k" * 32
 
-def test_establish_then_resume_skips_full_verification(broker, quote):
-    result, ticket = broker.establish(quote)
-    resumed = broker.resume(ticket)
-    assert resumed == result
+
+def _open(broker, quote, handle=b"handle-1"):
+    """Open a delivery session the way a full attested delivery does."""
+    broker.open_session(handle, KEY, broker.verify(quote))
+    return handle
+
+
+def test_establish_then_resume_skips_full_verification(broker, quote, image):
+    handle = _open(broker, quote)
+    assert broker.session_key(handle, image.mrenclave) == KEY
+    assert broker.session_key(handle, image.mrenclave) == KEY
     assert broker.full_verifications == 1
-    assert broker.resumed == 1
-    key = broker.resume_key(ticket)
-    assert len(key) == 32
-    assert broker.resume_key(ticket) == key  # both ends derive the same key
+    assert broker.resumed == 2
 
 
-def test_expired_policy_epoch_rejects_resumption(broker, quote):
-    _, ticket = broker.establish(quote)
+def test_expired_policy_epoch_rejects_resumption(broker, quote, image):
+    handle = _open(broker, quote)
     broker.bump_policy_epoch()
     with pytest.raises(AttestationError, match="epoch"):
-        broker.resume(ticket)
+        broker.session_key(handle, image.mrenclave)
     assert broker.resume_rejected == 1
-    # The fallback path — full re-attestation — works and mints a ticket
-    # valid under the new epoch.
-    _, fresh = broker.establish(quote)
-    assert broker.resume(fresh)
+    # The fallback path — full re-attestation — works and opens a session
+    # that is live under the new epoch.
+    fresh = _open(broker, quote, b"handle-2")
+    assert broker.session_key(fresh, image.mrenclave) == KEY
     assert broker.full_verifications == 2
 
 
-def test_mrenclave_mismatch_after_firmware_skew_rejects_ticket(broker, quote):
-    """A ticket minted for a measurement the policy stops trusting dies.
+def test_mrenclave_mismatch_after_firmware_skew_rejects_session(broker, quote):
+    """A session attested for a measurement the policy stops trusting dies.
 
-    Firmware skew ships a different enclave build: the verifier publishes
-    a new expected MRENCLAVE without necessarily bumping the epoch, and
-    tickets naming the old hash must fail resumption immediately.
+    Firmware skew ships a different enclave build: the verifier approves
+    a new MRENCLAVE without necessarily bumping the epoch, and a session
+    attested under the old hash must fail its next delivery.
     """
-    _, ticket = broker.establish(quote)
-    broker.policy = replace(broker.policy, expected_mrenclave=b"\x42" * 32)
+    handle = _open(broker, quote)
     with pytest.raises(AttestationError, match="measurement"):
-        broker.resume(ticket)
+        broker.session_key(handle, b"\x42" * 32)
     assert broker.resume_rejected == 1
 
 
 def test_skewed_firmware_quote_fails_establishment(broker, quote):
     tampered = tamper_quote_measurement(quote, b"\x42" * 32)
     with pytest.raises(AttestationError):
-        broker.establish(tampered)
+        broker.verify(tampered)
+    assert broker.full_verifications == 0
 
 
-def test_forged_ticket_mac_rejected(broker, quote):
-    _, ticket = broker.establish(quote)
-    forged = replace(ticket, policy_epoch=ticket.policy_epoch + 1)
-    with pytest.raises(AttestationError, match="MAC"):
-        broker.resume(forged)
-    assert broker.resume_rejected == 1
-
-
-def test_revocation_kills_outstanding_tickets(
-    broker, attestation_service, platform, quote
+def test_revocation_kills_live_sessions(
+    broker, attestation_service, platform, quote, image
 ):
-    _, ticket = broker.establish(quote)
+    handle = _open(broker, quote)
     attestation_service.revoke_platform(platform.platform_id)
     with pytest.raises(AttestationError, match="revoked"):
-        broker.resume(ticket)
+        broker.session_key(handle, image.mrenclave)
+    # The refusal ended the session outright.
+    with pytest.raises(AttestationError, match="no such session"):
+        broker.session_key(handle, image.mrenclave)
 
 
-def test_unknown_broker_ticket_rejected(attestation_service, image, quote):
-    minter = SessionBroker(
-        attestation_service,
-        QuotePolicy(expected_mrenclave=image.mrenclave),
-        seed=b"broker-one",
+def test_unknown_session_handle_rejected(attestation_service, image, quote):
+    opener = SessionBroker(
+        attestation_service, QuotePolicy(expected_mrenclave=image.mrenclave)
     )
     other = SessionBroker(
-        attestation_service,
-        QuotePolicy(expected_mrenclave=image.mrenclave),
-        seed=b"broker-two",
+        attestation_service, QuotePolicy(expected_mrenclave=image.mrenclave)
     )
-    _, ticket = minter.establish(quote)
-    with pytest.raises(AttestationError):
-        other.resume(ticket)
+    handle = _open(opener, quote)
+    with pytest.raises(AttestationError, match="no such session"):
+        other.session_key(handle, image.mrenclave)
+    assert other.resume_rejected == 1
+
+
+def test_session_lapses_after_its_deliveries(broker, quote, image):
+    handle = _open(broker, quote)  # the establishing delivery counts
+    for _ in range(SESSION_DELIVERIES - 1):
+        assert broker.session_key(handle, image.mrenclave) == KEY
+    with pytest.raises(AttestationError, match="deliveries"):
+        broker.session_key(handle, image.mrenclave)
+    assert broker.resumed == SESSION_DELIVERIES - 1
+    assert broker.full_verifications == 1
