@@ -68,7 +68,6 @@ from repro.crypto.commitments import (
     scalar_for_mask,
 )
 from repro.crypto.drbg import HmacDrbg
-from repro.crypto.masking import SumZeroMasks
 from repro.errors import ConfigurationError, NetworkError
 from repro.runtime.endpoints import ClientEndpoint
 from repro.runtime.protocol import FLOOD_THRESHOLD
@@ -128,7 +127,14 @@ class AttackerEndpoint(ClientEndpoint):
 
 
 class LyingBlinder:
-    """A Byzantine blinding service: honest machinery, one configured lie."""
+    """A Byzantine blinding service: honest machinery, one configured lie.
+
+    It lies only through its own surface.  The forged-claims mode keeps
+    ``(slot, delta)`` per round and shifts that slot's opening wherever
+    one leaves the wrapper — :meth:`mask_opening`, :meth:`provision_mask`
+    and :meth:`reveal_dropout_mask` — so the honest blinder it wraps, and
+    what that blinder seals, stay honest.
+    """
 
     def __init__(
         self,
@@ -145,42 +151,52 @@ class LyingBlinder:
         self.target_slot = target_slot
         self.rng = rng or HmacDrbg(b"lying-blinder")
         self.lies_told = 0
+        #: round -> (slot, delta, forged commitment set)
+        self._forged: dict[int, tuple[int, int, MaskCommitmentSet]] = {}
 
     def __getattr__(self, name):
         return getattr(self.inner, name)
 
+    def _delta(self) -> int:
+        return 1 + self.rng.randint((1 << 16) - 1)
+
     def _tampered(self, opening: MaskOpening) -> MaskOpening:
-        """The same opening with one mask word shifted by a nonzero delta."""
-        delta = 1 + self.rng.randint((1 << 16) - 1)
-        mask = list(opening.mask)
-        mask[0] = (int(mask[0]) + delta) % (1 << 64)
+        """The same opening with one mask word shifted by a fresh delta."""
         self.lies_told += 1
-        return MaskOpening(
-            mask=tuple(mask), salt=opening.salt, randomizer=opening.randomizer
-        )
+        return _shifted(opening, self._delta())
 
     # ---------------------------------------------------------- lying surface
+
+    def round_commitments(self, round_id):
+        honest = self.inner.round_commitments(round_id)
+        forged = self._forged.get(round_id)
+        return honest if forged is None else forged[2]
+
+    def mask_opening(self, round_id, party_index):
+        opening = self.inner.mask_opening(round_id, party_index)
+        forged = self._forged.get(round_id)
+        if forged is None or forged[0] != party_index:
+            return opening
+        return _shifted(opening, forged[1])
 
     def provision_mask(
         self, session_id, glimmer_dh_public, quote, round_id, party_index
     ):
-        if (
-            self.mode != ATTACK_BLINDER_TAMPER_DELIVERY
-            or party_index != self.target_slot
-        ):
-            return self.inner.provision_mask(
-                session_id, glimmer_dh_public, quote, round_id, party_index
-            )
         # Same channel and wire format as the honest path — a full attested
         # delivery, or one in the device's live session — only the mask
-        # inside the authenticated ciphertext differs from the committed one.
-        tampered = self._tampered(self.inner.mask_opening(round_id, party_index))
+        # inside the authenticated ciphertext may differ from the committed one.
+        opening = self.mask_opening(round_id, party_index)
+        if (
+            self.mode == ATTACK_BLINDER_TAMPER_DELIVERY
+            and party_index == self.target_slot
+        ):
+            opening = self._tampered(opening)
         return self.inner.deliver_opening(
-            session_id, glimmer_dh_public, quote, round_id, party_index, tampered
+            session_id, glimmer_dh_public, quote, round_id, party_index, opening
         )
 
     def reveal_dropout_mask(self, round_id, party_index):
-        opening = self.inner.reveal_dropout_mask(round_id, party_index)
+        opening = self.mask_opening(round_id, party_index)
         if self.mode == ATTACK_BLINDER_TAMPER_REVEAL:
             return self._tampered(opening)
         if self.mode == ATTACK_BLINDER_BARE_REVEAL:
@@ -209,30 +225,32 @@ class LyingBlinder:
         original sum-zero family — which is exactly what the engine's
         homomorphic sum-zero check over the points exposes at finalize.
         """
-        blinding = self.inner._require_blinding()
-        family = blinding._round_masks[round_id]
-        masks = [list(mask) for mask in family.masks]
-        slot = min(self.target_slot, len(masks) - 1)
-        delta = 1 + self.rng.randint((1 << 16) - 1)
-        masks[slot][0] = (int(masks[slot][0]) + delta) % (1 << family.modulus_bits)
-        corrupted = tuple(tuple(int(v) for v in mask) for mask in masks)
-        # The openings' (salt, randomizer) rows are kept as sampled; only
-        # the mask family they open to is swapped for the corrupted one.
-        opening_rows = self.inner._openings[round_id]
-        salts = [salt for salt, _ in opening_rows]
-        randomizers = [randomizer for _, randomizer in opening_rows]
+        slot = min(self.target_slot, honest.num_slots - 1)
+        delta = self._delta()
+        openings = [
+            self.inner.mask_opening(round_id, index)
+            for index in range(honest.num_slots)
+        ]
+        openings[slot] = _shifted(openings[slot], delta)
         forged = _forge_commitments(
-            self.inner.identity.group, honest, corrupted, salts, randomizers
+            self.inner.identity.group,
+            honest,
+            [opening.mask for opening in openings],
+            [opening.salt for opening in openings],
+            [opening.randomizer for opening in openings],
         )
-        blinding._round_masks[round_id] = SumZeroMasks(
-            masks=corrupted, modulus_bits=family.modulus_bits
-        )
-        self.inner._commitments[round_id] = forged
-        self.inner._sealed_rounds[round_id] = self.inner._seal_round(
-            round_id, corrupted, family.modulus_bits, opening_rows
-        )
+        self._forged[round_id] = (slot, delta, forged)
         self.lies_told += 1
         return forged
+
+
+def _shifted(opening: MaskOpening, delta: int) -> MaskOpening:
+    """The same opening with its first mask word shifted by ``delta``."""
+    mask = list(opening.mask)
+    mask[0] = (int(mask[0]) + delta) % (1 << 64)
+    return MaskOpening(
+        mask=tuple(mask), salt=opening.salt, randomizer=opening.randomizer
+    )
 
 
 def _forge_commitments(

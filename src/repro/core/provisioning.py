@@ -23,7 +23,7 @@ Glimmers — the checks experiment E12 exercises one by one.
 
 from __future__ import annotations
 
-import pickle
+import struct
 from dataclasses import dataclass
 
 from repro.core.glimmer import (
@@ -40,14 +40,14 @@ from repro.crypto.commitments import (
     MaskOpening,
     commit_masks,
     encode_mask_payload,
-    recommit_masks,
 )
 from repro.crypto.dh import DHKeyPair
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.kdf import hkdf
-from repro.crypto.masking import BlindingService, SumZeroMasks
+from repro.crypto.masking import BlindingService, GroupedSumZeroMasks
 from repro.crypto.schnorr import SchnorrKeyPair
 from repro.errors import AttestationError, ConfigurationError, CryptoError
+from repro.scale.subgroup import plan_subgroups
 from repro.sgx.attestation import (
     AttestationResult,
     AttestationService,
@@ -56,6 +56,14 @@ from repro.sgx.attestation import (
     report_data_for,
 )
 from repro.sgx.sessions import SessionBroker
+
+#: A sealed round's plaintext: ``u16 modulus_bits | u32 length | u32
+#: num_slots | u32 group_size``, then one 32-byte seed per subgroup of
+#: ``plan_subgroups(round_id, num_slots, group_size)``, then the 32-byte
+#: seed of the commitment openings.  The round id is the AEAD's
+#: associated data, so a blob only opens as the round it was sealed for.
+_SEALED_HEADER = struct.Struct(">HIII")
+_SEED_SIZE = 32
 
 
 class VettingRegistry:
@@ -248,13 +256,15 @@ class BlinderProvisioner(_ProvisionerBase):
     this party "could, itself, be implemented as a separate enclave on one
     of the clients, or as a distinct trusted service".
 
-    Either way it can crash.  Each round's mask family is sealed (here: an
-    authenticated cipher under a key derived from the provisioner's
-    identity secret — the moral equivalent of enclave sealing for this
-    simulated party) the moment the round opens, so a restarted blinder
-    can still provision remaining parties and, critically, still reveal
-    dropout masks for §3 repair.  Without that persistence a mid-round
-    blinder crash would force aborting every open round.
+    Either way it can crash.  Each round is sealed (here: an authenticated
+    cipher under a key derived from the provisioner's identity secret —
+    the moral equivalent of enclave sealing for this simulated party) the
+    moment it opens, so a restarted blinder can still provision remaining
+    parties and, critically, still reveal dropout masks for §3 repair.
+    Without that persistence a mid-round blinder crash would force
+    aborting every open round.  What is sealed is seeds, not rows: the
+    mask family's subgroup seeds and the seed its commitment openings are
+    drawn from, a few hundred bytes whatever the vector length.
 
     All of that state lives exactly as long as the round is open.
     Between open and :meth:`close_round` the masks exist once, inside the
@@ -313,33 +323,62 @@ class BlinderProvisioner(_ProvisionerBase):
         return self._require_blinding()
 
     def _seal_round(
-        self,
-        round_id: int,
-        mask_rows: tuple[tuple[int, ...], ...],
-        modulus_bits: int,
-        opening_rows: tuple[tuple[bytes, int], ...],
+        self, round_id: int, masks: GroupedSumZeroMasks, opening_seed: bytes
     ) -> bytes:
-        blob = pickle.dumps(
-            (mask_rows, modulus_bits, opening_rows),
-            protocol=pickle.HIGHEST_PROTOCOL,
+        plan = masks.plan
+        blob = b"".join(
+            [
+                _SEALED_HEADER.pack(
+                    masks.modulus_bits, masks.length, plan.num_slots, plan.group_size
+                ),
+                *masks.seeds,
+                opening_seed,
+            ]
         )
-        cipher = AuthenticatedCipher(self._seal_key)
-        nonce = self.rng.generate(16)
-        box = cipher.encrypt(
-            nonce, blob, associated_data=round_id.to_bytes(8, "big")
+        box = AuthenticatedCipher(self._seal_key).encrypt(
+            self.rng.generate(16), blob, associated_data=round_id.to_bytes(8, "big")
         )
         return box.to_bytes()
 
     def _unseal_round(
         self, round_id: int, sealed: bytes
-    ) -> tuple[SumZeroMasks, tuple[tuple[bytes, int], ...]]:
-        cipher = AuthenticatedCipher(self._seal_key)
-        blob = cipher.decrypt(
+    ) -> tuple[GroupedSumZeroMasks, bytes]:
+        blob = AuthenticatedCipher(self._seal_key).decrypt(
             SealedBox.from_bytes(sealed), associated_data=round_id.to_bytes(8, "big")
         )
-        mask_rows, modulus_bits, opening_rows = pickle.loads(blob)
-        masks = SumZeroMasks(masks=mask_rows, modulus_bits=modulus_bits)
-        return masks, tuple(opening_rows)
+        if len(blob) < _SEALED_HEADER.size:
+            raise CryptoError(f"sealed round {round_id} is truncated")
+        modulus_bits, length, num_slots, group_size = _SEALED_HEADER.unpack_from(blob)
+        if not (length > 0 and 0 < group_size <= num_slots):
+            raise CryptoError(f"sealed round {round_id} has an invalid shape")
+        plan = plan_subgroups(round_id, num_slots, group_size)
+        end = _SEALED_HEADER.size + _SEED_SIZE * plan.num_groups
+        if len(blob) != end + _SEED_SIZE:
+            raise CryptoError(f"sealed round {round_id} has the wrong length")
+        seeds = tuple(
+            blob[at : at + _SEED_SIZE]
+            for at in range(_SEALED_HEADER.size, end, _SEED_SIZE)
+        )
+        masks = GroupedSumZeroMasks(plan, seeds, length, modulus_bits)
+        return masks, blob[end:]
+
+    def _commit_round(
+        self, round_id: int, masks: GroupedSumZeroMasks, opening_seed: bytes
+    ) -> None:
+        """Commit to the round's masks with openings drawn from
+        ``opening_seed``.  Open and :meth:`restart` both land here, so a
+        recovered blinder republishes byte-identical commitments."""
+        commitments, openings = commit_masks(
+            self.identity.group,
+            round_id,
+            masks.masks,
+            masks.modulus_bits,
+            HmacDrbg(opening_seed, personalization=f"fork:mask-commitments-{round_id}"),
+        )
+        self._commitments[round_id] = commitments
+        self._openings[round_id] = tuple(
+            (opening.salt, opening.randomizer) for opening in openings
+        )
 
     def open_round(
         self, round_id: int, num_parties: int, length: int, subgroup_size: int = 0
@@ -351,41 +390,21 @@ class BlinderProvisioner(_ProvisionerBase):
         per-slot records to clients during provisioning, and checks the
         homomorphic sum-zero property over it at finalize.
 
-        ``subgroup_size > 0`` samples the hierarchical per-subgroup
-        construction instead of the flat family: every subgroup sums to
-        zero, so the published commitments still satisfy the same
-        homomorphic sum-zero audit, while later mask lookups (delivery,
-        §3 dropout repair) re-expand only the O(g) subgroup they touch.
-        Commitments are per slot either way, so everything downstream of
-        this call — sealing, delivery, reveal verification — is
-        construction-agnostic.
+        The family sums to zero inside every subgroup of
+        ``plan_subgroups(round_id, num_parties, subgroup_size)``; a flat
+        round (``subgroup_size`` 0) is one subgroup of every slot, as at
+        the cloud service.  Commitments are per slot either way, so
+        everything downstream of this call — delivery, reveal
+        verification, the sum-zero audit — is construction-agnostic, and
+        later mask lookups re-expand only the subgroup they touch.
         """
-        blinding = self._blinding_for(round_id)
-        if subgroup_size > 0:
-            masks = blinding.open_round_grouped(
-                round_id, num_parties, length, subgroup_size
-            )
-        else:
-            masks = blinding.open_round(round_id, num_parties, length)
-        # One expansion serves commit and seal: a grouped family rebuilds
-        # every row per ``.masks`` access, and none of them is kept here.
-        mask_rows = masks.masks
-        commitments, openings = commit_masks(
-            self.identity.group,
-            round_id,
-            mask_rows,
-            masks.modulus_bits,
-            self.rng.fork(f"mask-commitments-{round_id}"),
+        masks = self._blinding_for(round_id).open_round_grouped(
+            round_id, num_parties, length, subgroup_size or num_parties
         )
-        opening_rows = tuple(
-            (opening.salt, opening.randomizer) for opening in openings
-        )
-        self._commitments[round_id] = commitments
-        self._openings[round_id] = opening_rows
-        self._sealed_rounds[round_id] = self._seal_round(
-            round_id, mask_rows, masks.modulus_bits, opening_rows
-        )
-        return commitments
+        opening_seed = self.rng.generate(_SEED_SIZE)
+        self._commit_round(round_id, masks, opening_seed)
+        self._sealed_rounds[round_id] = self._seal_round(round_id, masks, opening_seed)
+        return self._commitments[round_id]
 
     def close_round(self, round_id: int) -> None:
         """The round is over: drop everything held for it (idempotent).
@@ -469,31 +488,22 @@ class BlinderProvisioner(_ProvisionerBase):
         """Stand the service back up and recover every *open* round.
 
         Closed rounds have no sealed blob left, so recovery costs O(open
-        rounds), not O(rounds ever run).  Commitments are rebuilt
-        *deterministically* from the sealed openings, so the recovered
-        service republishes byte-identical commitment sets — the
-        engine's copies from round open stay valid.
+        rounds), not O(rounds ever run).  Each round's family is rebuilt
+        from its sealed seeds, and its commitments are re-derived from the
+        sealed opening seed, so the recovered service republishes
+        byte-identical commitment sets — the engine's copies from round
+        open stay valid.
         """
         self.blinding = BlindingService(
             self.rng.fork(f"blinder-restart-{self.restarts}"), self._codec
         )
         recovered: list[int] = []
         for round_id in sorted(self._sealed_rounds):
-            masks, opening_rows = self._unseal_round(
+            masks, opening_seed = self._unseal_round(
                 round_id, self._sealed_rounds[round_id]
             )
             self.blinding.restore_round(round_id, masks)
-            self._openings[round_id] = opening_rows
-            self._commitments[round_id] = recommit_masks(
-                self.identity.group,
-                round_id,
-                masks.masks,
-                masks.modulus_bits,
-                [
-                    MaskOpening(mask=mask, salt=salt, randomizer=randomizer)
-                    for mask, (salt, randomizer) in zip(masks.masks, opening_rows)
-                ],
-            )
+            self._commit_round(round_id, masks, opening_seed)
             recovered.append(round_id)
         return recovered
 

@@ -593,12 +593,10 @@ def recommit_masks(
     modulus_bits: int,
     openings: Sequence[MaskOpening],
 ) -> MaskCommitmentSet:
-    """Rebuild the exact commitment set from durable openings.
+    """Rebuild the exact commitment set from known openings.
 
-    A restarted blinding service must republish byte-identical
-    commitments — the engine already holds the originals from round open —
-    so the sealed round state carries the openings and this function
-    recomputes the set from them deterministically.
+    Deterministic in its arguments: the same masks and openings give the
+    byte-identical set :func:`commit_masks` published when it drew them.
     """
     salts = [opening.salt for opening in openings]
     randomizers = [opening.randomizer for opening in openings]

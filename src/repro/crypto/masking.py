@@ -22,7 +22,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.crypto.cipher import AuthenticatedCipher, SealedBox
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.fixedpoint import FixedPointCodec
 from repro.errors import ConfigurationError, CryptoError
@@ -81,7 +80,7 @@ class SumZeroMasks:
         return self.masks[party_index]
 
     def verify_sum_zero(self) -> bool:
-        """Sanity invariant used by tests and the blinding service's self-check.
+        """The sum-zero invariant, checked by tests and by :class:`GroupedSumZeroMasks`.
 
         Chunked accumulation (:func:`repro.perf.kernels.ring_accumulate`)
         keeps the check's peak memory bounded even for large families —
@@ -94,20 +93,17 @@ class SumZeroMasks:
 class GroupedSumZeroMasks:
     """Per-subgroup sum-zero mask families, materialized on demand.
 
-    The hierarchical aggregation path samples an *independent* sum-zero
-    family inside each subgroup of a :class:`repro.scale.subgroup.
-    SubgroupPlan`: every subgroup sums to zero, so the cohort sums to
-    zero, and the aggregate is bit-identical to any flat sum-zero
-    construction — the parity gate is the aggregate, not the mask
-    stream.  What changes is the resident state: instead of O(n·k) mask
-    words the service holds one 32-byte seed per subgroup and
-    re-expands a subgroup's :class:`SumZeroMasks` only when a slot in it
-    is provisioned or repaired.  A small FIFO cache keeps the hot
-    subgroups warm, so between round open and round close the family
-    holds at most ``CACHE_GROUPS`` · g · k mask words, and §3 dropout
-    repair touches O(g) of them, never O(n).  (Committing the round
-    walks every subgroup once through :attr:`masks`; that O(n·k) pass is
-    transient — nothing it builds outlives ``open_round``.)
+    Every blinded round's masks: an *independent* sum-zero family inside
+    each subgroup of a :class:`repro.scale.subgroup.SubgroupPlan`, a flat
+    round being the one-group plan ``plan_subgroups(r, n, n)``.  Every
+    subgroup sums to zero, so the cohort sums to zero, and the aggregate
+    is bit-identical for any grouping — the parity gate is the aggregate,
+    not the mask stream.  The family is its seeds: one 32-byte seed per
+    subgroup, from which a subgroup's :class:`SumZeroMasks` is re-expanded
+    only when a slot in it is committed, provisioned or repaired.  A small
+    FIFO cache keeps the hot subgroups warm, so between round open and
+    round close the family holds at most ``CACHE_GROUPS`` · g · k mask
+    words, and §3 dropout repair touches O(g) of them.
     """
 
     #: Materialized subgroups kept warm per family.
@@ -131,6 +127,19 @@ class GroupedSumZeroMasks:
             raise ConfigurationError("mask length must be positive")
         seeds = tuple(rng.generate(32) for _ in range(plan.num_groups))
         return cls(plan, seeds, length, modulus_bits)
+
+    def _identity(self) -> tuple:
+        plan = self.plan
+        return (
+            plan.round_id, plan.num_slots, plan.group_size,
+            self.seeds, self.length, self.modulus_bits,
+        )
+
+    def __eq__(self, other) -> bool:
+        """Same plan, seeds and shape: the same masks, without expanding them."""
+        if not isinstance(other, GroupedSumZeroMasks):
+            return NotImplemented
+        return self._identity() == other._identity()
 
     @property
     def num_parties(self) -> int:
@@ -158,22 +167,16 @@ class GroupedSumZeroMasks:
 
     @property
     def masks(self) -> tuple[tuple[int, ...], ...]:
-        """All masks in slot order, rebuilt on every access (O(n·k)).
+        """All masks in slot order, every subgroup through :meth:`group_family`.
 
-        The verifiable-blinding path commits to and seals every slot's
-        mask, so round open expands the whole family once through here.
-        The rows are fresh objects the family keeps no reference to (they
-        bypass the cache): they are garbage as soon as the caller drops
-        them, which the blinder does before ``open_round`` returns.
+        O(n·k): committing a round needs every slot's mask once.  The
+        rows are the warm families' own, so the subgroups still cached
+        afterwards — the whole family of a one-group flat round — serve
+        the first deliveries without expanding again.
         """
         rows: list[tuple[int, ...] | None] = [None] * self.plan.num_slots
         for group in range(self.plan.num_groups):
-            family = SumZeroMasks.sample(
-                len(self.plan.slots_in(group)),
-                self.length,
-                HmacDrbg(self.seeds[group], personalization="subgroup-masks"),
-                modulus_bits=self.modulus_bits,
-            )
+            family = self.group_family(group)
             for local, slot in enumerate(self.plan.slots_in(group)):
                 rows[slot] = family.mask_for(local)
         return tuple(rows)  # type: ignore[arg-type]
@@ -204,22 +207,14 @@ def remove_mask(
     return kernels.ring_sub(blinded, mask, modulus_bits).tolist()
 
 
-@dataclass(frozen=True)
-class EncryptedMask:
-    """A mask encrypted to one client's key, tagged with the round it belongs to."""
-
-    party_index: int
-    round_id: int
-    box: SealedBox
-
-
 class BlindingService:
     """The trusted blinding service of §3.
 
-    For each aggregation round it samples a fresh :class:`SumZeroMasks`
-    family and encrypts mask ``i`` under client ``i``'s symmetric key (in
-    the full system this key comes from an attested DH exchange with the
-    client's Glimmer; see :mod:`repro.core.provisioning`).
+    For each aggregation round it samples a fresh sum-zero family, a
+    :class:`GroupedSumZeroMasks` (one subgroup for a flat round), and
+    answers per-slot mask lookups.  Sealing each mask to its client's
+    Glimmer over an attested DH exchange is
+    :class:`repro.core.provisioning.BlinderProvisioner`'s part.
 
     The service never learns contributions — it only produces masks — which
     is why the paper can afford to centralize it.
@@ -232,33 +227,28 @@ class BlindingService:
     ) -> None:
         self._rng = rng
         self._codec = codec or FixedPointCodec()
-        self._round_masks: dict[int, SumZeroMasks] = {}
+        self._round_masks: dict[int, GroupedSumZeroMasks] = {}
         self._closed: set[int] = set()
 
     @property
     def codec(self) -> FixedPointCodec:
         return self._codec
 
-    def open_round(self, round_id: int, num_parties: int, length: int) -> SumZeroMasks:
-        """Sample the mask family for a round (idempotent per round id)."""
-        self._require_unopened(round_id)
-        masks = SumZeroMasks.sample(
-            num_parties, length, self._rng.fork(f"round-{round_id}"),
-            modulus_bits=self._codec.modulus_bits,
-        )
-        self._round_masks[round_id] = masks
-        return masks
+    def open_round(
+        self, round_id: int, num_parties: int, length: int
+    ) -> GroupedSumZeroMasks:
+        """Sample a flat round's masks: one subgroup of every slot."""
+        return self.open_round_grouped(round_id, num_parties, length, num_parties)
 
     def open_round_grouped(
         self, round_id: int, num_parties: int, length: int, subgroup_size: int
     ) -> GroupedSumZeroMasks:
-        """Open a round with per-subgroup sum-zero families (hierarchical path).
+        """Open a round whose masks sum to zero inside every subgroup of
+        ``plan_subgroups(round_id, num_parties, subgroup_size)``.
 
-        Mask state is O(subgroups) seeds instead of O(n·k) words; every
-        later ``mask_for``/``mask_for_dropout`` touches one subgroup's
-        O(g·k) family.  The flat :meth:`open_round` DRBG stream is
-        untouched — grouped rounds fork a distinct label, so enabling
-        subgrouping for one round never shifts another round's masks.
+        Mask state is one 32-byte seed per subgroup; every later
+        ``mask_for``/``mask_for_dropout`` touches one subgroup's O(g·k)
+        family.
         """
         self._require_unopened(round_id)
         from repro.scale.subgroup import plan_subgroups
@@ -283,7 +273,7 @@ class BlindingService:
         if round_id in self._round_masks:
             raise CryptoError(f"round {round_id} already opened")
 
-    def _open_masks(self, round_id: int) -> SumZeroMasks:
+    def _open_masks(self, round_id: int) -> GroupedSumZeroMasks:
         masks = self._round_masks.get(round_id)
         if masks is None:
             self._refuse_closed(round_id)
@@ -301,13 +291,14 @@ class BlindingService:
         self._round_masks.pop(round_id, None)
         self._closed.add(round_id)
 
-    def restore_round(self, round_id: int, masks: SumZeroMasks) -> None:
+    def restore_round(self, round_id: int, masks: GroupedSumZeroMasks) -> None:
         """Reinstate a round's mask family from durable (sealed) storage.
 
         A blinding service restarted mid-round must still be able to
         reveal dropout masks for §3 repair — this is the recovery half of
         that story; :class:`repro.core.provisioning.BlinderProvisioner`
-        owns the sealing half.  Restoring a round that is already live
+        owns the sealing half.  A family re-expanded from its seeds sums
+        to zero by construction.  Restoring a round that is already live
         with *different* masks is refused: that would split the sum-zero
         family and silently corrupt the aggregate.
         """
@@ -319,36 +310,7 @@ class BlindingService:
                     f"round {round_id} already open with different masks"
                 )
             return
-        if not masks.verify_sum_zero():
-            raise CryptoError(f"restored masks for round {round_id} do not sum to zero")
         self._round_masks[round_id] = masks
-
-    def encrypted_mask(
-        self, round_id: int, party_index: int, client_key: bytes
-    ) -> EncryptedMask:
-        """Encrypt party ``i``'s mask under its key, bound to the round id."""
-        mask = self._open_masks(round_id).mask_for(party_index)
-        payload = kernels.be_words_to_bytes(mask)
-        cipher = AuthenticatedCipher(client_key)
-        nonce = self._rng.generate(16)
-        associated = round_id.to_bytes(8, "big") + party_index.to_bytes(4, "big")
-        return EncryptedMask(
-            party_index=party_index,
-            round_id=round_id,
-            box=cipher.encrypt(nonce, payload, associated_data=associated),
-        )
-
-    @staticmethod
-    def decrypt_mask(encrypted: EncryptedMask, client_key: bytes) -> tuple[int, ...]:
-        """Client-side decryption; raises on tampering or round/party mismatch."""
-        cipher = AuthenticatedCipher(client_key)
-        associated = encrypted.round_id.to_bytes(8, "big") + encrypted.party_index.to_bytes(
-            4, "big"
-        )
-        payload = cipher.decrypt(encrypted.box, associated_data=associated)
-        if len(payload) % 8 != 0:
-            raise CryptoError("mask payload has invalid length")
-        return kernels.bytes_to_be_words(payload)
 
     def mask_for(self, round_id: int, party_index: int) -> tuple[int, ...]:
         """The raw mask for one party in one round (provisioning-side view)."""

@@ -387,7 +387,7 @@ class RoundEngine:
             try:
                 self.blinder_provisioner.restart()
             except CryptoError as exc:
-                # Its sealed state fails its own integrity/sum-zero check.
+                # Its sealed state fails its own integrity or layout check.
                 self.monitor.record(
                     record.round_id, BLINDER, VIOLATION_MASK_COMMITMENT, str(exc)
                 )

@@ -43,7 +43,7 @@ def _slot_keys(round_id: int, num_slots: int) -> np.ndarray:
 class SubgroupPlan:
     """The frozen grouping of one round's slots into bounded subgroups."""
 
-    __slots__ = ("round_id", "num_slots", "group_size", "order", "group_of_slot")
+    __slots__ = ("round_id", "num_slots", "group_size", "order", "position")
 
     def __init__(
         self, round_id: int, num_slots: int, group_size: int, order: np.ndarray
@@ -54,21 +54,25 @@ class SubgroupPlan:
         #: Permutation of ``range(num_slots)``; group ``g`` owns the
         #: contiguous block ``order[g*group_size : (g+1)*group_size]``.
         self.order = order
-        inverse = np.empty(num_slots, dtype=np.int64)
-        inverse[order] = np.arange(num_slots, dtype=np.int64)
-        #: ``group_of_slot[slot]`` is the subgroup index owning ``slot``.
-        self.group_of_slot = inverse // group_size
+        #: The inverse permutation: ``position[slot]`` is the slot's index
+        #: in ``order``, so its subgroup is ``position // group_size`` and
+        #: its place inside that subgroup ``position % group_size``.
+        self.position = np.empty(num_slots, dtype=np.int64)
+        self.position[order] = np.arange(num_slots, dtype=np.int64)
 
     @property
     def num_groups(self) -> int:
         return -(-self.num_slots // self.group_size)
 
-    def group_of(self, slot: int) -> int:
+    def _position(self, slot: int) -> int:
         if not 0 <= slot < self.num_slots:
             raise ConfigurationError(
                 f"slot {slot} outside the round's {self.num_slots} slots"
             )
-        return int(self.group_of_slot[slot])
+        return int(self.position[slot])
+
+    def group_of(self, slot: int) -> int:
+        return self._position(slot) // self.group_size
 
     def slots_in(self, group: int) -> tuple[int, ...]:
         """The slot indices of one subgroup, in permutation order."""
@@ -82,12 +86,8 @@ class SubgroupPlan:
         )
 
     def local_index(self, slot: int) -> int:
-        """A slot's position inside its own subgroup's mask family."""
-        group = self.group_of(slot)
-        block = self.order[
-            group * self.group_size : (group + 1) * self.group_size
-        ]
-        return int(np.nonzero(block == slot)[0][0])
+        """A slot's position inside its own subgroup's mask family (O(1))."""
+        return self._position(slot) % self.group_size
 
     def groups(self) -> tuple[tuple[int, ...], ...]:
         """Every subgroup's slot tuple (test/inspection helper; O(n))."""

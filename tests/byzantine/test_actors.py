@@ -230,21 +230,48 @@ def test_evicting_the_only_contributor_is_a_blamed_abort():
     assert VIOLATION_EQUIVOCATION in _kinds(result)
 
 
-def test_a_lying_blinder_that_cannot_restart_is_blamed():
-    """A crash at a phase boundary makes the forged-claims blinder restore
-    its own non-sum-zero family — which its own recovery refuses.  The
-    engine blames it instead of letting the ``CryptoError`` escape."""
-    deployment = _deploy(b"forged-claims-crash")
+def _crash_at_collect(deployment, tag: bytes):
     deployment.enable_faults(
         FaultInjector(
             FaultPlan(specs=(FaultSpec(site=SITE_BLINDER, phase="collect"),)),
-            seed=b"forged-claims-crash",
+            seed=tag,
         )
     )
+
+
+class _BitFlippingStore(dict):
+    """Sealed-blob storage that hands back every blob with one bit flipped."""
+
+    def __getitem__(self, key):
+        blob = bytearray(super().__getitem__(key))
+        blob[-1] ^= 1
+        return bytes(blob)
+
+
+def test_a_lying_blinder_that_cannot_restart_is_blamed():
+    """A crash at a phase boundary whose sealed round no longer opens
+    leaves the forged-claims blinder unable to recover the round.  The
+    engine blames it instead of letting the ``CryptoError`` escape."""
+    deployment = _deploy(b"forged-claims-crash")
+    _crash_at_collect(deployment, b"forged-claims-crash")
+    deployment.blinder_provisioner.attach_sealed_store(_BitFlippingStore())
     result = _run(deployment, _single(ATTACK_BLINDER_FORGED_CLAIMS))
     assert result.outcome == OUTCOME_DETECTED_ABORT
     assert "blinder" in result.offenders
     assert VIOLATION_MASK_COMMITMENT in _kinds(result)
+
+
+def test_a_forged_claim_outlives_a_blinder_restart():
+    """The blinder seals seeds, which cannot express a corrupted row, so a
+    restart recovers the honest family; the lie lives in the wrapper and
+    is still caught by the sum-zero check at finalize."""
+    deployment = _deploy(b"forged-claims-restart")
+    _crash_at_collect(deployment, b"forged-claims-restart")
+    result = _run(deployment, _single(ATTACK_BLINDER_FORGED_CLAIMS))
+    assert result.outcome == OUTCOME_DETECTED_ABORT
+    assert result.offenders == ("blinder",)
+    assert _kinds(result) == {VIOLATION_NON_SUM_ZERO}
+    assert deployment.blinder_provisioner.restarts == 1
 
 
 def test_a_plain_round_cannot_finalize_without_an_audit_trail():

@@ -11,7 +11,7 @@ from repro.crypto.masking import (
     apply_mask,
     remove_mask,
 )
-from repro.errors import AuthenticationError, ConfigurationError, CryptoError
+from repro.errors import ConfigurationError, CryptoError
 
 
 def rng():
@@ -86,27 +86,10 @@ def test_blinding_service_round_lifecycle():
         service.open_round(1, num_parties=3, length=4)
 
 
-def test_blinding_service_encrypt_decrypt():
-    service = BlindingService(rng())
-    service.open_round(7, num_parties=3, length=4)
-    key = b"client-key-0-...................."[:32]
-    encrypted = service.encrypted_mask(7, 0, key)
-    mask = BlindingService.decrypt_mask(encrypted, key)
-    assert mask == service.mask_for_dropout(7, 0)
-
-
-def test_blinding_service_wrong_key_fails():
-    service = BlindingService(rng())
-    service.open_round(7, num_parties=3, length=4)
-    encrypted = service.encrypted_mask(7, 0, b"a" * 32)
-    with pytest.raises(AuthenticationError):
-        BlindingService.decrypt_mask(encrypted, b"b" * 32)
-
-
 def test_blinding_service_unopened_round():
     service = BlindingService(rng())
     with pytest.raises(CryptoError):
-        service.encrypted_mask(99, 0, b"a" * 32)
+        service.mask_for(99, 0)
     with pytest.raises(CryptoError):
         service.mask_for_dropout(99, 0)
 
@@ -138,23 +121,3 @@ def test_sum_zero_property(num_parties, length):
     assert masks.verify_sum_zero()
     assert len(masks.masks) == num_parties
     assert all(len(mask) == length for mask in masks.masks)
-
-
-def test_decrypt_mask_round_trips_full_range_words():
-    """The frombuffer parse agrees with per-word int.from_bytes parsing.
-
-    Masks are uniform in [0, 2^64), so the payload regularly contains
-    words with the top bit set and the all-ones word — exactly the values
-    a signed-dtype parsing bug would corrupt.
-    """
-    service = BlindingService(rng())
-    masks = service.open_round(3, num_parties=2, length=16)
-    key = b"k" * 32
-    for party in range(2):
-        encrypted = service.encrypted_mask(3, party, key)
-        decrypted = BlindingService.decrypt_mask(encrypted, key)
-        assert decrypted == masks.mask_for(party)
-        assert all(0 <= word < (1 << 64) for word in decrypted)
-    # Masks summing to zero with 2 parties means one is the ring negation
-    # of the other, so top-bit-set words are guaranteed present.
-    assert any(word >= (1 << 63) for word in masks.mask_for(0))

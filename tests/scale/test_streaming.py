@@ -38,6 +38,23 @@ def test_plan_is_deterministic_and_partitions_all_slots():
     assert seen == set(range(100))
 
 
+@pytest.mark.parametrize(
+    "num_slots, group_size",
+    [(100, 7), (64, 8), (9, 4), (13, 3), (5, 5), (1, 1), (6, 1)],
+)
+def test_local_index_matches_the_block_search(num_slots, group_size):
+    """The O(1) inverse-permutation lookup agrees with searching the slot's
+    block, across remainder groups (100/7, 13/3) and size-1 groups (9/4's
+    last group, 13/3's last group, g = 1)."""
+    plan = plan_subgroups(11, num_slots, group_size)
+    for slot in range(num_slots):
+        group = plan.group_of(slot)
+        block = plan.order[group * plan.group_size : (group + 1) * plan.group_size]
+        assert plan.local_index(slot) == int(np.nonzero(block == slot)[0][0])
+    with pytest.raises(ConfigurationError):
+        plan.local_index(num_slots)
+
+
 def test_plan_rotates_with_round_id():
     first = plan_subgroups(1, 64, 8)
     second = plan_subgroups(2, 64, 8)
@@ -96,6 +113,18 @@ def test_grouped_masks_rows_match_slot_order():
     assert len(rows) == 15
     for slot in range(15):
         assert rows[slot] == masks.mask_for(slot)
+
+
+def test_grouped_masks_compare_by_plan_seeds_and_shape():
+    plan = plan_subgroups(4, 12, 5)
+    masks = GroupedSumZeroMasks.sample(plan, 8, HmacDrbg(b"eq"))
+    same = GroupedSumZeroMasks(plan_subgroups(4, 12, 5), masks.seeds, 8, 64)
+    assert masks == same
+    assert masks != GroupedSumZeroMasks.sample(plan, 8, HmacDrbg(b"other"))
+    assert masks != GroupedSumZeroMasks(plan, masks.seeds, 9, 64)
+    assert masks != GroupedSumZeroMasks(
+        plan_subgroups(5, 12, 5), masks.seeds, 8, 64
+    )
 
 
 def test_grouped_masks_requires_one_seed_per_group():
