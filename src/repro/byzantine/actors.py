@@ -69,6 +69,7 @@ from repro.crypto.commitments import (
 )
 from repro.crypto.drbg import HmacDrbg
 from repro.errors import ConfigurationError, NetworkError
+from repro.perf import kernels
 from repro.runtime.endpoints import ClientEndpoint
 from repro.runtime.protocol import FLOOD_THRESHOLD
 from repro.runtime.telemetry import OUTCOME_SUBMIT_FAILED
@@ -102,7 +103,7 @@ class AttackerEndpoint(ClientEndpoint):
         return None if spec is None else spec.kind
 
     def _forge(self, command, bump: float = 0.0) -> None:
-        values = [v + bump for v in command.values]
+        values = kernels.be_doubles(command.values) + bump
         forged = forged_contribution(self.client, command.round_id, values)
         super()._submit(command, forged)
 

@@ -128,8 +128,13 @@ class BlindingComponent:
 
     def blind(
         self, round_id: int, party_index: int, values: Sequence[float]
-    ) -> list[int]:
-        """Encode and mask a contribution; consumes the party's round mask."""
+    ) -> bytes:
+        """Encode and mask a contribution; consumes the party's round mask.
+
+        Returns the blinded words packed for the wire
+        (:func:`~repro.perf.kernels.be_words_to_bytes`): the bytes the
+        signature covers and the service folds.
+        """
         mask = self._masks.pop((round_id, party_index), None)
         if mask is None:
             raise CryptoError(
@@ -140,4 +145,6 @@ class BlindingComponent:
             raise CryptoError(
                 f"mask length {len(mask)} does not match contribution length {len(encoded)}"
             )
-        return apply_mask(encoded, mask, self.codec.modulus_bits)
+        return kernels.be_words_to_bytes(
+            apply_mask(encoded, mask, self.codec.modulus_bits)
+        )

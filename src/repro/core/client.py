@@ -20,7 +20,7 @@ train → hand to Glimmer → relay whatever the Glimmer endorsed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from repro.core.glimmer import (
@@ -40,6 +40,7 @@ from repro.errors import (
     ReproError,
 )
 from repro.faults import ACTION_LOSE, SITE_SEAL_LOSS
+from repro.perf import kernels
 from repro.sgx.attestation import AttestationService, report_data_for
 from repro.sgx.enclave import Enclave
 from repro.sgx.measurement import EnclaveImage
@@ -379,13 +380,13 @@ class MaliciousClient(ClientDevice):
         forged_key = SchnorrKeyPair.generate(self.rng.fork("forged-key"))
         nonce = self.rng.generate(16)
         if blinded_shape:
-            ring = tuple(
-                int(round(float(v) * (1 << 16))) % (1 << 64) for v in values
+            ring = kernels.be_words_to_bytes(
+                [int(round(float(v) * (1 << 16))) % (1 << 64) for v in values]
             )
             plain = None
         else:
             ring = None
-            plain = tuple(float(v) for v in values)
+            plain = kernels.be_doubles_to_bytes(values)
         from repro.core.signing import contribution_digest
 
         digest = contribution_digest(round_id, nonce, blinded_shape, ring, plain, 1.0)
@@ -404,28 +405,14 @@ class MaliciousClient(ClientDevice):
     ) -> SignedContribution:
         """Rewrite a genuinely signed payload without re-signing."""
         if genuine.ring_payload is not None:
-            mutated = list(genuine.ring_payload)
-            mutated[0] = (mutated[0] + int(boost) * (1 << 16)) % (1 << 64)
-            return SignedContribution(
-                round_id=genuine.round_id,
-                nonce=genuine.nonce,
-                blinded=genuine.blinded,
-                ring_payload=tuple(mutated),
-                plain_payload=None,
-                confidence=genuine.confidence,
-                signature=genuine.signature,
-            )
-        mutated_plain = list(genuine.plain_payload or ())
-        if mutated_plain:
+            mutated = kernels.as_ring(genuine.ring_payload)
+            mutated[:1] += kernels.U64((int(boost) << 16) % (1 << 64))
+            return replace(genuine, ring_payload=kernels.be_words_to_bytes(mutated))
+        mutated_plain = kernels.be_doubles(genuine.plain_payload or b"")
+        if len(mutated_plain):
             mutated_plain[0] = boost
-        return SignedContribution(
-            round_id=genuine.round_id,
-            nonce=genuine.nonce,
-            blinded=genuine.blinded,
-            ring_payload=None,
-            plain_payload=tuple(mutated_plain),
-            confidence=genuine.confidence,
-            signature=genuine.signature,
+        return replace(
+            genuine, plain_payload=kernels.be_doubles_to_bytes(mutated_plain)
         )
 
     def replay(self, genuine: SignedContribution) -> SignedContribution:

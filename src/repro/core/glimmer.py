@@ -52,6 +52,7 @@ from repro.errors import (
     ProtocolError,
     ValidationError,
 )
+from repro.perf import kernels
 from repro.sgx.enclave import EnclaveProgram, ecall
 from repro.sgx.measurement import EnclaveImage, VendorKey
 
@@ -470,7 +471,7 @@ class GlimmerProgram(EnclaveProgram):
             self.api.monotonic_counter(
                 f"blind-signings-round-{request.round_id}"
             ).increment()
-            self.api.charge_aead(8 * len(ring_payload))
+            self.api.charge_aead(len(ring_payload))
             self.api.charge_signature()
             return self._signing.endorse(
                 round_id=request.round_id,
@@ -486,7 +487,7 @@ class GlimmerProgram(EnclaveProgram):
             nonce=nonce,
             blinded=False,
             ring_payload=None,
-            plain_payload=tuple(request.values),
+            plain_payload=kernels.be_doubles_to_bytes(request.values),
             confidence=outcome.confidence,
         )
 

@@ -30,6 +30,7 @@ from repro.core.signing import SignedContribution
 from repro.crypto.fixedpoint import FixedPointCodec
 from repro.crypto.schnorr import SchnorrPublicKey
 from repro.errors import ConfigurationError, ProtocolError
+from repro.perf import kernels
 from repro.scale.streaming import StreamingSubgroupAccumulator
 from repro.scale.subgroup import plan_subgroups
 
@@ -274,14 +275,16 @@ class CloudService:
     def finalize_blinded_round(
         self,
         round_id: int,
-        dropout_masks: Sequence[Sequence[int]] = (),
+        dropout_masks: Sequence[bytes] = (),
     ) -> RoundResult:
         """Repair dropouts into the folded partials, merge them, decode.
 
         ``dropout_masks`` are the masks of parties that were provisioned a
-        mask but never submitted, disclosed by the blinding service (bare
-        words, or a :class:`~repro.crypto.commitments.MaskOpening`, which
-        iterates as its words).  Since Σp = 0, folding the missing masks in
+        mask but never submitted, disclosed by the blinding service: packed
+        words as :class:`~repro.runtime.messages.FinalizeRound` carries
+        them, or (from an in-process caller) any word sequence, such as a
+        :class:`~repro.crypto.commitments.MaskOpening`, which iterates as
+        its words.  Since Σp = 0, folding the missing masks in
         restores an exact sum of the submitted contributions.  A round
         finalizes once: a retransmitted finalize gets the same result back
         rather than folding its repairs a second time.
@@ -294,7 +297,7 @@ class CloudService:
         if not state.counted:
             raise ProtocolError("no accepted contributions to aggregate")
         accumulator = state.accumulator
-        repairs = [list(mask) for mask in dropout_masks]
+        repairs = [kernels.as_ring(mask) for mask in dropout_masks]
         if any(len(words) != accumulator.length for words in repairs):
             raise ConfigurationError("mask length does not match vector length")
         for words in repairs:
@@ -319,7 +322,7 @@ class CloudService:
         if not state.accepted:
             raise ProtocolError("no accepted contributions to aggregate")
         stacked = np.stack(
-            [np.asarray(c.plain_payload, dtype=float) for c in state.accepted]
+            [kernels.be_doubles(c.plain_payload) for c in state.accepted]
         )
         return RoundResult(
             round_id=round_id,

@@ -7,7 +7,9 @@ and returns it to the client for transmission to the service."
 
 A :class:`SignedContribution` binds, under the service-provisioned key:
 
-* the payload (blinded ring vector or plaintext float vector),
+* the payload — a blinded ring vector or a plaintext float vector, each
+  packed as the 8-byte big-endian values that travel (u64 words or
+  IEEE-754 doubles; :mod:`repro.perf.kernels`),
 * the round id and a fresh nonce (replay protection at the service),
 * the validation confidence,
 * whether the payload is blinded.
@@ -19,9 +21,7 @@ signature, which is what makes the client untrusted-but-harmless.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
-from repro.core.encoding import encode_float_vector, encode_ring_vector
 from repro.crypto.hashing import hash_items
 from repro.crypto.schnorr import SchnorrKeyPair, SchnorrPublicKey, SchnorrSignature
 from repro.errors import CryptoError
@@ -29,13 +29,21 @@ from repro.errors import CryptoError
 
 @dataclass(frozen=True)
 class SignedContribution:
-    """What leaves the Glimmer for the service."""
+    """What leaves the Glimmer for the service.
+
+    The payload fields carry the very bytes the signature's digest covers:
+    ``ring_payload`` is big-endian u64 words
+    (:func:`~repro.perf.kernels.be_words_to_bytes`), ``plain_payload``
+    big-endian doubles (:func:`~repro.perf.kernels.be_doubles_to_bytes`),
+    8·k bytes each with no count prefix.  A word outside the ring has no
+    spelling, so one signature covers exactly one payload.
+    """
 
     round_id: int
     nonce: bytes
     blinded: bool
-    ring_payload: tuple[int, ...] | None
-    plain_payload: tuple[float, ...] | None
+    ring_payload: bytes | None
+    plain_payload: bytes | None
     confidence: float
     signature: SchnorrSignature
 
@@ -54,18 +62,22 @@ def contribution_digest(
     round_id: int,
     nonce: bytes,
     blinded: bool,
-    ring_payload: Sequence[int] | None,
-    plain_payload: Sequence[float] | None,
+    ring_payload: bytes | None,
+    plain_payload: bytes | None,
     confidence: float,
 ) -> bytes:
-    """Canonical digest the signature covers."""
+    """Canonical digest the signature covers.
+
+    The packed payload is hashed as carried, behind a 4-byte count of its
+    8-byte values — the length-prefixed vector encoding every signature
+    has always covered, so the digest of given words or floats is
+    unchanged.
+    """
     if (ring_payload is None) == (plain_payload is None):
         raise CryptoError("exactly one of ring/plain payload must be present")
-    payload_bytes = (
-        encode_ring_vector(ring_payload)
-        if ring_payload is not None
-        else encode_float_vector(plain_payload)  # type: ignore[arg-type]
-    )
+    packed = ring_payload if ring_payload is not None else plain_payload
+    if type(packed) is not bytes or len(packed) % 8:
+        raise CryptoError("a payload is packed bytes of whole 8-byte values")
     return hash_items(
         "signed-contribution",
         [
@@ -73,7 +85,7 @@ def contribution_digest(
             nonce,
             b"\x01" if blinded else b"\x00",
             b"ring" if ring_payload is not None else b"plain",
-            payload_bytes,
+            (len(packed) // 8).to_bytes(4, "big") + packed,
             round(confidence * 10_000).to_bytes(2, "big"),
         ],
     )
@@ -98,11 +110,12 @@ class SigningComponent:
         round_id: int,
         nonce: bytes,
         blinded: bool,
-        ring_payload: Sequence[int] | None,
-        plain_payload: Sequence[float] | None,
+        ring_payload: bytes | None,
+        plain_payload: bytes | None,
         confidence: float,
     ) -> SignedContribution:
-        """Sign a validated payload.  Callers must have checked validation."""
+        """Sign a validated, packed payload.  Callers must have checked
+        validation."""
         digest = contribution_digest(
             round_id, nonce, blinded, ring_payload, plain_payload, confidence
         )
@@ -110,8 +123,8 @@ class SigningComponent:
             round_id=round_id,
             nonce=nonce,
             blinded=blinded,
-            ring_payload=tuple(ring_payload) if ring_payload is not None else None,
-            plain_payload=tuple(plain_payload) if plain_payload is not None else None,
+            ring_payload=ring_payload,
+            plain_payload=plain_payload,
             confidence=confidence,
             signature=self._keypair.sign(digest),
         )

@@ -45,6 +45,7 @@ from repro.crypto.commitments import decode_mask_payload
 from repro.crypto.dh import DHKeyPair
 from repro.crypto.schnorr import SchnorrKeyPair
 from repro.errors import AttestationError, ProtocolError, ValidationError
+from repro.perf import kernels
 from repro.sgx.attestation import report_data_for
 from repro.sgx.enclave import EnclaveProgram, ecall
 from repro.sgx.measurement import EnclaveImage, VendorKey
@@ -257,7 +258,7 @@ class BlindingEnclaveProgram(_ComponentProgram):
                 "round_id": payload["round_id"],
                 "blinded": False,
                 "ring_payload": None,
-                "plain_payload": payload["values"],
+                "plain_payload": kernels.be_doubles_to_bytes(payload["values"]),
                 "confidence": payload["confidence"],
             }
         return self._link_encrypt("blinding-signing", forward)

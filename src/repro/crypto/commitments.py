@@ -165,8 +165,11 @@ def hash_commitment(
 class MaskOpening:
     """What a slot's recipient gets: the mask plus its commitment opening.
 
-    Iterating an opening yields the bare mask words, so a caller holding
-    a reveal can hand it straight to ``remove_mask`` or
+    It crosses to a Glimmer packed by :func:`encode_mask_payload` and to
+    the engine as a dropout reveal; once verified, the engine hands the
+    service ``be_words_to_bytes(opening.mask)`` inside ``FinalizeRound``.
+    Iterating an opening yields the bare mask words, so an in-process
+    caller holding a reveal can hand it straight to ``remove_mask`` or
     ``finalize_blinded_round`` (``tests/core/test_dp_release.py`` does).
     """
 

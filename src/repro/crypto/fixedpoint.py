@@ -117,7 +117,7 @@ class FixedPointCodec:
             and np.abs(centered).max(initial=0) <= _EXACT_FLOAT_BOUND
         ):
             return centered.astype(np.float64) / self.scale
-        return np.array([self.decode_value(int(e)) for e in encoded], dtype=float)
+        return np.array([self.decode_value(e) for e in arr.tolist()], dtype=float)
 
     def add(self, left: Sequence[int], right: Sequence[int]) -> list[int]:
         """Component-wise ring addition (what the service does with blinded vectors)."""

@@ -192,7 +192,11 @@ class GroupedSumZeroMasks:
 def apply_mask(
     encoded: Sequence[int], mask: Sequence[int], modulus_bits: int = 64
 ) -> list[int]:
-    """Blind an encoded contribution: ``y_i = x_i + p_i`` in the ring."""
+    """Blind an encoded contribution: ``y_i = x_i + p_i`` in the ring.
+
+    Either side may be packed words (:func:`repro.perf.kernels.as_ring`).
+    """
+    encoded, mask = kernels.as_ring(encoded), kernels.as_ring(mask)
     if len(encoded) != len(mask):
         raise ConfigurationError("mask length does not match vector length")
     return kernels.ring_add(encoded, mask, modulus_bits).tolist()
@@ -202,6 +206,7 @@ def remove_mask(
     blinded: Sequence[int], mask: Sequence[int], modulus_bits: int = 64
 ) -> list[int]:
     """Inverse of :func:`apply_mask` (used for dropout repair and tests)."""
+    blinded, mask = kernels.as_ring(blinded), kernels.as_ring(mask)
     if len(blinded) != len(mask):
         raise ConfigurationError("mask length does not match vector length")
     return kernels.ring_sub(blinded, mask, modulus_bits).tolist()

@@ -70,7 +70,7 @@ def _captured_blinded(eavesdropper, codec, round_id, user_ids):
         for user_id in user_ids:
             if message.sender == client_endpoint(user_id):
                 blinded.setdefault(
-                    user_id, np.array(codec.decode(list(contribution.ring_payload)))
+                    user_id, np.array(codec.decode(contribution.ring_payload))
                 )
     return blinded
 

@@ -107,7 +107,7 @@ def run(
             signed_by_user[user_id] = signed
             assert service.submit(round_id, signed)
     wire_captures = {
-        user_id: deployment.codec.decode(list(signed.ring_payload))
+        user_id: deployment.codec.decode(signed.ring_payload)
         for user_id, signed in signed_by_user.items()
     }
 

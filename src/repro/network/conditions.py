@@ -528,8 +528,10 @@ class LinkConditions(NetworkAdversary):
                     contribution, nonce=contribution.nonce + b"\xff"
                 )
             elif mutation == "ring" and contribution.ring_payload:
-                words = (1 << 64,) + tuple(contribution.ring_payload[1:])
-                mutated = replace(contribution, ring_payload=words)
+                # A torn final word: no longer whole 8-byte words.
+                mutated = replace(
+                    contribution, ring_payload=contribution.ring_payload[:-1]
+                )
             else:
                 mutated = replace(contribution, confidence=float("nan"))
             return replace(message, payload=replace(payload, contribution=mutated))

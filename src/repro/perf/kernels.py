@@ -7,11 +7,14 @@ reduces any wrapped result to the correct smaller ring — so every kernel
 here is bit-exact against the ``(x op y) % modulus`` scalar definition,
 including multi-term sums whose intermediate totals overflow 64 bits.
 
-Inputs arrive from the wire as Python-int sequences; :func:`as_ring`
-converts once at the boundary (falling back to an explicit ``% modulus``
-pass for out-of-range values, matching scalar semantics) so downstream
-phases can run O(1) array operations instead of O(length) interpreter
-loops.
+Ring vectors arrive from the wire packed: ``bytes`` of big-endian u64
+words (:func:`be_words_to_bytes`), which :func:`as_ring` reads with one
+``np.frombuffer``.  Python-int sequences from in-process callers convert
+the same way (falling back to an explicit ``% modulus`` pass for
+out-of-range values, matching scalar semantics), so downstream phases
+run O(1) array operations instead of O(length) interpreter loops.
+Float vectors travel as big-endian IEEE-754 doubles
+(:func:`be_doubles_to_bytes` / :func:`be_doubles`).
 """
 
 from __future__ import annotations
@@ -23,6 +26,10 @@ import numpy as np
 U64 = np.uint64
 #: Big-endian unsigned 64-bit word — the wire order of every ring vector.
 BE_U64 = np.dtype(">u8")
+#: Big-endian IEEE-754 double — the wire order of every float vector.
+BE_F64 = np.dtype(">f8")
+#: What a packed vector may arrive as in process; the wire takes ``bytes`` only.
+_PACKED = (bytes, bytearray, memoryview)
 
 _FULL_MASK = U64(0xFFFFFFFFFFFFFFFF)
 
@@ -46,16 +53,46 @@ def ring_reduce(arr: np.ndarray, modulus_bits: int) -> np.ndarray:
 _reduce = ring_reduce
 
 
-def as_ring(values: Sequence[int] | np.ndarray, modulus_bits: int = 64) -> np.ndarray:
-    """A 1-D ``np.uint64`` ring vector from any integer sequence.
+def _unpack(payload, dtype: np.dtype) -> np.ndarray:
+    """A packed buffer of 8-byte values, read in place (no copy)."""
+    if len(payload) % 8:
+        raise ValueError(
+            f"a packed vector is whole 8-byte values, not {len(payload)} bytes"
+        )
+    return np.frombuffer(payload, dtype=dtype)
 
-    Values already in ``[0, 2^64)`` convert directly; anything outside
-    (negative or arbitrarily large Python ints) takes a scalar ``%``
-    fallback so the result always equals ``[int(v) % modulus for v in
-    values]``.
+
+def be_words(payload: bytes) -> np.ndarray:
+    """The native ``np.uint64`` words of a packed ring vector.
+
+    Inverse of :func:`be_words_to_bytes`; raises ``ValueError`` when the
+    length is not a multiple of 8.
+    """
+    return _unpack(payload, BE_U64).astype(U64)
+
+
+def be_doubles(payload: bytes) -> np.ndarray:
+    """The native ``np.float64`` values of a packed float vector.
+
+    Inverse of :func:`be_doubles_to_bytes`; raises ``ValueError`` when the
+    length is not a multiple of 8.
+    """
+    return _unpack(payload, BE_F64).astype(np.float64)
+
+
+def as_ring(values: Sequence[int] | np.ndarray, modulus_bits: int = 64) -> np.ndarray:
+    """A 1-D ``np.uint64`` ring vector from packed words or any integer sequence.
+
+    A packed buffer (``bytes``) holds big-endian u64 words; its length
+    must be a multiple of 8 (``ValueError`` otherwise).  Integer values
+    already in ``[0, 2^64)`` convert directly; anything outside (negative
+    or arbitrarily large Python ints) takes a scalar ``%`` fallback so the
+    result always equals ``[int(v) % modulus for v in values]``.
     """
     if isinstance(values, np.ndarray) and values.dtype == U64:
         return _reduce(values, modulus_bits)
+    if isinstance(values, _PACKED):
+        return _reduce(be_words(values), modulus_bits)
     try:
         arr = np.asarray(values, dtype=U64)
     except (OverflowError, TypeError, ValueError):
@@ -67,9 +104,14 @@ def as_ring(values: Sequence[int] | np.ndarray, modulus_bits: int = 64) -> np.nd
 def as_ring_rows(
     rows: Sequence[Sequence[int]] | np.ndarray, modulus_bits: int = 64
 ) -> np.ndarray:
-    """A 2-D ``np.uint64`` matrix (one ring vector per row)."""
+    """A 2-D ``np.uint64`` matrix (one ring vector per row).
+
+    Rows may be packed buffers, read as :func:`as_ring` reads them.
+    """
     if isinstance(rows, np.ndarray) and rows.dtype == U64 and rows.ndim == 2:
         return _reduce(rows, modulus_bits)
+    if not isinstance(rows, np.ndarray) and any(isinstance(r, _PACKED) for r in rows):
+        return np.stack([as_ring(row, modulus_bits) for row in rows])
     try:
         arr = np.asarray(rows, dtype=U64)
         if arr.ndim != 2:
@@ -198,4 +240,13 @@ def bytes_to_be_words(payload: bytes) -> tuple[int, ...]:
     ``payload`` length must be a multiple of 8 — callers validate framing
     before parsing, exactly as the scalar loops did.
     """
-    return tuple(np.frombuffer(payload, dtype=BE_U64).tolist())
+    return tuple(be_words(payload).tolist())
+
+
+def be_doubles_to_bytes(values: Sequence[float] | np.ndarray) -> bytes:
+    """``struct.pack(f">{len(values)}d", *values)``, in one pass.
+
+    An int too large for a double raises ``OverflowError``, as ``struct``
+    does.
+    """
+    return np.asarray(values, dtype=np.float64).astype(BE_F64, copy=False).tobytes()

@@ -631,7 +631,7 @@ class RoundEngine:
             m.KIND_CONTRIBUTE,
             m.ContributeCommand(
                 round_id=round_id,
-                values=tuple(float(v) for v in values),
+                values=kernels.be_doubles_to_bytes(values),
                 features=() if held else tuple(features),
                 features_digest=digest,
                 blind=blind,
@@ -777,7 +777,7 @@ class RoundEngine:
                     f"blinding service's committed masks do not sum to "
                     f"zero: {exc}",
                 )
-        repairs: list[tuple[int, ...]] = []
+        repairs: list[bytes] = []
         try:
             if record.blinded:
                 revealed_by_slot: list[tuple[int, Any]] = []
@@ -867,7 +867,7 @@ class RoundEngine:
 
     def _verified_repair_mask(
         self, record: _RoundRecord, slot: int, revealed, preverified: bool = False
-    ) -> tuple[int, ...]:
+    ) -> bytes:
         """Check a revealed dropout mask against the round's commitments.
 
         The blinder reveals a full
@@ -899,7 +899,7 @@ class RoundEngine:
                     f"blinding service revealed a mask for slot {slot} "
                     f"that does not match its commitment: {exc}",
                 )
-        return tuple(int(v) for v in revealed.mask)
+        return kernels.be_words_to_bytes(revealed.mask)
 
     def _reconcile_consumed(self, record: _RoundRecord) -> None:
         """Adopt acceptances the service holds that the engine never saw.
@@ -1069,13 +1069,11 @@ class RoundEngine:
                 if repairs:
                     # Repairs commute in the ring, so one summed repair
                     # vector applied once equals applying each in turn.
-                    repair = kernels.ring_accumulate(
-                        (list(mask) for mask in repairs), codec.modulus_bits
-                    )
+                    repair = kernels.ring_accumulate(repairs, codec.modulus_bits)
                     total = kernels.ring_add(total, repair, codec.modulus_bits)
                 return codec.decode(total) / len(accepted)
             stacked = np.stack(
-                [np.asarray(c.plain_payload, dtype=float) for c in accepted]
+                [kernels.be_doubles(c.plain_payload) for c in accepted]
             )
             return stacked.mean(axis=0)
         except Exception:

@@ -6,6 +6,13 @@ models a service-side brownout without touching provisioning, for
 example).  Payloads are frozen dataclasses: the wire carries data, never
 live object references, which is what lets :func:`payload_size` price them
 and adversaries capture or tamper with them meaningfully.
+
+Every numeric vector travels packed, as ``bytes`` of 8-byte big-endian
+values with no count prefix: ring words as u64
+(:func:`repro.perf.kernels.be_words_to_bytes`) and floats as IEEE-754
+doubles (:func:`repro.perf.kernels.be_doubles_to_bytes`).  A vector's size
+on the wire is then 8·k whatever it holds, and the signed contribution
+carries the exact bytes its signature covers.
 """
 
 from __future__ import annotations
@@ -118,7 +125,8 @@ class ContributeCommand:
     and the host's :class:`~repro.runtime.endpoints.ClientEndpoint` puts
     back the list it kept.  A device whose round ended any other way gets
     the full list again, so a list stripped or swapped in transit costs
-    that device one round, never more.
+    that device one round, never more.  ``values`` is the device's vector
+    as packed big-endian doubles.
     """
 
     round_id: int
@@ -171,7 +179,11 @@ class RevealMask:
 
 @dataclass(frozen=True)
 class FinalizeRound:
-    """Close a round at the service, handing over any repair masks."""
+    """Close a round at the service, handing over any repair masks.
+
+    Each ``dropout_masks`` entry is one dropped slot's verified mask as
+    packed big-endian u64 words.
+    """
 
     round_id: int
     dropout_masks: tuple = field(default=())

@@ -8,8 +8,10 @@ one, so a malformed message is Byzantine evidence, not noise.
 
 Bounds are deliberately generous (they gate absurdity, not policy):
 round ids fit in 63 bits, cohorts cap at a million parties, vectors at
-ten million entries, ring words at the 64-bit ring modulus, confidences
-in [0, 1], floats must be finite.
+ten million entries, confidences in [0, 1], floats must be finite.
+Numeric vectors are packed ``bytes`` of 8-byte big-endian values (u64
+ring words or IEEE-754 doubles), so their shape is checked by length
+alone and a word outside the ring cannot be spelled.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from repro.core.glimmer import HANDLE_BYTES, features_digest
 from repro.core.signing import SignedContribution
 from repro.crypto.schnorr import SchnorrSignature
 from repro.errors import ProtocolViolation
+from repro.perf import kernels
 from repro.runtime import messages as m
 from repro.runtime.protocol import VIOLATION_MALFORMED
 from repro.sgx.attestation import Quote
@@ -29,7 +32,6 @@ from repro.sgx.attestation import Quote
 MAX_ROUND_ID = (1 << 63) - 1
 MAX_PARTIES = 1_000_000
 MAX_VECTOR_LENGTH = 10_000_000
-RING_MODULUS = 1 << 64
 NONCE_BYTES = 16
 DIGEST_BYTES = 32
 
@@ -65,39 +67,29 @@ def _check_nonce(sender: str, round_id: int, value: Any) -> bytes:
     return value
 
 
+def _check_packed(sender: str, round_id: int, name: str, values: Any) -> None:
+    """A packed vector: ``bytes`` (no other buffer type), whole 8-byte
+    values, at least one and at most the vector-length cap.  Judged on the
+    length alone, whatever the bytes hold."""
+    if type(values) is not bytes:
+        raise _fail(
+            sender, round_id, f"{name} must be packed bytes, not {type(values).__name__}"
+        )
+    if not values or len(values) % 8:
+        raise _fail(
+            sender, round_id, f"{name} is not whole 8-byte values: {len(values)} bytes"
+        )
+    if len(values) > 8 * MAX_VECTOR_LENGTH:
+        raise _fail(sender, round_id, f"{name} exceeds the vector-length cap")
+
+
 def _check_finite_floats(
     sender: str, round_id: int, name: str, values: Any
 ) -> None:
-    if not isinstance(values, tuple):
-        raise _fail(sender, round_id, f"{name} must be a tuple")
-    # Judged on the set of types present and one array pass over the
-    # values; only a rejection walks the elements, to name the offender.
-    for kind in set(map(type, values)):
-        if not issubclass(kind, (int, float)) or issubclass(kind, bool):
-            stray = next(v for v in values if type(v) is kind)
-            raise _fail(sender, round_id, f"{name} holds a non-number: {stray!r}")
-    try:
-        finite = np.isfinite(np.asarray(values, dtype=np.float64)).all()
-    except OverflowError:  # an int too large for a float
-        finite = False
-    if not finite:
+    """Packed big-endian doubles, every one finite (one array pass)."""
+    _check_packed(sender, round_id, name, values)
+    if not np.isfinite(kernels.be_doubles(values)).all():
         raise _fail(sender, round_id, f"{name} holds a non-finite value")
-
-
-def _check_ring_words(
-    sender: str, round_id: int, name: str, values: Any
-) -> None:
-    if not isinstance(values, tuple):
-        raise _fail(sender, round_id, f"{name} must be a tuple")
-    if len(values) > MAX_VECTOR_LENGTH:
-        raise _fail(sender, round_id, f"{name} exceeds the vector-length cap")
-    if set(map(type, values)) - {int} or (
-        values and not 0 <= min(values) <= max(values) < RING_MODULUS
-    ):
-        stray = next(
-            v for v in values if type(v) is not int or not 0 <= v < RING_MODULUS
-        )
-        raise _fail(sender, round_id, f"{name} holds a non-ring word: {stray!r}")
 
 
 def validate_contribution(
@@ -115,9 +107,7 @@ def validate_contribution(
             raise _fail(
                 sender, round_id, "blinded contribution must carry ring payload only"
             )
-        _check_ring_words(
-            sender, round_id, "ring_payload", contribution.ring_payload
-        )
+        _check_packed(sender, round_id, "ring_payload", contribution.ring_payload)
     else:
         if contribution.plain_payload is None or contribution.ring_payload is not None:
             raise _fail(
@@ -126,10 +116,6 @@ def validate_contribution(
         _check_finite_floats(
             sender, round_id, "plain_payload", contribution.plain_payload
         )
-        if len(contribution.plain_payload) > MAX_VECTOR_LENGTH:
-            raise _fail(
-                sender, round_id, "plain_payload exceeds the vector-length cap"
-            )
     confidence = contribution.confidence
     if (
         not isinstance(confidence, (int, float))
@@ -243,8 +229,6 @@ def _validate_contribute(sender: str, payload: Any) -> None:
         raise _fail(sender, None, "expected ContributeCommand payload")
     rid = _check_round_id(sender, payload.round_id)
     _check_finite_floats(sender, rid, "values", payload.values)
-    if len(payload.values) > MAX_VECTOR_LENGTH:
-        raise _fail(sender, rid, "values exceed the vector-length cap")
     digest = payload.features_digest
     if not isinstance(digest, bytes) or len(digest) != DIGEST_BYTES:
         raise _fail(sender, rid, "features_digest must be exactly 32 bytes")
@@ -291,7 +275,7 @@ def _validate_finalize(sender: str, payload: Any) -> None:
     if not isinstance(payload.dropout_masks, tuple):
         raise _fail(sender, rid, "dropout_masks must be a tuple")
     for mask in payload.dropout_masks:
-        _check_ring_words(sender, rid, "dropout mask", mask)
+        _check_packed(sender, rid, "dropout mask", mask)
 
 
 def _validate_close(sender: str, payload: Any) -> None:

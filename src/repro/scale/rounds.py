@@ -52,6 +52,7 @@ from repro.errors import (
     MaskVerificationError,
     ProtocolViolation,
 )
+from repro.perf import kernels
 from repro.runtime import messages as m
 from repro.runtime.endpoints import ClientEndpoint, submit_step
 from repro.runtime.messages import client_endpoint
@@ -204,7 +205,7 @@ def run_parallel_round(
                 if user_id in collect_dropouts
                 else m.ContributeCommand(
                     round_id,
-                    tuple(float(v) for v in values_by_user[user_id]),
+                    kernels.be_doubles_to_bytes(values_by_user[user_id]),
                     features,
                     features_digest(features),
                 )

@@ -77,7 +77,7 @@ def test_noise_is_enclave_private():
 
     mask = deployment.blinder_provisioner.reveal_dropout_mask(1, 0)
     unblinded = deployment.codec.decode(
-        remove_mask(list(signed.ring_payload), list(mask))
+        remove_mask(signed.ring_payload, list(mask))
     )
     # What comes out is x + noise, not x.
     assert float(np.max(np.abs(np.array(unblinded) - np.array(vector)))) > 0.01

@@ -11,6 +11,7 @@ from repro.crypto.masking import remove_mask
 from repro.crypto.schnorr import SchnorrKeyPair
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.dh import TEST_GROUP
+from repro.perf import kernels
 from repro.errors import (
     AuthenticationError,
     ConfigurationError,
@@ -76,7 +77,7 @@ def test_process_unblinded_contribution(round_setup):
     values = [0.5] * len(deployment.features)
     signed = client.contribute(1, values, deployment.features.bigrams, blind=False)
     assert not signed.blinded
-    assert signed.plain_payload == tuple(values)
+    assert kernels.be_doubles(signed.plain_payload).tolist() == values
     deployment.signing_keypair.public_key.verify(
         signed.signed_bytes(), signed.signature
     )
@@ -90,11 +91,11 @@ def test_process_blinded_contribution_hides_values(round_setup):
     assert signed.blinded
     assert signed.plain_payload is None
     encoded = deployment.codec.encode(values)
-    assert list(signed.ring_payload) != encoded
+    assert kernels.bytes_to_be_words(signed.ring_payload) != tuple(encoded)
     # The mask provisioned for party 0 recovers the true values.
     mask = deployment.blinder_provisioner.reveal_dropout_mask(1, 0)
     recovered = deployment.codec.decode(
-        remove_mask(list(signed.ring_payload), list(mask))
+        remove_mask(signed.ring_payload, list(mask))
     )
     assert list(recovered) == pytest.approx(values)
 

@@ -10,6 +10,7 @@ from repro.crypto.fixedpoint import FixedPointCodec
 from repro.crypto.masking import SumZeroMasks, remove_mask
 from repro.crypto.schnorr import SchnorrKeyPair
 from repro.errors import CryptoError
+from repro.perf.kernels import be_doubles_to_bytes as F, be_words_to_bytes as W
 
 
 @pytest.fixture
@@ -20,7 +21,7 @@ def signer():
 def test_endorse_ring_payload_verifies(signer):
     signed = signer.endorse(
         round_id=1, nonce=b"n" * 16, blinded=True,
-        ring_payload=[1, 2, 3], plain_payload=None, confidence=1.0,
+        ring_payload=W([1, 2, 3]), plain_payload=None, confidence=1.0,
     )
     signer.public_key.verify(signed.signed_bytes(), signed.signature)
 
@@ -28,37 +29,37 @@ def test_endorse_ring_payload_verifies(signer):
 def test_endorse_plain_payload_verifies(signer):
     signed = signer.endorse(
         round_id=1, nonce=b"n" * 16, blinded=False,
-        ring_payload=None, plain_payload=[0.5, 0.25], confidence=0.9,
+        ring_payload=None, plain_payload=F([0.5, 0.25]), confidence=0.9,
     )
     signer.public_key.verify(signed.signed_bytes(), signed.signature)
 
 
 def test_digest_requires_exactly_one_payload():
     with pytest.raises(CryptoError):
-        contribution_digest(1, b"n", True, [1], [1.0], 1.0)
+        contribution_digest(1, b"n", True, W([1]), F([1.0]), 1.0)
     with pytest.raises(CryptoError):
         contribution_digest(1, b"n", True, None, None, 1.0)
 
 
 def test_digest_binds_every_field(signer):
-    base = contribution_digest(1, b"n" * 16, True, [1, 2], None, 1.0)
-    assert contribution_digest(2, b"n" * 16, True, [1, 2], None, 1.0) != base
-    assert contribution_digest(1, b"m" * 16, True, [1, 2], None, 1.0) != base
-    assert contribution_digest(1, b"n" * 16, False, [1, 2], None, 1.0) != base
-    assert contribution_digest(1, b"n" * 16, True, [1, 3], None, 1.0) != base
-    assert contribution_digest(1, b"n" * 16, True, [1, 2], None, 0.5) != base
+    base = contribution_digest(1, b"n" * 16, True, W([1, 2]), None, 1.0)
+    assert contribution_digest(2, b"n" * 16, True, W([1, 2]), None, 1.0) != base
+    assert contribution_digest(1, b"m" * 16, True, W([1, 2]), None, 1.0) != base
+    assert contribution_digest(1, b"n" * 16, False, W([1, 2]), None, 1.0) != base
+    assert contribution_digest(1, b"n" * 16, True, W([1, 3]), None, 1.0) != base
+    assert contribution_digest(1, b"n" * 16, True, W([1, 2]), None, 0.5) != base
 
 
 def test_tampered_payload_fails_verification(signer):
     signed = signer.endorse(
         round_id=1, nonce=b"n" * 16, blinded=True,
-        ring_payload=[1, 2, 3], plain_payload=None, confidence=1.0,
+        ring_payload=W([1, 2, 3]), plain_payload=None, confidence=1.0,
     )
     tampered = SignedContribution(
         round_id=signed.round_id,
         nonce=signed.nonce,
         blinded=signed.blinded,
-        ring_payload=(9, 2, 3),
+        ring_payload=W((9, 2, 3)),
         plain_payload=None,
         confidence=signed.confidence,
         signature=signed.signature,
@@ -68,9 +69,42 @@ def test_tampered_payload_fails_verification(signer):
 
 def test_ring_and_plain_digests_never_collide(signer):
     """The payload-kind tag prevents a float payload masquerading as ring."""
-    ring = contribution_digest(1, b"n" * 16, False, [0], None, 1.0)
-    plain = contribution_digest(1, b"n" * 16, False, None, [0.0], 1.0)
+    ring = contribution_digest(1, b"n" * 16, False, W([0]), None, 1.0)
+    plain = contribution_digest(1, b"n" * 16, False, None, F([0.0]), 1.0)
     assert ring != plain
+
+
+NONCE = bytes(range(16))
+WORDS = (0, 1, 2**64 - 1, 0x0123456789ABCDEF)
+FLOATS = (0.0, -1.5, 0.123, 1e300)
+
+
+def test_digest_of_packed_payload_matches_recorded_golden():
+    """Packing moved what travels, not what is signed: these digests were
+    recorded when the payload still travelled as a tuple and the digest
+    re-encoded it behind its 4-byte count."""
+    ring = contribution_digest(7, NONCE, True, W(WORDS), None, 0.75)
+    plain = contribution_digest(7, NONCE, False, None, F(FLOATS), 1.0)
+    assert ring.hex() == (
+        "0e16a7824c25169dd271373cbcd94e5a2d3e9f2a1ec8b5941cea0f64681aa1ff"
+    )
+    assert plain.hex() == (
+        "7a32e725772acf4bee7cbe85f6946440a67add6821e94c2af13fb24ca5cef56b"
+    )
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [WORDS, list(WORDS), bytearray(W(WORDS)), W(WORDS)[:-1], W(WORDS) + b"\x00"],
+    ids=["tuple", "list", "bytearray", "torn", "trailing-byte"],
+)
+def test_digest_covers_only_packed_payloads(payload):
+    """One signature, one payload: ``2**64 + 5`` and ``5`` once encoded to
+    the same words; now only whole packed words can be signed."""
+    with pytest.raises(CryptoError):
+        contribution_digest(7, NONCE, True, payload, None, 0.75)
+    with pytest.raises(CryptoError):
+        contribution_digest(7, NONCE, False, None, payload, 0.75)
 
 
 # ---------------------------------------------------------------- blinding
@@ -81,6 +115,7 @@ def test_blinding_component_roundtrip():
     masks = SumZeroMasks.sample(2, 3, HmacDrbg(b"bl"))
     component.install_mask(7, 0, masks.mask_for(0))
     blinded = component.blind(7, 0, [0.5, -0.25, 1.0])
+    assert type(blinded) is bytes and len(blinded) == 8 * 3
     unblinded = codec.decode(remove_mask(blinded, list(masks.mask_for(0))))
     assert list(unblinded) == pytest.approx([0.5, -0.25, 1.0])
 

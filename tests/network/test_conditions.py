@@ -29,8 +29,11 @@ from repro.network.conditions import (
     sample_fleet_plan,
 )
 from repro.network.message import Message
+from repro.perf import kernels
 from repro.runtime import messages as m
-from repro.runtime.wire import validate_contribution
+from repro.runtime.protocol import VIOLATION_MALFORMED
+from repro.runtime.wire import validate_contribution, validate_payload
+from repro.service.fleet import run_fleet_schedule
 
 
 CLIENTS = ["alice", "bob", "carol", "dave", "erin", "frank"]
@@ -256,7 +259,7 @@ def _signed(ring=(1, 2, 3), nonce=b"\x07" * 16, confidence=0.5):
         round_id=1,
         nonce=nonce,
         blinded=True,
-        ring_payload=tuple(ring),
+        ring_payload=kernels.be_words_to_bytes(ring),
         plain_payload=None,
         confidence=confidence,
         signature=SchnorrSignature(challenge=1, response=1),
@@ -308,6 +311,60 @@ def test_every_firmware_perturbation_violates_the_wire_schema():
     assert conditions.process(
         _message("client:alice", kind=m.KIND_CONTRIBUTE)
     )  # non-submit kinds are never perturbed
+
+
+def test_each_firmware_mutation_is_malformed_at_the_wire():
+    """All three mutations — a 17-byte nonce, a torn final ring word, a NaN
+    confidence — fail the submit schema as ``malformed``, blamed on the
+    sending device.  The ring mutation no longer writes the word ``2**64``
+    (a packed payload cannot hold it): it drops the last byte."""
+    schedule = _quiet_schedule(
+        "alice", firmware_skew=True, firmware_perturb_rate=1.0
+    )
+    conditions = LinkConditions(
+        _plan_of(schedule), SimulatedClock(), HmacDrbg(b"perturb")
+    )
+    healthy = _signed()
+    seen = set()
+    for message_id in range(24):
+        message = Message(
+            sender="client:alice",
+            receiver="service",
+            kind=m.KIND_SUBMIT,
+            payload=m.SubmitContribution(round_id=1, contribution=healthy),
+            message_id=message_id,
+            sent_at_ms=0.0,
+            attempt=1,
+        )
+        mutated = conditions.process(message).payload.contribution
+        if mutated.nonce != healthy.nonce:
+            seen.add("nonce")
+        elif mutated.ring_payload != healthy.ring_payload:
+            assert len(mutated.ring_payload) == len(healthy.ring_payload) - 1
+            seen.add("ring")
+        elif mutated.confidence != healthy.confidence:
+            seen.add("confidence")
+        else:
+            continue
+        with pytest.raises(ProtocolViolation) as excinfo:
+            validate_payload(
+                m.KIND_SUBMIT,
+                "client:alice",
+                m.SubmitContribution(round_id=1, contribution=mutated),
+            )
+        assert excinfo.value.kind == VIOLATION_MALFORMED
+        assert excinfo.value.offender == "client:alice"
+    assert seen == {"nonce", "ring", "confidence"}
+
+
+@pytest.mark.parametrize("index", [0, 3])
+def test_fleet_quarantine_is_attributed_to_firmware_skew(index):
+    """End to end on the hostile profile: perturbed submissions end in a
+    quarantine, and the harness's own check — every quarantined device
+    runs skewed firmware, every round exact — holds."""
+    report = run_fleet_schedule(seed=b"fleet-a", index=index, profile=HOSTILE)
+    assert report["perturbed_submissions"] > 0
+    assert report["quarantined"]
 
 
 # -------------------------------------------------- composition regression

@@ -10,6 +10,7 @@ codec round trips, and commitment digests.
 from __future__ import annotations
 
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -129,6 +130,50 @@ def test_as_ring_out_of_range_fallback_matches_scalar():
     assert kernels.as_ring_rows(rows).tolist() == [
         [v % (1 << 64) for v in row] for row in rows
     ]
+
+
+def test_as_ring_reads_packed_bytes_as_be_words():
+    """A packed payload is big-endian u64 words, never one word per byte."""
+    words = [1, (1 << 64) - 1, 0x0123456789ABCDEF]
+    packed = kernels.be_words_to_bytes(words)
+    assert kernels.as_ring(packed).tolist() == words
+    assert kernels.as_ring(packed).dtype == kernels.U64  # native, not ">u8"
+    assert kernels.as_ring(packed, 32).tolist() == [w % (1 << 32) for w in words]
+    assert kernels.as_ring(bytearray(packed)).tolist() == words
+    assert kernels.as_ring(memoryview(packed)).tolist() == words
+    assert kernels.as_ring_rows([packed, packed[::-1]]).tolist() == [
+        words,
+        list(kernels.bytes_to_be_words(packed[::-1])),
+    ]
+    assert kernels.ring_accumulate([packed, packed]).tolist() == [
+        (2 * w) % (1 << 64) for w in words
+    ]
+    for torn in (packed[:-1], packed + b"\x00", b"\x07"):
+        with pytest.raises(ValueError):
+            kernels.as_ring(torn)
+        with pytest.raises(ValueError):
+            kernels.as_ring_rows([packed, torn])
+
+
+def test_codec_decodes_packed_words_on_both_paths():
+    """Blinded words beyond float exactness take the codec's scalar path,
+    which must read packed words too, not one word per byte."""
+    codec = FixedPointCodec()
+    for words in (codec.encode([0.5, -0.25]), _words(b"parity-wide", 7)):
+        packed = kernels.be_words_to_bytes(words)
+        assert codec.decode(packed).tolist() == codec.decode(words).tolist()
+        assert codec.decode(packed).tolist() == reference.decode_scalar(codec, words)
+
+
+def test_packed_doubles_match_struct():
+    values = [0.0, -1.5, 0.123, 1e300, float("inf"), 5]
+    packed = kernels.be_doubles_to_bytes(values)
+    assert packed == struct.pack(f">{len(values)}d", *values)
+    assert kernels.be_doubles(packed).tolist() == [float(v) for v in values]
+    with pytest.raises(OverflowError):
+        kernels.be_doubles_to_bytes([1.0, 10**400])
+    with pytest.raises(ValueError):
+        kernels.be_doubles(packed[:-3])
 
 
 # ------------------------------------------------------------------- codec

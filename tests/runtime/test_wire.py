@@ -1,12 +1,12 @@
-"""Schema checks on whole vectors: same verdicts as the per-element rules.
+"""Schema checks on whole vectors, and on every other field at the wire.
 
-``_check_finite_floats`` and ``_check_ring_words`` judge a vector by the
-set of types in it plus one pass over the values; these tests pin the
-accept/reject boundary element by element, including the values that
-used to escape as a bare ``OverflowError`` instead of a violation blamed
-on the sender, and every field of the contribute command and of the
-mask request's two shapes, checked at the wire so a rewrite in transit is
-a blamed violation end to end.
+Numeric vectors travel packed: ``bytes`` of 8-byte big-endian values.
+``_check_packed`` judges one by type and length alone, and
+``_check_finite_floats`` adds one array pass for non-finite doubles.
+These tests pin that boundary — including the old Python-sequence shape,
+other buffer types, empty, torn and over-long buffers — plus every field
+of the contribute command and of the mask request's two shapes, checked
+at the wire so a rewrite in transit is a blamed violation end to end.
 """
 
 from dataclasses import replace
@@ -21,16 +21,18 @@ from repro.crypto.schnorr import SchnorrSignature
 from repro.errors import ProtocolViolation
 from repro.experiments.common import Deployment
 from repro.network.adversary import NetworkAdversary
-from repro.runtime import messages as m
+from repro.perf import kernels
+from repro.runtime import messages as m, wire
 from repro.runtime.protocol import VIOLATION_MALFORMED
 from repro.runtime.telemetry import OUTCOME_QUARANTINED
 from repro.runtime.wire import (
     _check_finite_floats,
-    _check_ring_words,
+    _check_packed,
     validate_contribution,
     validate_payload,
 )
 from repro.sgx.attestation import Quote
+from repro.sgx.enclave import payload_size
 
 SENDER = "client:mallory"
 HUGE = 10**400  # an int no float can hold
@@ -41,7 +43,7 @@ def _contribution(**overrides):
         round_id=1,
         nonce=b"\x07" * 16,
         blinded=True,
-        ring_payload=(1, 2, 3),
+        ring_payload=kernels.be_words_to_bytes((1, 2, 3)),
         plain_payload=None,
         confidence=0.5,
         signature=SchnorrSignature(challenge=1, response=1),
@@ -57,10 +59,10 @@ def _assert_blamed(excinfo):
 
 @pytest.mark.parametrize(
     "values",
-    [(), (0.0, 1, -2.5, 10**300), (np.float64(0.25), 1.0), tuple([0.5] * 4096)],
+    [(0.0,), (0.0, 1, -2.5, 10**300), (np.float64(0.25), 1.0), tuple([0.5] * 4096)],
 )
 def test_finite_floats_accepted(values):
-    _check_finite_floats(SENDER, 1, "values", values)
+    _check_finite_floats(SENDER, 1, "values", kernels.be_doubles_to_bytes(values))
 
 
 @pytest.mark.parametrize(
@@ -78,20 +80,27 @@ def test_finite_floats_accepted(values):
     ],
 )
 def test_malformed_floats_are_blamed_on_the_sender(values):
+    """A Python sequence is the old shape: refused whatever it holds."""
     with pytest.raises(ProtocolViolation) as excinfo:
         _check_finite_floats(SENDER, 1, "values", values)
     _assert_blamed(excinfo)
 
 
-@pytest.mark.parametrize("words", [(), (0, 1, (1 << 64) - 1), tuple(range(4096))])
+@pytest.mark.parametrize("words", [(0,), (0, 1, (1 << 64) - 1), tuple(range(4096))])
 def test_ring_words_accepted(words):
-    _check_ring_words(SENDER, 1, "ring_payload", words)
+    _check_packed(SENDER, 1, "ring_payload", kernels.be_words_to_bytes(words))
 
 
-def test_ring_words_must_come_in_a_tuple():
+@pytest.mark.parametrize(
+    "words",
+    [[1, 2], (1, 2), bytearray(16), memoryview(bytes(16)), "\x00" * 16, None],
+    ids=["list", "tuple", "bytearray", "memoryview", "str", "none"],
+)
+def test_ring_words_must_come_packed(words):
     with pytest.raises(ProtocolViolation) as excinfo:
-        _check_ring_words(SENDER, 1, "ring_payload", [1, 2])
+        _check_packed(SENDER, 1, "ring_payload", words)
     _assert_blamed(excinfo)
+    assert "must be packed bytes" in str(excinfo.value)
 
 
 @pytest.mark.parametrize(
@@ -99,11 +108,13 @@ def test_ring_words_must_come_in_a_tuple():
     [-1, 1 << 64, pytest.param(HUGE, id="huge"), 2.0, True, np.uint64(2), "2"],
 )
 def test_malformed_ring_word_is_named_and_blamed_on_the_sender(stray):
+    """A word outside the ring has no packed spelling; a sequence holding
+    one is the old shape, refused with the field and the shape named."""
     for words in ((stray, 1), (1, stray, 3)):
         with pytest.raises(ProtocolViolation) as excinfo:
-            _check_ring_words(SENDER, 1, "ring_payload", words)
+            _check_packed(SENDER, 1, "ring_payload", words)
         _assert_blamed(excinfo)
-        assert repr(stray) in str(excinfo.value)
+        assert "ring_payload must be packed bytes, not tuple" in str(excinfo.value)
 
 
 @pytest.mark.parametrize("confidence", [0, 1, 0.0, 1.0, 0.25])
@@ -144,7 +155,7 @@ BIGRAMS = (("the", "cat"), ("cat", "sat"))
 def _command(**overrides):
     fields = dict(
         round_id=1,
-        values=(0.5, 0.25),
+        values=kernels.be_doubles_to_bytes((0.5, 0.25)),
         features=BIGRAMS,
         features_digest=features_digest(BIGRAMS),
     )
@@ -222,7 +233,10 @@ class RewriteContribute(NetworkAdversary):
 @pytest.mark.parametrize(
     "fields",
     [
-        pytest.param(dict(values=(float("nan"),) * 77), id="values-nan"),
+        pytest.param(
+            dict(values=kernels.be_doubles_to_bytes((float("nan"),) * 77)),
+            id="values-nan",
+        ),
         pytest.param(dict(features=None), id="features-none"),
         pytest.param(dict(features=7), id="features-int"),
         pytest.param(dict(features=(("a",),) * 3), id="features-short-pairs"),
@@ -348,3 +362,178 @@ def test_type_confused_quote_ends_in_a_verdict(quote):
     assert [(v.offender, v.kind) for v in report.violations] == [
         (m.client_endpoint(victim), VIOLATION_MALFORMED)
     ]
+
+
+# ------------------------------------------------------------ packed vectors
+
+W = kernels.be_words_to_bytes
+F = kernels.be_doubles_to_bytes
+
+
+def _packed_field(field, value):
+    """A message whose packed-vector ``field`` holds ``value``."""
+    if field == "ring_payload":
+        contribution = _contribution(ring_payload=value)
+    elif field == "plain_payload":
+        contribution = _contribution(
+            blinded=False, ring_payload=None, plain_payload=value
+        )
+    elif field == "values":
+        return m.KIND_CONTRIBUTE, _command(values=value)
+    else:
+        return m.KIND_FINALIZE, m.FinalizeRound(1, dropout_masks=(W((1, 2)), value))
+    return m.KIND_SUBMIT, m.SubmitContribution(round_id=1, contribution=contribution)
+
+
+PACKED_FIELDS = ["ring_payload", "plain_payload", "values", "dropout_mask"]
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("ring_payload", W((0, 1, (1 << 64) - 1))),
+        ("dropout_mask", W((0, 1, (1 << 64) - 1))),
+        ("plain_payload", F((0.5, -1.0, 1e300))),
+        ("values", F((0.5, -1.0, 1e300))),
+    ],
+)
+def test_packed_vector_accepted(field, value):
+    kind, payload = _packed_field(field, value)
+    validate_payload(kind, SENDER, payload)
+
+
+@pytest.mark.parametrize("field", PACKED_FIELDS)
+@pytest.mark.parametrize(
+    "value",
+    [
+        pytest.param((1, 2, 3), id="tuple"),
+        pytest.param((0.5, 0.25), id="float-tuple"),
+        pytest.param(bytearray(16), id="bytearray"),
+        pytest.param(memoryview(bytes(16)), id="memoryview"),
+        pytest.param(b"", id="empty"),
+        pytest.param(bytes(15), id="torn"),
+        pytest.param(bytes(17), id="trailing-byte"),
+        pytest.param(None, id="none"),
+    ],
+)
+def test_malformed_packed_vector_is_blamed_on_the_sender(field, value):
+    kind, payload = _packed_field(field, value)
+    with pytest.raises(ProtocolViolation) as excinfo:
+        validate_payload(kind, SENDER, payload)
+    _assert_blamed(excinfo)
+
+
+@pytest.mark.parametrize("field", PACKED_FIELDS)
+def test_packed_vector_over_the_cap_is_blamed_on_the_sender(field, monkeypatch):
+    monkeypatch.setattr(wire, "MAX_VECTOR_LENGTH", 4)
+    kind, payload = _packed_field(field, F((0.0,) * 4))
+    validate_payload(kind, SENDER, payload)
+    kind, payload = _packed_field(field, F((0.0,) * 5))
+    with pytest.raises(ProtocolViolation) as excinfo:
+        validate_payload(kind, SENDER, payload)
+    _assert_blamed(excinfo)
+    assert "cap" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("field", ["plain_payload", "values"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")], ids=str)
+def test_packed_non_finite_floats_are_blamed_on_the_sender(field, bad):
+    kind, payload = _packed_field(field, F((0.5, bad, 0.25)))
+    with pytest.raises(ProtocolViolation) as excinfo:
+        validate_payload(kind, SENDER, payload)
+    _assert_blamed(excinfo)
+    assert "non-finite" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("length", [77, 4096])
+def test_on_wire_size_does_not_depend_on_the_values(length):
+    """Packed vectors price by length alone: the bus's ``payload_size`` of
+    all-zero and all-ones words, or of 0.0s and 0.123s, is the same."""
+    sizes = {
+        payload_size(_packed_field("ring_payload", W([word] * length))[1])
+        for word in (0, (1 << 64) - 1)
+    }
+    assert len(sizes) == 1
+    sizes = {
+        payload_size(_command(values=F([value] * length)))
+        for value in (0.0, 0.123)
+    }
+    assert len(sizes) == 1
+
+
+class RewriteSubmit(NetworkAdversary):
+    """On-path: rewrite the ring payload of one device's submissions."""
+
+    def __init__(self, user_id: str, rewrite) -> None:
+        self.sender = m.client_endpoint(user_id)
+        self.rewrite = rewrite
+
+    def process(self, message):
+        if message.kind == m.KIND_SUBMIT and message.sender == self.sender:
+            contribution = message.payload.contribution
+            rewritten = replace(
+                contribution, ring_payload=self.rewrite(contribution.ring_payload)
+            )
+            return message.with_payload(
+                replace(message.payload, contribution=rewritten)
+            )
+        return message
+
+
+@pytest.mark.parametrize(
+    "rewrite",
+    [
+        pytest.param(kernels.bytes_to_be_words, id="tuple"),
+        pytest.param(lambda words: words[:-1], id="torn"),
+        pytest.param(lambda words: b"", id="empty"),
+        pytest.param(bytearray, id="bytearray"),
+    ],
+)
+def test_rewritten_ring_payload_ends_in_a_verdict(rewrite):
+    """A payload reshaped in transit is blamed on the device that sent it:
+    the round finalizes exactly over the rest, that device quarantined."""
+    deployment = Deployment.build(num_users=4, seed=b"wire-tamper")
+    users = [user.user_id for user in deployment.corpus.users]
+    victim = users[1]
+    deployment.network.interpose(RewriteSubmit(victim, rewrite))
+    vectors = deployment.local_vectors()
+    report = deployment.engine.run_round(1, users, vectors, deployment.features.bigrams)
+    verdict = invariants.judge(report, deployment.codec, vectors)
+    assert verdict.outcome == invariants.OUTCOME_EXACT
+    assert verdict.offenders == (m.client_endpoint(victim),)
+    assert report.outcomes[victim] == OUTCOME_QUARANTINED
+
+
+class RewriteFinalize(NetworkAdversary):
+    """On-path: rewrite the repair masks the engine hands the service."""
+
+    def __init__(self, rewrite) -> None:
+        self.rewrite = rewrite
+
+    def process(self, message):
+        if message.kind == m.KIND_FINALIZE:
+            masks = tuple(map(self.rewrite, message.payload.dropout_masks))
+            return message.with_payload(replace(message.payload, dropout_masks=masks))
+        return message
+
+
+@pytest.mark.parametrize(
+    "rewrite",
+    [
+        pytest.param(kernels.bytes_to_be_words, id="tuple"),
+        pytest.param(lambda words: words[:-1], id="torn"),
+    ],
+)
+def test_rewritten_dropout_mask_is_a_violation_end_to_end(rewrite):
+    """Like a rewritten contribute command: the engine's message fails the
+    service's schema, a ``malformed`` violation blamed on the engine."""
+    deployment = Deployment.build(num_users=4, seed=b"wire-tamper")
+    users = [user.user_id for user in deployment.corpus.users]
+    deployment.network.interpose(RewriteFinalize(rewrite))
+    with pytest.raises(ProtocolViolation) as excinfo:
+        deployment.engine.run_round(
+            1, users, deployment.local_vectors(), deployment.features.bigrams,
+            dropouts=[users[2]],
+        )
+    assert excinfo.value.kind == VIOLATION_MALFORMED
+    assert excinfo.value.offender == m.ENGINE
