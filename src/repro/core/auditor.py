@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.codec import wire
 from repro.crypto.hashing import hash_items
 from repro.errors import AuditError
 
@@ -38,6 +39,7 @@ CHALLENGE_BYTES = 32
 RESPONSE_BYTES = 32
 
 
+@wire(0x810E)
 @dataclass(frozen=True)
 class VerdictMessage:
     """The public 1-bit message format between Glimmer and service."""

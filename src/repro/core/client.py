@@ -222,7 +222,7 @@ class ClientDevice:
     def contribute(
         self,
         round_id: int,
-        values: Sequence[float],
+        values: Sequence[float] | bytes,
         features: Sequence[tuple[str, str]],
         blind: bool = True,
         claims: dict | None = None,
@@ -230,12 +230,18 @@ class ClientDevice:
     ) -> SignedContribution:
         """The honest path: hand values to the Glimmer, relay its endorsement.
 
-        Raises :class:`ValidationError` if the Glimmer rejects — an honest
-        client simply does not submit in that case.
+        ``values`` may arrive already packed (a contribute command's
+        ``values``); the Glimmer takes them packed either way.  Raises
+        :class:`ValidationError` if the Glimmer rejects — an honest client
+        simply does not submit in that case.
         """
         request = ProcessRequest(
             round_id=round_id,
-            values=tuple(float(v) for v in values),
+            values=(
+                values
+                if isinstance(values, bytes)
+                else kernels.be_doubles_to_bytes(values)
+            ),
             features=tuple(features),
             blind=blind,
             party_index=self._party_index_for_round.get(round_id, 0),

@@ -1,53 +1,17 @@
-"""Canonical byte encodings for everything the Glimmer signs or transmits.
+"""Canonical byte encodings of public keys and their groups.
 
-Signatures are only as strong as the unambiguity of what they cover, so all
-signed structures funnel through these helpers: length-framed field lists
-hashed under domain tags.  Public keys also serialize here so that they can
-ride inside measured enclave configs.
+Keys serialize here so that they can ride inside measured enclave
+configs.  Everything else that crosses a boundary is a
+:mod:`repro.codec` frame.
 """
 
 from __future__ import annotations
 
-import struct
-from typing import Sequence
-
 from repro.crypto.dh import DHGroup, OAKLEY_GROUP_1, TEST_GROUP
 from repro.crypto.schnorr import SchnorrPublicKey
 from repro.errors import ConfigurationError
-from repro.perf import kernels
 
 _GROUPS = {group.name: group for group in (OAKLEY_GROUP_1, TEST_GROUP)}
-
-
-def encode_float_vector(values: Sequence[float]) -> bytes:
-    """IEEE-754 doubles, big-endian, length-prefixed."""
-    return len(values).to_bytes(4, "big") + struct.pack(f">{len(values)}d", *values)
-
-
-def decode_float_vector(blob: bytes) -> list[float]:
-    if len(blob) < 4:
-        raise ConfigurationError("float vector blob too short")
-    count = int.from_bytes(blob[:4], "big")
-    expected = 4 + 8 * count
-    if len(blob) != expected:
-        raise ConfigurationError("float vector blob has wrong length")
-    return list(struct.unpack(f">{count}d", blob[4:]))
-
-
-def encode_ring_vector(values: Sequence[int]) -> bytes:
-    """Unsigned 64-bit ring elements, big-endian, length-prefixed."""
-    words = kernels.as_ring(values)  # reduces out-of-range values mod 2^64
-    return len(words).to_bytes(4, "big") + kernels.be_words_to_bytes(words)
-
-
-def decode_ring_vector(blob: bytes) -> list[int]:
-    if len(blob) < 4:
-        raise ConfigurationError("ring vector blob too short")
-    count = int.from_bytes(blob[:4], "big")
-    expected = 4 + 8 * count
-    if len(blob) != expected:
-        raise ConfigurationError("ring vector blob has wrong length")
-    return list(kernels.bytes_to_be_words(blob[4:]))
 
 
 def encode_public_key(key: SchnorrPublicKey) -> bytes:

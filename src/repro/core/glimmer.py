@@ -23,13 +23,14 @@ blinded payload is the only value-derived output.
 
 from __future__ import annotations
 
-import pickle
 import struct
 
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
+from repro import codec
+from repro.codec import wire
 from repro.core.blinding import BlindingComponent
 from repro.core.encoding import decode_public_key, encode_public_key
 from repro.core.signing import SignedContribution, SigningComponent
@@ -50,6 +51,7 @@ from repro.errors import (
     EnclaveError,
     MaskVerificationError,
     ProtocolError,
+    ProtocolViolation,
     ValidationError,
 )
 from repro.perf import kernels
@@ -128,12 +130,18 @@ def _features_digest(bigrams: tuple[tuple[str, str], ...]) -> bytes:
     )
 
 
+@wire(0x8109)
 @dataclass(frozen=True)
 class ProcessRequest:
-    """What the client hands the Glimmer for one contribution."""
+    """What the client hands the Glimmer for one contribution.
+
+    ``values`` is the contribution as packed big-endian doubles
+    (:func:`~repro.perf.kernels.be_doubles_to_bytes`), so it crosses the
+    ecall at 8 bytes a value whatever the values are.
+    """
 
     round_id: int
-    values: tuple[float, ...]
+    values: bytes
     features: tuple[tuple[str, str], ...]
     blind: bool = True
     party_index: int = 0
@@ -143,6 +151,16 @@ class ProcessRequest:
     """Adversary-supplied claims such as the execution-trace commitment."""
 
 
+def request_values(request: ProcessRequest) -> tuple[float, ...]:
+    """The request's values as floats.  The host packs them, so a buffer
+    that is not whole doubles is a refusal, never a crash."""
+    values = request.values
+    if type(values) is not bytes or len(values) % 8:
+        raise ValidationError("values are not packed doubles")
+    return tuple(kernels.be_doubles(values).tolist())
+
+
+@wire(0x8108)
 @dataclass(frozen=True)
 class KeyDelivery:
     """Provisioner → Glimmer: a secret, over the attested handshake.
@@ -439,7 +457,8 @@ class GlimmerProgram(EnclaveProgram):
             raise ValidationError(
                 "feature list does not match the service-published digest"
             )
-        outcome = self._predicate.evaluate(request.values, context)
+        values = request_values(request)
+        outcome = self._predicate.evaluate(values, context)
         self.api.charge(outcome.cycles, "validation")
         if not outcome.passed:
             raise ValidationError(
@@ -447,7 +466,6 @@ class GlimmerProgram(EnclaveProgram):
             )
         nonce = self.api.rng.generate(16)
         if request.blind:
-            values = request.values
             if self._config.dp_sigma > 0.0:
                 # Distributed DP (Gaussian mechanism): each Glimmer adds
                 # noise before blinding, so the *aggregate* — the only thing
@@ -487,7 +505,7 @@ class GlimmerProgram(EnclaveProgram):
             nonce=nonce,
             blinded=False,
             ring_payload=None,
-            plain_payload=kernels.be_doubles_to_bytes(request.values),
+            plain_payload=request.values,
             confidence=outcome.confidence,
         )
 
@@ -536,11 +554,13 @@ class GlimmerProgram(EnclaveProgram):
         inside were not yet consumed when the checkpoint was cut.  Sealed
         to MRENCLAVE, so the untrusted host can store it but not read it.
         """
-        masks = self._blinding.masks_for_round(round_id)
+        masks = {
+            party: kernels.be_words_to_bytes(mask)
+            for party, mask in self._blinding.masks_for_round(round_id).items()
+        }
         counter = self.api.monotonic_counter(f"blind-signings-round-{round_id}")
         state = (int(round_id), masks, int(counter.value))
-        blob = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
-        return self.api.seal(blob, policy="mrenclave")
+        return self.api.seal(codec.encode(state), policy="mrenclave")
 
     @ecall
     def restore_round(self, sealed_blob: bytes) -> int:
@@ -553,12 +573,17 @@ class GlimmerProgram(EnclaveProgram):
         twice.  The platform counter survives enclave death, so the check
         holds across restarts; such a blob is refused outright.
         """
-        state = pickle.loads(self.api.unseal(sealed_blob))
         try:
-            round_id, masks, checkpoint_count = state
+            round_id, masks, checkpoint_count = codec.decode(
+                self.api.unseal(sealed_blob)
+            )
             round_id = int(round_id)
             checkpoint_count = int(checkpoint_count)
-        except (TypeError, ValueError) as exc:
+            masks = {
+                int(party): kernels.bytes_to_be_words(words)
+                for party, words in masks.items()
+            }
+        except (ProtocolViolation, TypeError, ValueError, AttributeError) as exc:
             raise EnclaveError("malformed round checkpoint") from exc
         counter = self.api.monotonic_counter(f"blind-signings-round-{round_id}")
         if counter.value > checkpoint_count:
@@ -600,30 +625,32 @@ class GlimmerProgram(EnclaveProgram):
 
 
 def _encode_remote_payload(request: ProcessRequest, context: PrivateContext) -> bytes:
-    """Serialize a remote contribution (simulation-grade: pickle inside AE).
-
-    In a production Glimmer this would be a fixed wire format; pickling is
-    confined to the *inside* of an authenticated ciphertext, so the
-    security-relevant properties (confidentiality, integrity of the wire
-    blob) still hold in the simulation.
-    """
-    return pickle.dumps((request, context), protocol=pickle.HIGHEST_PROTOCOL)
+    """Frame a remote contribution for the attested channel (§4.2): the
+    request and the client's private context, as one :mod:`repro.codec`
+    frame inside the authenticated ciphertext."""
+    return codec.encode((request, context))
 
 
 def _decode_remote_payload(blob: bytes) -> tuple[ProcessRequest, PrivateContext]:
-    request, context = pickle.loads(blob)
+    try:
+        request, context = codec.decode(blob)
+    except (ProtocolViolation, TypeError, ValueError) as exc:
+        raise ProtocolError("malformed remote contribution payload") from exc
     if not isinstance(request, ProcessRequest) or not isinstance(context, PrivateContext):
         raise ProtocolError("malformed remote contribution payload")
     return request, context
 
 
 def _encode_remote_response(signed: SignedContribution) -> bytes:
-    return pickle.dumps(signed, protocol=pickle.HIGHEST_PROTOCOL)
+    return codec.encode(signed)
 
 
 def decode_remote_response(blob: bytes) -> SignedContribution:
     """Client-side decoding of the Glimmer's encrypted response."""
-    signed = pickle.loads(blob)
+    try:
+        signed = codec.decode(blob)
+    except ProtocolViolation as exc:
+        raise ProtocolError("malformed remote response") from exc
     if not isinstance(signed, SignedContribution):
         raise ProtocolError("malformed remote response")
     return signed

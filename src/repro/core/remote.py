@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro.codec import wire
 from repro.core.client import attested_handshake, mask_delivery
 from repro.core.glimmer import (
     ProcessRequest,
@@ -40,11 +41,13 @@ from repro.crypto.cipher import AuthenticatedCipher, SealedBox
 from repro.crypto.dh import DHGroup, DHKeyPair, OAKLEY_GROUP_1
 from repro.crypto.drbg import HmacDrbg
 from repro.network.transport import Network
+from repro.perf import kernels
 from repro.sgx.attestation import AttestationService
 from repro.sgx.measurement import EnclaveImage
 from repro.sgx.platform import SgxPlatform
 
 
+@wire(0x810C)
 @dataclass(frozen=True)
 class AttestedOffer:
     """The host's answer to an attestation request: DH value + binding quote."""
@@ -186,7 +189,7 @@ class IoTClient:
         cipher = AuthenticatedCipher(key)
         request = ProcessRequest(
             round_id=round_id,
-            values=tuple(float(v) for v in values),
+            values=kernels.be_doubles_to_bytes(values),
             features=tuple(features),
             blind=blind,
             party_index=party_index,

@@ -26,6 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.codec import wire
 from repro.core.signing import SignedContribution
 from repro.crypto.fixedpoint import FixedPointCodec
 from repro.crypto.schnorr import SchnorrPublicKey
@@ -65,6 +66,7 @@ class RoundState:
         self.rejected[reason] = self.rejected.get(reason, 0) + 1
 
 
+@wire(0x810B)
 @dataclass(frozen=True)
 class RoundResult:
     """The service's output for a round.

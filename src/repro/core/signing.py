@@ -22,11 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.codec import wire
 from repro.crypto.hashing import hash_items
 from repro.crypto.schnorr import SchnorrKeyPair, SchnorrPublicKey, SchnorrSignature
 from repro.errors import CryptoError
 
 
+@wire(0x8101)
 @dataclass(frozen=True)
 class SignedContribution:
     """What leaves the Glimmer for the service.

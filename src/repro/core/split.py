@@ -25,9 +25,10 @@ efficiency the paper says the single-enclave layout buys.
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass
 
+from repro import codec
+from repro.codec import wire
 from repro.core.blinding import BlindingComponent
 from repro.core.glimmer import (
     BLINDING_MASK_CONTEXT,
@@ -37,6 +38,7 @@ from repro.core.glimmer import (
     KeyDelivery,
     ProcessRequest,
     features_digest,
+    request_values,
 )
 from repro.core.signing import SignedContribution, SigningComponent
 from repro.core.validation import PrivateContext, default_registry
@@ -52,6 +54,7 @@ from repro.sgx.measurement import EnclaveImage, VendorKey
 from repro.sgx.platform import SgxPlatform
 
 
+@wire(0x810D)
 @dataclass(frozen=True)
 class PairingOffer:
     """One end's local-attestation material: DH value + binding report."""
@@ -130,7 +133,7 @@ class _ComponentProgram(EnclaveProgram):
             raise ProtocolError(f"link {link!r} not paired")
         seq = self._link_send_seq[link]
         self._link_send_seq[link] = seq + 1
-        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        blob = codec.encode(payload)
         self.api.charge_aead(len(blob))
         cipher = AuthenticatedCipher(key)
         nonce = self.api.rng.generate(16)
@@ -147,7 +150,7 @@ class _ComponentProgram(EnclaveProgram):
         self.api.charge_aead(len(wire))
         blob = cipher.decrypt(SealedBox.from_bytes(wire), associated_data=associated)
         self._link_recv_seq[link] = seq + 1
-        return pickle.loads(blob)
+        return codec.decode(blob)
 
 
 class ValidationEnclaveProgram(_ComponentProgram):
@@ -191,7 +194,7 @@ class ValidationEnclaveProgram(_ComponentProgram):
             f"contributions-round-{request.round_id}"
         )
         context.extra.update(request.claims)
-        outcome = self._predicate.evaluate(request.values, context)
+        outcome = self._predicate.evaluate(request_values(request), context)
         self.api.charge(outcome.cycles, "validation")
         if not outcome.passed:
             raise ValidationError(
@@ -244,7 +247,9 @@ class BlindingEnclaveProgram(_ComponentProgram):
         payload = self._link_decrypt("validation-blinding", wire)
         if payload["blind"]:
             ring = self._blinding.blind(
-                payload["round_id"], payload["party_index"], payload["values"]
+                payload["round_id"],
+                payload["party_index"],
+                kernels.be_doubles(payload["values"]).tolist(),
             )
             forward = {
                 "round_id": payload["round_id"],
@@ -258,7 +263,7 @@ class BlindingEnclaveProgram(_ComponentProgram):
                 "round_id": payload["round_id"],
                 "blinded": False,
                 "ring_payload": None,
-                "plain_payload": kernels.be_doubles_to_bytes(payload["values"]),
+                "plain_payload": payload["values"],
                 "confidence": payload["confidence"],
             }
         return self._link_encrypt("blinding-signing", forward)

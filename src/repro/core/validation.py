@@ -20,9 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Protocol, Sequence
 
+from repro.codec import wire
 from repro.errors import ConfigurationError
 
 
+@wire(0x810A)
 @dataclass
 class PrivateContext:
     """Private validation data the Glimmer requested from the host.

@@ -69,6 +69,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.codec import wire
 from repro.crypto import group_ops
 from repro.crypto.dh import DHGroup, OAKLEY_GROUP_1, TEST_GROUP
 from repro.crypto.drbg import HmacDrbg
@@ -161,6 +162,7 @@ def hash_commitment(
     )
 
 
+@wire(0x8105)
 @dataclass(frozen=True)
 class MaskOpening:
     """What a slot's recipient gets: the mask plus its commitment opening.
@@ -184,6 +186,7 @@ class MaskOpening:
         return len(self.mask)
 
 
+@wire(0x8106)
 @dataclass(frozen=True)
 class MaskCommitmentRecord:
     """One slot's share of the round commitments, as the engine vouches it.
@@ -205,6 +208,7 @@ class MaskCommitmentRecord:
     point: int
 
 
+@wire(0x8107)
 @dataclass(frozen=True)
 class MaskCommitmentSet:
     """Everything the blinding service publishes when a round opens."""

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.codec import wire
 from repro.crypto import group_ops
 from repro.crypto.dh import DHGroup, OAKLEY_GROUP_1
 from repro.crypto.drbg import HmacDrbg
@@ -57,6 +58,7 @@ def _int_bytes(value: int, group: DHGroup) -> bytes:
     return value.to_bytes(group.element_size, "big")
 
 
+@wire(0x8102)
 @dataclass(frozen=True)
 class SchnorrSignature:
     """A Schnorr signature ``(challenge, response)``.

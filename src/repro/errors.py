@@ -34,6 +34,10 @@ class ProtocolError(ReproError):
     """A multi-party protocol received a message violating its state machine."""
 
 
+VIOLATION_MALFORMED = "malformed-message"
+"""The violation kind of a message no honest sender could have spelled."""
+
+
 class ProtocolViolation(ProtocolError):
     """A message that no honest party would send: malformed fields,
     out-of-phase traffic, equivocation, or a quarantined sender.
@@ -57,6 +61,25 @@ class ProtocolViolation(ProtocolError):
         self.offender = offender
         self.kind = kind
         self.round_id = round_id
+
+
+class UnencodablePayload(ProtocolViolation):
+    """A value the wire codec (:mod:`repro.codec`) has no spelling for.
+
+    Raised where the value was about to cross, so no receiver's schema
+    check saw it: a ``malformed-message`` violation blamed on whoever
+    tried to send it.
+    """
+
+    def __init__(
+        self, detail: str, *, offender: str = "unknown", round_id: int | None = None
+    ) -> None:
+        super().__init__(
+            detail, offender=offender, kind=VIOLATION_MALFORMED, round_id=round_id
+        )
+        self.recorded = False
+        """Set once a protocol monitor has logged it, so a refusal that
+        unwinds through an enclosing call is not logged twice."""
 
 
 class EnclaveError(ReproError):

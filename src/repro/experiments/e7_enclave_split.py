@@ -23,6 +23,7 @@ from repro.core.glimmer import ProcessRequest
 from repro.core.split import SplitGlimmer, build_split_images
 from repro.core.validation import PrivateContext
 from repro.experiments.common import Deployment
+from repro.perf import kernels
 from repro.sgx.platform import SgxPlatform
 
 
@@ -106,7 +107,9 @@ def run(vector_sizes=(16, 128, 1024), seed: bytes = b"e7") -> SplitResult:
         image = build_glimmer_image(deployment.vendor, config, name="e7-glimmer")
         deployment.registry.publish("e7-glimmer", image.mrenclave)
         values = [0.5] * size
-        request = ProcessRequest(round_id=1, values=tuple(values), features=bigrams)
+        request = ProcessRequest(
+            round_id=1, values=kernels.be_doubles_to_bytes(values), features=bigrams
+        )
 
         # ---- single enclave --------------------------------------------
         from repro.core.provisioning import BlinderProvisioner, ServiceProvisioner

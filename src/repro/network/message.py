@@ -1,7 +1,8 @@
 """Network messages.
 
-A :class:`Message` is what crosses the simulated wire.  Payloads are
-arbitrary Python objects at the transport layer; *secure* payloads are
+A :class:`Message` is what crosses the simulated wire.  Its payload is
+any value :mod:`repro.codec` can frame — the transport sends the frame
+and the receiver gets it decoded; *secure* payloads are
 sealed by the parties themselves (an attested ``KeyDelivery``, a Glimmer
 signature), so an on-path adversary holding a raw message sees only
 ciphertext or cannot forge it.

@@ -15,6 +15,13 @@ get at-least-once semantics and handlers must treat retransmissions
 which keeps phase accounting comparable across experiments) but a dropped
 response does count as a drop.
 
+What crosses is bytes.  Each leg's payload is framed once by
+:mod:`repro.codec`, after the adversary chain, and metered as the frame's
+length; the receiver (or, for a reply, the caller) gets the frame decoded,
+so a handler never holds the sender's objects.  A payload with no frame
+is an :class:`~repro.errors.UnencodablePayload` blamed on whoever sent
+it: the requester on the request leg, the responder on the reply leg.
+
 The transport itself offers **no** security: anything an adversary should
 not read or forge must be sealed to an attested enclave or carry a
 Glimmer signature.  That is the point — experiments show the architecture's
@@ -26,13 +33,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
+from repro import codec
 from repro.crypto.drbg import HmacDrbg
-from repro.errors import NetworkError
+from repro.errors import NetworkError, UnencodablePayload
 from repro.faults import ACTION_DROP, SITE_REQUEST, SITE_RESPONSE
 from repro.network.adversary import NetworkAdversary
 from repro.network.clock import LatencyModel, SimulatedClock
 from repro.network.message import Message
-from repro.sgx.enclave import payload_size
 
 
 Handler = Callable[[Message], Any]
@@ -142,16 +149,30 @@ class Network:
             current = adversary.process(current)
         return current
 
+    @staticmethod
+    def _frame(message: Message) -> bytes:
+        """The bytes ``message`` puts on the wire, blamed on its sender
+        when its payload has none."""
+        try:
+            return codec.encode(message.payload)
+        except UnencodablePayload as exc:
+            raise UnencodablePayload(
+                f"{message.kind} from {message.sender!r}: {exc.detail}",
+                offender=message.sender,
+            ) from None
+
     def deliver_raw(self, message: Message) -> Any:
         """Deliver a message as-is (used by replay attacks); returns the response."""
         endpoint = self._endpoints.get(message.receiver)
         if endpoint is None:
             raise NetworkError(f"unknown endpoint {message.receiver!r}")
-        size = payload_size(message.payload)
-        self.clock.advance(self._latency_for(message.sender, message.receiver, size))
+        frame = self._frame(message)
+        self.clock.advance(
+            self._latency_for(message.sender, message.receiver, len(frame))
+        )
         self.messages_delivered += 1
-        self.bytes_delivered += size
-        return endpoint.handle(message)
+        self.bytes_delivered += len(frame)
+        return endpoint.handle(message.with_payload(codec.decode(frame)))
 
     def _transmit(
         self, sender: str, receiver: str, kind: str, payload: Any, attempt: int = 1
@@ -274,9 +295,8 @@ class Network:
                 f"response to {kind!r} from {receiver!r} was dropped "
                 "(the handler may have run)"
             )
+        frame = self._frame(processed)
         self.replies_delivered += 1
-        self.clock.advance(
-            self._latency_for(receiver, sender, payload_size(processed.payload))
-        )
+        self.clock.advance(self._latency_for(receiver, sender, len(frame)))
         self._drain_redeliveries()
-        return processed.payload
+        return codec.decode(frame)

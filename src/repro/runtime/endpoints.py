@@ -46,7 +46,6 @@ from repro.faults import (
     SITE_CLIENT_PROVISION,
 )
 from repro.network.message import Message
-from repro.perf import kernels
 from repro.runtime import messages as m
 from repro.runtime.wire import validate_payload
 from repro.runtime.telemetry import (
@@ -292,8 +291,8 @@ def sign_step(client, command: m.ContributeCommand, ledger):
     try:
         signed = client.contribute(
             command.round_id,
-            kernels.be_doubles(command.values).tolist(),
-            list(command.features),
+            command.values,
+            command.features,
             blind=command.blind,
             claims=dict(command.claims),
             context_fields=command.context_fields,

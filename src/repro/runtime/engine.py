@@ -66,6 +66,7 @@ from repro.errors import (
     ProtocolViolation,
     ReproError,
     RoundAbortedError,
+    UnencodablePayload,
 )
 from repro.faults import ACTION_CRASH, ACTION_STALL, SITE_BLINDER, SITE_PHASE_STALL
 from repro.network.transport import Network
@@ -455,6 +456,15 @@ class RoundEngine:
                 return self.network.call(
                     sender, receiver, kind, payload, attempt=attempt
                 )
+            except UnencodablePayload as exc:
+                # Refused at the wire, before any receiver's schema check
+                # could record it: the monitor hears of it here.
+                if not exc.recorded:
+                    exc.recorded = True
+                    self.monitor.record(
+                        record.round_id, exc.offender, exc.kind, str(exc)
+                    )
+                raise
             except NetworkError:
                 if attempt >= last_allowed:
                     raise

@@ -3,8 +3,9 @@
 Each round phase has its own message kind so drop models and adversaries
 can target individual flows (``DropAdversary(drop_kinds={KIND_SUBMIT})``
 models a service-side brownout without touching provisioning, for
-example).  Payloads are frozen dataclasses: the wire carries data, never
-live object references, which is what lets :func:`payload_size` price them
+example).  Payloads are frozen dataclasses registered with
+:func:`repro.codec.wire`: the wire carries their frames, never live
+object references, so :func:`payload_size` prices the bytes that cross
 and adversaries capture or tamper with them meaningfully.
 
 Every numeric vector travels packed, as ``bytes`` of 8-byte big-endian
@@ -19,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any
+
+from repro.codec import wire
 
 # Well-known endpoint names on the round bus --------------------------------
 ENGINE = "engine"
@@ -48,6 +51,7 @@ KIND_SUBMIT = "contribution/submit"
 KIND_QUERY_SUBMISSION = "contribution/status"
 
 
+@wire(0x8001)
 @dataclass(frozen=True)
 class OpenBlinderRound:
     """Ask the blinding service to sample sum-zero masks for a round.
@@ -64,6 +68,7 @@ class OpenBlinderRound:
     subgroup_size: int = 0
 
 
+@wire(0x8002)
 @dataclass(frozen=True)
 class OpenServiceRound:
     """Ask the cloud service to start accepting contributions.
@@ -78,6 +83,7 @@ class OpenServiceRound:
     subgroup_size: int = 0
 
 
+@wire(0x8003)
 @dataclass(frozen=True)
 class ProvisionMask:
     """Command a client to fetch its round mask from the blinding service.
@@ -95,6 +101,7 @@ class ProvisionMask:
     commitment: Any = None
 
 
+@wire(0x8004)
 @dataclass(frozen=True)
 class MaskRequest:
     """A client's request for its slot's mask, to the blinding service.
@@ -113,6 +120,7 @@ class MaskRequest:
     party_index: int
 
 
+@wire(0x8005)
 @dataclass(frozen=True)
 class ContributeCommand:
     """Command a client to train-endorse-submit for a round.
@@ -138,6 +146,7 @@ class ContributeCommand:
     context_fields: tuple = ()
 
 
+@wire(0x8006)
 @dataclass(frozen=True)
 class SubmitContribution:
     """A signed contribution on its way to the cloud service.
@@ -154,6 +163,7 @@ class SubmitContribution:
     slot: int | None = None
 
 
+@wire(0x8007)
 @dataclass(frozen=True)
 class SubmissionStatusQuery:
     """Did a submission with this nonce land?  (Reconciliation, not replay.)
@@ -169,6 +179,7 @@ class SubmissionStatusQuery:
     nonce: bytes
 
 
+@wire(0x8008)
 @dataclass(frozen=True)
 class RevealMask:
     """§3 dropout repair: ask the blinding service for a missing mask."""
@@ -177,6 +188,7 @@ class RevealMask:
     party_index: int
 
 
+@wire(0x8009)
 @dataclass(frozen=True)
 class FinalizeRound:
     """Close a round at the service, handing over any repair masks.
@@ -189,6 +201,7 @@ class FinalizeRound:
     dropout_masks: tuple = field(default=())
 
 
+@wire(0x800A)
 @dataclass(frozen=True)
 class CloseRound:
     """Tell a client the round is over: purge Glimmer mask state."""

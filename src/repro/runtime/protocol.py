@@ -38,10 +38,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
+from repro import errors
 from repro.errors import ProtocolViolation
 
 # Violation kinds ------------------------------------------------------------
-VIOLATION_MALFORMED = "malformed-message"
+VIOLATION_MALFORMED = errors.VIOLATION_MALFORMED  # the codec raises it too
 VIOLATION_OUT_OF_PHASE = "out-of-phase"
 VIOLATION_REPLAY = "replayed-nonce"
 VIOLATION_EQUIVOCATION = "equivocation"

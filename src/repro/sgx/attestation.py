@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import hmac as _hmac
 
+from repro.codec import wire
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.hashing import hash_items
 from repro.crypto.kdf import hkdf
@@ -36,6 +37,7 @@ from repro.sgx.enclave import EnclaveIdentity
 REPORT_DATA_SIZE = 64
 
 
+@wire(0x8103)
 @dataclass(frozen=True)
 class Report:
     """A local attestation report (EREPORT output).
@@ -95,6 +97,7 @@ def make_report(
     )
 
 
+@wire(0x8104)
 @dataclass(frozen=True)
 class Quote:
     """A remotely verifiable quote: report body + platform signature."""

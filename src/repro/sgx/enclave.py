@@ -24,10 +24,10 @@ attribute access to it unless the platform's threat model enables
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
+from repro import codec
 from repro.crypto.drbg import HmacDrbg
 from repro.errors import EnclaveError
 from repro.faults import ACTION_KILL, ACTION_PRESSURE, SITE_ECALL, SITE_EPC_PRESSURE
@@ -41,15 +41,11 @@ def ecall(func: Callable) -> Callable:
 
 
 def payload_size(value: Any) -> int:
-    """Approximate byte size of a value crossing the enclave boundary."""
-    if value is None:
-        return 0
-    if isinstance(value, (bytes, bytearray)):
-        return len(value)
-    try:
-        return len(pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
-    except Exception:
-        return 64  # unpicklable sentinel; charge a small flat cost
+    """Bytes ``value`` occupies crossing a boundary: the length of its
+    :mod:`repro.codec` frame.  A value with no frame raises
+    :class:`~repro.errors.UnencodablePayload` rather than being priced
+    at a guess."""
+    return len(codec.encode(value))
 
 
 class EnclaveProgram:

@@ -22,10 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.codec import wire
 from repro.crypto.drbg import HmacDrbg
 from repro.errors import ConfigurationError
 
 
+@wire(0x8208)
 @dataclass(frozen=True)
 class SessionSignals:
     """One browsing session's detector features plus private context."""

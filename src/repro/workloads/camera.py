@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.codec import wire
 from repro.crypto.drbg import HmacDrbg
 from repro.errors import ConfigurationError
 
@@ -38,6 +39,7 @@ MOTION_BINS = 8
 MAX_STEP = 16.0  # pixels/frame; histogram bin width = MAX_STEP / MOTION_BINS
 
 
+@wire(0x8206)
 @dataclass(frozen=True)
 class Frame:
     """One video frame, reduced to the person blob's position."""
@@ -47,6 +49,7 @@ class Frame:
     y: float
 
 
+@wire(0x8207)
 @dataclass
 class VideoStream:
     """A resident's private video: the full frame sequence."""

@@ -22,10 +22,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from repro.codec import wire
 from repro.crypto.drbg import HmacDrbg
 from repro.errors import ConfigurationError
 
 
+@wire(0x8203)
 @dataclass(frozen=True)
 class TrackPoint:
     """One GPS fix."""
@@ -35,6 +37,7 @@ class TrackPoint:
     timestamp_ms: float
 
 
+@wire(0x8204)
 @dataclass(frozen=True)
 class PhotoSubmission:
     """What a user submits to the maps service (the contribution itself)."""
@@ -48,6 +51,7 @@ class PhotoSubmission:
     is_spoofed: bool  # ground truth, never shown to the validator
 
 
+@wire(0x8205)
 @dataclass
 class UserGeoContext:
     """A user's private validation data: track + device fingerprint."""

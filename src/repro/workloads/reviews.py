@@ -14,12 +14,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.codec import wire
 from repro.crypto.drbg import HmacDrbg
 from repro.errors import ConfigurationError
 
 _PRODUCTS = tuple(f"product-{i:03d}" for i in range(40))
 
 
+@wire(0x8209)
 @dataclass(frozen=True)
 class Purchase:
     """A record in the user's private purchase history."""
@@ -28,6 +30,7 @@ class Purchase:
     timestamp_ms: float
 
 
+@wire(0x820A)
 @dataclass(frozen=True)
 class Review:
     """A submitted review (the contribution)."""
@@ -40,6 +43,7 @@ class Review:
     is_spurious: bool  # ground truth
 
 
+@wire(0x820B)
 @dataclass
 class UserShoppingContext:
     """Private validation data: the purchase history."""

@@ -1,55 +1,74 @@
-"""Tests for canonical encodings."""
+"""Tests for canonical encodings: public keys, and vectors in the codec.
+
+The length-prefixed vector encoders that lived here are gone: a vector
+crosses packed (:mod:`repro.perf.kernels`) inside a :mod:`repro.codec`
+frame, so their round-trip and torn-length cases now hold the codec to
+the same standard.
+"""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.encoding import (
-    decode_float_vector,
-    decode_public_key,
-    decode_ring_vector,
-    encode_float_vector,
-    encode_public_key,
-    encode_ring_vector,
-    group_by_name,
-)
+from repro import codec
+from repro.core.encoding import decode_public_key, encode_public_key, group_by_name
 from repro.crypto.dh import OAKLEY_GROUP_1, TEST_GROUP
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.schnorr import SchnorrKeyPair
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ProtocolViolation
+from repro.perf import kernels
+
+
+def _float_vector(values):
+    """Floats through the codec, as a sequence and packed."""
+    packed = codec.decode(codec.encode(kernels.be_doubles_to_bytes(values)))
+    assert kernels.be_doubles(packed).tolist() == list(values)
+    return codec.decode(codec.encode(list(values)))
+
+
+def _ring_vector(values):
+    """Ring words through the codec, as a sequence and packed."""
+    packed = codec.decode(codec.encode(kernels.be_words_to_bytes(values)))
+    assert list(kernels.bytes_to_be_words(packed)) == list(values)
+    return codec.decode(codec.encode(list(values)))
 
 
 def test_float_vector_roundtrip():
     values = [0.0, 1.5, -2.25, 1e10, -1e-10]
-    assert decode_float_vector(encode_float_vector(values)) == values
+    assert _float_vector(values) == values
 
 
 def test_float_vector_empty():
-    assert decode_float_vector(encode_float_vector([])) == []
+    assert _float_vector([]) == []
 
 
 def test_float_vector_truncated():
-    blob = encode_float_vector([1.0, 2.0])
-    with pytest.raises(ConfigurationError):
-        decode_float_vector(blob[:-1])
-    with pytest.raises(ConfigurationError):
-        decode_float_vector(b"\x00\x00")
+    blob = codec.encode(kernels.be_doubles_to_bytes([1.0, 2.0]))
+    with pytest.raises(ProtocolViolation):
+        codec.decode(blob[:-1])
+    with pytest.raises(ProtocolViolation):
+        codec.decode(b"\x00\x00")
+    with pytest.raises(ValueError):
+        kernels.be_doubles(codec.decode(blob)[:-1])  # a torn packed vector
 
 
 def test_ring_vector_roundtrip():
     values = [0, 1, (1 << 64) - 1, 12345678901234567890 % (1 << 64)]
-    assert decode_ring_vector(encode_ring_vector(values)) == values
+    assert _ring_vector(values) == values
 
 
 def test_ring_vector_wraps_modulo():
-    assert decode_ring_vector(encode_ring_vector([1 << 64])) == [0]
+    """Packing reduces a word into the ring; the codec carries any int as
+    it is, so nothing outside the ring can pass for a word in it."""
+    assert kernels.as_ring([1 << 64]).tolist() == [0]
+    assert codec.decode(codec.encode([1 << 64])) == [1 << 64]
 
 
 def test_ring_vector_malformed():
-    with pytest.raises(ConfigurationError):
-        decode_ring_vector(b"\x00")
-    blob = encode_ring_vector([1, 2])
-    with pytest.raises(ConfigurationError):
-        decode_ring_vector(blob + b"\x00")
+    with pytest.raises(ProtocolViolation):
+        codec.decode(bytes([codec.BYTES]))
+    blob = codec.encode(kernels.be_words_to_bytes([1, 2]))
+    with pytest.raises(ProtocolViolation):
+        codec.decode(blob + b"\x00")
 
 
 def test_public_key_roundtrip():
@@ -88,10 +107,10 @@ def test_group_by_name():
 @settings(max_examples=50)
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=32))
 def test_float_vector_roundtrip_property(values):
-    assert decode_float_vector(encode_float_vector(values)) == values
+    assert _float_vector(values) == values
 
 
 @settings(max_examples=50)
 @given(st.lists(st.integers(min_value=0, max_value=(1 << 64) - 1), max_size=32))
 def test_ring_vector_roundtrip_property(values):
-    assert decode_ring_vector(encode_ring_vector(values)) == values
+    assert _ring_vector(values) == values

@@ -9,6 +9,7 @@ from repro.experiments.common import Deployment, GLIMMER_NAME
 from repro.network.clock import LAN_LATENCY
 from repro.network.transport import Network
 from repro.network.adversary import EavesdropAdversary
+from repro.perf import kernels
 
 
 @pytest.fixture
@@ -103,7 +104,7 @@ def test_manually_tampered_payload_rejected(gaas):
     cipher = AuthenticatedCipher(key)
     request = ProcessRequest(
         round_id=1,
-        values=tuple([0.5] * len(deployment.features)),
+        values=kernels.be_doubles_to_bytes([0.5] * len(deployment.features)),
         features=deployment.features.bigrams,
     )
     payload = _encode_remote_payload(request, PrivateContext())

@@ -14,6 +14,7 @@ from repro.sgx.attestation import report_data_for
 from repro.sgx.platform import SgxPlatform
 
 FEATURES = (("a", "b"), ("c", "d"), ("e", "f"))
+VALUES = kernels.be_doubles_to_bytes((0.5, 0.25, 1.0))
 
 
 @pytest.fixture
@@ -77,7 +78,7 @@ def provision_mask(deployment, platform, split, blinder_prov, round_id):
 def test_split_end_to_end(split_setup):
     deployment, platform, split, blinder_prov = split_setup
     provision_mask(deployment, platform, split, blinder_prov, 1)
-    request = ProcessRequest(round_id=1, values=(0.5, 0.25, 1.0), features=FEATURES)
+    request = ProcessRequest(round_id=1, values=VALUES, features=FEATURES)
     signed = split.process_contribution(request)
     deployment.signing_keypair.public_key.verify(signed.signed_bytes(), signed.signature)
     mask = blinder_prov.blinding.mask_for(1, 0)
@@ -90,7 +91,9 @@ def test_split_end_to_end(split_setup):
 def test_split_validation_rejects_poison(split_setup):
     deployment, platform, split, blinder_prov = split_setup
     provision_mask(deployment, platform, split, blinder_prov, 1)
-    request = ProcessRequest(round_id=1, values=(538.0, 0.0, 0.0), features=FEATURES)
+    request = ProcessRequest(
+        round_id=1, values=kernels.be_doubles_to_bytes((538.0, 0.0, 0.0)), features=FEATURES
+    )
     with pytest.raises(ValidationError):
         split.process_contribution(request)
 
@@ -114,7 +117,7 @@ def test_host_cannot_replay_intermediate(split_setup):
     """Sequence numbers stop the host replaying a validated payload."""
     deployment, platform, split, blinder_prov = split_setup
     provision_mask(deployment, platform, split, blinder_prov, 1)
-    request = ProcessRequest(round_id=1, values=(0.5, 0.25, 1.0), features=FEATURES)
+    request = ProcessRequest(round_id=1, values=VALUES, features=FEATURES)
     wire1 = split.validation.ecall("validate", request)
     split.blinding.ecall("blind", wire1)
     with pytest.raises(AuthenticationError):
@@ -155,7 +158,7 @@ def test_split_uses_three_transition_pairs(split_setup):
     provision_mask(deployment, platform, split, blinder_prov, 1)
     for enclave in (split.validation, split.blinding, split.signing):
         enclave.meter.reset()
-    request = ProcessRequest(round_id=1, values=(0.5, 0.25, 1.0), features=FEATURES)
+    request = ProcessRequest(round_id=1, values=VALUES, features=FEATURES)
     split.process_contribution(request)
     ecall_cost = platform.cost_model.ecall_cycles
     assert split.transition_cycles() == 3 * ecall_cost
@@ -164,7 +167,7 @@ def test_split_uses_three_transition_pairs(split_setup):
 def test_split_unblinded_path(split_setup):
     deployment, platform, split, blinder_prov = split_setup
     request = ProcessRequest(
-        round_id=9, values=(0.5, 0.25, 1.0), features=FEATURES, blind=False
+        round_id=9, values=VALUES, features=FEATURES, blind=False
     )
     signed = split.process_contribution(request)
     assert not signed.blinded
@@ -194,7 +197,7 @@ def test_split_rate_limit_uses_monotonic_counter(split_setup):
         ocall_handlers={"collect_private_data": lambda fields: PC()},
     )
     request = ProcessRequest(
-        round_id=1, values=(0.5, 0.25, 1.0), features=FEATURES, blind=False
+        round_id=1, values=VALUES, features=FEATURES, blind=False
     )
     # First validation passes the rate limit...
     rated.validation.ecall("validate", request)

@@ -502,12 +502,13 @@ def test_wide_streamed_round_is_byte_identical_to_recorded():
     pinned by digest.  The values were recorded on the commit before the
     cipher, the commitment scalars and the wire checks went whole-buffer;
     everything sealed, committed, signed and summed is covered.  ``sealed``
-    was re-recorded once, when the blinder began sealing a round's seeds
-    instead of its mask rows; the masks themselves did not change.
+    was re-recorded twice, when the blinder began sealing a round's seeds
+    instead of its mask rows, and when the Glimmer's checkpoint became a
+    codec frame instead of a pickle; the masks themselves did not change.
     """
     assert _wide_streamed_round_digests() == {
         "root": "f303be600295bf7b16b2cf4801e2090af5403b4887294898763449ed5dd5d3b1",
-        "sealed": "26eebe0ed631cd8503a66f1ffa8557faebd29113332354650f48a447d4bb97cc",
+        "sealed": "ce310ea8b5962d5247c63916171a3c8bc3acb38a947e2b1916e5cfe98a251565",
         "signatures": "a5515df9698a71a7fd08a301760b85b8e889268943d87c1e945669ea5a962455",
         "aggregate": "b8557277e14cafd0f8f2a7befff5613092a335bba97d6d0fa83195c95702b0c2",
     }
