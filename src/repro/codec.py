@@ -26,6 +26,11 @@ below ``2**63`` in magnitude encode to a length their value cannot move.
 bytes, and anything a registered class refuses to be built from, always
 with :class:`~repro.errors.ProtocolViolation`.
 
+A registered class may declare a check per field (``@wire(tag,
+round_id=ROUND_ID)``).  :func:`decode` runs them on every object it builds;
+:func:`encode` runs none, so a Byzantine sender can still put a bad value
+on the wire, and its receiver blames it.
+
 The only import from the package is :mod:`repro.errors`, which imports
 nothing, so every layer can use the codec without an import cycle.
 """
@@ -37,7 +42,7 @@ from dataclasses import fields
 from functools import lru_cache
 from itertools import chain, repeat
 from operator import attrgetter
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -77,18 +82,22 @@ _BE_F64 = np.dtype(">f8")
 _STR_PAIR_TYPES = (str, str)
 _INT_ROW = {int}
 
-# class -> (2-byte tag, field getter); tag -> (class, field count)
+# class -> (2-byte tag, field getter); tag -> (class, field count, checks),
+# the checks as (field index, field name, check)
 _BY_CLASS: dict[type, tuple[bytes, Callable[[Any], tuple]]] = {}
-_BY_TAG: dict[int, tuple[type, int]] = {}
+_BY_TAG: dict[int, tuple[type, int, tuple]] = {}
 
 
-def wire(tag: int) -> Callable[[type], type]:
-    """Class decorator: give a dataclass its 2-byte tag on the wire.
+def wire(tag: int, **checks: "Check | type") -> Callable[[type], type]:
+    """Class decorator: give a dataclass its 2-byte tag on the wire, and
+    any of its fields a check.
 
     Its fields travel in declaration order, so every field must be an
     ``__init__`` argument (:func:`decode` rebuilds it positionally).  A
     tag names one class for good: frames outlive processes (sealed
     checkpoints), so renumbering one breaks every blob that used it.
+    ``checks`` maps fields to checks below, or to the registered class a
+    field must hold exactly; a field without one is unchecked.
     """
     if not DATACLASS_MIN <= tag <= 0xFFFF:
         raise ValueError(f"dataclass tag {tag:#x} outside [0x8000, 0xFFFF]")
@@ -104,8 +113,11 @@ def wire(tag: int) -> Callable[[type], type]:
             if len(names) > 1
             else lambda value: tuple(getattr(value, name) for name in names)
         )
+        schema = tuple((i, n, _checker(checks[n])) for i, n in enumerate(names) if n in checks)
+        if len(schema) != len(checks):
+            raise TypeError(f"{cls.__qualname__} lacks a field {sorted(checks)} names")
         _BY_CLASS[cls] = (tag.to_bytes(2, "big"), getter)
-        _BY_TAG[tag] = (cls, len(names))
+        _BY_TAG[tag] = (cls, len(names), schema)
         return cls
 
     return register
@@ -113,7 +125,244 @@ def wire(tag: int) -> Callable[[type], type]:
 
 def registered() -> dict[int, type]:
     """Every registered dataclass, by tag."""
-    return {tag: cls for tag, (cls, __) in _BY_TAG.items()}
+    return {tag: entry[0] for tag, entry in _BY_TAG.items()}
+
+
+# ------------------------------------------------------------------ checks
+#
+# A check called on one value returns ``None`` when it holds, else what
+# is wrong with it, worded to follow the field's name.  ``many`` judges a
+# whole run of items at once, in C-level passes (``map``, ``set``,
+# ``min``/``max``) where a check has them, not a Python call per item.
+# Each tests the exact type (no ``bool`` for ``int``, no ``list`` for
+# ``tuple``) and never raises.  The bounds gate absurdity, not policy.
+
+MAX_ROUND_ID = (1 << 63) - 1
+MAX_PARTIES = 1_000_000
+MAX_VECTOR_LENGTH = 10_000_000
+
+
+class Check:
+    """A field check.  This one admits anything (an unchecked field, a
+    pair's unchecked second); subclasses judge one value in ``__call__``."""
+
+    def __call__(self, value: Any) -> str | None:
+        return None
+
+    def many(self, values: Sequence) -> str | None:
+        """The first complaint about any of ``values``."""
+        for value in values:
+            complaint = self(value)
+            if complaint:
+                return complaint
+        return None
+
+
+class Is(Check):
+    """Exactly ``kind``: a builtin, or a registered class (whose own
+    fields :func:`decode` checked when it built the object)."""
+
+    def __init__(self, kind: type) -> None:
+        self.kind = kind
+
+    def __call__(self, value: Any) -> str | None:
+        if type(value) is self.kind:
+            return None
+        return f"must be {self.kind.__name__}, not {type(value).__name__}"
+
+    def many(self, values: Sequence) -> str | None:
+        wrong = set(map(type, values)) - {self.kind}
+        if wrong:
+            return f"must be {self.kind.__name__}, not {wrong.pop().__name__}"
+        return None
+
+
+def _checker(check: "Check | type | None") -> Check:
+    """A check as given, a class as :class:`Is`, ``None`` as no check."""
+    if check is None:
+        return _ANYTHING
+    if isinstance(check, type):
+        return Is(check)
+    return check
+
+
+_ANYTHING = Check()
+Bool, Str = Is(bool), Is(str)
+_IS_INT, _IS_BYTES, _IS_TUPLE = Is(int), Is(bytes), Is(tuple)
+
+
+class Int(Check):
+    """An ``int`` in ``[lo, hi]``; ``None`` leaves that end open."""
+
+    def __init__(self, lo: int | None = None, hi: int | None = None) -> None:
+        self.lo, self.hi = lo, hi
+
+    def __call__(self, value: Any) -> str | None:
+        if type(value) is not int:
+            return f"must be int, not {type(value).__name__}"
+        return self._within(value, value)
+
+    def many(self, values: Sequence) -> str | None:
+        complaint = _IS_INT.many(values)
+        if complaint or not values:
+            return complaint
+        return self._within(min(values), max(values))
+
+    def _within(self, low: int, high: int) -> str | None:
+        if (self.lo is not None and low < self.lo) or (self.hi is not None and high > self.hi):
+            return f"out of range [{self.lo}, {self.hi}]"
+        return None
+
+
+class Bytes(Check):
+    """``bytes`` of exactly ``size``, or any non-empty ``bytes``."""
+
+    def __init__(self, size: int | None = None) -> None:
+        self.size = size
+
+    def __call__(self, value: Any) -> str | None:
+        if type(value) is not bytes:
+            return f"must be bytes, not {type(value).__name__}"
+        return self._sized({len(value)})
+
+    def many(self, values: Sequence) -> str | None:
+        complaint = _IS_BYTES.many(values)
+        if complaint:
+            return complaint
+        return self._sized(set(map(len, values)))
+
+    def _sized(self, sizes: set) -> str | None:
+        wrong = sizes - {self.size} if self.size else sizes & {0}
+        if wrong:
+            return f"must be {self.size or 'some'} bytes, not {wrong.pop()}"
+        return None
+
+
+class Packed(Check):
+    """``bytes`` of one to :data:`MAX_VECTOR_LENGTH` 8-byte big-endian
+    values, judged by length alone; with ``finite``, doubles all finite."""
+
+    def __init__(self, finite: bool = False) -> None:
+        self.finite = finite
+
+    def __call__(self, value: Any) -> str | None:
+        if type(value) is not bytes:
+            return f"must be packed bytes, not {type(value).__name__}"
+        if not value or len(value) % 8:
+            return f"is not whole 8-byte values: {len(value)} bytes"
+        if len(value) > 8 * MAX_VECTOR_LENGTH:
+            return "exceeds the vector-length cap"
+        if self.finite and not np.isfinite(np.frombuffer(value, _BE_F64)).all():
+            return "holds a non-finite value"
+        return None
+
+
+class Optional(Check):
+    """``None``, or a value passing ``check``."""
+
+    def __init__(self, check: "Check | type") -> None:
+        self.check = _checker(check)
+
+    def __call__(self, value: Any) -> str | None:
+        if value is None:
+            return None
+        return self.check(value)
+
+
+class TupleOf(Check):
+    """A ``tuple`` of at most :data:`MAX_VECTOR_LENGTH` items, each
+    passing ``item`` when one is given."""
+
+    def __init__(self, item: "Check | type | None" = None) -> None:
+        self.item = _checker(item)
+
+    def __call__(self, value: Any) -> str | None:
+        if type(value) is not tuple:
+            return f"must be tuple, not {type(value).__name__}"
+        if len(value) > MAX_VECTOR_LENGTH:
+            return "exceeds the vector-length cap"
+        return self.item.many(value)
+
+    def many(self, values: Sequence) -> str | None:
+        complaint = _IS_TUPLE.many(values)
+        if complaint or not values:
+            return complaint
+        if max(map(len, values)) > MAX_VECTOR_LENGTH:
+            return "exceeds the vector-length cap"
+        return self.item.many(tuple(chain.from_iterable(values)))
+
+
+class Pair(Check):
+    """A 2-``tuple`` whose items pass ``first`` and ``second``."""
+
+    def __init__(self, first: "Check | type", second: "Check | type | None" = None) -> None:
+        self.first, self.second = _checker(first), _checker(second)
+        self._passed: tuple | None = None
+
+    def __call__(self, value: Any) -> str | None:
+        if type(value) is not tuple or len(value) != 2:
+            return "must be a pair"
+        return self.first(value[0]) or self.second(value[1])
+
+    def many(self, values: Sequence) -> str | None:
+        if values is self._passed:
+            # A published feature list decodes to one shared tuple on
+            # every host (``_remember_pairs``): judged once, not per host.
+            return None
+        if set(map(type, values)) - {tuple} or set(map(len, values)) - {2}:
+            return "must be a pair"
+        if not values:
+            return None
+        firsts, seconds = zip(*values)
+        complaint = self.first.many(firsts) or self.second.many(seconds)
+        if complaint is None and type(values) is tuple:
+            self._passed = values
+        return complaint
+
+
+class _Unit(Check):
+    """An ``int`` or ``float`` in ``[0, 1]``, compared as it is (NaN fails
+    every comparison; an int too large for a float is merely out of range)."""
+
+    def __call__(self, value: Any) -> str | None:
+        if type(value) in (int, float) and 0.0 <= value <= 1.0:
+            return None
+        return "out of [0, 1]"
+
+
+Unit = _Unit()
+ROUND_ID, LENGTH = Int(0, MAX_ROUND_ID), Int(1, MAX_VECTOR_LENGTH)
+PARTIES, SLOT, SIZE = Int(1, MAX_PARTIES), Int(0, MAX_PARTIES - 1), Int(0, MAX_PARTIES)
+
+
+def blamed(check: "Check | type | None") -> Callable[[str, "int | None", str, Any], None]:
+    """``check`` for an in-memory value, as ``(offender, round_id, name,
+    value) -> None``: the check, then whatever :func:`decode` would refuse
+    in the value's frame.  A failure is a ``malformed-message``
+    :class:`ProtocolViolation` blamed on ``offender``."""
+    check = _checker(check)
+
+    def run(offender: str, round_id: int | None, name: str, value: Any) -> None:
+        complaint = check(value)
+        try:
+            if complaint:
+                raise _malformed(f"{name} {complaint}")
+            decode(encode(value))
+        except ProtocolViolation as exc:
+            raise ProtocolViolation(
+                exc.detail, offender=offender, kind=VIOLATION_MALFORMED, round_id=round_id
+            ) from None
+
+    return run
+
+
+def _complaint(cls: type, schema: tuple, items) -> str | None:
+    """The first of ``items`` to fail its declared check, named."""
+    for index, name, check in schema:
+        complaint = check(items[index])
+        if complaint:
+            return f"{cls.__qualname__}.{name} {complaint}"
+    return None
 
 
 # ------------------------------------------------------------------ encode
@@ -345,9 +594,12 @@ _ENCODERS: dict[type, Callable[[Any, list, int], None]] = {
 # ------------------------------------------------------------------ decode
 
 
-def decode(frame: bytes | bytearray | memoryview) -> Any:
-    """The value one whole frame spells; :class:`ProtocolViolation`
-    (``malformed-message``) for anything else."""
+def decode(frame: bytes | bytearray | memoryview, check: Check | type | None = None) -> Any:
+    """The value one whole frame spells, held to ``check`` when one is
+    given; :class:`ProtocolViolation` (``malformed-message``) for anything
+    else."""
+    if type(frame) not in (bytes, bytearray, memoryview):
+        raise _malformed(f"a frame is bytes, not {type(frame).__name__}")
     buf = bytes(frame)
     try:
         value, end = _decode(buf, 0, 0)
@@ -359,6 +611,8 @@ def decode(frame: bytes | bytearray | memoryview) -> Any:
         raise _malformed(f"frame does not build its value: {exc}") from None
     if end != len(buf):
         raise _malformed(f"{len(buf) - end} trailing byte(s) after the frame")
+    if check is not None and (complaint := _checker(check)(value)):
+        raise _malformed(f"frame {complaint}")
     return value
 
 
@@ -381,8 +635,10 @@ def _decode(buf: bytes, off: int, depth: int) -> tuple[Any, int]:
             raise _malformed(f"unknown dataclass tag {buf[off:off + 2].hex()}")
         if depth >= MAX_DEPTH:
             raise _malformed("frame nests deeper than the wire allows")
-        cls, count = entry
+        cls, count, schema = entry
         args, off = _decode_items(buf, off + 2, count, depth)
+        if schema and (complaint := _complaint(cls, schema, args)):
+            raise _malformed(complaint)
         return cls(*args), off
     decoder = _DECODERS.get(tag)
     if decoder is None:

@@ -30,7 +30,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from repro import codec
-from repro.codec import wire
+from repro.codec import Bytes, Int, Optional, Pair, wire
 from repro.core.blinding import BlindingComponent
 from repro.core.encoding import decode_public_key, encode_public_key
 from repro.core.signing import SignedContribution, SigningComponent
@@ -160,7 +160,10 @@ def request_values(request: ProcessRequest) -> tuple[float, ...]:
     return tuple(kernels.be_doubles(values).tolist())
 
 
-@wire(0x8108)
+@wire(
+    0x8108, session_id=Bytes(), peer_dh_public=Int(0),
+    handshake_signature=Optional(SchnorrSignature), encrypted_payload=Bytes(),
+)
 @dataclass(frozen=True)
 class KeyDelivery:
     """Provisioner → Glimmer: a secret, over the attested handshake.
@@ -633,12 +636,9 @@ def _encode_remote_payload(request: ProcessRequest, context: PrivateContext) -> 
 
 def _decode_remote_payload(blob: bytes) -> tuple[ProcessRequest, PrivateContext]:
     try:
-        request, context = codec.decode(blob)
-    except (ProtocolViolation, TypeError, ValueError) as exc:
+        return codec.decode(blob, Pair(ProcessRequest, PrivateContext))
+    except ProtocolViolation as exc:
         raise ProtocolError("malformed remote contribution payload") from exc
-    if not isinstance(request, ProcessRequest) or not isinstance(context, PrivateContext):
-        raise ProtocolError("malformed remote contribution payload")
-    return request, context
 
 
 def _encode_remote_response(signed: SignedContribution) -> bytes:
@@ -648,12 +648,9 @@ def _encode_remote_response(signed: SignedContribution) -> bytes:
 def decode_remote_response(blob: bytes) -> SignedContribution:
     """Client-side decoding of the Glimmer's encrypted response."""
     try:
-        signed = codec.decode(blob)
+        return codec.decode(blob, SignedContribution)
     except ProtocolViolation as exc:
         raise ProtocolError("malformed remote response") from exc
-    if not isinstance(signed, SignedContribution):
-        raise ProtocolError("malformed remote response")
-    return signed
 
 
 def build_glimmer_image(

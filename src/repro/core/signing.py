@@ -22,13 +22,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.codec import wire
+from repro.codec import ROUND_ID, Bool, Bytes, Optional, Packed, Unit, wire
 from repro.crypto.hashing import hash_items
 from repro.crypto.schnorr import SchnorrKeyPair, SchnorrPublicKey, SchnorrSignature
 from repro.errors import CryptoError
 
 
-@wire(0x8101)
+@wire(
+    0x8101, round_id=ROUND_ID, nonce=Bytes(16), blinded=Bool, ring_payload=Optional(Packed()),
+    plain_payload=Optional(Packed(finite=True)), confidence=Unit, signature=SchnorrSignature,
+)
 @dataclass(frozen=True)
 class SignedContribution:
     """What leaves the Glimmer for the service.

@@ -141,6 +141,10 @@ class _ComponentProgram(EnclaveProgram):
         return cipher.encrypt(nonce, blob, associated_data=associated).to_bytes()
 
     def _link_decrypt(self, link: str, wire: bytes) -> object:
+        """What the sibling sent on ``link``; an ``AuthenticationError`` for
+        a blob it did not seal."""
+        if type(wire) is not bytes:
+            raise ProtocolError(f"link {link!r} carries bytes, not {type(wire).__name__}")
         key = self._link_keys.get(link)
         if key is None:
             raise ProtocolError(f"link {link!r} not paired")

@@ -69,7 +69,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.codec import wire
+from repro.codec import LENGTH, PARTIES, ROUND_ID, SLOT, Bytes, Int, Str, TupleOf, wire
 from repro.crypto import group_ops
 from repro.crypto.dh import DHGroup, OAKLEY_GROUP_1, TEST_GROUP
 from repro.crypto.drbg import HmacDrbg
@@ -186,7 +186,10 @@ class MaskOpening:
         return len(self.mask)
 
 
-@wire(0x8106)
+@wire(
+    0x8106, round_id=ROUND_ID, slot=SLOT, num_slots=PARTIES, vector_length=LENGTH,
+    modulus_bits=Int(1, 64), group_name=Str, root=Bytes(32), hash_commitment=Bytes(32), point=Int(),
+)
 @dataclass(frozen=True)
 class MaskCommitmentRecord:
     """One slot's share of the round commitments, as the engine vouches it.
@@ -208,7 +211,11 @@ class MaskCommitmentRecord:
     point: int
 
 
-@wire(0x8107)
+@wire(
+    0x8107, round_id=ROUND_ID, num_slots=PARTIES, vector_length=LENGTH, modulus_bits=Int(1, 64),
+    group_name=Str, hash_commitments=TupleOf(Bytes(32)), points=TupleOf(int),
+    column_sums=TupleOf(TupleOf(Int(0, (1 << 64) - 1))), randomizer_sum=Int(),
+)
 @dataclass(frozen=True)
 class MaskCommitmentSet:
     """Everything the blinding service publishes when a round opens."""
@@ -321,11 +328,6 @@ class MaskCommitmentSet:
                 raise MaskVerificationError(
                     f"slot {slot} commitment point is not a valid group element"
                 )
-        for slot, digest in enumerate(self.hash_commitments):
-            if not isinstance(digest, bytes) or len(digest) != 32:
-                raise MaskVerificationError(
-                    f"slot {slot} hash commitment is malformed"
-                )
 
     def _audit_column_sums(self, limbs: int, column_cap: int) -> None:
         """Vectorized sum-zero audit over the claimed limb-column sums.
@@ -335,20 +337,9 @@ class MaskCommitmentSet:
         totals are accumulated in ``uint64`` — wraparound is exact modulo
         ``2^64``, and ``2^modulus_bits`` divides ``2^64``, so the reduced
         result matches the arbitrary-precision scalar check bit for bit.
-        Claims numpy cannot even represent (negative, or ≥ 2^64) are by
-        construction out of range, so the fallback rejects them directly.
+        Every claim is a u64: decode refuses a set with any other.
         """
-        try:
-            claimed = np.asarray(self.column_sums, dtype=np.uint64)
-        except (OverflowError, TypeError, ValueError):
-            for i, column in enumerate(self.column_sums):
-                for l, value in enumerate(column):
-                    if not 0 <= int(value) <= column_cap:
-                        raise MaskVerificationError(
-                            "claimed column sum out of range at "
-                            f"component {i} limb {l}"
-                        )
-            raise MaskVerificationError("claimed column sums are malformed")
+        claimed = np.asarray(self.column_sums, dtype=np.uint64)
         in_range = claimed <= np.uint64(column_cap)
         if not in_range.all():
             i, l = (int(v) for v in np.argwhere(~in_range)[0])

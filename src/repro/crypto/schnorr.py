@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.codec import wire
+from repro.codec import Int, Optional, wire
 from repro.crypto import group_ops
 from repro.crypto.dh import DHGroup, OAKLEY_GROUP_1
 from repro.crypto.drbg import HmacDrbg
@@ -58,7 +58,7 @@ def _int_bytes(value: int, group: DHGroup) -> bytes:
     return value.to_bytes(group.element_size, "big")
 
 
-@wire(0x8102)
+@wire(0x8102, challenge=Int(0), response=Int(0), commitment=Optional(Int()))
 @dataclass(frozen=True)
 class SchnorrSignature:
     """A Schnorr signature ``(challenge, response)``.

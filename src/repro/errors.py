@@ -63,12 +63,13 @@ class ProtocolViolation(ProtocolError):
         self.round_id = round_id
 
 
-class UnencodablePayload(ProtocolViolation):
-    """A value the wire codec (:mod:`repro.codec`) has no spelling for.
+class RefusedAtWire(ProtocolViolation):
+    """A message refused before any handler logic ran: its payload has no
+    frame, its frame fails a declared field check, or the payload is not
+    its kind's class or breaks its kind's rule (:mod:`repro.runtime.wire`).
 
-    Raised where the value was about to cross, so no receiver's schema
-    check saw it: a ``malformed-message`` violation blamed on whoever
-    tried to send it.
+    A ``malformed-message`` violation blamed on whoever sent it — the
+    caller on a request leg, the responder on a reply leg.
     """
 
     def __init__(
@@ -80,6 +81,10 @@ class UnencodablePayload(ProtocolViolation):
         self.recorded = False
         """Set once a protocol monitor has logged it, so a refusal that
         unwinds through an enclosing call is not logged twice."""
+
+
+class UnencodablePayload(RefusedAtWire):
+    """A value the wire codec (:mod:`repro.codec`) has no spelling for."""
 
 
 class EnclaveError(ReproError):

@@ -18,9 +18,10 @@ and firmware versions drift.  This module models that weather as data:
 * :class:`LinkConditions` is a :class:`~repro.network.adversary.
   NetworkAdversary` that *executes* a plan on the wire: it drops, delays,
   duplicates, skews, and — for firmware-skewed devices — perturbs
-  submissions in ways :mod:`repro.runtime.wire` schema validation must
-  catch, so a corrupted contribution becomes attributable Byzantine
-  evidence rather than silent aggregate poison.
+  submissions in ways the checks ``SignedContribution`` declares must
+  catch when the service decodes them, so a corrupted contribution
+  becomes attributable Byzantine evidence rather than silent aggregate
+  poison.
 
 Only traffic to or from a *scheduled* client endpoint is affected;
 engine ↔ service ↔ blinder legs pass untouched.  Duplicates are
@@ -512,10 +513,10 @@ class LinkConditions(NetworkAdversary):
     ) -> Message | None:
         """Mutate a submission the way skewed firmware would.
 
-        Every mutation violates the :mod:`repro.runtime.wire` schema, so
-        the service rejects it as attributable Byzantine evidence and the
-        slot degrades into §3 dropout repair — corruption is *detected*,
-        never silently aggregated.
+        Every mutation fails a check ``SignedContribution`` declares, so
+        decoding it at the service refuses it as attributable Byzantine
+        evidence and the slot degrades into §3 dropout repair — corruption
+        is *detected*, never silently aggregated.
         """
         payload = message.payload
         contribution = getattr(payload, "contribution", None)

@@ -18,9 +18,10 @@ response does count as a drop.
 What crosses is bytes.  Each leg's payload is framed once by
 :mod:`repro.codec`, after the adversary chain, and metered as the frame's
 length; the receiver (or, for a reply, the caller) gets the frame decoded,
-so a handler never holds the sender's objects.  A payload with no frame
-is an :class:`~repro.errors.UnencodablePayload` blamed on whoever sent
-it: the requester on the request leg, the responder on the reply leg.
+so a handler never holds the sender's objects.  A payload with no frame,
+or a frame that fails a field check its classes declare, is a
+:class:`~repro.errors.RefusedAtWire` blamed on whoever sent it: the
+requester on the request leg, the responder on the reply leg.
 
 The transport itself offers **no** security: anything an adversary should
 not read or forge must be sealed to an attested enclave or carry a
@@ -35,7 +36,7 @@ from typing import Any, Callable
 
 from repro import codec
 from repro.crypto.drbg import HmacDrbg
-from repro.errors import NetworkError, UnencodablePayload
+from repro.errors import NetworkError, ProtocolViolation, RefusedAtWire
 from repro.faults import ACTION_DROP, SITE_REQUEST, SITE_RESPONSE
 from repro.network.adversary import NetworkAdversary
 from repro.network.clock import LatencyModel, SimulatedClock
@@ -150,13 +151,14 @@ class Network:
         return current
 
     @staticmethod
-    def _frame(message: Message) -> bytes:
-        """The bytes ``message`` puts on the wire, blamed on its sender
-        when its payload has none."""
+    def _crossing(message: Message, convert: Callable[[Any], Any], value: Any) -> Any:
+        """``convert(value)`` — the payload framed, or the frame decoded —
+        its refusal blamed on ``message``'s sender."""
         try:
-            return codec.encode(message.payload)
-        except UnencodablePayload as exc:
-            raise UnencodablePayload(
+            return convert(value)
+        except ProtocolViolation as exc:
+            refusal = type(exc) if isinstance(exc, RefusedAtWire) else RefusedAtWire
+            raise refusal(
                 f"{message.kind} from {message.sender!r}: {exc.detail}",
                 offender=message.sender,
             ) from None
@@ -166,13 +168,14 @@ class Network:
         endpoint = self._endpoints.get(message.receiver)
         if endpoint is None:
             raise NetworkError(f"unknown endpoint {message.receiver!r}")
-        frame = self._frame(message)
+        frame = self._crossing(message, codec.encode, message.payload)
         self.clock.advance(
             self._latency_for(message.sender, message.receiver, len(frame))
         )
         self.messages_delivered += 1
         self.bytes_delivered += len(frame)
-        return endpoint.handle(message.with_payload(codec.decode(frame)))
+        payload = self._crossing(message, codec.decode, frame)
+        return endpoint.handle(message.with_payload(payload))
 
     def _transmit(
         self, sender: str, receiver: str, kind: str, payload: Any, attempt: int = 1
@@ -233,10 +236,11 @@ class Network:
             try:
                 self.deliver_raw(pending)
             except Exception:
-                # A duplicate that a handler rejects (protocol violation,
-                # unknown endpoint after a re-registration) dies on the
-                # floor, as real stray packets do; the violation is
-                # already recorded by the handler's own checks.
+                # A duplicate that is refused (at decode, by its kind's
+                # rule, by a handler, or by an endpoint gone after a
+                # re-registration) dies on the floor, as real stray packets
+                # do, and is recorded by nobody: a replayed copy names its
+                # original sender, not whoever replayed it.
                 self.redeliveries_failed += 1
             else:
                 self.redeliveries_delivered += 1
@@ -295,8 +299,8 @@ class Network:
                 f"response to {kind!r} from {receiver!r} was dropped "
                 "(the handler may have run)"
             )
-        frame = self._frame(processed)
+        frame = self._crossing(processed, codec.encode, processed.payload)
         self.replies_delivered += 1
         self.clock.advance(self._latency_for(receiver, sender, len(frame)))
         self._drain_redeliveries()
-        return codec.decode(frame)
+        return self._crossing(processed, codec.decode, frame)

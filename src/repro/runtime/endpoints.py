@@ -36,7 +36,6 @@ from repro.errors import (
     EnclaveError,
     NetworkError,
     ProtocolError,
-    ProtocolViolation,
     ValidationError,
 )
 from repro.faults import (
@@ -47,7 +46,7 @@ from repro.faults import (
 )
 from repro.network.message import Message
 from repro.runtime import messages as m
-from repro.runtime.wire import validate_payload
+from repro.runtime.wire import check_rules
 from repro.runtime.telemetry import (
     OUTCOME_ACCEPTED,
     OUTCOME_CRASHED,
@@ -60,25 +59,30 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runtime.engine import RoundEngine
 
 
-def _checked(monitor, message: Message) -> None:
-    """Schema-validate one inbound message, logging any violation.
+class _Endpoint:
+    """A party on the bus.  Every inbound message is held to its kind's
+    class and rule (:func:`~repro.runtime.wire.check_rules`) before the
+    method ``ROUTES`` names for its kind runs."""
 
-    Wire validation happens before handler logic; a failed check is
-    Byzantine evidence attributed to the sender, recorded with the
-    monitor (when one is attached) and re-raised to reject the call.
-    """
-    try:
-        validate_payload(message.kind, message.sender, message.payload)
-    except ProtocolViolation as exc:
-        if monitor is not None and exc.round_id is not None:
-            monitor.record(
-                exc.round_id, message.sender, exc.kind, str(exc)
-            )
-        raise
+    ROUTES: dict[str, str] = {}  # kind -> handler method name
+
+    def handlers(self) -> dict:
+        return dict.fromkeys(self.ROUTES, self.handle)
+
+    def handle(self, message: Message):
+        check_rules(message.kind, message.sender, message.payload)
+        return getattr(self, self.ROUTES[message.kind])(message)
 
 
-class ServiceEndpoint:
+class ServiceEndpoint(_Endpoint):
     """The cloud service as a transport endpoint."""
+
+    ROUTES = {
+        m.KIND_OPEN_SERVICE: "_handle_open",
+        m.KIND_SUBMIT: "_handle_submit",
+        m.KIND_QUERY_SUBMISSION: "_handle_query_submission",
+        m.KIND_FINALIZE: "_handle_finalize",
+    }
 
     def __init__(self, service, monitor=None) -> None:
         self.service = service
@@ -86,16 +90,7 @@ class ServiceEndpoint:
         #: round -> nonce -> verdict, for answering retransmissions.
         self._submit_results: dict[int, dict[bytes, bool]] = {}
 
-    def handlers(self) -> dict:
-        return {
-            m.KIND_OPEN_SERVICE: self._handle_open,
-            m.KIND_SUBMIT: self._handle_submit,
-            m.KIND_QUERY_SUBMISSION: self._handle_query_submission,
-            m.KIND_FINALIZE: self._handle_finalize,
-        }
-
     def _handle_open(self, message: Message):
-        _checked(self.monitor, message)
         request: m.OpenServiceRound = message.payload
         if message.attempt > 1:
             try:
@@ -113,9 +108,8 @@ class ServiceEndpoint:
         return True
 
     def _handle_submit(self, message: Message) -> bool:
-        _checked(self.monitor, message)
         request: m.SubmitContribution = message.payload
-        nonce = getattr(request.contribution, "nonce", None)
+        nonce = request.contribution.nonce
         verdicts = self._submit_results.get(request.round_id)
         if message.attempt > 1 and verdicts and nonce in verdicts:
             # Retransmission of a submission whose verdict we already
@@ -150,15 +144,14 @@ class ServiceEndpoint:
         Glimmer signature (``CloudService.submit_verified``).  Raises
         :class:`ProtocolViolation` when the monitor refuses the sender.
         """
-        nonce = getattr(contribution, "nonce", None)
-        if self.monitor is not None and nonce is not None:
+        nonce = contribution.nonce
+        if self.monitor is not None:
             self.monitor.check_submit(
                 round_id, sender, slot, nonce, retransmit=retransmit
             )
         submit = self.service.submit_verified if verified else self.service.submit
         accepted = submit(round_id, contribution, slot=slot)
-        if nonce is not None:
-            self._submit_results.setdefault(round_id, {})[nonce] = accepted
+        self._submit_results.setdefault(round_id, {})[nonce] = accepted
         if self.monitor is not None:
             if accepted:
                 self.monitor.note_accepted(round_id, sender, slot, nonce)
@@ -168,7 +161,6 @@ class ServiceEndpoint:
 
     def _handle_query_submission(self, message: Message) -> bool:
         """Reconciliation: was this nonce accepted into its round?"""
-        _checked(self.monitor, message)
         request: m.SubmissionStatusQuery = message.payload
         try:
             state = self.service.round_state(request.round_id)
@@ -177,7 +169,6 @@ class ServiceEndpoint:
         return request.nonce in state.seen_nonces
 
     def _handle_finalize(self, message: Message):
-        _checked(self.monitor, message)
         request: m.FinalizeRound = message.payload
         if self.service.round_state(request.round_id).blinded:
             return self.service.finalize_blinded_round(
@@ -190,22 +181,20 @@ class ServiceEndpoint:
         self._submit_results.pop(round_id, None)
 
 
-class BlinderEndpoint:
+class BlinderEndpoint(_Endpoint):
     """The blinding service as a transport endpoint."""
+
+    ROUTES = {
+        m.KIND_OPEN_BLINDER: "_handle_open",
+        m.KIND_MASK_REQUEST: "_handle_mask_request",
+        m.KIND_REVEAL_MASK: "_handle_reveal",
+    }
 
     def __init__(self, provisioner, monitor=None) -> None:
         self.provisioner = provisioner
         self.monitor = monitor
 
-    def handlers(self) -> dict:
-        return {
-            m.KIND_OPEN_BLINDER: self._handle_open,
-            m.KIND_MASK_REQUEST: self._handle_mask_request,
-            m.KIND_REVEAL_MASK: self._handle_reveal,
-        }
-
     def _handle_open(self, message: Message):
-        _checked(self.monitor, message)
         request: m.OpenBlinderRound = message.payload
         if message.attempt > 1 and self.provisioner.has_round(request.round_id):
             # The earlier attempt's open landed and only its reply was
@@ -219,7 +208,6 @@ class BlinderEndpoint:
         )
 
     def _handle_mask_request(self, message: Message):
-        _checked(self.monitor, message)
         request: m.MaskRequest = message.payload
         if self.monitor is not None:
             self.monitor.check_active(
@@ -236,7 +224,6 @@ class BlinderEndpoint:
         )
 
     def _handle_reveal(self, message: Message):
-        _checked(self.monitor, message)
         request: m.RevealMask = message.payload
         return self.provisioner.reveal_dropout_mask(
             request.round_id, request.party_index
@@ -325,7 +312,7 @@ def submit_step(client, round_id: int, submit) -> tuple[str, str | None]:
     return OUTCOME_SERVICE_REJECTED, None
 
 
-class ClientEndpoint:
+class ClientEndpoint(_Endpoint):
     """One client device as a transport endpoint.
 
     Engine commands arrive here; the resulting client-originated traffic
@@ -339,6 +326,12 @@ class ClientEndpoint:
     — and checks — the whole list.
     """
 
+    ROUTES = {
+        m.KIND_PROVISION_MASK: "_handle_provision",
+        m.KIND_CONTRIBUTE: "_handle_contribute",
+        m.KIND_CLOSE_ROUND: "_handle_close",
+    }
+
     def __init__(self, engine: "RoundEngine", client, name: str) -> None:
         self.engine = engine
         self.client = client
@@ -346,13 +339,6 @@ class ClientEndpoint:
         self._contribute_outcomes: dict[int, tuple[str, str | None]] = {}
         self._features: tuple = ()
         self._features_digest = b""
-
-    def handlers(self) -> dict:
-        return {
-            m.KIND_PROVISION_MASK: self._handle_provision,
-            m.KIND_CONTRIBUTE: self._handle_contribute,
-            m.KIND_CLOSE_ROUND: self._handle_close,
-        }
 
     def _fire(self, site: str, round_id: int) -> bool:
         injector = self.engine.fault_injector
@@ -366,7 +352,6 @@ class ClientEndpoint:
         )
 
     def _handle_provision(self, message: Message) -> bool:
-        _checked(self.engine.monitor, message)
         request: m.ProvisionMask = message.payload
         record = self.engine.round_record(request.round_id)
         self.engine.note_client_join(record, self.client)
@@ -401,7 +386,6 @@ class ClientEndpoint:
         return True
 
     def _handle_contribute(self, message: Message) -> tuple[str, str | None]:
-        _checked(self.engine.monitor, message)
         command: m.ContributeCommand = message.payload
         record = self.engine.round_record(command.round_id)
         self.engine.note_client_join(record, self.client)

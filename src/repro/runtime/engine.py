@@ -64,9 +64,9 @@ from repro.errors import (
     NetworkError,
     ProtocolError,
     ProtocolViolation,
+    RefusedAtWire,
     ReproError,
     RoundAbortedError,
-    UnencodablePayload,
 )
 from repro.faults import ACTION_CRASH, ACTION_STALL, SITE_BLINDER, SITE_PHASE_STALL
 from repro.network.transport import Network
@@ -456,9 +456,9 @@ class RoundEngine:
                 return self.network.call(
                     sender, receiver, kind, payload, attempt=attempt
                 )
-            except UnencodablePayload as exc:
-                # Refused at the wire, before any receiver's schema check
-                # could record it: the monitor hears of it here.
+            except RefusedAtWire as exc:
+                # Refused at the wire, on either leg, before any handler
+                # could record it: the monitor hears of it here, once.
                 if not exc.recorded:
                     exc.recorded = True
                     self.monitor.record(
@@ -512,28 +512,37 @@ class RoundEngine:
             record.subgroup_size = record.subgroup_plan.group_size
         self._rounds[round_id] = record
         self._start_phase(record, "open")
-        if blinded:
-            published = self.call_with_retry(
+        try:
+            if blinded:
+                published = self.call_with_retry(
+                    record,
+                    ENGINE,
+                    BLINDER,
+                    m.KIND_OPEN_BLINDER,
+                    m.OpenBlinderRound(
+                        round_id, num_slots, vector_length, record.subgroup_size
+                    ),
+                )
+                record.commitments = self._vetted_commitments(
+                    record, published, num_slots, vector_length
+                )
+            self.call_with_retry(
                 record,
                 ENGINE,
-                BLINDER,
-                m.KIND_OPEN_BLINDER,
-                m.OpenBlinderRound(
-                    round_id, num_slots, vector_length, record.subgroup_size
+                SERVICE,
+                m.KIND_OPEN_SERVICE,
+                m.OpenServiceRound(
+                    round_id, num_slots, blinded, record.subgroup_size
                 ),
             )
-            record.commitments = self._vetted_commitments(
-                record, published, num_slots, vector_length
-            )
-        self.call_with_retry(
-            record,
-            ENGINE,
-            SERVICE,
-            m.KIND_OPEN_SERVICE,
-            m.OpenServiceRound(
-                round_id, num_slots, blinded, record.subgroup_size
-            ),
-        )
+        except RefusedAtWire as exc:
+            # Already recorded against the leg's sender by call_with_retry.
+            # The engine's own command rewritten on its way leaves as the
+            # violation it is; a refused reply (a commitment set that
+            # fails its declared checks) is the responder's, and aborts.
+            if exc.offender == ENGINE:
+                raise
+            raise self._abort(record, f"round open was refused at the wire: {exc}")
 
     def _vetted_commitments(
         self, record: _RoundRecord, published, num_slots: int, vector_length: int
@@ -818,6 +827,12 @@ class RoundEngine:
             result = self._finalize_at_service(record, repairs)
         except NetworkError as exc:
             raise self._abort(record, f"finalize could not complete: {exc}")
+        except RefusedAtWire as exc:
+            # As at open: a refused reply (a result whose trail fails its
+            # declared checks) is the responder's, and aborts.
+            if exc.offender == ENGINE:
+                raise
+            raise self._abort(record, f"finalize was refused at the wire: {exc}")
         self._audit_result(record, result, repairs)
         if record.subgroup_plan is not None:
             # A streamed plan is only drawn for a stock CloudService.

@@ -19,9 +19,14 @@ carries the exact bytes its signature covers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
-from repro.codec import wire
+from repro.codec import (
+    LENGTH, PARTIES, ROUND_ID, SIZE, SLOT, Bool, Bytes, Int, Optional, Packed, Pair, Str, TupleOf,
+    wire,
+)
+from repro.core.signing import SignedContribution
+from repro.crypto.commitments import MaskCommitmentRecord
+from repro.sgx.attestation import Quote
 
 # Well-known endpoint names on the round bus --------------------------------
 ENGINE = "engine"
@@ -51,7 +56,7 @@ KIND_SUBMIT = "contribution/submit"
 KIND_QUERY_SUBMISSION = "contribution/status"
 
 
-@wire(0x8001)
+@wire(0x8001, round_id=ROUND_ID, num_parties=PARTIES, vector_length=LENGTH, subgroup_size=SIZE)
 @dataclass(frozen=True)
 class OpenBlinderRound:
     """Ask the blinding service to sample sum-zero masks for a round.
@@ -68,7 +73,7 @@ class OpenBlinderRound:
     subgroup_size: int = 0
 
 
-@wire(0x8002)
+@wire(0x8002, round_id=ROUND_ID, expected_parties=PARTIES, blinded=Bool, subgroup_size=SIZE)
 @dataclass(frozen=True)
 class OpenServiceRound:
     """Ask the cloud service to start accepting contributions.
@@ -83,7 +88,7 @@ class OpenServiceRound:
     subgroup_size: int = 0
 
 
-@wire(0x8003)
+@wire(0x8003, round_id=ROUND_ID, party_index=SLOT, commitment=Optional(MaskCommitmentRecord))
 @dataclass(frozen=True)
 class ProvisionMask:
     """Command a client to fetch its round mask from the blinding service.
@@ -98,10 +103,13 @@ class ProvisionMask:
 
     round_id: int
     party_index: int
-    commitment: Any = None
+    commitment: MaskCommitmentRecord | None = None
 
 
-@wire(0x8004)
+@wire(
+    0x8004, session_id=Bytes(), dh_public=Optional(Int(1)), quote=Optional(Quote),
+    round_id=ROUND_ID, party_index=SLOT,
+)
 @dataclass(frozen=True)
 class MaskRequest:
     """A client's request for its slot's mask, to the blinding service.
@@ -115,12 +123,15 @@ class MaskRequest:
 
     session_id: bytes
     dh_public: int | None
-    quote: Any
+    quote: Quote | None
     round_id: int
     party_index: int
 
 
-@wire(0x8005)
+@wire(
+    0x8005, round_id=ROUND_ID, values=Packed(finite=True), features=TupleOf(Pair(Str, Str)),
+    features_digest=Bytes(32), blind=Bool, claims=TupleOf(Pair(Str)), context_fields=TupleOf(Str),
+)
 @dataclass(frozen=True)
 class ContributeCommand:
     """Command a client to train-endorse-submit for a round.
@@ -146,7 +157,7 @@ class ContributeCommand:
     context_fields: tuple = ()
 
 
-@wire(0x8006)
+@wire(0x8006, round_id=ROUND_ID, contribution=SignedContribution, slot=Optional(SLOT))
 @dataclass(frozen=True)
 class SubmitContribution:
     """A signed contribution on its way to the cloud service.
@@ -159,11 +170,11 @@ class SubmitContribution:
     """
 
     round_id: int
-    contribution: Any
+    contribution: SignedContribution
     slot: int | None = None
 
 
-@wire(0x8007)
+@wire(0x8007, round_id=ROUND_ID, nonce=Bytes(16))
 @dataclass(frozen=True)
 class SubmissionStatusQuery:
     """Did a submission with this nonce land?  (Reconciliation, not replay.)
@@ -179,7 +190,7 @@ class SubmissionStatusQuery:
     nonce: bytes
 
 
-@wire(0x8008)
+@wire(0x8008, round_id=ROUND_ID, party_index=SLOT)
 @dataclass(frozen=True)
 class RevealMask:
     """§3 dropout repair: ask the blinding service for a missing mask."""
@@ -188,20 +199,22 @@ class RevealMask:
     party_index: int
 
 
-@wire(0x8009)
+@wire(0x8009, round_id=ROUND_ID, dropout_masks=TupleOf())
 @dataclass(frozen=True)
 class FinalizeRound:
     """Close a round at the service, handing over any repair masks.
 
     Each ``dropout_masks`` entry is one dropped slot's verified mask as
-    packed big-endian u64 words.
+    packed big-endian u64 words: a rule the service holds it to
+    (:mod:`repro.runtime.wire`), not a declared check, so the bare
+    transport carries — and meters by its length — a mask in any buffer.
     """
 
     round_id: int
     dropout_masks: tuple = field(default=())
 
 
-@wire(0x800A)
+@wire(0x800A, round_id=ROUND_ID)
 @dataclass(frozen=True)
 class CloseRound:
     """Tell a client the round is over: purge Glimmer mask state."""

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import hmac as _hmac
 
-from repro.codec import wire
+from repro.codec import Bool, Bytes, Int, wire
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.hashing import hash_items
 from repro.crypto.kdf import hkdf
@@ -97,7 +97,10 @@ def make_report(
     )
 
 
-@wire(0x8104)
+@wire(
+    0x8104, mrenclave=Bytes(), mrsigner=Bytes(), version=Int(), debug=Bool, report_data=Bytes(),
+    platform_id=Bytes(), signature=SchnorrSignature,
+)
 @dataclass(frozen=True)
 class Quote:
     """A remotely verifiable quote: report body + platform signature."""

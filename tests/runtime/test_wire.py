@@ -14,7 +14,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro import invariants
+from repro import codec, invariants
+from repro.codec import Packed
 from repro.core.glimmer import HANDLE_BYTES, features_digest
 from repro.core.signing import SignedContribution
 from repro.crypto.schnorr import SchnorrSignature
@@ -22,15 +23,10 @@ from repro.errors import ProtocolViolation
 from repro.experiments.common import Deployment
 from repro.network.adversary import NetworkAdversary
 from repro.perf import kernels
-from repro.runtime import messages as m, wire
+from repro.runtime import messages as m
 from repro.runtime.protocol import VIOLATION_MALFORMED
 from repro.runtime.telemetry import OUTCOME_QUARANTINED
-from repro.runtime.wire import (
-    _check_finite_floats,
-    _check_packed,
-    validate_contribution,
-    validate_payload,
-)
+from repro.runtime.wire import blamed, validate_contribution, validate_payload
 from repro.sgx.attestation import Quote
 from repro.sgx.enclave import payload_size
 
@@ -62,7 +58,7 @@ def _assert_blamed(excinfo):
     [(0.0,), (0.0, 1, -2.5, 10**300), (np.float64(0.25), 1.0), tuple([0.5] * 4096)],
 )
 def test_finite_floats_accepted(values):
-    _check_finite_floats(SENDER, 1, "values", kernels.be_doubles_to_bytes(values))
+    blamed(Packed(finite=True))(SENDER, 1, "values", kernels.be_doubles_to_bytes(values))
 
 
 @pytest.mark.parametrize(
@@ -82,13 +78,13 @@ def test_finite_floats_accepted(values):
 def test_malformed_floats_are_blamed_on_the_sender(values):
     """A Python sequence is the old shape: refused whatever it holds."""
     with pytest.raises(ProtocolViolation) as excinfo:
-        _check_finite_floats(SENDER, 1, "values", values)
+        blamed(Packed(finite=True))(SENDER, 1, "values", values)
     _assert_blamed(excinfo)
 
 
 @pytest.mark.parametrize("words", [(0,), (0, 1, (1 << 64) - 1), tuple(range(4096))])
 def test_ring_words_accepted(words):
-    _check_packed(SENDER, 1, "ring_payload", kernels.be_words_to_bytes(words))
+    blamed(Packed())(SENDER, 1, "ring_payload", kernels.be_words_to_bytes(words))
 
 
 @pytest.mark.parametrize(
@@ -98,7 +94,7 @@ def test_ring_words_accepted(words):
 )
 def test_ring_words_must_come_packed(words):
     with pytest.raises(ProtocolViolation) as excinfo:
-        _check_packed(SENDER, 1, "ring_payload", words)
+        blamed(Packed())(SENDER, 1, "ring_payload", words)
     _assert_blamed(excinfo)
     assert "must be packed bytes" in str(excinfo.value)
 
@@ -112,7 +108,7 @@ def test_malformed_ring_word_is_named_and_blamed_on_the_sender(stray):
     one is the old shape, refused with the field and the shape named."""
     for words in ((stray, 1), (1, stray, 3)):
         with pytest.raises(ProtocolViolation) as excinfo:
-            _check_packed(SENDER, 1, "ring_payload", words)
+            blamed(Packed())(SENDER, 1, "ring_payload", words)
         _assert_blamed(excinfo)
         assert "ring_payload must be packed bytes, not tuple" in str(excinfo.value)
 
@@ -425,7 +421,7 @@ def test_malformed_packed_vector_is_blamed_on_the_sender(field, value):
 
 @pytest.mark.parametrize("field", PACKED_FIELDS)
 def test_packed_vector_over_the_cap_is_blamed_on_the_sender(field, monkeypatch):
-    monkeypatch.setattr(wire, "MAX_VECTOR_LENGTH", 4)
+    monkeypatch.setattr(codec, "MAX_VECTOR_LENGTH", 4)
     kind, payload = _packed_field(field, F((0.0,) * 4))
     validate_payload(kind, SENDER, payload)
     kind, payload = _packed_field(field, F((0.0,) * 5))
