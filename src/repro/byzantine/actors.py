@@ -247,10 +247,9 @@ class LyingBlinder:
 
 def _shifted(opening: MaskOpening, delta: int) -> MaskOpening:
     """The same opening with its first mask word shifted by ``delta``."""
-    mask = list(opening.mask)
-    mask[0] = (int(mask[0]) + delta) % (1 << 64)
-    return MaskOpening(
-        mask=tuple(mask), salt=opening.salt, randomizer=opening.randomizer
+    first = (int.from_bytes(opening.mask[:8], "big") + delta) % (1 << 64)
+    return dataclasses.replace(
+        opening, mask=first.to_bytes(8, "big") + opening.mask[8:]
     )
 
 

@@ -36,21 +36,17 @@ class BlindingComponent:
 
     Masks are keyed by ``(round_id, party_index)``: an on-device Glimmer
     holds a single party's mask per round, while a shared remote Glimmer
-    (§4.2) may hold one per client it serves.
+    (§4.2) may hold one per client it serves.  A mask is held as it is
+    delivered: packed big-endian u64 words.
     """
 
     def __init__(self, codec: FixedPointCodec | None = None) -> None:
         self.codec = codec or FixedPointCodec()
-        self._masks: dict[tuple[int, int], tuple[int, ...]] = {}
+        self._masks: dict[tuple[int, int], bytes] = {}
         self._seen_digests: dict[bytes, tuple[int, int]] = {}
 
-    def _mask_digest(self, mask: Sequence[int]) -> bytes:
-        return hash_items(
-            "blinding-mask-reuse", [kernels.be_words_to_bytes(mask)]
-        )
-
     def install_mask(
-        self, round_id: int, party_index: int, mask: Sequence[int]
+        self, round_id: int, party_index: int, mask: Sequence[int] | bytes
     ) -> None:
         """Store a decrypted mask for one (round, party).
 
@@ -65,11 +61,12 @@ class BlindingComponent:
             raise CryptoError(
                 f"mask for round {round_id} party {party_index} already installed"
             )
-        if any(int(v) for v in mask):
+        packed = kernels.be_words_to_bytes(mask)
+        if packed.count(0) != len(packed):
             # The all-zero mask is exempt: a single-party round's sum-zero
             # family is forced to it, so it legitimately recurs — and it
             # blinds nothing, so reusing it differences nothing new.
-            digest = self._mask_digest(mask)
+            digest = hash_items("blinding-mask-reuse", [packed])
             prior = self._seen_digests.get(digest)
             if prior is not None and prior != key:
                 raise MaskVerificationError(
@@ -81,12 +78,12 @@ class BlindingComponent:
                     oldest = next(iter(self._seen_digests))
                     del self._seen_digests[oldest]
                 self._seen_digests[digest] = key
-        self._masks[key] = tuple(int(v) for v in mask)
+        self._masks[key] = packed
 
     def has_mask(self, round_id: int, party_index: int = 0) -> bool:
         return (round_id, party_index) in self._masks
 
-    def masks_for_round(self, round_id: int) -> dict[int, tuple[int, ...]]:
+    def masks_for_round(self, round_id: int) -> dict[int, bytes]:
         """Snapshot the unconsumed masks of one round (for sealed checkpoints)."""
         return {
             party: mask
@@ -108,7 +105,7 @@ class BlindingComponent:
         for party_index, mask in masks.items():
             key = (round_id, int(party_index))
             if key not in self._masks:
-                self._masks[key] = tuple(int(v) for v in mask)
+                self._masks[key] = kernels.be_words_to_bytes(mask)
 
     def purge_round(self, round_id: int) -> int:
         """Destroy every mask held for a finalized/aborted round.
@@ -135,11 +132,12 @@ class BlindingComponent:
         (:func:`~repro.perf.kernels.be_words_to_bytes`): the bytes the
         signature covers and the service folds.
         """
-        mask = self._masks.pop((round_id, party_index), None)
-        if mask is None:
+        packed = self._masks.pop((round_id, party_index), None)
+        if packed is None:
             raise CryptoError(
                 f"no blinding mask installed for round {round_id} party {party_index}"
             )
+        mask = kernels.be_words(packed)
         encoded = self.codec.encode(values)
         if len(mask) != len(encoded):
             raise CryptoError(

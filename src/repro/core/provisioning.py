@@ -47,6 +47,7 @@ from repro.crypto.kdf import hkdf
 from repro.crypto.masking import BlindingService, GroupedSumZeroMasks
 from repro.crypto.schnorr import SchnorrKeyPair
 from repro.errors import AttestationError, ConfigurationError, CryptoError
+from repro.perf import kernels
 from repro.scale.subgroup import plan_subgroups
 from repro.sgx.attestation import (
     AttestationResult,
@@ -459,7 +460,7 @@ class BlinderProvisioner(_ProvisionerBase):
     def _opening(
         self, round_id: int, party_index: int, mask: tuple[int, ...]
     ) -> MaskOpening:
-        """Wrap a slot's mask in its commitment opening."""
+        """Wrap a slot's mask, packed, in its commitment opening."""
         openings = self._openings.get(round_id)
         if openings is None:
             raise CryptoError(f"no mask openings for round {round_id}")
@@ -468,7 +469,9 @@ class BlinderProvisioner(_ProvisionerBase):
                 f"round {round_id} has no party {party_index}"
             )
         salt, randomizer = openings[party_index]
-        return MaskOpening(mask=mask, salt=salt, randomizer=randomizer)
+        return MaskOpening(
+            mask=kernels.be_words_to_bytes(mask), salt=salt, randomizer=randomizer
+        )
 
     def mask_opening(self, round_id: int, party_index: int) -> MaskOpening:
         """One slot's full opening (mask, salt, randomizer)."""

@@ -63,13 +63,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
-from operator import mul
 from typing import Sequence
 
 import numpy as np
 
-from repro.codec import LENGTH, PARTIES, ROUND_ID, SLOT, Bytes, Int, Str, TupleOf, wire
+from repro.codec import LENGTH, PARTIES, ROUND_ID, SLOT, Bytes, Int, Packed, Str, TupleOf, wire
 from repro.crypto import group_ops
 from repro.crypto.dh import DHGroup, OAKLEY_GROUP_1, TEST_GROUP
 from repro.crypto.drbg import HmacDrbg
@@ -95,23 +93,75 @@ def _limbs_per_word(modulus_bits: int) -> int:
     return (modulus_bits + LIMB_BITS - 1) // LIMB_BITS
 
 
+#: Width of one weight digit: a weight ``< q`` is held as its 32-bit digits.
+_DIGIT_BITS = 32
+#: Terms per ``uint64`` dot.  A digit times a 16-bit limb is below 2^48,
+#: and 2^14 such products sum below 2^62, so no chunk's sum can wrap.
+_DOT_CHUNK = 1 << 14
+
+
+def weight_digits(weights: Sequence[int], q: int) -> np.ndarray:
+    """Weights in ``[0, q)`` as a ``(digits, len(weights))`` ``uint64`` matrix.
+
+    Row ``d`` holds every weight's ``d``-th 32-bit digit, least
+    significant first: two rows for the 63-bit test group, 24 for Oakley.
+    """
+    width = 4 * ((q.bit_length() + _DIGIT_BITS - 1) // _DIGIT_BITS)
+    packed = b"".join([weight.to_bytes(width, "little") for weight in weights])
+    digits = np.frombuffer(packed, dtype="<u4").reshape(len(weights), width // 4)
+    return digits.T.astype(np.uint64, order="C")
+
+
+def _digit_dot(digits: np.ndarray, values: np.ndarray) -> int:
+    """``Σ_t w_t·values_t`` as an exact integer, for ``values_t < 2^16``.
+
+    One ``uint64`` dot per digit row and :data:`_DOT_CHUNK` terms, each
+    exact; the per-digit totals are recombined as Python integers.
+    """
+    totals = [0] * len(digits)
+    for start in range(0, values.size, _DOT_CHUNK):
+        stop = start + _DOT_CHUNK
+        partial = (digits[:, start:stop] @ values[start:stop]).tolist()
+        totals = [total + part for total, part in zip(totals, partial)]
+    return sum(total << (_DIGIT_BITS * d) for d, total in enumerate(totals))
+
+
+def _limb_matrix(words: np.ndarray, limbs: int) -> np.ndarray:
+    """``[i][l]`` = ``limb_l(words[i])``: the 16-bit limbs, one row per word."""
+    shifts = np.uint64(LIMB_BITS) * np.arange(limbs, dtype=np.uint64)
+    return (words[:, None] >> shifts) & np.uint64((1 << LIMB_BITS) - 1)
+
+
 def _weighted_limb_sum(
-    mask: Sequence[int] | np.ndarray,
-    weights: tuple[tuple[int, ...], ...],
+    mask: Sequence[int] | np.ndarray | bytes,
+    weights: np.ndarray,
     limbs: int,
     q: int,
 ) -> int:
     """``Σ_{i,l} weights[i][l]·limb_l(mask[i]) mod q``.
 
-    One shift/mask yields every limb, row-major like ``weights``; the dot
-    product runs over Python integers (a weight is as wide as ``q``) and
-    is reduced once — the same residue as reducing after every term.
+    ``weights`` is the :func:`weight_digits` matrix, row-major in
+    ``(i, l)`` like the limbs; the dot is exact and reduced once — the
+    same residue as the scalar twin
+    (:func:`repro.perf.reference.weighted_limb_sum_scalar`).
     """
-    shifts = np.uint64(LIMB_BITS) * np.arange(limbs, dtype=np.uint64)
-    limb_values = (kernels.as_ring(mask)[:, None] >> shifts) & np.uint64(
-        (1 << LIMB_BITS) - 1
-    )
-    return sum(map(mul, chain.from_iterable(weights), limb_values.ravel().tolist())) % q
+    return _digit_dot(weights, _limb_matrix(kernels.as_ring(mask), limbs).ravel()) % q
+
+
+def _sum_zero_target(
+    column_sums: Sequence[Sequence[int]], weights: np.ndarray, q: int
+) -> int:
+    """``Σ_{i,l} weights[i][l]·T[i][l] mod q`` over u64 column claims.
+
+    Each claim is split into its four 16-bit limbs, so every dot is a limb
+    dot and the target is exact for any u64 claim.
+    """
+    claimed = np.asarray(column_sums, dtype=np.uint64).ravel()
+    pieces = _limb_matrix(claimed, _limbs_per_word(64))
+    return sum(
+        _digit_dot(weights, pieces[:, p]) << (LIMB_BITS * p)
+        for p in range(pieces.shape[1])
+    ) % q
 
 
 @lru_cache(maxsize=None)
@@ -143,13 +193,13 @@ def pedersen_generators(group: DHGroup) -> tuple[int, int]:
 
 
 def hash_commitment(
-    round_id: int, slot: int, mask: Sequence[int], salt: bytes
+    round_id: int, slot: int, mask: Sequence[int] | bytes, salt: bytes
 ) -> bytes:
     """The binding per-slot commitment ``HC_j``.
 
-    The mask words are serialized as one contiguous big-endian buffer
-    (:func:`repro.perf.kernels.be_words_to_bytes`), so hashing makes a
-    single pass instead of joining ``length`` 8-byte fragments.
+    The mask is hashed as one contiguous buffer of big-endian words
+    (:func:`repro.perf.kernels.be_words_to_bytes`; a packed mask already
+    is one), so hashing makes a single pass.
     """
     return hash_items(
         "mask-slot-commitment",
@@ -162,28 +212,29 @@ def hash_commitment(
     )
 
 
-@wire(0x8105)
+@wire(0x8105, mask=Packed(), salt=Bytes(SALT_SIZE), randomizer=Int(0))
 @dataclass(frozen=True)
 class MaskOpening:
     """What a slot's recipient gets: the mask plus its commitment opening.
 
-    It crosses to a Glimmer packed by :func:`encode_mask_payload` and to
-    the engine as a dropout reveal; once verified, the engine hands the
-    service ``be_words_to_bytes(opening.mask)`` inside ``FinalizeRound``.
+    ``mask`` is the packed big-endian u64 words, as every bus vector is.
+    The opening crosses to a Glimmer inside :func:`encode_mask_payload`
+    and to the engine as a dropout reveal; once verified, the engine hands
+    the service ``opening.mask`` as is inside ``FinalizeRound``.
     Iterating an opening yields the bare mask words, so an in-process
     caller holding a reveal can hand it straight to ``remove_mask`` or
     ``finalize_blinded_round`` (``tests/core/test_dp_release.py`` does).
     """
 
-    mask: tuple[int, ...]
+    mask: bytes
     salt: bytes
     randomizer: int
 
     def __iter__(self):
-        return iter(self.mask)
+        return iter(kernels.be_words(self.mask).tolist())
 
     def __len__(self) -> int:
-        return len(self.mask)
+        return len(self.mask) // 8
 
 
 @wire(
@@ -260,8 +311,9 @@ class MaskCommitmentSet:
         object.__setattr__(self, "_root_memo", root)
         return root
 
-    def weights(self, root: bytes | None = None) -> tuple[tuple[int, ...], ...]:
-        """Fiat-Shamir challenge weight per limb column, ``mod q``."""
+    def weights(self, root: bytes | None = None) -> np.ndarray:
+        """Fiat-Shamir challenge weight per limb column, ``mod q``, as the
+        :func:`weight_digits` matrix."""
         return challenge_weights(
             self.root() if root is None else root,
             self.group_name,
@@ -360,11 +412,7 @@ class MaskCommitmentSet:
         group = resolve_group(self.group_name)
         q = group.subgroup_order
         h, u = pedersen_generators(group)
-        weights = self.weights()
-        target = 0
-        for i, column in enumerate(self.column_sums):
-            for l, claimed in enumerate(column):
-                target = (target + weights[i][l] * int(claimed)) % q
+        target = _sum_zero_target(self.column_sums, self.weights(), q)
         product = 1
         for point in self.points:
             product = (product * point) % group.prime
@@ -381,31 +429,38 @@ class MaskCommitmentSet:
 @lru_cache(maxsize=8)
 def challenge_weights(
     root: bytes, group_name: str, vector_length: int, modulus_bits: int
-) -> tuple[tuple[int, ...], ...]:
+) -> np.ndarray:
     """The ``w[i][l] = H(root, i, l) mod q`` table for one commitment root.
 
-    Pure in its arguments, so the table is derived once per round and
-    shared by every consumer — the set-level :meth:`MaskCommitmentSet.weights`,
-    the per-slot record path Glimmers verify against at install, and the
-    engine's dropout-repair sweep.  Deriving it costs one hash per limb
-    column (``vector_length × limbs``), each from a hasher that already
-    absorbed the tag and the root.
+    Held once, as the read-only :func:`weight_digits` matrix with column
+    ``i·limbs + l`` for ``w[i][l]``.  Pure in its arguments, so the table
+    is derived once per round and shared by every consumer — the
+    set-level :meth:`MaskCommitmentSet.weights`, the per-slot record path
+    Glimmers verify against at install, and the engine's dropout-repair
+    sweep.  Deriving it costs one hash per limb column
+    (``vector_length × limbs``), each from a hasher that already absorbed
+    the tag and the root.
     """
     limbs = _limbs_per_word(modulus_bits)
-    weight = seeded_hash_to_int(
-        "mask-commitment-weight", root, resolve_group(group_name).subgroup_order
-    )
+    q = resolve_group(group_name).subgroup_order
+    weight = seeded_hash_to_int("mask-commitment-weight", root, q)
     suffixes = [l.to_bytes(2, "big") for l in range(limbs)]
-    return tuple(
-        tuple(weight(i.to_bytes(4, "big") + suffix) for suffix in suffixes)
-        for i in range(vector_length)
+    digits = weight_digits(
+        [
+            weight(i.to_bytes(4, "big") + suffix)
+            for i in range(vector_length)
+            for suffix in suffixes
+        ],
+        q,
     )
+    digits.flags.writeable = False
+    return digits
 
 
 def scalar_for_mask(
     commitments: MaskCommitmentSet,
-    mask: Sequence[int],
-    weights: tuple[tuple[int, ...], ...] | None = None,
+    mask: Sequence[int] | bytes,
+    weights: np.ndarray | None = None,
 ) -> int:
     """``s_j = Σ_{i,l} w[i][l]·limb_l(mask_i) mod q`` for one slot's mask.
 
@@ -424,7 +479,7 @@ def _checked_scalar(
     commitments: MaskCommitmentSet | MaskCommitmentRecord,
     slot: int,
     opening: MaskOpening,
-    weights: tuple[tuple[int, ...], ...] | None = None,
+    weights: np.ndarray | None = None,
 ) -> tuple[int, int]:
     """All the cheap per-slot opening checks; ``(scalar, committed point)``.
 
@@ -448,18 +503,20 @@ def _checked_scalar(
         expected_hc = commitments.hash_commitments[slot]
         point = commitments.points[slot]
         set_like = commitments
-    if len(opening.mask) != set_like.vector_length:
+    mask = opening.mask
+    if type(mask) is not bytes:
         raise MaskVerificationError(
-            f"slot {slot}: mask length {len(opening.mask)} does not match "
+            f"slot {slot}: mask is a {type(mask).__name__}, not packed words"
+        )
+    if len(mask) != 8 * set_like.vector_length:
+        raise MaskVerificationError(
+            f"slot {slot}: mask of {len(mask)} bytes does not match "
             f"the committed vector length {set_like.vector_length}"
         )
-    try:
-        words = np.asarray(opening.mask, dtype=np.uint64)  # refuses < 0 and >= 2^64
-    except (OverflowError, TypeError, ValueError):
-        words = None
-    if words is None or (words > kernels.ring_bitmask(set_like.modulus_bits)).any():
+    words = kernels.be_words(mask)
+    if (words > kernels.ring_bitmask(set_like.modulus_bits)).any():
         raise MaskVerificationError(f"slot {slot}: mask word out of ring range")
-    if hash_commitment(set_like.round_id, slot, words, opening.salt) != expected_hc:
+    if hash_commitment(set_like.round_id, slot, mask, opening.salt) != expected_hc:
         raise MaskVerificationError(
             f"slot {slot}: delivered mask does not match its hash commitment"
         )
@@ -485,7 +542,7 @@ def verify_opening(
     commitments: MaskCommitmentSet | MaskCommitmentRecord,
     slot: int,
     opening: MaskOpening,
-    weights: tuple[tuple[int, ...], ...] | None = None,
+    weights: np.ndarray | None = None,
 ) -> None:
     """Check one slot's delivered mask against the round commitments.
 
@@ -509,7 +566,7 @@ def verify_opening(
 def batch_verify_openings(
     commitments: MaskCommitmentSet,
     openings: Sequence[tuple[int, MaskOpening]],
-    weights: tuple[tuple[int, ...], ...] | None = None,
+    weights: np.ndarray | None = None,
 ) -> bool:
     """One multi-exp Pedersen check over many slots' openings.
 
@@ -612,23 +669,23 @@ def _commit_with(
     salts: Sequence[bytes],
     randomizers: Sequence[int],
 ) -> tuple[MaskCommitmentSet, tuple[MaskOpening, ...]]:
-    num_slots = len(masks)
-    vector_length = len(masks[0])
+    # The family is read into one slots × length matrix once; every slot's
+    # packed row is both what its hash commitment covers and its opening.
+    rows = kernels.as_ring_rows(masks)
+    num_slots, vector_length = rows.shape
     q = group.subgroup_order
     limbs = _limbs_per_word(modulus_bits)
+    packed = [kernels.be_words_to_bytes(row) for row in rows]
     hash_commitments = tuple(
-        hash_commitment(round_id, slot, masks[slot], salts[slot])
+        hash_commitment(round_id, slot, packed[slot], salts[slot])
         for slot in range(num_slots)
     )
     # Limb-column sums in one pass per limb: shift/mask the whole
     # slots × length matrix and sum down the slot axis.  Each column sum
     # is < num_slots · 2^16, far inside uint64, so the accumulation is
     # exact — bit-identical to the per-word scalar loop.
-    limb_sums = kernels.limb_column_sums(masks, limbs, LIMB_BITS)
-    columns = [
-        tuple(int(limb_sums[l][i]) for l in range(limbs))
-        for i in range(vector_length)
-    ]
+    limb_sums = kernels.limb_column_sums(rows, limbs, LIMB_BITS)
+    columns = tuple(map(tuple, limb_sums.T.tolist()))
     partial = MaskCommitmentSet(
         round_id=round_id,
         num_slots=num_slots,
@@ -637,14 +694,14 @@ def _commit_with(
         group_name=group.name,
         hash_commitments=hash_commitments,
         points=(),
-        column_sums=tuple(columns),
+        column_sums=columns,
         randomizer_sum=0,
     )
     h, u = pedersen_generators(group)
     weights = partial.weights()
     points = []
     for slot in range(num_slots):
-        scalar = scalar_for_mask(partial, masks[slot], weights)
+        scalar = scalar_for_mask(partial, rows[slot], weights)
         points.append(
             (group.power(h, scalar) * group.power(u, randomizers[slot]))
             % group.prime
@@ -657,15 +714,11 @@ def _commit_with(
         group_name=group.name,
         hash_commitments=hash_commitments,
         points=tuple(points),
-        column_sums=tuple(columns),
+        column_sums=columns,
         randomizer_sum=sum(randomizers) % q,
     )
     openings = tuple(
-        MaskOpening(
-            mask=tuple(int(v) for v in masks[slot]),
-            salt=salts[slot],
-            randomizer=randomizers[slot],
-        )
+        MaskOpening(mask=packed[slot], salt=salts[slot], randomizer=randomizers[slot])
         for slot in range(num_slots)
     )
     return commitments, openings
@@ -685,8 +738,8 @@ def encode_mask_payload(opening: MaskOpening) -> bytes:
     )
     return b"".join(
         [
-            len(opening.mask).to_bytes(4, "big"),
-            kernels.be_words_to_bytes(opening.mask),
+            len(opening).to_bytes(4, "big"),
+            opening.mask,
             opening.salt,
             len(r_bytes).to_bytes(2, "big"),
             r_bytes,
@@ -702,7 +755,7 @@ def decode_mask_payload(payload: bytes) -> MaskOpening:
     need = 8 * length + SALT_SIZE + 2
     if len(payload) < offset + need:
         raise MaskVerificationError("mask payload truncated")
-    mask = kernels.bytes_to_be_words(payload[offset : offset + 8 * length])
+    mask = payload[offset : offset + 8 * length]
     offset += 8 * length
     salt = payload[offset : offset + SALT_SIZE]
     offset += SALT_SIZE

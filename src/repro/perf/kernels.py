@@ -221,12 +221,21 @@ def limb_column_sums(
 # ------------------------------------------------------------- serialization
 
 
-def be_words_to_bytes(words: Sequence[int] | np.ndarray) -> bytes:
+def be_words_to_bytes(words: Sequence[int] | np.ndarray | bytes) -> bytes:
     """``b"".join(int(v).to_bytes(8, "big") for v in words)``, in one pass.
 
-    Out-of-range words fall back to the scalar join so the same
-    ``OverflowError`` surfaces for values outside ``[0, 2^64)``.
+    An already-packed buffer is returned as its bytes (``ValueError`` when
+    it is not whole 8-byte words).  Out-of-range words fall back to the
+    scalar join so the same ``OverflowError`` surfaces for values outside
+    ``[0, 2^64)``.
     """
+    if isinstance(words, _PACKED):
+        packed = bytes(words)
+        if len(packed) % 8:
+            raise ValueError(
+                f"a packed vector is whole 8-byte values, not {len(packed)} bytes"
+            )
+        return packed
     try:
         arr = np.asarray(words, dtype=U64)
     except (OverflowError, TypeError, ValueError):

@@ -14,6 +14,7 @@
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Sequence
 
 from repro.crypto.drbg import HmacDrbg
@@ -108,6 +109,28 @@ def bytes_to_words_scalar(payload: bytes) -> tuple[int, ...]:
         int.from_bytes(payload[i : i + 8], "big")
         for i in range(0, len(payload), 8)
     )
+
+
+def weighted_limb_sum_scalar(
+    mask: Sequence[int], weights: Sequence[int], limbs: int, q: int
+) -> int:
+    """Scalar twin of ``commitments._weighted_limb_sum``.
+
+    ``Σ_{i,l} weights[i·limbs + l]·limb_l(mask[i]) mod q`` as one
+    Python-int dot over the flat weights, reduced once.
+    """
+    limb_values = [
+        (int(word) >> (16 * l)) & 0xFFFF for word in mask for l in range(limbs)
+    ]
+    return sum(map(mul, weights, limb_values)) % q
+
+
+def sum_zero_target_scalar(
+    column_sums: Sequence[Sequence[int]], weights: Sequence[int], q: int
+) -> int:
+    """Scalar twin of ``commitments._sum_zero_target``: ``Σ w[i][l]·T[i][l] mod q``."""
+    claims = [int(claimed) for column in column_sums for claimed in column]
+    return sum(map(mul, weights, claims)) % q
 
 
 # ----------------------------------------------------- public-key baselines

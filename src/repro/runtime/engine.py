@@ -924,7 +924,7 @@ class RoundEngine:
                     f"blinding service revealed a mask for slot {slot} "
                     f"that does not match its commitment: {exc}",
                 )
-        return kernels.be_words_to_bytes(revealed.mask)
+        return revealed.mask
 
     def _reconcile_consumed(self, record: _RoundRecord) -> None:
         """Adopt acceptances the service holds that the engine never saw.

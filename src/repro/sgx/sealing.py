@@ -60,6 +60,8 @@ class SealingManager:
 
     def unseal(self, identity: EnclaveIdentity, blob: bytes) -> bytes:
         """Unseal a blob; fails unless ``identity`` matches the sealing policy."""
+        if not isinstance(blob, (bytes, bytearray, memoryview)):
+            raise SealingError(f"sealed blob is a {type(blob).__name__}, not bytes")
         if len(blob) < _HEADER_SIZE:
             raise SealingError("sealed blob too short")
         policy_index = blob[0]

@@ -4,7 +4,7 @@ import hashlib
 import hmac
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.crypto.cipher import AuthenticatedCipher, SealedBox, NONCE_SIZE
 from repro.crypto.kdf import hkdf
@@ -120,9 +120,10 @@ def test_any_bitflip_detected(plaintext, position):
 
 # ------------------------------------------------------------- byte-level pins
 #
-# Recorded on the commit before the keystream and XOR became whole-buffer
-# operations: any change to the HMAC-SHA256 counter-mode construction, the
-# tag framing or the key derivation shows up here as a changed byte.
+# Recorded from ``_reference_encrypt`` below when the keystream became one
+# SHAKE256 call: any change to the keystream, the tag framing or the key
+# derivation shows up here as a changed byte.  (The empty plaintext's tag
+# covers no keystream, so it is the value the HMAC-counter cipher gave.)
 
 GOLDEN_KEY = bytes(range(32))
 GOLDEN_NONCE = bytes(range(100, 116))
@@ -130,22 +131,22 @@ GOLDEN_AD = b"golden-associated-data"
 # length -> (ciphertext hex, or its SHA-256 for the long one; tag hex)
 GOLDEN_BOXES = {
     0: ("", "88c8184835a0ded664bae0ae2f14697cac5f195b812c8eb67cd726a6085cd820"),
-    1: ("3e", "987d2a2815f1e095fa298afea5d02048f2c0ec2e42a29eed5183dc9a1c1b7e48"),
+    1: ("d9", "72b84d7038170d9f9feeb38ee4bf115628830ca2c8e66755a5e6ef15e6bc785d"),
     31: (
-        "3ed4304ff01b2fe4fd2571cb3d190ae2fa90fb4816facc83b3d66c33b07f34",
-        "f646ae76a4dda43020327ea283d47eaadab42187f65cb810f01a3c7142328e46",
+        "d9267738b9a9c4d0b9f0665cbd8dd23baa9b968e52a7a8afedd0489e2c2091",
+        "31429a54cc13defdd7ed5dcf8da01897e408b0c7783cef36c9e210d92e8a4463",
     ),
     32: (
-        "3ed4304ff01b2fe4fd2571cb3d190ae2fa90fb4816facc83b3d66c33b07f34ef",
-        "2ff8762fc366c487cad3e144967d3c2dee7ec47c8fcb546d32c95f19c7d7adfb",
+        "d9267738b9a9c4d0b9f0665cbd8dd23baa9b968e52a7a8afedd0489e2c20915b",
+        "66bc663ac931012c0791dec95788c9b724a3370ac2e1ccf87657dc56df44e7ff",
     ),
     33: (
-        "3ed4304ff01b2fe4fd2571cb3d190ae2fa90fb4816facc83b3d66c33b07f34efb6",
-        "d261734a7536a09b4def1c193ebae4c76608964eb04715754b310ea0b2048528",
+        "d9267738b9a9c4d0b9f0665cbd8dd23baa9b968e52a7a8afedd0489e2c20915ba4",
+        "ee5324efe5ffac804585aad3c3da7449b0fae14cd967243e44641dd3f695d591",
     ),
     4097: (
-        "71c97784b99b78b26aa1a237978fdc8eedae8aee8da844eff8683f0ecae07298",
-        "e1e5235f3eb93fc59d3e95724a559e7fa0142637c8329c0dd76c3937e73b8c53",
+        "3dbd8c1e86c716053be3649eb88fef91a5490b3179f78b9c5f2eef612a291685",
+        "aa70a045ba1c15b1450cfdbbc5183b102ad786d478106f7e2827f11f1fcd63ab",
     ),
 }
 
@@ -166,23 +167,18 @@ def test_encrypt_golden_vectors(length):
 
 
 def _reference_encrypt(key, nonce, plaintext, associated_data):
-    """The construction as the module docstring states it, block by block."""
+    """The construction as the module docstring states it, byte by byte."""
     enc_key = hkdf(key, "ae-encryption-key")
     mac_key = hkdf(key, "ae-mac-key")
-    ciphertext = bytearray()
-    for offset in range(0, len(plaintext), 32):
-        block = hmac.new(
-            enc_key, nonce + (offset // 32).to_bytes(8, "big"), hashlib.sha256
-        ).digest()
-        for p, s in zip(plaintext[offset : offset + 32], block):
-            ciphertext.append(p ^ s)
+    stream = hashlib.shake_256(enc_key + nonce).digest(len(plaintext))
+    ciphertext = bytes(p ^ s for p, s in zip(plaintext, stream))
     framing = (
         nonce
         + len(associated_data).to_bytes(8, "big")
         + associated_data
-        + bytes(ciphertext)
+        + ciphertext
     )
-    return bytes(ciphertext), hmac.new(mac_key, framing, hashlib.sha256).digest()
+    return ciphertext, hmac.new(mac_key, framing, hashlib.sha256).digest()
 
 
 @given(
@@ -191,8 +187,21 @@ def _reference_encrypt(key, nonce, plaintext, associated_data):
     st.binary(max_size=700),
     st.binary(max_size=64),
 )
-def test_encrypt_matches_per_block_reference(key, nonce, plaintext, associated):
+def test_encrypt_matches_reference(key, nonce, plaintext, associated):
     box = AuthenticatedCipher(key).encrypt(nonce, plaintext, associated)
     assert (box.ciphertext, box.tag) == _reference_encrypt(
         key, nonce, plaintext, associated
     )
+
+
+@settings(max_examples=60)
+@given(st.integers(min_value=0, max_value=4097))
+def test_ciphertext_is_as_long_as_its_plaintext(length):
+    """No padding and no block rounding at any length, and each nonce has
+    its own keystream (a zero plaintext enciphers to the keystream itself)."""
+    cipher = AuthenticatedCipher(KEY)
+    zeros = bytes(length)
+    first = cipher.encrypt(b"a" * NONCE_SIZE, zeros)
+    second = cipher.encrypt(b"b" * NONCE_SIZE, zeros)
+    assert len(first.ciphertext) == len(second.ciphertext) == length
+    assert (first.ciphertext != second.ciphertext) == (length > 0)

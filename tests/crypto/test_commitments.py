@@ -19,6 +19,7 @@ from repro.crypto.commitments import (
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.masking import SumZeroMasks
 from repro.errors import ConfigurationError, MaskVerificationError
+from repro.perf import kernels
 
 GROUP = resolve_group("oakley-group-1")
 NUM_SLOTS = 3
@@ -46,7 +47,7 @@ def test_honest_commitments_validate_open_and_sum_to_zero():
         round_id=1, num_slots=NUM_SLOTS, vector_length=LENGTH
     )
     for slot, opening in enumerate(openings):
-        assert opening.mask == family.masks[slot]
+        assert opening.mask == kernels.be_words_to_bytes(family.masks[slot])
         verify_opening(commitments, slot, opening)
         verify_opening(commitments.record_for(slot), slot, opening)
     commitments.verify_sum_zero()
@@ -55,8 +56,9 @@ def test_honest_commitments_validate_open_and_sum_to_zero():
 def test_tampered_mask_fails_its_opening():
     _, commitments, openings = _commit()
     opening = openings[0]
+    words = list(opening)
     tampered = dataclasses.replace(
-        opening, mask=(opening.mask[0] ^ 1,) + opening.mask[1:]
+        opening, mask=kernels.be_words_to_bytes([words[0] ^ 1] + words[1:])
     )
     with pytest.raises(MaskVerificationError):
         verify_opening(commitments, 0, tampered)
@@ -118,7 +120,7 @@ def test_forged_claims_pass_slot_checks_but_fail_the_homomorphic_check():
             forged,
             slot,
             MaskOpening(
-                mask=corrupt.masks[slot],
+                mask=kernels.be_words_to_bytes(corrupt.masks[slot]),
                 salt=salts[slot],
                 randomizer=randomizers[slot],
             ),

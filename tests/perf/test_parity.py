@@ -242,6 +242,20 @@ def test_serialization_overflow_error_parity():
         kernels.be_words_to_bytes([-1])
 
 
+def test_packed_words_serialize_as_themselves():
+    """A buffer that is already packed is its own serialization, so a
+    packed mask and its words hash to the same commitment."""
+    words = _words(b"parity-packed", 2)
+    packed = kernels.be_words_to_bytes(words)
+    assert len(packed) == 16
+    for buffer in (packed, bytearray(packed), memoryview(packed)):
+        assert kernels.be_words_to_bytes(buffer) == packed
+    salt = bytes(32)
+    assert hash_commitment(3, 1, packed, salt) == hash_commitment(3, 1, words, salt)
+    with pytest.raises(ValueError):
+        kernels.be_words_to_bytes(packed[:15])
+
+
 # ------------------------------------------------------ commitment digests
 
 
@@ -291,7 +305,7 @@ def test_commitment_column_sums_match_scalar_loop(length):
     # The digest set is reproducible from the openings with scalar hashing.
     for slot, opening in enumerate(openings):
         assert commitments.hash_commitments[slot] == _scalar_hash_commitment(
-            5, slot, opening.mask, opening.salt
+            5, slot, reference.bytes_to_words_scalar(opening.mask), opening.salt
         )
 
 
@@ -502,13 +516,14 @@ def test_wide_streamed_round_is_byte_identical_to_recorded():
     pinned by digest.  The values were recorded on the commit before the
     cipher, the commitment scalars and the wire checks went whole-buffer;
     everything sealed, committed, signed and summed is covered.  ``sealed``
-    was re-recorded twice, when the blinder began sealing a round's seeds
-    instead of its mask rows, and when the Glimmer's checkpoint became a
-    codec frame instead of a pickle; the masks themselves did not change.
+    was re-recorded three times, when the blinder began sealing a round's
+    seeds instead of its mask rows, when the Glimmer's checkpoint became a
+    codec frame instead of a pickle, and when the cipher's keystream
+    became one SHAKE256 call; the masks themselves did not change.
     """
     assert _wide_streamed_round_digests() == {
         "root": "f303be600295bf7b16b2cf4801e2090af5403b4887294898763449ed5dd5d3b1",
-        "sealed": "ce310ea8b5962d5247c63916171a3c8bc3acb38a947e2b1916e5cfe98a251565",
+        "sealed": "3b8cb5aef69cb5bb33f101cf54a93b0e325c0ef0744d21a6c9ee51fec9e4574b",
         "signatures": "a5515df9698a71a7fd08a301760b85b8e889268943d87c1e945669ea5a962455",
         "aggregate": "b8557277e14cafd0f8f2a7befff5613092a335bba97d6d0fa83195c95702b0c2",
     }

@@ -24,7 +24,7 @@ from repro.crypto.dh import OAKLEY_GROUP_1, TEST_GROUP
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.masking import SumZeroMasks
 from repro.crypto.schnorr import SchnorrKeyPair, SchnorrSignature, batch_verify
-from repro.perf import reference
+from repro.perf import kernels, reference
 
 GROUPS = (TEST_GROUP, OAKLEY_GROUP_1)
 
@@ -186,8 +186,9 @@ def test_batch_openings_reject_tampering(field):
     commitments, openings = _committed()
     slot, opening = openings[1]
     if field == "mask":
+        words = list(opening)
         tampered = dataclasses.replace(
-            opening, mask=(opening.mask[0] ^ 1,) + opening.mask[1:]
+            opening, mask=kernels.be_words_to_bytes([words[0] ^ 1] + words[1:])
         )
     elif field == "randomizer":
         tampered = dataclasses.replace(opening, randomizer=opening.randomizer + 1)

@@ -101,7 +101,9 @@ SAMPLES = {
         b"\x01" * 32, b"\x02" * 32, 2, True, b"\x03" * 64, b"\x04" * 16, b"\x05" * 32
     ),
     Quote: QUOTE,
-    MaskOpening: MaskOpening(mask=(0, (1 << 64) - 1), salt=b"\x06" * 16, randomizer=-9),
+    MaskOpening: MaskOpening(
+        mask=kernels.be_words_to_bytes((0, (1 << 64) - 1)), salt=b"\x06" * 32, randomizer=9
+    ),
     MaskCommitmentRecord: RECORD,
     MaskCommitmentSet: MaskCommitmentSet(
         round_id=7, num_slots=2, vector_length=2, modulus_bits=64,

@@ -27,7 +27,7 @@ from repro.core.service import RoundResult
 from repro.core.signing import SignedContribution
 from repro.core.split import SplitGlimmer, build_split_images
 from repro.core.validation import PrivateContext
-from repro.crypto.commitments import MaskCommitmentSet
+from repro.crypto.commitments import MaskCommitmentSet, MaskOpening
 from repro.crypto.schnorr import SchnorrSignature
 from repro.errors import (
     CryptoError,
@@ -58,8 +58,8 @@ def _within(value):
 
 # What the bus carries and a party reads field by field: every request
 # class and what its sample holds, and the replies a party reads.  The
-# reveal and finalize replies (MaskOpening, RoundResult) are not here: the
-# engine holds them to the commitments and to its own audit instead.
+# finalize reply (RoundResult) is not here: the engine holds it to its own
+# audit instead.
 CARRIED = sorted(
     {
         *(found for cls in wire.KINDS.values() for found in _within(SAMPLES[cls])),
@@ -67,6 +67,7 @@ CARRIED = sorted(
         Quote,
         KeyDelivery,
         MaskCommitmentSet,
+        MaskOpening,
     },
     key=lambda cls: cls.__qualname__,
 )
@@ -275,6 +276,36 @@ def test_malformed_commitment_set_aborts_the_round_blaming_the_blinder(rewrite):
         (m.BLINDER, VIOLATION_MALFORMED)
     ]
     assert "round open was refused" in str(abort)
+    assert verdict.outcome == invariants.OUTCOME_DETECTED_ABORT
+    assert verdict.offenders == (m.BLINDER,)
+
+
+@pytest.mark.parametrize(
+    "rewrite",
+    [
+        pytest.param(lambda opening: replace(opening, mask=opening.mask[:-1]), id="mask-ragged"),
+        pytest.param(lambda opening: replace(opening, mask=tuple(opening)), id="mask-as-words"),
+        pytest.param(lambda opening: replace(opening, salt=opening.salt[:31]), id="salt-31-bytes"),
+        pytest.param(lambda opening: replace(opening, randomizer=-1), id="randomizer-negative"),
+    ],
+)
+def test_malformed_reveal_aborts_the_round_blaming_the_blinder(rewrite):
+    """A dropout reveal of the wrong shape is refused at decode: one
+    ``malformed`` violation on the blinder, not a late mask-opening check."""
+    deployment = Deployment.build(num_users=4, seed=b"wire-tamper")
+    users = [user.user_id for user in deployment.corpus.users]
+    deployment.network.interpose(Rewrite(m.KIND_REVEAL_MASK + REPLY_SUFFIX, m.BLINDER, rewrite))
+    vectors = deployment.local_vectors()
+    with pytest.raises(RoundAbortedError) as excinfo:
+        deployment.engine.run_round(
+            1, users, vectors, deployment.features.bigrams, dropouts=[users[2]]
+        )
+    abort = excinfo.value
+    assert [(v.offender, v.kind) for v in abort.report.violations] == [
+        (m.BLINDER, VIOLATION_MALFORMED)
+    ]
+    assert "finalize was refused" in str(abort)
+    verdict = invariants.judge(abort, deployment.codec, vectors)
     assert verdict.outcome == invariants.OUTCOME_DETECTED_ABORT
     assert verdict.offenders == (m.BLINDER,)
 

@@ -16,6 +16,7 @@ from repro.crypto.commitments import MaskOpening
 from repro.errors import MaskVerificationError, RoundAbortedError
 from repro.experiments.common import Deployment
 from repro.invariants import exact_mean
+from repro.perf import kernels
 from repro.runtime.protocol import VIOLATION_MASK_OPENING
 from repro.scale import ScaleConfig
 
@@ -104,7 +105,8 @@ def _lie_about_slot_0_once(provisioner):
         asked.append(round_id)
         if len(asked) > 1:
             return opening
-        mask = (int(opening.mask[0]) ^ 1, *opening.mask[1:])
+        words = list(opening)
+        mask = kernels.be_words_to_bytes([words[0] ^ 1, *words[1:]])
         return MaskOpening(
             mask=mask, salt=opening.salt, randomizer=opening.randomizer
         )

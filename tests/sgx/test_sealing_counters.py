@@ -56,7 +56,7 @@ def test_unknown_policy_rejected(sealing):
 
 def test_seal_golden_blob():
     """Byte-level pin of a sealed blob (header, nonce, tag, ciphertext),
-    recorded before the cipher's keystream and XOR went whole-buffer."""
+    recorded when the cipher's keystream became one SHAKE256 call."""
     manager = SealingManager(b"golden-root-secret", HmacDrbg(b"golden-seal-nonce"))
     ident = identity(mrenclave=b"\x11" * 32, mrsigner=b"\x22" * 32)
     payload = b"sealed golden payload: " + bytes(range(40))
@@ -64,9 +64,9 @@ def test_seal_golden_blob():
     assert blob.hex() == (
         "00" + "11" * 32
         + "ee4363e3a836213b63c950c3a57afa47"
-        "1f06d45b584efc3cbed5902487da8c208efd283639fb6cf42c554392a7165f7f"
-        "f849eb7c2da1c63b2b9a1aa1a24f7384affa0ba6785d85affe57224302b7e533"
-        "2b662d1b2b37b7568de0056f05b5e150e5b12588252c0ea4b7497b6a53a0e8"
+        "d4860d77a20745ca90633517b0c854a52af91675b5552ced873b47b86b2be1fe"
+        "1c2e4c2740f802785b2c742bab275f294f83923bd634de37095de17edc37d532"
+        "e63dab5f4812d2edca20f4d3d307cc895d52520c155a62adae445ba590409a"
     )
     assert manager.unseal(ident, blob) == payload
 
@@ -74,6 +74,13 @@ def test_seal_golden_blob():
 def test_truncated_blob_rejected(sealing):
     with pytest.raises(SealingError):
         sealing.unseal(identity(), b"\x00" * 10)
+
+
+def test_non_bytes_blob_rejected(sealing):
+    """A host can hand back any value; a list whose first item indexes the
+    policy table from the end must not slip past the policy check."""
+    with pytest.raises(SealingError):
+        sealing.unseal(identity(), [-3] + [0] * 40)
 
 
 def test_unknown_policy_byte_rejected(sealing):
