@@ -41,6 +41,7 @@ from repro.crypto.hashing import hash_items
 from repro.crypto.masking import SumZeroMasks, apply_mask
 from repro.crypto.schnorr import SchnorrKeyPair, SchnorrPublicKey
 from repro.errors import ConfigurationError, ProtocolError, ValidationError
+from repro.perf import kernels
 
 
 def share_digest(
@@ -138,7 +139,7 @@ class ConsortiumMember:
         outcome = self._predicate.evaluate(list(values), context)
         if not outcome.passed:
             raise ValidationError(f"{self.name}: {outcome.reason}")
-        mask = list(masks.mask_for(client_index))
+        mask = kernels.as_ring(masks.mask_for(client_index)).tolist()
         if self._include_plaintext:
             share = apply_mask(self.codec.encode(list(values)), mask)
         else:
@@ -161,7 +162,8 @@ class ConsortiumMember:
         masks = self._round_masks.get(round_id)
         if masks is None:
             raise ProtocolError(f"{self.name}: round {round_id} not open")
-        return masks.mask_for(client_index)
+        words = kernels.as_ring(masks.mask_for(client_index))
+        return tuple(words.tolist())
 
 
 def build_consortium(

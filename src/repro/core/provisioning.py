@@ -47,7 +47,6 @@ from repro.crypto.kdf import hkdf
 from repro.crypto.masking import BlindingService, GroupedSumZeroMasks
 from repro.crypto.schnorr import SchnorrKeyPair
 from repro.errors import AttestationError, ConfigurationError, CryptoError
-from repro.perf import kernels
 from repro.scale.subgroup import plan_subgroups
 from repro.sgx.attestation import (
     AttestationResult,
@@ -457,10 +456,8 @@ class BlinderProvisioner(_ProvisionerBase):
             raise CryptoError(f"no mask commitments for round {round_id}")
         return commitments
 
-    def _opening(
-        self, round_id: int, party_index: int, mask: tuple[int, ...]
-    ) -> MaskOpening:
-        """Wrap a slot's mask, packed, in its commitment opening."""
+    def _opening(self, round_id: int, party_index: int, mask: bytes) -> MaskOpening:
+        """Wrap a slot's packed mask, as it is, in its commitment opening."""
         openings = self._openings.get(round_id)
         if openings is None:
             raise CryptoError(f"no mask openings for round {round_id}")
@@ -469,9 +466,7 @@ class BlinderProvisioner(_ProvisionerBase):
                 f"round {round_id} has no party {party_index}"
             )
         salt, randomizer = openings[party_index]
-        return MaskOpening(
-            mask=kernels.be_words_to_bytes(mask), salt=salt, randomizer=randomizer
-        )
+        return MaskOpening(mask=mask, salt=salt, randomizer=randomizer)
 
     def mask_opening(self, round_id: int, party_index: int) -> MaskOpening:
         """One slot's full opening (mask, salt, randomizer)."""

@@ -33,7 +33,8 @@ The blinder publishes, per round:
   the carries anyway);
 * a Fiat-Shamir ``root`` binding round shape, every ``HC_j``, and every
   ``T[i][l]`` — claims are committed *before* the challenge weights
-  ``w[i][l] = H(root, i, l) mod q`` exist, so they cannot be solved for
+  ``w[i][l]``, read mod ``q`` from one XOF stream keyed by ``root``
+  (:func:`challenge_weights`), exist, so they cannot be solved for
   afterwards;
 * per-slot Pedersen points ``C_j = h^{s_j}·u^{r_j}`` with
   ``s_j = Σ_{i,l} w[i][l]·limb_l(m_{j,i}) mod q``;
@@ -61,6 +62,7 @@ and blamed; it can never silently corrupt an aggregate.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -71,12 +73,14 @@ from repro.codec import LENGTH, PARTIES, ROUND_ID, SLOT, Bytes, Int, Packed, Str
 from repro.crypto import group_ops
 from repro.crypto.dh import DHGroup, OAKLEY_GROUP_1, TEST_GROUP
 from repro.crypto.drbg import HmacDrbg
-from repro.crypto.hashing import hash_bytes, hash_items, hash_to_int, seeded_hash_to_int
+from repro.crypto.hashing import hash_bytes, hash_items, hash_to_int
 from repro.errors import ConfigurationError, MaskVerificationError
 from repro.perf import kernels
 
 LIMB_BITS = 16
 SALT_SIZE = 32
+#: Domain tag of the SHAKE256 stream the challenge weights are read from.
+_WEIGHT_STREAM_TAG = b"mask-commitment-weight"
 
 _KNOWN_GROUPS = {TEST_GROUP.name: TEST_GROUP, OAKLEY_GROUP_1.name: OAKLEY_GROUP_1}
 
@@ -295,19 +299,24 @@ class MaskCommitmentSet:
         cached = self.__dict__.get("_root_memo")
         if cached is not None:
             return cached
-        limbs = _limbs_per_word(self.modulus_bits)
-        items: list[bytes] = [
+        header = [
             self.round_id.to_bytes(8, "big"),
             self.num_slots.to_bytes(4, "big"),
             self.vector_length.to_bytes(4, "big"),
             self.modulus_bits.to_bytes(2, "big"),
             self.group_name.encode("ascii"),
         ]
-        items.extend(self.hash_commitments)
-        for column in self.column_sums:
-            for l in range(limbs):
-                items.append(int(column[l]).to_bytes(8, "big"))
-        root = hash_items("mask-commitment-root", items)
+        # Each of the k·limbs column claims is an 8-byte item; framed in one
+        # buffer as (length 8, value) big-endian pairs, the digest is the
+        # one per-item framing gives (``reference.commitment_root_scalar``).
+        claims = np.asarray(self.column_sums, dtype=np.uint64).ravel()
+        framed = np.full((claims.size, 2), 8, dtype=kernels.BE_U64)
+        framed[:, 1] = claims
+        root = hash_items(
+            "mask-commitment-root",
+            [*header, *self.hash_commitments],
+            framed=framed.tobytes(),
+        )
         object.__setattr__(self, "_root_memo", root)
         return root
 
@@ -430,26 +439,26 @@ class MaskCommitmentSet:
 def challenge_weights(
     root: bytes, group_name: str, vector_length: int, modulus_bits: int
 ) -> np.ndarray:
-    """The ``w[i][l] = H(root, i, l) mod q`` table for one commitment root.
+    """The ``w[i][l]`` table for one commitment root.
 
-    Held once, as the read-only :func:`weight_digits` matrix with column
-    ``i·limbs + l`` for ``w[i][l]``.  Pure in its arguments, so the table
-    is derived once per round and shared by every consumer — the
-    set-level :meth:`MaskCommitmentSet.weights`, the per-slot record path
-    Glimmers verify against at install, and the engine's dropout-repair
-    sweep.  Deriving it costs one hash per limb column
-    (``vector_length × limbs``), each from a hasher that already absorbed
-    the tag and the root.
+    Every weight comes from one stream, ``SHAKE256(b"mask-commitment-weight"
+    ‖ root)``: weight ``t = i·limbs + l`` is the stream's ``t``-th chunk
+    of ``⌈(|q| + 128) / 8⌉`` bytes, read big-endian, mod ``q`` — 128 bits
+    of headroom over ``q``, so the modular bias is negligible.  Held once,
+    as the read-only :func:`weight_digits` matrix with column ``t``.  Pure
+    in its arguments, so the table is derived once per round and shared
+    by every consumer — the set-level :meth:`MaskCommitmentSet.weights`,
+    the per-slot record path Glimmers verify against at install, and the
+    engine's dropout-repair sweep.
     """
-    limbs = _limbs_per_word(modulus_bits)
     q = resolve_group(group_name).subgroup_order
-    weight = seeded_hash_to_int("mask-commitment-weight", root, q)
-    suffixes = [l.to_bytes(2, "big") for l in range(limbs)]
+    width = (q.bit_length() + 128 + 7) // 8
+    count = vector_length * _limbs_per_word(modulus_bits)
+    stream = hashlib.shake_256(_WEIGHT_STREAM_TAG + root).digest(width * count)
     digits = weight_digits(
         [
-            weight(i.to_bytes(4, "big") + suffix)
-            for i in range(vector_length)
-            for suffix in suffixes
+            int.from_bytes(stream[at : at + width], "big") % q
+            for at in range(0, width * count, width)
         ],
         q,
     )
@@ -624,7 +633,7 @@ def batch_verify_openings(
 def commit_masks(
     group: DHGroup,
     round_id: int,
-    masks: Sequence[Sequence[int]],
+    masks: Sequence[bytes | Sequence[int]],
     modulus_bits: int,
     rng: HmacDrbg,
 ) -> tuple[MaskCommitmentSet, tuple[MaskOpening, ...]]:
@@ -644,7 +653,7 @@ def commit_masks(
 def recommit_masks(
     group: DHGroup,
     round_id: int,
-    masks: Sequence[Sequence[int]],
+    masks: Sequence[bytes | Sequence[int]],
     modulus_bits: int,
     openings: Sequence[MaskOpening],
 ) -> MaskCommitmentSet:
@@ -664,18 +673,19 @@ def recommit_masks(
 def _commit_with(
     group: DHGroup,
     round_id: int,
-    masks: Sequence[Sequence[int]],
+    masks: Sequence[bytes | Sequence[int]],
     modulus_bits: int,
     salts: Sequence[bytes],
     randomizers: Sequence[int],
 ) -> tuple[MaskCommitmentSet, tuple[MaskOpening, ...]]:
-    # The family is read into one slots × length matrix once; every slot's
-    # packed row is both what its hash commitment covers and its opening.
-    rows = kernels.as_ring_rows(masks)
+    # A packed family's rows are used as they are: each is what its slot's
+    # hash commitment covers and its opening carries.  The family is read
+    # into one slots × length matrix once, for the sums and the scalars.
+    packed = [kernels.be_words_to_bytes(mask) for mask in masks]
+    rows = kernels.as_ring_rows(packed)
     num_slots, vector_length = rows.shape
     q = group.subgroup_order
     limbs = _limbs_per_word(modulus_bits)
-    packed = [kernels.be_words_to_bytes(row) for row in rows]
     hash_commitments = tuple(
         hash_commitment(round_id, slot, packed[slot], salts[slot])
         for slot in range(num_slots)

@@ -28,11 +28,14 @@ def hash_bytes(tag: str, data: bytes) -> bytes:
     return h.digest()
 
 
-def hash_items(tag: str, items: Iterable[bytes]) -> bytes:
+def hash_items(tag: str, items: Iterable[bytes], framed: bytes = b"") -> bytes:
     """Hash a sequence of byte strings with unambiguous length framing.
 
     ``hash_items(t, [a, b])`` never collides with ``hash_items(t, [a + b])``
-    because each item is prefixed by its length.
+    because each item is prefixed by its length.  ``framed`` is more items
+    already in that framing — each one's 8-byte big-endian length, then
+    the item — absorbed after ``items`` in one update, so a caller with
+    many fixed-width items can frame them in one buffer.
     """
     h = hashlib.sha256()
     tag_bytes = tag.encode("ascii")
@@ -41,6 +44,7 @@ def hash_items(tag: str, items: Iterable[bytes]) -> bytes:
     for item in items:
         h.update(len(item).to_bytes(8, "big"))
         h.update(item)
+    h.update(framed)
     return h.digest()
 
 
@@ -56,33 +60,13 @@ def hash_to_int(tag: str, data: bytes, modulus: int) -> int:
     modulus sizes used in this library (the output has at least 128 bits of
     headroom over ``modulus``).
     """
-    return seeded_hash_to_int(tag, data, modulus)(b"")
-
-
-def seeded_hash_to_int(
-    tag: str, prefix: bytes, modulus: int
-) -> Callable[[bytes], int]:
-    """``f(suffix) == hash_to_int(tag, prefix + suffix, modulus)``, with the
-    tag, block counter and ``prefix`` absorbed once instead of per call."""
     if modulus <= 0:
         raise ValueError("modulus must be positive")
-    need_bits = modulus.bit_length() + 128
-    tag_bytes = tag.encode("ascii")
-    framing = len(tag_bytes).to_bytes(2, "big") + tag_bytes
-    seeds = [
-        hashlib.sha256(framing + counter.to_bytes(4, "big") + prefix).copy
-        for counter in range((need_bits + 255) // 256)
-    ]
-
-    def to_int(suffix: bytes) -> int:
-        stream = b""
-        for seed in seeds:
-            block = seed()
-            block.update(suffix)
-            stream += block.digest()
-        return int.from_bytes(stream, "big") % modulus
-
-    return to_int
+    blocks = (modulus.bit_length() + 128 + 255) // 256
+    stream = b"".join(
+        hash_bytes(tag, counter.to_bytes(4, "big") + data) for counter in range(blocks)
+    )
+    return int.from_bytes(stream, "big") % modulus
 
 
 def keyed_hmac_sha256(key: bytes) -> Callable[[bytes], bytes]:

@@ -17,6 +17,7 @@ hosts this service inside a simulated enclave and handles the sealing leg.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -28,11 +29,21 @@ from repro.errors import ConfigurationError, CryptoError
 from repro.perf import kernels
 
 
+#: Domain tag of the SHAKE256 stream a sum-zero family is expanded from.
+_MASK_STREAM_TAG = b"sum-zero-masks"
+_SEED_SIZE = 32
+
+
 @dataclass(frozen=True)
 class SumZeroMasks:
-    """A family of N ring vectors whose component-wise sum is zero."""
+    """A family of N ring vectors whose component-wise sum is zero.
 
-    masks: tuple[tuple[int, ...], ...]
+    Each mask is a read-only row of packed big-endian u64 words, the form
+    every ring vector takes on the bus: 8 bytes a word, from expansion
+    through commitment, opening and dropout repair.
+    """
+
+    masks: tuple[bytes, ...]
     modulus_bits: int
 
     @classmethod
@@ -41,42 +52,31 @@ class SumZeroMasks:
     ) -> "SumZeroMasks":
         """Sample N masks with Σ_i masks[i] ≡ 0 (mod 2^modulus_bits), per component.
 
-        The first N-1 masks are uniform; the last is the ring negation of
-        their sum, which makes the family jointly uniform subject to the
-        sum-zero constraint.
-
-        For the 64-bit ring each mask is one bulk DRBG expansion
-        (:meth:`~repro.crypto.drbg.HmacDrbg.uint64_vector`) and the
-        running sum is numpy ring arithmetic — bit-exact against the
-        scalar reference (:func:`repro.perf.reference.sample_sum_zero_scalar`).
-        Narrower rings keep the per-element rejection sampler, since a
-        masked 64-bit word is not uniform mod a non-power-of-two slice.
+        One 32-byte seed drawn from ``rng`` keys a SHAKE256 stream; its
+        first ``8·length·(N−1)`` bytes are the first N−1 masks, already
+        packed words.  The last mask is the ring negation of their sum,
+        which makes the family jointly uniform subject to the sum-zero
+        constraint.  Every ring is ``Z/2^modulus_bits``, so the low
+        ``modulus_bits`` of a uniform word are uniform: a narrower ring
+        takes the low bits of the same words.  Scalar twin:
+        :func:`repro.perf.reference.sample_sum_zero_scalar`.
         """
         if num_parties < 1:
             raise ConfigurationError("need at least one party")
         if length < 1:
             raise ConfigurationError("mask length must be positive")
-        if modulus_bits == 64:
-            running = np.zeros(length, dtype=np.uint64)
-            masks: list[tuple[int, ...]] = []
-            for _ in range(num_parties - 1):
-                row = rng.uint64_vector(length)
-                running += row
-                masks.append(tuple(row.tolist()))
-            masks.append(tuple(kernels.ring_neg(running).tolist()))
-            return cls(masks=tuple(masks), modulus_bits=modulus_bits)
-        modulus = 1 << modulus_bits
-        masks = []
-        running_list = [0] * length
-        for _ in range(num_parties - 1):
-            mask = tuple(rng.randint(modulus) for _ in range(length))
-            for i, value in enumerate(mask):
-                running_list[i] = (running_list[i] + value) % modulus
-            masks.append(mask)
-        masks.append(tuple((-total) % modulus for total in running_list))
-        return cls(masks=tuple(masks), modulus_bits=modulus_bits)
+        seed = rng.generate(_SEED_SIZE)
+        stream = hashlib.shake_256(_MASK_STREAM_TAG + seed).digest(
+            8 * length * (num_parties - 1)
+        )
+        words = kernels.ring_reduce(kernels.be_words(stream), modulus_bits)
+        words = words.reshape(num_parties - 1, length)
+        last = kernels.ring_neg(words.sum(axis=0, dtype=np.uint64), modulus_bits)
+        rows = [kernels.be_words_to_bytes(row) for row in (*words, last)]
+        return cls(masks=tuple(rows), modulus_bits=modulus_bits)
 
-    def mask_for(self, party_index: int) -> tuple[int, ...]:
+    def mask_for(self, party_index: int) -> bytes:
+        """One party's mask, as its packed row."""
         return self.masks[party_index]
 
     def verify_sum_zero(self) -> bool:
@@ -160,13 +160,13 @@ class GroupedSumZeroMasks:
             self._cache[group] = family
         return family
 
-    def mask_for(self, party_index: int) -> tuple[int, ...]:
+    def mask_for(self, party_index: int) -> bytes:
         group = self.plan.group_of(party_index)
         local = self.plan.local_index(party_index)
         return self.group_family(group).mask_for(local)
 
     @property
-    def masks(self) -> tuple[tuple[int, ...], ...]:
+    def masks(self) -> tuple[bytes, ...]:
         """All masks in slot order, every subgroup through :meth:`group_family`.
 
         O(n·k): committing a round needs every slot's mask once.  The
@@ -174,7 +174,7 @@ class GroupedSumZeroMasks:
         afterwards — the whole family of a one-group flat round — serve
         the first deliveries without expanding again.
         """
-        rows: list[tuple[int, ...] | None] = [None] * self.plan.num_slots
+        rows: list[bytes | None] = [None] * self.plan.num_slots
         for group in range(self.plan.num_groups):
             family = self.group_family(group)
             for local, slot in enumerate(self.plan.slots_in(group)):
@@ -317,11 +317,12 @@ class BlindingService:
             return
         self._round_masks[round_id] = masks
 
-    def mask_for(self, round_id: int, party_index: int) -> tuple[int, ...]:
-        """The raw mask for one party in one round (provisioning-side view)."""
+    def mask_for(self, round_id: int, party_index: int) -> bytes:
+        """The raw mask for one party in one round (provisioning-side view),
+        as packed words."""
         return self._open_masks(round_id).mask_for(party_index)
 
-    def mask_for_dropout(self, round_id: int, party_index: int) -> tuple[int, ...]:
+    def mask_for_dropout(self, round_id: int, party_index: int) -> bytes:
         """Reveal a dropped-out party's mask so the round sum stays exact.
 
         With the §3 scheme, if client ``i`` never submits, the service's sum

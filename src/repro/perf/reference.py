@@ -14,10 +14,12 @@
 
 from __future__ import annotations
 
+import hashlib
 from operator import mul
 from typing import Sequence
 
 from repro.crypto.drbg import HmacDrbg
+from repro.crypto.hashing import hash_items
 
 # ------------------------------------------------------------------ parity
 
@@ -34,24 +36,32 @@ def uint64_vector_scalar(rng: HmacDrbg, length: int) -> list[int]:
 
 def sample_sum_zero_scalar(
     num_parties: int, length: int, rng: HmacDrbg, modulus_bits: int = 64
-) -> list[tuple[int, ...]]:
-    """Scalar twin of the bulk :meth:`SumZeroMasks.sample` (64-bit path).
+) -> list[bytes]:
+    """Scalar twin of :meth:`SumZeroMasks.sample`, from its definition.
 
-    First ``N - 1`` masks are big-endian parses of one ``generate`` call
-    each; the last is the ring negation of their running sum.
+    A 32-byte seed from ``rng`` keys ``SHAKE256(b"sum-zero-masks" ‖
+    seed)``; word ``i`` of mask ``j < N − 1`` is stream word
+    ``j·length + i``, one ``int.from_bytes`` each, mod ``2^modulus_bits``.
+    The last mask is the ring negation of the running sum.  Masks are
+    returned packed, as the family holds them.
     """
     modulus = 1 << modulus_bits
-    masks: list[tuple[int, ...]] = []
+    seed = rng.generate(32)
+    stream = hashlib.shake_256(b"sum-zero-masks" + seed).digest(
+        8 * length * (num_parties - 1)
+    )
+    masks: list[bytes] = []
     running = [0] * length
-    for _ in range(num_parties - 1):
-        if modulus_bits == 64:
-            mask = tuple(uint64_vector_scalar(rng, length))
-        else:
-            mask = tuple(rng.randint(modulus) for _ in range(length))
+    for j in range(num_parties - 1):
+        base = 8 * length * j
+        mask = [
+            int.from_bytes(stream[base + 8 * i : base + 8 * (i + 1)], "big") % modulus
+            for i in range(length)
+        ]
         for i, value in enumerate(mask):
             running[i] = (running[i] + value) % modulus
-        masks.append(mask)
-    masks.append(tuple((-total) % modulus for total in running))
+        masks.append(words_to_bytes_scalar(mask))
+    masks.append(words_to_bytes_scalar([(-total) % modulus for total in running]))
     return masks
 
 
@@ -131,6 +141,27 @@ def sum_zero_target_scalar(
     """Scalar twin of ``commitments._sum_zero_target``: ``Σ w[i][l]·T[i][l] mod q``."""
     claims = [int(claimed) for column in column_sums for claimed in column]
     return sum(map(mul, weights, claims)) % q
+
+
+def commitment_root_scalar(commitments) -> bytes:
+    """Scalar twin of :meth:`MaskCommitmentSet.root`.
+
+    The set's shape, every hash commitment, then each of the k·limbs
+    column claims as its own 8-byte ``hash_items`` entry.
+    """
+    limbs = (commitments.modulus_bits + 15) // 16
+    items = [
+        commitments.round_id.to_bytes(8, "big"),
+        commitments.num_slots.to_bytes(4, "big"),
+        commitments.vector_length.to_bytes(4, "big"),
+        commitments.modulus_bits.to_bytes(2, "big"),
+        commitments.group_name.encode("ascii"),
+        *commitments.hash_commitments,
+    ]
+    for column in commitments.column_sums:
+        for l in range(limbs):
+            items.append(int(column[l]).to_bytes(8, "big"))
+    return hash_items("mask-commitment-root", items)
 
 
 # ----------------------------------------------------- public-key baselines

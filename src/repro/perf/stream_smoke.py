@@ -27,6 +27,7 @@ from repro.crypto.drbg import HmacDrbg
 from repro.crypto.fixedpoint import FixedPointCodec
 from repro.crypto.masking import GroupedSumZeroMasks
 from repro.errors import ConfigurationError
+from repro.perf import kernels
 
 DEFAULT_LENGTH = 64
 DEFAULT_SUBGROUP = 256
@@ -75,7 +76,7 @@ def run_stream_smoke(
     for group in range(plan.num_groups):
         family = masks.group_family(group)
         for local, slot in enumerate(plan.slots_in(group)):
-            mask = np.asarray(family.mask_for(local), dtype=np.uint64)
+            mask = kernels.as_ring(family.mask_for(local))
             if dropout_stride and slot % dropout_stride == 0:
                 # §3 repair: the blinder reveals the dropped slot's mask
                 # and the service folds it; within the slot's subgroup

@@ -199,15 +199,13 @@ class RevealMask:
     party_index: int
 
 
-@wire(0x8009, round_id=ROUND_ID, dropout_masks=TupleOf())
+@wire(0x8009, round_id=ROUND_ID, dropout_masks=TupleOf(Packed()))
 @dataclass(frozen=True)
 class FinalizeRound:
     """Close a round at the service, handing over any repair masks.
 
     Each ``dropout_masks`` entry is one dropped slot's verified mask as
-    packed big-endian u64 words: a rule the service holds it to
-    (:mod:`repro.runtime.wire`), not a declared check, so the bare
-    transport carries — and meters by its length — a mask in any buffer.
+    the packed big-endian u64 words its opening carried.
     """
 
     round_id: int

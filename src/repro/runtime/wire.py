@@ -1,7 +1,7 @@
 """The class each bus kind carries, and the rules tying its fields together
 (each field's own check is declared on its ``@wire`` class)."""
 
-from repro.codec import Packed, blamed
+from repro.codec import blamed
 from repro.core.glimmer import HANDLE_BYTES, features_digest
 from repro.core.signing import SignedContribution
 from repro.errors import RefusedAtWire
@@ -48,23 +48,11 @@ def _features_hash(command: m.ContributeCommand) -> str | None:
     return None
 
 
-def _packed_masks(request: m.FinalizeRound) -> str | None:
-    """Each repair mask is packed words (a rule, not a declared check: the
-    bare transport carries and meters a mask in any buffer)."""
-    packed = Packed()
-    for mask in request.dropout_masks:
-        complaint = packed(mask)
-        if complaint:
-            return f"dropout mask {complaint}"
-    return None
-
-
 RULES = {  # class -> what is wrong with an object whose fields all hold, if anything
     SignedContribution: _one_payload,
     m.SubmitContribution: _submitted_payload,
     m.MaskRequest: _two_shapes,
     m.ContributeCommand: _features_hash,
-    m.FinalizeRound: _packed_masks,
 }
 
 

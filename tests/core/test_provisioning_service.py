@@ -6,6 +6,7 @@ import pytest
 from repro.core.provisioning import VettingRegistry
 from repro.core.signing import SignedContribution
 from repro.errors import AttestationError, ConfigurationError, ProtocolError
+from repro.perf import kernels
 from repro.sgx.attestation import report_data_for
 from repro.sgx.threats import forge_quote
 
@@ -73,7 +74,8 @@ def test_blinder_round_masks_sum_zero(fresh_deployment):
     deployment.blinder_provisioner.open_round(3, 4, len(deployment.features))
     modulus = deployment.codec.modulus()
     masks = [
-        deployment.blinder_provisioner.blinding.mask_for(3, i) for i in range(4)
+        kernels.as_ring(deployment.blinder_provisioner.blinding.mask_for(3, i)).tolist()
+        for i in range(4)
     ]
     for column in zip(*masks):
         assert sum(column) % modulus == 0

@@ -116,7 +116,7 @@ def test_blinding_component_roundtrip():
     component.install_mask(7, 0, masks.mask_for(0))
     blinded = component.blind(7, 0, [0.5, -0.25, 1.0])
     assert type(blinded) is bytes and len(blinded) == 8 * 3
-    unblinded = codec.decode(remove_mask(blinded, list(masks.mask_for(0))))
+    unblinded = codec.decode(remove_mask(blinded, masks.mask_for(0)))
     assert list(unblinded) == pytest.approx([0.5, -0.25, 1.0])
 
 

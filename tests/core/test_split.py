@@ -83,7 +83,7 @@ def test_split_end_to_end(split_setup):
     deployment.signing_keypair.public_key.verify(signed.signed_bytes(), signed.signature)
     mask = blinder_prov.blinding.mask_for(1, 0)
     recovered = deployment.codec.decode(
-        remove_mask(signed.ring_payload, list(mask))
+        remove_mask(signed.ring_payload, mask)
     )
     assert list(recovered) == pytest.approx([0.5, 0.25, 1.0])
 

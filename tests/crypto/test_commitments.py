@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.byzantine.actors import _forge_commitments
@@ -47,7 +48,7 @@ def test_honest_commitments_validate_open_and_sum_to_zero():
         round_id=1, num_slots=NUM_SLOTS, vector_length=LENGTH
     )
     for slot, opening in enumerate(openings):
-        assert opening.mask == kernels.be_words_to_bytes(family.masks[slot])
+        assert opening.mask is family.masks[slot]
         verify_opening(commitments, slot, opening)
         verify_opening(commitments.record_for(slot), slot, opening)
     commitments.verify_sum_zero()
@@ -104,10 +105,10 @@ def test_forged_claims_pass_slot_checks_but_fail_the_homomorphic_check():
     per-slot, over a family that is NOT sum-zero, must still be caught —
     and only the homomorphic finalize check can catch it."""
     family, honest, _ = _commit()
-    masks = [list(mask) for mask in family.masks]
-    masks[0][0] = (masks[0][0] + 538) % (1 << MODULUS_BITS)
+    masks = [kernels.as_ring(mask) for mask in family.masks]
+    masks[0][0] += np.uint64(538)
     corrupt = SumZeroMasks(
-        masks=tuple(tuple(m) for m in masks), modulus_bits=MODULUS_BITS
+        masks=tuple(map(kernels.be_words_to_bytes, masks)), modulus_bits=MODULUS_BITS
     )
     assert not corrupt.verify_sum_zero()
     rng = HmacDrbg(b"forge", personalization="forge")
@@ -120,7 +121,7 @@ def test_forged_claims_pass_slot_checks_but_fail_the_homomorphic_check():
             forged,
             slot,
             MaskOpening(
-                mask=kernels.be_words_to_bytes(corrupt.masks[slot]),
+                mask=corrupt.masks[slot],
                 salt=salts[slot],
                 randomizer=randomizers[slot],
             ),

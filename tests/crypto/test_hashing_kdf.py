@@ -12,7 +12,6 @@ from repro.crypto.hashing import (
     hash_to_int,
     hexdigest,
     keyed_hmac_sha256,
-    seeded_hash_to_int,
 )
 from repro.crypto.kdf import hkdf, hkdf_expand, hkdf_extract
 
@@ -61,7 +60,7 @@ def test_hash_to_int_golden_values():
     st.binary(max_size=64),
     st.integers(min_value=1, max_value=1 << 800),
 )
-def test_hash_to_int_and_its_seeded_form_match_the_definition(prefix, suffix, modulus):
+def test_hash_to_int_matches_the_definition(prefix, suffix, modulus):
     blocks = (modulus.bit_length() + 128 + 255) // 256
     stream = b"".join(
         hash_bytes("p", counter.to_bytes(4, "big") + prefix + suffix)
@@ -69,7 +68,6 @@ def test_hash_to_int_and_its_seeded_form_match_the_definition(prefix, suffix, mo
     )
     expected = int.from_bytes(stream, "big") % modulus
     assert hash_to_int("p", prefix + suffix, modulus) == expected
-    assert seeded_hash_to_int("p", prefix, modulus)(suffix) == expected
 
 
 @given(st.binary(max_size=200), st.binary(max_size=200))

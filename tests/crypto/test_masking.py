@@ -12,6 +12,7 @@ from repro.crypto.masking import (
     remove_mask,
 )
 from repro.errors import ConfigurationError, CryptoError
+from repro.perf import kernels
 
 
 def rng():
@@ -25,14 +26,24 @@ def test_masks_sum_to_zero():
 
 def test_single_party_mask_is_zero():
     masks = SumZeroMasks.sample(1, 4, rng())
-    assert masks.mask_for(0) == (0, 0, 0, 0)
+    assert masks.mask_for(0) == bytes(8 * 4)
 
 
 def test_two_party_masks_negate():
     masks = SumZeroMasks.sample(2, 3, rng())
     modulus = 1 << masks.modulus_bits
-    for a, b in zip(masks.mask_for(0), masks.mask_for(1)):
-        assert (a + b) % modulus == 0
+    for a, b in zip(kernels.as_ring(masks.mask_for(0)), kernels.as_ring(masks.mask_for(1))):
+        assert (int(a) + int(b)) % modulus == 0
+
+
+def test_a_family_is_packed_rows():
+    """k = 4,096 over 8 slots is 8 read-only rows of 32,768 packed bytes:
+    8 bytes a word, and not one Python int per word."""
+    masks = SumZeroMasks.sample(8, 4096, rng())
+    assert type(masks.masks) is tuple and len(masks.masks) == 8
+    assert all(type(row) is bytes and len(row) == 32768 for row in masks.masks)
+    assert masks.mask_for(3) is masks.masks[3]
+    assert masks.verify_sum_zero()
 
 
 def test_invalid_parameters():
@@ -120,4 +131,4 @@ def test_sum_zero_property(num_parties, length):
     masks = SumZeroMasks.sample(num_parties, length, rng())
     assert masks.verify_sum_zero()
     assert len(masks.masks) == num_parties
-    assert all(len(mask) == length for mask in masks.masks)
+    assert all(len(mask) == 8 * length for mask in masks.masks)

@@ -20,10 +20,12 @@ from repro.crypto.commitments import (
     _sum_zero_target,
     _weighted_limb_sum,
     challenge_weights,
+    commit_masks,
     weight_digits,
 )
 from repro.crypto.dh import OAKLEY_GROUP_1, TEST_GROUP
 from repro.crypto.drbg import HmacDrbg
+from repro.crypto.masking import SumZeroMasks
 from repro.perf import kernels, reference
 
 GROUPS = (TEST_GROUP, OAKLEY_GROUP_1)
@@ -97,3 +99,20 @@ def test_challenge_weights_are_one_read_only_digit_matrix(group):
     assert (digits.dtype, digits.shape) == (np.uint64, (width, 5 * LIMBS))
     assert not digits.flags.writeable
     assert int(digits.max()) < 1 << 32
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    length=st.integers(min_value=1, max_value=5_000),
+    slots=st.integers(min_value=1, max_value=9),
+    modulus_bits=st.sampled_from((16, 32, 64)),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_root_matches_the_per_item_framing(length, slots, modulus_bits, seed):
+    """``root()`` frames the k·limbs column claims in one buffer; the digest
+    is the one that hashing each claim as its own item gives."""
+    rng = HmacDrbg(seed.to_bytes(4, "big"), personalization="root")
+    family = SumZeroMasks.sample(slots, length, rng, modulus_bits)
+    commitments, _ = commit_masks(TEST_GROUP, seed, family.masks, modulus_bits, rng)
+    assert len(commitments.column_sums[0]) == (modulus_bits + 15) // 16
+    assert commitments.root() == reference.commitment_root_scalar(commitments)

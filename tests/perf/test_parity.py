@@ -294,9 +294,10 @@ def test_commitment_column_sums_match_scalar_loop(length):
     )
     limbs = _limbs_per_word(64)
     limb_cap = (1 << 16) - 1
+    words = [reference.bytes_to_words_scalar(mask) for mask in family.masks]
     for i in range(length):
         expected = tuple(
-            sum((mask[i] >> (16 * l)) & limb_cap for mask in family.masks)
+            sum((mask[i] >> (16 * l)) & limb_cap for mask in words)
             for l in range(limbs)
         )
         assert commitments.column_sums[i] == expected
@@ -310,26 +311,26 @@ def test_commitment_column_sums_match_scalar_loop(length):
 
 
 def _definitional_scalar(root, group, mask, modulus_bits):
-    """``s = Σ_{i,l} H(root, i, l)·limb_l(mask_i) mod q``, term by term.
+    """``s = Σ_{i,l} w[i][l]·limb_l(mask_i) mod q``, term by term.
 
-    The weight hash and the limb split are spelled out here rather than
-    taken from the library, so this is the definition in the module
-    docstring and not a second copy of the implementation.
+    Weight ``t = i·limbs + l`` is the ``t``-th ``⌈(|q| + 128) / 8⌉``-byte
+    chunk of ``SHAKE256(b"mask-commitment-weight" ‖ root)``, big-endian,
+    mod ``q``.  The stream and the limb split are spelled out here rather
+    than taken from the library, so this is the definition in
+    ``challenge_weights``'s docstring and not a second copy of the
+    implementation.
     """
     q = group.subgroup_order
-    tag = b"mask-commitment-weight"
-    blocks = (q.bit_length() + 128 + 255) // 256
+    limbs = (modulus_bits + 15) // 16
+    width = (q.bit_length() + 128 + 7) // 8
+    stream = hashlib.shake_256(b"mask-commitment-weight" + root).digest(
+        width * limbs * len(mask)
+    )
     scalar = 0
     for i, word in enumerate(mask):
-        for l in range((modulus_bits + 15) // 16):
-            data = root + i.to_bytes(4, "big") + l.to_bytes(2, "big")
-            stream = b"".join(
-                hashlib.sha256(
-                    len(tag).to_bytes(2, "big") + tag + c.to_bytes(4, "big") + data
-                ).digest()
-                for c in range(blocks)
-            )
-            weight = int.from_bytes(stream, "big") % q
+        for l in range(limbs):
+            t = i * limbs + l
+            weight = int.from_bytes(stream[t * width : (t + 1) * width], "big") % q
             scalar = (scalar + weight * ((word >> (16 * l)) & 0xFFFF)) % q
     return scalar
 
@@ -399,7 +400,8 @@ def test_blinded_round_aggregate_matches_scalar_pipeline():
 
     slow_blinded = [
         reference.apply_mask_scalar(
-            reference.encode_scalar(codec, vec), masks.mask_for(i)
+            reference.encode_scalar(codec, vec),
+            reference.bytes_to_words_scalar(masks.mask_for(i)),
         )
         for i, vec in enumerate(vectors)
     ]
@@ -519,11 +521,15 @@ def test_wide_streamed_round_is_byte_identical_to_recorded():
     was re-recorded three times, when the blinder began sealing a round's
     seeds instead of its mask rows, when the Glimmer's checkpoint became a
     codec frame instead of a pickle, and when the cipher's keystream
-    became one SHAKE256 call; the masks themselves did not change.
+    became one SHAKE256 call; the masks themselves did not change.  Then
+    the masks did: a subgroup's family became one SHAKE256 expansion,
+    which re-recorded ``root``, ``signatures`` (over the blinded words)
+    and ``sealed`` (the Glimmers' checkpoints carry their installed
+    masks).  ``aggregate`` has never moved.
     """
     assert _wide_streamed_round_digests() == {
-        "root": "f303be600295bf7b16b2cf4801e2090af5403b4887294898763449ed5dd5d3b1",
-        "sealed": "3b8cb5aef69cb5bb33f101cf54a93b0e325c0ef0744d21a6c9ee51fec9e4574b",
-        "signatures": "a5515df9698a71a7fd08a301760b85b8e889268943d87c1e945669ea5a962455",
+        "root": "b3dd46a86e0ff8861e7ef3bc9d485dc6e0397dfd07a7eeb4cd329a30d849b223",
+        "sealed": "b2a67e8ab40b5c728db6138d689d520d2e8b6fbee51bceb94f72642209d01fc9",
+        "signatures": "d31a14b6b925eaf9250bf1970af27eba94bfb6f9043cafa1b55a37d9adeafe92",
         "aggregate": "b8557277e14cafd0f8f2a7befff5613092a335bba97d6d0fa83195c95702b0c2",
     }

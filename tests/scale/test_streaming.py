@@ -84,7 +84,7 @@ def test_grouped_masks_sum_to_zero_per_group_and_globally():
     assert masks.verify_sum_zero()
     total = np.zeros(16, dtype=np.uint64)
     for slot in range(20):
-        total += np.asarray(masks.mask_for(slot), dtype=np.uint64)
+        total += kernels.as_ring(masks.mask_for(slot))
     assert not total.any()
     for group in range(plan.num_groups):
         family = masks.group_family(group)
@@ -161,7 +161,7 @@ def test_fold_repair_and_masks_telescope():
     dropped = {3, 7}
     accumulator = StreamingSubgroupAccumulator(plan)
     for slot, row in enumerate(rows):
-        mask = np.asarray(masks.mask_for(slot), dtype=np.uint64)
+        mask = kernels.as_ring(masks.mask_for(slot))
         if slot in dropped:
             accumulator.fold_repair(mask, slot=slot)
         else:
