@@ -71,7 +71,6 @@ MAX_DEPTH = 64
 
 _I64_MIN = -(1 << 63)
 _I64_MAX = (1 << 63) - 1
-_U64_MAX = (1 << 64) - 1
 _HEAD = struct.Struct(">BI")  # tag + u32 length / count
 _INT = struct.Struct(">Bq")
 _FLOAT = struct.Struct(">Bd")
@@ -80,7 +79,6 @@ _Q = struct.Struct(">q")
 _D = struct.Struct(">d")
 _BE_F64 = np.dtype(">f8")
 _STR_PAIR_TYPES = (str, str)
-_INT_ROW = {int}
 
 # class -> (2-byte tag, field getter); tag -> (class, field count, checks),
 # the checks as (field index, field name, check)
@@ -132,8 +130,8 @@ def registered() -> dict[int, type]:
 #
 # A check called on one value returns ``None`` when it holds, else what
 # is wrong with it, worded to follow the field's name.  ``many`` judges a
-# whole run of items at once, in C-level passes (``map``, ``set``,
-# ``min``/``max``) where a check has them, not a Python call per item.
+# whole run of items at once, in C-level passes (``map``, ``set``) where
+# a check has them, not a Python call per item.
 # Each tests the exact type (no ``bool`` for ``int``, no ``list`` for
 # ``tuple``) and never raises.  The bounds gate absurdity, not policy.
 
@@ -188,7 +186,7 @@ def _checker(check: "Check | type | None") -> Check:
 
 _ANYTHING = Check()
 Bool, Str = Is(bool), Is(str)
-_IS_INT, _IS_BYTES, _IS_TUPLE = Is(int), Is(bytes), Is(tuple)
+_IS_BYTES = Is(bytes)
 
 
 class Int(Check):
@@ -200,16 +198,7 @@ class Int(Check):
     def __call__(self, value: Any) -> str | None:
         if type(value) is not int:
             return f"must be int, not {type(value).__name__}"
-        return self._within(value, value)
-
-    def many(self, values: Sequence) -> str | None:
-        complaint = _IS_INT.many(values)
-        if complaint or not values:
-            return complaint
-        return self._within(min(values), max(values))
-
-    def _within(self, low: int, high: int) -> str | None:
-        if (self.lo is not None and low < self.lo) or (self.hi is not None and high > self.hi):
+        if (self.lo is not None and value < self.lo) or (self.hi is not None and value > self.hi):
             return f"out of range [{self.lo}, {self.hi}]"
         return None
 
@@ -282,14 +271,6 @@ class TupleOf(Check):
         if len(value) > MAX_VECTOR_LENGTH:
             return "exceeds the vector-length cap"
         return self.item.many(value)
-
-    def many(self, values: Sequence) -> str | None:
-        complaint = _IS_TUPLE.many(values)
-        if complaint or not values:
-            return complaint
-        if max(map(len, values)) > MAX_VECTOR_LENGTH:
-            return "exceeds the vector-length cap"
-        return self.item.many(tuple(chain.from_iterable(values)))
 
 
 class Pair(Check):
@@ -435,92 +416,18 @@ def _encode_sequence(tag: int) -> Callable[[Any, list, int], None]:
         if depth >= MAX_DEPTH:
             raise UnencodablePayload("value nests deeper than the wire allows")
         out.append(_HEAD.pack(tag, len(value)))
-        if value and _encode_homogeneous(value, out):
-            return
+        # A run of string pairs (a published feature list) is the one run
+        # the traffic carries in bulk: framed in one pack, the same bytes
+        # the per-item path writes, and memoised.
+        if value and type(value[0]) is tuple and tuple(map(type, value[0])) == _STR_PAIR_TYPES:
+            frame = _pairs_frame(value if type(value) is tuple else tuple(value))
+            if frame is not None:
+                out.append(frame)
+                return
         for item in value:
             _encode(item, out, depth + 1)
 
     return encode_sequence
-
-
-def _encode_homogeneous(value, out: list) -> bool:
-    """One pack for a run of floats, ints, strs, equal-length int tuples
-    or str pairs — the same bytes the per-item path writes, without its
-    Python loop.  ``False`` leaves the sequence to that path."""
-    kinds = set(map(type, value))
-    if len(kinds) != 1:
-        return False
-    kind = kinds.pop()
-    n = len(value)
-    if kind is float:
-        out.append(struct.pack(">" + "Bd" * n, *chain.from_iterable(zip(repeat(FLOAT), value))))
-        return True
-    if kind is int:
-        low, high = min(value), max(value)
-        if low >= _I64_MIN and high <= _I64_MAX:
-            out.append(
-                struct.pack(">" + "Bq" * n, *chain.from_iterable(zip(repeat(INT), value)))
-            )
-            return True
-        if low >= 0 and high <= _U64_MAX:
-            out.append(_u64_run(np.array(value, dtype=np.uint64)))
-            return True
-        return False
-    if kind is str:
-        raw = [item.encode("utf-8") for item in value]
-        sizes = list(map(len, raw))
-        out.append(
-            struct.pack(
-                (">" + "BI%ds" * n) % tuple(sizes),
-                *chain.from_iterable(zip(repeat(STR), sizes, raw)),
-            )
-        )
-        return True
-    if kind is tuple and _INT_ROW == set(map(type, value[0])):
-        frame = _int_rows(value)
-        if frame is not None:
-            out.append(frame)
-            return True
-    if kind is tuple and _STR_PAIR_TYPES == tuple(map(type, value[0])):
-        frame = _pairs_frame(value if type(value) is tuple else tuple(value))
-        if frame is not None:
-            out.append(frame)
-            return True
-    return False
-
-
-def _u64_run(words: np.ndarray) -> bytes:
-    """Items of a run of ``[0, 2**64)`` ints (ring words), vectorised: a
-    word below ``2**63`` is an ``INT`` item, a wider one the 9-byte
-    ``BIGINT`` item ``04 00000009 00`` + its 8 bytes."""
-    wide = words > np.uint64(_I64_MAX)
-    sizes = np.where(wide, 14, 9)
-    starts = np.cumsum(sizes) - sizes
-    out = np.zeros(int(sizes.sum()), dtype=np.uint8)
-    out[starts[~wide]] = INT
-    out[starts[wide][:, None] + np.arange(6)] = np.frombuffer(_WIDE_WORD, np.uint8)
-    body = starts + sizes - 8
-    out[body[:, None] + np.arange(8)] = words.astype(">u8").view(np.uint8).reshape(-1, 8)
-    return out.tobytes()
-
-
-def _int_rows(rows: tuple) -> bytes | None:
-    """Items of a run of equal-length tuples of small ints (a commitment
-    set's limb columns), vectorised; ``None`` if it is not one."""
-    width = len(rows[0])
-    flat = list(chain.from_iterable(rows))
-    if set(map(len, rows)) != {width} or set(map(type, flat)) != _INT_ROW:
-        return None
-    try:
-        values = np.array(flat, dtype=np.int64).reshape(len(rows), width)
-    except OverflowError:
-        return None
-    out = np.zeros((len(rows), 5 + 9 * width), dtype=np.uint8)
-    out[:, :5] = np.frombuffer(_HEAD.pack(TUPLE, width), np.uint8)
-    items = out[:, 5:].reshape(len(rows), width, 9)
-    items[:, :, 0] = INT
-    items[:, :, 1:] = values.astype(">i8").view(np.uint8).reshape(len(rows), width, 8)
-    return out.tobytes()
 
 
 def _pairs_frame(run: tuple) -> bytes | None:
@@ -538,7 +445,7 @@ def _str_pairs(pairs: tuple) -> bytes | None:
     Memoised on the tuple: a published feature list is framed into every
     contribution's ecall, and a hit costs one tuple hash.
     """
-    if set(map(len, pairs)) != {2}:
+    if set(map(type, pairs)) != {tuple} or set(map(len, pairs)) != {2}:
         return None
     flat = list(chain.from_iterable(pairs))
     if set(map(type, flat)) != {str}:
@@ -672,17 +579,6 @@ def _decode_sequence(build: Callable[[Any], Any]):
             raise _malformed("item count runs past the frame")
         if depth >= MAX_DEPTH:
             raise _malformed("frame nests deeper than the wire allows")
-        # A run of 9-byte floats or ints reads in one unpack.
-        if count and buf[off:off + 9 * count:9] in (
-            _FLOAT_TAG * count, _INT_TAG * count
-        ) and off + 9 * count <= len(buf):
-            code = "xd" if buf[off] == FLOAT else "xq"
-            items = struct.unpack_from(">" + code * count, buf, off)
-            return build(items), off + 9 * count
-        # So does a run of equal-length int tuples (limb columns).
-        rows = _read_int_rows(buf, off, count)
-        if rows is not None:
-            return build(rows[0]), rows[1]
         start = off
         pairs = build is tuple and buf[off:off + 6] == _PAIR_RUN
         if pairs:
@@ -738,27 +634,6 @@ def _decode_items(buf: bytes, off: int, count: int, depth: int) -> tuple[list, i
     return items, off
 
 
-def _read_int_rows(buf: bytes, off: int, count: int) -> tuple[list, int] | None:
-    """``count`` tuples of ``width`` ints read in one unpack, if the frame
-    at ``off`` is exactly that (each tag checked by a strided compare)."""
-    if not count or buf[off] != TUPLE:
-        return None
-    head = buf[off:off + 5]
-    (width,) = _U32.unpack_from(buf, off + 1)
-    stride = 5 + 9 * width
-    end = off + stride * count
-    if not 0 < width <= 64 or end > len(buf):
-        return None
-    for at in range(5):
-        if buf[off + at:end:stride] != head[at:at + 1] * count:
-            return None
-    for column in range(width):
-        if buf[off + 5 + 9 * column:end:stride] != _INT_TAG * count:
-            return None
-    values = struct.unpack_from(">" + ("5x" + "xq" * width) * count, buf, off)
-    return list(zip(*[iter(values)] * width)), end
-
-
 def _remember_pairs(frame: bytes, pairs: tuple) -> tuple:
     """Keep a decoded run of string pairs for the next identical frame.
 
@@ -800,8 +675,6 @@ def _decode_array(buf: bytes, off: int, depth: int):
     return np.frombuffer(raw, dtype=_BE_F64).astype(np.float64), off + 8 * count
 
 
-_FLOAT_TAG = bytes([FLOAT])
-_INT_TAG = bytes([INT])
 _WIDE_WORD = bytes([BIGINT]) + _U32.pack(9) + b"\x00"  # a u64 word >= 2**63
 _PAIR_OF_STR = _U32.pack(2) + bytes([STR])  # after a TUPLE tag
 _PAIR_RUN = bytes([TUPLE]) + _PAIR_OF_STR  # a sequence's first item, a str pair

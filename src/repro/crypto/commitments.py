@@ -152,16 +152,13 @@ def _weighted_limb_sum(
     return _digit_dot(weights, _limb_matrix(kernels.as_ring(mask), limbs).ravel()) % q
 
 
-def _sum_zero_target(
-    column_sums: Sequence[Sequence[int]], weights: np.ndarray, q: int
-) -> int:
-    """``Σ_{i,l} weights[i][l]·T[i][l] mod q`` over u64 column claims.
+def _sum_zero_target(column_sums: bytes, weights: np.ndarray, q: int) -> int:
+    """``Σ_{i,l} weights[i][l]·T[i][l] mod q`` over the packed u64 claims.
 
     Each claim is split into its four 16-bit limbs, so every dot is a limb
     dot and the target is exact for any u64 claim.
     """
-    claimed = np.asarray(column_sums, dtype=np.uint64).ravel()
-    pieces = _limb_matrix(claimed, _limbs_per_word(64))
+    pieces = _limb_matrix(kernels.as_ring(column_sums), _limbs_per_word(64))
     return sum(
         _digit_dot(weights, pieces[:, p]) << (LIMB_BITS * p)
         for p in range(pieces.shape[1])
@@ -269,7 +266,7 @@ class MaskCommitmentRecord:
 @wire(
     0x8107, round_id=ROUND_ID, num_slots=PARTIES, vector_length=LENGTH, modulus_bits=Int(1, 64),
     group_name=Str, hash_commitments=TupleOf(Bytes(32)), points=TupleOf(int),
-    column_sums=TupleOf(TupleOf(Int(0, (1 << 64) - 1))), randomizer_sum=Int(),
+    column_sums=Packed(), randomizer_sum=Int(),
 )
 @dataclass(frozen=True)
 class MaskCommitmentSet:
@@ -282,9 +279,10 @@ class MaskCommitmentSet:
     group_name: str
     hash_commitments: tuple[bytes, ...]
     points: tuple[int, ...]
-    column_sums: tuple[tuple[int, ...], ...]
-    """``column_sums[i][l]``: claimed integer sum over slots of limb ``l``
-    of component ``i``."""
+    column_sums: bytes
+    """The claimed limb-column sums, packed: big-endian u64 word
+    ``i·limbs + l`` is the integer sum over slots of limb ``l`` of
+    component ``i``."""
     randomizer_sum: int
 
     # ------------------------------------------------------------ derivation
@@ -309,7 +307,7 @@ class MaskCommitmentSet:
         # Each of the k·limbs column claims is an 8-byte item; framed in one
         # buffer as (length 8, value) big-endian pairs, the digest is the
         # one per-item framing gives (``reference.commitment_root_scalar``).
-        claims = np.asarray(self.column_sums, dtype=np.uint64).ravel()
+        claims = kernels.as_ring(self.column_sums)
         framed = np.full((claims.size, 2), 8, dtype=kernels.BE_U64)
         framed[:, 1] = claims
         root = hash_items(
@@ -376,11 +374,8 @@ class MaskCommitmentSet:
             self.num_slots
         ):
             raise MaskVerificationError("commitment set has the wrong slot count")
-        if len(self.column_sums) != self.vector_length:
+        if len(self.column_sums) != 8 * self.vector_length * limbs:
             raise MaskVerificationError("commitment set has the wrong column count")
-        for i, column in enumerate(self.column_sums):
-            if len(column) != limbs:
-                raise MaskVerificationError(f"component {i} has the wrong limb count")
         self._audit_column_sums(limbs, column_cap)
         if not 0 <= self.randomizer_sum < group.subgroup_order:
             raise MaskVerificationError("randomizer sum out of range")
@@ -398,9 +393,8 @@ class MaskCommitmentSet:
         totals are accumulated in ``uint64`` — wraparound is exact modulo
         ``2^64``, and ``2^modulus_bits`` divides ``2^64``, so the reduced
         result matches the arbitrary-precision scalar check bit for bit.
-        Every claim is a u64: decode refuses a set with any other.
         """
-        claimed = np.asarray(self.column_sums, dtype=np.uint64)
+        claimed = kernels.as_ring(self.column_sums).reshape(-1, limbs)
         in_range = claimed <= np.uint64(column_cap)
         if not in_range.all():
             i, l = (int(v) for v in np.argwhere(~in_range)[0])
@@ -695,7 +689,7 @@ def _commit_with(
     # is < num_slots · 2^16, far inside uint64, so the accumulation is
     # exact — bit-identical to the per-word scalar loop.
     limb_sums = kernels.limb_column_sums(rows, limbs, LIMB_BITS)
-    columns = tuple(map(tuple, limb_sums.T.tolist()))
+    columns = limb_sums.T.astype(kernels.BE_U64).tobytes()
     partial = MaskCommitmentSet(
         round_id=round_id,
         num_slots=num_slots,

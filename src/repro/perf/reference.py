@@ -135,21 +135,19 @@ def weighted_limb_sum_scalar(
     return sum(map(mul, weights, limb_values)) % q
 
 
-def sum_zero_target_scalar(
-    column_sums: Sequence[Sequence[int]], weights: Sequence[int], q: int
-) -> int:
-    """Scalar twin of ``commitments._sum_zero_target``: ``Σ w[i][l]·T[i][l] mod q``."""
-    claims = [int(claimed) for column in column_sums for claimed in column]
-    return sum(map(mul, weights, claims)) % q
+def sum_zero_target_scalar(column_sums: bytes, weights: Sequence[int], q: int) -> int:
+    """Scalar twin of ``commitments._sum_zero_target``: ``Σ w[i][l]·T[i][l] mod q``
+    over the packed claims, read word by word."""
+    return sum(map(mul, weights, bytes_to_words_scalar(column_sums))) % q
 
 
 def commitment_root_scalar(commitments) -> bytes:
     """Scalar twin of :meth:`MaskCommitmentSet.root`.
 
     The set's shape, every hash commitment, then each of the k·limbs
-    column claims as its own 8-byte ``hash_items`` entry.
+    column claims (one packed word) as its own 8-byte ``hash_items`` entry.
     """
-    limbs = (commitments.modulus_bits + 15) // 16
+    claims = commitments.column_sums
     items = [
         commitments.round_id.to_bytes(8, "big"),
         commitments.num_slots.to_bytes(4, "big"),
@@ -158,9 +156,8 @@ def commitment_root_scalar(commitments) -> bytes:
         commitments.group_name.encode("ascii"),
         *commitments.hash_commitments,
     ]
-    for column in commitments.column_sums:
-        for l in range(limbs):
-            items.append(int(column[l]).to_bytes(8, "big"))
+    for at in range(0, len(claims), 8):
+        items.append(claims[at : at + 8])
     return hash_items("mask-commitment-root", items)
 
 

@@ -14,7 +14,9 @@ slot keys come from one bulk :class:`~repro.crypto.drbg.HmacDrbg`
 expansion seeded by the round id (the same keyed-but-reproducible idea
 as :func:`repro.scale.shard.shard_of`), the slots are permuted by a
 stable argsort of those keys, and the permutation is chunked into
-``ceil(n / g)`` contiguous groups of at most ``g`` slots.  Any party —
+``⌊n / g⌋`` contiguous groups of ``g`` slots plus one of the remainder —
+a remainder of one joins the last full group instead, so no subgroup is
+a single slot (whose mask would be the zero vector).  Any party —
 blinder, service, engine, auditor — recomputes the identical plan
 without coordination, and a client's subgroup rotates round to round so
 no subgroup is a stable linkability anchor.
@@ -43,7 +45,7 @@ def _slot_keys(round_id: int, num_slots: int) -> np.ndarray:
 class SubgroupPlan:
     """The frozen grouping of one round's slots into bounded subgroups."""
 
-    __slots__ = ("round_id", "num_slots", "group_size", "order", "position")
+    __slots__ = ("round_id", "num_slots", "group_size", "num_groups", "order", "position")
 
     def __init__(
         self, round_id: int, num_slots: int, group_size: int, order: np.ndarray
@@ -51,18 +53,19 @@ class SubgroupPlan:
         self.round_id = round_id
         self.num_slots = num_slots
         self.group_size = group_size
+        #: Full groups, plus one for a remainder of two or more slots; a
+        #: remainder of one belongs to the last full group.
+        self.num_groups = num_slots // group_size + (num_slots % group_size > 1)
         #: Permutation of ``range(num_slots)``; group ``g`` owns the
-        #: contiguous block ``order[g*group_size : (g+1)*group_size]``.
+        #: contiguous block ``order[g*group_size : (g+1)*group_size]``, the
+        #: last group everything from its start on.
         self.order = order
         #: The inverse permutation: ``position[slot]`` is the slot's index
-        #: in ``order``, so its subgroup is ``position // group_size`` and
-        #: its place inside that subgroup ``position % group_size``.
+        #: in ``order``, so its subgroup is ``position // group_size``
+        #: (capped at the last group) and its place inside that subgroup
+        #: ``position - group·group_size``.
         self.position = np.empty(num_slots, dtype=np.int64)
         self.position[order] = np.arange(num_slots, dtype=np.int64)
-
-    @property
-    def num_groups(self) -> int:
-        return -(-self.num_slots // self.group_size)
 
     def _position(self, slot: int) -> int:
         if not 0 <= slot < self.num_slots:
@@ -72,7 +75,7 @@ class SubgroupPlan:
         return int(self.position[slot])
 
     def group_of(self, slot: int) -> int:
-        return self._position(slot) // self.group_size
+        return min(self._position(slot) // self.group_size, self.num_groups - 1)
 
     def slots_in(self, group: int) -> tuple[int, ...]:
         """The slot indices of one subgroup, in permutation order."""
@@ -81,13 +84,12 @@ class SubgroupPlan:
                 f"subgroup {group} outside the plan's {self.num_groups} groups"
             )
         start = group * self.group_size
-        return tuple(
-            int(s) for s in self.order[start : start + self.group_size]
-        )
+        stop = self.num_slots if group == self.num_groups - 1 else start + self.group_size
+        return tuple(int(s) for s in self.order[start:stop])
 
     def local_index(self, slot: int) -> int:
         """A slot's position inside its own subgroup's mask family (O(1))."""
-        return self._position(slot) % self.group_size
+        return self._position(slot) - self.group_of(slot) * self.group_size
 
     def groups(self) -> tuple[tuple[int, ...], ...]:
         """Every subgroup's slot tuple (test/inspection helper; O(n))."""
@@ -95,20 +97,22 @@ class SubgroupPlan:
 
 
 def plan_subgroups(round_id: int, num_slots: int, group_size: int) -> SubgroupPlan:
-    """Partition a round's slots into DRBG-keyed subgroups of size <= g.
+    """Partition a round's slots into DRBG-keyed subgroups of about g slots.
 
     The permutation is a stable argsort of per-slot uint64 keys (ties —
     vanishingly rare — break by slot index, keeping the plan fully
-    deterministic), chunked into contiguous blocks.  Every block except
-    possibly the last holds exactly ``group_size`` slots; the last holds
-    the remainder, and a remainder of one is a legal size-1 subgroup
-    whose single mask is the zero vector (a sum-zero family of one).
+    deterministic), chunked into contiguous blocks.  ``group_size`` is
+    clamped to ``[min(2, n), n]``: a subgroup of one slot has the zero
+    vector for its mask, so its blinded payload — and the service's
+    partial sum for it — would be that device's plaintext.  Every block
+    holds ``group_size`` slots; a remainder of two or more is one more
+    block, and a remainder of one joins the last block (``group_size + 1``).
     """
     if num_slots < 1:
         raise ConfigurationError("num_slots must be >= 1")
     if group_size < 1:
         raise ConfigurationError("group_size must be >= 1")
-    group_size = min(group_size, num_slots)
+    group_size = max(min(group_size, num_slots), min(2, num_slots))
     keys = _slot_keys(round_id, num_slots)
     order = np.argsort(keys, kind="stable").astype(np.int64)
     return SubgroupPlan(round_id, num_slots, group_size, order)

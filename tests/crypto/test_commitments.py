@@ -90,13 +90,24 @@ def test_opening_against_the_wrong_slot_fails():
 
 def test_non_sum_zero_claims_fail_structure_validation():
     _, commitments, _ = _commit()
-    column = commitments.column_sums[0]
-    broken = dataclasses.replace(
-        commitments,
-        column_sums=((column[0] + 1,) + column[1:],)
-        + commitments.column_sums[1:],
-    )
+    claims = kernels.as_ring(commitments.column_sums)
+    claims[0] += np.uint64(1)
+    broken = dataclasses.replace(commitments, column_sums=kernels.be_words_to_bytes(claims))
     with pytest.raises(MaskVerificationError):
+        broken.validate_structure()
+
+
+@pytest.mark.parametrize(
+    "resize",
+    [lambda claims: claims[:-8], lambda claims: claims + claims[-8:]],
+    ids=["one-word-short", "one-word-long"],
+)
+def test_claims_of_the_wrong_word_count_fail_structure_validation(resize):
+    """The packed claims hold exactly k·limbs words: one word short or long
+    is refused before any claim is read."""
+    _, commitments, _ = _commit()
+    broken = dataclasses.replace(commitments, column_sums=resize(commitments.column_sums))
+    with pytest.raises(MaskVerificationError, match="wrong column count"):
         broken.validate_structure()
 
 

@@ -81,13 +81,14 @@ def test_sum_zero_target_is_exact_at_the_parties_bound(group):
     length = 4_097
     rng = random.Random(1729)
     for column_sums, weights in (
-        ([(cap,) * LIMBS] * length, [q - 1] * (LIMBS * length)),
-        ([((1 << 64) - 1,) * LIMBS] * length, [q - 1] * (LIMBS * length)),
+        ([cap] * (LIMBS * length), [q - 1] * (LIMBS * length)),
+        ([(1 << 64) - 1] * (LIMBS * length), [q - 1] * (LIMBS * length)),
         (
-            [tuple(rng.randint(0, cap) for _ in range(LIMBS)) for _ in range(length)],
+            [rng.randint(0, cap) for _ in range(LIMBS * length)],
             _weights(1729, LIMBS * length, q),
         ),
     ):
+        column_sums = kernels.be_words_to_bytes(column_sums)
         expected = reference.sum_zero_target_scalar(column_sums, weights, q)
         assert _sum_zero_target(column_sums, weight_digits(weights, q), q) == expected
 
@@ -114,5 +115,5 @@ def test_root_matches_the_per_item_framing(length, slots, modulus_bits, seed):
     rng = HmacDrbg(seed.to_bytes(4, "big"), personalization="root")
     family = SumZeroMasks.sample(slots, length, rng, modulus_bits)
     commitments, _ = commit_masks(TEST_GROUP, seed, family.masks, modulus_bits, rng)
-    assert len(commitments.column_sums[0]) == (modulus_bits + 15) // 16
+    assert len(commitments.column_sums) == 8 * length * ((modulus_bits + 15) // 16)
     assert commitments.root() == reference.commitment_root_scalar(commitments)

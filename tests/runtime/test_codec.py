@@ -108,7 +108,7 @@ SAMPLES = {
     MaskCommitmentSet: MaskCommitmentSet(
         round_id=7, num_slots=2, vector_length=2, modulus_bits=64,
         group_name="test-64bit", hash_commitments=(b"\x01" * 32, b"\x02" * 32),
-        points=(5, 1 << 80), column_sums=((1, 2, 3, 4), (5, 6, 7, 8)),
+        points=(5, 1 << 80), column_sums=kernels.be_words_to_bytes((1, 2, 3, 4, 5, 6, 7, 8)),
         randomizer_sum=11,
     ),
     KeyDelivery: KeyDelivery(b"\x05" * 16, 0, None, b"\x08" * 48),

@@ -243,16 +243,6 @@ def _aborted_round_with(kind: str, party: str, rewrite):
     return excinfo.value, invariants.judge(excinfo.value, deployment.codec, vectors)
 
 
-def _first_column(value):
-    """Component 0's first limb sum rewritten to ``value``."""
-
-    def rewrite(published):
-        first = (value,) + published.column_sums[0][1:]
-        return replace(published, column_sums=(first,) + published.column_sums[1:])
-
-    return rewrite
-
-
 @pytest.mark.parametrize(
     "rewrite",
     [
@@ -264,8 +254,16 @@ def _first_column(value):
             ),
             id="hash-commitment-31-bytes",
         ),
-        pytest.param(_first_column(-1), id="column-sum-negative"),
-        pytest.param(_first_column(1 << 64), id="column-sum-past-u64"),
+        pytest.param(
+            lambda published: replace(published, column_sums=published.column_sums[:-1]),
+            id="column-sums-ragged",
+        ),
+        pytest.param(
+            lambda published: replace(
+                published, column_sums=kernels.bytes_to_be_words(published.column_sums)
+            ),
+            id="column-sums-as-words",
+        ),
     ],
 )
 def test_malformed_commitment_set_aborts_the_round_blaming_the_blinder(rewrite):

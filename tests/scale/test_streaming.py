@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.crypto.drbg import HmacDrbg
-from repro.crypto.masking import GroupedSumZeroMasks, SumZeroMasks
+from repro.crypto.masking import BlindingService, GroupedSumZeroMasks, SumZeroMasks
 from repro.errors import ConfigurationError
 from repro.perf import kernels
 from repro.scale.streaming import StreamingSubgroupAccumulator
@@ -44,12 +44,11 @@ def test_plan_is_deterministic_and_partitions_all_slots():
 )
 def test_local_index_matches_the_block_search(num_slots, group_size):
     """The O(1) inverse-permutation lookup agrees with searching the slot's
-    block, across remainder groups (100/7, 13/3) and size-1 groups (9/4's
-    last group, 13/3's last group, g = 1)."""
+    group, across remainder groups (100/7), a one-slot remainder folded
+    into the last full group (9/4, 13/3) and g = 1 clamped to 2."""
     plan = plan_subgroups(11, num_slots, group_size)
     for slot in range(num_slots):
-        group = plan.group_of(slot)
-        block = plan.order[group * plan.group_size : (group + 1) * plan.group_size]
+        block = np.array(plan.slots_in(plan.group_of(slot)))
         assert plan.local_index(slot) == int(np.nonzero(block == slot)[0][0])
     with pytest.raises(ConfigurationError):
         plan.local_index(num_slots)
@@ -73,6 +72,26 @@ def test_plan_clamps_group_size_and_validates():
         plan_subgroups(1, 4, 2).group_of(4)
     with pytest.raises(ConfigurationError):
         plan_subgroups(1, 4, 2).slots_in(2)
+
+
+def test_no_subgroup_is_a_single_slot():
+    """A one-slot subgroup's mask is the zero vector, so its blinded payload
+    (and the service's partial sum for it) is the device's plaintext.  No
+    plan of two or more slots has one, whatever g, and every slot's mask
+    is non-zero."""
+    blinding = BlindingService(HmacDrbg(b"no-singletons"))
+    round_id = 0
+    for num_slots in range(2, 41):
+        for group_size in range(1, num_slots + 1):
+            round_id += 1
+            plan = plan_subgroups(round_id, num_slots, group_size)
+            groups = plan.groups()
+            assert min(map(len, groups)) >= 2, (num_slots, group_size)
+            assert sorted(slot for group in groups for slot in group) == list(range(num_slots))
+            masks = blinding.open_round_grouped(round_id, num_slots, 2, group_size)
+            for slot in range(num_slots):
+                assert kernels.as_ring(masks.mask_for(slot)).any(), (num_slots, group_size, slot)
+            blinding.close_round(round_id)
 
 
 # ------------------------------------------------------------ grouped masks

@@ -84,7 +84,7 @@ def test_honest_round_parity(subgroup_size):
     hierarchical = _run(_build(subgroup_size=subgroup_size))
     _assert_bit_exact(flat, hierarchical)
     # The hierarchical path actually engaged and streamed every payload.
-    clamped = min(subgroup_size, 12)
+    clamped = min(max(subgroup_size, 2), 12)
     assert hierarchical.subgroup_size == clamped
     assert hierarchical.subgroups_aggregated == -(-12 // clamped)
     assert hierarchical.submissions_streamed == 12
@@ -114,7 +114,7 @@ def _dropout_users(pattern, users, subgroup_size, round_id=1):
 @pytest.mark.parametrize(
     ("subgroup_size", "pattern"),
     [
-        (1, "scattered"),  # size-1 groups: every repair is a zero mask
+        (1, "scattered"),  # g = 1 clamps to 2: no group is a single slot
         (5, "whole_subgroup"),  # one group drops out entirely
         (7, "boundary"),  # uneven split (7 + 5), repairs straddle it
         (12, "scattered"),  # g == n: single group, the flat mask graph
