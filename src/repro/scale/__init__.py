@@ -40,7 +40,11 @@ Determinism contract: with the same seed, a parallel round produces the
 same masks, blinded vectors, aggregate, commitment digests, outcomes,
 and enclave cycle counts as the serial round, for any ``workers >= 1``
 and any ``shards >= 1``.  Only transport telemetry (message/byte/latency
-counters) differs, because worker dispatch replaces simulated wire hops.
+counters) differs, because worker dispatch replaces simulated wire hops —
+and the ``boundary-copies`` cycles of a slot the pool hands back to the
+bus (a Glimmer that was down, or restarted since its session opened):
+the blinder draws that slot a second delivery leg — same mask, other
+ciphertext bytes — whose copy cost may differ from the serial twin's.
 """
 
 from repro.scale.config import RoutePlan, ScaleConfig

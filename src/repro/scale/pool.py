@@ -24,19 +24,39 @@ DH-binding check) before it keeps the session the leg opened.
 Contribution signatures *are* verified here, once, so the parent can
 admit via ``CloudService.submit_verified`` without re-serializing the
 very exponentiations this pool exists to spread out.
+
+What crosses the pool boundary: a task pickles the device whole, and so
+does its result.  The cohort's frozen values — the Glimmer image, the
+DH group, the cost model, public and vendor keys, the fixed-point codec
+and the Glimmer config — are shared by every device, so they are
+*interned* at the boundary rather than cloned: a reducer registered on
+``ForkingPickler`` records the sender's instance and ships its field
+values, and the receiver gets back the instance it already holds with
+the same type and field values, if it holds one.  A device that comes
+back from a worker therefore points at the parent's own objects again,
+and a chunk pickles each shared value once.  Nothing mutable is
+interned, and equality here is strict: ``0.0`` and ``-0.0``, ``1`` and
+``True``, or two values that differ only in a field their class leaves
+out of ``==``, stay two objects.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import threading
 import weakref
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
+from functools import cache
+from multiprocessing.reduction import ForkingPickler
 from typing import Any, Sequence
 
-from repro.core.glimmer import BLINDING_MASK_CONTEXT
+from repro.core.glimmer import BLINDING_MASK_CONTEXT, GlimmerConfig
 from repro.core.provisioning import seal_delivery
 from repro.crypto.commitments import encode_mask_payload
+from repro.crypto.dh import DHGroup
+from repro.crypto.fixedpoint import FixedPointCodec
+from repro.crypto.schnorr import SchnorrPublicKey
 from repro.errors import (
     AuthenticationError,
     ConfigurationError,
@@ -45,6 +65,82 @@ from repro.errors import (
 )
 from repro.runtime import messages as m
 from repro.runtime.endpoints import provision_step, sign_step
+from repro.sgx.costs import CostModel
+from repro.sgx.measurement import EnclaveImage, VendorKey
+
+#: The frozen, deeply immutable values devices share, interned when they
+#: cross the pool boundary (see the module docstring).
+INTERNED_TYPES = (
+    EnclaveImage,
+    DHGroup,
+    CostModel,
+    SchnorrPublicKey,
+    VendorKey,
+    FixedPointCodec,
+    GlimmerConfig,
+)
+
+#: This process's instance of each interned value, by :func:`_identity`.
+#: The executor's feeder thread dumps and its result thread loads, so the
+#: table is read and written under one lock.  It is held only inside one
+#: dump or load, never across a fork: the pool forks its workers before
+#: its first dispatch, and the engine dispatches one round at a time.
+_interned: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_interned_lock = threading.Lock()
+
+
+@cache
+def _field_names(cls) -> tuple[str, ...] | None:
+    """A dataclass's field names; ``None`` for any other type."""
+    if not is_dataclass(cls):
+        return None
+    return tuple(f.name for f in fields(cls))
+
+
+def _field_values(value) -> tuple:
+    return tuple([getattr(value, name) for name in _field_names(type(value))])
+
+
+def _identity(cls, values) -> tuple:
+    """``(type, field values)``, compared strictly: a float by its bits,
+    anything else with its type, a nested dataclass field by field."""
+    key = [cls]
+    for value in values:
+        kind = type(value)
+        if isinstance(value, float):
+            key.append((kind, float.hex(value)))
+        elif _field_names(kind) is None:
+            key.append((kind, value))
+        else:
+            key.append(_identity(kind, _field_values(value)))
+    return tuple(key)
+
+
+def _reduce_interned(value):
+    """Ship ``value``'s field values, and make it the instance this
+    process hands back for them: the latest sender's wins."""
+    values = _field_values(value)
+    key = _identity(type(value), values)
+    with _interned_lock:
+        if _interned.get(key) is not value:
+            _interned[key] = value
+    return _load_interned, (type(value), values)
+
+
+def _load_interned(cls, values):
+    key = _identity(cls, values)
+    with _interned_lock:
+        value = _interned.get(key)
+        if value is None:
+            # What pickle's default reduction rebuilds: no __init__ rerun.
+            value = object.__new__(cls)
+            value.__dict__.update(zip(_field_names(cls), values))
+            _interned[key] = value
+    return value
+
+
+for _cls in INTERNED_TYPES:
+    ForkingPickler.register(_cls, _reduce_interned)
 
 
 @dataclass(frozen=True)
