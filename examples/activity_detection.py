@@ -26,7 +26,9 @@ from repro.crypto.drbg import HmacDrbg
 from repro.crypto.fixedpoint import FixedPointCodec
 from repro.crypto.masking import BlindingService
 from repro.crypto.schnorr import SchnorrKeyPair
-from repro.errors import ValidationError
+from repro.network.transport import Network
+from repro.runtime.engine import RoundEngine
+from repro.runtime.telemetry import OUTCOME_ACCEPTED
 from repro.sgx.attestation import AttestationService
 from repro.sgx.measurement import VendorKey
 from repro.workloads.camera import MOTION_BINS, CameraWorkload
@@ -66,36 +68,36 @@ def main() -> None:
         ias, registry, "activity-glimmer", rng.fork("bp"),
     )
     service = CloudService(signing.public_key, codec)
-    blinder_prov.open_round(1, NUM_HOMES, MOTION_BINS)
-    service.open_round(1, NUM_HOMES)
+    engine = RoundEngine(
+        Network(seed=b"activity-bus"), service, blinder_prov,
+        signing_public=signing.public_key, codec=codec, group=TEST_GROUP,
+    )
 
-    accepted_slots = []
-    for index, contribution in enumerate(workload.contributions):
-        stream = workload.streams[contribution.user_id]
+    for contribution in workload.contributions:
         client = ClientDevice(
             contribution.user_id, image, ias,
             seed=contribution.user_id.encode(),
-            data=LocalDataStore(video_stream=stream),
+            data=LocalDataStore(video_stream=workload.streams[contribution.user_id]),
         )
         client.provision_signing_key(service_prov)
-        client.provision_mask(blinder_prov, 1, index)
+        engine.register_client(client)
+    report = engine.run_round(
+        1,
+        [c.user_id for c in workload.contributions],
+        {c.user_id: list(c.values) for c in workload.contributions},
+        FEATURES,
+    )
+    for contribution in workload.contributions:
+        stream = workload.streams[contribution.user_id]
         tag = "FORGED" if contribution.is_forged else "honest"
-        try:
-            signed = client.contribute(1, list(contribution.values), FEATURES)
-            service.submit(1, signed)
-            accepted_slots.append(index)
+        outcome = report.outcomes[contribution.user_id]
+        if outcome == OUTCOME_ACCEPTED:
             print(f"  [{tag}] {contribution.user_id} ({stream.activity}): endorsed, blinded, submitted")
-        except ValidationError as exc:
-            print(f"  [{tag}] {contribution.user_id}: rejected — {str(exc)[:60]}…")
+        else:
+            print(f"  [{tag}] {contribution.user_id}: {outcome} in-enclave, never submitted")
 
-    repairs = [
-        blinder_prov.reveal_dropout_mask(1, index)
-        for index in range(NUM_HOMES)
-        if index not in accepted_slots
-    ]
-    result = service.finalize_blinded_round(1, repairs)
-    print(f"\nservice aggregated {result.num_contributions} blinded histograms "
-          f"(max bin mass {float(max(result.aggregate)):.3f})")
+    print(f"\nservice aggregated {report.num_contributions} blinded histograms "
+          f"(max bin mass {float(max(report.aggregate)):.3f})")
     frames = sum(len(s.frames) for s in workload.streams.values())
     print(f"video frames that never left any home: {frames}")
 

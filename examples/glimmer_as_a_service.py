@@ -6,7 +6,8 @@ through a Glimmer hosted on the household set-top box.  Each device first
 *verifies the host's attestation quote* — quote verification needs no
 trusted hardware — then ships its contribution and private context
 end-to-end encrypted into the enclave.  The host relays ciphertext it
-cannot read.
+cannot read.  To the round engine each thermostat is one more device, so
+the round runs, and is judged, like any other.
 
 A second act shows the failure mode the design exists for: a host running
 its own software instead of the vetted Glimmer fails attestation, and the
@@ -15,16 +16,12 @@ client never sends it anything private.
 Run:  python examples/glimmer_as_a_service.py
 """
 
-from repro.core.remote import IoTClient, RemoteGlimmerHost
-from repro.core.validation import PrivateContext
 from repro.errors import AttestationError
-from repro.experiments.common import Deployment, GLIMMER_NAME
-from repro.experiments.e10_gaas import NotAGlimmerProgram
+from repro.experiments.common import Deployment
+from repro.experiments.e10_gaas import make_impostor_host
+from repro.invariants import judge
 from repro.network.clock import LOCAL_LATENCY
-from repro.network.transport import Network
-from repro.sgx.attestation import report_data_for
-from repro.sgx.measurement import EnclaveImage
-from repro.sgx.platform import SgxPlatform
+from repro.runtime.messages import client_endpoint
 
 NUM_DEVICES = 4
 
@@ -34,67 +31,32 @@ def main() -> None:
         num_users=2, seed=b"gaas-example", provision_clients=False
     )
     features = deployment.features
-    network = Network(seed=b"home-lan", latency=LOCAL_LATENCY)
 
     print("== the set-top box hosts a vetted Glimmer ==")
-    host = RemoteGlimmerHost(
-        "set-top-box", deployment.image, deployment.attestation, network,
-        b"set-top-box-seed",
-    )
-    host.provision_signing_key(deployment.service_provisioner)
-    deployment.blinder_provisioner.open_round(1, NUM_DEVICES, len(features))
-    deployment.service.open_round(1, NUM_DEVICES)
+    host = deployment.make_host("set-top-box")
     print(f"  glimmer measurement: {deployment.image.mrenclave.hex()[:16]}…\n")
 
+    devices = [f"thermostat-{index}" for index in range(NUM_DEVICES)]
+    for device_id in devices:
+        deployment.make_iot_client(device_id, host)
+        deployment.network.set_link_latency(
+            client_endpoint(device_id), "set-top-box", LOCAL_LATENCY
+        )
     vector = [0.25] * len(features)
-    for index in range(NUM_DEVICES):
-        host.provision_mask(deployment.blinder_provisioner, 1, index)
-        device = IoTClient(
-            f"thermostat-{index}", network, deployment.attestation,
-            deployment.registry, GLIMMER_NAME,
-            f"thermostat-{index}".encode(), group=deployment.group,
-        )
-        start = network.clock.now_ms()
-        signed = device.contribute_via(
-            "set-top-box", 1, vector, features.bigrams, PrivateContext(),
-            party_index=index,
-        )
-        elapsed = network.clock.now_ms() - start
-        accepted = deployment.service.submit(1, signed)
-        print(f"  thermostat-{index}: attested host, contributed in "
-              f"{elapsed:.2f} ms (simulated) — "
-              f"{'accepted' if accepted else 'rejected'}")
-
-    result = deployment.service.finalize_blinded_round(1)
-    print(f"\nservice aggregated {result.num_contributions} blinded "
-          f"contributions exactly\n")
+    vectors = dict.fromkeys(devices, vector)
+    report = deployment.engine.run_round(1, devices, vectors, features.bigrams)
+    for device_id in devices:
+        print(f"  {device_id}: attested the host, contributed through it — "
+              f"{report.outcomes[device_id]}")
+    verdict = judge(report, deployment.codec, vectors)
+    print(f"\nservice aggregated {report.num_contributions} blinded "
+          f"contributions: {verdict.outcome}\n")
 
     print("== act two: a dishonest host swaps in its own software ==")
-    evil_network = Network(seed=b"evil-lan", latency=LOCAL_LATENCY)
-    fake_image = EnclaveImage.build(
-        NotAGlimmerProgram, deployment.vendor, name=GLIMMER_NAME
-    )
-    platform = SgxPlatform(b"evil-host", attestation_service=deployment.attestation)
-    fake_enclave = platform.load_enclave(fake_image)
-
-    def fake_attest(message):
-        from repro.core.remote import AttestedOffer
-
-        public = fake_enclave.ecall("begin_handshake", b"x")
-        quote = platform.quote_enclave(
-            fake_enclave, report_data_for(int(public).to_bytes(256, "big"))
-        )
-        return AttestedOffer(session_id=b"x", dh_public=public, quote=quote)
-
-    evil_network.register("set-top-box", {"attest-glimmer": fake_attest})
-    device = IoTClient(
-        "thermostat-victim", evil_network, deployment.attestation,
-        deployment.registry, GLIMMER_NAME, b"victim", group=deployment.group,
-    )
+    impostor = make_impostor_host(deployment, "evil-box")
+    device = deployment.make_iot_client("thermostat-victim", impostor)
     try:
-        device.contribute_via(
-            "set-top-box", 1, vector, features.bigrams, PrivateContext()
-        )
+        device.contribute(2, vector, features.bigrams)
         print("  !!! the device trusted the impostor — this should never print")
     except AttestationError as exc:
         print(f"  the device refused: {exc}")

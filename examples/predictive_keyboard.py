@@ -16,13 +16,13 @@ import numpy as np
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.fixedpoint import FixedPointCodec
 from repro.crypto.masking import BlindingService, apply_mask
-from repro.errors import ValidationError
 from repro.experiments.common import Deployment
 from repro.federated.aggregation import FederatedAggregator
 from repro.federated.inversion import InversionAttacker
 from repro.federated.metrics import top1_accuracy
 from repro.federated.model import BigramModel
 from repro.federated.poisoning import Poisoner
+from repro.runtime.telemetry import OUTCOME_VALIDATION_REJECTED
 from repro.workloads.text import stance_evidence
 
 NUM_USERS = 12
@@ -78,29 +78,18 @@ def main() -> None:
 
     print("== The Glimmer: validation before blinding, inside SGX ==")
     user_ids = [user.user_id for user in corpus.users]
-    deployment.open_round(10, user_ids)
-    rejected = 0
-    for index, user_id in enumerate(user_ids):
-        values = vectors[user_id]
-        if index == 0:  # Alice tries the same 538
-            values = poisoner.magnitude_attack(values, 538.0).vector
-        try:
-            signed = deployment.clients[user_id].contribute(
-                10, list(values), features.bigrams
-            )
-        except ValidationError:
-            rejected += 1
-            continue
-        deployment.service.submit(10, signed)
-    repair = [deployment.blinder_provisioner.reveal_dropout_mask(10, 0)]
-    result = deployment.service.finalize_blinded_round(10, repair)
+    values = dict(vectors)
+    # Alice tries the same 538.
+    values[user_ids[0]] = poisoner.magnitude_attack(values[user_ids[0]], 538.0).vector
+    report = deployment.engine.run_round(10, user_ids, values, features.bigrams)
+    rejected = list(report.outcomes.values()).count(OUTCOME_VALIDATION_REJECTED)
     survivors_mean = np.mean(
         np.stack([vectors[u] for u in user_ids[1:]]), axis=0
     )
     print(f"  poisoned contributions rejected in-enclave: {rejected}")
     print(f"  defended aggregate max error: "
-          f"{np.max(np.abs(result.aggregate - survivors_mean)):.2e}")
-    defended = BigramModel.from_vector(features, result.aggregate)
+          f"{np.max(np.abs(report.aggregate - survivors_mean)):.2e}")
+    defended = BigramModel.from_vector(features, report.aggregate)
     print(f"  utility (top-1): {top1_accuracy(defended, holdout):.3f}")
     print(f"  next word after 'donald': {defended.top_prediction('donald')!r}")
     print("\nPrivacy AND trust: the quagmire resolved (for this round, anyway).")

@@ -8,14 +8,15 @@ train → hand to Glimmer → relay whatever the Glimmer endorsed.
 
 :class:`MaliciousClient` extends it with every cheat the paper discusses:
 
-* ``poison_*`` — feed manipulated values to the Glimmer (caught or not by
-  the predicate, per the E6 ladder);
+* poisoning needs no method: manipulated values go to the Glimmer through
+  :meth:`contribute` like any others (caught or not by the predicate, per
+  the E6 ladder);
 * ``forge_evidence`` — answer the Glimmer's private-data ocall with
   fabricated context (robotic keystroke traces, fake sentences);
 * ``bypass_glimmer`` — submit a self-signed contribution without any
   enclave (fails the service's signature check);
-* ``tamper_after_signing`` — alter a genuinely signed payload in transit
-  (breaks the signature).
+* ``tamper_after_signing`` — alter a genuinely signed payload in transit,
+  under a fresh nonce (breaks the signature).
 """
 
 from __future__ import annotations
@@ -347,23 +348,6 @@ class ClientDevice:
 class MaliciousClient(ClientDevice):
     """A client that cheats at every layer it controls."""
 
-    def poison_values(
-        self,
-        round_id: int,
-        poisoned: Sequence[float],
-        features: Sequence[tuple[str, str]],
-        blind: bool = True,
-        claims: dict | None = None,
-    ) -> SignedContribution:
-        """Feed manipulated values through the Glimmer (Figure 1d's attempt).
-
-        Whether this raises :class:`ValidationError` is the whole game:
-        the predicate decides.
-        """
-        return self.contribute(
-            round_id, poisoned, features, blind=blind, claims=claims
-        )
-
     def forge_evidence(self, **overrides) -> None:
         """Replace the private data the device serves to the Glimmer."""
         for name, value in overrides.items():
@@ -409,17 +393,20 @@ class MaliciousClient(ClientDevice):
     def tamper_after_signing(
         self, genuine: SignedContribution, boost: float = 538.0
     ) -> SignedContribution:
-        """Rewrite a genuinely signed payload without re-signing."""
+        """Rewrite a genuinely signed payload without re-signing.
+
+        The nonce is fresh too: the genuine one is already spent, and the
+        service refuses a spent nonce before it checks any signature.
+        """
+        fresh = replace(genuine, nonce=self.rng.generate(16))
         if genuine.ring_payload is not None:
             mutated = kernels.as_ring(genuine.ring_payload)
             mutated[:1] += kernels.U64((int(boost) << 16) % (1 << 64))
-            return replace(genuine, ring_payload=kernels.be_words_to_bytes(mutated))
+            return replace(fresh, ring_payload=kernels.be_words_to_bytes(mutated))
         mutated_plain = kernels.be_doubles(genuine.plain_payload or b"")
         if len(mutated_plain):
             mutated_plain[0] = boost
-        return replace(
-            genuine, plain_payload=kernels.be_doubles_to_bytes(mutated_plain)
-        )
+        return replace(fresh, plain_payload=kernels.be_doubles_to_bytes(mutated_plain))
 
     def replay(self, genuine: SignedContribution) -> SignedContribution:
         """Submit a copy of an already-submitted contribution."""

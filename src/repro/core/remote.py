@@ -9,8 +9,9 @@ supply the capability to run a Glimmer."
 The cast:
 
 * :class:`RemoteGlimmerHost` — the third party (a set-top box, the user's
-  university, the EFF) owning an SGX platform that hosts a vetted Glimmer
-  and relays opaque ciphertexts for clients;
+  university, the EFF): a :class:`~repro.core.client.ClientDevice` whose
+  vetted Glimmer also answers two network calls for clients, and relays
+  opaque ciphertexts;
 * :class:`IoTClient` — a device with no TEE.  "The main criterion is that
   the client device needs to establish that it is sending its private data
   to a genuine Glimmer" — it verifies the host's quote (verification needs
@@ -18,8 +19,9 @@ The cast:
   ships its contribution *and* private validation data encrypted end to end
   into the enclave.  The host sees only ciphertext.
 
-Latency accounting runs over :mod:`repro.network`, so experiment E10 can
-price the three host placements the paper lists.
+To the round engine an :class:`IoTClient` is one more device; its
+device↔host legs cross the bus, where E10 prices the host placements
+the paper lists as link latencies.
 """
 
 from __future__ import annotations
@@ -27,37 +29,32 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.codec import wire
-from repro.core.client import attested_handshake, mask_delivery
-from repro.core.glimmer import (
-    ProcessRequest,
-    _encode_remote_payload,
-    decode_remote_response,
-)
+from repro.codec import Bytes, Int, wire
+from repro.core.client import ClientDevice, LocalDataStore
+from repro.core.glimmer import ProcessRequest, _encode_remote_payload, decode_remote_response
 from repro.core.provisioning import VettingRegistry, _verify_bound_quote
 from repro.core.signing import SignedContribution
-from repro.core.validation import PrivateContext
 from repro.crypto.cipher import AuthenticatedCipher, SealedBox
 from repro.crypto.dh import DHGroup, DHKeyPair, OAKLEY_GROUP_1
 from repro.crypto.drbg import HmacDrbg
 from repro.network.transport import Network
 from repro.perf import kernels
-from repro.sgx.attestation import AttestationService
+from repro.runtime.messages import client_endpoint
+from repro.sgx.attestation import AttestationService, Quote
 from repro.sgx.measurement import EnclaveImage
-from repro.sgx.platform import SgxPlatform
 
 
-@wire(0x810C)
+@wire(0x810C, session_id=Bytes(), dh_public=Int(1), quote=Quote)
 @dataclass(frozen=True)
 class AttestedOffer:
     """The host's answer to an attestation request: DH value + binding quote."""
 
     session_id: bytes
     dh_public: int
-    quote: object
+    quote: Quote
 
 
-class RemoteGlimmerHost:
+class RemoteGlimmerHost(ClientDevice):
     """A TEE-equipped third party hosting a Glimmer for others.
 
     The host is *not* trusted with data: every client payload it relays is
@@ -73,9 +70,7 @@ class RemoteGlimmerHost:
         network: Network,
         seed: bytes,
     ) -> None:
-        self.host_name = host_name
-        self.platform = SgxPlatform(seed, attestation_service=attestation_service)
-        self.glimmer = self.platform.load_enclave(glimmer_image)
+        super().__init__(host_name, glimmer_image, attestation_service, seed)
         self.network = network
         network.register(
             host_name,
@@ -84,23 +79,9 @@ class RemoteGlimmerHost:
                 "remote-contribution": self._handle_contribution,
             },
         )
-        self._session_counter = 0
-        #: Handle of the hosted Glimmer's live session with the blinder,
-        #: and a full mask request still waiting for its answer.
-        self.mask_session: bytes | None = None
-        self.unanswered_handshake: tuple | None = None
-
-    # ------------------------------------------------------ request handlers
-
-    def _attested_offer(self, prefix: str) -> AttestedOffer:
-        self._session_counter += 1
-        session_id = f"{self.host_name}:{prefix}:{self._session_counter}".encode()
-        return AttestedOffer(
-            *attested_handshake(self.platform, self.glimmer, session_id)
-        )
 
     def _handle_attest(self, message) -> AttestedOffer:
-        return self._attested_offer("client")
+        return AttestedOffer(*self.handshake_request())
 
     def _handle_contribution(self, message) -> bytes:
         session_id, client_dh_public, ciphertext = message.payload
@@ -108,67 +89,85 @@ class RemoteGlimmerHost:
             "process_remote", session_id, client_dh_public, ciphertext
         )
 
-    # ----------------------------------------------- operator-side plumbing
 
-    def _operator_handshake(self) -> tuple[bytes, int, object]:
-        offer = self._attested_offer("operator")
-        return offer.session_id, offer.dh_public, offer.quote
-
-    def provision_signing_key(self, provisioner) -> bytes:
-        """The host operator provisions the service signing key once."""
-        return self.glimmer.ecall(
-            "install_signing_key",
-            provisioner.provision_signing_key(*self._operator_handshake()),
-        )
-
-    def provision_mask(self, provisioner, round_id: int, party_index: int) -> None:
-        """Every slot the hosted Glimmer serves rides the host's one session."""
-        commitment = provisioner.round_commitments(round_id).record_for(party_index)
-        mask_delivery(
-            self,
-            self._operator_handshake,
-            lambda *request: provisioner.provision_mask(
-                *request, round_id, party_index
-            ),
-            lambda delivery: self.glimmer.ecall(
-                "install_blinding_mask", round_id, party_index, delivery, commitment
-            ),
-        )
+def _on_host(name: str) -> property:
+    """The host's attribute or method ``name``, read and set through a device."""
+    return property(
+        lambda device: getattr(device.host, name),
+        lambda device, value: setattr(device.host, name, value),
+    )
 
 
 class IoTClient:
-    """A TEE-less device contributing through a remote Glimmer."""
+    """A TEE-less device contributing through a remote Glimmer.
+
+    It has the device surface the round engine drives, but the Glimmer it
+    names and every call that acts on one are its host's: devices behind
+    one host share its Glimmer and its one mask session with the blinder.
+    The device keeps only its own slot per round.
+    """
+
+    glimmer = _on_host("glimmer")
+    platform = _on_host("platform")
+    crashed = _on_host("crashed")
+    mask_session = _on_host("mask_session")
+    unanswered_handshake = _on_host("unanswered_handshake")
+    handshake_request = _on_host("handshake_request")
+    checkpoint_round = _on_host("checkpoint_round")
+    discard_checkpoint = _on_host("discard_checkpoint")
+    crash = _on_host("crash")
+    restart = _on_host("restart")
+    # Direct-call provisioning, as a ClientDevice does it: the host's
+    # handshake and Glimmer, this device's slot.
+    provision_mask = ClientDevice.provision_mask
 
     def __init__(
         self,
         client_id: str,
-        network: Network,
+        host: RemoteGlimmerHost,
         attestation_service: AttestationService,
         registry: VettingRegistry,
         glimmer_name: str,
         seed: bytes,
         group: DHGroup = OAKLEY_GROUP_1,
+        data: LocalDataStore | None = None,
     ) -> None:
         self.client_id = client_id
-        self.network = network
+        self.host = host
         self.attestation = attestation_service
         self.registry = registry
         self.glimmer_name = glimmer_name
         self.group = group
         """Must match the Glimmer's handshake group (its service-identity group)."""
+        self.data = data or LocalDataStore()
+        """The device's private data; what ``context_fields`` names of it
+        travels to the Glimmer inside the ciphertext."""
         self.rng = HmacDrbg(seed, personalization=f"iot:{client_id}")
-        network.register(client_id, {})
+        self._party_index_for_round: dict[int, int] = {}
 
-    def contribute_via(
+    def install_mask(
+        self, round_id: int, party_index: int, delivery, commitment=None
+    ) -> None:
+        self.host.install_mask(round_id, party_index, delivery, commitment)
+        self._party_index_for_round[round_id] = party_index
+
+    def party_index_for(self, round_id: int) -> int | None:
+        return self._party_index_for_round.get(round_id)
+
+    def close_round(self, round_id: int) -> None:
+        self.host.close_round(round_id)
+        self._party_index_for_round.pop(round_id, None)
+
+    # --------------------------------------------------------- contribution
+
+    def contribute(
         self,
-        host_name: str,
         round_id: int,
-        values: Sequence[float],
+        values: Sequence[float] | bytes,
         features: Sequence[tuple[str, str]],
-        context: PrivateContext,
         blind: bool = True,
-        party_index: int = 0,
         claims: dict | None = None,
+        context_fields: Sequence[str] = (),
     ) -> SignedContribution:
         """Attest the remote Glimmer, then contribute through it.
 
@@ -177,31 +176,27 @@ class IoTClient:
         that stops a malicious host from substituting its own software for
         the Glimmer.
         """
-        offer: AttestedOffer = self.network.call(
-            self.client_id, host_name, "attest-glimmer", None
-        )
+        name, host_name = client_endpoint(self.client_id), self.host.client_id
+        network = self.host.network
+        offer: AttestedOffer = network.call(name, host_name, "attest-glimmer", None)
         expected = self.registry.approved_measurement(self.glimmer_name)
-        _verify_bound_quote(
-            self.attestation.verify, offer.quote, expected, offer.dh_public
-        )
+        _verify_bound_quote(self.attestation.verify, offer.quote, expected, offer.dh_public)
         keypair = DHKeyPair.generate(self.group, self.rng)
-        key = keypair.derive_key(offer.dh_public, "glimmer-as-a-service")
-        cipher = AuthenticatedCipher(key)
+        cipher = AuthenticatedCipher(
+            keypair.derive_key(offer.dh_public, "glimmer-as-a-service")
+        )
         request = ProcessRequest(
             round_id=round_id,
-            values=kernels.be_doubles_to_bytes(values),
+            values=values if isinstance(values, bytes) else kernels.be_doubles_to_bytes(values),
             features=tuple(features),
             blind=blind,
-            party_index=party_index,
+            party_index=self._party_index_for_round.get(round_id, 0),
             claims=dict(claims or {}),
         )
-        payload = _encode_remote_payload(request, context)
-        nonce = self.rng.generate(16)
-        box = cipher.encrypt(nonce, payload, associated_data=offer.session_id)
-        encrypted_response = self.network.call(
-            self.client_id,
-            host_name,
-            "remote-contribution",
+        payload = _encode_remote_payload(request, self.data.context_for(context_fields))
+        box = cipher.encrypt(self.rng.generate(16), payload, associated_data=offer.session_id)
+        encrypted_response = network.call(
+            name, host_name, "remote-contribution",
             (offer.session_id, keypair.public, box.to_bytes()),
         )
         response = cipher.decrypt(

@@ -170,16 +170,17 @@ class CloudService:
         self,
         round_id: int,
         contribution: SignedContribution,
-        slot: int | None = None,
+        slot: int | None,
     ) -> bool:
         """Admit one contribution; returns True if accepted.
 
         Rejections are counted by reason in the round state — the paper's
         Input Integrity property shows up as "everything unsigned, forged,
         replayed, or tampered lands in ``rejected``".  ``slot`` is the
-        sender-claimed mask slot; a streamed round uses it to attribute
-        the fold to a subgroup (the total is exact either way — fold
-        order and attribution never change an associative ring sum).
+        sender-claimed mask slot (``None`` when the sender claimed none); a
+        streamed round uses it to attribute the fold to a subgroup (the
+        total is exact either way — fold order and attribution never
+        change an associative ring sum).
         """
         return self._admit(round_id, contribution, check_signature=True, slot=slot)
 
@@ -187,7 +188,7 @@ class CloudService:
         self,
         round_id: int,
         contribution: SignedContribution,
-        slot: int | None = None,
+        slot: int | None,
     ) -> bool:
         """Admit a contribution whose signature the caller already verified.
 
@@ -210,7 +211,7 @@ class CloudService:
         round_id: int,
         contribution: SignedContribution,
         check_signature: bool,
-        slot: int | None = None,
+        slot: int | None,
     ) -> bool:
         state = self.round_state(round_id)
         if not isinstance(contribution, SignedContribution):

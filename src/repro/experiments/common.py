@@ -23,6 +23,7 @@ from repro.core.provisioning import (
     ServiceProvisioner,
     VettingRegistry,
 )
+from repro.core.remote import IoTClient, RemoteGlimmerHost
 from repro.core.service import CloudService
 from repro.crypto.dh import DHGroup, TEST_GROUP
 from repro.crypto.drbg import HmacDrbg
@@ -168,6 +169,26 @@ class Deployment:
         client.provision_signing_key(self.service_provisioner)
         client.platform.fault_injector = self._fault_injector
         self.clients[user_id] = client
+        self.engine.register_client(client)
+        return client
+
+    def make_host(self, host_name: str) -> RemoteGlimmerHost:
+        """Put a §4.2 Glimmer host on the bus, its signing key provisioned."""
+        host = RemoteGlimmerHost(
+            host_name, self.image, self.attestation, self.network,
+            seed=b"host:" + host_name.encode("utf-8"),
+        )
+        host.provision_signing_key(self.service_provisioner)
+        host.platform.fault_injector = self._fault_injector
+        return host
+
+    def make_iot_client(self, device_id: str, host: RemoteGlimmerHost) -> IoTClient:
+        """Build a TEE-less device behind ``host`` and register it on the bus."""
+        client = IoTClient(
+            device_id, host, self.attestation, self.registry, GLIMMER_NAME,
+            seed=b"iot:" + device_id.encode("utf-8"), group=self.group,
+        )
+        self.clients[device_id] = client
         self.engine.register_client(client)
         return client
 

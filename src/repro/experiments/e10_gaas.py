@@ -6,10 +6,15 @@ user (such as a set-top box ...), a local group of people ... (such as
 their University ...), or even a well-known entity ... (such as the EFF)" —
 priced as device-local, LAN, and WAN links respectively.
 
-Per placement we report: mean end-to-end contribution latency (simulated),
-acceptance by the service, and the security check that motivates the whole
-design: a *malicious* host running non-Glimmer software fails the client's
-attestation check, so no private data is ever sent to it.
+Each placement is one engine round on a single deployment's bus: the host
+joins it, each device↔host link gets the placement's latency, and the
+round is judged like every other.  Per placement we report the mean and
+p95 of each device's host latency (simulated: from its attestation
+request to its signed submission), and whether every device's
+contribution was accepted.  The last row is the security check that
+motivates the whole design: a *malicious* host running non-Glimmer
+software fails the client's attestation check, so no private data is
+ever sent to it.
 """
 
 from __future__ import annotations
@@ -19,14 +24,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.analysis.reporting import Table
-from repro.core.remote import IoTClient, RemoteGlimmerHost
-from repro.core.validation import PrivateContext
+from repro.core.client import attested_handshake
+from repro.core.remote import AttestedOffer, RemoteGlimmerHost
 from repro.errors import AttestationError
-from repro.experiments.common import Deployment
+from repro.experiments.common import GLIMMER_NAME, Deployment
+from repro.invariants import Verdict, judge
+from repro.network.adversary import EavesdropAdversary
 from repro.network.clock import LAN_LATENCY, LOCAL_LATENCY, WAN_LATENCY
-from repro.network.transport import Network
-from repro.sgx.measurement import EnclaveImage
+from repro.runtime.messages import KIND_SUBMIT, client_endpoint
 from repro.sgx.enclave import EnclaveProgram, ecall
+from repro.sgx.measurement import EnclaveImage
 
 PLACEMENTS = (
     ("set-top box (same home)", LOCAL_LATENCY),
@@ -47,6 +54,7 @@ class NotAGlimmerProgram(EnclaveProgram):
 class GaasResult:
     rows: list
     malicious_host_blocked: bool
+    verdicts: list[Verdict]  # one per placement, judged by repro.invariants
 
     def table(self) -> Table:
         table = Table(
@@ -68,77 +76,70 @@ class GaasResult:
         return table
 
 
+def make_impostor_host(deployment: Deployment, host_name: str) -> RemoteGlimmerHost:
+    """A host on the bus that answers attestation for its own software: an
+    enclave that measures differently, so no vetted client trusts it."""
+    host = deployment.make_host(host_name)
+    impostor = host.platform.load_enclave(
+        EnclaveImage.build(NotAGlimmerProgram, deployment.vendor, name=GLIMMER_NAME)
+    )
+    deployment.network.add_handler(
+        host_name,
+        "attest-glimmer",
+        lambda message: AttestedOffer(*attested_handshake(host.platform, impostor, b"x")),
+    )
+    return host
+
+
+def _host_latency_ms(captured, device_id: str) -> float:
+    """From the device's attestation request to its signed submission,
+    as an on-path observer timestamps them (the first of each kind)."""
+    name = client_endpoint(device_id)
+    sent = {
+        message.kind: message.sent_at_ms
+        for message in reversed(captured)
+        if message.sender == name
+    }
+    return sent[KIND_SUBMIT] - sent["attest-glimmer"]
+
+
 def run(num_clients: int = 6, seed: bytes = b"e10") -> GaasResult:
     deployment = Deployment.build(num_users=4, seed=seed, provision_clients=False)
     features = deployment.features
-    vectors = deployment.local_vectors()
-    a_vector = list(next(iter(vectors.values())))
+    a_vector = list(next(iter(deployment.local_vectors().values())))
+    observer = EavesdropAdversary()
+    deployment.network.interpose(observer)
 
-    rows = []
-    round_counter = 0
-    for placement, latency in PLACEMENTS:
-        round_counter += 1
-        network = Network(seed=seed + placement.encode(), latency=latency)
-        host = RemoteGlimmerHost(
-            "host", deployment.image, deployment.attestation, network,
-            seed + b":host:" + placement.encode(),
-        )
-        host.provision_signing_key(deployment.service_provisioner)
-        deployment.blinder_provisioner.open_round(
-            round_counter, num_clients, len(features)
-        )
-        deployment.service.open_round(round_counter, num_clients)
-        latencies = []
-        accepted = 0
-        for index in range(num_clients):
-            host.provision_mask(deployment.blinder_provisioner, round_counter, index)
-            client = IoTClient(
-                f"iot-{placement}-{index}", network, deployment.attestation,
-                deployment.registry, "keyboard-glimmer",
-                seed + f":iot-{index}".encode(), group=deployment.group,
+    rows, verdicts = [], []
+    for round_id, (placement, latency) in enumerate(PLACEMENTS, start=1):
+        host = deployment.make_host(f"host:{placement}")
+        devices = [f"iot-{placement}-{index}" for index in range(num_clients)]
+        for device_id in devices:
+            deployment.make_iot_client(device_id, host)
+            deployment.network.set_link_latency(
+                client_endpoint(device_id), host.client_id, latency
             )
-            start = network.clock.now_ms()
-            signed = client.contribute_via(
-                "host", round_counter, a_vector, features.bigrams,
-                PrivateContext(), party_index=index,
-            )
-            latencies.append(network.clock.now_ms() - start)
-            accepted += deployment.service.submit(round_counter, signed)
+        vectors = dict.fromkeys(devices, a_vector)
+        report = deployment.engine.run_round(round_id, devices, vectors, features.bigrams)
+        verdicts.append(judge(report, deployment.codec, vectors))
+        latencies = [_host_latency_ms(observer.captured, d) for d in devices]
         rows.append(
             (
                 placement,
                 num_clients,
                 float(np.mean(latencies)),
                 float(np.percentile(latencies, 95)),
-                accepted == num_clients,
+                report.survivors == tuple(devices),
             )
         )
 
-    # Malicious host: runs different software; client must refuse to send data.
-    network = Network(seed=seed + b"mal", latency=LAN_LATENCY)
-    fake_image = EnclaveImage.build(
-        NotAGlimmerProgram, deployment.vendor, name="keyboard-glimmer"
-    )
-    from repro.sgx.platform import SgxPlatform
-    from repro.core.client import attested_handshake
-    from repro.core.remote import AttestedOffer
-
-    platform = SgxPlatform(seed + b":malhost", attestation_service=deployment.attestation)
-    fake_enclave = platform.load_enclave(fake_image)
-
-    def malicious_attest(message):
-        return AttestedOffer(*attested_handshake(platform, fake_enclave, b"x"))
-
-    network.register("host", {"attest-glimmer": malicious_attest})
-    client = IoTClient(
-        "iot-victim", network, deployment.attestation, deployment.registry,
-        "keyboard-glimmer", seed + b":victim", group=deployment.group,
-    )
+    # Malicious host: runs different software; the client must refuse to
+    # send it anything, so this arm submits nothing.
+    host = make_impostor_host(deployment, "host:malicious")
+    victim = deployment.make_iot_client("iot-victim", host)
     try:
-        client.contribute_via(
-            "host", 99, a_vector, features.bigrams, PrivateContext()
-        )
+        victim.contribute(99, a_vector, features.bigrams)
         blocked = False
     except AttestationError:
         blocked = True
-    return GaasResult(rows=rows, malicious_host_blocked=blocked)
+    return GaasResult(rows=rows, malicious_host_blocked=blocked, verdicts=verdicts)

@@ -69,11 +69,11 @@ def run(
 
     # ---- the SGX Glimmer reference -------------------------------------
     deployment.open_round(1, user_ids)
-    for user_id in user_ids:
+    for slot, user_id in enumerate(user_ids):
         signed = deployment.clients[user_id].contribute(
             1, list(vectors[user_id]), features.bigrams
         )
-        deployment.service.submit(1, signed)
+        deployment.service.submit(1, signed, slot)
     sgx_aggregate = deployment.service.finalize_blinded_round(1).aggregate
     rows = [
         (

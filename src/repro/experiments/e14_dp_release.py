@@ -29,11 +29,13 @@ from repro.analysis.reporting import Table
 from repro.experiments.common import Deployment
 from repro.federated.metrics import top1_accuracy
 from repro.federated.model import BigramModel
+from repro.invariants import Verdict, judge
 
 
 @dataclass
 class DpReleaseResult:
     rows: list
+    verdict: Verdict | None  # the noiseless round's, if one ran
 
     def table(self) -> Table:
         table = Table(
@@ -56,7 +58,7 @@ def run(
     sigmas=(0.0, 0.05, 0.2, 1.0, 5.0),
     seed: bytes = b"e14",
 ) -> DpReleaseResult:
-    rows = []
+    rows, verdict = [], None
     for sigma in sigmas:
         deployment = Deployment.build(
             num_users=num_users,
@@ -66,13 +68,11 @@ def run(
         features = deployment.features
         vectors = deployment.local_vectors()
         user_ids = [user.user_id for user in deployment.corpus.users]
-        deployment.open_round(1, user_ids)
-        for user_id in user_ids:
-            signed = deployment.clients[user_id].contribute(
-                1, list(vectors[user_id]), features.bigrams
-            )
-            deployment.service.submit(1, signed)
-        aggregate = deployment.service.finalize_blinded_round(1).aggregate
+        aggregate = deployment.honest_round(1)
+        if sigma == 0.0:
+            # Only the noiseless round is held to the exact mean: judge
+            # rightly calls a noised aggregate undetected-corruption.
+            verdict = judge(deployment.last_report, deployment.codec, vectors)
         truth = np.mean(np.stack([vectors[u] for u in user_ids]), axis=0)
         error = float(np.max(np.abs(aggregate - truth)))
 
@@ -88,4 +88,4 @@ def run(
         utility = top1_accuracy(model, holdout)
         trending = model.top_prediction("donald") == "trump"
         rows.append((sigma, epsilon, error, utility, trending))
-    return DpReleaseResult(rows=rows)
+    return DpReleaseResult(rows=rows, verdict=verdict)

@@ -536,12 +536,9 @@ class RoundEngine:
                 ),
             )
         except RefusedAtWire as exc:
-            # Already recorded against the leg's sender by call_with_retry.
-            # The engine's own command rewritten on its way leaves as the
-            # violation it is; a refused reply (a commitment set that
-            # fails its declared checks) is the responder's, and aborts.
-            if exc.offender == ENGINE:
-                raise
+            # Already recorded against the leg's sender by call_with_retry:
+            # the engine, for its own command rewritten on the way, or the
+            # responder, for a reply that fails its declared checks.
             raise self._abort(record, f"round open was refused at the wire: {exc}")
 
     def _vetted_commitments(
@@ -828,10 +825,7 @@ class RoundEngine:
         except NetworkError as exc:
             raise self._abort(record, f"finalize could not complete: {exc}")
         except RefusedAtWire as exc:
-            # As at open: a refused reply (a result whose trail fails its
-            # declared checks) is the responder's, and aborts.
-            if exc.offender == ENGINE:
-                raise
+            # As at open: blamed on whichever leg's sender spelled it.
             raise self._abort(record, f"finalize was refused at the wire: {exc}")
         self._audit_result(record, result, repairs)
         if record.subgroup_plan is not None:
@@ -1631,10 +1625,14 @@ class RoundEngine:
             except ProtocolError:
                 pass
         cycles: dict[str, int] = {}
+        counted: set[int] = set()
         for client_id, before in record.meter_start.items():
             client = record.joined.get(client_id)
-            if client is None:
+            # Devices behind one host share its Glimmer: count its meter
+            # once, from the first of them to join the round.
+            if client is None or id(client.glimmer) in counted:
                 continue
+            counted.add(id(client.glimmer))
             after = meter_snapshot(client.glimmer.meter)
             for bucket, grown in meter_delta(before, after).items():
                 cycles[bucket] = cycles.get(bucket, 0) + grown

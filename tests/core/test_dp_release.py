@@ -33,6 +33,7 @@ def test_zero_sigma_is_noiseless():
             deployment.clients[user_id].contribute(
                 1, list(vectors[user_id]), deployment.features.bigrams
             ),
+            deployment.clients[user_id].party_index_for(1),
         )
     aggregate = deployment.service.finalize_blinded_round(1).aggregate
     truth = np.mean(np.stack([vectors[u] for u in user_ids]), axis=0)
@@ -53,6 +54,7 @@ def test_noise_perturbs_aggregate_proportionally():
                 deployment.clients[user_id].contribute(
                     1, list(vectors[user_id]), deployment.features.bigrams
                 ),
+                deployment.clients[user_id].party_index_for(1),
             )
         aggregate = deployment.service.finalize_blinded_round(1).aggregate
         truth = np.mean(np.stack([vectors[u] for u in user_ids]), axis=0)

@@ -9,7 +9,6 @@ handshake session is single-use), and eavesdroppers hold only ciphertext.
 import pytest
 
 from repro.core.remote import IoTClient, RemoteGlimmerHost
-from repro.core.validation import PrivateContext
 from repro.errors import NetworkError, ProtocolError
 from repro.experiments.common import Deployment, GLIMMER_NAME
 from repro.network.adversary import DropAdversary, EavesdropAdversary
@@ -29,24 +28,16 @@ def gaas():
     host.provision_signing_key(deployment.service_provisioner)
     deployment.blinder_provisioner.open_round(1, 2, len(deployment.features))
     deployment.service.open_round(1, 2)
-    host.provision_mask(deployment.blinder_provisioner, 1, 0)
-    host.provision_mask(deployment.blinder_provisioner, 1, 1)
     client = IoTClient(
-        "iot", network, deployment.attestation, deployment.registry,
+        "iot", host, deployment.attestation, deployment.registry,
         GLIMMER_NAME, b"iot", group=deployment.group,
     )
     return deployment, network, host, client
 
 
 def _contribute(deployment, client, party_index=0):
-    return client.contribute_via(
-        "host",
-        1,
-        [0.5] * len(deployment.features),
-        deployment.features.bigrams,
-        PrivateContext(),
-        party_index=party_index,
-    )
+    client.provision_mask(deployment.blinder_provisioner, 1, party_index)
+    return client.contribute(1, [0.5] * len(deployment.features), deployment.features.bigrams)
 
 
 def test_dropped_attestation_request_surfaces(gaas):
@@ -72,7 +63,7 @@ def test_recovery_after_transient_drop(gaas):
         _contribute(deployment, client, party_index=0)
     network.clear_adversaries()
     signed = _contribute(deployment, client, party_index=1)
-    assert deployment.service.submit(1, signed)
+    assert deployment.service.submit(1, signed, 1)
 
 
 def test_replayed_ciphertext_rejected_by_enclave(gaas):
@@ -94,10 +85,8 @@ def test_eavesdropper_never_sees_plaintext_values(gaas):
     spy = EavesdropAdversary()
     network.interpose(spy)
     value = 0.8125  # exactly representable; encoded form is predictable
-    client.contribute_via(
-        "host", 1, [value] * len(deployment.features),
-        deployment.features.bigrams, PrivateContext(), party_index=0,
-    )
+    client.provision_mask(deployment.blinder_provisioner, 1, 0)
+    client.contribute(1, [value] * len(deployment.features), deployment.features.bigrams)
     encoded_value = deployment.codec.encode([value])[0].to_bytes(8, "big")
     for message in spy.captured:
         payload = message.payload
@@ -107,5 +96,5 @@ def test_eavesdropper_never_sees_plaintext_values(gaas):
 
 def test_session_ids_never_reused_by_host(gaas):
     deployment, network, host, client = gaas
-    offers = {host._attested_offer("a").session_id for __ in range(10)}
+    offers = {host.handshake_request()[0] for __ in range(10)}
     assert len(offers) == 10

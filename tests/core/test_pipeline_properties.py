@@ -50,7 +50,9 @@ def test_blinded_round_recovers_exact_mean(rows):
         signed = deployment.clients[user_id].contribute(
             round_id, vectors[user_id], features.bigrams
         )
-        assert deployment.service.submit(round_id, signed)
+        assert deployment.service.submit(
+            round_id, signed, deployment.clients[user_id].party_index_for(round_id)
+        )
     result = deployment.service.finalize_blinded_round(round_id)
     expected = np.mean(np.stack([vectors[u] for u in user_ids]), axis=0)
     assert np.allclose(result.aggregate, expected, atol=1e-3)

@@ -97,7 +97,7 @@ def test_service_round_lifecycle(fresh_deployment):
 def test_service_rejects_non_contribution(fresh_deployment):
     service = fresh_deployment.service
     service.open_round(1, 3)
-    assert not service.submit(1, "not a contribution")
+    assert not service.submit(1, "not a contribution", None)
     assert service.round_state(1).rejected == {"not-a-signed-contribution": 1}
 
 
@@ -108,7 +108,7 @@ def test_service_rejects_wrong_payload_kind(fresh_deployment):
     client = deployment.clients[user_ids[0]]
     values = [0.5] * len(deployment.features)
     plain = client.contribute(1, values, deployment.features.bigrams, blind=False)
-    assert not deployment.service.submit(1, plain)  # round is blinded
+    assert not deployment.service.submit(1, plain, 0)  # round is blinded
     assert deployment.service.round_state(1).rejected == {"wrong-payload-kind": 1}
 
 
@@ -138,7 +138,7 @@ def test_plain_round_end_to_end(fresh_deployment):
         signed = deployment.clients[user_id].contribute(
             1, list(vectors[user_id]), deployment.features.bigrams, blind=False
         )
-        assert deployment.service.submit(1, signed)
+        assert deployment.service.submit(1, signed, None)  # a plain round has no slots
     result = deployment.service.finalize_plain_round(1)
     expected = np.mean(np.stack([vectors[u] for u in user_ids]), axis=0)
     assert np.allclose(result.aggregate, expected)
@@ -155,7 +155,9 @@ def test_blinded_round_with_dropout_repair(fresh_deployment):
         signed = deployment.clients[user_id].contribute(
             1, list(vectors[user_id]), deployment.features.bigrams
         )
-        deployment.service.submit(1, signed)
+        deployment.service.submit(
+            1, signed, deployment.clients[user_id].party_index_for(1)
+        )
     dropout_mask = deployment.blinder_provisioner.reveal_dropout_mask(
         1, len(user_ids) - 1
     )
@@ -173,8 +175,8 @@ def test_service_counts_multiple_rejection_reasons(fresh_deployment):
     signed = deployment.clients[user_ids[0]].contribute(
         1, list(vectors[user_ids[0]]), deployment.features.bigrams
     )
-    assert deployment.service.submit(1, signed)
-    assert not deployment.service.submit(1, signed)  # replay
+    assert deployment.service.submit(1, signed, 0)
+    assert not deployment.service.submit(1, signed, 0)  # replay
     wrong_round = SignedContribution(
         round_id=2,
         nonce=signed.nonce,
@@ -184,7 +186,7 @@ def test_service_counts_multiple_rejection_reasons(fresh_deployment):
         confidence=signed.confidence,
         signature=signed.signature,
     )
-    assert not deployment.service.submit(1, wrong_round)
+    assert not deployment.service.submit(1, wrong_round, 0)
     rejected = deployment.service.round_state(1).rejected
     assert rejected["replayed-nonce"] == 1
     assert rejected["wrong-round"] == 1

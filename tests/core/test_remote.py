@@ -1,10 +1,17 @@
 """Tests for §4.2 Glimmer-as-a-service."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.remote import AttestedOffer, IoTClient, RemoteGlimmerHost
 from repro.core.validation import PrivateContext
-from repro.errors import AttestationError, AuthenticationError
+from repro.errors import (
+    VIOLATION_MALFORMED,
+    AttestationError,
+    AuthenticationError,
+    RefusedAtWire,
+)
 from repro.experiments.common import Deployment, GLIMMER_NAME
 from repro.network.clock import LAN_LATENCY
 from repro.network.transport import Network
@@ -25,9 +32,9 @@ def gaas():
     return deployment, network, host
 
 
-def make_iot(deployment, network, name="iot-1"):
+def make_iot(deployment, host, name="iot-1"):
     return IoTClient(
-        name, network, deployment.attestation, deployment.registry,
+        name, host, deployment.attestation, deployment.registry,
         GLIMMER_NAME, name.encode(), group=deployment.group,
     )
 
@@ -37,12 +44,10 @@ def test_remote_contribution_end_to_end(gaas):
     deployment.blinder_provisioner.open_round(1, 1, len(deployment.features))
     deployment.service.open_round(1, 1)
     host.provision_mask(deployment.blinder_provisioner, 1, 0)
-    client = make_iot(deployment, network)
+    client = make_iot(deployment, host)
     values = [0.5] * len(deployment.features)
-    signed = client.contribute_via(
-        "host", 1, values, deployment.features.bigrams, PrivateContext()
-    )
-    assert deployment.service.submit(1, signed)
+    signed = client.contribute(1, values, deployment.features.bigrams)
+    assert deployment.service.submit(1, signed, 0)
 
 
 def test_remote_contribution_is_blinded_on_the_wire(gaas):
@@ -52,11 +57,9 @@ def test_remote_contribution_is_blinded_on_the_wire(gaas):
     host.provision_mask(deployment.blinder_provisioner, 1, 0)
     spy = EavesdropAdversary()
     network.interpose(spy)
-    client = make_iot(deployment, network)
+    client = make_iot(deployment, host)
     values = [0.25] * len(deployment.features)
-    signed = client.contribute_via(
-        "host", 1, values, deployment.features.bigrams, PrivateContext()
-    )
+    signed = client.contribute(1, values, deployment.features.bigrams)
     assert signed.blinded
     # Everything the host/network saw for the contribution is ciphertext.
     for payload in spy.captured_payloads("remote-contribution"):
@@ -69,7 +72,7 @@ def test_remote_contribution_is_blinded_on_the_wire(gaas):
 def test_malicious_host_fails_attestation(gaas):
     deployment, network, host = gaas
     # The host swaps in an offer whose quote does not bind the DH value.
-    genuine_offer = host._attested_offer("victim")
+    genuine_offer = AttestedOffer(*host.handshake_request())
 
     def bad_attest(message):
         return AttestedOffer(
@@ -79,19 +82,32 @@ def test_malicious_host_fails_attestation(gaas):
         )
 
     network.add_handler("host", "attest-glimmer", bad_attest)
-    client = make_iot(deployment, network, "iot-victim")
+    client = make_iot(deployment, host, "iot-victim")
     with pytest.raises(AttestationError):
-        client.contribute_via(
-            "host", 1, [0.5] * len(deployment.features),
-            deployment.features.bigrams, PrivateContext(),
+        client.contribute(
+            1, [0.5] * len(deployment.features), deployment.features.bigrams
         )
+
+
+def test_junk_quote_is_refused_at_the_wire(gaas):
+    """The offer's declared checks run as it crosses: a host answering
+    with a junk quote is a malformed message, blamed on the host."""
+    deployment, network, host = gaas
+    genuine_offer = AttestedOffer(*host.handshake_request())
+    network.add_handler(
+        "host", "attest-glimmer", lambda message: replace(genuine_offer, quote=b"junk")
+    )
+    client = make_iot(deployment, host, "iot-junk")
+    with pytest.raises(RefusedAtWire) as excinfo:
+        client.contribute(1, [0.5] * len(deployment.features), deployment.features.bigrams)
+    assert (excinfo.value.offender, excinfo.value.kind) == ("host", VIOLATION_MALFORMED)
 
 
 def test_manually_tampered_payload_rejected(gaas):
     deployment, network, host = gaas
     deployment.blinder_provisioner.open_round(1, 1, len(deployment.features))
     host.provision_mask(deployment.blinder_provisioner, 1, 0)
-    offer = host._attested_offer("tamper-victim")
+    offer = AttestedOffer(*host.handshake_request())
     # Build the encrypted request by hand, flip a byte, deliver.
     from repro.crypto.cipher import AuthenticatedCipher
     from repro.crypto.dh import DHKeyPair
@@ -121,20 +137,14 @@ def test_session_cannot_be_reused(gaas):
     deployment, network, host = gaas
     deployment.blinder_provisioner.open_round(1, 2, len(deployment.features))
     deployment.service.open_round(1, 2)
-    host.provision_mask(deployment.blinder_provisioner, 1, 0)
-    host.provision_mask(deployment.blinder_provisioner, 1, 1)
-    client = make_iot(deployment, network, "iot-reuse")
+    client = make_iot(deployment, host, "iot-reuse")
     values = [0.5] * len(deployment.features)
-    client.contribute_via(
-        "host", 1, values, deployment.features.bigrams, PrivateContext(),
-        party_index=0,
-    )
+    client.provision_mask(deployment.blinder_provisioner, 1, 0)
+    client.contribute(1, values, deployment.features.bigrams)
     # A second contribution opens a fresh session automatically and succeeds
     # (consuming the second party's mask on the shared remote Glimmer).
-    signed = client.contribute_via(
-        "host", 1, values, deployment.features.bigrams, PrivateContext(),
-        party_index=1,
-    )
+    client.provision_mask(deployment.blinder_provisioner, 1, 1)
+    signed = client.contribute(1, values, deployment.features.bigrams)
     assert signed.blinded
 
 
@@ -145,9 +155,7 @@ def test_remote_validation_still_enforced(gaas):
     deployment, network, host = gaas
     deployment.blinder_provisioner.open_round(1, 1, len(deployment.features))
     host.provision_mask(deployment.blinder_provisioner, 1, 0)
-    client = make_iot(deployment, network, "iot-evil")
+    client = make_iot(deployment, host, "iot-evil")
     bad = [538.0] + [0.0] * (len(deployment.features) - 1)
     with pytest.raises(ValidationError):
-        client.contribute_via(
-            "host", 1, bad, deployment.features.bigrams, PrivateContext()
-        )
+        client.contribute(1, bad, deployment.features.bigrams)

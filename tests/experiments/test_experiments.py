@@ -8,6 +8,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments.registry import EXPERIMENTS, run_experiment
+from repro.invariants import OUTCOME_CLEAN, OUTCOME_EXACT
 
 
 def test_registry_lists_all_experiments():
@@ -67,6 +68,23 @@ def test_e5_pipeline_claims():
     assert result.aggregate_error < 1e-3
     assert result.inversion_on_wire <= 0.75
     assert result.inversion_on_plain >= 0.9
+    assert result.verdict.outcome == OUTCOME_EXACT  # exact, despite the attacks
+    assert result.verdict.report.messages_sent > 0
+
+
+def test_e5_how_column_is_the_rejection_ledger():
+    """Each submitted attack's "how" is the reason the service booked for
+    it; round 1's ledger holds exactly the three refusals its rows name."""
+    result = run_experiment("e5", num_users=4)
+    how = {attack: reason for attack, __, reason in result.attack_rows}
+    assert how == {
+        "bypass glimmer (self-signed)": "invalid-signature",
+        "tamper after signing": "invalid-signature",
+        "replay signed contribution": "replayed-nonce",
+        "538 poison via glimmer": "range predicate",  # refused in the enclave
+        "cross-round replay": "wrong-round",  # booked in round 2's ledger
+    }
+    assert result.verdict.report.rejected == {"invalid-signature": 2, "replayed-nonce": 1}
 
 
 def test_e6_predicate_ladder_claims():
@@ -137,6 +155,7 @@ def test_e10_gaas_claims():
     latencies = [row[2] for row in result.rows]
     assert latencies == sorted(latencies)  # local < LAN < WAN
     assert all(row[4] for row in result.rows)  # all placements work
+    assert [verdict.outcome for verdict in result.verdicts] == [OUTCOME_CLEAN] * 3
 
 
 def test_e11_photo_maps_claims():
@@ -204,6 +223,7 @@ def test_e14_dp_release_claims():
     assert heavy[1] < mild[1]  # more noise, stronger privacy
     assert heavy[2] > mild[2] > noiseless[2]  # and growing error
     assert noiseless[4]  # trending works without noise
+    assert result.verdict.outcome == OUTCOME_CLEAN
 
 
 def test_e15_flooding_claims():

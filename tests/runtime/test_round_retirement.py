@@ -255,7 +255,7 @@ def test_finished_round_refuses_the_curious_service(route):
         # fresh, empty round state — whatever it carries.
         late = next(iter(report.service_result.accepted), object())
         with pytest.raises(ProtocolError, match=closed):
-            deployment.service.submit(1, late)
+            deployment.service.submit(1, late, 0)
         with pytest.raises(ProtocolError, match=closed):
             deployment.service.round_state(1)
         with pytest.raises(ProtocolError, match=closed):

@@ -23,6 +23,7 @@ from repro.core.glimmer import (
     decode_remote_response,
     features_digest,
 )
+from repro.core.remote import AttestedOffer
 from repro.core.service import RoundResult
 from repro.core.signing import SignedContribution
 from repro.core.split import SplitGlimmer, build_split_images
@@ -57,14 +58,15 @@ def _within(value):
 
 
 # What the bus carries and a party reads field by field: every request
-# class and what its sample holds, and the replies a party reads.  The
-# finalize reply (RoundResult) is not here: the engine holds it to its own
-# audit instead.
+# class and what its sample holds, and the replies a party reads (the
+# §4.2 host's attestation offer among them).  The finalize reply
+# (RoundResult) is not here: the engine holds it to its own audit instead.
 CARRIED = sorted(
     {
         *(found for cls in wire.KINDS.values() for found in _within(SAMPLES[cls])),
         SchnorrSignature,
         Quote,
+        AttestedOffer,
         KeyDelivery,
         MaskCommitmentSet,
         MaskOpening,

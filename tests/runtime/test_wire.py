@@ -19,7 +19,7 @@ from repro.codec import Packed
 from repro.core.glimmer import HANDLE_BYTES, features_digest
 from repro.core.signing import SignedContribution
 from repro.crypto.schnorr import SchnorrSignature
-from repro.errors import ProtocolViolation
+from repro.errors import ProtocolViolation, RoundAbortedError
 from repro.experiments.common import Deployment
 from repro.network.adversary import NetworkAdversary
 from repro.perf import kernels
@@ -521,15 +521,53 @@ class RewriteFinalize(NetworkAdversary):
     ],
 )
 def test_rewritten_dropout_mask_is_a_violation_end_to_end(rewrite):
-    """Like a rewritten contribute command: the engine's message fails the
-    service's schema, a ``malformed`` violation blamed on the engine."""
+    """Like any refused leg: the engine's message fails the service's
+    schema, and the round aborts with one ``malformed`` violation blamed
+    on the engine."""
     deployment = Deployment.build(num_users=4, seed=b"wire-tamper")
     users = [user.user_id for user in deployment.corpus.users]
     deployment.network.interpose(RewriteFinalize(rewrite))
-    with pytest.raises(ProtocolViolation) as excinfo:
+    with pytest.raises(RoundAbortedError) as excinfo:
         deployment.engine.run_round(
             1, users, deployment.local_vectors(), deployment.features.bigrams,
             dropouts=[users[2]],
         )
-    assert excinfo.value.kind == VIOLATION_MALFORMED
-    assert excinfo.value.offender == m.ENGINE
+    _assert_one_malformed_on_the_engine(excinfo.value)
+
+
+class RewriteOpen(NetworkAdversary):
+    """On-path: rewrite the engine's round-open command of one kind."""
+
+    def __init__(self, kind: str, **fields) -> None:
+        self.kind, self.fields = kind, fields
+
+    def process(self, message):
+        if message.kind == self.kind:
+            return message.with_payload(replace(message.payload, **self.fields))
+        return message
+
+
+@pytest.mark.parametrize(
+    "kind, fields",
+    [
+        pytest.param(m.KIND_OPEN_BLINDER, dict(vector_length=0), id="open-blinder"),
+        pytest.param(m.KIND_OPEN_SERVICE, dict(expected_parties=0), id="open-service"),
+    ],
+)
+def test_rewritten_open_command_is_a_blamed_abort(kind, fields):
+    """A round-open command rewritten in transit aborts the round, blamed
+    on the engine, rather than leaving ``run_round`` as a raw violation."""
+    deployment = Deployment.build(num_users=4, seed=b"wire-tamper")
+    deployment.network.interpose(RewriteOpen(kind, **fields))
+    with pytest.raises(RoundAbortedError) as excinfo:
+        deployment.honest_round(1)
+    _assert_one_malformed_on_the_engine(excinfo.value)
+
+
+def _assert_one_malformed_on_the_engine(abort) -> None:
+    violations = [(v.offender, v.kind) for v in abort.report.violations]
+    assert violations == [(m.ENGINE, VIOLATION_MALFORMED)]
+    verdict = invariants.judge(abort, None, {})
+    assert (verdict.outcome, verdict.offenders) == (
+        invariants.OUTCOME_DETECTED_ABORT, (m.ENGINE,)
+    )

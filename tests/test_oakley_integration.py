@@ -30,7 +30,9 @@ def test_full_round_at_real_key_sizes(oakley_deployment):
         signed = deployment.clients[user_id].contribute(
             1, list(vectors[user_id]), deployment.features.bigrams
         )
-        assert deployment.service.submit(1, signed)
+        assert deployment.service.submit(
+            1, signed, deployment.clients[user_id].party_index_for(1)
+        )
     result = deployment.service.finalize_blinded_round(1)
     expected = np.mean(np.stack([vectors[u] for u in user_ids]), axis=0)
     assert np.allclose(result.aggregate, expected, atol=1e-3)

@@ -37,7 +37,8 @@ def run_round(deployment, round_id, participants, dropouts=(), poisoners=()):
             )
         except ValidationError:
             continue
-        assert deployment.service.submit(round_id, signed)
+        slot = deployment.clients[user_id].party_index_for(round_id)
+        assert deployment.service.submit(round_id, signed, slot)
         accepted.append(user_id)
     repairs = [
         deployment.blinder_provisioner.reveal_dropout_mask(round_id, index)
@@ -91,5 +92,5 @@ def test_rounds_do_not_interfere(deployment):
     signed = deployment.clients[user_ids[0]].contribute(
         10, list(vectors[user_ids[0]]), deployment.features.bigrams
     )
-    assert not deployment.service.submit(11, signed)
-    assert deployment.service.submit(10, signed)
+    assert not deployment.service.submit(11, signed, 0)
+    assert deployment.service.submit(10, signed, 0)
