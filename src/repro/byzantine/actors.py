@@ -300,9 +300,6 @@ class TamperingAggregator:
             self.inner.finalize_blinded_round(round_id, dropout_masks)
         )
 
-    def finalize_plain_round(self, round_id):
-        return self._tamper(self.inner.finalize_plain_round(round_id))
-
     def _corrupted(self, result):
         aggregate = np.array(result.aggregate, dtype=float, copy=True)
         bump = 1.0 + float(self.rng.randint(538))

@@ -140,8 +140,8 @@ class IoTClient:
         self.group = group
         """Must match the Glimmer's handshake group (its service-identity group)."""
         self.data = data or LocalDataStore()
-        """The device's private data; what ``context_fields`` names of it
-        travels to the Glimmer inside the ciphertext."""
+        """The device's private data; its ``extra`` fields travel to the
+        Glimmer inside the ciphertext."""
         self.rng = HmacDrbg(seed, personalization=f"iot:{client_id}")
         self._party_index_for_round: dict[int, int] = {}
 
@@ -165,11 +165,8 @@ class IoTClient:
         round_id: int,
         values: Sequence[float] | bytes,
         features: Sequence[tuple[str, str]],
-        blind: bool = True,
-        claims: dict | None = None,
-        context_fields: Sequence[str] = (),
     ) -> SignedContribution:
-        """Attest the remote Glimmer, then contribute through it.
+        """Attest the remote Glimmer, then contribute through it, blinded.
 
         Raises :class:`AttestationError` if the host cannot present a quote
         for the vetted measurement binding its handshake value — the check
@@ -189,11 +186,9 @@ class IoTClient:
             round_id=round_id,
             values=values if isinstance(values, bytes) else kernels.be_doubles_to_bytes(values),
             features=tuple(features),
-            blind=blind,
             party_index=self._party_index_for_round.get(round_id, 0),
-            claims=dict(claims or {}),
         )
-        payload = _encode_remote_payload(request, self.data.context_for(context_fields))
+        payload = _encode_remote_payload(request, self.data.context_for(()))
         box = cipher.encrypt(self.rng.generate(16), payload, associated_data=offer.session_id)
         encrypted_response = network.call(
             name, host_name, "remote-contribution",

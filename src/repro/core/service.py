@@ -7,11 +7,11 @@ signature covers.  Per contribution it checks:
   secret half only attested Glimmers hold);
 * round consistency (the signed round id must match the open round);
 * nonce freshness (a replayed signed contribution is dropped);
-* payload kind (a round is either blinded or plaintext, fixed at opening).
+* payload kind (every round is blinded; a plaintext payload never counts).
 
-For blinded rounds the service computes only the ring sum — it never sees
-an individual contribution — and repairs dropouts with masks disclosed by
-the blinding service (§3).  Every blinded round keeps one state shape: a
+The service computes only the ring sum — it never sees an individual
+contribution — and repairs dropouts with masks disclosed by the blinding
+service (§3).  Every round keeps one state shape: a
 :class:`~repro.scale.streaming.StreamingSubgroupAccumulator` that each
 admitted payload folds into on arrival (a single group on the flat route,
 the round's subgroups on the streamed one).  The route only decides
@@ -40,21 +40,20 @@ from repro.scale.subgroup import plan_subgroups
 class RoundState:
     """Accounting for one aggregation round.
 
-    A blinded round folds each admitted ring payload into ``accumulator``
+    A round folds each admitted ring payload into ``accumulator``
     on arrival — one group on the flat route, the round's
     :class:`~repro.scale.subgroup.SubgroupPlan` on the streamed route —
     so finalize sums O(groups · k) partials, never the n admitted rows.
     ``counted`` maps the nonce of every contribution in the aggregate to
     its claimed slot, in admission order; it is what the engine reads on
     either route.  ``accepted`` is the signed trail the engine's finalize
-    audit replays: kept on flat and plaintext rounds, and empty on a
+    audit replays: kept on a flat round, and empty on a
     streamed round (``retain=False``), which releases each payload at
     admission and therefore cannot evict one.
     """
 
     round_id: int
-    blinded: bool
-    accumulator: StreamingSubgroupAccumulator | None = None
+    accumulator: StreamingSubgroupAccumulator
     retain: bool = True
     accepted: list[SignedContribution] = field(default_factory=list)
     counted: dict[bytes, int | None] = field(default_factory=dict)
@@ -101,7 +100,7 @@ class CloudService:
         self._closed: set[int] = set()
         self.aggregation_reducer = None
         """Optional ``callable(matrix, modulus_bits) -> row`` that merges a
-        blinded round's group partials at finalize in place of the flat
+        round's group partials at finalize in place of the flat
         :func:`repro.perf.kernels.ring_sum_rows`.  The scale layer installs
         a sharded reducer here; any replacement must be bit-exact against
         the flat sum (ring addition is associative, so any
@@ -115,12 +114,11 @@ class CloudService:
         self,
         round_id: int,
         expected_parties: int,
-        blinded: bool = True,
         subgroup_size: int = 0,
     ) -> None:
         """Open a round; ``subgroup_size > 0`` selects the streamed route.
 
-        A blinded round plans its groups up front (the plan is a pure
+        A round plans its groups up front (the plan is a pure
         function of the round id, so blinder and engine compute the
         identical grouping): ``subgroup_size`` slots a group when
         streamed, all of them — one group — when flat.  Only a flat round
@@ -132,16 +130,14 @@ class CloudService:
             raise ProtocolError(f"round {round_id} already open")
         if expected_parties < 1:
             raise ProtocolError("expected_parties must be >= 1")
-        state = RoundState(round_id=round_id, blinded=blinded)
-        if blinded:
-            state.retain = subgroup_size <= 0
-            plan = plan_subgroups(
-                round_id, expected_parties, subgroup_size or expected_parties
-            )
-            state.accumulator = StreamingSubgroupAccumulator(
-                plan, self._codec.modulus_bits
-            )
-        self._rounds[round_id] = state
+        plan = plan_subgroups(
+            round_id, expected_parties, subgroup_size or expected_parties
+        )
+        self._rounds[round_id] = RoundState(
+            round_id=round_id,
+            accumulator=StreamingSubgroupAccumulator(plan, self._codec.modulus_bits),
+            retain=subgroup_size <= 0,
+        )
 
     def round_state(self, round_id: int) -> RoundState:
         state = self._rounds.get(round_id)
@@ -220,7 +216,7 @@ class CloudService:
         if contribution.round_id != round_id:
             state.reject("wrong-round")
             return False
-        if contribution.blinded != state.blinded:
+        if not contribution.blinded:
             state.reject("wrong-payload-kind")
             return False
         if contribution.nonce in state.seen_nonces:
@@ -236,15 +232,14 @@ class CloudService:
         ):
             state.reject("invalid-signature")
             return False
-        if state.accumulator is not None:
-            # The payload enters its group's partial sum now; a streamed
-            # round keeps no other reference to the raw vector.  One that
-            # cannot fold (no ring payload, wrong length) never counts.
-            try:
-                state.accumulator.fold(contribution.ring_payload, slot)
-            except (ConfigurationError, TypeError):
-                state.reject("malformed-payload")
-                return False
+        # The payload enters its group's partial sum now; a streamed round
+        # keeps no other reference to the raw vector.  One that cannot fold
+        # (no ring payload, wrong length) never counts.
+        try:
+            state.accumulator.fold(contribution.ring_payload, slot)
+        except (ConfigurationError, TypeError):
+            state.reject("malformed-payload")
+            return False
         state.seen_nonces.add(contribution.nonce)
         state.counted[contribution.nonce] = slot
         if state.retain:
@@ -267,8 +262,7 @@ class CloudService:
             if contribution.nonce == nonce:
                 del state.accepted[index]
                 slot = state.counted.pop(nonce)
-                if state.accumulator is not None:
-                    state.accumulator.unfold(contribution.ring_payload, slot)
+                state.accumulator.unfold(contribution.ring_payload, slot)
                 state.reject("evicted-by-quarantine")
                 return True
         return False
@@ -293,8 +287,6 @@ class CloudService:
         rather than folding its repairs a second time.
         """
         state = self.round_state(round_id)
-        if not state.blinded:
-            raise ProtocolError("round is not blinded; use finalize_plain_round")
         if state.result is not None:
             return state.result
         if not state.counted:
@@ -316,22 +308,3 @@ class CloudService:
             accepted=tuple(state.accepted),
         )
         return state.result
-
-    def finalize_plain_round(self, round_id: int) -> RoundResult:
-        """Average plaintext payloads (the Figure 1b path, via a Glimmer)."""
-        state = self.round_state(round_id)
-        if state.blinded:
-            raise ProtocolError("round is blinded; use finalize_blinded_round")
-        if not state.accepted:
-            raise ProtocolError("no accepted contributions to aggregate")
-        stacked = np.stack(
-            [kernels.be_doubles(c.plain_payload) for c in state.accepted]
-        )
-        return RoundResult(
-            round_id=round_id,
-            aggregate=stacked.mean(axis=0),
-            num_contributions=len(state.accepted),
-            num_dropouts_repaired=0,
-            rejected=dict(state.rejected),
-            accepted=tuple(state.accepted),
-        )

@@ -1,12 +1,13 @@
-"""Adaptive per-phase deadlines derived from observed latency.
+"""Adaptive per-phase deadlines derived from observed latency — a round's
+only deadline.
 
-Fixed ``phase_deadlines_ms`` budgets assume the operator knows the
-fleet's latency distribution in advance; a degraded-link fleet makes
-that assumption absurd — the right budget for an urban-wifi cohort
-strands half a cellular-edge cohort.  :class:`AdaptiveDeadlines` instead
-derives each phase's cutoff from the latencies the engine *observes*
-while working the phase: after ``warmup`` successful operations, the
-phase deadline becomes::
+A fixed per-phase budget assumes the operator knows the fleet's latency
+distribution in advance; a degraded-link fleet makes that assumption
+absurd — the right budget for an urban-wifi cohort strands half a
+cellular-edge cohort.  :class:`AdaptiveDeadlines` instead derives each
+phase's cutoff from the latencies the engine *observes* while working
+the phase: after ``warmup`` successful operations, the phase deadline
+becomes::
 
     phase_start + max(min_budget_ms, pctl(percentile) * multiplier * ops)
 

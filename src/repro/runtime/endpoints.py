@@ -94,15 +94,14 @@ class ServiceEndpoint(_Endpoint):
         request: m.OpenServiceRound = message.payload
         if message.attempt > 1:
             try:
-                state = self.service.round_state(request.round_id)
+                self.service.round_state(request.round_id)
             except ProtocolError:
-                state = None
-            if state is not None and state.blinded == request.blinded:
+                pass
+            else:
                 return True  # the earlier attempt's open landed; ack again
         self.service.open_round(
             request.round_id,
             request.expected_parties,
-            blinded=request.blinded,
             subgroup_size=request.subgroup_size,
         )
         return True
@@ -170,11 +169,9 @@ class ServiceEndpoint(_Endpoint):
 
     def _handle_finalize(self, message: Message):
         request: m.FinalizeRound = message.payload
-        if self.service.round_state(request.round_id).blinded:
-            return self.service.finalize_blinded_round(
-                request.round_id, request.dropout_masks
-            )
-        return self.service.finalize_plain_round(request.round_id)
+        return self.service.finalize_blinded_round(
+            request.round_id, request.dropout_masks
+        )
 
     def close_round(self, round_id: int) -> None:
         """Drop the round's retransmission verdicts (engine lifecycle call)."""
@@ -276,14 +273,7 @@ def sign_step(client, command: m.ContributeCommand, ledger):
     detail))`` when the Glimmer refused the values or is down."""
     ledger.ecalls += 1  # process_contribution (charged even on rejection)
     try:
-        signed = client.contribute(
-            command.round_id,
-            command.values,
-            command.features,
-            blind=command.blind,
-            claims=dict(command.claims),
-            context_fields=command.context_fields,
-        )
+        signed = client.contribute(command.round_id, command.values, command.features)
     except ValidationError as exc:
         return None, (OUTCOME_VALIDATION_REJECTED, str(exc))
     except (EnclaveError, CryptoError, ProtocolError) as exc:

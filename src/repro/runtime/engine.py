@@ -137,12 +137,10 @@ class _RoundRecord:
         network: Network,
         round_id: int,
         num_slots: int,
-        blinded: bool,
         route: RoutePlan = RoutePlan(),
     ):
         self.round_id = round_id
         self.num_slots = num_slots
-        self.blinded = blinded
         self.route = route  # executor + accumulator; open, pool and finalize read it
         self.opened_at_ms = network.clock.now_ms()
         self.participants: list[str] = []
@@ -484,7 +482,6 @@ class RoundEngine:
         round_id: int,
         num_slots: int,
         vector_length: int,
-        blinded: bool = True,
         route: RoutePlan = RoutePlan(),
     ) -> None:
         """Open the round at the blinding service and the cloud service.
@@ -499,11 +496,11 @@ class RoundEngine:
         """
         if round_id in self._rounds:
             raise ProtocolError(f"round {round_id} is already tracked by the engine")
-        record = _RoundRecord(self.network, round_id, num_slots, blinded, route)
+        record = _RoundRecord(self.network, round_id, num_slots, route)
         record.sessions_resumed0 = self.blinder_provisioner.sessions.resumed
         if self.fault_injector is not None:
             record.faults0 = len(self.fault_injector.fired)
-        if route.subgroup_size > 0 and blinded:
+        if route.subgroup_size > 0:
             record.subgroup_plan = plan_subgroups(
                 round_id, num_slots, route.subgroup_size
             )
@@ -513,27 +510,24 @@ class RoundEngine:
         self._rounds[round_id] = record
         self._start_phase(record, "open")
         try:
-            if blinded:
-                published = self.call_with_retry(
-                    record,
-                    ENGINE,
-                    BLINDER,
-                    m.KIND_OPEN_BLINDER,
-                    m.OpenBlinderRound(
-                        round_id, num_slots, vector_length, record.subgroup_size
-                    ),
-                )
-                record.commitments = self._vetted_commitments(
-                    record, published, num_slots, vector_length
-                )
+            published = self.call_with_retry(
+                record,
+                ENGINE,
+                BLINDER,
+                m.KIND_OPEN_BLINDER,
+                m.OpenBlinderRound(
+                    round_id, num_slots, vector_length, record.subgroup_size
+                ),
+            )
+            record.commitments = self._vetted_commitments(
+                record, published, num_slots, vector_length
+            )
             self.call_with_retry(
                 record,
                 ENGINE,
                 SERVICE,
                 m.KIND_OPEN_SERVICE,
-                m.OpenServiceRound(
-                    round_id, num_slots, blinded, record.subgroup_size
-                ),
+                m.OpenServiceRound(round_id, num_slots, record.subgroup_size),
             )
         except RefusedAtWire as exc:
             # Already recorded against the leg's sender by call_with_retry:
@@ -624,9 +618,6 @@ class RoundEngine:
         values: Sequence[float],
         features: Sequence,
         *,
-        blind: bool = True,
-        claims: Mapping | None = None,
-        context_fields: Sequence[str] = (),
         first_attempt: int = 1,
     ) -> str:
         """Command a client to contribute; returns its outcome label.
@@ -650,9 +641,6 @@ class RoundEngine:
                 values=kernels.be_doubles_to_bytes(values),
                 features=() if held else tuple(features),
                 features_digest=digest,
-                blind=blind,
-                claims=tuple(sorted((claims or {}).items())),
-                context_fields=tuple(context_fields),
             ),
             first_attempt=first_attempt,
         )
@@ -738,8 +726,8 @@ class RoundEngine:
 
     def _evict_consumed_slot(self, record: _RoundRecord, slot: int) -> bool:
         """Undo :meth:`_note_slot_consumed` (so §3 repair reveals the mask) —
-        only when the service verifiably removed the contribution.  Flat
-        and plain rounds keep their accepted trail, so ``evict_nonce``
+        only when the service verifiably removed the contribution.  A flat
+        round keeps its accepted trail, so ``evict_nonce``
         finds the row; a streamed round keeps none, and there the accept
         stands."""
         nonce = record.slot_nonce.get(slot)
@@ -781,46 +769,41 @@ class RoundEngine:
             raise self._abort(
                 record, "every accepted contribution was an evicted offender's"
             )
-        if record.blinded:
-            try:
-                record.commitments.verify_sum_zero()
-            except MaskVerificationError as exc:
-                self.monitor.record(
-                    round_id, BLINDER, VIOLATION_NON_SUM_ZERO, str(exc)
-                )
-                raise self._abort(
-                    record,
-                    f"blinding service's committed masks do not sum to "
-                    f"zero: {exc}",
-                )
+        try:
+            record.commitments.verify_sum_zero()
+        except MaskVerificationError as exc:
+            self.monitor.record(round_id, BLINDER, VIOLATION_NON_SUM_ZERO, str(exc))
+            raise self._abort(
+                record,
+                f"blinding service's committed masks do not sum to zero: {exc}",
+            )
         repairs: list[bytes] = []
         try:
-            if record.blinded:
-                revealed_by_slot: list[tuple[int, Any]] = []
-                for slot in range(record.num_slots):
-                    if slot in record.consumed:
-                        continue
-                    revealed = self.call_with_retry(
-                        record, ENGINE, BLINDER, m.KIND_REVEAL_MASK,
-                        m.RevealMask(round_id, slot),
+            revealed_by_slot: list[tuple[int, Any]] = []
+            for slot in range(record.num_slots):
+                if slot in record.consumed:
+                    continue
+                revealed = self.call_with_retry(
+                    record, ENGINE, BLINDER, m.KIND_REVEAL_MASK,
+                    m.RevealMask(round_id, slot),
+                )
+                revealed_by_slot.append((slot, revealed))
+            batched = self._batch_verified_reveals(record, revealed_by_slot)
+            for slot, revealed in revealed_by_slot:
+                repairs.append(
+                    self._verified_repair_mask(
+                        record, slot, revealed, preverified=batched
                     )
-                    revealed_by_slot.append((slot, revealed))
-                batched = self._batch_verified_reveals(record, revealed_by_slot)
-                for slot, revealed in revealed_by_slot:
-                    repairs.append(
-                        self._verified_repair_mask(
-                            record, slot, revealed, preverified=batched
-                        )
-                    )
-                if record.subgroup_plan is not None and revealed_by_slot:
-                    # Hierarchical repair locality: each reveal re-expanded
-                    # only the dropped slot's O(g) subgroup family.
-                    record.subgroup_dropout_repairs = len(
-                        {
-                            record.subgroup_plan.group_of(slot)
-                            for slot, _ in revealed_by_slot
-                        }
-                    )
+                )
+            if record.subgroup_plan is not None and revealed_by_slot:
+                # Hierarchical repair locality: each reveal re-expanded
+                # only the dropped slot's O(g) subgroup family.
+                record.subgroup_dropout_repairs = len(
+                    {
+                        record.subgroup_plan.group_of(slot)
+                        for slot, _ in revealed_by_slot
+                    }
+                )
             result = self._finalize_at_service(record, repairs)
         except NetworkError as exc:
             raise self._abort(record, f"finalize could not complete: {exc}")
@@ -1062,7 +1045,7 @@ class RoundEngine:
                         break
         if not problems and accepted:
             expected = self._recompute_aggregate(
-                record, accepted, repairs, self.codec or self.service.codec
+                accepted, repairs, self.codec or self.service.codec
             )
             if expected is not None and not np.array_equal(
                 np.asarray(expected), np.asarray(result.aggregate)
@@ -1077,24 +1060,19 @@ class RoundEngine:
                 record, f"service finalize result failed the audit: {detail}"
             )
 
-    def _recompute_aggregate(self, record: _RoundRecord, accepted, repairs, codec):
+    def _recompute_aggregate(self, accepted, repairs, codec):
         try:
-            if record.blinded:
-                # Chunked accumulate: the audit only needs the sum, so the
-                # full cohort matrix is never materialized here either.
-                total = kernels.ring_accumulate(
-                    (c.ring_payload for c in accepted), codec.modulus_bits
-                )
-                if repairs:
-                    # Repairs commute in the ring, so one summed repair
-                    # vector applied once equals applying each in turn.
-                    repair = kernels.ring_accumulate(repairs, codec.modulus_bits)
-                    total = kernels.ring_add(total, repair, codec.modulus_bits)
-                return codec.decode(total) / len(accepted)
-            stacked = np.stack(
-                [kernels.be_doubles(c.plain_payload) for c in accepted]
+            # Chunked accumulate: the audit only needs the sum, so the
+            # full cohort matrix is never materialized here either.
+            total = kernels.ring_accumulate(
+                (c.ring_payload for c in accepted), codec.modulus_bits
             )
-            return stacked.mean(axis=0)
+            if repairs:
+                # Repairs commute in the ring, so one summed repair
+                # vector applied once equals applying each in turn.
+                repair = kernels.ring_accumulate(repairs, codec.modulus_bits)
+                total = kernels.ring_add(total, repair, codec.modulus_bits)
+            return codec.decode(total) / len(accepted)
         except Exception:
             return None
 
@@ -1132,8 +1110,7 @@ class RoundEngine:
         refuses re-opening, late submissions and mask reveals.
         """
         self._close_round_clients(record)
-        if record.blinded:
-            self.blinder_provisioner.close_round(record.round_id)
+        self.blinder_provisioner.close_round(record.round_id)
         self.service.close_round(record.round_id)
         self._service_endpoint.close_round(record.round_id)
 
@@ -1188,12 +1165,7 @@ class RoundEngine:
         *,
         dropouts: Iterable[str] = (),
         collect_dropouts: Iterable[str] = (),
-        deadline_ms: float | None = None,
-        phase_deadlines_ms: Mapping[str, float] | None = None,
-        claims_by_user: Mapping[str, Mapping] | None = None,
-        context_fields: Sequence[str] = (),
         recovery_threshold: float | None = None,
-        blind: bool = True,
         adaptive: AdaptiveDeadlines | None = None,
     ) -> RoundReport:
         """Run one full round: open → provision → collect → finalize.
@@ -1205,22 +1177,25 @@ class RoundEngine:
         submission is lost to the network, or whose enclave crashes and
         cannot be recovered, is treated the same way.
 
-        ``phase_deadlines_ms`` optionally bounds the simulated duration of
-        the ``"provision"`` and ``"collect"`` phases individually (each
-        measured from the phase start); participants reached after a phase
-        deadline are marked ``deadline-missed`` and degrade into dropouts
-        rather than failing the round, down to ``recovery_threshold``.
+        Every round is blinded: each device's Glimmer masks its
+        contribution, and the service only ever sums ring payloads.
 
-        ``adaptive`` replaces those fixed per-phase budgets with
-        observation-derived ones (see
-        :class:`~repro.runtime.deadlines.AdaptiveDeadlines`): each phase's
-        cutoff is computed from the latency percentiles of its own
-        completed operations, stragglers are counted, and — with
-        ``adaptive.hedge`` — a participant that fails its command gets one
+        ``adaptive`` (:class:`~repro.runtime.deadlines.AdaptiveDeadlines`)
+        is a round's only deadline: the ``"provision"`` and ``"collect"``
+        phases each get a cutoff derived from the latency percentiles of
+        their own completed operations, stragglers are counted, and
+        participants reached after a cutoff are marked ``deadline-missed``
+        and degrade into dropouts rather than failing the round, down to
+        ``recovery_threshold``.  A contribution whose accept lands past
+        the cutoff is evicted and its slot repaired.  With
+        ``adaptive.hedge``, a participant that fails its command gets one
         hedged re-delivery (retransmission-numbered, answered from handler
-        idempotency caches) before degrading into a dropout.  When both
-        ``adaptive`` and ``phase_deadlines_ms`` are given, ``adaptive``
-        wins.
+        idempotency caches) before degrading into a dropout.
+
+        A contribute command its device refuses (rewritten in transit:
+        it fails its schema, or names a round the device is not in) costs
+        that device the round: it is marked ``unreachable`` and its slot
+        is repaired, like a lost command.
 
         Raises :class:`RoundAbortedError` when no contribution is
         accepted, when survivors fall below ``recovery_threshold`` (a
@@ -1235,12 +1210,7 @@ class RoundEngine:
             features,
             dropouts=dropouts,
             collect_dropouts=collect_dropouts,
-            deadline_ms=deadline_ms,
-            phase_deadlines_ms=phase_deadlines_ms,
-            claims_by_user=claims_by_user,
-            context_fields=context_fields,
             recovery_threshold=recovery_threshold,
-            blind=blind,
             adaptive=adaptive,
         )
         try:
@@ -1258,12 +1228,7 @@ class RoundEngine:
         *,
         dropouts: Iterable[str] = (),
         collect_dropouts: Iterable[str] = (),
-        deadline_ms: float | None = None,
-        phase_deadlines_ms: Mapping[str, float] | None = None,
-        claims_by_user: Mapping[str, Mapping] | None = None,
-        context_fields: Sequence[str] = (),
         recovery_threshold: float | None = None,
-        blind: bool = True,
         adaptive: AdaptiveDeadlines | None = None,
     ):
         """One round as a resumable generator of phase-labelled stages.
@@ -1296,26 +1261,15 @@ class RoundEngine:
             if recovery_threshold is None
             else float(recovery_threshold)
         )
-        phase_deadlines = dict(phase_deadlines_ms or {})
         features = tuple(features)
         # Imported here: repro.scale.rounds itself imports this package.
         from repro.scale import rounds as scale_rounds
 
         route = scale_rounds.plan_route(
-            self,
-            self.parallelism,
-            participants=participants,
-            blind=blind,
-            deadline_ms=deadline_ms,
-            phase_deadlines_ms=phase_deadlines,
-            claims_by_user=claims_by_user,
-            context_fields=context_fields,
-            adaptive=adaptive,
+            self, self.parallelism, participants=participants, adaptive=adaptive
         )
         try:
-            self.open_round(
-                round_id, len(participants), len(features), blinded=blind, route=route
-            )
+            self.open_round(round_id, len(participants), len(features), route=route)
         except NetworkError as exc:
             # The round is tracked the moment open_round starts, so a
             # failed open still aborts cleanly with a partial report.
@@ -1350,49 +1304,47 @@ class RoundEngine:
             )
         else:
             hedging = adaptive is not None and adaptive.hedge
-            if blind:
-                controller, fixed_cutoff = self._open_bus_phase(
-                    record, "provision", participants, quarantined, phase_deadlines, adaptive
-                )
-                for index, user_id in enumerate(participants):
-                    yield "provision"
-                    if user_id in quarantined:
-                        continue
-                    if record.outcomes.get(user_id) == OUTCOME_PARTITIONED:
-                        continue
-                    if user_id in silent:
-                        record.outcomes[user_id] = OUTCOME_DROPOUT
-                        continue
-                    cutoff_ms = controller.cutoff_ms() if controller else fixed_cutoff
-                    if cutoff_ms is not None and self.network.clock.now_ms() > cutoff_ms:
-                        record.outcomes[user_id] = OUTCOME_DEADLINE_MISSED
-                        continue
-                    started = self.network.clock.now_ms()
-                    provision = partial(self.provision_mask, user_id, round_id, index)
-                    try:
-                        provision()
-                    except NetworkError:
-                        if not (hedging and self._hedge(record, provision)):
-                            record.outcomes[user_id] = OUTCOME_PROVISION_FAILED
-                            continue
-                    except ProtocolViolation:
-                        # A request refused at the wire (malformed, say): the
-                        # monitor holds the violation, and finalize
-                        # quarantines whoever it names.
+            controller = self._open_bus_phase(
+                record, "provision", participants, quarantined, adaptive
+            )
+            for index, user_id in enumerate(participants):
+                yield "provision"
+                if user_id in quarantined:
+                    continue
+                if record.outcomes.get(user_id) == OUTCOME_PARTITIONED:
+                    continue
+                if user_id in silent:
+                    record.outcomes[user_id] = OUTCOME_DROPOUT
+                    continue
+                cutoff_ms = controller.cutoff_ms() if controller else None
+                if cutoff_ms is not None and self.network.clock.now_ms() > cutoff_ms:
+                    record.outcomes[user_id] = OUTCOME_DEADLINE_MISSED
+                    continue
+                started = self.network.clock.now_ms()
+                provision = partial(self.provision_mask, user_id, round_id, index)
+                try:
+                    provision()
+                except NetworkError:
+                    if not (hedging and self._hedge(record, provision)):
                         record.outcomes[user_id] = OUTCOME_PROVISION_FAILED
                         continue
-                    except EnclaveError:
-                        # Client enclave died mid-provision.  Restart it from
-                        # sealed state and retry the slot once; a second death
-                        # writes the client off for this round.
-                        if not self._recover(record, user_id, provision):
-                            record.outcomes[user_id] = OUTCOME_CRASHED
-                            continue
-                    self._observe_op(record, controller, started)
-            controller, fixed_cutoff = self._open_bus_phase(
-                record, "collect", participants, quarantined, phase_deadlines, adaptive
+                except ProtocolViolation:
+                    # A request refused at the wire (malformed, say): the
+                    # monitor holds the violation, and finalize
+                    # quarantines whoever it names.
+                    record.outcomes[user_id] = OUTCOME_PROVISION_FAILED
+                    continue
+                except EnclaveError:
+                    # Client enclave died mid-provision.  Restart it from
+                    # sealed state and retry the slot once; a second death
+                    # writes the client off for this round.
+                    if not self._recover(record, user_id, provision):
+                        record.outcomes[user_id] = OUTCOME_CRASHED
+                        continue
+                self._observe_op(record, controller, started)
+            controller = self._open_bus_phase(
+                record, "collect", participants, quarantined, adaptive
             )
-            deadline = None if deadline_ms is None else record.opened_at_ms + deadline_ms
             for user_id in participants:
                 yield "collect"
                 if user_id in quarantined:
@@ -1410,23 +1362,13 @@ class RoundEngine:
                     OUTCOME_PARTITIONED,
                 ):
                     continue
-                phase_cutoff = controller.cutoff_ms() if controller else fixed_cutoff
-                cutoff_ms = min(
-                    (c for c in (deadline, phase_cutoff) if c is not None), default=None
-                )
+                cutoff_ms = controller.cutoff_ms() if controller else None
                 if cutoff_ms is not None and self.network.clock.now_ms() > cutoff_ms:
                     record.outcomes[user_id] = OUTCOME_DEADLINE_MISSED
                     continue
                 started = self.network.clock.now_ms()
                 contribute = partial(
-                    self.contribute,
-                    user_id,
-                    round_id,
-                    values_by_user[user_id],
-                    features,
-                    blind=blind,
-                    claims=(claims_by_user or {}).get(user_id),
-                    context_fields=context_fields,
+                    self.contribute, user_id, round_id, values_by_user[user_id], features
                 )
                 try:
                     outcome = contribute()
@@ -1435,6 +1377,14 @@ class RoundEngine:
                     if outcome is None:
                         record.outcomes[user_id] = OUTCOME_UNREACHABLE
                         continue
+                except ProtocolError:
+                    # The device refused the command: rewritten in transit,
+                    # it failed its schema (the monitor holds the violation)
+                    # or names a round the device is not in.  It is written
+                    # off like one the command never reached, and finalize
+                    # repairs its slot.
+                    record.outcomes[user_id] = OUTCOME_UNREACHABLE
+                    continue
                 self._observe_op(record, controller, started)
                 if outcome == OUTCOME_ACCEPTED and (
                     cutoff_ms is not None and self.network.clock.now_ms() > cutoff_ms
@@ -1485,23 +1435,18 @@ class RoundEngine:
         name: str,
         participants: Sequence[str],
         quarantined: set[str],
-        phase_deadlines: Mapping[str, float],
         adaptive: AdaptiveDeadlines | None,
-    ):
-        """Start a bus phase; returns its ``(controller, fixed_cutoff)`` pair:
-        under ``adaptive`` a controller deriving the deadline from observed
-        operations, otherwise the ``phase_deadlines`` budget from now."""
+    ) -> PhaseDeadlineController | None:
+        """Start a bus phase; under ``adaptive``, returns the controller
+        that derives the phase's deadline from its observed operations."""
         self._start_phase(record, name)
-        now = self.network.clock.now_ms()
-        controller = fixed_cutoff = None
+        controller = None
         if adaptive is not None:
             controller = PhaseDeadlineController(
-                adaptive, now, len(participants) - len(quarantined)
+                adaptive, self.network.clock.now_ms(), len(participants) - len(quarantined)
             )
-        elif phase_deadlines.get(name) is not None:
-            fixed_cutoff = now + float(phase_deadlines[name])
         self._trim_partitioned(record, participants, quarantined)
-        return controller, fixed_cutoff
+        return controller
 
     def _recover(self, record: _RoundRecord, user_id: str, command) -> bool:
         """One recovery attempt for a client whose enclave died under a command.
@@ -1591,8 +1536,8 @@ class RoundEngine:
         reverts to unconsumed (so §3 repair reveals its mask), and the
         client is marked ``deadline-missed`` after all.  Discard only
         happens when the eviction verifiably succeeds; if the service
-        cannot evict (plain rounds), the accept stands — exactness
-        outranks deadline hygiene.
+        cannot evict, the accept stands — exactness outranks deadline
+        hygiene.
         """
         for slot, owner in record.provisioned.items():
             if owner == user_id and self._evict_consumed_slot(record, slot):
@@ -1644,7 +1589,6 @@ class RoundEngine:
         pk_delta = group_ops.counters_delta(record.pk_counters0)
         return RoundReport(
             round_id=record.round_id,
-            blinded=record.blinded,
             participants=tuple(record.participants),
             outcomes=dict(record.outcomes),
             num_slots=record.num_slots,

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.codec import (
-    LENGTH, PARTIES, ROUND_ID, SIZE, SLOT, Bool, Bytes, Int, Optional, Packed, Pair, Str, TupleOf,
+    LENGTH, PARTIES, ROUND_ID, SIZE, SLOT, Bytes, Int, Optional, Packed, Pair, Str, TupleOf,
     wire,
 )
 from repro.core.signing import SignedContribution
@@ -73,10 +73,10 @@ class OpenBlinderRound:
     subgroup_size: int = 0
 
 
-@wire(0x8002, round_id=ROUND_ID, expected_parties=PARTIES, blinded=Bool, subgroup_size=SIZE)
+@wire(0x8002, round_id=ROUND_ID, expected_parties=PARTIES, subgroup_size=SIZE)
 @dataclass(frozen=True)
 class OpenServiceRound:
-    """Ask the cloud service to start accepting contributions.
+    """Ask the cloud service to start accepting blinded contributions.
 
     ``subgroup_size > 0`` opens a streaming round: submissions fold into
     per-subgroup accumulators on arrival and raw vectors are released.
@@ -84,7 +84,6 @@ class OpenServiceRound:
 
     round_id: int
     expected_parties: int
-    blinded: bool = True
     subgroup_size: int = 0
 
 
@@ -130,7 +129,7 @@ class MaskRequest:
 
 @wire(
     0x8005, round_id=ROUND_ID, values=Packed(finite=True), features=TupleOf(Pair(Str, Str)),
-    features_digest=Bytes(32), blind=Bool, claims=TupleOf(Pair(Str)), context_fields=TupleOf(Str),
+    features_digest=Bytes(32),
 )
 @dataclass(frozen=True)
 class ContributeCommand:
@@ -145,16 +144,15 @@ class ContributeCommand:
     back the list it kept.  A device whose round ended any other way gets
     the full list again, so a list stripped or swapped in transit costs
     that device one round, never more.  ``values`` is the device's vector
-    as packed big-endian doubles.
+    as packed big-endian doubles.  There is no knob for how the device
+    contributes: its Glimmer always blinds, so nothing a rewrite in
+    transit can set makes a plaintext contribution leave the host.
     """
 
     round_id: int
     values: tuple
     features: tuple
     features_digest: bytes
-    blind: bool = True
-    claims: tuple = ()  # (key, value) pairs, immutable like the rest
-    context_fields: tuple = ()
 
 
 @wire(0x8006, round_id=ROUND_ID, contribution=SignedContribution, slot=Optional(SLOT))

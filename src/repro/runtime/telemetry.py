@@ -56,7 +56,6 @@ class RoundReport:
     """Everything the engine observed while running one round."""
 
     round_id: int
-    blinded: bool
     participants: tuple[str, ...]
     outcomes: dict[str, str]
     num_slots: int
@@ -171,9 +170,7 @@ class RoundReport:
     # ------------------------------------------------------------- rendering
 
     def table(self) -> Table:
-        status = "aborted" if self.aborted else (
-            "blinded" if self.blinded else "plain"
-        )
+        status = "aborted" if self.aborted else "blinded"
         table = Table(
             f"round {self.round_id} telemetry ({status})",
             ["metric", "value"],

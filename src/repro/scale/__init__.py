@@ -20,8 +20,9 @@ engine books for it:
   device step of :mod:`repro.runtime.endpoints` — and the
   ``ProcessPoolExecutor`` wrapper that runs it.
 * :mod:`repro.scale.rounds` — ``plan_route``, the one routing decision
-  (anything faulty, adversarial, or non-standard runs the serial flat
-  path, so chaos and Byzantine replays are untouched), and the pool
+  (five rows: anything faulty, adversarial, non-stock, adaptively timed
+  or link-conditioned runs the serial flat path, so chaos and Byzantine
+  replays are untouched), and the pool
   executor: the provisioner draws every slot's delivery leg in serial
   order before dispatch, the slot-ordered merge makes worker
   scheduling unobservable, and a worker that dies costs one benign

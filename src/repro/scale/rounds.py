@@ -29,10 +29,10 @@ breaks the executor: the round aborts (benign, no offender), the pool is
 dropped, and the next round forks a fresh one — never a silent rerun.
 
 Eligibility is deliberately narrow: any fault injector, network
-adversary, deadline, claim, plaintext round, or subclassed participant
-routes the round to the serial bus path.  That is what makes chaos and
-Byzantine replays trivially parity-safe — under those conditions the
-scale engine *is* the serial engine.
+adversary, subclassed participant, adaptive deadline or link-condition
+oracle routes the round to the serial bus path.  That is what makes
+chaos and Byzantine replays trivially parity-safe — under those
+conditions the scale engine *is* the serial engine.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from repro.core.provisioning import BlinderProvisioner, _verify_bound_quote
 from repro.core.service import CloudService
 from repro.errors import (
     AttestationError,
+    ConfigurationError,
     EnclaveError,
     MaskVerificationError,
     ProtocolViolation,
@@ -67,22 +68,17 @@ def plan_route(
     config: ScaleConfig | None,
     *,
     participants: Sequence[str],
-    blind: bool,
-    deadline_ms,
-    phase_deadlines_ms,
-    claims_by_user,
-    context_fields: Sequence[str],
     adaptive=None,
 ) -> RoutePlan:
     """Choose this round's executor and accumulator, and say what blocked.
 
     ``config`` is what the engine wants; the plan is what the round gets.
     Anything that makes outcomes depend on fine-grained event
-    interleaving — injected faults, adversarial middleboxes, simulated
+    interleaving — injected faults, adversarial middleboxes, adaptive
     deadlines, link weather — or that runs code the worker task and the
-    streaming service do not model — claims, private-context ocalls,
-    plaintext rounds, subclassed parties — blocks both fast paths, and
-    is tested here and nowhere else (table: DESIGN.md "Round routing").
+    streaming service do not model — subclassed parties — blocks both
+    fast paths, and is tested here and nowhere else (table: DESIGN.md
+    "Round routing").
     A blocked round runs the serial flat path unchanged, so the answer
     is a pure routing choice, never a behavioral one.
     """
@@ -90,12 +86,6 @@ def plan_route(
         return RoutePlan()
     clients = [engine.clients.get(user_id) for user_id in participants]
     blockers = (
-        ("plaintext", not blind),
-        # Deadline enforcement may evict an accepted-but-late submission;
-        # a folded payload cannot be evicted.
-        ("deadlines", deadline_ms is not None or bool(phase_deadlines_ms)),
-        ("claims", bool(claims_by_user)),
-        ("context_fields", bool(tuple(context_fields))),
         (
             "fault_injector",
             engine.fault_injector is not None
@@ -121,7 +111,9 @@ def plan_route(
             ),
         ),
         # Adaptive deadlines and link-conditions trimming both observe
-        # per-operation timing on the bus, which neither fast path exposes.
+        # per-operation timing on the bus, which neither fast path exposes;
+        # a deadline may also evict an accepted-but-late submission, and a
+        # folded payload cannot be evicted.
         ("adaptive_deadlines", adaptive is not None),
         ("link_conditions", engine.link_conditions is not None),
     )
@@ -134,9 +126,36 @@ def plan_route(
     )
 
 
-def parallel_eligible(engine, **round_inputs) -> bool:
+#: Round inputs rounds no longer have, at the one value every round has.
+_RETIRED_ROUND_INPUTS = {
+    "blind": True,
+    "deadline_ms": None,
+    "phase_deadlines_ms": {},
+    "claims_by_user": None,
+    "context_fields": (),
+}
+
+
+def parallel_eligible(engine, *, participants, adaptive=None, **retired) -> bool:
     """Would nothing keep this round off the worker pool, were one configured?"""
-    return plan_route(engine, ScaleConfig(workers=1), **round_inputs).reason is None
+    # Compat: benchmarks/roundbench/workloads.py still spells out the five
+    # retired round inputs.  They are accepted at the values every round now
+    # has and refused at any other; ROADMAP item 2 deletes this view.
+    for name, value in retired.items():
+        expected = _RETIRED_ROUND_INPUTS.get(name)
+        if (
+            name not in _RETIRED_ROUND_INPUTS
+            or type(value) is not type(expected)
+            or value != expected
+        ):
+            raise ConfigurationError(
+                f"round input {name}={value!r} is gone: every round is "
+                "blinded, and its only deadline is adaptive"
+            )
+    plan = plan_route(
+        engine, ScaleConfig(workers=1), participants=participants, adaptive=adaptive
+    )
+    return plan.reason is None
 
 
 def _draw_leg(provisioner, client):

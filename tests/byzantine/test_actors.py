@@ -40,7 +40,6 @@ from repro.byzantine import (
     run_byzantine_round,
 )
 from repro.crypto.drbg import HmacDrbg
-from repro.errors import RoundAbortedError
 from repro.experiments.common import Deployment
 from repro.faults import SITE_BLINDER, FaultInjector, FaultPlan, FaultSpec
 from repro.runtime.messages import client_endpoint
@@ -272,28 +271,6 @@ def test_a_forged_claim_outlives_a_blinder_restart():
     assert result.offenders == ("blinder",)
     assert _kinds(result) == {VIOLATION_NON_SUM_ZERO}
     assert deployment.blinder_provisioner.restarts == 1
-
-
-def test_a_plain_round_cannot_finalize_without_an_audit_trail():
-    """A plain round charges no mask slots, so the engine witnesses no
-    nonce to miss: there, the trail being present at all is the check."""
-
-    class ZeroedTrail(TamperingAggregator):
-        def _tamper(self, result):
-            return replace(result, accepted=(), num_contributions=0)
-
-    deployment = _deploy(b"plain-strip")
-    engine = deployment.engine
-    engine.attach_service(ZeroedTrail(deployment.service, ATTACK_SERVICE_STRIP_TRAIL))
-    users = _users(deployment)
-    with pytest.raises(RoundAbortedError) as aborted:
-        engine.run_round(
-            1, users, deployment.local_vectors(users),
-            deployment.features.bigrams, blind=False,
-        )
-    assert [(v.offender, v.kind) for v in aborted.value.report.violations] == [
-        ("service", VIOLATION_AGGREGATE_TAMPERING)
-    ]
 
 
 def test_install_attacks_is_idempotent_and_reversible():

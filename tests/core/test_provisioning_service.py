@@ -119,31 +119,6 @@ def test_service_finalize_requires_contributions(fresh_deployment):
         service.finalize_blinded_round(1)
 
 
-def test_service_finalize_kind_mismatch(fresh_deployment):
-    service = fresh_deployment.service
-    service.open_round(1, 2, blinded=True)
-    with pytest.raises(ProtocolError):
-        service.finalize_plain_round(1)
-    service.open_round(2, 2, blinded=False)
-    with pytest.raises(ProtocolError):
-        service.finalize_blinded_round(2)
-
-
-def test_plain_round_end_to_end(fresh_deployment):
-    deployment = fresh_deployment
-    user_ids = [u.user_id for u in deployment.corpus.users]
-    deployment.service.open_round(1, len(user_ids), blinded=False)
-    vectors = deployment.local_vectors()
-    for user_id in user_ids:
-        signed = deployment.clients[user_id].contribute(
-            1, list(vectors[user_id]), deployment.features.bigrams, blind=False
-        )
-        assert deployment.service.submit(1, signed, None)  # a plain round has no slots
-    result = deployment.service.finalize_plain_round(1)
-    expected = np.mean(np.stack([vectors[u] for u in user_ids]), axis=0)
-    assert np.allclose(result.aggregate, expected)
-
-
 def test_blinded_round_with_dropout_repair(fresh_deployment):
     """§3 dropout repair end to end through the service."""
     deployment = fresh_deployment

@@ -246,7 +246,7 @@ def test_late_reply_is_discarded_not_double_counted():
         users,
         vectors,
         features,
-        phase_deadlines_ms={"collect": 5_000.0},
+        adaptive=AdaptiveDeadlines(min_budget_ms=5_000.0, hedge=False),
     )
     victim = users[-1]
     assert delayer.seen == len(users)
@@ -277,7 +277,7 @@ def test_late_discard_survives_replay_of_the_evicted_nonce():
     deployment.network.interpose(delayer)
     report = deployment.engine.run_round(
         1, users, vectors, features,
-        phase_deadlines_ms={"collect": 5_000.0},
+        adaptive=AdaptiveDeadlines(min_budget_ms=5_000.0, hedge=False),
     )
     assert report.late_replies_discarded == 1
     survivors = [u for u in users if report.outcomes[u] == OUTCOME_ACCEPTED]

@@ -79,7 +79,7 @@ F = kernels.be_doubles_to_bytes
 # One instance of every registered dataclass, by class.
 SAMPLES = {
     m.OpenBlinderRound: m.OpenBlinderRound(1, 192, 77, subgroup_size=8),
-    m.OpenServiceRound: m.OpenServiceRound(1, 192, blinded=False, subgroup_size=0),
+    m.OpenServiceRound: m.OpenServiceRound(1, 192, subgroup_size=0),
     m.ProvisionMask: m.ProvisionMask(1, 3, RECORD),
     m.MaskRequest: m.MaskRequest(b"\x05" * 16, None, None, 1, 3),
     m.ContributeCommand: m.ContributeCommand(
@@ -87,8 +87,6 @@ SAMPLES = {
         values=kernels.be_doubles_to_bytes((0.5, -1.0)),
         features=BIGRAMS,
         features_digest=b"\x00" * 32,
-        claims=(("age", 30), ("region", "eu")),
-        context_fields=("typing-speed",),
     ),
     m.SubmitContribution: m.SubmitContribution(7, CONTRIBUTION, slot=1),
     m.SubmissionStatusQuery: m.SubmissionStatusQuery(7, b"\x07" * 16),

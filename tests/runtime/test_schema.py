@@ -102,7 +102,7 @@ def test_every_field_of_a_carried_class_is_checked(cls):
     "value",
     [
         pytest.param(m.ProvisionMask(1, -1), id="slot-below-range"),
-        pytest.param(m.OpenServiceRound(1, 4, blinded=1), id="int-for-bool"),
+        pytest.param(replace(SAMPLES[SignedContribution], blinded=1), id="int-for-bool"),
         pytest.param(
             replace(SAMPLES[m.SubmitContribution],
                     contribution=replace(SAMPLES[SignedContribution], confidence=2.0)),

@@ -25,7 +25,6 @@ def _full_report() -> RoundReport:
     """A report with every serializable field populated and non-default."""
     return RoundReport(
         round_id=7,
-        blinded=True,
         participants=("user-0000", "user-0001", "user-0002"),
         outcomes={
             "user-0000": OUTCOME_ACCEPTED,

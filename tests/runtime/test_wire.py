@@ -21,11 +21,11 @@ from repro.core.signing import SignedContribution
 from repro.crypto.schnorr import SchnorrSignature
 from repro.errors import ProtocolViolation, RoundAbortedError
 from repro.experiments.common import Deployment
-from repro.network.adversary import NetworkAdversary
+from repro.network.adversary import EavesdropAdversary, NetworkAdversary
 from repro.perf import kernels
 from repro.runtime import messages as m
 from repro.runtime.protocol import VIOLATION_MALFORMED
-from repro.runtime.telemetry import OUTCOME_QUARANTINED
+from repro.runtime.telemetry import OUTCOME_QUARANTINED, OUTCOME_UNREACHABLE
 from repro.runtime.wire import blamed, validate_contribution, validate_payload
 from repro.sgx.attestation import Quote
 from repro.sgx.enclave import payload_size
@@ -165,9 +165,6 @@ def _command(**overrides):
         {},
         dict(features=()),
         dict(features=(), features_digest=b"\x00" * 32),
-        dict(blind=False),
-        dict(claims=(("age", 30), ("region", "eu"))),
-        dict(context_fields=("typing-speed",)),
     ],
 )
 def test_contribute_command_accepted(overrides):
@@ -189,16 +186,6 @@ def test_contribute_command_accepted(overrides):
         dict(features=(("the", "cat", "sat"),)),
         dict(features=(("the", 1),)),
         pytest.param(dict(features=BIGRAMS[:1]), id="list-misses-its-digest"),
-        dict(blind="yes"),
-        dict(blind=None),
-        dict(blind=1),
-        dict(claims=None),
-        dict(claims=(("a",),)),
-        dict(claims=((1, "x"),)),
-        dict(claims=[("a", 1)]),
-        dict(context_fields=None),
-        dict(context_fields=(1, 2)),
-        dict(context_fields=["typing-speed"]),
     ],
 )
 def test_malformed_contribute_command_is_blamed_on_the_sender(overrides):
@@ -236,25 +223,62 @@ class RewriteContribute(NetworkAdversary):
         pytest.param(dict(features=None), id="features-none"),
         pytest.param(dict(features=7), id="features-int"),
         pytest.param(dict(features=(("a",),) * 3), id="features-short-pairs"),
-        pytest.param(dict(claims=None), id="claims-none"),
-        pytest.param(dict(claims=(("a",),)), id="claims-short-pair"),
-        pytest.param(dict(context_fields=None), id="context-none"),
-        pytest.param(dict(context_fields=(1, 2)), id="context-ints"),
-        pytest.param(dict(blind="yes"), id="blind-str"),
-        pytest.param(dict(blind=None), id="blind-none"),
     ],
 )
 def test_tampered_contribute_command_is_a_violation_end_to_end(fields):
-    """Each rewrite reaches ``run_round`` as the same blamed violation the
-    tampered ``values`` always did, never a raw ``TypeError``/``ValueError``
-    and never an unblinded signature."""
+    """Each rewrite is refused at the device as one ``malformed`` violation
+    recorded against the engine (as far as the device can tell, the
+    sender), never a raw ``TypeError``/``ValueError``: like a refused
+    provision command, it costs the victim the round — ``unreachable``,
+    its slot repaired — and the round still finalizes exactly."""
     deployment = Deployment.build(num_users=4, seed=b"wire-tamper")
     victim = deployment.corpus.users[1].user_id
     deployment.network.interpose(RewriteContribute(victim, **fields))
-    with pytest.raises(ProtocolViolation) as excinfo:
+    deployment.honest_round(1)
+    report = deployment.last_report
+    verdict = invariants.judge(report, deployment.codec, deployment.local_vectors())
+    assert verdict.outcome == invariants.OUTCOME_EXACT
+    assert [(v.offender, v.kind) for v in report.violations] == [
+        (m.ENGINE, VIOLATION_MALFORMED)
+    ]
+    assert report.outcomes[victim] == OUTCOME_UNREACHABLE
+    assert report.masks_repaired == 1
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        pytest.param(dict(round_id=2), id="round-id"),
+        pytest.param(
+            dict(values=kernels.be_doubles_to_bytes((0.0,) * 77)), id="values"
+        ),
+        pytest.param(dict(values=kernels.be_doubles_to_bytes((0.5,))), id="values-short"),
+        pytest.param(dict(features=()), id="features-empty"),
+        pytest.param(
+            dict(features=BIGRAMS, features_digest=features_digest(BIGRAMS)),
+            id="features-other",
+        ),
+        pytest.param(dict(features_digest=b"\x00" * 32), id="features-digest"),
+    ],
+)
+def test_no_rewrite_of_the_contribute_command_unblinds_a_contribution(fields):
+    """Privacy, whatever the command says: with a victim's command
+    rewritten to any value its schema accepts, every contribution an
+    on-path observer sees leave a host is blinded, never plaintext."""
+    deployment = Deployment.build(num_users=4, seed=b"wire-tamper")
+    victim = deployment.corpus.users[1].user_id
+    eavesdropper = EavesdropAdversary()
+    deployment.network.interpose(eavesdropper)
+    deployment.network.interpose(RewriteContribute(victim, **fields))
+    try:
         deployment.honest_round(1)
-    assert excinfo.value.kind == VIOLATION_MALFORMED
-    assert excinfo.value.offender == m.ENGINE
+    except RoundAbortedError:
+        pass  # what the round did is not the question; what crossed is
+    submissions = eavesdropper.captured_payloads(m.KIND_SUBMIT)
+    assert len({s.contribution.nonce for s in submissions}) >= 3
+    for submission in submissions:
+        assert submission.contribution.blinded
+        assert submission.contribution.plain_payload is None
 
 
 # ------------------------------------------------------------ the mask request

@@ -24,6 +24,7 @@ from repro.byzantine import (
 from repro.core.client import LocalDataStore, MaliciousClient
 from repro.core.provisioning import BlinderProvisioner
 from repro.crypto.drbg import HmacDrbg
+from repro.errors import ConfigurationError
 from repro.experiments.common import Deployment
 from repro.faults import FaultInjector, FaultPlan
 from repro.network.adversary import DropAdversary
@@ -46,14 +47,7 @@ def _build(parallelism=_BOTH, **kwargs):
 
 
 def _round_inputs(deployment, **overrides):
-    inputs = dict(
-        participants=[u.user_id for u in deployment.corpus.users],
-        blind=True,
-        deadline_ms=None,
-        phase_deadlines_ms=None,
-        claims_by_user=None,
-        context_fields=(),
-    )
+    inputs = dict(participants=[u.user_id for u in deployment.corpus.users])
     inputs.update(overrides)
     return inputs
 
@@ -128,15 +122,6 @@ def _link_conditions(deployment):
 #: id -> (arrange(deployment) or None, round-input overrides, reason)
 _ROWS = {
     "stock": (None, {}, None),
-    "plaintext": (None, dict(blind=False), "plaintext"),
-    "round_deadline": (None, dict(deadline_ms=10_000.0), "deadlines"),
-    "phase_deadline": (
-        None,
-        dict(phase_deadlines_ms={"collect": 10_000.0}),
-        "deadlines",
-    ),
-    "claims": (None, dict(claims_by_user={"user-0000": {"age": 30}}), "claims"),
-    "context_fields": (None, dict(context_fields=("locale",)), "context_fields"),
     "engine_fault_injector": (_engine_injector, {}, "fault_injector"),
     "network_fault_injector": (_network_injector, {}, "fault_injector"),
     "platform_fault_injector": (_platform_injector, {}, "fault_injector"),
@@ -167,8 +152,6 @@ def test_route_plan_names_the_first_blocking_condition(case):
     else:
         expected = RoutePlan(reason=reason)  # serial, flat
     assert plan == expected
-    if "adaptive" in inputs:
-        return  # not a round input the two views (or the benchmark's gate) take
     assert parallel_eligible(deployment.engine, **inputs) == plan.pool
     assert hierarchical_eligible(deployment.engine, **inputs) == bool(
         plan.subgroup_size
@@ -184,16 +167,49 @@ def test_route_plan_names_the_first_blocking_condition(case):
 
 def test_first_blocking_condition_wins():
     deployment = _build()
-    _adversary(deployment)
-    inputs = _round_inputs(deployment, blind=False, deadline_ms=5.0)
-    assert plan_route(deployment.engine, _BOTH, **inputs).reason == "plaintext"
-    inputs["blind"] = True
-    assert plan_route(deployment.engine, _BOTH, **inputs).reason == "deadlines"
-    inputs["deadline_ms"] = None
-    assert (
-        plan_route(deployment.engine, _BOTH, **inputs).reason
-        == "network_adversary"
+    for arrange in (_engine_injector, _adversary, _wrap_service, _link_conditions):
+        arrange(deployment)
+    inputs = _round_inputs(deployment, adaptive=AdaptiveDeadlines())
+
+    def reason():
+        return plan_route(deployment.engine, _BOTH, **inputs).reason
+
+    assert reason() == "fault_injector"
+    deployment.engine.fault_injector = None
+    assert reason() == "network_adversary"
+    deployment.network.clear_adversaries()
+    assert reason() == "non_stock_party"
+    deployment.engine.attach_service(deployment.service)
+    assert reason() == "adaptive_deadlines"
+    del inputs["adaptive"]
+    assert reason() == "link_conditions"
+
+
+def test_the_benchmark_gate_takes_the_retired_round_inputs_at_their_one_value():
+    """``parallel_eligible`` still accepts the five round inputs rounds no
+    longer have, spelled as the benchmark's route check spells them, and
+    refuses any other value rather than ignore it."""
+    deployment = _build()
+    retired = dict(
+        blind=True,
+        deadline_ms=None,
+        phase_deadlines_ms={},
+        claims_by_user=None,
+        context_fields=(),
     )
+    inputs = _round_inputs(deployment)
+    assert parallel_eligible(deployment.engine, **inputs, **retired)
+    for name, value in (
+        ("blind", False),
+        ("blind", 1),
+        ("deadline_ms", 10_000.0),
+        ("phase_deadlines_ms", {"collect": 5_000.0}),
+        ("claims_by_user", {"user-0000": {"age": 30}}),
+        ("context_fields", ("locale",)),
+        ("recipients", ()),
+    ):
+        with pytest.raises(ConfigurationError, match=name):
+            parallel_eligible(deployment.engine, **inputs, **{**retired, name: value})
 
 
 def test_workers_and_subgroup_size_are_both_honoured():

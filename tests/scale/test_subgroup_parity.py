@@ -207,20 +207,3 @@ def test_quarantined_participant_falls_back_identically():
     assert (
         hierarchical.outcomes[quarantined_user] == flat.outcomes[quarantined_user]
     )
-
-
-def test_deadline_round_falls_back_to_flat():
-    """Deadline enforcement may evict; the gate must route the round flat."""
-    flat = _run(_build(num_users=8), deadline_ms=10_000.0)
-    routed = _build(subgroup_size=4, num_users=8)
-    assert route_of(routed, deadline_ms=10_000.0).reason == "deadlines"
-    hierarchical = _run(routed, deadline_ms=10_000.0)
-    _assert_identical_reports(flat, hierarchical)
-
-
-def test_plaintext_round_falls_back_to_flat():
-    flat = _run(_build(num_users=8), blind=False)
-    routed = _build(subgroup_size=4, num_users=8)
-    assert route_of(routed, blind=False).reason == "plaintext"
-    hierarchical = _run(routed, blind=False)
-    _assert_identical_reports(flat, hierarchical)
