@@ -143,6 +143,4 @@ class BlindingComponent:
             raise CryptoError(
                 f"mask length {len(mask)} does not match contribution length {len(encoded)}"
             )
-        return kernels.be_words_to_bytes(
-            apply_mask(encoded, mask, self.codec.modulus_bits)
-        )
+        return kernels.be_words_to_bytes(apply_mask(encoded, mask))

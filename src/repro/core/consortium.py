@@ -113,8 +113,7 @@ class ConsortiumMember:
         if round_id in self._round_masks:
             raise ProtocolError(f"{self.name}: round {round_id} already open")
         self._round_masks[round_id] = SumZeroMasks.sample(
-            num_clients, length, self._rng.fork(f"round-{round_id}"),
-            modulus_bits=self.codec.modulus_bits,
+            num_clients, length, self._rng.fork(f"round-{round_id}")
         )
 
     def endorse(
@@ -289,5 +288,5 @@ class ConsortiumService:
             raise ProtocolError("no accepted contributions")
         total = self._codec.sum_vectors(list(state.accepted.values()))
         for share in dropout_shares:
-            total = apply_mask(total, list(share), self._codec.modulus_bits)
+            total = apply_mask(total, list(share))
         return self._codec.decode(total) / len(state.accepted)

@@ -57,12 +57,12 @@ from repro.sgx.attestation import (
 )
 from repro.sgx.sessions import SessionBroker
 
-#: A sealed round's plaintext: ``u16 modulus_bits | u32 length | u32
-#: num_slots | u32 group_size``, then one 32-byte seed per subgroup of
+#: A sealed round's plaintext: ``u32 length | u32 num_slots | u32
+#: group_size``, then one 32-byte seed per subgroup of
 #: ``plan_subgroups(round_id, num_slots, group_size)``, then the 32-byte
 #: seed of the commitment openings.  The round id is the AEAD's
 #: associated data, so a blob only opens as the round it was sealed for.
-_SEALED_HEADER = struct.Struct(">HIII")
+_SEALED_HEADER = struct.Struct(">III")
 _SEED_SIZE = 32
 
 
@@ -328,9 +328,7 @@ class BlinderProvisioner(_ProvisionerBase):
         plan = masks.plan
         blob = b"".join(
             [
-                _SEALED_HEADER.pack(
-                    masks.modulus_bits, masks.length, plan.num_slots, plan.group_size
-                ),
+                _SEALED_HEADER.pack(masks.length, plan.num_slots, plan.group_size),
                 *masks.seeds,
                 opening_seed,
             ]
@@ -348,7 +346,7 @@ class BlinderProvisioner(_ProvisionerBase):
         )
         if len(blob) < _SEALED_HEADER.size:
             raise CryptoError(f"sealed round {round_id} is truncated")
-        modulus_bits, length, num_slots, group_size = _SEALED_HEADER.unpack_from(blob)
+        length, num_slots, group_size = _SEALED_HEADER.unpack_from(blob)
         if not (length > 0 and 0 < group_size <= num_slots):
             raise CryptoError(f"sealed round {round_id} has an invalid shape")
         plan = plan_subgroups(round_id, num_slots, group_size)
@@ -359,7 +357,7 @@ class BlinderProvisioner(_ProvisionerBase):
             blob[at : at + _SEED_SIZE]
             for at in range(_SEALED_HEADER.size, end, _SEED_SIZE)
         )
-        masks = GroupedSumZeroMasks(plan, seeds, length, modulus_bits)
+        masks = GroupedSumZeroMasks(plan, seeds, length)
         return masks, blob[end:]
 
     def _commit_round(
@@ -372,7 +370,6 @@ class BlinderProvisioner(_ProvisionerBase):
             self.identity.group,
             round_id,
             masks.masks,
-            masks.modulus_bits,
             HmacDrbg(opening_seed, personalization=f"fork:mask-commitments-{round_id}"),
         )
         self._commitments[round_id] = commitments

@@ -99,7 +99,7 @@ class CloudService:
         self._rounds: dict[int, RoundState] = {}
         self._closed: set[int] = set()
         self.aggregation_reducer = None
-        """Optional ``callable(matrix, modulus_bits) -> row`` that merges a
+        """Optional ``callable(matrix) -> row`` that merges a
         round's group partials at finalize in place of the flat
         :func:`repro.perf.kernels.ring_sum_rows`.  The scale layer installs
         a sharded reducer here; any replacement must be bit-exact against
@@ -135,7 +135,7 @@ class CloudService:
         )
         self._rounds[round_id] = RoundState(
             round_id=round_id,
-            accumulator=StreamingSubgroupAccumulator(plan, self._codec.modulus_bits),
+            accumulator=StreamingSubgroupAccumulator(plan),
             retain=subgroup_size <= 0,
         )
 

@@ -93,8 +93,12 @@ def resolve_group(name: str) -> DHGroup:
     return group
 
 
-def _limbs_per_word(modulus_bits: int) -> int:
-    return (modulus_bits + LIMB_BITS - 1) // LIMB_BITS
+#: Limbs per 64-bit mask word.
+LIMBS = 64 // LIMB_BITS
+#: The root's header hashes the ring's width, 64, as a 2-byte field.  It is
+#: a constant, not a field of the set, so no blinder declares the ring its
+#: claims are audited in.
+_RING_WIDTH_FIELD = (64).to_bytes(2, "big")
 
 
 #: Width of one weight digit: a weight ``< q`` is held as its 32-bit digits.
@@ -130,17 +134,14 @@ def _digit_dot(digits: np.ndarray, values: np.ndarray) -> int:
     return sum(total << (_DIGIT_BITS * d) for d, total in enumerate(totals))
 
 
-def _limb_matrix(words: np.ndarray, limbs: int) -> np.ndarray:
+def _limb_matrix(words: np.ndarray) -> np.ndarray:
     """``[i][l]`` = ``limb_l(words[i])``: the 16-bit limbs, one row per word."""
-    shifts = np.uint64(LIMB_BITS) * np.arange(limbs, dtype=np.uint64)
+    shifts = np.uint64(LIMB_BITS) * np.arange(LIMBS, dtype=np.uint64)
     return (words[:, None] >> shifts) & np.uint64((1 << LIMB_BITS) - 1)
 
 
 def _weighted_limb_sum(
-    mask: Sequence[int] | np.ndarray | bytes,
-    weights: np.ndarray,
-    limbs: int,
-    q: int,
+    mask: Sequence[int] | np.ndarray | bytes, weights: np.ndarray, q: int
 ) -> int:
     """``Σ_{i,l} weights[i][l]·limb_l(mask[i]) mod q``.
 
@@ -149,7 +150,7 @@ def _weighted_limb_sum(
     same residue as the scalar twin
     (:func:`repro.perf.reference.weighted_limb_sum_scalar`).
     """
-    return _digit_dot(weights, _limb_matrix(kernels.as_ring(mask), limbs).ravel()) % q
+    return _digit_dot(weights, _limb_matrix(kernels.as_ring(mask)).ravel()) % q
 
 
 def _sum_zero_target(column_sums: bytes, weights: np.ndarray, q: int) -> int:
@@ -158,7 +159,7 @@ def _sum_zero_target(column_sums: bytes, weights: np.ndarray, q: int) -> int:
     Each claim is split into its four 16-bit limbs, so every dot is a limb
     dot and the target is exact for any u64 claim.
     """
-    pieces = _limb_matrix(kernels.as_ring(column_sums), _limbs_per_word(64))
+    pieces = _limb_matrix(kernels.as_ring(column_sums))
     return sum(
         _digit_dot(weights, pieces[:, p]) << (LIMB_BITS * p)
         for p in range(pieces.shape[1])
@@ -240,7 +241,7 @@ class MaskOpening:
 
 @wire(
     0x8106, round_id=ROUND_ID, slot=SLOT, num_slots=PARTIES, vector_length=LENGTH,
-    modulus_bits=Int(1, 64), group_name=Str, root=Bytes(32), hash_commitment=Bytes(32), point=Int(),
+    group_name=Str, root=Bytes(32), hash_commitment=Bytes(32), point=Int(),
 )
 @dataclass(frozen=True)
 class MaskCommitmentRecord:
@@ -256,7 +257,6 @@ class MaskCommitmentRecord:
     slot: int
     num_slots: int
     vector_length: int
-    modulus_bits: int
     group_name: str
     root: bytes
     hash_commitment: bytes
@@ -264,9 +264,9 @@ class MaskCommitmentRecord:
 
 
 @wire(
-    0x8107, round_id=ROUND_ID, num_slots=PARTIES, vector_length=LENGTH, modulus_bits=Int(1, 64),
-    group_name=Str, hash_commitments=TupleOf(Bytes(32)), points=TupleOf(int),
-    column_sums=Packed(), randomizer_sum=Int(),
+    0x8107, round_id=ROUND_ID, num_slots=PARTIES, vector_length=LENGTH, group_name=Str,
+    hash_commitments=TupleOf(Bytes(32)), points=TupleOf(int), column_sums=Packed(),
+    randomizer_sum=Int(),
 )
 @dataclass(frozen=True)
 class MaskCommitmentSet:
@@ -275,7 +275,6 @@ class MaskCommitmentSet:
     round_id: int
     num_slots: int
     vector_length: int
-    modulus_bits: int
     group_name: str
     hash_commitments: tuple[bytes, ...]
     points: tuple[int, ...]
@@ -301,7 +300,7 @@ class MaskCommitmentSet:
             self.round_id.to_bytes(8, "big"),
             self.num_slots.to_bytes(4, "big"),
             self.vector_length.to_bytes(4, "big"),
-            self.modulus_bits.to_bytes(2, "big"),
+            _RING_WIDTH_FIELD,
             self.group_name.encode("ascii"),
         ]
         # Each of the k·limbs column claims is an 8-byte item; framed in one
@@ -322,10 +321,7 @@ class MaskCommitmentSet:
         """Fiat-Shamir challenge weight per limb column, ``mod q``, as the
         :func:`weight_digits` matrix."""
         return challenge_weights(
-            self.root() if root is None else root,
-            self.group_name,
-            self.vector_length,
-            self.modulus_bits,
+            self.root() if root is None else root, self.group_name, self.vector_length
         )
 
     def record_for(self, slot: int) -> MaskCommitmentRecord:
@@ -334,7 +330,6 @@ class MaskCommitmentSet:
             slot=slot,
             num_slots=self.num_slots,
             vector_length=self.vector_length,
-            modulus_bits=self.modulus_bits,
             group_name=self.group_name,
             root=self.root(),
             hash_commitment=self.hash_commitments[slot],
@@ -364,7 +359,6 @@ class MaskCommitmentSet:
                 f"expected {vector_length}"
             )
         group = resolve_group(self.group_name)
-        limbs = _limbs_per_word(self.modulus_bits)
         column_cap = self.num_slots * ((1 << LIMB_BITS) - 1)
         if 2 * (column_cap + 1) >= group.subgroup_order:
             raise MaskVerificationError(
@@ -374,9 +368,9 @@ class MaskCommitmentSet:
             self.num_slots
         ):
             raise MaskVerificationError("commitment set has the wrong slot count")
-        if len(self.column_sums) != 8 * self.vector_length * limbs:
+        if len(self.column_sums) != 8 * self.vector_length * LIMBS:
             raise MaskVerificationError("commitment set has the wrong column count")
-        self._audit_column_sums(limbs, column_cap)
+        self._audit_column_sums(column_cap)
         if not 0 <= self.randomizer_sum < group.subgroup_order:
             raise MaskVerificationError("randomizer sum out of range")
         for slot, point in enumerate(self.points):
@@ -385,27 +379,26 @@ class MaskCommitmentSet:
                     f"slot {slot} commitment point is not a valid group element"
                 )
 
-    def _audit_column_sums(self, limbs: int, column_cap: int) -> None:
+    def _audit_column_sums(self, column_cap: int) -> None:
         """Vectorized sum-zero audit over the claimed limb-column sums.
 
         Range-checks every ``T[i][l]`` and verifies per component
-        ``Σ_l 2^{16l}·T[i][l] ≡ 0 (mod 2^modulus_bits)``.  The weighted
-        totals are accumulated in ``uint64`` — wraparound is exact modulo
-        ``2^64``, and ``2^modulus_bits`` divides ``2^64``, so the reduced
-        result matches the arbitrary-precision scalar check bit for bit.
+        ``Σ_l 2^{16l}·T[i][l] ≡ 0 (mod 2^64)``.  The weighted totals are
+        accumulated in ``uint64``, whose wraparound is exactly the
+        reduction mod ``2^64``, so the result matches the
+        arbitrary-precision scalar check bit for bit.
         """
-        claimed = kernels.as_ring(self.column_sums).reshape(-1, limbs)
+        claimed = kernels.as_ring(self.column_sums).reshape(-1, LIMBS)
         in_range = claimed <= np.uint64(column_cap)
         if not in_range.all():
             i, l = (int(v) for v in np.argwhere(~in_range)[0])
             raise MaskVerificationError(
                 f"claimed column sum out of range at component {i} limb {l}"
             )
-        shifts = (np.uint64(LIMB_BITS) * np.arange(limbs, dtype=np.uint64))
+        shifts = (np.uint64(LIMB_BITS) * np.arange(LIMBS, dtype=np.uint64))
         totals = (claimed << shifts).sum(axis=1, dtype=np.uint64)
-        violations = kernels.ring_reduce(totals, self.modulus_bits)
-        if violations.any():
-            i = int(np.flatnonzero(violations)[0])
+        if totals.any():
+            i = int(np.flatnonzero(totals)[0])
             raise MaskVerificationError(
                 f"claimed column sums violate sum-zero at component {i}"
             )
@@ -430,9 +423,7 @@ class MaskCommitmentSet:
 
 
 @lru_cache(maxsize=8)
-def challenge_weights(
-    root: bytes, group_name: str, vector_length: int, modulus_bits: int
-) -> np.ndarray:
+def challenge_weights(root: bytes, group_name: str, vector_length: int) -> np.ndarray:
     """The ``w[i][l]`` table for one commitment root.
 
     Every weight comes from one stream, ``SHAKE256(b"mask-commitment-weight"
@@ -447,7 +438,7 @@ def challenge_weights(
     """
     q = resolve_group(group_name).subgroup_order
     width = (q.bit_length() + 128 + 7) // 8
-    count = vector_length * _limbs_per_word(modulus_bits)
+    count = vector_length * LIMBS
     stream = hashlib.shake_256(_WEIGHT_STREAM_TAG + root).digest(width * count)
     digits = weight_digits(
         [
@@ -473,7 +464,6 @@ def scalar_for_mask(
     return _weighted_limb_sum(
         mask,
         commitments.weights() if weights is None else weights,
-        _limbs_per_word(commitments.modulus_bits),
         resolve_group(commitments.group_name).subgroup_order,
     )
 
@@ -486,7 +476,7 @@ def _checked_scalar(
 ) -> tuple[int, int]:
     """All the cheap per-slot opening checks; ``(scalar, committed point)``.
 
-    Shape, ring range, hash commitment, and randomizer range are checked
+    Shape, hash commitment, and randomizer range are checked
     here (raising :class:`~repro.errors.MaskVerificationError`); the
     Pedersen *point* equation is the caller's job — single-slot
     :func:`verify_opening` pays one double-exp per slot, while
@@ -516,9 +506,6 @@ def _checked_scalar(
             f"slot {slot}: mask of {len(mask)} bytes does not match "
             f"the committed vector length {set_like.vector_length}"
         )
-    words = kernels.be_words(mask)
-    if (words > kernels.ring_bitmask(set_like.modulus_bits)).any():
-        raise MaskVerificationError(f"slot {slot}: mask word out of ring range")
     if hash_commitment(set_like.round_id, slot, mask, opening.salt) != expected_hc:
         raise MaskVerificationError(
             f"slot {slot}: delivered mask does not match its hash commitment"
@@ -528,16 +515,11 @@ def _checked_scalar(
         raise MaskVerificationError(f"slot {slot}: randomizer out of range")
     if isinstance(set_like, MaskCommitmentRecord):
         weights = challenge_weights(
-            set_like.root,
-            set_like.group_name,
-            set_like.vector_length,
-            set_like.modulus_bits,
+            set_like.root, set_like.group_name, set_like.vector_length
         )
     elif weights is None:
         weights = set_like.weights()
-    scalar = _weighted_limb_sum(
-        words, weights, _limbs_per_word(set_like.modulus_bits), group.subgroup_order
-    )
+    scalar = _weighted_limb_sum(kernels.be_words(mask), weights, group.subgroup_order)
     return scalar, point
 
 
@@ -628,7 +610,6 @@ def commit_masks(
     group: DHGroup,
     round_id: int,
     masks: Sequence[bytes | Sequence[int]],
-    modulus_bits: int,
     rng: HmacDrbg,
 ) -> tuple[MaskCommitmentSet, tuple[MaskOpening, ...]]:
     """Commit a round's mask family; returns the set and per-slot openings.
@@ -641,14 +622,13 @@ def commit_masks(
         raise ConfigurationError("cannot commit an empty mask family")
     salts = [rng.generate(SALT_SIZE) for _ in range(len(masks))]
     randomizers = [rng.randint(group.subgroup_order) for _ in range(len(masks))]
-    return _commit_with(group, round_id, masks, modulus_bits, salts, randomizers)
+    return _commit_with(group, round_id, masks, salts, randomizers)
 
 
 def recommit_masks(
     group: DHGroup,
     round_id: int,
     masks: Sequence[bytes | Sequence[int]],
-    modulus_bits: int,
     openings: Sequence[MaskOpening],
 ) -> MaskCommitmentSet:
     """Rebuild the exact commitment set from known openings.
@@ -658,9 +638,7 @@ def recommit_masks(
     """
     salts = [opening.salt for opening in openings]
     randomizers = [opening.randomizer for opening in openings]
-    commitments, _ = _commit_with(
-        group, round_id, masks, modulus_bits, salts, randomizers
-    )
+    commitments, _ = _commit_with(group, round_id, masks, salts, randomizers)
     return commitments
 
 
@@ -668,7 +646,6 @@ def _commit_with(
     group: DHGroup,
     round_id: int,
     masks: Sequence[bytes | Sequence[int]],
-    modulus_bits: int,
     salts: Sequence[bytes],
     randomizers: Sequence[int],
 ) -> tuple[MaskCommitmentSet, tuple[MaskOpening, ...]]:
@@ -679,7 +656,6 @@ def _commit_with(
     rows = kernels.as_ring_rows(packed)
     num_slots, vector_length = rows.shape
     q = group.subgroup_order
-    limbs = _limbs_per_word(modulus_bits)
     hash_commitments = tuple(
         hash_commitment(round_id, slot, packed[slot], salts[slot])
         for slot in range(num_slots)
@@ -688,13 +664,12 @@ def _commit_with(
     # slots × length matrix and sum down the slot axis.  Each column sum
     # is < num_slots · 2^16, far inside uint64, so the accumulation is
     # exact — bit-identical to the per-word scalar loop.
-    limb_sums = kernels.limb_column_sums(rows, limbs, LIMB_BITS)
+    limb_sums = kernels.limb_column_sums(rows, LIMBS, LIMB_BITS)
     columns = limb_sums.T.astype(kernels.BE_U64).tobytes()
     partial = MaskCommitmentSet(
         round_id=round_id,
         num_slots=num_slots,
         vector_length=vector_length,
-        modulus_bits=modulus_bits,
         group_name=group.name,
         hash_commitments=hash_commitments,
         points=(),
@@ -714,7 +689,6 @@ def _commit_with(
         round_id=round_id,
         num_slots=num_slots,
         vector_length=vector_length,
-        modulus_bits=modulus_bits,
         group_name=group.name,
         hash_commitments=hash_commitments,
         points=tuple(points),

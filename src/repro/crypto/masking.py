@@ -7,8 +7,9 @@
     blinded user contribution y_i = x_i + p_i."
 
 :class:`BlindingService` plays that trusted third party: it samples ``N``
-mask vectors summing to zero in the ring, and hands each out encrypted to a
-per-client key.  :class:`SumZeroMasks` is the client-side arithmetic.
+mask vectors summing to zero in ``Z/2^64`` — the one ring of every mask,
+commitment and sum, so no party chooses it — and hands each out encrypted
+to a per-client key.  :class:`SumZeroMasks` is the client-side arithmetic.
 
 The paper notes the blinding service "could, itself, be implemented as a
 separate enclave on one of the clients"; :mod:`repro.core.provisioning`
@@ -44,21 +45,16 @@ class SumZeroMasks:
     """
 
     masks: tuple[bytes, ...]
-    modulus_bits: int
 
     @classmethod
-    def sample(
-        cls, num_parties: int, length: int, rng: HmacDrbg, modulus_bits: int = 64
-    ) -> "SumZeroMasks":
-        """Sample N masks with Σ_i masks[i] ≡ 0 (mod 2^modulus_bits), per component.
+    def sample(cls, num_parties: int, length: int, rng: HmacDrbg) -> "SumZeroMasks":
+        """Sample N masks with Σ_i masks[i] ≡ 0 (mod 2^64), per component.
 
         One 32-byte seed drawn from ``rng`` keys a SHAKE256 stream; its
         first ``8·length·(N−1)`` bytes are the first N−1 masks, already
         packed words.  The last mask is the ring negation of their sum,
         which makes the family jointly uniform subject to the sum-zero
-        constraint.  Every ring is ``Z/2^modulus_bits``, so the low
-        ``modulus_bits`` of a uniform word are uniform: a narrower ring
-        takes the low bits of the same words.  Scalar twin:
+        constraint.  Scalar twin:
         :func:`repro.perf.reference.sample_sum_zero_scalar`.
         """
         if num_parties < 1:
@@ -69,11 +65,10 @@ class SumZeroMasks:
         stream = hashlib.shake_256(_MASK_STREAM_TAG + seed).digest(
             8 * length * (num_parties - 1)
         )
-        words = kernels.ring_reduce(kernels.be_words(stream), modulus_bits)
-        words = words.reshape(num_parties - 1, length)
-        last = kernels.ring_neg(words.sum(axis=0, dtype=np.uint64), modulus_bits)
+        words = kernels.be_words(stream).reshape(num_parties - 1, length)
+        last = kernels.ring_neg(words.sum(axis=0, dtype=np.uint64))
         rows = [kernels.be_words_to_bytes(row) for row in (*words, last)]
-        return cls(masks=tuple(rows), modulus_bits=modulus_bits)
+        return cls(masks=tuple(rows))
 
     def mask_for(self, party_index: int) -> bytes:
         """One party's mask, as its packed row."""
@@ -86,7 +81,7 @@ class SumZeroMasks:
         keeps the check's peak memory bounded even for large families —
         the full row-major matrix is never needed for a sum.
         """
-        totals = kernels.ring_accumulate(self.masks, self.modulus_bits)
+        totals = kernels.ring_accumulate(self.masks)
         return not totals.any()
 
 
@@ -109,30 +104,26 @@ class GroupedSumZeroMasks:
     #: Materialized subgroups kept warm per family.
     CACHE_GROUPS = 4
 
-    def __init__(self, plan, seeds: tuple[bytes, ...], length: int, modulus_bits: int) -> None:
+    def __init__(self, plan, seeds: tuple[bytes, ...], length: int) -> None:
         if len(seeds) != plan.num_groups:
             raise ConfigurationError("one seed per subgroup required")
         self.plan = plan
         self.seeds = seeds
         self.length = length
-        self.modulus_bits = modulus_bits
         self._cache: dict[int, SumZeroMasks] = {}
 
     @classmethod
-    def sample(
-        cls, plan, length: int, rng: HmacDrbg, modulus_bits: int = 64
-    ) -> "GroupedSumZeroMasks":
+    def sample(cls, plan, length: int, rng: HmacDrbg) -> "GroupedSumZeroMasks":
         """Draw one independent seed per subgroup from the round's DRBG."""
         if length < 1:
             raise ConfigurationError("mask length must be positive")
         seeds = tuple(rng.generate(32) for _ in range(plan.num_groups))
-        return cls(plan, seeds, length, modulus_bits)
+        return cls(plan, seeds, length)
 
     def _identity(self) -> tuple:
         plan = self.plan
         return (
-            plan.round_id, plan.num_slots, plan.group_size,
-            self.seeds, self.length, self.modulus_bits,
+            plan.round_id, plan.num_slots, plan.group_size, self.seeds, self.length
         )
 
     def __eq__(self, other) -> bool:
@@ -153,7 +144,6 @@ class GroupedSumZeroMasks:
                 len(self.plan.slots_in(group)),
                 self.length,
                 HmacDrbg(self.seeds[group], personalization="subgroup-masks"),
-                modulus_bits=self.modulus_bits,
             )
             if len(self._cache) >= self.CACHE_GROUPS:
                 self._cache.pop(next(iter(self._cache)))
@@ -189,9 +179,7 @@ class GroupedSumZeroMasks:
         return True
 
 
-def apply_mask(
-    encoded: Sequence[int], mask: Sequence[int], modulus_bits: int = 64
-) -> list[int]:
+def apply_mask(encoded: Sequence[int], mask: Sequence[int]) -> list[int]:
     """Blind an encoded contribution: ``y_i = x_i + p_i`` in the ring.
 
     Either side may be packed words (:func:`repro.perf.kernels.as_ring`).
@@ -199,17 +187,15 @@ def apply_mask(
     encoded, mask = kernels.as_ring(encoded), kernels.as_ring(mask)
     if len(encoded) != len(mask):
         raise ConfigurationError("mask length does not match vector length")
-    return kernels.ring_add(encoded, mask, modulus_bits).tolist()
+    return kernels.ring_add(encoded, mask).tolist()
 
 
-def remove_mask(
-    blinded: Sequence[int], mask: Sequence[int], modulus_bits: int = 64
-) -> list[int]:
+def remove_mask(blinded: Sequence[int], mask: Sequence[int]) -> list[int]:
     """Inverse of :func:`apply_mask` (used for dropout repair and tests)."""
     blinded, mask = kernels.as_ring(blinded), kernels.as_ring(mask)
     if len(blinded) != len(mask):
         raise ConfigurationError("mask length does not match vector length")
-    return kernels.ring_sub(blinded, mask, modulus_bits).tolist()
+    return kernels.ring_sub(blinded, mask).tolist()
 
 
 class BlindingService:
@@ -260,8 +246,7 @@ class BlindingService:
 
         plan = plan_subgroups(round_id, num_parties, subgroup_size)
         masks = GroupedSumZeroMasks.sample(
-            plan, length, self._rng.fork(f"round-grouped-{round_id}"),
-            modulus_bits=self._codec.modulus_bits,
+            plan, length, self._rng.fork(f"round-grouped-{round_id}")
         )
         self._round_masks[round_id] = masks
         return masks

@@ -39,20 +39,11 @@ from repro.perf import kernels
 _SEED_SIZE = 16
 
 
-def _expand_mask(seed: bytes, label: str, length: int, modulus: int) -> np.ndarray:
-    """PRG-expand a seed into a ``np.uint64`` ring vector.
-
-    The 64-bit ring (every codec this library ships) takes the bulk DRBG
-    path: one HMAC stream pass parsed as big-endian words.  Other moduli
-    keep per-element rejection sampling, since truncating a 64-bit word
-    is only uniform modulo powers of two.
-    """
+def _expand_mask(seed: bytes, label: str, length: int) -> np.ndarray:
+    """PRG-expand a seed into a ``np.uint64`` ring vector: one HMAC stream
+    pass parsed as big-endian words."""
     rng = HmacDrbg(seed, personalization="secagg-mask:" + label)
-    if modulus == 1 << 64:
-        return rng.uint64_vector(length)
-    return np.asarray(
-        [rng.randint(modulus) for _ in range(length)], dtype=np.uint64
-    )
+    return rng.uint64_vector(length)
 
 
 def _keypair_from_seed(seed: bytes, group: DHGroup) -> DHKeyPair:
@@ -207,22 +198,20 @@ class SecureAggregationClient:
             raise ProtocolError("share_keys must run before masked_input")
         if self._sent_masked_input:
             raise ProtocolError("masked_input already sent")
-        modulus = self._codec.modulus()
-        modulus_bits = self._codec.modulus_bits
         length = len(encoded)
-        result = kernels.as_ring(encoded, modulus_bits)
-        result = result + _expand_mask(self._selfmask_seed, "self", length, modulus)
+        result = kernels.as_ring(encoded)
+        result = result + _expand_mask(self._selfmask_seed, "self", length)
         for peer_id, peer in self._roster.items():
             if peer_id == self.client_id:
                 continue
             seed = self._pairwise_key(peer, "pairwise-mask")
-            mask = _expand_mask(seed, "pair", length, modulus)
+            mask = _expand_mask(seed, "pair", length)
             if self.client_id < peer_id:
                 result = result + mask
             else:
                 result = result - mask
         self._sent_masked_input = True
-        return kernels.ring_reduce(result, modulus_bits).tolist()
+        return result.tolist()
 
     # ---------------------------------------------------------------- round 3
 
@@ -283,7 +272,7 @@ class SecureAggregationServer:
         self._masked: dict[int, np.ndarray] = {}
         self._length = 0
         self._reducer = reducer
-        """Optional ``callable(matrix, modulus_bits) -> row`` summing the
+        """Optional ``callable(matrix) -> row`` summing the
         masked matrix; replaceable with a sharded reducer (any
         partition-and-merge over ring addition is bit-exact against the
         flat sum).  ``None`` — the default — folds via the chunked
@@ -327,9 +316,7 @@ class SecureAggregationServer:
             raise ProtocolError("masked input length mismatch")
         # Ingest into a ring array once, at submission time: the round-3
         # unmask is then pure column-wise numpy over a contiguous matrix.
-        self._masked[client_id] = kernels.as_ring(
-            masked, self._codec.modulus_bits
-        )
+        self._masked[client_id] = kernels.as_ring(masked)
 
     def survivor_sets(self) -> tuple[set[int], set[int]]:
         """Who submitted (survivors) vs. who dropped after key sharing."""
@@ -349,21 +336,15 @@ class SecureAggregationServer:
         survivors, dropped = self.survivor_sets()
         if len(survivors) < self._threshold:
             raise ProtocolError("too few survivors to meet the recovery threshold")
-        modulus = self._codec.modulus()
-        modulus_bits = self._codec.modulus_bits
         if self._reducer is not None:
-            total = self._reducer(
-                np.stack(list(self._masked.values())), modulus_bits
-            )
+            total = self._reducer(np.stack(list(self._masked.values())))
         else:
-            total = kernels.ring_accumulate(
-                self._masked.values(), modulus_bits
-            )
+            total = kernels.ring_accumulate(self._masked.values())
 
         # Remove survivors' self-masks.
         for peer_id in sorted(survivors):
             seed = self._reconstruct(responses, peer_id, minimum=self._threshold)
-            total = total - _expand_mask(seed, "self", self._length, modulus)
+            total = total - _expand_mask(seed, "self", self._length)
 
         # Cancel dangling pairwise masks between dropped clients and survivors.
         for dropped_id in sorted(dropped):
@@ -374,13 +355,13 @@ class SecureAggregationServer:
                 shared = keypair.shared_secret(peer.dh_public)
                 low, high = sorted((dropped_id, survivor_id))
                 pair_seed = hkdf(shared, f"secagg:pairwise-mask:{low}:{high}")
-                mask = _expand_mask(pair_seed, "pair", self._length, modulus)
+                mask = _expand_mask(pair_seed, "pair", self._length)
                 # The survivor applied sign(survivor, dropped); subtract that.
                 if survivor_id < dropped_id:
                     total = total - mask
                 else:
                     total = total + mask
-        return kernels.ring_reduce(total, modulus_bits).tolist()
+        return total.tolist()
 
     def aggregate(
         self, responses: Mapping[int, Mapping[int, ShamirShare]]

@@ -1,16 +1,15 @@
 """Numpy ring-arithmetic and serialization kernels.
 
-All §3 blinding math happens in ``Z_{2^modulus_bits}`` with
-``modulus_bits <= 64``.  Native ``np.uint64`` arithmetic wraps modulo
-``2^64``, and because ``2^modulus_bits`` divides ``2^64`` a final bitmask
-reduces any wrapped result to the correct smaller ring — so every kernel
-here is bit-exact against the ``(x op y) % modulus`` scalar definition,
-including multi-term sums whose intermediate totals overflow 64 bits.
+All §3 blinding math happens in ``Z/2^64``, the one ring of every mask,
+commitment and sum.  Native ``np.uint64`` arithmetic wraps modulo
+``2^64``, so that wraparound *is* the reduction: every kernel here is
+bit-exact against the ``(x op y) % 2**64`` scalar definition, including
+multi-term sums whose intermediate totals overflow 64 bits.
 
 Ring vectors arrive from the wire packed: ``bytes`` of big-endian u64
 words (:func:`be_words_to_bytes`), which :func:`as_ring` reads with one
 ``np.frombuffer``.  Python-int sequences from in-process callers convert
-the same way (falling back to an explicit ``% modulus`` pass for
+the same way (falling back to an explicit ``% 2**64`` pass for
 out-of-range values, matching scalar semantics), so downstream phases
 run O(1) array operations instead of O(length) interpreter loops.
 Float vectors travel as big-endian IEEE-754 doubles
@@ -30,27 +29,8 @@ BE_U64 = np.dtype(">u8")
 BE_F64 = np.dtype(">f8")
 #: What a packed vector may arrive as in process; the wire takes ``bytes`` only.
 _PACKED = (bytes, bytearray, memoryview)
-
-_FULL_MASK = U64(0xFFFFFFFFFFFFFFFF)
-
-
-def ring_bitmask(modulus_bits: int) -> np.uint64:
-    """The ``2^modulus_bits - 1`` mask as a ``np.uint64`` scalar."""
-    if not 1 <= modulus_bits <= 64:
-        raise ValueError("modulus_bits must be in [1, 64]")
-    if modulus_bits == 64:
-        return _FULL_MASK
-    return U64((1 << modulus_bits) - 1)
-
-
-def ring_reduce(arr: np.ndarray, modulus_bits: int) -> np.ndarray:
-    """Reduce a ``np.uint64`` array into ``[0, 2^modulus_bits)``."""
-    if modulus_bits == 64:
-        return arr
-    return arr & ring_bitmask(modulus_bits)
-
-
-_reduce = ring_reduce
+#: The one ring of every mask, commitment and sum is ``Z/2^64``.
+MODULUS = 1 << 64
 
 
 def _unpack(payload, dtype: np.dtype) -> np.ndarray:
@@ -80,102 +60,80 @@ def be_doubles(payload: bytes) -> np.ndarray:
     return _unpack(payload, BE_F64).astype(np.float64)
 
 
-def as_ring(values: Sequence[int] | np.ndarray, modulus_bits: int = 64) -> np.ndarray:
+def as_ring(values: Sequence[int] | np.ndarray) -> np.ndarray:
     """A 1-D ``np.uint64`` ring vector from packed words or any integer sequence.
 
     A packed buffer (``bytes``) holds big-endian u64 words; its length
     must be a multiple of 8 (``ValueError`` otherwise).  Integer values
     already in ``[0, 2^64)`` convert directly; anything outside (negative
     or arbitrarily large Python ints) takes a scalar ``%`` fallback so the
-    result always equals ``[int(v) % modulus for v in values]``.
+    result always equals ``[int(v) % 2**64 for v in values]``.
     """
     if isinstance(values, np.ndarray) and values.dtype == U64:
-        return _reduce(values, modulus_bits)
+        return values
     if isinstance(values, _PACKED):
-        return _reduce(be_words(values), modulus_bits)
+        return be_words(values)
     try:
-        arr = np.asarray(values, dtype=U64)
+        return np.asarray(values, dtype=U64)
     except (OverflowError, TypeError, ValueError):
-        modulus = 1 << modulus_bits
-        arr = np.asarray([int(v) % modulus for v in values], dtype=U64)
-    return _reduce(arr, modulus_bits)
+        return np.asarray([int(v) % MODULUS for v in values], dtype=U64)
 
 
-def as_ring_rows(
-    rows: Sequence[Sequence[int]] | np.ndarray, modulus_bits: int = 64
-) -> np.ndarray:
+def as_ring_rows(rows: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
     """A 2-D ``np.uint64`` matrix (one ring vector per row).
 
     Rows may be packed buffers, read as :func:`as_ring` reads them.
     """
     if isinstance(rows, np.ndarray) and rows.dtype == U64 and rows.ndim == 2:
-        return _reduce(rows, modulus_bits)
+        return rows
     if not isinstance(rows, np.ndarray) and any(isinstance(r, _PACKED) for r in rows):
-        return np.stack([as_ring(row, modulus_bits) for row in rows])
+        return np.stack([as_ring(row) for row in rows])
     try:
         arr = np.asarray(rows, dtype=U64)
         if arr.ndim != 2:
             raise ValueError("rows do not form a matrix")
     except (OverflowError, TypeError, ValueError):
-        modulus = 1 << modulus_bits
-        arr = np.asarray(
-            [[int(v) % modulus for v in row] for row in rows], dtype=U64
-        )
-    return _reduce(arr, modulus_bits)
+        arr = np.asarray([[int(v) % MODULUS for v in row] for row in rows], dtype=U64)
+    return arr
 
 
 def ring_add(
-    left: np.ndarray | Sequence[int],
-    right: np.ndarray | Sequence[int],
-    modulus_bits: int = 64,
+    left: np.ndarray | Sequence[int], right: np.ndarray | Sequence[int]
 ) -> np.ndarray:
-    """Component-wise ``(a + b) mod 2^modulus_bits``."""
-    return _reduce(
-        as_ring(left, modulus_bits) + as_ring(right, modulus_bits), modulus_bits
-    )
+    """Component-wise ``(a + b) mod 2^64``."""
+    return as_ring(left) + as_ring(right)
 
 
 def ring_sub(
-    left: np.ndarray | Sequence[int],
-    right: np.ndarray | Sequence[int],
-    modulus_bits: int = 64,
+    left: np.ndarray | Sequence[int], right: np.ndarray | Sequence[int]
 ) -> np.ndarray:
-    """Component-wise ``(a - b) mod 2^modulus_bits``."""
-    return _reduce(
-        as_ring(left, modulus_bits) - as_ring(right, modulus_bits), modulus_bits
-    )
+    """Component-wise ``(a - b) mod 2^64``."""
+    return as_ring(left) - as_ring(right)
 
 
-def ring_neg(
-    values: np.ndarray | Sequence[int], modulus_bits: int = 64
-) -> np.ndarray:
-    """Component-wise ``(-a) mod 2^modulus_bits``."""
-    return _reduce(U64(0) - as_ring(values, modulus_bits), modulus_bits)
+def ring_neg(values: np.ndarray | Sequence[int]) -> np.ndarray:
+    """Component-wise ``(-a) mod 2^64``."""
+    return U64(0) - as_ring(values)
 
 
-def ring_sum_rows(
-    rows: np.ndarray | Sequence[Sequence[int]], modulus_bits: int = 64
-) -> np.ndarray:
+def ring_sum_rows(rows: np.ndarray | Sequence[Sequence[int]]) -> np.ndarray:
     """Column-wise ring sum of a matrix of ring vectors.
 
-    ``uint64`` accumulation wraps mod ``2^64``; reducing the wrapped total
-    by the ring bitmask yields exactly ``sum(column) % 2^modulus_bits``.
+    ``uint64`` accumulation wraps mod ``2^64``, which is exactly
+    ``sum(column) % 2^64``.
     """
-    matrix = as_ring_rows(rows, modulus_bits)
-    return _reduce(matrix.sum(axis=0, dtype=U64), modulus_bits)
+    return as_ring_rows(rows).sum(axis=0, dtype=U64)
 
 
-def ring_accumulate(
-    rows, modulus_bits: int = 64, chunk_rows: int = 1024
-) -> np.ndarray:
+def ring_accumulate(rows, chunk_rows: int = 1024) -> np.ndarray:
     """Column-wise ring sum of an *iterable* of ring vectors, chunked.
 
     Bit-identical to :func:`ring_sum_rows` (uint64 addition mod ``2^64``
-    is associative, and ``2^modulus_bits`` divides ``2^64``), but never
-    materializes the full row-major matrix: rows are folded in blocks of
-    ``chunk_rows``, so peak memory is O(chunk_rows · length) regardless
-    of how many rows stream past.  This is the finalize-path sum for the
-    streaming ingest story — a u1M round folds through a ~1k-row window.
+    is associative), but never materializes the full row-major matrix:
+    rows are folded in blocks of ``chunk_rows``, so peak memory is
+    O(chunk_rows · length) regardless of how many rows stream past.
+    This is the finalize-path sum for the streaming ingest story — a
+    u1M round folds through a ~1k-row window.
     """
     if chunk_rows < 1:
         raise ValueError("chunk_rows must be >= 1")
@@ -184,15 +142,15 @@ def ring_accumulate(
     for row in rows:
         buffer.append(row)
         if len(buffer) >= chunk_rows:
-            partial = ring_sum_rows(buffer, modulus_bits)
+            partial = ring_sum_rows(buffer)
             total = partial if total is None else total + partial
             buffer.clear()
     if buffer:
-        partial = ring_sum_rows(buffer, modulus_bits)
+        partial = ring_sum_rows(buffer)
         total = partial if total is None else total + partial
     if total is None:
         raise ValueError("ring_accumulate needs at least one row")
-    return _reduce(total, modulus_bits)
+    return total
 
 
 def limb_column_sums(

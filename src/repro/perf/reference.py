@@ -20,6 +20,7 @@ from typing import Sequence
 
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.hashing import hash_items
+from repro.perf.kernels import MODULUS
 
 # ------------------------------------------------------------------ parity
 
@@ -34,18 +35,15 @@ def uint64_vector_scalar(rng: HmacDrbg, length: int) -> list[int]:
     ]
 
 
-def sample_sum_zero_scalar(
-    num_parties: int, length: int, rng: HmacDrbg, modulus_bits: int = 64
-) -> list[bytes]:
+def sample_sum_zero_scalar(num_parties: int, length: int, rng: HmacDrbg) -> list[bytes]:
     """Scalar twin of :meth:`SumZeroMasks.sample`, from its definition.
 
     A 32-byte seed from ``rng`` keys ``SHAKE256(b"sum-zero-masks" ‖
     seed)``; word ``i`` of mask ``j < N − 1`` is stream word
-    ``j·length + i``, one ``int.from_bytes`` each, mod ``2^modulus_bits``.
+    ``j·length + i``, one ``int.from_bytes`` each.
     The last mask is the ring negation of the running sum.  Masks are
     returned packed, as the family holds them.
     """
-    modulus = 1 << modulus_bits
     seed = rng.generate(32)
     stream = hashlib.shake_256(b"sum-zero-masks" + seed).digest(
         8 * length * (num_parties - 1)
@@ -55,53 +53,40 @@ def sample_sum_zero_scalar(
     for j in range(num_parties - 1):
         base = 8 * length * j
         mask = [
-            int.from_bytes(stream[base + 8 * i : base + 8 * (i + 1)], "big") % modulus
+            int.from_bytes(stream[base + 8 * i : base + 8 * (i + 1)], "big")
             for i in range(length)
         ]
         for i, value in enumerate(mask):
-            running[i] = (running[i] + value) % modulus
+            running[i] = (running[i] + value) % MODULUS
         masks.append(words_to_bytes_scalar(mask))
-    masks.append(words_to_bytes_scalar([(-total) % modulus for total in running]))
+    masks.append(words_to_bytes_scalar([(-total) % MODULUS for total in running]))
     return masks
 
 
-def expand_mask_scalar(
-    seed: bytes, label: str, length: int, modulus: int
-) -> list[int]:
-    """Scalar twin of secagg's bulk ``_expand_mask`` (64-bit ring)."""
+def expand_mask_scalar(seed: bytes, label: str, length: int) -> list[int]:
+    """Scalar twin of secagg's bulk ``_expand_mask``."""
     rng = HmacDrbg(seed, personalization="secagg-mask:" + label)
-    if modulus == 1 << 64:
-        return uint64_vector_scalar(rng, length)
-    return [rng.randint(modulus) for _ in range(length)]
+    return uint64_vector_scalar(rng, length)
 
 
-def apply_mask_scalar(
-    encoded: Sequence[int], mask: Sequence[int], modulus_bits: int = 64
-) -> list[int]:
-    modulus = 1 << modulus_bits
-    return [(int(x) + int(p)) % modulus for x, p in zip(encoded, mask)]
+def apply_mask_scalar(encoded: Sequence[int], mask: Sequence[int]) -> list[int]:
+    return [(int(x) + int(p)) % MODULUS for x, p in zip(encoded, mask)]
 
 
-def remove_mask_scalar(
-    blinded: Sequence[int], mask: Sequence[int], modulus_bits: int = 64
-) -> list[int]:
-    modulus = 1 << modulus_bits
-    return [(int(y) - int(p)) % modulus for y, p in zip(blinded, mask)]
+def remove_mask_scalar(blinded: Sequence[int], mask: Sequence[int]) -> list[int]:
+    return [(int(y) - int(p)) % MODULUS for y, p in zip(blinded, mask)]
 
 
-def sum_vectors_scalar(
-    vectors: Sequence[Sequence[int]], modulus_bits: int = 64
-) -> list[int]:
-    modulus = 1 << modulus_bits
+def sum_vectors_scalar(vectors: Sequence[Sequence[int]]) -> list[int]:
     total = [0] * len(vectors[0])
     for vector in vectors:
         for i, value in enumerate(vector):
-            total[i] = (total[i] + int(value)) % modulus
+            total[i] = (total[i] + int(value)) % MODULUS
     return total
 
 
 def encode_scalar(codec, values: Sequence[float]) -> list[int]:
-    """Scalar fixed-point encode: per-value ``round(v * scale) % modulus``."""
+    """Scalar fixed-point encode: per-value ``round(v * scale) % 2**64``."""
     return [codec.encode_value(float(v)) for v in values]
 
 
@@ -144,15 +129,16 @@ def sum_zero_target_scalar(column_sums: bytes, weights: Sequence[int], q: int) -
 def commitment_root_scalar(commitments) -> bytes:
     """Scalar twin of :meth:`MaskCommitmentSet.root`.
 
-    The set's shape, every hash commitment, then each of the k·limbs
-    column claims (one packed word) as its own 8-byte ``hash_items`` entry.
+    The set's shape (with the ring width, 64, as a 2-byte field), every
+    hash commitment, then each of the k·limbs column claims (one packed
+    word) as its own 8-byte ``hash_items`` entry.
     """
     claims = commitments.column_sums
     items = [
         commitments.round_id.to_bytes(8, "big"),
         commitments.num_slots.to_bytes(4, "big"),
         commitments.vector_length.to_bytes(4, "big"),
-        commitments.modulus_bits.to_bytes(2, "big"),
+        (64).to_bytes(2, "big"),
         commitments.group_name.encode("ascii"),
         *commitments.hash_commitments,
     ]

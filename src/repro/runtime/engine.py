@@ -1064,14 +1064,11 @@ class RoundEngine:
         try:
             # Chunked accumulate: the audit only needs the sum, so the
             # full cohort matrix is never materialized here either.
-            total = kernels.ring_accumulate(
-                (c.ring_payload for c in accepted), codec.modulus_bits
-            )
+            total = kernels.ring_accumulate(c.ring_payload for c in accepted)
             if repairs:
                 # Repairs commute in the ring, so one summed repair
                 # vector applied once equals applying each in turn.
-                repair = kernels.ring_accumulate(repairs, codec.modulus_bits)
-                total = kernels.ring_add(total, repair, codec.modulus_bits)
+                total = total + kernels.ring_accumulate(repairs)
             return codec.decode(total) / len(accepted)
         except Exception:
             return None

@@ -54,15 +54,14 @@ def plan_shards(
 
 
 class ShardedRingReducer:
-    """A ``callable(matrix, modulus_bits) -> row`` that sums via shard partials.
+    """A ``callable(matrix) -> row`` that sums via shard partials.
 
     Drop-in for :func:`repro.perf.kernels.ring_sum_rows` anywhere a
     blinded matrix (contributions or dropout-repair masks) is folded:
     rows are partitioned into ``num_shards`` contiguous blocks, each
     block ring-sums to a partial, and the partials ring-sum to the total.
-    ``uint64`` addition wraps mod ``2^64`` and ``2^modulus_bits`` divides
-    ``2^64``, so the two-level fold is bit-identical to the flat sum for
-    every partition.
+    ``uint64`` addition wraps mod ``2^64``, the ring of every sum, so the
+    two-level fold is bit-identical to the flat sum for every partition.
     """
 
     def __init__(self, num_shards: int) -> None:
@@ -70,12 +69,10 @@ class ShardedRingReducer:
             raise ValueError("num_shards must be >= 1")
         self.num_shards = num_shards
 
-    def __call__(self, matrix: np.ndarray, modulus_bits: int = 64) -> np.ndarray:
-        rows = kernels.as_ring_rows(matrix, modulus_bits)
+    def __call__(self, matrix: np.ndarray) -> np.ndarray:
+        rows = kernels.as_ring_rows(matrix)
         if rows.shape[0] <= 1 or self.num_shards == 1:
-            return kernels.ring_sum_rows(rows, modulus_bits)
+            return kernels.ring_sum_rows(rows)
         blocks = np.array_split(rows, min(self.num_shards, rows.shape[0]))
-        partials = np.stack(
-            [kernels.ring_sum_rows(block, modulus_bits) for block in blocks]
-        )
-        return kernels.ring_sum_rows(partials, modulus_bits)
+        partials = np.stack([kernels.ring_sum_rows(block) for block in blocks])
+        return kernels.ring_sum_rows(partials)

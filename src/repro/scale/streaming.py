@@ -9,10 +9,9 @@ the engine's audit, and quarantine eviction takes a row back out with
 raw vector at admission, so its resident state is O(n/g · k),
 independent of how many submissions stream past.
 
-Exactness is structural: ``uint64`` addition wraps mod ``2^64``,
-``2^modulus_bits`` divides ``2^64``, and ring addition is associative
-and commutative, so fold-on-arrival into any partition and a final
-merge produce the *same integers* as stacking all rows and summing —
+Exactness is structural: ``uint64`` addition wraps mod ``2^64``, the
+ring of every sum, and ring addition is associative and commutative,
+so fold-on-arrival into any partition and a final merge produce the *same integers* as stacking all rows and summing —
 the same argument that makes :class:`repro.scale.shard.
 ShardedRingReducer` a drop-in.  The merge itself reuses that reducer:
 subgroup partials are leaves, the reducer's shard blocks the interior
@@ -31,9 +30,8 @@ from repro.scale.subgroup import SubgroupPlan
 class StreamingSubgroupAccumulator:
     """Fold ring vectors into per-subgroup partial sums, arrival order."""
 
-    def __init__(self, plan: SubgroupPlan, modulus_bits: int = 64) -> None:
+    def __init__(self, plan: SubgroupPlan) -> None:
         self.plan = plan
-        self.modulus_bits = modulus_bits
         self._partials: np.ndarray | None = None
         self.group_counts = np.zeros(plan.num_groups, dtype=np.int64)
         self.folded = 0
@@ -44,7 +42,7 @@ class StreamingSubgroupAccumulator:
         return None if self._partials is None else self._partials.shape[1]
 
     def _row(self, values) -> np.ndarray:
-        row = kernels.as_ring(values, self.modulus_bits)
+        row = kernels.as_ring(values)
         if self._partials is None:
             self._partials = np.zeros(
                 (self.plan.num_groups, len(row)), dtype=kernels.U64
@@ -72,8 +70,7 @@ class StreamingSubgroupAccumulator:
         """
         group = self._group(slot)
         row = self._row(values)
-        # Unreduced fold: uint64 wrap keeps the running value exact mod
-        # 2^64; one bitmask at read time lands it in the smaller ring.
+        # uint64 wrap keeps the running value exact mod 2^64.
         self._partials[group] += row
         self.group_counts[group] += 1
         self.folded += 1
@@ -99,23 +96,21 @@ class StreamingSubgroupAccumulator:
         return group
 
     def partials(self) -> np.ndarray:
-        """The reduced ``(num_groups, length)`` partial-sum matrix."""
+        """A copy of the ``(num_groups, length)`` partial-sum matrix."""
         if self._partials is None:
             raise ConfigurationError("nothing folded yet")
-        return kernels.ring_reduce(self._partials.copy(), self.modulus_bits)
+        return self._partials.copy()
 
     def partial(self, group: int) -> np.ndarray:
-        """One subgroup's reduced partial sum."""
+        """A copy of one subgroup's partial sum."""
         if self._partials is None:
             raise ConfigurationError("nothing folded yet")
-        return kernels.ring_reduce(
-            self._partials[group].copy(), self.modulus_bits
-        )
+        return self._partials[group].copy()
 
     def total(self, reducer=None) -> np.ndarray:
         """Merge the subgroup leaves into the cohort total.
 
-        ``reducer`` is any ``callable(matrix, modulus_bits) -> row`` —
+        ``reducer`` is any ``callable(matrix) -> row`` —
         the scale layer passes its :class:`~repro.scale.shard.
         ShardedRingReducer` so the partials fold through the same parent
         tree as the flat path's rows; ``None`` merges flat.  Both are
@@ -123,8 +118,8 @@ class StreamingSubgroupAccumulator:
         """
         partials = self.partials()
         if reducer is not None:
-            return reducer(partials, self.modulus_bits)
-        return kernels.ring_sum_rows(partials, self.modulus_bits)
+            return reducer(partials)
+        return kernels.ring_sum_rows(partials)
 
     def groups_touched(self) -> int:
         return int(np.count_nonzero(self.group_counts))

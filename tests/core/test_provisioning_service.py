@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.provisioning import VettingRegistry
 from repro.core.signing import SignedContribution
+from repro.crypto.fixedpoint import MODULUS
 from repro.errors import AttestationError, ConfigurationError, ProtocolError
 from repro.perf import kernels
 from repro.sgx.attestation import report_data_for
@@ -72,13 +73,12 @@ def test_mask_provisioning_requires_open_round(fresh_deployment):
 def test_blinder_round_masks_sum_zero(fresh_deployment):
     deployment = fresh_deployment
     deployment.blinder_provisioner.open_round(3, 4, len(deployment.features))
-    modulus = deployment.codec.modulus()
     masks = [
         kernels.as_ring(deployment.blinder_provisioner.blinding.mask_for(3, i)).tolist()
         for i in range(4)
     ]
     for column in zip(*masks):
-        assert sum(column) % modulus == 0
+        assert sum(column) % MODULUS == 0
 
 
 # ------------------------------------------------------------------ service

@@ -45,10 +45,7 @@ def _open(route):
 
 def _ring_mean(codec, rows, count):
     """The aggregate recomputed from scratch: ring sum, decode, divide."""
-    total = kernels.ring_sum_rows(
-        np.stack([kernels.as_ring(row, codec.modulus_bits) for row in rows]),
-        codec.modulus_bits,
-    )
+    total = kernels.ring_sum_rows(np.stack([kernels.as_ring(row) for row in rows]))
     return codec.decode(total) / count
 
 

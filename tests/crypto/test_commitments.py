@@ -25,19 +25,18 @@ from repro.perf import kernels
 GROUP = resolve_group("oakley-group-1")
 NUM_SLOTS = 3
 LENGTH = 4
-MODULUS_BITS = 64
 
 
 def _family(seed: bytes = b"commit-test") -> SumZeroMasks:
     return SumZeroMasks.sample(
-        NUM_SLOTS, LENGTH, HmacDrbg(seed, personalization="family"), MODULUS_BITS
+        NUM_SLOTS, LENGTH, HmacDrbg(seed, personalization="family")
     )
 
 
 def _commit(seed: bytes = b"commit-test"):
     family = _family(seed)
     commitments, openings = commit_masks(
-        GROUP, 1, family.masks, MODULUS_BITS, HmacDrbg(seed, personalization="c")
+        GROUP, 1, family.masks, HmacDrbg(seed, personalization="c")
     )
     return family, commitments, openings
 
@@ -97,6 +96,25 @@ def test_non_sum_zero_claims_fail_structure_validation():
         broken.validate_structure()
 
 
+def test_family_summing_to_zero_only_in_a_narrower_ring_fails_structure_validation():
+    """Every word below 2^32 and each column summing to zero mod 2^32, but
+    not mod 2^64: the ring is Z/2^64, so the honest claims over this family
+    break the sum-zero audit at open — a blinder cannot pick a narrower
+    ring to be audited in."""
+    rng = HmacDrbg(b"narrow-ring", personalization="family")
+    words = [[rng.randint(1 << 32) for _ in range(LENGTH)] for _ in range(NUM_SLOTS - 1)]
+    words.append([-sum(column) % (1 << 32) for column in zip(*words)])
+    assert all(sum(column) % (1 << 32) == 0 for column in zip(*words))
+    assert all(sum(column) % (1 << 64) for column in zip(*words))
+    commitments, _ = commit_masks(
+        GROUP, 1, [kernels.be_words_to_bytes(row) for row in words], rng
+    )
+    with pytest.raises(MaskVerificationError, match="violate sum-zero at component 0"):
+        commitments.validate_structure(
+            round_id=1, num_slots=NUM_SLOTS, vector_length=LENGTH
+        )
+
+
 @pytest.mark.parametrize(
     "resize",
     [lambda claims: claims[:-8], lambda claims: claims + claims[-8:]],
@@ -118,9 +136,7 @@ def test_forged_claims_pass_slot_checks_but_fail_the_homomorphic_check():
     family, honest, _ = _commit()
     masks = [kernels.as_ring(mask) for mask in family.masks]
     masks[0][0] += np.uint64(538)
-    corrupt = SumZeroMasks(
-        masks=tuple(map(kernels.be_words_to_bytes, masks)), modulus_bits=MODULUS_BITS
-    )
+    corrupt = SumZeroMasks(masks=tuple(map(kernels.be_words_to_bytes, masks)))
     assert not corrupt.verify_sum_zero()
     rng = HmacDrbg(b"forge", personalization="forge")
     salts = [rng.generate(32) for _ in range(NUM_SLOTS)]
@@ -143,7 +159,7 @@ def test_forged_claims_pass_slot_checks_but_fail_the_homomorphic_check():
 
 def test_recommit_reproduces_the_exact_set():
     family, commitments, openings = _commit()
-    rebuilt = recommit_masks(GROUP, 1, family.masks, MODULUS_BITS, openings)
+    rebuilt = recommit_masks(GROUP, 1, family.masks, openings)
     assert rebuilt == commitments
     assert rebuilt.root() == commitments.root()
 
@@ -156,4 +172,4 @@ def test_mask_payload_round_trips():
 
 def test_empty_family_is_rejected():
     with pytest.raises(ConfigurationError):
-        commit_masks(GROUP, 1, [], MODULUS_BITS, HmacDrbg(b"x"))
+        commit_masks(GROUP, 1, [], HmacDrbg(b"x"))

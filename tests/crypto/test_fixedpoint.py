@@ -1,9 +1,11 @@
 """Tests for the fixed-point codec."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.fixedpoint import FixedPointCodec
+from repro.crypto.fixedpoint import MODULUS, FixedPointCodec
 from repro.errors import ConfigurationError
 
 
@@ -23,32 +25,37 @@ def test_roundtrip_zero():
 
 
 def test_quantization_error_bounded():
-    codec = FixedPointCodec(scale=1 << 16)
+    codec = FixedPointCodec()
     value = 0.123456789
-    assert abs(codec.decode_value(codec.encode_value(value)) - value) <= 1 / (1 << 16)
+    assert abs(codec.decode_value(codec.encode_value(value)) - value) <= 1 / codec.scale
 
 
 def test_out_of_bound_value_rejected():
-    codec = FixedPointCodec(scale=1 << 8, bound=10.0)
+    codec = FixedPointCodec()
     with pytest.raises(ConfigurationError):
-        codec.encode_value(11.0)
+        codec.encode_value(codec.bound + 1.0)
     with pytest.raises(ConfigurationError):
-        codec.encode_value(-10.5)
+        codec.encode_value(-codec.bound - 0.5)
+    with pytest.raises(ConfigurationError):
+        codec.encode([0.0, codec.bound + 1.0])
 
 
 def test_bound_edge_accepted():
-    codec = FixedPointCodec(scale=1 << 8, bound=10.0)
-    assert codec.decode_value(codec.encode_value(10.0)) == pytest.approx(10.0)
-    assert codec.decode_value(codec.encode_value(-10.0)) == pytest.approx(-10.0)
+    codec = FixedPointCodec()
+    bound = float(codec.bound)
+    assert codec.decode_value(codec.encode_value(bound)) == pytest.approx(bound)
+    assert codec.decode_value(codec.encode_value(-bound)) == pytest.approx(-bound)
+    assert list(codec.decode(codec.encode([bound, -bound]))) == [bound, -bound]
 
 
 def test_invalid_configurations():
-    with pytest.raises(ConfigurationError):
-        FixedPointCodec(scale=0)
-    with pytest.raises(ConfigurationError):
-        FixedPointCodec(bound=-1.0)
-    with pytest.raises(ConfigurationError):
-        FixedPointCodec(scale=1 << 40, bound=float(1 << 40))  # overflows half ring
+    """The codec has no knobs: its scale, bound and ring are constants, and
+    a constructor argument is refused rather than silently honoured."""
+    assert dataclasses.fields(FixedPointCodec) == ()
+    for knob in ({"scale": 1 << 8}, {"bound": 10.0}, {"modulus_bits": 32}):
+        with pytest.raises(TypeError):
+            FixedPointCodec(**knob)
+    assert FixedPointCodec.scale * FixedPointCodec.bound < MODULUS // 2
 
 
 def test_vector_roundtrip():
@@ -90,7 +97,7 @@ def test_sum_vectors_length_mismatch():
 def test_negative_values_use_upper_half_ring():
     codec = FixedPointCodec()
     encoded = codec.encode_value(-1.0)
-    assert encoded > codec.modulus() // 2
+    assert encoded > MODULUS // 2
 
 
 @settings(max_examples=100)

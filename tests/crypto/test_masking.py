@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto.drbg import HmacDrbg
-from repro.crypto.fixedpoint import FixedPointCodec
+from repro.crypto.fixedpoint import MODULUS, FixedPointCodec
 from repro.crypto.masking import (
     BlindingService,
     SumZeroMasks,
@@ -31,9 +31,8 @@ def test_single_party_mask_is_zero():
 
 def test_two_party_masks_negate():
     masks = SumZeroMasks.sample(2, 3, rng())
-    modulus = 1 << masks.modulus_bits
     for a, b in zip(kernels.as_ring(masks.mask_for(0)), kernels.as_ring(masks.mask_for(1))):
-        assert (int(a) + int(b)) % modulus == 0
+        assert (int(a) + int(b)) % MODULUS == 0
 
 
 def test_a_family_is_packed_rows():

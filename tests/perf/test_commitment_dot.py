@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.codec import MAX_PARTIES
 from repro.crypto.commitments import (
+    LIMBS,
     _sum_zero_target,
     _weighted_limb_sum,
     challenge_weights,
@@ -29,7 +30,6 @@ from repro.crypto.masking import SumZeroMasks
 from repro.perf import kernels, reference
 
 GROUPS = (TEST_GROUP, OAKLEY_GROUP_1)
-LIMBS = 4  # a 64-bit ring word is four 16-bit limbs
 LIMB_MAX = (1 << 16) - 1
 
 
@@ -50,8 +50,8 @@ def test_dot_matches_the_scalar_twin(group, length, seed):
     mask = HmacDrbg(seed.to_bytes(4, "big")).uint64_vector(length)
     expected = reference.weighted_limb_sum_scalar(mask.tolist(), weights, LIMBS, q)
     digits = weight_digits(weights, q)
-    assert _weighted_limb_sum(mask, digits, LIMBS, q) == expected
-    assert _weighted_limb_sum(kernels.be_words_to_bytes(mask), digits, LIMBS, q) == expected
+    assert _weighted_limb_sum(mask, digits, q) == expected
+    assert _weighted_limb_sum(kernels.be_words_to_bytes(mask), digits, q) == expected
 
 
 @pytest.mark.parametrize("group", GROUPS, ids=lambda group: group.name)
@@ -68,7 +68,7 @@ def test_dot_is_exact_at_the_chunk_overflow_worst_case(group, weight):
     mask = np.full(length, np.uint64((1 << 64) - 1))
     expected = reference.weighted_limb_sum_scalar(mask.tolist(), weights, LIMBS, q)
     assert expected == value * LIMB_MAX * LIMBS * length % q
-    assert _weighted_limb_sum(mask, weight_digits(weights, q), LIMBS, q) == expected
+    assert _weighted_limb_sum(mask, weight_digits(weights, q), q) == expected
 
 
 @pytest.mark.parametrize("group", GROUPS, ids=lambda group: group.name)
@@ -95,7 +95,7 @@ def test_sum_zero_target_is_exact_at_the_parties_bound(group):
 
 @pytest.mark.parametrize("group", GROUPS, ids=lambda group: group.name)
 def test_challenge_weights_are_one_read_only_digit_matrix(group):
-    digits = challenge_weights(b"\x07" * 32, group.name, 5, 64)
+    digits = challenge_weights(b"\x07" * 32, group.name, 5)
     width = (group.subgroup_order.bit_length() + 31) // 32
     assert (digits.dtype, digits.shape) == (np.uint64, (width, 5 * LIMBS))
     assert not digits.flags.writeable
@@ -106,14 +106,13 @@ def test_challenge_weights_are_one_read_only_digit_matrix(group):
 @given(
     length=st.integers(min_value=1, max_value=5_000),
     slots=st.integers(min_value=1, max_value=9),
-    modulus_bits=st.sampled_from((16, 32, 64)),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_root_matches_the_per_item_framing(length, slots, modulus_bits, seed):
+def test_root_matches_the_per_item_framing(length, slots, seed):
     """``root()`` frames the k·limbs column claims in one buffer; the digest
     is the one that hashing each claim as its own item gives."""
     rng = HmacDrbg(seed.to_bytes(4, "big"), personalization="root")
-    family = SumZeroMasks.sample(slots, length, rng, modulus_bits)
-    commitments, _ = commit_masks(TEST_GROUP, seed, family.masks, modulus_bits, rng)
-    assert len(commitments.column_sums) == 8 * length * ((modulus_bits + 15) // 16)
+    family = SumZeroMasks.sample(slots, length, rng)
+    commitments, _ = commit_masks(TEST_GROUP, seed, family.masks, rng)
+    assert len(commitments.column_sums) == 8 * length * LIMBS
     assert commitments.root() == reference.commitment_root_scalar(commitments)

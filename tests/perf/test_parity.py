@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 from repro.crypto.commitments import (
+    LIMBS,
     _checked_scalar,
-    _limbs_per_word,
     commit_masks,
     decode_mask_payload,
     encode_mask_payload,
@@ -67,20 +67,10 @@ def test_sum_zero_sampling_matches_scalar(length):
     assert fast.verify_sum_zero()
 
 
-@pytest.mark.parametrize("length", NONEMPTY_SWEEP)
-def test_sum_zero_sampling_matches_scalar_narrow_ring(length):
-    fast = SumZeroMasks.sample(3, length, HmacDrbg(b"parity-32"), modulus_bits=32)
-    slow = reference.sample_sum_zero_scalar(
-        3, length, HmacDrbg(b"parity-32"), modulus_bits=32
-    )
-    assert list(fast.masks) == slow
-    assert fast.verify_sum_zero()
-
-
 @pytest.mark.parametrize("length", SWEEP)
 def test_expand_mask_matches_scalar(length):
-    fast = _expand_mask(b"parity-expand", "self", length, 1 << 64)
-    slow = reference.expand_mask_scalar(b"parity-expand", "self", length, 1 << 64)
+    fast = _expand_mask(b"parity-expand", "self", length)
+    slow = reference.expand_mask_scalar(b"parity-expand", "self", length)
     assert fast.tolist() == slow
 
 
@@ -102,9 +92,6 @@ def test_aggregate_sum_matches_scalar(length):
     vectors = [_words(bytes([i]), length) for i in range(6)]
     fast = kernels.ring_sum_rows(vectors).tolist()
     assert fast == reference.sum_vectors_scalar(vectors)
-    # Narrower ring: wrapped uint64 totals reduce to the right residues.
-    fast32 = kernels.ring_sum_rows(vectors, 32).tolist()
-    assert fast32 == reference.sum_vectors_scalar(vectors, 32)
 
 
 def test_ring_ops_match_scalar_definitions():
@@ -124,8 +111,6 @@ def test_as_ring_out_of_range_fallback_matches_scalar():
     values = [-1, -(1 << 80), 1 << 64, (1 << 200) + 7, 0, 5]
     expected = [v % (1 << 64) for v in values]
     assert kernels.as_ring(values).tolist() == expected
-    expected32 = [v % (1 << 32) for v in values]
-    assert kernels.as_ring(values, 32).tolist() == expected32
     rows = [values, list(reversed(values))]
     assert kernels.as_ring_rows(rows).tolist() == [
         [v % (1 << 64) for v in row] for row in rows
@@ -138,7 +123,6 @@ def test_as_ring_reads_packed_bytes_as_be_words():
     packed = kernels.be_words_to_bytes(words)
     assert kernels.as_ring(packed).tolist() == words
     assert kernels.as_ring(packed).dtype == kernels.U64  # native, not ">u8"
-    assert kernels.as_ring(packed, 32).tolist() == [w % (1 << 32) for w in words]
     assert kernels.as_ring(bytearray(packed)).tolist() == words
     assert kernels.as_ring(memoryview(packed)).tolist() == words
     assert kernels.as_ring_rows([packed, packed[::-1]]).tolist() == [
@@ -190,16 +174,6 @@ def test_codec_round_trip_matches_scalar(length):
     assert decoded.tolist() == reference.decode_scalar(codec, encoded)
 
 
-@pytest.mark.parametrize("length", NONEMPTY_SWEEP)
-def test_codec_round_trip_matches_scalar_narrow_ring(length):
-    codec = FixedPointCodec(scale=1 << 8, bound=1 << 10, modulus_bits=32)
-    rng = HmacDrbg(b"parity-codec-32")
-    values = [rng.uniform() * 64.0 - 32.0 for _ in range(length)]
-    encoded = codec.encode(values)
-    assert encoded == reference.encode_scalar(codec, values)
-    assert codec.decode(encoded).tolist() == reference.decode_scalar(codec, encoded)
-
-
 def test_codec_bounds_error_parity():
     codec = FixedPointCodec()
     bad = [0.0, float(codec.bound) * 2, 1.0]
@@ -210,12 +184,13 @@ def test_codec_bounds_error_parity():
 
 
 def test_codec_scalar_fallback_beyond_float_exactness():
-    # bound * scale > 2^53 forces the scalar loop; outputs must still agree
-    # with encode_value/decode_value on every element.
-    codec = FixedPointCodec(scale=1 << 40, bound=1 << 20)
-    values = [1234.5678, -0.25, 1e-9, 999999.0]
-    encoded = codec.encode(values)
-    assert encoded == [codec.encode_value(v) for v in values]
+    # A centred word beyond 2^53 (a blinded capture reaches 2^63) forces
+    # decode's scalar loop; it must still agree with decode_value on every
+    # element, including the in-range words beside it.
+    codec = FixedPointCodec()
+    encoded = codec.encode([1234.5678, -0.25, 1e-9, 999999.0]) + [
+        (1 << 53) + 1, (1 << 63) - 1, 1 << 63, (1 << 64) - (1 << 60),
+    ]
     assert codec.decode(encoded).tolist() == [codec.decode_value(e) for e in encoded]
 
 
@@ -290,9 +265,9 @@ def test_commitment_column_sums_match_scalar_loop(length):
     group = resolve_group("test-64bit")
     family = SumZeroMasks.sample(3, length, HmacDrbg(b"parity-commit"))
     commitments, openings = commit_masks(
-        group, 5, family.masks, 64, HmacDrbg(b"parity-commit-r")
+        group, 5, family.masks, HmacDrbg(b"parity-commit-r")
     )
-    limbs = _limbs_per_word(64)
+    limbs = LIMBS
     limb_cap = (1 << 16) - 1
     words = [reference.bytes_to_words_scalar(mask) for mask in family.masks]
     claims = reference.bytes_to_words_scalar(commitments.column_sums)
@@ -311,7 +286,7 @@ def test_commitment_column_sums_match_scalar_loop(length):
         )
 
 
-def _definitional_scalar(root, group, mask, modulus_bits):
+def _definitional_scalar(root, group, mask):
     """``s = Σ_{i,l} w[i][l]·limb_l(mask_i) mod q``, term by term.
 
     Weight ``t = i·limbs + l`` is the ``t``-th ``⌈(|q| + 128) / 8⌉``-byte
@@ -322,7 +297,7 @@ def _definitional_scalar(root, group, mask, modulus_bits):
     implementation.
     """
     q = group.subgroup_order
-    limbs = (modulus_bits + 15) // 16
+    limbs = 4  # a 64-bit word is four 16-bit limbs
     width = (q.bit_length() + 128 + 7) // 8
     stream = hashlib.shake_256(b"mask-commitment-weight" + root).digest(
         width * limbs * len(mask)
@@ -336,23 +311,19 @@ def _definitional_scalar(root, group, mask, modulus_bits):
     return scalar
 
 
-@pytest.mark.parametrize("modulus_bits", (32, 64))
 @pytest.mark.parametrize("length", SWEEP)
-def test_commitment_scalars_match_definitional_loop(length, modulus_bits):
+def test_commitment_scalars_match_definitional_loop(length):
     group = resolve_group("test-64bit")
-    ring_max = (1 << modulus_bits) - 1
     masks = [
         [0] * length,
-        [ring_max] * length,
-        [word & ring_max for word in _words(b"parity-scalar", length)],
+        [(1 << 64) - 1] * length,
+        _words(b"parity-scalar", length),
     ]
     commitments, openings = commit_masks(
-        group, 4, masks, modulus_bits, HmacDrbg(b"parity-scalar-r")
+        group, 4, masks, HmacDrbg(b"parity-scalar-r")
     )
     for slot, opening in enumerate(openings):
-        expected = _definitional_scalar(
-            commitments.root(), group, masks[slot], modulus_bits
-        )
+        expected = _definitional_scalar(commitments.root(), group, masks[slot])
         assert scalar_for_mask(commitments, masks[slot]) == expected
         # The opening checks reach the same scalar from the full set
         # (engine, at reveal) and from one slot's record (Glimmer, at install).
@@ -368,7 +339,6 @@ def test_mask_payload_round_trip_preserves_opening():
         resolve_group("test-64bit"),
         2,
         family.masks,
-        64,
         HmacDrbg(b"parity-payload-r"),
     )
     for opening in openings:
@@ -526,11 +496,14 @@ def test_wide_streamed_round_is_byte_identical_to_recorded():
     the masks did: a subgroup's family became one SHAKE256 expansion,
     which re-recorded ``root``, ``signatures`` (over the blinded words)
     and ``sealed`` (the Glimmers' checkpoints carry their installed
-    masks).  ``aggregate`` has never moved.
+    masks).  ``sealed`` moved once more when the ring was fixed at
+    ``Z/2^64``: the blinder's sealed header lost its ring-width field and
+    the Glimmers' checkpointed commitment records lost theirs.
+    ``aggregate`` has never moved.
     """
     assert _wide_streamed_round_digests() == {
         "root": "b3dd46a86e0ff8861e7ef3bc9d485dc6e0397dfd07a7eeb4cd329a30d849b223",
-        "sealed": "b2a67e8ab40b5c728db6138d689d520d2e8b6fbee51bceb94f72642209d01fc9",
+        "sealed": "59de1b33994ccf62d6fec3283c2f9df55946384ac45fb25546fca216d4744dad",
         "signatures": "d31a14b6b925eaf9250bf1970af27eba94bfb6f9043cafa1b55a37d9adeafe92",
         "aggregate": "b8557277e14cafd0f8f2a7befff5613092a335bba97d6d0fa83195c95702b0c2",
     }

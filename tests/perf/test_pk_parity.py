@@ -167,10 +167,10 @@ def test_batch_schnorr_small_batches_abstain():
 def _committed(seed: bytes = b"pk-parity-pedersen", num_slots: int = 4):
     group = resolve_group("oakley-group-1")
     family = SumZeroMasks.sample(
-        num_slots, 3, HmacDrbg(seed, personalization="family"), 64
+        num_slots, 3, HmacDrbg(seed, personalization="family")
     )
     commitments, openings = commit_masks(
-        group, 1, family.masks, 64, HmacDrbg(seed, personalization="commit")
+        group, 1, family.masks, HmacDrbg(seed, personalization="commit")
     )
     return commitments, list(enumerate(openings))
 

@@ -66,7 +66,7 @@ CONTRIBUTION = SignedContribution(
     signature=SIG,
 )
 RECORD = MaskCommitmentRecord(
-    round_id=7, slot=1, num_slots=3, vector_length=2, modulus_bits=64,
+    round_id=7, slot=1, num_slots=3, vector_length=2,
     group_name="test-64bit", root=b"\x09" * 32, hash_commitment=b"\x0a" * 32,
     point=(1 << 70) + 3,
 )
@@ -104,7 +104,7 @@ SAMPLES = {
     ),
     MaskCommitmentRecord: RECORD,
     MaskCommitmentSet: MaskCommitmentSet(
-        round_id=7, num_slots=2, vector_length=2, modulus_bits=64,
+        round_id=7, num_slots=2, vector_length=2,
         group_name="test-64bit", hash_commitments=(b"\x01" * 32, b"\x02" * 32),
         points=(5, 1 << 80), column_sums=kernels.be_words_to_bytes((1, 2, 3, 4, 5, 6, 7, 8)),
         randomizer_sum=11,

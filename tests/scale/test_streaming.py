@@ -137,19 +137,17 @@ def test_grouped_masks_rows_match_slot_order():
 def test_grouped_masks_compare_by_plan_seeds_and_shape():
     plan = plan_subgroups(4, 12, 5)
     masks = GroupedSumZeroMasks.sample(plan, 8, HmacDrbg(b"eq"))
-    same = GroupedSumZeroMasks(plan_subgroups(4, 12, 5), masks.seeds, 8, 64)
+    same = GroupedSumZeroMasks(plan_subgroups(4, 12, 5), masks.seeds, 8)
     assert masks == same
     assert masks != GroupedSumZeroMasks.sample(plan, 8, HmacDrbg(b"other"))
-    assert masks != GroupedSumZeroMasks(plan, masks.seeds, 9, 64)
-    assert masks != GroupedSumZeroMasks(
-        plan_subgroups(5, 12, 5), masks.seeds, 8, 64
-    )
+    assert masks != GroupedSumZeroMasks(plan, masks.seeds, 9)
+    assert masks != GroupedSumZeroMasks(plan_subgroups(5, 12, 5), masks.seeds, 8)
 
 
 def test_grouped_masks_requires_one_seed_per_group():
     plan = plan_subgroups(1, 10, 3)
     with pytest.raises(ConfigurationError):
-        GroupedSumZeroMasks(plan, (b"x" * 32,), 8, 64)
+        GroupedSumZeroMasks(plan, (b"x" * 32,), 8)
 
 
 # ------------------------------------------------------------- accumulator
@@ -214,8 +212,8 @@ def test_ring_accumulate_matches_full_matrix(chunk_rows):
 
 
 def test_ring_accumulate_narrow_ring_and_errors():
-    rows = [[5, 6], [7, 9]]
-    assert kernels.ring_accumulate(rows, modulus_bits=3).tolist() == [4, 7]
+    rows = [[(1 << 64) - 1, 6], [2, 9]]
+    assert kernels.ring_accumulate(rows).tolist() == [1, 15]
     with pytest.raises(ValueError):
         kernels.ring_accumulate([], chunk_rows=4)
     with pytest.raises(ValueError):
