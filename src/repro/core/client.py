@@ -171,13 +171,13 @@ class ClientDevice:
         return attested_handshake(self.platform, self.glimmer, session_id)
 
     def install_mask(
-        self, round_id: int, party_index: int, delivery, commitment=None
+        self, round_id: int, party_index: int, delivery, commitment
     ) -> None:
         """Install a delivered blinding mask for ``round_id``.
 
-        When ``commitment`` (the slot's engine-vouched
-        :class:`~repro.crypto.commitments.MaskCommitmentRecord`) is given,
-        the Glimmer verifies the delivered mask opens it before
+        The Glimmer verifies the delivered mask opens ``commitment``, the
+        slot's engine-vouched
+        :class:`~repro.crypto.commitments.MaskCommitmentRecord`, before
         installing — see ``install_blinding_mask``.
         """
         self.glimmer.ecall(

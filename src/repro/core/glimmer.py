@@ -49,7 +49,6 @@ from repro.errors import (
     AuthenticationError,
     ConfigurationError,
     EnclaveError,
-    MaskVerificationError,
     ProtocolError,
     ProtocolViolation,
     ValidationError,
@@ -372,20 +371,32 @@ class GlimmerProgram(EnclaveProgram):
         round_id: int,
         party_index: int,
         delivery: KeyDelivery,
-        commitment: MaskCommitmentRecord | None = None,
+        commitment: MaskCommitmentRecord,
     ) -> None:
         """Accept a (round, party) mask from the blinding service.
 
         The delivery arrives over the attested channel — a full one, or
         one in the session the last full one opened, keyed to this round
-        and slot — and carries the slot's full commitment opening.  When
-        the caller supplies the
-        engine-vouched :class:`MaskCommitmentRecord` for the slot, the
-        Glimmer verifies the opening before installing — a blinding
-        service that delivers a wrong-length, tampered, or equivocated
-        mask is caught *here*, inside the enclave, and the round aborts
-        with the blinder blamed rather than aggregating garbage.
+        and slot — and carries the slot's full commitment opening.  The
+        Glimmer always verifies that opening against ``commitment``, the
+        slot's engine-vouched :class:`MaskCommitmentRecord`, before
+        installing — a blinding service that delivers a wrong-length,
+        tampered, or equivocated mask is caught *here*, inside the
+        enclave, and the round aborts with the blinder blamed rather than
+        aggregating garbage.  The record reaches the enclave through the
+        host, never the blinder: a call with no record, or with one for
+        another round, slot or group, is the host's doing and is refused
+        (:class:`EnclaveError`) before the delivery is opened.
         """
+        if not isinstance(commitment, MaskCommitmentRecord) or (
+            commitment.round_id,
+            commitment.slot,
+            commitment.group_name,
+        ) != (round_id, party_index, self._config.blinder_identity.group.name):
+            raise EnclaveError(
+                f"install refused: no commitment record for round {round_id}, "
+                f"slot {party_index}"
+            )
         plaintext = self._handshakes.open(
             delivery,
             self._config.blinder_identity,
@@ -393,19 +404,8 @@ class GlimmerProgram(EnclaveProgram):
             (round_id, party_index),
         )
         opening = decode_mask_payload(plaintext)
-        if commitment is not None:
-            if commitment.round_id != round_id:
-                raise MaskVerificationError(
-                    f"commitment record names round {commitment.round_id}, "
-                    f"not {round_id}"
-                )
-            expected_group = self._config.blinder_identity.group.name
-            if commitment.group_name != expected_group:
-                raise MaskVerificationError(
-                    "commitment record uses an unexpected group"
-                )
-            self.api.charge_signature()  # two group exps, priced like a verify
-            verify_opening(commitment, party_index, opening)
+        self.api.charge_signature()  # two group exps, priced like a verify
+        verify_opening(commitment, party_index, opening)
         self._blinding.install_mask(round_id, party_index, opening.mask)
 
     # --------------------------------------------------------- the main path
@@ -586,7 +586,9 @@ class GlimmerProgram(EnclaveProgram):
                 int(party): kernels.bytes_to_be_words(words)
                 for party, words in masks.items()
             }
-        except (ProtocolViolation, TypeError, ValueError, AttributeError) as exc:
+        except (
+            ProtocolViolation, TypeError, ValueError, OverflowError, AttributeError
+        ) as exc:
             raise EnclaveError("malformed round checkpoint") from exc
         counter = self.api.monotonic_counter(f"blind-signings-round-{round_id}")
         if counter.value > checkpoint_count:

@@ -146,7 +146,7 @@ class IoTClient:
         self._party_index_for_round: dict[int, int] = {}
 
     def install_mask(
-        self, round_id: int, party_index: int, delivery, commitment=None
+        self, round_id: int, party_index: int, delivery, commitment
     ) -> None:
         self.host.install_mask(round_id, party_index, delivery, commitment)
         self._party_index_for_round[round_id] = party_index

@@ -339,21 +339,19 @@ class MaskCommitmentSet:
     # ---------------------------------------------------------- verification
 
     def validate_structure(
-        self,
-        round_id: int | None = None,
-        num_slots: int | None = None,
-        vector_length: int | None = None,
+        self, *, round_id: int, num_slots: int, vector_length: int
     ) -> None:
-        """Structural + sum-zero-claim checks (engine, at round open)."""
-        if round_id is not None and self.round_id != round_id:
+        """Structural + sum-zero-claim checks (engine, at round open),
+        against the round the engine opened: its id, slots and length."""
+        if self.round_id != round_id:
             raise MaskVerificationError(
                 f"commitment set names round {self.round_id}, expected {round_id}"
             )
-        if num_slots is not None and self.num_slots != num_slots:
+        if self.num_slots != num_slots:
             raise MaskVerificationError(
                 f"commitment set has {self.num_slots} slots, expected {num_slots}"
             )
-        if vector_length is not None and self.vector_length != vector_length:
+        if self.vector_length != vector_length:
             raise MaskVerificationError(
                 f"commitment set is over length {self.vector_length}, "
                 f"expected {vector_length}"

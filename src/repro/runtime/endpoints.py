@@ -84,7 +84,7 @@ class ServiceEndpoint(_Endpoint):
         m.KIND_FINALIZE: "_handle_finalize",
     }
 
-    def __init__(self, service, monitor=None) -> None:
+    def __init__(self, service, monitor) -> None:
         self.service = service
         self.monitor = monitor
         #: round -> nonce -> verdict, for answering retransmissions.
@@ -144,18 +144,14 @@ class ServiceEndpoint(_Endpoint):
         :class:`ProtocolViolation` when the monitor refuses the sender.
         """
         nonce = contribution.nonce
-        if self.monitor is not None:
-            self.monitor.check_submit(
-                round_id, sender, slot, nonce, retransmit=retransmit
-            )
+        self.monitor.check_submit(round_id, sender, slot, nonce, retransmit=retransmit)
         submit = self.service.submit_verified if verified else self.service.submit
         accepted = submit(round_id, contribution, slot=slot)
         self._submit_results.setdefault(round_id, {})[nonce] = accepted
-        if self.monitor is not None:
-            if accepted:
-                self.monitor.note_accepted(round_id, sender, slot, nonce)
-            else:
-                self.monitor.note_rejected(round_id, sender, "service-rejected")
+        if accepted:
+            self.monitor.note_accepted(round_id, sender, slot, nonce)
+        else:
+            self.monitor.note_rejected(round_id, sender, "service-rejected")
         return accepted
 
     def _handle_query_submission(self, message: Message) -> bool:
@@ -187,7 +183,7 @@ class BlinderEndpoint(_Endpoint):
         m.KIND_REVEAL_MASK: "_handle_reveal",
     }
 
-    def __init__(self, provisioner, monitor=None) -> None:
+    def __init__(self, provisioner, monitor) -> None:
         self.provisioner = provisioner
         self.monitor = monitor
 
@@ -206,10 +202,7 @@ class BlinderEndpoint(_Endpoint):
 
     def _handle_mask_request(self, message: Message):
         request: m.MaskRequest = message.payload
-        if self.monitor is not None:
-            self.monitor.check_active(
-                request.round_id, message.sender, "mask request"
-            )
+        self.monitor.check_active(request.round_id, message.sender, "mask request")
         # Stateless per request: a repeated full request is answered with
         # a fresh delivery, and its quote from the session table's cache.
         return self.provisioner.provision_mask(

@@ -171,7 +171,14 @@ class _RoundRecord:
 
 
 class RoundEngine:
-    """Orchestrates contribution rounds over a simulated transport."""
+    """Orchestrates contribution rounds over a simulated transport.
+
+    ``signing_public``, ``codec`` and ``group`` are the deployment's own
+    anchors, and every round is held to them: the vetted key every
+    aggregated contribution must be signed under, the codec the audit
+    decodes its recomputed aggregate with, and the group the blinder's
+    commitments must use.  None of them is read off a party under audit.
+    """
 
     def __init__(
         self,
@@ -179,15 +186,15 @@ class RoundEngine:
         service,
         blinder_provisioner,
         *,
+        signing_public,
+        codec,
+        group,
         max_attempts: int = 5,
         backoff_ms: float = 8.0,
         max_backoff_ms: float = 256.0,
         recovery_threshold: float = 0.0,
         fault_injector=None,
         seed: bytes = b"round-engine",
-        signing_public=None,
-        codec=None,
-        group=None,
         quarantine: Quarantine | None = None,
         parallelism=None,
     ) -> None:
@@ -558,10 +565,7 @@ class RoundEngine:
                 num_slots=num_slots,
                 vector_length=vector_length,
             )
-            if (
-                self.group is not None
-                and published.group_name != self.group.name
-            ):
+            if published.group_name != self.group.name:
                 raise MaskVerificationError(
                     f"commitment group {published.group_name!r} does not "
                     f"match the deployment group {self.group.name!r}"
@@ -594,16 +598,15 @@ class RoundEngine:
         """
         record = self.round_record(round_id)
         record.note_participant(client_id)
-        commitment = None
-        if record.commitments is not None:
-            commitment = record.commitments.record_for(party_index)
         try:
             self.call_with_retry(
                 record,
                 ENGINE,
                 self._client_name(client_id),
                 m.KIND_PROVISION_MASK,
-                m.ProvisionMask(round_id, party_index, commitment),
+                m.ProvisionMask(
+                    round_id, party_index, record.commitments.record_for(party_index)
+                ),
                 first_attempt=first_attempt,
             )
         except MaskVerificationError as exc:
@@ -977,10 +980,12 @@ class RoundEngine:
         """Audit the service's finalize result before trusting it.
 
         The service returns the contributions it aggregated; the engine
-        re-checks nonce uniqueness, that every contribution it witnessed
-        being accepted is present, the counts, every signature, and —
-        decisive against a tampering aggregator — recomputes the aggregate
-        bit-exactly.  Only a round the *engine* routed to the streamed
+        re-checks nonce uniqueness, that the aggregated nonces are exactly
+        the ones it witnessed being accepted *this* round (none missing,
+        none smuggled in from another round), the counts, every
+        signature, and — decisive against a tampering aggregator —
+        recomputes the aggregate bit-exactly; a trail it cannot recompute
+        fails the audit.  Only a round the *engine* routed to the streamed
         accumulator (``record.subgroup_plan``) has no trail to walk: its
         rows were folded and released at admission, so its counts are
         held to the engine's own witness instead.  Anywhere else a
@@ -997,10 +1002,12 @@ class RoundEngine:
             nonces = [c.nonce for c in accepted]
             if len(set(nonces)) != len(nonces):
                 problems.append("duplicate nonces in the aggregated set")
-            if not witnessed.issubset(nonces):
+            if set(nonces) != witnessed:
                 problems.append(
-                    "an engine-witnessed accepted contribution is missing"
+                    "the aggregated nonces are not the ones witnessed accepted"
                 )
+            if any(c.round_id != record.round_id for c in accepted):
+                problems.append("an aggregated contribution is from another round")
         if result.num_contributions != aggregated:
             problems.append(
                 f"contribution count {result.num_contributions} != "
@@ -1011,7 +1018,7 @@ class RoundEngine:
                 f"repair count {result.num_dropouts_repaired} != "
                 f"{len(repairs)} masks handed over"
             )
-        if self.signing_public is not None and accepted and not record.route.pool:
+        if accepted and not record.route.pool:
             # Pool rounds verified every accepted signature exactly once
             # already (worker pre-verification or service admission);
             # re-walking them here would serialize what the pool spread out.
@@ -1044,13 +1051,13 @@ class RoundEngine:
                         problems.append("an aggregated contribution is unsigned")
                         break
         if not problems and accepted:
-            expected = self._recompute_aggregate(
-                accepted, repairs, self.codec or self.service.codec
-            )
-            if expected is not None and not np.array_equal(
-                np.asarray(expected), np.asarray(result.aggregate)
-            ):
-                problems.append("aggregate does not match the recomputation")
+            try:
+                expected = self._recompute_aggregate(accepted, repairs)
+            except (TypeError, ValueError) as exc:
+                problems.append(f"the audit trail cannot be recomputed: {exc}")
+            else:
+                if not np.array_equal(expected, np.asarray(result.aggregate)):
+                    problems.append("aggregate does not match the recomputation")
         if problems:
             detail = "; ".join(problems)
             self.monitor.record(
@@ -1060,18 +1067,15 @@ class RoundEngine:
                 record, f"service finalize result failed the audit: {detail}"
             )
 
-    def _recompute_aggregate(self, accepted, repairs, codec):
-        try:
-            # Chunked accumulate: the audit only needs the sum, so the
-            # full cohort matrix is never materialized here either.
-            total = kernels.ring_accumulate(c.ring_payload for c in accepted)
-            if repairs:
-                # Repairs commute in the ring, so one summed repair
-                # vector applied once equals applying each in turn.
-                total = total + kernels.ring_accumulate(repairs)
-            return codec.decode(total) / len(accepted)
-        except Exception:
-            return None
+    def _recompute_aggregate(self, accepted, repairs):
+        # Chunked accumulate: the audit only needs the sum, so the full
+        # cohort matrix is never materialized here either.
+        total = kernels.ring_accumulate(c.ring_payload for c in accepted)
+        if repairs:
+            # Repairs commute in the ring, so one summed repair vector
+            # applied once equals applying each in turn.
+            total = total + kernels.ring_accumulate(repairs)
+        return self.codec.decode(total) / len(accepted)
 
     def _close_round_clients(self, record: _RoundRecord) -> None:
         """Best-effort teardown: tell provisioned clients to purge the round.

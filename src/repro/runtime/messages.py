@@ -87,7 +87,7 @@ class OpenServiceRound:
     subgroup_size: int = 0
 
 
-@wire(0x8003, round_id=ROUND_ID, party_index=SLOT, commitment=Optional(MaskCommitmentRecord))
+@wire(0x8003, round_id=ROUND_ID, party_index=SLOT, commitment=MaskCommitmentRecord)
 @dataclass(frozen=True)
 class ProvisionMask:
     """Command a client to fetch its round mask from the blinding service.
@@ -97,12 +97,12 @@ class ProvisionMask:
     validated the published commitment set when the round opened, so
     shipping the per-slot record here stops the blinding service from
     equivocating — delivering the engine one mask family and the clients
-    another.
+    another.  It is required: a command without one is refused at decode.
     """
 
     round_id: int
     party_index: int
-    commitment: MaskCommitmentRecord | None = None
+    commitment: MaskCommitmentRecord
 
 
 @wire(

@@ -231,7 +231,7 @@ def _run_client(context: WorkerContext, task: ClientTask) -> ClientResult:
     if task.contribute is None:
         return result
     result.signed, result.outcome = sign_step(task.client, task.contribute, result)
-    if result.signed is not None and context.signing_public is not None:
+    if result.signed is not None:
         try:
             result.signature_ok = bool(
                 context.signing_public.is_valid(

@@ -41,6 +41,7 @@ from typing import Any, Callable
 
 from repro import invariants
 from repro.crypto.drbg import HmacDrbg
+from repro.crypto.fixedpoint import FixedPointCodec
 from repro.errors import (
     AdmissionError,
     ConfigurationError,
@@ -67,7 +68,6 @@ def run_service_schedule(
     seed: bytes,
     index: int,
     fault_rate: float,
-    codec=None,
     tenant: str = "alpha",
     num_users: int = 3,
     sentences_per_user: int = 3,
@@ -228,13 +228,12 @@ def run_service_schedule(
         if entry is None or "values_by_user" not in entry or recorded is None:
             continue  # e.g. a settled round whose aggregate record was lost
         aggregates.append((round_id, tuple(float(v) for v in recorded)))
-        if codec is not None:
-            values = entry["values_by_user"]
-            truth = invariants.exact_mean(codec, values, values)
-            assert [float(v) for v in recorded] == [float(v) for v in truth], (
-                f"{plan.label}: round {round_id} aggregate is not the "
-                f"codec-exact mean over its journaled values"
-            )
+        values = entry["values_by_user"]
+        truth = invariants.exact_mean(FixedPointCodec(), values, values)
+        assert [float(v) for v in recorded] == [float(v) for v in truth], (
+            f"{plan.label}: round {round_id} aggregate is not the "
+            f"codec-exact mean over its journaled values"
+        )
 
     audit = AuditLog(raw)
     repair = audit.verify_and_repair()

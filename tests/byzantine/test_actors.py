@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.byzantine import (
@@ -40,9 +41,12 @@ from repro.byzantine import (
     run_byzantine_round,
 )
 from repro.crypto.drbg import HmacDrbg
+from repro.errors import EnclaveError
 from repro.experiments.common import Deployment
 from repro.faults import SITE_BLINDER, FaultInjector, FaultPlan, FaultSpec
-from repro.runtime.messages import client_endpoint
+from repro.network.adversary import NetworkAdversary
+from repro.perf import kernels
+from repro.runtime.messages import KIND_PROVISION_MASK, client_endpoint
 from repro.runtime.protocol import (
     VIOLATION_AGGREGATE_TAMPERING,
     VIOLATION_EQUIVOCATION,
@@ -53,7 +57,8 @@ from repro.runtime.protocol import (
     VIOLATION_NON_SUM_ZERO,
     VIOLATION_REPLAY,
 )
-from repro.runtime.telemetry import OUTCOME_EVICTED, OUTCOME_QUARANTINED
+from repro.runtime.telemetry import OUTCOME_CRASHED, OUTCOME_EVICTED, OUTCOME_QUARANTINED
+from repro.scale import ScaleConfig
 
 
 def _deploy(tag: bytes) -> Deployment:
@@ -201,6 +206,156 @@ def test_tampering_aggregator_is_caught_by_the_audit(kind):
     assert result.aborted and not result.corrupted
     assert "service" in result.offenders
     assert VIOLATION_AGGREGATE_TAMPERING in _kinds(result)
+
+
+class _SmugglingAggregator:
+    """Finalizes honestly, then adds the first contribution it aggregated
+    in an earlier round to a later round's trail, count and mean — a
+    validly signed contribution whose sum the engine recomputes exactly."""
+
+    def __init__(self, inner, codec) -> None:
+        self.inner, self.codec, self.kept = inner, codec, None
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def finalize_blinded_round(self, round_id, dropout_masks=()):
+        result = self.inner.finalize_blinded_round(round_id, dropout_masks)
+        if self.kept is None:
+            self.kept = result.accepted[0]
+            return result
+        accepted = result.accepted + (self.kept,)
+        total = kernels.ring_accumulate(
+            [c.ring_payload for c in accepted] + list(dropout_masks)
+        )
+        return replace(
+            result,
+            accepted=accepted,
+            num_contributions=len(accepted),
+            aggregate=self.codec.decode(total) / len(accepted),
+        )
+
+
+def test_a_contribution_smuggled_from_an_earlier_round_is_caught():
+    """Every aggregated contribution must be one the engine witnessed
+    being accepted in the round it finalizes, not merely a signed one."""
+    deployment = _deploy(b"smuggle")
+    deployment.engine.attach_service(
+        _SmugglingAggregator(deployment.service, deployment.codec)
+    )
+    benign = AttackPlan(label="benign")
+    first = run_byzantine_round(deployment, 1, _users(deployment), benign)
+    assert first.outcome == OUTCOME_CLEAN
+    second = run_byzantine_round(deployment, 2, _users(deployment), benign)
+    assert second.outcome == OUTCOME_DETECTED_ABORT
+    assert second.offenders == ("service",)
+    assert [violation.kind for violation in second.report.violations] == [
+        VIOLATION_AGGREGATE_TAMPERING
+    ]
+
+
+def test_a_trail_the_audit_cannot_recompute_fails_it():
+    """A pool round's audit does not re-walk signatures (its workers
+    checked them), so a trail entry cut short reaches the recomputation.
+    A trail the audit cannot sum fails it; it is never a skipped audit
+    that lets a corrupted aggregate through."""
+    deployment = Deployment.build(
+        num_users=4, seed=b"byz-actors:uncomputable", sentences_per_user=10,
+        parallelism=ScaleConfig(workers=2, shards=2),
+    )
+    honest = deployment.service.finalize_blinded_round
+
+    def finalize_blinded_round(round_id, dropout_masks=()):
+        result = honest(round_id, dropout_masks)
+        first = result.accepted[0]
+        cut = replace(first, ring_payload=first.ring_payload[:-8])
+        aggregate = np.array(result.aggregate, copy=True)
+        aggregate[0] += 538.0
+        return replace(
+            result, accepted=(cut,) + result.accepted[1:], aggregate=aggregate
+        )
+
+    deployment.service.finalize_blinded_round = finalize_blinded_round
+    with deployment.engine:
+        result = run_byzantine_round(
+            deployment, 1, _users(deployment), AttackPlan(label="pool")
+        )
+    assert result.report.route_reason is None  # the pool route
+    assert result.outcome == OUTCOME_DETECTED_ABORT
+    assert [
+        (violation.offender, violation.kind) for violation in result.report.violations
+    ] == [("service", VIOLATION_AGGREGATE_TAMPERING)]
+    assert "cannot be recomputed" in result.report.violations[0].detail
+
+
+class _StripCommitments(NetworkAdversary):
+    """On-path: every provision command loses its commitment record."""
+
+    def __init__(self) -> None:
+        self.stripped = 0
+
+    def process(self, message):
+        if message.kind != KIND_PROVISION_MASK:
+            return message
+        self.stripped += 1
+        return message.with_payload(replace(message.payload, commitment=None))
+
+
+def test_a_stripped_commitment_never_lets_a_tampered_delivery_through():
+    """With the record stripped in transit there is nothing to verify a
+    tampered mask against, so no device may install one: the command is
+    refused at the device and blamed on its sender."""
+    deployment = _deploy(b"strip-commitments")
+    strip = _StripCommitments()
+    deployment.network.interpose(strip)
+    result = _run(deployment, _single(ATTACK_BLINDER_TAMPER_DELIVERY))
+    assert result.outcome == OUTCOME_DETECTED_ABORT
+    assert result.offenders == ("engine",)
+    assert strip.stripped == len(_users(deployment))
+    assert [violation.kind for violation in result.report.violations] == (
+        [VIOLATION_MALFORMED] * strip.stripped
+    )
+
+
+@pytest.mark.parametrize(
+    "record_for",
+    [
+        lambda commitments, slot: None,
+        lambda commitments, slot: commitments.record_for(
+            (slot + 1) % commitments.num_slots
+        ),
+    ],
+    ids=["no-record", "another-slot"],
+)
+def test_a_host_withholding_or_swapping_the_record_is_refused_in_enclave(record_for):
+    """The record reaches the Glimmer through its host.  A host that makes
+    the install ecall without one, or with another slot's, is refused by
+    the Glimmer before the delivery is opened, and the blinder — which
+    never touched the record — is not blamed: the device is down for the
+    round, its slot repaired, the round exact."""
+    deployment = _deploy(b"host-record")
+    users = _users(deployment)
+    host = deployment.clients[users[0]]
+    refusals = []
+
+    def install_mask(round_id, party_index, delivery, commitment):
+        commitments = deployment.blinder_provisioner.round_commitments(round_id)
+        try:
+            host.glimmer.ecall(
+                "install_blinding_mask", round_id, party_index, delivery,
+                record_for(commitments, party_index),
+            )
+        except EnclaveError as exc:
+            refusals.append(exc)
+            raise
+
+    host.install_mask = install_mask
+    result = _run(deployment, AttackPlan(label="benign"))
+    assert refusals and all("install refused" in str(exc) for exc in refusals)
+    assert "blinder" not in result.offenders
+    assert result.outcome == OUTCOME_CLEAN
+    assert result.report.outcomes[users[0]] == OUTCOME_CRASHED
+    assert users[0] not in result.report.survivors
 
 
 def test_omitting_the_only_contribution_is_still_caught():

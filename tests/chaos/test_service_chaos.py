@@ -26,7 +26,6 @@ import os
 
 import pytest
 
-from repro.experiments.common import Deployment
 from repro.service.chaos import run_service_schedule
 from repro.service.storage import BACKEND_KINDS, build_backend
 
@@ -44,16 +43,6 @@ BACKENDS = (
     else BACKEND_KINDS
 )
 
-# The harness builds its services with exactly these knobs; the codec
-# used for the bit-exactness oracle must come from the same deployment.
-SERVICE_KNOBS = dict(num_users=3, sentences_per_user=3, max_features=8)
-
-
-@pytest.fixture(scope="module")
-def codec():
-    return Deployment.build(seed=b"glimmer-service", **SERVICE_KNOBS).codec
-
-
 def _factory(kind: str, tmp_path, index: int):
     """A reopenable handle over one schedule's persistent state."""
     if kind == "memory":
@@ -66,12 +55,11 @@ def _factory(kind: str, tmp_path, index: int):
     return lambda: build_backend(kind, path=path)
 
 
-def _run(kind, tmp_path, codec, seed: str, index: int, **kwargs):
+def _run(kind, tmp_path, seed: str, index: int, **kwargs):
     params = dict(
         seed=seed.encode(),
         index=index,
         fault_rate=FAULT_RATES[index % len(FAULT_RATES)],
-        codec=codec,
         waves=2 if index % 3 == 0 else 1,
     )
     params.update(kwargs)
@@ -102,7 +90,7 @@ def _run(kind, tmp_path, codec, seed: str, index: int, **kwargs):
 
 @pytest.mark.parametrize("kind", BACKENDS)
 @pytest.mark.parametrize("seed", SEEDS)
-def test_service_chaos_exact_or_recovered(kind, seed, tmp_path, codec):
+def test_service_chaos_exact_or_recovered(kind, seed, tmp_path):
     totals = {
         "kills": 0,
         "restarts": 0,
@@ -113,7 +101,7 @@ def test_service_chaos_exact_or_recovered(kind, seed, tmp_path, codec):
         "acked": 0,
     }
     for index in range(SCHEDULES_PER_SEED):
-        report = _run(kind, tmp_path, codec, seed, index)
+        report = _run(kind, tmp_path, seed, index)
         for key in totals:
             totals[key] += report[key]
     # Per-schedule invariants (exactly-once, bit-exact aggregates, audit
@@ -130,7 +118,7 @@ def test_service_chaos_exact_or_recovered(kind, seed, tmp_path, codec):
 
 
 @pytest.mark.parametrize("kind", BACKENDS)
-def test_same_seed_replays_identical_schedule(kind, tmp_path, codec):
+def test_same_seed_replays_identical_schedule(kind, tmp_path):
     """Fresh state + same seed => identical firings, kills, aggregates."""
     runs = []
     for attempt in range(2):
@@ -139,7 +127,6 @@ def test_same_seed_replays_identical_schedule(kind, tmp_path, codec):
             report = _run(
                 kind,
                 tmp_path / f"run{attempt}",
-                codec,
                 "svc-replay",
                 index,
             )
@@ -150,15 +137,13 @@ def test_same_seed_replays_identical_schedule(kind, tmp_path, codec):
     assert runs[0] == runs[1]
 
 
-def test_distinct_seeds_differ(tmp_path, codec):
+def test_distinct_seeds_differ(tmp_path):
     """Sanity: the schedule space is actually being sampled."""
     logs = []
     for seed in ("svc-a", "svc-b"):
         fired = []
         for index in range(REPLAY_SCHEDULES):
-            report = _run(
-                "memory", tmp_path / seed, codec, seed, index
-            )
+            report = _run("memory", tmp_path / seed, seed, index)
             fired.append(report["fired"])
         logs.append(tuple(fired))
     assert logs[0] != logs[1]

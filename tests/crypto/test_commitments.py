@@ -93,7 +93,7 @@ def test_non_sum_zero_claims_fail_structure_validation():
     claims[0] += np.uint64(1)
     broken = dataclasses.replace(commitments, column_sums=kernels.be_words_to_bytes(claims))
     with pytest.raises(MaskVerificationError):
-        broken.validate_structure()
+        broken.validate_structure(round_id=1, num_slots=NUM_SLOTS, vector_length=LENGTH)
 
 
 def test_family_summing_to_zero_only_in_a_narrower_ring_fails_structure_validation():
@@ -126,7 +126,7 @@ def test_claims_of_the_wrong_word_count_fail_structure_validation(resize):
     _, commitments, _ = _commit()
     broken = dataclasses.replace(commitments, column_sums=resize(commitments.column_sums))
     with pytest.raises(MaskVerificationError, match="wrong column count"):
-        broken.validate_structure()
+        broken.validate_structure(round_id=1, num_slots=NUM_SLOTS, vector_length=LENGTH)
 
 
 def test_forged_claims_pass_slot_checks_but_fail_the_homomorphic_check():
@@ -142,7 +142,7 @@ def test_forged_claims_pass_slot_checks_but_fail_the_homomorphic_check():
     salts = [rng.generate(32) for _ in range(NUM_SLOTS)]
     randomizers = [rng.randint(GROUP.subgroup_order) for _ in range(NUM_SLOTS)]
     forged = _forge_commitments(GROUP, honest, corrupt.masks, salts, randomizers)
-    forged.validate_structure(round_id=1, num_slots=NUM_SLOTS)
+    forged.validate_structure(round_id=1, num_slots=NUM_SLOTS, vector_length=LENGTH)
     for slot in range(NUM_SLOTS):
         verify_opening(
             forged,

@@ -141,10 +141,15 @@ def test_captured_in_session_delivery_opens_for_its_round_and_slot_only():
     for round_id in (2, 3):
         blinder.open_round(round_id, 2, len(deployment.features))
     delivery = blinder.provision_mask(client.mask_session, None, None, 2, 0)
+
+    def install(round_id, slot):
+        record = blinder.round_commitments(round_id).record_for(slot)
+        client.glimmer.ecall("install_blinding_mask", round_id, slot, delivery, record)
+
     for round_id, slot in ((3, 0), (2, 1)):
         with pytest.raises(AuthenticationError):
-            client.glimmer.ecall("install_blinding_mask", round_id, slot, delivery)
-    client.glimmer.ecall("install_blinding_mask", 2, 0, delivery)
+            install(round_id, slot)
+    install(2, 0)
     assert client.glimmer.ecall("has_mask", 2, 0)
 
 

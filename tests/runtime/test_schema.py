@@ -101,7 +101,8 @@ def test_every_field_of_a_carried_class_is_checked(cls):
 @pytest.mark.parametrize(
     "value",
     [
-        pytest.param(m.ProvisionMask(1, -1), id="slot-below-range"),
+        pytest.param(replace(SAMPLES[m.ProvisionMask], party_index=-1), id="slot-below-range"),
+        pytest.param(replace(SAMPLES[m.ProvisionMask], commitment=None), id="no-commitment"),
         pytest.param(replace(SAMPLES[SignedContribution], blinded=1), id="int-for-bool"),
         pytest.param(
             replace(SAMPLES[m.SubmitContribution],
@@ -187,6 +188,7 @@ def _record(**fields):
 @pytest.mark.parametrize(
     "rewrite",
     [
+        pytest.param(lambda command: replace(command, commitment=None), id="none"),
         pytest.param(lambda command: replace(command, commitment="x"), id="str"),
         pytest.param(lambda command: replace(command, commitment=7), id="int"),
         pytest.param(lambda command: replace(command, commitment=(1, 2)), id="tuple"),
@@ -397,6 +399,15 @@ def test_round_checkpoint_refusals_are_typed(checkpoint, data):
     glimmer, sealed = checkpoint
     with pytest.raises(TYPED):
         glimmer.ecall("restore_round", data.draw(_blobs(sealed)))
+
+
+def test_a_checkpoint_naming_an_infinite_round_is_malformed(checkpoint):
+    """A frame no float-to-round conversion can hold is a malformed
+    checkpoint, not an ``OverflowError`` escaping the enclave."""
+    glimmer, _ = checkpoint
+    sealed = glimmer._api.seal(codec.encode((float("inf"), {0: bytes(16)}, 0)))
+    with pytest.raises(EnclaveError, match="malformed round checkpoint"):
+        glimmer.ecall("restore_round", sealed)
 
 
 @pytest.fixture(scope="module")
