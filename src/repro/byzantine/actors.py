@@ -97,18 +97,23 @@ class AttackerEndpoint(ClientEndpoint):
     def __init__(self, engine, client, name: str, plan: AttackPlan) -> None:
         super().__init__(engine, client, name)
         self.plan = plan
+        #: The owner's copy of its own input for the round it plays, read
+        #: before the honest step lets go of the store's: forgeries and
+        #: rivals are made from it.
+        self._values = None
 
     def _attack(self, round_id: int) -> str | None:
         spec = self.plan.client_attack(round_id, self.client.client_id)
         return None if spec is None else spec.kind
 
     def _forge(self, command, bump: float = 0.0) -> None:
-        values = kernels.be_doubles(command.values) + bump
-        forged = forged_contribution(self.client, command.round_id, values)
+        forged = forged_contribution(self.client, command.round_id, self._values + bump)
         super()._submit(command, forged)
 
     def _contribute(self, command, record):
         kind = self._attack(command.round_id)
+        if kind is not None:
+            self._values = kernels.be_doubles(self.client.data.vector_for(command.round_id))
         if kind not in (ATTACK_FORGE, ATTACK_FLOOD):
             return super()._contribute(command, record)
         with suppress(NetworkError):

@@ -22,7 +22,12 @@ from typing import Sequence
 from repro.crypto.fixedpoint import FixedPointCodec
 from repro.crypto.hashing import hash_items
 from repro.crypto.masking import apply_mask
-from repro.errors import CryptoError, MaskVerificationError
+from repro.errors import (
+    ConfigurationError,
+    CryptoError,
+    MaskVerificationError,
+    ValidationError,
+)
 from repro.perf import kernels
 
 #: How many past mask digests the reuse check remembers (FIFO-capped so a
@@ -130,17 +135,25 @@ class BlindingComponent:
 
         Returns the blinded words packed for the wire
         (:func:`~repro.perf.kernels.be_words_to_bytes`): the bytes the
-        signature covers and the service folds.
+        signature covers and the service folds.  A contribution of the
+        wrong length, or with a value the codec cannot carry, is refused
+        (:class:`ValidationError`) before the mask is taken, so the slot
+        stays unconsumed and repairable.
         """
-        packed = self._masks.pop((round_id, party_index), None)
+        key = (round_id, party_index)
+        packed = self._masks.get(key)
         if packed is None:
             raise CryptoError(
                 f"no blinding mask installed for round {round_id} party {party_index}"
             )
-        mask = kernels.be_words(packed)
-        encoded = self.codec.encode(values)
-        if len(mask) != len(encoded):
-            raise CryptoError(
-                f"mask length {len(mask)} does not match contribution length {len(encoded)}"
+        if len(packed) != 8 * len(values):
+            raise ValidationError(
+                f"contribution length {len(values)} does not match the round's "
+                f"mask length {len(packed) // 8}"
             )
-        return kernels.be_words_to_bytes(apply_mask(encoded, mask))
+        try:
+            encoded = self.codec.encode(values)
+        except ConfigurationError as exc:
+            raise ValidationError(str(exc)) from None
+        del self._masks[key]
+        return kernels.be_words_to_bytes(apply_mask(encoded, kernels.be_words(packed)))

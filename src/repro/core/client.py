@@ -39,6 +39,7 @@ from repro.errors import (
     AuthenticationError,
     EnclaveError,
     ReproError,
+    ValidationError,
 )
 from repro.faults import ACTION_LOSE, SITE_SEAL_LOSS
 from repro.perf import kernels
@@ -59,6 +60,11 @@ class LocalDataStore:
     session_signals: object | None = None
     video_stream: object | None = None
     extra: dict = field(default_factory=dict)
+    #: The app's input for each open round, as packed big-endian doubles.
+    #: Written on the host (:meth:`put_vector`), read by the device step and
+    #: dropped once the Glimmer has answered or the round retires: it never
+    #: crosses the bus.
+    vectors: dict = field(default_factory=dict)
 
     def context_for(self, fields: Sequence[str]) -> PrivateContext:
         context = PrivateContext(extra=dict(self.extra))
@@ -66,6 +72,22 @@ class LocalDataStore:
             if hasattr(context, name):
                 setattr(context, name, getattr(self, name))
         return context
+
+    def put_vector(self, round_id: int, values: Sequence[float]) -> None:
+        """Keep the device's input vector for ``round_id``."""
+        self.vectors[round_id] = kernels.be_doubles_to_bytes(values)
+
+    def vector_for(self, round_id: int) -> bytes:
+        """The packed input vector for ``round_id``.  A device holding none
+        has nothing to contribute, which the device step treats as a
+        refusal (:class:`ValidationError`)."""
+        try:
+            return self.vectors[round_id]
+        except KeyError:
+            raise ValidationError(f"no input vector for round {round_id}") from None
+
+    def drop_vector(self, round_id: int) -> None:
+        self.vectors.pop(round_id, None)
 
 
 def attested_handshake(platform, enclave, session_id: bytes):
@@ -231,8 +253,9 @@ class ClientDevice:
     ) -> SignedContribution:
         """The honest path: hand values to the Glimmer, relay its endorsement.
 
-        ``values`` may arrive already packed (a contribute command's
-        ``values``); the Glimmer takes them packed either way.  Raises
+        ``values`` may arrive already packed (the device step passes the
+        stored :meth:`LocalDataStore.vector_for`); the Glimmer takes them
+        packed either way.  Raises
         :class:`ValidationError` if the Glimmer rejects — an honest client
         simply does not submit in that case.
         """

@@ -29,6 +29,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
+import numpy as np
+
 from repro import codec
 from repro.codec import Bytes, Int, Optional, Pair, wire
 from repro.core.blinding import BlindingComponent
@@ -152,11 +154,15 @@ class ProcessRequest:
 
 def request_values(request: ProcessRequest) -> tuple[float, ...]:
     """The request's values as floats.  The host packs them, so a buffer
-    that is not whole doubles is a refusal, never a crash."""
+    that is not whole doubles, or that holds a NaN or an infinity, is a
+    refusal, never a crash: no predicate ever sees a non-finite value."""
     values = request.values
     if type(values) is not bytes or len(values) % 8:
         raise ValidationError("values are not packed doubles")
-    return tuple(kernels.be_doubles(values).tolist())
+    floats = kernels.be_doubles(values)
+    if not np.isfinite(floats).all():
+        raise ValidationError("values are not all finite")
+    return tuple(floats.tolist())
 
 
 @wire(

@@ -263,18 +263,28 @@ def provision_step(client, command: m.ProvisionMask, request_delivery, ledger) -
 
 def sign_step(client, command: m.ContributeCommand, ledger):
     """Validate, blind and sign: ``(signed, None)``, or ``(None, (outcome,
-    detail))`` when the Glimmer refused the values or is down."""
-    ledger.ecalls += 1  # process_contribution (charged even on rejection)
+    detail))`` when the Glimmer refused the values or is down.
+
+    The values are the device's own, read from its local store
+    (:meth:`~repro.core.client.LocalDataStore.vector_for`); the command
+    only names the round and the feature list.  Once the Glimmer has
+    answered, the device lets go of its input.  An error that escapes
+    (a §4.2 device's link to its host is down) leaves the input for the
+    command's retransmission.
+    """
     try:
-        signed = client.contribute(command.round_id, command.values, command.features)
+        values = client.data.vector_for(command.round_id)
+        ledger.ecalls += 1  # process_contribution (charged even on rejection)
+        result = client.contribute(command.round_id, values, command.features), None
     except ValidationError as exc:
-        return None, (OUTCOME_VALIDATION_REJECTED, str(exc))
+        result = None, (OUTCOME_VALIDATION_REJECTED, str(exc))
     except (EnclaveError, CryptoError, ProtocolError) as exc:
         # Enclave killed mid-ecall, mask unavailable after an
         # unrecoverable checkpoint, or key state missing: the client
         # is effectively down for this round until restarted.
-        return None, (OUTCOME_CRASHED, str(exc))
-    return signed, None
+        result = None, (OUTCOME_CRASHED, str(exc))
+    client.data.drop_vector(command.round_id)
+    return result
 
 
 def submit_step(client, round_id: int, submit) -> tuple[str, str | None]:

@@ -625,23 +625,27 @@ class RoundEngine:
     ) -> str:
         """Command a client to contribute; returns its outcome label.
 
-        The command carries ``()`` for the feature list only to a device
+        ``values`` never go on the bus: they are written straight into the
+        device's own :class:`~repro.core.client.LocalDataStore`, as the
+        user's app on that host would, and the command only names the
+        round.  It carries ``()`` for the feature list only to a device
         whose last contribution under the same digest was accepted — its
         host kept the list — and the full list to every other (see
         :class:`~repro.runtime.messages.ContributeCommand`).
         """
         record = self.round_record(round_id)
         record.note_participant(client_id)
+        name = self._client_name(client_id)
+        self.clients[client_id].data.put_vector(round_id, values)
         digest = features_digest(features)
         held = self._published.pop(client_id, None) == digest
         outcome, _detail = self.call_with_retry(
             record,
             ENGINE,
-            self._client_name(client_id),
+            name,
             m.KIND_CONTRIBUTE,
             m.ContributeCommand(
                 round_id=round_id,
-                values=kernels.be_doubles_to_bytes(values),
                 features=() if held else tuple(features),
                 features_digest=digest,
             ),
@@ -1106,10 +1110,15 @@ class RoundEngine:
         service endpoint's verdict cache are closed by direct call, like
         ``service.round_state()`` and ``blinder_provisioner.restart()``
         elsewhere in this class — the orchestrator's own lifecycle
-        control, not protocol traffic, so the wire is unchanged.  After
-        this, each party holds only the round id, as a tombstone that
-        refuses re-opening, late submissions and mask reveals.
+        control, not protocol traffic, so the wire is unchanged.  Each
+        participant's stored input vector is dropped the same way, so a
+        lost ``CloseRound`` cannot leave one behind.  After this, each
+        party holds only the round id, as a tombstone that refuses
+        re-opening, late submissions and mask reveals.
         """
+        for user_id in record.participants:
+            if user_id in self.clients:
+                self.clients[user_id].data.drop_vector(record.round_id)
         self._close_round_clients(record)
         self.blinder_provisioner.close_round(record.round_id)
         self.service.close_round(record.round_id)

@@ -127,10 +127,7 @@ class MaskRequest:
     party_index: int
 
 
-@wire(
-    0x8005, round_id=ROUND_ID, values=Packed(finite=True), features=TupleOf(Pair(Str, Str)),
-    features_digest=Bytes(32),
-)
+@wire(0x8005, round_id=ROUND_ID, features=TupleOf(Pair(Str, Str)), features_digest=Bytes(32))
 @dataclass(frozen=True)
 class ContributeCommand:
     """Command a client to train-endorse-submit for a round.
@@ -143,14 +140,15 @@ class ContributeCommand:
     and the host's :class:`~repro.runtime.endpoints.ClientEndpoint` puts
     back the list it kept.  A device whose round ended any other way gets
     the full list again, so a list stripped or swapped in transit costs
-    that device one round, never more.  ``values`` is the device's vector
-    as packed big-endian doubles.  There is no knob for how the device
+    that device one round, never more.  The command carries no values:
+    the device's vector is its own local data
+    (:class:`~repro.core.client.LocalDataStore`), written on the
+    host and never on the bus.  There is no knob for how the device
     contributes: its Glimmer always blinds, so nothing a rewrite in
     transit can set makes a plaintext contribution leave the host.
     """
 
     round_id: int
-    values: tuple
     features: tuple
     features_digest: bytes
 

@@ -166,7 +166,7 @@ class ClientTask:
     so a chunk pickles them once.
     """
 
-    client: Any  # the ClientDevice, pickled with its enclave state
+    client: Any  # the ClientDevice, pickled with its enclave state and local data
     provision: m.ProvisionMask
     contribute: m.ContributeCommand | None  # None: a collect dropout
     leg: Any  # parent-drawn DeliveryLeg (serial slot order)

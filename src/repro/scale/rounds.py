@@ -53,7 +53,6 @@ from repro.errors import (
     MaskVerificationError,
     ProtocolViolation,
 )
-from repro.perf import kernels
 from repro.runtime import messages as m
 from repro.runtime.endpoints import ClientEndpoint, submit_step
 from repro.runtime.messages import client_endpoint
@@ -214,21 +213,19 @@ def run_parallel_round(
             continue
         client = engine.clients[user_id]
         engine.note_client_join(record, client)
+        contribute = None  # a collect dropout
+        if user_id not in collect_dropouts:
+            # Written into the device's own store, as the bus route does.
+            client.data.put_vector(round_id, values_by_user[user_id])
+            contribute = m.ContributeCommand(
+                round_id, features, features_digest(features)
+            )
         tasks[index] = ClientTask(
             client=client,
             provision=m.ProvisionMask(
                 round_id, index, record.commitments.record_for(index)
             ),
-            contribute=(
-                None
-                if user_id in collect_dropouts
-                else m.ContributeCommand(
-                    round_id,
-                    kernels.be_doubles_to_bytes(values_by_user[user_id]),
-                    features,
-                    features_digest(features),
-                )
-            ),
+            contribute=contribute,
             leg=_draw_leg(provisioner, client),
             opening=provisioner.mask_opening(round_id, index),
         )

@@ -9,7 +9,7 @@ from repro.crypto.drbg import HmacDrbg
 from repro.crypto.fixedpoint import FixedPointCodec
 from repro.crypto.masking import SumZeroMasks, remove_mask
 from repro.crypto.schnorr import SchnorrKeyPair
-from repro.errors import CryptoError
+from repro.errors import CryptoError, ValidationError
 from repro.perf.kernels import be_doubles_to_bytes as F, be_words_to_bytes as W
 
 
@@ -145,11 +145,20 @@ def test_blinding_missing_mask_rejected():
 
 
 def test_blinding_length_mismatch_rejected():
+    """A wrong-length contribution is the device's invalid input, refused
+    before the mask is taken: the slot's mask stays installed, and the
+    right-length contribution still blinds with it."""
     component = BlindingComponent()
     masks = SumZeroMasks.sample(2, 2, HmacDrbg(b"bl"))
     component.install_mask(1, 0, masks.mask_for(0))
-    with pytest.raises(CryptoError):
-        component.blind(1, 0, [0.5, 0.5, 0.5])
+    for wrong in ([0.5, 0.5, 0.5], [0.5]):
+        with pytest.raises(ValidationError, match="does not match"):
+            component.blind(1, 0, wrong)
+        assert component.has_mask(1, 0)
+    blinded = component.blind(1, 0, [0.5, 0.25])
+    assert not component.has_mask(1, 0)
+    unblinded = FixedPointCodec().decode(remove_mask(blinded, masks.mask_for(0)))
+    assert list(unblinded) == [0.5, 0.25]
 
 
 def test_has_mask():

@@ -84,7 +84,6 @@ SAMPLES = {
     m.MaskRequest: m.MaskRequest(b"\x05" * 16, None, None, 1, 3),
     m.ContributeCommand: m.ContributeCommand(
         round_id=1,
-        values=kernels.be_doubles_to_bytes((0.5, -1.0)),
         features=BIGRAMS,
         features_digest=b"\x00" * 32,
     ),

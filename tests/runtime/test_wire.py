@@ -151,7 +151,6 @@ BIGRAMS = (("the", "cat"), ("cat", "sat"))
 def _command(**overrides):
     fields = dict(
         round_id=1,
-        values=kernels.be_doubles_to_bytes((0.5, 0.25)),
         features=BIGRAMS,
         features_digest=features_digest(BIGRAMS),
     )
@@ -216,10 +215,6 @@ class RewriteContribute(NetworkAdversary):
 @pytest.mark.parametrize(
     "fields",
     [
-        pytest.param(
-            dict(values=kernels.be_doubles_to_bytes((float("nan"),) * 77)),
-            id="values-nan",
-        ),
         pytest.param(dict(features=None), id="features-none"),
         pytest.param(dict(features=7), id="features-int"),
         pytest.param(dict(features=(("a",),) * 3), id="features-short-pairs"),
@@ -249,10 +244,6 @@ def test_tampered_contribute_command_is_a_violation_end_to_end(fields):
     "fields",
     [
         pytest.param(dict(round_id=2), id="round-id"),
-        pytest.param(
-            dict(values=kernels.be_doubles_to_bytes((0.0,) * 77)), id="values"
-        ),
-        pytest.param(dict(values=kernels.be_doubles_to_bytes((0.5,))), id="values-short"),
         pytest.param(dict(features=()), id="features-empty"),
         pytest.param(
             dict(features=BIGRAMS, features_digest=features_digest(BIGRAMS)),
@@ -398,14 +389,12 @@ def _packed_field(field, value):
         contribution = _contribution(
             blinded=False, ring_payload=None, plain_payload=value
         )
-    elif field == "values":
-        return m.KIND_CONTRIBUTE, _command(values=value)
     else:
         return m.KIND_FINALIZE, m.FinalizeRound(1, dropout_masks=(W((1, 2)), value))
     return m.KIND_SUBMIT, m.SubmitContribution(round_id=1, contribution=contribution)
 
 
-PACKED_FIELDS = ["ring_payload", "plain_payload", "values", "dropout_mask"]
+PACKED_FIELDS = ["ring_payload", "plain_payload", "dropout_mask"]
 
 
 @pytest.mark.parametrize(
@@ -414,7 +403,6 @@ PACKED_FIELDS = ["ring_payload", "plain_payload", "values", "dropout_mask"]
         ("ring_payload", W((0, 1, (1 << 64) - 1))),
         ("dropout_mask", W((0, 1, (1 << 64) - 1))),
         ("plain_payload", F((0.5, -1.0, 1e300))),
-        ("values", F((0.5, -1.0, 1e300))),
     ],
 )
 def test_packed_vector_accepted(field, value):
@@ -455,7 +443,7 @@ def test_packed_vector_over_the_cap_is_blamed_on_the_sender(field, monkeypatch):
     assert "cap" in str(excinfo.value)
 
 
-@pytest.mark.parametrize("field", ["plain_payload", "values"])
+@pytest.mark.parametrize("field", ["plain_payload"])
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")], ids=str)
 def test_packed_non_finite_floats_are_blamed_on_the_sender(field, bad):
     kind, payload = _packed_field(field, F((0.5, bad, 0.25)))
@@ -468,15 +456,10 @@ def test_packed_non_finite_floats_are_blamed_on_the_sender(field, bad):
 @pytest.mark.parametrize("length", [77, 4096])
 def test_on_wire_size_does_not_depend_on_the_values(length):
     """Packed vectors price by length alone: the bus's ``payload_size`` of
-    all-zero and all-ones words, or of 0.0s and 0.123s, is the same."""
+    all-zero and all-ones words is the same."""
     sizes = {
         payload_size(_packed_field("ring_payload", W([word] * length))[1])
         for word in (0, (1 << 64) - 1)
-    }
-    assert len(sizes) == 1
-    sizes = {
-        payload_size(_command(values=F([value] * length)))
-        for value in (0.0, 0.123)
     }
     assert len(sizes) == 1
 

@@ -94,3 +94,30 @@ def test_rounds_do_not_interfere(deployment):
     )
     assert not deployment.service.submit(11, signed, 0)
     assert deployment.service.submit(10, signed, 0)
+
+
+def test_engine_rounds_leave_no_device_state_behind():
+    """Eight engine rounds with churn — a rotating collect-dropout, a device
+    that crashes between rounds — and after each one every device holds
+    nothing for it: no stored input vector, no checkpoint, no slot."""
+    deployment = Deployment.build(num_users=6, seed=b"soak:engine", sentences_per_user=10)
+    user_ids = [u.user_id for u in deployment.corpus.users]
+    vectors = deployment.local_vectors()
+    for round_id in range(1, 9):
+        silent = user_ids[round_id % len(user_ids)]
+        if round_id == 4:
+            deployment.clients[user_ids[0]].crash()
+        report = deployment.engine.run_round(
+            round_id, user_ids, vectors, deployment.features.bigrams,
+            collect_dropouts=[silent],
+        )
+        assert report.client_restarts == (1 if round_id == 4 else 0)
+        survivors = [u for u in user_ids if u != silent]
+        assert sorted(report.survivors) == sorted(survivors)
+        assert np.array_equal(
+            np.asarray(report.aggregate), exact_mean(deployment.codec, vectors, survivors)
+        )
+        for client in deployment.clients.values():
+            assert client.data.vectors == {}
+            assert dict(client._checkpoints) == {}
+            assert client._party_index_for_round == {}
