@@ -278,27 +278,11 @@ class Pair(Check):
 
     def __init__(self, first: "Check | type", second: "Check | type | None" = None) -> None:
         self.first, self.second = _checker(first), _checker(second)
-        self._passed: tuple | None = None
 
     def __call__(self, value: Any) -> str | None:
         if type(value) is not tuple or len(value) != 2:
             return "must be a pair"
         return self.first(value[0]) or self.second(value[1])
-
-    def many(self, values: Sequence) -> str | None:
-        if values is self._passed:
-            # A published feature list decodes to one shared tuple on
-            # every host (``_remember_pairs``): judged once, not per host.
-            return None
-        if set(map(type, values)) - {tuple} or set(map(len, values)) - {2}:
-            return "must be a pair"
-        if not values:
-            return None
-        firsts, seconds = zip(*values)
-        complaint = self.first.many(firsts) or self.second.many(seconds)
-        if complaint is None and type(values) is tuple:
-            self._passed = values
-        return complaint
 
 
 class _Unit(Check):
@@ -416,9 +400,9 @@ def _encode_sequence(tag: int) -> Callable[[Any, list, int], None]:
         if depth >= MAX_DEPTH:
             raise UnencodablePayload("value nests deeper than the wire allows")
         out.append(_HEAD.pack(tag, len(value)))
-        # A run of string pairs (a published feature list) is the one run
-        # the traffic carries in bulk: framed in one pack, the same bytes
-        # the per-item path writes, and memoised.
+        # A run of string pairs (the feature list in every contribution's
+        # ecall request) is the one run priced in bulk: framed in one pack,
+        # the same bytes the per-item path writes, and memoised.
         if value and type(value[0]) is tuple and tuple(map(type, value[0])) == _STR_PAIR_TYPES:
             frame = _pairs_frame(value if type(value) is tuple else tuple(value))
             if frame is not None:
@@ -579,16 +563,7 @@ def _decode_sequence(build: Callable[[Any], Any]):
             raise _malformed("item count runs past the frame")
         if depth >= MAX_DEPTH:
             raise _malformed("frame nests deeper than the wire allows")
-        start = off
-        pairs = build is tuple and buf[off:off + 6] == _PAIR_RUN
-        if pairs:
-            seen = _PAIR_RUNS.get(count)
-            if seen is not None and buf.startswith(seen[0], off):
-                return seen[1], off + len(seen[0])
         items, off = _decode_items(buf, off, count, depth)
-        # (_pairs_frame checks the run, and primes the encode memo with it.)
-        if pairs and _pairs_frame(tuple(items)) is not None:
-            return _remember_pairs(buf[start:off], tuple(items)), off
         return build(items), off
 
     return decode_sequence
@@ -634,19 +609,6 @@ def _decode_items(buf: bytes, off: int, count: int, depth: int) -> tuple[list, i
     return items, off
 
 
-def _remember_pairs(frame: bytes, pairs: tuple) -> tuple:
-    """Keep a decoded run of string pairs for the next identical frame.
-
-    A published feature list reaches every device host once; the hosts
-    keep it, and one shared immutable copy replaces a per-host one (and a
-    per-host decode).
-    """
-    if len(_PAIR_RUNS) >= 8:
-        del _PAIR_RUNS[next(iter(_PAIR_RUNS))]
-    _PAIR_RUNS[len(pairs)] = (frame, pairs)
-    return pairs
-
-
 def _decode_str(buf: bytes, off: int) -> tuple[str, int]:
     (size,) = _U32.unpack_from(buf, off)
     start = off + 4
@@ -677,9 +639,6 @@ def _decode_array(buf: bytes, off: int, depth: int):
 
 _WIDE_WORD = bytes([BIGINT]) + _U32.pack(9) + b"\x00"  # a u64 word >= 2**63
 _PAIR_OF_STR = _U32.pack(2) + bytes([STR])  # after a TUPLE tag
-_PAIR_RUN = bytes([TUPLE]) + _PAIR_OF_STR  # a sequence's first item, a str pair
-# item count -> (items' frame, decoded run), for runs of string pairs
-_PAIR_RUNS: dict[int, tuple[bytes, tuple]] = {}
 
 _DECODERS: dict[int, Callable[[bytes, int, int], tuple[Any, int]]] = {
     NONE: lambda buf, off, depth: (None, off),

@@ -280,18 +280,6 @@ class ClientDevice:
     def crashed(self) -> bool:
         return not self.glimmer.alive
 
-    def attach_checkpoint_store(self, store) -> None:
-        """Swap the sealed-checkpoint holder for a persistent mapping.
-
-        Same seam as the blinder's ``attach_sealed_store``: ``store`` is
-        any ``MutableMapping[int, bytes]``, existing blobs migrate in,
-        and :meth:`restart` recovers from whatever the store holds —
-        including checkpoints a previous process sealed.
-        """
-        for round_id, blob in self._checkpoints.items():
-            store[round_id] = blob
-        self._checkpoints = store
-
     def checkpoint_round(self, round_id: int) -> bytes:
         """Seal the round's enclave state and keep the blob device-side."""
         blob = self.glimmer.ecall("checkpoint_round", round_id)

@@ -228,12 +228,6 @@ class BotDetectionService(_ProvisionerBase):
         self._outstanding[session_id] = challenge
         return challenge
 
-    def challenge_for(self, session_id: str) -> bytes:
-        challenge = self._outstanding.get(session_id)
-        if challenge is None:
-            raise ProtocolError(f"no outstanding challenge for {session_id!r}")
-        return challenge
-
     def verify_verdict(self, message: VerdictMessage) -> bool:
         """Check signature + challenge; returns the verdict (True = human).
 

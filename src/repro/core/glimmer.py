@@ -119,16 +119,61 @@ class GlimmerConfig:
 
 def features_digest(bigrams: Sequence[tuple[str, str]]) -> bytes:
     """Digest of the service-published feature space (memoised on the
-    tuple: a Glimmer re-checks the same list on every contribution)."""
+    tuple: a Glimmer re-checks the same list on every contribution).
+
+    Each pair is hashed as ``left NUL right``, so a word holding NUL is a
+    :class:`ValidationError`: ``("a\\0b", "c")`` and ``("a", "b\\0c")``
+    would otherwise share one digest.
+    """
     return _features_digest(tuple(map(tuple, bigrams)))
 
 
 @lru_cache(maxsize=8)
 def _features_digest(bigrams: tuple[tuple[str, str], ...]) -> bytes:
-    return hash_items(
-        "feature-space",
-        [f"{left}\x00{right}".encode("utf-8") for left, right in bigrams],
-    )
+    items = [f"{left}\x00{right}".encode("utf-8") for left, right in bigrams]
+    if any(item.count(0) != 1 for item in items):
+        raise ValidationError("a feature word holds NUL")
+    return hash_items("feature-space", items)
+
+
+def pack_features(bigrams: Sequence[tuple[str, str]]) -> bytes:
+    """The feature list as it crosses the bus: its words, UTF-8, joined by
+    NUL, and ``b""`` for no list.  A word holding NUL is a
+    :class:`ValidationError`, as in :func:`features_digest`.  Memoised on
+    the tuple, so every command that carries one list shares one blob."""
+    return _pack_features(tuple(map(tuple, bigrams)))
+
+
+@lru_cache(maxsize=8)
+def _pack_features(bigrams: tuple[tuple[str, str], ...]) -> bytes:
+    words = [word for left, right in bigrams for word in (left, right)]
+    joined = "\x00".join(words)
+    if words and joined.count("\x00") != len(words) - 1:
+        raise ValidationError("a feature word holds NUL")
+    return joined.encode("utf-8")
+
+
+@lru_cache(maxsize=8)
+def unpack_features(blob: bytes) -> tuple[tuple[str, str], ...]:
+    """The feature list a :func:`pack_features` blob carries (``()`` for
+    ``b""``).  ``ValueError`` for an odd word count, bad UTF-8 or more than
+    :data:`~repro.codec.MAX_VECTOR_LENGTH` pairs.
+
+    Memoised on the blob's bytes: every host that receives one list holds
+    one shared tuple, not a copy of its own.
+    """
+    if not blob:
+        return ()
+    pairs, odd = divmod(blob.count(0) + 1, 2)
+    if odd:
+        raise ValueError("hold an odd number of words")
+    if pairs > codec.MAX_VECTOR_LENGTH:
+        raise ValueError("exceed the vector-length cap")
+    try:
+        words = blob.decode("utf-8").split("\x00")
+    except UnicodeDecodeError:
+        raise ValueError("are not UTF-8") from None
+    return tuple(zip(words[0::2], words[1::2]))
 
 
 @wire(0x8109)

@@ -26,11 +26,11 @@ exists to survive.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.core.client import mask_delivery
+from repro.core.glimmer import unpack_features
 from repro.errors import (
     CryptoError,
     EnclaveError,
@@ -261,21 +261,22 @@ def provision_step(client, command: m.ProvisionMask, request_delivery, ledger) -
     client.checkpoint_round(command.round_id)
 
 
-def sign_step(client, command: m.ContributeCommand, ledger):
+def sign_step(client, command: m.ContributeCommand, features: tuple, ledger):
     """Validate, blind and sign: ``(signed, None)``, or ``(None, (outcome,
     detail))`` when the Glimmer refused the values or is down.
 
     The values are the device's own, read from its local store
     (:meth:`~repro.core.client.LocalDataStore.vector_for`); the command
-    only names the round and the feature list.  Once the Glimmer has
-    answered, the device lets go of its input.  An error that escapes
-    (a §4.2 device's link to its host is down) leaves the input for the
-    command's retransmission.
+    only names the round, and ``features`` is the published list the host
+    holds, unpacked (:func:`~repro.core.glimmer.unpack_features`).  Once
+    the Glimmer has answered, the device lets go of its input.  An error
+    that escapes (a §4.2 device's link to its host is down) leaves the
+    input for the command's retransmission.
     """
     try:
         values = client.data.vector_for(command.round_id)
         ledger.ecalls += 1  # process_contribution (charged even on rejection)
-        result = client.contribute(command.round_id, values, command.features), None
+        result = client.contribute(command.round_id, values, features), None
     except ValidationError as exc:
         result = None, (OUTCOME_VALIDATION_REJECTED, str(exc))
     except (EnclaveError, CryptoError, ProtocolError) as exc:
@@ -314,9 +315,9 @@ class ClientEndpoint(_Endpoint):
     what a real on-path attacker would.
 
     The host keeps the last feature list it received (public data, its
-    digest already checked at the wire) and puts it back into a command
-    that carries ``()`` under the same digest, so the Glimmer always gets
-    — and checks — the whole list.
+    digest already checked at the wire), unpacked into the tuple every
+    host shares, and uses it for a command that carries ``b""`` under the
+    same digest, so the Glimmer always gets — and checks — the whole list.
     """
 
     ROUTES = {
@@ -388,10 +389,8 @@ class ClientEndpoint(_Endpoint):
             # (or double-submit); answer from the cache instead.
             return self._contribute_outcomes[command.round_id]
         if command.features:
-            self._features = command.features
+            self._features = unpack_features(command.features)
             self._features_digest = command.features_digest
-        elif command.features_digest == self._features_digest:
-            command = replace(command, features=self._features)
         outcome = self._contribute(command, record)
         self._contribute_outcomes[command.round_id] = outcome
         return outcome
@@ -403,7 +402,9 @@ class ClientEndpoint(_Endpoint):
         if self._fire(SITE_CLIENT_PRE_SIGN, command.round_id):
             self.client.crash()
             return OUTCOME_CRASHED, "killed before the Glimmer signed"
-        signed, failure = sign_step(self.client, command, record)
+        held = command.features_digest == self._features_digest
+        features = self._features if held else ()
+        signed, failure = sign_step(self.client, command, features, record)
         if failure is not None:
             return failure
         if self._fire(SITE_CLIENT_POST_SIGN, command.round_id):

@@ -46,7 +46,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.glimmer import features_digest
+from repro.core.glimmer import features_digest, pack_features
 from repro.crypto import group_ops
 from repro.crypto.commitments import (
     MaskCommitmentSet,
@@ -628,10 +628,10 @@ class RoundEngine:
         ``values`` never go on the bus: they are written straight into the
         device's own :class:`~repro.core.client.LocalDataStore`, as the
         user's app on that host would, and the command only names the
-        round.  It carries ``()`` for the feature list only to a device
+        round.  It carries ``b""`` for the feature list only to a device
         whose last contribution under the same digest was accepted — its
-        host kept the list — and the full list to every other (see
-        :class:`~repro.runtime.messages.ContributeCommand`).
+        host kept the list — and the full list, packed, to every other
+        (see :class:`~repro.runtime.messages.ContributeCommand`).
         """
         record = self.round_record(round_id)
         record.note_participant(client_id)
@@ -646,7 +646,7 @@ class RoundEngine:
             m.KIND_CONTRIBUTE,
             m.ContributeCommand(
                 round_id=round_id,
-                features=() if held else tuple(features),
+                features=b"" if held else pack_features(features),
                 features_digest=digest,
             ),
             first_attempt=first_attempt,

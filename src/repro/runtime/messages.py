@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.codec import (
-    LENGTH, PARTIES, ROUND_ID, SIZE, SLOT, Bytes, Int, Optional, Packed, Pair, Str, TupleOf,
+    LENGTH, PARTIES, ROUND_ID, SIZE, SLOT, Bytes, Int, Optional, Packed, TupleOf,
     wire,
 )
 from repro.core.signing import SignedContribution
@@ -127,7 +127,7 @@ class MaskRequest:
     party_index: int
 
 
-@wire(0x8005, round_id=ROUND_ID, features=TupleOf(Pair(Str, Str)), features_digest=Bytes(32))
+@wire(0x8005, round_id=ROUND_ID, features=bytes, features_digest=Bytes(32))
 @dataclass(frozen=True)
 class ContributeCommand:
     """Command a client to train-endorse-submit for a round.
@@ -135,12 +135,14 @@ class ContributeCommand:
     ``features_digest`` names the service-published feature list
     (:func:`repro.core.glimmer.features_digest`, the value vetted into
     every Glimmer's measured config).  ``features`` carries the list
-    itself only on its first trip to a device host: once a device's last
-    contribution under this digest was accepted, the engine sends ``()``
-    and the host's :class:`~repro.runtime.endpoints.ClientEndpoint` puts
-    back the list it kept.  A device whose round ended any other way gets
-    the full list again, so a list stripped or swapped in transit costs
-    that device one round, never more.  The command carries no values:
+    itself, packed (:func:`repro.core.glimmer.pack_features`: its words
+    joined by NUL), only on its first trip to a device host: once a
+    device's last contribution under this digest was accepted, the engine
+    sends ``b""`` and the host's
+    :class:`~repro.runtime.endpoints.ClientEndpoint` uses the list it
+    kept.  A device whose round ended any other way gets the full list
+    again, so a list stripped or swapped in transit costs that device one
+    round, never more.  The command carries no values:
     the device's vector is its own local data
     (:class:`~repro.core.client.LocalDataStore`), written on the
     host and never on the bus.  There is no knob for how the device
@@ -149,7 +151,7 @@ class ContributeCommand:
     """
 
     round_id: int
-    features: tuple
+    features: bytes
     features_digest: bytes
 
 

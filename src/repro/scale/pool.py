@@ -51,7 +51,7 @@ from functools import cache
 from multiprocessing.reduction import ForkingPickler
 from typing import Any, Sequence
 
-from repro.core.glimmer import BLINDING_MASK_CONTEXT, GlimmerConfig
+from repro.core.glimmer import BLINDING_MASK_CONTEXT, GlimmerConfig, unpack_features
 from repro.core.provisioning import seal_delivery
 from repro.crypto.commitments import encode_mask_payload
 from repro.crypto.dh import DHGroup
@@ -162,8 +162,8 @@ class WorkerContext:
 class ClientTask:
     """One client's slice of the round: the commands the bus would carry.
 
-    Every command in a chunk holds the *same* features tuple and digest,
-    so a chunk pickles them once.
+    Every command in a chunk holds the *same* packed feature list and
+    digest, so a chunk pickles them once.
     """
 
     client: Any  # the ClientDevice, pickled with its enclave state and local data
@@ -230,7 +230,10 @@ def _run_client(context: WorkerContext, task: ClientTask) -> ClientResult:
         return result
     if task.contribute is None:
         return result
-    result.signed, result.outcome = sign_step(task.client, task.contribute, result)
+    command = task.contribute
+    result.signed, result.outcome = sign_step(
+        task.client, command, unpack_features(command.features), result
+    )
     if result.signed is not None:
         try:
             result.signature_ok = bool(

@@ -120,6 +120,3 @@ class StreamingSubgroupAccumulator:
         if reducer is not None:
             return reducer(partials)
         return kernels.ring_sum_rows(partials)
-
-    def groups_touched(self) -> int:
-        return int(np.count_nonzero(self.group_counts))

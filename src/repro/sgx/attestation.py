@@ -221,9 +221,6 @@ class AttestationService:
         """Revoke a platform (e.g. its attestation key leaked)."""
         self._revoked.add(platform_id)
 
-    def is_provisioned(self, platform_id: bytes) -> bool:
-        return platform_id in self._platforms
-
     def is_revoked(self, platform_id: bytes) -> bool:
         """Whether a platform has been revoked (session layers re-check
         this on every resumption — a ticket must not outlive a

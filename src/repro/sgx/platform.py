@@ -104,9 +104,6 @@ class SgxPlatform:
         """How far the resident enclave working sets exceed the EPC."""
         return max(0, self.epc_used_bytes() - self.epc_bytes)
 
-    def loaded_enclaves(self) -> list[Enclave]:
-        return list(self._loaded)
-
     def release_enclave(self, enclave: Enclave) -> None:
         if enclave in self._loaded:
             self._loaded.remove(enclave)

@@ -58,16 +58,6 @@ class VideoStream:
     frames: list[Frame]
     activity: str  # ground truth
 
-    def step_sizes(self) -> list[float]:
-        return [
-            (
-                (self.frames[i + 1].x - self.frames[i].x) ** 2
-                + (self.frames[i + 1].y - self.frames[i].y) ** 2
-            )
-            ** 0.5
-            for i in range(len(self.frames) - 1)
-        ]
-
 
 def motion_histogram(frames: list[Frame]) -> list[float]:
     """The contribution vector: normalized motion-energy histogram.

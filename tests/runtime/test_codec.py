@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import codec, invariants
 from repro.core.auditor import VerdictMessage
-from repro.core.glimmer import KeyDelivery, ProcessRequest
+from repro.core.glimmer import KeyDelivery, ProcessRequest, pack_features
 from repro.core.remote import AttestedOffer
 from repro.core.service import RoundResult
 from repro.core.signing import SignedContribution
@@ -84,7 +84,7 @@ SAMPLES = {
     m.MaskRequest: m.MaskRequest(b"\x05" * 16, None, None, 1, 3),
     m.ContributeCommand: m.ContributeCommand(
         round_id=1,
-        features=BIGRAMS,
+        features=pack_features(BIGRAMS),
         features_digest=b"\x00" * 32,
     ),
     m.SubmitContribution: m.SubmitContribution(7, CONTRIBUTION, slot=1),

@@ -1,21 +1,30 @@
 """The published feature list travels to each device host once.
 
 ``ContributeCommand`` always names the list by its 32-byte digest and
-carries the list itself only to a device whose last bus contribution under
-that digest was not accepted (or that never made one).  These tests watch
+carries the list itself, packed into one NUL-joined blob, only to a device
+whose last bus contribution under that digest was not accepted (or that
+never made one).  These tests watch
 the wire with an eavesdropper and hold every round to the exact mean: the
 list goes out in round 1 and not after, a new host or a refused round gets
 it again, a list stripped or swapped in transit costs that device one
 round and nothing more, and a device first seen by the worker pool gets it
-on its first bus round.
+on its first bus round.  The blob's own tests pin its first-trip size,
+its round trip, what the wire refuses, and that every host shares one
+unpacked list.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core.glimmer import features_digest
+from repro.core.glimmer import features_digest, pack_features, unpack_features
+from repro.crypto.drbg import HmacDrbg
+from repro.crypto.hashing import hash_items
+from repro.errors import ProtocolViolation, ValidationError
 from repro.experiments.common import Deployment
+from repro.federated.model import FeatureSpace
 from repro.invariants import exact_mean, judge
 from repro.network.adversary import EavesdropAdversary
 from repro.runtime import messages as m
@@ -25,7 +34,10 @@ from repro.runtime.telemetry import (
     OUTCOME_UNREACHABLE,
     OUTCOME_VALIDATION_REJECTED,
 )
+from repro.runtime.wire import validate_payload
 from repro.scale import ScaleConfig
+from repro.sgx.enclave import payload_size
+from repro.workloads.text import KeyboardCorpus
 from tests.runtime.test_wire import RewriteContribute
 
 USERS = 6
@@ -67,6 +79,7 @@ def test_the_list_travels_in_round_one_only():
     deployment.network.interpose(eavesdropper)
     bigrams = tuple(deployment.features.bigrams)
     digest = features_digest(bigrams)
+    packed = pack_features(bigrams)
     reports = [_run(deployment, round_id, users) for round_id in (1, 2, 3)]
 
     for round_id, report in enumerate(reports, start=1):
@@ -76,7 +89,7 @@ def test_the_list_travels_in_round_one_only():
         for command in commands.values():
             assert command.features_digest == digest
             assert len(command.features_digest) == 32
-            assert command.features == (bigrams if round_id == 1 else ())
+            assert command.features == (packed if round_id == 1 else b"")
     assert reports[1].bytes_on_wire < reports[0].bytes_on_wire
     assert reports[2].bytes_on_wire < reports[0].bytes_on_wire
 
@@ -91,8 +104,8 @@ def test_a_reregistered_device_gets_the_list_again():
     report = _run(deployment, 2, users)
 
     commands = _commands(eavesdropper, 2)
-    assert commands[renewed].features == tuple(deployment.features.bigrams)
-    assert all(commands[u].features == () for u in users if u != renewed)
+    assert commands[renewed].features == pack_features(deployment.features.bigrams)
+    assert all(commands[u].features == b"" for u in users if u != renewed)
     assert report.outcomes[renewed] == OUTCOME_ACCEPTED
 
 
@@ -108,8 +121,8 @@ def test_a_refused_device_gets_the_list_again_and_is_accepted():
 
     second = _run(deployment, 2, users)
     commands = _commands(eavesdropper, 2)
-    assert commands[refused].features == tuple(deployment.features.bigrams)
-    assert all(commands[u].features == () for u in users if u != refused)
+    assert commands[refused].features == pack_features(deployment.features.bigrams)
+    assert all(commands[u].features == b"" for u in users if u != refused)
     assert set(second.outcomes.values()) == {OUTCOME_ACCEPTED}
 
 
@@ -117,7 +130,7 @@ def test_a_list_stripped_in_transit_costs_that_device_one_round():
     deployment, users = _build()
     victim = users[1]
     eavesdropper = EavesdropAdversary()
-    deployment.network.interpose(RewriteContribute(victim, {1}, features=()))
+    deployment.network.interpose(RewriteContribute(victim, {1}, features=b""))
     deployment.network.interpose(eavesdropper)
     bigrams = tuple(deployment.features.bigrams)
 
@@ -125,10 +138,10 @@ def test_a_list_stripped_in_transit_costs_that_device_one_round():
     assert first.outcomes[victim] == OUTCOME_VALIDATION_REJECTED
     assert len(first.survivors) == USERS - 1
     second = _run(deployment, 2, users)
-    assert _commands(eavesdropper, 2)[victim].features == bigrams
+    assert _commands(eavesdropper, 2)[victim].features == pack_features(bigrams)
     assert second.outcomes[victim] == OUTCOME_ACCEPTED
     third = _run(deployment, 3, users)
-    assert _commands(eavesdropper, 3)[victim].features == ()
+    assert _commands(eavesdropper, 3)[victim].features == b""
     assert set(third.outcomes.values()) == {OUTCOME_ACCEPTED}
 
 
@@ -138,7 +151,9 @@ def test_a_list_that_misses_its_digest_is_malformed_and_not_kept():
     bigrams = tuple(deployment.features.bigrams)
     _run(deployment, 1, users)
     swapped = tuple(reversed(bigrams))
-    deployment.network.interpose(RewriteContribute(victim, {2}, features=swapped))
+    deployment.network.interpose(
+        RewriteContribute(victim, {2}, features=pack_features(swapped))
+    )
 
     second = _run(deployment, 2, users)
     assert [(v.offender, v.kind) for v in second.violations] == [
@@ -165,7 +180,106 @@ def test_a_pool_only_device_gets_the_list_on_its_first_bus_round():
         deployment.network.interpose(eavesdropper)
         serial = _run(deployment, 2, users)
         assert serial.route_reason == "network_adversary"
-        assert all(c.features == bigrams for c in _commands(eavesdropper, 2).values())
+        packed = pack_features(bigrams)
+        assert all(c.features == packed for c in _commands(eavesdropper, 2).values())
         assert set(serial.outcomes.values()) == {OUTCOME_ACCEPTED}
         _run(deployment, 3, users)
-        assert all(c.features == () for c in _commands(eavesdropper, 3).values())
+        assert all(c.features == b"" for c in _commands(eavesdropper, 3).values())
+
+
+# ------------------------------------------------------------ the packed blob
+
+WIDE = tuple((f"feature-{i:04d}", "value") for i in range(4096))
+WORD = st.text(st.characters(exclude_characters="\x00", exclude_categories=("Cs",)))
+
+
+def _keyboard_list() -> tuple:
+    """The k = 77 list of the 192-device keyboard cohort the benchmark runs."""
+    rng = HmacDrbg(b"roundbench/11/narrow", personalization="deployment")
+    corpus = KeyboardCorpus.generate(192, rng.fork("corpus"), sentences_per_user=30)
+    return tuple(FeatureSpace.from_corpus(corpus.all_sentences()).bigrams)
+
+
+@pytest.mark.parametrize(
+    "features, cap",
+    [pytest.param(_keyboard_list, 840, id="k77"), pytest.param(lambda: WIDE, 78_000, id="k4096")],
+)
+def test_a_first_trip_frame_is_packed(features, cap):
+    """A pair costs its words and two NULs, not 15 bytes of tuple-of-pairs
+    framing: 837 and 77,876 bytes; a later trip carries ``b""``, 53."""
+    bigrams = features()
+    digest = features_digest(bigrams)
+    first = m.ContributeCommand(1, pack_features(bigrams), digest)
+    assert payload_size(first) <= cap
+    assert payload_size(m.ContributeCommand(1, b"", digest)) == 53
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(WORD, WORD), max_size=20).map(tuple))
+def test_a_packed_list_unpacks_to_itself_under_its_digest(bigrams):
+    unpacked = unpack_features(pack_features(bigrams))
+    assert unpacked == bigrams
+    assert features_digest(unpacked) == features_digest(bigrams)
+
+
+def test_the_digest_format_is_unchanged():
+    bigrams = (("the", "cat"), ("cat", "sat"))
+    assert features_digest(bigrams) == hash_items(
+        "feature-space", [b"the\x00cat", b"cat\x00sat"]
+    )
+    assert pack_features(bigrams) == b"the\x00cat\x00cat\x00sat"
+    assert pack_features(()) == b""
+    assert unpack_features(b"") == ()
+
+
+@pytest.mark.parametrize("bigrams", [(("a\x00b", "c"),), (("a", "b\x00c"),)])
+def test_a_word_holding_nul_is_refused(bigrams):
+    """Both lists hash ``a NUL b NUL c``: one could stand in for the other
+    under a vetted digest, so neither gets a digest or a blob."""
+    with pytest.raises(ValidationError):
+        features_digest(bigrams)
+    with pytest.raises(ValidationError):
+        pack_features(bigrams)
+
+
+BAD_BLOBS = [
+    pytest.param(b"the\x00cat\x00sat", "odd number of words", id="odd-word-count"),
+    pytest.param(b"the\x00\xffcat", "not UTF-8", id="bad-utf8"),
+    pytest.param(
+        pack_features((("cat", "sat"), ("the", "cat"))), "do not hash", id="digest-mismatch"
+    ),
+]
+
+
+@pytest.mark.parametrize("blob, complaint", BAD_BLOBS)
+def test_a_bad_blob_is_malformed_at_the_wire(blob, complaint):
+    command = m.ContributeCommand(1, blob, features_digest((("the", "cat"), ("cat", "sat"))))
+    with pytest.raises(ProtocolViolation, match=complaint) as excinfo:
+        validate_payload(m.KIND_CONTRIBUTE, "engine", command)
+    assert excinfo.value.kind == VIOLATION_MALFORMED
+    assert excinfo.value.offender == "engine"
+
+
+@pytest.mark.parametrize("blob, complaint", BAD_BLOBS[:2])
+def test_a_blob_that_does_not_unpack_is_malformed_and_not_kept(blob, complaint):
+    deployment, users = _build()
+    victim = users[4]
+    bigrams = tuple(deployment.features.bigrams)
+    _run(deployment, 1, users)
+    deployment.network.interpose(RewriteContribute(victim, {2}, features=blob))
+
+    second = _run(deployment, 2, users)
+    assert [(v.offender, v.kind) for v in second.violations] == [
+        (m.ENGINE, VIOLATION_MALFORMED)
+    ]
+    assert complaint in second.violations[0].detail
+    assert second.outcomes[victim] == OUTCOME_UNREACHABLE
+    assert deployment.engine.client_endpoints[victim]._features == bigrams
+
+
+def test_every_host_keeps_one_shared_list():
+    deployment, users = _build()
+    _run(deployment, 1, users)
+    kept = [deployment.engine.client_endpoints[u]._features for u in users]
+    assert kept[0] == tuple(deployment.features.bigrams)
+    assert all(features is kept[0] for features in kept)
