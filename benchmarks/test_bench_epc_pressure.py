@@ -10,7 +10,7 @@ simulated cycles per contribution — the argument for keeping Glimmers
 
 from repro.analysis.reporting import Table
 from repro.core.client import ClientDevice, LocalDataStore
-from repro.core.glimmer import GlimmerConfig, build_glimmer_image, features_digest
+from repro.core.glimmer import GlimmerConfig, build_glimmer_image, features_digest, pack_features
 from repro.core.provisioning import BlinderProvisioner, ServiceProvisioner
 from repro.crypto.masking import BlindingService
 from repro.experiments.common import Deployment
@@ -53,7 +53,7 @@ def _cycles_for_memory(deployment, memory_bytes, index):
     blinder.open_round(1, 1, len(FEATURES))
     client.provision_mask(blinder, 1, 0)
     client.glimmer.meter.reset()
-    client.contribute(1, [0.5] * len(FEATURES), FEATURES)
+    client.contribute(1, [0.5] * len(FEATURES), pack_features(FEATURES))
     return client.glimmer.meter
 
 

@@ -16,6 +16,7 @@ client never sends it anything private.
 Run:  python examples/glimmer_as_a_service.py
 """
 
+from repro.core.glimmer import pack_features
 from repro.errors import AttestationError
 from repro.experiments.common import Deployment
 from repro.experiments.e10_gaas import make_impostor_host
@@ -56,7 +57,7 @@ def main() -> None:
     impostor = make_impostor_host(deployment, "evil-box")
     device = deployment.make_iot_client("thermostat-victim", impostor)
     try:
-        device.contribute(2, vector, features.bigrams)
+        device.contribute(2, vector, pack_features(features.bigrams))
         print("  !!! the device trusted the impostor — this should never print")
     except AttestationError as exc:
         print(f"  the device refused: {exc}")

@@ -15,7 +15,7 @@ Run:  python examples/photo_maps.py
 """
 
 from repro.core.client import ClientDevice, LocalDataStore
-from repro.core.glimmer import GlimmerConfig, build_glimmer_image, features_digest
+from repro.core.glimmer import GlimmerConfig, build_glimmer_image, features_digest, pack_features
 from repro.core.provisioning import ServiceProvisioner, VettingRegistry
 from repro.crypto.dh import TEST_GROUP
 from repro.crypto.drbg import HmacDrbg
@@ -71,7 +71,7 @@ def main() -> None:
             signed = clients[photo.user_id].contribute(
                 round_id=1,
                 values=photo_digest_values(photo),
-                features=PHOTO_FEATURES,
+                features=pack_features(PHOTO_FEATURES),
                 blind=False,  # photos are public; no blinding needed
                 claims={"submission": photo},
             )

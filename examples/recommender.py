@@ -16,7 +16,7 @@ Run:  python examples/recommender.py
 """
 
 from repro.core.client import ClientDevice, LocalDataStore
-from repro.core.glimmer import GlimmerConfig, build_glimmer_image, features_digest
+from repro.core.glimmer import GlimmerConfig, build_glimmer_image, features_digest, pack_features
 from repro.core.provisioning import ServiceProvisioner, VettingRegistry
 from repro.crypto.dh import TEST_GROUP
 from repro.crypto.drbg import HmacDrbg
@@ -72,7 +72,7 @@ def main() -> None:
             signed = clients[review.user_id].contribute(
                 round_id=1,
                 values=[review.rating / 5.0],
-                features=REVIEW_FEATURES,
+                features=pack_features(REVIEW_FEATURES),
                 blind=False,
                 claims={"review": review},
             )

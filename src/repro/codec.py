@@ -39,8 +39,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import fields
-from functools import lru_cache
-from itertools import chain, repeat
 from operator import attrgetter
 from typing import Any, Callable, Sequence
 
@@ -78,7 +76,6 @@ _U32 = struct.Struct(">I")
 _Q = struct.Struct(">q")
 _D = struct.Struct(">d")
 _BE_F64 = np.dtype(">f8")
-_STR_PAIR_TYPES = (str, str)
 
 # class -> (2-byte tag, field getter); tag -> (class, field count, checks),
 # the checks as (field index, field name, check)
@@ -400,52 +397,10 @@ def _encode_sequence(tag: int) -> Callable[[Any, list, int], None]:
         if depth >= MAX_DEPTH:
             raise UnencodablePayload("value nests deeper than the wire allows")
         out.append(_HEAD.pack(tag, len(value)))
-        # A run of string pairs (the feature list in every contribution's
-        # ecall request) is the one run priced in bulk: framed in one pack,
-        # the same bytes the per-item path writes, and memoised.
-        if value and type(value[0]) is tuple and tuple(map(type, value[0])) == _STR_PAIR_TYPES:
-            frame = _pairs_frame(value if type(value) is tuple else tuple(value))
-            if frame is not None:
-                out.append(frame)
-                return
         for item in value:
             _encode(item, out, depth + 1)
 
     return encode_sequence
-
-
-def _pairs_frame(run: tuple) -> bytes | None:
-    """:func:`_str_pairs`, or ``None`` for a run it cannot even hash."""
-    try:
-        return _str_pairs(run)
-    except TypeError:  # an unhashable or unsized item
-        return None
-
-
-@lru_cache(maxsize=8)
-def _str_pairs(pairs: tuple) -> bytes | None:
-    """The items of a run of string pairs, or ``None`` if it is not one.
-
-    Memoised on the tuple: a published feature list is framed into every
-    contribution's ecall, and a hit costs one tuple hash.
-    """
-    if set(map(type, pairs)) != {tuple} or set(map(len, pairs)) != {2}:
-        return None
-    flat = list(chain.from_iterable(pairs))
-    if set(map(type, flat)) != {str}:
-        return None
-    raw = [item.encode("utf-8") for item in flat]
-    sizes = list(map(len, raw))
-    return struct.pack(
-        (">" + "BIBI%dsBI%ds" * len(pairs)) % tuple(sizes),
-        *chain.from_iterable(
-            zip(
-                repeat(TUPLE), repeat(2),
-                repeat(STR), sizes[0::2], raw[0::2],
-                repeat(STR), sizes[1::2], raw[1::2],
-            )
-        ),
-    )
 
 
 def _encode_dict(value: dict, out: list, depth: int) -> None:
@@ -570,9 +525,9 @@ def _decode_sequence(build: Callable[[Any], Any]):
 
 
 def _decode_items(buf: bytes, off: int, count: int, depth: int) -> tuple[list, int]:
-    """The ``count`` items of a container at ``depth``.  Scalars, ring
-    words and string pairs are read inline — the same frames, without a
-    dispatch per item; anything else recurses."""
+    """The ``count`` items of a container at ``depth``.  Scalars and ring
+    words are read inline — the same frames, without a dispatch per item;
+    anything else recurses."""
     items = []
     append = items.append
     for __ in range(count):
@@ -596,26 +551,10 @@ def _decode_items(buf: bytes, off: int, count: int, depth: int) -> tuple[list, i
         elif buf[off:off + 6] == _WIDE_WORD:
             item = int.from_bytes(_take(buf, off + 5, 9), "big", signed=True)
             off += 14
-        elif tag == TUPLE and buf[off + 1:off + 6] == _PAIR_OF_STR:
-            first, mid = _decode_str(buf, off + 6)
-            if buf[mid] == STR:
-                second, off = _decode_str(buf, mid + 1)
-                item = (first, second)
-            else:
-                item, off = _decode(buf, off, depth + 1)
         else:
             item, off = _decode(buf, off, depth + 1)
         append(item)
     return items, off
-
-
-def _decode_str(buf: bytes, off: int) -> tuple[str, int]:
-    (size,) = _U32.unpack_from(buf, off)
-    start = off + 4
-    end = start + size
-    if end > len(buf):
-        raise _malformed("truncated frame")
-    return buf[start:end].decode("utf-8"), end
 
 
 def _decode_dict(buf: bytes, off: int, depth: int):
@@ -638,7 +577,6 @@ def _decode_array(buf: bytes, off: int, depth: int):
 
 
 _WIDE_WORD = bytes([BIGINT]) + _U32.pack(9) + b"\x00"  # a u64 word >= 2**63
-_PAIR_OF_STR = _U32.pack(2) + bytes([STR])  # after a TUPLE tag
 
 _DECODERS: dict[int, Callable[[bytes, int, int], tuple[Any, int]]] = {
     NONE: lambda buf, off, depth: (None, off),
@@ -650,7 +588,7 @@ _DECODERS: dict[int, Callable[[bytes, int, int], tuple[Any, int]]] = {
     BYTES: _decode_buffer(bytes),
     BYTEARRAY: _decode_buffer(bytearray),
     MEMORYVIEW: _decode_buffer(memoryview),
-    STR: lambda buf, off, depth: _decode_str(buf, off),
+    STR: _decode_buffer(lambda raw: raw.decode("utf-8")),
     TUPLE: _decode_sequence(tuple),
     LIST: _decode_sequence(list),
     DICT: _decode_dict,

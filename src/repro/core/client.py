@@ -246,16 +246,17 @@ class ClientDevice:
         self,
         round_id: int,
         values: Sequence[float] | bytes,
-        features: Sequence[tuple[str, str]],
+        features: bytes,
         blind: bool = True,
         claims: dict | None = None,
-        context_fields: Sequence[str] = (),
     ) -> SignedContribution:
         """The honest path: hand values to the Glimmer, relay its endorsement.
 
         ``values`` may arrive already packed (the device step passes the
         stored :meth:`LocalDataStore.vector_for`); the Glimmer takes them
-        packed either way.  Raises
+        packed either way.  ``features`` is the published list, packed
+        (:func:`~repro.core.glimmer.pack_features`), as the host received
+        it.  Raises
         :class:`ValidationError` if the Glimmer rejects — an honest client
         simply does not submit in that case.
         """
@@ -266,11 +267,10 @@ class ClientDevice:
                 if isinstance(values, bytes)
                 else kernels.be_doubles_to_bytes(values)
             ),
-            features=tuple(features),
+            features=features,
             blind=blind,
             party_index=self._party_index_for_round.get(round_id, 0),
             claims=dict(claims or {}),
-            context_fields=tuple(context_fields),
         )
         return self.glimmer.ecall("process_contribution", request)
 

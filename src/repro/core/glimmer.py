@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from repro import codec
-from repro.codec import Bytes, Int, Optional, Pair, wire
+from repro.codec import ROUND_ID, SLOT, Bool, Bytes, Int, Optional, Pair, wire
 from repro.core.blinding import BlindingComponent
 from repro.core.encoding import decode_public_key, encode_public_key
 from repro.core.signing import SignedContribution, SigningComponent
@@ -118,18 +118,12 @@ class GlimmerConfig:
 
 
 def features_digest(bigrams: Sequence[tuple[str, str]]) -> bytes:
-    """Digest of the service-published feature space (memoised on the
-    tuple: a Glimmer re-checks the same list on every contribution).
+    """Digest of the service-published feature space.
 
     Each pair is hashed as ``left NUL right``, so a word holding NUL is a
     :class:`ValidationError`: ``("a\\0b", "c")`` and ``("a", "b\\0c")``
     would otherwise share one digest.
     """
-    return _features_digest(tuple(map(tuple, bigrams)))
-
-
-@lru_cache(maxsize=8)
-def _features_digest(bigrams: tuple[tuple[str, str], ...]) -> bytes:
     items = [f"{left}\x00{right}".encode("utf-8") for left, right in bigrams]
     if any(item.count(0) != 1 for item in items):
         raise ValidationError("a feature word holds NUL")
@@ -137,15 +131,9 @@ def _features_digest(bigrams: tuple[tuple[str, str], ...]) -> bytes:
 
 
 def pack_features(bigrams: Sequence[tuple[str, str]]) -> bytes:
-    """The feature list as it crosses the bus: its words, UTF-8, joined by
-    NUL, and ``b""`` for no list.  A word holding NUL is a
-    :class:`ValidationError`, as in :func:`features_digest`.  Memoised on
-    the tuple, so every command that carries one list shares one blob."""
-    return _pack_features(tuple(map(tuple, bigrams)))
-
-
-@lru_cache(maxsize=8)
-def _pack_features(bigrams: tuple[tuple[str, str], ...]) -> bytes:
+    """The feature list as it crosses the bus and the ecall: its words,
+    UTF-8, joined by NUL, and ``b""`` for no list.  A word holding NUL is
+    a :class:`ValidationError`, as in :func:`features_digest`."""
     words = [word for left, right in bigrams for word in (left, right)]
     joined = "\x00".join(words)
     if words and joined.count("\x00") != len(words) - 1:
@@ -153,46 +141,78 @@ def _pack_features(bigrams: tuple[tuple[str, str], ...]) -> bytes:
     return joined.encode("utf-8")
 
 
-@lru_cache(maxsize=8)
 def unpack_features(blob: bytes) -> tuple[tuple[str, str], ...]:
     """The feature list a :func:`pack_features` blob carries (``()`` for
     ``b""``).  ``ValueError`` for an odd word count, bad UTF-8 or more than
-    :data:`~repro.codec.MAX_VECTOR_LENGTH` pairs.
+    :data:`~repro.codec.MAX_VECTOR_LENGTH` pairs."""
+    return _unpacked(blob)[0]
 
-    Memoised on the blob's bytes: every host that receives one list holds
-    one shared tuple, not a copy of its own.
-    """
+
+def features_complaint(blob: bytes, digest: bytes) -> str | None:
+    """What keeps ``blob`` from being the packed list ``digest`` names:
+    not ``bytes``, not unpacking, or hashing to another digest."""
+    if type(blob) is not bytes:
+        return f"feature list is {type(blob).__name__}, not packed bytes"
+    try:
+        __, actual = _unpacked(blob)
+    except ValueError as exc:
+        return f"feature list does not unpack: {exc}"
+    if actual != digest:
+        return "features do not hash to the published digest"
+    return None
+
+
+def published_features(blob: bytes, digest: bytes) -> tuple[tuple[str, str], ...]:
+    """The list a :func:`pack_features` blob carries, held to ``digest``;
+    :class:`ValidationError` for any :func:`features_complaint`."""
+    complaint = features_complaint(blob, digest)
+    if complaint:
+        raise ValidationError(complaint)
+    return _unpacked(blob)[0]
+
+
+@lru_cache(maxsize=8)
+def _unpacked(blob: bytes) -> tuple[tuple[tuple[str, str], ...], bytes]:
+    """A blob's list and its digest, memoised on the blob: every
+    contribution a Glimmer checks, and every first trip the wire checks,
+    hands it the one list the service published."""
     if not blob:
-        return ()
+        return (), features_digest(())
     pairs, odd = divmod(blob.count(0) + 1, 2)
     if odd:
-        raise ValueError("hold an odd number of words")
+        raise ValueError("an odd number of words")
     if pairs > codec.MAX_VECTOR_LENGTH:
-        raise ValueError("exceed the vector-length cap")
+        raise ValueError("more pairs than the vector-length cap")
     try:
         words = blob.decode("utf-8").split("\x00")
     except UnicodeDecodeError:
-        raise ValueError("are not UTF-8") from None
-    return tuple(zip(words[0::2], words[1::2]))
+        raise ValueError("words not UTF-8") from None
+    features = tuple(zip(words[0::2], words[1::2]))
+    return features, features_digest(features)
 
 
-@wire(0x8109)
+@wire(
+    0x8109, round_id=ROUND_ID, values=bytes, features=bytes, blind=Bool,
+    party_index=SLOT, claims=dict,
+)
 @dataclass(frozen=True)
 class ProcessRequest:
     """What the client hands the Glimmer for one contribution.
 
     ``values`` is the contribution as packed big-endian doubles
     (:func:`~repro.perf.kernels.be_doubles_to_bytes`), so it crosses the
-    ecall at 8 bytes a value whatever the values are.
+    ecall at 8 bytes a value whatever the values are.  ``features`` is the
+    published feature list as the host received it, packed
+    (:func:`pack_features`); the Glimmer unpacks it and holds it to the
+    digest in its measured config (:func:`published_features`).
     """
 
     round_id: int
     values: bytes
-    features: tuple[tuple[str, str], ...]
+    features: bytes
     blind: bool = True
     party_index: int = 0
     """Which blinding-mask slot this contribution consumes (see §3's p_i)."""
-    context_fields: tuple[str, ...] = ()
     claims: dict = field(default_factory=dict)
     """Adversary-supplied claims such as the execution-trace commitment."""
 
@@ -507,10 +527,6 @@ class GlimmerProgram(EnclaveProgram):
     ) -> SignedContribution:
         if self._signing is None:
             raise ProtocolError("signing key not provisioned")
-        if features_digest(request.features) != self._config.features_digest:
-            raise ValidationError(
-                "feature list does not match the service-published digest"
-            )
         values = request_values(request)
         outcome = self._predicate.evaluate(values, context)
         self.api.charge(outcome.cycles, "validation")
@@ -565,11 +581,7 @@ class GlimmerProgram(EnclaveProgram):
 
     def _collect_context(self, request: ProcessRequest) -> PrivateContext:
         """Ask the untrusted host for the private validation data."""
-        needed = tuple(
-            dict.fromkeys(
-                tuple(self._predicate.required_context()) + request.context_fields
-            )
-        )
+        needed = tuple(self._predicate.required_context())
         if needed:
             raw = self.api.ocall("collect_private_data", needed)
         else:
@@ -589,13 +601,17 @@ class GlimmerProgram(EnclaveProgram):
         return context
 
     def _prepare_context(self, request: ProcessRequest, context: PrivateContext) -> None:
-        """Attach the Glimmer-controlled fields predicates rely on."""
-        context.extra.setdefault("features", request.features)
+        """Attach the Glimmer-controlled fields predicates rely on, over any
+        claim of the same name: the published feature list, unpacked and
+        held to the measured digest, the round and its counter."""
+        context.extra.update(request.claims)
+        context.extra["features"] = published_features(
+            request.features, self._config.features_digest
+        )
         context.extra["round_id"] = request.round_id
         context.extra["counter"] = self.api.monotonic_counter(
             f"contributions-round-{request.round_id}"
         )
-        context.extra.update(request.claims)
 
     # ------------------------------------------------- crash-recoverable state
 

@@ -164,9 +164,12 @@ class IoTClient:
         self,
         round_id: int,
         values: Sequence[float] | bytes,
-        features: Sequence[tuple[str, str]],
+        features: bytes,
     ) -> SignedContribution:
         """Attest the remote Glimmer, then contribute through it, blinded.
+
+        ``features`` is the published list, packed
+        (:func:`~repro.core.glimmer.pack_features`).
 
         Raises :class:`AttestationError` if the host cannot present a quote
         for the vetted measurement binding its handshake value — the check
@@ -185,7 +188,7 @@ class IoTClient:
         request = ProcessRequest(
             round_id=round_id,
             values=values if isinstance(values, bytes) else kernels.be_doubles_to_bytes(values),
-            features=tuple(features),
+            features=features,
             party_index=self._party_index_for_round.get(round_id, 0),
         )
         payload = _encode_remote_payload(request, self.data.context_for(()))

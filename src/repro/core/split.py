@@ -37,7 +37,7 @@ from repro.core.glimmer import (
     HandshakeSessions,
     KeyDelivery,
     ProcessRequest,
-    features_digest,
+    published_features,
     request_values,
 )
 from repro.core.signing import SignedContribution, SigningComponent
@@ -171,11 +171,8 @@ class ValidationEnclaveProgram(_ComponentProgram):
     @ecall
     def validate(self, request: ProcessRequest) -> bytes:
         """Validate and forward (values, confidence) to the blinding enclave."""
-        if features_digest(request.features) != self._config.features_digest:
-            raise ValidationError("feature list does not match the published digest")
-        needed = tuple(
-            dict.fromkeys(tuple(self._predicate.required_context()) + request.context_fields)
-        )
+        features = published_features(request.features, self._config.features_digest)
+        needed = tuple(self._predicate.required_context())
         raw = (
             self.api.ocall("collect_private_data", needed) if needed else PrivateContext()
         )
@@ -190,14 +187,14 @@ class ValidationEnclaveProgram(_ComponentProgram):
             video_stream=raw.video_stream,
             extra=dict(raw.extra),
         )
-        context.extra.setdefault("features", request.features)
+        context.extra.update(request.claims)
+        context.extra["features"] = features
         context.extra["round_id"] = request.round_id
         # Same rollback-proof counter wiring as the single-enclave Glimmer,
         # so rate-limit predicates survive validation-enclave restarts.
         context.extra["counter"] = self.api.monotonic_counter(
             f"contributions-round-{request.round_id}"
         )
-        context.extra.update(request.claims)
         outcome = self._predicate.evaluate(request_values(request), context)
         self.api.charge(outcome.cycles, "validation")
         if not outcome.passed:

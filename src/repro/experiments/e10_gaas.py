@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.analysis.reporting import Table
 from repro.core.client import attested_handshake
+from repro.core.glimmer import pack_features
 from repro.core.remote import AttestedOffer, RemoteGlimmerHost
 from repro.errors import AttestationError
 from repro.experiments.common import GLIMMER_NAME, Deployment
@@ -138,7 +139,7 @@ def run(num_clients: int = 6, seed: bytes = b"e10") -> GaasResult:
     host = make_impostor_host(deployment, "host:malicious")
     victim = deployment.make_iot_client("iot-victim", host)
     try:
-        victim.contribute(99, a_vector, features.bigrams)
+        victim.contribute(99, a_vector, pack_features(features.bigrams))
         blocked = False
     except AttestationError:
         blocked = True

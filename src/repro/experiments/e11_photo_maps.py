@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from repro.analysis.reporting import Table
 from repro.core.client import ClientDevice, LocalDataStore
-from repro.core.glimmer import GlimmerConfig, build_glimmer_image, features_digest
+from repro.core.glimmer import GlimmerConfig, build_glimmer_image, features_digest, pack_features
 from repro.core.provisioning import ServiceProvisioner, VettingRegistry
 from repro.crypto.dh import TEST_GROUP
 from repro.crypto.drbg import HmacDrbg
@@ -115,7 +115,7 @@ def run(
                 signed = client.contribute(
                     round_id=1,
                     values=photo_digest_values(photo),
-                    features=PHOTO_FEATURES,
+                    features=pack_features(PHOTO_FEATURES),
                     blind=False,
                     claims={"submission": photo},
                 )

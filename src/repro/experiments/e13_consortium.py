@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.analysis.reporting import Table
 from repro.core.consortium import ConsortiumService, build_consortium
+from repro.core.glimmer import pack_features
 from repro.core.validation import PrivateContext
 from repro.errors import ProtocolError
 from repro.experiments.common import Deployment
@@ -71,7 +72,7 @@ def run(
     deployment.open_round(1, user_ids)
     for slot, user_id in enumerate(user_ids):
         signed = deployment.clients[user_id].contribute(
-            1, list(vectors[user_id]), features.bigrams
+            1, list(vectors[user_id]), pack_features(features.bigrams)
         )
         deployment.service.submit(1, signed, slot)
     sgx_aggregate = deployment.service.finalize_blinded_round(1).aggregate

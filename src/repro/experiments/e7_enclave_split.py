@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from repro.analysis.reporting import Table
 from repro.core.client import ClientDevice, LocalDataStore, attested_handshake
-from repro.core.glimmer import ProcessRequest
+from repro.core.glimmer import ProcessRequest, pack_features
 from repro.core.split import SplitGlimmer, build_split_images
 from repro.core.validation import PrivateContext
 from repro.experiments.common import Deployment
@@ -108,7 +108,7 @@ def run(vector_sizes=(16, 128, 1024), seed: bytes = b"e7") -> SplitResult:
         deployment.registry.publish("e7-glimmer", image.mrenclave)
         values = [0.5] * size
         request = ProcessRequest(
-            round_id=1, values=kernels.be_doubles_to_bytes(values), features=bigrams
+            round_id=1, values=kernels.be_doubles_to_bytes(values), features=pack_features(bigrams)
         )
 
         # ---- single enclave --------------------------------------------
@@ -137,7 +137,7 @@ def run(vector_sizes=(16, 128, 1024), seed: bytes = b"e7") -> SplitResult:
         bp.open_round(1, 1, size)
         client.provision_mask(bp, 1, 0)
         client.glimmer.meter.reset()
-        client.contribute(1, values, bigrams)
+        client.contribute(1, values, request.features)
         single = client.glimmer.meter
         single_transitions = single.buckets.get("transitions", 0)
         single_crypto = single.buckets.get("enclave-crypto", 0)

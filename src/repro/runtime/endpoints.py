@@ -26,11 +26,10 @@ exists to survive.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import lru_cache, partial
 from typing import TYPE_CHECKING
 
 from repro.core.client import mask_delivery
-from repro.core.glimmer import unpack_features
 from repro.errors import (
     CryptoError,
     EnclaveError,
@@ -261,14 +260,14 @@ def provision_step(client, command: m.ProvisionMask, request_delivery, ledger) -
     client.checkpoint_round(command.round_id)
 
 
-def sign_step(client, command: m.ContributeCommand, features: tuple, ledger):
+def sign_step(client, command: m.ContributeCommand, features: bytes, ledger):
     """Validate, blind and sign: ``(signed, None)``, or ``(None, (outcome,
     detail))`` when the Glimmer refused the values or is down.
 
     The values are the device's own, read from its local store
     (:meth:`~repro.core.client.LocalDataStore.vector_for`); the command
     only names the round, and ``features`` is the published list the host
-    holds, unpacked (:func:`~repro.core.glimmer.unpack_features`).  Once
+    holds, packed as it crossed the bus; the Glimmer unpacks it.  Once
     the Glimmer has answered, the device lets go of its input.  An error
     that escapes (a §4.2 device's link to its host is down) leaves the
     input for the command's retransmission.
@@ -306,6 +305,13 @@ def submit_step(client, round_id: int, submit) -> tuple[str, str | None]:
     return OUTCOME_SERVICE_REJECTED, None
 
 
+@lru_cache(maxsize=8)
+def _shared(blob: bytes) -> bytes:
+    """The first copy of ``blob`` any host kept: every host holds one list
+    (~77 KB at k = 4,096), not the copy its own command decoded to."""
+    return blob
+
+
 class ClientEndpoint(_Endpoint):
     """One client device as a transport endpoint.
 
@@ -315,7 +321,7 @@ class ClientEndpoint(_Endpoint):
     what a real on-path attacker would.
 
     The host keeps the last feature list it received (public data, its
-    digest already checked at the wire), unpacked into the tuple every
+    digest already checked at the wire), packed, in the one blob every
     host shares, and uses it for a command that carries ``b""`` under the
     same digest, so the Glimmer always gets — and checks — the whole list.
     """
@@ -331,7 +337,7 @@ class ClientEndpoint(_Endpoint):
         self.client = client
         self.name = name
         self._contribute_outcomes: dict[int, tuple[str, str | None]] = {}
-        self._features: tuple = ()
+        self._features = b""
         self._features_digest = b""
 
     def _fire(self, site: str, round_id: int) -> bool:
@@ -389,7 +395,7 @@ class ClientEndpoint(_Endpoint):
             # (or double-submit); answer from the cache instead.
             return self._contribute_outcomes[command.round_id]
         if command.features:
-            self._features = unpack_features(command.features)
+            self._features = _shared(command.features)
             self._features_digest = command.features_digest
         outcome = self._contribute(command, record)
         self._contribute_outcomes[command.round_id] = outcome
@@ -403,7 +409,7 @@ class ClientEndpoint(_Endpoint):
             self.client.crash()
             return OUTCOME_CRASHED, "killed before the Glimmer signed"
         held = command.features_digest == self._features_digest
-        features = self._features if held else ()
+        features = self._features if held else b""
         signed, failure = sign_step(self.client, command, features, record)
         if failure is not None:
             return failure

@@ -229,6 +229,8 @@ class RoundEngine:
         #: client id -> digest of the feature list its host holds, set only
         #: by an accepted bus contribution (:meth:`contribute`).
         self._published: dict[str, bytes] = {}
+        #: (tuple, packed, digest) for the last feature list packed.
+        self._feature_list: tuple[Any, bytes, bytes] = (None, b"", b"")
         self._rounds: dict[int, _RoundRecord] = {}
         network.register(ENGINE, {})
         self._service_endpoint = ServiceEndpoint(service, monitor=self.monitor)
@@ -614,6 +616,15 @@ class RoundEngine:
         record.provisioned[party_index] = client_id
         return True
 
+    def packed_features(self, features: Sequence) -> tuple[bytes, bytes]:
+        """``features`` packed, and its digest, worked out once per tuple:
+        a round's commands and pool tasks, and the rounds after it given
+        the same tuple, share one blob and one digest (``run_round`` makes
+        one tuple of whatever list it is given)."""
+        if self._feature_list[0] is not features or type(features) is not tuple:
+            self._feature_list = (features, pack_features(features), features_digest(features))
+        return self._feature_list[1:]
+
     def contribute(
         self,
         client_id: str,
@@ -637,7 +648,7 @@ class RoundEngine:
         record.note_participant(client_id)
         name = self._client_name(client_id)
         self.clients[client_id].data.put_vector(round_id, values)
-        digest = features_digest(features)
+        packed, digest = self.packed_features(features)
         held = self._published.pop(client_id, None) == digest
         outcome, _detail = self.call_with_retry(
             record,
@@ -646,7 +657,7 @@ class RoundEngine:
             m.KIND_CONTRIBUTE,
             m.ContributeCommand(
                 round_id=round_id,
-                features=b"" if held else pack_features(features),
+                features=b"" if held else packed,
                 features_digest=digest,
             ),
             first_attempt=first_attempt,

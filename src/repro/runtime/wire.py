@@ -2,7 +2,7 @@
 (each field's own check is declared on its ``@wire`` class)."""
 
 from repro.codec import blamed
-from repro.core.glimmer import HANDLE_BYTES, features_digest, unpack_features
+from repro.core.glimmer import HANDLE_BYTES, features_complaint
 from repro.core.signing import SignedContribution
 from repro.errors import RefusedAtWire
 from repro.runtime import messages as m
@@ -46,13 +46,8 @@ def _features_hash(command: m.ContributeCommand) -> str | None:
     """A carried list unpacks, and hashes to the digest it names."""
     if not command.features:
         return None
-    try:
-        features = unpack_features(command.features)
-    except ValueError as exc:
-        return f"features {exc}"
-    if features_digest(features) != command.features_digest:
-        return "features do not hash to features_digest, so the host must not keep them"
-    return None
+    complaint = features_complaint(command.features, command.features_digest)
+    return complaint and f"{complaint}, so the host must not keep it"
 
 
 RULES = {  # class -> what is wrong with an object whose fields all hold, if anything

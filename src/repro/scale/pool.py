@@ -51,7 +51,7 @@ from functools import cache
 from multiprocessing.reduction import ForkingPickler
 from typing import Any, Sequence
 
-from repro.core.glimmer import BLINDING_MASK_CONTEXT, GlimmerConfig, unpack_features
+from repro.core.glimmer import BLINDING_MASK_CONTEXT, GlimmerConfig
 from repro.core.provisioning import seal_delivery
 from repro.crypto.commitments import encode_mask_payload
 from repro.crypto.dh import DHGroup
@@ -231,9 +231,7 @@ def _run_client(context: WorkerContext, task: ClientTask) -> ClientResult:
     if task.contribute is None:
         return result
     command = task.contribute
-    result.signed, result.outcome = sign_step(
-        task.client, command, unpack_features(command.features), result
-    )
+    result.signed, result.outcome = sign_step(task.client, command, command.features, result)
     if result.signed is not None:
         try:
             result.signature_ok = bool(

@@ -43,7 +43,6 @@ from typing import Mapping, Sequence
 from concurrent.futures import BrokenExecutor
 
 from repro.core.client import ClientDevice
-from repro.core.glimmer import features_digest, pack_features
 from repro.core.provisioning import BlinderProvisioner, _verify_bound_quote
 from repro.core.service import CloudService
 from repro.errors import (
@@ -217,9 +216,7 @@ def run_parallel_round(
         if user_id not in collect_dropouts:
             # Written into the device's own store, as the bus route does.
             client.data.put_vector(round_id, values_by_user[user_id])
-            contribute = m.ContributeCommand(
-                round_id, pack_features(features), features_digest(features)
-            )
+            contribute = m.ContributeCommand(round_id, *engine.packed_features(features))
         tasks[index] = ClientTask(
             client=client,
             provision=m.ProvisionMask(

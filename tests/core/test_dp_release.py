@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.privacy import gaussian_epsilon
-from repro.core.glimmer import GlimmerConfig
+from repro.core.glimmer import GlimmerConfig, pack_features
 from repro.errors import ConfigurationError
 from repro.experiments.common import Deployment
 
@@ -31,7 +31,7 @@ def test_zero_sigma_is_noiseless():
         deployment.service.submit(
             1,
             deployment.clients[user_id].contribute(
-                1, list(vectors[user_id]), deployment.features.bigrams
+                1, list(vectors[user_id]), pack_features(deployment.features.bigrams)
             ),
             deployment.clients[user_id].party_index_for(1),
         )
@@ -52,7 +52,7 @@ def test_noise_perturbs_aggregate_proportionally():
             deployment.service.submit(
                 1,
                 deployment.clients[user_id].contribute(
-                    1, list(vectors[user_id]), deployment.features.bigrams
+                    1, list(vectors[user_id]), pack_features(deployment.features.bigrams)
                 ),
                 deployment.clients[user_id].party_index_for(1),
             )
@@ -73,7 +73,7 @@ def test_noise_is_enclave_private():
     deployment.open_round(1, [user_id])
     vector = list(deployment.local_vectors()[user_id])
     signed = deployment.clients[user_id].contribute(
-        1, vector, deployment.features.bigrams
+        1, vector, pack_features(deployment.features.bigrams)
     )
     from repro.crypto.masking import remove_mask
 
@@ -94,7 +94,7 @@ def test_validation_runs_on_raw_values_not_noised():
     deployment.open_round(1, [user_id])
     bad = [538.0] + [0.0] * (len(deployment.features) - 1)
     with pytest.raises(ValidationError):
-        deployment.clients[user_id].contribute(1, bad, deployment.features.bigrams)
+        deployment.clients[user_id].contribute(1, bad, pack_features(deployment.features.bigrams))
 
 
 def test_gaussian_epsilon_calibration():

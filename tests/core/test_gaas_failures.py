@@ -8,6 +8,7 @@ handshake session is single-use), and eavesdroppers hold only ciphertext.
 
 import pytest
 
+from repro.core.glimmer import pack_features
 from repro.core.remote import IoTClient, RemoteGlimmerHost
 from repro.errors import NetworkError, ProtocolError
 from repro.experiments.common import Deployment, GLIMMER_NAME
@@ -37,7 +38,9 @@ def gaas():
 
 def _contribute(deployment, client, party_index=0):
     client.provision_mask(deployment.blinder_provisioner, 1, party_index)
-    return client.contribute(1, [0.5] * len(deployment.features), deployment.features.bigrams)
+    return client.contribute(
+        1, [0.5] * len(deployment.features), pack_features(deployment.features.bigrams)
+    )
 
 
 def test_dropped_attestation_request_surfaces(gaas):
@@ -86,7 +89,9 @@ def test_eavesdropper_never_sees_plaintext_values(gaas):
     network.interpose(spy)
     value = 0.8125  # exactly representable; encoded form is predictable
     client.provision_mask(deployment.blinder_provisioner, 1, 0)
-    client.contribute(1, [value] * len(deployment.features), deployment.features.bigrams)
+    client.contribute(
+        1, [value] * len(deployment.features), pack_features(deployment.features.bigrams)
+    )
     encoded_value = deployment.codec.encode([value])[0].to_bytes(8, "big")
     for message in spy.captured:
         payload = message.payload

@@ -6,6 +6,7 @@ from repro.core.glimmer import (
     GlimmerConfig,
     KeyDelivery,
     features_digest,
+    pack_features,
 )
 from repro.crypto.masking import remove_mask
 from repro.crypto.schnorr import SchnorrKeyPair
@@ -67,7 +68,7 @@ def test_process_without_signing_key_rejected(fresh_deployment):
     with pytest.raises(ProtocolError):
         client.contribute(
             1, [0.5] * len(fresh_deployment.features),
-            fresh_deployment.features.bigrams, blind=False,
+            pack_features(fresh_deployment.features.bigrams), blind=False,
         )
 
 
@@ -75,7 +76,7 @@ def test_process_unblinded_contribution(round_setup):
     deployment, user_ids = round_setup
     client = deployment.clients[user_ids[0]]
     values = [0.5] * len(deployment.features)
-    signed = client.contribute(1, values, deployment.features.bigrams, blind=False)
+    signed = client.contribute(1, values, pack_features(deployment.features.bigrams), blind=False)
     assert not signed.blinded
     assert kernels.be_doubles(signed.plain_payload).tolist() == values
     deployment.signing_keypair.public_key.verify(
@@ -87,7 +88,7 @@ def test_process_blinded_contribution_hides_values(round_setup):
     deployment, user_ids = round_setup
     client = deployment.clients[user_ids[0]]
     values = [0.5] * len(deployment.features)
-    signed = client.contribute(1, values, deployment.features.bigrams)
+    signed = client.contribute(1, values, pack_features(deployment.features.bigrams))
     assert signed.blinded
     assert signed.plain_payload is None
     encoded = deployment.codec.encode(values)
@@ -104,11 +105,11 @@ def test_blind_without_mask_rejected(round_setup):
     deployment, user_ids = round_setup
     client = deployment.clients[user_ids[0]]
     values = [0.5] * len(deployment.features)
-    client.contribute(1, values, deployment.features.bigrams)  # consumes mask
+    client.contribute(1, values, pack_features(deployment.features.bigrams))  # consumes mask
     from repro.errors import CryptoError
 
     with pytest.raises(CryptoError):
-        client.contribute(1, values, deployment.features.bigrams)
+        client.contribute(1, values, pack_features(deployment.features.bigrams))
 
 
 def test_wrong_feature_list_rejected(round_setup):
@@ -117,7 +118,7 @@ def test_wrong_feature_list_rejected(round_setup):
     forged_features = tuple(deployment.features.bigrams[:-1]) + (("evil", "pair"),)
     with pytest.raises(ValidationError):
         client.contribute(
-            1, [0.5] * len(forged_features), forged_features
+            1, [0.5] * len(forged_features), pack_features(forged_features)
         )
 
 
@@ -126,7 +127,7 @@ def test_out_of_range_rejected_and_not_signed(round_setup):
     client = deployment.clients[user_ids[0]]
     values = [538.0] + [0.0] * (len(deployment.features) - 1)
     with pytest.raises(ValidationError):
-        client.contribute(1, values, deployment.features.bigrams)
+        client.contribute(1, values, pack_features(deployment.features.bigrams))
     # the round mask must NOT have been consumed by a failed validation
     assert client.glimmer.ecall("has_mask", 1)
 
@@ -222,7 +223,7 @@ def test_validation_cycles_metered(round_setup):
     client = deployment.clients[user_ids[0]]
     before = client.glimmer.meter.buckets.get("validation", 0)
     client.contribute(
-        1, [0.5] * len(deployment.features), deployment.features.bigrams
+        1, [0.5] * len(deployment.features), pack_features(deployment.features.bigrams)
     )
     assert client.glimmer.meter.buckets.get("validation", 0) > before
 
@@ -233,7 +234,7 @@ def test_glimmer_keeps_no_raw_values_after_processing(round_setup):
     client = deployment.clients[user_ids[0]]
     marker = 0.123456
     values = [marker] * len(deployment.features)
-    client.contribute(1, values, deployment.features.bigrams)
+    client.contribute(1, values, pack_features(deployment.features.bigrams))
     # Break isolation deliberately to inspect (test-only).
     client.platform.threat_model.memory_disclosure = True
     state = client.glimmer.peek_private_state()

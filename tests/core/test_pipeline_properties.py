@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.glimmer import pack_features
 from repro.experiments.common import Deployment
 
 # One module-level deployment; each hypothesis example uses a fresh round id.
@@ -48,7 +49,7 @@ def test_blinded_round_recovers_exact_mean(rows):
     deployment.open_round(round_id, user_ids)
     for user_id in user_ids:
         signed = deployment.clients[user_id].contribute(
-            round_id, vectors[user_id], features.bigrams
+            round_id, vectors[user_id], pack_features(features.bigrams)
         )
         assert deployment.service.submit(
             round_id, signed, deployment.clients[user_id].party_index_for(round_id)
@@ -81,7 +82,7 @@ def test_wire_payload_independent_of_plaintext(value):
             deployment.blinder_provisioner, round_id, 0
         )
         signed = deployment.clients[user_id].contribute(
-            round_id, [value] * len(features), features.bigrams
+            round_id, [value] * len(features), pack_features(features.bigrams)
         )
         payloads.append(signed.ring_payload)
     encoded = tuple(deployment.codec.encode([value] * len(features)))
@@ -109,4 +110,4 @@ def test_any_out_of_range_value_rejected(bad_index, magnitude):
     values = [0.5] * len(features)
     values[bad_index % len(features)] = magnitude
     with pytest.raises(ValidationError):
-        deployment.clients[user_id].contribute(round_id, values, features.bigrams)
+        deployment.clients[user_id].contribute(round_id, values, pack_features(features.bigrams))

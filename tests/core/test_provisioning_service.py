@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.glimmer import pack_features
 from repro.core.provisioning import VettingRegistry
 from repro.core.signing import SignedContribution
 from repro.crypto.fixedpoint import MODULUS
@@ -107,7 +108,7 @@ def test_service_rejects_wrong_payload_kind(fresh_deployment):
     deployment.open_round(1, user_ids)
     client = deployment.clients[user_ids[0]]
     values = [0.5] * len(deployment.features)
-    plain = client.contribute(1, values, deployment.features.bigrams, blind=False)
+    plain = client.contribute(1, values, pack_features(deployment.features.bigrams), blind=False)
     assert not deployment.service.submit(1, plain, 0)  # round is blinded
     assert deployment.service.round_state(1).rejected == {"wrong-payload-kind": 1}
 
@@ -128,7 +129,7 @@ def test_blinded_round_with_dropout_repair(fresh_deployment):
     submitted = user_ids[:-1]  # the last client drops after mask provisioning
     for user_id in submitted:
         signed = deployment.clients[user_id].contribute(
-            1, list(vectors[user_id]), deployment.features.bigrams
+            1, list(vectors[user_id]), pack_features(deployment.features.bigrams)
         )
         deployment.service.submit(
             1, signed, deployment.clients[user_id].party_index_for(1)
@@ -148,7 +149,7 @@ def test_service_counts_multiple_rejection_reasons(fresh_deployment):
     deployment.open_round(1, user_ids)
     vectors = deployment.local_vectors()
     signed = deployment.clients[user_ids[0]].contribute(
-        1, list(vectors[user_ids[0]]), deployment.features.bigrams
+        1, list(vectors[user_ids[0]]), pack_features(deployment.features.bigrams)
     )
     assert deployment.service.submit(1, signed, 0)
     assert not deployment.service.submit(1, signed, 0)  # replay

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.core.glimmer import pack_features
 from repro.core.remote import AttestedOffer, IoTClient, RemoteGlimmerHost
 from repro.core.validation import PrivateContext
 from repro.errors import (
@@ -46,7 +47,7 @@ def test_remote_contribution_end_to_end(gaas):
     host.provision_mask(deployment.blinder_provisioner, 1, 0)
     client = make_iot(deployment, host)
     values = [0.5] * len(deployment.features)
-    signed = client.contribute(1, values, deployment.features.bigrams)
+    signed = client.contribute(1, values, pack_features(deployment.features.bigrams))
     assert deployment.service.submit(1, signed, 0)
 
 
@@ -59,7 +60,7 @@ def test_remote_contribution_is_blinded_on_the_wire(gaas):
     network.interpose(spy)
     client = make_iot(deployment, host)
     values = [0.25] * len(deployment.features)
-    signed = client.contribute(1, values, deployment.features.bigrams)
+    signed = client.contribute(1, values, pack_features(deployment.features.bigrams))
     assert signed.blinded
     # Everything the host/network saw for the contribution is ciphertext.
     for payload in spy.captured_payloads("remote-contribution"):
@@ -85,7 +86,7 @@ def test_malicious_host_fails_attestation(gaas):
     client = make_iot(deployment, host, "iot-victim")
     with pytest.raises(AttestationError):
         client.contribute(
-            1, [0.5] * len(deployment.features), deployment.features.bigrams
+            1, [0.5] * len(deployment.features), pack_features(deployment.features.bigrams)
         )
 
 
@@ -99,7 +100,9 @@ def test_junk_quote_is_refused_at_the_wire(gaas):
     )
     client = make_iot(deployment, host, "iot-junk")
     with pytest.raises(RefusedAtWire) as excinfo:
-        client.contribute(1, [0.5] * len(deployment.features), deployment.features.bigrams)
+        client.contribute(
+            1, [0.5] * len(deployment.features), pack_features(deployment.features.bigrams)
+        )
     assert (excinfo.value.offender, excinfo.value.kind) == ("host", VIOLATION_MALFORMED)
 
 
@@ -121,7 +124,7 @@ def test_manually_tampered_payload_rejected(gaas):
     request = ProcessRequest(
         round_id=1,
         values=kernels.be_doubles_to_bytes([0.5] * len(deployment.features)),
-        features=deployment.features.bigrams,
+        features=pack_features(deployment.features.bigrams),
     )
     payload = _encode_remote_payload(request, PrivateContext())
     box = cipher.encrypt(rng.generate(16), payload, associated_data=offer.session_id)
@@ -140,11 +143,11 @@ def test_session_cannot_be_reused(gaas):
     client = make_iot(deployment, host, "iot-reuse")
     values = [0.5] * len(deployment.features)
     client.provision_mask(deployment.blinder_provisioner, 1, 0)
-    client.contribute(1, values, deployment.features.bigrams)
+    client.contribute(1, values, pack_features(deployment.features.bigrams))
     # A second contribution opens a fresh session automatically and succeeds
     # (consuming the second party's mask on the shared remote Glimmer).
     client.provision_mask(deployment.blinder_provisioner, 1, 1)
-    signed = client.contribute(1, values, deployment.features.bigrams)
+    signed = client.contribute(1, values, pack_features(deployment.features.bigrams))
     assert signed.blinded
 
 
@@ -158,4 +161,43 @@ def test_remote_validation_still_enforced(gaas):
     client = make_iot(deployment, host, "iot-evil")
     bad = [538.0] + [0.0] * (len(deployment.features) - 1)
     with pytest.raises(ValidationError):
-        client.contribute(1, bad, deployment.features.bigrams)
+        client.contribute(1, bad, pack_features(deployment.features.bigrams))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        pytest.param("features", 5, id="features-int"),
+        pytest.param("features", ((1, 2, 3),), id="features-triple"),
+        pytest.param("features", "the\x00cat", id="features-str"),
+        pytest.param("round_id", "x", id="round-id-str"),
+        pytest.param("party_index", "0", id="party-index-str"),
+    ],
+)
+def test_a_mistyped_remote_request_is_refused(gaas, field, value):
+    """A remote client's request is held to ``ProcessRequest``'s declared
+    checks as it is decoded inside the Glimmer: a mistyped field is a
+    refusal, never a ``TypeError``, ``ValueError`` or ``CryptoError``
+    from deeper in the enclave."""
+    from repro.core.glimmer import ProcessRequest, _encode_remote_payload
+    from repro.crypto.cipher import AuthenticatedCipher
+    from repro.crypto.dh import DHKeyPair
+    from repro.crypto.drbg import HmacDrbg
+    from repro.errors import ProtocolError, ValidationError
+
+    deployment, network, host = gaas
+    deployment.blinder_provisioner.open_round(1, 1, len(deployment.features))
+    host.provision_mask(deployment.blinder_provisioner, 1, 0)
+    offer = AttestedOffer(*host.handshake_request())
+    rng = HmacDrbg(b"mistyped-iot")
+    keypair = DHKeyPair.generate(deployment.group, rng)
+    cipher = AuthenticatedCipher(keypair.derive_key(offer.dh_public, "glimmer-as-a-service"))
+    request = ProcessRequest(
+        round_id=1,
+        values=kernels.be_doubles_to_bytes([0.5] * len(deployment.features)),
+        features=pack_features(deployment.features.bigrams),
+    )
+    payload = _encode_remote_payload(replace(request, **{field: value}), PrivateContext())
+    box = cipher.encrypt(rng.generate(16), payload, associated_data=offer.session_id)
+    with pytest.raises((ProtocolError, ValidationError)):
+        host.glimmer.ecall("process_remote", offer.session_id, keypair.public, box.to_bytes())

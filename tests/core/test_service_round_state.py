@@ -15,6 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.core.glimmer import pack_features
 from repro.experiments.common import Deployment
 from repro.invariants import exact_mean
 from repro.perf import kernels
@@ -37,7 +38,7 @@ def _open(route):
     for slot, user_id in enumerate(users):
         deployment.engine.provision_mask(user_id, 1, slot)
     signed = [
-        deployment.clients[user_id].contribute(1, vectors[user_id], features)
+        deployment.clients[user_id].contribute(1, vectors[user_id], pack_features(features))
         for user_id in users
     ]
     return deployment, users, vectors, signed

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.glimmer import GlimmerConfig, ProcessRequest, features_digest
+from repro.core.glimmer import GlimmerConfig, ProcessRequest, features_digest, pack_features
 from repro.core.provisioning import BlinderProvisioner, ServiceProvisioner
 from repro.core.split import SplitGlimmer, build_split_images
 from repro.core.validation import PrivateContext
@@ -78,7 +78,7 @@ def provision_mask(deployment, platform, split, blinder_prov, round_id):
 def test_split_end_to_end(split_setup):
     deployment, platform, split, blinder_prov = split_setup
     provision_mask(deployment, platform, split, blinder_prov, 1)
-    request = ProcessRequest(round_id=1, values=VALUES, features=FEATURES)
+    request = ProcessRequest(round_id=1, values=VALUES, features=pack_features(FEATURES))
     signed = split.process_contribution(request)
     deployment.signing_keypair.public_key.verify(signed.signed_bytes(), signed.signature)
     mask = blinder_prov.blinding.mask_for(1, 0)
@@ -92,7 +92,7 @@ def test_split_validation_rejects_poison(split_setup):
     deployment, platform, split, blinder_prov = split_setup
     provision_mask(deployment, platform, split, blinder_prov, 1)
     request = ProcessRequest(
-        round_id=1, values=kernels.be_doubles_to_bytes((538.0, 0.0, 0.0)), features=FEATURES
+        round_id=1, values=kernels.be_doubles_to_bytes((538.0, 0.0, 0.0)), features=pack_features(FEATURES)
     )
     with pytest.raises(ValidationError):
         split.process_contribution(request)
@@ -117,7 +117,7 @@ def test_host_cannot_replay_intermediate(split_setup):
     """Sequence numbers stop the host replaying a validated payload."""
     deployment, platform, split, blinder_prov = split_setup
     provision_mask(deployment, platform, split, blinder_prov, 1)
-    request = ProcessRequest(round_id=1, values=VALUES, features=FEATURES)
+    request = ProcessRequest(round_id=1, values=VALUES, features=pack_features(FEATURES))
     wire1 = split.validation.ecall("validate", request)
     split.blinding.ecall("blind", wire1)
     with pytest.raises(AuthenticationError):
@@ -158,7 +158,7 @@ def test_split_uses_three_transition_pairs(split_setup):
     provision_mask(deployment, platform, split, blinder_prov, 1)
     for enclave in (split.validation, split.blinding, split.signing):
         enclave.meter.reset()
-    request = ProcessRequest(round_id=1, values=VALUES, features=FEATURES)
+    request = ProcessRequest(round_id=1, values=VALUES, features=pack_features(FEATURES))
     split.process_contribution(request)
     ecall_cost = platform.cost_model.ecall_cycles
     assert split.transition_cycles() == 3 * ecall_cost
@@ -167,7 +167,7 @@ def test_split_uses_three_transition_pairs(split_setup):
 def test_split_unblinded_path(split_setup):
     deployment, platform, split, blinder_prov = split_setup
     request = ProcessRequest(
-        round_id=9, values=VALUES, features=FEATURES, blind=False
+        round_id=9, values=VALUES, features=pack_features(FEATURES), blind=False
     )
     signed = split.process_contribution(request)
     assert not signed.blinded
@@ -197,7 +197,7 @@ def test_split_rate_limit_uses_monotonic_counter(split_setup):
         ocall_handlers={"collect_private_data": lambda fields: PC()},
     )
     request = ProcessRequest(
-        round_id=1, values=VALUES, features=FEATURES, blind=False
+        round_id=1, values=VALUES, features=pack_features(FEATURES), blind=False
     )
     # First validation passes the rate limit...
     rated.validation.ecall("validate", request)
@@ -212,3 +212,45 @@ def test_split_rate_limit_uses_monotonic_counter(split_setup):
     )
     with pytest.raises(ValidationError):
         rated.validation.ecall("validate", request)
+
+
+@pytest.mark.parametrize(
+    "features",
+    [FEATURES, b"a\x00b\x00c", pack_features(FEATURES[:2])],
+    ids=["pairs", "odd-word-count", "other-list"],
+)
+def test_split_validation_holds_the_blob_to_its_digest(split_setup, features):
+    """The validation enclave unpacks the list itself: a blob that is not
+    bytes, does not unpack or misses the measured digest is refused."""
+    deployment, platform, split, blinder_prov = split_setup
+    request = ProcessRequest(round_id=1, values=VALUES, features=features)
+    with pytest.raises(ValidationError):
+        split.validation.ecall("validate", request)
+
+
+def test_a_claim_cannot_replace_what_the_glimmer_attaches(split_setup):
+    """Claims are merged before the Glimmer's own context fields: a host
+    that claims a fresh round and no counter on every attempt is still
+    held to the one-per-round limit."""
+    deployment, platform, split, blinder_prov = split_setup
+    config = GlimmerConfig(
+        predicate_spec="chain:range,0.0,1.0+rate,1",
+        service_identity=deployment.service_identity.public_key,
+        blinder_identity=deployment.blinder_identity.public_key,
+        features_digest=features_digest(FEATURES),
+    )
+    rated = SplitGlimmer(
+        SgxPlatform(b"claims-split-platform", attestation_service=deployment.attestation),
+        build_split_images(deployment.vendor, config),
+        ocall_handlers={"collect_private_data": lambda fields: PrivateContext()},
+    )
+
+    def request(attempt):
+        return ProcessRequest(
+            round_id=1, values=VALUES, features=pack_features(FEATURES), blind=False,
+            claims={"round_id": 100 + attempt, "counter": None, "features": FEATURES[:1]},
+        )
+
+    rated.validation.ecall("validate", request(0))
+    with pytest.raises(ValidationError, match="contribution 2 of 1"):
+        rated.validation.ecall("validate", request(1))

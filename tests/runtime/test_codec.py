@@ -112,10 +112,9 @@ SAMPLES = {
     ProcessRequest: ProcessRequest(
         round_id=7,
         values=kernels.be_doubles_to_bytes((0.5, 0.25)),
-        features=BIGRAMS,
+        features=pack_features(BIGRAMS),
         blind=False,
         party_index=2,
-        context_fields=("geo",),
         claims={"trace": b"\x01", "age": 30},
     ),
     PrivateContext: PrivateContext(

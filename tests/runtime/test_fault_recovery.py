@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.glimmer import pack_features
 from repro.crypto.drbg import HmacDrbg
 from repro.errors import NetworkError, RoundAbortedError
 from repro.experiments.common import Deployment
@@ -101,7 +102,7 @@ def test_post_sign_crash_restart_refuses_stale_checkpoint(deployment):
         deployment.engine.provision_mask(user_id, 1, index)
     # Sign (consumes the mask, bumps the signing counter), then crash
     # before submitting anything.
-    victim.contribute(1, list(vectors[victim_id]), deployment.features.bigrams)
+    victim.contribute(1, list(vectors[victim_id]), pack_features(deployment.features.bigrams))
     victim.crash()
     assert victim.crashed
     restored = victim.restart()

@@ -9,8 +9,8 @@ list goes out in round 1 and not after, a new host or a refused round gets
 it again, a list stripped or swapped in transit costs that device one
 round and nothing more, and a device first seen by the worker pool gets it
 on its first bus round.  The blob's own tests pin its first-trip size,
-its round trip, what the wire refuses, and that every host shares one
-unpacked list.
+its round trip, what the wire and the Glimmer refuse, that every host
+shares one blob, and that the engine packs a list once a round.
 """
 
 from __future__ import annotations
@@ -162,7 +162,7 @@ def test_a_list_that_misses_its_digest_is_malformed_and_not_kept():
     assert second.outcomes[victim] == OUTCOME_UNREACHABLE
     assert second.masks_repaired == 1
     endpoint = deployment.engine.client_endpoints[victim]
-    assert endpoint._features == bigrams
+    assert endpoint._features == pack_features(bigrams)
     assert endpoint._features_digest == features_digest(bigrams)
 
     deployment.network.clear_adversaries()
@@ -274,12 +274,62 @@ def test_a_blob_that_does_not_unpack_is_malformed_and_not_kept(blob, complaint):
     ]
     assert complaint in second.violations[0].detail
     assert second.outcomes[victim] == OUTCOME_UNREACHABLE
-    assert deployment.engine.client_endpoints[victim]._features == bigrams
+    assert deployment.engine.client_endpoints[victim]._features == pack_features(bigrams)
 
 
 def test_every_host_keeps_one_shared_list():
     deployment, users = _build()
     _run(deployment, 1, users)
     kept = [deployment.engine.client_endpoints[u]._features for u in users]
-    assert kept[0] == tuple(deployment.features.bigrams)
+    assert kept[0] == pack_features(deployment.features.bigrams)
     assert all(features is kept[0] for features in kept)
+
+
+@pytest.mark.parametrize(
+    "parallelism", [None, ScaleConfig(workers=2, shards=2)], ids=["bus", "pool"]
+)
+def test_the_engine_packs_and_digests_the_list_once_a_round(monkeypatch, parallelism):
+    """A round works its list out once, not once per command or pool task
+    (counted wherever the engine or the pool round could call them)."""
+    from repro.runtime import engine as engine_module
+    from repro.scale import rounds as rounds_module
+
+    calls = {"pack_features": 0, "features_digest": 0}
+    for module in (engine_module, rounds_module):
+        for name in calls:
+            real = getattr(module, name, None)
+            if real is None:
+                continue
+
+            def counted(features, _name=name, _real=real):
+                calls[_name] += 1
+                return _real(features)
+
+            monkeypatch.setattr(module, name, counted)
+    kwargs = {} if parallelism is None else {"parallelism": parallelism}
+    deployment, users = _build(**kwargs)
+    with deployment.engine:
+        for round_id in (1, 2, 3):
+            before = dict(calls)
+            report = _run(deployment, round_id, users)
+            assert set(report.outcomes.values()) == {OUTCOME_ACCEPTED}
+            assert all(calls[name] - before[name] <= 1 for name in calls), calls
+
+
+@pytest.mark.parametrize(
+    "blob, complaint",
+    BAD_BLOBS + [
+        pytest.param((("the", "cat"), ("cat", "sat")), "not packed bytes", id="pairs"),
+        pytest.param(b"", "do not hash", id="no-list"),
+    ],
+)
+def test_the_glimmer_refuses_a_blob_it_cannot_hold_to_its_digest(blob, complaint):
+    """In the enclave a feature list is a blob to check: one that is not
+    bytes, does not unpack or misses the measured digest is a
+    ``ValidationError``, and the Glimmer signs nothing."""
+    deployment, users = _build()
+    client = deployment.clients[users[0]]
+    deployment.open_round(1, users)
+    with pytest.raises(ValidationError, match=complaint):
+        client.contribute(1, [0.5] * len(deployment.features), blob)
+    assert client.glimmer.ecall("has_mask", 1, client.party_index_for(1))

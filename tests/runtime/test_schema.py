@@ -22,6 +22,7 @@ from repro.core.glimmer import (
     _decode_remote_payload,
     decode_remote_response,
     features_digest,
+    pack_features,
 )
 from repro.core.remote import AttestedOffer
 from repro.core.service import RoundResult
@@ -59,7 +60,8 @@ def _within(value):
 
 # What the bus carries and a party reads field by field: every request
 # class and what its sample holds, and the replies a party reads (the
-# §4.2 host's attestation offer among them).  The finalize reply
+# §4.2 host's attestation offer among them), and the request a §4.2
+# client sends its host's Glimmer.  The finalize reply
 # (RoundResult) is not here: the engine holds it to its own audit instead.
 CARRIED = sorted(
     {
@@ -70,6 +72,7 @@ CARRIED = sorted(
         KeyDelivery,
         MaskCommitmentSet,
         MaskOpening,
+        ProcessRequest,
     },
     key=lambda cls: cls.__qualname__,
 )
@@ -427,7 +430,9 @@ def split_link():
         platform, build_split_images(deployment.vendor, config),
         ocall_handlers={"collect_private_data": lambda fields: PrivateContext()},
     )
-    request = ProcessRequest(1, kernels.be_doubles_to_bytes((0.5,)), features, blind=False)
+    request = ProcessRequest(
+        1, kernels.be_doubles_to_bytes((0.5,)), pack_features(features), blind=False
+    )
     return split, split.validation.ecall("validate", request)
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.glimmer import pack_features
 from repro.crypto.drbg import HmacDrbg
 from repro.errors import EnclaveError, SealingError
 from repro.sgx import EnclaveImage, SgxPlatform
@@ -198,4 +199,4 @@ def test_closed_round_checkpoint_is_refused_as_stale():
     with pytest.raises(EnclaveError, match="stale"):
         silent.glimmer.ecall("restore_round", kept[-1])
     with pytest.raises(CryptoError):
-        silent.contribute(1, vectors[users[0]], features)
+        silent.contribute(1, vectors[users[0]], pack_features(features))

@@ -9,6 +9,7 @@ behave identically at real-world parameter sizes.
 import numpy as np
 import pytest
 
+from repro.core.glimmer import pack_features
 from repro.crypto.dh import OAKLEY_GROUP_1
 from repro.errors import ValidationError
 from repro.experiments.common import Deployment
@@ -28,7 +29,7 @@ def test_full_round_at_real_key_sizes(oakley_deployment):
     vectors = deployment.local_vectors()
     for user_id in user_ids:
         signed = deployment.clients[user_id].contribute(
-            1, list(vectors[user_id]), deployment.features.bigrams
+            1, list(vectors[user_id]), pack_features(deployment.features.bigrams)
         )
         assert deployment.service.submit(
             1, signed, deployment.clients[user_id].party_index_for(1)
@@ -47,5 +48,5 @@ def test_validation_still_bites_at_real_key_sizes(oakley_deployment):
         deployment.clients[user_id].contribute(
             2,
             [538.0] + [0.0] * (len(deployment.features) - 1),
-            deployment.features.bigrams,
+            pack_features(deployment.features.bigrams),
         )

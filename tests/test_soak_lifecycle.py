@@ -9,6 +9,7 @@ Each round's aggregate must stay exact over exactly the accepted cohort.
 import numpy as np
 import pytest
 
+from repro.core.glimmer import pack_features
 from repro.errors import ValidationError
 from repro.experiments.common import Deployment
 from repro.invariants import exact_mean
@@ -33,7 +34,7 @@ def run_round(deployment, round_id, participants, dropouts=(), poisoners=()):
             values[0] = 538.0
         try:
             signed = deployment.clients[user_id].contribute(
-                round_id, values, features.bigrams
+                round_id, values, pack_features(features.bigrams)
             )
         except ValidationError:
             continue
@@ -90,7 +91,7 @@ def test_rounds_do_not_interfere(deployment):
     deployment.open_round(10, user_ids[:2])
     deployment.open_round(11, user_ids[:2])
     signed = deployment.clients[user_ids[0]].contribute(
-        10, list(vectors[user_ids[0]]), deployment.features.bigrams
+        10, list(vectors[user_ids[0]]), pack_features(deployment.features.bigrams)
     )
     assert not deployment.service.submit(11, signed, 0)
     assert deployment.service.submit(10, signed, 0)
