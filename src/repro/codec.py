@@ -318,6 +318,16 @@ def blamed(check: "Check | type | None") -> Callable[[str, "int | None", str, An
     return run
 
 
+def complaint(cls: type, value: Any) -> str | None:
+    """What keeps the in-memory ``value`` from being a registered ``cls``
+    as :func:`decode` would build it: another type, or a field failing its
+    declared check.  ``None`` when it is one."""
+    if type(value) is not cls:
+        return f"must be {cls.__qualname__}, not {type(value).__name__}"
+    tag, getter = _BY_CLASS[cls]
+    return _complaint(cls, _BY_TAG[int.from_bytes(tag, "big")][2], getter(value))
+
+
 def _complaint(cls: type, schema: tuple, items) -> str | None:
     """The first of ``items`` to fail its declared check, named."""
     for index, name, check in schema:

@@ -45,8 +45,8 @@ class BlindingComponent:
     delivered: packed big-endian u64 words.
     """
 
-    def __init__(self, codec: FixedPointCodec | None = None) -> None:
-        self.codec = codec or FixedPointCodec()
+    def __init__(self) -> None:
+        self.codec = FixedPointCodec()
         self._masks: dict[tuple[int, int], bytes] = {}
         self._seen_digests: dict[bytes, tuple[int, int]] = {}
 

@@ -110,10 +110,6 @@ class ConfidentialGlimmerProgram(EnclaveProgram):
             reporting_secret, self._service_identity.group
         )
 
-    @ecall
-    def has_detector(self) -> bool:
-        return self._detector is not None
-
     def _verdict_for(self, signals: SessionSignals) -> int:
         """Hook subclassed by the exfiltration adversary."""
         assert self._detector is not None

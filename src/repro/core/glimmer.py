@@ -2,8 +2,8 @@
 
 One enclave hosts the three components ("We have shown all components ...
 within a single SGX enclave, which is more efficient as there is only one
-transition in and out of the enclave"; the decomposed variant lives in
-:mod:`repro.core.split`):
+transition in and out of the enclave"; the decomposed variant in
+:mod:`repro.core.split` runs the same step classes, one per enclave):
 
 * **Validation** runs the predicate named in the *measured* config, over
   private data the Glimmer must request from the untrusted host via ocall
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import struct
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Sequence
 
@@ -389,52 +389,102 @@ class HandshakeSessions:
         )
 
 
-class GlimmerProgram(EnclaveProgram):
-    """The single-enclave Glimmer (Figure 3)."""
+class GlimmerStep(EnclaveProgram):
+    """What every Glimmer step runs on: the measured :class:`GlimmerConfig`.
+
+    The steps below are §3's components, each written once.
+    :class:`GlimmerProgram` holds all of them in one enclave; the split
+    Glimmer (:mod:`repro.core.split`) holds one per enclave.  Each
+    ``on_load`` chains through ``super()``, so an enclave holding several
+    steps decodes its config and opens its handshake table once, and
+    every step is part of the measurement of each enclave that holds it
+    (:func:`~repro.sgx.measurement.code_identity_of`).
+    """
 
     def on_load(self) -> None:
+        super().on_load()
         self._config = GlimmerConfig.decode(self.api.config)
-        self._predicate = default_registry().build(self._config.predicate_spec)
-        self._blinding = BlindingComponent()
-        self._signing: SigningComponent | None = None
+
+
+class DeliveryStep(GlimmerStep):
+    """§3's attested deliveries into this enclave: one handshake table."""
+
+    def on_load(self) -> None:
+        super().on_load()
         self._handshakes = HandshakeSessions(
             self.api, self._config.service_identity.group
         )
-
-    # ------------------------------------------------- attested provisioning
 
     @ecall
     def begin_handshake(self, session_id: bytes) -> int:
         """Start a provisioning session; returns the Glimmer's DH public value."""
         return self._handshakes.begin(session_id)
 
-    @ecall
-    def install_signing_key(self, delivery: KeyDelivery) -> bytes:
-        """Accept the service's signing key; returns a sealed backup blob.
 
-        The key is sealed to this Glimmer's measurement ("the signing key
-        ... sealed to the Glimmer code, so that it is only available to
-        instances of Glimmer enclaves") so the host can persist it without
-        being able to read it.
+class ValidateStep(GlimmerStep):
+    """§3's Validation: the measured predicate over the values and the
+    private context."""
+
+    def on_load(self) -> None:
+        super().on_load()
+        self._predicate = default_registry().build(self._config.predicate_spec)
+
+    def _validate(
+        self, request: ProcessRequest, context: PrivateContext | None = None
+    ) -> tuple[tuple[float, ...], float]:
+        """The request's values and the predicate's confidence, or a refusal.
+
+        A request failing :class:`ProcessRequest`'s declared checks is a
+        :class:`ProtocolError`, in process as after a §4.2 decode.  The
+        private context is the host's answer to the ocall, unless the
+        caller brings one (§4.2's device sends its own).  The predicate
+        reads a copy: the request's claims first, then the fields the
+        Glimmer attaches over any claim of the same name — the published
+        feature list, unpacked and held to the measured digest, the round
+        and its rollback-proof counter.
         """
-        plaintext = self._handshakes.open(
-            delivery, self._config.service_identity, SIGNING_KEY_CONTEXT
+        complaint = codec.complaint(ProcessRequest, request)
+        if complaint:
+            raise ProtocolError(f"malformed contribution request: {complaint}")
+        if context is None:
+            needed = tuple(self._predicate.required_context())
+            context = (
+                self.api.ocall("collect_private_data", needed)
+                if needed
+                else PrivateContext()
+            )
+        if not isinstance(context, PrivateContext):
+            raise ValidationError("host returned malformed private context")
+        context = replace(
+            context,
+            extra={
+                **context.extra,
+                **request.claims,
+                "features": published_features(
+                    request.features, self._config.features_digest
+                ),
+                "round_id": request.round_id,
+                "counter": self.api.monotonic_counter(
+                    f"contributions-round-{request.round_id}"
+                ),
+            },
         )
-        secret = int.from_bytes(plaintext, "big")
-        keypair = SchnorrKeyPair.from_secret(
-            secret, self._config.service_identity.group
-        )
-        self._signing = SigningComponent(keypair)
-        return self.api.seal(plaintext, policy="mrenclave")
+        values = request_values(request)
+        outcome = self._predicate.evaluate(values, context)
+        self.api.charge(outcome.cycles, "validation")
+        if not outcome.passed:
+            raise ValidationError(
+                f"{outcome.predicate_name} rejected contribution: {outcome.reason}"
+            )
+        return values, outcome.confidence
 
-    @ecall
-    def restore_signing_key(self, sealed_blob: bytes) -> None:
-        """Reload a previously sealed signing key (after enclave restart)."""
-        plaintext = self.api.unseal(sealed_blob)
-        secret = int.from_bytes(plaintext, "big")
-        self._signing = SigningComponent(
-            SchnorrKeyPair.from_secret(secret, self._config.service_identity.group)
-        )
+
+class BlindStep(DeliveryStep):
+    """§3's Blinding: the round masks, delivered, checked and consumed."""
+
+    def on_load(self) -> None:
+        super().on_load()
+        self._blinding = BlindingComponent()
 
     @ecall
     def install_blinding_mask(
@@ -479,6 +529,96 @@ class GlimmerProgram(EnclaveProgram):
         verify_opening(commitment, party_index, opening)
         self._blinding.install_mask(round_id, party_index, opening.mask)
 
+    def _blind(
+        self, round_id: int, party_index: int, values: Sequence[float]
+    ) -> bytes:
+        """Noise, then mask, one validated contribution; returns the
+        blinded words the signature will cover."""
+        if self._config.dp_sigma > 0.0:
+            # Distributed DP (Gaussian mechanism): each Glimmer adds
+            # noise before blinding, so the *aggregate* — the only thing
+            # the service ever sees — carries calibrated noise even if
+            # the service is curious.  The noise is enclave-private.
+            values = tuple(
+                v + self.api.rng.gauss(0.0, self._config.dp_sigma) for v in values
+            )
+            self.api.charge(40 * len(values), "dp-noise")
+        ring_payload = self._blinding.blind(round_id, party_index, values)
+        # Record the signing in a platform counter *before* the signed
+        # contribution leaves the enclave.  The counter never blocks
+        # (repeat signings with fresh masks are legitimate — E15's
+        # flooding arm depends on that); it exists so restore_round can
+        # refuse a checkpoint older than the last signing, which is
+        # what stops a rolled-back enclave from re-signing a consumed
+        # mask and double-submitting.
+        self.api.monotonic_counter(f"blind-signings-round-{round_id}").increment()
+        self.api.charge_aead(len(ring_payload))
+        return ring_payload
+
+
+class SignStep(DeliveryStep):
+    """§3's Signing: the service's key, delivered or restored, endorsing."""
+
+    def on_load(self) -> None:
+        super().on_load()
+        self._signing: SigningComponent | None = None
+
+    @ecall
+    def install_signing_key(self, delivery: KeyDelivery) -> bytes:
+        """Accept the service's signing key; returns a sealed backup blob.
+
+        The key is sealed to this Glimmer's measurement ("the signing key
+        ... sealed to the Glimmer code, so that it is only available to
+        instances of Glimmer enclaves") so the host can persist it without
+        being able to read it.
+        """
+        plaintext = self._handshakes.open(
+            delivery, self._config.service_identity, SIGNING_KEY_CONTEXT
+        )
+        self._hold_signing_key(plaintext)
+        return self.api.seal(plaintext, policy="mrenclave")
+
+    @ecall
+    def restore_signing_key(self, sealed_blob: bytes) -> None:
+        """Reload a previously sealed signing key (after enclave restart)."""
+        self._hold_signing_key(self.api.unseal(sealed_blob))
+
+    def _hold_signing_key(self, secret: bytes) -> None:
+        self._signing = SigningComponent(
+            SchnorrKeyPair.from_secret(
+                int.from_bytes(secret, "big"), self._config.service_identity.group
+            )
+        )
+
+    def _signer(self) -> SigningComponent:
+        if self._signing is None:
+            raise ProtocolError("signing key not provisioned")
+        return self._signing
+
+    def _endorse(
+        self,
+        round_id: int,
+        nonce: bytes,
+        ring_payload: bytes | None,
+        plain_payload: bytes | None,
+        confidence: float,
+    ) -> SignedContribution:
+        """Sign a validated payload: the blinded words, or (for an
+        unblinded request) the packed values."""
+        self.api.charge_signature()
+        return self._signer().endorse(
+            round_id=round_id,
+            nonce=nonce,
+            blinded=ring_payload is not None,
+            ring_payload=ring_payload,
+            plain_payload=plain_payload,
+            confidence=confidence,
+        )
+
+
+class GlimmerProgram(ValidateStep, BlindStep, SignStep):
+    """The single-enclave Glimmer (Figure 3): every step, one enclave."""
+
     # --------------------------------------------------------- the main path
 
     @ecall
@@ -489,8 +629,7 @@ class GlimmerProgram(EnclaveProgram):
         (Input Confidentiality); the signature is issued only on a passing
         validation (Input Integrity).
         """
-        context = self._collect_context(request)
-        return self._process_with_context(request, context)
+        return self._process(request)
 
     @ecall
     def process_remote(
@@ -512,106 +651,23 @@ class GlimmerProgram(EnclaveProgram):
         plaintext = cipher.decrypt(
             SealedBox.from_bytes(ciphertext), associated_data=session_id
         )
-        request, context = _decode_remote_payload(plaintext)
-        self._prepare_context(request, context)
-        signed = self._process_with_context(request, context)
-        response = _encode_remote_response(signed)
+        response = codec.encode(self._process(*_decode_remote_payload(plaintext)))
         self.api.charge_aead(len(response))
         nonce = self.api.rng.generate(16)
         return cipher.encrypt(
             nonce, response, associated_data=session_id + b":response"
         ).to_bytes()
 
-    def _process_with_context(
-        self, request: ProcessRequest, context: PrivateContext
+    def _process(
+        self, request: ProcessRequest, context: PrivateContext | None = None
     ) -> SignedContribution:
-        if self._signing is None:
-            raise ProtocolError("signing key not provisioned")
-        values = request_values(request)
-        outcome = self._predicate.evaluate(values, context)
-        self.api.charge(outcome.cycles, "validation")
-        if not outcome.passed:
-            raise ValidationError(
-                f"{outcome.predicate_name} rejected contribution: {outcome.reason}"
-            )
+        self._signer()  # no key, no ocall for private data
+        values, confidence = self._validate(request, context)
         nonce = self.api.rng.generate(16)
-        if request.blind:
-            if self._config.dp_sigma > 0.0:
-                # Distributed DP (Gaussian mechanism): each Glimmer adds
-                # noise before blinding, so the *aggregate* — the only thing
-                # the service ever sees — carries calibrated noise even if
-                # the service is curious.  The noise is enclave-private.
-                values = tuple(
-                    v + self.api.rng.gauss(0.0, self._config.dp_sigma)
-                    for v in values
-                )
-                self.api.charge(40 * len(values), "dp-noise")
-            ring_payload = self._blinding.blind(
-                request.round_id, request.party_index, values
-            )
-            # Record the signing in a platform counter *before* the signed
-            # contribution leaves the enclave.  The counter never blocks
-            # (repeat signings with fresh masks are legitimate — E15's
-            # flooding arm depends on that); it exists so restore_round can
-            # refuse a checkpoint older than the last signing, which is
-            # what stops a rolled-back enclave from re-signing a consumed
-            # mask and double-submitting.
-            self.api.monotonic_counter(
-                f"blind-signings-round-{request.round_id}"
-            ).increment()
-            self.api.charge_aead(len(ring_payload))
-            self.api.charge_signature()
-            return self._signing.endorse(
-                round_id=request.round_id,
-                nonce=nonce,
-                blinded=True,
-                ring_payload=ring_payload,
-                plain_payload=None,
-                confidence=outcome.confidence,
-            )
-        self.api.charge_signature()
-        return self._signing.endorse(
-            round_id=request.round_id,
-            nonce=nonce,
-            blinded=False,
-            ring_payload=None,
-            plain_payload=request.values,
-            confidence=outcome.confidence,
-        )
-
-    def _collect_context(self, request: ProcessRequest) -> PrivateContext:
-        """Ask the untrusted host for the private validation data."""
-        needed = tuple(self._predicate.required_context())
-        if needed:
-            raw = self.api.ocall("collect_private_data", needed)
-        else:
-            raw = PrivateContext()
-        if not isinstance(raw, PrivateContext):
-            raise ValidationError("host returned malformed private context")
-        context = PrivateContext(
-            sentences=raw.sentences,
-            keystroke_trace=raw.keystroke_trace,
-            geo_context=raw.geo_context,
-            shopping_context=raw.shopping_context,
-            session_signals=raw.session_signals,
-            video_stream=raw.video_stream,
-            extra=dict(raw.extra),
-        )
-        self._prepare_context(request, context)
-        return context
-
-    def _prepare_context(self, request: ProcessRequest, context: PrivateContext) -> None:
-        """Attach the Glimmer-controlled fields predicates rely on, over any
-        claim of the same name: the published feature list, unpacked and
-        held to the measured digest, the round and its counter."""
-        context.extra.update(request.claims)
-        context.extra["features"] = published_features(
-            request.features, self._config.features_digest
-        )
-        context.extra["round_id"] = request.round_id
-        context.extra["counter"] = self.api.monotonic_counter(
-            f"contributions-round-{request.round_id}"
-        )
+        if not request.blind:
+            return self._endorse(request.round_id, nonce, None, request.values, confidence)
+        ring_payload = self._blind(request.round_id, request.party_index, values)
+        return self._endorse(request.round_id, nonce, ring_payload, None, confidence)
 
     # ------------------------------------------------- crash-recoverable state
 
@@ -708,10 +764,6 @@ def _decode_remote_payload(blob: bytes) -> tuple[ProcessRequest, PrivateContext]
         return codec.decode(blob, Pair(ProcessRequest, PrivateContext))
     except ProtocolViolation as exc:
         raise ProtocolError("malformed remote contribution payload") from exc
-
-
-def _encode_remote_response(signed: SignedContribution) -> bytes:
-    return codec.encode(signed)
 
 
 def decode_remote_response(blob: bytes) -> SignedContribution:

@@ -6,7 +6,10 @@ between components must now also be secured."  This module implements that
 variant so experiment E7 can price it:
 
 * :class:`ValidationEnclaveProgram`, :class:`BlindingEnclaveProgram`, and
-  :class:`SigningEnclaveProgram` each hold one component;
+  :class:`SigningEnclaveProgram` each hold one of the single Glimmer's
+  steps (:mod:`repro.core.glimmer`) — the same code, so the same checks:
+  the blinding enclave verifies every mask's commitment opening, adds the
+  measured DP noise and advances the blind-signing counter;
 * components pair up using **local attestation**: each end binds an
   ephemeral DH value into an EREPORT, the peer verifies the report on-
   platform and checks the expected measurement, and both derive a shared
@@ -29,27 +32,21 @@ from dataclasses import dataclass
 
 from repro import codec
 from repro.codec import wire
-from repro.core.blinding import BlindingComponent
 from repro.core.glimmer import (
-    BLINDING_MASK_CONTEXT,
-    SIGNING_KEY_CONTEXT,
+    BlindStep,
     GlimmerConfig,
-    HandshakeSessions,
-    KeyDelivery,
+    GlimmerStep,
     ProcessRequest,
-    published_features,
-    request_values,
+    SignStep,
+    ValidateStep,
 )
-from repro.core.signing import SignedContribution, SigningComponent
-from repro.core.validation import PrivateContext, default_registry
+from repro.core.signing import SignedContribution
 from repro.crypto.cipher import AuthenticatedCipher, SealedBox
-from repro.crypto.commitments import decode_mask_payload
 from repro.crypto.dh import DHKeyPair
-from repro.crypto.schnorr import SchnorrKeyPair
-from repro.errors import AttestationError, ProtocolError, ValidationError
+from repro.errors import AttestationError, ProtocolError
 from repro.perf import kernels
 from repro.sgx.attestation import report_data_for
-from repro.sgx.enclave import EnclaveProgram, ecall
+from repro.sgx.enclave import ecall
 from repro.sgx.measurement import EnclaveImage, VendorKey
 from repro.sgx.platform import SgxPlatform
 
@@ -63,28 +60,30 @@ class PairingOffer:
     report: object
 
 
-class _ComponentProgram(EnclaveProgram):
+class _ComponentProgram(GlimmerStep):
     """Shared pairing + secured-link machinery for split components."""
 
     def on_load(self) -> None:
+        super().on_load()
         self._link_keys: dict[str, bytes] = {}
         self._link_send_seq: dict[str, int] = {}
         self._link_recv_seq: dict[str, int] = {}
         self._pending_pairings: dict[str, DHKeyPair] = {}
 
-    def _group(self):
-        raise NotImplementedError
-
-    @ecall
-    def offer_pairing(self, link: str) -> PairingOffer:
-        """First pairing flight: fresh DH value bound into a local report."""
+    def _fresh_offer(self) -> tuple[DHKeyPair, PairingOffer]:
+        """A fresh DH value bound into a local report."""
         self.api.charge_dh()
-        keypair = DHKeyPair.generate(self._group(), self.api.rng)
-        self._pending_pairings[link] = keypair
+        keypair = DHKeyPair.generate(self._config.service_identity.group, self.api.rng)
         report = self.api.create_report(
             report_data_for(keypair.public.to_bytes(256, "big"))
         )
-        return PairingOffer(dh_public=keypair.public, report=report)
+        return keypair, PairingOffer(dh_public=keypair.public, report=report)
+
+    @ecall
+    def offer_pairing(self, link: str) -> PairingOffer:
+        """First pairing flight."""
+        self._pending_pairings[link], offer = self._fresh_offer()
+        return offer
 
     def _check_peer_offer(self, offer: PairingOffer, expected_mrenclave: bytes) -> int:
         if not self.api.verify_local_report(offer.report):
@@ -102,13 +101,9 @@ class _ComponentProgram(EnclaveProgram):
     ) -> PairingOffer:
         """Responder: verify the initiator's offer, reply with our own."""
         peer_public = self._check_peer_offer(peer_offer, expected_mrenclave)
-        self.api.charge_dh()
-        keypair = DHKeyPair.generate(self._group(), self.api.rng)
+        keypair, offer = self._fresh_offer()
         self._install_link(link, keypair, peer_public)
-        report = self.api.create_report(
-            report_data_for(keypair.public.to_bytes(256, "big"))
-        )
-        return PairingOffer(dh_public=keypair.public, report=report)
+        return offer
 
     @ecall
     def finish_pairing(
@@ -127,17 +122,19 @@ class _ComponentProgram(EnclaveProgram):
         self._link_send_seq[link] = 0
         self._link_recv_seq[link] = 0
 
-    def _link_encrypt(self, link: str, payload: object) -> bytes:
+    def _link_cipher(self, link: str, seq: int) -> tuple[AuthenticatedCipher, bytes]:
+        """The link's cipher and the associated data of its ``seq``-th blob."""
         key = self._link_keys.get(link)
         if key is None:
             raise ProtocolError(f"link {link!r} not paired")
-        seq = self._link_send_seq[link]
-        self._link_send_seq[link] = seq + 1
+        return AuthenticatedCipher(key), link.encode("utf-8") + seq.to_bytes(8, "big")
+
+    def _link_encrypt(self, link: str, payload: object) -> bytes:
+        cipher, associated = self._link_cipher(link, self._link_send_seq.get(link, 0))
+        self._link_send_seq[link] += 1
         blob = codec.encode(payload)
         self.api.charge_aead(len(blob))
-        cipher = AuthenticatedCipher(key)
         nonce = self.api.rng.generate(16)
-        associated = link.encode("utf-8") + seq.to_bytes(8, "big")
         return cipher.encrypt(nonce, blob, associated_data=associated).to_bytes()
 
     def _link_decrypt(self, link: str, wire: bytes) -> object:
@@ -145,62 +142,21 @@ class _ComponentProgram(EnclaveProgram):
         a blob it did not seal."""
         if type(wire) is not bytes:
             raise ProtocolError(f"link {link!r} carries bytes, not {type(wire).__name__}")
-        key = self._link_keys.get(link)
-        if key is None:
-            raise ProtocolError(f"link {link!r} not paired")
-        seq = self._link_recv_seq[link]
-        cipher = AuthenticatedCipher(key)
-        associated = link.encode("utf-8") + seq.to_bytes(8, "big")
+        seq = self._link_recv_seq.get(link, 0)
+        cipher, associated = self._link_cipher(link, seq)
         self.api.charge_aead(len(wire))
         blob = cipher.decrypt(SealedBox.from_bytes(wire), associated_data=associated)
         self._link_recv_seq[link] = seq + 1
         return codec.decode(blob)
 
 
-class ValidationEnclaveProgram(_ComponentProgram):
-    """Component 1: runs the measured predicate, emits a sealed verdict."""
-
-    def on_load(self) -> None:
-        super().on_load()
-        self._config = GlimmerConfig.decode(self.api.config)
-        self._predicate = default_registry().build(self._config.predicate_spec)
-
-    def _group(self):
-        return self._config.service_identity.group
+class ValidationEnclaveProgram(ValidateStep, _ComponentProgram):
+    """Component 1: the validate step; its verdict goes on to blinding."""
 
     @ecall
     def validate(self, request: ProcessRequest) -> bytes:
         """Validate and forward (values, confidence) to the blinding enclave."""
-        features = published_features(request.features, self._config.features_digest)
-        needed = tuple(self._predicate.required_context())
-        raw = (
-            self.api.ocall("collect_private_data", needed) if needed else PrivateContext()
-        )
-        if not isinstance(raw, PrivateContext):
-            raise ValidationError("host returned malformed private context")
-        context = PrivateContext(
-            sentences=raw.sentences,
-            keystroke_trace=raw.keystroke_trace,
-            geo_context=raw.geo_context,
-            shopping_context=raw.shopping_context,
-            session_signals=raw.session_signals,
-            video_stream=raw.video_stream,
-            extra=dict(raw.extra),
-        )
-        context.extra.update(request.claims)
-        context.extra["features"] = features
-        context.extra["round_id"] = request.round_id
-        # Same rollback-proof counter wiring as the single-enclave Glimmer,
-        # so rate-limit predicates survive validation-enclave restarts.
-        context.extra["counter"] = self.api.monotonic_counter(
-            f"contributions-round-{request.round_id}"
-        )
-        outcome = self._predicate.evaluate(request_values(request), context)
-        self.api.charge(outcome.cycles, "validation")
-        if not outcome.passed:
-            raise ValidationError(
-                f"{outcome.predicate_name} rejected contribution: {outcome.reason}"
-            )
+        __, confidence = self._validate(request)
         return self._link_encrypt(
             "validation-blinding",
             {
@@ -208,109 +164,50 @@ class ValidationEnclaveProgram(_ComponentProgram):
                 "party_index": request.party_index,
                 "values": request.values,
                 "blind": request.blind,
-                "confidence": outcome.confidence,
+                "confidence": confidence,
             },
         )
 
 
-class BlindingEnclaveProgram(_ComponentProgram):
-    """Component 2: holds round masks, blinds validated values."""
-
-    def on_load(self) -> None:
-        super().on_load()
-        self._config = GlimmerConfig.decode(self.api.config)
-        self._blinding = BlindingComponent()
-        self._handshakes = HandshakeSessions(self.api, self._group())
-
-    def _group(self):
-        return self._config.blinder_identity.group
-
-    @ecall
-    def begin_handshake(self, session_id: bytes) -> int:
-        return self._handshakes.begin(session_id)
-
-    @ecall
-    def install_blinding_mask(
-        self, round_id: int, party_index: int, delivery: KeyDelivery
-    ) -> None:
-        plaintext = self._handshakes.open(
-            delivery,
-            self._config.blinder_identity,
-            BLINDING_MASK_CONTEXT,
-            (round_id, party_index),
-        )
-        opening = decode_mask_payload(plaintext)
-        self._blinding.install_mask(round_id, party_index, opening.mask)
+class BlindingEnclaveProgram(BlindStep, _ComponentProgram):
+    """Component 2: the blind step, over what validation forwarded."""
 
     @ecall
     def blind(self, wire: bytes) -> bytes:
         """Decrypt the validated payload, blind it, forward to signing."""
         payload = self._link_decrypt("validation-blinding", wire)
+        ring_payload = None
         if payload["blind"]:
-            ring = self._blinding.blind(
+            ring_payload = self._blind(
                 payload["round_id"],
                 payload["party_index"],
                 kernels.be_doubles(payload["values"]).tolist(),
             )
-            forward = {
+        return self._link_encrypt(
+            "blinding-signing",
+            {
                 "round_id": payload["round_id"],
-                "blinded": True,
-                "ring_payload": ring,
-                "plain_payload": None,
+                "ring_payload": ring_payload,
+                "plain_payload": None if payload["blind"] else payload["values"],
                 "confidence": payload["confidence"],
-            }
-        else:
-            forward = {
-                "round_id": payload["round_id"],
-                "blinded": False,
-                "ring_payload": None,
-                "plain_payload": payload["values"],
-                "confidence": payload["confidence"],
-            }
-        return self._link_encrypt("blinding-signing", forward)
-
-
-class SigningEnclaveProgram(_ComponentProgram):
-    """Component 3: holds the service signing key, endorses blinded payloads."""
-
-    def on_load(self) -> None:
-        super().on_load()
-        self._config = GlimmerConfig.decode(self.api.config)
-        self._signing: SigningComponent | None = None
-        self._handshakes = HandshakeSessions(self.api, self._group())
-
-    def _group(self):
-        return self._config.service_identity.group
-
-    @ecall
-    def begin_handshake(self, session_id: bytes) -> int:
-        return self._handshakes.begin(session_id)
-
-    @ecall
-    def install_signing_key(self, delivery: KeyDelivery) -> bytes:
-        plaintext = self._handshakes.open(
-            delivery, self._config.service_identity, SIGNING_KEY_CONTEXT
+            },
         )
-        secret = int.from_bytes(plaintext, "big")
-        self._signing = SigningComponent(
-            SchnorrKeyPair.from_secret(secret, self._config.service_identity.group)
-        )
-        return self.api.seal(plaintext, policy="mrenclave")
+
+
+class SigningEnclaveProgram(SignStep, _ComponentProgram):
+    """Component 3: the sign step, over what blinding forwarded."""
 
     @ecall
     def sign(self, wire: bytes) -> SignedContribution:
         """Decrypt the blinded payload and endorse it."""
-        if self._signing is None:
-            raise ProtocolError("signing key not provisioned")
+        self._signer()
         payload = self._link_decrypt("blinding-signing", wire)
-        self.api.charge_signature()
-        return self._signing.endorse(
-            round_id=payload["round_id"],
-            nonce=self.api.rng.generate(16),
-            blinded=payload["blinded"],
-            ring_payload=payload["ring_payload"],
-            plain_payload=payload["plain_payload"],
-            confidence=payload["confidence"],
+        return self._endorse(
+            payload["round_id"],
+            self.api.rng.generate(16),
+            payload["ring_payload"],
+            payload["plain_payload"],
+            payload["confidence"],
         )
 
 

@@ -83,6 +83,7 @@ def _provision_split(deployment: Deployment, split: SplitGlimmer, platform, roun
         round_id,
         0,
         blinder_prov.provision_mask(*offer, round_id, 0),
+        blinder_prov.round_commitments(round_id).record_for(0),
     )
     return blinder_prov
 

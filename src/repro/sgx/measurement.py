@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field
+from functools import cache
 
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.hashing import hash_items
 from repro.crypto.schnorr import SchnorrKeyPair, SchnorrPublicKey, SchnorrSignature
 from repro.errors import ConfigurationError, EnclaveError
+from repro.sgx.enclave import EnclaveProgram
 
 
 def _image_payload(
@@ -40,18 +42,29 @@ def _image_payload(
     )
 
 
+@cache
 def code_identity_of(program_class: type) -> bytes:
     """Canonical byte identity of an enclave program's code.
 
-    Uses the class source when available (so editing the code changes the
-    measurement, which is the property tamper experiments need) and falls
-    back to the qualified name for dynamically generated classes.
+    The source of every class in the program's MRO below
+    :class:`~repro.sgx.enclave.EnclaveProgram`, in MRO order, so editing
+    any code the program runs — a shared step or base included — changes
+    the measurement (the property tamper experiments need).  A class with
+    no source (dynamically generated) contributes its qualified name.
+    Memoised per class: ``inspect.getsource`` parses the class's whole
+    module on every call, and a class's source is fixed once imported.
     """
-    try:
-        source = inspect.getsource(program_class)
-    except (OSError, TypeError):
-        source = program_class.__qualname__
-    return source.encode("utf-8")
+    measured = [
+        cls for cls in program_class.__mro__
+        if issubclass(cls, EnclaveProgram) and cls is not EnclaveProgram
+    ] or [program_class]
+    parts = []
+    for cls in measured:
+        try:
+            parts.append(inspect.getsource(cls))
+        except (OSError, TypeError):
+            parts.append(cls.__qualname__)
+    return "".join(parts).encode("utf-8")
 
 
 @dataclass(frozen=True)

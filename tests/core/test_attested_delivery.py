@@ -94,7 +94,10 @@ def _split_blinding(deployment):
         enclave,
         provisioner,
         lambda n, *request: provisioner.provision_mask(*request, n, 0),
-        lambda n, delivery: enclave.ecall("install_blinding_mask", n, 0, delivery),
+        lambda n, delivery: enclave.ecall(
+            "install_blinding_mask", n, 0, delivery,
+            provisioner.round_commitments(n).record_for(0),
+        ),
     )
 
 
@@ -149,10 +152,9 @@ def test_second_delivery_to_a_platform_resumes(variant):
     # built on; what is left in session is the AEAD alone.
     extra = full - resumed - 2 * costs.dh_cycles
     assert 0 <= extra <= 512 * costs.hash_cycles_per_byte
-    # The Glimmer checks every mask's opening, full or in session, at the
-    # price of a signature; the split blinding component checks none.
-    opening_check = costs.signature_cycles if variant is _glimmer else 0
-    assert 0 < resumed - opening_check < costs.dh_cycles
+    # Both check every mask's opening, full or in session, at the price
+    # of a signature: the split blinding component runs the same step.
+    assert 0 < resumed - costs.signature_cycles < costs.dh_cycles
     counters = provisioner.sessions.counters()
     assert (counters["full_verifications"], counters["resumed"]) == (1, 1)
 

@@ -111,7 +111,7 @@ def test_digest_covers_only_packed_payloads(payload):
 
 def test_blinding_component_roundtrip():
     codec = FixedPointCodec()
-    component = BlindingComponent(codec)
+    component = BlindingComponent()
     masks = SumZeroMasks.sample(2, 3, HmacDrbg(b"bl"))
     component.install_mask(7, 0, masks.mask_for(0))
     blinded = component.blind(7, 0, [0.5, -0.25, 1.0])

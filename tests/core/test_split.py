@@ -1,13 +1,23 @@
 """Tests for the decomposed (three-enclave) Glimmer."""
 
+from dataclasses import replace
+from functools import partial
+
 import pytest
 
+from repro.byzantine import ATTACK_BLINDER_TAMPER_DELIVERY, LyingBlinder
 from repro.core.glimmer import GlimmerConfig, ProcessRequest, features_digest, pack_features
 from repro.core.provisioning import BlinderProvisioner, ServiceProvisioner
 from repro.core.split import SplitGlimmer, build_split_images
 from repro.core.validation import PrivateContext
 from repro.crypto.masking import BlindingService, remove_mask
-from repro.errors import AttestationError, AuthenticationError, ValidationError
+from repro.errors import (
+    AttestationError,
+    AuthenticationError,
+    MaskVerificationError,
+    ProtocolError,
+    ValidationError,
+)
 from repro.experiments.common import Deployment
 from repro.perf import kernels
 from repro.sgx.attestation import report_data_for
@@ -18,7 +28,9 @@ VALUES = kernels.be_doubles_to_bytes((0.5, 0.25, 1.0))
 
 
 @pytest.fixture
-def split_setup():
+def split_setup(request):
+    """A paired split Glimmer with its signing key; ``dp_sigma`` is the
+    fixture's indirect parameter (0 without one)."""
     deployment = Deployment.build(
         num_users=1, seed=b"split-tests", provision_clients=False
     )
@@ -27,6 +39,7 @@ def split_setup():
         service_identity=deployment.service_identity.public_key,
         blinder_identity=deployment.blinder_identity.public_key,
         features_digest=features_digest(FEATURES),
+        dp_sigma=getattr(request, "param", 0.0),
     )
     images = build_split_images(deployment.vendor, config)
     platform = SgxPlatform(b"split-platform", attestation_service=deployment.attestation)
@@ -72,6 +85,7 @@ def provision_mask(deployment, platform, split, blinder_prov, round_id):
         round_id,
         0,
         blinder_prov.provision_mask(session, public, quote, round_id, 0),
+        blinder_prov.round_commitments(round_id).record_for(0),
     )
 
 
@@ -220,11 +234,13 @@ def test_split_rate_limit_uses_monotonic_counter(split_setup):
     ids=["pairs", "odd-word-count", "other-list"],
 )
 def test_split_validation_holds_the_blob_to_its_digest(split_setup, features):
-    """The validation enclave unpacks the list itself: a blob that is not
-    bytes, does not unpack or misses the measured digest is refused."""
+    """The validation enclave unpacks the list itself: a list that is not
+    bytes fails the request's declared checks (``ProtocolError``), and a
+    blob that does not unpack or misses the measured digest is refused."""
     deployment, platform, split, blinder_prov = split_setup
     request = ProcessRequest(round_id=1, values=VALUES, features=features)
-    with pytest.raises(ValidationError):
+    refusal = ValidationError if type(features) is bytes else ProtocolError
+    with pytest.raises(refusal):
         split.validation.ecall("validate", request)
 
 
@@ -254,3 +270,82 @@ def test_a_claim_cannot_replace_what_the_glimmer_attaches(split_setup):
     rated.validation.ecall("validate", request(0))
     with pytest.raises(ValidationError, match="contribution 2 of 1"):
         rated.validation.ecall("validate", request(1))
+
+
+def test_split_install_refuses_a_tampered_delivery(split_setup):
+    """The split blinding enclave runs the single Glimmer's install: a
+    delivered mask that does not open the slot's commitment is refused."""
+    deployment, platform, split, blinder_prov = split_setup
+    liar = LyingBlinder(blinder_prov, ATTACK_BLINDER_TAMPER_DELIVERY)
+    with pytest.raises(MaskVerificationError):
+        provision_mask(deployment, platform, split, liar, 1)
+    assert liar.lies_told == 1
+
+
+@pytest.mark.parametrize("split_setup", [0.25], indirect=True)
+def test_split_adds_the_measured_dp_noise(split_setup):
+    """``dp_sigma`` is part of every component's config; the blinding
+    enclave's step adds the noise before the mask."""
+    deployment, platform, split, blinder_prov = split_setup
+    provision_mask(deployment, platform, split, blinder_prov, 1)
+    signed = split.process_contribution(
+        ProcessRequest(round_id=1, values=VALUES, features=pack_features(FEATURES))
+    )
+    noised = deployment.codec.decode(
+        remove_mask(signed.ring_payload, blinder_prov.blinding.mask_for(1, 0))
+    )
+    assert list(noised) != pytest.approx([0.5, 0.25, 1.0])
+
+
+MISTYPED = [
+    pytest.param({"features": 5}, id="features-int"),
+    pytest.param({"round_id": "x"}, id="round-id-str"),
+    pytest.param({"party_index": "0"}, id="party-index-str"),
+    pytest.param({"claims": 5}, id="claims-int"),
+    pytest.param({"blind": "yes"}, id="blind-str"),
+]
+
+
+def _single_entry():
+    """The single Glimmer's ecall, and an honest request it would sign."""
+    deployment = Deployment.build(num_users=2, seed=b"mistyped", sentences_per_user=10)
+    user_id = deployment.corpus.users[0].user_id
+    deployment.open_round(1, [user_id])
+    client = deployment.clients[user_id]
+    honest = ProcessRequest(
+        round_id=1,
+        values=kernels.be_doubles_to_bytes([0.5] * len(deployment.features)),
+        features=pack_features(deployment.features.bigrams),
+        party_index=client.party_index_for(1),
+    )
+    return partial(client.glimmer.ecall, "process_contribution"), honest
+
+
+def _split_entry():
+    """The split validation enclave's ecall, and an honest request."""
+    deployment = Deployment.build(num_users=1, seed=b"mistyped", provision_clients=False)
+    config = GlimmerConfig(
+        predicate_spec="range:0.0:1.0",
+        service_identity=deployment.service_identity.public_key,
+        blinder_identity=deployment.blinder_identity.public_key,
+        features_digest=features_digest(FEATURES),
+    )
+    split = SplitGlimmer(
+        SgxPlatform(b"mistyped-split", attestation_service=deployment.attestation),
+        build_split_images(deployment.vendor, config),
+        ocall_handlers={"collect_private_data": lambda fields: PrivateContext()},
+    )
+    honest = ProcessRequest(round_id=1, values=VALUES, features=pack_features(FEATURES))
+    return partial(split.validation.ecall, "validate"), honest
+
+
+@pytest.mark.parametrize("mistyped", MISTYPED)
+@pytest.mark.parametrize("entry", [_single_entry, _split_entry], ids=["single", "split"])
+def test_a_mistyped_request_is_a_protocol_error(entry, mistyped):
+    """Both Glimmers hold an in-process request to ProcessRequest's
+    declared checks, as a §4.2 decode does: one mistyped field is a
+    ProtocolError, never a crash deeper in, and never a signature."""
+    call, honest = entry()
+    with pytest.raises(ProtocolError, match="malformed contribution request"):
+        call(replace(honest, **mistyped))
+    call(honest)  # the refusal took nothing: not the mask, not the round's count

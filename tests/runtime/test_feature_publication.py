@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.glimmer import features_digest, pack_features, unpack_features
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.hashing import hash_items
-from repro.errors import ProtocolViolation, ValidationError
+from repro.errors import ProtocolError, ProtocolViolation, ValidationError
 from repro.experiments.common import Deployment
 from repro.federated.model import FeatureSpace
 from repro.invariants import exact_mean, judge
@@ -319,17 +319,19 @@ def test_the_engine_packs_and_digests_the_list_once_a_round(monkeypatch, paralle
 @pytest.mark.parametrize(
     "blob, complaint",
     BAD_BLOBS + [
-        pytest.param((("the", "cat"), ("cat", "sat")), "not packed bytes", id="pairs"),
+        pytest.param((("the", "cat"), ("cat", "sat")), "must be bytes, not tuple", id="pairs"),
         pytest.param(b"", "do not hash", id="no-list"),
     ],
 )
 def test_the_glimmer_refuses_a_blob_it_cannot_hold_to_its_digest(blob, complaint):
     """In the enclave a feature list is a blob to check: one that is not
-    bytes, does not unpack or misses the measured digest is a
+    bytes fails the request's declared checks (``ProtocolError``), one
+    that does not unpack or misses the measured digest is a
     ``ValidationError``, and the Glimmer signs nothing."""
     deployment, users = _build()
     client = deployment.clients[users[0]]
     deployment.open_round(1, users)
-    with pytest.raises(ValidationError, match=complaint):
+    refusal = ValidationError if type(blob) is bytes else ProtocolError
+    with pytest.raises(refusal, match=complaint):
         client.contribute(1, [0.5] * len(deployment.features), blob)
     assert client.glimmer.ecall("has_mask", 1, client.party_index_for(1))

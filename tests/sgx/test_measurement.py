@@ -1,7 +1,10 @@
 """Tests for enclave images and measurement."""
 
+import inspect
+
 import pytest
 
+from repro.core.split import ValidationEnclaveProgram, _ComponentProgram
 from repro.crypto.drbg import HmacDrbg
 from repro.errors import ConfigurationError, EnclaveError
 from repro.sgx import EnclaveImage, EnclaveProgram, VendorKey, ecall
@@ -91,6 +94,16 @@ def test_invalid_build_parameters(vendor):
 def test_code_identity_uses_source():
     identity = code_identity_of(CounterProgram)
     assert b"increment" in identity
+
+
+def test_code_identity_covers_inherited_code():
+    """A split enclave's measurement covers the pairing and link code and
+    the Glimmer step it inherits, not only its own class body."""
+    identity = code_identity_of(ValidationEnclaveProgram)
+    assert inspect.getsource(_ComponentProgram).encode() in identity
+    from repro.core.glimmer import ValidateStep
+
+    assert inspect.getsource(ValidateStep).encode() in identity
 
 
 def test_rebuilt_with_overrides(vendor, image):
