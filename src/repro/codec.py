@@ -1,4 +1,5 @@
-"""One wire codec: self-describing, tagged binary frames.
+"""One wire codec: binary frames, tagged where a declaration does not
+already say what a field holds.
 
 Everything that crosses a boundary — a bus message, an ecall argument, a
 sealed checkpoint, a §4.2 remote request, a split-enclave link — is
@@ -20,8 +21,22 @@ Framing (big-endian throughout):
 * a registered dataclass is its 2-byte tag (high bit set, so its first
   byte is its type tag) followed by its fields in declaration order.
 
-Sizes follow the shape, not the value: a packed vector and every int
-below ``2**63`` in magnitude encode to a length their value cannot move.
+A field whose declared check has a width is spelled at that width, with
+no tag of its own: ``Int(lo, hi)`` with ``0 <= lo`` as a u32 when
+``hi < 2**32`` and a u64 when ``hi < 2**64``; ``Bytes(n)`` as its ``n``
+bytes; ``Bytes()``, ``Packed``, ``Is(bytes)`` and ``Is(str)`` as a u32
+length and the bytes; ``Bool`` as one byte; ``Is(<registered class>)``
+as that class's fields, with no class tag; ``Optional(x)`` of any of
+these behind a presence byte.  Every other field is a tagged value as
+above.  A registered object with a field its declared width cannot
+spell (only a Byzantine or mistyped value) travels instead under its
+class's second tag, :data:`LOOSE` above the first, every field a tagged
+value: ``encode`` spells anything it could before, and ``decode`` reads
+both forms and runs the same checks on either.
+
+Sizes follow the shape, not the value: a packed vector, every declared
+field that fits its declaration and every int below ``2**63`` in
+magnitude encode to a length their value cannot move.
 :func:`decode` refuses an unknown tag, a truncated buffer, trailing
 bytes, and anything a registered class refuses to be built from, always
 with :class:`~repro.errors.ProtocolViolation`.
@@ -61,8 +76,11 @@ LIST = 0x0B
 DICT = 0x0C
 F64_ARRAY = 0x0D
 DATACLASS_MIN = 0x8000
-"""Registered dataclass tags are ``0x8000``–``0xFFFF``: their first byte
+"""Registered dataclass tags are ``0x8000``–``0xBFFF``: their first byte
 is ``>= 0x80``, which no builtin tag uses."""
+LOOSE = 0x4000
+"""Added to a class's tag for the frame of an object that does not fit its
+declared widths (``0xC000``–``0xFFFF``)."""
 
 MAX_DEPTH = 64
 """Nesting a frame may use; deeper is refused, never a RecursionError."""
@@ -73,14 +91,13 @@ _HEAD = struct.Struct(">BI")  # tag + u32 length / count
 _INT = struct.Struct(">Bq")
 _FLOAT = struct.Struct(">Bd")
 _U32 = struct.Struct(">I")
+_U64 = struct.Struct(">Q")
 _Q = struct.Struct(">q")
 _D = struct.Struct(">d")
 _BE_F64 = np.dtype(">f8")
 
-# class -> (2-byte tag, field getter); tag -> (class, field count, checks),
-# the checks as (field index, field name, check)
-_BY_CLASS: dict[type, tuple[bytes, Callable[[Any], tuple]]] = {}
-_BY_TAG: dict[int, tuple[type, int, tuple]] = {}
+_BY_CLASS: dict[type, "_Layout"] = {}
+_BY_TAG: dict[int, "_Layout"] = {}
 
 
 def wire(tag: int, **checks: "Check | type") -> Callable[[type], type]:
@@ -92,10 +109,12 @@ def wire(tag: int, **checks: "Check | type") -> Callable[[type], type]:
     tag names one class for good: frames outlive processes (sealed
     checkpoints), so renumbering one breaks every blob that used it.
     ``checks`` maps fields to checks below, or to the registered class a
-    field must hold exactly; a field without one is unchecked.
+    field must hold exactly; a field without one is unchecked.  A field
+    whose check has a width is spelled at it (see the module docstring),
+    so a class's declarations are part of its frame as much as its tag.
     """
-    if not DATACLASS_MIN <= tag <= 0xFFFF:
-        raise ValueError(f"dataclass tag {tag:#x} outside [0x8000, 0xFFFF]")
+    if not DATACLASS_MIN <= tag < DATACLASS_MIN + LOOSE:
+        raise ValueError(f"dataclass tag {tag:#x} outside [0x8000, 0xBFFF]")
 
     def register(cls: type) -> type:
         names = tuple(f.name for f in fields(cls))
@@ -103,16 +122,10 @@ def wire(tag: int, **checks: "Check | type") -> Callable[[type], type]:
             raise TypeError(f"{cls.__qualname__} has a field __init__ does not take")
         if tag in _BY_TAG or cls in _BY_CLASS:
             raise ValueError(f"wire tag {tag:#x} or class {cls.__qualname__} taken")
-        getter = (
-            attrgetter(*names)
-            if len(names) > 1
-            else lambda value: tuple(getattr(value, name) for name in names)
-        )
-        schema = tuple((i, n, _checker(checks[n])) for i, n in enumerate(names) if n in checks)
-        if len(schema) != len(checks):
+        declared = {name: _checker(check) for name, check in checks.items()}
+        if not declared.keys() <= set(names):
             raise TypeError(f"{cls.__qualname__} lacks a field {sorted(checks)} names")
-        _BY_CLASS[cls] = (tag.to_bytes(2, "big"), getter)
-        _BY_TAG[tag] = (cls, len(names), schema)
+        _BY_CLASS[cls] = _BY_TAG[tag] = _Layout(cls, tag, names, declared)
         return cls
 
     return register
@@ -120,7 +133,14 @@ def wire(tag: int, **checks: "Check | type") -> Callable[[type], type]:
 
 def registered() -> dict[int, type]:
     """Every registered dataclass, by tag."""
-    return {tag: entry[0] for tag, entry in _BY_TAG.items()}
+    return {tag: layout.cls for tag, layout in _BY_TAG.items()}
+
+
+def declared(cls: type) -> dict[str, "Check"]:
+    """The check each field of the registered ``cls`` declares, by field
+    name; a field without one is absent."""
+    layout = _BY_CLASS[cls]
+    return {name: check for __, name, check in layout.schema}
 
 
 # ------------------------------------------------------------------ checks
@@ -131,6 +151,8 @@ def registered() -> dict[int, type]:
 # a check has them, not a Python call per item.
 # Each tests the exact type (no ``bool`` for ``int``, no ``list`` for
 # ``tuple``) and never raises.  The bounds gate absurdity, not policy.
+# ``spelling`` is how a field under the check travels: a ``(put, get)``
+# pair (see "declared widths" below), or ``None`` for a tagged value.
 
 MAX_ROUND_ID = (1 << 63) - 1
 MAX_PARTIES = 1_000_000
@@ -152,6 +174,9 @@ class Check:
                 return complaint
         return None
 
+    def spelling(self) -> "_Spelling | None":
+        return None
+
 
 class Is(Check):
     """Exactly ``kind``: a builtin, or a registered class (whose own
@@ -170,6 +195,12 @@ class Is(Check):
         if wrong:
             return f"must be {self.kind.__name__}, not {wrong.pop().__name__}"
         return None
+
+    def spelling(self) -> "_Spelling | None":
+        if self.kind in _SPELLINGS:
+            return _SPELLINGS[self.kind]
+        layout = _BY_CLASS.get(self.kind)
+        return layout and layout.inline
 
 
 def _checker(check: "Check | type | None") -> Check:
@@ -199,6 +230,13 @@ class Int(Check):
             return f"out of range [{self.lo}, {self.hi}]"
         return None
 
+    def spelling(self) -> "_Spelling | None":
+        if self.lo is None or self.lo < 0 or self.hi is None:
+            return None
+        if self.hi < 1 << 32:
+            return _AS_U32
+        return _AS_U64 if self.hi < 1 << 64 else None
+
 
 class Bytes(Check):
     """``bytes`` of exactly ``size``, or any non-empty ``bytes``."""
@@ -223,6 +261,9 @@ class Bytes(Check):
             return f"must be {self.size or 'some'} bytes, not {wrong.pop()}"
         return None
 
+    def spelling(self) -> "_Spelling":
+        return _exactly(self.size) if self.size else _SPELLINGS[bytes]
+
 
 class Packed(Check):
     """``bytes`` of one to :data:`MAX_VECTOR_LENGTH` 8-byte big-endian
@@ -242,6 +283,9 @@ class Packed(Check):
             return "holds a non-finite value"
         return None
 
+    def spelling(self) -> "_Spelling":
+        return _SPELLINGS[bytes]
+
 
 class Optional(Check):
     """``None``, or a value passing ``check``."""
@@ -253,6 +297,10 @@ class Optional(Check):
         if value is None:
             return None
         return self.check(value)
+
+    def spelling(self) -> "_Spelling | None":
+        inner = self.check.spelling()
+        return inner and _optional(inner)
 
 
 class TupleOf(Check):
@@ -324,8 +372,8 @@ def complaint(cls: type, value: Any) -> str | None:
     declared check.  ``None`` when it is one."""
     if type(value) is not cls:
         return f"must be {cls.__qualname__}, not {type(value).__name__}"
-    tag, getter = _BY_CLASS[cls]
-    return _complaint(cls, _BY_TAG[int.from_bytes(tag, "big")][2], getter(value))
+    layout = _BY_CLASS[cls]
+    return _complaint(cls, layout.schema, layout.getter(value))
 
 
 def _complaint(cls: type, schema: tuple, items) -> str | None:
@@ -335,6 +383,189 @@ def _complaint(cls: type, schema: tuple, items) -> str | None:
         if complaint:
             return f"{cls.__qualname__}.{name} {complaint}"
     return None
+
+
+# --------------------------------------------------------- declared widths
+#
+# A spelling is ``(put, get)``.  ``put(value, out, depth)`` appends the
+# value's bytes to ``out`` and returns True, or returns False (``out``
+# partly written) when the value does not fit; ``get(buf, off, depth)``
+# returns the value and the offset after it.  ``depth`` is the field's.
+
+_Spelling = tuple  # (put, get)
+
+
+def _put_tagged(value: Any, out: list, depth: int) -> bool:
+    _encode(value, out, depth)
+    return True
+
+
+def _fixed(unsigned: struct.Struct) -> _Spelling:
+    """An ``int`` in ``[0, 2**(8·size))`` as its ``size`` bytes."""
+    limit = 1 << (8 * unsigned.size)
+
+    def put(value, out: list, depth: int) -> bool:
+        if type(value) is not int or not 0 <= value < limit:
+            return False
+        out.append(unsigned.pack(value))
+        return True
+
+    def get(buf: bytes, off: int, depth: int):
+        return unsigned.unpack_from(buf, off)[0], off + unsigned.size
+
+    return put, get
+
+
+def _exactly(size: int) -> _Spelling:
+    """``bytes`` of ``size`` as they are."""
+
+    def put(value, out: list, depth: int) -> bool:
+        if type(value) is not bytes or len(value) != size:
+            return False
+        out.append(value)
+        return True
+
+    def get(buf: bytes, off: int, depth: int):
+        return _take(buf, off, size), off + size
+
+    return put, get
+
+
+def _put_sized_bytes(value, out: list, depth: int) -> bool:
+    if type(value) is not bytes:
+        return False
+    out.append(_U32.pack(len(value)))
+    out.append(value)
+    return True
+
+
+def _get_sized_bytes(buf: bytes, off: int, depth: int):
+    size, off = _length(buf, off)
+    return _take(buf, off, size), off + size
+
+
+def _put_sized_str(value, out: list, depth: int) -> bool:
+    return type(value) is str and _put_sized_bytes(value.encode("utf-8"), out, depth)
+
+
+def _get_sized_str(buf: bytes, off: int, depth: int):
+    raw, off = _get_sized_bytes(buf, off, depth)
+    return raw.decode("utf-8"), off
+
+
+def _put_bool(value, out: list, depth: int) -> bool:
+    if type(value) is not bool:
+        return False
+    out.append(b"\x01" if value else b"\x00")
+    return True
+
+
+def _flag(buf: bytes, off: int, what: str) -> bool:
+    if buf[off] > 1:
+        raise _malformed(f"{what} byte {buf[off]:#04x}")
+    return buf[off] == 1
+
+
+def _optional(inner: _Spelling) -> _Spelling:
+    """``None``, or a value ``inner`` spells, behind a presence byte."""
+    put_value, get_value = inner
+
+    def put(value, out: list, depth: int) -> bool:
+        if value is None:
+            out.append(b"\x00")
+            return True
+        out.append(b"\x01")
+        return put_value(value, out, depth)
+
+    def get(buf: bytes, off: int, depth: int):
+        if not _flag(buf, off, "presence"):
+            return None, off + 1
+        return get_value(buf, off + 1, depth)
+
+    return put, get
+
+
+_TAGGED = (_put_tagged, lambda buf, off, depth: _decode(buf, off, depth))
+_AS_U32, _AS_U64 = _fixed(_U32), _fixed(_U64)
+_SPELLINGS = {  # Is(kind) -> its spelling
+    bytes: (_put_sized_bytes, _get_sized_bytes),
+    str: (_put_sized_str, _get_sized_str),
+    bool: (_put_bool, lambda buf, off, depth: (_flag(buf, off, "bool"), off + 1)),
+}
+
+
+class _Layout:
+    """A registered class on the wire: its two tags, its declared checks
+    and each field's spelling."""
+
+    def __init__(self, cls: type, tag: int, names: tuple, declared: dict) -> None:
+        self.cls = cls
+        self.count = len(names)
+        self.header = tag.to_bytes(2, "big")
+        self.loose_header = (tag + LOOSE).to_bytes(2, "big")
+        self.getter = (
+            attrgetter(*names)
+            if len(names) > 1
+            else lambda value: tuple(getattr(value, name) for name in names)
+        )
+        # (field index, field name, check), as _complaint reads them
+        self.schema = tuple((i, n, declared[n]) for i, n in enumerate(names) if n in declared)
+        spellings = [(n in declared and declared[n].spelling()) or _TAGGED for n in names]
+        self.puts = tuple(put for put, __ in spellings)
+        self.gets = tuple(get for __, get in spellings)
+        self.tagged = all(spelling is _TAGGED for spelling in spellings)
+        self.inline = (self._put_inline, self._get_inline)
+
+    def encode(self, value: Any, out: list, depth: int) -> None:
+        """Tag and fields; the loose tag and tagged fields when one does
+        not fit its declared width."""
+        if depth >= MAX_DEPTH:
+            raise UnencodablePayload("value nests deeper than the wire allows")
+        items = self.getter(value)
+        mark = len(out)
+        out.append(self.header)
+        if self._pack(items, out, depth):
+            return
+        del out[mark:]
+        out.append(self.loose_header)
+        for item in items:
+            _encode(item, out, depth + 1)
+
+    def _pack(self, items, out: list, depth: int) -> bool:
+        depth += 1
+        if self.tagged:
+            for item in items:
+                _encode(item, out, depth)
+            return True
+        for put, item in zip(self.puts, items):
+            if not put(item, out, depth):
+                return False
+        return True
+
+    def _put_inline(self, value: Any, out: list, depth: int) -> bool:
+        if type(value) is not self.cls:
+            return False
+        if depth >= MAX_DEPTH:
+            raise UnencodablePayload("value nests deeper than the wire allows")
+        return self._pack(self.getter(value), out, depth)
+
+    def decode(self, buf: bytes, off: int, depth: int, loose: bool) -> tuple[Any, int]:
+        """The object whose fields start at ``off``, its checks run."""
+        if depth >= MAX_DEPTH:
+            raise _malformed("frame nests deeper than the wire allows")
+        if loose or self.tagged:
+            args, off = _decode_items(buf, off, self.count, depth)
+        else:
+            args = []
+            for get in self.gets:
+                item, off = get(buf, off, depth + 1)
+                args.append(item)
+        if self.schema and (complaint := _complaint(self.cls, self.schema, args)):
+            raise _malformed(complaint)
+        return self.cls(*args), off
+
+    def _get_inline(self, buf: bytes, off: int, depth: int) -> tuple[Any, int]:
+        return self.decode(buf, off, depth, False)
 
 
 # ------------------------------------------------------------------ encode
@@ -358,14 +589,9 @@ def _encode(value: Any, out: list, depth: int) -> None:
     if encoder is not None:
         encoder(value, out, depth)
         return
-    entry = _BY_CLASS.get(kind)
-    if entry is not None:
-        if depth >= MAX_DEPTH:
-            raise UnencodablePayload("value nests deeper than the wire allows")
-        header, getter = entry
-        out.append(header)
-        for item in getter(value):
-            _encode(item, out, depth + 1)
+    layout = _BY_CLASS.get(kind)
+    if layout is not None:
+        layout.encode(value, out, depth)
         return
     # Subclasses of the scalar builtins (np.float64, IntEnum) travel as
     # their base type; nothing else has a spelling.
@@ -486,16 +712,11 @@ def _take(buf: bytes, off: int, size: int) -> bytes:
 def _decode(buf: bytes, off: int, depth: int) -> tuple[Any, int]:
     tag = buf[off]
     if tag >= 0x80:
-        entry = _BY_TAG.get(int.from_bytes(_take(buf, off, 2), "big"))
-        if entry is None:
+        number = int.from_bytes(_take(buf, off, 2), "big")
+        layout = _BY_TAG.get(number & ~LOOSE)
+        if layout is None:
             raise _malformed(f"unknown dataclass tag {buf[off:off + 2].hex()}")
-        if depth >= MAX_DEPTH:
-            raise _malformed("frame nests deeper than the wire allows")
-        cls, count, schema = entry
-        args, off = _decode_items(buf, off + 2, count, depth)
-        if schema and (complaint := _complaint(cls, schema, args)):
-            raise _malformed(complaint)
-        return cls(*args), off
+        return layout.decode(buf, off + 2, depth, number & LOOSE)
     decoder = _DECODERS.get(tag)
     if decoder is None:
         raise _malformed(f"unknown tag {tag:#04x}")

@@ -106,6 +106,8 @@ _DIGIT_BITS = 32
 #: Terms per ``uint64`` dot.  A digit times a 16-bit limb is below 2^48,
 #: and 2^14 such products sum below 2^62, so no chunk's sum can wrap.
 _DOT_CHUNK = 1 << 14
+#: Weights :func:`challenge_weights` turns into digit columns at a time.
+_WEIGHT_CHUNK = 1 << 11
 
 
 def weight_digits(weights: Sequence[int], q: int) -> np.ndarray:
@@ -114,10 +116,14 @@ def weight_digits(weights: Sequence[int], q: int) -> np.ndarray:
     Row ``d`` holds every weight's ``d``-th 32-bit digit, least
     significant first: two rows for the 63-bit test group, 24 for Oakley.
     """
-    width = 4 * ((q.bit_length() + _DIGIT_BITS - 1) // _DIGIT_BITS)
-    packed = b"".join([weight.to_bytes(width, "little") for weight in weights])
-    digits = np.frombuffer(packed, dtype="<u4").reshape(len(weights), width // 4)
+    rows = _digit_rows(q)
+    packed = b"".join([weight.to_bytes(4 * rows, "little") for weight in weights])
+    digits = np.frombuffer(packed, dtype="<u4").reshape(len(weights), rows)
     return digits.T.astype(np.uint64, order="C")
+
+
+def _digit_rows(q: int) -> int:
+    return (q.bit_length() + _DIGIT_BITS - 1) // _DIGIT_BITS
 
 
 def _digit_dot(digits: np.ndarray, values: np.ndarray) -> int:
@@ -438,13 +444,18 @@ def challenge_weights(root: bytes, group_name: str, vector_length: int) -> np.nd
     width = (q.bit_length() + 128 + 7) // 8
     count = vector_length * LIMBS
     stream = hashlib.shake_256(_WEIGHT_STREAM_TAG + root).digest(width * count)
-    digits = weight_digits(
-        [
-            int.from_bytes(stream[at : at + width], "big") % q
-            for at in range(0, width * count, width)
-        ],
-        q,
-    )
+    # Filled _WEIGHT_CHUNK columns at a time: the Python ints and bytes a
+    # column costs on its way to digits stay bounded, not k·limbs of them.
+    digits = np.empty((_digit_rows(q), count), dtype=np.uint64)
+    for start in range(0, count, _WEIGHT_CHUNK):
+        stop = min(start + _WEIGHT_CHUNK, count)
+        digits[:, start:stop] = weight_digits(
+            [
+                int.from_bytes(stream[at : at + width], "big") % q
+                for at in range(width * start, width * stop, width)
+            ],
+            q,
+        )
     digits.flags.writeable = False
     return digits
 

@@ -65,11 +65,14 @@ class SchnorrSignature:
 
     ``commitment`` optionally carries the signer's nonce commitment
     ``r = h^k``.  It is redundant (``r = h^s · y^{-e}`` is recomputable
-    from the signature) and therefore excluded from equality and from the
-    wire encoding; carrying it lets a verifier with many signatures run
-    randomized *batch* verification (:func:`batch_verify`) without
-    re-deriving every ``r`` — signatures parsed off the wire simply have
-    ``commitment=None`` and verify one at a time.
+    from the signature) and therefore excluded from equality; carrying it
+    lets a verifier with many signatures run randomized *batch*
+    verification (:func:`batch_verify`) without re-deriving every ``r``.
+    It travels only where that happens: a contribution's signature keeps
+    it on the wire for the finalize audit's batch, while a quote's drops
+    it (:meth:`~repro.sgx.attestation.QuotingEnclave.quote`), since
+    quotes are verified one at a time.  A signature without one verifies
+    one at a time.
     """
 
     challenge: int

@@ -90,11 +90,12 @@ def run(num_users: int = 8, seed: bytes = b"e5") -> PipelineResult:
         for user_id, signed in signed_by_user.items()
     }
 
-    def attempt(as_user, target_round, contribution):
-        """Submit over the bus: (blocked, the reasons the ledger booked)."""
+    def attempt(as_user, target_round, contribution, submit=engine.submit_signed):
+        """Submit (over the bus unless ``submit`` says otherwise): (blocked,
+        the reasons the ledger booked)."""
         ledger = service.round_state(target_round).rejected
         before = dict(ledger)
-        accepted = engine.submit_signed(as_user, target_round, contribution)
+        accepted = submit(as_user, target_round, contribution)
         booked = [reason for reason, n in ledger.items() if n > before.get(reason, 0)]
         return not accepted, ", ".join(booked)
 
@@ -129,11 +130,19 @@ def run(num_users: int = 8, seed: bytes = b"e5") -> PipelineResult:
         ("538 poison via glimmer", outcome == OUTCOME_VALIDATION_REJECTED, "range predicate")
     )
 
-    # Attack 5: submit a signed contribution to the wrong round.
+    # Attack 5: submit a signed contribution to the wrong round.  A submit
+    # frame names no round beside the signed one, so the bus cannot aim
+    # it elsewhere; the replay goes to the admission step the pool merge
+    # uses, which names its round.
+    def admit(as_user, target_round, contribution):
+        return engine._service_endpoint.admit(
+            target_round, client_endpoint(as_user), None, contribution
+        )
+
     attack_rows.append(
         (
             "cross-round replay",
-            *attempt(user_ids[1], round2, signed_by_user[user_ids[1]]),
+            *attempt(user_ids[1], round2, signed_by_user[user_ids[1]], admit),
         )
     )
 

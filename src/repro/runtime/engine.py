@@ -606,9 +606,7 @@ class RoundEngine:
                 ENGINE,
                 self._client_name(client_id),
                 m.KIND_PROVISION_MASK,
-                m.ProvisionMask(
-                    round_id, party_index, record.commitments.record_for(party_index)
-                ),
+                m.ProvisionMask(record.commitments.record_for(party_index)),
                 first_attempt=first_attempt,
             )
         except MaskVerificationError as exc:
@@ -699,7 +697,7 @@ class RoundEngine:
                     sender,
                     SERVICE,
                     m.KIND_SUBMIT,
-                    m.SubmitContribution(round_id, contribution, slot),
+                    m.SubmitContribution(contribution, slot),
                 )
             )
         except ProtocolViolation:

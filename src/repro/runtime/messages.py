@@ -87,7 +87,7 @@ class OpenServiceRound:
     subgroup_size: int = 0
 
 
-@wire(0x8003, round_id=ROUND_ID, party_index=SLOT, commitment=MaskCommitmentRecord)
+@wire(0x8003, commitment=MaskCommitmentRecord)
 @dataclass(frozen=True)
 class ProvisionMask:
     """Command a client to fetch its round mask from the blinding service.
@@ -98,11 +98,19 @@ class ProvisionMask:
     shipping the per-slot record here stops the blinding service from
     equivocating — delivering the engine one mask family and the clients
     another.  It is required: a command without one is refused at decode.
+    The record names the round and the slot, so the command carries
+    neither beside it.
     """
 
-    round_id: int
-    party_index: int
     commitment: MaskCommitmentRecord
+
+    @property
+    def round_id(self) -> int:
+        return self.commitment.round_id
+
+    @property
+    def party_index(self) -> int:
+        return self.commitment.slot
 
 
 @wire(
@@ -155,21 +163,24 @@ class ContributeCommand:
     features_digest: bytes
 
 
-@wire(0x8006, round_id=ROUND_ID, contribution=SignedContribution, slot=Optional(SLOT))
+@wire(0x8006, contribution=SignedContribution, slot=Optional(SLOT))
 @dataclass(frozen=True)
 class SubmitContribution:
     """A signed contribution on its way to the cloud service.
 
-    ``round_id`` names the round the *sender* targets; the service checks
-    it against the signed ``contribution.round_id``, which is how
-    cross-round replay is caught.  ``slot`` names the mask slot the sender
-    claims to consume — the protocol monitor uses it to catch
-    equivocation (two different signed values for one slot).
+    The round it enters is the one ``contribution.round_id`` names, under
+    the signature, so no sender can aim a contribution at another round.
+    ``slot`` names the mask slot the sender claims to consume — the
+    protocol monitor uses it to catch equivocation (two different signed
+    values for one slot).
     """
 
-    round_id: int
     contribution: SignedContribution
     slot: int | None = None
+
+    @property
+    def round_id(self) -> int:
+        return self.contribution.round_id
 
 
 @wire(0x8007, round_id=ROUND_ID, nonce=Bytes(16))

@@ -161,6 +161,9 @@ class QuotingEnclave:
             signature=SchnorrSignature(0, 0),
         )
         signature = self._attestation_key.sign(quote.signed_digest())
+        # A quote is verified on its own, never in a batch, so the nonce
+        # commitment (a batching hint) does not travel with it.
+        signature = SchnorrSignature(signature.challenge, signature.response)
         return Quote(
             mrenclave=quote.mrenclave,
             mrsigner=quote.mrsigner,

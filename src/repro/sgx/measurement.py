@@ -67,6 +67,13 @@ def code_identity_of(program_class: type) -> bytes:
     return "".join(parts).encode("utf-8")
 
 
+#: Vendor-signature checks that passed (see
+#: :meth:`EnclaveImage.verify_vendor_signature`), capped like the group
+#: membership memo so no stream of images can balloon it.
+_LAUNCHED: set[tuple] = set()
+_MAX_LAUNCHED = 1024
+
+
 @dataclass(frozen=True)
 class VendorKey:
     """A vendor's signing identity (ISV key in SGX terms)."""
@@ -158,11 +165,23 @@ class EnclaveImage:
         )
 
     def verify_vendor_signature(self) -> None:
-        """Launch-control check: the image must carry a valid vendor signature."""
+        """Launch-control check: the image must carry a valid vendor signature.
+
+        A pass is remembered, keyed on all the check reads (the vendor
+        key, the signed payload's digest and the signature), so a fleet
+        loading one image verifies it once; a refusal is never remembered.
+        """
         try:
-            self.vendor_public.verify(self._signed_payload(), self.vendor_signature)
+            payload = self._signed_payload()
+            key = (self.vendor_public, payload, self.vendor_signature)
+            if key in _LAUNCHED:
+                return
+            self.vendor_public.verify(payload, self.vendor_signature)
         except Exception as exc:
             raise EnclaveError("vendor signature invalid") from exc
+        if len(_LAUNCHED) >= _MAX_LAUNCHED:
+            _LAUNCHED.clear()
+        _LAUNCHED.add(key)
 
     def rebuilt_with(self, vendor: VendorKey, **overrides) -> "EnclaveImage":
         """Produce a modified image (tamper experiments use this helper)."""

@@ -3,19 +3,23 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 
 from repro.byzantine.actors import _forge_commitments
 from repro.crypto.commitments import (
+    LIMBS,
     MaskOpening,
+    challenge_weights,
     commit_masks,
     decode_mask_payload,
     encode_mask_payload,
     recommit_masks,
     resolve_group,
     verify_opening,
+    weight_digits,
 )
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.masking import SumZeroMasks
@@ -173,3 +177,23 @@ def test_mask_payload_round_trips():
 def test_empty_family_is_rejected():
     with pytest.raises(ConfigurationError):
         commit_masks(GROUP, 1, [], HmacDrbg(b"x"))
+
+
+@pytest.mark.parametrize("group_name", ["test-64bit", "oakley-group-1"])
+@pytest.mark.parametrize("length", [1, 512, 513, 1_500])
+def test_challenge_weights_fill_the_one_shot_matrix(group_name, length):
+    """Built a chunk of columns at a time, the digit matrix is byte for
+    byte the one ``weight_digits`` makes of every weight at once (lengths
+    on and across a chunk boundary)."""
+    root = bytes(range(32))
+    q = resolve_group(group_name).subgroup_order
+    width = (q.bit_length() + 128 + 7) // 8
+    count = length * LIMBS
+    stream = hashlib.shake_256(b"mask-commitment-weight" + root).digest(width * count)
+    one_shot = weight_digits(
+        [int.from_bytes(stream[t * width : (t + 1) * width], "big") % q for t in range(count)],
+        q,
+    )
+    chunked = challenge_weights(root, group_name, length)
+    assert chunked.shape == one_shot.shape
+    assert chunked.tobytes() == one_shot.tobytes()

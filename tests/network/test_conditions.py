@@ -284,7 +284,7 @@ def test_every_firmware_perturbation_violates_the_wire_schema():
     validate_contribution("client:alice", 1, healthy)  # sanity: passes clean
     mutations_seen = set()
     for message_id in range(24):
-        submit = m.SubmitContribution(round_id=1, contribution=_signed())
+        submit = m.SubmitContribution(contribution=_signed())
         message = Message(
             sender="client:alice",
             receiver="service",
@@ -331,7 +331,7 @@ def test_each_firmware_mutation_is_malformed_at_the_wire():
             sender="client:alice",
             receiver="service",
             kind=m.KIND_SUBMIT,
-            payload=m.SubmitContribution(round_id=1, contribution=healthy),
+            payload=m.SubmitContribution(contribution=healthy),
             message_id=message_id,
             sent_at_ms=0.0,
             attempt=1,
@@ -350,7 +350,7 @@ def test_each_firmware_mutation_is_malformed_at_the_wire():
             validate_payload(
                 m.KIND_SUBMIT,
                 "client:alice",
-                m.SubmitContribution(round_id=1, contribution=mutated),
+                m.SubmitContribution(contribution=mutated),
             )
         assert excinfo.value.kind == VIOLATION_MALFORMED
         assert excinfo.value.offender == "client:alice"

@@ -10,7 +10,7 @@ crossed, never the sender's object, and sizes follow shape, not value.
 
 import math
 import struct
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -32,10 +32,10 @@ from repro.crypto.commitments import (
 from repro.crypto.schnorr import SchnorrSignature
 from repro.errors import ProtocolViolation, UnencodablePayload
 from repro.experiments.common import Deployment
-from repro.network.adversary import NetworkAdversary
+from repro.network.adversary import EavesdropAdversary, NetworkAdversary
 from repro.network.transport import Network
 from repro.perf import kernels
-from repro.runtime import messages as m
+from repro.runtime import messages as m, wire
 from repro.runtime.protocol import VIOLATION_MALFORMED
 from repro.runtime.telemetry import OUTCOME_QUARANTINED
 from repro.sgx.attestation import Quote, Report
@@ -80,14 +80,14 @@ F = kernels.be_doubles_to_bytes
 SAMPLES = {
     m.OpenBlinderRound: m.OpenBlinderRound(1, 192, 77, subgroup_size=8),
     m.OpenServiceRound: m.OpenServiceRound(1, 192, subgroup_size=0),
-    m.ProvisionMask: m.ProvisionMask(1, 3, RECORD),
+    m.ProvisionMask: m.ProvisionMask(RECORD),
     m.MaskRequest: m.MaskRequest(b"\x05" * 16, None, None, 1, 3),
     m.ContributeCommand: m.ContributeCommand(
         round_id=1,
         features=pack_features(BIGRAMS),
         features_digest=b"\x00" * 32,
     ),
-    m.SubmitContribution: m.SubmitContribution(7, CONTRIBUTION, slot=1),
+    m.SubmitContribution: m.SubmitContribution(CONTRIBUTION, slot=1),
     m.SubmissionStatusQuery: m.SubmissionStatusQuery(7, b"\x07" * 16),
     m.RevealMask: m.RevealMask(7, 2),
     m.FinalizeRound: m.FinalizeRound(7, (kernels.be_words_to_bytes((4, 5)),)),
@@ -287,6 +287,53 @@ def test_nesting_is_capped_both_ways():
         codec.decode(frame)
 
 
+# ------------------------------------------- what does not fit its declaration
+
+
+def _loose_frame(value) -> bytes:
+    """``value``'s class's second tag, then each field as a tagged value."""
+    tag = next(tag for tag, cls in codec.registered().items() if cls is type(value))
+    items = b"".join(codec.encode(getattr(value, field.name)) for field in fields(value))
+    return (tag + codec.LOOSE).to_bytes(2, "big") + items
+
+
+@pytest.mark.parametrize("cls", list(wire.KINDS.values()), ids=lambda cls: cls.__name__)
+def test_the_loose_form_reads_like_the_declared_one(cls):
+    value = SAMPLES[cls]
+    assert codec.decode(_loose_frame(value)) == value
+    assert codec.encode(value)[:2] != _loose_frame(value)[:2]
+
+
+@pytest.mark.parametrize(
+    "value, complaint",
+    [
+        (m.RevealMask(-1, 2), "RevealMask.round_id out of range [0, 9223372036854775807]"),
+        (m.RevealMask(1, True), "RevealMask.party_index must be int, not bool"),
+        (m.CloseRound(1.0), "CloseRound.round_id must be int, not float"),
+        (replace(SAMPLES[m.SubmitContribution], slot="1"),
+         "SubmitContribution.slot must be int, not str"),
+        (replace(SAMPLES[m.SubmitContribution],
+                 contribution=replace(CONTRIBUTION, nonce=b"\x00")),
+         "SignedContribution.nonce must be 16 bytes, not 1"),
+        (replace(CONTRIBUTION, blinded=1), "SignedContribution.blinded must be bool, not int"),
+        (m.ProvisionMask(replace(RECORD, root=7)),
+         "MaskCommitmentRecord.root must be bytes, not int"),
+    ],
+    ids=["round-id-negative", "slot-bool", "round-id-float", "slot-str", "nested-nonce",
+         "bool-int", "nested-root-int"],
+)
+def test_a_field_that_does_not_fit_travels_loose_and_is_refused_as_before(value, complaint):
+    """A mistyped or out-of-range field still has a frame — the loose one,
+    every field tagged — and decode refuses it with the complaint it gave
+    before fields were spelled at their declared widths."""
+    frame = codec.encode(value)
+    assert frame == _loose_frame(value)
+    with pytest.raises(ProtocolViolation) as excinfo:
+        codec.decode(frame)
+    assert excinfo.value.detail == complaint
+    assert excinfo.value.kind == VIOLATION_MALFORMED
+
+
 # ------------------------------------------------------------------ refusals
 
 
@@ -408,9 +455,81 @@ def test_packed_vector_size_does_not_depend_on_its_words(length):
 @given(st.integers(-(1 << 63), (1 << 63) - 1))
 def test_int_size_does_not_depend_on_its_value(value):
     assert len(codec.encode(value)) == 9
-    assert len(codec.encode(m.RevealMask(value, value))) == len(
-        codec.encode(m.RevealMask(0, 0))
+    declared = m.RevealMask(value & codec.MAX_ROUND_ID, value % codec.MAX_PARTIES)
+    assert len(codec.encode(declared)) == len(codec.encode(m.RevealMask(0, 0)))
+
+
+def _shaped_like(check: codec.Check, sample):
+    """Values ``check`` admits that its declared width spells as long as
+    ``sample``; the sample itself where the field is a tagged value."""
+    if isinstance(check, codec.Optional) and sample is not None:
+        check = check.check
+    if check.spelling() is None or sample is None or getattr(check, "finite", False):
+        return st.just(sample)
+    if isinstance(check, codec.Int):
+        return st.integers(check.lo, check.hi)
+    if type(sample) is bool:
+        return st.booleans()
+    if type(sample) is bytes:
+        return st.binary(min_size=len(sample), max_size=len(sample))
+    if type(sample) is str:
+        return st.text("abc", min_size=len(sample), max_size=len(sample))
+    return _fields_like(sample)
+
+
+def _fields_like(sample):
+    """``sample`` with every declared field redrawn at its shape."""
+    declared = codec.declared(type(sample))
+    return st.fixed_dictionaries(
+        {
+            field.name: _shaped_like(declared.get(field.name, codec.Check()),
+                                     getattr(sample, field.name))
+            for field in fields(sample)
+        }
+    ).map(lambda changes: replace(sample, **changes))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(sorted(wire.KINDS.values(), key=lambda cls: cls.__name__)).flatmap(
+        lambda cls: _fields_like(SAMPLES[cls])
     )
+)
+def test_declared_fields_frame_at_a_length_their_values_cannot_move(value):
+    """Every bus message, its nested records included: redraw each field
+    its declaration spells at a width, and the frame keeps its length."""
+    assert len(codec.encode(value)) == len(codec.encode(SAMPLES[type(value)]))
+
+
+# Request frames of a steady round (round 2: every device in session, the
+# feature list held) for the k = 77 cohort, by kind.  Two lengths where a
+# tagged wide int — a commitment point, a signature's response — falls on
+# either side of 2**63.  Before fields were spelled at their declared
+# widths: 38, 29, 156/161, 43, 53, 713/718, 16 and 11.
+STEADY_FRAMES = {
+    m.KIND_OPEN_BLINDER: {22},
+    m.KIND_OPEN_SERVICE: {18},
+    m.KIND_PROVISION_MASK: {109, 114},
+    m.KIND_MASK_REQUEST: {36},
+    m.KIND_CONTRIBUTE: {46},
+    m.KIND_SUBMIT: {690, 695},
+    m.KIND_FINALIZE: {15},
+    m.KIND_CLOSE_ROUND: {10},
+}
+
+
+def test_steady_round_frames_are_pinned():
+    deployment = Deployment.build(num_users=4, seed=b"steady-frames")
+    assert len(deployment.features) == 77
+    eavesdropper = EavesdropAdversary()
+    deployment.network.interpose(eavesdropper)
+    deployment.honest_round(1)
+    deployment.honest_round(2)
+    sizes = {}
+    for message in eavesdropper.captured:
+        if message.kind in wire.KINDS and message.payload.round_id == 2:
+            sizes.setdefault(message.kind, set()).add(len(codec.encode(message.payload)))
+    assert sizes == STEADY_FRAMES
 
 
 # ------------------------------------------- metering and blame at the boundary

@@ -206,12 +206,12 @@ def _keyboard_list() -> tuple:
 )
 def test_a_first_trip_frame_is_packed(features, cap):
     """A pair costs its words and two NULs, not 15 bytes of tuple-of-pairs
-    framing: 837 and 77,876 bytes; a later trip carries ``b""``, 53."""
+    framing: 830 and 77,869 bytes; a later trip carries ``b""``, 46."""
     bigrams = features()
     digest = features_digest(bigrams)
     first = m.ContributeCommand(1, pack_features(bigrams), digest)
     assert payload_size(first) <= cap
-    assert payload_size(m.ContributeCommand(1, b"", digest)) == 53
+    assert payload_size(m.ContributeCommand(1, b"", digest)) == 46
 
 
 @settings(max_examples=200, deadline=None)

@@ -104,7 +104,13 @@ def test_every_field_of_a_carried_class_is_checked(cls):
 @pytest.mark.parametrize(
     "value",
     [
-        pytest.param(replace(SAMPLES[m.ProvisionMask], party_index=-1), id="slot-below-range"),
+        pytest.param(
+            replace(
+                SAMPLES[m.ProvisionMask],
+                commitment=replace(SAMPLES[m.ProvisionMask].commitment, slot=-1),
+            ),
+            id="slot-below-range",
+        ),
         pytest.param(replace(SAMPLES[m.ProvisionMask], commitment=None), id="no-commitment"),
         pytest.param(replace(SAMPLES[SignedContribution], blinded=1), id="int-for-bool"),
         pytest.param(

@@ -138,7 +138,7 @@ def test_unrepresentable_plain_payload_is_a_violation_not_a_crash():
     )
     with pytest.raises(ProtocolViolation) as excinfo:
         validate_payload(
-            m.KIND_SUBMIT, SENDER, m.SubmitContribution(round_id=1, contribution=forged)
+            m.KIND_SUBMIT, SENDER, m.SubmitContribution(contribution=forged)
         )
     _assert_blamed(excinfo)
 
@@ -391,7 +391,7 @@ def _packed_field(field, value):
         )
     else:
         return m.KIND_FINALIZE, m.FinalizeRound(1, dropout_masks=(W((1, 2)), value))
-    return m.KIND_SUBMIT, m.SubmitContribution(round_id=1, contribution=contribution)
+    return m.KIND_SUBMIT, m.SubmitContribution(contribution=contribution)
 
 
 PACKED_FIELDS = ["ring_payload", "plain_payload", "dropout_mask"]

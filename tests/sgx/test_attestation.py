@@ -2,7 +2,12 @@
 
 import pytest
 
+from repro import codec
+from repro.crypto import group_ops
 from repro.errors import AttestationError
+from repro.experiments.common import Deployment
+from repro.network.adversary import EavesdropAdversary
+from repro.runtime import messages as m
 from repro.sgx import AttestationService, QuotePolicy, SgxPlatform
 from repro.sgx.attestation import REPORT_DATA_SIZE, report_data_for
 from repro.sgx.threats import (
@@ -147,3 +152,21 @@ def test_report_data_for_deterministic():
     assert report_data_for(b"x") == report_data_for(b"x")
     assert report_data_for(b"x") != report_data_for(b"y")
     assert len(report_data_for(b"payload")) == REPORT_DATA_SIZE
+
+
+def test_only_batched_signatures_carry_their_nonce_commitment():
+    """A quote is verified on its own, so its frame has no nonce
+    commitment; a contribution's keeps one, and the finalize audit still
+    verifies the round's signatures in one batch."""
+    deployment = Deployment.build(num_users=3, seed=b"quote-commitment")
+    eve = EavesdropAdversary()
+    deployment.network.interpose(eve)
+    before = group_ops.counters()["batch_verifications"]
+    deployment.honest_round(1)
+    assert group_ops.counters()["batch_verifications"] > before
+    requests, submits = (
+        [codec.decode(codec.encode(p)) for p in eve.captured_payloads(kind)]
+        for kind in (m.KIND_MASK_REQUEST, m.KIND_SUBMIT)
+    )
+    assert requests and all(r.quote.signature.commitment is None for r in requests)
+    assert submits and all(s.contribution.signature.commitment for s in submits)

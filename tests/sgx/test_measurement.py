@@ -1,6 +1,7 @@
 """Tests for enclave images and measurement."""
 
 import inspect
+from dataclasses import replace
 
 import pytest
 
@@ -115,3 +116,21 @@ def test_rebuilt_with_overrides(vendor, image):
 
 def test_rebuilt_identical_matches(vendor, image):
     assert image.rebuilt_with(vendor).mrenclave == image.mrenclave
+
+
+def test_launch_control_remembers_only_what_it_checked(vendor, image, platform):
+    """Once a genuine image has loaded, a rebuilt image carrying its
+    signature and the genuine image under another signature are still
+    refused: the remembered pass is keyed on key, payload and signature."""
+    platform.load_enclave(image)
+    platform.load_enclave(image)  # the remembered pass
+    rebuilt = replace(
+        image.rebuilt_with(vendor, config=b"range=[0,538]"),
+        vendor_signature=image.vendor_signature,
+    )
+    swapped = replace(
+        image, vendor_signature=image.rebuilt_with(vendor, version=2).vendor_signature
+    )
+    for refused in (rebuilt, swapped):
+        with pytest.raises(EnclaveError, match="vendor signature invalid"):
+            platform.load_enclave(refused)
