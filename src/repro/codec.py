@@ -1,12 +1,12 @@
 """One wire codec: binary frames, tagged where a declaration does not
 already say what a field holds.
 
-Everything that crosses a boundary — a bus message, an ecall argument, a
-sealed checkpoint, a §4.2 remote request, a split-enclave link — is
-spelled by :func:`encode` and read back by :func:`decode`.  No module
-path, no field name and no code travels: a frame is a type tag and the
-bytes of the value, so a reader admits only the types listed here and
-the dataclasses registered with :func:`wire`.
+Everything that crosses a boundary — a bus message, an ecall or ocall
+value, a sealed checkpoint, a §4.2 remote request, a split-enclave link —
+is spelled by :func:`encode`, priced by its length and read back by
+:func:`decode`.  No module path, no field name and no code travels: a
+frame is a type tag and the bytes of the value, so a reader admits only
+the types listed here and the dataclasses registered with :func:`wire`.
 
 Framing (big-endian throughout):
 
@@ -364,16 +364,6 @@ def blamed(check: "Check | type | None") -> Callable[[str, "int | None", str, An
             ) from None
 
     return run
-
-
-def complaint(cls: type, value: Any) -> str | None:
-    """What keeps the in-memory ``value`` from being a registered ``cls``
-    as :func:`decode` would build it: another type, or a field failing its
-    declared check.  ``None`` when it is one."""
-    if type(value) is not cls:
-        return f"must be {cls.__qualname__}, not {type(value).__name__}"
-    layout = _BY_CLASS[cls]
-    return _complaint(cls, layout.schema, layout.getter(value))
 
 
 def _complaint(cls: type, schema: tuple, items) -> str | None:

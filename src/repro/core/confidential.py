@@ -124,9 +124,7 @@ class ConfidentialGlimmerProgram(EnclaveProgram):
         """
         if self._detector is None or self._reporting is None:
             raise ProtocolError("detector not provisioned")
-        signals = self.api.ocall("collect_session_signals", session_id)
-        if not isinstance(signals, SessionSignals):
-            raise ProtocolError("host returned malformed session signals")
+        signals = self.api.ocall("collect_session_signals", session_id, expect=SessionSignals)
         self.api.charge(600, "validation")
         verdict = self._verdict_for(signals)
         self.api.charge_signature()

@@ -149,10 +149,8 @@ def unpack_features(blob: bytes) -> tuple[tuple[str, str], ...]:
 
 
 def features_complaint(blob: bytes, digest: bytes) -> str | None:
-    """What keeps ``blob`` from being the packed list ``digest`` names:
-    not ``bytes``, not unpacking, or hashing to another digest."""
-    if type(blob) is not bytes:
-        return f"feature list is {type(blob).__name__}, not packed bytes"
+    """What keeps the bytes ``blob`` from being the packed list ``digest``
+    names: not unpacking, or hashing to another digest."""
     try:
         __, actual = _unpacked(blob)
     except ValueError as exc:
@@ -218,13 +216,12 @@ class ProcessRequest:
 
 
 def request_values(request: ProcessRequest) -> tuple[float, ...]:
-    """The request's values as floats.  The host packs them, so a buffer
-    that is not whole doubles, or that holds a NaN or an infinity, is a
+    """The request's values as floats.  The host packs them, so bytes that
+    are not whole doubles, or that hold a NaN or an infinity, are a
     refusal, never a crash: no predicate ever sees a non-finite value."""
-    values = request.values
-    if type(values) is not bytes or len(values) % 8:
+    if len(request.values) % 8:
         raise ValidationError("values are not packed doubles")
-    floats = kernels.be_doubles(values)
+    floats = kernels.be_doubles(request.values)
     if not np.isfinite(floats).all():
         raise ValidationError("values are not all finite")
     return tuple(floats.tolist())
@@ -434,27 +431,20 @@ class ValidateStep(GlimmerStep):
     ) -> tuple[tuple[float, ...], float]:
         """The request's values and the predicate's confidence, or a refusal.
 
-        A request failing :class:`ProcessRequest`'s declared checks is a
-        :class:`ProtocolError`, in process as after a §4.2 decode.  The
-        private context is the host's answer to the ocall, unless the
-        caller brings one (§4.2's device sends its own).  The predicate
-        reads a copy: the request's claims first, then the fields the
-        Glimmer attaches over any claim of the same name — the published
-        feature list, unpacked and held to the measured digest, the round
-        and its rollback-proof counter.
+        The request and the private context passed their classes' declared
+        checks as they crossed into the enclave: the ecall and the host's
+        answer to the ocall, or a §4.2 decode (whose device sends its own
+        context).  The predicate reads a copy: the request's claims first,
+        then the fields the Glimmer attaches over any claim of the same
+        name — the published feature list, unpacked and held to the
+        measured digest, the round and its rollback-proof counter.
         """
-        complaint = codec.complaint(ProcessRequest, request)
-        if complaint:
-            raise ProtocolError(f"malformed contribution request: {complaint}")
         if context is None:
             needed = tuple(self._predicate.required_context())
             context = (
-                self.api.ocall("collect_private_data", needed)
-                if needed
-                else PrivateContext()
+                self.api.ocall("collect_private_data", needed, expect=PrivateContext)
+                if needed else PrivateContext()
             )
-        if not isinstance(context, PrivateContext):
-            raise ValidationError("host returned malformed private context")
         context = replace(
             context,
             extra={
@@ -621,7 +611,7 @@ class GlimmerProgram(ValidateStep, BlindStep, SignStep):
 
     # --------------------------------------------------------- the main path
 
-    @ecall
+    @ecall(ProcessRequest)
     def process_contribution(self, request: ProcessRequest) -> SignedContribution:
         """Validate → blind → sign.  Raises :class:`ValidationError` on reject.
 

@@ -45,7 +45,7 @@ from repro.crypto.dh import DHKeyPair
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.kdf import hkdf
 from repro.crypto.masking import BlindingService, GroupedSumZeroMasks
-from repro.crypto.schnorr import SchnorrKeyPair
+from repro.crypto.schnorr import SchnorrKeyPair, SchnorrSignature
 from repro.errors import AttestationError, ConfigurationError, CryptoError
 from repro.scale.subgroup import plan_subgroups
 from repro.sgx.attestation import (
@@ -151,9 +151,11 @@ def seal_delivery(
     else:
         own_public = leg.keypair.public
         key = leg.keypair.derive_key(glimmer_dh_public, context)
-        signature = identity.sign(
+        signed = identity.sign(
             handshake_digest(context, session_id, glimmer_dh_public, own_public)
         )
+        # Verified on its own, never batched: the nonce commitment stays home.
+        signature = SchnorrSignature(signed.challenge, signed.response)
         handle = session_handle(context, session_id, glimmer_dh_public, own_public)
         opened = (handle, key)
     box = AuthenticatedCipher(key).encrypt(

@@ -140,8 +140,6 @@ class _ComponentProgram(GlimmerStep):
     def _link_decrypt(self, link: str, wire: bytes) -> object:
         """What the sibling sent on ``link``; an ``AuthenticationError`` for
         a blob it did not seal."""
-        if type(wire) is not bytes:
-            raise ProtocolError(f"link {link!r} carries bytes, not {type(wire).__name__}")
         seq = self._link_recv_seq.get(link, 0)
         cipher, associated = self._link_cipher(link, seq)
         self.api.charge_aead(len(wire))
@@ -153,7 +151,7 @@ class _ComponentProgram(GlimmerStep):
 class ValidationEnclaveProgram(ValidateStep, _ComponentProgram):
     """Component 1: the validate step; its verdict goes on to blinding."""
 
-    @ecall
+    @ecall(ProcessRequest)
     def validate(self, request: ProcessRequest) -> bytes:
         """Validate and forward (values, confidence) to the blinding enclave."""
         __, confidence = self._validate(request)
@@ -172,7 +170,7 @@ class ValidationEnclaveProgram(ValidateStep, _ComponentProgram):
 class BlindingEnclaveProgram(BlindStep, _ComponentProgram):
     """Component 2: the blind step, over what validation forwarded."""
 
-    @ecall
+    @ecall(bytes)
     def blind(self, wire: bytes) -> bytes:
         """Decrypt the validated payload, blind it, forward to signing."""
         payload = self._link_decrypt("validation-blinding", wire)
@@ -197,7 +195,7 @@ class BlindingEnclaveProgram(BlindStep, _ComponentProgram):
 class SigningEnclaveProgram(SignStep, _ComponentProgram):
     """Component 3: the sign step, over what blinding forwarded."""
 
-    @ecall
+    @ecall(bytes)
     def sign(self, wire: bytes) -> SignedContribution:
         """Decrypt the blinded payload and endorse it."""
         self._signer()

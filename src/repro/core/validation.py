@@ -24,7 +24,7 @@ from repro.codec import wire
 from repro.errors import ConfigurationError
 
 
-@wire(0x810A)
+@wire(0x810A, extra=dict)
 @dataclass
 class PrivateContext:
     """Private validation data the Glimmer requested from the host.

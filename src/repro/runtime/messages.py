@@ -5,8 +5,8 @@ can target individual flows (``DropAdversary(drop_kinds={KIND_SUBMIT})``
 models a service-side brownout without touching provisioning, for
 example).  Payloads are frozen dataclasses registered with
 :func:`repro.codec.wire`: the wire carries their frames, never live
-object references, so :func:`payload_size` prices the bytes that cross
-and adversaries capture or tamper with them meaningfully.
+object references, so the bus prices the length of each frame that
+crosses and adversaries capture or tamper with them meaningfully.
 
 Every numeric vector travels packed, as ``bytes`` of 8-byte big-endian
 values with no count prefix: ring words as u64

@@ -3,9 +3,10 @@
 An :class:`Enclave` is an :class:`~repro.sgx.measurement.EnclaveImage`
 loaded on a platform.  Host code interacts with it *only* through
 :meth:`Enclave.ecall`; enclave code interacts with the host *only* through
-:meth:`EnclaveApi.ocall`.  Every crossing is metered with the platform's
-cost model, which is what the enclave-decomposition ablation (experiment
-E7) measures.
+:meth:`EnclaveApi.ocall`.  Each argument and result crosses as a bus
+payload does: encoded once, metered by its frame's length (the cycles
+experiment E7's decomposition ablation measures) and decoded on the other
+side with its declared checks, so neither side holds the other's objects.
 
 Enclave programs subclass :class:`EnclaveProgram` and mark entry points with
 the :func:`ecall` decorator.  Inside, the program sees an
@@ -24,28 +25,45 @@ attribute access to it unless the platform's threat model enables
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
 from repro import codec
 from repro.crypto.drbg import HmacDrbg
-from repro.errors import EnclaveError
+from repro.errors import EnclaveError, ProtocolViolation
 from repro.faults import ACTION_KILL, ACTION_PRESSURE, SITE_ECALL, SITE_EPC_PRESSURE
 from repro.sgx.costs import CycleMeter
 
 
-def ecall(func: Callable) -> Callable:
-    """Mark a method of an :class:`EnclaveProgram` as an enclave entry point."""
-    func.__sgx_ecall__ = True
-    return func
+def ecall(*declared: Any) -> Callable:
+    """Mark a method of an :class:`EnclaveProgram` as an enclave entry point;
+    ``@ecall(ProcessRequest)`` also declares what its positional arguments
+    must be, in order (a class, a builtin type or a ``codec.Check``)."""
+    if len(declared) == 1 and inspect.isfunction(declared[0]):
+        return ecall()(declared[0])
+
+    def mark(func: Callable) -> Callable:
+        func.__sgx_ecall__, func.__sgx_declared__ = True, dict(enumerate(declared))
+        return func
+
+    return mark
 
 
-def payload_size(value: Any) -> int:
-    """Bytes ``value`` occupies crossing a boundary: the length of its
-    :mod:`repro.codec` frame.  A value with no frame raises
-    :class:`~repro.errors.UnencodablePayload` rather than being priced
-    at a guess."""
-    return len(codec.encode(value))
+def _cross(where: str, values: dict, checks: Mapping = {}) -> tuple[dict, int]:
+    """``values`` as the other side receives them, each frame decoded and held
+    to its entry in ``checks``, and the bytes they took."""
+    copies, size = {}, 0
+    for place, value in values.items():
+        frame = codec.encode(value)
+        size += len(frame)
+        try:
+            copies[place] = codec.decode(frame, checks.get(place))
+        except ProtocolViolation as exc:
+            raise ProtocolViolation(
+                f"{where} {place} refused: {exc.detail}", kind=exc.kind
+            ) from None
+    return copies, size
 
 
 class EnclaveProgram:
@@ -126,23 +144,24 @@ class EnclaveApi:
     def charge_dh(self) -> None:
         self.charge(self._platform.cost_model.dh_cycles, "enclave-crypto")
 
-    def ocall(self, name: str, *args: Any, **kwargs: Any) -> Any:
+    def ocall(self, name: str, *args: Any, expect: Any = None, **kwargs: Any) -> Any:
         """Call out to the untrusted host.
 
-        The result is *untrusted by construction*: a malicious host can
-        return anything.  Glimmer code must validate what comes back.
+        The answer is *untrusted by construction*: it crosses back as a
+        frame held to ``expect`` (as :func:`ecall` declares an argument).
         """
         handler = self._ocall_handlers.get(name)
         if handler is None:
             raise EnclaveError(f"no ocall handler registered for {name!r}")
         cost = self._platform.cost_model
         self._meter.charge(cost.ocall_cycles, "transitions")
-        self._meter.charge(
-            cost.copy_cost(sum(payload_size(a) for a in args)), "boundary-copies"
-        )
-        result = handler(*args, **kwargs)
-        self._meter.charge(cost.copy_cost(payload_size(result)), "boundary-copies")
-        return result
+        copies, size = _cross(f"ocall {name!r} argument", {**dict(enumerate(args)), **kwargs})
+        self._meter.charge(cost.copy_cost(size), "boundary-copies")
+        args = [copies.pop(i) for i in range(len(args))]
+        answer = handler(*args, **copies)
+        copies, size = _cross(f"ocall {name!r}", {"answer": answer}, {"answer": expect})
+        self._meter.charge(cost.copy_cost(size), "boundary-copies")
+        return copies["answer"]
 
     def seal(self, plaintext: bytes, policy: str = "mrenclave") -> bytes:
         """Seal data to this enclave (policy: ``mrenclave`` or ``mrsigner``)."""
@@ -240,17 +259,19 @@ class Enclave:
                     cost.paging_cost(self.image.memory_bytes), "epc-paging"
                 )
         self.meter.charge(cost.ecall_cycles, "transitions")
-        self.meter.charge(
-            cost.copy_cost(sum(payload_size(a) for a in args)), "boundary-copies"
-        )
+        arguments = {**dict(enumerate(args)), **kwargs}
+        copies, size = _cross(f"ecall {name!r} argument", arguments, entry.__sgx_declared__)
+        self.meter.charge(cost.copy_cost(size), "boundary-copies")
         overflow = self._platform.epc_overflow_bytes()
         if overflow > 0:
             # Charge paging proportional to this enclave's share of pressure.
             share = min(self.image.memory_bytes, overflow)
             self.meter.charge(cost.paging_cost(share), "epc-paging")
-        result = entry(*args, **kwargs)
-        self.meter.charge(cost.copy_cost(payload_size(result)), "boundary-copies")
-        return result
+        args = [copies.pop(i) for i in range(len(args))]
+        result = entry(*args, **copies)
+        copies, size = _cross(f"ecall {name!r}", {"result": result})
+        self.meter.charge(cost.copy_cost(size), "boundary-copies")
+        return copies["result"]
 
     def create_report(self, report_data: bytes) -> Any:
         """Host-initiated report creation (wraps an ecall into EREPORT)."""

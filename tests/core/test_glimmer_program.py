@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import invariants
 from repro.core.glimmer import (
     GlimmerConfig,
     KeyDelivery,
@@ -19,6 +20,10 @@ from repro.errors import (
     ProtocolError,
     ValidationError,
 )
+from repro.core.validation import PrivateContext
+from repro.experiments.common import Deployment
+from repro.runtime.telemetry import OUTCOME_CRASHED
+from repro.workloads.keyboard import trace_for_sentences
 
 
 @pytest.fixture
@@ -254,3 +259,40 @@ def test_glimmer_keeps_no_raw_values_after_processing(round_setup):
         return False
 
     assert not contains_marker(state)
+
+
+def _keystroke_round(lying_host: bool):
+    """Round 1 under the keystrokes predicate, every device typing its own
+    sentences; with ``lying_host`` the first device's host answers the
+    private-data ocall with an ``extra`` that is not a dict."""
+    deployment = Deployment.build(
+        num_users=4, predicate_spec="keystrokes", sentences_per_user=10
+    )
+    users = [user.user_id for user in deployment.corpus.users]
+    for user in users:
+        deployment.clients[user].data.keystroke_trace = trace_for_sentences(
+            deployment.corpus.streams[user], HmacDrbg(user.encode())
+        )
+    if lying_host:
+        deployment.clients[users[0]].data.context_for = (
+            lambda fields: PrivateContext(extra=5)
+        )
+    deployment.honest_round(1)
+    return deployment, users
+
+
+def test_a_host_context_that_fails_its_checks_downs_only_its_device():
+    """The host's answer to the private-data ocall crosses into the
+    Glimmer held to ``PrivateContext``'s declared checks: an ``extra``
+    that is not a dict is refused there, so its device is ``crashed`` and
+    its slot repaired, never a ``TypeError`` out of the round, and every
+    other device fares exactly as beside an honest host."""
+    honest, users = _keystroke_round(lying_host=False)
+    lied, __ = _keystroke_round(lying_host=True)
+    report = lied.last_report
+    assert report.outcomes[users[0]] == OUTCOME_CRASHED
+    assert users[0] not in report.survivors and report.masks_repaired == 1
+    others = {user: honest.last_report.outcomes[user] for user in users[1:]}
+    assert {user: report.outcomes[user] for user in users[1:]} == others
+    vectors = lied.local_vectors(report.participants)
+    assert invariants.judge(report, lied.codec, vectors).exact

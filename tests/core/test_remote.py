@@ -179,11 +179,30 @@ def test_a_mistyped_remote_request_is_refused(gaas, field, value):
     checks as it is decoded inside the Glimmer: a mistyped field is a
     refusal, never a ``TypeError``, ``ValueError`` or ``CryptoError``
     from deeper in the enclave."""
+    from repro.errors import ProtocolError, ValidationError
+
+    with pytest.raises((ProtocolError, ValidationError)):
+        _process_remote(gaas, {field: value}, PrivateContext())
+
+
+def test_a_remote_context_whose_extra_is_not_a_dict_is_refused(gaas):
+    """The device's private context is held to ``PrivateContext``'s
+    declared checks as it is decoded: an ``extra`` that is not a dict is a
+    ``ProtocolError``, not the ``TypeError`` of merging it into the
+    context the predicate reads."""
+    from repro.errors import ProtocolError
+
+    with pytest.raises(ProtocolError, match="malformed remote contribution payload"):
+        _process_remote(gaas, {}, PrivateContext(extra=5))
+
+
+def _process_remote(gaas, mistyped: dict, context: PrivateContext):
+    """A §4.2 call whose honest request has ``mistyped`` fields swapped in,
+    sent with ``context`` over a freshly attested channel."""
     from repro.core.glimmer import ProcessRequest, _encode_remote_payload
     from repro.crypto.cipher import AuthenticatedCipher
     from repro.crypto.dh import DHKeyPair
     from repro.crypto.drbg import HmacDrbg
-    from repro.errors import ProtocolError, ValidationError
 
     deployment, network, host = gaas
     deployment.blinder_provisioner.open_round(1, 1, len(deployment.features))
@@ -197,7 +216,8 @@ def test_a_mistyped_remote_request_is_refused(gaas, field, value):
         values=kernels.be_doubles_to_bytes([0.5] * len(deployment.features)),
         features=pack_features(deployment.features.bigrams),
     )
-    payload = _encode_remote_payload(replace(request, **{field: value}), PrivateContext())
+    payload = _encode_remote_payload(replace(request, **mistyped), context)
     box = cipher.encrypt(rng.generate(16), payload, associated_data=offer.session_id)
-    with pytest.raises((ProtocolError, ValidationError)):
-        host.glimmer.ecall("process_remote", offer.session_id, keypair.public, box.to_bytes())
+    return host.glimmer.ecall(
+        "process_remote", offer.session_id, keypair.public, box.to_bytes()
+    )

@@ -346,6 +346,6 @@ def test_a_mistyped_request_is_a_protocol_error(entry, mistyped):
     declared checks, as a §4.2 decode does: one mistyped field is a
     ProtocolError, never a crash deeper in, and never a signature."""
     call, honest = entry()
-    with pytest.raises(ProtocolError, match="malformed contribution request"):
+    with pytest.raises(ProtocolError, match=r"argument 0 refused: ProcessRequest\."):
         call(replace(honest, **mistyped))
     call(honest)  # the refusal took nothing: not the mask, not the round's count

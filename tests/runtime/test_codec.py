@@ -39,7 +39,6 @@ from repro.runtime import messages as m, wire
 from repro.runtime.protocol import VIOLATION_MALFORMED
 from repro.runtime.telemetry import OUTCOME_QUARANTINED
 from repro.sgx.attestation import Quote, Report
-from repro.sgx.enclave import payload_size
 from repro.workloads.botnet import SessionSignals
 from repro.workloads.camera import Frame, VideoStream
 from repro.workloads.geo import PhotoSubmission, TrackPoint, UserGeoContext
@@ -445,7 +444,7 @@ def test_packed_vector_size_does_not_depend_on_its_words(length):
     }
     assert len(sizes) == 1
     sizes = {
-        payload_size(replace(SAMPLES[ProcessRequest], values=F([value] * length)))
+        len(codec.encode(replace(SAMPLES[ProcessRequest], values=F([value] * length))))
         for value in (0.0, 0.123, -1e300)
     }
     assert len(sizes) == 1
@@ -542,8 +541,8 @@ def test_memoryview_is_metered_by_its_length():
     ``FinalizeRound`` is declared packed ``bytes``, so decode refuses a view.
     """
     words = bytes(32768)
-    as_bytes = payload_size((1, (words,)))
-    as_view = payload_size((1, (memoryview(words),)))
+    as_bytes = len(codec.encode((1, (words,))))
+    as_view = len(codec.encode((1, (memoryview(words),))))
     assert as_view == as_bytes > 32768
     network = Network(seed=b"codec-meter")
     network.register("service", {"meter": lambda msg: None})

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import codec
 from repro.core.glimmer import features_digest, pack_features, unpack_features
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.hashing import hash_items
@@ -36,7 +37,6 @@ from repro.runtime.telemetry import (
 )
 from repro.runtime.wire import validate_payload
 from repro.scale import ScaleConfig
-from repro.sgx.enclave import payload_size
 from repro.workloads.text import KeyboardCorpus
 from tests.runtime.test_wire import RewriteContribute
 
@@ -210,8 +210,8 @@ def test_a_first_trip_frame_is_packed(features, cap):
     bigrams = features()
     digest = features_digest(bigrams)
     first = m.ContributeCommand(1, pack_features(bigrams), digest)
-    assert payload_size(first) <= cap
-    assert payload_size(m.ContributeCommand(1, b"", digest)) == 46
+    assert len(codec.encode(first)) <= cap
+    assert len(codec.encode(m.ContributeCommand(1, b"", digest))) == 46
 
 
 @settings(max_examples=200, deadline=None)

@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro import invariants
+from repro import codec, invariants
+from repro.core.glimmer import KeyDelivery
 from repro.errors import AttestationError, AuthenticationError
 from repro.experiments.common import Deployment
 from repro.network.adversary import EavesdropAdversary
+from repro.network.transport import REPLY_SUFFIX
 from repro.runtime import messages as m
 from repro.runtime.telemetry import OUTCOME_ACCEPTED
 from repro.service.service import GlimmerService
@@ -217,3 +219,23 @@ def test_tenants_sharing_one_blinder_ride_their_sessions():
             assert full == []
             assert sessions.resumed - resumed == 2 * len(users)
     service.close()
+
+
+def test_a_full_delivery_carries_no_nonce_commitment():
+    """The Glimmer verifies a full delivery's handshake signature on its
+    own, never in a batch, so the signature's nonce commitment (a batching
+    hint) stays with the blinder: every full delivery a round puts on the
+    bus decodes without one, and every device still installs its mask."""
+    deployment = Deployment.build(num_users=NUM_USERS, seed=b"mask-sessions")
+    spy = EavesdropAdversary()
+    deployment.network.interpose(spy)
+    deployment.honest_round(1)
+    full = [
+        codec.decode(codec.encode(delivery), KeyDelivery)
+        for delivery in spy.captured_payloads(m.KIND_MASK_REQUEST + REPLY_SUFFIX)
+        if delivery.handshake_signature is not None
+    ]
+    assert len(full) == NUM_USERS
+    assert all(d.handshake_signature.commitment is None for d in full)
+    assert set(deployment.last_report.outcomes.values()) == {OUTCOME_ACCEPTED}
+    _judged_exact(deployment)

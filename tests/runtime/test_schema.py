@@ -48,6 +48,7 @@ from repro.runtime.protocol import VIOLATION_MALFORMED
 from repro.runtime.telemetry import OUTCOME_PROVISION_FAILED
 from repro.sgx.attestation import Quote
 from repro.sgx.platform import SgxPlatform
+from tests.core.test_split import _single_entry, _split_entry
 from tests.runtime.test_codec import SAMPLES
 
 def _within(value):
@@ -452,3 +453,23 @@ def test_split_link_refusals_are_typed(split_link, data):
     blob = data.draw(_blobs(honest).filter(lambda blob: blob != honest))
     with pytest.raises(TYPED + (CryptoError,)):
         split.blinding.ecall("blind", blob)
+
+
+@pytest.mark.parametrize("entry", [_single_entry, _split_entry], ids=["single", "split"])
+def test_contribution_request_refusals_are_typed(entry):
+    """What a host can hand a Glimmer's contribution ecall in place of a
+    request — the honest request's frame cut, extended or flipped, other
+    frames or bytes, or no bytes — is refused where it crosses, with a
+    typed error.  The refusals take nothing: the honest request still
+    goes through afterwards (signed by the single Glimmer, validated and
+    forwarded by the split one)."""
+    call, honest = entry()
+
+    @settings(max_examples=150, deadline=None)
+    @given(_blobs(codec.encode(honest)))
+    def refused(value):
+        with pytest.raises(TYPED):
+            call(value)
+
+    refused()
+    call(honest)

@@ -28,7 +28,6 @@ from repro.runtime.protocol import VIOLATION_MALFORMED
 from repro.runtime.telemetry import OUTCOME_QUARANTINED, OUTCOME_UNREACHABLE
 from repro.runtime.wire import blamed, validate_contribution, validate_payload
 from repro.sgx.attestation import Quote
-from repro.sgx.enclave import payload_size
 
 SENDER = "client:mallory"
 HUGE = 10**400  # an int no float can hold
@@ -455,10 +454,10 @@ def test_packed_non_finite_floats_are_blamed_on_the_sender(field, bad):
 
 @pytest.mark.parametrize("length", [77, 4096])
 def test_on_wire_size_does_not_depend_on_the_values(length):
-    """Packed vectors price by length alone: the bus's ``payload_size`` of
+    """Packed vectors price by length alone: the bus's frame length of
     all-zero and all-ones words is the same."""
     sizes = {
-        payload_size(_packed_field("ring_payload", W([word] * length))[1])
+        len(codec.encode(_packed_field("ring_payload", W([word] * length))[1]))
         for word in (0, (1 << 64) - 1)
     }
     assert len(sizes) == 1

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.crypto.drbg import HmacDrbg
-from repro.errors import EnclaveError
+from repro.errors import EnclaveError, ProtocolViolation
 from repro.sgx import (
     EnclaveImage,
     EnclaveProgram,
@@ -63,6 +63,46 @@ def test_ocall_reaches_host_handler(platform, image):
     enclave = platform.load_enclave(image, ocall_handlers={"fetch": fetch})
     assert enclave.ecall("fetch_from_host", "gps") == "host-data:gps"
     assert host_log == ["gps"]
+
+
+def test_the_enclave_and_the_host_share_no_object(platform, image):
+    """Each value crosses as a frame and lands as the receiver's own copy:
+    an ocall handler that appends to the list it is handed leaves the
+    host's list, which reached it through the enclave, as it was."""
+
+    def fetch(what):
+        what.append("appended by the handler")
+        return what
+
+    enclave = platform.load_enclave(image, ocall_handlers={"fetch": fetch})
+    sent = ["gps"]
+    assert enclave.ecall("fetch_from_host", sent) == ["gps", "appended by the handler"]
+    assert sent == ["gps"]
+
+
+class DeclaredProgram(EnclaveProgram):
+    """Entry points that declare what crosses."""
+
+    @ecall(bytes)
+    def length(self, blob):
+        return len(blob)
+
+    @ecall
+    def ask_host(self):
+        return self.api.ocall("answer", expect=int)
+
+
+def test_a_value_failing_its_declaration_is_refused_naming_the_call(platform, vendor):
+    enclave = platform.load_enclave(
+        EnclaveImage.build(DeclaredProgram, vendor),
+        ocall_handlers={"answer": lambda: "forty-two"},
+    )
+    assert enclave.ecall("length", b"four") == 4
+    with pytest.raises(ProtocolViolation, match="ecall 'length' argument 0 refused: .*bytes"):
+        enclave.ecall("length", "four")
+    with pytest.raises(ProtocolViolation, match="ocall 'answer' answer refused: .*int"):
+        enclave.ecall("ask_host")
+    assert DeclaredProgram.length.__sgx_ecall__ and DeclaredProgram.ask_host.__sgx_ecall__
 
 
 def test_missing_ocall_handler_raises(enclave):
@@ -136,6 +176,15 @@ def test_boundary_copy_cycles_scale_with_payload(enclave):
     enclave.ecall("unseal", enclave.ecall("seal_secret"))
     after_big = enclave.meter.buckets["boundary-copies"]
     assert after_big - after_small > after_small - small
+
+
+def test_keyword_arguments_are_priced_as_they_cross(platform, image):
+    copies = []
+    for args, kwargs in (((4,), {}), ((), {"by": 4})):
+        enclave = platform.load_enclave(image)
+        enclave.ecall("increment", *args, **kwargs)
+        copies.append(enclave.meter.buckets["boundary-copies"])
+    assert copies[0] == copies[1] > 0
 
 
 def test_epc_accounting(platform, image, vendor):
