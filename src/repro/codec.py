@@ -307,15 +307,24 @@ class TupleOf(Check):
     """A ``tuple`` of at most :data:`MAX_VECTOR_LENGTH` items, each
     passing ``item`` when one is given."""
 
+    kind = tuple
+
     def __init__(self, item: "Check | type | None" = None) -> None:
         self.item = _checker(item)
 
     def __call__(self, value: Any) -> str | None:
-        if type(value) is not tuple:
-            return f"must be tuple, not {type(value).__name__}"
+        if type(value) is not self.kind:
+            return f"must be {self.kind.__name__}, not {type(value).__name__}"
         if len(value) > MAX_VECTOR_LENGTH:
             return "exceeds the vector-length cap"
         return self.item.many(value)
+
+
+class ListOf(TupleOf):
+    """A ``list`` of at most :data:`MAX_VECTOR_LENGTH` items, each
+    passing ``item`` when one is given."""
+
+    kind = list
 
 
 class Pair(Check):

@@ -255,8 +255,8 @@ class ClientDevice:
         ``values`` may arrive already packed (the device step passes the
         stored :meth:`LocalDataStore.vector_for`); the Glimmer takes them
         packed either way.  ``features`` is the published list, packed
-        (:func:`~repro.core.glimmer.pack_features`), as the host received
-        it.  Raises
+        (:func:`~repro.core.glimmer.pack_features`), as the host holds it
+        once inflated from the bus.  Raises
         :class:`ValidationError` if the Glimmer rejects — an honest client
         simply does not submit in that case.
         """

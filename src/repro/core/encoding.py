@@ -7,7 +7,7 @@ configs.  Everything else that crosses a boundary is a
 
 from __future__ import annotations
 
-from repro.crypto.dh import DHGroup, OAKLEY_GROUP_1, TEST_GROUP
+from repro.crypto.dh import OAKLEY_GROUP_1, TEST_GROUP
 from repro.crypto.schnorr import SchnorrPublicKey
 from repro.errors import ConfigurationError
 
@@ -32,10 +32,3 @@ def decode_public_key(blob: bytes) -> SchnorrPublicKey:
         raise ConfigurationError(f"unknown group {name!r}")
     element = int.from_bytes(blob[2 + name_len :], "big")
     return SchnorrPublicKey(group=group, element=element)
-
-
-def group_by_name(name: str) -> DHGroup:
-    group = _GROUPS.get(name)
-    if group is None:
-        raise ConfigurationError(f"unknown group {name!r}")
-    return group

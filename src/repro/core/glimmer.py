@@ -24,6 +24,7 @@ blinded payload is the only value-derived output.
 from __future__ import annotations
 
 import struct
+import zlib
 
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -131,8 +132,9 @@ def features_digest(bigrams: Sequence[tuple[str, str]]) -> bytes:
 
 
 def pack_features(bigrams: Sequence[tuple[str, str]]) -> bytes:
-    """The feature list as it crosses the bus and the ecall: its words,
-    UTF-8, joined by NUL, and ``b""`` for no list.  A word holding NUL is
+    """The feature list as it enters the Glimmer: its words, UTF-8,
+    joined by NUL, and ``b""`` for no list (the bus carries its
+    :func:`deflate_features` stream).  A word holding NUL is
     a :class:`ValidationError`, as in :func:`features_digest`."""
     words = [word for left, right in bigrams for word in (left, right)]
     joined = "\x00".join(words)
@@ -141,41 +143,74 @@ def pack_features(bigrams: Sequence[tuple[str, str]]) -> bytes:
     return joined.encode("utf-8")
 
 
+#: The one compression level of the bus form, so a list has one stream.
+DEFLATE_LEVEL = 9
+#: The most a bus-form stream may inflate to: the bytes the codec allows
+#: one packed vector (8 · MAX_VECTOR_LENGTH).
+MAX_INFLATED_FEATURES = 8 * codec.MAX_VECTOR_LENGTH
+#: The most a bus-form stream may inflate to per byte of its own length.
+#: Published lists inflate 2.5× (k = 77) to 8× (k = 4,096); a list that
+#: deflates tighter crosses in stored blocks instead.
+MAX_INFLATION = 64
+
+
+def deflate_features(bigrams: Sequence[tuple[str, str]]) -> bytes:
+    """The feature list as it crosses the bus: its :func:`pack_features`
+    blob as a raw-deflate stream (no zlib header or checksum; the digest
+    names the list), in stored blocks if deflating would take it past
+    :data:`MAX_INFLATION`.  Its length depends only on the public list."""
+    packed = pack_features(bigrams)
+    for level in (DEFLATE_LEVEL, 0):  # level 0 stores: never shorter than its bytes
+        deflater = zlib.compressobj(level, zlib.DEFLATED, -15)
+        stream = deflater.compress(packed) + deflater.flush()
+        if len(packed) <= MAX_INFLATION * len(stream):
+            break
+    return stream
+
+
+def inflate_features(stream: bytes) -> bytes:
+    """The packed blob a :func:`deflate_features` stream carries.
+    ``ValueError`` for bytes that are not raw deflate, a stream that stops
+    short or has bytes after its end, or one that would inflate past
+    :data:`MAX_INFLATION` times its length or :data:`MAX_INFLATED_FEATURES`
+    (it is not inflated further)."""
+    limit = min(MAX_INFLATED_FEATURES, MAX_INFLATION * len(stream))
+    inflater = zlib.decompressobj(-15)
+    try:
+        packed = inflater.decompress(stream, limit + 1)
+    except zlib.error:
+        raise ValueError("not a raw-deflate stream") from None
+    if len(packed) > limit:
+        raise ValueError(f"inflates past {limit} bytes")
+    if not inflater.eof:
+        raise ValueError("the stream stops short")
+    if inflater.unused_data:
+        raise ValueError("bytes after the end of the stream")
+    return packed
+
+
+@lru_cache(maxsize=8)
+def received_features(stream: bytes, digest: bytes) -> bytes:
+    """The packed list a bus-form ``stream`` carries, once it inflates
+    (:func:`inflate_features`) to a list that hashes to ``digest``;
+    ``ValueError`` naming what is wrong otherwise.  Memoised
+    on a stream that passes and on no other (``lru_cache`` keeps no
+    exception): the wire's check and the host's keep inflate once, every
+    host in a process holds one blob, and a refused list is kept nowhere."""
+    try:
+        packed = inflate_features(stream)
+    except ValueError as exc:
+        raise ValueError(f"feature list does not inflate: {exc}") from None
+    _published(packed, digest)
+    return packed
+
+
 def unpack_features(blob: bytes) -> tuple[tuple[str, str], ...]:
     """The feature list a :func:`pack_features` blob carries (``()`` for
     ``b""``).  ``ValueError`` for an odd word count, bad UTF-8 or more than
     :data:`~repro.codec.MAX_VECTOR_LENGTH` pairs."""
-    return _unpacked(blob)[0]
-
-
-def features_complaint(blob: bytes, digest: bytes) -> str | None:
-    """What keeps the bytes ``blob`` from being the packed list ``digest``
-    names: not unpacking, or hashing to another digest."""
-    try:
-        __, actual = _unpacked(blob)
-    except ValueError as exc:
-        return f"feature list does not unpack: {exc}"
-    if actual != digest:
-        return "features do not hash to the published digest"
-    return None
-
-
-def published_features(blob: bytes, digest: bytes) -> tuple[tuple[str, str], ...]:
-    """The list a :func:`pack_features` blob carries, held to ``digest``;
-    :class:`ValidationError` for any :func:`features_complaint`."""
-    complaint = features_complaint(blob, digest)
-    if complaint:
-        raise ValidationError(complaint)
-    return _unpacked(blob)[0]
-
-
-@lru_cache(maxsize=8)
-def _unpacked(blob: bytes) -> tuple[tuple[tuple[str, str], ...], bytes]:
-    """A blob's list and its digest, memoised on the blob: every
-    contribution a Glimmer checks, and every first trip the wire checks,
-    hands it the one list the service published."""
     if not blob:
-        return (), features_digest(())
+        return ()
     pairs, odd = divmod(blob.count(0) + 1, 2)
     if odd:
         raise ValueError("an odd number of words")
@@ -185,8 +220,33 @@ def _unpacked(blob: bytes) -> tuple[tuple[tuple[str, str], ...], bytes]:
         words = blob.decode("utf-8").split("\x00")
     except UnicodeDecodeError:
         raise ValueError("words not UTF-8") from None
-    features = tuple(zip(words[0::2], words[1::2]))
-    return features, features_digest(features)
+    return tuple(zip(words[0::2], words[1::2]))
+
+
+def published_features(blob: bytes, digest: bytes) -> tuple[tuple[str, str], ...]:
+    """The list a :func:`pack_features` blob carries, held to ``digest``;
+    :class:`ValidationError` for a blob that does not unpack or misses
+    ``digest``."""
+    try:
+        return _published(blob, digest)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from None
+
+
+@lru_cache(maxsize=8)
+def _published(blob: bytes, digest: bytes) -> tuple[tuple[str, str], ...]:
+    """A blob's list, held to ``digest``; ``ValueError`` with the complaint
+    otherwise.  Memoised only for a list that matched (``lru_cache`` keeps
+    no exception): every contribution a Glimmer checks, and every first
+    trip the wire checks, hands it the one list the service published,
+    and a list that misses its digest is kept nowhere."""
+    try:
+        features = unpack_features(blob)
+    except ValueError as exc:
+        raise ValueError(f"feature list does not unpack: {exc}") from None
+    if features_digest(features) != digest:
+        raise ValueError("features do not hash to the published digest")
+    return features
 
 
 @wire(

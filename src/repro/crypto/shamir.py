@@ -11,7 +11,7 @@ Secrets are arbitrary 32-byte strings, embedded into field elements.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.crypto.drbg import HmacDrbg
 from repro.errors import CryptoError
@@ -105,10 +105,3 @@ def recover_secret(shares: Sequence[ShamirShare]) -> bytes:
         lagrange = numerator * pow(denominator, FIELD_PRIME - 2, FIELD_PRIME)
         secret_value = (secret_value + share_i.y * lagrange) % FIELD_PRIME
     return _decode_secret(secret_value)
-
-
-def recover_from_subsets(
-    share_sets: Iterable[Sequence[ShamirShare]],
-) -> list[bytes]:
-    """Convenience: recover one secret per share set (used in dropout recovery)."""
-    return [recover_secret(shares) for shares in share_sets]

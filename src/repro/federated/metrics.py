@@ -13,7 +13,7 @@ Three quantities recur throughout the evaluation:
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -63,20 +63,3 @@ def model_distance(a: BigramModel, b: BigramModel) -> float:
     if a.features.bigrams != b.features.bigrams:
         raise ConfigurationError("models use different feature spaces")
     return float(np.max(np.abs(a.weights - b.weights))) if len(a.weights) else 0.0
-
-
-def prediction_changed(
-    honest: BigramModel, attacked: BigramModel, word: str
-) -> bool:
-    """Did the attack flip the model's suggestion for ``word``?"""
-    return honest.top_prediction(word) != attacked.top_prediction(word)
-
-
-def empirical_accuracy(
-    guesses: Mapping[str, str], truth: Mapping[str, str]
-) -> float:
-    """Fraction of correct guesses over the keys present in ``guesses``."""
-    if not guesses:
-        raise ConfigurationError("no guesses to score")
-    hits = sum(1 for key, guess in guesses.items() if truth.get(key) == guess)
-    return hits / len(guesses)

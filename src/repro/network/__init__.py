@@ -14,7 +14,6 @@ from repro.network.adversary import (
     EavesdropAdversary,
     NetworkAdversary,
     ReplayAdversary,
-    TamperAdversary,
 )
 from repro.network.clock import LatencyModel, SimulatedClock
 from repro.network.conditions import (
@@ -37,7 +36,6 @@ __all__ = [
     "EavesdropAdversary",
     "NetworkAdversary",
     "ReplayAdversary",
-    "TamperAdversary",
     "LatencyModel",
     "SimulatedClock",
     "ConditionProfile",

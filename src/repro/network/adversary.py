@@ -74,25 +74,6 @@ class DropAdversary(NetworkAdversary):
         return message
 
 
-class TamperAdversary(NetworkAdversary):
-    """Flips a bit in byte payloads of the targeted kinds."""
-
-    def __init__(self, target_kinds: set[str] | None = None) -> None:
-        self.target_kinds = target_kinds
-        self.tampered = 0
-
-    def process(self, message: Message) -> Message | None:
-        if self.target_kinds is not None and message.kind not in self.target_kinds:
-            return message
-        payload = message.payload
-        if isinstance(payload, (bytes, bytearray)) and payload:
-            mutated = bytearray(payload)
-            mutated[len(mutated) // 2] ^= 0x01
-            self.tampered += 1
-            return message.with_payload(bytes(mutated))
-        return message
-
-
 class ReplayAdversary(NetworkAdversary):
     """Records messages of a kind and can replay them later.
 

@@ -26,10 +26,11 @@ exists to survive.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.core.client import mask_delivery
+from repro.core.glimmer import received_features
 from repro.errors import (
     CryptoError,
     EnclaveError,
@@ -305,13 +306,6 @@ def submit_step(client, round_id: int, submit) -> tuple[str, str | None]:
     return OUTCOME_SERVICE_REJECTED, None
 
 
-@lru_cache(maxsize=8)
-def _shared(blob: bytes) -> bytes:
-    """The first copy of ``blob`` any host kept: every host holds one list
-    (~77 KB at k = 4,096), not the copy its own command decoded to."""
-    return blob
-
-
 class ClientEndpoint(_Endpoint):
     """One client device as a transport endpoint.
 
@@ -321,9 +315,10 @@ class ClientEndpoint(_Endpoint):
     what a real on-path attacker would.
 
     The host keeps the last feature list it received (public data, its
-    digest already checked at the wire), packed, in the one blob every
-    host shares, and uses it for a command that carries ``b""`` under the
-    same digest, so the Glimmer always gets — and checks — the whole list.
+    digest already checked at the wire), inflated from its bus form into
+    the one packed blob every host shares, and uses it for a command that
+    carries ``b""`` under the same digest, so the Glimmer always gets —
+    and checks — the whole list.
     """
 
     ROUTES = {
@@ -395,7 +390,7 @@ class ClientEndpoint(_Endpoint):
             # (or double-submit); answer from the cache instead.
             return self._contribute_outcomes[command.round_id]
         if command.features:
-            self._features = _shared(command.features)
+            self._features = received_features(command.features, command.features_digest)
             self._features_digest = command.features_digest
         outcome = self._contribute(command, record)
         self._contribute_outcomes[command.round_id] = outcome

@@ -46,7 +46,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.glimmer import features_digest, pack_features
+from repro.core.glimmer import deflate_features, features_digest
 from repro.crypto import group_ops
 from repro.crypto.commitments import (
     MaskCommitmentSet,
@@ -615,12 +615,13 @@ class RoundEngine:
         return True
 
     def packed_features(self, features: Sequence) -> tuple[bytes, bytes]:
-        """``features`` packed, and its digest, worked out once per tuple:
-        a round's commands and pool tasks, and the rounds after it given
-        the same tuple, share one blob and one digest (``run_round`` makes
-        one tuple of whatever list it is given)."""
+        """``features`` in its bus form (:func:`deflate_features`) and its
+        digest, worked out once per tuple: a round's commands and pool
+        tasks, and the rounds after it given the same tuple, share one
+        stream and one digest (``run_round`` makes one tuple of whatever
+        list it is given)."""
         if self._feature_list[0] is not features or type(features) is not tuple:
-            self._feature_list = (features, pack_features(features), features_digest(features))
+            self._feature_list = (features, deflate_features(features), features_digest(features))
         return self._feature_list[1:]
 
     def contribute(
@@ -639,14 +640,14 @@ class RoundEngine:
         user's app on that host would, and the command only names the
         round.  It carries ``b""`` for the feature list only to a device
         whose last contribution under the same digest was accepted — its
-        host kept the list — and the full list, packed, to every other
+        host kept the list — and the full list, in its bus form, to every other
         (see :class:`~repro.runtime.messages.ContributeCommand`).
         """
         record = self.round_record(round_id)
         record.note_participant(client_id)
         name = self._client_name(client_id)
         self.clients[client_id].data.put_vector(round_id, values)
-        packed, digest = self.packed_features(features)
+        stream, digest = self.packed_features(features)
         held = self._published.pop(client_id, None) == digest
         outcome, _detail = self.call_with_retry(
             record,
@@ -655,7 +656,7 @@ class RoundEngine:
             m.KIND_CONTRIBUTE,
             m.ContributeCommand(
                 round_id=round_id,
-                features=b"" if held else packed,
+                features=b"" if held else stream,
                 features_digest=digest,
             ),
             first_attempt=first_attempt,

@@ -143,8 +143,10 @@ class ContributeCommand:
     ``features_digest`` names the service-published feature list
     (:func:`repro.core.glimmer.features_digest`, the value vetted into
     every Glimmer's measured config).  ``features`` carries the list
-    itself, packed (:func:`repro.core.glimmer.pack_features`: its words
-    joined by NUL), only on its first trip to a device host: once a
+    itself in its bus form — packed (its words joined by NUL), then
+    deflated (:func:`repro.core.glimmer.deflate_features`), so a k = 77
+    keyboard list is ~316 bytes, not 784 — only on its first trip to a
+    device host, which inflates it within a fixed cap: once a
     device's last contribution under this digest was accepted, the engine
     sends ``b""`` and the host's
     :class:`~repro.runtime.endpoints.ClientEndpoint` uses the list it

@@ -2,7 +2,7 @@
 (each field's own check is declared on its ``@wire`` class)."""
 
 from repro.codec import blamed
-from repro.core.glimmer import HANDLE_BYTES, features_complaint
+from repro.core.glimmer import HANDLE_BYTES, received_features
 from repro.core.signing import SignedContribution
 from repro.errors import RefusedAtWire
 from repro.runtime import messages as m
@@ -43,11 +43,15 @@ def _two_shapes(request: m.MaskRequest) -> str | None:
 
 
 def _features_hash(command: m.ContributeCommand) -> str | None:
-    """A carried list unpacks, and hashes to the digest it names."""
+    """A carried list inflates within its bounds, unpacks, and hashes to
+    the digest it names."""
     if not command.features:
         return None
-    complaint = features_complaint(command.features, command.features_digest)
-    return complaint and f"{complaint}, so the host must not keep it"
+    try:
+        received_features(command.features, command.features_digest)
+    except ValueError as exc:
+        return f"{exc}, so the host must not keep it"
+    return None
 
 
 RULES = {  # class -> what is wrong with an object whose fields all hold, if anything

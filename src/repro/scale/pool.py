@@ -51,7 +51,7 @@ from functools import cache
 from multiprocessing.reduction import ForkingPickler
 from typing import Any, Sequence
 
-from repro.core.glimmer import BLINDING_MASK_CONTEXT, GlimmerConfig
+from repro.core.glimmer import BLINDING_MASK_CONTEXT, GlimmerConfig, received_features
 from repro.core.provisioning import seal_delivery
 from repro.crypto.commitments import encode_mask_payload
 from repro.crypto.dh import DHGroup
@@ -231,7 +231,8 @@ def _run_client(context: WorkerContext, task: ClientTask) -> ClientResult:
     if task.contribute is None:
         return result
     command = task.contribute
-    result.signed, result.outcome = sign_step(task.client, command, command.features, result)
+    features = received_features(command.features, command.features_digest)
+    result.signed, result.outcome = sign_step(task.client, command, features, result)
     if result.signed is not None:
         try:
             result.signature_ok = bool(

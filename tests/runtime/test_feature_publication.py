@@ -1,26 +1,39 @@
 """The published feature list travels to each device host once.
 
 ``ContributeCommand`` always names the list by its 32-byte digest and
-carries the list itself, packed into one NUL-joined blob, only to a device
-whose last bus contribution under that digest was not accepted (or that
-never made one).  These tests watch
+carries the list itself, packed into one NUL-joined blob and deflated,
+only to a device whose last bus contribution under that digest was not
+accepted (or that never made one).  These tests watch
 the wire with an eavesdropper and hold every round to the exact mean: the
 list goes out in round 1 and not after, a new host or a refused round gets
 it again, a list stripped or swapped in transit costs that device one
 round and nothing more, and a device first seen by the worker pool gets it
 on its first bus round.  The blob's own tests pin its first-trip size,
-its round trip, what the wire and the Glimmer refuse, that every host
-shares one blob, and that the engine packs a list once a round.
+its round trip through the bus form, what the wire and the Glimmer
+refuse, the streams that do not inflate within the cap, that every host
+shares one inflated blob, that same-seed runs send the same bytes, and
+that the engine packs a list once a round.
 """
 
 from __future__ import annotations
+
+import hashlib
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import codec
-from repro.core.glimmer import features_digest, pack_features, unpack_features
+from repro.core import glimmer
+from repro.core.glimmer import (
+    deflate_features,
+    features_digest,
+    inflate_features,
+    pack_features,
+    unpack_features,
+)
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.hashing import hash_items
 from repro.errors import ProtocolError, ProtocolViolation, ValidationError
@@ -79,7 +92,7 @@ def test_the_list_travels_in_round_one_only():
     deployment.network.interpose(eavesdropper)
     bigrams = tuple(deployment.features.bigrams)
     digest = features_digest(bigrams)
-    packed = pack_features(bigrams)
+    stream = deflate_features(bigrams)
     reports = [_run(deployment, round_id, users) for round_id in (1, 2, 3)]
 
     for round_id, report in enumerate(reports, start=1):
@@ -89,7 +102,7 @@ def test_the_list_travels_in_round_one_only():
         for command in commands.values():
             assert command.features_digest == digest
             assert len(command.features_digest) == 32
-            assert command.features == (packed if round_id == 1 else b"")
+            assert command.features == (stream if round_id == 1 else b"")
     assert reports[1].bytes_on_wire < reports[0].bytes_on_wire
     assert reports[2].bytes_on_wire < reports[0].bytes_on_wire
 
@@ -104,7 +117,7 @@ def test_a_reregistered_device_gets_the_list_again():
     report = _run(deployment, 2, users)
 
     commands = _commands(eavesdropper, 2)
-    assert commands[renewed].features == pack_features(deployment.features.bigrams)
+    assert commands[renewed].features == deflate_features(deployment.features.bigrams)
     assert all(commands[u].features == b"" for u in users if u != renewed)
     assert report.outcomes[renewed] == OUTCOME_ACCEPTED
 
@@ -121,7 +134,7 @@ def test_a_refused_device_gets_the_list_again_and_is_accepted():
 
     second = _run(deployment, 2, users)
     commands = _commands(eavesdropper, 2)
-    assert commands[refused].features == pack_features(deployment.features.bigrams)
+    assert commands[refused].features == deflate_features(deployment.features.bigrams)
     assert all(commands[u].features == b"" for u in users if u != refused)
     assert set(second.outcomes.values()) == {OUTCOME_ACCEPTED}
 
@@ -138,7 +151,7 @@ def test_a_list_stripped_in_transit_costs_that_device_one_round():
     assert first.outcomes[victim] == OUTCOME_VALIDATION_REJECTED
     assert len(first.survivors) == USERS - 1
     second = _run(deployment, 2, users)
-    assert _commands(eavesdropper, 2)[victim].features == pack_features(bigrams)
+    assert _commands(eavesdropper, 2)[victim].features == deflate_features(bigrams)
     assert second.outcomes[victim] == OUTCOME_ACCEPTED
     third = _run(deployment, 3, users)
     assert _commands(eavesdropper, 3)[victim].features == b""
@@ -152,7 +165,7 @@ def test_a_list_that_misses_its_digest_is_malformed_and_not_kept():
     _run(deployment, 1, users)
     swapped = tuple(reversed(bigrams))
     deployment.network.interpose(
-        RewriteContribute(victim, {2}, features=pack_features(swapped))
+        RewriteContribute(victim, {2}, features=deflate_features(swapped))
     )
 
     second = _run(deployment, 2, users)
@@ -180,8 +193,8 @@ def test_a_pool_only_device_gets_the_list_on_its_first_bus_round():
         deployment.network.interpose(eavesdropper)
         serial = _run(deployment, 2, users)
         assert serial.route_reason == "network_adversary"
-        packed = pack_features(bigrams)
-        assert all(c.features == packed for c in _commands(eavesdropper, 2).values())
+        stream = deflate_features(bigrams)
+        assert all(c.features == stream for c in _commands(eavesdropper, 2).values())
         assert set(serial.outcomes.values()) == {OUTCOME_ACCEPTED}
         _run(deployment, 3, users)
         assert all(c.features == b"" for c in _commands(eavesdropper, 3).values())
@@ -202,14 +215,14 @@ def _keyboard_list() -> tuple:
 
 @pytest.mark.parametrize(
     "features, cap",
-    [pytest.param(_keyboard_list, 840, id="k77"), pytest.param(lambda: WIDE, 78_000, id="k4096")],
+    [pytest.param(_keyboard_list, 380, id="k77"), pytest.param(lambda: WIDE, 10_000, id="k4096")],
 )
 def test_a_first_trip_frame_is_packed(features, cap):
-    """A pair costs its words and two NULs, not 15 bytes of tuple-of-pairs
-    framing: 830 and 77,869 bytes; a later trip carries ``b""``, 46."""
+    """The list crosses packed and deflated: 362 and 9,688 bytes (830 and
+    77,869 packed alone); a later trip carries ``b""``, 46."""
     bigrams = features()
     digest = features_digest(bigrams)
-    first = m.ContributeCommand(1, pack_features(bigrams), digest)
+    first = m.ContributeCommand(1, deflate_features(bigrams), digest)
     assert len(codec.encode(first)) <= cap
     assert len(codec.encode(m.ContributeCommand(1, b"", digest))) == 46
 
@@ -218,6 +231,14 @@ def test_a_first_trip_frame_is_packed(features, cap):
 @given(st.lists(st.tuples(WORD, WORD), max_size=20).map(tuple))
 def test_a_packed_list_unpacks_to_itself_under_its_digest(bigrams):
     unpacked = unpack_features(pack_features(bigrams))
+    assert unpacked == bigrams
+    assert features_digest(unpacked) == features_digest(bigrams)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(WORD, WORD), max_size=20).map(tuple))
+def test_a_list_survives_its_bus_form(bigrams):
+    unpacked = unpack_features(inflate_features(deflate_features(bigrams)))
     assert unpacked == bigrams
     assert features_digest(unpacked) == features_digest(bigrams)
 
@@ -242,6 +263,12 @@ def test_a_word_holding_nul_is_refused(bigrams):
         pack_features(bigrams)
 
 
+def _deflated(blob: bytes) -> bytes:
+    """Any blob in the bus form, as a sender could deflate it."""
+    deflater = zlib.compressobj(9, zlib.DEFLATED, -15)
+    return deflater.compress(blob) + deflater.flush()
+
+
 BAD_BLOBS = [
     pytest.param(b"the\x00cat\x00sat", "odd number of words", id="odd-word-count"),
     pytest.param(b"the\x00\xffcat", "not UTF-8", id="bad-utf8"),
@@ -253,7 +280,8 @@ BAD_BLOBS = [
 
 @pytest.mark.parametrize("blob, complaint", BAD_BLOBS)
 def test_a_bad_blob_is_malformed_at_the_wire(blob, complaint):
-    command = m.ContributeCommand(1, blob, features_digest((("the", "cat"), ("cat", "sat"))))
+    digest = features_digest((("the", "cat"), ("cat", "sat")))
+    command = m.ContributeCommand(1, _deflated(blob), digest)
     with pytest.raises(ProtocolViolation, match=complaint) as excinfo:
         validate_payload(m.KIND_CONTRIBUTE, "engine", command)
     assert excinfo.value.kind == VIOLATION_MALFORMED
@@ -266,7 +294,7 @@ def test_a_blob_that_does_not_unpack_is_malformed_and_not_kept(blob, complaint):
     victim = users[4]
     bigrams = tuple(deployment.features.bigrams)
     _run(deployment, 1, users)
-    deployment.network.interpose(RewriteContribute(victim, {2}, features=blob))
+    deployment.network.interpose(RewriteContribute(victim, {2}, features=_deflated(blob)))
 
     second = _run(deployment, 2, users)
     assert [(v.offender, v.kind) for v in second.violations] == [
@@ -275,6 +303,121 @@ def test_a_blob_that_does_not_unpack_is_malformed_and_not_kept(blob, complaint):
     assert complaint in second.violations[0].detail
     assert second.outcomes[victim] == OUTCOME_UNREACHABLE
     assert deployment.engine.client_endpoints[victim]._features == pack_features(bigrams)
+
+
+def _incompressible() -> bytes:
+    """A packed list of 32 pairs of hex words: it deflates only ~2×."""
+    return b"\x00".join(hashlib.sha256(bytes([i])).hexdigest().encode() for i in range(64))
+
+
+def _repetitive() -> bytes:
+    """A packed list of 5,000,000 ``("a", "a")`` pairs: 10 MB that deflate
+    to ~10 KB."""
+    return (b"a\x00" * 10_000_000)[:-1]
+
+
+BAD_STREAMS = [
+    pytest.param(lambda s: s[:-4], "stops short", None, id="truncated"),
+    pytest.param(lambda s: s + b"\x00", "bytes after the end", None, id="trailing-bytes"),
+    pytest.param(lambda s: b"\xff" * 16, "not a raw-deflate stream", None, id="not-deflate"),
+    pytest.param(
+        lambda s: _deflated(_incompressible()), "inflates past 1024 bytes", 1024, id="past-the-cap"
+    ),
+    pytest.param(lambda s: _deflated(_repetitive()), "inflates past", None, id="past-its-length"),
+]
+
+
+@pytest.mark.parametrize("damage, complaint, cap", BAD_STREAMS)
+def test_a_stream_that_does_not_inflate_is_malformed_and_not_kept(
+    monkeypatch, damage, complaint, cap
+):
+    """The host inflates at most the cap or 64 times the stream's length,
+    whichever is less, and a stream that is cut short, runs on past its
+    end, is not raw deflate or would inflate past either bound is one
+    ``malformed`` violation on the sender; the host keeps its list."""
+    deployment, users = _build()
+    victim = users[4]
+    bigrams = tuple(deployment.features.bigrams)
+    _run(deployment, 1, users)
+    stream = damage(deflate_features(bigrams))
+    deployment.network.interpose(RewriteContribute(victim, {2}, features=stream))
+    if cap is not None:
+        monkeypatch.setattr(glimmer, "MAX_INFLATED_FEATURES", cap)
+
+    second = _run(deployment, 2, users)
+    assert [(v.offender, v.kind) for v in second.violations] == [
+        (m.ENGINE, VIOLATION_MALFORMED)
+    ]
+    assert complaint in second.violations[0].detail
+    assert second.outcomes[victim] == OUTCOME_UNREACHABLE
+    assert deployment.engine.client_endpoints[victim]._features == pack_features(bigrams)
+
+
+def test_a_bomb_is_inflated_no_further_than_the_cap(monkeypatch):
+    """Refusing a 16 MB bomb under a 64 KB cap allocates about the cap, not
+    the bomb: inflating stops one byte past it."""
+    monkeypatch.setattr(glimmer, "MAX_INFLATED_FEATURES", 1 << 16)
+    bomb = _deflated(bytes(16 << 20))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="inflates past 65536 bytes"):
+            inflate_features(bomb)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "stream, complaint",
+    [
+        pytest.param(lambda: _deflated(_repetitive()), "inflates past", id="repetitive"),
+        pytest.param(lambda: deflate_features(WIDE), "do not hash", id="misses-its-digest"),
+    ],
+)
+def test_a_refused_stream_costs_a_bound_set_by_its_length_and_is_kept_nowhere(
+    stream, complaint
+):
+    """Checking a first trip at the wire costs the host memory bounded by
+    the stream's own length, and a stream it refuses — inflating too far,
+    or to a list that misses its digest — stays in neither memo."""
+    stream = stream()
+    command = m.ContributeCommand(1, stream, features_digest((("the", "cat"),)))
+    memos = (glimmer.received_features, glimmer._published)
+    for memo in memos:
+        memo.cache_clear()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ProtocolViolation, match=complaint):
+            validate_payload(m.KIND_CONTRIBUTE, "engine", command)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * glimmer.MAX_INFLATION * len(stream) + (1 << 20)
+    assert [memo.cache_info().currsize for memo in memos] == [0, 0]
+    assert glimmer.received_features.cache_info().misses == 1
+
+
+def test_a_list_that_deflates_too_tightly_crosses_in_stored_blocks():
+    """A list whose deflate would pass the inflation bound (4,096 pairs of
+    empty words) still crosses, at about its packed length."""
+    bigrams = (("", ""),) * 4096
+    stream = deflate_features(bigrams)
+    assert len(pack_features(bigrams)) <= len(stream) < len(pack_features(bigrams)) + 64
+    assert unpack_features(inflate_features(stream)) == bigrams
+
+
+def test_same_seed_runs_send_identical_first_trips():
+    frames = []
+    for __ in range(2):
+        deployment, users = _build()
+        eavesdropper = EavesdropAdversary()
+        deployment.network.interpose(eavesdropper)
+        _run(deployment, 1, users)
+        commands = _commands(eavesdropper, 1)
+        frames.append([codec.encode(commands[user]) for user in users])
+    assert frames[0] == frames[1]
+    assert all(len(frame) > 46 for frame in frames[0])
 
 
 def test_every_host_keeps_one_shared_list():
@@ -294,7 +437,7 @@ def test_the_engine_packs_and_digests_the_list_once_a_round(monkeypatch, paralle
     from repro.runtime import engine as engine_module
     from repro.scale import rounds as rounds_module
 
-    calls = {"pack_features": 0, "features_digest": 0}
+    calls = {"deflate_features": 0, "features_digest": 0}
     for module in (engine_module, rounds_module):
         for name in calls:
             real = getattr(module, name, None)

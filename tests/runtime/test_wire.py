@@ -16,7 +16,7 @@ import pytest
 
 from repro import codec, invariants
 from repro.codec import Packed
-from repro.core.glimmer import HANDLE_BYTES, features_digest, pack_features
+from repro.core.glimmer import HANDLE_BYTES, deflate_features, features_digest
 from repro.core.signing import SignedContribution
 from repro.crypto.schnorr import SchnorrSignature
 from repro.errors import ProtocolViolation, RoundAbortedError
@@ -150,7 +150,7 @@ BIGRAMS = (("the", "cat"), ("cat", "sat"))
 def _command(**overrides):
     fields = dict(
         round_id=1,
-        features=pack_features(BIGRAMS),
+        features=deflate_features(BIGRAMS),
         features_digest=features_digest(BIGRAMS),
     )
     fields.update(overrides)
@@ -183,7 +183,7 @@ def test_contribute_command_accepted(overrides):
         dict(features=(("a",),) * 3),
         dict(features=(("the", "cat", "sat"),)),
         dict(features=(("the", 1),)),
-        pytest.param(dict(features=pack_features(BIGRAMS[:1])), id="list-misses-its-digest"),
+        pytest.param(dict(features=deflate_features(BIGRAMS[:1])), id="list-misses-its-digest"),
     ],
 )
 def test_malformed_contribute_command_is_blamed_on_the_sender(overrides):
@@ -245,7 +245,7 @@ def test_tampered_contribute_command_is_a_violation_end_to_end(fields):
         pytest.param(dict(round_id=2), id="round-id"),
         pytest.param(dict(features=b""), id="features-empty"),
         pytest.param(
-            dict(features=pack_features(BIGRAMS), features_digest=features_digest(BIGRAMS)),
+            dict(features=deflate_features(BIGRAMS), features_digest=features_digest(BIGRAMS)),
             id="features-other",
         ),
         pytest.param(dict(features_digest=b"\x00" * 32), id="features-digest"),
