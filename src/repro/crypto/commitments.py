@@ -154,7 +154,8 @@ def _weighted_limb_sum(
     ``weights`` is the :func:`weight_digits` matrix, row-major in
     ``(i, l)`` like the limbs; the dot is exact and reduced once — the
     same residue as the scalar twin
-    (:func:`repro.perf.reference.weighted_limb_sum_scalar`).
+    (``weighted_limb_sum_scalar``, in the parity tests' ``reference``
+    module).
     """
     return _digit_dot(weights, _limb_matrix(kernels.as_ring(mask)).ravel()) % q
 
@@ -378,7 +379,7 @@ class MaskCommitmentSet:
         if not 0 <= self.randomizer_sum < group.subgroup_order:
             raise MaskVerificationError("randomizer sum out of range")
         for slot, point in enumerate(self.points):
-            if not group.is_valid_element(point):
+            if not group.is_element(point):
                 raise MaskVerificationError(
                     f"slot {slot} commitment point is not a valid group element"
                 )

@@ -82,7 +82,7 @@ class DHGroup:
     def public_element(self, exponent: int) -> int:
         return self.power(self.subgroup_generator(), exponent)
 
-    def is_valid_element(self, element: int) -> bool:
+    def is_element(self, element: int) -> bool:
         """Subgroup-membership check: rejects 0, 1, p-1, and non-residues.
 
         Skipping this check enables small-subgroup confinement attacks, so
@@ -90,16 +90,27 @@ class DHGroup:
         safe prime ``x^q ≡ (x|p)`` (Euler's criterion), so the predicate
         ``x^q == 1`` is decided by the Jacobi symbol — the same answer on
         every input at a tenth of the exponentiation's cost.  Anything
-        that is not an ``int`` is not an element.  Elements that already
-        passed are memoized (True results only — see
+        that is not an ``int`` is not an element.  Nothing is remembered:
+        a value checked once, such as a round's commitment point, calls
+        this.
+        """
+        return (
+            type(element) is int
+            and 1 < element < self.prime - 1
+            and group_ops.jacobi(element, self.prime) == 1
+        )
+
+    def is_valid_element(self, element: int) -> bool:
+        """:meth:`is_element`, memoized for values checked again and again.
+
+        Long-lived keys (Schnorr publics) call this.  Elements that
+        already passed are remembered (True results only — see
         :func:`repro.crypto.group_ops.is_known_member` — so a cache hit
         can never admit an element the full check would reject).
         """
-        if type(element) is not int or not 1 < element < self.prime - 1:
-            return False
-        if group_ops.is_known_member(self.prime, element):
+        if type(element) is int and group_ops.is_known_member(self.prime, element):
             return True
-        if group_ops.jacobi(element, self.prime) != 1:
+        if not self.is_element(element):
             return False
         group_ops.remember_member(self.prime, element)
         return True

@@ -5,7 +5,7 @@ PR 4 made the masking/ring kernels 10-500x faster, which left pure-python
 sign/verify, DH handshakes, and Pedersen commitment arithmetic all reduce
 to full-width modular exponentiations.  This module attacks that cost on
 three fronts, all exact (never approximate) and all gated by parity twins
-in :mod:`repro.perf.reference`:
+in the parity tests' ``reference`` module (``tests/perf/``):
 
 * **Fixed-base windowed tables** (:class:`FixedBaseTable`,
   :func:`fixed_power`) — the subgroup generator ``h``, the Pedersen
@@ -269,7 +269,7 @@ def jacobi(a: int, n: int) -> int:
     For a safe prime ``p = 2q+1`` the order-``q`` subgroup is exactly the
     quadratic residues and ``x^q ≡ (x|p)`` (Euler's criterion), so
     ``jacobi(x, p) == 1`` *is* the membership predicate at no
-    exponentiation: :meth:`repro.crypto.dh.DHGroup.is_valid_element` uses
+    exponentiation: :meth:`repro.crypto.dh.DHGroup.is_element` uses
     it for every enrolment, and the batch verifiers use it to keep
     full-group forgeries out of subgroup-soundness arguments.
     """

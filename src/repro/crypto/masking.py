@@ -54,8 +54,8 @@ class SumZeroMasks:
         first ``8·length·(N−1)`` bytes are the first N−1 masks, already
         packed words.  The last mask is the ring negation of their sum,
         which makes the family jointly uniform subject to the sum-zero
-        constraint.  Scalar twin:
-        :func:`repro.perf.reference.sample_sum_zero_scalar`.
+        constraint.  Scalar twin: ``sample_sum_zero_scalar``, in the
+        parity tests' ``reference`` module (``tests/perf/``).
         """
         if num_parties < 1:
             raise ConfigurationError("need at least one party")

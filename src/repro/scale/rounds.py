@@ -40,8 +40,6 @@ from __future__ import annotations
 from functools import partial
 from typing import Mapping, Sequence
 
-from concurrent.futures import BrokenExecutor
-
 from repro.core.client import ClientDevice
 from repro.core.provisioning import BlinderProvisioner, _verify_bound_quote
 from repro.core.service import CloudService
@@ -57,7 +55,6 @@ from repro.runtime.endpoints import ClientEndpoint, submit_step
 from repro.runtime.messages import client_endpoint
 from repro.runtime.telemetry import OUTCOME_CRASHED, OUTCOME_DROPOUT
 from repro.scale.config import RoutePlan, ScaleConfig
-from repro.scale.pool import ClientTask, WorkerContext
 from repro.scale.shard import plan_shards
 
 
@@ -197,7 +194,13 @@ def run_parallel_round(
 
     Everything else about the round is :meth:`RoundEngine.round_stages`';
     the module docstring says where the order-sensitive work stays serial.
+    The pool stack is imported here, on the first pool round, so a serial
+    or streamed process never loads it.
     """
+    from concurrent.futures import BrokenExecutor
+
+    from repro.scale.pool import ClientTask, WorkerContext
+
     round_id = record.round_id
     provisioner = engine.blinder_provisioner
 

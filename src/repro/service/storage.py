@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import json
 import os
-import sqlite3
 import tempfile
 from collections.abc import MutableMapping
 from typing import Any, Iterator
@@ -261,11 +260,17 @@ class DiskBackend(StorageBackend):
 
 
 class SQLiteBackend(StorageBackend):
-    """The same model in one SQLite file, one commit per mutation."""
+    """The same model in one SQLite file, one commit per mutation.
+
+    ``sqlite3`` is imported by this class alone, so a process on another
+    backend never loads it.
+    """
 
     kind = "sqlite"
 
     def __init__(self, path: str) -> None:
+        import sqlite3
+
         self.path = os.path.abspath(path)
         parent = os.path.dirname(self.path)
         if parent:
@@ -284,13 +289,15 @@ class SQLiteBackend(StorageBackend):
         self._db.commit()
 
     def put(self, space: str, key: str, value: Any) -> None:
+        import sqlite3
+
         try:
             self._db.execute(
                 "INSERT OR REPLACE INTO kv (space, key, value) VALUES (?, ?, ?)",
                 (space, str(key), json.dumps(encode_value(value))),
             )
             self._db.commit()
-        except sqlite3.OperationalError as exc:  # pragma: no cover - real db failure
+        except sqlite3.OperationalError as exc:
             raise StorageFaultError(f"sqlite put failed for {space}/{key}: {exc}") from exc
 
     def get(self, space: str, key: str, default: Any = None) -> Any:
@@ -313,6 +320,8 @@ class SQLiteBackend(StorageBackend):
         return cursor.rowcount > 0
 
     def append(self, log: str, entry: dict) -> int:
+        import sqlite3
+
         try:
             row = self._db.execute(
                 "SELECT COALESCE(MAX(seq) + 1, 0) FROM logs WHERE log = ?", (log,)
@@ -324,7 +333,7 @@ class SQLiteBackend(StorageBackend):
             )
             self._db.commit()
             return seq
-        except sqlite3.OperationalError as exc:  # pragma: no cover - real db failure
+        except sqlite3.OperationalError as exc:
             raise StorageFaultError(f"sqlite append failed for log {log!r}: {exc}") from exc
 
     def read_log(self, log: str) -> list[dict]:

@@ -14,7 +14,9 @@ that allow upgrades across versions from the same vendor.
 
 from __future__ import annotations
 
+import ast
 import inspect
+import linecache
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -43,6 +45,35 @@ def _image_payload(
 
 
 @cache
+def _class_starts(filename: str) -> tuple[list[str], dict[str, int]]:
+    """A source file's lines and, by qualified name, the first line of
+    each class it defines (its first decorator, if any), zero-based.
+
+    One ``ast.parse`` per file, found as :func:`inspect.getsource` finds
+    a class — the first definition of the name in source order, and a
+    function's classes under ``<locals>`` — which parses the whole file
+    again for every class it is asked for.
+    """
+    lines = linecache.getlines(filename)
+    starts: dict[str, int] = {}
+
+    def visit(node, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                name = prefix + child.name
+                first = child.decorator_list[0] if child.decorator_list else child
+                starts.setdefault(name, first.lineno - 1)
+                visit(child, name + ".")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{prefix}{child.name}.<locals>.")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse("".join(lines)), "")
+    return lines, starts
+
+
+@cache
 def code_identity_of(program_class: type) -> bytes:
     """Canonical byte identity of an enclave program's code.
 
@@ -51,8 +82,9 @@ def code_identity_of(program_class: type) -> bytes:
     any code the program runs — a shared step or base included — changes
     the measurement (the property tamper experiments need).  A class with
     no source (dynamically generated) contributes its qualified name.
-    Memoised per class: ``inspect.getsource`` parses the class's whole
-    module on every call, and a class's source is fixed once imported.
+    The bytes are :func:`inspect.getsource`'s, sliced from one parse per
+    source file (:func:`_class_starts`); memoised per class, since a
+    class's source is fixed once imported.
     """
     measured = [
         cls for cls in program_class.__mro__
@@ -61,8 +93,9 @@ def code_identity_of(program_class: type) -> bytes:
     parts = []
     for cls in measured:
         try:
-            parts.append(inspect.getsource(cls))
-        except (OSError, TypeError):
+            lines, starts = _class_starts(inspect.getsourcefile(cls))
+            parts.append("".join(inspect.getblock(lines[starts[cls.__qualname__]:])))
+        except (OSError, TypeError, KeyError):
             parts.append(cls.__qualname__)
     return "".join(parts).encode("utf-8")
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.byzantine.actors import _forge_commitments
+from repro.crypto import group_ops
 from repro.crypto.commitments import (
     LIMBS,
     MaskOpening,
@@ -24,6 +25,7 @@ from repro.crypto.commitments import (
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.masking import SumZeroMasks
 from repro.errors import ConfigurationError, MaskVerificationError
+from repro.experiments.common import Deployment
 from repro.perf import kernels
 
 GROUP = resolve_group("oakley-group-1")
@@ -197,3 +199,22 @@ def test_challenge_weights_fill_the_one_shot_matrix(group_name, length):
     chunked = challenge_weights(root, group_name, length)
     assert chunked.shape == one_shot.shape
     assert chunked.tobytes() == one_shot.tobytes()
+
+
+def test_round_commitment_points_are_checked_not_remembered():
+    """A round's commitment points are checked once, at round open, and
+    never looked up again, so they stay out of the membership memo: its
+    size is flat in rounds run, and the long-lived keys it exists for
+    stay in it."""
+    group_ops.reset_tables()
+    try:
+        deployment = Deployment.build(num_users=4, seed=b"commitment-members")
+        sizes = {}
+        for round_id in range(1, 7):
+            deployment.honest_round(round_id)
+            sizes[round_id] = len(group_ops._MEMBERS)
+        assert sizes[6] == sizes[2], sizes
+        key = deployment.engine.signing_public
+        assert (key.group.prime, key.element) in group_ops._MEMBERS
+    finally:
+        group_ops.reset_tables()

@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.crypto import group_ops
 from repro.crypto.dh import DHGroup, DHKeyPair, OAKLEY_GROUP_1, TEST_GROUP
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.schnorr import SchnorrKeyPair, SchnorrSignature, batch_verify
@@ -69,6 +70,18 @@ def test_non_int_is_not_an_element(group, bad):
     """Regression: a float used to reach ``pow`` and raise ``TypeError``."""
     assert group.is_valid_element(4)
     assert group.is_valid_element(bad) is False
+
+
+@pytest.mark.parametrize("group", [TEST_GROUP, OAKLEY_GROUP_1], ids=lambda g: g.name)
+def test_plain_membership_agrees_and_remembers_nothing(group):
+    """``is_element`` is the predicate ``is_valid_element`` memoizes."""
+    candidates = [0, 1, 2, 3, 4, 5, group.prime - 1, group.prime, 2.5, "4", None]
+    candidates.append(group.public_element(12345))
+    before = set(group_ops._MEMBERS)
+    plain = [group.is_element(value) for value in candidates]
+    assert group_ops._MEMBERS == before
+    assert plain == [group.is_valid_element(value) for value in candidates]
+    assert True in plain and False in plain
 
 
 def test_group_requires_odd_prime():

@@ -178,7 +178,7 @@ def test_uint64_vector_golden_words():
 
 @pytest.mark.parametrize("length", [0, 1, 7, 4096])
 def test_uint64_vector_matches_scalar_parse(length):
-    from repro.perf.reference import uint64_vector_scalar
+    from tests.perf.reference import uint64_vector_scalar
 
     fast = HmacDrbg(b"u64-parity").uint64_vector(length)
     slow = uint64_vector_scalar(HmacDrbg(b"u64-parity"), length)

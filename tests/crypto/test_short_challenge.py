@@ -1,7 +1,7 @@
 """Short-challenge Schnorr, the key term by inverse, Euler-by-Jacobi membership.
 
 The verifier's three cheap routes must decide exactly what the frozen
-naive twins in :mod:`repro.perf.reference` decide, reject a wide challenge
+naive twins in :mod:`tests.perf.reference` decide, reject a wide challenge
 before exponentiating anything, leave the 64-bit group's bytes where they
 were, and keep no per-key state however many verification keys it meets.
 """
@@ -23,7 +23,7 @@ from repro.crypto.schnorr import (
     batch_verify,
 )
 from repro.experiments.common import Deployment
-from repro.perf import reference
+from tests.perf import reference
 
 GROUPS = {group.name: group for group in (TEST_GROUP, OAKLEY_GROUP_1)}
 WIDE = 1 << CHALLENGE_BITS

@@ -2,7 +2,7 @@
 
 ``_weighted_limb_sum`` and ``_sum_zero_target`` run ``uint64`` dots over
 the challenge weights' 32-bit digits, 2^14 terms at a time;
-:mod:`repro.perf.reference` keeps the Python-int dots they replaced.
+:mod:`tests.perf.reference` keeps the Python-int dots they replaced.
 Both must give the same residue on both shipped groups, at any length
 and at the inputs that push a chunk's sum closest to 2^64.
 """
@@ -27,7 +27,8 @@ from repro.crypto.commitments import (
 from repro.crypto.dh import OAKLEY_GROUP_1, TEST_GROUP
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.masking import SumZeroMasks
-from repro.perf import kernels, reference
+from repro.perf import kernels
+from tests.perf import reference
 
 GROUPS = (TEST_GROUP, OAKLEY_GROUP_1)
 LIMB_MAX = (1 << 16) - 1

@@ -2,7 +2,7 @@
 
 The seeded sweep covers degenerate (0, 1), odd (7), and bulk (4096)
 lengths.  Each test runs the numpy fast path and its scalar twin from
-:mod:`repro.perf.reference` on identical inputs / identical DRBG state
+:mod:`tests.perf.reference` on identical inputs / identical DRBG state
 and asserts *identical* outputs — masks, blinded vectors, aggregates,
 codec round trips, and commitment digests.
 """
@@ -42,11 +42,12 @@ from repro.crypto.schnorr import SchnorrKeyPair
 from repro.crypto.secagg import _expand_mask
 from repro.errors import ConfigurationError
 from repro.network.transport import Network
-from repro.perf import kernels, reference
+from repro.perf import kernels
 from repro.runtime.engine import RoundEngine
 from repro.scale import ScaleConfig
 from repro.sgx.attestation import AttestationService
 from repro.sgx.measurement import EnclaveImage, VendorKey
+from tests.perf import reference
 
 SWEEP = (0, 1, 7, 4096)
 NONEMPTY_SWEEP = (1, 7, 4096)

@@ -4,7 +4,7 @@ Same contract as ``tests/perf/test_parity.py`` for the ring kernels: the
 windowed/batched implementations in :mod:`repro.crypto.group_ops`,
 :mod:`repro.crypto.schnorr`, and :mod:`repro.crypto.commitments` must
 reproduce the *decisions* of the naive twins in
-:mod:`repro.perf.reference` on every input — accept exactly what the
+:mod:`tests.perf.reference` on every input — accept exactly what the
 seed-revision code accepted, reject exactly what it rejected.
 """
 
@@ -24,7 +24,8 @@ from repro.crypto.dh import OAKLEY_GROUP_1, TEST_GROUP
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.masking import SumZeroMasks
 from repro.crypto.schnorr import SchnorrKeyPair, SchnorrSignature, batch_verify
-from repro.perf import kernels, reference
+from repro.perf import kernels
+from tests.perf import reference
 
 GROUPS = (TEST_GROUP, OAKLEY_GROUP_1)
 

@@ -1,4 +1,4 @@
-"""What crosses the pool boundary: devices, with their shared values interned.
+"""What crosses the pool boundary, and what never reaches it.
 
 Every pooled round pickles each ``ClientDevice`` to a worker and back.
 The cohort's frozen values (the Glimmer image, the DH groups, the cost
@@ -6,12 +6,20 @@ model, public keys, the codec and the Glimmer config) are interned at
 that boundary, so a device that comes back points at the parent's own
 objects, a chunk pickles each shared value once, and nothing the round
 computes changes: results still round-trip by value.
+
+A process whose rounds never pool never loads the pool either: serial,
+streamed and service rounds on the memory and disk backends run without
+``multiprocessing``, ``concurrent.futures`` or ``sqlite3`` in the
+interpreter.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import gc
+import json
+import os
+import subprocess
 import sys
 import threading
 
@@ -232,3 +240,52 @@ def test_concurrent_loads_of_one_value_share_one_instance():
     for values in loaded.values():
         assert len(values) == 8
         assert len({id(value) for value in values}) == 1
+
+
+# ------------------------------------------------------------ route-scoped imports
+
+
+#: Modules only the worker pool and ``SQLiteBackend`` need.
+ROUTE_SCOPED = ("multiprocessing", "concurrent.futures", "sqlite3", "repro.scale.pool")
+
+#: One serial, one streamed and one service round per non-SQLite backend,
+#: then the route-scoped modules the interpreter loaded.
+_ROUTES_SCRIPT = """
+import json, sys, tempfile
+from repro.experiments.common import Deployment
+from repro.scale import ScaleConfig
+from repro.service import GlimmerService, build_backend
+
+serial = Deployment.build(num_users=4, seed=b"routes:serial")
+serial.honest_round(1)
+assert serial.last_report.subgroup_size == 0
+streamed = Deployment.build(
+    num_users=8, seed=b"routes:streamed", parallelism=ScaleConfig(subgroup_size=4)
+)
+streamed.honest_round(1)
+assert streamed.last_report.subgroup_size == 4
+with tempfile.TemporaryDirectory() as state:
+    for backend in (build_backend("memory"), build_backend("disk", state)):
+        service = GlimmerService(backend, num_users=4, sentences_per_user=4)
+        runtime = service.add_tenant("alpha")
+        for user in sorted(runtime.deployment.clients):
+            service.submit_honest("alpha", user)
+        assert len(service.run_pending_sync()) == 1
+        service.close()
+print(json.dumps(sorted(name for name in %r if name in sys.modules)))
+"""
+
+
+def test_serial_streamed_and_service_rounds_never_load_the_pool_or_sqlite():
+    """In a fresh interpreter, so what earlier tests imported cannot hide
+    an import the round itself makes."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
+    child = subprocess.run(
+        [sys.executable, "-c", _ROUTES_SCRIPT % (ROUTE_SCOPED,)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env=dict(os.environ, PYTHONPATH=os.path.abspath(src)),
+    )
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout.splitlines()[-1]) == []

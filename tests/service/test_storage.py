@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, StorageFaultError
 from repro.service.storage import SealedBlobMap, build_backend
 
 
@@ -90,3 +90,15 @@ def test_build_backend_rejects_unknown_kind(tmp_path):
         build_backend("redis", str(tmp_path))
     with pytest.raises(ConfigurationError):
         build_backend("disk")  # path is mandatory for persistent kinds
+
+
+def test_a_refused_sqlite_write_is_a_storage_fault(tmp_path):
+    """``SQLiteBackend`` imports ``sqlite3`` itself; its writes still turn
+    ``sqlite3.OperationalError`` into :class:`StorageFaultError`."""
+    backend = build_backend("sqlite", str(tmp_path / "service.sqlite"))
+    backend._db.execute("PRAGMA query_only = ON")
+    with pytest.raises(StorageFaultError, match="sqlite put failed"):
+        backend.put("space", "k", 1)
+    with pytest.raises(StorageFaultError, match="sqlite append failed"):
+        backend.append("log", {"n": 1})
+    backend.close()

@@ -1,10 +1,13 @@
 """Tests for enclave images and measurement."""
 
+import importlib
 import inspect
+import pkgutil
 from dataclasses import replace
 
 import pytest
 
+import repro
 from repro.core.split import ValidationEnclaveProgram, _ComponentProgram
 from repro.crypto.drbg import HmacDrbg
 from repro.errors import ConfigurationError, EnclaveError
@@ -105,6 +108,32 @@ def test_code_identity_covers_inherited_code():
     from repro.core.glimmer import ValidateStep
 
     assert inspect.getsource(ValidateStep).encode() in identity
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_code_identity_is_getsource_over_the_mro():
+    """One parse per source file gives the bytes ``inspect.getsource``
+    gives, for every enclave program in the package."""
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if not info.name.endswith(".__main__"):
+            importlib.import_module(info.name)
+    programs = [
+        cls for cls in set(_subclasses(EnclaveProgram))
+        if cls.__module__.startswith("repro.")
+    ]
+    assert len(programs) >= 10
+    for program in programs:
+        expected = "".join(
+            inspect.getsource(cls)
+            for cls in program.__mro__
+            if issubclass(cls, EnclaveProgram) and cls is not EnclaveProgram
+        )
+        assert code_identity_of(program) == expected.encode(), program.__qualname__
 
 
 def test_rebuilt_with_overrides(vendor, image):
