@@ -300,9 +300,9 @@ class TamperingAggregator:
     def __getattr__(self, name):
         return getattr(self.inner, name)
 
-    def finalize_blinded_round(self, round_id, dropout_masks=()):
+    def finalize_blinded_round(self, round_id, repair=None, repaired=0):
         return self._tamper(
-            self.inner.finalize_blinded_round(round_id, dropout_masks)
+            self.inner.finalize_blinded_round(round_id, repair, repaired)
         )
 
     def _corrupted(self, result):

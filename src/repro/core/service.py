@@ -10,8 +10,8 @@ signature covers.  Per contribution it checks:
 * payload kind (every round is blinded; a plaintext payload never counts).
 
 The service computes only the ring sum — it never sees an individual
-contribution — and repairs dropouts with masks disclosed by the blinding
-service (§3).  Every round keeps one state shape: a
+contribution — and repairs dropouts with the ring sum of the masks the
+blinding service disclosed (§3), never one mask on its own.  Every round keeps one state shape: a
 :class:`~repro.scale.streaming.StreamingSubgroupAccumulator` that each
 admitted payload folds into on arrival (a single group on the flat route,
 the round's subgroups on the streamed one).  The route only decides
@@ -22,7 +22,6 @@ aggregate divides by the number of *contributions actually included*.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -84,6 +83,16 @@ class RoundResult:
     num_dropouts_repaired: int
     rejected: dict
     accepted: tuple = ()
+
+
+def repair_complaint(repair, repaired: int) -> str | None:
+    """What is wrong with a §3 repair and its count, if anything: a
+    repair vector comes with a count above 0, and only then."""
+    if (repair is None) == (repaired == 0):
+        return None
+    if repair is None:
+        return f"{repaired} mask(s) repaired but no repair vector"
+    return "a repair vector that repairs no mask"
 
 
 class CloudService:
@@ -272,30 +281,35 @@ class CloudService:
     def finalize_blinded_round(
         self,
         round_id: int,
-        dropout_masks: Sequence[bytes] = (),
+        repair=None,
+        repaired: int = 0,
     ) -> RoundResult:
         """Repair dropouts into the folded partials, merge them, decode.
 
-        ``dropout_masks`` are the masks of parties that were provisioned a
-        mask but never submitted, disclosed by the blinding service: packed
-        words as :class:`~repro.runtime.messages.FinalizeRound` carries
-        them, or (from an in-process caller) any word sequence, such as a
-        :class:`~repro.crypto.commitments.MaskOpening`, which iterates as
-        its words.  Since Σp = 0, folding the missing masks in
-        restores an exact sum of the submitted contributions.  A round
+        ``repair`` is the ring sum of the masks of the ``repaired``
+        parties that were provisioned a mask but never submitted, as the
+        blinding service disclosed them and the engine verified them:
+        packed words as :class:`~repro.runtime.messages.FinalizeRound`
+        carries them, or (from an in-process caller) any word sequence;
+        ``None`` when no party dropped.  Since Σp = 0, folding that sum in
+        once restores an exact sum of the submitted contributions.  A
+        repair whose count disagrees with it is refused.  A round
         finalizes once: a retransmitted finalize gets the same result back
-        rather than folding its repairs a second time.
+        rather than folding its repair a second time.
         """
+        complaint = repair_complaint(repair, repaired)
+        if complaint:
+            raise ConfigurationError(complaint)
         state = self.round_state(round_id)
         if state.result is not None:
             return state.result
         if not state.counted:
             raise ProtocolError("no accepted contributions to aggregate")
         accumulator = state.accumulator
-        repairs = [kernels.as_ring(mask) for mask in dropout_masks]
-        if any(len(words) != accumulator.length for words in repairs):
-            raise ConfigurationError("mask length does not match vector length")
-        for words in repairs:
+        if repair is not None:
+            words = kernels.as_ring(repair)
+            if len(words) != accumulator.length:
+                raise ConfigurationError("mask length does not match vector length")
             accumulator.fold_repair(words)
         total = accumulator.total(self.aggregation_reducer)
         count = len(state.counted)
@@ -303,7 +317,7 @@ class CloudService:
             round_id=round_id,
             aggregate=self._codec.decode(total) / count,
             num_contributions=count,
-            num_dropouts_repaired=len(repairs),
+            num_dropouts_repaired=repaired,
             rejected=dict(state.rejected),
             accepted=tuple(state.accepted),
         )

@@ -228,11 +228,11 @@ class MaskOpening:
 
     ``mask`` is the packed big-endian u64 words, as every bus vector is.
     The opening crosses to a Glimmer inside :func:`encode_mask_payload`
-    and to the engine as a dropout reveal; once verified, the engine hands
-    the service ``opening.mask`` as is inside ``FinalizeRound``.
+    and to the engine as a dropout reveal; once verified, the engine adds
+    ``opening.mask`` into the one repair vector ``FinalizeRound`` carries.
     Iterating an opening yields the bare mask words, so an in-process
-    caller holding a reveal can hand it straight to ``remove_mask`` or
-    ``finalize_blinded_round`` (``tests/core/test_dp_release.py`` does).
+    caller holding a reveal can hand it straight to ``remove_mask``
+    (``tests/core/test_dp_release.py`` does).
     """
 
     mask: bytes

@@ -91,8 +91,8 @@ class DHGroup:
         ``x^q == 1`` is decided by the Jacobi symbol — the same answer on
         every input at a tenth of the exponentiation's cost.  Anything
         that is not an ``int`` is not an element.  Nothing is remembered:
-        a value checked once, such as a round's commitment point, calls
-        this.
+        a value checked once, such as a round's commitment point or a
+        handshake public, calls this.
         """
         return (
             type(element) is int
@@ -142,8 +142,12 @@ class DHKeyPair:
         return cls(group=group, secret=secret, public=group.public_element(secret))
 
     def shared_secret(self, peer_public: int) -> bytes:
-        """Raw shared group element, serialized big-endian."""
-        if not self.group.is_valid_element(peer_public):
+        """Raw shared group element, serialized big-endian.
+
+        A handshake public is checked once and never again, so it takes
+        the unremembered :meth:`DHGroup.is_element`.
+        """
+        if not self.group.is_element(peer_public):
             raise CryptoError("peer public value is not a valid group element")
         element = self.group.power(peer_public, self.secret)
         return element.to_bytes(self.group.element_size, "big")

@@ -8,15 +8,12 @@ generate and reseed.
 
 from __future__ import annotations
 
-import hashlib
-import hmac
 import math
 
 import numpy as np
 
-from repro.crypto.hashing import keyed_hmac_sha256
+from repro.crypto.hashing import hmac_sha256, keyed_hmac_sha256
 
-_DIGEST = hashlib.sha256
 _OUTLEN = 32
 
 
@@ -41,15 +38,17 @@ class HmacDrbg:
         self._update(bytes(seed) + personalization.encode("utf-8"))
         self.reseed_counter = 1
 
-    def _hmac(self, key: bytes, data: bytes) -> bytes:
-        return hmac.new(key, data, _DIGEST).digest()
-
-    def _update(self, provided: bytes = b"") -> None:
-        self._key = self._hmac(self._key, self._value + b"\x00" + provided)
-        self._value = self._hmac(self._key, self._value)
+    def _update(self, provided: bytes = b"", mac=None) -> None:
+        """SP 800-90A's update.  ``mac`` is the current key's
+        :func:`keyed_hmac_sha256`, when the caller already built it; a key
+        that MACs only once is used one-shot (:func:`hmac_sha256`)."""
+        data = self._value + b"\x00" + provided
+        self._key = mac(data) if mac else hmac_sha256(self._key, data)
         if provided:
-            self._key = self._hmac(self._key, self._value + b"\x01" + provided)
-            self._value = self._hmac(self._key, self._value)
+            mac = keyed_hmac_sha256(self._key)
+            self._value = mac(self._value)
+            self._key = mac(self._value + b"\x01" + provided)
+        self._value = hmac_sha256(self._key, self._value)
 
     def reseed(self, entropy: bytes) -> None:
         """Mix fresh entropy into the state."""
@@ -57,25 +56,12 @@ class HmacDrbg:
         self.reseed_counter = 1
 
     def generate(self, num_bytes: int) -> bytes:
-        """Return ``num_bytes`` pseudorandom bytes and advance the state."""
-        if num_bytes < 0:
-            raise ValueError("num_bytes must be non-negative")
-        out = bytearray()
-        while len(out) < num_bytes:
-            self._value = self._hmac(self._key, self._value)
-            out.extend(self._value)
-        self._update()
-        self.reseed_counter += 1
-        return bytes(out[:num_bytes])
+        """Return ``num_bytes`` pseudorandom bytes and advance the state.
 
-    def generate_block(self, num_bytes: int) -> bytes:
-        """Bulk form of :meth:`generate`: same byte stream, one keyed pass.
-
-        Emits exactly the bytes :meth:`generate` would for the same state
-        (pinned by golden-value tests), but keys HMAC once for the
-        ``num_bytes / 32`` output blocks instead of re-running the key
-        schedule per block — the difference between per-element and
-        memory-bandwidth mask expansion.
+        Every output block and the next key are MACs under the current
+        key, so its key schedule runs once per call, not once per block;
+        only the next ``V`` is a MAC under the next key.  No keyed state
+        outlives the call.
         """
         if num_bytes < 0:
             raise ValueError("num_bytes must be non-negative")
@@ -86,9 +72,13 @@ class HmacDrbg:
             value = mac(value)
             blocks.append(value)
         self._value = value
-        self._update()
+        self._update(mac=mac)
         self.reseed_counter += 1
         return b"".join(blocks)[:num_bytes]
+
+    #: The bulk spelling the mask kernels use: the same stream, one keyed
+    #: pass, which is what :meth:`generate` is.
+    generate_block = generate
 
     def uint64_vector(self, length: int) -> np.ndarray:
         """``length`` uniform 64-bit ring words as a ``np.uint64`` array.

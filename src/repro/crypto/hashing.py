@@ -69,6 +69,16 @@ def hash_to_int(tag: str, data: bytes, modulus: int) -> int:
     return int.from_bytes(stream, "big") % modulus
 
 
+def hmac_sha256(key: bytes, data: bytes) -> bytes:
+    """``hmac.new(key, data, sha256).digest()`` under a key used once: the
+    padded key and two hashes, with no keyed state built to copy."""
+    if len(key) > _SHA256_BLOCK:
+        key = hashlib.sha256(key).digest()
+    key = key.ljust(_SHA256_BLOCK, b"\x00")
+    inner = hashlib.sha256(key.translate(_IPAD) + data).digest()
+    return hashlib.sha256(key.translate(_OPAD) + inner).digest()
+
+
 def keyed_hmac_sha256(key: bytes) -> Callable[[bytes], bytes]:
     """``mac(data) == hmac.new(key, data, sha256).digest()``, keyed once.
 

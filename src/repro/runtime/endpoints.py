@@ -166,7 +166,7 @@ class ServiceEndpoint(_Endpoint):
     def _handle_finalize(self, message: Message):
         request: m.FinalizeRound = message.payload
         return self.service.finalize_blinded_round(
-            request.round_id, request.dropout_masks
+            request.round_id, request.repair, request.repaired
         )
 
     def close_round(self, round_id: int) -> None:

@@ -794,7 +794,6 @@ class RoundEngine:
                 record,
                 f"blinding service's committed masks do not sum to zero: {exc}",
             )
-        repairs: list[bytes] = []
         try:
             revealed_by_slot: list[tuple[int, Any]] = []
             for slot in range(record.num_slots):
@@ -806,12 +805,14 @@ class RoundEngine:
                 )
                 revealed_by_slot.append((slot, revealed))
             batched = self._batch_verified_reveals(record, revealed_by_slot)
-            for slot, revealed in revealed_by_slot:
-                repairs.append(
-                    self._verified_repair_mask(
-                        record, slot, revealed, preverified=batched
-                    )
-                )
+            masks = [
+                self._verified_repair_mask(record, slot, revealed, preverified=batched)
+                for slot, revealed in revealed_by_slot
+            ]
+            # Σp = 0 needs only the dropped masks' sum to cancel them, so
+            # that one vector is all the service (and the audit) gets.
+            repair = kernels.ring_accumulate(masks) if masks else None
+            repaired = len(masks)
             if record.subgroup_plan is not None and revealed_by_slot:
                 # Hierarchical repair locality: each reveal re-expanded
                 # only the dropped slot's O(g) subgroup family.
@@ -821,20 +822,20 @@ class RoundEngine:
                         for slot, _ in revealed_by_slot
                     }
                 )
-            result = self._finalize_at_service(record, repairs)
+            result = self._finalize_at_service(record, repair, repaired)
         except NetworkError as exc:
             raise self._abort(record, f"finalize could not complete: {exc}")
         except RefusedAtWire as exc:
             # As at open: blamed on whichever leg's sender spelled it.
             raise self._abort(record, f"finalize was refused at the wire: {exc}")
-        self._audit_result(record, result, repairs)
+        self._audit_result(record, result, repair, repaired)
         if record.subgroup_plan is not None:
             # A streamed plan is only drawn for a stock CloudService.
             record.submissions_streamed = self.service.round_state(
                 round_id
             ).accumulator.folded
         self._retire_round(record)
-        report = self._report_from(record, result, len(repairs))
+        report = self._report_from(record, result, repaired)
         del self._rounds[round_id]
         self.monitor.close(round_id)
         return report
@@ -849,10 +850,14 @@ class RoundEngine:
                 "reconciled (accepted-or-not unknown)",
             )
 
-    def _finalize_at_service(self, record: _RoundRecord, repairs):
+    def _finalize_at_service(self, record: _RoundRecord, repair, repaired: int):
         """Send finalize; a pool round's cohort sum runs through shard
         partials (associative, so the very integers the flat sum yields)."""
-        request = m.FinalizeRound(record.round_id, tuple(repairs))
+        request = m.FinalizeRound(
+            record.round_id,
+            repair=None if repair is None else kernels.be_words_to_bytes(repair),
+            repaired=repaired,
+        )
         if not record.route.pool:
             return self.call_with_retry(record, ENGINE, SERVICE, m.KIND_FINALIZE, request)
         previous = self.service.aggregation_reducer
@@ -990,7 +995,7 @@ class RoundEngine:
                     OUTCOME_EVICTED if evicted else OUTCOME_QUARANTINED
                 )
 
-    def _audit_result(self, record: _RoundRecord, result, repairs) -> None:
+    def _audit_result(self, record: _RoundRecord, result, repair, repaired: int) -> None:
         """Audit the service's finalize result before trusting it.
 
         The service returns the contributions it aggregated; the engine
@@ -1027,10 +1032,10 @@ class RoundEngine:
                 f"contribution count {result.num_contributions} != "
                 f"{aggregated} aggregated"
             )
-        if result.num_dropouts_repaired != len(repairs):
+        if result.num_dropouts_repaired != repaired:
             problems.append(
                 f"repair count {result.num_dropouts_repaired} != "
-                f"{len(repairs)} masks handed over"
+                f"{repaired} masks handed over"
             )
         if accepted and not record.route.pool:
             # Pool rounds verified every accepted signature exactly once
@@ -1066,7 +1071,7 @@ class RoundEngine:
                         break
         if not problems and accepted:
             try:
-                expected = self._recompute_aggregate(accepted, repairs)
+                expected = self._recompute_aggregate(accepted, repair)
             except (TypeError, ValueError) as exc:
                 problems.append(f"the audit trail cannot be recomputed: {exc}")
             else:
@@ -1081,14 +1086,13 @@ class RoundEngine:
                 record, f"service finalize result failed the audit: {detail}"
             )
 
-    def _recompute_aggregate(self, accepted, repairs):
+    def _recompute_aggregate(self, accepted, repair):
         # Chunked accumulate: the audit only needs the sum, so the full
-        # cohort matrix is never materialized here either.
+        # cohort matrix is never materialized here either.  ``repair`` is
+        # the summed repair the service was sent, not a second sum.
         total = kernels.ring_accumulate(c.ring_payload for c in accepted)
-        if repairs:
-            # Repairs commute in the ring, so one summed repair vector
-            # applied once equals applying each in turn.
-            total = total + kernels.ring_accumulate(repairs)
+        if repair is not None:
+            total = total + repair
         return self.codec.decode(total) / len(accepted)
 
     def _close_round_clients(self, record: _RoundRecord) -> None:

@@ -18,11 +18,10 @@ carries the exact bytes its signature covers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.codec import (
-    LENGTH, PARTIES, ROUND_ID, SIZE, SLOT, Bytes, Int, Optional, Packed, TupleOf,
-    wire,
+    LENGTH, PARTIES, ROUND_ID, SIZE, SLOT, Bytes, Int, Optional, Packed, wire,
 )
 from repro.core.signing import SignedContribution
 from repro.crypto.commitments import MaskCommitmentRecord
@@ -210,17 +209,20 @@ class RevealMask:
     party_index: int
 
 
-@wire(0x8009, round_id=ROUND_ID, dropout_masks=TupleOf(Packed()))
+@wire(0x8009, round_id=ROUND_ID, repair=Optional(Packed()), repaired=SIZE)
 @dataclass(frozen=True)
 class FinalizeRound:
-    """Close a round at the service, handing over any repair masks.
+    """Close a round at the service, handing over its §3 repair.
 
-    Each ``dropout_masks`` entry is one dropped slot's verified mask as
-    the packed big-endian u64 words its opening carried.
+    ``repair`` is the ring sum of the ``repaired`` dropped slots' verified
+    masks as packed big-endian u64 words, or ``None`` when no slot
+    dropped.  Under sum-zero blinding the sum is all the service needs to
+    cancel the missing masks, so it never sees one on its own.
     """
 
     round_id: int
-    dropout_masks: tuple = field(default=())
+    repair: bytes | None = None
+    repaired: int = 0
 
 
 @wire(0x800A, round_id=ROUND_ID)

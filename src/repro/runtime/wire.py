@@ -3,6 +3,7 @@
 
 from repro.codec import blamed
 from repro.core.glimmer import HANDLE_BYTES, received_features
+from repro.core.service import repair_complaint
 from repro.core.signing import SignedContribution
 from repro.errors import RefusedAtWire
 from repro.runtime import messages as m
@@ -54,11 +55,16 @@ def _features_hash(command: m.ContributeCommand) -> str | None:
     return None
 
 
+def _counted_repair(request: m.FinalizeRound) -> str | None:
+    return repair_complaint(request.repair, request.repaired)
+
+
 RULES = {  # class -> what is wrong with an object whose fields all hold, if anything
     SignedContribution: _one_payload,
     m.SubmitContribution: _submitted_payload,
     m.MaskRequest: _two_shapes,
     m.ContributeCommand: _features_hash,
+    m.FinalizeRound: _counted_repair,
 }
 
 

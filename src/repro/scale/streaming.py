@@ -89,7 +89,9 @@ class StreamingSubgroupAccumulator:
         return group
 
     def fold_repair(self, mask, slot: int | None = None) -> int:
-        """Fold a §3 dropout-repair mask into the dropped slot's subgroup."""
+        """Fold a §3 repair into ``slot``'s subgroup: one dropped slot's
+        mask, or (from the service, with no slot) the ring sum of every
+        dropped mask, into group 0."""
         group = self._group(slot)
         self._partials[group] += self._row(mask)
         self.repairs_folded += 1

@@ -219,14 +219,14 @@ class _SmugglingAggregator:
     def __getattr__(self, name):
         return getattr(self.inner, name)
 
-    def finalize_blinded_round(self, round_id, dropout_masks=()):
-        result = self.inner.finalize_blinded_round(round_id, dropout_masks)
+    def finalize_blinded_round(self, round_id, repair=None, repaired=0):
+        result = self.inner.finalize_blinded_round(round_id, repair, repaired)
         if self.kept is None:
             self.kept = result.accepted[0]
             return result
         accepted = result.accepted + (self.kept,)
         total = kernels.ring_accumulate(
-            [c.ring_payload for c in accepted] + list(dropout_masks)
+            [c.ring_payload for c in accepted] + ([repair] if repair is not None else [])
         )
         return replace(
             result,
@@ -265,8 +265,8 @@ def test_a_trail_the_audit_cannot_recompute_fails_it():
     )
     honest = deployment.service.finalize_blinded_round
 
-    def finalize_blinded_round(round_id, dropout_masks=()):
-        result = honest(round_id, dropout_masks)
+    def finalize_blinded_round(round_id, repair=None, repaired=0):
+        result = honest(round_id, repair, repaired)
         first = result.accepted[0]
         cut = replace(first, ring_payload=first.ring_payload[:-8])
         aggregate = np.array(result.aggregate, copy=True)

@@ -17,6 +17,7 @@ from repro.core.confidential import BotDetectionService, build_confidential_imag
 from repro.core.glimmer import GlimmerConfig, features_digest
 from repro.core.provisioning import BlinderProvisioner, ServiceProvisioner
 from repro.core.split import build_split_images
+from repro.crypto import group_ops
 from repro.crypto.masking import BlindingService
 from repro.experiments.common import Deployment
 from repro.sgx.platform import SgxPlatform
@@ -169,3 +170,20 @@ def test_one_shot_delivery_never_resumes(variant):
     )
     assert first == second
     assert first >= 2 * costs.dh_cycles
+
+
+def test_a_first_delivery_remembers_neither_handshake_public():
+    """Each side checks the other's handshake public once, when it opens
+    the delivery, so neither half joins the membership memo kept for
+    long-lived keys checked again and again."""
+    deployment = Deployment.build(
+        num_users=1, seed=b"attested-delivery", provision_clients=False
+    )
+    platform, enclave, provisioner, request, install = _glimmer(deployment)
+    session_id, dh_public, quote = attested_handshake(platform, enclave, b"delivery-1")
+    delivery = request(1, session_id, dh_public, quote)
+    install(1, delivery)
+    prime = provisioner.identity.group.prime
+    assert delivery.peer_dh_public and delivery.peer_dh_public != dh_public
+    for public in (dh_public, delivery.peer_dh_public):
+        assert (prime, public) not in group_ops._MEMBERS

@@ -137,7 +137,7 @@ def test_blinded_round_with_dropout_repair(fresh_deployment):
     dropout_mask = deployment.blinder_provisioner.reveal_dropout_mask(
         1, len(user_ids) - 1
     )
-    result = deployment.service.finalize_blinded_round(1, [dropout_mask])
+    result = deployment.service.finalize_blinded_round(1, dropout_mask.mask, 1)
     expected = np.mean(np.stack([vectors[u] for u in submitted]), axis=0)
     assert np.allclose(result.aggregate, expected, atol=1e-3)
     assert result.num_dropouts_repaired == 1

@@ -81,7 +81,8 @@ def test_finalize_equals_recomputation_and_exact_mean(route, case, reducer):
     assert list(state.counted) == [signed[slot].nonce for slot in counted]
 
     masks = [blinder.reveal_dropout_mask(1, slot) for slot in sorted(repaired)]
-    result = service.finalize_blinded_round(1, masks)
+    repair = kernels.ring_accumulate(o.mask for o in masks) if masks else None
+    result = service.finalize_blinded_round(1, repair, len(masks))
     codec = deployment.codec
     rows = [signed[slot].ring_payload for slot in counted]
     rows += [opening.mask for opening in masks]
@@ -94,7 +95,7 @@ def test_finalize_equals_recomputation_and_exact_mean(route, case, reducer):
     trail = [c.nonce for c in result.accepted]
     assert trail == ([] if route == "streamed" else list(state.counted))
     # A retransmitted finalize gets the same result, not a second repair.
-    assert service.finalize_blinded_round(1, masks) is result
+    assert service.finalize_blinded_round(1, repair, len(masks)) is result
 
 
 def test_streamed_eviction_is_refused_and_leaves_the_total():

@@ -89,7 +89,7 @@ SAMPLES = {
     m.SubmitContribution: m.SubmitContribution(CONTRIBUTION, slot=1),
     m.SubmissionStatusQuery: m.SubmissionStatusQuery(7, b"\x07" * 16),
     m.RevealMask: m.RevealMask(7, 2),
-    m.FinalizeRound: m.FinalizeRound(7, (kernels.be_words_to_bytes((4, 5)),)),
+    m.FinalizeRound: m.FinalizeRound(7, kernels.be_words_to_bytes((4, 5)), 1),
     m.CloseRound: m.CloseRound(7),
     SignedContribution: CONTRIBUTION,
     SchnorrSignature: SIG,

@@ -19,7 +19,7 @@ from repro.codec import Packed
 from repro.core.glimmer import HANDLE_BYTES, deflate_features, features_digest
 from repro.core.signing import SignedContribution
 from repro.crypto.schnorr import SchnorrSignature
-from repro.errors import ProtocolViolation, RoundAbortedError
+from repro.errors import ConfigurationError, ProtocolViolation, RoundAbortedError
 from repro.experiments.common import Deployment
 from repro.network.adversary import EavesdropAdversary, NetworkAdversary
 from repro.perf import kernels
@@ -27,6 +27,7 @@ from repro.runtime import messages as m
 from repro.runtime.protocol import VIOLATION_MALFORMED
 from repro.runtime.telemetry import OUTCOME_QUARANTINED, OUTCOME_UNREACHABLE
 from repro.runtime.wire import blamed, validate_contribution, validate_payload
+from repro.scale import ScaleConfig
 from repro.sgx.attestation import Quote
 
 SENDER = "client:mallory"
@@ -389,7 +390,7 @@ def _packed_field(field, value):
             blinded=False, ring_payload=None, plain_payload=value
         )
     else:
-        return m.KIND_FINALIZE, m.FinalizeRound(1, dropout_masks=(W((1, 2)), value))
+        return m.KIND_FINALIZE, m.FinalizeRound(1, repair=value, repaired=2)
     return m.KIND_SUBMIT, m.SubmitContribution(contribution=contribution)
 
 
@@ -514,8 +515,8 @@ class RewriteFinalize(NetworkAdversary):
 
     def process(self, message):
         if message.kind == m.KIND_FINALIZE:
-            masks = tuple(map(self.rewrite, message.payload.dropout_masks))
-            return message.with_payload(replace(message.payload, dropout_masks=masks))
+            repair = self.rewrite(message.payload.repair)
+            return message.with_payload(replace(message.payload, repair=repair))
         return message
 
 
@@ -541,8 +542,74 @@ def test_rewritten_dropout_mask_is_a_violation_end_to_end(rewrite):
     _assert_one_malformed_on_the_engine(excinfo.value)
 
 
+def test_the_service_receives_one_repair_vector_and_no_dropout_mask():
+    """§3 repair crosses as the ring sum of the verified openings: a
+    streamed round with two dropouts sends one repair vector, and no
+    frame the service receives holds either dropped slot's mask.  The
+    bus is tapped where it delivers, since an on-path adversary would
+    keep the round off the streamed route."""
+    deployment = Deployment.build(
+        num_users=6, seed=b"wire-repair", sentences_per_user=8,
+        parallelism=ScaleConfig(subgroup_size=3),
+    )
+    users = [user.user_id for user in deployment.corpus.users]
+    delivered = []
+    deliver = deployment.network.deliver_raw
+
+    def tap(message):
+        response = deliver(message)
+        delivered.append((message, response))
+        return response
+
+    deployment.network.deliver_raw = tap
+    vectors = deployment.local_vectors()
+    report = deployment.engine.run_round(
+        1, users, vectors, deployment.features.bigrams, dropouts=users[1:3]
+    )
+    assert report.subgroup_size == 3
+    assert invariants.judge(report, deployment.codec, vectors).outcome == (
+        invariants.OUTCOME_CLEAN
+    )
+    openings = [reply for sent, reply in delivered if sent.kind == m.KIND_REVEAL_MASK]
+    assert len(openings) == 2
+    finalizes = [sent.payload for sent, _ in delivered if sent.kind == m.KIND_FINALIZE]
+    assert len(finalizes) == 1
+    assert finalizes[0].repaired == 2
+    assert finalizes[0].repair == kernels.be_words_to_bytes(
+        kernels.ring_accumulate(opening.mask for opening in openings)
+    )
+    frames = [codec.encode(sent.payload) for sent, _ in delivered if sent.receiver == m.SERVICE]
+    for opening in openings:
+        assert not any(opening.mask in frame for frame in frames)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        pytest.param(dict(repaired=0), id="vector-without-count"),
+        pytest.param(dict(repair=None), id="count-without-vector"),
+    ],
+)
+def test_a_repair_and_count_that_disagree_are_blamed_on_the_engine(fields):
+    """The service refuses a finalize whose repair vector and repair count
+    disagree, at the wire (the round aborts with one ``malformed``
+    violation on the engine) and in process."""
+    deployment = Deployment.build(num_users=4, seed=b"wire-tamper")
+    users = [user.user_id for user in deployment.corpus.users]
+    deployment.network.interpose(RewriteOpen(m.KIND_FINALIZE, **fields))
+    with pytest.raises(RoundAbortedError) as excinfo:
+        deployment.engine.run_round(
+            1, users, deployment.local_vectors(), deployment.features.bigrams,
+            dropouts=[users[2]],
+        )
+    _assert_one_malformed_on_the_engine(excinfo.value)
+    request = replace(m.FinalizeRound(1, W((1, 2)), 1), **fields)
+    with pytest.raises(ConfigurationError):
+        deployment.service.finalize_blinded_round(1, request.repair, request.repaired)
+
+
 class RewriteOpen(NetworkAdversary):
-    """On-path: rewrite the engine's round-open command of one kind."""
+    """On-path: rewrite the fields of every engine command of one kind."""
 
     def __init__(self, kind: str, **fields) -> None:
         self.kind, self.fields = kind, fields

@@ -13,6 +13,7 @@ from repro.core.glimmer import pack_features
 from repro.errors import ValidationError
 from repro.experiments.common import Deployment
 from repro.invariants import exact_mean
+from repro.perf import kernels
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +47,8 @@ def run_round(deployment, round_id, participants, dropouts=(), poisoners=()):
         for index, user_id in enumerate(participants)
         if user_id not in accepted
     ]
-    result = deployment.service.finalize_blinded_round(round_id, repairs)
+    repair = kernels.ring_accumulate(o.mask for o in repairs) if repairs else None
+    result = deployment.service.finalize_blinded_round(round_id, repair, len(repairs))
     return result.aggregate, accepted
 
 
