@@ -25,11 +25,12 @@ A field whose declared check has a width is spelled at that width, with
 no tag of its own: ``Int(lo, hi)`` with ``0 <= lo`` as a u32 when
 ``hi < 2**32`` and a u64 when ``hi < 2**64``; ``Bytes(n)`` as its ``n``
 bytes; ``Bytes()``, ``Packed``, ``Is(bytes)`` and ``Is(str)`` as a u32
-length and the bytes; ``Bool`` as one byte; ``Is(<registered class>)``
-as that class's fields, with no class tag; ``Optional(x)`` of any of
-these behind a presence byte.  Every other field is a tagged value as
-above.  A registered object with a field its declared width cannot
-spell (only a Byzantine or mistyped value) travels instead under its
+length and the bytes; ``Named(table)`` as its key, spelled as a ``str``
+is; ``Bool`` as one byte; ``Is(<registered class>)`` as that class's
+fields, with no class tag; ``Optional(x)`` of any of these behind a
+presence byte.  Every other field is a tagged value as above.  A
+registered object with a field its declared width cannot spell (only a
+Byzantine or mistyped value) travels instead under its
 class's second tag, :data:`LOOSE` above the first, every field a tagged
 value: ``encode`` spells anything it could before, and ``decode`` reads
 both forms and runs the same checks on either.
@@ -337,6 +338,34 @@ class Pair(Check):
         if type(value) is not tuple or len(value) != 2:
             return "must be a pair"
         return self.first(value[0]) or self.second(value[1])
+
+
+class Named(Check):
+    """One of ``table``'s values, spelled as its key (a shipped group as
+    its name); an unknown name is refused at decode."""
+
+    def __init__(self, table: dict) -> None:
+        self.table = table
+
+    def _name(self, value: Any) -> str | None:
+        for name, known in self.table.items():
+            if type(value) is type(known) and value == known:
+                return name
+        return None
+
+    def __call__(self, value: Any) -> str | None:
+        return None if self._name(value) else f"must be one of {sorted(self.table)}"
+
+    def spelling(self) -> "_Spelling":
+        put_name, get_name = _SPELLINGS[str]
+
+        def get(buf: bytes, off: int, depth: int):
+            name, off = get_name(buf, off, depth)
+            if name not in self.table:
+                raise _malformed(f"unknown name {name!r}")
+            return self.table[name], off
+
+        return lambda value, out, depth: put_name(self._name(value), out, depth), get
 
 
 class _Unit(Check):

@@ -22,51 +22,36 @@ response or signature fields.
 
 from __future__ import annotations
 
-import struct
+from dataclasses import dataclass
 
+from repro import codec
+from repro.codec import Int, wire
 from repro.core.auditor import VerdictMessage, expected_response
-from repro.core.encoding import decode_public_key
 from repro.core.glimmer import DETECTOR_CONTEXT, HandshakeSessions, KeyDelivery
 from repro.core.provisioning import VettingRegistry, _ProvisionerBase
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.hashing import hash_bytes, hash_items
 from repro.crypto.schnorr import SchnorrKeyPair, SchnorrPublicKey, SchnorrSignature
-from repro.errors import AuthenticationError, CryptoError, ProtocolError
+from repro.errors import (
+    AuthenticationError,
+    ConfigurationError,
+    CryptoError,
+    ProtocolError,
+    ProtocolViolation,
+)
 from repro.sgx.enclave import EnclaveProgram, ecall
 from repro.sgx.measurement import EnclaveImage, VendorKey
 from repro.workloads.botnet import DetectorWeights, SessionSignals
 
 
-# ----------------------------------------------------------- detector codec
+@wire(0x8115, detector=DetectorWeights, reporting_secret=Int(1))
+@dataclass(frozen=True)
+class DetectorDelivery:
+    """What the service ships a confidential Glimmer, encrypted: its secret
+    detector and the secret of the key the Glimmer reports verdicts under."""
 
-def encode_detector(detector: DetectorWeights, reporting_secret: int) -> bytes:
-    """Serialize the secret detector + reporting key for encrypted delivery."""
-    weights = detector.weights
-    return b"".join(
-        [
-            len(weights).to_bytes(2, "big"),
-            struct.pack(f">{len(weights)}d", *weights),
-            struct.pack(">d", detector.bias),
-            struct.pack(">d", detector.threshold),
-            reporting_secret.to_bytes(256, "big"),
-        ]
-    )
-
-
-def decode_detector(blob: bytes) -> tuple[DetectorWeights, int]:
-    if len(blob) < 2:
-        raise CryptoError("detector blob too short")
-    count = int.from_bytes(blob[:2], "big")
-    expected = 2 + 8 * count + 16 + 256
-    if len(blob) != expected:
-        raise CryptoError("detector blob has wrong length")
-    offset = 2
-    weights = struct.unpack(f">{count}d", blob[offset : offset + 8 * count])
-    offset += 8 * count
-    bias, threshold = struct.unpack(">2d", blob[offset : offset + 16])
-    offset += 16
-    secret = int.from_bytes(blob[offset:], "big")
-    return DetectorWeights(weights=weights, bias=bias, threshold=threshold), secret
+    detector: DetectorWeights
+    reporting_secret: int
 
 
 def verdict_digest(session_id: str, challenge: bytes, verdict_bit: int) -> bytes:
@@ -87,7 +72,10 @@ class ConfidentialGlimmerProgram(EnclaveProgram):
     """
 
     def on_load(self) -> None:
-        self._service_identity = decode_public_key(self.api.config)
+        try:
+            self._service_identity = codec.decode(self.api.config, SchnorrPublicKey)
+        except ProtocolViolation as exc:
+            raise ConfigurationError(f"malformed service key: {exc.detail}") from None
         self._handshakes = HandshakeSessions(
             self.api, self._service_identity.group
         )
@@ -104,10 +92,13 @@ class ConfidentialGlimmerProgram(EnclaveProgram):
         plaintext = self._handshakes.open(
             delivery, self._service_identity, DETECTOR_CONTEXT
         )
-        detector, reporting_secret = decode_detector(plaintext)
-        self._detector = detector
+        try:
+            delivery = codec.decode(plaintext, DetectorDelivery)
+        except ProtocolViolation as exc:
+            raise CryptoError(f"malformed detector delivery: {exc.detail}") from None
+        self._detector = delivery.detector
         self._reporting = SchnorrKeyPair.from_secret(
-            reporting_secret, self._service_identity.group
+            delivery.reporting_secret, self._service_identity.group
         )
 
     def _verdict_for(self, signals: SessionSignals) -> int:
@@ -213,7 +204,7 @@ class BotDetectionService(_ProvisionerBase):
             session_id,
             glimmer_dh_public,
             quote,
-            encode_detector(self.detector, self.reporting_keypair.secret),
+            codec.encode(DetectorDelivery(self.detector, self.reporting_keypair.secret)),
             DETECTOR_CONTEXT,
         )
 
@@ -251,14 +242,12 @@ def build_confidential_image(
     version: int = 1,
 ) -> EnclaveImage:
     """Measure and sign a confidential-validation Glimmer image."""
-    from repro.core.encoding import encode_public_key
-
     return EnclaveImage.build(
         program_class,
         vendor,
         name=name,
         version=version,
-        config=encode_public_key(service_identity),
+        config=codec.encode(service_identity),
     )
 
 

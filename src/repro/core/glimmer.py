@@ -23,7 +23,6 @@ blinded payload is the only value-derived output.
 
 from __future__ import annotations
 
-import struct
 import zlib
 
 from dataclasses import dataclass, field, replace
@@ -33,9 +32,8 @@ from typing import Sequence
 import numpy as np
 
 from repro import codec
-from repro.codec import ROUND_ID, SLOT, Bool, Bytes, Int, Optional, Pair, wire
+from repro.codec import ROUND_ID, SLOT, Bool, Bytes, Int, Optional, Packed, Pair, Str, TupleOf, wire
 from repro.core.blinding import BlindingComponent
-from repro.core.encoding import decode_public_key, encode_public_key
 from repro.core.signing import SignedContribution, SigningComponent
 from repro.core.validation import PrivateContext, default_registry
 from repro.crypto.cipher import AuthenticatedCipher, SealedBox
@@ -61,6 +59,10 @@ from repro.sgx.enclave import EnclaveProgram, ecall
 from repro.sgx.measurement import EnclaveImage, VendorKey
 
 
+@wire(
+    0x8110, predicate_spec=Str, service_identity=SchnorrPublicKey,
+    blinder_identity=SchnorrPublicKey, features_digest=Bytes(32), dp_sigma=float,
+)
 @dataclass(frozen=True)
 class GlimmerConfig:
     """The measured configuration baked into a Glimmer image.
@@ -82,40 +84,12 @@ class GlimmerConfig:
     part of the vetted identity — a user can check what noise the Glimmer
     promises before trusting it."""
 
-    def encode(self) -> bytes:
-        spec = self.predicate_spec.encode("utf-8")
-        service_blob = encode_public_key(self.service_identity)
-        blinder_blob = encode_public_key(self.blinder_identity)
-        dp_blob = struct.pack(">d", self.dp_sigma)
-        return b"".join(
-            len(part).to_bytes(4, "big") + part
-            for part in (spec, service_blob, blinder_blob, self.features_digest, dp_blob)
-        )
-
     @classmethod
     def decode(cls, blob: bytes) -> "GlimmerConfig":
-        parts = []
-        offset = 0
-        for __ in range(5):
-            if offset + 4 > len(blob):
-                raise ConfigurationError("truncated Glimmer config")
-            size = int.from_bytes(blob[offset : offset + 4], "big")
-            offset += 4
-            if offset + size > len(blob):
-                raise ConfigurationError("truncated Glimmer config")
-            parts.append(blob[offset : offset + size])
-            offset += size
-        if offset != len(blob):
-            raise ConfigurationError("trailing bytes in Glimmer config")
-        if len(parts[4]) != 8:
-            raise ConfigurationError("malformed dp_sigma field")
-        return cls(
-            predicate_spec=parts[0].decode("utf-8"),
-            service_identity=decode_public_key(parts[1]),
-            blinder_identity=decode_public_key(parts[2]),
-            features_digest=parts[3],
-            dp_sigma=struct.unpack(">d", parts[4])[0],
-        )
+        try:
+            return codec.decode(blob, GlimmerConfig)
+        except ProtocolViolation as exc:
+            raise ConfigurationError(f"malformed Glimmer config: {exc.detail}") from None
 
 
 def features_digest(bigrams: Sequence[tuple[str, str]]) -> bytes:
@@ -666,6 +640,18 @@ class SignStep(DeliveryStep):
         )
 
 
+@wire(0x8111, round_id=ROUND_ID, masks=TupleOf(Pair(SLOT, Packed())), signings=Int(0))
+@dataclass(frozen=True)
+class RoundCheckpoint:
+    """A round's unconsumed masks as :meth:`GlimmerProgram.checkpoint_round`
+    seals them: ``(slot, packed words)`` pairs, and the round's
+    blind-signing counter when the checkpoint was cut."""
+
+    round_id: int
+    masks: tuple[tuple[int, bytes], ...]
+    signings: int
+
+
 class GlimmerProgram(ValidateStep, BlindStep, SignStep):
     """The single-enclave Glimmer (Figure 3): every step, one enclave."""
 
@@ -730,12 +716,12 @@ class GlimmerProgram(ValidateStep, BlindStep, SignStep):
         inside were not yet consumed when the checkpoint was cut.  Sealed
         to MRENCLAVE, so the untrusted host can store it but not read it.
         """
-        masks = {
-            party: kernels.be_words_to_bytes(mask)
+        masks = tuple(
+            (party, kernels.be_words_to_bytes(mask))
             for party, mask in self._blinding.masks_for_round(round_id).items()
-        }
+        )
         counter = self.api.monotonic_counter(f"blind-signings-round-{round_id}")
-        state = (int(round_id), masks, int(counter.value))
+        state = RoundCheckpoint(round_id, masks, counter.value)
         return self.api.seal(codec.encode(state), policy="mrenclave")
 
     @ecall
@@ -750,25 +736,17 @@ class GlimmerProgram(ValidateStep, BlindStep, SignStep):
         holds across restarts; such a blob is refused outright.
         """
         try:
-            round_id, masks, checkpoint_count = codec.decode(
-                self.api.unseal(sealed_blob)
-            )
-            round_id = int(round_id)
-            checkpoint_count = int(checkpoint_count)
-            masks = {
-                int(party): kernels.bytes_to_be_words(words)
-                for party, words in masks.items()
-            }
-        except (
-            ProtocolViolation, TypeError, ValueError, OverflowError, AttributeError
-        ) as exc:
+            checkpoint = codec.decode(self.api.unseal(sealed_blob), RoundCheckpoint)
+        except ProtocolViolation as exc:
             raise EnclaveError("malformed round checkpoint") from exc
+        round_id = checkpoint.round_id
         counter = self.api.monotonic_counter(f"blind-signings-round-{round_id}")
-        if counter.value > checkpoint_count:
+        if counter.value > checkpoint.signings:
             raise EnclaveError(
                 f"round {round_id} checkpoint is stale: {counter.value} signing(s) "
                 f"recorded since it was sealed (rollback refused)"
             )
+        masks = {party: kernels.bytes_to_be_words(words) for party, words in checkpoint.masks}
         self._blinding.restore_masks(round_id, masks)
         return round_id
 
@@ -838,7 +816,7 @@ def build_glimmer_image(
         vendor,
         name=name,
         version=version,
-        config=config.encode(),
+        config=codec.encode(config),
         memory_bytes=memory_bytes,
         debug=debug,
     )

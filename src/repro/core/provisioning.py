@@ -23,9 +23,10 @@ Glimmers — the checks experiment E12 exercises one by one.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
+from repro import codec
+from repro.codec import LENGTH, PARTIES, Bytes, wire
 from repro.core.glimmer import (
     BLINDING_MASK_CONTEXT,
     SIGNING_KEY_CONTEXT,
@@ -46,7 +47,7 @@ from repro.crypto.drbg import HmacDrbg
 from repro.crypto.kdf import hkdf
 from repro.crypto.masking import BlindingService, GroupedSumZeroMasks
 from repro.crypto.schnorr import SchnorrKeyPair, SchnorrSignature
-from repro.errors import AttestationError, ConfigurationError, CryptoError
+from repro.errors import AttestationError, ConfigurationError, CryptoError, ProtocolViolation
 from repro.scale.subgroup import plan_subgroups
 from repro.sgx.attestation import (
     AttestationResult,
@@ -57,13 +58,24 @@ from repro.sgx.attestation import (
 )
 from repro.sgx.sessions import SessionBroker
 
-#: A sealed round's plaintext: ``u32 length | u32 num_slots | u32
-#: group_size``, then one 32-byte seed per subgroup of
-#: ``plan_subgroups(round_id, num_slots, group_size)``, then the 32-byte
-#: seed of the commitment openings.  The round id is the AEAD's
-#: associated data, so a blob only opens as the round it was sealed for.
-_SEALED_HEADER = struct.Struct(">III")
 _SEED_SIZE = 32
+
+
+@wire(
+    0x8112, length=LENGTH, num_slots=PARTIES, group_size=PARTIES, seeds=Bytes(),
+    opening_seed=Bytes(_SEED_SIZE),
+)
+@dataclass(frozen=True)
+class SealedRound:
+    """A sealed round's plaintext (DESIGN.md §3 "Sealed rounds"): the
+    family's shape, one seed per subgroup of ``plan_subgroups(round_id,
+    num_slots, group_size)``, in order, and the openings' seed."""
+
+    length: int
+    num_slots: int
+    group_size: int
+    seeds: bytes
+    opening_seed: bytes
 
 
 class VettingRegistry:
@@ -327,14 +339,8 @@ class BlinderProvisioner(_ProvisionerBase):
     def _seal_round(
         self, round_id: int, masks: GroupedSumZeroMasks, opening_seed: bytes
     ) -> bytes:
-        plan = masks.plan
-        blob = b"".join(
-            [
-                _SEALED_HEADER.pack(masks.length, plan.num_slots, plan.group_size),
-                *masks.seeds,
-                opening_seed,
-            ]
-        )
+        shape = (masks.length, masks.plan.num_slots, masks.plan.group_size)
+        blob = codec.encode(SealedRound(*shape, b"".join(masks.seeds), opening_seed))
         box = AuthenticatedCipher(self._seal_key).encrypt(
             self.rng.generate(16), blob, associated_data=round_id.to_bytes(8, "big")
         )
@@ -346,21 +352,19 @@ class BlinderProvisioner(_ProvisionerBase):
         blob = AuthenticatedCipher(self._seal_key).decrypt(
             SealedBox.from_bytes(sealed), associated_data=round_id.to_bytes(8, "big")
         )
-        if len(blob) < _SEALED_HEADER.size:
-            raise CryptoError(f"sealed round {round_id} is truncated")
-        length, num_slots, group_size = _SEALED_HEADER.unpack_from(blob)
-        if not (length > 0 and 0 < group_size <= num_slots):
+        try:
+            state = codec.decode(blob, SealedRound)
+        except ProtocolViolation as exc:
+            raise CryptoError(f"sealed round {round_id} is malformed: {exc.detail}") from None
+        if state.group_size > state.num_slots:
             raise CryptoError(f"sealed round {round_id} has an invalid shape")
-        plan = plan_subgroups(round_id, num_slots, group_size)
-        end = _SEALED_HEADER.size + _SEED_SIZE * plan.num_groups
-        if len(blob) != end + _SEED_SIZE:
-            raise CryptoError(f"sealed round {round_id} has the wrong length")
+        plan = plan_subgroups(round_id, state.num_slots, state.group_size)
+        if len(state.seeds) != _SEED_SIZE * plan.num_groups:
+            raise CryptoError(f"sealed round {round_id} has the wrong seed count")
         seeds = tuple(
-            blob[at : at + _SEED_SIZE]
-            for at in range(_SEALED_HEADER.size, end, _SEED_SIZE)
+            state.seeds[at : at + _SEED_SIZE] for at in range(0, len(state.seeds), _SEED_SIZE)
         )
-        masks = GroupedSumZeroMasks(plan, seeds, length)
-        return masks, blob[end:]
+        return GroupedSumZeroMasks(plan, seeds, state.length), state.opening_seed
 
     def _commit_round(
         self, round_id: int, masks: GroupedSumZeroMasks, opening_seed: bytes

@@ -28,10 +28,10 @@ efficiency the paper says the single-enclave layout buys.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro import codec
-from repro.codec import wire
+from repro.codec import ROUND_ID, SLOT, Bool, Int, Unit, wire
 from repro.core.glimmer import (
     BlindStep,
     GlimmerConfig,
@@ -45,19 +45,33 @@ from repro.crypto.cipher import AuthenticatedCipher, SealedBox
 from repro.crypto.dh import DHKeyPair
 from repro.errors import AttestationError, ProtocolError
 from repro.perf import kernels
-from repro.sgx.attestation import report_data_for
+from repro.sgx.attestation import Report, report_data_for
 from repro.sgx.enclave import ecall
 from repro.sgx.measurement import EnclaveImage, VendorKey
 from repro.sgx.platform import SgxPlatform
 
 
-@wire(0x810D)
+@wire(0x810D, dh_public=Int(1), report=Report)
 @dataclass(frozen=True)
 class PairingOffer:
     """One end's local-attestation material: DH value + binding report."""
 
     dh_public: int
-    report: object
+    report: Report
+
+
+@wire(0x8113, round_id=ROUND_ID, party_index=SLOT, payload=bytes, blind=Bool, confidence=Unit)
+@dataclass(frozen=True)
+class LinkedContribution:
+    """A contribution crossing a split link: the request's packed values and
+    whether to blind them (validation → blinding), then the blinded words,
+    or an unblinded request's values (blinding → signing)."""
+
+    round_id: int
+    party_index: int
+    payload: bytes
+    blind: bool
+    confidence: float
 
 
 class _ComponentProgram(GlimmerStep):
@@ -95,7 +109,7 @@ class _ComponentProgram(GlimmerStep):
             raise AttestationError("peer report does not bind the DH value")
         return offer.dh_public
 
-    @ecall
+    @ecall(str, PairingOffer, bytes)
     def accept_pairing(
         self, link: str, peer_offer: PairingOffer, expected_mrenclave: bytes
     ) -> PairingOffer:
@@ -105,7 +119,7 @@ class _ComponentProgram(GlimmerStep):
         self._install_link(link, keypair, peer_public)
         return offer
 
-    @ecall
+    @ecall(str, PairingOffer, bytes)
     def finish_pairing(
         self, link: str, peer_offer: PairingOffer, expected_mrenclave: bytes
     ) -> None:
@@ -129,7 +143,7 @@ class _ComponentProgram(GlimmerStep):
             raise ProtocolError(f"link {link!r} not paired")
         return AuthenticatedCipher(key), link.encode("utf-8") + seq.to_bytes(8, "big")
 
-    def _link_encrypt(self, link: str, payload: object) -> bytes:
+    def _link_encrypt(self, link: str, payload: LinkedContribution) -> bytes:
         cipher, associated = self._link_cipher(link, self._link_send_seq.get(link, 0))
         self._link_send_seq[link] += 1
         blob = codec.encode(payload)
@@ -137,7 +151,7 @@ class _ComponentProgram(GlimmerStep):
         nonce = self.api.rng.generate(16)
         return cipher.encrypt(nonce, blob, associated_data=associated).to_bytes()
 
-    def _link_decrypt(self, link: str, wire: bytes) -> object:
+    def _link_decrypt(self, link: str, wire: bytes) -> LinkedContribution:
         """What the sibling sent on ``link``; an ``AuthenticationError`` for
         a blob it did not seal."""
         seq = self._link_recv_seq.get(link, 0)
@@ -145,7 +159,7 @@ class _ComponentProgram(GlimmerStep):
         self.api.charge_aead(len(wire))
         blob = cipher.decrypt(SealedBox.from_bytes(wire), associated_data=associated)
         self._link_recv_seq[link] = seq + 1
-        return codec.decode(blob)
+        return codec.decode(blob, LinkedContribution)
 
 
 class ValidationEnclaveProgram(ValidateStep, _ComponentProgram):
@@ -157,13 +171,9 @@ class ValidationEnclaveProgram(ValidateStep, _ComponentProgram):
         __, confidence = self._validate(request)
         return self._link_encrypt(
             "validation-blinding",
-            {
-                "round_id": request.round_id,
-                "party_index": request.party_index,
-                "values": request.values,
-                "blind": request.blind,
-                "confidence": confidence,
-            },
+            LinkedContribution(
+                request.round_id, request.party_index, request.values, request.blind, confidence
+            ),
         )
 
 
@@ -173,23 +183,13 @@ class BlindingEnclaveProgram(BlindStep, _ComponentProgram):
     @ecall(bytes)
     def blind(self, wire: bytes) -> bytes:
         """Decrypt the validated payload, blind it, forward to signing."""
-        payload = self._link_decrypt("validation-blinding", wire)
-        ring_payload = None
-        if payload["blind"]:
-            ring_payload = self._blind(
-                payload["round_id"],
-                payload["party_index"],
-                kernels.be_doubles(payload["values"]).tolist(),
+        passed = self._link_decrypt("validation-blinding", wire)
+        payload = passed.payload
+        if passed.blind:
+            payload = self._blind(
+                passed.round_id, passed.party_index, kernels.be_doubles(payload).tolist()
             )
-        return self._link_encrypt(
-            "blinding-signing",
-            {
-                "round_id": payload["round_id"],
-                "ring_payload": ring_payload,
-                "plain_payload": None if payload["blind"] else payload["values"],
-                "confidence": payload["confidence"],
-            },
-        )
+        return self._link_encrypt("blinding-signing", replace(passed, payload=payload))
 
 
 class SigningEnclaveProgram(SignStep, _ComponentProgram):
@@ -199,13 +199,13 @@ class SigningEnclaveProgram(SignStep, _ComponentProgram):
     def sign(self, wire: bytes) -> SignedContribution:
         """Decrypt the blinded payload and endorse it."""
         self._signer()
-        payload = self._link_decrypt("blinding-signing", wire)
+        linked = self._link_decrypt("blinding-signing", wire)
         return self._endorse(
-            payload["round_id"],
+            linked.round_id,
             self.api.rng.generate(16),
-            payload["ring_payload"],
-            payload["plain_payload"],
-            payload["confidence"],
+            linked.payload if linked.blind else None,
+            None if linked.blind else linked.payload,
+            linked.confidence,
         )
 
 
@@ -220,7 +220,7 @@ class SplitImages:
 
 def build_split_images(vendor: VendorKey, config: GlimmerConfig) -> SplitImages:
     """Measure and sign the three component images (shared config)."""
-    blob = config.encode()
+    blob = codec.encode(config)
     return SplitImages(
         validation=EnclaveImage.build(
             ValidationEnclaveProgram, vendor, name="glimmer-validation", config=blob

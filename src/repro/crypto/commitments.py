@@ -69,12 +69,13 @@ from typing import Sequence
 
 import numpy as np
 
+from repro import codec
 from repro.codec import LENGTH, PARTIES, ROUND_ID, SLOT, Bytes, Int, Packed, Str, TupleOf, wire
 from repro.crypto import group_ops
-from repro.crypto.dh import DHGroup, OAKLEY_GROUP_1, TEST_GROUP
+from repro.crypto.dh import GROUPS, DHGroup
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.hashing import hash_bytes, hash_items, hash_to_int
-from repro.errors import ConfigurationError, MaskVerificationError
+from repro.errors import ConfigurationError, MaskVerificationError, ProtocolViolation
 from repro.perf import kernels
 
 LIMB_BITS = 16
@@ -82,12 +83,9 @@ SALT_SIZE = 32
 #: Domain tag of the SHAKE256 stream the challenge weights are read from.
 _WEIGHT_STREAM_TAG = b"mask-commitment-weight"
 
-_KNOWN_GROUPS = {TEST_GROUP.name: TEST_GROUP, OAKLEY_GROUP_1.name: OAKLEY_GROUP_1}
-
-
 def resolve_group(name: str) -> DHGroup:
     """Look up a shipped group by wire name (commitment sets carry names)."""
-    group = _KNOWN_GROUPS.get(name)
+    group = GROUPS.get(name)
     if group is None:
         raise ConfigurationError(f"unknown commitment group {name!r}")
     return group
@@ -712,44 +710,15 @@ def _commit_with(
     return commitments, openings
 
 
-# Mask delivery wire format --------------------------------------------------
-#
-#   u32 length | length × u64 mask words | 32-byte salt | u16 rlen | r bytes
-#
-# The opening travels *inside* the authenticated provisioning ciphertext;
-# this framing just makes truncation/extension unambiguous.
-
-
 def encode_mask_payload(opening: MaskOpening) -> bytes:
-    r_bytes = opening.randomizer.to_bytes(
-        (opening.randomizer.bit_length() + 7) // 8 or 1, "big"
-    )
-    return b"".join(
-        [
-            len(opening).to_bytes(4, "big"),
-            opening.mask,
-            opening.salt,
-            len(r_bytes).to_bytes(2, "big"),
-            r_bytes,
-        ]
-    )
+    """The opening's frame, as it travels inside the delivery's ciphertext."""
+    return codec.encode(opening)
 
 
 def decode_mask_payload(payload: bytes) -> MaskOpening:
-    if len(payload) < 4:
-        raise MaskVerificationError("mask payload truncated")
-    length = int.from_bytes(payload[:4], "big")
-    offset = 4
-    need = 8 * length + SALT_SIZE + 2
-    if len(payload) < offset + need:
-        raise MaskVerificationError("mask payload truncated")
-    mask = payload[offset : offset + 8 * length]
-    offset += 8 * length
-    salt = payload[offset : offset + SALT_SIZE]
-    offset += SALT_SIZE
-    r_len = int.from_bytes(payload[offset : offset + 2], "big")
-    offset += 2
-    if len(payload) != offset + r_len:
-        raise MaskVerificationError("mask payload has trailing or missing bytes")
-    randomizer = int.from_bytes(payload[offset : offset + r_len], "big")
-    return MaskOpening(mask=mask, salt=salt, randomizer=randomizer)
+    """The opening a delivery carries; :class:`MaskVerificationError` (the
+    blinder's fault) for a payload that is not one."""
+    try:
+        return codec.decode(payload, MaskOpening)
+    except ProtocolViolation as exc:
+        raise MaskVerificationError(f"malformed mask payload: {exc.detail}") from None

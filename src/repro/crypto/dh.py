@@ -127,6 +127,10 @@ OAKLEY_GROUP_1 = DHGroup(name="oakley-group-1", prime=int(_OAKLEY_1_HEX, 16))
 # 64-bit safe prime for tests: p = 2q + 1 with q prime.
 TEST_GROUP = DHGroup(name="test-64bit", prime=18446744073709550147)
 
+#: Every shipped group, by the name it travels under: a commitment set or
+#: a measured public key names its group, never spells its prime.
+GROUPS = {group.name: group for group in (OAKLEY_GROUP_1, TEST_GROUP)}
+
 
 @dataclass(frozen=True)
 class DHKeyPair:

@@ -33,9 +33,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.codec import Int, Optional, wire
+from repro.codec import Int, Named, Optional, wire
 from repro.crypto import group_ops
-from repro.crypto.dh import DHGroup, OAKLEY_GROUP_1
+from repro.crypto.dh import GROUPS, DHGroup, OAKLEY_GROUP_1
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.hashing import hash_items, hash_to_int
 from repro.errors import AuthenticationError, CryptoError
@@ -96,9 +96,10 @@ class SchnorrSignature:
         )
 
 
+@wire(0x810F, group=Named(GROUPS), element=Int(0))
 @dataclass(frozen=True)
 class SchnorrPublicKey:
-    """Verification key ``y = h^x`` in a named group."""
+    """Verification key ``y = h^x`` in a group of :data:`~repro.crypto.dh.GROUPS`."""
 
     group: DHGroup
     element: int

@@ -27,13 +27,15 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from repro import codec
+from repro.codec import wire
 from repro.crypto.cipher import AuthenticatedCipher, SealedBox
 from repro.crypto.dh import DHGroup, DHKeyPair, OAKLEY_GROUP_1
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.fixedpoint import FixedPointCodec
 from repro.crypto.kdf import hkdf
 from repro.crypto.shamir import ShamirShare, recover_secret, split_secret
-from repro.errors import CryptoError, ProtocolError
+from repro.errors import CryptoError, ProtocolError, ProtocolViolation
 from repro.perf import kernels
 
 _SEED_SIZE = 16
@@ -68,9 +70,10 @@ class EncryptedShares:
     box: SealedBox
 
 
-@dataclass
-class _PeerShares:
-    """What a client holds on behalf of a peer after round 1."""
+@wire(0x8118, seed_share=ShamirShare, selfmask_share=ShamirShare)
+@dataclass(frozen=True)
+class PeerShares:
+    """A peer's two round-1 shares: what its payload carries and a client keeps."""
 
     seed_share: ShamirShare
     selfmask_share: ShamirShare
@@ -89,19 +92,17 @@ class SecureAggregationClient:
         self,
         client_id: int,
         rng: HmacDrbg,
-        codec: FixedPointCodec | None = None,
         group: DHGroup = OAKLEY_GROUP_1,
     ) -> None:
         self.client_id = client_id
         self._rng = rng
-        self._codec = codec or FixedPointCodec()
         self._group = group
         self._dh_seed = rng.generate(_SEED_SIZE)
         self._keypair = _keypair_from_seed(self._dh_seed, group)
         self._selfmask_seed = rng.generate(_SEED_SIZE)
         self._roster: dict[int, KeyBundle] = {}
         self._threshold = 0
-        self._held_shares: dict[int, _PeerShares] = {}
+        self._held_shares: dict[int, PeerShares] = {}
         self._position: dict[int, int] = {}
         self._revealed_seed: set[int] = set()
         self._revealed_selfmask: set[int] = set()
@@ -152,7 +153,7 @@ class SecureAggregationClient:
         out = []
         for peer in peers:
             idx = position[peer.client_id] - 1
-            payload = _encode_shares(seed_shares[idx], mask_shares[idx])
+            payload = codec.encode(PeerShares(seed_shares[idx], mask_shares[idx]))
             key = self._pairwise_key(peer, "share-transport")
             cipher = AuthenticatedCipher(key)
             nonce = self._rng.generate(16)
@@ -166,7 +167,7 @@ class SecureAggregationClient:
             )
         # Keep our own shares too (position of self).
         own_idx = position[self.client_id] - 1
-        self._held_shares[self.client_id] = _PeerShares(
+        self._held_shares[self.client_id] = PeerShares(
             seed_share=seed_shares[own_idx], selfmask_share=mask_shares[own_idx]
         )
         return out
@@ -185,10 +186,10 @@ class SecureAggregationClient:
             cipher = AuthenticatedCipher(key)
             associated = message.sender.to_bytes(4, "big") + self.client_id.to_bytes(4, "big")
             payload = cipher.decrypt(message.box, associated_data=associated)
-            seed_share, mask_share = _decode_shares(payload)
-            self._held_shares[message.sender] = _PeerShares(
-                seed_share=seed_share, selfmask_share=mask_share
-            )
+            try:
+                self._held_shares[message.sender] = codec.decode(payload, PeerShares)
+            except ProtocolViolation as exc:
+                raise CryptoError(f"malformed share payload: {exc.detail}") from None
 
     # ---------------------------------------------------------------- round 2
 
@@ -259,13 +260,8 @@ class SecureAggregationServer:
     messages the server sees.
     """
 
-    def __init__(
-        self,
-        codec: FixedPointCodec | None = None,
-        group: DHGroup = OAKLEY_GROUP_1,
-        reducer=None,
-    ) -> None:
-        self._codec = codec or FixedPointCodec()
+    def __init__(self, group: DHGroup = OAKLEY_GROUP_1, reducer=None) -> None:
+        self._codec = FixedPointCodec()
         self._group = group
         self._roster: dict[int, KeyBundle] = {}
         self._threshold = 0
@@ -386,28 +382,3 @@ class SecureAggregationServer:
                 f"need {minimum}"
             )
         return recover_secret(shares[:minimum])
-
-
-def _encode_shares(seed_share: ShamirShare, mask_share: ShamirShare) -> bytes:
-    return b"".join(
-        value.to_bytes(40, "big")
-        for value in (seed_share.x, seed_share.y, mask_share.x, mask_share.y)
-    )
-
-
-def _decode_shares(payload: bytes) -> tuple[ShamirShare, ShamirShare]:
-    if len(payload) != 160:
-        raise CryptoError("malformed share payload")
-    # Four 320-bit big-endian values, parsed as a 4x5 matrix of 64-bit
-    # limbs in one frombuffer pass and recombined most-significant first.
-    limbs = np.frombuffer(payload, dtype=">u8").reshape(4, 5)
-    values = []
-    for row in limbs.tolist():
-        value = 0
-        for limb in row:
-            value = (value << 64) | limb
-        values.append(value)
-    return (
-        ShamirShare(x=values[0], y=values[1]),
-        ShamirShare(x=values[2], y=values[3]),
-    )

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro.codec import Int, wire
 from repro.crypto.drbg import HmacDrbg
 from repro.errors import CryptoError
 
@@ -21,6 +22,7 @@ FIELD_PRIME = (1 << 255) - 19
 SECRET_SIZE = 30  # bytes; leaves headroom below the prime
 
 
+@wire(0x8117, x=Int(0), y=Int(0))
 @dataclass(frozen=True)
 class ShamirShare:
     """One share: evaluation point ``x`` (>=1) and value ``y = f(x)``."""

@@ -79,10 +79,10 @@ def _bonawitz_round(vectors, dropouts, codec, rng):
     """Run pairwise-mask secure aggregation; returns (aggregate, masked-per-user)."""
     user_ids = list(vectors)
     threshold = max(2, (2 * len(user_ids)) // 3)
-    server = SecureAggregationServer(codec, group=TEST_GROUP)
+    server = SecureAggregationServer(group=TEST_GROUP)
     clients = {
         user_id: SecureAggregationClient(
-            index, rng.fork(f"sa-{index}"), codec, group=TEST_GROUP
+            index, rng.fork(f"sa-{index}"), group=TEST_GROUP
         )
         for index, user_id in enumerate(user_ids)
     }

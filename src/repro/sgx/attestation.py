@@ -37,7 +37,10 @@ from repro.sgx.enclave import EnclaveIdentity
 REPORT_DATA_SIZE = 64
 
 
-@wire(0x8103)
+@wire(
+    0x8103, mrenclave=Bytes(), mrsigner=Bytes(), version=Int(), debug=Bool,
+    report_data=Bytes(REPORT_DATA_SIZE), platform_id=Bytes(), mac=Bytes(32),
+)
 @dataclass(frozen=True)
 class Report:
     """A local attestation report (EREPORT output).

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.codec import wire
+from repro.codec import TupleOf, wire
 from repro.crypto.drbg import HmacDrbg
 from repro.errors import ConfigurationError
 
@@ -147,6 +147,7 @@ class BotnetWorkload:
         return {s.session_id: s.is_bot for s in self.sessions}
 
 
+@wire(0x8116, weights=TupleOf(float), bias=float, threshold=float)
 @dataclass(frozen=True)
 class DetectorWeights:
     """The service's proprietary detector: a linear score over features.

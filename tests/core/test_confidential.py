@@ -2,14 +2,14 @@
 
 import pytest
 
+from repro import codec
 from repro.core.auditor import RuntimeAuditor
 from repro.core.confidential import (
     BotDetectionService,
     ExfiltratingGlimmerProgram,
     MalformedOutputGlimmerProgram,
+    DetectorDelivery,
     build_confidential_image,
-    decode_detector,
-    encode_detector,
     raw_signal_leakage_bits,
 )
 from repro.core.provisioning import VettingRegistry
@@ -20,8 +20,8 @@ from repro.errors import (
     AttestationError,
     AuditError,
     AuthenticationError,
-    CryptoError,
     ProtocolError,
+    ProtocolViolation,
 )
 from repro.sgx.attestation import AttestationService, report_data_for
 from repro.sgx.measurement import VendorKey
@@ -66,17 +66,19 @@ def provisioned(setup, seed=b"conf-plat", program_image=None, name="bot-glimmer"
 
 def test_detector_codec_roundtrip():
     detector = DetectorWeights(weights=(1.0, -2.5, 3.25), bias=0.5, threshold=-1.0)
-    decoded, secret = decode_detector(encode_detector(detector, 987654321))
-    assert decoded == detector
-    assert secret == 987654321
+    delivery = codec.decode(
+        codec.encode(DetectorDelivery(detector, 987654321)), DetectorDelivery
+    )
+    assert delivery.detector == detector
+    assert delivery.reporting_secret == 987654321
 
 
 def test_detector_codec_rejects_malformed():
-    with pytest.raises(CryptoError):
-        decode_detector(b"")
-    blob = encode_detector(DetectorWeights(), 1)
-    with pytest.raises(CryptoError):
-        decode_detector(blob[:-1])
+    with pytest.raises(ProtocolViolation):
+        codec.decode(b"", DetectorDelivery)
+    blob = codec.encode(DetectorDelivery(DetectorWeights(), 1))
+    with pytest.raises(ProtocolViolation):
+        codec.decode(blob[:-1], DetectorDelivery)
 
 
 def test_end_to_end_detection_accuracy(setup):

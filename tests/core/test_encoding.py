@@ -1,19 +1,19 @@
-"""Tests for canonical encodings: public keys, and vectors in the codec.
+"""Tests for canonical encodings: public keys and vectors in the codec.
 
-The length-prefixed vector encoders that lived here are gone: a vector
-crosses packed (:mod:`repro.perf.kernels`) inside a :mod:`repro.codec`
-frame, so their round-trip and torn-length cases now hold the codec to
-the same standard.
+The length-prefixed vector encoders and the public-key layout that lived
+here are gone: a vector crosses packed (:mod:`repro.perf.kernels`) inside
+a :mod:`repro.codec` frame, and a measured key is its
+``SchnorrPublicKey`` frame, so their round-trip and torn-length cases now
+hold the codec to the same standard.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import codec
-from repro.core.encoding import _GROUPS, decode_public_key, encode_public_key
-from repro.crypto.dh import OAKLEY_GROUP_1, TEST_GROUP
+from repro.crypto.dh import GROUPS, OAKLEY_GROUP_1, TEST_GROUP
 from repro.crypto.drbg import HmacDrbg
-from repro.crypto.schnorr import SchnorrKeyPair
+from repro.crypto.schnorr import SchnorrKeyPair, SchnorrPublicKey
 from repro.errors import ConfigurationError, ProtocolViolation
 from repro.perf import kernels
 
@@ -74,31 +74,42 @@ def test_ring_vector_malformed():
 def test_public_key_roundtrip():
     for group in (TEST_GROUP, OAKLEY_GROUP_1):
         key = SchnorrKeyPair.generate(HmacDrbg(b"enc"), group).public_key
-        decoded = decode_public_key(encode_public_key(key))
+        decoded = codec.decode(codec.encode(key), SchnorrPublicKey)
         assert decoded.element == key.element
         assert decoded.group.name == key.group.name
 
 
 def test_public_key_malformed():
-    with pytest.raises(ConfigurationError):
-        decode_public_key(b"\x00")
+    with pytest.raises(ProtocolViolation):
+        codec.decode(b"\x00", SchnorrPublicKey)
     key = SchnorrKeyPair.generate(HmacDrbg(b"enc"), TEST_GROUP).public_key
-    blob = encode_public_key(key)
-    with pytest.raises(ConfigurationError):
-        decode_public_key(blob[:-1])
+    blob = codec.encode(key)
+    with pytest.raises(ProtocolViolation):
+        codec.decode(blob[:-1], SchnorrPublicKey)
 
 
 def test_public_key_unknown_group():
     key = SchnorrKeyPair.generate(HmacDrbg(b"enc"), TEST_GROUP).public_key
-    blob = encode_public_key(key)
+    blob = codec.encode(key)
+    named = len(TEST_GROUP.name).to_bytes(4, "big") + TEST_GROUP.name.encode()
     name = b"nonexistent-group"
-    forged = len(name).to_bytes(2, "big") + name + blob[-256:]
-    with pytest.raises(ConfigurationError):
-        decode_public_key(forged)
+    forged = blob.replace(named, len(name).to_bytes(4, "big") + name)
+    with pytest.raises(ProtocolViolation):
+        codec.decode(forged, SchnorrPublicKey)
+
+
+def test_a_group_name_that_is_not_utf8_is_refused():
+    """Bytes that are not UTF-8 where the group's name goes are a refusal,
+    not a ``UnicodeDecodeError``."""
+    key = SchnorrKeyPair.generate(HmacDrbg(b"enc"), TEST_GROUP).public_key
+    name = TEST_GROUP.name.encode()
+    forged = codec.encode(key).replace(name, b"\xff\xfe" + name[2:])
+    with pytest.raises(ProtocolViolation):
+        codec.decode(forged, SchnorrPublicKey)
 
 
 def group_by_name(name: str):
-    group = _GROUPS.get(name)
+    group = GROUPS.get(name)
     if group is None:
         raise ConfigurationError(f"unknown group {name!r}")
     return group

@@ -2,23 +2,24 @@
 
 import pytest
 
+from repro import codec
+from repro.crypto.cipher import AuthenticatedCipher
 from repro.crypto.dh import TEST_GROUP
 from repro.crypto.drbg import HmacDrbg
-from repro.crypto.fixedpoint import FixedPointCodec
 from repro.crypto.secagg import (
     EncryptedShares,
+    PeerShares,
     SecureAggregationClient,
     SecureAggregationServer,
 )
 from repro.errors import ProtocolError
 
 
-def build_cohort(n, threshold, codec=None, seed=b"secagg"):
-    codec = codec or FixedPointCodec()
-    server = SecureAggregationServer(codec, group=TEST_GROUP)
+def build_cohort(n, threshold, seed=b"secagg"):
+    server = SecureAggregationServer(group=TEST_GROUP)
     clients = [
         SecureAggregationClient(
-            i, HmacDrbg(seed + bytes([i])), codec, group=TEST_GROUP
+            i, HmacDrbg(seed + bytes([i])), group=TEST_GROUP
         )
         for i in range(n)
     ]
@@ -132,10 +133,9 @@ def test_share_keys_twice_rejected():
 
 
 def test_share_routed_to_wrong_client_rejected():
-    codec = FixedPointCodec()
-    server = SecureAggregationServer(codec, group=TEST_GROUP)
+    server = SecureAggregationServer(group=TEST_GROUP)
     clients = [
-        SecureAggregationClient(i, HmacDrbg(bytes([i])), codec, group=TEST_GROUP)
+        SecureAggregationClient(i, HmacDrbg(bytes([i])), group=TEST_GROUP)
         for i in range(3)
     ]
     roster = server.register([c.advertise() for c in clients], 2)
@@ -179,10 +179,9 @@ def test_non_survivor_cannot_respond():
 
 
 def test_register_validations():
-    codec = FixedPointCodec()
-    server = SecureAggregationServer(codec, group=TEST_GROUP)
+    server = SecureAggregationServer(group=TEST_GROUP)
     clients = [
-        SecureAggregationClient(i, HmacDrbg(bytes([i])), codec, group=TEST_GROUP)
+        SecureAggregationClient(i, HmacDrbg(bytes([i])), group=TEST_GROUP)
         for i in range(3)
     ]
     bundles = [c.advertise() for c in clients]
@@ -195,9 +194,8 @@ def test_register_validations():
 
 
 def test_threshold_validations_client_side():
-    codec = FixedPointCodec()
-    client = SecureAggregationClient(0, HmacDrbg(b"x"), codec, group=TEST_GROUP)
-    other = SecureAggregationClient(1, HmacDrbg(b"y"), codec, group=TEST_GROUP)
+    client = SecureAggregationClient(0, HmacDrbg(b"x"), group=TEST_GROUP)
+    other = SecureAggregationClient(1, HmacDrbg(b"y"), group=TEST_GROUP)
     roster = [client.advertise(), other.advertise()]
     with pytest.raises(ProtocolError):
         client.share_keys(roster, 1)
@@ -218,14 +216,9 @@ def test_larger_cohort_with_dropouts_exact():
 
 
 def test_share_payload_round_trips_320_bit_values():
-    """_encode_shares/_decode_shares over the full 40-byte value range.
-
-    The decoder parses the payload as a 4x5 matrix of big-endian 64-bit
-    limbs in one frombuffer pass; boundary values (0, 2^320 - 1, a prime
-    just below 2^255, and a value with only high limbs set) exercise every
-    limb position.
-    """
-    from repro.crypto.secagg import _decode_shares, _encode_shares
+    """A round-1 payload is a ``PeerShares`` frame, whatever the values:
+    boundary values (0, 2^320 - 1, a prime just below 2^255, and a value
+    with only high bits set) come back exactly."""
     from repro.crypto.shamir import FIELD_PRIME, ShamirShare
 
     cases = [
@@ -237,18 +230,33 @@ def test_share_payload_round_trips_320_bit_values():
         (ShamirShare(x=0, y=0), ShamirShare(x=0, y=0)),
     ]
     for seed_share, mask_share in cases:
-        payload = _encode_shares(seed_share, mask_share)
-        assert len(payload) == 160
-        decoded_seed, decoded_mask = _decode_shares(payload)
-        assert decoded_seed == seed_share
-        assert decoded_mask == mask_share
+        payload = codec.encode(PeerShares(seed_share, mask_share))
+        decoded = codec.decode(payload, PeerShares)
+        assert decoded.seed_share == seed_share
+        assert decoded.selfmask_share == mask_share
+
+
+def _deliver(payload: bytes) -> None:
+    """Hand client 1 of a three-client cohort ``payload`` as client 0's
+    round-1 shares, sealed under their pairwise key."""
+    server = SecureAggregationServer(group=TEST_GROUP)
+    clients = [
+        SecureAggregationClient(i, HmacDrbg(bytes([i])), group=TEST_GROUP) for i in range(3)
+    ]
+    roster = server.register([c.advertise() for c in clients], 2)
+    for client in clients:
+        client.share_keys(roster, 2)
+    key = clients[0]._pairwise_key(roster[1], "share-transport")
+    box = AuthenticatedCipher(key).encrypt(
+        b"n" * 16, payload, associated_data=(0).to_bytes(4, "big") + (1).to_bytes(4, "big")
+    )
+    clients[1].receive_shares([EncryptedShares(sender=0, receiver=1, box=box)])
 
 
 def test_decode_shares_rejects_malformed_payload():
-    from repro.crypto.secagg import _decode_shares
     from repro.errors import CryptoError
 
     with pytest.raises(CryptoError):
-        _decode_shares(b"\x00" * 159)
+        _deliver(b"\x00" * 159)
     with pytest.raises(CryptoError):
-        _decode_shares(b"")
+        _deliver(b"")

@@ -26,10 +26,10 @@ from repro.crypto.secagg import SecureAggregationClient, SecureAggregationServer
 def test_bonawitz_exact_under_any_valid_dropout(num_clients, length, dropout_mask, seed):
     codec = FixedPointCodec()
     threshold = 2
-    server = SecureAggregationServer(codec, group=TEST_GROUP)
+    server = SecureAggregationServer(group=TEST_GROUP)
     clients = [
         SecureAggregationClient(
-            i, HmacDrbg(seed.to_bytes(4, "big") + bytes([i])), codec, group=TEST_GROUP
+            i, HmacDrbg(seed.to_bytes(4, "big") + bytes([i])), group=TEST_GROUP
         )
         for i in range(num_clients)
     ]

@@ -15,6 +15,7 @@ import struct
 import numpy as np
 import pytest
 
+import repro.codec
 from repro.crypto.commitments import (
     LIMBS,
     _checked_scalar,
@@ -407,7 +408,7 @@ def _wide_streamed_round_digests():
         features_digest=features_digest(features),
     )
     image = EnclaveImage.build(
-        GlimmerProgram, vendor, name=name, config=config.encode(),
+        GlimmerProgram, vendor, name=name, config=repro.codec.encode(config),
         code=b"GlimmerProgram",
     )
     registry = VettingRegistry()
@@ -499,12 +500,16 @@ def test_wide_streamed_round_is_byte_identical_to_recorded():
     and ``sealed`` (the Glimmers' checkpoints carry their installed
     masks).  ``sealed`` moved once more when the ring was fixed at
     ``Z/2^64``: the blinder's sealed header lost its ring-width field and
-    the Glimmers' checkpointed commitment records lost theirs.
-    ``aggregate`` has never moved.
+    the Glimmers' checkpointed commitment records lost theirs.  ``sealed``
+    and ``signatures`` moved when every byte layout became a declared
+    codec record: the sealed round and the checkpoint are records now, and
+    the measured config's new bytes move MRENCLAVE, which seeds the
+    enclave's signing nonces and keys its sealing.  ``aggregate`` has
+    never moved.
     """
     assert _wide_streamed_round_digests() == {
         "root": "b3dd46a86e0ff8861e7ef3bc9d485dc6e0397dfd07a7eeb4cd329a30d849b223",
-        "sealed": "59de1b33994ccf62d6fec3283c2f9df55946384ac45fb25546fca216d4744dad",
-        "signatures": "d31a14b6b925eaf9250bf1970af27eba94bfb6f9043cafa1b55a37d9adeafe92",
+        "sealed": "369032bee3adc879b8d4384c7744316acdbdb9a6520e8836f1ae09402c64d655",
+        "signatures": "ea578eb519eddd35853f076c7e73e905bd78e5732023cefaea681e898c548378",
         "aggregate": "b8557277e14cafd0f8f2a7befff5613092a335bba97d6d0fa83195c95702b0c2",
     }

@@ -18,18 +18,29 @@ from hypothesis import given, settings, strategies as st
 
 from repro import codec, invariants
 from repro.core.auditor import VerdictMessage
-from repro.core.glimmer import KeyDelivery, ProcessRequest, pack_features
+from repro.core.confidential import DetectorDelivery
+from repro.core.glimmer import (
+    GlimmerConfig,
+    KeyDelivery,
+    ProcessRequest,
+    RoundCheckpoint,
+    pack_features,
+)
+from repro.core.provisioning import SealedRound
 from repro.core.remote import AttestedOffer
 from repro.core.service import RoundResult
 from repro.core.signing import SignedContribution
-from repro.core.split import PairingOffer
+from repro.core.split import LinkedContribution, PairingOffer
 from repro.core.validation import PrivateContext
 from repro.crypto.commitments import (
     MaskCommitmentRecord,
     MaskCommitmentSet,
     MaskOpening,
 )
-from repro.crypto.schnorr import SchnorrSignature
+from repro.crypto.dh import OAKLEY_GROUP_1, TEST_GROUP
+from repro.crypto.schnorr import SchnorrPublicKey, SchnorrSignature
+from repro.crypto.secagg import PeerShares
+from repro.crypto.shamir import ShamirShare
 from repro.errors import ProtocolViolation, UnencodablePayload
 from repro.experiments.common import Deployment
 from repro.network.adversary import EavesdropAdversary, NetworkAdversary
@@ -39,7 +50,7 @@ from repro.runtime import messages as m, wire
 from repro.runtime.protocol import VIOLATION_MALFORMED
 from repro.runtime.telemetry import OUTCOME_QUARANTINED
 from repro.sgx.attestation import Quote, Report
-from repro.workloads.botnet import SessionSignals
+from repro.workloads.botnet import DetectorWeights, SessionSignals
 from repro.workloads.camera import Frame, VideoStream
 from repro.workloads.geo import PhotoSubmission, TrackPoint, UserGeoContext
 from repro.workloads.keyboard import KeyEvent, KeystrokeTrace
@@ -69,6 +80,11 @@ RECORD = MaskCommitmentRecord(
     group_name="test-64bit", root=b"\x09" * 32, hash_commitment=b"\x0a" * 32,
     point=(1 << 70) + 3,
 )
+REPORT = Report(
+    b"\x01" * 32, b"\x02" * 32, 2, True, b"\x03" * 64, b"\x04" * 16, b"\x05" * 32
+)
+SERVICE_KEY = SchnorrPublicKey(OAKLEY_GROUP_1, (1 << 700) + 5)
+SHARE = ShamirShare(x=3, y=(1 << 250) + 1)
 TRACK = [TrackPoint(1.0, 2.0, 3.0), TrackPoint(-1.0, 0.0, 4.5)]
 FRAMES = [Frame(0, 0.25, 0.5), Frame(1, 0.5, 0.75)]
 BIGRAMS = (("the", "cat"), ("cat", "sat"))
@@ -93,9 +109,7 @@ SAMPLES = {
     m.CloseRound: m.CloseRound(7),
     SignedContribution: CONTRIBUTION,
     SchnorrSignature: SIG,
-    Report: Report(
-        b"\x01" * 32, b"\x02" * 32, 2, True, b"\x03" * 64, b"\x04" * 16, b"\x05" * 32
-    ),
+    Report: REPORT,
     Quote: QUOTE,
     MaskOpening: MaskOpening(
         mask=kernels.be_words_to_bytes((0, (1 << 64) - 1)), salt=b"\x06" * 32, randomizer=9
@@ -136,7 +150,18 @@ SAMPLES = {
         accepted=(CONTRIBUTION,),
     ),
     AttestedOffer: AttestedOffer(b"\x05" * 16, 12345, QUOTE),
-    PairingOffer: PairingOffer(dh_public=99, report=None),
+    PairingOffer: PairingOffer(dh_public=99, report=REPORT),
+    SchnorrPublicKey: SERVICE_KEY,
+    GlimmerConfig: GlimmerConfig(
+        "range:0.0:1.0", SERVICE_KEY, SchnorrPublicKey(TEST_GROUP, 7), b"\x0d" * 32, 0.5
+    ),
+    RoundCheckpoint: RoundCheckpoint(7, ((0, W((1, 2))), (3, W((4, 5)))), 2),
+    SealedRound: SealedRound(77, 192, 8, b"\x0e" * 32 * 24, b"\x0f" * 32),
+    LinkedContribution: LinkedContribution(7, 2, F((0.5, 0.25)), True, 1.0),
+    DetectorWeights: DetectorWeights(),
+    DetectorDelivery: DetectorDelivery(DetectorWeights(), 12345),
+    ShamirShare: SHARE,
+    PeerShares: PeerShares(SHARE, ShamirShare(x=3, y=9)),
     VerdictMessage: VerdictMessage("s1", b"\x01" * 16, 1, b"\x02" * 32, b"\x03" * 64),
     KeyEvent: KeyEvent("x", 1.5),
     KeystrokeTrace: KeystrokeTrace([KeyEvent("x", 1.5)]),
