@@ -25,18 +25,21 @@ A field whose declared check has a width is spelled at that width, with
 no tag of its own: ``Int(lo, hi)`` with ``0 <= lo`` as a u32 when
 ``hi < 2**32`` and a u64 when ``hi < 2**64``; ``Bytes(n)`` as its ``n``
 bytes; ``Bytes()``, ``Packed``, ``Is(bytes)`` and ``Is(str)`` as a u32
-length and the bytes; ``Named(table)`` as its key, spelled as a ``str``
-is; ``Bool`` as one byte; ``Is(<registered class>)`` as that class's
-fields, with no class tag; ``Optional(x)`` of any of these behind a
-presence byte.  Every other field is a tagged value as above.  A
+length and the bytes; ``Bool`` as one byte; ``Is(<registered class>)`` as
+that class's fields, with no class tag; ``Optional(x)`` of any of these
+behind a presence byte.  A record with a ``Named(groups)`` field is
+*grouped*: its group's one-byte code (0 for none) goes before its fields,
+and each ``Element()``, ``Scalar()`` or ``TupleOf(Element())`` field is
+spelled exactly as wide as its bound in that group, or as nothing where
+the record names none.  Every other field is a tagged value as above.  A
 registered object with a field its declared width cannot spell (only a
 Byzantine or mistyped value) travels instead under its
 class's second tag, :data:`LOOSE` above the first, every field a tagged
-value: ``encode`` spells anything it could before, and ``decode`` reads
-both forms and runs the same checks on either.
+value (a group as its code): ``encode`` spells anything it could before,
+and ``decode`` reads both forms and runs the same checks on either.
 
 Sizes follow the shape, not the value: a packed vector, every declared
-field that fits its declaration and every int below ``2**63`` in
+field that fits its declaration (group values too) and every int below ``2**63`` in
 magnitude encode to a length their value cannot move.
 :func:`decode` refuses an unknown tag, a truncated buffer, trailing
 bytes, and anything a registered class refuses to be built from, always
@@ -55,6 +58,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import fields
+from functools import lru_cache
 from operator import attrgetter
 from typing import Any, Callable, Sequence
 
@@ -92,7 +96,6 @@ _HEAD = struct.Struct(">BI")  # tag + u32 length / count
 _INT = struct.Struct(">Bq")
 _FLOAT = struct.Struct(">Bd")
 _U32 = struct.Struct(">I")
-_U64 = struct.Struct(">Q")
 _Q = struct.Struct(">q")
 _D = struct.Struct(">d")
 _BE_F64 = np.dtype(">f8")
@@ -140,8 +143,7 @@ def registered() -> dict[int, type]:
 def declared(cls: type) -> dict[str, "Check"]:
     """The check each field of the registered ``cls`` declares, by field
     name; a field without one is absent."""
-    layout = _BY_CLASS[cls]
-    return {name: check for __, name, check in layout.schema}
+    return dict(_BY_CLASS[cls].declared)
 
 
 # ------------------------------------------------------------------ checks
@@ -154,6 +156,7 @@ def declared(cls: type) -> dict[str, "Check"]:
 # ``tuple``) and never raises.  The bounds gate absurdity, not policy.
 # ``spelling`` is how a field under the check travels: a ``(put, get)``
 # pair (see "declared widths" below), or ``None`` for a tagged value.
+# ``bound(group)`` is the check in a record that names ``group`` (or none).
 
 MAX_ROUND_ID = (1 << 63) - 1
 MAX_PARTIES = 1_000_000
@@ -177,6 +180,9 @@ class Check:
 
     def spelling(self) -> "_Spelling | None":
         return None
+
+    def bound(self, group: Any) -> "Check":
+        return self
 
 
 class Is(Check):
@@ -215,6 +221,7 @@ def _checker(check: "Check | type | None") -> Check:
 
 _ANYTHING = Check()
 Bool, Str = Is(bool), Is(str)
+_ABSENT = Is(type(None))  # a group value where the record names no group
 _IS_BYTES = Is(bytes)
 
 
@@ -303,6 +310,10 @@ class Optional(Check):
         inner = self.check.spelling()
         return inner and _optional(inner)
 
+    def bound(self, group: Any) -> Check:
+        inner = self.check.bound(group)
+        return self if inner is self.check else inner if inner is _ABSENT else Optional(inner)
+
 
 class TupleOf(Check):
     """A ``tuple`` of at most :data:`MAX_VECTOR_LENGTH` items, each
@@ -319,6 +330,14 @@ class TupleOf(Check):
         if len(value) > MAX_VECTOR_LENGTH:
             return "exceeds the vector-length cap"
         return self.item.many(value)
+
+    def spelling(self) -> "_Spelling | None":
+        inner = self.item.spelling() if isinstance(self.item, Scalar) else None
+        return inner and _run(inner, self.kind)
+
+    def bound(self, group: Any) -> Check:
+        item = self.item.bound(group)
+        return self if item is self.item else item if item is _ABSENT else type(self)(item)
 
 
 class ListOf(TupleOf):
@@ -341,31 +360,66 @@ class Pair(Check):
 
 
 class Named(Check):
-    """One of ``table``'s values, spelled as its key (a shipped group as
-    its name); an unknown name is refused at decode."""
+    """One of ``table``'s groups, each with a fixed one-byte ``code`` (1 to
+    255), which is all of it that travels: the field makes its record
+    grouped (module docstring)."""
 
     def __init__(self, table: dict) -> None:
         self.table = table
+        self.by_code = {group.code: group for group in table.values()}
 
-    def _name(self, value: Any) -> str | None:
-        for name, known in self.table.items():
-            if type(value) is type(known) and value == known:
-                return name
-        return None
+    def code(self, value: Any) -> int | None:
+        """``value``'s code, 0 for ``None``, ``None`` for a value no group is."""
+        if value is None:
+            return 0
+        known = self.by_code.get(getattr(value, "code", None))
+        return known.code if type(value) is type(known) and value == known else None
 
     def __call__(self, value: Any) -> str | None:
-        return None if self._name(value) else f"must be one of {sorted(self.table)}"
+        return None if self.code(value) else f"must be one of {sorted(self.table)}"
 
-    def spelling(self) -> "_Spelling":
-        put_name, get_name = _SPELLINGS[str]
 
-        def get(buf: bytes, off: int, depth: int):
-            name, off = get_name(buf, off, depth)
-            if name not in self.table:
-                raise _malformed(f"unknown name {name!r}")
-            return self.table[name], off
+class Scalar(Check):
+    """An ``int`` in ``[0, q)`` of the record's group (``[0, min(q,
+    2**bits))`` with ``bits``: a short challenge), spelled exactly as wide
+    as the bound.  Declared unbound; the record binds it to its group."""
 
-        return lambda value, out, depth: put_name(self._name(value), out, depth), get
+    def __init__(self, group: Any = None, bits: int | None = None) -> None:
+        self.group, self.bits = group, bits
+        if group is not None:
+            self.lo, self.limit = self._range(group)
+            self.width = ((self.limit - 1).bit_length() + 7) // 8
+
+    def _range(self, group: Any) -> tuple[int, int]:
+        q = group.subgroup_order
+        return 0, min(q, 1 << self.bits) if self.bits else q
+
+    def bound(self, group: Any) -> Check:
+        return _ABSENT if group is None else type(self)(group, self.bits)
+
+    def __call__(self, value: Any) -> str | None:
+        if type(value) is not int:
+            return f"must be int, not {type(value).__name__}"
+        if not self.lo <= value < self.limit:
+            return f"out of range [{self.lo}, {self.limit}) in {self.group.name}"
+        return None
+
+    def spelling(self) -> "_Spelling | None":
+        return self.group and _unsigned(self.width)
+
+
+class Element(Scalar):
+    """A member of the record's group's prime-order subgroup (``0 < x < p``,
+    Jacobi symbol 1), spelled exactly as wide as ``p``."""
+
+    def _range(self, group: Any) -> tuple[int, int]:
+        return 1, group.prime
+
+    def __call__(self, value: Any) -> str | None:
+        complaint = super().__call__(value)
+        if complaint or self.group.is_element(value):
+            return complaint
+        return f"is not in the prime-order subgroup of {self.group.name}"
 
 
 class _Unit(Check):
@@ -405,7 +459,7 @@ def blamed(check: "Check | type | None") -> Callable[[str, "int | None", str, An
 
 
 def _complaint(cls: type, schema: tuple, items) -> str | None:
-    """The first of ``items`` to fail its declared check, named."""
+    """The first of ``items`` to fail its check in ``schema``, named."""
     for index, name, check in schema:
         complaint = check(items[index])
         if complaint:
@@ -428,18 +482,40 @@ def _put_tagged(value: Any, out: list, depth: int) -> bool:
     return True
 
 
-def _fixed(unsigned: struct.Struct) -> _Spelling:
+@lru_cache(maxsize=None)
+def _unsigned(size: int) -> _Spelling:
     """An ``int`` in ``[0, 2**(8·size))`` as its ``size`` bytes."""
-    limit = 1 << (8 * unsigned.size)
+    limit = 1 << (8 * size)
 
     def put(value, out: list, depth: int) -> bool:
         if type(value) is not int or not 0 <= value < limit:
             return False
-        out.append(unsigned.pack(value))
+        out.append(value.to_bytes(size, "big"))
         return True
 
     def get(buf: bytes, off: int, depth: int):
-        return unsigned.unpack_from(buf, off)[0], off + unsigned.size
+        return int.from_bytes(_take(buf, off, size), "big"), off + size
+
+    return put, get
+
+
+def _run(inner: _Spelling, kind: type) -> _Spelling:
+    """A ``kind`` sequence as a u32 count and its items, each ``inner``."""
+    put_item, get_item = inner
+
+    def put(value, out: list, depth: int) -> bool:
+        if type(value) is not kind:
+            return False
+        out.append(_U32.pack(len(value)))
+        return all(put_item(item, out, depth) for item in value)
+
+    def get(buf: bytes, off: int, depth: int):
+        count, off = _length(buf, off)
+        items = []
+        for __ in range(count):
+            item, off = get_item(buf, off, depth)
+            items.append(item)
+        return kind(items), off
 
     return put, get
 
@@ -514,17 +590,38 @@ def _optional(inner: _Spelling) -> _Spelling:
 
 
 _TAGGED = (_put_tagged, lambda buf, off, depth: _decode(buf, off, depth))
-_AS_U32, _AS_U64 = _fixed(_U32), _fixed(_U64)
+_AS_U32, _AS_U64 = _unsigned(4), _unsigned(8)
+_CODES = [bytes([code]) for code in range(256)]
 _SPELLINGS = {  # Is(kind) -> its spelling
+    type(None): (lambda value, out, depth: value is None, lambda buf, off, depth: (None, off)),
     bytes: (_put_sized_bytes, _get_sized_bytes),
     str: (_put_sized_str, _get_sized_str),
     bool: (_put_bool, lambda buf, off, depth: (_flag(buf, off, "bool"), off + 1)),
 }
 
 
+class _Form:
+    """A record's checks and spellings, bound to one group it may name
+    (the group field then spelled as nothing: its code went first)."""
+
+    def __init__(self, names: tuple, declared: dict, group: Any, at: int | None) -> None:
+        checks = {name: check.bound(group) for name, check in declared.items()}
+        # (field index, field name, check), as _complaint reads them: the group's first
+        self.schema = tuple(sorted(
+            ((i, n, checks[n]) for i, n in enumerate(names) if n in checks),
+            key=lambda entry: entry[0] != at,
+        ))
+        spellings = [(n in checks and checks[n].spelling()) or _TAGGED for n in names]
+        if at is not None:
+            spellings[at] = (lambda *__: True, lambda buf, off, depth: (group, off))
+        self.puts = tuple(put for put, __ in spellings)
+        self.gets = tuple(get for __, get in spellings)
+        self.tagged = all(spelling is _TAGGED for spelling in spellings)
+
+
 class _Layout:
     """A registered class on the wire: its two tags, its declared checks
-    and each field's spelling."""
+    and each field's spelling, one form per group a grouped record names."""
 
     def __init__(self, cls: type, tag: int, names: tuple, declared: dict) -> None:
         self.cls = cls
@@ -536,13 +633,18 @@ class _Layout:
             if len(names) > 1
             else lambda value: tuple(getattr(value, name) for name in names)
         )
-        # (field index, field name, check), as _complaint reads them
-        self.schema = tuple((i, n, declared[n]) for i, n in enumerate(names) if n in declared)
-        spellings = [(n in declared and declared[n].spelling()) or _TAGGED for n in names]
-        self.puts = tuple(put for put, __ in spellings)
-        self.gets = tuple(get for __, get in spellings)
-        self.tagged = all(spelling is _TAGGED for spelling in spellings)
+        self.declared = {n: declared[n] for n in names if n in declared}
         self.inline = (self._put_inline, self._get_inline)
+        # The group field, if any: a Named check, or an Optional of one.
+        named = [(i, getattr(c, "check", c)) for i, c in enumerate(map(declared.get, names))]
+        self.at, self.named = next(
+            ((i, c) for i, c in named if isinstance(c, Named)), (None, None)
+        )
+        groups = self.named.by_code if self.named else {}
+        self.forms = {
+            code: _Form(names, declared, group, self.at)
+            for code, group in {0: None, **groups}.items()
+        }
 
     def encode(self, value: Any, out: list, depth: int) -> None:
         """Tag and fields; the loose tag and tagged fields when one does
@@ -556,16 +658,26 @@ class _Layout:
             return
         del out[mark:]
         out.append(self.loose_header)
+        if self.named:
+            items = list(items)
+            items[self.at] = self.named.code(items[self.at]) or items[self.at]
         for item in items:
             _encode(item, out, depth + 1)
 
     def _pack(self, items, out: list, depth: int) -> bool:
         depth += 1
-        if self.tagged:
+        form = self.forms[0]
+        if self.named:
+            code = self.named.code(items[self.at])
+            if code is None:
+                return False
+            out.append(_CODES[code])
+            form = self.forms[code]
+        if form.tagged:
             for item in items:
                 _encode(item, out, depth)
             return True
-        for put, item in zip(self.puts, items):
+        for put, item in zip(form.puts, items):
             if not put(item, out, depth):
                 return False
         return True
@@ -581,14 +693,24 @@ class _Layout:
         """The object whose fields start at ``off``, its checks run."""
         if depth >= MAX_DEPTH:
             raise _malformed("frame nests deeper than the wire allows")
-        if loose or self.tagged:
+        form = self.forms[0]
+        if self.named and not loose:
+            form = self.forms.get(buf[off])
+            if form is None:
+                raise _malformed(f"{self.cls.__qualname__} names no group: code {buf[off]}")
+            off += 1
+        if loose or form.tagged:
             args, off = _decode_items(buf, off, self.count, depth)
+            if self.named:  # the group travelled as its code
+                code = args[self.at]
+                args[self.at] = self.named.by_code.get(code, code) if type(code) is int else code
+                form = self.forms[self.named.code(args[self.at]) or 0]
         else:
             args = []
-            for get in self.gets:
+            for get in form.gets:
                 item, off = get(buf, off, depth + 1)
                 args.append(item)
-        if self.schema and (complaint := _complaint(self.cls, self.schema, args)):
+        if form.schema and (complaint := _complaint(self.cls, form.schema, args)):
             raise _malformed(complaint)
         return self.cls(*args), off
 
@@ -784,9 +906,9 @@ def _decode_sequence(build: Callable[[Any], Any]):
 
 
 def _decode_items(buf: bytes, off: int, count: int, depth: int) -> tuple[list, int]:
-    """The ``count`` items of a container at ``depth``.  Scalars and ring
-    words are read inline — the same frames, without a dispatch per item;
-    anything else recurses."""
+    """The ``count`` items of a container at ``depth``.  Scalars are read
+    inline — the same frames, without a dispatch per item; anything else
+    recurses."""
     items = []
     append = items.append
     for __ in range(count):
@@ -807,9 +929,6 @@ def _decode_items(buf: bytes, off: int, count: int, depth: int) -> tuple[list, i
         elif tag == FLOAT:
             (item,) = _D.unpack_from(buf, off + 1)
             off += 9
-        elif buf[off:off + 6] == _WIDE_WORD:
-            item = int.from_bytes(_take(buf, off + 5, 9), "big", signed=True)
-            off += 14
         else:
             item, off = _decode(buf, off, depth + 1)
         append(item)
@@ -834,8 +953,6 @@ def _decode_array(buf: bytes, off: int, depth: int):
     raw = _take(buf, off, 8 * count)
     return np.frombuffer(raw, dtype=_BE_F64).astype(np.float64), off + 8 * count
 
-
-_WIDE_WORD = bytes([BIGINT]) + _U32.pack(9) + b"\x00"  # a u64 word >= 2**63
 
 _DECODERS: dict[int, Callable[[bytes, int, int], tuple[Any, int]]] = {
     NONE: lambda buf, off, depth: (None, off),

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.codec import wire
+from repro.codec import Bytes, Int, Str, wire
 from repro.crypto.hashing import hash_items
 from repro.errors import AuditError
 
@@ -39,7 +39,10 @@ CHALLENGE_BYTES = 32
 RESPONSE_BYTES = 32
 
 
-@wire(0x810E)
+@wire(
+    0x810E, session_id=Str, challenge=Bytes(CHALLENGE_BYTES), verdict_bit=Int(0, 1),
+    challenge_response=Bytes(RESPONSE_BYTES), signature_bytes=Bytes(SIGNATURE_BYTES),
+)
 @dataclass(frozen=True)
 class VerdictMessage:
     """The public 1-bit message format between Glimmer and service."""

@@ -32,7 +32,9 @@ from typing import Sequence
 import numpy as np
 
 from repro import codec
-from repro.codec import ROUND_ID, SLOT, Bool, Bytes, Int, Optional, Packed, Pair, Str, TupleOf, wire
+from repro.codec import (
+    ROUND_ID, SLOT, Bool, Bytes, Element, Int, Named, Optional, Packed, Pair, Str, TupleOf, wire,
+)
 from repro.core.blinding import BlindingComponent
 from repro.core.signing import SignedContribution, SigningComponent
 from repro.core.validation import PrivateContext, default_registry
@@ -42,7 +44,7 @@ from repro.crypto.commitments import (
     decode_mask_payload,
     verify_opening,
 )
-from repro.crypto.dh import DHKeyPair
+from repro.crypto.dh import GROUPS, DHGroup, DHKeyPair
 from repro.crypto.hashing import hash_items
 from repro.crypto.kdf import hkdf
 from repro.crypto.schnorr import SchnorrKeyPair, SchnorrPublicKey, SchnorrSignature
@@ -262,23 +264,25 @@ def request_values(request: ProcessRequest) -> tuple[float, ...]:
 
 
 @wire(
-    0x8108, session_id=Bytes(), peer_dh_public=Int(0),
+    0x8108, session_id=Bytes(), peer_dh_public=Element(),
     handshake_signature=Optional(SchnorrSignature), encrypted_payload=Bytes(),
+    group=Optional(Named(GROUPS)),
 )
 @dataclass(frozen=True)
 class KeyDelivery:
     """Provisioner → Glimmer: a secret, over the attested handshake.
 
-    A full delivery carries the provisioner's DH half and its signature
-    over :func:`handshake_digest`.  An in-session one names its session
-    by ``session_id`` (the :func:`session_handle`) and carries neither:
-    ``peer_dh_public`` is 0 and ``handshake_signature`` ``None``.
+    A full delivery carries the provisioner's DH half in ``group`` and its
+    signature over :func:`handshake_digest`.  An in-session one names its
+    session by ``session_id`` (the :func:`session_handle`) and carries
+    none of the three.
     """
 
     session_id: bytes
-    peer_dh_public: int
+    peer_dh_public: int | None
     handshake_signature: SchnorrSignature | None
     encrypted_payload: bytes
+    group: DHGroup | None = None
 
 
 def handshake_digest(
@@ -392,6 +396,8 @@ class HandshakeSessions:
             key = session_round_key(session_key, context, *binding)
         else:
             keypair = self.take(delivery.session_id)
+            if delivery.peer_dh_public is None:
+                raise AuthenticationError(f"a full {context!r} delivery lacks its DH half")
             digest = handshake_digest(
                 context, delivery.session_id, keypair.public, delivery.peer_dh_public
             )

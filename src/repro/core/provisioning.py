@@ -159,15 +159,15 @@ def seal_delivery(
     if leg.keypair is None:
         session_id, session_key = leg.session  # the handle names the session
         key = session_round_key(session_key, context, *binding)
-        own_public, signature, opened = 0, None, None
+        group, own_public, signature, opened = None, None, None, None
     else:
-        own_public = leg.keypair.public
+        group, own_public = leg.keypair.group, leg.keypair.public
         key = leg.keypair.derive_key(glimmer_dh_public, context)
         signed = identity.sign(
             handshake_digest(context, session_id, glimmer_dh_public, own_public)
         )
         # Verified on its own, never batched: the nonce commitment stays home.
-        signature = SchnorrSignature(signed.challenge, signed.response)
+        signature = SchnorrSignature(signed.challenge, signed.response, group=signed.group)
         handle = session_handle(context, session_id, glimmer_dh_public, own_public)
         opened = (handle, key)
     box = AuthenticatedCipher(key).encrypt(
@@ -178,6 +178,7 @@ def seal_delivery(
         peer_dh_public=own_public,
         handshake_signature=signature,
         encrypted_payload=box.to_bytes(),
+        group=group,
     )
     return delivery, opened
 
@@ -469,7 +470,7 @@ class BlinderProvisioner(_ProvisionerBase):
                 f"round {round_id} has no party {party_index}"
             )
         salt, randomizer = openings[party_index]
-        return MaskOpening(mask=mask, salt=salt, randomizer=randomizer)
+        return MaskOpening(mask=mask, salt=salt, randomizer=randomizer, group=self.identity.group)
 
     def mask_opening(self, round_id: int, party_index: int) -> MaskOpening:
         """One slot's full opening (mask, salt, randomizer)."""

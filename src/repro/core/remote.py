@@ -29,13 +29,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.codec import Bytes, Int, wire
+from repro.codec import Bytes, Element, Named, wire
 from repro.core.client import ClientDevice, LocalDataStore
-from repro.core.glimmer import ProcessRequest, _encode_remote_payload, decode_remote_response
+from repro.core.glimmer import (
+    GlimmerConfig, ProcessRequest, _encode_remote_payload, decode_remote_response,
+)
 from repro.core.provisioning import VettingRegistry, _verify_bound_quote
 from repro.core.signing import SignedContribution
 from repro.crypto.cipher import AuthenticatedCipher, SealedBox
-from repro.crypto.dh import DHGroup, DHKeyPair, OAKLEY_GROUP_1
+from repro.crypto.dh import GROUPS, DHGroup, DHKeyPair, OAKLEY_GROUP_1
 from repro.crypto.drbg import HmacDrbg
 from repro.network.transport import Network
 from repro.perf import kernels
@@ -44,14 +46,16 @@ from repro.sgx.attestation import AttestationService, Quote
 from repro.sgx.measurement import EnclaveImage
 
 
-@wire(0x810C, session_id=Bytes(), dh_public=Int(1), quote=Quote)
+@wire(0x810C, session_id=Bytes(), dh_public=Element(), quote=Quote, group=Named(GROUPS))
 @dataclass(frozen=True)
 class AttestedOffer:
-    """The host's answer to an attestation request: DH value + binding quote."""
+    """The host's answer to an attestation request: DH value in ``group``
+    + binding quote."""
 
     session_id: bytes
     dh_public: int
     quote: Quote
+    group: DHGroup | None = None
 
 
 class RemoteGlimmerHost(ClientDevice):
@@ -72,6 +76,8 @@ class RemoteGlimmerHost(ClientDevice):
     ) -> None:
         super().__init__(host_name, glimmer_image, attestation_service, seed)
         self.network = network
+        #: The hosted Glimmer's handshake group, its DH values' group.
+        self.group = GlimmerConfig.decode(glimmer_image.config).service_identity.group
         network.register(
             host_name,
             {
@@ -81,7 +87,7 @@ class RemoteGlimmerHost(ClientDevice):
         )
 
     def _handle_attest(self, message) -> AttestedOffer:
-        return AttestedOffer(*self.handshake_request())
+        return AttestedOffer(*self.handshake_request(), self.group)
 
     def _handle_contribution(self, message) -> bytes:
         session_id, client_dh_public, ciphertext = message.payload

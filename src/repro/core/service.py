@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.codec import wire
+from repro.codec import ROUND_ID, SIZE, TupleOf, wire
 from repro.core.signing import SignedContribution
 from repro.crypto.fixedpoint import FixedPointCodec
 from repro.crypto.schnorr import SchnorrPublicKey
@@ -64,7 +64,10 @@ class RoundState:
         self.rejected[reason] = self.rejected.get(reason, 0) + 1
 
 
-@wire(0x810B)
+@wire(
+    0x810B, round_id=ROUND_ID, aggregate=np.ndarray, num_contributions=SIZE,
+    num_dropouts_repaired=SIZE, rejected=dict, accepted=TupleOf(SignedContribution),
+)
 @dataclass(frozen=True)
 class RoundResult:
     """The service's output for a round.

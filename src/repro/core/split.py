@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro import codec
-from repro.codec import ROUND_ID, SLOT, Bool, Int, Unit, wire
+from repro.codec import ROUND_ID, SLOT, Bool, Element, Named, Unit, wire
 from repro.core.glimmer import (
     BlindStep,
     GlimmerConfig,
@@ -42,7 +42,7 @@ from repro.core.glimmer import (
 )
 from repro.core.signing import SignedContribution
 from repro.crypto.cipher import AuthenticatedCipher, SealedBox
-from repro.crypto.dh import DHKeyPair
+from repro.crypto.dh import GROUPS, DHGroup, DHKeyPair
 from repro.errors import AttestationError, ProtocolError
 from repro.perf import kernels
 from repro.sgx.attestation import Report, report_data_for
@@ -51,13 +51,15 @@ from repro.sgx.measurement import EnclaveImage, VendorKey
 from repro.sgx.platform import SgxPlatform
 
 
-@wire(0x810D, dh_public=Int(1), report=Report)
+@wire(0x810D, dh_public=Element(), report=Report, group=Named(GROUPS))
 @dataclass(frozen=True)
 class PairingOffer:
-    """One end's local-attestation material: DH value + binding report."""
+    """One end's local-attestation material: DH value in ``group`` +
+    binding report."""
 
     dh_public: int
     report: Report
+    group: DHGroup
 
 
 @wire(0x8113, round_id=ROUND_ID, party_index=SLOT, payload=bytes, blind=Bool, confidence=Unit)
@@ -91,7 +93,7 @@ class _ComponentProgram(GlimmerStep):
         report = self.api.create_report(
             report_data_for(keypair.public.to_bytes(256, "big"))
         )
-        return keypair, PairingOffer(dh_public=keypair.public, report=report)
+        return keypair, PairingOffer(keypair.public, report, keypair.group)
 
     @ecall
     def offer_pairing(self, link: str) -> PairingOffer:

@@ -70,7 +70,9 @@ from typing import Sequence
 import numpy as np
 
 from repro import codec
-from repro.codec import LENGTH, PARTIES, ROUND_ID, SLOT, Bytes, Int, Packed, Str, TupleOf, wire
+from repro.codec import (
+    LENGTH, PARTIES, ROUND_ID, SLOT, Bytes, Element, Named, Packed, Scalar, TupleOf, wire,
+)
 from repro.crypto import group_ops
 from repro.crypto.dh import GROUPS, DHGroup
 from repro.crypto.drbg import HmacDrbg
@@ -219,7 +221,7 @@ def hash_commitment(
     )
 
 
-@wire(0x8105, mask=Packed(), salt=Bytes(SALT_SIZE), randomizer=Int(0))
+@wire(0x8105, mask=Packed(), salt=Bytes(SALT_SIZE), randomizer=Scalar(), group=Named(GROUPS))
 @dataclass(frozen=True)
 class MaskOpening:
     """What a slot's recipient gets: the mask plus its commitment opening.
@@ -230,12 +232,14 @@ class MaskOpening:
     ``opening.mask`` into the one repair vector ``FinalizeRound`` carries.
     Iterating an opening yields the bare mask words, so an in-process
     caller holding a reveal can hand it straight to ``remove_mask``
-    (``tests/core/test_dp_release.py`` does).
+    (``tests/core/test_dp_release.py`` does).  ``group`` is the
+    commitments' group, which the randomizer is spelled in on the wire.
     """
 
     mask: bytes
     salt: bytes
     randomizer: int
+    group: DHGroup | None = None
 
     def __iter__(self):
         return iter(kernels.be_words(self.mask).tolist())
@@ -246,7 +250,7 @@ class MaskOpening:
 
 @wire(
     0x8106, round_id=ROUND_ID, slot=SLOT, num_slots=PARTIES, vector_length=LENGTH,
-    group_name=Str, root=Bytes(32), hash_commitment=Bytes(32), point=Int(),
+    group=Named(GROUPS), root=Bytes(32), hash_commitment=Bytes(32), point=Element(),
 )
 @dataclass(frozen=True)
 class MaskCommitmentRecord:
@@ -262,16 +266,18 @@ class MaskCommitmentRecord:
     slot: int
     num_slots: int
     vector_length: int
-    group_name: str
+    group: DHGroup
     root: bytes
     hash_commitment: bytes
     point: int
 
+    group_name = property(lambda self: self.group.name)
+
 
 @wire(
-    0x8107, round_id=ROUND_ID, num_slots=PARTIES, vector_length=LENGTH, group_name=Str,
-    hash_commitments=TupleOf(Bytes(32)), points=TupleOf(int), column_sums=Packed(),
-    randomizer_sum=Int(),
+    0x8107, round_id=ROUND_ID, num_slots=PARTIES, vector_length=LENGTH, group=Named(GROUPS),
+    hash_commitments=TupleOf(Bytes(32)), points=TupleOf(Element()), column_sums=Packed(),
+    randomizer_sum=Scalar(),
 )
 @dataclass(frozen=True)
 class MaskCommitmentSet:
@@ -280,7 +286,7 @@ class MaskCommitmentSet:
     round_id: int
     num_slots: int
     vector_length: int
-    group_name: str
+    group: DHGroup
     hash_commitments: tuple[bytes, ...]
     points: tuple[int, ...]
     column_sums: bytes
@@ -288,6 +294,8 @@ class MaskCommitmentSet:
     ``i·limbs + l`` is the integer sum over slots of limb ``l`` of
     component ``i``."""
     randomizer_sum: int
+
+    group_name = property(lambda self: self.group.name)
 
     # ------------------------------------------------------------ derivation
 
@@ -335,7 +343,7 @@ class MaskCommitmentSet:
             slot=slot,
             num_slots=self.num_slots,
             vector_length=self.vector_length,
-            group_name=self.group_name,
+            group=self.group,
             root=self.root(),
             hash_commitment=self.hash_commitments[slot],
             point=self.points[slot],
@@ -361,7 +369,7 @@ class MaskCommitmentSet:
                 f"commitment set is over length {self.vector_length}, "
                 f"expected {vector_length}"
             )
-        group = resolve_group(self.group_name)
+        group = self.group
         column_cap = self.num_slots * ((1 << LIMB_BITS) - 1)
         if 2 * (column_cap + 1) >= group.subgroup_order:
             raise MaskVerificationError(
@@ -374,13 +382,6 @@ class MaskCommitmentSet:
         if len(self.column_sums) != 8 * self.vector_length * LIMBS:
             raise MaskVerificationError("commitment set has the wrong column count")
         self._audit_column_sums(column_cap)
-        if not 0 <= self.randomizer_sum < group.subgroup_order:
-            raise MaskVerificationError("randomizer sum out of range")
-        for slot, point in enumerate(self.points):
-            if not group.is_element(point):
-                raise MaskVerificationError(
-                    f"slot {slot} commitment point is not a valid group element"
-                )
 
     def _audit_column_sums(self, column_cap: int) -> None:
         """Vectorized sum-zero audit over the claimed limb-column sums.
@@ -408,7 +409,7 @@ class MaskCommitmentSet:
 
     def verify_sum_zero(self) -> None:
         """The homomorphic check: ``Π C_j ≡ h^{Σ w·T} · u^R`` (finalize)."""
-        group = resolve_group(self.group_name)
+        group = self.group
         q = group.subgroup_order
         h, u = pedersen_generators(group)
         target = _sum_zero_target(self.column_sums, self.weights(), q)
@@ -472,7 +473,7 @@ def scalar_for_mask(
     return _weighted_limb_sum(
         mask,
         commitments.weights() if weights is None else weights,
-        resolve_group(commitments.group_name).subgroup_order,
+        commitments.group.subgroup_order,
     )
 
 
@@ -484,8 +485,8 @@ def _checked_scalar(
 ) -> tuple[int, int]:
     """All the cheap per-slot opening checks; ``(scalar, committed point)``.
 
-    Shape, hash commitment, and randomizer range are checked
-    here (raising :class:`~repro.errors.MaskVerificationError`); the
+    Shape and hash commitment are checked here, the randomizer's range at
+    decode (raising :class:`~repro.errors.MaskVerificationError`); the
     Pedersen *point* equation is the caller's job — single-slot
     :func:`verify_opening` pays one double-exp per slot, while
     :func:`batch_verify_openings` folds every slot into one multi-exp.
@@ -518,9 +519,7 @@ def _checked_scalar(
         raise MaskVerificationError(
             f"slot {slot}: delivered mask does not match its hash commitment"
         )
-    group = resolve_group(set_like.group_name)
-    if not 0 <= opening.randomizer < group.subgroup_order:
-        raise MaskVerificationError(f"slot {slot}: randomizer out of range")
+    group = set_like.group
     if isinstance(set_like, MaskCommitmentRecord):
         weights = challenge_weights(
             set_like.root, set_like.group_name, set_like.vector_length
@@ -545,7 +544,7 @@ def verify_opening(
     """
     scalar, point = _checked_scalar(commitments, slot, opening, weights)
     set_like = commitments
-    group = resolve_group(set_like.group_name)
+    group = set_like.group
     h, u = pedersen_generators(group)
     expected = (
         group.power(h, scalar) * group.power(u, opening.randomizer)
@@ -577,11 +576,11 @@ def batch_verify_openings(
 
     which holds for dishonest openings with probability ≤ 2^−128
     (Schwartz–Zippel in the prime-order subgroup — the ``C_j`` were
-    membership-checked at ``validate_structure`` time).
+    membership-checked as the set was decoded).
     """
     if len(openings) < 2:
         return False
-    group = resolve_group(commitments.group_name)
+    group = commitments.group
     q = group.subgroup_order
     try:
         checked = [
@@ -678,7 +677,7 @@ def _commit_with(
         round_id=round_id,
         num_slots=num_slots,
         vector_length=vector_length,
-        group_name=group.name,
+        group=group,
         hash_commitments=hash_commitments,
         points=(),
         column_sums=columns,
@@ -697,14 +696,14 @@ def _commit_with(
         round_id=round_id,
         num_slots=num_slots,
         vector_length=vector_length,
-        group_name=group.name,
+        group=group,
         hash_commitments=hash_commitments,
         points=tuple(points),
         column_sums=columns,
         randomizer_sum=sum(randomizers) % q,
     )
     openings = tuple(
-        MaskOpening(mask=packed[slot], salt=salts[slot], randomizer=randomizers[slot])
+        MaskOpening(packed[slot], salts[slot], randomizers[slot], group)
         for slot in range(num_slots)
     )
     return commitments, openings

@@ -31,12 +31,14 @@ class DHGroup:
     """A multiplicative group modulo a safe prime ``p`` with generator ``g``.
 
     ``q = (p - 1) // 2`` is the prime order of the quadratic-residue
-    subgroup; exponents are drawn from ``[1, q)``.
+    subgroup; exponents are drawn from ``[1, q)``.  ``code`` is the byte a
+    shipped group travels under (:data:`GROUPS`); 0 is no shipped group.
     """
 
     name: str
     prime: int
     generator: int = 2
+    code: int = 0
     subgroup_order: int = field(init=False)
     element_size: int = field(init=False)
     """Bytes needed to serialize a group element big-endian — hoisted out
@@ -122,13 +124,15 @@ _OAKLEY_1_HEX = (
     "020BBEA63B139B22514A08798E3404DDEF9519B3CD3A431B302B0A6DF25F1437"
     "4FE1356D6D51C245E485B576625E7EC6F44C42E9A63A3620FFFFFFFFFFFFFFFF"
 )
-OAKLEY_GROUP_1 = DHGroup(name="oakley-group-1", prime=int(_OAKLEY_1_HEX, 16))
+OAKLEY_GROUP_1 = DHGroup(name="oakley-group-1", prime=int(_OAKLEY_1_HEX, 16), code=1)
 
 # 64-bit safe prime for tests: p = 2q + 1 with q prime.
-TEST_GROUP = DHGroup(name="test-64bit", prime=18446744073709550147)
+TEST_GROUP = DHGroup(name="test-64bit", prime=18446744073709550147, code=2)
 
-#: Every shipped group, by the name it travels under: a commitment set or
-#: a measured public key names its group, never spells its prime.
+#: Every shipped group, by name.  On the wire a group is its one-byte
+#: ``code``, fixed for good (sealed frames outlive processes), and each of
+#: its elements and scalars is exactly as wide as its bound: 96 bytes in
+#: Oakley group 1, 8 in the test group (``codec.Named``, ``codec.Element``).
 GROUPS = {group.name: group for group in (OAKLEY_GROUP_1, TEST_GROUP)}
 
 

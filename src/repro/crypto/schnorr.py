@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.codec import Int, Named, Optional, wire
+from repro.codec import Element, Named, Optional, Scalar, wire
 from repro.crypto import group_ops
 from repro.crypto.dh import GROUPS, DHGroup, OAKLEY_GROUP_1
 from repro.crypto.drbg import HmacDrbg
@@ -58,10 +58,13 @@ def _int_bytes(value: int, group: DHGroup) -> bytes:
     return value.to_bytes(group.element_size, "big")
 
 
-@wire(0x8102, challenge=Int(0), response=Int(0), commitment=Optional(Int()))
+@wire(
+    0x8102, group=Named(GROUPS), challenge=Scalar(bits=CHALLENGE_BITS), response=Scalar(),
+    commitment=Optional(Element()),
+)
 @dataclass(frozen=True)
 class SchnorrSignature:
-    """A Schnorr signature ``(challenge, response)``.
+    """A Schnorr signature ``(challenge, response)`` in ``group``.
 
     ``commitment`` optionally carries the signer's nonce commitment
     ``r = h^k``.  It is redundant (``r = h^s · y^{-e}`` is recomputable
@@ -72,12 +75,14 @@ class SchnorrSignature:
     it on the wire for the finalize audit's batch, while a quote's drops
     it (:meth:`~repro.sgx.attestation.QuotingEnclave.quote`), since
     quotes are verified one at a time.  A signature without one verifies
-    one at a time.
+    one at a time.  ``group`` is what its values are spelled in on the
+    wire: the verifier's key decides the group its check runs in.
     """
 
     challenge: int
     response: int
     commitment: int | None = field(default=None, compare=False, repr=False)
+    group: DHGroup | None = field(default=None, compare=False, repr=False)
 
     _COMPONENT_SIZE = 256  # bytes; fits any subgroup order up to 2048 bits
 
@@ -96,7 +101,7 @@ class SchnorrSignature:
         )
 
 
-@wire(0x810F, group=Named(GROUPS), element=Int(0))
+@wire(0x810F, group=Named(GROUPS), element=Element())
 @dataclass(frozen=True)
 class SchnorrPublicKey:
     """Verification key ``y = h^x`` in a group of :data:`~repro.crypto.dh.GROUPS`."""
@@ -194,7 +199,7 @@ class SchnorrKeyPair:
         r = group.power(h, k)
         e = _challenge(group, r, self.public_key.element, message)
         s = (k + e * self.secret) % q
-        return SchnorrSignature(challenge=e, response=s, commitment=r)
+        return SchnorrSignature(challenge=e, response=s, commitment=r, group=group)
 
 
 def batch_verify(

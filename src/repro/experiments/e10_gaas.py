@@ -87,7 +87,9 @@ def make_impostor_host(deployment: Deployment, host_name: str) -> RemoteGlimmerH
     deployment.network.add_handler(
         host_name,
         "attest-glimmer",
-        lambda message: AttestedOffer(*attested_handshake(host.platform, impostor, b"x")),
+        lambda message: AttestedOffer(
+            *attested_handshake(host.platform, impostor, b"x"), host.group
+        ),
     )
     return host
 

@@ -15,6 +15,8 @@ aggregate, utility (top-1 accuracy of the noised global model), aggregate
 error vs. the noiseless mean, and the aggregate-only inversion advantage.
 Expected shape: a privacy/utility dial — ε falls and so does utility, with
 a sweet spot where the trending suggestion still works.
+MRENCLAVE seeds the enclave's noise, so a σ > 0 row is the mean over the
+:data:`DRAWS` deployments and its trending verdict their majority.
 """
 
 from __future__ import annotations
@@ -31,6 +33,9 @@ from repro.federated.metrics import top1_accuracy
 from repro.federated.model import BigramModel
 from repro.invariants import Verdict, judge
 
+#: Seed suffixes of the draws a σ > 0 row averages; σ = 0 is one exact round.
+DRAWS = (b"",) + tuple(b":%d" % draw for draw in range(1, 8))
+
 
 @dataclass
 class DpReleaseResult:
@@ -45,6 +50,7 @@ class DpReleaseResult:
                 "epsilon (δ=1e-5)",
                 "aggregate max error",
                 "top1-accuracy",
+                "trump|donald share",
                 "predicts trump|donald",
             ],
         )
@@ -60,32 +66,33 @@ def run(
 ) -> DpReleaseResult:
     rows, verdict = [], None
     for sigma in sigmas:
-        deployment = Deployment.build(
-            num_users=num_users,
-            seed=seed + str(sigma).encode(),
-            dp_sigma=float(sigma),
-        )
-        features = deployment.features
-        vectors = deployment.local_vectors()
-        user_ids = [user.user_id for user in deployment.corpus.users]
-        aggregate = deployment.honest_round(1)
-        if sigma == 0.0:
-            # Only the noiseless round is held to the exact mean: judge
-            # rightly calls a noised aggregate undetected-corruption.
-            verdict = judge(deployment.last_report, deployment.codec, vectors)
-        truth = np.mean(np.stack([vectors[u] for u in user_ids]), axis=0)
-        error = float(np.max(np.abs(aggregate - truth)))
+        draws = []
+        for suffix in DRAWS if sigma else DRAWS[:1]:
+            deployment = Deployment.build(
+                num_users=num_users,
+                seed=seed + str(sigma).encode() + suffix,
+                dp_sigma=float(sigma),
+            )
+            vectors = deployment.local_vectors()
+            aggregate = deployment.honest_round(1)
+            if sigma == 0.0:
+                # Only the noiseless round is held to the exact mean: judge
+                # rightly calls a noised aggregate undetected-corruption.
+                verdict = judge(deployment.last_report, deployment.codec, vectors)
+            users = [user.user_id for user in deployment.corpus.users]
+            truth = np.mean(np.stack([vectors[u] for u in users]), axis=0)
+            model = BigramModel.from_vector(deployment.features, np.clip(aggregate, 0.0, 1.0))
+            holdout = deployment.corpus.holdout(deployment.rng.fork("holdout"))
+            error = float(np.max(np.abs(aggregate - truth)))
+            trending = model.top_prediction("donald") == "trump"
+            draws.append((error, top1_accuracy(model, holdout), trending))
+        error, utility, share = (float(np.mean(column)) for column in zip(*draws))
 
         # One user's weights lie in [0,1]^d, so replacing a user moves the
         # *mean* by at most sqrt(d)/N in L2; per-client noise sigma yields
         # aggregate noise sigma/sqrt(N).
-        l2_sensitivity = math.sqrt(len(features)) / num_users
+        l2_sensitivity = math.sqrt(len(deployment.features)) / num_users
         aggregate_sigma = sigma / math.sqrt(num_users)
         epsilon = gaussian_epsilon(l2_sensitivity, aggregate_sigma)
-
-        model = BigramModel.from_vector(features, np.clip(aggregate, 0.0, 1.0))
-        holdout = deployment.corpus.holdout(deployment.rng.fork("holdout"))
-        utility = top1_accuracy(model, holdout)
-        trending = model.top_prediction("donald") == "trump"
-        rows.append((sigma, epsilon, error, utility, trending))
+        rows.append((sigma, epsilon, error, utility, share, share > 0.5))
     return DpReleaseResult(rows=rows, verdict=verdict)

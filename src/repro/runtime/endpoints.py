@@ -374,6 +374,7 @@ class ClientEndpoint(_Endpoint):
                     quote=quote,
                     round_id=request.round_id,
                     party_index=request.party_index,
+                    group=None if dh_public is None else self.engine.group,
                 ),
             )
 

@@ -21,10 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.codec import (
-    LENGTH, PARTIES, ROUND_ID, SIZE, SLOT, Bytes, Int, Optional, Packed, wire,
+    LENGTH, PARTIES, ROUND_ID, SIZE, SLOT, Bytes, Element, Named, Optional, Packed, wire,
 )
 from repro.core.signing import SignedContribution
 from repro.crypto.commitments import MaskCommitmentRecord
+from repro.crypto.dh import GROUPS, DHGroup
 from repro.sgx.attestation import Quote
 
 # Well-known endpoint names on the round bus --------------------------------
@@ -113,18 +114,18 @@ class ProvisionMask:
 
 
 @wire(
-    0x8004, session_id=Bytes(), dh_public=Optional(Int(1)), quote=Optional(Quote),
-    round_id=ROUND_ID, party_index=SLOT,
+    0x8004, session_id=Bytes(), dh_public=Element(), quote=Optional(Quote),
+    round_id=ROUND_ID, party_index=SLOT, group=Optional(Named(GROUPS)),
 )
 @dataclass(frozen=True)
 class MaskRequest:
     """A client's request for its slot's mask, to the blinding service.
 
     Two shapes.  A full request is the Glimmer's attested handshake: its
-    ``session_id``, its DH value and the quote binding it.  An in-session
-    request names the live session the last full delivery opened —
-    ``session_id`` is that session's 16-byte handle — and carries no
-    quote and no DH value.
+    ``session_id``, its DH value in ``group`` and the quote binding it.
+    An in-session request names the live session the last full delivery
+    opened — ``session_id`` is that session's 16-byte handle — and carries
+    no quote, no DH value and no group.
     """
 
     session_id: bytes
@@ -132,6 +133,7 @@ class MaskRequest:
     quote: Quote | None
     round_id: int
     party_index: int
+    group: DHGroup | None = None
 
 
 @wire(0x8005, round_id=ROUND_ID, features=bytes, features_digest=Bytes(32))

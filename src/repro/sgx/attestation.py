@@ -35,12 +35,15 @@ from repro.errors import AttestationError
 from repro.sgx.enclave import EnclaveIdentity
 
 REPORT_DATA_SIZE = 64
-
-
-@wire(
-    0x8103, mrenclave=Bytes(), mrsigner=Bytes(), version=Int(), debug=Bool,
-    report_data=Bytes(REPORT_DATA_SIZE), platform_id=Bytes(), mac=Bytes(32),
+PLATFORM_ID_SIZE = 16
+#: The report body's fields at their exact widths (a u32 ``version``).
+_BODY = dict(
+    mrenclave=Bytes(32), mrsigner=Bytes(32), version=Int(0, (1 << 32) - 1), debug=Bool,
+    report_data=Bytes(REPORT_DATA_SIZE), platform_id=Bytes(PLATFORM_ID_SIZE),
 )
+
+
+@wire(0x8103, mac=Bytes(32), **_BODY)
 @dataclass(frozen=True)
 class Report:
     """A local attestation report (EREPORT output).
@@ -100,10 +103,7 @@ def make_report(
     )
 
 
-@wire(
-    0x8104, mrenclave=Bytes(), mrsigner=Bytes(), version=Int(), debug=Bool, report_data=Bytes(),
-    platform_id=Bytes(), signature=SchnorrSignature,
-)
+@wire(0x8104, signature=SchnorrSignature, **_BODY)
 @dataclass(frozen=True)
 class Quote:
     """A remotely verifiable quote: report body + platform signature."""
@@ -166,7 +166,7 @@ class QuotingEnclave:
         signature = self._attestation_key.sign(quote.signed_digest())
         # A quote is verified on its own, never in a batch, so the nonce
         # commitment (a batching hint) does not travel with it.
-        signature = SchnorrSignature(signature.challenge, signature.response)
+        signature = SchnorrSignature(signature.challenge, signature.response, group=signature.group)
         return Quote(
             mrenclave=quote.mrenclave,
             mrsigner=quote.mrsigner,

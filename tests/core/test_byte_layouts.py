@@ -229,7 +229,7 @@ def sites() -> dict[str, Site]:
     service_key = SchnorrKeyPair.generate(HmacDrbg(b"layout-config"), TEST_GROUP).public_key
     return {
         "delivery-opening": Site(
-            MaskOpening(W((1, (1 << 64) - 1)), b"\x06" * 32, 9),
+            MaskOpening(W((1, (1 << 64) - 1)), b"\x06" * 32, 9, TEST_GROUP),
             {"salt": 7},
             MaskVerificationError,
             decode_mask_payload,
@@ -289,11 +289,12 @@ def test_a_config_spec_that_is_not_utf8_is_a_configuration_error():
         GlimmerConfig.decode(bytes(blob))
 
 
-def test_a_measured_key_whose_group_name_is_not_utf8_is_a_configuration_error(sites):
-    """The same for a confidential Glimmer's measured key: its group's name
-    in bytes that are not UTF-8 refuses the load."""
+def test_a_measured_key_whose_group_code_names_no_group_is_a_configuration_error(sites):
+    """The same for a confidential Glimmer's measured key: a group code
+    that names no shipped group refuses the load."""
     site = sites["key-test-group"]
-    name = TEST_GROUP.name.encode()
-    frame = codec.encode(site.sample).replace(name, b"\xff\xfe" + name[2:])
+    frame = bytearray(codec.encode(site.sample))
+    assert frame[2] == TEST_GROUP.code  # after the 2-byte class tag
+    frame[2] = 0xFF
     with pytest.raises(ConfigurationError):
-        site.read(frame)
+        site.read(bytes(frame))

@@ -89,23 +89,15 @@ def test_public_key_malformed():
 
 
 def test_public_key_unknown_group():
+    """The group travels first, as its one-byte code; a code that names no
+    shipped group (0 included: a key must name one) is refused."""
     key = SchnorrKeyPair.generate(HmacDrbg(b"enc"), TEST_GROUP).public_key
-    blob = codec.encode(key)
-    named = len(TEST_GROUP.name).to_bytes(4, "big") + TEST_GROUP.name.encode()
-    name = b"nonexistent-group"
-    forged = blob.replace(named, len(name).to_bytes(4, "big") + name)
-    with pytest.raises(ProtocolViolation):
-        codec.decode(forged, SchnorrPublicKey)
-
-
-def test_a_group_name_that_is_not_utf8_is_refused():
-    """Bytes that are not UTF-8 where the group's name goes are a refusal,
-    not a ``UnicodeDecodeError``."""
-    key = SchnorrKeyPair.generate(HmacDrbg(b"enc"), TEST_GROUP).public_key
-    name = TEST_GROUP.name.encode()
-    forged = codec.encode(key).replace(name, b"\xff\xfe" + name[2:])
-    with pytest.raises(ProtocolViolation):
-        codec.decode(forged, SchnorrPublicKey)
+    blob = bytearray(codec.encode(key))
+    assert blob[2] == TEST_GROUP.code
+    for code in (0, 3, 0xFF):
+        blob[2] = code
+        with pytest.raises(ProtocolViolation):
+            codec.decode(bytes(blob), SchnorrPublicKey)
 
 
 def group_by_name(name: str):

@@ -151,6 +151,7 @@ def test_delivery_without_handshake_rejected(deployment):
         peer_dh_public=4,
         handshake_signature=deployment.service_identity.sign(b"x"),
         encrypted_payload=b"\x00" * 64,
+        group=TEST_GROUP,
     )
     with pytest.raises(ProtocolError):
         client.glimmer.ecall("install_signing_key", delivery)
@@ -185,6 +186,7 @@ def test_forged_handshake_signature_rejected(fresh_deployment):
         peer_dh_public=mitm_kp.public,
         handshake_signature=mitm_identity.sign(digest),
         encrypted_payload=box.to_bytes(),
+        group=TEST_GROUP,
     )
     with pytest.raises(AuthenticationError):
         client.glimmer.ecall("install_signing_key", delivery)

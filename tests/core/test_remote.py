@@ -78,8 +78,10 @@ def test_malicious_host_fails_attestation(gaas):
     def bad_attest(message):
         return AttestedOffer(
             session_id=genuine_offer.session_id,
-            dh_public=genuine_offer.dh_public + 1,  # substituted key
+            # a substituted key, still in the group, so only the quote can refuse it
+            dh_public=genuine_offer.dh_public * 4 % host.group.prime,
             quote=genuine_offer.quote,
+            group=host.group,
         )
 
     network.add_handler("host", "attest-glimmer", bad_attest)

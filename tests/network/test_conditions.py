@@ -11,6 +11,7 @@ identically under the same seeds).
 import pytest
 
 from repro.crypto.drbg import HmacDrbg
+from repro.crypto.dh import TEST_GROUP
 from repro.crypto.schnorr import SchnorrSignature
 from repro.core.signing import SignedContribution
 from repro.errors import ProtocolViolation
@@ -262,7 +263,7 @@ def _signed(ring=(1, 2, 3), nonce=b"\x07" * 16, confidence=0.5):
         ring_payload=kernels.be_words_to_bytes(ring),
         plain_payload=None,
         confidence=confidence,
-        signature=SchnorrSignature(challenge=1, response=1),
+        signature=SchnorrSignature(challenge=1, response=1, group=TEST_GROUP),
     )
 
 

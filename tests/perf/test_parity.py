@@ -504,12 +504,14 @@ def test_wide_streamed_round_is_byte_identical_to_recorded():
     and ``signatures`` moved when every byte layout became a declared
     codec record: the sealed round and the checkpoint are records now, and
     the measured config's new bytes move MRENCLAVE, which seeds the
-    enclave's signing nonces and keys its sealing.  ``aggregate`` has
-    never moved.
+    enclave's signing nonces and keys its sealing.  They moved again, for
+    the same reason, when group values began to cross at their group's
+    width: the measured config spells each key's group as a one-byte code.
+    ``aggregate`` has never moved.
     """
     assert _wide_streamed_round_digests() == {
         "root": "b3dd46a86e0ff8861e7ef3bc9d485dc6e0397dfd07a7eeb4cd329a30d849b223",
-        "sealed": "369032bee3adc879b8d4384c7744316acdbdb9a6520e8836f1ae09402c64d655",
-        "signatures": "ea578eb519eddd35853f076c7e73e905bd78e5732023cefaea681e898c548378",
+        "sealed": "9651b6fa06668784e1176833e5b5e51837c2250d5346a13c2bdf6d7c17db87f2",
+        "signatures": "0e0fd7c44694b02649ac556aa0b48105293bf7d949ccfc0c9791287b131b683f",
         "aggregate": "b8557277e14cafd0f8f2a7befff5613092a335bba97d6d0fa83195c95702b0c2",
     }

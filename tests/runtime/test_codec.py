@@ -56,7 +56,11 @@ from repro.workloads.geo import PhotoSubmission, TrackPoint, UserGeoContext
 from repro.workloads.keyboard import KeyEvent, KeystrokeTrace
 from repro.workloads.reviews import Purchase, Review, UserShoppingContext
 
-SIG = SchnorrSignature(challenge=3, response=(1 << 160) + 7, commitment=1 << 1023)
+OAKLEY_P, TEST_P = OAKLEY_GROUP_1.prime, TEST_GROUP.prime
+SIG = SchnorrSignature(
+    challenge=3, response=(1 << 160) + 7, commitment=pow(4, 1 << 70, OAKLEY_P),
+    group=OAKLEY_GROUP_1,
+)
 QUOTE = Quote(
     mrenclave=b"\x01" * 32,
     mrsigner=b"\x02" * 32,
@@ -77,13 +81,13 @@ CONTRIBUTION = SignedContribution(
 )
 RECORD = MaskCommitmentRecord(
     round_id=7, slot=1, num_slots=3, vector_length=2,
-    group_name="test-64bit", root=b"\x09" * 32, hash_commitment=b"\x0a" * 32,
-    point=(1 << 70) + 3,
+    group=TEST_GROUP, root=b"\x09" * 32, hash_commitment=b"\x0a" * 32,
+    point=pow(4, (1 << 70) + 3, TEST_P),
 )
 REPORT = Report(
     b"\x01" * 32, b"\x02" * 32, 2, True, b"\x03" * 64, b"\x04" * 16, b"\x05" * 32
 )
-SERVICE_KEY = SchnorrPublicKey(OAKLEY_GROUP_1, (1 << 700) + 5)
+SERVICE_KEY = SchnorrPublicKey(OAKLEY_GROUP_1, pow(4, (1 << 700) + 5, OAKLEY_P))
 SHARE = ShamirShare(x=3, y=(1 << 250) + 1)
 TRACK = [TrackPoint(1.0, 2.0, 3.0), TrackPoint(-1.0, 0.0, 4.5)]
 FRAMES = [Frame(0, 0.25, 0.5), Frame(1, 0.5, 0.75)]
@@ -112,16 +116,18 @@ SAMPLES = {
     Report: REPORT,
     Quote: QUOTE,
     MaskOpening: MaskOpening(
-        mask=kernels.be_words_to_bytes((0, (1 << 64) - 1)), salt=b"\x06" * 32, randomizer=9
+        mask=kernels.be_words_to_bytes((0, (1 << 64) - 1)), salt=b"\x06" * 32, randomizer=9,
+        group=TEST_GROUP,
     ),
     MaskCommitmentRecord: RECORD,
     MaskCommitmentSet: MaskCommitmentSet(
         round_id=7, num_slots=2, vector_length=2,
-        group_name="test-64bit", hash_commitments=(b"\x01" * 32, b"\x02" * 32),
-        points=(5, 1 << 80), column_sums=kernels.be_words_to_bytes((1, 2, 3, 4, 5, 6, 7, 8)),
+        group=TEST_GROUP, hash_commitments=(b"\x01" * 32, b"\x02" * 32),
+        points=(pow(4, 5, TEST_P), pow(4, 1 << 80, TEST_P)),
+        column_sums=kernels.be_words_to_bytes((1, 2, 3, 4, 5, 6, 7, 8)),
         randomizer_sum=11,
     ),
-    KeyDelivery: KeyDelivery(b"\x05" * 16, 0, None, b"\x08" * 48),
+    KeyDelivery: KeyDelivery(b"\x05" * 16, None, None, b"\x08" * 48),
     ProcessRequest: ProcessRequest(
         round_id=7,
         values=kernels.be_doubles_to_bytes((0.5, 0.25)),
@@ -149,11 +155,11 @@ SAMPLES = {
         rejected={"client:x": "bad-signature"},
         accepted=(CONTRIBUTION,),
     ),
-    AttestedOffer: AttestedOffer(b"\x05" * 16, 12345, QUOTE),
-    PairingOffer: PairingOffer(dh_public=99, report=REPORT),
+    AttestedOffer: AttestedOffer(b"\x05" * 16, pow(4, 12345, OAKLEY_P), QUOTE, OAKLEY_GROUP_1),
+    PairingOffer: PairingOffer(dh_public=pow(4, 99, TEST_P), report=REPORT, group=TEST_GROUP),
     SchnorrPublicKey: SERVICE_KEY,
     GlimmerConfig: GlimmerConfig(
-        "range:0.0:1.0", SERVICE_KEY, SchnorrPublicKey(TEST_GROUP, 7), b"\x0d" * 32, 0.5
+        "range:0.0:1.0", SERVICE_KEY, SchnorrPublicKey(TEST_GROUP, 49), b"\x0d" * 32, 0.5
     ),
     RoundCheckpoint: RoundCheckpoint(7, ((0, W((1, 2))), (3, W((4, 5)))), 2),
     SealedRound: SealedRound(77, 192, 8, b"\x0e" * 32 * 24, b"\x0f" * 32),
@@ -162,7 +168,7 @@ SAMPLES = {
     DetectorDelivery: DetectorDelivery(DetectorWeights(), 12345),
     ShamirShare: SHARE,
     PeerShares: PeerShares(SHARE, ShamirShare(x=3, y=9)),
-    VerdictMessage: VerdictMessage("s1", b"\x01" * 16, 1, b"\x02" * 32, b"\x03" * 64),
+    VerdictMessage: VerdictMessage("s1", b"\x01" * 32, 1, b"\x02" * 32, b"\x03" * 512),
     KeyEvent: KeyEvent("x", 1.5),
     KeystrokeTrace: KeystrokeTrace([KeyEvent("x", 1.5)]),
     TrackPoint: TRACK[0],
@@ -526,17 +532,18 @@ def test_declared_fields_frame_at_a_length_their_values_cannot_move(value):
 
 
 # Request frames of a steady round (round 2: every device in session, the
-# feature list held) for the k = 77 cohort, by kind.  Two lengths where a
-# tagged wide int — a commitment point, a signature's response — falls on
-# either side of 2**63.  Before fields were spelled at their declared
+# feature list held) for the k = 77 cohort, by kind: one length each, since
+# group values cross at their group's width.  Before that, a tagged wide
+# int — a commitment point, a signature's response — made two lengths,
+# 109/114 and 690/695; before fields were spelled at their declared
 # widths: 38, 29, 156/161, 43, 53, 713/718, 16 and 11.
 STEADY_FRAMES = {
     m.KIND_OPEN_BLINDER: {22},
     m.KIND_OPEN_SERVICE: {18},
-    m.KIND_PROVISION_MASK: {109, 114},
+    m.KIND_PROVISION_MASK: {95},
     m.KIND_MASK_REQUEST: {36},
     m.KIND_CONTRIBUTE: {46},
-    m.KIND_SUBMIT: {690, 695},
+    m.KIND_SUBMIT: {689},
     m.KIND_FINALIZE: {15},
     m.KIND_CLOSE_ROUND: {10},
 }

@@ -18,6 +18,7 @@ from repro import codec, invariants
 from repro.codec import Packed
 from repro.core.glimmer import HANDLE_BYTES, deflate_features, features_digest
 from repro.core.signing import SignedContribution
+from repro.crypto.dh import OAKLEY_GROUP_1, TEST_GROUP
 from repro.crypto.schnorr import SchnorrSignature
 from repro.errors import ConfigurationError, ProtocolViolation, RoundAbortedError
 from repro.experiments.common import Deployment
@@ -42,7 +43,7 @@ def _contribution(**overrides):
         ring_payload=kernels.be_words_to_bytes((1, 2, 3)),
         plain_payload=None,
         confidence=0.5,
-        signature=SchnorrSignature(challenge=1, response=1),
+        signature=SchnorrSignature(challenge=1, response=1, group=TEST_GROUP),
     )
     fields.update(overrides)
     return SignedContribution(**fields)
@@ -281,7 +282,7 @@ QUOTE = Quote(
     debug=False,
     report_data=b"\x03" * 64,
     platform_id=b"\x04" * 16,
-    signature=SchnorrSignature(challenge=1, response=1),
+    signature=SchnorrSignature(challenge=1, response=1, group=OAKLEY_GROUP_1),
 )
 HANDLE = b"\x05" * HANDLE_BYTES
 
@@ -289,12 +290,14 @@ HANDLE = b"\x05" * HANDLE_BYTES
 def _mask_request(**overrides):
     fields = dict(
         session_id=b"user-0000\x00\x00\x00\x01",
-        dh_public=5,
+        dh_public=4,
         quote=QUOTE,
         round_id=1,
         party_index=0,
     )
     fields.update(overrides)
+    # A DH value travels in its group; a request without one names none.
+    fields.setdefault("group", None if fields["dh_public"] is None else TEST_GROUP)
     return m.MaskRequest(**fields)
 
 
