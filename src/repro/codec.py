@@ -23,11 +23,12 @@ Framing (big-endian throughout):
 
 A field whose declared check has a width is spelled at that width, with
 no tag of its own: ``Int(lo, hi)`` with ``0 <= lo`` as a u32 when
-``hi < 2**32`` and a u64 when ``hi < 2**64``; ``Bytes(n)`` as its ``n``
-bytes; ``Bytes()``, ``Packed``, ``Is(bytes)`` and ``Is(str)`` as a u32
-length and the bytes; ``Bool`` as one byte; ``Is(<registered class>)`` as
-that class's fields, with no class tag; ``Optional(x)`` of any of these
-behind a presence byte.  A record with a ``Named(groups)`` field is
+``hi < 2**32`` and a u64 when ``hi < 2**64``; ``Fraction(scale)`` as a
+u16 of its numerator; ``Bytes(n)`` as its ``n`` bytes; ``Bytes()``,
+``Packed``, ``Is(bytes)`` and ``Is(str)`` as a u32 length and the bytes;
+``Bool`` as one byte; ``Is(<registered class>)`` as that class's fields,
+with no class tag; ``Optional(x)`` of any of these behind a presence
+byte.  A record with a ``Named(groups)`` field is
 *grouped*: its group's one-byte code (0 for none) goes before its fields,
 and each ``Element()``, ``Scalar()`` or ``TupleOf(Element())`` field is
 spelled exactly as wide as its bound in that group, or as nothing where
@@ -95,6 +96,7 @@ _I64_MAX = (1 << 63) - 1
 _HEAD = struct.Struct(">BI")  # tag + u32 length / count
 _INT = struct.Struct(">Bq")
 _FLOAT = struct.Struct(">Bd")
+_U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")
 _Q = struct.Struct(">q")
 _D = struct.Struct(">d")
@@ -158,7 +160,8 @@ def declared(cls: type) -> dict[str, "Check"]:
 # pair (see "declared widths" below), or ``None`` for a tagged value.
 # ``bound(group)`` is the check in a record that names ``group`` (or none).
 
-MAX_ROUND_ID = (1 << 63) - 1
+MAX_ROUND_ID = (1 << 32) - 1
+"""The largest round id the wire spells: a declared round id is a u32."""
 MAX_PARTIES = 1_000_000
 MAX_VECTOR_LENGTH = 10_000_000
 
@@ -433,6 +436,39 @@ class _Unit(Check):
 
 
 Unit = _Unit()
+
+
+class Fraction(Check):
+    """A number in ``[0, 1]`` that is exactly ``k / scale`` for a whole
+    ``k``, spelled as ``k`` in a u16: the quantum a signature covering
+    ``round(value * scale)`` commits to, so no other value shares it."""
+
+    def __init__(self, scale: int) -> None:
+        if not 0 < scale < 1 << 16:
+            raise ValueError(f"a fraction's scale {scale} has no u16 spelling")
+        self.scale = scale
+
+    def __call__(self, value: Any) -> str | None:
+        complaint = Unit(value)
+        if complaint or round(value * self.scale) / self.scale == value:
+            return complaint
+        return f"is not a whole number of 1/{self.scale}"
+
+    def spelling(self) -> "_Spelling":
+        scale = self.scale
+
+        def put(value, out: list, depth: int) -> bool:
+            if self(value):
+                return False
+            out.append(_U16.pack(round(value * scale)))
+            return True
+
+        def get(buf: bytes, off: int, depth: int):
+            return _U16.unpack_from(buf, off)[0] / scale, off + 2
+
+        return put, get
+
+
 ROUND_ID, LENGTH = Int(0, MAX_ROUND_ID), Int(1, MAX_VECTOR_LENGTH)
 PARTIES, SLOT, SIZE = Int(1, MAX_PARTIES), Int(0, MAX_PARTIES - 1), Int(0, MAX_PARTIES)
 

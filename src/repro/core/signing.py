@@ -22,15 +22,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.codec import ROUND_ID, Bool, Bytes, Optional, Packed, Unit, wire
+from repro.codec import ROUND_ID, Bool, Bytes, Fraction, Optional, Packed, wire
 from repro.crypto.hashing import hash_items
 from repro.crypto.schnorr import SchnorrKeyPair, SchnorrPublicKey, SchnorrSignature
 from repro.errors import CryptoError
 
+CONFIDENCE_SCALE = 10_000
+"""The signature covers the confidence in whole 1/10,000ths, as a u16."""
+
 
 @wire(
     0x8101, round_id=ROUND_ID, nonce=Bytes(16), blinded=Bool, ring_payload=Optional(Packed()),
-    plain_payload=Optional(Packed(finite=True)), confidence=Unit, signature=SchnorrSignature,
+    plain_payload=Optional(Packed(finite=True)), confidence=Fraction(CONFIDENCE_SCALE),
+    signature=SchnorrSignature,
 )
 @dataclass(frozen=True)
 class SignedContribution:
@@ -41,7 +45,10 @@ class SignedContribution:
     (:func:`~repro.perf.kernels.be_words_to_bytes`), ``plain_payload``
     big-endian doubles (:func:`~repro.perf.kernels.be_doubles_to_bytes`),
     8·k bytes each with no count prefix.  A word outside the ring has no
-    spelling, so one signature covers exactly one payload.
+    spelling, so one signature covers exactly one payload.  ``confidence``
+    is the multiple of 1/10,000 the digest signs, and crosses as that
+    numerator: a value between two quanta has no spelling, so one
+    signature covers exactly one confidence too.
     """
 
     round_id: int
@@ -91,7 +98,7 @@ def contribution_digest(
             b"\x01" if blinded else b"\x00",
             b"ring" if ring_payload is not None else b"plain",
             (len(packed) // 8).to_bytes(4, "big") + packed,
-            round(confidence * 10_000).to_bytes(2, "big"),
+            round(confidence * CONFIDENCE_SCALE).to_bytes(2, "big"),
         ],
     )
 
@@ -120,7 +127,9 @@ class SigningComponent:
         confidence: float,
     ) -> SignedContribution:
         """Sign a validated, packed payload.  Callers must have checked
-        validation."""
+        validation.  The contribution holds the confidence as signed, to
+        the nearest 1/10,000."""
+        confidence = round(confidence * CONFIDENCE_SCALE) / CONFIDENCE_SCALE
         digest = contribution_digest(
             round_id, nonce, blinded, ring_payload, plain_payload, confidence
         )

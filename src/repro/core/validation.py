@@ -20,11 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Protocol, Sequence
 
-from repro.codec import wire
+from repro.codec import Optional, wire
 from repro.errors import ConfigurationError
+from repro.workloads.geo import UserGeoContext
 
 
-@wire(0x810A, extra=dict)
+@wire(0x810A, geo_context=Optional(UserGeoContext), extra=dict)
 @dataclass
 class PrivateContext:
     """Private validation data the Glimmer requested from the host.

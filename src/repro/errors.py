@@ -119,6 +119,12 @@ class ConfigurationError(ReproError):
     """An object was constructed or used with inconsistent parameters."""
 
 
+class RoundIdsExhaustedError(ReproError):
+    """The service has handed out every round id the wire can spell
+    (:data:`repro.codec.MAX_ROUND_ID`); it opens no round whose frames a
+    receiver would refuse."""
+
+
 class AdmissionError(ReproError):
     """The service's submission queue refused an enqueue (backpressure).
 

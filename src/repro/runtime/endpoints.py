@@ -314,11 +314,11 @@ class ClientEndpoint(_Endpoint):
     same network under this endpoint's name, so eavesdroppers see exactly
     what a real on-path attacker would.
 
-    The host keeps the last feature list it received (public data, its
-    digest already checked at the wire), inflated from its bus form into
+    The host keeps the last feature list it received (public data, held
+    to its carried digest at the wire), inflated from its bus form into
     the one packed blob every host shares, and uses it for a command that
-    carries ``b""`` under the same digest, so the Glimmer always gets —
-    and checks — the whole list.
+    carries none, so the Glimmer always gets — and checks against its
+    measured digest — the whole list.
     """
 
     ROUTES = {
@@ -333,7 +333,6 @@ class ClientEndpoint(_Endpoint):
         self.name = name
         self._contribute_outcomes: dict[int, tuple[str, str | None]] = {}
         self._features = b""
-        self._features_digest = b""
 
     def _fire(self, site: str, round_id: int) -> bool:
         injector = self.engine.fault_injector
@@ -390,9 +389,8 @@ class ClientEndpoint(_Endpoint):
             # and only its response was lost.  Re-running it would re-sign
             # (or double-submit); answer from the cache instead.
             return self._contribute_outcomes[command.round_id]
-        if command.features:
+        if command.features is not None:
             self._features = received_features(command.features, command.features_digest)
-            self._features_digest = command.features_digest
         outcome = self._contribute(command, record)
         self._contribute_outcomes[command.round_id] = outcome
         return outcome
@@ -404,9 +402,7 @@ class ClientEndpoint(_Endpoint):
         if self._fire(SITE_CLIENT_PRE_SIGN, command.round_id):
             self.client.crash()
             return OUTCOME_CRASHED, "killed before the Glimmer signed"
-        held = command.features_digest == self._features_digest
-        features = self._features if held else b""
-        signed, failure = sign_step(self.client, command, features, record)
+        signed, failure = sign_step(self.client, command, self._features, record)
         if failure is not None:
             return failure
         if self._fire(SITE_CLIENT_POST_SIGN, command.round_id):

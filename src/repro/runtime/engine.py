@@ -638,10 +638,10 @@ class RoundEngine:
         ``values`` never go on the bus: they are written straight into the
         device's own :class:`~repro.core.client.LocalDataStore`, as the
         user's app on that host would, and the command only names the
-        round.  It carries ``b""`` for the feature list only to a device
-        whose last contribution under the same digest was accepted — its
-        host kept the list — and the full list, in its bus form, to every other
-        (see :class:`~repro.runtime.messages.ContributeCommand`).
+        round.  It carries neither the feature list nor its digest to a
+        device whose last contribution under the same digest was accepted —
+        its host kept the list — and both, the list in its bus form, to
+        every other (see :class:`~repro.runtime.messages.ContributeCommand`).
         """
         record = self.round_record(round_id)
         record.note_participant(client_id)
@@ -649,17 +649,9 @@ class RoundEngine:
         self.clients[client_id].data.put_vector(round_id, values)
         stream, digest = self.packed_features(features)
         held = self._published.pop(client_id, None) == digest
+        command = m.ContributeCommand(round_id, *((None, None) if held else (stream, digest)))
         outcome, _detail = self.call_with_retry(
-            record,
-            ENGINE,
-            name,
-            m.KIND_CONTRIBUTE,
-            m.ContributeCommand(
-                round_id=round_id,
-                features=b"" if held else stream,
-                features_digest=digest,
-            ),
-            first_attempt=first_attempt,
+            record, ENGINE, name, m.KIND_CONTRIBUTE, command, first_attempt=first_attempt,
         )
         record.outcomes[client_id] = outcome
         if outcome == OUTCOME_ACCEPTED:

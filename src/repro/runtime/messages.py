@@ -136,24 +136,27 @@ class MaskRequest:
     group: DHGroup | None = None
 
 
-@wire(0x8005, round_id=ROUND_ID, features=bytes, features_digest=Bytes(32))
+@wire(
+    0x8005, round_id=ROUND_ID, features=Optional(Bytes()), features_digest=Optional(Bytes(32)),
+)
 @dataclass(frozen=True)
 class ContributeCommand:
     """Command a client to train-endorse-submit for a round.
 
-    ``features_digest`` names the service-published feature list
+    ``features`` is the service-published feature list in its bus form —
+    packed (its words joined by NUL), then deflated
+    (:func:`repro.core.glimmer.deflate_features`), so a k = 77 keyboard
+    list is ~316 bytes, not 784 — and ``features_digest`` names it
     (:func:`repro.core.glimmer.features_digest`, the value vetted into
-    every Glimmer's measured config).  ``features`` carries the list
-    itself in its bus form — packed (its words joined by NUL), then
-    deflated (:func:`repro.core.glimmer.deflate_features`), so a k = 77
-    keyboard list is ~316 bytes, not 784 — only on its first trip to a
-    device host, which inflates it within a fixed cap: once a
-    device's last contribution under this digest was accepted, the engine
-    sends ``b""`` and the host's
-    :class:`~repro.runtime.endpoints.ClientEndpoint` uses the list it
-    kept.  A device whose round ended any other way gets the full list
-    again, so a list stripped or swapped in transit costs that device one
-    round, never more.  The command carries no values:
+    every Glimmer's measured config).  The two travel together, and only
+    on a list's first trip to a device host, which inflates it within a
+    fixed cap and holds it to the digest.  Once a device's last
+    contribution under this digest was accepted, the engine sends neither
+    and the host's :class:`~repro.runtime.endpoints.ClientEndpoint` uses
+    the list it kept; the Glimmer holds whatever list it is handed to its
+    own measured digest.  A device whose round ended any other way gets
+    the full list again, so a list stripped or swapped in transit costs
+    that device one round, never more.  The command carries no values:
     the device's vector is its own local data
     (:class:`~repro.core.client.LocalDataStore`), written on the
     host and never on the bus.  There is no knob for how the device
@@ -162,8 +165,8 @@ class ContributeCommand:
     """
 
     round_id: int
-    features: bytes
-    features_digest: bytes
+    features: bytes | None = None
+    features_digest: bytes | None = None
 
 
 @wire(0x8006, contribution=SignedContribution, slot=Optional(SLOT))

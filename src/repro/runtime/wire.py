@@ -44,9 +44,11 @@ def _two_shapes(request: m.MaskRequest) -> str | None:
 
 
 def _features_hash(command: m.ContributeCommand) -> str | None:
-    """A carried list inflates within its bounds, unpacks, and hashes to
-    the digest it names."""
-    if not command.features:
+    """The list and its digest travel together; a carried list inflates
+    within its bounds, unpacks, and hashes to the digest it names."""
+    if (command.features is None) != (command.features_digest is None):
+        return "a feature list and its digest travel together"
+    if command.features is None:
         return None
     try:
         received_features(command.features, command.features_digest)

@@ -37,11 +37,13 @@ from __future__ import annotations
 import time
 from typing import Generator, Sequence
 
+from repro.codec import MAX_ROUND_ID
 from repro.errors import (
     AdmissionError,
     ConfigurationError,
     ReproError,
     RoundAbortedError,
+    RoundIdsExhaustedError,
     ServiceKilledError,
     StorageError,
     StorageFaultError,
@@ -356,6 +358,12 @@ class GlimmerService:
         ]
         if used:
             next_id = max(next_id, max(used) + 1)
+        if next_id > MAX_ROUND_ID:
+            # Every frame of the round names its id as a u32: a larger one
+            # would be refused by every receiver, so no round opens.
+            raise RoundIdsExhaustedError(
+                f"round id {next_id} is past the largest the wire spells ({MAX_ROUND_ID})"
+            )
         self.backend.put(_SERVICE_SPACE, "next-round", next_id + 1)
         persisted = self.backend.get(_SERVICE_SPACE, "next-round", 0)
         if persisted != next_id + 1:

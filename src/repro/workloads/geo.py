@@ -22,12 +22,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.codec import wire
+from repro.codec import Bool, ListOf, Str, wire
 from repro.crypto.drbg import HmacDrbg
 from repro.errors import ConfigurationError
 
 
-@wire(0x8203)
+@wire(0x8203, x=float, y=float, timestamp_ms=float)
 @dataclass(frozen=True)
 class TrackPoint:
     """One GPS fix."""
@@ -37,7 +37,10 @@ class TrackPoint:
     timestamp_ms: float
 
 
-@wire(0x8204)
+@wire(
+    0x8204, photo_id=Str, user_id=Str, claimed_x=float, claimed_y=float, taken_at_ms=float,
+    camera_fingerprint=bytes, is_spoofed=Bool,
+)
 @dataclass(frozen=True)
 class PhotoSubmission:
     """What a user submits to the maps service (the contribution itself)."""
@@ -51,7 +54,7 @@ class PhotoSubmission:
     is_spoofed: bool  # ground truth, never shown to the validator
 
 
-@wire(0x8205)
+@wire(0x8205, user_id=Str, track=ListOf(TrackPoint), camera_fingerprint=bytes)
 @dataclass
 class UserGeoContext:
     """A user's private validation data: track + device fingerprint."""

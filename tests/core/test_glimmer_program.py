@@ -23,6 +23,7 @@ from repro.errors import (
 from repro.core.validation import PrivateContext
 from repro.experiments.common import Deployment
 from repro.runtime.telemetry import OUTCOME_CRASHED
+from repro.workloads.geo import GeoWorkload, PhotoSubmission, TrackPoint, UserGeoContext
 from repro.workloads.keyboard import KeyEvent, KeystrokeTrace, trace_for_sentences
 
 
@@ -281,9 +282,26 @@ def _keystroke_round(lie=None):
     return deployment, users
 
 
-def _assert_only_the_lying_device_is_down(lie):
-    honest, users = _keystroke_round()
-    lied, __ = _keystroke_round(lie)
+def _geo_round(lie=None):
+    """Round 1 under the geo predicate, every device holding its own track
+    and one honest photo claim; ``lie`` as in :func:`_keystroke_round`."""
+    deployment = Deployment.build(num_users=4, predicate_spec="geo")
+    users = [user.user_id for user in deployment.corpus.users]
+    workload = GeoWorkload.generate(
+        len(users), HmacDrbg(b"geo-probe"), photos_per_user=1, spoof_fraction=0.0
+    )
+    for user, context, photo in zip(users, workload.contexts.values(), workload.submissions):
+        deployment.clients[user].data.geo_context = context
+        deployment.clients[user].data.extra = {"submission": photo}
+    if lie is not None:
+        deployment.clients[users[0]].data.context_for = lambda fields: lie
+    deployment.honest_round(1)
+    return deployment, users
+
+
+def _assert_only_the_lying_device_is_down(lie, run_round=_keystroke_round):
+    honest, users = run_round()
+    lied, __ = run_round(lie)
     report = lied.last_report
     assert report.outcomes[users[0]] == OUTCOME_CRASHED
     assert users[0] not in report.survivors and report.masks_repaired == 1
@@ -309,3 +327,15 @@ def test_a_keystroke_trace_that_fails_its_checks_downs_only_its_device():
     whole round before they were declared)."""
     trace = KeystrokeTrace(events=[KeyEvent("a", "x")] * 20)
     _assert_only_the_lying_device_is_down(PrivateContext(keystroke_trace=trace))
+
+
+def test_a_geo_track_that_fails_its_checks_downs_only_its_device():
+    """A track whose fixes are strings is refused at the crossing by
+    ``TrackPoint``'s declared fields, not subtracted from the photo's
+    timestamp by the geo predicate (a ``TypeError`` out of the whole round
+    before they were declared)."""
+    lie = PrivateContext(
+        geo_context=UserGeoContext("u", [TrackPoint("a", "b", "c")], b"x"),
+        extra={"submission": PhotoSubmission("p", "u", 0.0, 0.0, 0.0, b"x", False)},
+    )
+    _assert_only_the_lying_device_is_down(lie, _geo_round)

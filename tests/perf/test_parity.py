@@ -507,11 +507,13 @@ def test_wide_streamed_round_is_byte_identical_to_recorded():
     enclave's signing nonces and keys its sealing.  They moved again, for
     the same reason, when group values began to cross at their group's
     width: the measured config spells each key's group as a one-byte code.
-    ``aggregate`` has never moved.
+    ``sealed`` alone moved when round ids became u32s: the sealed round
+    and the checkpointed commitment records name their round at that
+    width.  ``aggregate`` has never moved.
     """
     assert _wide_streamed_round_digests() == {
         "root": "b3dd46a86e0ff8861e7ef3bc9d485dc6e0397dfd07a7eeb4cd329a30d849b223",
-        "sealed": "9651b6fa06668784e1176833e5b5e51837c2250d5346a13c2bdf6d7c17db87f2",
+        "sealed": "1ea0b03d716ea2a77d40f266587ba211212e3ab3b1b6e69e7f8cc5e5e2b8272a",
         "signatures": "0e0fd7c44694b02649ac556aa0b48105293bf7d949ccfc0c9791287b131b683f",
         "aggregate": "b8557277e14cafd0f8f2a7befff5613092a335bba97d6d0fa83195c95702b0c2",
     }

@@ -337,7 +337,7 @@ def test_the_loose_form_reads_like_the_declared_one(cls):
 @pytest.mark.parametrize(
     "value, complaint",
     [
-        (m.RevealMask(-1, 2), "RevealMask.round_id out of range [0, 9223372036854775807]"),
+        (m.RevealMask(-1, 2), "RevealMask.round_id out of range [0, 4294967295]"),
         (m.RevealMask(1, True), "RevealMask.party_index must be int, not bool"),
         (m.CloseRound(1.0), "CloseRound.round_id must be int, not float"),
         (replace(SAMPLES[m.SubmitContribution], slot="1"),
@@ -498,6 +498,8 @@ def _shaped_like(check: codec.Check, sample):
         return st.just(sample)
     if isinstance(check, codec.Int):
         return st.integers(check.lo, check.hi)
+    if isinstance(check, codec.Fraction):
+        return st.integers(0, check.scale).map(lambda k: k / check.scale)
     if type(sample) is bool:
         return st.booleans()
     if type(sample) is bytes:
@@ -533,19 +535,22 @@ def test_declared_fields_frame_at_a_length_their_values_cannot_move(value):
 
 # Request frames of a steady round (round 2: every device in session, the
 # feature list held) for the k = 77 cohort, by kind: one length each, since
-# group values cross at their group's width.  Before that, a tagged wide
+# group values cross at their group's width.  Round ids are u32s, a steady
+# contribute command carries neither the list nor its digest, and the
+# confidence is its signed u16; before that they were 22, 18, 95, 36, 46,
+# 689, 15 and 10.  Before group values crossed at width, a tagged wide
 # int — a commitment point, a signature's response — made two lengths,
 # 109/114 and 690/695; before fields were spelled at their declared
 # widths: 38, 29, 156/161, 43, 53, 713/718, 16 and 11.
 STEADY_FRAMES = {
-    m.KIND_OPEN_BLINDER: {22},
-    m.KIND_OPEN_SERVICE: {18},
-    m.KIND_PROVISION_MASK: {95},
-    m.KIND_MASK_REQUEST: {36},
-    m.KIND_CONTRIBUTE: {46},
-    m.KIND_SUBMIT: {689},
-    m.KIND_FINALIZE: {15},
-    m.KIND_CLOSE_ROUND: {10},
+    m.KIND_OPEN_BLINDER: {18},
+    m.KIND_OPEN_SERVICE: {14},
+    m.KIND_PROVISION_MASK: {91},
+    m.KIND_MASK_REQUEST: {32},
+    m.KIND_CONTRIBUTE: {8},
+    m.KIND_SUBMIT: {678},
+    m.KIND_FINALIZE: {11},
+    m.KIND_CLOSE_ROUND: {6},
 }
 
 

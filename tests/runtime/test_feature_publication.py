@@ -1,9 +1,9 @@
 """The published feature list travels to each device host once.
 
-``ContributeCommand`` always names the list by its 32-byte digest and
-carries the list itself, packed into one NUL-joined blob and deflated,
-only to a device whose last bus contribution under that digest was not
-accepted (or that never made one).  These tests watch
+``ContributeCommand`` carries the list, packed into one NUL-joined blob
+and deflated, together with its 32-byte digest, only to a device whose
+last bus contribution under that digest was not accepted (or that never
+made one); a steady command carries neither.  These tests watch
 the wire with an eavesdropper and hold every round to the exact mean: the
 list goes out in round 1 and not after, a new host or a refused round gets
 it again, a list stripped or swapped in transit costs that device one
@@ -100,9 +100,8 @@ def test_the_list_travels_in_round_one_only():
         assert sorted(commands) == sorted(users)
         assert set(report.outcomes.values()) == {OUTCOME_ACCEPTED}
         for command in commands.values():
-            assert command.features_digest == digest
-            assert len(command.features_digest) == 32
-            assert command.features == (stream if round_id == 1 else b"")
+            assert command.features_digest == (digest if round_id == 1 else None)
+            assert command.features == (stream if round_id == 1 else None)
     assert reports[1].bytes_on_wire < reports[0].bytes_on_wire
     assert reports[2].bytes_on_wire < reports[0].bytes_on_wire
 
@@ -118,7 +117,7 @@ def test_a_reregistered_device_gets_the_list_again():
 
     commands = _commands(eavesdropper, 2)
     assert commands[renewed].features == deflate_features(deployment.features.bigrams)
-    assert all(commands[u].features == b"" for u in users if u != renewed)
+    assert all(commands[u].features is None for u in users if u != renewed)
     assert report.outcomes[renewed] == OUTCOME_ACCEPTED
 
 
@@ -135,7 +134,7 @@ def test_a_refused_device_gets_the_list_again_and_is_accepted():
     second = _run(deployment, 2, users)
     commands = _commands(eavesdropper, 2)
     assert commands[refused].features == deflate_features(deployment.features.bigrams)
-    assert all(commands[u].features == b"" for u in users if u != refused)
+    assert all(commands[u].features is None for u in users if u != refused)
     assert set(second.outcomes.values()) == {OUTCOME_ACCEPTED}
 
 
@@ -143,7 +142,9 @@ def test_a_list_stripped_in_transit_costs_that_device_one_round():
     deployment, users = _build()
     victim = users[1]
     eavesdropper = EavesdropAdversary()
-    deployment.network.interpose(RewriteContribute(victim, {1}, features=b""))
+    deployment.network.interpose(
+        RewriteContribute(victim, {1}, features=None, features_digest=None)
+    )
     deployment.network.interpose(eavesdropper)
     bigrams = tuple(deployment.features.bigrams)
 
@@ -154,7 +155,7 @@ def test_a_list_stripped_in_transit_costs_that_device_one_round():
     assert _commands(eavesdropper, 2)[victim].features == deflate_features(bigrams)
     assert second.outcomes[victim] == OUTCOME_ACCEPTED
     third = _run(deployment, 3, users)
-    assert _commands(eavesdropper, 3)[victim].features == b""
+    assert _commands(eavesdropper, 3)[victim].features is None
     assert set(third.outcomes.values()) == {OUTCOME_ACCEPTED}
 
 
@@ -165,7 +166,10 @@ def test_a_list_that_misses_its_digest_is_malformed_and_not_kept():
     _run(deployment, 1, users)
     swapped = tuple(reversed(bigrams))
     deployment.network.interpose(
-        RewriteContribute(victim, {2}, features=deflate_features(swapped))
+        RewriteContribute(
+            victim, {2},
+            features=deflate_features(swapped), features_digest=features_digest(bigrams),
+        )
     )
 
     second = _run(deployment, 2, users)
@@ -176,7 +180,6 @@ def test_a_list_that_misses_its_digest_is_malformed_and_not_kept():
     assert second.masks_repaired == 1
     endpoint = deployment.engine.client_endpoints[victim]
     assert endpoint._features == pack_features(bigrams)
-    assert endpoint._features_digest == features_digest(bigrams)
 
     deployment.network.clear_adversaries()
     third = _run(deployment, 3, users)
@@ -197,7 +200,7 @@ def test_a_pool_only_device_gets_the_list_on_its_first_bus_round():
         assert all(c.features == stream for c in _commands(eavesdropper, 2).values())
         assert set(serial.outcomes.values()) == {OUTCOME_ACCEPTED}
         _run(deployment, 3, users)
-        assert all(c.features == b"" for c in _commands(eavesdropper, 3).values())
+        assert all(c.features is None for c in _commands(eavesdropper, 3).values())
 
 
 # ------------------------------------------------------------ the packed blob
@@ -218,13 +221,14 @@ def _keyboard_list() -> tuple:
     [pytest.param(_keyboard_list, 380, id="k77"), pytest.param(lambda: WIDE, 10_000, id="k4096")],
 )
 def test_a_first_trip_frame_is_packed(features, cap):
-    """The list crosses packed and deflated: 362 and 9,688 bytes (830 and
-    77,869 packed alone); a later trip carries ``b""``, 46."""
+    """The list crosses packed and deflated: 360 and 9,686 bytes (828 and
+    77,867 packed alone); a later trip carries neither the list nor its
+    digest, 8 bytes (46 while it named the digest under a u64 round id)."""
     bigrams = features()
     digest = features_digest(bigrams)
     first = m.ContributeCommand(1, deflate_features(bigrams), digest)
     assert len(codec.encode(first)) <= cap
-    assert len(codec.encode(m.ContributeCommand(1, b"", digest))) == 46
+    assert len(codec.encode(m.ContributeCommand(1))) == 8
 
 
 @settings(max_examples=200, deadline=None)
@@ -294,7 +298,9 @@ def test_a_blob_that_does_not_unpack_is_malformed_and_not_kept(blob, complaint):
     victim = users[4]
     bigrams = tuple(deployment.features.bigrams)
     _run(deployment, 1, users)
-    deployment.network.interpose(RewriteContribute(victim, {2}, features=_deflated(blob)))
+    deployment.network.interpose(RewriteContribute(
+        victim, {2}, features=_deflated(blob), features_digest=features_digest(bigrams)
+    ))
 
     second = _run(deployment, 2, users)
     assert [(v.offender, v.kind) for v in second.violations] == [
@@ -340,7 +346,9 @@ def test_a_stream_that_does_not_inflate_is_malformed_and_not_kept(
     bigrams = tuple(deployment.features.bigrams)
     _run(deployment, 1, users)
     stream = damage(deflate_features(bigrams))
-    deployment.network.interpose(RewriteContribute(victim, {2}, features=stream))
+    deployment.network.interpose(
+        RewriteContribute(victim, {2}, features=stream, features_digest=features_digest(bigrams))
+    )
     if cap is not None:
         monkeypatch.setattr(glimmer, "MAX_INFLATED_FEATURES", cap)
 

@@ -125,6 +125,8 @@ def test_confidence_in_range_accepted(confidence):
         pytest.param(HUGE, id="too-large-for-a-float"),
         pytest.param(-HUGE, id="too-small-for-a-float"),
         2, -0.5, float("nan"), float("inf"), True, "0.5", None,
+        # between two of the 1/10,000 quanta a signature covers
+        0.99996, 0.12345, 1 / 3, 5e-5,
     ],
 )
 def test_confidence_out_of_range_is_blamed_on_the_sender(confidence):
@@ -163,8 +165,8 @@ def _command(**overrides):
     "overrides",
     [
         {},
-        dict(features=b""),
-        dict(features=b"", features_digest=b"\x00" * 32),
+        dict(features=None, features_digest=None),
+        dict(round_id=codec.MAX_ROUND_ID, features=None, features_digest=None),
     ],
 )
 def test_contribute_command_accepted(overrides):
@@ -186,6 +188,14 @@ def test_contribute_command_accepted(overrides):
         dict(features=(("the", "cat", "sat"),)),
         dict(features=(("the", 1),)),
         pytest.param(dict(features=deflate_features(BIGRAMS[:1])), id="list-misses-its-digest"),
+        pytest.param(dict(features=b""), id="features-empty"),
+        pytest.param(
+            dict(features=None, features_digest=None, round_id=-1), id="round-id-negative"
+        ),
+        pytest.param(
+            dict(features=None, features_digest=None, round_id=codec.MAX_ROUND_ID + 1),
+            id="round-id-past-u32",
+        ),
     ],
 )
 def test_malformed_contribute_command_is_blamed_on_the_sender(overrides):
@@ -508,6 +518,54 @@ def test_rewritten_ring_payload_ends_in_a_verdict(rewrite):
     assert verdict.outcome == invariants.OUTCOME_EXACT
     assert verdict.offenders == (m.client_endpoint(victim),)
     assert report.outcomes[victim] == OUTCOME_QUARANTINED
+
+
+class RewriteConfidence(NetworkAdversary):
+    """On-path: move the confidence of some devices' submissions inside the
+    1/10,000 quantum their signatures cover."""
+
+    def __init__(self, user_ids, confidence: float) -> None:
+        self.senders = {m.client_endpoint(user_id) for user_id in user_ids}
+        self.confidence = confidence
+        self.rewritten = 0
+
+    def process(self, message):
+        if message.kind == m.KIND_SUBMIT and message.sender in self.senders:
+            contribution = replace(message.payload.contribution, confidence=self.confidence)
+            self.rewritten += 1
+            return message.with_payload(replace(message.payload, contribution=contribution))
+        return message
+
+
+def test_a_confidence_rewritten_inside_its_signed_quantum_is_refused():
+    """The signature covers ``round(confidence * 10_000)``, so 1.0 and
+    0.99996 share one digest: a rewrite between them used to be admitted
+    under the device's signature.  Only the signed quantum has a spelling,
+    so each rewritten submission is refused at the wire and blamed on its
+    sender, and the round is exact over the submissions admitted."""
+    deployment = Deployment.build(num_users=4, seed=b"conf-probe")
+    users = [user.user_id for user in deployment.corpus.users]
+    victims = users[1::2]
+    rewrite = RewriteConfidence(victims, 0.99996)
+    deployment.network.interpose(rewrite)
+    vectors = deployment.local_vectors()
+    report = deployment.engine.run_round(1, users, vectors, deployment.features.bigrams)
+    verdict = invariants.judge(report, deployment.codec, vectors)
+    assert rewrite.rewritten == len(victims)
+    assert verdict.outcome == invariants.OUTCOME_EXACT
+    assert verdict.offenders == tuple(sorted(map(m.client_endpoint, victims)))
+    assert {user: report.outcomes[user] for user in victims} == dict.fromkeys(
+        victims, OUTCOME_QUARANTINED
+    )
+    assert sorted(report.survivors) == sorted(set(users) - set(victims))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 4999, 5000, 9500, 9999, 10_000])
+def test_a_signed_confidence_crosses_as_its_u16(k):
+    contribution = _contribution(confidence=k / 10_000)
+    frame = codec.encode(contribution)
+    assert codec.decode(frame) == contribution
+    assert len(frame) == len(codec.encode(_contribution(confidence=0.5)))
 
 
 class RewriteFinalize(NetworkAdversary):

@@ -9,7 +9,13 @@ run of the identical service.
 
 from __future__ import annotations
 
-from repro.service.queue import STATE_APPLIED
+import pytest
+
+from repro.codec import MAX_ROUND_ID
+from repro.errors import RoundIdsExhaustedError
+from repro.network.adversary import EavesdropAdversary
+from repro.runtime.wire import KINDS
+from repro.service.queue import STATE_APPLIED, STATE_PENDING
 from repro.service.service import GlimmerService
 from repro.service.storage import SealedBlobMap, build_backend
 
@@ -247,3 +253,32 @@ def test_second_process_continues_round_numbering(backend_factory):
         assert blinder.restart() == [round_id]
         assert _drain(stages).num_contributions == USERS
         assert list(blinder._sealed_rounds) == []
+
+
+def test_a_service_out_of_round_ids_opens_no_round(backend_factory):
+    """Every frame names its round id as a u32.  A store whose counter is
+    past the largest refuses to open a round with a typed error before a
+    frame is sent, and the batch stays pending; the largest id itself
+    opens and finalizes."""
+    backend = backend_factory()
+    with _service(backend) as service:
+        _submit_all(service)
+        runtime = service.tenant("alpha")
+        eavesdropper = EavesdropAdversary()
+        runtime.deployment.network.interpose(eavesdropper)
+        backend.put("service", "next-round", MAX_ROUND_ID + 1)
+        with pytest.raises(RoundIdsExhaustedError, match=str(MAX_ROUND_ID)):
+            service.run_pending_sync()
+        assert eavesdropper.captured == []
+        assert runtime.queue.count(STATE_PENDING) == USERS
+        assert backend.get("service", "next-round") == MAX_ROUND_ID + 1
+
+        backend.put("service", "next-round", MAX_ROUND_ID)
+        (report,) = service.run_pending_sync()
+        assert report.round_id == MAX_ROUND_ID
+        assert report.num_contributions == USERS
+        sent = [message.payload for message in eavesdropper.captured if message.kind in KINDS]
+        assert sent and {payload.round_id for payload in sent} == {MAX_ROUND_ID}
+        _submit_all(service)
+        with pytest.raises(RoundIdsExhaustedError):
+            service.run_pending_sync()
