@@ -75,14 +75,15 @@ from repro.runtime.protocol import FLOOD_THRESHOLD
 from repro.runtime.telemetry import OUTCOME_SUBMIT_FAILED
 
 
-def forged_contribution(client, round_id: int, values) -> SignedContribution:
-    """A contribution in the honest wire shape, signed with a made-up key.
+def forged_contribution(client, round_id: int, values, parties: int) -> SignedContribution:
+    """A contribution in the honest wire shape of a ``parties``-slot round,
+    signed with a made-up key.
 
     :meth:`MaliciousClient.bypass_glimmer`, run on any client device — an
     attacker does not need a special build of the client software to put
     bytes on the wire.
     """
-    return MaliciousClient.bypass_glimmer(client, round_id, values)
+    return MaliciousClient.bypass_glimmer(client, round_id, values, parties)
 
 
 class AttackerEndpoint(ClientEndpoint):
@@ -106,8 +107,10 @@ class AttackerEndpoint(ClientEndpoint):
         spec = self.plan.client_attack(round_id, self.client.client_id)
         return None if spec is None else spec.kind
 
-    def _forge(self, command, bump: float = 0.0) -> None:
-        forged = forged_contribution(self.client, command.round_id, self._values + bump)
+    def _forge(self, command, record, bump: float = 0.0) -> None:
+        forged = forged_contribution(
+            self.client, command.round_id, self._values + bump, record.num_slots
+        )
         super()._submit(command, forged)
 
     def _contribute(self, command, record):
@@ -118,7 +121,7 @@ class AttackerEndpoint(ClientEndpoint):
             return super()._contribute(command, record)
         with suppress(NetworkError):
             for index in range(FLOOD_THRESHOLD + 1 if kind == ATTACK_FLOOD else 1):
-                self._forge(command, float(index))
+                self._forge(command, record, float(index))
         return OUTCOME_SUBMIT_FAILED, None
 
     def _submit(self, command, signed) -> bool:
@@ -128,7 +131,7 @@ class AttackerEndpoint(ClientEndpoint):
             if kind == ATTACK_REPLAY:
                 super()._submit(command, signed)
             elif kind == ATTACK_EQUIVOCATE:
-                self._forge(command)
+                self._forge(command, self.engine.round_record(command.round_id))
         return accepted
 
 

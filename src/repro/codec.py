@@ -25,7 +25,8 @@ A field whose declared check has a width is spelled at that width, with
 no tag of its own: ``Int(lo, hi)`` with ``0 <= lo`` as a u32 when
 ``hi < 2**32`` and a u64 when ``hi < 2**64``; ``Fraction(scale)`` as a
 u16 of its numerator; ``Bytes(n)`` as its ``n`` bytes; ``Bytes()``,
-``Packed``, ``Is(bytes)`` and ``Is(str)`` as a u32 length and the bytes;
+``Packed``, ``Words``, ``Is(bytes)`` and ``Is(str)`` as a u32 length and
+the bytes;
 ``Bool`` as one byte; ``Is(<registered class>)`` as that class's fields,
 with no class tag; ``Optional(x)`` of any of these behind a presence
 byte.  A record with a ``Named(groups)`` field is
@@ -292,6 +293,28 @@ class Packed(Check):
             return "exceeds the vector-length cap"
         if self.finite and not np.isfinite(np.frombuffer(value, _BE_F64)).all():
             return "holds a non-finite value"
+        return None
+
+    def spelling(self) -> "_Spelling":
+        return _SPELLINGS[bytes]
+
+
+class Words(Check):
+    """``bytes`` of one to :data:`MAX_VECTOR_LENGTH` ring words, all of one
+    of ``widths`` bytes, judged by length alone: a length no width divides
+    is refused.  Which width is the round's is for a reader who knows the
+    round to check."""
+
+    def __init__(self, widths: Sequence[int]) -> None:
+        self.widths = tuple(widths)
+
+    def __call__(self, value: Any) -> str | None:
+        if type(value) is not bytes:
+            return f"must be packed bytes, not {type(value).__name__}"
+        if len(value) > max(self.widths) * MAX_VECTOR_LENGTH:
+            return "exceeds the vector-length cap"
+        if not value or all(len(value) % width for width in self.widths):
+            return f"is not whole ring words: {len(value)} bytes"
         return None
 
     def spelling(self) -> "_Spelling":

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.crypto.fixedpoint import FixedPointCodec
+from repro.crypto.fixedpoint import FixedPointCodec, ring_width
 from repro.crypto.hashing import hash_items
 from repro.crypto.masking import apply_mask
 from repro.errors import (
@@ -41,19 +41,24 @@ class BlindingComponent:
 
     Masks are keyed by ``(round_id, party_index)``: an on-device Glimmer
     holds a single party's mask per round, while a shared remote Glimmer
-    (§4.2) may hold one per client it serves.  A mask is held as it is
-    delivered: packed big-endian u64 words.
+    (§4.2) may hold one per client it serves.  A mask is delivered as
+    packed big-endian u64 words and held narrowed, as ``(width, words)``:
+    its residues at the width its round's sum needs
+    (:func:`~repro.crypto.fixedpoint.ring_width`), the width its blinded
+    contribution crosses at.  Reduction mod ``2^(8·width)`` keeps the
+    family's sum zero, so the narrowed masks still cancel.
     """
 
     def __init__(self) -> None:
         self.codec = FixedPointCodec()
-        self._masks: dict[tuple[int, int], bytes] = {}
+        self._masks: dict[tuple[int, int], tuple[int, bytes]] = {}
         self._seen_digests: dict[bytes, tuple[int, int]] = {}
 
     def install_mask(
-        self, round_id: int, party_index: int, mask: Sequence[int] | bytes
+        self, round_id: int, party_index: int, mask: Sequence[int] | bytes, parties: int
     ) -> None:
-        """Store a decrypted mask for one (round, party).
+        """Store a decrypted mask for one (round, party) of a ``parties``-slot
+        round, narrowed to that round's width.
 
         Rejects double install for a slot, and rejects — with
         :class:`~repro.errors.MaskVerificationError` — any mask whose
@@ -83,13 +88,15 @@ class BlindingComponent:
                     oldest = next(iter(self._seen_digests))
                     del self._seen_digests[oldest]
                 self._seen_digests[digest] = key
-        self._masks[key] = packed
+        width = ring_width(parties)
+        self._masks[key] = (width, kernels.pack_words(packed, width))
 
     def has_mask(self, round_id: int, party_index: int = 0) -> bool:
         return (round_id, party_index) in self._masks
 
-    def masks_for_round(self, round_id: int) -> dict[int, bytes]:
-        """Snapshot the unconsumed masks of one round (for sealed checkpoints)."""
+    def masks_for_round(self, round_id: int) -> dict[int, tuple[int, bytes]]:
+        """Snapshot the unconsumed masks of one round, as held (for sealed
+        checkpoints)."""
         return {
             party: mask
             for (rid, party), mask in self._masks.items()
@@ -97,7 +104,7 @@ class BlindingComponent:
         }
 
     def restore_masks(
-        self, round_id: int, masks: dict[int, Sequence[int]]
+        self, round_id: int, masks: dict[int, tuple[int, bytes]]
     ) -> None:
         """Reinstall checkpointed masks after an enclave restart.
 
@@ -110,7 +117,7 @@ class BlindingComponent:
         for party_index, mask in masks.items():
             key = (round_id, int(party_index))
             if key not in self._masks:
-                self._masks[key] = kernels.be_words_to_bytes(mask)
+                self._masks[key] = mask
 
     def purge_round(self, round_id: int) -> int:
         """Destroy every mask held for a finalized/aborted round.
@@ -133,27 +140,29 @@ class BlindingComponent:
     ) -> bytes:
         """Encode and mask a contribution; consumes the party's round mask.
 
-        Returns the blinded words packed for the wire
-        (:func:`~repro.perf.kernels.be_words_to_bytes`): the bytes the
-        signature covers and the service folds.  A contribution of the
-        wrong length, or with a value the codec cannot carry, is refused
+        Returns the blinded words packed for the wire at the mask's width
+        (:func:`~repro.perf.kernels.pack_words`): the bytes the signature
+        covers and the service folds.  A contribution of the wrong length,
+        or with a value the codec cannot carry, is refused
         (:class:`ValidationError`) before the mask is taken, so the slot
         stays unconsumed and repairable.
         """
         key = (round_id, party_index)
-        packed = self._masks.get(key)
-        if packed is None:
+        held = self._masks.get(key)
+        if held is None:
             raise CryptoError(
                 f"no blinding mask installed for round {round_id} party {party_index}"
             )
-        if len(packed) != 8 * len(values):
+        width, packed = held
+        if len(packed) != width * len(values):
             raise ValidationError(
                 f"contribution length {len(values)} does not match the round's "
-                f"mask length {len(packed) // 8}"
+                f"mask length {len(packed) // width}"
             )
         try:
             encoded = self.codec.encode(values)
         except ConfigurationError as exc:
             raise ValidationError(str(exc)) from None
         del self._masks[key]
-        return kernels.be_words_to_bytes(apply_mask(encoded, kernels.be_words(packed)))
+        mask = kernels.unpack_words(packed, width)
+        return kernels.pack_words(apply_mask(encoded, mask), width)

@@ -33,6 +33,7 @@ from repro.core.provisioning import BlinderProvisioner, ServiceProvisioner
 from repro.core.signing import SignedContribution
 from repro.core.validation import PrivateContext
 from repro.crypto.drbg import HmacDrbg
+from repro.crypto.fixedpoint import ring_width
 from repro.crypto.schnorr import SchnorrKeyPair
 from repro.errors import (
     AttestationError,
@@ -371,18 +372,22 @@ class MaliciousClient(ClientDevice):
         self,
         round_id: int,
         values: Sequence[float],
+        parties: int,
         blinded_shape: bool = True,
     ) -> SignedContribution:
         """Fabricate a contribution signed with a key the attacker made up.
 
         Without genuine attestation the attacker cannot obtain the real
         signing key, so a self-generated key is the best available forgery.
+        Its words are written at the width of the ``parties``-slot round,
+        the honest shape, so only the signature gives it away.
         """
         forged_key = SchnorrKeyPair.generate(self.rng.fork("forged-key"))
         nonce = self.rng.generate(16)
         if blinded_shape:
-            ring = kernels.be_words_to_bytes(
-                [int(round(float(v) * (1 << 16))) % (1 << 64) for v in values]
+            ring = kernels.pack_words(
+                [int(round(float(v) * (1 << 16))) % (1 << 64) for v in values],
+                ring_width(parties),
             )
             plain = None
         else:
@@ -402,18 +407,21 @@ class MaliciousClient(ClientDevice):
         )
 
     def tamper_after_signing(
-        self, genuine: SignedContribution, boost: float = 538.0
+        self, genuine: SignedContribution, parties: int, boost: float = 538.0
     ) -> SignedContribution:
         """Rewrite a genuinely signed payload without re-signing.
 
         The nonce is fresh too: the genuine one is already spent, and the
-        service refuses a spent nonce before it checks any signature.
+        service refuses a spent nonce before it checks any signature.  A
+        ring payload is rewritten at the width of its ``parties``-slot
+        round, so it keeps the honest shape.
         """
         fresh = replace(genuine, nonce=self.rng.generate(16))
         if genuine.ring_payload is not None:
-            mutated = kernels.as_ring(genuine.ring_payload)
+            width = ring_width(parties)
+            mutated = kernels.unpack_words(genuine.ring_payload, width)
             mutated[:1] += kernels.U64((int(boost) << 16) % (1 << 64))
-            return replace(fresh, ring_payload=kernels.be_words_to_bytes(mutated))
+            return replace(fresh, ring_payload=kernels.pack_words(mutated, width))
         mutated_plain = kernels.be_doubles(genuine.plain_payload or b"")
         if len(mutated_plain):
             mutated_plain[0] = boost

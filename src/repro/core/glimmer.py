@@ -33,10 +33,10 @@ import numpy as np
 
 from repro import codec
 from repro.codec import (
-    ROUND_ID, SLOT, Bool, Bytes, Element, Int, Named, Optional, Packed, Pair, Str, TupleOf, wire,
+    ROUND_ID, SLOT, Bool, Bytes, Element, Int, Named, Optional, Pair, Str, TupleOf, wire,
 )
 from repro.core.blinding import BlindingComponent
-from repro.core.signing import SignedContribution, SigningComponent
+from repro.core.signing import RING_WORDS, SignedContribution, SigningComponent
 from repro.core.validation import PrivateContext, default_registry
 from repro.crypto.cipher import AuthenticatedCipher, SealedBox
 from repro.crypto.commitments import (
@@ -45,6 +45,7 @@ from repro.crypto.commitments import (
     verify_opening,
 )
 from repro.crypto.dh import GROUPS, DHGroup, DHKeyPair
+from repro.crypto.fixedpoint import RING_WIDTHS
 from repro.crypto.hashing import hash_items
 from repro.crypto.kdf import hkdf
 from repro.crypto.schnorr import SchnorrKeyPair, SchnorrPublicKey, SchnorrSignature
@@ -537,7 +538,9 @@ class BlindStep(DeliveryStep):
         aggregating garbage.  The record reaches the enclave through the
         host, never the blinder: a call with no record, or with one for
         another round, slot or group, is the host's doing and is refused
-        (:class:`EnclaveError`) before the delivery is opened.
+        (:class:`EnclaveError`) before the delivery is opened.  The opening
+        is checked in ``Z/2^64``; only then is the mask narrowed to the
+        width of the record's ``num_slots``-party round.
         """
         if not isinstance(commitment, MaskCommitmentRecord) or (
             commitment.round_id,
@@ -557,7 +560,9 @@ class BlindStep(DeliveryStep):
         opening = decode_mask_payload(plaintext)
         self.api.charge_signature()  # two group exps, priced like a verify
         verify_opening(commitment, party_index, opening)
-        self._blinding.install_mask(round_id, party_index, opening.mask)
+        self._blinding.install_mask(
+            round_id, party_index, opening.mask, commitment.num_slots
+        )
 
     def _blind(
         self, round_id: int, party_index: int, values: Sequence[float]
@@ -646,15 +651,20 @@ class SignStep(DeliveryStep):
         )
 
 
-@wire(0x8111, round_id=ROUND_ID, masks=TupleOf(Pair(SLOT, Packed())), signings=Int(0))
+@wire(
+    0x8111, round_id=ROUND_ID,
+    masks=TupleOf(Pair(SLOT, Pair(Int(RING_WIDTHS[0], RING_WIDTHS[-1]), RING_WORDS))),
+    signings=Int(0),
+)
 @dataclass(frozen=True)
 class RoundCheckpoint:
     """A round's unconsumed masks as :meth:`GlimmerProgram.checkpoint_round`
-    seals them: ``(slot, packed words)`` pairs, and the round's
-    blind-signing counter when the checkpoint was cut."""
+    seals them: ``(slot, (width, narrowed words))`` pairs, each mask as the
+    Glimmer holds it, and the round's blind-signing counter when the
+    checkpoint was cut."""
 
     round_id: int
-    masks: tuple[tuple[int, bytes], ...]
+    masks: tuple[tuple[int, tuple[int, bytes]], ...]
     signings: int
 
 
@@ -722,10 +732,7 @@ class GlimmerProgram(ValidateStep, BlindStep, SignStep):
         inside were not yet consumed when the checkpoint was cut.  Sealed
         to MRENCLAVE, so the untrusted host can store it but not read it.
         """
-        masks = tuple(
-            (party, kernels.be_words_to_bytes(mask))
-            for party, mask in self._blinding.masks_for_round(round_id).items()
-        )
+        masks = tuple(self._blinding.masks_for_round(round_id).items())
         counter = self.api.monotonic_counter(f"blind-signings-round-{round_id}")
         state = RoundCheckpoint(round_id, masks, counter.value)
         return self.api.seal(codec.encode(state), policy="mrenclave")
@@ -752,8 +759,7 @@ class GlimmerProgram(ValidateStep, BlindStep, SignStep):
                 f"round {round_id} checkpoint is stale: {counter.value} signing(s) "
                 f"recorded since it was sealed (rollback refused)"
             )
-        masks = {party: kernels.bytes_to_be_words(words) for party, words in checkpoint.masks}
-        self._blinding.restore_masks(round_id, masks)
+        self._blinding.restore_masks(round_id, dict(checkpoint.masks))
         return round_id
 
     @ecall

@@ -11,7 +11,11 @@ signature covers.  Per contribution it checks:
 
 The service computes only the ring sum — it never sees an individual
 contribution — and repairs dropouts with the ring sum of the masks the
-blinding service disclosed (§3), never one mask on its own.  Every round keeps one state shape: a
+blinding service disclosed (§3), never one mask on its own.  Each blinded
+word arrives as its residue at the round's width
+(:func:`~repro.crypto.fixedpoint.ring_width` of ``expected_parties``);
+the residues fold in ``uint64`` and the total is sign-extended back to the
+64-bit sum at finalize.  Every round keeps one state shape: a
 :class:`~repro.scale.streaming.StreamingSubgroupAccumulator` that each
 admitted payload folds into on arrival (a single group on the flat route,
 the round's subgroups on the streamed one).  The route only decides
@@ -127,6 +131,7 @@ class CloudService:
         round_id: int,
         expected_parties: int,
         subgroup_size: int = 0,
+        vector_length: int | None = None,
     ) -> None:
         """Open a round; ``subgroup_size > 0`` selects the streamed route.
 
@@ -135,6 +140,9 @@ class CloudService:
         identical grouping): ``subgroup_size`` slots a group when
         streamed, all of them — one group — when flat.  Only a flat round
         retains its signed trail; see :class:`RoundState`.
+        ``vector_length`` fixes the words every contribution holds, so a
+        payload of any other count is refused whatever arrived first; an
+        in-process caller that trusts its rows may leave it to the first.
         """
         if round_id in self._closed:
             raise ProtocolError(f"round {round_id} is closed")
@@ -147,7 +155,7 @@ class CloudService:
         )
         self._rounds[round_id] = RoundState(
             round_id=round_id,
-            accumulator=StreamingSubgroupAccumulator(plan),
+            accumulator=StreamingSubgroupAccumulator(plan, vector_length),
             retain=subgroup_size <= 0,
         )
 
@@ -292,11 +300,13 @@ class CloudService:
         ``repair`` is the ring sum of the masks of the ``repaired``
         parties that were provisioned a mask but never submitted, as the
         blinding service disclosed them and the engine verified them:
-        packed words as :class:`~repro.runtime.messages.FinalizeRound`
-        carries them, or (from an in-process caller) any word sequence;
-        ``None`` when no party dropped.  Since Σp = 0, folding that sum in
-        once restores an exact sum of the submitted contributions.  A
-        repair whose count disagrees with it is refused.  A round
+        residues at the round's width as
+        :class:`~repro.runtime.messages.FinalizeRound` carries them, or
+        (from an in-process caller) any word sequence; ``None`` when no
+        party dropped.  Since Σp = 0, folding that sum in once restores an
+        exact sum of the submitted contributions, which the folded total
+        widens back to.  A repair whose count or length disagrees with the
+        round is refused.  A round
         finalizes once: a retransmitted finalize gets the same result back
         rather than folding its repair a second time.
         """
@@ -310,11 +320,8 @@ class CloudService:
             raise ProtocolError("no accepted contributions to aggregate")
         accumulator = state.accumulator
         if repair is not None:
-            words = kernels.as_ring(repair)
-            if len(words) != accumulator.length:
-                raise ConfigurationError("mask length does not match vector length")
-            accumulator.fold_repair(words)
-        total = accumulator.total(self.aggregation_reducer)
+            accumulator.fold_repair(repair)
+        total = kernels.widen(accumulator.total(self.aggregation_reducer), accumulator.width)
         count = len(state.counted)
         state.result = RoundResult(
             round_id=round_id,

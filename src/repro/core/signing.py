@@ -8,8 +8,9 @@ and returns it to the client for transmission to the service."
 A :class:`SignedContribution` binds, under the service-provisioned key:
 
 * the payload — a blinded ring vector or a plaintext float vector, each
-  packed as the 8-byte big-endian values that travel (u64 words or
-  IEEE-754 doubles; :mod:`repro.perf.kernels`),
+  packed as the big-endian values that travel: ring words at the width
+  the round's sum needs (:func:`~repro.crypto.fixedpoint.ring_width`),
+  doubles at 8 bytes (:mod:`repro.perf.kernels`),
 * the round id and a fresh nonce (replay protection at the service),
 * the validation confidence,
 * whether the payload is blinded.
@@ -22,17 +23,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.codec import ROUND_ID, Bool, Bytes, Fraction, Optional, Packed, wire
+from repro.codec import ROUND_ID, Bool, Bytes, Fraction, Optional, Packed, Words, wire
+from repro.crypto.fixedpoint import RING_WIDTHS
 from repro.crypto.hashing import hash_items
 from repro.crypto.schnorr import SchnorrKeyPair, SchnorrPublicKey, SchnorrSignature
 from repro.errors import CryptoError
+
+RING_WORDS = Words(RING_WIDTHS)
+"""A ring payload's declaration: whole words at some round's width."""
 
 CONFIDENCE_SCALE = 10_000
 """The signature covers the confidence in whole 1/10,000ths, as a u16."""
 
 
 @wire(
-    0x8101, round_id=ROUND_ID, nonce=Bytes(16), blinded=Bool, ring_payload=Optional(Packed()),
+    0x8101, round_id=ROUND_ID, nonce=Bytes(16), blinded=Bool, ring_payload=Optional(RING_WORDS),
     plain_payload=Optional(Packed(finite=True)), confidence=Fraction(CONFIDENCE_SCALE),
     signature=SchnorrSignature,
 )
@@ -41,11 +46,12 @@ class SignedContribution:
     """What leaves the Glimmer for the service.
 
     The payload fields carry the very bytes the signature's digest covers:
-    ``ring_payload`` is big-endian u64 words
-    (:func:`~repro.perf.kernels.be_words_to_bytes`), ``plain_payload``
-    big-endian doubles (:func:`~repro.perf.kernels.be_doubles_to_bytes`),
-    8·k bytes each with no count prefix.  A word outside the ring has no
-    spelling, so one signature covers exactly one payload.  ``confidence``
+    ``ring_payload`` is the blinded words' residues at the round's width
+    ``w`` (:func:`~repro.perf.kernels.pack_words`), w·k bytes,
+    ``plain_payload`` big-endian doubles
+    (:func:`~repro.perf.kernels.be_doubles_to_bytes`), 8·k bytes, each with
+    no count prefix.  A residue has one spelling at its width, so one
+    signature covers exactly one payload.  ``confidence``
     is the multiple of 1/10,000 the digest signs, and crosses as that
     numerator: a value between two quanta has no spelling, so one
     signature covers exactly one confidence too.
@@ -80,16 +86,21 @@ def contribution_digest(
 ) -> bytes:
     """Canonical digest the signature covers.
 
-    The packed payload is hashed as carried, behind a 4-byte count of its
-    8-byte values — the length-prefixed vector encoding every signature
-    has always covered, so the digest of given words or floats is
-    unchanged.
+    The packed payload is hashed as carried, behind a 4-byte count: of
+    its 8-byte doubles for a plain payload, of its bytes for a ring
+    payload, whose word width is its round's.
     """
     if (ring_payload is None) == (plain_payload is None):
         raise CryptoError("exactly one of ring/plain payload must be present")
-    packed = ring_payload if ring_payload is not None else plain_payload
-    if type(packed) is not bytes or len(packed) % 8:
-        raise CryptoError("a payload is packed bytes of whole 8-byte values")
+    if ring_payload is not None:
+        if RING_WORDS(ring_payload):
+            raise CryptoError("a ring payload is packed bytes of whole ring words")
+        packed, count = ring_payload, len(ring_payload)
+    else:
+        packed = plain_payload
+        if type(packed) is not bytes or len(packed) % 8:
+            raise CryptoError("a payload is packed bytes of whole 8-byte values")
+        count = len(packed) // 8
     return hash_items(
         "signed-contribution",
         [
@@ -97,7 +108,7 @@ def contribution_digest(
             nonce,
             b"\x01" if blinded else b"\x00",
             b"ring" if ring_payload is not None else b"plain",
-            (len(packed) // 8).to_bytes(4, "big") + packed,
+            count.to_bytes(4, "big") + packed,
             round(confidence * CONFIDENCE_SCALE).to_bytes(2, "big"),
         ],
     )

@@ -23,9 +23,13 @@ from typing import Callable, Protocol, Sequence
 from repro.codec import Optional, wire
 from repro.errors import ConfigurationError
 from repro.workloads.geo import UserGeoContext
+from repro.workloads.reviews import UserShoppingContext
 
 
-@wire(0x810A, geo_context=Optional(UserGeoContext), extra=dict)
+@wire(
+    0x810A, geo_context=Optional(UserGeoContext),
+    shopping_context=Optional(UserShoppingContext), extra=dict,
+)
 @dataclass
 class PrivateContext:
     """Private validation data the Glimmer requested from the host.

@@ -4,6 +4,10 @@ Blinding (§3) operates on integers modulo ``2^64``: masks cancel exactly only
 in modular arithmetic.  Model weights are floats, so every protocol in this
 library encodes them as scaled integers first.  The codec is exact for the
 quantization it advertises and round-trips any value within its range.
+
+A round's blinded words cross at :func:`ring_width` bytes each, their
+residues mod ``2^(8·w)``: the fewest bytes that still hold the round's
+whole sum, which the codec's ``bound`` and ``scale`` fix.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.codec import MAX_PARTIES
 from repro.errors import ConfigurationError
 from repro.perf import kernels
 
@@ -94,3 +99,25 @@ class FixedPointCodec:
             if len(vector) != length:
                 raise ConfigurationError("vector length mismatch")
         return kernels.ring_sum_rows(vectors).tolist()
+
+
+def ring_width(parties: int) -> int:
+    """w(n): the bytes a blinded word of an ``n``-party round crosses in.
+
+    The fewest whole bytes ``w`` with ``n · bound · scale < 2^(8w − 1)``:
+    the sum of ``n`` contributions, each at most ``bound · scale`` in
+    magnitude, then survives reduction mod ``2^(8w)`` and sign extension
+    (:func:`repro.perf.kernels.widen`) bit for bit.  5 bytes for up to 7
+    parties, 6 up to 2,047, 7 up to 524,287, and 8 — the whole ``Z/2^64``
+    word — beyond.
+    """
+    if parties < 1:
+        raise ConfigurationError(f"a round has at least one party, not {parties}")
+    width = (parties * FixedPointCodec.bound * FixedPointCodec.scale).bit_length() // 8 + 1
+    if width > 8:
+        raise ConfigurationError(f"{parties} parties' sum does not fit Z/2^64")
+    return width
+
+
+#: Every width a round's words cross at, one party's to ``MAX_PARTIES``'.
+RING_WIDTHS = tuple(range(ring_width(1), ring_width(MAX_PARTIES) + 1))

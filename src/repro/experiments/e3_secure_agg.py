@@ -28,11 +28,12 @@ import numpy as np
 from repro.analysis.reporting import Table
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.dh import TEST_GROUP
-from repro.crypto.fixedpoint import FixedPointCodec
+from repro.crypto.fixedpoint import FixedPointCodec, ring_width
 from repro.crypto.secagg import SecureAggregationClient, SecureAggregationServer
 from repro.experiments.common import Deployment
 from repro.federated.inversion import InversionAttacker
 from repro.network.adversary import EavesdropAdversary
+from repro.perf import kernels
 from repro.runtime.messages import KIND_SUBMIT, client_endpoint
 from repro.workloads.text import stance_evidence
 
@@ -59,7 +60,10 @@ class SecureAggResult:
 
 
 def _captured_blinded(eavesdropper, codec, round_id, user_ids):
-    """Per-user blinded vectors as an on-path observer decoded them."""
+    """Per-user blinded vectors as an on-path observer decoded them: each
+    word read at the round's width and sign-extended, as the service
+    reads the sum."""
+    width = ring_width(len(user_ids))
     blinded: dict[str, np.ndarray] = {}
     for message in eavesdropper.captured:
         if message.kind != KIND_SUBMIT:
@@ -69,8 +73,9 @@ def _captured_blinded(eavesdropper, codec, round_id, user_ids):
             continue
         for user_id in user_ids:
             if message.sender == client_endpoint(user_id):
+                words = kernels.unpack_words(contribution.ring_payload, width)
                 blinded.setdefault(
-                    user_id, np.array(codec.decode(contribution.ring_payload))
+                    user_id, np.array(codec.decode(kernels.widen(words, width)))
                 )
     return blinded
 

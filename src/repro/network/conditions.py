@@ -513,8 +513,10 @@ class LinkConditions(NetworkAdversary):
     ) -> Message | None:
         """Mutate a submission the way skewed firmware would.
 
-        Every mutation fails a check ``SignedContribution`` declares, so
-        decoding it at the service refuses it as attributable Byzantine
+        Every mutation fails a check at the service's wire — one
+        ``SignedContribution`` declares, or, for a torn payload that some
+        other word width happens to divide, whole words at the round's
+        width — so the service refuses it as attributable Byzantine
         evidence and the slot degrades into §3 dropout repair — corruption
         is *detected*, never silently aggregated.
         """
@@ -529,7 +531,7 @@ class LinkConditions(NetworkAdversary):
                     contribution, nonce=contribution.nonce + b"\xff"
                 )
             elif mutation == "ring" and contribution.ring_payload:
-                # A torn final word: no longer whole 8-byte words.
+                # A torn final word: no longer whole words at the round's width.
                 mutated = replace(
                     contribution, ring_payload=contribution.ring_payload[:-1]
                 )

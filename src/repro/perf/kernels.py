@@ -6,14 +6,22 @@ commitment and sum.  Native ``np.uint64`` arithmetic wraps modulo
 bit-exact against the ``(x op y) % 2**64`` scalar definition, including
 multi-term sums whose intermediate totals overflow 64 bits.
 
-Ring vectors arrive from the wire packed: ``bytes`` of big-endian u64
-words (:func:`be_words_to_bytes`), which :func:`as_ring` reads with one
-``np.frombuffer``.  Python-int sequences from in-process callers convert
-the same way (falling back to an explicit ``% 2**64`` pass for
-out-of-range values, matching scalar semantics), so downstream phases
-run O(1) array operations instead of O(length) interpreter loops.
+Masks, commitments and openings travel packed as ``bytes`` of
+big-endian u64 words (:func:`be_words_to_bytes`), which :func:`as_ring`
+reads with one ``np.frombuffer``.  Python-int sequences from in-process
+callers convert the same way (falling back to an explicit ``% 2**64``
+pass for out-of-range values, matching scalar semantics), so downstream
+phases run O(1) array operations instead of O(length) interpreter loops.
 Float vectors travel as big-endian IEEE-754 doubles
 (:func:`be_doubles_to_bytes` / :func:`be_doubles`).
+
+A blinded contribution and the §3 repair cross narrower: each word as
+its residue mod ``2^(8·w)`` in ``w`` big-endian bytes
+(:func:`pack_words` / :func:`unpack_words`), where ``w`` is the width the
+round's sum needs (:func:`repro.crypto.fixedpoint.ring_width`).
+Reduction mod ``2^(8·w)`` is a ring homomorphism from ``Z/2^64``, so
+residues fold in ``uint64`` like any words, and :func:`widen` turns the
+folded total back into the 64-bit sum by sign extension.
 """
 
 from __future__ import annotations
@@ -49,6 +57,34 @@ def be_words(payload: bytes) -> np.ndarray:
     length is not a multiple of 8.
     """
     return _unpack(payload, BE_U64).astype(U64)
+
+
+def unpack_words(payload: bytes, width: int) -> np.ndarray:
+    """The ``np.uint64`` residues of ring words packed ``width`` bytes each.
+
+    Inverse of :func:`pack_words`: each word is zero-extended, so it is
+    its residue mod ``2^(8·width)``.  Raises ``ValueError`` when the
+    length is not whole ``width``-byte words.
+    """
+    if len(payload) % width:
+        raise ValueError(
+            f"a packed vector is whole {width}-byte words, not {len(payload)} bytes"
+        )
+    narrow = np.frombuffer(payload, dtype=np.uint8).reshape(-1, width)
+    wide = np.zeros((len(narrow), 8), dtype=np.uint8)
+    wide[:, 8 - width:] = narrow
+    return wide.view(BE_U64).ravel().astype(U64)
+
+
+def widen(words: np.ndarray, width: int) -> np.ndarray:
+    """Words reduced mod ``2^(8·width)`` and sign-extended to 64 bits.
+
+    A folded total of :func:`unpack_words` residues is the 64-bit ring
+    sum's residue; when that sum's signed value fits ``8·width`` bits,
+    this returns it exactly.  ``width == 8`` is the identity.
+    """
+    shift = np.uint64(64 - 8 * width)
+    return ((as_ring(words) << shift).view(np.int64) >> np.int64(shift)).view(U64)
 
 
 def be_doubles(payload: bytes) -> np.ndarray:
@@ -199,6 +235,14 @@ def be_words_to_bytes(words: Sequence[int] | np.ndarray | bytes) -> bytes:
     except (OverflowError, TypeError, ValueError):
         return b"".join(int(v).to_bytes(8, "big") for v in words)
     return arr.astype(BE_U64, copy=False).tobytes()
+
+
+def pack_words(words: Sequence[int] | np.ndarray | bytes, width: int) -> bytes:
+    """Each ring word's residue mod ``2^(8·width)``, big-endian, ``width``
+    bytes a word, in one pass; at ``width == 8`` the bytes
+    :func:`be_words_to_bytes` packs."""
+    full = as_ring(words).astype(BE_U64).view(np.uint8).reshape(-1, 8)
+    return full[:, 8 - width:].tobytes()
 
 
 def bytes_to_be_words(payload: bytes) -> tuple[int, ...]:

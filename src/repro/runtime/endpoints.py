@@ -32,10 +32,12 @@ from typing import TYPE_CHECKING
 from repro.core.client import mask_delivery
 from repro.core.glimmer import received_features
 from repro.errors import (
+    VIOLATION_MALFORMED,
     CryptoError,
     EnclaveError,
     NetworkError,
     ProtocolError,
+    RefusedAtWire,
     ValidationError,
 )
 from repro.faults import (
@@ -90,21 +92,26 @@ class ServiceEndpoint(_Endpoint):
         #: round -> nonce -> verdict, for answering retransmissions.
         self._submit_results: dict[int, dict[bytes, bool]] = {}
 
-    def _handle_open(self, message: Message):
+    def _handle_open(self, message: Message) -> m.OpenServiceRound:
+        """Open the round and ack with it as opened (a retransmission that
+        finds the earlier attempt's round open acks with that round)."""
         request: m.OpenServiceRound = message.payload
-        if message.attempt > 1:
-            try:
-                self.service.round_state(request.round_id)
-            except ProtocolError:
-                pass
-            else:
-                return True  # the earlier attempt's open landed; ack again
-        self.service.open_round(
+        state = self._open_state(request.round_id) if message.attempt > 1 else None
+        if state is None:
+            self.service.open_round(
+                request.round_id,
+                request.expected_parties,
+                subgroup_size=request.subgroup_size,
+                vector_length=request.vector_length,
+            )
+            state = self.service.round_state(request.round_id)
+        plan = state.accumulator.plan
+        return m.OpenServiceRound(
             request.round_id,
-            request.expected_parties,
-            subgroup_size=request.subgroup_size,
+            plan.num_slots,
+            state.accumulator.length,
+            0 if state.retain else plan.group_size,
         )
-        return True
 
     def _handle_submit(self, message: Message) -> bool:
         request: m.SubmitContribution = message.payload
@@ -125,6 +132,26 @@ class ServiceEndpoint(_Endpoint):
             retransmit=message.attempt > 1,
         )
 
+    def _open_state(self, round_id: int):
+        """The service's state of an open round, or ``None``."""
+        try:
+            return self.service.round_state(round_id)
+        except ProtocolError:
+            return None
+
+    def _torn(self, round_id: int, words) -> str | None:
+        """What is wrong with ring words that are not whole words at their
+        round's width (:func:`~repro.crypto.fixedpoint.ring_width` of its
+        party count), if anything; a round that is not open is left to the
+        handler to refuse."""
+        state = self._open_state(round_id)
+        if state is None or type(words) is not bytes:
+            return None
+        width = state.accumulator.width
+        if len(words) % width:
+            return f"{len(words)} bytes are not whole {width}-byte ring words"
+        return None
+
     def admit(
         self,
         round_id: int,
@@ -141,10 +168,23 @@ class ServiceEndpoint(_Endpoint):
         once — off the wire (:meth:`_handle_submit`) or from the pool
         merge, which sets ``verified`` when a worker already checked the
         Glimmer signature (``CloudService.submit_verified``).  Raises
-        :class:`ProtocolViolation` when the monitor refuses the sender.
+        :class:`ProtocolViolation` when the monitor refuses the sender, or
+        when the ring words past its gate are not whole words at the
+        round's width: a malformed message, blamed on its sender as a
+        torn frame is at decode.  Whole words of another count are the
+        service's ``malformed-payload``.
         """
         nonce = contribution.nonce
         self.monitor.check_submit(round_id, sender, slot, nonce, retransmit=retransmit)
+        # A contribution naming another round is the service's
+        # ``wrong-round``, whatever its words' width.
+        torn = contribution.round_id == round_id and self._torn(
+            round_id, contribution.ring_payload
+        )
+        if torn:
+            raise self.monitor.reject(
+                round_id, sender, VIOLATION_MALFORMED, f"submission from {sender!r}: {torn}"
+            )
         submit = self.service.submit_verified if verified else self.service.submit
         accepted = submit(round_id, contribution, slot=slot)
         self._submit_results.setdefault(round_id, {})[nonce] = accepted
@@ -165,6 +205,13 @@ class ServiceEndpoint(_Endpoint):
 
     def _handle_finalize(self, message: Message):
         request: m.FinalizeRound = message.payload
+        torn = self._torn(request.round_id, request.repair)
+        if torn:
+            raise RefusedAtWire(
+                f"{message.kind} from {message.sender!r}: {torn}",
+                offender=message.sender,
+                round_id=request.round_id,
+            )
         return self.service.finalize_blinded_round(
             request.round_id, request.repair, request.repaired
         )

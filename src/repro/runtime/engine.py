@@ -55,6 +55,7 @@ from repro.crypto.commitments import (
     verify_opening,
 )
 from repro.crypto.drbg import HmacDrbg
+from repro.crypto.fixedpoint import ring_width
 from repro.crypto.schnorr import batch_verify as batch_verify_signatures
 from repro.perf import kernels
 from repro.errors import (
@@ -531,18 +532,25 @@ class RoundEngine:
             record.commitments = self._vetted_commitments(
                 record, published, num_slots, vector_length
             )
-            self.call_with_retry(
-                record,
-                ENGINE,
-                SERVICE,
-                m.KIND_OPEN_SERVICE,
-                m.OpenServiceRound(round_id, num_slots, record.subgroup_size),
+            sent = m.OpenServiceRound(
+                round_id, num_slots, vector_length, record.subgroup_size
+            )
+            opened = self.call_with_retry(
+                record, ENGINE, SERVICE, m.KIND_OPEN_SERVICE, sent
             )
         except RefusedAtWire as exc:
             # Already recorded against the leg's sender by call_with_retry:
             # the engine, for its own command rewritten on the way, or the
             # responder, for a reply that fails its declared checks.
             raise self._abort(record, f"round open was refused at the wire: {exc}")
+        if opened != sent:
+            # The service holds another round than the one sent — its width
+            # or its count, which it would read every contribution at.  As
+            # for a command refused at the wire, the blame is the engine's
+            # leg, before any device is provisioned and could be blamed.
+            detail = f"the service opened {opened!r} where the engine sent {sent!r}"
+            self.monitor.record(round_id, ENGINE, VIOLATION_MALFORMED, detail)
+            raise self._abort(record, f"round open did not land as sent: {detail}")
 
     def _vetted_commitments(
         self, record: _RoundRecord, published, num_slots: int, vector_length: int
@@ -847,7 +855,9 @@ class RoundEngine:
         partials (associative, so the very integers the flat sum yields)."""
         request = m.FinalizeRound(
             record.round_id,
-            repair=None if repair is None else kernels.be_words_to_bytes(repair),
+            repair=None if repair is None else kernels.pack_words(
+                repair, ring_width(record.num_slots)
+            ),
             repaired=repaired,
         )
         if not record.route.pool:
@@ -1024,6 +1034,13 @@ class RoundEngine:
                 f"contribution count {result.num_contributions} != "
                 f"{aggregated} aggregated"
             )
+        length = record.commitments.vector_length
+        if len(result.aggregate) != length:
+            # A service folding at another width than the round's reads
+            # another count of words: caught here on either route.
+            problems.append(
+                f"aggregate of {len(result.aggregate)} values, not the round's {length}"
+            )
         if result.num_dropouts_repaired != repaired:
             problems.append(
                 f"repair count {result.num_dropouts_repaired} != "
@@ -1063,7 +1080,9 @@ class RoundEngine:
                         break
         if not problems and accepted:
             try:
-                expected = self._recompute_aggregate(accepted, repair)
+                expected = self._recompute_aggregate(
+                    accepted, repair, ring_width(record.num_slots)
+                )
             except (TypeError, ValueError) as exc:
                 problems.append(f"the audit trail cannot be recomputed: {exc}")
             else:
@@ -1078,14 +1097,18 @@ class RoundEngine:
                 record, f"service finalize result failed the audit: {detail}"
             )
 
-    def _recompute_aggregate(self, accepted, repair):
+    def _recompute_aggregate(self, accepted, repair, width: int):
         # Chunked accumulate: the audit only needs the sum, so the full
         # cohort matrix is never materialized here either.  ``repair`` is
-        # the summed repair the service was sent, not a second sum.
-        total = kernels.ring_accumulate(c.ring_payload for c in accepted)
+        # the summed repair the service was sent, not a second sum; its
+        # 64-bit words fold with the payloads' residues at ``width``, and
+        # the total widens back to the 64-bit sum as the service's does.
+        total = kernels.ring_accumulate(
+            kernels.unpack_words(c.ring_payload, width) for c in accepted
+        )
         if repair is not None:
             total = total + repair
-        return self.codec.decode(total) / len(accepted)
+        return self.codec.decode(kernels.widen(total, width)) / len(accepted)
 
     def _close_round_clients(self, record: _RoundRecord) -> None:
         """Best-effort teardown: tell provisioned clients to purge the round.

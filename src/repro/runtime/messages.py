@@ -8,12 +8,15 @@ example).  Payloads are frozen dataclasses registered with
 object references, so the bus prices the length of each frame that
 crosses and adversaries capture or tamper with them meaningfully.
 
-Every numeric vector travels packed, as ``bytes`` of 8-byte big-endian
-values with no count prefix: ring words as u64
-(:func:`repro.perf.kernels.be_words_to_bytes`) and floats as IEEE-754
-doubles (:func:`repro.perf.kernels.be_doubles_to_bytes`).  A vector's size
-on the wire is then 8·k whatever it holds, and the signed contribution
-carries the exact bytes its signature covers.
+Every numeric vector travels packed, as ``bytes`` of big-endian values
+with no count prefix: floats as 8-byte IEEE-754 doubles
+(:func:`repro.perf.kernels.be_doubles_to_bytes`), and a blinded
+contribution's words and the §3 repair as their residues at the width
+the round's sum needs (:func:`repro.perf.kernels.pack_words`, at
+:func:`repro.crypto.fixedpoint.ring_width` of its party count: 5 bytes
+for up to 7 parties, 6 up to 2,047, 7 up to 524,287, then 8).  A
+vector's size on the wire is then w·k whatever it holds, and the signed
+contribution carries the exact bytes its signature covers.
 """
 
 from __future__ import annotations
@@ -21,9 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.codec import (
-    LENGTH, PARTIES, ROUND_ID, SIZE, SLOT, Bytes, Element, Named, Optional, Packed, wire,
+    LENGTH, PARTIES, ROUND_ID, SIZE, SLOT, Bytes, Element, Named, Optional, wire,
 )
-from repro.core.signing import SignedContribution
+from repro.core.signing import RING_WORDS, SignedContribution
 from repro.crypto.commitments import MaskCommitmentRecord
 from repro.crypto.dh import GROUPS, DHGroup
 from repro.sgx.attestation import Quote
@@ -73,17 +76,25 @@ class OpenBlinderRound:
     subgroup_size: int = 0
 
 
-@wire(0x8002, round_id=ROUND_ID, expected_parties=PARTIES, subgroup_size=SIZE)
+@wire(
+    0x8002, round_id=ROUND_ID, expected_parties=PARTIES, vector_length=LENGTH,
+    subgroup_size=SIZE,
+)
 @dataclass(frozen=True)
 class OpenServiceRound:
     """Ask the cloud service to start accepting blinded contributions.
 
-    ``subgroup_size > 0`` opens a streaming round: submissions fold into
-    per-subgroup accumulators on arrival and raw vectors are released.
+    ``expected_parties`` fixes the width the round's words cross at and
+    ``vector_length`` how many of them a contribution holds, both before
+    any contribution arrives.  ``subgroup_size > 0`` opens a streaming
+    round: submissions fold into per-subgroup accumulators on arrival and
+    raw vectors are released.  The service acks with the round as it
+    opened it, in this same shape, for the engine to hold to what it sent.
     """
 
     round_id: int
     expected_parties: int
+    vector_length: int
     subgroup_size: int = 0
 
 
@@ -214,14 +225,14 @@ class RevealMask:
     party_index: int
 
 
-@wire(0x8009, round_id=ROUND_ID, repair=Optional(Packed()), repaired=SIZE)
+@wire(0x8009, round_id=ROUND_ID, repair=Optional(RING_WORDS), repaired=SIZE)
 @dataclass(frozen=True)
 class FinalizeRound:
     """Close a round at the service, handing over its §3 repair.
 
     ``repair`` is the ring sum of the ``repaired`` dropped slots' verified
-    masks as packed big-endian u64 words, or ``None`` when no slot
-    dropped.  Under sum-zero blinding the sum is all the service needs to
+    masks, packed at the round's width like a contribution's words, or
+    ``None`` when no slot dropped.  Under sum-zero blinding the sum is all the service needs to
     cancel the missing masks, so it never sees one on its own.
     """
 

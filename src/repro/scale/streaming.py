@@ -9,8 +9,12 @@ the engine's audit, and quarantine eviction takes a row back out with
 raw vector at admission, so its resident state is O(n/g · k),
 independent of how many submissions stream past.
 
-Exactness is structural: ``uint64`` addition wraps mod ``2^64``, the
-ring of every sum, and ring addition is associative and commutative,
+A packed row arrives as its words' residues at the round's width
+(:func:`~repro.crypto.fixedpoint.ring_width` of the plan's slot count)
+and folds zero-extended.  Exactness is structural: ``uint64`` addition
+wraps mod ``2^64``, and reduction to the width is a ring homomorphism,
+so residues and whole words fold alike (:func:`~repro.perf.kernels.widen`
+reads the total back), and ring addition is associative and commutative,
 so fold-on-arrival into any partition and a final merge produce the *same integers* as stacking all rows and summing —
 the same argument that makes :class:`repro.scale.shard.
 ShardedRingReducer` a drop-in.  The merge itself reuses that reducer:
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.crypto.fixedpoint import ring_width
 from repro.errors import ConfigurationError
 from repro.perf import kernels
 from repro.scale.subgroup import SubgroupPlan
@@ -30,9 +35,15 @@ from repro.scale.subgroup import SubgroupPlan
 class StreamingSubgroupAccumulator:
     """Fold ring vectors into per-subgroup partial sums, arrival order."""
 
-    def __init__(self, plan: SubgroupPlan) -> None:
+    def __init__(self, plan: SubgroupPlan, length: int | None = None) -> None:
+        """``length`` fixes the words a row holds before any row folds;
+        ``None`` lets the first row fix it."""
         self.plan = plan
+        #: The bytes a packed row's words cross at.
+        self.width = ring_width(plan.num_slots)
         self._partials: np.ndarray | None = None
+        if length is not None:
+            self._partials = np.zeros((plan.num_groups, length), dtype=kernels.U64)
         self.group_counts = np.zeros(plan.num_groups, dtype=np.int64)
         self.folded = 0
         self.repairs_folded = 0
@@ -42,7 +53,15 @@ class StreamingSubgroupAccumulator:
         return None if self._partials is None else self._partials.shape[1]
 
     def _row(self, values) -> np.ndarray:
-        row = kernels.as_ring(values)
+        """A row to fold: packed residues at the round's width (a length
+        that is not whole words is a ``ConfigurationError``), or words."""
+        if isinstance(values, bytes):
+            try:
+                row = kernels.unpack_words(values, self.width)
+            except ValueError as exc:
+                raise ConfigurationError(str(exc)) from None
+        else:
+            row = kernels.as_ring(values)
         if self._partials is None:
             self._partials = np.zeros(
                 (self.plan.num_groups, len(row)), dtype=kernels.U64

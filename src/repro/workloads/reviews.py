@@ -14,14 +14,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.codec import wire
+from repro.codec import Bool, ListOf, Str, wire
 from repro.crypto.drbg import HmacDrbg
 from repro.errors import ConfigurationError
 
 _PRODUCTS = tuple(f"product-{i:03d}" for i in range(40))
 
 
-@wire(0x8209)
+@wire(0x8209, product_id=Str, timestamp_ms=float)
 @dataclass(frozen=True)
 class Purchase:
     """A record in the user's private purchase history."""
@@ -30,7 +30,10 @@ class Purchase:
     timestamp_ms: float
 
 
-@wire(0x820A)
+@wire(
+    0x820A, review_id=Str, user_id=Str, product_id=Str, rating=int, posted_at_ms=float,
+    is_spurious=Bool,
+)
 @dataclass(frozen=True)
 class Review:
     """A submitted review (the contribution)."""
@@ -43,7 +46,7 @@ class Review:
     is_spurious: bool  # ground truth
 
 
-@wire(0x820B)
+@wire(0x820B, user_id=Str, purchases=ListOf(Purchase))
 @dataclass
 class UserShoppingContext:
     """Private validation data: the purchase history."""

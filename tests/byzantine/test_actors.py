@@ -158,8 +158,8 @@ def test_forgery_no_float_can_hold_is_blamed_on_the_forger(monkeypatch, forgery)
     monkeypatch.setattr(
         actors,
         "forged_contribution",
-        lambda client, round_id, values: replace(
-            forged_contribution(client, round_id, values), **forgery
+        lambda client, round_id, values, parties: replace(
+            forged_contribution(client, round_id, values, parties), **forgery
         ),
     )
     result = _run(deployment, _single(ATTACK_FORGE, target))
@@ -225,14 +225,17 @@ class _SmugglingAggregator:
             self.kept = result.accepted[0]
             return result
         accepted = result.accepted + (self.kept,)
+        width = self.inner.round_state(round_id).accumulator.width
         total = kernels.ring_accumulate(
-            [c.ring_payload for c in accepted] + ([repair] if repair is not None else [])
+            kernels.unpack_words(words, width)
+            for words in [c.ring_payload for c in accepted] + [repair]
+            if words is not None
         )
         return replace(
             result,
             accepted=accepted,
             num_contributions=len(accepted),
-            aggregate=self.codec.decode(total) / len(accepted),
+            aggregate=self.codec.decode(kernels.widen(total, width)) / len(accepted),
         )
 
 

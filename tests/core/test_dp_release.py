@@ -7,6 +7,7 @@ from repro.analysis.privacy import gaussian_epsilon
 from repro.core.glimmer import GlimmerConfig, pack_features
 from repro.errors import ConfigurationError
 from repro.experiments.common import Deployment
+from tests.core.conftest import unblinded
 
 
 def test_dp_sigma_part_of_measurement():
@@ -75,14 +76,10 @@ def test_noise_is_enclave_private():
     signed = deployment.clients[user_id].contribute(
         1, vector, pack_features(deployment.features.bigrams)
     )
-    from repro.crypto.masking import remove_mask
-
     mask = deployment.blinder_provisioner.reveal_dropout_mask(1, 0)
-    unblinded = deployment.codec.decode(
-        remove_mask(signed.ring_payload, list(mask))
-    )
+    noised = deployment.codec.decode(unblinded(signed.ring_payload, mask.mask, 1))
     # What comes out is x + noise, not x.
-    assert float(np.max(np.abs(np.array(unblinded) - np.array(vector)))) > 0.01
+    assert float(np.max(np.abs(np.array(noised) - np.array(vector)))) > 0.01
 
 
 def test_validation_runs_on_raw_values_not_noised():

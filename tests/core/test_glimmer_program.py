@@ -9,7 +9,7 @@ from repro.core.glimmer import (
     features_digest,
     pack_features,
 )
-from repro.crypto.masking import remove_mask
+from repro.crypto.fixedpoint import ring_width
 from repro.crypto.schnorr import SchnorrKeyPair
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.dh import TEST_GROUP
@@ -25,6 +25,8 @@ from repro.experiments.common import Deployment
 from repro.runtime.telemetry import OUTCOME_CRASHED
 from repro.workloads.geo import GeoWorkload, PhotoSubmission, TrackPoint, UserGeoContext
 from repro.workloads.keyboard import KeyEvent, KeystrokeTrace, trace_for_sentences
+from repro.workloads.reviews import Purchase, Review, ReviewWorkload, UserShoppingContext
+from tests.core.conftest import unblinded
 
 
 @pytest.fixture
@@ -98,11 +100,11 @@ def test_process_blinded_contribution_hides_values(round_setup):
     assert signed.blinded
     assert signed.plain_payload is None
     encoded = deployment.codec.encode(values)
-    assert kernels.bytes_to_be_words(signed.ring_payload) != tuple(encoded)
+    assert signed.ring_payload != kernels.pack_words(encoded, ring_width(len(user_ids)))
     # The mask provisioned for party 0 recovers the true values.
     mask = deployment.blinder_provisioner.reveal_dropout_mask(1, 0)
     recovered = deployment.codec.decode(
-        remove_mask(signed.ring_payload, list(mask))
+        unblinded(signed.ring_payload, mask.mask, len(user_ids))
     )
     assert list(recovered) == pytest.approx(values)
 
@@ -299,6 +301,24 @@ def _geo_round(lie=None):
     return deployment, users
 
 
+def _purchase_round(lie=None):
+    """Round 1 under the purchase predicate, every device holding its own
+    history and one honest review of a product in it; ``lie`` as in
+    :func:`_keystroke_round`."""
+    deployment = Deployment.build(num_users=4, predicate_spec="purchase")
+    users = [user.user_id for user in deployment.corpus.users]
+    workload = ReviewWorkload.generate(
+        len(users), HmacDrbg(b"purchase-probe"), reviews_per_user=1, spurious_fraction=0.0
+    )
+    for user, context, review in zip(users, workload.contexts.values(), workload.reviews):
+        deployment.clients[user].data.shopping_context = context
+        deployment.clients[user].data.extra = {"review": review}
+    if lie is not None:
+        deployment.clients[users[0]].data.context_for = lambda fields: lie
+    deployment.honest_round(1)
+    return deployment, users
+
+
 def _assert_only_the_lying_device_is_down(lie, run_round=_keystroke_round):
     honest, users = run_round()
     lied, __ = run_round(lie)
@@ -339,3 +359,35 @@ def test_a_geo_track_that_fails_its_checks_downs_only_its_device():
         extra={"submission": PhotoSubmission("p", "u", 0.0, 0.0, 0.0, b"x", False)},
     )
     _assert_only_the_lying_device_is_down(lie, _geo_round)
+
+
+def test_a_purchase_history_that_fails_its_checks_downs_only_its_device():
+    """A history whose purchase time is a string is refused at the crossing
+    by ``Purchase``'s declared fields, not compared with the review's
+    posting time by the purchase predicate (a ``TypeError`` out of the
+    whole round before they were declared)."""
+    lie = PrivateContext(
+        shopping_context=UserShoppingContext("u", [Purchase("product-001", "later")]),
+        extra={"review": Review("r", "u", "product-001", 5, 2.0, False)},
+    )
+    _assert_only_the_lying_device_is_down(lie, _purchase_round)
+
+
+def test_a_restored_glimmer_signs_the_words_an_unrestarted_one_would():
+    """A mask is held narrowed beside its width, and sealed that way: a
+    Glimmer restarted from its checkpoint mid-round blinds to exactly the
+    bytes its unrestarted twin does, at the round's width."""
+    payloads = []
+    for restart in (False, True):
+        deployment = Deployment.build(num_users=8, seed=b"restore-width", sentences_per_user=8)
+        users = [user.user_id for user in deployment.corpus.users]
+        deployment.open_round(1, users)
+        client = deployment.clients[users[0]]
+        if restart:
+            client.crash()
+            assert client.restart() == [1]
+        values = list(deployment.local_vectors()[users[0]])
+        signed = client.contribute(1, values, pack_features(deployment.features.bigrams))
+        payloads.append(signed.ring_payload)
+    assert len(payloads[0]) == ring_width(8) * len(values)
+    assert payloads[0] == payloads[1]

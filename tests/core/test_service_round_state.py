@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core.glimmer import pack_features
+from repro.crypto.fixedpoint import ring_width
 from repro.experiments.common import Deployment
 from repro.invariants import exact_mean
 from repro.perf import kernels
@@ -44,9 +45,13 @@ def _open(route):
     return deployment, users, vectors, signed
 
 
-def _ring_mean(codec, rows, count):
-    """The aggregate recomputed from scratch: ring sum, decode, divide."""
-    total = kernels.ring_sum_rows(np.stack([kernels.as_ring(row) for row in rows]))
+def _ring_mean(codec, payloads, masks, count):
+    """The aggregate recomputed from scratch: the payloads' residues at the
+    round's width and the masks' words, ring sum, widen, decode, divide."""
+    width = ring_width(USERS)
+    rows = [kernels.unpack_words(row, width) for row in payloads]
+    rows += [kernels.as_ring(mask) for mask in masks]
+    total = kernels.widen(kernels.ring_sum_rows(np.stack(rows)), width)
     return codec.decode(total) / count
 
 
@@ -84,9 +89,9 @@ def test_finalize_equals_recomputation_and_exact_mean(route, case, reducer):
     repair = kernels.ring_accumulate(o.mask for o in masks) if masks else None
     result = service.finalize_blinded_round(1, repair, len(masks))
     codec = deployment.codec
-    rows = [signed[slot].ring_payload for slot in counted]
-    rows += [opening.mask for opening in masks]
-    assert np.array_equal(result.aggregate, _ring_mean(codec, rows, len(counted)))
+    payloads = [signed[slot].ring_payload for slot in counted]
+    openings = [opening.mask for opening in masks]
+    assert np.array_equal(result.aggregate, _ring_mean(codec, payloads, openings, len(counted)))
     assert np.array_equal(
         result.aggregate, exact_mean(codec, vectors, [users[s] for s in counted])
     )

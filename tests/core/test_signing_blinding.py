@@ -6,11 +6,12 @@ from repro.core.blinding import BlindingComponent
 from repro.core.signing import SignedContribution, SigningComponent, contribution_digest
 from repro.crypto.dh import TEST_GROUP
 from repro.crypto.drbg import HmacDrbg
-from repro.crypto.fixedpoint import FixedPointCodec
-from repro.crypto.masking import SumZeroMasks, remove_mask
+from repro.crypto.fixedpoint import FixedPointCodec, ring_width
+from repro.crypto.masking import SumZeroMasks
 from repro.crypto.schnorr import SchnorrKeyPair
 from repro.errors import CryptoError, ValidationError
 from repro.perf.kernels import be_doubles_to_bytes as F, be_words_to_bytes as W
+from tests.core.conftest import unblinded
 
 
 @pytest.fixture
@@ -82,11 +83,13 @@ FLOATS = (0.0, -1.5, 0.123, 1e300)
 def test_digest_of_packed_payload_matches_recorded_golden():
     """Packing moved what travels, not what is signed: these digests were
     recorded when the payload still travelled as a tuple and the digest
-    re-encoded it behind its 4-byte count."""
+    re-encoded it behind its 4-byte count.  The ring digest was re-recorded
+    when blinded words began to cross at their round's width: its count is
+    of bytes now, since the digest does not know the width."""
     ring = contribution_digest(7, NONCE, True, W(WORDS), None, 0.75)
     plain = contribution_digest(7, NONCE, False, None, F(FLOATS), 1.0)
     assert ring.hex() == (
-        "0e16a7824c25169dd271373cbcd94e5a2d3e9f2a1ec8b5941cea0f64681aa1ff"
+        "9704a70eb67c45c57b223b57d9a34bd039ad67c3591648c3d1321bda54c0f342"
     )
     assert plain.hex() == (
         "7a32e725772acf4bee7cbe85f6946440a67add6821e94c2af13fb24ca5cef56b"
@@ -113,17 +116,18 @@ def test_blinding_component_roundtrip():
     codec = FixedPointCodec()
     component = BlindingComponent()
     masks = SumZeroMasks.sample(2, 3, HmacDrbg(b"bl"))
-    component.install_mask(7, 0, masks.mask_for(0))
+    component.install_mask(7, 0, masks.mask_for(0), 2)
     blinded = component.blind(7, 0, [0.5, -0.25, 1.0])
-    assert type(blinded) is bytes and len(blinded) == 8 * 3
-    unblinded = codec.decode(remove_mask(blinded, masks.mask_for(0)))
-    assert list(unblinded) == pytest.approx([0.5, -0.25, 1.0])
+    assert type(blinded) is bytes and len(blinded) == ring_width(2) * 3
+    assert list(codec.decode(unblinded(blinded, masks.mask_for(0), 2))) == pytest.approx(
+        [0.5, -0.25, 1.0]
+    )
 
 
 def test_blinding_mask_single_use():
     component = BlindingComponent()
     masks = SumZeroMasks.sample(2, 2, HmacDrbg(b"bl"))
-    component.install_mask(1, 0, masks.mask_for(0))
+    component.install_mask(1, 0, masks.mask_for(0), 2)
     component.blind(1, 0, [0.1, 0.2])
     with pytest.raises(CryptoError):
         component.blind(1, 0, [0.1, 0.2])
@@ -132,11 +136,11 @@ def test_blinding_mask_single_use():
 def test_blinding_double_install_rejected():
     component = BlindingComponent()
     masks = SumZeroMasks.sample(2, 2, HmacDrbg(b"bl"))
-    component.install_mask(1, 0, masks.mask_for(0))
+    component.install_mask(1, 0, masks.mask_for(0), 2)
     with pytest.raises(CryptoError):
-        component.install_mask(1, 0, masks.mask_for(1))
+        component.install_mask(1, 0, masks.mask_for(1), 2)
     # a different party slot in the same round is fine (shared remote Glimmer)
-    component.install_mask(1, 1, masks.mask_for(1))
+    component.install_mask(1, 1, masks.mask_for(1), 2)
 
 
 def test_blinding_missing_mask_rejected():
@@ -150,22 +154,21 @@ def test_blinding_length_mismatch_rejected():
     right-length contribution still blinds with it."""
     component = BlindingComponent()
     masks = SumZeroMasks.sample(2, 2, HmacDrbg(b"bl"))
-    component.install_mask(1, 0, masks.mask_for(0))
+    component.install_mask(1, 0, masks.mask_for(0), 2)
     for wrong in ([0.5, 0.5, 0.5], [0.5]):
         with pytest.raises(ValidationError, match="does not match"):
             component.blind(1, 0, wrong)
         assert component.has_mask(1, 0)
     blinded = component.blind(1, 0, [0.5, 0.25])
     assert not component.has_mask(1, 0)
-    unblinded = FixedPointCodec().decode(remove_mask(blinded, masks.mask_for(0)))
-    assert list(unblinded) == [0.5, 0.25]
+    assert list(FixedPointCodec().decode(unblinded(blinded, masks.mask_for(0), 2))) == [0.5, 0.25]
 
 
 def test_has_mask():
     component = BlindingComponent()
     assert not component.has_mask(1)
     masks = SumZeroMasks.sample(2, 2, HmacDrbg(b"bl"))
-    component.install_mask(1, 0, masks.mask_for(0))
+    component.install_mask(1, 0, masks.mask_for(0), 2)
     assert component.has_mask(1)
     assert not component.has_mask(1, party_index=1)
     component.blind(1, 0, [0.1, 0.2])

@@ -10,7 +10,7 @@ from repro.core.glimmer import GlimmerConfig, ProcessRequest, features_digest, p
 from repro.core.provisioning import BlinderProvisioner, ServiceProvisioner
 from repro.core.split import SplitGlimmer, build_split_images
 from repro.core.validation import PrivateContext
-from repro.crypto.masking import BlindingService, remove_mask
+from repro.crypto.masking import BlindingService
 from repro.errors import (
     AttestationError,
     AuthenticationError,
@@ -22,6 +22,7 @@ from repro.experiments.common import Deployment
 from repro.perf import kernels
 from repro.sgx.attestation import report_data_for
 from repro.sgx.platform import SgxPlatform
+from tests.core.conftest import unblinded
 
 FEATURES = (("a", "b"), ("c", "d"), ("e", "f"))
 VALUES = kernels.be_doubles_to_bytes((0.5, 0.25, 1.0))
@@ -97,7 +98,7 @@ def test_split_end_to_end(split_setup):
     deployment.signing_keypair.public_key.verify(signed.signed_bytes(), signed.signature)
     mask = blinder_prov.blinding.mask_for(1, 0)
     recovered = deployment.codec.decode(
-        remove_mask(signed.ring_payload, mask)
+        unblinded(signed.ring_payload, mask, 1)
     )
     assert list(recovered) == pytest.approx([0.5, 0.25, 1.0])
 
@@ -292,7 +293,7 @@ def test_split_adds_the_measured_dp_noise(split_setup):
         ProcessRequest(round_id=1, values=VALUES, features=pack_features(FEATURES))
     )
     noised = deployment.codec.decode(
-        remove_mask(signed.ring_payload, blinder_prov.blinding.mask_for(1, 0))
+        unblinded(signed.ring_payload, blinder_prov.blinding.mask_for(1, 0), 1)
     )
     assert list(noised) != pytest.approx([0.5, 0.25, 1.0])
 

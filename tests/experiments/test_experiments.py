@@ -62,11 +62,23 @@ def test_e4_poisoning_claims():
 
 def test_e5_pipeline_claims():
     # 10 users: same rationale as E3 — wire-capture inversion guesses are
-    # coin flips, and tiny cohorts make the threshold a dice roll.
+    # coin flips, and tiny cohorts make the threshold a dice roll: one
+    # seed's ten guesses land above 0.75 for about one seed in eighteen.
+    # So the wire claim pools four seeds' forty guesses, where chance
+    # lands above 0.75 less than once in a thousand.  Over 16 seeds
+    # (b"e5" and 15 others) the ten-user mean read 0.556 with blinded
+    # words spelled as 8-byte words and 0.488 with them at the round's
+    # width; b"e5" alone moved from 0.5 to 0.8, a draw of other bytes.
     result = run_experiment("e5", num_users=10)
     assert all(blocked for __, blocked, __ in result.attack_rows)
     assert result.aggregate_error < 1e-3
-    assert result.inversion_on_wire <= 0.75
+    on_wire = [result.inversion_on_wire] + [
+        run_experiment("e5", num_users=10, seed=f"e5-{i}".encode()).inversion_on_wire
+        for i in range(1, 4)
+    ]
+    assert sum(on_wire) / len(on_wire) <= 0.75
+    # The experiment's own cohort of 8 at its own seed: one draw.
+    assert run_experiment("e5").inversion_on_wire <= 0.75
     assert result.inversion_on_plain >= 0.9
     assert result.verdict.outcome == OUTCOME_EXACT  # exact, despite the attacks
     assert result.verdict.report.messages_sent > 0

@@ -509,11 +509,15 @@ def test_wide_streamed_round_is_byte_identical_to_recorded():
     width: the measured config spells each key's group as a one-byte code.
     ``sealed`` alone moved when round ids became u32s: the sealed round
     and the checkpointed commitment records name their round at that
-    width.  ``aggregate`` has never moved.
+    width.  ``signatures`` and ``sealed`` moved when blinded words began to
+    cross at their round's width (6 bytes for these 16 parties): the
+    signatures cover the narrowed words, and the checkpoints hold each
+    mask narrowed, beside its width.  ``root`` did not: masks and
+    commitments stay in ``Z/2^64``.  ``aggregate`` has never moved.
     """
     assert _wide_streamed_round_digests() == {
         "root": "b3dd46a86e0ff8861e7ef3bc9d485dc6e0397dfd07a7eeb4cd329a30d849b223",
-        "sealed": "1ea0b03d716ea2a77d40f266587ba211212e3ab3b1b6e69e7f8cc5e5e2b8272a",
-        "signatures": "0e0fd7c44694b02649ac556aa0b48105293bf7d949ccfc0c9791287b131b683f",
+        "sealed": "0ab5dd7c03ae3f49ae03cab4829071ca096db0a68e3c0988efadc075a124d6f5",
+        "signatures": "9a6b577f821959d5a852d6811a8b8ba1aaa4b5b22a1ac6a2cff559107cbe521c",
         "aggregate": "b8557277e14cafd0f8f2a7befff5613092a335bba97d6d0fa83195c95702b0c2",
     }

@@ -98,7 +98,7 @@ F = kernels.be_doubles_to_bytes
 # One instance of every registered dataclass, by class.
 SAMPLES = {
     m.OpenBlinderRound: m.OpenBlinderRound(1, 192, 77, subgroup_size=8),
-    m.OpenServiceRound: m.OpenServiceRound(1, 192, subgroup_size=0),
+    m.OpenServiceRound: m.OpenServiceRound(1, 192, 77, subgroup_size=0),
     m.ProvisionMask: m.ProvisionMask(RECORD),
     m.MaskRequest: m.MaskRequest(b"\x05" * 16, None, None, 1, 3),
     m.ContributeCommand: m.ContributeCommand(
@@ -161,7 +161,7 @@ SAMPLES = {
     GlimmerConfig: GlimmerConfig(
         "range:0.0:1.0", SERVICE_KEY, SchnorrPublicKey(TEST_GROUP, 49), b"\x0d" * 32, 0.5
     ),
-    RoundCheckpoint: RoundCheckpoint(7, ((0, W((1, 2))), (3, W((4, 5)))), 2),
+    RoundCheckpoint: RoundCheckpoint(7, ((0, (8, W((1, 2)))), (3, (8, W((4, 5))))), 2),
     SealedRound: SealedRound(77, 192, 8, b"\x0e" * 32 * 24, b"\x0f" * 32),
     LinkedContribution: LinkedContribution(7, 2, F((0.5, 0.25)), True, 1.0),
     DetectorWeights: DetectorWeights(),
@@ -538,17 +538,18 @@ def test_declared_fields_frame_at_a_length_their_values_cannot_move(value):
 # group values cross at their group's width.  Round ids are u32s, a steady
 # contribute command carries neither the list nor its digest, and the
 # confidence is its signed u16; before that they were 22, 18, 95, 36, 46,
-# 689, 15 and 10.  Before group values crossed at width, a tagged wide
+# 689, 15 and 10.  A submission's blinded words cross at the round's
+# width, 5 bytes for these 4 parties: 447 where 8-byte words made 678.  Before group values crossed at width, a tagged wide
 # int — a commitment point, a signature's response — made two lengths,
 # 109/114 and 690/695; before fields were spelled at their declared
 # widths: 38, 29, 156/161, 43, 53, 713/718, 16 and 11.
 STEADY_FRAMES = {
     m.KIND_OPEN_BLINDER: {18},
-    m.KIND_OPEN_SERVICE: {14},
+    m.KIND_OPEN_SERVICE: {18},
     m.KIND_PROVISION_MASK: {91},
     m.KIND_MASK_REQUEST: {32},
     m.KIND_CONTRIBUTE: {8},
-    m.KIND_SUBMIT: {678},
+    m.KIND_SUBMIT: {447},
     m.KIND_FINALIZE: {11},
     m.KIND_CLOSE_ROUND: {6},
 }

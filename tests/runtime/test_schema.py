@@ -399,7 +399,7 @@ def checkpoint():
     """A Glimmer and a round checkpoint sealed by it, in its own layout."""
     deployment = Deployment.build(num_users=1, seed=b"schema-fuzz")
     glimmer = next(iter(deployment.clients.values())).glimmer
-    return glimmer, glimmer._api.seal(codec.encode(RoundCheckpoint(7, ((0, bytes(16)),), 0)))
+    return glimmer, glimmer._api.seal(codec.encode(RoundCheckpoint(7, ((0, (8, bytes(16))),), 0)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -417,7 +417,7 @@ def test_a_checkpoint_naming_an_infinite_round_is_malformed(checkpoint):
     checkpoint, not an ``OverflowError`` escaping the enclave."""
     glimmer, _ = checkpoint
     sealed = glimmer._api.seal(
-        codec.encode(RoundCheckpoint(float("inf"), ((0, bytes(16)),), 0))
+        codec.encode(RoundCheckpoint(float("inf"), ((0, (8, bytes(16))),), 0))
     )
     with pytest.raises(EnclaveError, match="malformed round checkpoint"):
         glimmer.ecall("restore_round", sealed)

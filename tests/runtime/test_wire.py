@@ -17,16 +17,26 @@ import pytest
 from repro import codec, invariants
 from repro.codec import Packed
 from repro.core.glimmer import HANDLE_BYTES, deflate_features, features_digest
-from repro.core.signing import SignedContribution
+from repro.core.signing import SignedContribution, SigningComponent
 from repro.crypto.dh import OAKLEY_GROUP_1, TEST_GROUP
+from repro.crypto.fixedpoint import ring_width
 from repro.crypto.schnorr import SchnorrSignature
 from repro.errors import ConfigurationError, ProtocolViolation, RoundAbortedError
 from repro.experiments.common import Deployment
 from repro.network.adversary import EavesdropAdversary, NetworkAdversary
 from repro.perf import kernels
 from repro.runtime import messages as m
-from repro.runtime.protocol import VIOLATION_MALFORMED
-from repro.runtime.telemetry import OUTCOME_QUARANTINED, OUTCOME_UNREACHABLE
+from repro.runtime.protocol import (
+    VIOLATION_MALFORMED,
+    VIOLATION_OUT_OF_PHASE,
+    VIOLATION_QUARANTINED,
+)
+from repro.runtime.telemetry import (
+    OUTCOME_ACCEPTED,
+    OUTCOME_QUARANTINED,
+    OUTCOME_SERVICE_REJECTED,
+    OUTCOME_UNREACHABLE,
+)
 from repro.runtime.wire import blamed, validate_contribution, validate_payload
 from repro.scale import ScaleConfig
 from repro.sgx.attestation import Quote
@@ -432,7 +442,7 @@ def test_packed_vector_accepted(field, value):
         pytest.param(bytearray(16), id="bytearray"),
         pytest.param(memoryview(bytes(16)), id="memoryview"),
         pytest.param(b"", id="empty"),
-        pytest.param(bytes(15), id="torn"),
+        pytest.param(bytes(23), id="torn"),  # no ring word width divides it
         pytest.param(bytes(17), id="trailing-byte"),
         pytest.param(None, id="none"),
     ],
@@ -499,7 +509,7 @@ class RewriteSubmit(NetworkAdversary):
 @pytest.mark.parametrize(
     "rewrite",
     [
-        pytest.param(kernels.bytes_to_be_words, id="tuple"),
+        pytest.param(tuple, id="tuple"),
         pytest.param(lambda words: words[:-1], id="torn"),
         pytest.param(lambda words: b"", id="empty"),
         pytest.param(bytearray, id="bytearray"),
@@ -584,7 +594,7 @@ class RewriteFinalize(NetworkAdversary):
 @pytest.mark.parametrize(
     "rewrite",
     [
-        pytest.param(kernels.bytes_to_be_words, id="tuple"),
+        pytest.param(tuple, id="tuple"),
         pytest.param(lambda words: words[:-1], id="torn"),
     ],
 )
@@ -636,12 +646,13 @@ def test_the_service_receives_one_repair_vector_and_no_dropout_mask():
     finalizes = [sent.payload for sent, _ in delivered if sent.kind == m.KIND_FINALIZE]
     assert len(finalizes) == 1
     assert finalizes[0].repaired == 2
-    assert finalizes[0].repair == kernels.be_words_to_bytes(
-        kernels.ring_accumulate(opening.mask for opening in openings)
+    assert finalizes[0].repair == kernels.pack_words(
+        kernels.ring_accumulate(opening.mask for opening in openings), ring_width(6)
     )
     frames = [codec.encode(sent.payload) for sent, _ in delivered if sent.receiver == m.SERVICE]
     for opening in openings:
-        assert not any(opening.mask in frame for frame in frames)
+        narrowed = kernels.pack_words(opening.mask, ring_width(6))
+        assert not any(opening.mask in frame or narrowed in frame for frame in frames)
 
 
 @pytest.mark.parametrize(
@@ -705,3 +716,169 @@ def _assert_one_malformed_on_the_engine(abort) -> None:
     assert (verdict.outcome, verdict.offenders) == (
         invariants.OUTCOME_DETECTED_ABORT, (m.ENGINE,)
     )
+
+
+# ------------------------------------------------ blinded words at width
+
+
+def _six_byte_round():
+    """Round 1 of 8 parties, whose blinded words cross at 6 bytes, with one
+    device's honest contribution folded.  Its k = 75 words spelled at 8
+    bytes are whole 6-byte words (100 of them), so only the count the
+    round opened with can refuse them."""
+    deployment = Deployment.build(
+        num_users=8, seed=b"wire-width", sentences_per_user=8, max_features=75
+    )
+    users = [user.user_id for user in deployment.corpus.users]
+    assert ring_width(len(users)) == 6 and len(deployment.features) % 3 == 0
+    deployment.open_round(1, users)
+    vectors = deployment.local_vectors()
+    features = deployment.features.bigrams
+    assert deployment.engine.contribute(users[0], 1, list(vectors[users[0]]), features) == (
+        OUTCOME_ACCEPTED
+    )
+    return deployment, users, vectors
+
+
+def test_a_submission_in_8_byte_words_is_malformed_in_a_6_byte_round():
+    """Validly signed, but spelled as 8-byte words where the round's are 6:
+    the admission step books it ``malformed-payload``, blamed on its
+    sender, and the folded total is untouched."""
+    deployment, users, vectors = _six_byte_round()
+    words = deployment.codec.encode(vectors[users[1]])
+    signed = SigningComponent(deployment.signing_keypair).endorse(
+        1, b"\x08" * 16, True, kernels.be_words_to_bytes(words), None, 1.0
+    )
+    assert len(signed.ring_payload) % 6 == 0
+    state = deployment.service.round_state(1)
+    before = state.accumulator.partials()
+    sender = m.client_endpoint(users[1])
+    assert not deployment.engine._service_endpoint.admit(1, sender, 1, signed)
+    assert state.rejected == {"malformed-payload": 1}
+    assert deployment.engine.monitor._round(1).rejected_counts == {sender: 1}
+    assert np.array_equal(state.accumulator.partials(), before)
+
+
+def _lying_host(deployment, user_id: str) -> None:
+    """The device's host hands its Glimmer each mask record naming
+    1,000,000 slots, so the Glimmer narrows at 8 bytes whatever the round's
+    width is (it cannot check the count)."""
+    liar = deployment.clients[user_id]
+    install = liar.install_mask
+    liar.install_mask = lambda round_id, slot, delivery, record: install(
+        round_id, slot, delivery, replace(record, num_slots=codec.MAX_PARTIES)
+    )
+
+
+def test_a_glimmer_narrowed_at_a_host_chosen_width_is_blamed_on_its_host():
+    """With k = 77, the 8-byte words a lying host gets signed in a 6-byte
+    round are not whole words at the round's width: on the bus the device
+    is blamed and quarantined, and the round is exact over the rest."""
+    deployment = Deployment.build(num_users=8, seed=b"wire-width", sentences_per_user=8)
+    users = [user.user_id for user in deployment.corpus.users]
+    _lying_host(deployment, users[2])
+    vectors = deployment.local_vectors()
+    report = deployment.engine.run_round(1, users, vectors, deployment.features.bigrams)
+    verdict = invariants.judge(report, deployment.codec, vectors)
+    assert verdict.outcome == invariants.OUTCOME_EXACT
+    assert verdict.offenders == (m.client_endpoint(users[2]),)
+    assert report.outcomes[users[2]] == OUTCOME_QUARANTINED
+
+
+def test_a_lying_host_that_submits_first_cannot_set_the_rounds_length():
+    """With k = 75, a lying host's 8-byte words are whole 6-byte words, one
+    third too many.  Its device submits first; the count the round opened
+    with still refuses its payload alone, as ``malformed-payload`` counted
+    against it, and every honest device after it folds: the round is exact
+    over the rest."""
+    deployment = Deployment.build(
+        num_users=8, seed=b"wire-width", sentences_per_user=8, max_features=75
+    )
+    users = [user.user_id for user in deployment.corpus.users]
+    _lying_host(deployment, users[0])
+    deployment.open_round(1, users)
+    vectors = deployment.local_vectors()
+    features = deployment.features.bigrams
+    outcomes = [
+        deployment.engine.contribute(user, 1, list(vectors[user]), features) for user in users
+    ]
+    assert outcomes == [OUTCOME_SERVICE_REJECTED] + [OUTCOME_ACCEPTED] * 7
+    state = deployment.service.round_state(1)
+    assert state.rejected == {"malformed-payload": 1}
+    assert deployment.engine.monitor._round(1).rejected_counts == {
+        m.client_endpoint(users[0]): 1
+    }
+    report = deployment.engine.finalize_round(1)
+    verdict = invariants.judge(report, deployment.codec, vectors)
+    assert verdict.outcome == invariants.OUTCOME_EXACT
+    assert report.masks_repaired == 1
+
+
+def test_a_late_torn_submission_is_out_of_phase():
+    """The width check runs behind the monitor's gate: a submission into a
+    round the service has closed is refused as out of phase, torn words or
+    not, and one from a quarantined sender as quarantined."""
+    deployment = Deployment.build(num_users=4, seed=b"wire-width")
+    eavesdropper = EavesdropAdversary()
+    deployment.network.interpose(eavesdropper)
+    deployment.honest_round(1)
+    submit = eavesdropper.captured_payloads(m.KIND_SUBMIT)[0]
+    sender = next(
+        message.sender for message in eavesdropper.captured if message.payload is submit
+    )
+    torn = replace(
+        submit,
+        contribution=replace(
+            submit.contribution, ring_payload=submit.contribution.ring_payload[:-1]
+        ),
+    )
+    monitor = deployment.engine.monitor
+    with pytest.raises(ProtocolViolation) as excinfo:
+        deployment.network.call(sender, m.SERVICE, m.KIND_SUBMIT, torn)
+    assert (excinfo.value.offender, excinfo.value.kind) == (sender, VIOLATION_OUT_OF_PHASE)
+
+    deployment.open_round(2, [user.user_id for user in deployment.corpus.users])
+    monitor.quarantine.block(monitor.record(2, sender, VIOLATION_MALFORMED, "blocked"))
+    torn = replace(torn, contribution=replace(torn.contribution, round_id=2))
+    with pytest.raises(ProtocolViolation) as excinfo:
+        deployment.network.call(sender, m.SERVICE, m.KIND_SUBMIT, torn)
+    assert (excinfo.value.offender, excinfo.value.kind) == (sender, VIOLATION_QUARANTINED)
+
+
+def test_a_forger_writing_at_the_rounds_width_is_an_invalid_signature():
+    """A self-signed contribution in the round's own shape passes every
+    check but the signature."""
+    deployment, users, vectors = _six_byte_round()
+    evil = deployment.make_client("mallory", malicious=True)
+    forged = evil.bypass_glimmer(1, list(vectors[users[1]]), len(users))
+    assert len(forged.ring_payload) == 6 * len(deployment.features)
+    assert not deployment.engine.submit_signed("mallory", 1, forged)
+    assert deployment.service.round_state(1).rejected == {"invalid-signature": 1}
+
+
+@pytest.mark.parametrize("parties", [8, 2048, codec.MAX_PARTIES], ids=["w6", "w7", "w8"])
+def test_a_rewritten_party_count_never_corrupts_the_round(parties):
+    """The open command's party count sets the width the service reads the
+    round's words at.  Rewritten in transit to one with another width, the
+    service acks a round other than the one sent: the round aborts at open,
+    blamed on the engine's leg, before any device could be blamed."""
+    deployment = Deployment.build(num_users=4, seed=b"wire-tamper")
+    assert ring_width(parties) != ring_width(4)
+    deployment.network.interpose(RewriteOpen(m.KIND_OPEN_SERVICE, expected_parties=parties))
+    with pytest.raises(RoundAbortedError) as excinfo:
+        deployment.honest_round(1)
+    assert not excinfo.value.report.outcomes
+    _assert_one_malformed_on_the_engine(excinfo.value)
+
+
+def test_a_rewritten_vector_length_aborts_at_open():
+    """The count the service refuses every other payload by is held to the
+    engine's own too."""
+    deployment = Deployment.build(num_users=4, seed=b"wire-tamper")
+    deployment.network.interpose(
+        RewriteOpen(m.KIND_OPEN_SERVICE, vector_length=len(deployment.features) + 1)
+    )
+    with pytest.raises(RoundAbortedError) as excinfo:
+        deployment.honest_round(1)
+    assert not excinfo.value.report.outcomes
+    _assert_one_malformed_on_the_engine(excinfo.value)
