@@ -21,6 +21,7 @@ from repro.core.provisioning import (
     VettingRegistry,
 )
 from repro.core.service import CloudService
+from repro.core.validation import PrivateContext
 from repro.crypto.dh import TEST_GROUP
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.fixedpoint import FixedPointCodec
@@ -77,7 +78,7 @@ def main() -> None:
         client = ClientDevice(
             contribution.user_id, image, ias,
             seed=contribution.user_id.encode(),
-            data=LocalDataStore(video_stream=workload.streams[contribution.user_id]),
+            data=LocalDataStore(PrivateContext(video_stream=workload.streams[contribution.user_id])),
         )
         client.provision_signing_key(service_prov)
         engine.register_client(client)

@@ -17,6 +17,7 @@ Run:  python examples/photo_maps.py
 from repro.core.client import ClientDevice, LocalDataStore
 from repro.core.glimmer import GlimmerConfig, build_glimmer_image, features_digest, pack_features
 from repro.core.provisioning import ServiceProvisioner, VettingRegistry
+from repro.core.validation import PrivateContext
 from repro.crypto.dh import TEST_GROUP
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.schnorr import SchnorrKeyPair
@@ -60,20 +61,20 @@ def main() -> None:
     for user_id, context in workload.contexts.items():
         client = ClientDevice(
             user_id, image, ias, seed=user_id.encode(),
-            data=LocalDataStore(geo_context=context),
+            data=LocalDataStore(PrivateContext(geo_context=context)),
         )
         client.provision_signing_key(provisioner)
         clients[user_id] = client
 
     accepted = rejected = wrong = 0
     for photo in workload.submissions:
+        clients[photo.user_id].data.private.submission = photo
         try:
             signed = clients[photo.user_id].contribute(
                 round_id=1,
                 values=photo_digest_values(photo),
                 features=pack_features(PHOTO_FEATURES),
                 blind=False,  # photos are public; no blinding needed
-                claims={"submission": photo},
             )
             ok = signing.public_key.is_valid(signed.signed_bytes(), signed.signature)
             verdict = "endorsed" if ok else "bad signature?!"

@@ -18,6 +18,7 @@ Run:  python examples/recommender.py
 from repro.core.client import ClientDevice, LocalDataStore
 from repro.core.glimmer import GlimmerConfig, build_glimmer_image, features_digest, pack_features
 from repro.core.provisioning import ServiceProvisioner, VettingRegistry
+from repro.core.validation import PrivateContext
 from repro.crypto.dh import TEST_GROUP
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.schnorr import SchnorrKeyPair
@@ -61,20 +62,20 @@ def main() -> None:
     for user_id, context in workload.contexts.items():
         client = ClientDevice(
             user_id, image, ias, seed=user_id.encode(),
-            data=LocalDataStore(shopping_context=context),
+            data=LocalDataStore(PrivateContext(shopping_context=context)),
         )
         client.provision_signing_key(provisioner)
         clients[user_id] = client
 
     endorsed = rejected = misclassified = 0
     for review in workload.reviews:
+        clients[review.user_id].data.private.review = review
         try:
             signed = clients[review.user_id].contribute(
                 round_id=1,
                 values=[review.rating / 5.0],
                 features=pack_features(REVIEW_FEATURES),
                 blind=False,
-                claims={"review": review},
             )
             assert signing.public_key.is_valid(signed.signed_bytes(), signed.signature)
             endorsed += 1

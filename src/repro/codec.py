@@ -47,8 +47,8 @@ magnitude encode to a length their value cannot move.
 bytes, and anything a registered class refuses to be built from, always
 with :class:`~repro.errors.ProtocolViolation`.
 
-A registered class may declare a check per field (``@wire(tag,
-round_id=ROUND_ID)``).  :func:`decode` runs them on every object it builds;
+A registered class declares a check for every field (``@wire(tag,
+round_id=ROUND_ID, ...)``).  :func:`decode` runs them on every object it builds;
 :func:`encode` runs none, so a Byzantine sender can still put a bad value
 on the wire, and its receiver blames it.
 
@@ -115,8 +115,9 @@ def wire(tag: int, **checks: "Check | type") -> Callable[[type], type]:
     ``__init__`` argument (:func:`decode` rebuilds it positionally).  A
     tag names one class for good: frames outlive processes (sealed
     checkpoints), so renumbering one breaks every blob that used it.
-    ``checks`` maps fields to checks below, or to the registered class a
-    field must hold exactly; a field without one is unchecked.  A field
+    ``checks`` maps every field to a check below, or to the registered
+    class it must hold exactly; a class with a field it does not name is a
+    ``TypeError`` naming the class and the field.  A field
     whose check has a width is spelled at it (see the module docstring),
     so a class's declarations are part of its frame as much as its tag.
     """
@@ -132,6 +133,9 @@ def wire(tag: int, **checks: "Check | type") -> Callable[[type], type]:
         declared = {name: _checker(check) for name, check in checks.items()}
         if not declared.keys() <= set(names):
             raise TypeError(f"{cls.__qualname__} lacks a field {sorted(checks)} names")
+        bare = [name for name in names if name not in declared]
+        if bare:
+            raise TypeError(f"{cls.__qualname__}.{bare[0]} declares no check")
         _BY_CLASS[cls] = _BY_TAG[tag] = _Layout(cls, tag, names, declared)
         return cls
 
@@ -145,7 +149,7 @@ def registered() -> dict[int, type]:
 
 def declared(cls: type) -> dict[str, "Check"]:
     """The check each field of the registered ``cls`` declares, by field
-    name; a field without one is absent."""
+    name."""
     return dict(_BY_CLASS[cls].declared)
 
 
@@ -461,6 +465,19 @@ class _Unit(Check):
 Unit = _Unit()
 
 
+class Real(Check):
+    """A ``float`` of magnitude at most ``bound``; NaN and the infinities
+    are refused."""
+
+    def __init__(self, bound: float) -> None:
+        self.limit = bound
+
+    def __call__(self, value: Any) -> str | None:
+        if type(value) is not float:
+            return f"must be float, not {type(value).__name__}"
+        return None if abs(value) <= self.limit else f"out of [-{self.limit}, {self.limit}]"
+
+
 class Fraction(Check):
     """A number in ``[0, 1]`` that is exactly ``k / scale`` for a whole
     ``k``, spelled as ``k`` in a u16: the quantum a signature covering
@@ -667,10 +684,10 @@ class _Form:
         checks = {name: check.bound(group) for name, check in declared.items()}
         # (field index, field name, check), as _complaint reads them: the group's first
         self.schema = tuple(sorted(
-            ((i, n, checks[n]) for i, n in enumerate(names) if n in checks),
+            ((i, n, checks[n]) for i, n in enumerate(names)),
             key=lambda entry: entry[0] != at,
         ))
-        spellings = [(n in checks and checks[n].spelling()) or _TAGGED for n in names]
+        spellings = [checks[n].spelling() or _TAGGED for n in names]
         if at is not None:
             spellings[at] = (lambda *__: True, lambda buf, off, depth: (group, off))
         self.puts = tuple(put for put, __ in spellings)
@@ -692,7 +709,7 @@ class _Layout:
             if len(names) > 1
             else lambda value: tuple(getattr(value, name) for name in names)
         )
-        self.declared = {n: declared[n] for n in names if n in declared}
+        self.declared = {n: declared[n] for n in names}
         self.inline = (self._put_inline, self._get_inline)
         # The group field, if any: a Named check, or an Optional of one.
         named = [(i, getattr(c, "check", c)) for i, c in enumerate(map(declared.get, names))]

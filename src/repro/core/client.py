@@ -52,15 +52,10 @@ from repro.sgx.platform import SgxPlatform
 
 @dataclass
 class LocalDataStore:
-    """Everything private on the device the Glimmer may request via ocall."""
+    """Everything private on the device: the :class:`PrivateContext` the
+    Glimmer may request fields of via ocall, and the app's inputs."""
 
-    sentences: list = field(default_factory=list)
-    keystroke_trace: object | None = None
-    geo_context: object | None = None
-    shopping_context: object | None = None
-    session_signals: object | None = None
-    video_stream: object | None = None
-    extra: dict = field(default_factory=dict)
+    private: PrivateContext = field(default_factory=PrivateContext)
     #: The app's input for each open round, as packed big-endian doubles.
     #: Written on the host (:meth:`put_vector`), read by the device step and
     #: dropped once the Glimmer has answered or the round retires: it never
@@ -68,11 +63,10 @@ class LocalDataStore:
     vectors: dict = field(default_factory=dict)
 
     def context_for(self, fields: Sequence[str]) -> PrivateContext:
-        context = PrivateContext(extra=dict(self.extra))
-        for name in fields:
-            if hasattr(context, name):
-                setattr(context, name, getattr(self, name))
-        return context
+        """A new record holding the requested fields of :attr:`private`
+        and nothing else (a name it has no field for is passed over)."""
+        held = vars(self.private)
+        return PrivateContext(**{name: held[name] for name in fields if name in held})
 
     def put_vector(self, round_id: int, values: Sequence[float]) -> None:
         """Keep the device's input vector for ``round_id``."""
@@ -249,7 +243,6 @@ class ClientDevice:
         values: Sequence[float] | bytes,
         features: bytes,
         blind: bool = True,
-        claims: dict | None = None,
     ) -> SignedContribution:
         """The honest path: hand values to the Glimmer, relay its endorsement.
 
@@ -271,7 +264,6 @@ class ClientDevice:
             features=features,
             blind=blind,
             party_index=self._party_index_for_round.get(round_id, 0),
-            claims=dict(claims or {}),
         )
         return self.glimmer.ecall("process_contribution", request)
 
@@ -361,12 +353,8 @@ class MaliciousClient(ClientDevice):
     """A client that cheats at every layer it controls."""
 
     def forge_evidence(self, **overrides) -> None:
-        """Replace the private data the device serves to the Glimmer."""
-        for name, value in overrides.items():
-            if name == "extra":
-                self.data.extra.update(value)
-            else:
-                setattr(self.data, name, value)
+        """Replace fields of the private data the device serves to the Glimmer."""
+        self.data.private = replace(self.data.private, **overrides)
 
     def bypass_glimmer(
         self,

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.validation import PrivateContext, default_registry
+from repro.core.validation import PrivateContext, RoundFacts, default_registry
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.fixedpoint import FixedPointCodec
 from repro.crypto.hashing import hash_items
@@ -42,6 +42,7 @@ from repro.crypto.masking import SumZeroMasks, apply_mask
 from repro.crypto.schnorr import SchnorrKeyPair, SchnorrPublicKey
 from repro.errors import ConfigurationError, ProtocolError, ValidationError
 from repro.perf import kernels
+from repro.sgx.counters import CounterStore
 
 
 def share_digest(
@@ -93,11 +94,10 @@ class ConsortiumMember:
         name: str,
         predicate_spec: str,
         rng: HmacDrbg,
-        codec: FixedPointCodec | None = None,
         include_plaintext: bool = False,
     ) -> None:
         self.name = name
-        self.codec = codec or FixedPointCodec()
+        self.codec = FixedPointCodec()
         self.identity = SchnorrKeyPair.generate(rng.fork("identity"))
         self._rng = rng
         self._predicate = default_registry().build(predicate_spec)
@@ -105,6 +105,7 @@ class ConsortiumMember:
         """Exactly one member per consortium carries the encoded plaintext in
         its share; the rest contribute pure mask shares."""
         self._round_masks: dict[int, SumZeroMasks] = {}
+        self._counters = CounterStore()
         self.validations_run = 0
         self.available = True
         """Toggled off by E13's failure injection."""
@@ -135,7 +136,10 @@ class ConsortiumMember:
         if masks is None:
             raise ProtocolError(f"{self.name}: round {round_id} not open")
         self.validations_run += 1
-        outcome = self._predicate.evaluate(list(values), context)
+        facts = RoundFacts(
+            round_id, (), self._counters.counter_for(b"", f"contributions-round-{round_id}")
+        )
+        outcome = self._predicate.evaluate(list(values), context, facts)
         if not outcome.passed:
             raise ValidationError(f"{self.name}: {outcome.reason}")
         mask = kernels.as_ring(masks.mask_for(client_index)).tolist()
@@ -156,31 +160,20 @@ class ConsortiumMember:
             signature=signature,
         )
 
-    def reveal_dropout_share(self, round_id: int, client_index: int) -> tuple[int, ...]:
-        """§3-style repair: disclose a non-submitting client's mask share."""
-        masks = self._round_masks.get(round_id)
-        if masks is None:
-            raise ProtocolError(f"{self.name}: round {round_id} not open")
-        words = kernels.as_ring(masks.mask_for(client_index))
-        return tuple(words.tolist())
-
 
 def build_consortium(
     num_members: int,
     predicate_spec: str,
     rng: HmacDrbg,
-    codec: FixedPointCodec | None = None,
 ) -> list[ConsortiumMember]:
     """A consortium with exactly one plaintext-carrying member."""
     if num_members < 2:
         raise ConfigurationError("a consortium needs at least two members")
-    codec = codec or FixedPointCodec()
     return [
         ConsortiumMember(
             name=f"member-{index}",
             predicate_spec=predicate_spec,
             rng=rng.fork(f"member-{index}"),
-            codec=codec,
             include_plaintext=(index == 0),
         )
         for index in range(num_members)
@@ -214,13 +207,12 @@ class ConsortiumService:
         self,
         member_keys: dict[str, SchnorrPublicKey],
         quorum: int,
-        codec: FixedPointCodec | None = None,
     ) -> None:
         if not 2 <= quorum <= len(member_keys):
             raise ConfigurationError("quorum must be in [2, num_members]")
         self._member_keys = dict(member_keys)
         self.quorum = quorum
-        self._codec = codec or FixedPointCodec()
+        self._codec = FixedPointCodec()
         self._rounds: dict[int, _ConsortiumRound] = {}
 
     def open_round(self, round_id: int, num_clients: int) -> None:

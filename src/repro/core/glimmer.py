@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import zlib
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -37,7 +37,7 @@ from repro.codec import (
 )
 from repro.core.blinding import BlindingComponent
 from repro.core.signing import RING_WORDS, SignedContribution, SigningComponent
-from repro.core.validation import PrivateContext, default_registry
+from repro.core.validation import PrivateContext, RoundFacts, default_registry
 from repro.crypto.cipher import AuthenticatedCipher, SealedBox
 from repro.crypto.commitments import (
     MaskCommitmentRecord,
@@ -226,10 +226,7 @@ def _published(blob: bytes, digest: bytes) -> tuple[tuple[str, str], ...]:
     return features
 
 
-@wire(
-    0x8109, round_id=ROUND_ID, values=bytes, features=bytes, blind=Bool,
-    party_index=SLOT, claims=dict,
-)
+@wire(0x8109, round_id=ROUND_ID, values=bytes, features=bytes, blind=Bool, party_index=SLOT)
 @dataclass(frozen=True)
 class ProcessRequest:
     """What the client hands the Glimmer for one contribution.
@@ -248,8 +245,6 @@ class ProcessRequest:
     blind: bool = True
     party_index: int = 0
     """Which blinding-mask slot this contribution consumes (see §3's p_i)."""
-    claims: dict = field(default_factory=dict)
-    """Adversary-supplied claims such as the execution-trace commitment."""
 
 
 def request_values(request: ProcessRequest) -> tuple[float, ...]:
@@ -475,10 +470,10 @@ class ValidateStep(GlimmerStep):
         The request and the private context passed their classes' declared
         checks as they crossed into the enclave: the ecall and the host's
         answer to the ocall, or a §4.2 decode (whose device sends its own
-        context).  The predicate reads a copy: the request's claims first,
-        then the fields the Glimmer attaches over any claim of the same
-        name — the published feature list, unpacked and held to the
-        measured digest, the round and its rollback-proof counter.
+        context).  Beside them the predicate reads the Glimmer's own
+        :class:`RoundFacts`, which no host-fed record can name: the round,
+        the published feature list, unpacked and held to the measured
+        digest, and the round's rollback-proof counter.
         """
         if context is None:
             needed = tuple(self._predicate.required_context())
@@ -486,22 +481,13 @@ class ValidateStep(GlimmerStep):
                 self.api.ocall("collect_private_data", needed, expect=PrivateContext)
                 if needed else PrivateContext()
             )
-        context = replace(
-            context,
-            extra={
-                **context.extra,
-                **request.claims,
-                "features": published_features(
-                    request.features, self._config.features_digest
-                ),
-                "round_id": request.round_id,
-                "counter": self.api.monotonic_counter(
-                    f"contributions-round-{request.round_id}"
-                ),
-            },
+        facts = RoundFacts(
+            request.round_id,
+            published_features(request.features, self._config.features_digest),
+            self.api.monotonic_counter(f"contributions-round-{request.round_id}"),
         )
         values = request_values(request)
-        outcome = self._predicate.evaluate(values, context)
+        outcome = self._predicate.evaluate(values, context, facts)
         self.api.charge(outcome.cycles, "validation")
         if not outcome.passed:
             raise ValidationError(
@@ -782,10 +768,6 @@ class GlimmerProgram(ValidateStep, BlindStep, SignStep):
     def predicate_name(self) -> str:
         """The measured predicate spec (handy for logging and tests)."""
         return self._config.predicate_spec
-
-    @ecall
-    def has_signing_key(self) -> bool:
-        return self._signing is not None
 
     @ecall
     def has_mask(self, round_id: int, party_index: int = 0) -> bool:

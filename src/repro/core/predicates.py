@@ -24,7 +24,7 @@ import math
 from collections import Counter
 from typing import Sequence
 
-from repro.core.validation import PrivateContext, ValidationOutcome
+from repro.core.validation import PrivateContext, RoundFacts, ValidationOutcome
 from repro.crypto.hashing import hash_items
 from repro.errors import ConfigurationError
 
@@ -49,7 +49,9 @@ class AcceptAllPredicate:
     def required_context(self) -> tuple[str, ...]:
         return ()
 
-    def evaluate(self, values: Sequence[float], context: PrivateContext) -> ValidationOutcome:
+    def evaluate(
+        self, values: Sequence[float], context: PrivateContext, facts: RoundFacts
+    ) -> ValidationOutcome:
         return ValidationOutcome(
             passed=True, confidence=0.0, reason="no validation performed",
             predicate_name=self.name, cycles=1,
@@ -74,19 +76,16 @@ class RangeCheckPredicate:
     def required_context(self) -> tuple[str, ...]:
         return ()
 
-    def evaluate(self, values: Sequence[float], context: PrivateContext) -> ValidationOutcome:
+    def evaluate(
+        self, values: Sequence[float], context: PrivateContext, facts: RoundFacts
+    ) -> ValidationOutcome:
         cycles = _RANGE_CYCLES_PER_PARAM * max(1, len(values))
         for i, value in enumerate(values):
             if not self.low <= value <= self.high:
-                return ValidationOutcome(
-                    passed=False,
-                    confidence=1.0,
-                    reason=(
-                        f"parameter {i} = {value} outside legal range "
-                        f"[{self.low}, {self.high}]"
-                    ),
-                    predicate_name=self.name,
-                    cycles=cycles,
+                return _refused(
+                    self,
+                    f"parameter {i} = {value} outside legal range [{self.low}, {self.high}]",
+                    cycles,
                 )
         return ValidationOutcome(
             passed=True, confidence=1.0, reason="all parameters in range",
@@ -111,7 +110,9 @@ class NormBoundPredicate:
     def required_context(self) -> tuple[str, ...]:
         return ()
 
-    def evaluate(self, values: Sequence[float], context: PrivateContext) -> ValidationOutcome:
+    def evaluate(
+        self, values: Sequence[float], context: PrivateContext, facts: RoundFacts
+    ) -> ValidationOutcome:
         cycles = _NORM_CYCLES_PER_PARAM * max(1, len(values))
         norm = math.sqrt(sum(v * v for v in values))
         passed = norm <= self.bound
@@ -127,9 +128,9 @@ class NormBoundPredicate:
 class RateLimitPredicate:
     """At most ``max_per_round`` contributions per aggregation round.
 
-    Uses the enclave's monotonic counter when the Glimmer provides one (in
-    ``context.extra['counter']``), making the limit rollback-proof against
-    a host that restarts the enclave.
+    Counts on the round's counter in ``facts`` — in a Glimmer, the
+    enclave's monotonic counter, so the limit is rollback-proof against a
+    host that restarts the enclave.
     """
 
     name = "rate"
@@ -138,19 +139,14 @@ class RateLimitPredicate:
         if max_per_round < 1:
             raise ConfigurationError("max_per_round must be >= 1")
         self.max_per_round = max_per_round
-        self._fallback_counts: Counter = Counter()
 
     def required_context(self) -> tuple[str, ...]:
         return ()
 
-    def evaluate(self, values: Sequence[float], context: PrivateContext) -> ValidationOutcome:
-        round_id = int(context.extra.get("round_id", 0))
-        counter = context.extra.get("counter")
-        if counter is not None:
-            count = counter.increment()
-        else:
-            self._fallback_counts[round_id] += 1
-            count = self._fallback_counts[round_id]
+    def evaluate(
+        self, values: Sequence[float], context: PrivateContext, facts: RoundFacts
+    ) -> ValidationOutcome:
+        count = facts.counter.increment()
         passed = count <= self.max_per_round
         return ValidationOutcome(
             passed=passed,
@@ -165,8 +161,8 @@ class KeystrokeCorroborationPredicate:
     """NAB-style rung 2: reported weights must match observed typing.
 
     Requires ``context.keystroke_trace`` (a
-    :class:`repro.workloads.keyboard.KeystrokeTrace`) and
-    ``context.extra['features']`` (the bigram list).  Two checks:
+    :class:`repro.workloads.keyboard.KeystrokeTrace`) and reads the bigram
+    list from ``facts.features``.  Two checks:
 
     * the trace's inter-key timing variance must be human-plausible (a
       machine-generated trace is flat);
@@ -184,39 +180,26 @@ class KeystrokeCorroborationPredicate:
     def required_context(self) -> tuple[str, ...]:
         return ("keystroke_trace",)
 
-    def evaluate(self, values: Sequence[float], context: PrivateContext) -> ValidationOutcome:
+    def evaluate(
+        self, values: Sequence[float], context: PrivateContext, facts: RoundFacts
+    ) -> ValidationOutcome:
         trace = context.keystroke_trace
-        features = context.extra.get("features")
-        if trace is None or features is None:
-            return ValidationOutcome(
-                passed=False, confidence=1.0,
-                reason="keystroke trace or feature list unavailable",
-                predicate_name=self.name, cycles=10,
-            )
-        events = getattr(trace, "events", [])
+        if trace is None:
+            return _refused(self, "keystroke trace unavailable", 10)
+        events = trace.events
         cycles = _KEYSTROKE_CYCLES_PER_EVENT * max(1, len(events))
         if len(events) < 16:
-            return ValidationOutcome(
-                passed=False, confidence=1.0,
-                reason=f"trace too short ({len(events)} events) to corroborate",
-                predicate_name=self.name, cycles=cycles,
+            return _refused(
+                self, f"trace too short ({len(events)} events) to corroborate", cycles
             )
         if trace.timing_variance() < _MIN_HUMAN_TIMING_VARIANCE:
-            return ValidationOutcome(
-                passed=False, confidence=0.95,
-                reason="inter-key timing variance is machine-like",
-                predicate_name=self.name, cycles=cycles,
-            )
-        recomputed = _weights_from_sentences(trace.typed_sentences(), features)
+            return _refused(self, "inter-key timing variance is machine-like", cycles, 0.95)
+        recomputed = _weights_from_sentences(trace.typed_sentences(), facts.features)
         worst = max(
             (abs(r - v) for r, v in zip(recomputed, values)), default=0.0
         )
         if len(recomputed) != len(values):
-            return ValidationOutcome(
-                passed=False, confidence=1.0,
-                reason="reported vector length does not match feature list",
-                predicate_name=self.name, cycles=cycles,
-            )
+            return _refused(self, "reported vector length does not match feature list", cycles)
         passed = worst <= self.tolerance
         return ValidationOutcome(
             passed=passed,
@@ -230,7 +213,7 @@ class KeystrokeCorroborationPredicate:
 class ExecutionTracePredicate:
     """XTrec-style rung 3: a plausible training execution must back the weights.
 
-    The client supplies its training sentences and a *trace commitment* —
+    The device supplies its training sentences and a *trace commitment* —
     a hash chain over (sentences, resulting weights) standing in for a CPU
     branch trace [17].  The predicate re-executes training inside the
     Glimmer, recomputes the commitment, and requires both to match.  An
@@ -246,37 +229,25 @@ class ExecutionTracePredicate:
         self.tolerance = tolerance
 
     def required_context(self) -> tuple[str, ...]:
-        return ("sentences",)
+        return ("sentences", "trace_commitment")
 
-    def evaluate(self, values: Sequence[float], context: PrivateContext) -> ValidationOutcome:
-        sentences = context.sentences
-        features = context.extra.get("features")
-        commitment = context.extra.get("trace_commitment")
-        if sentences is None or features is None or commitment is None:
-            return ValidationOutcome(
-                passed=False, confidence=1.0,
-                reason="sentences, features, or trace commitment unavailable",
-                predicate_name=self.name, cycles=10,
-            )
+    def evaluate(
+        self, values: Sequence[float], context: PrivateContext, facts: RoundFacts
+    ) -> ValidationOutcome:
+        sentences, commitment = context.sentences, context.trace_commitment
+        if sentences is None or commitment is None:
+            return _refused(self, "sentences or trace commitment unavailable", 10)
         num_tokens = sum(len(s) for s in sentences)
         cycles = _EXEC_TRACE_CYCLES_PER_TOKEN * max(1, num_tokens)
-        recomputed = _weights_from_sentences(sentences, features)
+        recomputed = _weights_from_sentences(sentences, facts.features)
         if len(recomputed) != len(values):
-            return ValidationOutcome(
-                passed=False, confidence=1.0,
-                reason="reported vector length does not match feature list",
-                predicate_name=self.name, cycles=cycles,
-            )
+            return _refused(self, "reported vector length does not match feature list", cycles)
         worst = max(
             (abs(r - v) for r, v in zip(recomputed, values)), default=0.0
         )
         expected_commitment = trace_commitment(sentences, recomputed)
         if commitment != expected_commitment:
-            return ValidationOutcome(
-                passed=False, confidence=1.0,
-                reason="execution trace commitment does not replay",
-                predicate_name=self.name, cycles=cycles,
-            )
+            return _refused(self, "execution trace commitment does not replay", cycles)
         passed = worst <= self.tolerance
         return ValidationOutcome(
             passed=passed,
@@ -291,7 +262,7 @@ class GeoCorroborationPredicate:
     """Photos-for-maps: the user must actually have been where they claim.
 
     Requires ``context.geo_context`` (track + camera fingerprint) and
-    ``context.extra['submission']`` (the photo).  Checks that the claimed
+    ``context.submission`` (the photo).  Checks that the claimed
     location is within ``radius`` of the user's track around the photo
     timestamp, and that the photo's camera fingerprint matches the device.
     """
@@ -304,30 +275,20 @@ class GeoCorroborationPredicate:
         self.radius = radius
 
     def required_context(self) -> tuple[str, ...]:
-        return ("geo_context",)
+        return ("geo_context", "submission")
 
-    def evaluate(self, values: Sequence[float], context: PrivateContext) -> ValidationOutcome:
-        geo = context.geo_context
-        submission = context.extra.get("submission")
+    def evaluate(
+        self, values: Sequence[float], context: PrivateContext, facts: RoundFacts
+    ) -> ValidationOutcome:
+        geo, submission = context.geo_context, context.submission
         if geo is None or submission is None:
-            return ValidationOutcome(
-                passed=False, confidence=1.0,
-                reason="geo context or submission unavailable",
-                predicate_name=self.name, cycles=10,
-            )
+            return _refused(self, "geo context or submission unavailable", 10)
         cycles = _GEO_CYCLES_PER_FIX * max(1, len(geo.track))
         if submission.camera_fingerprint != geo.camera_fingerprint:
-            return ValidationOutcome(
-                passed=False, confidence=1.0,
-                reason="camera fingerprint does not match this device",
-                predicate_name=self.name, cycles=cycles,
-            )
+            return _refused(self, "camera fingerprint does not match this device", cycles)
         fix = geo.position_at(submission.taken_at_ms)
         if fix is None:
-            return ValidationOutcome(
-                passed=False, confidence=1.0, reason="no GPS track available",
-                predicate_name=self.name, cycles=cycles,
-            )
+            return _refused(self, "no GPS track available", cycles)
         offset = math.hypot(
             fix.x - submission.claimed_x, fix.y - submission.claimed_y
         )
@@ -347,31 +308,20 @@ class PurchaseCorroborationPredicate:
     name = "purchase"
 
     def required_context(self) -> tuple[str, ...]:
-        return ("shopping_context",)
+        return ("shopping_context", "review")
 
-    def evaluate(self, values: Sequence[float], context: PrivateContext) -> ValidationOutcome:
-        shopping = context.shopping_context
-        review = context.extra.get("review")
+    def evaluate(
+        self, values: Sequence[float], context: PrivateContext, facts: RoundFacts
+    ) -> ValidationOutcome:
+        shopping, review = context.shopping_context, context.review
         if shopping is None or review is None:
-            return ValidationOutcome(
-                passed=False, confidence=1.0,
-                reason="shopping context or review unavailable",
-                predicate_name=self.name, cycles=10,
-            )
+            return _refused(self, "shopping context or review unavailable", 10)
         cycles = _PURCHASE_CYCLES_PER_RECORD * max(1, len(shopping.purchases))
         purchase_time = shopping.purchase_time(review.product_id)
         if purchase_time is None:
-            return ValidationOutcome(
-                passed=False, confidence=1.0,
-                reason=f"no purchase of {review.product_id} in history",
-                predicate_name=self.name, cycles=cycles,
-            )
+            return _refused(self, f"no purchase of {review.product_id} in history", cycles)
         if review.posted_at_ms < purchase_time:
-            return ValidationOutcome(
-                passed=False, confidence=1.0,
-                reason="review predates the purchase",
-                predicate_name=self.name, cycles=cycles,
-            )
+            return _refused(self, "review predates the purchase", cycles)
         return ValidationOutcome(
             passed=True, confidence=0.95, reason="purchase corroborates review",
             predicate_name=self.name, cycles=cycles,
@@ -383,7 +333,7 @@ class SilhouetteCorroborationPredicate:
 
     §2's third example: "checking that silhouettes are legitimate requires
     analysis of full video streams captured at people's homes."  Requires
-    ``context.extra['video_stream']`` (a
+    ``context.video_stream`` (a
     :class:`repro.workloads.camera.VideoStream`); the predicate recomputes
     the motion-energy histogram from the private frames and requires the
     reported vector to match within ``tolerance`` per bin.  A forger
@@ -401,25 +351,19 @@ class SilhouetteCorroborationPredicate:
     def required_context(self) -> tuple[str, ...]:
         return ("video_stream",)
 
-    def evaluate(self, values: Sequence[float], context: PrivateContext) -> ValidationOutcome:
+    def evaluate(
+        self, values: Sequence[float], context: PrivateContext, facts: RoundFacts
+    ) -> ValidationOutcome:
         from repro.workloads.camera import motion_histogram
 
         stream = context.video_stream
         if stream is None:
-            return ValidationOutcome(
-                passed=False, confidence=1.0,
-                reason="video stream unavailable",
-                predicate_name=self.name, cycles=10,
-            )
-        frames = getattr(stream, "frames", [])
+            return _refused(self, "video stream unavailable", 10)
+        frames = stream.frames
         cycles = _SILHOUETTE_CYCLES_PER_FRAME * max(1, len(frames))
         recomputed = motion_histogram(frames)
         if len(recomputed) != len(values):
-            return ValidationOutcome(
-                passed=False, confidence=1.0,
-                reason="reported histogram has the wrong number of bins",
-                predicate_name=self.name, cycles=cycles,
-            )
+            return _refused(self, "reported histogram has the wrong number of bins", cycles)
         worst = max(
             (abs(r - v) for r, v in zip(recomputed, values)), default=0.0
         )
@@ -451,25 +395,28 @@ class ChainPredicate:
                     needed.append(item)
         return tuple(needed)
 
-    def evaluate(self, values: Sequence[float], context: PrivateContext) -> ValidationOutcome:
+    def evaluate(
+        self, values: Sequence[float], context: PrivateContext, facts: RoundFacts
+    ) -> ValidationOutcome:
         total_cycles = 0
         confidence = 1.0
         for member in self.members:
-            outcome = member.evaluate(values, context)
+            outcome = member.evaluate(values, context, facts)
             total_cycles += outcome.cycles
             confidence = min(confidence, outcome.confidence)
             if not outcome.passed:
-                return ValidationOutcome(
-                    passed=False,
-                    confidence=outcome.confidence,
-                    reason=f"{member.name}: {outcome.reason}",
-                    predicate_name=self.name,
-                    cycles=total_cycles,
+                return _refused(
+                    self, f"{member.name}: {outcome.reason}", total_cycles, outcome.confidence
                 )
         return ValidationOutcome(
             passed=True, confidence=confidence, reason="all chained predicates passed",
             predicate_name=self.name, cycles=total_cycles,
         )
+
+
+def _refused(predicate, reason: str, cycles: int, confidence: float = 1.0) -> ValidationOutcome:
+    """A failing verdict of ``predicate``'s."""
+    return ValidationOutcome(False, confidence, reason, predicate.name, cycles)
 
 
 def _weights_from_sentences(sentences, features) -> list[float]:

@@ -146,7 +146,8 @@ class IoTClient:
         self.group = group
         """Must match the Glimmer's handshake group (its service-identity group)."""
         self.data = data or LocalDataStore()
-        """The device's private data; its ``extra`` fields travel to the
+        """The device's private data: its whole
+        :class:`~repro.core.validation.PrivateContext` travels to the
         Glimmer inside the ciphertext."""
         self.rng = HmacDrbg(seed, personalization=f"iot:{client_id}")
         self._party_index_for_round: dict[int, int] = {}
@@ -197,7 +198,7 @@ class IoTClient:
             features=features,
             party_index=self._party_index_for_round.get(round_id, 0),
         )
-        payload = _encode_remote_payload(request, self.data.context_for(()))
+        payload = _encode_remote_payload(request, self.data.private)
         box = cipher.encrypt(self.rng.generate(16), payload, associated_data=offer.session_id)
         encrypted_response = network.call(
             name, host_name, "remote-contribution",

@@ -3,9 +3,9 @@
 §2 uses "validation" loosely — "any validity predicate entrusted upon the
 trusted third party; different validation predicates may trade off
 computational complexity for result accuracy."  The interface reflects
-that: a predicate sees the user contribution and the *private context*
+that: a predicate sees the user contribution, the *private context*
 (data the Glimmer requested from the host, which never leaves the device)
-and returns a :class:`ValidationOutcome` carrying a verdict, a confidence,
+and the Glimmer's own :class:`RoundFacts`, and returns a :class:`ValidationOutcome` carrying a verdict, a confidence,
 and the simulated cycle cost it incurred — the currency of experiment E6's
 complexity-vs-adversary-cost trade-off.
 
@@ -17,36 +17,61 @@ attested identity — exactly why the service can trust it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
 
-from repro.codec import Optional, wire
+from repro.codec import Bytes, ListOf, Optional, Str, wire
 from repro.errors import ConfigurationError
-from repro.workloads.geo import UserGeoContext
-from repro.workloads.reviews import UserShoppingContext
+from repro.sgx.counters import MonotonicCounter
+from repro.workloads.botnet import SessionSignals
+from repro.workloads.camera import VideoStream
+from repro.workloads.geo import PhotoSubmission, UserGeoContext
+from repro.workloads.keyboard import KeystrokeTrace
+from repro.workloads.reviews import Review, UserShoppingContext
 
 
 @wire(
-    0x810A, geo_context=Optional(UserGeoContext),
-    shopping_context=Optional(UserShoppingContext), extra=dict,
+    0x810A, sentences=Optional(ListOf(ListOf(Str))), keystroke_trace=Optional(KeystrokeTrace),
+    geo_context=Optional(UserGeoContext), shopping_context=Optional(UserShoppingContext),
+    session_signals=Optional(SessionSignals), video_stream=Optional(VideoStream),
+    submission=Optional(PhotoSubmission), review=Optional(Review),
+    trace_commitment=Optional(Bytes(32)),
 )
 @dataclass
 class PrivateContext:
-    """Private validation data the Glimmer requested from the host.
+    """Private validation data the Glimmer requested from the host: the one
+    declaration of everything a device may supply.
 
-    Every field is optional; each predicate documents what it needs.  In
-    the threat model the *host controls these values* — a malicious client
-    can fabricate them — so stronger predicates are those that make
-    fabrication expensive, not impossible (§2).
+    Every field is optional; each predicate names the ones it reads in
+    ``required_context``.  In the threat model the *host controls these
+    values* — a malicious client can fabricate them — so stronger
+    predicates are those that make fabrication expensive, not impossible
+    (§2).  The photo, the review and the execution-trace commitment a
+    device vouches for are fields here like its track or its history.
     """
 
-    sentences: list | None = None
-    keystroke_trace: object | None = None
-    geo_context: object | None = None
-    shopping_context: object | None = None
-    session_signals: object | None = None
-    video_stream: object | None = None
-    extra: dict = field(default_factory=dict)
+    sentences: list[list[str]] | None = None
+    keystroke_trace: KeystrokeTrace | None = None
+    geo_context: UserGeoContext | None = None
+    shopping_context: UserShoppingContext | None = None
+    session_signals: SessionSignals | None = None
+    video_stream: VideoStream | None = None
+    submission: PhotoSubmission | None = None
+    review: Review | None = None
+    trace_commitment: bytes | None = None
+
+
+@dataclass(frozen=True)
+class RoundFacts:
+    """What the Glimmer itself knows about a contribution, never the host:
+    the round, the published feature list (unpacked and held to the
+    measured digest) and the round's rollback-proof contribution counter
+    (the enclave's monotonic counter, or a plain in-memory one outside an
+    enclave).  No host-fed record has a field for any of it."""
+
+    round_id: int
+    features: tuple[tuple[str, str], ...]
+    counter: MonotonicCounter
 
 
 @dataclass(frozen=True)
@@ -75,9 +100,10 @@ class ValidationPredicate(Protocol):
         ...
 
     def evaluate(
-        self, values: Sequence[float], context: PrivateContext
+        self, values: Sequence[float], context: PrivateContext, facts: RoundFacts
     ) -> ValidationOutcome:
-        """Judge a contribution against the private context."""
+        """Judge a contribution against the private context and the
+        Glimmer's own facts."""
         ...
 
 

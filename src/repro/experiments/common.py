@@ -25,6 +25,7 @@ from repro.core.provisioning import (
 )
 from repro.core.remote import IoTClient, RemoteGlimmerHost
 from repro.core.service import CloudService
+from repro.core.validation import PrivateContext
 from repro.crypto.dh import DHGroup, TEST_GROUP
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.fixedpoint import FixedPointCodec
@@ -157,7 +158,7 @@ class Deployment:
         """Build (and signing-key-provision) a client for a corpus user."""
         if data is None:
             sentences = self.corpus.streams.get(user_id, [])
-            data = LocalDataStore(sentences=list(sentences))
+            data = LocalDataStore(PrivateContext(sentences=list(sentences)))
         client_class = MaliciousClient if malicious else ClientDevice
         client = client_class(
             user_id,

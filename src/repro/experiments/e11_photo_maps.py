@@ -25,6 +25,7 @@ from repro.analysis.reporting import Table
 from repro.core.client import ClientDevice, LocalDataStore
 from repro.core.glimmer import GlimmerConfig, build_glimmer_image, features_digest, pack_features
 from repro.core.provisioning import ServiceProvisioner, VettingRegistry
+from repro.core.validation import PrivateContext
 from repro.crypto.dh import TEST_GROUP
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.hashing import hash_bytes
@@ -102,7 +103,7 @@ def run(
                 image,
                 ias,
                 seed=f"geo-client:{user_id}:{radius}".encode(),
-                data=LocalDataStore(geo_context=context),
+                data=LocalDataStore(PrivateContext(geo_context=context)),
             )
             client.provision_signing_key(provisioner)
             clients[user_id] = client
@@ -111,13 +112,13 @@ def run(
         spoofed_rejected = honest_accepted = 0
         for photo in workload.submissions:
             client = clients[photo.user_id]
+            client.data.private.submission = photo
             try:
                 signed = client.contribute(
                     round_id=1,
                     values=photo_digest_values(photo),
                     features=pack_features(PHOTO_FEATURES),
                     blind=False,
-                    claims={"submission": photo},
                 )
                 accepted = signing.public_key.is_valid(
                     signed.signed_bytes(), signed.signature

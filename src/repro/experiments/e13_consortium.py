@@ -91,13 +91,9 @@ def run(
     consortium_aggregate = None
     for failure_rate in failure_rates:
         rng = deployment.rng.fork(f"consortium-{failure_rate}")
-        members = build_consortium(
-            num_members, "range:0.0:1.0", rng, deployment.codec
-        )
+        members = build_consortium(num_members, "range:0.0:1.0", rng)
         service = ConsortiumService(
-            {m.name: m.identity.public_key for m in members},
-            quorum=quorum,
-            codec=deployment.codec,
+            {m.name: m.identity.public_key for m in members}, quorum=quorum
         )
         for member in members:
             member.open_round(1, num_users, len(features))

@@ -33,6 +33,7 @@ from repro.core.provisioning import (
     VettingRegistry,
 )
 from repro.core.service import CloudService
+from repro.core.validation import PrivateContext
 from repro.crypto.dh import TEST_GROUP
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.fixedpoint import FixedPointCodec
@@ -134,7 +135,7 @@ def run(
                 image,
                 ias,
                 seed=f"cam:{contribution.user_id}:{tolerance}".encode(),
-                data=LocalDataStore(video_stream=stream),
+                data=LocalDataStore(PrivateContext(video_stream=stream)),
             )
             client.provision_signing_key(service_prov)
             engine.register_client(client)

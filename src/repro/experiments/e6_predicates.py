@@ -20,11 +20,12 @@ from dataclasses import dataclass
 
 from repro.analysis.reporting import Table
 from repro.core.predicates import trace_commitment
-from repro.core.validation import PrivateContext, default_registry
+from repro.core.validation import PrivateContext, RoundFacts, default_registry
 from repro.crypto.drbg import HmacDrbg
 from repro.federated.model import FeatureSpace
 from repro.federated.poisoning import Poisoner
 from repro.federated.trainer import LocalTrainer
+from repro.sgx.counters import MonotonicCounter
 from repro.workloads.keyboard import (
     empty_trace,
     robotic_trace_for_sentences,
@@ -46,7 +47,6 @@ class AttackPlan:
     name: str
     values: list
     context: PrivateContext
-    claims: dict
     fabrication_effort: int
 
 
@@ -88,25 +88,18 @@ def _attack_plans(features: FeatureSpace, rng: HmacDrbg) -> list[AttackPlan]:
     # trace, matching sentences, and a correct trace commitment.  Expensive.
     fabricated = poisoner.fabricated_consistent_attack(repetitions=30)
     human_trace = trace_for_sentences(fabricated.forged_sentences, rng.fork("forge"))
-    fabricated_claims = {
-        "trace_commitment": trace_commitment(
-            fabricated.forged_sentences, list(fabricated.vector)
-        )
-    }
 
     return [
         AttackPlan(
             name="magnitude 538 (no evidence)",
             values=list(magnitude.vector),
             context=PrivateContext(keystroke_trace=empty_trace(), sentences=[]),
-            claims={},
             fabrication_effort=0,
         ),
         AttackPlan(
             name="in-range boost (no evidence)",
             values=list(boost.vector),
             context=PrivateContext(keystroke_trace=empty_trace(), sentences=[]),
-            claims={},
             fabrication_effort=0,
         ),
         AttackPlan(
@@ -115,7 +108,6 @@ def _attack_plans(features: FeatureSpace, rng: HmacDrbg) -> list[AttackPlan]:
             context=PrivateContext(
                 keystroke_trace=robotic, sentences=boost_sentences
             ),
-            claims={},
             fabrication_effort=len(robotic.events),
         ),
         AttackPlan(
@@ -124,8 +116,10 @@ def _attack_plans(features: FeatureSpace, rng: HmacDrbg) -> list[AttackPlan]:
             context=PrivateContext(
                 keystroke_trace=human_trace,
                 sentences=fabricated.forged_sentences,
+                trace_commitment=trace_commitment(
+                    fabricated.forged_sentences, list(fabricated.vector)
+                ),
             ),
-            claims=fabricated_claims,
             fabrication_effort=fabricated.fabrication_effort
             + len(human_trace.events) * 10,
         ),
@@ -153,11 +147,10 @@ def run(
         name="honest client (control)",
         values=honest_vector,
         context=PrivateContext(
-            keystroke_trace=honest_trace, sentences=honest_sentences
+            keystroke_trace=honest_trace,
+            sentences=honest_sentences,
+            trace_commitment=trace_commitment(honest_sentences, honest_vector),
         ),
-        claims={
-            "trace_commitment": trace_commitment(honest_sentences, honest_vector)
-        },
         fabrication_effort=0,
     )
 
@@ -165,12 +158,9 @@ def run(
     for predicate_name, spec in PREDICATE_LADDER:
         predicate = registry.build(spec)
         for plan in [honest_plan] + plans:
-            context = PrivateContext(
-                sentences=plan.context.sentences,
-                keystroke_trace=plan.context.keystroke_trace,
-                extra={"features": features.bigrams, **plan.claims},
-            )
-            outcome = predicate.evaluate(plan.values, context)
+            # What a Glimmer would attach: one round, one counter per attempt.
+            facts = RoundFacts(1, features.bigrams, MonotonicCounter(b"e6", "round-1"))
+            outcome = predicate.evaluate(plan.values, plan.context, facts)
             detected = not outcome.passed
             rows.append(
                 (

@@ -22,12 +22,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.codec import TupleOf, wire
+from repro.codec import Bool, Str, TupleOf, wire
 from repro.crypto.drbg import HmacDrbg
 from repro.errors import ConfigurationError
 
 
-@wire(0x8208)
+@wire(
+    0x8208, session_id=Str, mouse_moves_per_minute=float, mean_event_interval_ms=float,
+    event_interval_variance=float, focus_changes_per_minute=float, js_fidelity=float,
+    scroll_entropy=float, browsing_history=TupleOf(Str), cookie_ids=TupleOf(Str),
+    interest_profile=Str, is_bot=Bool,
+)
 @dataclass(frozen=True)
 class SessionSignals:
     """One browsing session's detector features plus private context."""

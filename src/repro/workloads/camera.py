@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.codec import wire
+from repro.codec import Int, ListOf, Real, Str, wire
 from repro.crypto.drbg import HmacDrbg
 from repro.errors import ConfigurationError
 
@@ -37,9 +37,10 @@ ACTIVITY_IDLE = "idle"
 
 MOTION_BINS = 8
 MAX_STEP = 16.0  # pixels/frame; histogram bin width = MAX_STEP / MOTION_BINS
+MAX_PIXEL = 1e6  # a frame coordinate past this is absurd, and could overflow a step
 
 
-@wire(0x8206)
+@wire(0x8206, index=Int(0), x=Real(MAX_PIXEL), y=Real(MAX_PIXEL))
 @dataclass(frozen=True)
 class Frame:
     """One video frame, reduced to the person blob's position."""
@@ -49,7 +50,7 @@ class Frame:
     y: float
 
 
-@wire(0x8207)
+@wire(0x8207, user_id=Str, frames=ListOf(Frame), activity=Str)
 @dataclass
 class VideoStream:
     """A resident's private video: the full frame sequence."""

@@ -1,6 +1,10 @@
 """Tests for §4.1 validation confidentiality end to end."""
 
+import itertools
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import codec
 from repro.core.auditor import RuntimeAuditor
@@ -26,7 +30,7 @@ from repro.errors import (
 from repro.sgx.attestation import AttestationService, report_data_for
 from repro.sgx.measurement import VendorKey
 from repro.sgx.platform import SgxPlatform
-from repro.workloads.botnet import BotnetWorkload, DetectorWeights
+from repro.workloads.botnet import BotnetWorkload, DetectorWeights, SessionSignals
 
 
 @pytest.fixture(scope="module")
@@ -225,3 +229,36 @@ def test_raw_leakage_positive_for_all_sessions(setup):
     __, __, __, __, __, __, workload = setup
     for signals in workload.sessions:
         assert raw_signal_leakage_bits(signals) > 100
+
+
+_PLATFORMS = itertools.count()
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_a_signals_answer_with_one_mistyped_field_refuses_only_that_session(setup, data):
+    """The host's answer to ``collect_session_signals`` crosses held to
+    ``SessionSignals``' declared fields: one mistyped field refuses that
+    session with a ``ProtocolViolation`` at the crossing, and the same
+    session answered honestly, and the next one, are judged as before.
+    Before the fields were declared, a mistyped detector feature raised
+    ``TypeError`` out of the ecall, and a mistyped history, profile or
+    session id reached the detector."""
+    workload = setup[-1]
+    signals = workload.sessions[0]
+    name = data.draw(st.sampled_from(sorted(codec.declared(SessionSignals))), label="field")
+    current = getattr(signals, name)
+    mistyped = [v for v in (5, 1.5, "x", b"x", (), True, None) if type(v) is not type(current)]
+    if type(current) is tuple:
+        mistyped.append((5,) + current[1:])
+    value = data.draw(st.sampled_from(mistyped), label="value")
+    enclave, service, store, __ = provisioned(setup, b"conf-mistyped-%d" % next(_PLATFORMS))
+    store[signals.session_id] = replace(signals, **{name: value})
+    challenge = service.new_challenge(signals.session_id)
+    with pytest.raises(ProtocolViolation, match="collect_session_signals"):
+        enclave.ecall("evaluate_session", signals.session_id, challenge)
+    for session in (signals, workload.sessions[1]):
+        store[session.session_id] = session
+        challenge = service.new_challenge(session.session_id)
+        message = enclave.ecall("evaluate_session", session.session_id, challenge)
+        assert service.verify_verdict(message) == DetectorWeights().is_human(session)

@@ -1,11 +1,18 @@
 """Tests for the Glimmer enclave program: provisioning, processing, properties."""
 
-import pytest
+from dataclasses import replace
+from types import NoneType
+from typing import get_args, get_origin, get_type_hints
 
-from repro import invariants
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro import codec, invariants
 from repro.core.glimmer import (
     GlimmerConfig,
     KeyDelivery,
+    ProcessRequest,
     features_digest,
     pack_features,
 )
@@ -18,11 +25,19 @@ from repro.errors import (
     AuthenticationError,
     ConfigurationError,
     ProtocolError,
+    ProtocolViolation,
+    ReproError,
     ValidationError,
 )
-from repro.core.validation import PrivateContext
+from repro.core.predicates import trace_commitment
+from repro.core.validation import PrivateContext, default_registry
 from repro.experiments.common import Deployment
-from repro.runtime.telemetry import OUTCOME_CRASHED
+from repro.runtime.telemetry import (
+    OUTCOME_ACCEPTED,
+    OUTCOME_CRASHED,
+    OUTCOME_VALIDATION_REJECTED,
+)
+from repro.workloads.camera import MOTION_BINS, CameraWorkload, Frame, VideoStream, motion_histogram
 from repro.workloads.geo import GeoWorkload, PhotoSubmission, TrackPoint, UserGeoContext
 from repro.workloads.keyboard import KeyEvent, KeystrokeTrace, trace_for_sentences
 from repro.workloads.reviews import Purchase, Review, ReviewWorkload, UserShoppingContext
@@ -62,8 +77,13 @@ def test_predicate_spec_exposed(deployment):
 
 
 def test_signing_key_provisioned(deployment):
+    """A provisioned Glimmer signs under the service's signing key."""
     client = next(iter(deployment.clients.values()))
-    assert client.glimmer.ecall("has_signing_key")
+    values = [0.5] * len(deployment.features)
+    signed = client.contribute(
+        1, values, pack_features(deployment.features.bigrams), blind=False
+    )
+    deployment.signing_keypair.public_key.verify(signed.signed_bytes(), signed.signature)
 
 
 def test_process_without_signing_key_rejected(fresh_deployment):
@@ -210,9 +230,17 @@ def test_sealed_signing_key_restores_after_restart(fresh_deployment):
         deployment.image,
         ocall_handlers={"collect_private_data": client._serve_private_data},
     )
-    assert not restarted.ecall("has_signing_key")
+    request = ProcessRequest(
+        round_id=1,
+        values=kernels.be_doubles_to_bytes([0.5] * len(deployment.features)),
+        features=pack_features(deployment.features.bigrams),
+        blind=False,
+    )
+    with pytest.raises(ProtocolError, match="signing key not provisioned"):
+        restarted.ecall("process_contribution", request)
     restarted.ecall("restore_signing_key", sealed)
-    assert restarted.ecall("has_signing_key")
+    signed = restarted.ecall("process_contribution", request)
+    deployment.signing_keypair.public_key.verify(signed.signed_bytes(), signed.signature)
 
 
 def test_restore_rejects_foreign_blob(fresh_deployment):
@@ -266,78 +294,134 @@ def test_glimmer_keeps_no_raw_values_after_processing(round_setup):
     assert not contains_marker(state)
 
 
+def _round(deployment, lie=None, vectors=None):
+    """Round 1 over every corpus user, each contributing ``vectors`` (its
+    trained vector by default).  With ``lie``, the first device's host
+    answers the private-data ocall with that context instead, or with
+    ``lie(answer)`` for a function of the honest answer; every refusal
+    the Glimmer raises to that device is kept in ``deployment.refusals``."""
+    users = [user.user_id for user in deployment.corpus.users]
+    vectors = vectors or deployment.local_vectors(users)
+    deployment.refusals = []
+    if lie is not None:
+        liar = deployment.clients[users[0]]
+        honest = liar.data.context_for
+        liar.data.context_for = lambda fields: lie(honest(fields)) if callable(lie) else lie
+        contribute = liar.contribute
+
+        def recorded(*args, **kwargs):
+            try:
+                return contribute(*args, **kwargs)
+            except ReproError as exc:
+                deployment.refusals.append(exc)
+                raise
+
+        liar.contribute = recorded
+    deployment.last_report = deployment.engine.run_round(
+        1, users, vectors, deployment.features.bigrams
+    )
+    return deployment, vectors
+
+
 def _keystroke_round(lie=None):
     """Round 1 under the keystrokes predicate, every device typing its own
-    sentences; with ``lie`` the first device's host answers the
-    private-data ocall with that context instead."""
+    sentences; ``lie`` as in :func:`_round`."""
     deployment = Deployment.build(
         num_users=4, predicate_spec="keystrokes", sentences_per_user=10
     )
-    users = [user.user_id for user in deployment.corpus.users]
-    for user in users:
-        deployment.clients[user].data.keystroke_trace = trace_for_sentences(
+    for user in deployment.clients:
+        deployment.clients[user].data.private.keystroke_trace = trace_for_sentences(
             deployment.corpus.streams[user], HmacDrbg(user.encode())
         )
-    if lie is not None:
-        deployment.clients[users[0]].data.context_for = lambda fields: lie
-    deployment.honest_round(1)
-    return deployment, users
+    return _round(deployment, lie)
+
+
+def _exec_trace_round(lie=None, forged=()):
+    """Round 1 under the exec-trace predicate, every device holding the
+    commitment to its own training run, or a forged one for the devices
+    in ``forged``; ``lie`` as in :func:`_round`."""
+    deployment = Deployment.build(
+        num_users=4, predicate_spec="exec-trace", sentences_per_user=10
+    )
+    for user, vector in deployment.local_vectors().items():
+        commitment = trace_commitment(deployment.corpus.streams[user], vector)
+        deployment.clients[user].data.private.trace_commitment = (
+            bytes(32) if user in forged else commitment
+        )
+    return _round(deployment, lie)
 
 
 def _geo_round(lie=None):
     """Round 1 under the geo predicate, every device holding its own track
-    and one honest photo claim; ``lie`` as in :func:`_keystroke_round`."""
+    and one honest photo claim; ``lie`` as in :func:`_round`."""
     deployment = Deployment.build(num_users=4, predicate_spec="geo")
-    users = [user.user_id for user in deployment.corpus.users]
     workload = GeoWorkload.generate(
-        len(users), HmacDrbg(b"geo-probe"), photos_per_user=1, spoof_fraction=0.0
+        4, HmacDrbg(b"geo-probe"), photos_per_user=1, spoof_fraction=0.0
     )
-    for user, context, photo in zip(users, workload.contexts.values(), workload.submissions):
-        deployment.clients[user].data.geo_context = context
-        deployment.clients[user].data.extra = {"submission": photo}
-    if lie is not None:
-        deployment.clients[users[0]].data.context_for = lambda fields: lie
-    deployment.honest_round(1)
-    return deployment, users
+    for client, context, photo in zip(
+        deployment.clients.values(), workload.contexts.values(), workload.submissions
+    ):
+        client.data.private.geo_context = context
+        client.data.private.submission = photo
+    return _round(deployment, lie)
 
 
 def _purchase_round(lie=None):
     """Round 1 under the purchase predicate, every device holding its own
     history and one honest review of a product in it; ``lie`` as in
-    :func:`_keystroke_round`."""
+    :func:`_round`."""
     deployment = Deployment.build(num_users=4, predicate_spec="purchase")
-    users = [user.user_id for user in deployment.corpus.users]
     workload = ReviewWorkload.generate(
-        len(users), HmacDrbg(b"purchase-probe"), reviews_per_user=1, spurious_fraction=0.0
+        4, HmacDrbg(b"purchase-probe"), reviews_per_user=1, spurious_fraction=0.0
     )
-    for user, context, review in zip(users, workload.contexts.values(), workload.reviews):
-        deployment.clients[user].data.shopping_context = context
-        deployment.clients[user].data.extra = {"review": review}
-    if lie is not None:
-        deployment.clients[users[0]].data.context_for = lambda fields: lie
-    deployment.honest_round(1)
-    return deployment, users
+    for client, context, review in zip(
+        deployment.clients.values(), workload.contexts.values(), workload.reviews
+    ):
+        client.data.private.shopping_context = context
+        client.data.private.review = review
+    return _round(deployment, lie)
+
+
+def _silhouette_round(lie=None):
+    """Round 1 under the silhouette predicate over eight features, every
+    device holding its own video and contributing the motion histogram
+    the Glimmer recomputes from it (E17's recipe); ``lie`` as in
+    :func:`_round`."""
+    deployment = Deployment.build(
+        num_users=4, predicate_spec="silhouette", max_features=MOTION_BINS
+    )
+    workload = CameraWorkload.generate(
+        4, HmacDrbg(b"silhouette-probe"), frames_per_stream=24, forged_fraction=0.0
+    )
+    vectors = {}
+    for user, stream in zip(deployment.clients, workload.streams.values()):
+        deployment.clients[user].data.private.video_stream = stream
+        vectors[user] = np.array(motion_histogram(stream.frames))
+    return _round(deployment, lie, vectors)
 
 
 def _assert_only_the_lying_device_is_down(lie, run_round=_keystroke_round):
-    honest, users = run_round()
+    honest, vectors = run_round()
     lied, __ = run_round(lie)
+    users = list(vectors)
     report = lied.last_report
     assert report.outcomes[users[0]] == OUTCOME_CRASHED
     assert users[0] not in report.survivors and report.masks_repaired == 1
     others = {user: honest.last_report.outcomes[user] for user in users[1:]}
     assert {user: report.outcomes[user] for user in users[1:]} == others
-    vectors = lied.local_vectors(report.participants)
-    assert invariants.judge(report, lied.codec, vectors).exact
+    survivors = {user: vectors[user] for user in report.participants}
+    assert invariants.judge(report, lied.codec, survivors).exact
+    assert lied.refusals and all(type(exc) is ProtocolViolation for exc in lied.refusals)
 
 
 def test_a_host_context_that_fails_its_checks_downs_only_its_device():
     """The host's answer to the private-data ocall crosses into the
-    Glimmer held to ``PrivateContext``'s declared checks: an ``extra``
-    that is not a dict is refused there, so its device is ``crashed`` and
-    its slot repaired, never a ``TypeError`` out of the round, and every
-    other device fares exactly as beside an honest host."""
-    _assert_only_the_lying_device_is_down(PrivateContext(extra=5))
+    Glimmer held to ``PrivateContext``'s declared checks: a trace that is
+    not a ``KeystrokeTrace`` is refused there, so its device is
+    ``crashed`` and its slot repaired, never an ``AttributeError`` out of
+    the round, and every other device fares exactly as beside an honest
+    host."""
+    _assert_only_the_lying_device_is_down(PrivateContext(keystroke_trace=5))
 
 
 def test_a_keystroke_trace_that_fails_its_checks_downs_only_its_device():
@@ -356,7 +440,7 @@ def test_a_geo_track_that_fails_its_checks_downs_only_its_device():
     before they were declared)."""
     lie = PrivateContext(
         geo_context=UserGeoContext("u", [TrackPoint("a", "b", "c")], b"x"),
-        extra={"submission": PhotoSubmission("p", "u", 0.0, 0.0, 0.0, b"x", False)},
+        submission=PhotoSubmission("p", "u", 0.0, 0.0, 0.0, b"x", False),
     )
     _assert_only_the_lying_device_is_down(lie, _geo_round)
 
@@ -368,9 +452,110 @@ def test_a_purchase_history_that_fails_its_checks_downs_only_its_device():
     whole round before they were declared)."""
     lie = PrivateContext(
         shopping_context=UserShoppingContext("u", [Purchase("product-001", "later")]),
-        extra={"review": Review("r", "u", "product-001", 5, 2.0, False)},
+        review=Review("r", "u", "product-001", 5, 2.0, False),
     )
     _assert_only_the_lying_device_is_down(lie, _purchase_round)
+
+
+@pytest.mark.parametrize(
+    "stream",
+    [
+        VideoStream("u", [Frame("a", "b", "c")] * 4, "walk"),
+        VideoStream("u", "notalist", "walk"),
+        VideoStream("u", [Frame(0, 1e300, 0.0), Frame(1, -1e300, 0.0)], "walk"),
+    ],
+    ids=["string-frames", "frames-not-a-list", "huge-coordinates"],
+)
+def test_a_video_stream_that_fails_its_checks_downs_only_its_device(stream):
+    """A video whose frames are strings, whose frame list is a string, or
+    whose coordinates are too large for a step between them to be squared
+    is refused at the crossing by ``Frame``'s and ``VideoStream``'s
+    declared fields, not differenced by the silhouette predicate (a
+    ``TypeError``, ``AttributeError`` or ``OverflowError`` out of the whole
+    round before they were declared)."""
+    _assert_only_the_lying_device_is_down(PrivateContext(video_stream=stream), _silhouette_round)
+
+
+def test_exec_trace_rounds_read_each_devices_own_commitment():
+    """The trace commitment is the device's private data, served by the
+    same ocall as its sentences: a round whose devices hold their own
+    finalizes exactly, and a device holding a forged one is
+    ``validation-rejected`` beside it (every device was, while the
+    commitment could only ride claims the round never sent)."""
+    honest, vectors = _exec_trace_round()
+    report = honest.last_report
+    assert set(report.outcomes.values()) == {OUTCOME_ACCEPTED}
+    assert invariants.judge(report, honest.codec, vectors).exact
+    users = list(vectors)
+    forged, __ = _exec_trace_round(forged={users[0]})
+    report = forged.last_report
+    assert report.outcomes[users[0]] == OUTCOME_VALIDATION_REJECTED
+    assert {report.outcomes[user] for user in users[1:]} == {OUTCOME_ACCEPTED}
+    survivors = {user: vectors[user] for user in report.participants}
+    assert invariants.judge(report, forged.codec, survivors).exact
+
+
+# A host answer, as the device would give it, with one declared field
+# mistyped: any field of the record or of a record inside it, however deep
+# (the first two items of every list), set to a value of another type.
+MISTYPED_VALUES = (5, 1.5, "x", b"x", (), [], True, None)
+
+
+def _fields_of(value, path=()):
+    """Each ``(path, value)`` below a host answer: the declared fields of
+    every record in it, and the first two items of every list."""
+    if type(value) in codec.registered().values():
+        for name in codec.declared(type(value)):
+            yield (path + (name,), getattr(value, name))
+            yield from _fields_of(getattr(value, name), path + (name,))
+    elif type(value) in (list, tuple):
+        for index, item in enumerate(value[:2]):
+            yield (path + (index,), item)
+            yield from _fields_of(item, path + (index,))
+
+
+def _swapped(value, path, new):
+    """``value`` with what ``path`` names replaced by ``new``."""
+    if not path:
+        return new
+    head, rest = path[0], path[1:]
+    if type(head) is int:
+        items = list(value)
+        items[head] = _swapped(items[head], rest, new)
+        return type(value)(items)
+    return replace(value, **{head: _swapped(getattr(value, head), rest, new)})
+
+
+HOST_FED_ROUNDS = {
+    "keystrokes": _keystroke_round,
+    "exec-trace": _exec_trace_round,
+    "geo": _geo_round,
+    "purchase": _purchase_round,
+    "silhouette": _silhouette_round,
+}
+
+
+@pytest.mark.parametrize("spec", sorted(HOST_FED_ROUNDS))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_a_host_answer_with_one_mistyped_field_downs_only_its_device(spec, data):
+    """Whatever declared field of its answer a host mistypes, under every
+    predicate a host feeds, ``run_round`` returns, the refusal is a
+    ``ProtocolViolation`` at the crossing, and only the lying device is
+    down."""
+    honest, __ = HOST_FED_ROUNDS[spec]()
+    needed = default_registry().build(spec).required_context()
+    answer = next(iter(honest.clients.values())).data.context_for(needed)
+    path, current = data.draw(st.sampled_from(list(_fields_of(answer))), label="field")
+    if len(path) == 1:  # a PrivateContext field: absent, or what its hint names
+        kind = get_args(get_type_hints(PrivateContext)[path[0]])[0]
+        mistyped = [v for v in MISTYPED_VALUES if type(v) not in (get_origin(kind) or kind, NoneType)]
+    else:
+        mistyped = [v for v in MISTYPED_VALUES if type(v) is not type(current)]
+    value = data.draw(st.sampled_from(mistyped), label="value")
+    _assert_only_the_lying_device_is_down(
+        lambda honest_answer: _swapped(honest_answer, path, value), HOST_FED_ROUNDS[spec]
+    )
 
 
 def test_a_restored_glimmer_signs_the_words_an_unrestarted_one_would():

@@ -187,15 +187,15 @@ def test_a_mistyped_remote_request_is_refused(gaas, field, value):
         _process_remote(gaas, {field: value}, PrivateContext())
 
 
-def test_a_remote_context_whose_extra_is_not_a_dict_is_refused(gaas):
+def test_a_remote_context_with_a_mistyped_field_is_refused(gaas):
     """The device's private context is held to ``PrivateContext``'s
-    declared checks as it is decoded: an ``extra`` that is not a dict is a
-    ``ProtocolError``, not the ``TypeError`` of merging it into the
-    context the predicate reads."""
+    declared checks as it is decoded: a photo that is not a
+    ``PhotoSubmission`` is a ``ProtocolError``, never reaching a
+    predicate."""
     from repro.errors import ProtocolError
 
     with pytest.raises(ProtocolError, match="malformed remote contribution payload"):
-        _process_remote(gaas, {}, PrivateContext(extra=5))
+        _process_remote(gaas, {}, PrivateContext(submission=5))
 
 
 def _process_remote(gaas, mistyped: dict, context: PrivateContext):

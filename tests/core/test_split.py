@@ -1,6 +1,6 @@
 """Tests for the decomposed (three-enclave) Glimmer."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import partial
 
 import pytest
@@ -9,7 +9,8 @@ from repro.byzantine import ATTACK_BLINDER_TAMPER_DELIVERY, LyingBlinder
 from repro.core.glimmer import GlimmerConfig, ProcessRequest, features_digest, pack_features
 from repro.core.provisioning import BlinderProvisioner, ServiceProvisioner
 from repro.core.split import SplitGlimmer, build_split_images
-from repro.core.validation import PrivateContext
+from repro import codec
+from repro.core.validation import PrivateContext, RoundFacts
 from repro.crypto.masking import BlindingService
 from repro.errors import (
     AttestationError,
@@ -22,10 +23,17 @@ from repro.experiments.common import Deployment
 from repro.perf import kernels
 from repro.sgx.attestation import report_data_for
 from repro.sgx.platform import SgxPlatform
+from repro.workloads.reviews import Review
 from tests.core.conftest import unblinded
 
 FEATURES = (("a", "b"), ("c", "d"), ("e", "f"))
 VALUES = kernels.be_doubles_to_bytes((0.5, 0.25, 1.0))
+#: A host answer with a value in every field a predicate here might read.
+FULL_RECORD = PrivateContext(
+    sentences=[["a", "b"], ["c", "d"]],
+    review=Review("r", "u", "p", 5, 1.0, False),
+    trace_commitment=b"\x00" * 32,
+)
 
 
 @pytest.fixture
@@ -245,10 +253,13 @@ def test_split_validation_holds_the_blob_to_its_digest(split_setup, features):
         split.validation.ecall("validate", request)
 
 
-def test_a_claim_cannot_replace_what_the_glimmer_attaches(split_setup):
-    """Claims are merged before the Glimmer's own context fields: a host
-    that claims a fresh round and no counter on every attempt is still
-    held to the one-per-round limit."""
+def test_a_host_record_has_no_field_for_what_the_glimmer_attaches(split_setup):
+    """The round, the feature list and the rate-limit counter a predicate
+    reads are the Glimmer's own ``RoundFacts``: the private-data record
+    has no field for any of them, so a host that answers the ocall with a
+    full record on every attempt is still held to the one-per-round
+    limit."""
+    assert not {f.name for f in fields(RoundFacts)} & set(codec.declared(PrivateContext))
     deployment, platform, split, blinder_prov = split_setup
     config = GlimmerConfig(
         predicate_spec="chain:range,0.0,1.0+rate,1",
@@ -259,18 +270,14 @@ def test_a_claim_cannot_replace_what_the_glimmer_attaches(split_setup):
     rated = SplitGlimmer(
         SgxPlatform(b"claims-split-platform", attestation_service=deployment.attestation),
         build_split_images(deployment.vendor, config),
-        ocall_handlers={"collect_private_data": lambda fields: PrivateContext()},
+        ocall_handlers={"collect_private_data": lambda names: FULL_RECORD},
     )
-
-    def request(attempt):
-        return ProcessRequest(
-            round_id=1, values=VALUES, features=pack_features(FEATURES), blind=False,
-            claims={"round_id": 100 + attempt, "counter": None, "features": FEATURES[:1]},
-        )
-
-    rated.validation.ecall("validate", request(0))
+    request = ProcessRequest(
+        round_id=1, values=VALUES, features=pack_features(FEATURES), blind=False
+    )
+    rated.validation.ecall("validate", request)
     with pytest.raises(ValidationError, match="contribution 2 of 1"):
-        rated.validation.ecall("validate", request(1))
+        rated.validation.ecall("validate", request)
 
 
 def test_split_install_refuses_a_tampered_delivery(split_setup):
@@ -302,7 +309,6 @@ MISTYPED = [
     pytest.param({"features": 5}, id="features-int"),
     pytest.param({"round_id": "x"}, id="round-id-str"),
     pytest.param({"party_index": "0"}, id="party-index-str"),
-    pytest.param({"claims": 5}, id="claims-int"),
     pytest.param({"blind": "yes"}, id="blind-str"),
 ]
 

@@ -10,7 +10,7 @@ crossed, never the sender's object, and sizes follow shape, not value.
 
 import math
 import struct
-from dataclasses import fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import pytest
@@ -134,10 +134,9 @@ SAMPLES = {
         features=pack_features(BIGRAMS),
         blind=False,
         party_index=2,
-        claims={"trace": b"\x01", "age": 30},
     ),
     PrivateContext: PrivateContext(
-        sentences=["the cat sat"],
+        sentences=[["the", "cat", "sat"]],
         keystroke_trace=KeystrokeTrace([KeyEvent("t", 1.0), KeyEvent("h", 2.5)]),
         geo_context=UserGeoContext("u1", TRACK, b"\x0b" * 8),
         shopping_context=UserShoppingContext("u1", [Purchase("p1", 9.0)]),
@@ -145,7 +144,9 @@ SAMPLES = {
             "s1", 1.0, 2.0, 3.0, 4.0, 0.5, 0.25, ("a.com",), ("c1",), "news", False
         ),
         video_stream=VideoStream("u1", FRAMES, "walking"),
-        extra={"features": BIGRAMS, "round_id": 7},
+        submission=PhotoSubmission("p1", "u1", 1.0, 2.0, 3.0, b"\x0c" * 8, True),
+        review=Review("r1", "u1", "p1", 4, 10.0, False),
+        trace_commitment=b"\x0e" * 32,
     ),
     RoundResult: RoundResult(
         round_id=7,
@@ -211,6 +212,22 @@ def _same(a, b) -> bool:
 
 def test_every_registered_class_has_a_sample():
     assert set(codec.registered().values()) == set(SAMPLES)
+
+
+def test_every_field_of_every_registered_class_is_declared():
+    for cls in codec.registered().values():
+        assert list(codec.declared(cls)) == [f.name for f in fields(cls)], cls
+
+
+def test_a_class_with_an_undeclared_field_is_refused_by_name():
+    @dataclass
+    class Half:
+        checked: int
+        bare: str
+
+    with pytest.raises(TypeError, match=r"Half\.bare declares no check"):
+        codec.wire(0xBFFE, checked=int)(Half)
+    assert 0xBFFE not in codec.registered()
 
 
 @pytest.mark.parametrize("cls", list(SAMPLES), ids=lambda cls: cls.__qualname__)

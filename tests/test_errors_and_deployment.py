@@ -4,6 +4,8 @@ import pytest
 
 from repro import __version__
 from repro.core.client import LocalDataStore
+from repro.core.glimmer import pack_features
+from repro.core.validation import PrivateContext
 from repro.errors import (
     AttestationError,
     AuditError,
@@ -18,6 +20,8 @@ from repro.errors import (
     ValidationError,
 )
 from repro.experiments.common import Deployment
+from repro.workloads.geo import PhotoSubmission
+from repro.workloads.reviews import UserShoppingContext
 
 
 def test_version_string():
@@ -46,24 +50,31 @@ def test_catching_base_catches_all():
 
 # ----------------------------------------------------------- LocalDataStore
 
+PHOTO = PhotoSubmission("p", "u", 1.0, 2.0, 3.0, b"\x01" * 8, False)
+
+
 def test_datastore_serves_only_requested_fields():
     store = LocalDataStore(
-        sentences=[["a", "b"]],
-        geo_context="GEO",
-        shopping_context="SHOP",
+        PrivateContext(
+            sentences=[["a", "b"]],
+            submission=PHOTO,
+            shopping_context=UserShoppingContext("u", []),
+        )
     )
     context = store.context_for(("sentences",))
     assert context.sentences == [["a", "b"]]
-    assert context.geo_context is None  # not requested, not served
+    assert context.submission is None  # not requested, not served
     assert context.shopping_context is None
 
 
-def test_datastore_extra_always_copied():
-    store = LocalDataStore(extra={"submission": "photo"})
-    context = store.context_for(())
-    assert context.extra == {"submission": "photo"}
-    context.extra["submission"] = "mutated"
-    assert store.extra["submission"] == "photo"
+def test_datastore_serves_a_new_record():
+    """The answer is a record of its own: rebinding one of its fields
+    leaves the device's private data as it was."""
+    store = LocalDataStore(PrivateContext(submission=PHOTO))
+    context = store.context_for(("submission",))
+    assert context == store.private and context is not store.private
+    context.submission = None
+    assert store.private.submission == PHOTO
 
 
 def test_datastore_ignores_unknown_fields():
@@ -81,8 +92,12 @@ def deployment():
 
 def test_deployment_provisions_all_clients(deployment):
     assert set(deployment.clients) == {u.user_id for u in deployment.corpus.users}
+    values = [0.5] * len(deployment.features)
     for client in deployment.clients.values():
-        assert client.glimmer.ecall("has_signing_key")
+        signed = client.contribute(
+            99, values, pack_features(deployment.features.bigrams), blind=False
+        )
+        deployment.signing_keypair.public_key.verify(signed.signed_bytes(), signed.signature)
 
 
 def test_deployment_vetting_matches_image(deployment):

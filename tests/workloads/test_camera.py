@@ -3,9 +3,10 @@
 import pytest
 
 from repro.core.predicates import SilhouetteCorroborationPredicate
-from repro.core.validation import PrivateContext, default_registry
+from repro.core.validation import PrivateContext, RoundFacts, default_registry
 from repro.crypto.drbg import HmacDrbg
 from repro.errors import ConfigurationError
+from repro.sgx.counters import MonotonicCounter
 from repro.workloads.camera import (
     ACTIVITY_ACTIVE,
     ACTIVITY_IDLE,
@@ -13,6 +14,8 @@ from repro.workloads.camera import (
     CameraWorkload,
     motion_histogram,
 )
+
+FACTS = RoundFacts(1, (), MonotonicCounter(b"camera", "round-1"))
 
 
 def rng():
@@ -86,7 +89,7 @@ def test_silhouette_accepts_honest():
     for contribution in workload.contributions:
         stream = workload.streams[contribution.user_id]
         outcome = predicate.evaluate(
-            list(contribution.values), PrivateContext(video_stream=stream)
+            list(contribution.values), PrivateContext(video_stream=stream), FACTS
         )
         assert outcome.passed, outcome.reason
 
@@ -97,14 +100,14 @@ def test_silhouette_rejects_forged():
     for contribution in workload.contributions:
         stream = workload.streams[contribution.user_id]
         outcome = predicate.evaluate(
-            list(contribution.values), PrivateContext(video_stream=stream)
+            list(contribution.values), PrivateContext(video_stream=stream), FACTS
         )
         assert not outcome.passed
 
 
 def test_silhouette_rejects_missing_video():
     predicate = SilhouetteCorroborationPredicate()
-    outcome = predicate.evaluate([0.1] * MOTION_BINS, PrivateContext())
+    outcome = predicate.evaluate([0.1] * MOTION_BINS, PrivateContext(), FACTS)
     assert not outcome.passed
     assert "unavailable" in outcome.reason
 
@@ -113,7 +116,7 @@ def test_silhouette_rejects_wrong_bin_count():
     workload = CameraWorkload.generate(1, rng(), forged_fraction=0.0)
     stream = next(iter(workload.streams.values()))
     predicate = SilhouetteCorroborationPredicate()
-    outcome = predicate.evaluate([0.5], PrivateContext(video_stream=stream))
+    outcome = predicate.evaluate([0.5], PrivateContext(video_stream=stream), FACTS)
     assert not outcome.passed
 
 
@@ -126,10 +129,12 @@ def test_silhouette_cycles_scale_with_frames():
     short_cycles = predicate.evaluate(
         motion_histogram(short_stream.frames),
         PrivateContext(video_stream=short_stream),
+        FACTS,
     ).cycles
     long_cycles = predicate.evaluate(
         motion_histogram(long_stream.frames),
         PrivateContext(video_stream=long_stream),
+        FACTS,
     ).cycles
     assert long_cycles > short_cycles
 
