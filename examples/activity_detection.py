@@ -72,6 +72,7 @@ def main() -> None:
     engine = RoundEngine(
         Network(seed=b"activity-bus"), service, blinder_prov,
         signing_public=signing.public_key, codec=codec, group=TEST_GROUP,
+        glimmer_config=config,
     )
 
     for contribution in workload.contributions:

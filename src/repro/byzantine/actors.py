@@ -75,15 +75,15 @@ from repro.runtime.protocol import FLOOD_THRESHOLD
 from repro.runtime.telemetry import OUTCOME_SUBMIT_FAILED
 
 
-def forged_contribution(client, round_id: int, values, parties: int) -> SignedContribution:
-    """A contribution in the honest wire shape of a ``parties``-slot round,
-    signed with a made-up key.
+def forged_contribution(client, round_id: int, values, width: int) -> SignedContribution:
+    """A contribution in the honest wire shape of a round whose words cross
+    at ``width`` bytes, signed with a made-up key.
 
     :meth:`MaliciousClient.bypass_glimmer`, run on any client device — an
     attacker does not need a special build of the client software to put
     bytes on the wire.
     """
-    return MaliciousClient.bypass_glimmer(client, round_id, values, parties)
+    return MaliciousClient.bypass_glimmer(client, round_id, values, width)
 
 
 class AttackerEndpoint(ClientEndpoint):
@@ -109,7 +109,7 @@ class AttackerEndpoint(ClientEndpoint):
 
     def _forge(self, command, record, bump: float = 0.0) -> None:
         forged = forged_contribution(
-            self.client, command.round_id, self._values + bump, record.num_slots
+            self.client, command.round_id, self._values + bump, record.width
         )
         super()._submit(command, forged)
 

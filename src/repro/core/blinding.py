@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.crypto.fixedpoint import FixedPointCodec, ring_width
+from repro.crypto.fixedpoint import FixedPointCodec
 from repro.crypto.hashing import hash_items
 from repro.crypto.masking import apply_mask
 from repro.errors import (
@@ -43,10 +43,11 @@ class BlindingComponent:
     holds a single party's mask per round, while a shared remote Glimmer
     (§4.2) may hold one per client it serves.  A mask is delivered as
     packed big-endian u64 words and held narrowed, as ``(width, words)``:
-    its residues at the width its round's sum needs
-    (:func:`~repro.crypto.fixedpoint.ring_width`), the width its blinded
-    contribution crosses at.  Reduction mod ``2^(8·width)`` keeps the
-    family's sum zero, so the narrowed masks still cancel.
+    its residues at the width its round's words cross at, which the
+    engine decided at open (:func:`~repro.crypto.fixedpoint.ring_width`)
+    and the Glimmer held to its own bound before installing.  Reduction
+    mod ``2^(8·width)`` keeps the family's sum zero, so the narrowed masks
+    still cancel.
     """
 
     def __init__(self) -> None:
@@ -55,10 +56,10 @@ class BlindingComponent:
         self._seen_digests: dict[bytes, tuple[int, int]] = {}
 
     def install_mask(
-        self, round_id: int, party_index: int, mask: Sequence[int] | bytes, parties: int
+        self, round_id: int, party_index: int, mask: Sequence[int] | bytes, width: int
     ) -> None:
-        """Store a decrypted mask for one (round, party) of a ``parties``-slot
-        round, narrowed to that round's width.
+        """Store a decrypted mask for one (round, party), narrowed to the
+        ``width`` its round's words cross at.
 
         Rejects double install for a slot, and rejects — with
         :class:`~repro.errors.MaskVerificationError` — any mask whose
@@ -88,7 +89,6 @@ class BlindingComponent:
                     oldest = next(iter(self._seen_digests))
                     del self._seen_digests[oldest]
                 self._seen_digests[digest] = key
-        width = ring_width(parties)
         self._masks[key] = (width, kernels.pack_words(packed, width))
 
     def has_mask(self, round_id: int, party_index: int = 0) -> bool:

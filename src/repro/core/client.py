@@ -33,7 +33,7 @@ from repro.core.provisioning import BlinderProvisioner, ServiceProvisioner
 from repro.core.signing import SignedContribution
 from repro.core.validation import PrivateContext
 from repro.crypto.drbg import HmacDrbg
-from repro.crypto.fixedpoint import ring_width
+from repro.crypto.fixedpoint import WHOLE_WORD
 from repro.crypto.schnorr import SchnorrKeyPair
 from repro.errors import (
     AttestationError,
@@ -188,17 +188,19 @@ class ClientDevice:
         return attested_handshake(self.platform, self.glimmer, session_id)
 
     def install_mask(
-        self, round_id: int, party_index: int, delivery, commitment
+        self, round_id: int, party_index: int, delivery, commitment, width: int
     ) -> None:
-        """Install a delivered blinding mask for ``round_id``.
+        """Install a delivered blinding mask for ``round_id``, to blind at
+        ``width`` bytes a word.
 
         The Glimmer verifies the delivered mask opens ``commitment``, the
         slot's engine-vouched
-        :class:`~repro.crypto.commitments.MaskCommitmentRecord`, before
-        installing — see ``install_blinding_mask``.
+        :class:`~repro.crypto.commitments.MaskCommitmentRecord`, and that
+        ``width`` holds the round's sum, before installing — see
+        ``install_blinding_mask``.
         """
         self.glimmer.ecall(
-            "install_blinding_mask", round_id, party_index, delivery, commitment
+            "install_blinding_mask", round_id, party_index, delivery, commitment, width
         )
         self._party_index_for_round[round_id] = party_index
 
@@ -220,9 +222,15 @@ class ClientDevice:
         return self._sealed_signing_key
 
     def provision_mask(
-        self, provisioner: BlinderProvisioner, round_id: int, party_index: int
+        self,
+        provisioner: BlinderProvisioner,
+        round_id: int,
+        party_index: int,
+        width: int = WHOLE_WORD,
     ) -> None:
-        """Obtain this round's blinding mask from the blinding service."""
+        """Obtain this round's blinding mask from the blinding service, to
+        blind at ``width`` bytes a word: the width the service was opened
+        at (whole words for one that named none)."""
         commitment = provisioner.round_commitments(round_id).record_for(party_index)
         mask_delivery(
             self,
@@ -231,7 +239,7 @@ class ClientDevice:
                 *request, round_id, party_index
             ),
             lambda delivery: self.install_mask(
-                round_id, party_index, delivery, commitment
+                round_id, party_index, delivery, commitment, width
             ),
         )
 
@@ -360,22 +368,22 @@ class MaliciousClient(ClientDevice):
         self,
         round_id: int,
         values: Sequence[float],
-        parties: int,
+        width: int,
         blinded_shape: bool = True,
     ) -> SignedContribution:
         """Fabricate a contribution signed with a key the attacker made up.
 
         Without genuine attestation the attacker cannot obtain the real
         signing key, so a self-generated key is the best available forgery.
-        Its words are written at the width of the ``parties``-slot round,
-        the honest shape, so only the signature gives it away.
+        Its words are written at the round's ``width``, the honest shape,
+        so only the signature gives it away.
         """
         forged_key = SchnorrKeyPair.generate(self.rng.fork("forged-key"))
         nonce = self.rng.generate(16)
         if blinded_shape:
             ring = kernels.pack_words(
                 [int(round(float(v) * (1 << 16))) % (1 << 64) for v in values],
-                ring_width(parties),
+                width,
             )
             plain = None
         else:
@@ -395,18 +403,17 @@ class MaliciousClient(ClientDevice):
         )
 
     def tamper_after_signing(
-        self, genuine: SignedContribution, parties: int, boost: float = 538.0
+        self, genuine: SignedContribution, width: int, boost: float = 538.0
     ) -> SignedContribution:
         """Rewrite a genuinely signed payload without re-signing.
 
         The nonce is fresh too: the genuine one is already spent, and the
         service refuses a spent nonce before it checks any signature.  A
-        ring payload is rewritten at the width of its ``parties``-slot
-        round, so it keeps the honest shape.
+        ring payload is rewritten at its round's ``width``, so it keeps
+        the honest shape.
         """
         fresh = replace(genuine, nonce=self.rng.generate(16))
         if genuine.ring_payload is not None:
-            width = ring_width(parties)
             mutated = kernels.unpack_words(genuine.ring_payload, width)
             mutated[:1] += kernels.U64((int(boost) << 16) % (1 << 64))
             return replace(fresh, ring_payload=kernels.pack_words(mutated, width))

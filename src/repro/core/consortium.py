@@ -31,6 +31,7 @@ per-member signatures, replay.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -105,16 +106,25 @@ class ConsortiumMember:
         """Exactly one member per consortium carries the encoded plaintext in
         its share; the rest contribute pure mask shares."""
         self._round_masks: dict[int, SumZeroMasks] = {}
+        #: round -> the feature list the round published, as a Glimmer's
+        #: RoundFacts carry it to the predicate.
+        self._round_features: dict[int, tuple[tuple[str, str], ...]] = {}
         self._counters = CounterStore()
         self.validations_run = 0
         self.available = True
         """Toggled off by E13's failure injection."""
 
-    def open_round(self, round_id: int, num_clients: int, length: int) -> None:
+    def open_round(
+        self, round_id: int, num_clients: int, features: Sequence[tuple[str, str]]
+    ) -> None:
+        """Open a round over the service's published ``features``: one
+        mask word per feature, and the list a corroboration predicate
+        recomputes weights over."""
         if round_id in self._round_masks:
             raise ProtocolError(f"{self.name}: round {round_id} already open")
+        self._round_features[round_id] = tuple(features)
         self._round_masks[round_id] = SumZeroMasks.sample(
-            num_clients, length, self._rng.fork(f"round-{round_id}")
+            num_clients, len(features), self._rng.fork(f"round-{round_id}")
         )
 
     def endorse(
@@ -137,7 +147,9 @@ class ConsortiumMember:
             raise ProtocolError(f"{self.name}: round {round_id} not open")
         self.validations_run += 1
         facts = RoundFacts(
-            round_id, (), self._counters.counter_for(b"", f"contributions-round-{round_id}")
+            round_id,
+            self._round_features[round_id],
+            self._counters.counter_for(b"", f"contributions-round-{round_id}"),
         )
         outcome = self._predicate.evaluate(list(values), context, facts)
         if not outcome.passed:

@@ -36,7 +36,7 @@ from repro.codec import (
     ROUND_ID, SLOT, Bool, Bytes, Element, Int, Named, Optional, Pair, Str, TupleOf, wire,
 )
 from repro.core.blinding import BlindingComponent
-from repro.core.signing import RING_WORDS, SignedContribution, SigningComponent
+from repro.core.signing import RING_WIDTH, RING_WORDS, SignedContribution, SigningComponent
 from repro.core.validation import PrivateContext, RoundFacts, default_registry
 from repro.crypto.cipher import AuthenticatedCipher, SealedBox
 from repro.crypto.commitments import (
@@ -45,7 +45,7 @@ from repro.crypto.commitments import (
     verify_opening,
 )
 from repro.crypto.dh import GROUPS, DHGroup, DHKeyPair
-from repro.crypto.fixedpoint import RING_WIDTHS
+from repro.crypto.fixedpoint import FixedPointCodec, holds_sum
 from repro.crypto.hashing import hash_items
 from repro.crypto.kdf import hkdf
 from repro.crypto.schnorr import SchnorrKeyPair, SchnorrPublicKey, SchnorrSignature
@@ -87,12 +87,33 @@ class GlimmerConfig:
     part of the vetted identity — a user can check what noise the Glimmer
     promises before trusting it."""
 
+    @property
+    def magnitude(self) -> float:
+        """The largest ``|value|`` a contribution this Glimmer blinds may
+        encode: what a round's words are sized by
+        (:func:`~repro.crypto.fixedpoint.ring_width`).  Derived from the
+        measured predicate spec, never a field of its own: the bound its
+        predicate proves, capped at the codec's; the codec's own
+        ``bound`` when the predicate proves none, or when the Glimmer adds
+        Gaussian noise, which no bound holds."""
+        return _config_magnitude(self.predicate_spec, self.dp_sigma)
+
     @classmethod
     def decode(cls, blob: bytes) -> "GlimmerConfig":
         try:
             return codec.decode(blob, GlimmerConfig)
         except ProtocolViolation as exc:
             raise ConfigurationError(f"malformed Glimmer config: {exc.detail}") from None
+
+
+@lru_cache(maxsize=8)
+def _config_magnitude(predicate_spec: str, dp_sigma: float) -> float:
+    """:attr:`GlimmerConfig.magnitude`, memoised: a Glimmer reads it at
+    every mask install, and the spec's predicate is built to answer."""
+    proven = default_registry().build(predicate_spec).magnitude
+    if dp_sigma > 0.0 or proven is None:
+        return FixedPointCodec.bound
+    return min(proven, FixedPointCodec.bound)
 
 
 def features_digest(bigrams: Sequence[tuple[str, str]]) -> bytes:
@@ -510,8 +531,10 @@ class BlindStep(DeliveryStep):
         party_index: int,
         delivery: KeyDelivery,
         commitment: MaskCommitmentRecord,
+        width: int,
     ) -> None:
-        """Accept a (round, party) mask from the blinding service.
+        """Accept a (round, party) mask from the blinding service, to blind
+        at ``width`` bytes a word.
 
         The delivery arrives over the attested channel — a full one, or
         one in the session the last full one opened, keyed to this round
@@ -524,9 +547,12 @@ class BlindStep(DeliveryStep):
         aggregating garbage.  The record reaches the enclave through the
         host, never the blinder: a call with no record, or with one for
         another round, slot or group, is the host's doing and is refused
-        (:class:`EnclaveError`) before the delivery is opened.  The opening
-        is checked in ``Z/2^64``; only then is the mask narrowed to the
-        width of the record's ``num_slots``-party round.
+        (:class:`EnclaveError`) before the delivery is opened.  So is a
+        ``width`` too narrow for the record's ``num_slots`` values each at
+        this Glimmer's own :attr:`~GlimmerConfig.magnitude`
+        (:func:`~repro.crypto.fixedpoint.holds_sum`): an honest cohort's
+        sum could wrap at it.  The opening is checked in ``Z/2^64``; only
+        then is the mask narrowed to ``width``.
         """
         if not isinstance(commitment, MaskCommitmentRecord) or (
             commitment.round_id,
@@ -537,6 +563,11 @@ class BlindStep(DeliveryStep):
                 f"install refused: no commitment record for round {round_id}, "
                 f"slot {party_index}"
             )
+        if not holds_sum(width, commitment.num_slots, self._config.magnitude):
+            raise EnclaveError(
+                f"install refused: {width}-byte words do not hold round {round_id}'s "
+                f"sum of {commitment.num_slots} values"
+            )
         plaintext = self._handshakes.open(
             delivery,
             self._config.blinder_identity,
@@ -546,9 +577,7 @@ class BlindStep(DeliveryStep):
         opening = decode_mask_payload(plaintext)
         self.api.charge_signature()  # two group exps, priced like a verify
         verify_opening(commitment, party_index, opening)
-        self._blinding.install_mask(
-            round_id, party_index, opening.mask, commitment.num_slots
-        )
+        self._blinding.install_mask(round_id, party_index, opening.mask, width)
 
     def _blind(
         self, round_id: int, party_index: int, values: Sequence[float]
@@ -639,7 +668,7 @@ class SignStep(DeliveryStep):
 
 @wire(
     0x8111, round_id=ROUND_ID,
-    masks=TupleOf(Pair(SLOT, Pair(Int(RING_WIDTHS[0], RING_WIDTHS[-1]), RING_WORDS))),
+    masks=TupleOf(Pair(SLOT, Pair(RING_WIDTH, RING_WORDS))),
     signings=Int(0),
 )
 @dataclass(frozen=True)

@@ -45,6 +45,7 @@ class AcceptAllPredicate:
     """The no-Glimmer baseline: endorse everything (Figure 1c's failure)."""
 
     name = "accept-all"
+    magnitude = None
 
     def required_context(self) -> tuple[str, ...]:
         return ()
@@ -72,6 +73,7 @@ class RangeCheckPredicate:
             raise ConfigurationError("range low must not exceed high")
         self.low = low
         self.high = high
+        self.magnitude = max(abs(low), abs(high))
 
     def required_context(self) -> tuple[str, ...]:
         return ()
@@ -106,6 +108,7 @@ class NormBoundPredicate:
         if bound <= 0:
             raise ConfigurationError("norm bound must be positive")
         self.bound = bound
+        self.magnitude = bound  # no coordinate exceeds the L2 norm
 
     def required_context(self) -> tuple[str, ...]:
         return ()
@@ -134,6 +137,7 @@ class RateLimitPredicate:
     """
 
     name = "rate"
+    magnitude = None
 
     def __init__(self, max_per_round: int = 1) -> None:
         if max_per_round < 1:
@@ -171,6 +175,7 @@ class KeystrokeCorroborationPredicate:
     """
 
     name = "keystrokes"
+    magnitude = None
 
     def __init__(self, tolerance: float = 0.15) -> None:
         if tolerance < 0:
@@ -222,6 +227,7 @@ class ExecutionTracePredicate:
     """
 
     name = "exec-trace"
+    magnitude = None
 
     def __init__(self, tolerance: float = 0.02) -> None:
         if tolerance < 0:
@@ -268,6 +274,7 @@ class GeoCorroborationPredicate:
     """
 
     name = "geo"
+    magnitude = None
 
     def __init__(self, radius: float = 25.0) -> None:
         if radius <= 0:
@@ -306,6 +313,7 @@ class PurchaseCorroborationPredicate:
     """Recommender: a review must be backed by a purchase that predates it."""
 
     name = "purchase"
+    magnitude = None
 
     def required_context(self) -> tuple[str, ...]:
         return ("shopping_context", "review")
@@ -342,6 +350,7 @@ class SilhouetteCorroborationPredicate:
     """
 
     name = "silhouette"
+    magnitude = None
 
     def __init__(self, tolerance: float = 0.05) -> None:
         if tolerance < 0:
@@ -386,6 +395,8 @@ class ChainPredicate:
         if not members:
             raise ConfigurationError("chain needs at least one member")
         self.members = list(members)
+        proven = [m.magnitude for m in self.members if m.magnitude is not None]
+        self.magnitude = min(proven, default=None)
 
     def required_context(self) -> tuple[str, ...]:
         needed: list[str] = []

@@ -153,9 +153,9 @@ class IoTClient:
         self._party_index_for_round: dict[int, int] = {}
 
     def install_mask(
-        self, round_id: int, party_index: int, delivery, commitment
+        self, round_id: int, party_index: int, delivery, commitment, width: int
     ) -> None:
-        self.host.install_mask(round_id, party_index, delivery, commitment)
+        self.host.install_mask(round_id, party_index, delivery, commitment, width)
         self._party_index_for_round[round_id] = party_index
 
     def party_index_for(self, round_id: int) -> int | None:

@@ -12,10 +12,11 @@ signature covers.  Per contribution it checks:
 The service computes only the ring sum — it never sees an individual
 contribution — and repairs dropouts with the ring sum of the masks the
 blinding service disclosed (§3), never one mask on its own.  Each blinded
-word arrives as its residue at the round's width
-(:func:`~repro.crypto.fixedpoint.ring_width` of ``expected_parties``);
-the residues fold in ``uint64`` and the total is sign-extended back to the
-64-bit sum at finalize.  Every round keeps one state shape: a
+word arrives as its residue at the round's width, which the round's
+opener names (the engine decides it:
+:func:`~repro.crypto.fixedpoint.ring_width`); the residues fold in
+``uint64`` and the total is sign-extended back to the 64-bit sum at
+finalize.  Every round keeps one state shape: a
 :class:`~repro.scale.streaming.StreamingSubgroupAccumulator` that each
 admitted payload folds into on arrival (a single group on the flat route,
 the round's subgroups on the streamed one).  The route only decides
@@ -31,7 +32,7 @@ import numpy as np
 
 from repro.codec import ROUND_ID, SIZE, TupleOf, wire
 from repro.core.signing import SignedContribution
-from repro.crypto.fixedpoint import FixedPointCodec
+from repro.crypto.fixedpoint import WHOLE_WORD, FixedPointCodec
 from repro.crypto.schnorr import SchnorrPublicKey
 from repro.errors import ConfigurationError, ProtocolError
 from repro.perf import kernels
@@ -132,6 +133,7 @@ class CloudService:
         expected_parties: int,
         subgroup_size: int = 0,
         vector_length: int | None = None,
+        width: int = WHOLE_WORD,
     ) -> None:
         """Open a round; ``subgroup_size > 0`` selects the streamed route.
 
@@ -143,6 +145,8 @@ class CloudService:
         ``vector_length`` fixes the words every contribution holds, so a
         payload of any other count is refused whatever arrived first; an
         in-process caller that trusts its rows may leave it to the first.
+        ``width`` is the bytes each word crosses at; a caller that opens a
+        round without an engine, and names none, reads whole 64-bit words.
         """
         if round_id in self._closed:
             raise ProtocolError(f"round {round_id} is closed")
@@ -155,7 +159,7 @@ class CloudService:
         )
         self._rounds[round_id] = RoundState(
             round_id=round_id,
-            accumulator=StreamingSubgroupAccumulator(plan, vector_length),
+            accumulator=StreamingSubgroupAccumulator(plan, vector_length, width),
             retain=subgroup_size <= 0,
         )
 

@@ -9,7 +9,8 @@ A :class:`SignedContribution` binds, under the service-provisioned key:
 
 * the payload — a blinded ring vector or a plaintext float vector, each
   packed as the big-endian values that travel: ring words at the width
-  the round's sum needs (:func:`~repro.crypto.fixedpoint.ring_width`),
+  the round's sum needs (:func:`~repro.crypto.fixedpoint.ring_width`,
+  decided once, as the round opens),
   doubles at 8 bytes (:mod:`repro.perf.kernels`),
 * the round id and a fresh nonce (replay protection at the service),
 * the validation confidence,
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.codec import ROUND_ID, Bool, Bytes, Fraction, Optional, Packed, Words, wire
+from repro.codec import ROUND_ID, Bool, Bytes, Fraction, Int, Optional, Packed, Words, wire
 from repro.crypto.fixedpoint import RING_WIDTHS
 from repro.crypto.hashing import hash_items
 from repro.crypto.schnorr import SchnorrKeyPair, SchnorrPublicKey, SchnorrSignature
@@ -31,6 +32,9 @@ from repro.errors import CryptoError
 
 RING_WORDS = Words(RING_WIDTHS)
 """A ring payload's declaration: whole words at some round's width."""
+
+RING_WIDTH = Int(RING_WIDTHS[0], RING_WIDTHS[-1])
+"""A round's word width, wherever it is named."""
 
 CONFIDENCE_SCALE = 10_000
 """The signature covers the confidence in whole 1/10,000ths, as a u16."""

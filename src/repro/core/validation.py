@@ -23,7 +23,6 @@ from typing import Callable, Protocol, Sequence
 from repro.codec import Bytes, ListOf, Optional, Str, wire
 from repro.errors import ConfigurationError
 from repro.sgx.counters import MonotonicCounter
-from repro.workloads.botnet import SessionSignals
 from repro.workloads.camera import VideoStream
 from repro.workloads.geo import PhotoSubmission, UserGeoContext
 from repro.workloads.keyboard import KeystrokeTrace
@@ -33,9 +32,8 @@ from repro.workloads.reviews import Review, UserShoppingContext
 @wire(
     0x810A, sentences=Optional(ListOf(ListOf(Str))), keystroke_trace=Optional(KeystrokeTrace),
     geo_context=Optional(UserGeoContext), shopping_context=Optional(UserShoppingContext),
-    session_signals=Optional(SessionSignals), video_stream=Optional(VideoStream),
-    submission=Optional(PhotoSubmission), review=Optional(Review),
-    trace_commitment=Optional(Bytes(32)),
+    video_stream=Optional(VideoStream), submission=Optional(PhotoSubmission),
+    review=Optional(Review), trace_commitment=Optional(Bytes(32)),
 )
 @dataclass
 class PrivateContext:
@@ -54,7 +52,6 @@ class PrivateContext:
     keystroke_trace: KeystrokeTrace | None = None
     geo_context: UserGeoContext | None = None
     shopping_context: UserShoppingContext | None = None
-    session_signals: SessionSignals | None = None
     video_stream: VideoStream | None = None
     submission: PhotoSubmission | None = None
     review: Review | None = None
@@ -94,6 +91,10 @@ class ValidationPredicate(Protocol):
     """What the Glimmer's Validation component runs."""
 
     name: str
+    magnitude: float | None
+    """The largest ``|value|`` a contribution that passes may hold, or
+    ``None`` when passing proves no bound: what the round's blinded words
+    are sized by (:attr:`~repro.core.glimmer.GlimmerConfig.magnitude`)."""
 
     def required_context(self) -> tuple[str, ...]:
         """Names of :class:`PrivateContext` fields this predicate reads."""

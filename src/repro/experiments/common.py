@@ -124,6 +124,7 @@ class Deployment:
             codec=codec,
             group=group,
             parallelism=parallelism,
+            glimmer_config=config,
         )
         deployment = cls(
             rng=rng,

@@ -96,7 +96,7 @@ def run(
             {m.name: m.identity.public_key for m in members}, quorum=quorum
         )
         for member in members:
-            member.open_round(1, num_users, len(features))
+            member.open_round(1, num_users, features.bigrams)
         service.open_round(1, num_users)
         completed = 0
         messages = 0

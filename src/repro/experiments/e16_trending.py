@@ -123,6 +123,7 @@ def run(
         signing_public=deployment.signing_keypair.public_key,
         codec=deployment.codec,
         group=deployment.group,
+        glimmer_config=config,
     )
 
     user_ids = [user.user_id for user in epochs[0].users]

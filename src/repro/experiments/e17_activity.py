@@ -122,6 +122,7 @@ def run(
             signing_public=signing.public_key,
             codec=codec,
             group=TEST_GROUP,
+            glimmer_config=config,
         )
         engine.open_round(round_id, num_users, MOTION_BINS)
 

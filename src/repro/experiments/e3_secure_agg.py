@@ -28,13 +28,13 @@ import numpy as np
 from repro.analysis.reporting import Table
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.dh import TEST_GROUP
-from repro.crypto.fixedpoint import FixedPointCodec, ring_width
+from repro.crypto.fixedpoint import FixedPointCodec
 from repro.crypto.secagg import SecureAggregationClient, SecureAggregationServer
 from repro.experiments.common import Deployment
 from repro.federated.inversion import InversionAttacker
 from repro.network.adversary import EavesdropAdversary
 from repro.perf import kernels
-from repro.runtime.messages import KIND_SUBMIT, client_endpoint
+from repro.runtime.messages import KIND_OPEN_SERVICE, KIND_SUBMIT, client_endpoint
 from repro.workloads.text import stance_evidence
 
 
@@ -61,9 +61,13 @@ class SecureAggResult:
 
 def _captured_blinded(eavesdropper, codec, round_id, user_ids):
     """Per-user blinded vectors as an on-path observer decoded them: each
-    word read at the round's width and sign-extended, as the service
-    reads the sum."""
-    width = ring_width(len(user_ids))
+    word read at the round's width, as the open command named it, and
+    sign-extended, as the service reads the sum."""
+    width = next(
+        opened.width
+        for opened in eavesdropper.captured_payloads(KIND_OPEN_SERVICE)
+        if opened.round_id == round_id
+    )
     blinded: dict[str, np.ndarray] = {}
     for message in eavesdropper.captured:
         if message.kind != KIND_SUBMIT:

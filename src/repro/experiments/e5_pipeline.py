@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.analysis.reporting import Table
-from repro.crypto.fixedpoint import ring_width
 from repro.experiments.common import Deployment
 from repro.federated.inversion import InversionAttacker
 from repro.invariants import Verdict, judge
@@ -89,7 +88,7 @@ def run(num_users: int = 8, seed: bytes = b"e5") -> PipelineResult:
             signed_by_user.setdefault(senders[message.sender], message.payload.contribution)
     # Each word read at the round's width and sign-extended, as the
     # service reads the sum.
-    width = ring_width(len(user_ids))
+    width = engine.round_record(round_id).width
     wire_captures = {
         user_id: deployment.codec.decode(
             kernels.widen(kernels.unpack_words(signed.ring_payload, width), width)
@@ -110,13 +109,13 @@ def run(num_users: int = 8, seed: bytes = b"e5") -> PipelineResult:
 
     # Attack 1: bypass the Glimmer entirely.
     evil = deployment.make_client("mallory", malicious=True)
-    forged = evil.bypass_glimmer(round_id, [1.0] * len(features), len(user_ids))
+    forged = evil.bypass_glimmer(round_id, [1.0] * len(features), width)
     attack_rows.append(
         ("bypass glimmer (self-signed)", *attempt("mallory", round_id, forged))
     )
 
     # Attack 2: tamper with a genuinely signed contribution.
-    tampered = evil.tamper_after_signing(signed_by_user[user_ids[0]], len(user_ids))
+    tampered = evil.tamper_after_signing(signed_by_user[user_ids[0]], width)
     attack_rows.append(("tamper after signing", *attempt("mallory", round_id, tampered)))
 
     # Attack 3: replay a signed contribution.

@@ -22,6 +22,7 @@ from repro.core.client import ClientDevice, LocalDataStore, attested_handshake
 from repro.core.glimmer import ProcessRequest, pack_features
 from repro.core.split import SplitGlimmer, build_split_images
 from repro.core.validation import PrivateContext
+from repro.crypto.fixedpoint import WHOLE_WORD
 from repro.experiments.common import Deployment
 from repro.perf import kernels
 from repro.sgx.platform import SgxPlatform
@@ -84,6 +85,7 @@ def _provision_split(deployment: Deployment, split: SplitGlimmer, platform, roun
         0,
         blinder_prov.provision_mask(*offer, round_id, 0),
         blinder_prov.round_commitments(round_id).record_for(0),
+        WHOLE_WORD,  # as the single enclave's client.provision_mask
     )
     return blinder_prov
 

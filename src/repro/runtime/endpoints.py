@@ -103,14 +103,16 @@ class ServiceEndpoint(_Endpoint):
                 request.expected_parties,
                 subgroup_size=request.subgroup_size,
                 vector_length=request.vector_length,
+                width=request.width,
             )
             state = self.service.round_state(request.round_id)
-        plan = state.accumulator.plan
+        accumulator = state.accumulator
         return m.OpenServiceRound(
             request.round_id,
-            plan.num_slots,
-            state.accumulator.length,
-            0 if state.retain else plan.group_size,
+            accumulator.plan.num_slots,
+            accumulator.length,
+            accumulator.width,
+            0 if state.retain else accumulator.plan.group_size,
         )
 
     def _handle_submit(self, message: Message) -> bool:
@@ -141,9 +143,8 @@ class ServiceEndpoint(_Endpoint):
 
     def _torn(self, round_id: int, words) -> str | None:
         """What is wrong with ring words that are not whole words at their
-        round's width (:func:`~repro.crypto.fixedpoint.ring_width` of its
-        party count), if anything; a round that is not open is left to the
-        handler to refuse."""
+        round's width (as the round was opened), if anything; a round that
+        is not open is left to the handler to refuse."""
         state = self._open_state(round_id)
         if state is None or type(words) is not bytes:
             return None
@@ -298,7 +299,11 @@ def provision_step(client, command: m.ProvisionMask, request_delivery, ledger) -
         handshake,
         request_delivery,
         lambda delivery: client.install_mask(
-            command.round_id, command.party_index, delivery, command.commitment
+            command.round_id,
+            command.party_index,
+            delivery,
+            command.commitment,
+            command.width,
         ),
     )
     ledger.ecalls += 1  # install_blinding_mask

@@ -55,7 +55,7 @@ from repro.crypto.commitments import (
     verify_opening,
 )
 from repro.crypto.drbg import HmacDrbg
-from repro.crypto.fixedpoint import ring_width
+from repro.crypto.fixedpoint import FixedPointCodec, ring_width, word_bound
 from repro.crypto.schnorr import batch_verify as batch_verify_signatures
 from repro.perf import kernels
 from repro.errors import (
@@ -76,6 +76,7 @@ from repro.runtime.deadlines import AdaptiveDeadlines, PhaseDeadlineController
 from repro.runtime.endpoints import BlinderEndpoint, ClientEndpoint, ServiceEndpoint
 from repro.runtime.messages import BLINDER, ENGINE, SERVICE, client_endpoint
 from repro.runtime.protocol import (
+    SIGNING_KEY,
     VIOLATION_AGGREGATE_TAMPERING,
     VIOLATION_EQUIVOCATION,
     VIOLATION_FLOODING,
@@ -83,6 +84,7 @@ from repro.runtime.protocol import (
     VIOLATION_MASK_COMMITMENT,
     VIOLATION_MASK_OPENING,
     VIOLATION_NON_SUM_ZERO,
+    VIOLATION_OUT_OF_RANGE,
     ProtocolMonitor,
     Quarantine,
 )
@@ -143,6 +145,8 @@ class _RoundRecord:
         self.round_id = round_id
         self.num_slots = num_slots
         self.route = route  # executor + accumulator; open, pool and finalize read it
+        #: The bytes the round's blinded words cross at, decided at open.
+        self.width = 0
         self.opened_at_ms = network.clock.now_ms()
         self.participants: list[str] = []
         self.provisioned: dict[int, str] = {}
@@ -170,6 +174,10 @@ class _RoundRecord:
         if client_id not in self.participants:
             self.participants.append(client_id)
 
+    def provision_command(self, slot: int) -> m.ProvisionMask:
+        """What provisions ``slot``: its vouched record and the round's width."""
+        return m.ProvisionMask(self.commitments.record_for(slot), self.width)
+
 
 class RoundEngine:
     """Orchestrates contribution rounds over a simulated transport.
@@ -179,6 +187,11 @@ class RoundEngine:
     aggregated contribution must be signed under, the codec the audit
     decodes its recomputed aggregate with, and the group the blinder's
     commitments must use.  None of them is read off a party under audit.
+    ``glimmer_config`` is the vetted Glimmer's measured config: its
+    :attr:`~repro.core.glimmer.GlimmerConfig.magnitude`, the largest value
+    a contribution it signs may hold, sizes every round's words and
+    bounds every aggregate the audit passes.  With none, the codec's
+    ``bound`` does both.
     """
 
     def __init__(
@@ -198,6 +211,7 @@ class RoundEngine:
         seed: bytes = b"round-engine",
         quarantine: Quarantine | None = None,
         parallelism=None,
+        glimmer_config=None,
     ) -> None:
         self.network = network
         self.service = service
@@ -210,6 +224,9 @@ class RoundEngine:
         self.signing_public = signing_public
         self.codec = codec
         self.group = group
+        self.magnitude = (
+            FixedPointCodec.bound if glimmer_config is None else glimmer_config.magnitude
+        )
         self.quarantine = quarantine or Quarantine()
         self.parallelism = parallelism
         """Optional :class:`repro.scale.ScaleConfig`: what the engine
@@ -507,6 +524,10 @@ class RoundEngine:
         if round_id in self._rounds:
             raise ProtocolError(f"round {round_id} is already tracked by the engine")
         record = _RoundRecord(self.network, round_id, num_slots, route)
+        # The one place a round's width is decided: every party reads it
+        # from here, the service from the open command, each device from
+        # its provision command.
+        record.width = ring_width(num_slots, self.magnitude)
         record.sessions_resumed0 = self.blinder_provisioner.sessions.resumed
         if self.fault_injector is not None:
             record.faults0 = len(self.fault_injector.fired)
@@ -533,7 +554,7 @@ class RoundEngine:
                 record, published, num_slots, vector_length
             )
             sent = m.OpenServiceRound(
-                round_id, num_slots, vector_length, record.subgroup_size
+                round_id, num_slots, vector_length, record.width, record.subgroup_size
             )
             opened = self.call_with_retry(
                 record, ENGINE, SERVICE, m.KIND_OPEN_SERVICE, sent
@@ -614,7 +635,7 @@ class RoundEngine:
                 ENGINE,
                 self._client_name(client_id),
                 m.KIND_PROVISION_MASK,
-                m.ProvisionMask(record.commitments.record_for(party_index)),
+                record.provision_command(party_index),
                 first_attempt=first_attempt,
             )
         except MaskVerificationError as exc:
@@ -855,9 +876,7 @@ class RoundEngine:
         partials (associative, so the very integers the flat sum yields)."""
         request = m.FinalizeRound(
             record.round_id,
-            repair=None if repair is None else kernels.pack_words(
-                repair, ring_width(record.num_slots)
-            ),
+            repair=None if repair is None else kernels.pack_words(repair, record.width),
             repaired=repaired,
         )
         if not record.route.pool:
@@ -1080,9 +1099,7 @@ class RoundEngine:
                         break
         if not problems and accepted:
             try:
-                expected = self._recompute_aggregate(
-                    accepted, repair, ring_width(record.num_slots)
-                )
+                expected = self._recompute_aggregate(accepted, repair, record.width)
             except (TypeError, ValueError) as exc:
                 problems.append(f"the audit trail cannot be recomputed: {exc}")
             else:
@@ -1096,6 +1113,14 @@ class RoundEngine:
             raise self._abort(
                 record, f"service finalize result failed the audit: {detail}"
             )
+        # The mean of values each within ±M lies within ±M too, at the
+        # codec's quantum: an aggregate outside it sums a contribution no
+        # vetted Glimmer signs, so the signing key is out of its Glimmers.
+        limit = word_bound(self.magnitude) / self.codec.scale
+        if not (np.abs(result.aggregate) <= limit).all():
+            detail = f"an aggregate value lies outside ±{limit}"
+            self.monitor.record(record.round_id, SIGNING_KEY, VIOLATION_OUT_OF_RANGE, detail)
+            raise self._abort(record, f"the aggregate failed the audit: {detail}")
 
     def _recompute_aggregate(self, accepted, repair, width: int):
         # Chunked accumulate: the audit only needs the sum, so the full

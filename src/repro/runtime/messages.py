@@ -12,10 +12,13 @@ Every numeric vector travels packed, as ``bytes`` of big-endian values
 with no count prefix: floats as 8-byte IEEE-754 doubles
 (:func:`repro.perf.kernels.be_doubles_to_bytes`), and a blinded
 contribution's words and the §3 repair as their residues at the width
-the round's sum needs (:func:`repro.perf.kernels.pack_words`, at
-:func:`repro.crypto.fixedpoint.ring_width` of its party count: 5 bytes
-for up to 7 parties, 6 up to 2,047, 7 up to 524,287, then 8).  A
-vector's size on the wire is then w·k whatever it holds, and the signed
+the round's sum needs (:func:`repro.perf.kernels.pack_words`).  The
+engine decides that width once, as it opens the round
+(:func:`repro.crypto.fixedpoint.ring_width` of its party count and the
+largest value its Glimmer's predicate proves: 4 bytes for up to 32,767
+parties whose values lie in ``[0, 1]``), and names it to the service in
+:class:`OpenServiceRound` and to each device in :class:`ProvisionMask`.
+A vector's size on the wire is then w·k whatever it holds, and the signed
 contribution carries the exact bytes its signature covers.
 """
 
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 from repro.codec import (
     LENGTH, PARTIES, ROUND_ID, SIZE, SLOT, Bytes, Element, Named, Optional, wire,
 )
-from repro.core.signing import RING_WORDS, SignedContribution
+from repro.core.signing import RING_WIDTH, RING_WORDS, SignedContribution
 from repro.crypto.commitments import MaskCommitmentRecord
 from repro.crypto.dh import GROUPS, DHGroup
 from repro.sgx.attestation import Quote
@@ -78,13 +81,13 @@ class OpenBlinderRound:
 
 @wire(
     0x8002, round_id=ROUND_ID, expected_parties=PARTIES, vector_length=LENGTH,
-    subgroup_size=SIZE,
+    width=RING_WIDTH, subgroup_size=SIZE,
 )
 @dataclass(frozen=True)
 class OpenServiceRound:
     """Ask the cloud service to start accepting blinded contributions.
 
-    ``expected_parties`` fixes the width the round's words cross at and
+    ``width`` fixes the bytes the round's words cross at and
     ``vector_length`` how many of them a contribution holds, both before
     any contribution arrives.  ``subgroup_size > 0`` opens a streaming
     round: submissions fold into per-subgroup accumulators on arrival and
@@ -95,13 +98,15 @@ class OpenServiceRound:
     round_id: int
     expected_parties: int
     vector_length: int
+    width: int
     subgroup_size: int = 0
 
 
-@wire(0x8003, commitment=MaskCommitmentRecord)
+@wire(0x8003, commitment=MaskCommitmentRecord, width=RING_WIDTH)
 @dataclass(frozen=True)
 class ProvisionMask:
-    """Command a client to fetch its round mask from the blinding service.
+    """Command a client to fetch its round mask from the blinding service,
+    to blind at ``width`` bytes a word.
 
     ``commitment`` is the slot's engine-vouched
     :class:`~repro.crypto.commitments.MaskCommitmentRecord`: the engine
@@ -110,10 +115,14 @@ class ProvisionMask:
     equivocating — delivering the engine one mask family and the clients
     another.  It is required: a command without one is refused at decode.
     The record names the round and the slot, so the command carries
-    neither beside it.
+    neither beside it.  ``width`` is the round's, as the engine opened it;
+    the Glimmer refuses one too narrow for the record's slot count at the
+    bound its own predicate proves, so a rewrite can cost that device its
+    round, never wrap an honest sum.
     """
 
     commitment: MaskCommitmentRecord
+    width: int
 
     @property
     def round_id(self) -> int:

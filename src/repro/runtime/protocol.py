@@ -54,6 +54,13 @@ VIOLATION_MASK_REUSE = "mask-reuse"
 VIOLATION_MASK_LENGTH = "mask-length"
 VIOLATION_NON_SUM_ZERO = "non-sum-zero-masks"
 VIOLATION_AGGREGATE_TAMPERING = "aggregate-tampering"
+VIOLATION_OUT_OF_RANGE = "aggregate-out-of-range"
+
+#: The offender an out-of-range aggregate is recorded against when the
+#: service's arithmetic checks out: whoever signs under the deployment's
+#: key outside a vetted Glimmer, since no Glimmer signs a value its
+#: predicate refuses.  It names no bus endpoint, so nothing is quarantined.
+SIGNING_KEY = "signing-key"
 
 #: Rejected submissions from one sender in one round before it counts as
 #: flooding.  High enough that honest retry storms (each retransmit of an

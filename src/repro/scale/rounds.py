@@ -222,7 +222,7 @@ def run_parallel_round(
             contribute = m.ContributeCommand(round_id, *engine.packed_features(features))
         tasks[index] = ClientTask(
             client=client,
-            provision=m.ProvisionMask(record.commitments.record_for(index)),
+            provision=record.provision_command(index),
             contribute=contribute,
             leg=_draw_leg(provisioner, client),
             opening=provisioner.mask_opening(round_id, index),

@@ -9,9 +9,9 @@ the engine's audit, and quarantine eviction takes a row back out with
 raw vector at admission, so its resident state is O(n/g · k),
 independent of how many submissions stream past.
 
-A packed row arrives as its words' residues at the round's width
-(:func:`~repro.crypto.fixedpoint.ring_width` of the plan's slot count)
-and folds zero-extended.  Exactness is structural: ``uint64`` addition
+A packed row arrives as its words' residues at the round's width (as the
+engine opened it: :func:`~repro.crypto.fixedpoint.ring_width`) and folds
+zero-extended.  Exactness is structural: ``uint64`` addition
 wraps mod ``2^64``, and reduction to the width is a ring homomorphism,
 so residues and whole words fold alike (:func:`~repro.perf.kernels.widen`
 reads the total back), and ring addition is associative and commutative,
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.crypto.fixedpoint import ring_width
+from repro.crypto.fixedpoint import WHOLE_WORD
 from repro.errors import ConfigurationError
 from repro.perf import kernels
 from repro.scale.subgroup import SubgroupPlan
@@ -35,12 +35,14 @@ from repro.scale.subgroup import SubgroupPlan
 class StreamingSubgroupAccumulator:
     """Fold ring vectors into per-subgroup partial sums, arrival order."""
 
-    def __init__(self, plan: SubgroupPlan, length: int | None = None) -> None:
+    def __init__(
+        self, plan: SubgroupPlan, length: int | None = None, width: int = WHOLE_WORD
+    ) -> None:
         """``length`` fixes the words a row holds before any row folds;
-        ``None`` lets the first row fix it."""
+        ``None`` lets the first row fix it.  ``width`` is the bytes a
+        packed row's words cross at: the round's."""
         self.plan = plan
-        #: The bytes a packed row's words cross at.
-        self.width = ring_width(plan.num_slots)
+        self.width = width
         self._partials: np.ndarray | None = None
         if length is not None:
             self._partials = np.zeros((plan.num_groups, length), dtype=kernels.U64)

@@ -40,13 +40,15 @@ from repro.byzantine import (
     install_attacks,
     run_byzantine_round,
 )
+from repro import invariants
+from repro.core.signing import SigningComponent
 from repro.crypto.drbg import HmacDrbg
-from repro.errors import EnclaveError
+from repro.errors import EnclaveError, RoundAbortedError
 from repro.experiments.common import Deployment
 from repro.faults import SITE_BLINDER, FaultInjector, FaultPlan, FaultSpec
 from repro.network.adversary import NetworkAdversary
 from repro.perf import kernels
-from repro.runtime.messages import KIND_PROVISION_MASK, client_endpoint
+from repro.runtime.messages import BLINDER, KIND_PROVISION_MASK, SERVICE, client_endpoint
 from repro.runtime.protocol import (
     VIOLATION_AGGREGATE_TAMPERING,
     VIOLATION_EQUIVOCATION,
@@ -55,7 +57,9 @@ from repro.runtime.protocol import (
     VIOLATION_MASK_COMMITMENT,
     VIOLATION_MASK_OPENING,
     VIOLATION_NON_SUM_ZERO,
+    VIOLATION_OUT_OF_RANGE,
     VIOLATION_REPLAY,
+    SIGNING_KEY,
 )
 from repro.runtime.telemetry import OUTCOME_CRASHED, OUTCOME_EVICTED, OUTCOME_QUARANTINED
 from repro.scale import ScaleConfig
@@ -341,12 +345,12 @@ def test_a_host_withholding_or_swapping_the_record_is_refused_in_enclave(record_
     host = deployment.clients[users[0]]
     refusals = []
 
-    def install_mask(round_id, party_index, delivery, commitment):
+    def install_mask(round_id, party_index, delivery, commitment, width):
         commitments = deployment.blinder_provisioner.round_commitments(round_id)
         try:
             host.glimmer.ecall(
                 "install_blinding_mask", round_id, party_index, delivery,
-                record_for(commitments, party_index),
+                record_for(commitments, party_index), width,
             )
         except EnclaveError as exc:
             refusals.append(exc)
@@ -451,3 +455,44 @@ def test_install_attacks_is_idempotent_and_reversible():
     assert not isinstance(deployment.service, TamperingAggregator)
     result = run_byzantine_round(deployment, 1, _users(deployment), benign)
     assert result.outcome == OUTCOME_CLEAN
+
+
+def _thief(deployment, user_id: str) -> None:
+    """The device's host holds the deployment's signing key outside any
+    Glimmer and endorses an all-zero ring payload in place of its
+    Glimmer's blinded words: no mask comes off, and nothing it sends
+    breaks a signature."""
+    thief = deployment.clients[user_id]
+    signer = SigningComponent(deployment.signing_keypair)
+    genuine = thief.glimmer.ecall
+
+    def ecall(name, *args, **kwargs):
+        result = genuine(name, *args, **kwargs)
+        if name != "process_contribution":
+            return result
+        zeros = bytes(len(result.ring_payload))
+        return signer.endorse(result.round_id, result.nonce, True, zeros, None, 1.0)
+
+    thief.glimmer.ecall = ecall
+
+
+def test_a_stolen_signing_key_cannot_sum_past_the_proven_range():
+    """ROADMAP item 4's probe: every contribution is accepted and the
+    service's arithmetic checks out, but the aggregate lies outside the
+    [0, 1] the Glimmer's range predicate proves of every value, so the
+    finalize audit aborts the round.  Before the audit held the aggregate
+    to that range this read ``undetected-corruption``: six devices
+    accepted, no violation, the mean off by ~2e13.  The violation names
+    the key, not the service, the blinder or an honest device."""
+    deployment = Deployment.build(num_users=6, seed=b"stolen-key-probe")
+    users = _users(deployment)
+    _thief(deployment, users[0])
+    vectors = deployment.local_vectors()
+    with pytest.raises(RoundAbortedError) as excinfo:
+        deployment.engine.run_round(1, users, vectors, deployment.features.bigrams)
+    verdict = invariants.judge(excinfo.value, deployment.codec, vectors)
+    assert verdict.outcome == OUTCOME_DETECTED_ABORT
+    assert verdict.offenders == (SIGNING_KEY,)
+    assert _kinds(verdict) == {VIOLATION_OUT_OF_RANGE}
+    honest = {SERVICE, BLINDER} | {client_endpoint(user) for user in users[1:]}
+    assert not honest & set(verdict.offenders)

@@ -3,17 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.crypto.fixedpoint import ring_width
 from repro.crypto.masking import remove_mask
 from repro.experiments.common import Deployment
 from repro.perf import kernels
 
 
-def unblinded(blinded: bytes, mask, parties: int) -> np.ndarray:
-    """The encoded contribution under blinded words at a ``parties``-slot
-    round's width: the mask comes off in ``Z/2^64``, and the residue
-    widens back exactly."""
-    width = ring_width(parties)
+def unblinded(blinded: bytes, mask, width: int) -> np.ndarray:
+    """The encoded contribution under blinded words at their round's
+    ``width``: the mask comes off in ``Z/2^64``, and the residue widens
+    back exactly."""
     return kernels.widen(remove_mask(kernels.unpack_words(blinded, width), mask), width)
 
 

@@ -18,6 +18,7 @@ from repro.core.glimmer import GlimmerConfig, features_digest
 from repro.core.provisioning import BlinderProvisioner, ServiceProvisioner
 from repro.core.split import build_split_images
 from repro.crypto import group_ops
+from repro.crypto.fixedpoint import ring_width
 from repro.crypto.masking import BlindingService
 from repro.experiments.common import Deployment
 from repro.sgx.platform import SgxPlatform
@@ -43,7 +44,7 @@ def _glimmer(deployment):
         lambda n, *request: provisioner.provision_mask(*request, n, 0),
         lambda n, delivery: client.glimmer.ecall(
             "install_blinding_mask", n, 0, delivery,
-            provisioner.round_commitments(n).record_for(0),
+            provisioner.round_commitments(n).record_for(0), ring_width(1),
         ),
     )
 
@@ -97,7 +98,7 @@ def _split_blinding(deployment):
         lambda n, *request: provisioner.provision_mask(*request, n, 0),
         lambda n, delivery: enclave.ecall(
             "install_blinding_mask", n, 0, delivery,
-            provisioner.round_commitments(n).record_for(0),
+            provisioner.round_commitments(n).record_for(0), ring_width(1),
         ),
     )
 

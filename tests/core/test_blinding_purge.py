@@ -11,12 +11,13 @@ from __future__ import annotations
 import pytest
 
 from repro.core.blinding import MASK_DIGEST_HISTORY, BlindingComponent
+from repro.crypto.fixedpoint import ring_width
 from repro.errors import CryptoError, MaskVerificationError
 from repro.experiments.common import Deployment
 
 
-#: The slot count of the rounds these masks belong to.
-PARTIES = 3
+#: The width of the 3-slot rounds these masks belong to.
+WIDTH = ring_width(3)
 
 
 def _mask(i: int) -> tuple[int, ...]:
@@ -27,7 +28,7 @@ def test_purge_round_drops_only_that_rounds_masks():
     component = BlindingComponent()
     for round_id in (1, 2):
         for party in range(3):
-            component.install_mask(round_id, party, _mask(10 * round_id + party), PARTIES)
+            component.install_mask(round_id, party, _mask(10 * round_id + party), WIDTH)
     assert component.open_round_count() == 6
     assert component.purge_round(1) == 3
     assert component.open_round_count() == 3
@@ -39,7 +40,7 @@ def test_purge_round_drops_only_that_rounds_masks():
 def test_unconsumed_rounds_no_longer_grow_without_bound():
     component = BlindingComponent()
     for round_id in range(1, 201):
-        component.install_mask(round_id, 0, _mask(round_id), PARTIES)
+        component.install_mask(round_id, 0, _mask(round_id), WIDTH)
         component.purge_round(round_id)  # what the engine's close now does
     assert component.open_round_count() == 0
 
@@ -47,25 +48,25 @@ def test_unconsumed_rounds_no_longer_grow_without_bound():
 def test_reuse_detection_survives_a_purge():
     # Purging a round must not let the blinder replay that round's mask.
     component = BlindingComponent()
-    component.install_mask(1, 0, _mask(1), PARTIES)
+    component.install_mask(1, 0, _mask(1), WIDTH)
     component.purge_round(1)
     with pytest.raises(MaskVerificationError):
-        component.install_mask(2, 0, _mask(1), PARTIES)
+        component.install_mask(2, 0, _mask(1), WIDTH)
 
 
 def test_seen_digest_history_is_fifo_capped():
     component = BlindingComponent()
     for round_id in range(1, MASK_DIGEST_HISTORY + 10):
-        component.install_mask(round_id, 0, _mask(round_id), PARTIES)
+        component.install_mask(round_id, 0, _mask(round_id), WIDTH)
         component.purge_round(round_id)
     assert len(component._seen_digests) <= MASK_DIGEST_HISTORY
 
 
 def test_double_install_still_refused():
     component = BlindingComponent()
-    component.install_mask(1, 0, _mask(1), PARTIES)
+    component.install_mask(1, 0, _mask(1), WIDTH)
     with pytest.raises(CryptoError):
-        component.install_mask(1, 0, _mask(2), PARTIES)
+        component.install_mask(1, 0, _mask(2), WIDTH)
 
 
 def test_engine_rounds_leave_no_mask_state_behind():

@@ -12,9 +12,13 @@ from repro.core.consortium import (
 from repro.core.validation import PrivateContext
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.fixedpoint import FixedPointCodec
+from repro.experiments.common import Deployment
+from repro.workloads.keyboard import trace_for_sentences
 from repro.errors import ConfigurationError, ProtocolError, ValidationError
 
-LENGTH = 3
+#: The published feature list the rounds below open over.
+FEATURES = (("a", "b"), ("b", "c"), ("c", "a"))
+LENGTH = len(FEATURES)
 
 
 @pytest.fixture
@@ -27,7 +31,7 @@ def ensemble():
 
 def open_round(members, service, round_id, num_clients):
     for member in members:
-        member.open_round(round_id, num_clients, LENGTH)
+        member.open_round(round_id, num_clients, FEATURES)
     service.open_round(round_id, num_clients)
 
 
@@ -150,7 +154,7 @@ def test_round_lifecycle_validations(ensemble):
     with pytest.raises(ProtocolError):
         service.open_round(1, 1)
     with pytest.raises(ProtocolError):
-        members[0].open_round(1, 1, LENGTH)
+        members[0].open_round(1, 1, FEATURES)
     with pytest.raises(ProtocolError):
         members[0].endorse(9, 0, [0.5] * LENGTH, PrivateContext())
     with pytest.raises(ProtocolError):
@@ -172,3 +176,23 @@ def test_constructor_validations():
 def test_values_digest_sensitive():
     assert values_digest([0.5, 0.5]) == values_digest([0.5, 0.5])
     assert values_digest([0.5, 0.5]) != values_digest([0.5, 0.50001])
+
+
+def test_a_consortium_corroborates_keystrokes_over_the_published_list():
+    """Each member hands its predicate the feature list the round published,
+    as a Glimmer's RoundFacts do: an honest contribution backed by a human
+    trace of its own sentences is endorsed.  (Handed no list, each member
+    refused it: the reported vector length matched no feature list.)"""
+    deployment = Deployment.build(num_users=2, sentences_per_user=10, provision_clients=False)
+    user = deployment.corpus.users[0].user_id
+    values = deployment.local_vectors([user])[user].tolist()
+    trace = trace_for_sentences(deployment.corpus.streams[user], HmacDrbg(user.encode()))
+    members = build_consortium(2, "keystrokes", HmacDrbg(b"consortium-keystrokes"))
+    service = ConsortiumService({m.name: m.identity.public_key for m in members}, quorum=2)
+    for member in members:
+        member.open_round(1, 1, deployment.features.bigrams)
+    service.open_round(1, 1)
+    context = PrivateContext(keystroke_trace=trace)
+    endorsements = [member.endorse(1, 0, values, context) for member in members]
+    assert service.submit(1, 0, endorsements)
+    assert np.allclose(service.finalize_round(1), values, atol=1e-4)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.analysis.privacy import gaussian_epsilon
 from repro.core.glimmer import GlimmerConfig, pack_features
+from repro.crypto.fixedpoint import ring_width
 from repro.errors import ConfigurationError
 from repro.experiments.common import Deployment
 from tests.core.conftest import unblinded
@@ -77,7 +78,11 @@ def test_noise_is_enclave_private():
         1, vector, pack_features(deployment.features.bigrams)
     )
     mask = deployment.blinder_provisioner.reveal_dropout_mask(1, 0)
-    noised = deployment.codec.decode(unblinded(signed.ring_payload, mask.mask, 1))
+    # Gaussian noise holds no value to the range: the words keep the width
+    # the codec's own bound needs.
+    width = deployment.engine.round_record(1).width
+    assert width == ring_width(1)
+    noised = deployment.codec.decode(unblinded(signed.ring_payload, mask.mask, width))
     # What comes out is x + noise, not x.
     assert float(np.max(np.abs(np.array(noised) - np.array(vector)))) > 0.01
 

@@ -120,12 +120,11 @@ def test_process_blinded_contribution_hides_values(round_setup):
     assert signed.blinded
     assert signed.plain_payload is None
     encoded = deployment.codec.encode(values)
-    assert signed.ring_payload != kernels.pack_words(encoded, ring_width(len(user_ids)))
+    width = deployment.engine.round_record(1).width
+    assert signed.ring_payload != kernels.pack_words(encoded, width)
     # The mask provisioned for party 0 recovers the true values.
     mask = deployment.blinder_provisioner.reveal_dropout_mask(1, 0)
-    recovered = deployment.codec.decode(
-        unblinded(signed.ring_payload, mask.mask, len(user_ids))
-    )
+    recovered = deployment.codec.decode(unblinded(signed.ring_payload, mask.mask, width))
     assert list(recovered) == pytest.approx(values)
 
 
@@ -574,5 +573,5 @@ def test_a_restored_glimmer_signs_the_words_an_unrestarted_one_would():
         values = list(deployment.local_vectors()[users[0]])
         signed = client.contribute(1, values, pack_features(deployment.features.bigrams))
         payloads.append(signed.ring_payload)
-    assert len(payloads[0]) == ring_width(8) * len(values)
+    assert len(payloads[0]) == ring_width(8, 1.0) * len(values) == 4 * len(values)
     assert payloads[0] == payloads[1]

@@ -6,7 +6,7 @@ import pytest
 from repro.core.glimmer import pack_features
 from repro.core.provisioning import VettingRegistry
 from repro.core.signing import SignedContribution
-from repro.crypto.fixedpoint import MODULUS, ring_width
+from repro.crypto.fixedpoint import MODULUS
 from repro.errors import AttestationError, ConfigurationError, ProtocolError
 from repro.perf import kernels
 from repro.sgx.attestation import report_data_for
@@ -137,7 +137,7 @@ def test_blinded_round_with_dropout_repair(fresh_deployment):
     dropout_mask = deployment.blinder_provisioner.reveal_dropout_mask(
         1, len(user_ids) - 1
     )
-    repair = kernels.pack_words(dropout_mask.mask, ring_width(len(user_ids)))
+    repair = kernels.pack_words(dropout_mask.mask, deployment.engine.round_record(1).width)
     result = deployment.service.finalize_blinded_round(1, repair, 1)
     expected = np.mean(np.stack([vectors[u] for u in submitted]), axis=0)
     assert np.allclose(result.aggregate, expected, atol=1e-3)

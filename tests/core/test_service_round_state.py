@@ -45,10 +45,9 @@ def _open(route):
     return deployment, users, vectors, signed
 
 
-def _ring_mean(codec, payloads, masks, count):
+def _ring_mean(codec, payloads, masks, count, width):
     """The aggregate recomputed from scratch: the payloads' residues at the
-    round's width and the masks' words, ring sum, widen, decode, divide."""
-    width = ring_width(USERS)
+    round's ``width`` and the masks' words, ring sum, widen, decode, divide."""
     rows = [kernels.unpack_words(row, width) for row in payloads]
     rows += [kernels.as_ring(mask) for mask in masks]
     total = kernels.widen(kernels.ring_sum_rows(np.stack(rows)), width)
@@ -91,7 +90,10 @@ def test_finalize_equals_recomputation_and_exact_mean(route, case, reducer):
     codec = deployment.codec
     payloads = [signed[slot].ring_payload for slot in counted]
     openings = [opening.mask for opening in masks]
-    assert np.array_equal(result.aggregate, _ring_mean(codec, payloads, openings, len(counted)))
+    width = deployment.engine.round_record(1).width
+    assert width == ring_width(USERS, 1.0)
+    recomputed = _ring_mean(codec, payloads, openings, len(counted), width)
+    assert np.array_equal(result.aggregate, recomputed)
     assert np.array_equal(
         result.aggregate, exact_mean(codec, vectors, [users[s] for s in counted])
     )

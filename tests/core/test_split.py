@@ -11,6 +11,7 @@ from repro.core.provisioning import BlinderProvisioner, ServiceProvisioner
 from repro.core.split import SplitGlimmer, build_split_images
 from repro import codec
 from repro.core.validation import PrivateContext, RoundFacts
+from repro.crypto.fixedpoint import ring_width
 from repro.crypto.masking import BlindingService
 from repro.errors import (
     AttestationError,
@@ -95,6 +96,7 @@ def provision_mask(deployment, platform, split, blinder_prov, round_id):
         0,
         blinder_prov.provision_mask(session, public, quote, round_id, 0),
         blinder_prov.round_commitments(round_id).record_for(0),
+        ring_width(1),
     )
 
 
@@ -106,7 +108,7 @@ def test_split_end_to_end(split_setup):
     deployment.signing_keypair.public_key.verify(signed.signed_bytes(), signed.signature)
     mask = blinder_prov.blinding.mask_for(1, 0)
     recovered = deployment.codec.decode(
-        unblinded(signed.ring_payload, mask, 1)
+        unblinded(signed.ring_payload, mask, ring_width(1))
     )
     assert list(recovered) == pytest.approx([0.5, 0.25, 1.0])
 
@@ -300,7 +302,7 @@ def test_split_adds_the_measured_dp_noise(split_setup):
         ProcessRequest(round_id=1, values=VALUES, features=pack_features(FEATURES))
     )
     noised = deployment.codec.decode(
-        unblinded(signed.ring_payload, blinder_prov.blinding.mask_for(1, 0), 1)
+        unblinded(signed.ring_payload, blinder_prov.blinding.mask_for(1, 0), ring_width(1))
     )
     assert list(noised) != pytest.approx([0.5, 0.25, 1.0])
 

@@ -98,8 +98,8 @@ F = kernels.be_doubles_to_bytes
 # One instance of every registered dataclass, by class.
 SAMPLES = {
     m.OpenBlinderRound: m.OpenBlinderRound(1, 192, 77, subgroup_size=8),
-    m.OpenServiceRound: m.OpenServiceRound(1, 192, 77, subgroup_size=0),
-    m.ProvisionMask: m.ProvisionMask(RECORD),
+    m.OpenServiceRound: m.OpenServiceRound(1, 192, 77, 4, subgroup_size=0),
+    m.ProvisionMask: m.ProvisionMask(RECORD, 4),
     m.MaskRequest: m.MaskRequest(b"\x05" * 16, None, None, 1, 3),
     m.ContributeCommand: m.ContributeCommand(
         round_id=1,
@@ -140,9 +140,6 @@ SAMPLES = {
         keystroke_trace=KeystrokeTrace([KeyEvent("t", 1.0), KeyEvent("h", 2.5)]),
         geo_context=UserGeoContext("u1", TRACK, b"\x0b" * 8),
         shopping_context=UserShoppingContext("u1", [Purchase("p1", 9.0)]),
-        session_signals=SessionSignals(
-            "s1", 1.0, 2.0, 3.0, 4.0, 0.5, 0.25, ("a.com",), ("c1",), "news", False
-        ),
         video_stream=VideoStream("u1", FRAMES, "walking"),
         submission=PhotoSubmission("p1", "u1", 1.0, 2.0, 3.0, b"\x0c" * 8, True),
         review=Review("r1", "u1", "p1", 4, 10.0, False),
@@ -363,7 +360,7 @@ def test_the_loose_form_reads_like_the_declared_one(cls):
                  contribution=replace(CONTRIBUTION, nonce=b"\x00")),
          "SignedContribution.nonce must be 16 bytes, not 1"),
         (replace(CONTRIBUTION, blinded=1), "SignedContribution.blinded must be bool, not int"),
-        (m.ProvisionMask(replace(RECORD, root=7)),
+        (m.ProvisionMask(replace(RECORD, root=7), 4),
          "MaskCommitmentRecord.root must be bytes, not int"),
     ],
     ids=["round-id-negative", "slot-bool", "round-id-float", "slot-str", "nested-nonce",
@@ -556,17 +553,21 @@ def test_declared_fields_frame_at_a_length_their_values_cannot_move(value):
 # contribute command carries neither the list nor its digest, and the
 # confidence is its signed u16; before that they were 22, 18, 95, 36, 46,
 # 689, 15 and 10.  A submission's blinded words cross at the round's
-# width, 5 bytes for these 4 parties: 447 where 8-byte words made 678.  Before group values crossed at width, a tagged wide
-# int — a commitment point, a signature's response — made two lengths,
-# 109/114 and 690/695; before fields were spelled at their declared
-# widths: 38, 29, 156/161, 43, 53, 713/718, 16 and 11.
+# width, 4 bytes for these 4 parties' values in [0, 1] (370), which the
+# open-service and provision-mask commands name in a u32 each (22 and 95);
+# 447, 18 and 91 while the width followed the codec's bound (5 bytes),
+# and 678 a submission while words were 8 bytes.  Before group values
+# crossed at width, a tagged wide int — a commitment point, a signature's
+# response — made two lengths, 109/114 and 690/695; before fields were
+# spelled at their declared widths: 38, 29, 156/161, 43, 53, 713/718, 16
+# and 11.
 STEADY_FRAMES = {
     m.KIND_OPEN_BLINDER: {18},
-    m.KIND_OPEN_SERVICE: {18},
-    m.KIND_PROVISION_MASK: {91},
+    m.KIND_OPEN_SERVICE: {22},
+    m.KIND_PROVISION_MASK: {95},
     m.KIND_MASK_REQUEST: {32},
     m.KIND_CONTRIBUTE: {8},
-    m.KIND_SUBMIT: {447},
+    m.KIND_SUBMIT: {370},
     m.KIND_FINALIZE: {11},
     m.KIND_CLOSE_ROUND: {6},
 }

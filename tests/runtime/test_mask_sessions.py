@@ -17,6 +17,7 @@ import pytest
 
 from repro import codec, invariants
 from repro.core.glimmer import KeyDelivery
+from repro.crypto.fixedpoint import ring_width
 from repro.errors import AttestationError, AuthenticationError
 from repro.experiments.common import Deployment
 from repro.network.adversary import EavesdropAdversary
@@ -146,7 +147,9 @@ def test_captured_in_session_delivery_opens_for_its_round_and_slot_only():
 
     def install(round_id, slot):
         record = blinder.round_commitments(round_id).record_for(slot)
-        client.glimmer.ecall("install_blinding_mask", round_id, slot, delivery, record)
+        client.glimmer.ecall(
+            "install_blinding_mask", round_id, slot, delivery, record, ring_width(2)
+        )
 
     for round_id, slot in ((3, 0), (2, 1)):
         with pytest.raises(AuthenticationError):

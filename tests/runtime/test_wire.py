@@ -33,6 +33,7 @@ from repro.runtime.protocol import (
 )
 from repro.runtime.telemetry import (
     OUTCOME_ACCEPTED,
+    OUTCOME_CRASHED,
     OUTCOME_QUARANTINED,
     OUTCOME_SERVICE_REJECTED,
     OUTCOME_UNREACHABLE,
@@ -646,12 +647,13 @@ def test_the_service_receives_one_repair_vector_and_no_dropout_mask():
     finalizes = [sent.payload for sent, _ in delivered if sent.kind == m.KIND_FINALIZE]
     assert len(finalizes) == 1
     assert finalizes[0].repaired == 2
+    width = next(sent.payload.width for sent, _ in delivered if sent.kind == m.KIND_OPEN_SERVICE)
     assert finalizes[0].repair == kernels.pack_words(
-        kernels.ring_accumulate(opening.mask for opening in openings), ring_width(6)
+        kernels.ring_accumulate(opening.mask for opening in openings), width
     )
     frames = [codec.encode(sent.payload) for sent, _ in delivered if sent.receiver == m.SERVICE]
     for opening in openings:
-        narrowed = kernels.pack_words(opening.mask, ring_width(6))
+        narrowed = kernels.pack_words(opening.mask, width)
         assert not any(opening.mask in frame or narrowed in frame for frame in frames)
 
 
@@ -697,11 +699,17 @@ class RewriteOpen(NetworkAdversary):
     [
         pytest.param(m.KIND_OPEN_BLINDER, dict(vector_length=0), id="open-blinder"),
         pytest.param(m.KIND_OPEN_SERVICE, dict(expected_parties=0), id="open-service"),
+        pytest.param(m.KIND_OPEN_SERVICE, dict(width=3), id="open-service-width-3"),
+        pytest.param(m.KIND_OPEN_SERVICE, dict(width=5), id="open-service-width-5"),
+        pytest.param(m.KIND_OPEN_SERVICE, dict(width=8), id="open-service-width-8"),
     ],
 )
 def test_rewritten_open_command_is_a_blamed_abort(kind, fields):
     """A round-open command rewritten in transit aborts the round, blamed
-    on the engine, rather than leaving ``run_round`` as a raw violation."""
+    on the engine, rather than leaving ``run_round`` as a raw violation:
+    refused at the wire (a party count of 0, a width below 4), or acked as
+    a round other than the one sent (any other width than the 4 bytes
+    these parties' values in [0, 1] need)."""
     deployment = Deployment.build(num_users=4, seed=b"wire-tamper")
     deployment.network.interpose(RewriteOpen(kind, **fields))
     with pytest.raises(RoundAbortedError) as excinfo:
@@ -721,17 +729,25 @@ def _assert_one_malformed_on_the_engine(abort) -> None:
 # ------------------------------------------------ blinded words at width
 
 
+def _wide_deployment(**overrides) -> Deployment:
+    """8 parties under a predicate that proves no bound, so their words
+    are sized by the codec's own: 6 bytes."""
+    return Deployment.build(
+        num_users=8, seed=b"wire-width", sentences_per_user=8, predicate_spec="accept-all",
+        **overrides,
+    )
+
+
 def _six_byte_round():
     """Round 1 of 8 parties, whose blinded words cross at 6 bytes, with one
     device's honest contribution folded.  Its k = 75 words spelled at 8
     bytes are whole 6-byte words (100 of them), so only the count the
     round opened with can refuse them."""
-    deployment = Deployment.build(
-        num_users=8, seed=b"wire-width", sentences_per_user=8, max_features=75
-    )
+    deployment = _wide_deployment(max_features=75)
     users = [user.user_id for user in deployment.corpus.users]
-    assert ring_width(len(users)) == 6 and len(deployment.features) % 3 == 0
+    assert len(deployment.features) % 3 == 0
     deployment.open_round(1, users)
+    assert deployment.engine.round_record(1).width == ring_width(len(users)) == 6
     vectors = deployment.local_vectors()
     features = deployment.features.bigrams
     assert deployment.engine.contribute(users[0], 1, list(vectors[users[0]]), features) == (
@@ -760,13 +776,13 @@ def test_a_submission_in_8_byte_words_is_malformed_in_a_6_byte_round():
 
 
 def _lying_host(deployment, user_id: str) -> None:
-    """The device's host hands its Glimmer each mask record naming
-    1,000,000 slots, so the Glimmer narrows at 8 bytes whatever the round's
-    width is (it cannot check the count)."""
+    """The device's host hands its Glimmer 8 bytes for every mask in place
+    of the round's width, and the Glimmer narrows at it: a wider width
+    than the round's holds the sum, so nothing inside can refuse it."""
     liar = deployment.clients[user_id]
     install = liar.install_mask
-    liar.install_mask = lambda round_id, slot, delivery, record: install(
-        round_id, slot, delivery, replace(record, num_slots=codec.MAX_PARTIES)
+    liar.install_mask = lambda round_id, slot, delivery, record, _width: install(
+        round_id, slot, delivery, record, 8
     )
 
 
@@ -774,7 +790,7 @@ def test_a_glimmer_narrowed_at_a_host_chosen_width_is_blamed_on_its_host():
     """With k = 77, the 8-byte words a lying host gets signed in a 6-byte
     round are not whole words at the round's width: on the bus the device
     is blamed and quarantined, and the round is exact over the rest."""
-    deployment = Deployment.build(num_users=8, seed=b"wire-width", sentences_per_user=8)
+    deployment = _wide_deployment()
     users = [user.user_id for user in deployment.corpus.users]
     _lying_host(deployment, users[2])
     vectors = deployment.local_vectors()
@@ -785,15 +801,46 @@ def test_a_glimmer_narrowed_at_a_host_chosen_width_is_blamed_on_its_host():
     assert report.outcomes[users[2]] == OUTCOME_QUARANTINED
 
 
+class RewriteTo(RewriteOpen):
+    """On-path: rewrite the fields of every engine command of one kind to
+    one receiver."""
+
+    def __init__(self, kind: str, receiver: str, **fields) -> None:
+        super().__init__(kind, **fields)
+        self.receiver = receiver
+
+    def process(self, message):
+        return super().process(message) if message.receiver == self.receiver else message
+
+
+@pytest.mark.parametrize("width", [4, 5])
+def test_a_narrower_provision_width_is_refused_at_install(width):
+    """A provision command rewritten in transit to a width too narrow for
+    the round's sum is refused by the device's Glimmer before it installs
+    the mask: that device is down for the round, its slot repaired, nobody
+    blamed, and the round exact over the rest."""
+    deployment = _wide_deployment()
+    users = [user.user_id for user in deployment.corpus.users]
+    victim = users[2]
+    deployment.network.interpose(
+        RewriteTo(m.KIND_PROVISION_MASK, m.client_endpoint(victim), width=width)
+    )
+    vectors = deployment.local_vectors()
+    report = deployment.engine.run_round(1, users, vectors, deployment.features.bigrams)
+    assert invariants.judge(report, deployment.codec, vectors).exact
+    assert report.outcomes[victim] == OUTCOME_CRASHED
+    assert victim not in report.survivors and report.masks_repaired == 1
+    assert set(report.survivors) == set(users) - {victim}
+    assert not report.violations
+
+
 def test_a_lying_host_that_submits_first_cannot_set_the_rounds_length():
     """With k = 75, a lying host's 8-byte words are whole 6-byte words, one
     third too many.  Its device submits first; the count the round opened
     with still refuses its payload alone, as ``malformed-payload`` counted
     against it, and every honest device after it folds: the round is exact
     over the rest."""
-    deployment = Deployment.build(
-        num_users=8, seed=b"wire-width", sentences_per_user=8, max_features=75
-    )
+    deployment = _wide_deployment(max_features=75)
     users = [user.user_id for user in deployment.corpus.users]
     _lying_host(deployment, users[0])
     deployment.open_round(1, users)
@@ -826,12 +873,11 @@ def test_a_late_torn_submission_is_out_of_phase():
     sender = next(
         message.sender for message in eavesdropper.captured if message.payload is submit
     )
-    torn = replace(
-        submit,
-        contribution=replace(
-            submit.contribution, ring_payload=submit.contribution.ring_payload[:-1]
-        ),
-    )
+    # Torn at the round's 4-byte width, yet whole 5-byte words, so the
+    # codec's own check of the frame lets it through to the gate.
+    words = submit.contribution.ring_payload[:-3]
+    assert len(words) % 4 and not len(words) % 5
+    torn = replace(submit, contribution=replace(submit.contribution, ring_payload=words))
     monitor = deployment.engine.monitor
     with pytest.raises(ProtocolViolation) as excinfo:
         deployment.network.call(sender, m.SERVICE, m.KIND_SUBMIT, torn)
@@ -850,7 +896,9 @@ def test_a_forger_writing_at_the_rounds_width_is_an_invalid_signature():
     check but the signature."""
     deployment, users, vectors = _six_byte_round()
     evil = deployment.make_client("mallory", malicious=True)
-    forged = evil.bypass_glimmer(1, list(vectors[users[1]]), len(users))
+    forged = evil.bypass_glimmer(
+        1, list(vectors[users[1]]), deployment.engine.round_record(1).width
+    )
     assert len(forged.ring_payload) == 6 * len(deployment.features)
     assert not deployment.engine.submit_signed("mallory", 1, forged)
     assert deployment.service.round_state(1).rejected == {"invalid-signature": 1}
@@ -858,10 +906,10 @@ def test_a_forger_writing_at_the_rounds_width_is_an_invalid_signature():
 
 @pytest.mark.parametrize("parties", [8, 2048, codec.MAX_PARTIES], ids=["w6", "w7", "w8"])
 def test_a_rewritten_party_count_never_corrupts_the_round(parties):
-    """The open command's party count sets the width the service reads the
-    round's words at.  Rewritten in transit to one with another width, the
-    service acks a round other than the one sent: the round aborts at open,
-    blamed on the engine's leg, before any device could be blamed."""
+    """The open command's party count sets the slots the service plans the
+    round over.  Rewritten in transit, the service acks a round other than
+    the one sent: the round aborts at open, blamed on the engine's leg,
+    before any device could be blamed."""
     deployment = Deployment.build(num_users=4, seed=b"wire-tamper")
     assert ring_width(parties) != ring_width(4)
     deployment.network.interpose(RewriteOpen(m.KIND_OPEN_SERVICE, expected_parties=parties))
