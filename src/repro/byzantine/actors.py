@@ -77,7 +77,7 @@ from repro.runtime.telemetry import OUTCOME_SUBMIT_FAILED
 
 def forged_contribution(client, round_id: int, values, width: int) -> SignedContribution:
     """A contribution in the honest wire shape of a round whose words cross
-    at ``width`` bytes, signed with a made-up key.
+    at ``width`` bits, signed with a made-up key.
 
     :meth:`MaliciousClient.bypass_glimmer`, run on any client device — an
     attacker does not need a special build of the client software to put

@@ -304,21 +304,18 @@ class Packed(Check):
 
 
 class Words(Check):
-    """``bytes`` of one to :data:`MAX_VECTOR_LENGTH` ring words, all of one
-    of ``widths`` bytes, judged by length alone: a length no width divides
-    is refused.  Which width is the round's is for a reader who knows the
-    round to check."""
-
-    def __init__(self, widths: Sequence[int]) -> None:
-        self.widths = tuple(widths)
+    """``bytes`` of packed ring words, no more than :data:`MAX_VECTOR_LENGTH`
+    whole 64-bit words' worth.  Their width, and so their one spelling, is
+    their round's: for a reader who knows the round to check
+    (:func:`repro.perf.kernels.misspelled`)."""
 
     def __call__(self, value: Any) -> str | None:
         if type(value) is not bytes:
             return f"must be packed bytes, not {type(value).__name__}"
-        if len(value) > max(self.widths) * MAX_VECTOR_LENGTH:
+        if not value:
+            return "holds no ring word"
+        if len(value) > 8 * MAX_VECTOR_LENGTH:
             return "exceeds the vector-length cap"
-        if not value or all(len(value) % width for width in self.widths):
-            return f"is not whole ring words: {len(value)} bytes"
         return None
 
     def spelling(self) -> "_Spelling":
@@ -511,6 +508,9 @@ class Fraction(Check):
 
 ROUND_ID, LENGTH = Int(0, MAX_ROUND_ID), Int(1, MAX_VECTOR_LENGTH)
 PARTIES, SLOT, SIZE = Int(1, MAX_PARTIES), Int(0, MAX_PARTIES - 1), Int(0, MAX_PARTIES)
+#: A host's clock reading in milliseconds: finite, within ±10^15 (some
+#: 31,700 years).  A NaN would compare false with every threshold.
+TIME_MS = Real(1e15)
 
 
 def blamed(check: "Check | type | None") -> Callable[[str, "int | None", str, Any], None]:

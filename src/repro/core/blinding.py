@@ -42,12 +42,13 @@ class BlindingComponent:
     Masks are keyed by ``(round_id, party_index)``: an on-device Glimmer
     holds a single party's mask per round, while a shared remote Glimmer
     (§4.2) may hold one per client it serves.  A mask is delivered as
-    packed big-endian u64 words and held narrowed, as ``(width, words)``:
-    its residues at the width its round's words cross at, which the
-    engine decided at open (:func:`~repro.crypto.fixedpoint.ring_width`)
-    and the Glimmer held to its own bound before installing.  Reduction
-    mod ``2^(8·width)`` keeps the family's sum zero, so the narrowed masks
-    still cancel.
+    packed big-endian u64 words and held so, beside the width its round's
+    words cross at, which the engine decided at open
+    (:func:`~repro.crypto.fixedpoint.ring_width`) and the Glimmer held to
+    its own bound before installing.  Only what leaves the component is
+    narrowed to that width: the blinded words and the checkpointed masks.
+    Reduction mod ``2^width`` keeps the family's sum zero, so the narrowed
+    masks still cancel.
     """
 
     def __init__(self) -> None:
@@ -58,7 +59,7 @@ class BlindingComponent:
     def install_mask(
         self, round_id: int, party_index: int, mask: Sequence[int] | bytes, width: int
     ) -> None:
-        """Store a decrypted mask for one (round, party), narrowed to the
+        """Store a decrypted mask for one (round, party), with the
         ``width`` its round's words cross at.
 
         Rejects double install for a slot, and rejects — with
@@ -89,24 +90,25 @@ class BlindingComponent:
                     oldest = next(iter(self._seen_digests))
                     del self._seen_digests[oldest]
                 self._seen_digests[digest] = key
-        self._masks[key] = (width, kernels.pack_words(packed, width))
+        self._masks[key] = (width, packed)
 
     def has_mask(self, round_id: int, party_index: int = 0) -> bool:
         return (round_id, party_index) in self._masks
 
     def masks_for_round(self, round_id: int) -> dict[int, tuple[int, bytes]]:
-        """Snapshot the unconsumed masks of one round, as held (for sealed
-        checkpoints)."""
+        """Snapshot the unconsumed masks of one round, each packed at its
+        width (for sealed checkpoints)."""
         return {
-            party: mask
-            for (rid, party), mask in self._masks.items()
+            party: (width, kernels.pack_words(packed, width))
+            for (rid, party), (width, packed) in self._masks.items()
             if rid == round_id
         }
 
     def restore_masks(
         self, round_id: int, masks: dict[int, tuple[int, bytes]]
     ) -> None:
-        """Reinstall checkpointed masks after an enclave restart.
+        """Reinstall checkpointed masks, each packed at its width, after an
+        enclave restart.
 
         Only fills empty slots: a mask that is already installed (or was
         consumed since the checkpoint) is left alone, preserving the
@@ -114,10 +116,11 @@ class BlindingComponent:
         this component's own prior installs coming back from sealed
         storage, not fresh deliveries.
         """
-        for party_index, mask in masks.items():
+        for party_index, (width, words) in masks.items():
             key = (round_id, int(party_index))
             if key not in self._masks:
-                self._masks[key] = mask
+                residues = kernels.unpack_words(words, width)
+                self._masks[key] = (width, kernels.be_words_to_bytes(residues))
 
     def purge_round(self, round_id: int) -> int:
         """Destroy every mask held for a finalized/aborted round.
@@ -154,15 +157,14 @@ class BlindingComponent:
                 f"no blinding mask installed for round {round_id} party {party_index}"
             )
         width, packed = held
-        if len(packed) != width * len(values):
+        if len(packed) != 8 * len(values):
             raise ValidationError(
                 f"contribution length {len(values)} does not match the round's "
-                f"mask length {len(packed) // width}"
+                f"mask length {len(packed) // 8}"
             )
         try:
             encoded = self.codec.encode(values)
         except ConfigurationError as exc:
             raise ValidationError(str(exc)) from None
         del self._masks[key]
-        mask = kernels.unpack_words(packed, width)
-        return kernels.pack_words(apply_mask(encoded, mask), width)
+        return kernels.pack_words(apply_mask(encoded, packed), width)

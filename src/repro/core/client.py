@@ -191,7 +191,7 @@ class ClientDevice:
         self, round_id: int, party_index: int, delivery, commitment, width: int
     ) -> None:
         """Install a delivered blinding mask for ``round_id``, to blind at
-        ``width`` bytes a word.
+        ``width`` bits a word.
 
         The Glimmer verifies the delivered mask opens ``commitment``, the
         slot's engine-vouched
@@ -229,7 +229,7 @@ class ClientDevice:
         width: int = WHOLE_WORD,
     ) -> None:
         """Obtain this round's blinding mask from the blinding service, to
-        blind at ``width`` bytes a word: the width the service was opened
+        blind at ``width`` bits a word: the width the service was opened
         at (whole words for one that named none)."""
         commitment = provisioner.round_commitments(round_id).record_for(party_index)
         mask_delivery(

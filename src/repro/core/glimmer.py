@@ -534,7 +534,7 @@ class BlindStep(DeliveryStep):
         width: int,
     ) -> None:
         """Accept a (round, party) mask from the blinding service, to blind
-        at ``width`` bytes a word.
+        at ``width`` bits a word.
 
         The delivery arrives over the attested channel — a full one, or
         one in the session the last full one opened, keyed to this round
@@ -565,7 +565,7 @@ class BlindStep(DeliveryStep):
             )
         if not holds_sum(width, commitment.num_slots, self._config.magnitude):
             raise EnclaveError(
-                f"install refused: {width}-byte words do not hold round {round_id}'s "
+                f"install refused: {width}-bit words do not hold round {round_id}'s "
                 f"sum of {commitment.num_slots} values"
             )
         plaintext = self._handshakes.open(
@@ -676,7 +676,8 @@ class RoundCheckpoint:
     """A round's unconsumed masks as :meth:`GlimmerProgram.checkpoint_round`
     seals them: ``(slot, (width, narrowed words))`` pairs, each mask as the
     Glimmer holds it, and the round's blind-signing counter when the
-    checkpoint was cut."""
+    checkpoint was cut.  :meth:`GlimmerProgram.restore_round` holds each
+    mask to its one spelling at its width."""
 
     round_id: int
     masks: tuple[tuple[int, tuple[int, bytes]], ...]
@@ -767,6 +768,8 @@ class GlimmerProgram(ValidateStep, BlindStep, SignStep):
             checkpoint = codec.decode(self.api.unseal(sealed_blob), RoundCheckpoint)
         except ProtocolViolation as exc:
             raise EnclaveError("malformed round checkpoint") from exc
+        if any(kernels.misspelled(words, width) for _, (width, words) in checkpoint.masks):
+            raise EnclaveError("malformed round checkpoint: a mask is not its words' spelling")
         round_id = checkpoint.round_id
         counter = self.api.monotonic_counter(f"blind-signings-round-{round_id}")
         if counter.value > checkpoint.signings:

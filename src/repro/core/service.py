@@ -145,7 +145,7 @@ class CloudService:
         ``vector_length`` fixes the words every contribution holds, so a
         payload of any other count is refused whatever arrived first; an
         in-process caller that trusts its rows may leave it to the first.
-        ``width`` is the bytes each word crosses at; a caller that opens a
+        ``width`` is the bits each word crosses at; a caller that opens a
         round without an engine, and names none, reads whole 64-bit words.
         """
         if round_id in self._closed:

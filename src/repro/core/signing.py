@@ -8,8 +8,8 @@ and returns it to the client for transmission to the service."
 A :class:`SignedContribution` binds, under the service-provisioned key:
 
 * the payload — a blinded ring vector or a plaintext float vector, each
-  packed as the big-endian values that travel: ring words at the width
-  the round's sum needs (:func:`~repro.crypto.fixedpoint.ring_width`,
+  packed as the big-endian values that travel: ring words at the bit
+  width the round's sum needs (:func:`~repro.crypto.fixedpoint.ring_width`,
   decided once, as the round opens),
   doubles at 8 bytes (:mod:`repro.perf.kernels`),
 * the round id and a fresh nonce (replay protection at the service),
@@ -30,11 +30,11 @@ from repro.crypto.hashing import hash_items
 from repro.crypto.schnorr import SchnorrKeyPair, SchnorrPublicKey, SchnorrSignature
 from repro.errors import CryptoError
 
-RING_WORDS = Words(RING_WIDTHS)
-"""A ring payload's declaration: whole words at some round's width."""
+RING_WORDS = Words()
+"""A ring payload's declaration: packed words at some round's width."""
 
 RING_WIDTH = Int(RING_WIDTHS[0], RING_WIDTHS[-1])
-"""A round's word width, wherever it is named."""
+"""A round's word width in bits, wherever it is named."""
 
 CONFIDENCE_SCALE = 10_000
 """The signature covers the confidence in whole 1/10,000ths, as a u16."""
@@ -51,11 +51,11 @@ class SignedContribution:
 
     The payload fields carry the very bytes the signature's digest covers:
     ``ring_payload`` is the blinded words' residues at the round's width
-    ``w`` (:func:`~repro.perf.kernels.pack_words`), w·k bytes,
+    ``b`` (:func:`~repro.perf.kernels.pack_words`), ⌈b·k/8⌉ bytes,
     ``plain_payload`` big-endian doubles
     (:func:`~repro.perf.kernels.be_doubles_to_bytes`), 8·k bytes, each with
-    no count prefix.  A residue has one spelling at its width, so one
-    signature covers exactly one payload.  ``confidence``
+    no count prefix.  A residue has one spelling at its width (pad bits
+    zero), so one signature covers exactly one payload.  ``confidence``
     is the multiple of 1/10,000 the digest signs, and crosses as that
     numerator: a value between two quanta has no spelling, so one
     signature covers exactly one confidence too.
@@ -98,7 +98,7 @@ def contribution_digest(
         raise CryptoError("exactly one of ring/plain payload must be present")
     if ring_payload is not None:
         if RING_WORDS(ring_payload):
-            raise CryptoError("a ring payload is packed bytes of whole ring words")
+            raise CryptoError("a ring payload is packed bytes of ring words")
         packed, count = ring_payload, len(ring_payload)
     else:
         packed = plain_payload

@@ -5,9 +5,9 @@ in modular arithmetic.  Model weights are floats, so every protocol in this
 library encodes them as scaled integers first.  The codec is exact for the
 quantization it advertises and round-trips any value within its range.
 
-A round's blinded words cross at :func:`ring_width` bytes each, their
-residues mod ``2^(8·w)``: the fewest bytes that still hold the round's
-whole sum, which its party count, the ``scale`` and the largest value a
+A round's blinded words cross at :func:`ring_width` bits each, their
+residues mod ``2^b``: the fewest bits that still hold the round's whole
+sum, which its party count, the ``scale`` and the largest value a
 contribution may hold fix — the codec's ``bound``, or less where the
 Glimmer's measured predicate proves less.
 """
@@ -21,7 +21,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.codec import MAX_PARTIES
 from repro.errors import ConfigurationError
 from repro.perf import kernels
 
@@ -105,12 +104,6 @@ class FixedPointCodec:
         return kernels.ring_sum_rows(vectors).tolist()
 
 
-#: The narrowest width a round's words cross at: the narrowest at which
-#: the codec's ``Words`` still refuses every torn frame it did at five
-#: bytes (33 bytes would be eleven 3-byte words).
-MIN_RING_WIDTH = 4
-
-
 def word_bound(magnitude: float) -> int:
     """The largest magnitude a word encoding a value in ``[-M, M]`` holds:
     ``⌈M · scale⌉``, since the codec's round-half-even never rounds past
@@ -118,39 +111,41 @@ def word_bound(magnitude: float) -> int:
     return math.ceil(magnitude * FixedPointCodec.scale)
 
 
-def _width_for(sum_bound: int) -> int:
-    """The fewest bytes ``w`` with ``sum_bound < 2^(8w − 1)``."""
-    return sum_bound.bit_length() // 8 + 1
+def _bits_for(sum_bound: int) -> int:
+    """The fewest bits ``b ≥ 8`` with ``sum_bound < 2^(b − 1)``: at eight
+    bits or more a payload's length spells at most one word count."""
+    return max(8, sum_bound.bit_length() + 1)
 
 
 def ring_width(parties: int, magnitude: float = FixedPointCodec.bound) -> int:
-    """w(n, M): the bytes a blinded word of an ``n``-party round crosses in,
+    """b(n, M): the bits a blinded word of an ``n``-party round crosses in,
     when every value is at most ``M`` in magnitude.
 
-    The fewest whole bytes ``w ≥ 4`` with ``n · ⌈M · scale⌉ < 2^(8w − 1)``:
-    the sum of ``n`` contributions then survives reduction mod ``2^(8w)``
-    and sign extension (:func:`repro.perf.kernels.widen`) bit for bit.  At
-    the codec's own bound (the default) that is 5 bytes for up to 7
-    parties, 6 up to 2,047, 7 up to 524,287, and 8 — the whole ``Z/2^64``
-    word — beyond; for values in ``[0, 1]``, 4 bytes up to 32,767 parties.
+    The fewest bits ``b ≥ 8`` with ``n · ⌈M · scale⌉ < 2^(b − 1)``: the
+    sum of ``n`` contributions then survives reduction mod ``2^b`` and
+    sign extension (:func:`repro.perf.kernels.widen`) bit for bit.  At the
+    codec's own bound (the default) that is ``37 + n.bit_length()``: 38
+    bits for one party, 43 for 32, 57 for :data:`~repro.codec.MAX_PARTIES`;
+    for values in ``[0, 1]``, ``17 + n.bit_length()``: 25 bits for 192
+    parties.
     """
     if parties < 1:
         raise ConfigurationError(f"a round has at least one party, not {parties}")
-    width = max(MIN_RING_WIDTH, _width_for(parties * word_bound(magnitude)))
-    if width > 8:
+    width = _bits_for(parties * word_bound(magnitude))
+    if width > 64:
         raise ConfigurationError(f"{parties} parties' sum does not fit Z/2^64")
     return width
 
 
 def holds_sum(width: int, parties: int, magnitude: float) -> bool:
-    """Whether ``width``-byte words carry the sum of ``parties`` values
+    """Whether ``width``-bit words carry the sum of ``parties`` values
     each at most ``magnitude``: a width a round may cross at, and no
     narrower than :func:`ring_width` of that round."""
-    return width in RING_WIDTHS and _width_for(parties * word_bound(magnitude)) <= width
+    return width in RING_WIDTHS and _bits_for(parties * word_bound(magnitude)) <= width
 
 
-#: Every width a round's words cross at, the floor's to ``MAX_PARTIES``'.
-RING_WIDTHS = tuple(range(MIN_RING_WIDTH, ring_width(MAX_PARTIES) + 1))
+#: Every width a round's words may cross at, in bits.
+RING_WIDTHS = tuple(range(ring_width(1, 0.0), 65))
 
 #: A whole ``Z/2^64`` word, which holds any sum: the width of a round that
 #: no engine opened, whose in-process caller names none.

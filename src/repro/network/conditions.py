@@ -514,9 +514,9 @@ class LinkConditions(NetworkAdversary):
         """Mutate a submission the way skewed firmware would.
 
         Every mutation fails a check at the service's wire — one
-        ``SignedContribution`` declares, or, for a torn payload that some
-        other word width happens to divide, whole words at the round's
-        width — so the service refuses it as attributable Byzantine
+        ``SignedContribution`` declares, or, for a torn payload, its words'
+        one spelling at the round's width, which the service's admission
+        holds them to — so the service refuses it as attributable Byzantine
         evidence and the slot degrades into §3 dropout repair — corruption
         is *detected*, never silently aggregated.
         """
@@ -531,7 +531,8 @@ class LinkConditions(NetworkAdversary):
                     contribution, nonce=contribution.nonce + b"\xff"
                 )
             elif mutation == "ring" and contribution.ring_payload:
-                # A torn final word: no longer whole words at the round's width.
+                # A torn final word: at 16 bits a word or more, one byte
+                # short of k words is no spelling of any count.
                 mutated = replace(
                     contribution, ring_payload=contribution.ring_payload[:-1]
                 )

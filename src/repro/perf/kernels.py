@@ -16,12 +16,15 @@ Float vectors travel as big-endian IEEE-754 doubles
 (:func:`be_doubles_to_bytes` / :func:`be_doubles`).
 
 A blinded contribution and the §3 repair cross narrower: each word as
-its residue mod ``2^(8·w)`` in ``w`` big-endian bytes
-(:func:`pack_words` / :func:`unpack_words`), where ``w`` is the width the
-round's sum needs (:func:`repro.crypto.fixedpoint.ring_width`).
-Reduction mod ``2^(8·w)`` is a ring homomorphism from ``Z/2^64``, so
-residues fold in ``uint64`` like any words, and :func:`widen` turns the
-folded total back into the 64-bit sum by sign extension.
+its residue mod ``2^b`` in ``b`` bits, the words' bits run together
+big-endian and the last byte's pad bits zero (:func:`pack_words` /
+:func:`unpack_words`), where ``b`` is the width the round's sum needs
+(:func:`repro.crypto.fixedpoint.ring_width`).  Reduction mod ``2^b`` is
+a ring homomorphism from ``Z/2^64``, so residues fold in ``uint64`` like
+any words, and :func:`widen` turns the folded total back into the 64-bit
+sum by sign extension.  At ``b ≥ 8`` a length spells at most one word
+count, so :func:`misspelled` judges a payload from its length and its
+last byte alone.
 """
 
 from __future__ import annotations
@@ -59,31 +62,45 @@ def be_words(payload: bytes) -> np.ndarray:
     return _unpack(payload, BE_U64).astype(U64)
 
 
-def unpack_words(payload: bytes, width: int) -> np.ndarray:
-    """The ``np.uint64`` residues of ring words packed ``width`` bytes each.
+def misspelled(payload: bytes, bits: int) -> str | None:
+    """What keeps ``payload`` from being the one spelling of ring words at
+    ``bits`` bits each, if anything: ``⌈k·bits/8⌉`` bytes for some ``k``,
+    whose last byte's pad bits are zero."""
+    pad = len(payload) * 8 % bits
+    if pad >= 8:
+        return f"{len(payload)} bytes are not whole {bits}-bit ring words"
+    if pad and payload[-1] & ((1 << pad) - 1):
+        return f"the last byte's {pad} pad bit(s) are not zero"
+    return None
+
+
+def unpack_words(payload: bytes, bits: int) -> np.ndarray:
+    """The ``np.uint64`` residues of ring words packed ``bits`` bits each.
 
     Inverse of :func:`pack_words`: each word is zero-extended, so it is
-    its residue mod ``2^(8·width)``.  Raises ``ValueError`` when the
-    length is not whole ``width``-byte words.
+    its residue mod ``2^bits``.  Raises ``ValueError`` when the payload is
+    not their one spelling (:func:`misspelled`).
     """
-    if len(payload) % width:
-        raise ValueError(
-            f"a packed vector is whole {width}-byte words, not {len(payload)} bytes"
-        )
-    narrow = np.frombuffer(payload, dtype=np.uint8).reshape(-1, width)
-    wide = np.zeros((len(narrow), 8), dtype=np.uint8)
-    wide[:, 8 - width:] = narrow
-    return wide.view(BE_U64).ravel().astype(U64)
+    complaint = misspelled(payload, bits)
+    if complaint:
+        raise ValueError(complaint)
+    start = np.arange(len(payload) * 8 // bits, dtype=U64) * U64(bits)
+    pairs = np.frombuffer(payload + bytes(16 - len(payload) % 8), dtype=BE_U64).astype(U64)
+    at, skip = (start >> U64(6)).astype(np.intp), start & U64(63)
+    # Each word is the top ``bits`` of the 64 bits from its start, which
+    # span two u64s; numpy shifts a u64 by 64 to 0, so a word starting on
+    # a u64 boundary takes nothing from the next.
+    return ((pairs[at] << skip) | (pairs[at + 1] >> (U64(64) - skip))) >> U64(64 - bits)
 
 
-def widen(words: np.ndarray, width: int) -> np.ndarray:
-    """Words reduced mod ``2^(8·width)`` and sign-extended to 64 bits.
+def widen(words: np.ndarray, bits: int) -> np.ndarray:
+    """Words reduced mod ``2^bits`` and sign-extended to 64 bits.
 
     A folded total of :func:`unpack_words` residues is the 64-bit ring
-    sum's residue; when that sum's signed value fits ``8·width`` bits,
-    this returns it exactly.  ``width == 8`` is the identity.
+    sum's residue; when that sum's signed value fits ``bits`` bits, this
+    returns it exactly.  ``bits == 64`` is the identity.
     """
-    shift = np.uint64(64 - 8 * width)
+    shift = np.uint64(64 - bits)
     return ((as_ring(words) << shift).view(np.int64) >> np.int64(shift)).view(U64)
 
 
@@ -237,12 +254,13 @@ def be_words_to_bytes(words: Sequence[int] | np.ndarray | bytes) -> bytes:
     return arr.astype(BE_U64, copy=False).tobytes()
 
 
-def pack_words(words: Sequence[int] | np.ndarray | bytes, width: int) -> bytes:
-    """Each ring word's residue mod ``2^(8·width)``, big-endian, ``width``
-    bytes a word, in one pass; at ``width == 8`` the bytes
+def pack_words(words: Sequence[int] | np.ndarray | bytes, bits: int) -> bytes:
+    """Each ring word's residue mod ``2^bits``, its ``bits`` bits run
+    together big-endian and the last byte's pad bits zero: ``⌈k·bits/8⌉``
+    bytes for ``k`` words, in one pass; at ``bits == 64`` the bytes
     :func:`be_words_to_bytes` packs."""
-    full = as_ring(words).astype(BE_U64).view(np.uint8).reshape(-1, 8)
-    return full[:, 8 - width:].tobytes()
+    top = (as_ring(words) << U64(64 - bits)).astype(BE_U64).view(np.uint8).reshape(-1, 8)
+    return np.packbits(np.unpackbits(top, axis=1, count=bits)).tobytes()
 
 
 def bytes_to_be_words(payload: bytes) -> tuple[int, ...]:

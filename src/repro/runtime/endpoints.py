@@ -47,6 +47,7 @@ from repro.faults import (
     SITE_CLIENT_PROVISION,
 )
 from repro.network.message import Message
+from repro.perf import kernels
 from repro.runtime import messages as m
 from repro.runtime.wire import check_rules
 from repro.runtime.telemetry import (
@@ -142,16 +143,14 @@ class ServiceEndpoint(_Endpoint):
             return None
 
     def _torn(self, round_id: int, words) -> str | None:
-        """What is wrong with ring words that are not whole words at their
-        round's width (as the round was opened), if anything; a round that
-        is not open is left to the handler to refuse."""
+        """What keeps ring words from being their one spelling at their
+        round's width (as the round was opened), if anything: a torn
+        length or a pad bit set.  A round that is not open is left to the
+        handler to refuse."""
         state = self._open_state(round_id)
         if state is None or type(words) is not bytes:
             return None
-        width = state.accumulator.width
-        if len(words) % width:
-            return f"{len(words)} bytes are not whole {width}-byte ring words"
-        return None
+        return kernels.misspelled(words, state.accumulator.width)
 
     def admit(
         self,
@@ -170,18 +169,16 @@ class ServiceEndpoint(_Endpoint):
         merge, which sets ``verified`` when a worker already checked the
         Glimmer signature (``CloudService.submit_verified``).  Raises
         :class:`ProtocolViolation` when the monitor refuses the sender, or
-        when the ring words past its gate are not whole words at the
-        round's width: a malformed message, blamed on its sender as a
-        torn frame is at decode.  Whole words of another count are the
+        when the ring words past its gate are not their one spelling at
+        the round's width: a malformed message, blamed on its sender as a
+        frame refused at decode is.  Words of another count are the
         service's ``malformed-payload``.
         """
         nonce = contribution.nonce
         self.monitor.check_submit(round_id, sender, slot, nonce, retransmit=retransmit)
-        # A contribution naming another round is the service's
-        # ``wrong-round``, whatever its words' width.
-        torn = contribution.round_id == round_id and self._torn(
-            round_id, contribution.ring_payload
-        )
+        # Words are spelled at the width of the round the contribution
+        # names; naming another round is then the service's ``wrong-round``.
+        torn = self._torn(contribution.round_id, contribution.ring_payload)
         if torn:
             raise self.monitor.reject(
                 round_id, sender, VIOLATION_MALFORMED, f"submission from {sender!r}: {torn}"

@@ -145,7 +145,7 @@ class _RoundRecord:
         self.round_id = round_id
         self.num_slots = num_slots
         self.route = route  # executor + accumulator; open, pool and finalize read it
-        #: The bytes the round's blinded words cross at, decided at open.
+        #: The bits the round's blinded words cross at, decided at open.
         self.width = 0
         self.opened_at_ms = network.clock.now_ms()
         self.participants: list[str] = []

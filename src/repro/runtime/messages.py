@@ -11,15 +11,17 @@ crosses and adversaries capture or tamper with them meaningfully.
 Every numeric vector travels packed, as ``bytes`` of big-endian values
 with no count prefix: floats as 8-byte IEEE-754 doubles
 (:func:`repro.perf.kernels.be_doubles_to_bytes`), and a blinded
-contribution's words and the §3 repair as their residues at the width
-the round's sum needs (:func:`repro.perf.kernels.pack_words`).  The
-engine decides that width once, as it opens the round
+contribution's words and the §3 repair as their residues at the bit
+width the round's sum needs, run together (:func:`repro.perf.kernels.pack_words`).
+The engine decides that width once, as it opens the round
 (:func:`repro.crypto.fixedpoint.ring_width` of its party count and the
-largest value its Glimmer's predicate proves: 4 bytes for up to 32,767
-parties whose values lie in ``[0, 1]``), and names it to the service in
+largest value its Glimmer's predicate proves: 25 bits for 192 parties
+whose values lie in ``[0, 1]``), and names it to the service in
 :class:`OpenServiceRound` and to each device in :class:`ProvisionMask`.
-A vector's size on the wire is then w·k whatever it holds, and the signed
-contribution carries the exact bytes its signature covers.
+A vector's size on the wire is then ⌈b·k/8⌉ whatever it holds, and the
+signed contribution carries the exact bytes its signature covers.  The
+codec judges such words by type and cap alone; their one spelling at the
+round's width is checked where the round is known.
 """
 
 from __future__ import annotations
@@ -87,7 +89,7 @@ class OpenBlinderRound:
 class OpenServiceRound:
     """Ask the cloud service to start accepting blinded contributions.
 
-    ``width`` fixes the bytes the round's words cross at and
+    ``width`` fixes the bits the round's words cross at and
     ``vector_length`` how many of them a contribution holds, both before
     any contribution arrives.  ``subgroup_size > 0`` opens a streaming
     round: submissions fold into per-subgroup accumulators on arrival and
@@ -106,7 +108,7 @@ class OpenServiceRound:
 @dataclass(frozen=True)
 class ProvisionMask:
     """Command a client to fetch its round mask from the blinding service,
-    to blind at ``width`` bytes a word.
+    to blind at ``width`` bits a word.
 
     ``commitment`` is the slot's engine-vouched
     :class:`~repro.crypto.commitments.MaskCommitmentRecord`: the engine

@@ -39,7 +39,7 @@ class StreamingSubgroupAccumulator:
         self, plan: SubgroupPlan, length: int | None = None, width: int = WHOLE_WORD
     ) -> None:
         """``length`` fixes the words a row holds before any row folds;
-        ``None`` lets the first row fix it.  ``width`` is the bytes a
+        ``None`` lets the first row fix it.  ``width`` is the bits a
         packed row's words cross at: the round's."""
         self.plan = plan
         self.width = width
@@ -55,8 +55,9 @@ class StreamingSubgroupAccumulator:
         return None if self._partials is None else self._partials.shape[1]
 
     def _row(self, values) -> np.ndarray:
-        """A row to fold: packed residues at the round's width (a length
-        that is not whole words is a ``ConfigurationError``), or words."""
+        """A row to fold: packed residues at the round's width (a payload
+        that is not their one spelling is a ``ConfigurationError``), or
+        words."""
         if isinstance(values, bytes):
             try:
                 row = kernels.unpack_words(values, self.width)

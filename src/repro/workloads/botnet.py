@@ -22,15 +22,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.codec import Bool, Str, TupleOf, wire
+from repro.codec import Bool, Real, Str, TupleOf, wire
 from repro.crypto.drbg import HmacDrbg
 from repro.errors import ConfigurationError
 
 
+#: A detector feature: finite, and far inside ±10^9 for any session.  A
+#: NaN would score every session human.
+SIGNAL = Real(1e9)
+
+
 @wire(
-    0x8208, session_id=Str, mouse_moves_per_minute=float, mean_event_interval_ms=float,
-    event_interval_variance=float, focus_changes_per_minute=float, js_fidelity=float,
-    scroll_entropy=float, browsing_history=TupleOf(Str), cookie_ids=TupleOf(Str),
+    0x8208, session_id=Str, mouse_moves_per_minute=SIGNAL, mean_event_interval_ms=SIGNAL,
+    event_interval_variance=SIGNAL, focus_changes_per_minute=SIGNAL, js_fidelity=SIGNAL,
+    scroll_entropy=SIGNAL, browsing_history=TupleOf(Str), cookie_ids=TupleOf(Str),
     interest_profile=Str, is_bot=Bool,
 )
 @dataclass(frozen=True)

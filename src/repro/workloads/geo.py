@@ -22,12 +22,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.codec import Bool, ListOf, Str, wire
+from repro.codec import TIME_MS, Bool, ListOf, Real, Str, wire
 from repro.crypto.drbg import HmacDrbg
 from repro.errors import ConfigurationError
 
 
-@wire(0x8203, x=float, y=float, timestamp_ms=float)
+#: A position on the map grid: finite, and far inside ±10^9 on any map.
+COORD = Real(1e9)
+
+
+@wire(0x8203, x=COORD, y=COORD, timestamp_ms=TIME_MS)
 @dataclass(frozen=True)
 class TrackPoint:
     """One GPS fix."""
@@ -38,7 +42,7 @@ class TrackPoint:
 
 
 @wire(
-    0x8204, photo_id=Str, user_id=Str, claimed_x=float, claimed_y=float, taken_at_ms=float,
+    0x8204, photo_id=Str, user_id=Str, claimed_x=COORD, claimed_y=COORD, taken_at_ms=TIME_MS,
     camera_fingerprint=bytes, is_spoofed=Bool,
 )
 @dataclass(frozen=True)

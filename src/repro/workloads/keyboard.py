@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.codec import ListOf, Str, wire
+from repro.codec import TIME_MS, ListOf, Str, wire
 from repro.crypto.drbg import HmacDrbg
 
 Sentence = Sequence[str]
@@ -30,7 +30,7 @@ HUMAN_JITTER_MS = 140.0
 ROBOT_INTERVAL_MS = 8.0
 
 
-@wire(0x8201, char=Str, timestamp_ms=float)
+@wire(0x8201, char=Str, timestamp_ms=TIME_MS)
 @dataclass(frozen=True)
 class KeyEvent:
     """One key press: the character and when it happened."""

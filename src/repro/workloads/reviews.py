@@ -14,14 +14,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.codec import Bool, ListOf, Str, wire
+from repro.codec import TIME_MS, Bool, ListOf, Str, wire
 from repro.crypto.drbg import HmacDrbg
 from repro.errors import ConfigurationError
 
 _PRODUCTS = tuple(f"product-{i:03d}" for i in range(40))
 
 
-@wire(0x8209, product_id=Str, timestamp_ms=float)
+@wire(0x8209, product_id=Str, timestamp_ms=TIME_MS)
 @dataclass(frozen=True)
 class Purchase:
     """A record in the user's private purchase history."""
@@ -31,7 +31,7 @@ class Purchase:
 
 
 @wire(
-    0x820A, review_id=Str, user_id=Str, product_id=Str, rating=int, posted_at_ms=float,
+    0x820A, review_id=Str, user_id=Str, product_id=Str, rating=int, posted_at_ms=TIME_MS,
     is_spurious=Bool,
 )
 @dataclass(frozen=True)

@@ -101,7 +101,7 @@ def _checkpoint_site() -> Site:
         resealed = glimmer.ecall("checkpoint_round", round_id)
         return codec.decode(glimmer._api.unseal(resealed), RoundCheckpoint)
 
-    sample = RoundCheckpoint(7, ((0, (8, W((1, 2)))), (3, (8, W((4, 5))))), 0)
+    sample = RoundCheckpoint(7, ((0, (64, W((1, 2)))), (3, (64, W((4, 5))))), 0)
     return Site(sample, {"signings": "0"}, EnclaveError, read)
 
 

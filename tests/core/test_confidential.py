@@ -238,9 +238,10 @@ _PLATFORMS = itertools.count()
 @given(data=st.data())
 def test_a_signals_answer_with_one_mistyped_field_refuses_only_that_session(setup, data):
     """The host's answer to ``collect_session_signals`` crosses held to
-    ``SessionSignals``' declared fields: one mistyped field refuses that
-    session with a ``ProtocolViolation`` at the crossing, and the same
-    session answered honestly, and the next one, are judged as before.
+    ``SessionSignals``' declared fields: one mistyped field, or a detector
+    feature set to NaN or an infinity, refuses that session with a
+    ``ProtocolViolation`` at the crossing, and the same session answered
+    honestly, and the next one, are judged as before.
     Before the fields were declared, a mistyped detector feature raised
     ``TypeError`` out of the ecall, and a mistyped history, profile or
     session id reached the detector."""
@@ -249,6 +250,8 @@ def test_a_signals_answer_with_one_mistyped_field_refuses_only_that_session(setu
     name = data.draw(st.sampled_from(sorted(codec.declared(SessionSignals))), label="field")
     current = getattr(signals, name)
     mistyped = [v for v in (5, 1.5, "x", b"x", (), True, None) if type(v) is not type(current)]
+    if type(current) is float:  # a NaN feature scored every session human
+        mistyped += [float("nan"), float("inf"), float("-inf")]
     if type(current) is tuple:
         mistyped.append((5,) + current[1:])
     value = data.draw(st.sampled_from(mistyped), label="value")

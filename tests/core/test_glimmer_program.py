@@ -29,7 +29,7 @@ from repro.errors import (
     ReproError,
     ValidationError,
 )
-from repro.core.predicates import trace_commitment
+from repro.core.predicates import _weights_from_sentences, trace_commitment
 from repro.core.validation import PrivateContext, default_registry
 from repro.experiments.common import Deployment
 from repro.runtime.telemetry import (
@@ -475,6 +475,52 @@ def test_a_video_stream_that_fails_its_checks_downs_only_its_device(stream):
     _assert_only_the_lying_device_is_down(PrivateContext(video_stream=stream), _silhouette_round)
 
 
+#: A machine's typing: one key every 100 ms, flat as no hand types.
+MACHINE_TYPED = "the cat sat on the mat\n" * 4
+
+
+def _machine_typed_round(last_ms: float):
+    """Round 1 under the keystrokes predicate in which the first device's
+    host answers with :data:`MACHINE_TYPED` at 100 ms steps, its last key
+    at ``last_ms``, and that device contributes the very weights the
+    typed text recomputes to, so only the timing check can refuse it."""
+    deployment = Deployment.build(
+        num_users=4, predicate_spec="keystrokes", sentences_per_user=10
+    )
+    for user in deployment.clients:
+        deployment.clients[user].data.private.keystroke_trace = trace_for_sentences(
+            deployment.corpus.streams[user], HmacDrbg(user.encode())
+        )
+    events = [KeyEvent(char, 100.0 * i) for i, char in enumerate(MACHINE_TYPED)]
+    events[-1] = replace(events[-1], timestamp_ms=last_ms)
+    trace = KeystrokeTrace(events)
+    vectors = deployment.local_vectors()
+    liar = next(iter(vectors))
+    vectors[liar] = np.array(
+        _weights_from_sentences(trace.typed_sentences(), deployment.features.bigrams)
+    )
+    return _round(deployment, PrivateContext(keystroke_trace=trace), vectors) + (liar,)
+
+
+def test_a_nan_timestamp_does_not_pass_a_machine_typed_trace():
+    """A flat trace is refused as machine-like.  Its last timestamp NaN
+    made its timing variance NaN, which no threshold comparison refuses,
+    so the same trace passed and its device's weights were signed and
+    summed.  A host-fed timestamp is a ``codec.Real``: the NaN is refused
+    at the crossing, only the liar's device goes down, and the round is
+    exact over the rest."""
+    flat, __, liar = _machine_typed_round(100.0 * (len(MACHINE_TYPED) - 1))
+    assert flat.last_report.outcomes[liar] == OUTCOME_VALIDATION_REJECTED
+    lied, vectors, liar = _machine_typed_round(float("nan"))
+    report = lied.last_report
+    assert report.outcomes[liar] == OUTCOME_CRASHED
+    assert liar not in report.survivors and report.masks_repaired == 1
+    assert all(report.outcomes[user] == OUTCOME_ACCEPTED for user in vectors if user != liar)
+    survivors = {user: vectors[user] for user in report.participants}
+    assert invariants.judge(report, lied.codec, survivors).exact
+    assert lied.refusals and all(type(exc) is ProtocolViolation for exc in lied.refusals)
+
+
 def test_exec_trace_rounds_read_each_devices_own_commitment():
     """The trace commitment is the device's private data, served by the
     same ocall as its sentences: a round whose devices hold their own
@@ -498,6 +544,9 @@ def test_exec_trace_rounds_read_each_devices_own_commitment():
 # mistyped: any field of the record or of a record inside it, however deep
 # (the first two items of every list), set to a value of another type.
 MISTYPED_VALUES = (5, 1.5, "x", b"x", (), [], True, None)
+#: What a float field may hold that no host-fed float may: every
+#: comparison with a NaN is false, so it would slip past any threshold.
+NON_FINITE = (float("nan"), float("inf"), float("-inf"))
 
 
 def _fields_of(value, path=()):
@@ -538,8 +587,9 @@ HOST_FED_ROUNDS = {
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_a_host_answer_with_one_mistyped_field_downs_only_its_device(spec, data):
-    """Whatever declared field of its answer a host mistypes, under every
-    predicate a host feeds, ``run_round`` returns, the refusal is a
+    """Whatever declared field of its answer a host mistypes, or sets to
+    NaN or an infinity where it holds a float, under every predicate a
+    host feeds, ``run_round`` returns, the refusal is a
     ``ProtocolViolation`` at the crossing, and only the lying device is
     down."""
     honest, __ = HOST_FED_ROUNDS[spec]()
@@ -551,6 +601,8 @@ def test_a_host_answer_with_one_mistyped_field_downs_only_its_device(spec, data)
         mistyped = [v for v in MISTYPED_VALUES if type(v) not in (get_origin(kind) or kind, NoneType)]
     else:
         mistyped = [v for v in MISTYPED_VALUES if type(v) is not type(current)]
+        if type(current) is float:
+            mistyped += NON_FINITE
     value = data.draw(st.sampled_from(mistyped), label="value")
     _assert_only_the_lying_device_is_down(
         lambda honest_answer: _swapped(honest_answer, path, value), HOST_FED_ROUNDS[spec]
@@ -573,5 +625,6 @@ def test_a_restored_glimmer_signs_the_words_an_unrestarted_one_would():
         values = list(deployment.local_vectors()[users[0]])
         signed = client.contribute(1, values, pack_features(deployment.features.bigrams))
         payloads.append(signed.ring_payload)
-    assert len(payloads[0]) == ring_width(8, 1.0) * len(values) == 4 * len(values)
+    assert ring_width(8, 1.0) == 21
+    assert len(payloads[0]) == -(-21 * len(values) // 8)
     assert payloads[0] == payloads[1]

@@ -103,9 +103,18 @@ def test_digest_of_packed_payload_matches_recorded_golden():
 )
 def test_digest_covers_only_packed_payloads(payload):
     """One signature, one payload: ``2**64 + 5`` and ``5`` once encoded to
-    the same words; now only whole packed words can be signed."""
-    with pytest.raises(CryptoError):
-        contribution_digest(7, NONCE, True, payload, None, 0.75)
+    the same words; now only packed bytes can be signed, a plain payload
+    only as whole 8-byte doubles.  A ring payload's width is its round's,
+    which the digest does not know: it signs the bytes as they are, behind
+    their count, so a torn or lengthened payload is another payload under
+    another digest, and its spelling is judged by the readers that know
+    the round (``kernels.misspelled``)."""
+    if type(payload) is bytes:
+        whole = contribution_digest(7, NONCE, True, W(WORDS), None, 0.75)
+        assert contribution_digest(7, NONCE, True, payload, None, 0.75) != whole
+    else:
+        with pytest.raises(CryptoError):
+            contribution_digest(7, NONCE, True, payload, None, 0.75)
     with pytest.raises(CryptoError):
         contribution_digest(7, NONCE, False, None, payload, 0.75)
 
@@ -118,7 +127,7 @@ def test_blinding_component_roundtrip():
     masks = SumZeroMasks.sample(2, 3, HmacDrbg(b"bl"))
     component.install_mask(7, 0, masks.mask_for(0), ring_width(2))
     blinded = component.blind(7, 0, [0.5, -0.25, 1.0])
-    assert type(blinded) is bytes and len(blinded) == ring_width(2) * 3
+    assert type(blinded) is bytes and len(blinded) == -(-ring_width(2) * 3 // 8)
     assert list(codec.decode(unblinded(blinded, masks.mask_for(0), ring_width(2)))) == pytest.approx(
         [0.5, -0.25, 1.0]
     )

@@ -40,12 +40,22 @@ def test_e2_federated_claims():
 def test_e3_secure_agg_claims():
     # 12 users (the experiment default): per-user inversion guesses on
     # uniformly blinded vectors are coin flips, and smaller cohorts leave
-    # the accuracy threshold one lucky streak away from flaking.
-    result = run_experiment("e3", num_users=12, dropout_rates=(0.0, 0.25))
-    for scheme, users, rate, error, blinded_acc, plain_acc in result.rows:
-        assert error < 1e-3  # exact sums, even under dropout
-        assert blinded_acc <= 0.75  # inversion collapses toward chance
-        assert plain_acc >= 0.9  # while plaintext vectors fully leak
+    # the accuracy threshold one lucky streak away from flaking.  One
+    # row's nine or twelve guesses still land above 0.75 about one draw in
+    # ten (b"e3"'s 25%-dropout row reads 7/9).  So each (scheme, dropout)
+    # cell pools its rows over four seeds, 36 to 48 guesses, and each
+    # cell's mean is held to the bound: a leak in any one cell still shows.
+    cells: dict[tuple[str, float], list[float]] = {}
+    for seed in (b"e3", b"e3-1", b"e3-2", b"e3-3"):
+        result = run_experiment("e3", num_users=12, dropout_rates=(0.0, 0.25), seed=seed)
+        for scheme, users, rate, error, blinded_acc, plain_acc in result.rows:
+            assert error < 1e-3  # exact sums, even under dropout
+            assert plain_acc >= 0.9  # while plaintext vectors fully leak
+            cells.setdefault((scheme, rate), []).append(blinded_acc)
+    assert len(cells) == 4
+    for accuracies in cells.values():
+        # inversion collapses toward chance in every cell
+        assert sum(accuracies) / len(accuracies) <= 0.75
 
 
 def test_e4_poisoning_claims():

@@ -33,8 +33,9 @@ from repro.network.message import Message
 from repro.perf import kernels
 from repro.runtime import messages as m
 from repro.runtime.protocol import VIOLATION_MALFORMED
-from repro.runtime.wire import validate_contribution, validate_payload
+from repro.runtime.wire import validate_contribution
 from repro.service.fleet import run_fleet_schedule
+from tests.runtime.test_wire import _read_at_the_service
 
 
 CLIENTS = ["alice", "bob", "carol", "dave", "erin", "frank"]
@@ -270,10 +271,12 @@ def _signed(ring=(1, 2, 3), nonce=b"\x07" * 16, confidence=0.5):
 def test_every_firmware_perturbation_violates_the_wire_schema():
     """Zero undetected corruption, at the unit level.
 
-    Whatever mutation the skewed firmware draws, the result must fail
-    :func:`repro.runtime.wire.validate_contribution` — that rejection is
-    what turns corruption into attributable Byzantine evidence instead
-    of silent aggregate poison.
+    Whatever mutation the skewed firmware draws, the result must be
+    refused at the service's wire — by the declared checks
+    (:func:`repro.runtime.wire.validate_payload`), or, for torn ring words,
+    by their spelling at the round's width where the service admits them
+    — and that rejection is what turns corruption into attributable
+    Byzantine evidence instead of silent aggregate poison.
     """
     schedule = _quiet_schedule(
         "alice", firmware_skew=True, firmware_perturb_rate=1.0
@@ -307,7 +310,9 @@ def test_every_firmware_perturbation_violates_the_wire_schema():
             )
         )
         with pytest.raises(ProtocolViolation):
-            validate_contribution("client:alice", 1, mutated)
+            _read_at_the_service(
+                m.KIND_SUBMIT, m.SubmitContribution(contribution=mutated), sender="client:alice"
+            )
     assert conditions.perturbed_submissions >= len(mutations_seen) >= 2
     assert conditions.process(
         _message("client:alice", kind=m.KIND_CONTRIBUTE)
@@ -316,9 +321,12 @@ def test_every_firmware_perturbation_violates_the_wire_schema():
 
 def test_each_firmware_mutation_is_malformed_at_the_wire():
     """All three mutations — a 17-byte nonce, a torn final ring word, a NaN
-    confidence — fail the submit schema as ``malformed``, blamed on the
-    sending device.  The ring mutation no longer writes the word ``2**64``
-    (a packed payload cannot hold it): it drops the last byte."""
+    confidence — are refused at the service's wire as ``malformed``,
+    blamed on the sending device: the nonce and the confidence by the
+    submit schema, the torn word by its spelling at the round's width
+    where the service admits it.  The ring mutation no longer writes the
+    word ``2**64`` (a packed payload cannot hold it): it drops the last
+    byte."""
     schedule = _quiet_schedule(
         "alice", firmware_skew=True, firmware_perturb_rate=1.0
     )
@@ -348,10 +356,8 @@ def test_each_firmware_mutation_is_malformed_at_the_wire():
         else:
             continue
         with pytest.raises(ProtocolViolation) as excinfo:
-            validate_payload(
-                m.KIND_SUBMIT,
-                "client:alice",
-                m.SubmitContribution(contribution=mutated),
+            _read_at_the_service(
+                m.KIND_SUBMIT, m.SubmitContribution(contribution=mutated), sender="client:alice"
             )
         assert excinfo.value.kind == VIOLATION_MALFORMED
         assert excinfo.value.offender == "client:alice"

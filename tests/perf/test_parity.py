@@ -512,12 +512,14 @@ def test_wide_streamed_round_is_byte_identical_to_recorded():
     width.  ``signatures`` and ``sealed`` moved when blinded words began to
     cross at their round's width (6 bytes for these 16 parties): the
     signatures cover the narrowed words, and the checkpoints hold each
-    mask narrowed, beside its width.  ``root`` did not: masks and
-    commitments stay in ``Z/2^64``.  ``aggregate`` has never moved.
+    mask narrowed, beside its width.  They moved again when that width
+    went in bits (42 for these 16 parties, where it had been 6 bytes).
+    ``root`` did not: masks and commitments stay in ``Z/2^64``.
+    ``aggregate`` has never moved.
     """
     assert _wide_streamed_round_digests() == {
         "root": "b3dd46a86e0ff8861e7ef3bc9d485dc6e0397dfd07a7eeb4cd329a30d849b223",
-        "sealed": "0ab5dd7c03ae3f49ae03cab4829071ca096db0a68e3c0988efadc075a124d6f5",
-        "signatures": "9a6b577f821959d5a852d6811a8b8ba1aaa4b5b22a1ac6a2cff559107cbe521c",
+        "sealed": "d7b5745cd4254bbf8393125c5878fe32709ab1692d37a8790b315b086326a43b",
+        "signatures": "2db95a99d486da851e7f05af2d0506a04c023b6a3512c24772f7155561a9f5b9",
         "aggregate": "b8557277e14cafd0f8f2a7befff5613092a335bba97d6d0fa83195c95702b0c2",
     }

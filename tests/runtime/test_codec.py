@@ -98,8 +98,8 @@ F = kernels.be_doubles_to_bytes
 # One instance of every registered dataclass, by class.
 SAMPLES = {
     m.OpenBlinderRound: m.OpenBlinderRound(1, 192, 77, subgroup_size=8),
-    m.OpenServiceRound: m.OpenServiceRound(1, 192, 77, 4, subgroup_size=0),
-    m.ProvisionMask: m.ProvisionMask(RECORD, 4),
+    m.OpenServiceRound: m.OpenServiceRound(1, 192, 77, 25, subgroup_size=0),
+    m.ProvisionMask: m.ProvisionMask(RECORD, 25),
     m.MaskRequest: m.MaskRequest(b"\x05" * 16, None, None, 1, 3),
     m.ContributeCommand: m.ContributeCommand(
         round_id=1,
@@ -159,7 +159,7 @@ SAMPLES = {
     GlimmerConfig: GlimmerConfig(
         "range:0.0:1.0", SERVICE_KEY, SchnorrPublicKey(TEST_GROUP, 49), b"\x0d" * 32, 0.5
     ),
-    RoundCheckpoint: RoundCheckpoint(7, ((0, (8, W((1, 2)))), (3, (8, W((4, 5))))), 2),
+    RoundCheckpoint: RoundCheckpoint(7, ((0, (64, W((1, 2)))), (3, (64, W((4, 5))))), 2),
     SealedRound: SealedRound(77, 192, 8, b"\x0e" * 32 * 24, b"\x0f" * 32),
     LinkedContribution: LinkedContribution(7, 2, F((0.5, 0.25)), True, 1.0),
     DetectorWeights: DetectorWeights(),
@@ -360,7 +360,7 @@ def test_the_loose_form_reads_like_the_declared_one(cls):
                  contribution=replace(CONTRIBUTION, nonce=b"\x00")),
          "SignedContribution.nonce must be 16 bytes, not 1"),
         (replace(CONTRIBUTION, blinded=1), "SignedContribution.blinded must be bool, not int"),
-        (m.ProvisionMask(replace(RECORD, root=7), 4),
+        (m.ProvisionMask(replace(RECORD, root=7), 25),
          "MaskCommitmentRecord.root must be bytes, not int"),
     ],
     ids=["round-id-negative", "slot-bool", "round-id-float", "slot-str", "nested-nonce",
@@ -553,10 +553,11 @@ def test_declared_fields_frame_at_a_length_their_values_cannot_move(value):
 # contribute command carries neither the list nor its digest, and the
 # confidence is its signed u16; before that they were 22, 18, 95, 36, 46,
 # 689, 15 and 10.  A submission's blinded words cross at the round's
-# width, 4 bytes for these 4 parties' values in [0, 1] (370), which the
-# open-service and provision-mask commands name in a u32 each (22 and 95);
-# 447, 18 and 91 while the width followed the codec's bound (5 bytes),
-# and 678 a submission while words were 8 bytes.  Before group values
+# width, 20 bits for these 4 parties' values in [0, 1] (255: 77 words in
+# 193 bytes), which the open-service and provision-mask commands name in
+# a u32 each (22 and 95); 370 while widths went in whole bytes (4 bytes a
+# word), 447, 18 and 91 while the width followed the codec's bound
+# (5 bytes), and 678 a submission while words were 8 bytes.  Before group values
 # crossed at width, a tagged wide int — a commitment point, a signature's
 # response — made two lengths, 109/114 and 690/695; before fields were
 # spelled at their declared widths: 38, 29, 156/161, 43, 53, 713/718, 16
@@ -567,7 +568,7 @@ STEADY_FRAMES = {
     m.KIND_PROVISION_MASK: {95},
     m.KIND_MASK_REQUEST: {32},
     m.KIND_CONTRIBUTE: {8},
-    m.KIND_SUBMIT: {370},
+    m.KIND_SUBMIT: {255},
     m.KIND_FINALIZE: {11},
     m.KIND_CLOSE_ROUND: {6},
 }

@@ -399,7 +399,7 @@ def checkpoint():
     """A Glimmer and a round checkpoint sealed by it, in its own layout."""
     deployment = Deployment.build(num_users=1, seed=b"schema-fuzz")
     glimmer = next(iter(deployment.clients.values())).glimmer
-    return glimmer, glimmer._api.seal(codec.encode(RoundCheckpoint(7, ((0, (8, bytes(16))),), 0)))
+    return glimmer, glimmer._api.seal(codec.encode(RoundCheckpoint(7, ((0, (64, bytes(16))),), 0)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -417,8 +417,22 @@ def test_a_checkpoint_naming_an_infinite_round_is_malformed(checkpoint):
     checkpoint, not an ``OverflowError`` escaping the enclave."""
     glimmer, _ = checkpoint
     sealed = glimmer._api.seal(
-        codec.encode(RoundCheckpoint(float("inf"), ((0, (8, bytes(16))),), 0))
+        codec.encode(RoundCheckpoint(float("inf"), ((0, (64, bytes(16))),), 0))
     )
+    with pytest.raises(EnclaveError, match="malformed round checkpoint"):
+        glimmer.ecall("restore_round", sealed)
+
+
+@pytest.mark.parametrize("flaw", ["one-byte-short", "pad-bit"])
+def test_a_checkpointed_mask_misspelled_at_its_width_is_malformed(checkpoint, flaw):
+    """The codec judges a checkpointed mask's words by type and cap alone;
+    restore holds them to their one spelling at the width beside them.
+    One byte short, or with a pad bit set, is a malformed checkpoint, as a
+    torn frame refused at decode was."""
+    glimmer, _ = checkpoint
+    words = kernels.pack_words(range(3), 25)  # 75 bits: 10 bytes, 5 pad bits
+    words = words[:-1] if flaw == "one-byte-short" else words[:-1] + bytes([words[-1] | 1])
+    sealed = glimmer._api.seal(codec.encode(RoundCheckpoint(7, ((0, (25, words)),), 0)))
     with pytest.raises(EnclaveError, match="malformed round checkpoint"):
         glimmer.ecall("restore_round", sealed)
 

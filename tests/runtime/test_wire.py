@@ -20,13 +20,18 @@ from repro.core.glimmer import HANDLE_BYTES, deflate_features, features_digest
 from repro.core.signing import SignedContribution, SigningComponent
 from repro.crypto.dh import OAKLEY_GROUP_1, TEST_GROUP
 from repro.crypto.fixedpoint import ring_width
-from repro.crypto.schnorr import SchnorrSignature
+from repro.core.service import CloudService
+from repro.crypto.drbg import HmacDrbg
+from repro.crypto.schnorr import SchnorrKeyPair, SchnorrSignature
 from repro.errors import ConfigurationError, ProtocolViolation, RoundAbortedError
 from repro.experiments.common import Deployment
 from repro.network.adversary import EavesdropAdversary, NetworkAdversary
 from repro.perf import kernels
+from repro.network.message import Message
 from repro.runtime import messages as m
+from repro.runtime.endpoints import ServiceEndpoint
 from repro.runtime.protocol import (
+    ProtocolMonitor,
     VIOLATION_MALFORMED,
     VIOLATION_OUT_OF_PHASE,
     VIOLATION_QUARANTINED,
@@ -434,6 +439,23 @@ def test_packed_vector_accepted(field, value):
     validate_payload(kind, SENDER, payload)
 
 
+def _read_at_the_service(kind, payload, width: int = 64, sender: str = SENDER) -> None:
+    """Deliver ``payload`` as the service reads it: held to its declared
+    checks at decode, then its ring words to their one spelling at the
+    width its round was opened at (64 bits, ``W``'s words, by default) at
+    the service's endpoint — behind the monitor's gate for a submission,
+    before the service for a finalize's repair."""
+    validate_payload(kind, sender, payload)
+    key = SchnorrKeyPair.generate(HmacDrbg(b"wire"), TEST_GROUP)
+    service = CloudService(key.public_key)
+    service.open_round(1, 4, vector_length=3, width=width)
+    endpoint = ServiceEndpoint(service, ProtocolMonitor())
+    if kind == m.KIND_SUBMIT:
+        endpoint.admit(1, sender, 0, payload.contribution)
+    else:
+        endpoint._handle_finalize(Message(sender, m.SERVICE, kind, payload, 1, 0.0, 1))
+
+
 @pytest.mark.parametrize("field", PACKED_FIELDS)
 @pytest.mark.parametrize(
     "value",
@@ -443,16 +465,58 @@ def test_packed_vector_accepted(field, value):
         pytest.param(bytearray(16), id="bytearray"),
         pytest.param(memoryview(bytes(16)), id="memoryview"),
         pytest.param(b"", id="empty"),
-        pytest.param(bytes(23), id="torn"),  # no ring word width divides it
+        pytest.param(bytes(23), id="torn"),  # no spelling of whole 64-bit words
         pytest.param(bytes(17), id="trailing-byte"),
         pytest.param(None, id="none"),
     ],
 )
 def test_malformed_packed_vector_is_blamed_on_the_sender(field, value):
+    """Refused, and blamed on its sender as ``malformed``: at decode, or,
+    for ring words torn or lengthened at their round's width, where the
+    service reads them at that width."""
     kind, payload = _packed_field(field, value)
     with pytest.raises(ProtocolViolation) as excinfo:
-        validate_payload(kind, SENDER, payload)
+        _read_at_the_service(kind, payload)
     _assert_blamed(excinfo)
+
+
+@pytest.mark.parametrize("field", ["ring_payload", "dropout_mask"])
+@pytest.mark.parametrize("bits", [20, 25, 41])
+@pytest.mark.parametrize("flaw", ["one-byte-short", "pad-bit"])
+def test_ring_words_misspelled_at_their_rounds_width_are_blamed_on_the_sender(
+    field, bits, flaw
+):
+    """The codec judges ring words by type and cap alone; the service's
+    endpoint holds a submission's words and a repair to their one spelling
+    at the round's width: one byte short, or with a pad bit set, is a
+    ``malformed`` message from its sender, as a torn frame refused at
+    decode was."""
+    words = kernels.pack_words(range(3), bits)
+    words = words[:-1] if flaw == "one-byte-short" else words[:-1] + bytes([words[-1] | 1])
+    assert kernels.misspelled(words, bits)
+    kind, payload = _packed_field(field, words)
+    validate_payload(kind, SENDER, payload)
+    with pytest.raises(ProtocolViolation) as excinfo:
+        _read_at_the_service(kind, payload, bits)
+    _assert_blamed(excinfo)
+
+
+def test_torn_words_naming_another_open_round_are_blamed_on_the_sender():
+    """Words are spelled at the width of the round the contribution names:
+    torn at that round's width, they are ``malformed`` from the sender,
+    not the service's ``wrong-round``; naming a round that is not open,
+    they have no width to be torn at and are the service's to refuse."""
+    key = SchnorrKeyPair.generate(HmacDrbg(b"wire"), TEST_GROUP)
+    service = CloudService(key.public_key)
+    service.open_round(1, 4, vector_length=3, width=64)
+    service.open_round(2, 4, vector_length=3, width=25)
+    endpoint = ServiceEndpoint(service, ProtocolMonitor())
+    torn = kernels.pack_words(range(3), 25)[:-1]
+    with pytest.raises(ProtocolViolation) as excinfo:
+        endpoint.admit(1, SENDER, 0, replace(_contribution(ring_payload=torn), round_id=2))
+    _assert_blamed(excinfo)
+    closed = replace(_contribution(ring_payload=torn), round_id=3)
+    assert endpoint.admit(1, SENDER, 1, closed) is False
 
 
 @pytest.mark.parametrize("field", PACKED_FIELDS)
@@ -707,9 +771,9 @@ class RewriteOpen(NetworkAdversary):
 def test_rewritten_open_command_is_a_blamed_abort(kind, fields):
     """A round-open command rewritten in transit aborts the round, blamed
     on the engine, rather than leaving ``run_round`` as a raw violation:
-    refused at the wire (a party count of 0, a width below 4), or acked as
-    a round other than the one sent (any other width than the 4 bytes
-    these parties' values in [0, 1] need)."""
+    refused at the wire (a party count of 0, a width below the floor of 8
+    bits), or acked as a round other than the one sent (any other width
+    than the 20 bits these parties' values in [0, 1] need)."""
     deployment = Deployment.build(num_users=4, seed=b"wire-tamper")
     deployment.network.interpose(RewriteOpen(kind, **fields))
     with pytest.raises(RoundAbortedError) as excinfo:
@@ -731,7 +795,7 @@ def _assert_one_malformed_on_the_engine(abort) -> None:
 
 def _wide_deployment(**overrides) -> Deployment:
     """8 parties under a predicate that proves no bound, so their words
-    are sized by the codec's own: 6 bytes."""
+    are sized by the codec's own: 41 bits, each spanning a sixth byte."""
     return Deployment.build(
         num_users=8, seed=b"wire-width", sentences_per_user=8, predicate_spec="accept-all",
         **overrides,
@@ -739,15 +803,16 @@ def _wide_deployment(**overrides) -> Deployment:
 
 
 def _six_byte_round():
-    """Round 1 of 8 parties, whose blinded words cross at 6 bytes, with one
-    device's honest contribution folded.  Its k = 75 words spelled at 8
-    bytes are whole 6-byte words (100 of them), so only the count the
-    round opened with can refuse them."""
-    deployment = _wide_deployment(max_features=75)
+    """Round 1 of 8 parties, whose blinded words cross at 41 bits (a sixth
+    byte's span), with one device's honest contribution folded.  Its
+    k = 41 words spelled at 64 bits are exactly 64 whole 41-bit words,
+    with no pad bit, so only the count the round opened with can refuse
+    them."""
+    deployment = _wide_deployment(max_features=41)
     users = [user.user_id for user in deployment.corpus.users]
-    assert len(deployment.features) % 3 == 0
+    assert len(deployment.features) == 41
     deployment.open_round(1, users)
-    assert deployment.engine.round_record(1).width == ring_width(len(users)) == 6
+    assert deployment.engine.round_record(1).width == ring_width(len(users)) == 41
     vectors = deployment.local_vectors()
     features = deployment.features.bigrams
     assert deployment.engine.contribute(users[0], 1, list(vectors[users[0]]), features) == (
@@ -757,15 +822,16 @@ def _six_byte_round():
 
 
 def test_a_submission_in_8_byte_words_is_malformed_in_a_6_byte_round():
-    """Validly signed, but spelled as 8-byte words where the round's are 6:
-    the admission step books it ``malformed-payload``, blamed on its
-    sender, and the folded total is untouched."""
+    """Validly signed, but spelled as 8-byte words where the round's are
+    41 bits: 64 words' spelling, so the admission step books it
+    ``malformed-payload``, blamed on its sender, and the folded total is
+    untouched."""
     deployment, users, vectors = _six_byte_round()
     words = deployment.codec.encode(vectors[users[1]])
     signed = SigningComponent(deployment.signing_keypair).endorse(
         1, b"\x08" * 16, True, kernels.be_words_to_bytes(words), None, 1.0
     )
-    assert len(signed.ring_payload) % 6 == 0
+    assert kernels.misspelled(signed.ring_payload, 41) is None
     state = deployment.service.round_state(1)
     before = state.accumulator.partials()
     sender = m.client_endpoint(users[1])
@@ -776,22 +842,24 @@ def test_a_submission_in_8_byte_words_is_malformed_in_a_6_byte_round():
 
 
 def _lying_host(deployment, user_id: str) -> None:
-    """The device's host hands its Glimmer 8 bytes for every mask in place
+    """The device's host hands its Glimmer 64 bits for every mask in place
     of the round's width, and the Glimmer narrows at it: a wider width
     than the round's holds the sum, so nothing inside can refuse it."""
     liar = deployment.clients[user_id]
     install = liar.install_mask
     liar.install_mask = lambda round_id, slot, delivery, record, _width: install(
-        round_id, slot, delivery, record, 8
+        round_id, slot, delivery, record, 64
     )
 
 
 def test_a_glimmer_narrowed_at_a_host_chosen_width_is_blamed_on_its_host():
-    """With k = 77, the 8-byte words a lying host gets signed in a 6-byte
-    round are not whole words at the round's width: on the bus the device
-    is blamed and quarantined, and the round is exact over the rest."""
+    """With k = 77, the 64-bit words a lying host gets signed in a 41-bit
+    round are no spelling at the round's width (4,928 bits is 120 words
+    and 8 bits over): on the bus the device is blamed and quarantined,
+    and the round is exact over the rest."""
     deployment = _wide_deployment()
     users = [user.user_id for user in deployment.corpus.users]
+    assert kernels.misspelled(bytes(8 * len(deployment.features)), 41)
     _lying_host(deployment, users[2])
     vectors = deployment.local_vectors()
     report = deployment.engine.run_round(1, users, vectors, deployment.features.bigrams)
@@ -816,14 +884,16 @@ class RewriteTo(RewriteOpen):
 @pytest.mark.parametrize("width", [4, 5])
 def test_a_narrower_provision_width_is_refused_at_install(width):
     """A provision command rewritten in transit to a width too narrow for
-    the round's sum is refused by the device's Glimmer before it installs
-    the mask: that device is down for the round, its slot repaired, nobody
-    blamed, and the round exact over the rest."""
+    the round's sum — the ``8 · width`` bits of a whole-byte width: 32, or
+    40, one bit narrower than the round's 41 — is refused by the device's
+    Glimmer before it installs the mask: that device is down for the
+    round, its slot repaired, nobody blamed, and the round exact over the
+    rest."""
     deployment = _wide_deployment()
     users = [user.user_id for user in deployment.corpus.users]
     victim = users[2]
     deployment.network.interpose(
-        RewriteTo(m.KIND_PROVISION_MASK, m.client_endpoint(victim), width=width)
+        RewriteTo(m.KIND_PROVISION_MASK, m.client_endpoint(victim), width=8 * width)
     )
     vectors = deployment.local_vectors()
     report = deployment.engine.run_round(1, users, vectors, deployment.features.bigrams)
@@ -835,12 +905,12 @@ def test_a_narrower_provision_width_is_refused_at_install(width):
 
 
 def test_a_lying_host_that_submits_first_cannot_set_the_rounds_length():
-    """With k = 75, a lying host's 8-byte words are whole 6-byte words, one
-    third too many.  Its device submits first; the count the round opened
+    """With k = 41, a lying host's 64-bit words are 64 whole 41-bit words,
+    23 too many.  Its device submits first; the count the round opened
     with still refuses its payload alone, as ``malformed-payload`` counted
     against it, and every honest device after it folds: the round is exact
     over the rest."""
-    deployment = _wide_deployment(max_features=75)
+    deployment = _wide_deployment(max_features=41)
     users = [user.user_id for user in deployment.corpus.users]
     _lying_host(deployment, users[0])
     deployment.open_round(1, users)
@@ -873,10 +943,10 @@ def test_a_late_torn_submission_is_out_of_phase():
     sender = next(
         message.sender for message in eavesdropper.captured if message.payload is submit
     )
-    # Torn at the round's 4-byte width, yet whole 5-byte words, so the
-    # codec's own check of the frame lets it through to the gate.
-    words = submit.contribution.ring_payload[:-3]
-    assert len(words) % 4 and not len(words) % 5
+    # Torn at the round's 20-bit width; the codec judges no word's
+    # spelling, so the frame reaches the gate.
+    words = submit.contribution.ring_payload[:-1]
+    assert kernels.misspelled(words, 20)
     torn = replace(submit, contribution=replace(submit.contribution, ring_payload=words))
     monitor = deployment.engine.monitor
     with pytest.raises(ProtocolViolation) as excinfo:
@@ -899,7 +969,7 @@ def test_a_forger_writing_at_the_rounds_width_is_an_invalid_signature():
     forged = evil.bypass_glimmer(
         1, list(vectors[users[1]]), deployment.engine.round_record(1).width
     )
-    assert len(forged.ring_payload) == 6 * len(deployment.features)
+    assert len(forged.ring_payload) == -(-41 * len(deployment.features) // 8)
     assert not deployment.engine.submit_signed("mallory", 1, forged)
     assert deployment.service.round_state(1).rejected == {"invalid-signature": 1}
 
