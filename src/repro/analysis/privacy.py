@@ -17,6 +17,7 @@ structural bits-exposed bound, which is what the E1/E2/E3/E8 tables report.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
@@ -72,14 +73,18 @@ def bits_of_vector(length: int, bits_per_value: int = 64) -> float:
 def gaussian_epsilon(
     l2_sensitivity: float, sigma: float, delta: float = 1e-5
 ) -> float:
-    """(ε, δ)-DP level of the Gaussian mechanism.
+    """The exact (ε, δ)-DP level of the Gaussian mechanism.
 
-    Standard calibration: ``ε = Δ₂ · sqrt(2 ln(1.25/δ)) / σ``.  Used by the
-    E14 extension to label the aggregate's leakage bound when Glimmers add
-    distributed noise; ``float('inf')`` when ``sigma`` is 0 (no DP).
+    The smallest ε at which adding N(0, σ²) to a query of L2 sensitivity
+    Δ₂ is (ε, δ)-DP (Balle and Wang, ICML 2018, Thm. 8).  With μ = Δ₂/σ,
+    the mechanism's δ at ε is ``Φ(μ/2 − ε/μ) − e^ε·Φ(−μ/2 − ε/μ)``,
+    which falls as ε grows; ε is where it meets ``delta``, found by
+    bisection.  It depends on Δ₂ and σ only through μ.  The classic
+    calibration ``Δ₂·sqrt(2 ln(1.25/δ))/σ`` is a guarantee only below 1
+    and understates ε far above it.  Used by the E14 extension to label
+    the aggregate's leakage when Glimmers add distributed noise;
+    ``float('inf')`` when ``sigma`` is 0 (no DP).
     """
-    import math
-
     if l2_sensitivity < 0:
         raise ConfigurationError("sensitivity must be non-negative")
     if not 0.0 < delta < 1.0:
@@ -88,4 +93,39 @@ def gaussian_epsilon(
         raise ConfigurationError("sigma must be non-negative")
     if sigma == 0:
         return float("inf")
-    return l2_sensitivity * math.sqrt(2.0 * math.log(1.25 / delta)) / sigma
+    mu = l2_sensitivity / sigma
+    if mu == 0:
+        return 0.0
+    log_delta = math.log(delta)
+
+    def exceeds(epsilon: float) -> bool:
+        """Whether the mechanism's δ at ``epsilon`` is above ``delta``."""
+        head = _log_normal_cdf(mu / 2 - epsilon / mu)
+        tail = epsilon + _log_normal_cdf(-mu / 2 - epsilon / mu)
+        if tail >= head:
+            return False
+        return head + math.log(-math.expm1(tail - head)) > log_delta
+
+    if not exceeds(0.0):
+        return 0.0
+    low, high = 0.0, 1.0
+    while exceeds(high):
+        low, high = high, 2 * high
+    while high - low > 1e-12 * high:
+        middle = (low + high) / 2
+        if exceeds(middle):
+            low = middle
+        else:
+            high = middle
+    return high
+
+
+def _log_normal_cdf(x: float) -> float:
+    """``log Φ(x)`` for the standard normal, in log space where ``erfc``
+    would underflow: below −20 the asymptotic tail
+    ``φ(x)/|x|·(1 − x⁻² + 3x⁻⁴ − 15x⁻⁶ + 105x⁻⁸)``, relative error < 1e-10."""
+    if x > -20.0:
+        return math.log(0.5 * math.erfc(-x / math.sqrt(2.0)))
+    z = 1.0 / (x * x)
+    series = 1.0 - z * (1.0 - 3.0 * z * (1.0 - 5.0 * z * (1.0 - 7.0 * z)))
+    return -0.5 * x * x - math.log(-x * math.sqrt(2.0 * math.pi)) + math.log(series)

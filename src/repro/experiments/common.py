@@ -82,13 +82,22 @@ class Deployment:
         provision_clients: bool = True,
         dp_sigma: float = 0.0,
         parallelism=None,
+        features=None,
     ) -> "Deployment":
-        """Stand up the whole cast and (optionally) provision every client."""
+        """Stand up the whole cast and (optionally) provision every client.
+
+        ``features`` is the published feature list, as pairs; with none,
+        the corpus's bigrams are published.
+        """
         rng = HmacDrbg(seed, personalization="deployment")
         corpus = KeyboardCorpus.generate(
             num_users, rng.fork("corpus"), sentences_per_user=sentences_per_user
         )
-        features = FeatureSpace.from_corpus(corpus.all_sentences(), max_features)
+        features = (
+            FeatureSpace.from_corpus(corpus.all_sentences(), max_features)
+            if features is None
+            else FeatureSpace(tuple(features))
+        )
         codec = FixedPointCodec()
         attestation = AttestationService(seed + b":ias")
         vendor = VendorKey.generate(rng.fork("vendor"))

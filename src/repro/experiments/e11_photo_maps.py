@@ -22,17 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.reporting import Table
-from repro.core.client import ClientDevice, LocalDataStore
-from repro.core.glimmer import GlimmerConfig, build_glimmer_image, features_digest, pack_features
-from repro.core.provisioning import ServiceProvisioner, VettingRegistry
+from repro.core.client import LocalDataStore
+from repro.core.glimmer import pack_features
 from repro.core.validation import PrivateContext
-from repro.crypto.dh import TEST_GROUP
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.hashing import hash_bytes
-from repro.crypto.schnorr import SchnorrKeyPair
 from repro.errors import ValidationError
-from repro.sgx.attestation import AttestationService
-from repro.sgx.measurement import VendorKey
+from repro.experiments.common import Deployment
 from repro.workloads.geo import GeoWorkload, PhotoSubmission
 
 # The "feature space" for photos: eight photo-digest bytes scaled to [0, 1],
@@ -75,43 +71,24 @@ def run(
 ) -> PhotoMapsResult:
     rng = HmacDrbg(seed, personalization="e11")
     workload = GeoWorkload.generate(num_users, rng.fork("geo"))
-    ias = AttestationService(seed + b":ias")
-    vendor = VendorKey.generate(rng.fork("vendor"))
-    service_identity = SchnorrKeyPair.generate(rng.fork("svc"), TEST_GROUP)
-    signing = SchnorrKeyPair.generate(rng.fork("sign"), TEST_GROUP)
-    blinder_identity = SchnorrKeyPair.generate(rng.fork("blind"), TEST_GROUP)
 
     rows = []
     for radius in radii:
-        config = GlimmerConfig(
+        deployment = Deployment.build(
+            seed=seed + f":{radius}".encode(),
             predicate_spec=f"geo:{radius}",
-            service_identity=service_identity.public_key,
-            blinder_identity=blinder_identity.public_key,
-            features_digest=features_digest(PHOTO_FEATURES),
+            provision_clients=False,
+            features=PHOTO_FEATURES,
         )
-        image = build_glimmer_image(vendor, config, name=f"geo-glimmer-{radius}")
-        registry = VettingRegistry()
-        registry.publish(f"geo-glimmer-{radius}", image.mrenclave)
-        provisioner = ServiceProvisioner(
-            service_identity, signing, ias, registry,
-            f"geo-glimmer-{radius}", rng.fork(f"sp-{radius}"),
-        )
-        clients = {}
         for user_id, context in workload.contexts.items():
-            client = ClientDevice(
-                f"{user_id}-{radius}",
-                image,
-                ias,
-                seed=f"geo-client:{user_id}:{radius}".encode(),
-                data=LocalDataStore(PrivateContext(geo_context=context)),
+            deployment.make_client(
+                user_id, data=LocalDataStore(PrivateContext(geo_context=context))
             )
-            client.provision_signing_key(provisioner)
-            clients[user_id] = client
 
         spoofed_total = honest_total = 0
         spoofed_rejected = honest_accepted = 0
         for photo in workload.submissions:
-            client = clients[photo.user_id]
+            client = deployment.clients[photo.user_id]
             client.data.private.submission = photo
             try:
                 signed = client.contribute(
@@ -120,7 +97,7 @@ def run(
                     features=pack_features(PHOTO_FEATURES),
                     blind=False,
                 )
-                accepted = signing.public_key.is_valid(
+                accepted = deployment.signing_keypair.public_key.is_valid(
                     signed.signed_bytes(), signed.signature
                 )
             except ValidationError:

@@ -28,10 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.analysis.reporting import Table
+from repro.core.client import LocalDataStore
+from repro.crypto.drbg import HmacDrbg
 from repro.experiments.common import Deployment
 from repro.federated.metrics import top1_accuracy
 from repro.federated.model import BigramModel, FeatureSpace
-from repro.federated.trainer import LocalTrainer
 from repro.workloads.text import KeyboardCorpus
 
 
@@ -63,95 +64,34 @@ def run(
     sentences_per_user: int = 30,
     seed: bytes = b"e16",
 ) -> TrendingResult:
-    deployment = Deployment.build(
-        num_users=num_users, seed=seed, provision_clients=False
-    )
+    rng = HmacDrbg(seed, personalization="e16")
     epochs = KeyboardCorpus.generate_trending(
-        num_users,
-        deployment.rng.fork("trend"),
-        epoch_intensities,
+        num_users, rng.fork("trend"), epoch_intensities,
         sentences_per_user=sentences_per_user,
     )
     # The service's feature space must cover the topic before it trends
-    # (services track candidate features ahead of demand), so build it over
-    # the union of all epochs.
+    # (services track candidate features ahead of demand), so publish the
+    # union of all epochs.  Each epoch's round runs through the engine.
     union_sentences = [s for corpus in epochs for s in corpus.all_sentences()]
-    features = FeatureSpace.from_corpus(union_sentences)
-
-    # Rebuild the Glimmer image over the union feature space.
-    from repro.core.glimmer import GlimmerConfig, build_glimmer_image, features_digest
-    from repro.core.provisioning import (
-        BlinderProvisioner,
-        ServiceProvisioner,
-        VettingRegistry,
+    deployment = Deployment.build(
+        seed=seed,
+        provision_clients=False,
+        features=FeatureSpace.from_corpus(union_sentences).bigrams,
     )
-    from repro.core.service import CloudService
-    from repro.crypto.masking import BlindingService
-
-    config = GlimmerConfig(
-        predicate_spec="range:0.0:1.0",
-        service_identity=deployment.service_identity.public_key,
-        blinder_identity=deployment.blinder_identity.public_key,
-        features_digest=features_digest(features.bigrams),
-    )
-    image = build_glimmer_image(deployment.vendor, config, name="trend-glimmer")
-    registry = VettingRegistry()
-    registry.publish("trend-glimmer", image.mrenclave)
-    service_prov = ServiceProvisioner(
-        deployment.service_identity, deployment.signing_keypair,
-        deployment.attestation, registry, "trend-glimmer",
-        deployment.rng.fork("e16-sp"),
-    )
-    blinder_prov = BlinderProvisioner(
-        deployment.blinder_identity,
-        BlindingService(deployment.rng.fork("e16-bs"), deployment.codec),
-        deployment.attestation, registry, "trend-glimmer",
-        deployment.rng.fork("e16-bp"),
-    )
-    service = CloudService(deployment.signing_keypair.public_key, deployment.codec)
-
-    from repro.core.client import ClientDevice, LocalDataStore
-    from repro.network.transport import Network
-    from repro.runtime.engine import RoundEngine
-
-    # Each epoch's round runs over its own message bus through the engine.
-    network = Network(seed=seed + b":trend-network")
-    engine = RoundEngine(
-        network,
-        service,
-        blinder_prov,
-        signing_public=deployment.signing_keypair.public_key,
-        codec=deployment.codec,
-        group=deployment.group,
-        glimmer_config=config,
-    )
-
+    features, engine = deployment.features, deployment.engine
     user_ids = [user.user_id for user in epochs[0].users]
-    clients = {}
     for user_id in user_ids:
-        client = ClientDevice(
-            f"trend-{user_id}", image, deployment.attestation,
-            seed=b"trend:" + user_id.encode(), data=LocalDataStore(),
-        )
-        client.provision_signing_key(service_prov)
-        engine.register_client(client)
-        clients[user_id] = client
+        deployment.make_client(user_id, data=LocalDataStore())
 
-    trainer = LocalTrainer(features)
     rows = []
     epochs_to_trend = None
     for epoch, (intensity, corpus) in enumerate(zip(epoch_intensities, epochs)):
         round_id = epoch + 1
         vectors = {
-            user_id: trainer.train(corpus.streams[user_id]).contribution()
+            user_id: deployment.trainer.train(corpus.streams[user_id]).contribution()
             for user_id in user_ids
         }
-        report = engine.run_round(
-            round_id,
-            [clients[u].client_id for u in user_ids],
-            {clients[u].client_id: vectors[u] for u in user_ids},
-            features.bigrams,
-        )
+        report = engine.run_round(round_id, user_ids, vectors, features.bigrams)
         truth = np.mean(np.stack([vectors[u] for u in user_ids]), axis=0)
         error = float(np.max(np.abs(report.aggregate - truth)))
         model = BigramModel.from_vector(features, report.aggregate)
@@ -159,7 +99,7 @@ def run(
         suggests = model.top_prediction("donald") == "trump"
         if suggests and epochs_to_trend is None and intensity > 0:
             epochs_to_trend = epoch
-        holdout = corpus.holdout(deployment.rng.fork(f"holdout-{epoch}"))
+        holdout = corpus.holdout(rng.fork(f"holdout-{epoch}"))
         rows.append(
             (epoch, intensity, weight, suggests, error, top1_accuracy(model, holdout))
         )

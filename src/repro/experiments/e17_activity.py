@@ -25,25 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.analysis.reporting import Table
-from repro.core.client import ClientDevice, LocalDataStore
-from repro.core.glimmer import GlimmerConfig, build_glimmer_image, features_digest
-from repro.core.provisioning import (
-    BlinderProvisioner,
-    ServiceProvisioner,
-    VettingRegistry,
-)
-from repro.core.service import CloudService
+from repro.core.client import LocalDataStore
 from repro.core.validation import PrivateContext
-from repro.crypto.dh import TEST_GROUP
 from repro.crypto.drbg import HmacDrbg
-from repro.crypto.fixedpoint import FixedPointCodec
-from repro.crypto.masking import BlindingService
-from repro.crypto.schnorr import SchnorrKeyPair
-from repro.network.transport import Network
-from repro.runtime.engine import RoundEngine
+from repro.experiments.common import Deployment
 from repro.runtime.telemetry import OUTCOME_ACCEPTED
-from repro.sgx.attestation import AttestationService
-from repro.sgx.measurement import VendorKey
 from repro.workloads.camera import (
     ACTIVITY_ACTIVE,
     MOTION_BINS,
@@ -84,46 +70,17 @@ def run(
     workload = CameraWorkload.generate(
         num_users, rng.fork("camera"), frames_per_stream=frames_per_stream
     )
-    ias = AttestationService(seed + b":ias")
-    vendor = VendorKey.generate(rng.fork("vendor"))
-    service_identity = SchnorrKeyPair.generate(rng.fork("svc"), TEST_GROUP)
-    signing = SchnorrKeyPair.generate(rng.fork("sign"), TEST_GROUP)
-    blinder_identity = SchnorrKeyPair.generate(rng.fork("blind"), TEST_GROUP)
-    codec = FixedPointCodec()
 
     rows = []
     for round_id, tolerance in enumerate(tolerances, start=1):
-        config = GlimmerConfig(
+        deployment = Deployment.build(
+            seed=seed + f":{tolerance}".encode(),
             predicate_spec=f"chain:range,0.0,1.0+silhouette,{tolerance}",
-            service_identity=service_identity.public_key,
-            blinder_identity=blinder_identity.public_key,
-            features_digest=features_digest(HISTOGRAM_FEATURES),
+            provision_clients=False,
+            features=HISTOGRAM_FEATURES,
         )
-        name = f"activity-glimmer-{tolerance}"
-        image = build_glimmer_image(vendor, config, name=name)
-        registry = VettingRegistry()
-        registry.publish(name, image.mrenclave)
-        service_prov = ServiceProvisioner(
-            service_identity, signing, ias, registry, name,
-            rng.fork(f"sp-{tolerance}"),
-        )
-        blinder_prov = BlinderProvisioner(
-            blinder_identity,
-            BlindingService(rng.fork(f"bs-{tolerance}"), codec),
-            ias, registry, name, rng.fork(f"bp-{tolerance}"),
-        )
-        service = CloudService(signing.public_key, codec)
         # Every home's provisioning and submission goes over the message bus.
-        network = Network(seed=seed + f":activity-{tolerance}".encode())
-        engine = RoundEngine(
-            network,
-            service,
-            blinder_prov,
-            signing_public=signing.public_key,
-            codec=codec,
-            group=TEST_GROUP,
-            glimmer_config=config,
-        )
+        engine = deployment.engine
         engine.open_round(round_id, num_users, MOTION_BINS)
 
         forged_total = honest_total = 0
@@ -131,15 +88,10 @@ def run(
         accepted_labels = []
         for index, contribution in enumerate(workload.contributions):
             stream = workload.streams[contribution.user_id]
-            client = ClientDevice(
-                f"{contribution.user_id}-{tolerance}",
-                image,
-                ias,
-                seed=f"cam:{contribution.user_id}:{tolerance}".encode(),
+            client = deployment.make_client(
+                contribution.user_id,
                 data=LocalDataStore(PrivateContext(video_stream=stream)),
             )
-            client.provision_signing_key(service_prov)
-            engine.register_client(client)
             engine.provision_mask(client.client_id, round_id, index)
             outcome = engine.contribute(
                 client.client_id, round_id, list(contribution.values),

@@ -17,12 +17,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro import codec
 from repro.analysis.reporting import Table
-from repro.core.client import ClientDevice, LocalDataStore, attested_handshake
+from repro.core.client import LocalDataStore, attested_handshake
 from repro.core.glimmer import ProcessRequest, pack_features
+from repro.core.provisioning import BlinderProvisioner, ServiceProvisioner
 from repro.core.split import SplitGlimmer, build_split_images
 from repro.core.validation import PrivateContext
 from repro.crypto.fixedpoint import WHOLE_WORD
+from repro.crypto.masking import BlindingService
 from repro.experiments.common import Deployment
 from repro.perf import kernels
 from repro.sgx.platform import SgxPlatform
@@ -54,9 +57,6 @@ def _provision_split(deployment: Deployment, split: SplitGlimmer, platform, roun
     registry = deployment.registry
     registry.publish("glimmer-signing", split.signing.image.mrenclave)
     registry.publish("glimmer-blinding", split.blinding.image.mrenclave)
-    from repro.core.provisioning import BlinderProvisioner, ServiceProvisioner
-    from repro.crypto.masking import BlindingService
-
     service_prov = ServiceProvisioner(
         deployment.service_identity,
         deployment.signing_keypair,
@@ -96,49 +96,20 @@ def run(vector_sizes=(16, 128, 1024), seed: bytes = b"e7") -> SplitResult:
         # Synthetic feature space of the requested size.
         bigrams = tuple((f"w{i}", f"v{i}") for i in range(size))
         deployment = Deployment.build(
-            num_users=1, seed=seed + str(size).encode(), provision_clients=False
+            num_users=1,
+            seed=seed + str(size).encode(),
+            provision_clients=False,
+            features=bigrams,
         )
-        # Rebuild the image over the synthetic feature space.
-        from repro.core.glimmer import GlimmerConfig, build_glimmer_image, features_digest
-
-        config = GlimmerConfig(
-            predicate_spec="range:0.0:1.0",
-            service_identity=deployment.service_identity.public_key,
-            blinder_identity=deployment.blinder_identity.public_key,
-            features_digest=features_digest(bigrams),
-        )
-        image = build_glimmer_image(deployment.vendor, config, name="e7-glimmer")
-        deployment.registry.publish("e7-glimmer", image.mrenclave)
         values = [0.5] * size
         request = ProcessRequest(
             round_id=1, values=kernels.be_doubles_to_bytes(values), features=pack_features(bigrams)
         )
 
         # ---- single enclave --------------------------------------------
-        from repro.core.provisioning import BlinderProvisioner, ServiceProvisioner
-        from repro.crypto.masking import BlindingService
-
-        client = ClientDevice(
-            "bench-client",
-            image,
-            deployment.attestation,
-            seed=b"e7-client" + str(size).encode(),
-            data=LocalDataStore(),
-        )
-        sp = ServiceProvisioner(
-            deployment.service_identity, deployment.signing_keypair,
-            deployment.attestation, deployment.registry, "e7-glimmer",
-            deployment.rng.fork("e7-single-sp"),
-        )
-        bp = BlinderProvisioner(
-            deployment.blinder_identity,
-            BlindingService(deployment.rng.fork("e7-single-bs"), deployment.codec),
-            deployment.attestation, deployment.registry, "e7-glimmer",
-            deployment.rng.fork("e7-single-bp"),
-        )
-        client.provision_signing_key(sp)
-        bp.open_round(1, 1, size)
-        client.provision_mask(bp, 1, 0)
+        client = deployment.make_client("bench-client", data=LocalDataStore())
+        deployment.blinder_provisioner.open_round(1, 1, size)
+        client.provision_mask(deployment.blinder_provisioner, 1, 0)
         client.glimmer.meter.reset()
         client.contribute(1, values, request.features)
         single = client.glimmer.meter
@@ -149,7 +120,9 @@ def run(vector_sizes=(16, 128, 1024), seed: bytes = b"e7") -> SplitResult:
         )
 
         # ---- split enclaves ---------------------------------------------
-        split_images = build_split_images(deployment.vendor, config)
+        split_images = build_split_images(
+            deployment.vendor, codec.decode(deployment.image.config)
+        )
         platform = SgxPlatform(
             b"e7-split" + str(size).encode(),
             attestation_service=deployment.attestation,

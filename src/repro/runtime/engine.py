@@ -1065,10 +1065,7 @@ class RoundEngine:
                 f"repair count {result.num_dropouts_repaired} != "
                 f"{repaired} masks handed over"
             )
-        if accepted and not record.route.pool:
-            # Pool rounds verified every accepted signature exactly once
-            # already (worker pre-verification or service admission);
-            # re-walking them here would serialize what the pool spread out.
+        if accepted:
             # The cohort is first tried as ONE randomized batch (~25x
             # cheaper than the loop); only a failed or unbatchable cohort
             # walks per signature, which is also what names the culprit.

@@ -92,16 +92,6 @@ class ViolationRecord:
             "detail": self.detail,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ViolationRecord":
-        return cls(
-            offender=str(data["offender"]),
-            kind=str(data["kind"]),
-            round_id=int(data["round_id"]),
-            phase=str(data.get("phase", "")),
-            detail=str(data.get("detail", "")),
-        )
-
 
 class Quarantine:
     """The persistent offender blocklist shared across rounds."""
@@ -125,18 +115,6 @@ class Quarantine:
 
     def blocked(self) -> tuple[str, ...]:
         return tuple(sorted(self._blocked))
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            name: record.as_dict() for name, record in self._blocked.items()
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "Quarantine":
-        quarantine = cls()
-        for record in data.values():
-            quarantine.block(ViolationRecord.from_dict(record))
-        return quarantine
 
 
 @dataclass

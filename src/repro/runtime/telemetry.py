@@ -249,36 +249,6 @@ class RoundReport:
         )
         return view
 
-    def to_dict(self) -> dict[str, Any]:
-        """Alias for :meth:`as_dict` (the JSON-facing name)."""
-        return self.as_dict()
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RoundReport":
-        """Rebuild a report from its :meth:`to_dict` form.
-
-        Derived fields (``survivors``, ``dropouts``, the cycle totals)
-        are recomputed, not restored; the ``aggregate`` comes back as a
-        numpy array; ``service_result`` does not round-trip (it holds a
-        live object).  A counter the dict lacks takes its declared
-        default.
-        """
-        from repro.runtime.protocol import ViolationRecord
-
-        restored = {f.name: data[f.name] for f in fields(cls) if f.name in data}
-        restored.update(
-            participants=tuple(data["participants"]),
-            quarantined=tuple(data.get("quarantined", ())),
-            phases=tuple(PhaseStats(**phase) for phase in data.get("phases", ())),
-            violations=tuple(
-                ViolationRecord.from_dict(violation)
-                for violation in data.get("violations", ())
-            ),
-        )
-        if restored.get("aggregate") is not None:
-            restored["aggregate"] = np.asarray(restored["aggregate"])
-        return cls(**restored)
-
 
 def _plain(value):
     """One report field as JSON-safe data."""

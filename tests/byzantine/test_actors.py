@@ -262,20 +262,25 @@ def test_a_contribution_smuggled_from_an_earlier_round_is_caught():
 
 
 def test_a_trail_the_audit_cannot_recompute_fails_it():
-    """A pool round's audit does not re-walk signatures (its workers
-    checked them), so a trail entry cut short reaches the recomputation.
-    A trail the audit cannot sum fails it; it is never a skipped audit
-    that lets a corrupted aggregate through."""
+    """A trail entry cut short and signed again with the deployment's
+    signing key passes the signature walk and reaches the recomputation,
+    on the pool route as on any other.  A trail the audit cannot sum
+    fails it; it is never a skipped audit that lets a corrupted aggregate
+    through."""
     deployment = Deployment.build(
         num_users=4, seed=b"byz-actors:uncomputable", sentences_per_user=10,
         parallelism=ScaleConfig(workers=2, shards=2),
     )
     honest = deployment.service.finalize_blinded_round
+    signer = SigningComponent(deployment.signing_keypair)
 
     def finalize_blinded_round(round_id, repair=None, repaired=0):
         result = honest(round_id, repair, repaired)
         first = result.accepted[0]
-        cut = replace(first, ring_payload=first.ring_payload[:-8])
+        cut = signer.endorse(
+            first.round_id, first.nonce, True, first.ring_payload[:-8], None,
+            first.confidence,
+        )
         aggregate = np.array(result.aggregate, copy=True)
         aggregate[0] += 538.0
         return replace(

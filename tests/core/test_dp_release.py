@@ -1,5 +1,7 @@
 """Tests for the measured differential-privacy extension (dp_sigma)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -101,14 +103,42 @@ def test_validation_runs_on_raw_values_not_noised():
 
 def test_gaussian_epsilon_calibration():
     assert gaussian_epsilon(1.0, 0.0) == float("inf")
-    assert gaussian_epsilon(1.0, 1.0) == pytest.approx(4.8413, rel=1e-3)
-    # epsilon scales linearly with sensitivity, inversely with sigma
-    assert gaussian_epsilon(2.0, 1.0) == pytest.approx(
-        2 * gaussian_epsilon(1.0, 1.0)
-    )
-    assert gaussian_epsilon(1.0, 2.0) == pytest.approx(
-        gaussian_epsilon(1.0, 1.0) / 2
-    )
+    assert gaussian_epsilon(0.0, 1.0) == 0.0
+    # The exact level at Δ = σ = 1, δ = 1e-5 (Balle and Wang 2018); the
+    # classic calibration reads 4.8413 there.
+    assert gaussian_epsilon(1.0, 1.0) == pytest.approx(4.3772, rel=1e-4)
+    # epsilon grows with sensitivity and shrinks with sigma, but not
+    # linearly: it depends on them only through their ratio.
+    assert gaussian_epsilon(2.0, 1.0) > 2 * gaussian_epsilon(1.0, 1.0)
+    assert gaussian_epsilon(1.0, 2.0) < gaussian_epsilon(1.0, 1.0) / 2
+
+
+@pytest.mark.parametrize(
+    "sigma, epsilon",
+    [(0.05, 1775.7285), (0.2, 154.55184), (1.0, 15.081859), (5.0, 2.2398548)],
+)
+def test_gaussian_epsilon_at_e14s_rows(sigma, epsilon):
+    """E14's release: ten users' means over k = 77 weights in [0, 1], so
+    Δ = √77/10, and per-client noise σ gives σ/√10 on the aggregate."""
+    exact = gaussian_epsilon(math.sqrt(77) / 10, sigma / math.sqrt(10))
+    assert exact == pytest.approx(epsilon, rel=1e-6)
+
+
+@pytest.mark.parametrize("ratio", [0.01, 0.3, 1.0, 4.0, 60.0])
+def test_gaussian_epsilon_depends_only_on_the_ratio(ratio):
+    for scale in (0.001, 1.0, 250.0):
+        assert gaussian_epsilon(ratio * scale, scale) == pytest.approx(
+            gaussian_epsilon(ratio, 1.0), rel=1e-9
+        )
+
+
+def test_gaussian_epsilon_never_exceeds_the_classic_bound_below_one():
+    """Where the classic calibration is a guarantee (below 1), the exact
+    level is below it: about three quarters of it, 0.7503 at 0.99."""
+    factor = math.sqrt(2.0 * math.log(1.25 / 1e-5))
+    for step in range(1, 100):
+        classic = step / 100
+        assert gaussian_epsilon(classic / factor, 1.0) < 0.76 * classic
 
 
 def test_gaussian_epsilon_validations():

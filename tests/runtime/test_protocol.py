@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.errors import ProtocolViolation
@@ -146,24 +144,3 @@ def test_quarantine_first_violation_wins_and_pardon_lifts():
     assert quarantine.pardon("client:u0")
     assert not quarantine.is_blocked("client:u0")
     assert not quarantine.pardon("client:u0")  # already lifted
-
-
-def test_quarantine_round_trips_through_json():
-    quarantine = Quarantine()
-    quarantine.block(_record(offender="client:u0"))
-    quarantine.block(_record(offender="blinder", kind=VIOLATION_FLOODING))
-    restored = Quarantine.from_dict(
-        json.loads(json.dumps(quarantine.to_dict()))
-    )
-    assert restored.blocked() == quarantine.blocked()
-    for name in quarantine.blocked():
-        assert restored.reason(name) == quarantine.reason(name)
-
-
-def test_violation_record_round_trips_and_defaults():
-    record = _record()
-    assert ViolationRecord.from_dict(record.as_dict()) == record
-    sparse = ViolationRecord.from_dict(
-        {"offender": "s", "kind": "k", "round_id": 3}
-    )
-    assert sparse.phase == "" and sparse.detail == ""

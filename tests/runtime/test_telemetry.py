@@ -1,4 +1,4 @@
-"""RoundReport serialization: every field survives to_dict → JSON → from_dict."""
+"""RoundReport serialization: ``as_dict`` is JSON-safe and holds every field."""
 
 from __future__ import annotations
 
@@ -70,9 +70,9 @@ def _full_report() -> RoundReport:
     )
 
 
-def test_to_dict_is_json_serializable_and_complete():
+def test_as_dict_is_json_serializable_and_complete():
     report = _full_report()
-    payload = json.loads(json.dumps(report.to_dict()))
+    payload = json.loads(json.dumps(report.as_dict()))
     # Every dataclass field except the live service handle must appear
     # in the serialized form.
     field_names = {
@@ -84,25 +84,11 @@ def test_to_dict_is_json_serializable_and_complete():
     assert payload["violations"][0]["kind"] == VIOLATION_EQUIVOCATION
     assert payload["quarantined"] == ["client:user-0002"]
     assert payload["aggregate"] == [1.5, -2.25, 0.0]
+    assert payload["survivors"] == list(report.survivors)
+    assert payload["enclave_transition_cycles"] == report.enclave_transition_cycles
 
 
-def test_round_trip_preserves_every_field():
-    report = _full_report()
-    restored = RoundReport.from_dict(json.loads(json.dumps(report.to_dict())))
-    for f in dataclasses.fields(RoundReport):
-        if f.name in ("service_result", "aggregate"):
-            continue
-        assert getattr(restored, f.name) == getattr(report, f.name), f.name
-    assert np.array_equal(restored.aggregate, report.aggregate)
-    # Derived views recompute identically.
-    assert restored.survivors == report.survivors
-    assert restored.dropouts == report.dropouts
-    assert restored.enclave_total_cycles == report.enclave_total_cycles
-    # And a second trip is a fixed point.
-    assert restored.to_dict() == RoundReport.from_dict(restored.to_dict()).to_dict()
-
-
-def test_round_trip_with_minimal_optional_fields():
+def test_as_dict_with_minimal_optional_fields_is_json_serializable():
     report = dataclasses.replace(
         _full_report(),
         aggregate=None,
@@ -112,7 +98,7 @@ def test_round_trip_with_minimal_optional_fields():
         quarantined=(),
         phases=(),
     )
-    restored = RoundReport.from_dict(json.loads(json.dumps(report.to_dict())))
-    assert restored.aggregate is None
-    assert restored.violations == () and restored.quarantined == ()
-    assert restored.to_dict() == report.to_dict()
+    payload = json.loads(json.dumps(report.as_dict()))
+    assert payload["aggregate"] is None and payload["abort_reason"] is None
+    assert payload["violations"] == [] and payload["quarantined"] == []
+    assert payload["phases"] == []

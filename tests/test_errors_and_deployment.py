@@ -1,10 +1,11 @@
 """Tests for the error hierarchy, the LocalDataStore, and Deployment glue."""
 
+import numpy as np
 import pytest
 
-from repro import __version__
+from repro import __version__, codec
 from repro.core.client import LocalDataStore
-from repro.core.glimmer import pack_features
+from repro.core.glimmer import features_digest, pack_features
 from repro.core.validation import PrivateContext
 from repro.errors import (
     AttestationError,
@@ -20,6 +21,7 @@ from repro.errors import (
     ValidationError,
 )
 from repro.experiments.common import Deployment
+from repro.invariants import OUTCOME_CLEAN, judge
 from repro.workloads.geo import PhotoSubmission
 from repro.workloads.reviews import UserShoppingContext
 
@@ -110,8 +112,6 @@ def test_deployment_vetting_matches_image(deployment):
 
 
 def test_deployment_honest_round_matches_local_mean(deployment):
-    import numpy as np
-
     aggregate = deployment.honest_round(7)
     vectors = deployment.local_vectors()
     expected = np.mean(np.stack(list(vectors.values())), axis=0)
@@ -129,3 +129,41 @@ def test_deployment_different_seeds_differ():
     a = Deployment.build(num_users=2, seed=b"seed-a", sentences_per_user=8)
     b = Deployment.build(num_users=2, seed=b"seed-b", sentences_per_user=8)
     assert a.corpus.streams != b.corpus.streams
+
+
+# ------------------------------------------------ a published feature list
+
+SENSOR_FEATURES = tuple((f"sensor-{i}", "reading") for i in range(6))
+
+
+def _sensor_deployment() -> Deployment:
+    return Deployment.build(
+        num_users=2, seed=b"feature-list", sentences_per_user=4,
+        provision_clients=False, features=SENSOR_FEATURES,
+    )
+
+
+def test_a_given_feature_list_is_what_the_glimmer_measures():
+    deployment = _sensor_deployment()
+    assert deployment.features.bigrams == SENSOR_FEATURES
+    config = codec.decode(deployment.image.config)
+    assert config.features_digest == features_digest(SENSOR_FEATURES)
+
+
+def test_an_honest_round_over_a_given_feature_list_is_exact():
+    deployment = _sensor_deployment()
+    users = ["meter-0", "meter-1", "meter-2"]
+    for user in users:
+        deployment.make_client(user, data=LocalDataStore())
+    vectors = {
+        user: np.array([(index + j) % 5 / 4 for j in range(len(SENSOR_FEATURES))])
+        for index, user in enumerate(users)
+    }
+    report = deployment.engine.run_round(1, users, vectors, SENSOR_FEATURES)
+    assert judge(report, deployment.codec, vectors).outcome == OUTCOME_CLEAN
+
+
+def test_two_default_builds_run_the_same_first_round():
+    first, second = Deployment.build(), Deployment.build()
+    assert np.array_equal(first.honest_round(1), second.honest_round(1))
+    assert first.last_report.bytes_on_wire == second.last_report.bytes_on_wire
