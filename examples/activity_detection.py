@@ -13,25 +13,11 @@ signs only matching reports, which are then blinded before leaving.
 Run:  python examples/activity_detection.py
 """
 
-from repro.core.client import ClientDevice, LocalDataStore
-from repro.core.glimmer import GlimmerConfig, build_glimmer_image, features_digest
-from repro.core.provisioning import (
-    BlinderProvisioner,
-    ServiceProvisioner,
-    VettingRegistry,
-)
-from repro.core.service import CloudService
+from repro.core.client import LocalDataStore
 from repro.core.validation import PrivateContext
-from repro.crypto.dh import TEST_GROUP
 from repro.crypto.drbg import HmacDrbg
-from repro.crypto.fixedpoint import FixedPointCodec
-from repro.crypto.masking import BlindingService
-from repro.crypto.schnorr import SchnorrKeyPair
-from repro.network.transport import Network
-from repro.runtime.engine import RoundEngine
+from repro.experiments.common import Deployment
 from repro.runtime.telemetry import OUTCOME_ACCEPTED
-from repro.sgx.attestation import AttestationService
-from repro.sgx.measurement import VendorKey
 from repro.workloads.camera import MOTION_BINS, CameraWorkload
 
 FEATURES = tuple((f"motion-bin-{i}", "mass") for i in range(MOTION_BINS))
@@ -46,44 +32,18 @@ def main() -> None:
     forged = sum(c.is_forged for c in workload.contributions)
     print(f"{NUM_HOMES} homes, {forged} fabricated activity reports planted\n")
 
-    ias = AttestationService(b"activity-ias")
-    vendor = VendorKey.generate(rng.fork("vendor"))
-    service_identity = SchnorrKeyPair.generate(rng.fork("svc"), TEST_GROUP)
-    signing = SchnorrKeyPair.generate(rng.fork("sign"), TEST_GROUP)
-    blinder_identity = SchnorrKeyPair.generate(rng.fork("blind"), TEST_GROUP)
-    codec = FixedPointCodec()
-    config = GlimmerConfig(
+    deployment = Deployment.build(
+        seed=b"activity-example",
         predicate_spec="chain:range,0.0,1.0+silhouette,0.02",
-        service_identity=service_identity.public_key,
-        blinder_identity=blinder_identity.public_key,
-        features_digest=features_digest(FEATURES),
+        provision_clients=False,
+        features=FEATURES,
     )
-    image = build_glimmer_image(vendor, config, name="activity-glimmer")
-    registry = VettingRegistry()
-    registry.publish("activity-glimmer", image.mrenclave)
-    service_prov = ServiceProvisioner(
-        service_identity, signing, ias, registry, "activity-glimmer", rng.fork("sp")
-    )
-    blinder_prov = BlinderProvisioner(
-        blinder_identity, BlindingService(rng.fork("bs"), codec),
-        ias, registry, "activity-glimmer", rng.fork("bp"),
-    )
-    service = CloudService(signing.public_key, codec)
-    engine = RoundEngine(
-        Network(seed=b"activity-bus"), service, blinder_prov,
-        signing_public=signing.public_key, codec=codec, group=TEST_GROUP,
-        glimmer_config=config,
-    )
-
     for contribution in workload.contributions:
-        client = ClientDevice(
-            contribution.user_id, image, ias,
-            seed=contribution.user_id.encode(),
-            data=LocalDataStore(PrivateContext(video_stream=workload.streams[contribution.user_id])),
+        stream = workload.streams[contribution.user_id]
+        deployment.make_client(
+            contribution.user_id, data=LocalDataStore(PrivateContext(video_stream=stream))
         )
-        client.provision_signing_key(service_prov)
-        engine.register_client(client)
-    report = engine.run_round(
+    report = deployment.engine.run_round(
         1,
         [c.user_id for c in workload.contributions],
         {c.user_id: list(c.values) for c in workload.contributions},

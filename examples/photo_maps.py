@@ -14,17 +14,13 @@ photos) are rejected without the service learning anyone's movements.
 Run:  python examples/photo_maps.py
 """
 
-from repro.core.client import ClientDevice, LocalDataStore
-from repro.core.glimmer import GlimmerConfig, build_glimmer_image, features_digest, pack_features
-from repro.core.provisioning import ServiceProvisioner, VettingRegistry
+from repro.core.client import LocalDataStore
+from repro.core.glimmer import pack_features
 from repro.core.validation import PrivateContext
-from repro.crypto.dh import TEST_GROUP
 from repro.crypto.drbg import HmacDrbg
-from repro.crypto.schnorr import SchnorrKeyPair
 from repro.errors import ValidationError
+from repro.experiments.common import Deployment
 from repro.experiments.e11_photo_maps import PHOTO_FEATURES, photo_digest_values
-from repro.sgx.attestation import AttestationService
-from repro.sgx.measurement import VendorKey
 from repro.workloads.geo import GeoWorkload
 
 NUM_USERS = 6
@@ -38,33 +34,19 @@ def main() -> None:
           f"({sum(p.is_spoofed for p in workload.submissions)} spoofed)\n")
 
     # Stand up the trust infrastructure with a geo predicate (25 m radius).
-    ias = AttestationService(b"maps-ias")
-    vendor = VendorKey.generate(rng.fork("vendor"))
-    service_identity = SchnorrKeyPair.generate(rng.fork("svc"), TEST_GROUP)
-    signing = SchnorrKeyPair.generate(rng.fork("sign"), TEST_GROUP)
-    blinder_identity = SchnorrKeyPair.generate(rng.fork("blind"), TEST_GROUP)
-    config = GlimmerConfig(
-        predicate_spec="geo:25.0",
-        service_identity=service_identity.public_key,
-        blinder_identity=blinder_identity.public_key,
-        features_digest=features_digest(PHOTO_FEATURES),
+    deployment = Deployment.build(
+        seed=b"photo-maps-example", predicate_spec="geo:25.0",
+        provision_clients=False, features=PHOTO_FEATURES,
     )
-    image = build_glimmer_image(vendor, config, name="maps-glimmer")
-    registry = VettingRegistry()
-    registry.publish("maps-glimmer", image.mrenclave)
-    provisioner = ServiceProvisioner(
-        service_identity, signing, ias, registry, "maps-glimmer", rng.fork("sp")
-    )
+    signing = deployment.signing_keypair
 
     # One device per user, holding its private GPS track + fingerprint.
-    clients = {}
-    for user_id, context in workload.contexts.items():
-        client = ClientDevice(
-            user_id, image, ias, seed=user_id.encode(),
-            data=LocalDataStore(PrivateContext(geo_context=context)),
+    clients = {
+        user_id: deployment.make_client(
+            user_id, data=LocalDataStore(PrivateContext(geo_context=context))
         )
-        client.provision_signing_key(provisioner)
-        clients[user_id] = client
+        for user_id, context in workload.contexts.items()
+    }
 
     accepted = rejected = wrong = 0
     for photo in workload.submissions:

@@ -15,16 +15,12 @@ seeing a single purchase record.
 Run:  python examples/recommender.py
 """
 
-from repro.core.client import ClientDevice, LocalDataStore
-from repro.core.glimmer import GlimmerConfig, build_glimmer_image, features_digest, pack_features
-from repro.core.provisioning import ServiceProvisioner, VettingRegistry
+from repro.core.client import LocalDataStore
+from repro.core.glimmer import pack_features
 from repro.core.validation import PrivateContext
-from repro.crypto.dh import TEST_GROUP
 from repro.crypto.drbg import HmacDrbg
-from repro.crypto.schnorr import SchnorrKeyPair
 from repro.errors import ValidationError
-from repro.sgx.attestation import AttestationService
-from repro.sgx.measurement import VendorKey
+from repro.experiments.common import Deployment
 from repro.workloads.reviews import ReviewWorkload
 
 # The signed values: the star rating (normalized) — tiny but real payload.
@@ -40,32 +36,17 @@ def main() -> None:
     print(f"{len(workload.reviews)} reviews from {len(workload.contexts)} "
           f"shoppers ({spurious} shill reviews planted)\n")
 
-    ias = AttestationService(b"shop-ias")
-    vendor = VendorKey.generate(rng.fork("vendor"))
-    service_identity = SchnorrKeyPair.generate(rng.fork("svc"), TEST_GROUP)
-    signing = SchnorrKeyPair.generate(rng.fork("sign"), TEST_GROUP)
-    blinder_identity = SchnorrKeyPair.generate(rng.fork("blind"), TEST_GROUP)
-    config = GlimmerConfig(
-        predicate_spec="purchase",
-        service_identity=service_identity.public_key,
-        blinder_identity=blinder_identity.public_key,
-        features_digest=features_digest(REVIEW_FEATURES),
+    deployment = Deployment.build(
+        seed=b"recommender-example", predicate_spec="purchase",
+        provision_clients=False, features=REVIEW_FEATURES,
     )
-    image = build_glimmer_image(vendor, config, name="shop-glimmer")
-    registry = VettingRegistry()
-    registry.publish("shop-glimmer", image.mrenclave)
-    provisioner = ServiceProvisioner(
-        service_identity, signing, ias, registry, "shop-glimmer", rng.fork("sp")
-    )
-
-    clients = {}
-    for user_id, context in workload.contexts.items():
-        client = ClientDevice(
-            user_id, image, ias, seed=user_id.encode(),
-            data=LocalDataStore(PrivateContext(shopping_context=context)),
+    signing = deployment.signing_keypair
+    clients = {
+        user_id: deployment.make_client(
+            user_id, data=LocalDataStore(PrivateContext(shopping_context=context))
         )
-        client.provision_signing_key(provisioner)
-        clients[user_id] = client
+        for user_id, context in workload.contexts.items()
+    }
 
     endorsed = rejected = misclassified = 0
     for review in workload.reviews:

@@ -68,6 +68,7 @@ from repro.crypto.commitments import (
     scalar_for_mask,
 )
 from repro.crypto.drbg import HmacDrbg
+from repro.crypto.masking import as_share
 from repro.errors import ConfigurationError, NetworkError
 from repro.perf import kernels
 from repro.runtime.endpoints import ClientEndpoint
@@ -254,11 +255,11 @@ class LyingBlinder:
 
 
 def _shifted(opening: MaskOpening, delta: int) -> MaskOpening:
-    """The same opening with its first mask word shifted by ``delta``."""
-    first = (int.from_bytes(opening.mask[:8], "big") + delta) % (1 << 64)
-    return dataclasses.replace(
-        opening, mask=first.to_bytes(8, "big") + opening.mask[8:]
-    )
+    """The same opening with its first mask word shifted by ``delta``: its
+    share is the shifted row's words, whatever it was."""
+    row = opening.mask
+    first = (int.from_bytes(row[:8], "big") + delta) % (1 << 64)
+    return dataclasses.replace(opening, share=as_share(first.to_bytes(8, "big") + row[8:]))
 
 
 def _forge_commitments(

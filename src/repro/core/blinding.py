@@ -21,7 +21,7 @@ from typing import Sequence
 
 from repro.crypto.fixedpoint import FixedPointCodec
 from repro.crypto.hashing import hash_items
-from repro.crypto.masking import apply_mask
+from repro.crypto.masking import MaskShare, apply_mask, as_share
 from repro.errors import (
     ConfigurationError,
     CryptoError,
@@ -41,26 +41,32 @@ class BlindingComponent:
 
     Masks are keyed by ``(round_id, party_index)``: an on-device Glimmer
     holds a single party's mask per round, while a shared remote Glimmer
-    (§4.2) may hold one per client it serves.  A mask is delivered as
-    packed big-endian u64 words and held so, beside the width its round's
+    (§4.2) may hold one per client it serves.  A mask is held as the
+    :class:`~repro.crypto.masking.MaskShare` it was delivered as — a
+    32-byte seed, or a last slot's words — beside the width its round's
     words cross at, which the engine decided at open
     (:func:`~repro.crypto.fixedpoint.ring_width`) and the Glimmer held to
-    its own bound before installing.  Only what leaves the component is
-    narrowed to that width: the blinded words and the checkpointed masks.
-    Reduction mod ``2^width`` keeps the family's sum zero, so the narrowed
-    masks still cancel.
+    its own bound before installing.  The row is expanded where it is
+    used, in :meth:`blind`, and only the blinded words are narrowed to
+    that width.  Reduction mod ``2^width`` keeps the family's sum zero, so
+    the narrowed masks still cancel.
     """
 
     def __init__(self) -> None:
         self.codec = FixedPointCodec()
-        self._masks: dict[tuple[int, int], tuple[int, bytes]] = {}
+        self._masks: dict[tuple[int, int], tuple[int, MaskShare]] = {}
         self._seen_digests: dict[bytes, tuple[int, int]] = {}
 
     def install_mask(
-        self, round_id: int, party_index: int, mask: Sequence[int] | bytes, width: int
+        self,
+        round_id: int,
+        party_index: int,
+        mask: MaskShare | Sequence[int] | bytes,
+        width: int,
     ) -> None:
-        """Store a decrypted mask for one (round, party), with the
-        ``width`` its round's words cross at.
+        """Store a delivered mask for one (round, party), as its share
+        (:func:`~repro.crypto.masking.as_share`), with the ``width`` its
+        round's words cross at.
 
         Rejects double install for a slot, and rejects — with
         :class:`~repro.errors.MaskVerificationError` — any mask whose
@@ -73,7 +79,8 @@ class BlindingComponent:
             raise CryptoError(
                 f"mask for round {round_id} party {party_index} already installed"
             )
-        packed = kernels.be_words_to_bytes(mask)
+        share = as_share(mask)
+        packed = share.row()
         if packed.count(0) != len(packed):
             # The all-zero mask is exempt: a single-party round's sum-zero
             # family is forced to it, so it legitimately recurs — and it
@@ -90,25 +97,23 @@ class BlindingComponent:
                     oldest = next(iter(self._seen_digests))
                     del self._seen_digests[oldest]
                 self._seen_digests[digest] = key
-        self._masks[key] = (width, packed)
+        self._masks[key] = (width, share)
 
     def has_mask(self, round_id: int, party_index: int = 0) -> bool:
         return (round_id, party_index) in self._masks
 
-    def masks_for_round(self, round_id: int) -> dict[int, tuple[int, bytes]]:
-        """Snapshot the unconsumed masks of one round, each packed at its
-        width (for sealed checkpoints)."""
+    def masks_for_round(self, round_id: int) -> dict[int, tuple[int, MaskShare]]:
+        """Snapshot the unconsumed masks of one round, each as its share
+        beside its width (for sealed checkpoints)."""
         return {
-            party: (width, kernels.pack_words(packed, width))
-            for (rid, party), (width, packed) in self._masks.items()
-            if rid == round_id
+            party: held for (rid, party), held in self._masks.items() if rid == round_id
         }
 
     def restore_masks(
-        self, round_id: int, masks: dict[int, tuple[int, bytes]]
+        self, round_id: int, masks: dict[int, tuple[int, MaskShare]]
     ) -> None:
-        """Reinstall checkpointed masks, each packed at its width, after an
-        enclave restart.
+        """Reinstall checkpointed mask shares, each beside its width, after
+        an enclave restart.
 
         Only fills empty slots: a mask that is already installed (or was
         consumed since the checkpoint) is left alone, preserving the
@@ -116,11 +121,8 @@ class BlindingComponent:
         this component's own prior installs coming back from sealed
         storage, not fresh deliveries.
         """
-        for party_index, (width, words) in masks.items():
-            key = (round_id, int(party_index))
-            if key not in self._masks:
-                residues = kernels.unpack_words(words, width)
-                self._masks[key] = (width, kernels.be_words_to_bytes(residues))
+        for party_index, held in masks.items():
+            self._masks.setdefault((round_id, int(party_index)), held)
 
     def purge_round(self, round_id: int) -> int:
         """Destroy every mask held for a finalized/aborted round.
@@ -156,15 +158,15 @@ class BlindingComponent:
             raise CryptoError(
                 f"no blinding mask installed for round {round_id} party {party_index}"
             )
-        width, packed = held
-        if len(packed) != 8 * len(values):
+        width, share = held
+        if share.length != len(values):
             raise ValidationError(
                 f"contribution length {len(values)} does not match the round's "
-                f"mask length {len(packed) // 8}"
+                f"mask length {share.length}"
             )
         try:
             encoded = self.codec.encode(values)
         except ConfigurationError as exc:
             raise ValidationError(str(exc)) from None
         del self._masks[key]
-        return kernels.pack_words(apply_mask(encoded, packed), width)
+        return kernels.pack_words(apply_mask(encoded, share.row()), width)

@@ -36,7 +36,7 @@ from repro.codec import (
     ROUND_ID, SLOT, Bool, Bytes, Element, Int, Named, Optional, Pair, Str, TupleOf, wire,
 )
 from repro.core.blinding import BlindingComponent
-from repro.core.signing import RING_WIDTH, RING_WORDS, SignedContribution, SigningComponent
+from repro.core.signing import RING_WIDTH, SignedContribution, SigningComponent
 from repro.core.validation import PrivateContext, RoundFacts, default_registry
 from repro.crypto.cipher import AuthenticatedCipher, SealedBox
 from repro.crypto.commitments import (
@@ -46,6 +46,7 @@ from repro.crypto.commitments import (
 )
 from repro.crypto.dh import GROUPS, DHGroup, DHKeyPair
 from repro.crypto.fixedpoint import FixedPointCodec, holds_sum
+from repro.crypto.masking import MaskShare
 from repro.crypto.hashing import hash_items
 from repro.crypto.kdf import hkdf
 from repro.crypto.schnorr import SchnorrKeyPair, SchnorrPublicKey, SchnorrSignature
@@ -551,8 +552,9 @@ class BlindStep(DeliveryStep):
         ``width`` too narrow for the record's ``num_slots`` values each at
         this Glimmer's own :attr:`~GlimmerConfig.magnitude`
         (:func:`~repro.crypto.fixedpoint.holds_sum`): an honest cohort's
-        sum could wrap at it.  The opening is checked in ``Z/2^64``; only
-        then is the mask narrowed to ``width``.
+        sum could wrap at it.  The opening's share — a seed, or a last
+        slot's words — is expanded and checked in ``Z/2^64``; only the
+        share is kept, and :meth:`_blind` expands it again.
         """
         if not isinstance(commitment, MaskCommitmentRecord) or (
             commitment.round_id,
@@ -577,7 +579,7 @@ class BlindStep(DeliveryStep):
         opening = decode_mask_payload(plaintext)
         self.api.charge_signature()  # two group exps, priced like a verify
         verify_opening(commitment, party_index, opening)
-        self._blinding.install_mask(round_id, party_index, opening.mask, width)
+        self._blinding.install_mask(round_id, party_index, opening.share, width)
 
     def _blind(
         self, round_id: int, party_index: int, values: Sequence[float]
@@ -668,19 +670,18 @@ class SignStep(DeliveryStep):
 
 @wire(
     0x8111, round_id=ROUND_ID,
-    masks=TupleOf(Pair(SLOT, Pair(RING_WIDTH, RING_WORDS))),
+    masks=TupleOf(Pair(SLOT, Pair(RING_WIDTH, MaskShare))),
     signings=Int(0),
 )
 @dataclass(frozen=True)
 class RoundCheckpoint:
     """A round's unconsumed masks as :meth:`GlimmerProgram.checkpoint_round`
-    seals them: ``(slot, (width, narrowed words))`` pairs, each mask as the
-    Glimmer holds it, and the round's blind-signing counter when the
-    checkpoint was cut.  :meth:`GlimmerProgram.restore_round` holds each
-    mask to its one spelling at its width."""
+    seals them: ``(slot, (width, share))`` pairs, each mask as the Glimmer
+    holds it — a 32-byte seed, or a last slot's words — and the round's
+    blind-signing counter when the checkpoint was cut."""
 
     round_id: int
-    masks: tuple[tuple[int, tuple[int, bytes]], ...]
+    masks: tuple[tuple[int, tuple[int, MaskShare]], ...]
     signings: int
 
 
@@ -768,8 +769,6 @@ class GlimmerProgram(ValidateStep, BlindStep, SignStep):
             checkpoint = codec.decode(self.api.unseal(sealed_blob), RoundCheckpoint)
         except ProtocolViolation as exc:
             raise EnclaveError("malformed round checkpoint") from exc
-        if any(kernels.misspelled(words, width) for _, (width, words) in checkpoint.masks):
-            raise EnclaveError("malformed round checkpoint: a mask is not its words' spelling")
         round_id = checkpoint.round_id
         counter = self.api.monotonic_counter(f"blind-signings-round-{round_id}")
         if counter.value > checkpoint.signings:

@@ -45,7 +45,7 @@ from repro.crypto.commitments import (
 from repro.crypto.dh import DHKeyPair
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.kdf import hkdf
-from repro.crypto.masking import BlindingService, GroupedSumZeroMasks
+from repro.crypto.masking import BlindingService, GroupedSumZeroMasks, MaskShare
 from repro.crypto.schnorr import SchnorrKeyPair, SchnorrSignature
 from repro.errors import AttestationError, ConfigurationError, CryptoError, ProtocolViolation
 from repro.scale.subgroup import plan_subgroups
@@ -98,9 +98,6 @@ class VettingRegistry:
         if measurement is None:
             raise ConfigurationError(f"no vetted Glimmer named {name!r}")
         return measurement
-
-    def is_approved(self, mrenclave: bytes) -> bool:
-        return mrenclave in self._approved.values()
 
 
 def _verify_bound_quote(
@@ -283,9 +280,11 @@ class BlinderProvisioner(_ProvisionerBase):
 
     All of that state lives exactly as long as the round is open.
     Between open and :meth:`close_round` the masks exist once, inside the
-    :class:`BlindingService`; this class keeps per slot only the
+    :class:`BlindingService`, as shares: a seed per slot and one row, the
+    last slot's, per subgroup.  This class keeps per slot only the
     commitment opening's ``(salt, randomizer)`` and builds a
-    :class:`MaskOpening` around the mask on demand.  Closing drops masks,
+    :class:`MaskOpening` around the slot's share on demand; a delivery and
+    a reveal carry the seed, and whoever receives it expands the row.  Closing drops masks,
     commitments, openings and the sealed blob, and leaves the round id
     as a tombstone: a finished round can be neither re-opened nor
     revealed, because §3's privacy argument needs ``p_i`` gone once
@@ -376,7 +375,7 @@ class BlinderProvisioner(_ProvisionerBase):
         commitments, openings = commit_masks(
             self.identity.group,
             round_id,
-            masks.masks,
+            masks.shares,
             HmacDrbg(opening_seed, personalization=f"fork:mask-commitments-{round_id}"),
         )
         self._commitments[round_id] = commitments
@@ -399,8 +398,9 @@ class BlinderProvisioner(_ProvisionerBase):
         round (``subgroup_size`` 0) is one subgroup of every slot, as at
         the cloud service.  Commitments are per slot either way, so
         everything downstream of this call — delivery, reveal
-        verification, the sum-zero audit — is construction-agnostic, and
-        later mask lookups re-expand only the subgroup they touch.
+        verification, the sum-zero audit — is construction-agnostic.  The
+        commit expands one row at a time; what stays is each subgroup's
+        slot seeds and last row.
         """
         masks = self._blinding_for(round_id).open_round_grouped(
             round_id, num_parties, length, subgroup_size or num_parties
@@ -460,8 +460,8 @@ class BlinderProvisioner(_ProvisionerBase):
             raise CryptoError(f"no mask commitments for round {round_id}")
         return commitments
 
-    def _opening(self, round_id: int, party_index: int, mask: bytes) -> MaskOpening:
-        """Wrap a slot's packed mask, as it is, in its commitment opening."""
+    def _opening(self, round_id: int, party_index: int, share: MaskShare) -> MaskOpening:
+        """Wrap a slot's share, as it is, in its commitment opening."""
         openings = self._openings.get(round_id)
         if openings is None:
             raise CryptoError(f"no mask openings for round {round_id}")
@@ -470,12 +470,12 @@ class BlinderProvisioner(_ProvisionerBase):
                 f"round {round_id} has no party {party_index}"
             )
         salt, randomizer = openings[party_index]
-        return MaskOpening(mask=mask, salt=salt, randomizer=randomizer, group=self.identity.group)
+        return MaskOpening(share, salt, randomizer, self.identity.group)
 
     def mask_opening(self, round_id: int, party_index: int) -> MaskOpening:
-        """One slot's full opening (mask, salt, randomizer)."""
-        mask = self._blinding_for(round_id).mask_for(round_id, party_index)
-        return self._opening(round_id, party_index, mask)
+        """One slot's full opening (share, salt, randomizer)."""
+        share = self._blinding_for(round_id).mask_for(round_id, party_index)
+        return self._opening(round_id, party_index, share)
 
     def crash(self) -> None:
         """The blinding service process dies; in-memory mask state and
@@ -517,7 +517,8 @@ class BlinderProvisioner(_ProvisionerBase):
         round_id: int,
         party_index: int,
     ) -> KeyDelivery:
-        """Ship the party's mask opening over an attested channel.
+        """Ship the party's mask opening — its seed, or a last slot's
+        words — over an attested channel.
 
         With a ``quote``, a full attested delivery that opens a session;
         without one, a delivery in the live session ``session_id`` names
@@ -574,12 +575,12 @@ class BlinderProvisioner(_ProvisionerBase):
     def reveal_dropout_mask(self, round_id: int, party_index: int) -> MaskOpening:
         """§3 dropout repair: disclose a non-submitting party's full opening.
 
-        Returns the opening, not just the mask, so the engine can verify
+        Returns the opening, not just the share, so the engine can verify
         the revealed value against the round commitments before trusting
         it for repair — a lying blinder cannot corrupt the aggregate by
         mis-revealing.
         """
-        mask = self._blinding_for(round_id).mask_for_dropout(
+        share = self._blinding_for(round_id).mask_for_dropout(
             round_id, party_index
         )
-        return self._opening(round_id, party_index, mask)
+        return self._opening(round_id, party_index, share)

@@ -46,7 +46,8 @@ Verification splits three ways:
    ``T[i][l] < N·2^16``, and check per component
    ``Σ_l 2^{16l}·T[i][l] ≡ 0 (mod 2^64)`` — the sum-zero *claim*.
 2. **Per-slot opening** (each recipient Glimmer at install; the engine at
-   dropout reveal): ``HC_j`` matches the delivered ``(mask, salt)`` and
+   dropout reveal): the delivered share — a seed, or the last slot's
+   words — is expanded to its mask, ``HC_j`` matches ``(mask, salt)`` and
    ``C_j = h^{s_j}·u^{r_j}`` for the recomputed ``s_j``.  Every slot is
    opened by someone, so every ``C_j`` provably commits the mask that was
    actually delivered.
@@ -77,6 +78,7 @@ from repro.crypto import group_ops
 from repro.crypto.dh import GROUPS, DHGroup
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.hashing import hash_bytes, hash_items, hash_to_int
+from repro.crypto.masking import MaskShare, as_share
 from repro.errors import ConfigurationError, MaskVerificationError, ProtocolViolation
 from repro.perf import kernels
 
@@ -221,31 +223,39 @@ def hash_commitment(
     )
 
 
-@wire(0x8105, mask=Packed(), salt=Bytes(SALT_SIZE), randomizer=Scalar(), group=Named(GROUPS))
+@wire(0x8105, share=MaskShare, salt=Bytes(SALT_SIZE), randomizer=Scalar(), group=Named(GROUPS))
 @dataclass(frozen=True)
 class MaskOpening:
-    """What a slot's recipient gets: the mask plus its commitment opening.
+    """What a slot's recipient gets: the mask's share plus its commitment
+    opening.
 
-    ``mask`` is the packed big-endian u64 words, as every bus vector is.
-    The opening crosses to a Glimmer inside :func:`encode_mask_payload`
-    and to the engine as a dropout reveal; once verified, the engine adds
-    ``opening.mask`` into the one repair vector ``FinalizeRound`` carries.
-    Iterating an opening yields the bare mask words, so an in-process
-    caller holding a reveal can hand it straight to ``remove_mask``
-    (``tests/core/test_dp_release.py`` does).  ``group`` is the
-    commitments' group, which the randomizer is spelled in on the wire.
+    ``share`` is the slot's :class:`~repro.crypto.masking.MaskShare`: its
+    32-byte seed, or a subgroup's last slot's words.  The opening crosses
+    to a Glimmer inside :func:`encode_mask_payload` and to the engine as a
+    dropout reveal; whoever holds it expands :attr:`mask` where it is
+    used, and once verified, the engine adds it into the one repair vector
+    ``FinalizeRound`` carries.  Iterating an opening yields the bare mask
+    words, so an in-process caller holding a reveal can hand it straight
+    to ``remove_mask``.  ``group`` is the commitments' group, which the
+    randomizer is spelled in on the wire.
     """
 
-    mask: bytes
+    share: MaskShare
     salt: bytes
     randomizer: int
     group: DHGroup | None = None
+
+    @property
+    def mask(self) -> bytes:
+        """The slot's mask as packed big-endian u64 words, expanded from
+        the share (:meth:`~repro.crypto.masking.MaskShare.row`)."""
+        return self.share.row()
 
     def __iter__(self):
         return iter(kernels.be_words(self.mask).tolist())
 
     def __len__(self) -> int:
-        return len(self.mask) // 8
+        return self.share.length
 
 
 @wire(
@@ -505,16 +515,20 @@ def _checked_scalar(
         expected_hc = commitments.hash_commitments[slot]
         point = commitments.points[slot]
         set_like = commitments
-    mask = opening.mask
-    if type(mask) is not bytes:
+    share = opening.share
+    if type(share) is not MaskShare:
         raise MaskVerificationError(
-            f"slot {slot}: mask is a {type(mask).__name__}, not packed words"
+            f"slot {slot}: share is a {type(share).__name__}, not a mask share"
         )
-    if len(mask) != 8 * set_like.vector_length:
+    if share.length != set_like.vector_length:
         raise MaskVerificationError(
-            f"slot {slot}: mask of {len(mask)} bytes does not match "
+            f"slot {slot}: a share of {share.length} words does not match "
             f"the committed vector length {set_like.vector_length}"
         )
+    try:
+        mask = share.row()
+    except MaskVerificationError as exc:
+        raise MaskVerificationError(f"slot {slot}: {exc}") from None
     if hash_commitment(set_like.round_id, slot, mask, opening.salt) != expected_hc:
         raise MaskVerificationError(
             f"slot {slot}: delivered mask does not match its hash commitment"
@@ -613,29 +627,39 @@ def batch_verify_openings(
     return lhs == rhs
 
 
+Mask = MaskShare | bytes | Sequence[int]
+"""A slot's mask as a commitment reads it: its share, or its row."""
+
+
 def commit_masks(
     group: DHGroup,
     round_id: int,
-    masks: Sequence[bytes | Sequence[int]],
+    masks: Sequence[Mask],
     rng: HmacDrbg,
 ) -> tuple[MaskCommitmentSet, tuple[MaskOpening, ...]]:
     """Commit a round's mask family; returns the set and per-slot openings.
 
     The honest-blinder path: the provisioner calls this the moment a
     round's masks are sampled, publishes the set, and delivers each
-    opening (mask + salt + randomizer) to its slot's recipient.
+    opening (share + salt + randomizer) to its slot's recipient.  A mask
+    given as a share is opened as that share, a row as its words.
     """
     if not masks:
         raise ConfigurationError("cannot commit an empty mask family")
     salts = [rng.generate(SALT_SIZE) for _ in range(len(masks))]
     randomizers = [rng.randint(group.subgroup_order) for _ in range(len(masks))]
-    return _commit_with(group, round_id, masks, salts, randomizers)
+    commitments = _commit_with(group, round_id, masks, salts, randomizers)
+    openings = tuple(
+        MaskOpening(as_share(mask), salt, randomizer, group)
+        for mask, salt, randomizer in zip(masks, salts, randomizers)
+    )
+    return commitments, openings
 
 
 def recommit_masks(
     group: DHGroup,
     round_id: int,
-    masks: Sequence[bytes | Sequence[int]],
+    masks: Sequence[Mask],
     openings: Sequence[MaskOpening],
 ) -> MaskCommitmentSet:
     """Rebuild the exact commitment set from known openings.
@@ -645,34 +669,39 @@ def recommit_masks(
     """
     salts = [opening.salt for opening in openings]
     randomizers = [opening.randomizer for opening in openings]
-    commitments, _ = _commit_with(group, round_id, masks, salts, randomizers)
-    return commitments
+    return _commit_with(group, round_id, masks, salts, randomizers)
 
 
 def _commit_with(
     group: DHGroup,
     round_id: int,
-    masks: Sequence[bytes | Sequence[int]],
+    masks: Sequence[Mask],
     salts: Sequence[bytes],
     randomizers: Sequence[int],
-) -> tuple[MaskCommitmentSet, tuple[MaskOpening, ...]]:
-    # A packed family's rows are used as they are: each is what its slot's
-    # hash commitment covers and its opening carries.  The family is read
-    # into one slots × length matrix once, for the sums and the scalars.
-    packed = [kernels.be_words_to_bytes(mask) for mask in masks]
-    rows = kernels.as_ring_rows(packed)
-    num_slots, vector_length = rows.shape
+) -> MaskCommitmentSet:
+    # One slot at a time: a row is expanded from its share (or read as
+    # given), hashed into its slot's commitment and folded into the
+    # limb-column sums, then dropped.  The sums fix the root, the root the
+    # weights; a second pass expands each row again for its scalar.  So a
+    # round's commit holds one row, never the family.
+    num_slots = len(masks)
     q = group.subgroup_order
-    hash_commitments = tuple(
-        hash_commitment(round_id, slot, packed[slot], salts[slot])
-        for slot in range(num_slots)
-    )
-    # Limb-column sums in one pass per limb: shift/mask the whole
-    # slots × length matrix and sum down the slot axis.  Each column sum
-    # is < num_slots · 2^16, far inside uint64, so the accumulation is
-    # exact — bit-identical to the per-word scalar loop.
-    limb_sums = kernels.limb_column_sums(rows, LIMBS, LIMB_BITS)
-    columns = limb_sums.T.astype(kernels.BE_U64).tobytes()
+    hash_commitments = []
+    limb_sums = None
+    for slot, mask in enumerate(masks):
+        row = as_share(mask).row()
+        words = kernels.be_words(row)
+        if limb_sums is None:
+            limb_sums = np.zeros((words.size, LIMBS), dtype=np.uint64)
+        elif words.size != limb_sums.shape[0]:
+            raise ConfigurationError("a mask family's rows differ in length")
+        hash_commitments.append(hash_commitment(round_id, slot, row, salts[slot]))
+        # Each column sum is < num_slots · 2^16, far inside uint64, so the
+        # accumulation is exact — bit-identical to the per-word scalar loop.
+        limb_sums += _limb_matrix(words)
+    vector_length = limb_sums.shape[0]
+    hash_commitments = tuple(hash_commitments)
+    columns = limb_sums.astype(kernels.BE_U64).tobytes()
     partial = MaskCommitmentSet(
         round_id=round_id,
         num_slots=num_slots,
@@ -686,13 +715,12 @@ def _commit_with(
     h, u = pedersen_generators(group)
     weights = partial.weights()
     points = []
-    for slot in range(num_slots):
-        scalar = scalar_for_mask(partial, rows[slot], weights)
+    for mask, randomizer in zip(masks, randomizers):
+        scalar = scalar_for_mask(partial, as_share(mask).row(), weights)
         points.append(
-            (group.power(h, scalar) * group.power(u, randomizers[slot]))
-            % group.prime
+            (group.power(h, scalar) * group.power(u, randomizer)) % group.prime
         )
-    commitments = MaskCommitmentSet(
+    return MaskCommitmentSet(
         round_id=round_id,
         num_slots=num_slots,
         vector_length=vector_length,
@@ -702,11 +730,6 @@ def _commit_with(
         column_sums=columns,
         randomizer_sum=sum(randomizers) % q,
     )
-    openings = tuple(
-        MaskOpening(packed[slot], salts[slot], randomizers[slot], group)
-        for slot in range(num_slots)
-    )
-    return commitments, openings
 
 
 def encode_mask_payload(opening: MaskOpening) -> bytes:

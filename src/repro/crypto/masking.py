@@ -11,6 +11,13 @@ mask vectors summing to zero in ``Z/2^64`` — the one ring of every mask,
 commitment and sum, so no party chooses it — and hands each out encrypted
 to a per-client key.  :class:`SumZeroMasks` is the client-side arithmetic.
 
+A mask is held and sent as its :class:`MaskShare`: every slot but the last
+of a family by its own 32-byte seed, which :func:`expand_seed` turns into
+the row where the row is used, and the last slot by its words, the ring
+negation of the others' sum.  Slot seeds are derived one-way from the
+family's seed (:func:`slot_seed`), so one slot's seed reveals no other
+slot's row (Bonawitz et al., CCS 2017, expand PRG seeds the same way).
+
 The paper notes the blinding service "could, itself, be implemented as a
 separate enclave on one of the clients"; :mod:`repro.core.provisioning`
 hosts this service inside a simulated enclave and handles the sealing leg.
@@ -20,73 +27,150 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
+from repro.codec import LENGTH, Bytes, Optional, Packed, wire
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.fixedpoint import FixedPointCodec
-from repro.errors import ConfigurationError, CryptoError
+from repro.crypto.hashing import hash_bytes
+from repro.errors import ConfigurationError, CryptoError, MaskVerificationError
 from repro.perf import kernels
 
 
-#: Domain tag of the SHAKE256 stream a sum-zero family is expanded from.
+#: Domain tag of the SHAKE256 stream a slot's row is expanded from.
 _MASK_STREAM_TAG = b"sum-zero-masks"
-_SEED_SIZE = 32
+SEED_SIZE = 32
+
+
+def slot_seed(family_seed: bytes, index: int) -> bytes:
+    """Slot ``index``'s 32-byte seed: ``SHA-256`` of the family's seed and
+    the index, under its own domain, so it reveals neither the family's
+    seed nor any other slot's."""
+    return hash_bytes("sum-zero-slot-seed", family_seed + index.to_bytes(4, "big"))
+
+
+def expand_seed(seed: bytes, length: int) -> bytes:
+    """The row a slot seed keys: the first ``8·length`` bytes of
+    ``SHAKE256(b"sum-zero-masks" ‖ seed)``, already packed words."""
+    return hashlib.shake_256(_MASK_STREAM_TAG + seed).digest(8 * length)
+
+
+@wire(0x8119, length=LENGTH, seed=Optional(Bytes(SEED_SIZE)), words=Optional(Packed()))
+@dataclass(frozen=True)
+class MaskShare:
+    """One slot's mask as every party holds and sends it: its ``length``
+    and either its 32-byte ``seed`` or, for a family's last slot, its
+    ``words`` (packed big-endian u64).  :meth:`row` is the mask itself."""
+
+    length: int
+    seed: bytes | None = None
+    words: bytes | None = None
+
+    def row(self) -> bytes:
+        """The mask as packed words: the seed expanded, or the words.
+
+        A share that is not exactly one of the two, or whose words are not
+        ``length`` of them, is :class:`~repro.errors.MaskVerificationError`
+        — only a blinder can have made it.
+        """
+        if self.words is None:
+            if self.seed is None:
+                raise MaskVerificationError("a mask share holds neither seed nor words")
+            return expand_seed(self.seed, self.length)
+        if self.seed is not None:
+            raise MaskVerificationError("a mask share holds both a seed and words")
+        if len(self.words) != 8 * self.length:
+            raise MaskVerificationError(
+                f"a mask share of {len(self.words)} bytes is not {self.length} words"
+            )
+        return self.words
+
+
+def as_share(mask: MaskShare | bytes | Sequence[int]) -> MaskShare:
+    """A mask as its share: a share as given, a row as its words."""
+    if isinstance(mask, MaskShare):
+        return mask
+    words = kernels.be_words_to_bytes(mask)
+    return MaskShare(len(words) // 8, words=words)
+
+
+def _row_of(mask) -> bytes | Sequence[int]:
+    return mask.row() if isinstance(mask, MaskShare) else mask
 
 
 @dataclass(frozen=True)
 class SumZeroMasks:
     """A family of N ring vectors whose component-wise sum is zero.
 
-    Each mask is a read-only row of packed big-endian u64 words, the form
-    every ring vector takes on the bus: 8 bytes a word, from expansion
-    through commitment, opening and dropout repair.
+    The family is its :class:`MaskShare`\\ s: a seed for every slot but the
+    last, the last slot's words.  :attr:`masks` expands them into read-only
+    rows of packed big-endian u64 words, the form every ring vector takes
+    on the bus, once, on first use; a party that only hands shares out
+    (the blinder) never asks for it, so it holds one row per family.
     """
 
-    masks: tuple[bytes, ...]
+    shares: tuple[MaskShare, ...]
 
     @classmethod
     def sample(cls, num_parties: int, length: int, rng: HmacDrbg) -> "SumZeroMasks":
         """Sample N masks with Σ_i masks[i] ≡ 0 (mod 2^64), per component.
 
-        One 32-byte seed drawn from ``rng`` keys a SHAKE256 stream; its
-        first ``8·length·(N−1)`` bytes are the first N−1 masks, already
-        packed words.  The last mask is the ring negation of their sum,
-        which makes the family jointly uniform subject to the sum-zero
-        constraint.  Scalar twin: ``sample_sum_zero_scalar``, in the
-        parity tests' ``reference`` module (``tests/perf/``).
+        One 32-byte family seed drawn from ``rng`` keys slot ``j < N−1``'s
+        seed, :func:`slot_seed`, and its row, :func:`expand_seed`.  The
+        last mask is the ring negation of their sum, folded one row at a
+        time, which makes the family jointly uniform subject to the
+        sum-zero constraint.  Scalar twin: ``sample_sum_zero_scalar``, in
+        the parity tests' ``reference`` module (``tests/perf/``).
         """
         if num_parties < 1:
             raise ConfigurationError("need at least one party")
         if length < 1:
             raise ConfigurationError("mask length must be positive")
-        seed = rng.generate(_SEED_SIZE)
-        stream = hashlib.shake_256(_MASK_STREAM_TAG + seed).digest(
-            8 * length * (num_parties - 1)
+        family_seed = rng.generate(SEED_SIZE)
+        seeded = tuple(
+            MaskShare(length, seed=slot_seed(family_seed, j)) for j in range(num_parties - 1)
         )
-        words = kernels.be_words(stream).reshape(num_parties - 1, length)
-        last = kernels.ring_neg(words.sum(axis=0, dtype=np.uint64))
-        rows = [kernels.be_words_to_bytes(row) for row in (*words, last)]
-        return cls(masks=tuple(rows))
+        total = np.zeros(length, dtype=np.uint64)
+        for share in seeded:
+            total += kernels.be_words(share.row())
+        last = MaskShare(length, words=kernels.be_words_to_bytes(kernels.ring_neg(total)))
+        return cls(shares=(*seeded, last))
+
+    @classmethod
+    def of_rows(cls, rows: Sequence[bytes]) -> "SumZeroMasks":
+        """A family given as its packed rows: every share is words."""
+        return cls(tuple(map(as_share, rows)))
+
+    @cached_property
+    def masks(self) -> tuple[bytes, ...]:
+        """Every mask, as its packed row, in slot order."""
+        return tuple(share.row() for share in self.shares)
 
     def mask_for(self, party_index: int) -> bytes:
         """One party's mask, as its packed row."""
         return self.masks[party_index]
 
+    def share_for(self, party_index: int) -> MaskShare:
+        """One party's mask as it is handed out."""
+        return self.shares[party_index]
+
     def verify_sum_zero(self) -> bool:
         """The sum-zero invariant, checked by tests and by :class:`GroupedSumZeroMasks`.
 
         Chunked accumulation (:func:`repro.perf.kernels.ring_accumulate`)
-        keeps the check's peak memory bounded even for large families —
-        the full row-major matrix is never needed for a sum.
+        over rows expanded as they are summed keeps the check's peak
+        memory bounded even for large families — the full row-major
+        matrix is never needed for a sum.
         """
-        totals = kernels.ring_accumulate(self.masks)
+        totals = kernels.ring_accumulate(share.row() for share in self.shares)
         return not totals.any()
 
 
 class GroupedSumZeroMasks:
-    """Per-subgroup sum-zero mask families, materialized on demand.
+    """Per-subgroup sum-zero mask families, kept as their shares.
 
     Every blinded round's masks: an *independent* sum-zero family inside
     each subgroup of a :class:`repro.scale.subgroup.SubgroupPlan`, a flat
@@ -94,15 +178,11 @@ class GroupedSumZeroMasks:
     subgroup sums to zero, so the cohort sums to zero, and the aggregate
     is bit-identical for any grouping — the parity gate is the aggregate,
     not the mask stream.  The family is its seeds: one 32-byte seed per
-    subgroup, from which a subgroup's :class:`SumZeroMasks` is re-expanded
-    only when a slot in it is committed, provisioned or repaired.  A small
-    FIFO cache keeps the hot subgroups warm, so between round open and
-    round close the family holds at most ``CACHE_GROUPS`` · g · k mask
-    words, and §3 dropout repair touches O(g) of them.
+    subgroup, from which a subgroup's :class:`SumZeroMasks` is derived the
+    first time a slot in it is committed, provisioned or repaired, and
+    then kept: its slot seeds and its last slot's words, one row per
+    subgroup.  No other row is held; each is expanded where it is used.
     """
-
-    #: Materialized subgroups kept warm per family.
-    CACHE_GROUPS = 4
 
     def __init__(self, plan, seeds: tuple[bytes, ...], length: int) -> None:
         if len(seeds) != plan.num_groups:
@@ -110,14 +190,14 @@ class GroupedSumZeroMasks:
         self.plan = plan
         self.seeds = seeds
         self.length = length
-        self._cache: dict[int, SumZeroMasks] = {}
+        self._families: dict[int, SumZeroMasks] = {}
 
     @classmethod
     def sample(cls, plan, length: int, rng: HmacDrbg) -> "GroupedSumZeroMasks":
         """Draw one independent seed per subgroup from the round's DRBG."""
         if length < 1:
             raise ConfigurationError("mask length must be positive")
-        seeds = tuple(rng.generate(32) for _ in range(plan.num_groups))
+        seeds = tuple(rng.generate(SEED_SIZE) for _ in range(plan.num_groups))
         return cls(plan, seeds, length)
 
     def _identity(self) -> tuple:
@@ -137,39 +217,33 @@ class GroupedSumZeroMasks:
         return self.plan.num_slots
 
     def group_family(self, group: int) -> SumZeroMasks:
-        """Materialize (or fetch cached) one subgroup's sum-zero family."""
-        family = self._cache.get(group)
+        """One subgroup's sum-zero family, as its shares (derived once)."""
+        family = self._families.get(group)
         if family is None:
             family = SumZeroMasks.sample(
                 len(self.plan.slots_in(group)),
                 self.length,
                 HmacDrbg(self.seeds[group], personalization="subgroup-masks"),
             )
-            if len(self._cache) >= self.CACHE_GROUPS:
-                self._cache.pop(next(iter(self._cache)))
-            self._cache[group] = family
+            self._families[group] = family
         return family
 
-    def mask_for(self, party_index: int) -> bytes:
+    def share_for(self, party_index: int) -> MaskShare:
         group = self.plan.group_of(party_index)
-        local = self.plan.local_index(party_index)
-        return self.group_family(group).mask_for(local)
+        return self.group_family(group).share_for(self.plan.local_index(party_index))
+
+    def mask_for(self, party_index: int) -> bytes:
+        return self.share_for(party_index).row()
+
+    @property
+    def shares(self) -> tuple[MaskShare, ...]:
+        """Every slot's share, in slot order: what a round commits to."""
+        return tuple(self.share_for(slot) for slot in range(self.plan.num_slots))
 
     @property
     def masks(self) -> tuple[bytes, ...]:
-        """All masks in slot order, every subgroup through :meth:`group_family`.
-
-        O(n·k): committing a round needs every slot's mask once.  The
-        rows are the warm families' own, so the subgroups still cached
-        afterwards — the whole family of a one-group flat round — serve
-        the first deliveries without expanding again.
-        """
-        rows: list[bytes | None] = [None] * self.plan.num_slots
-        for group in range(self.plan.num_groups):
-            family = self.group_family(group)
-            for local, slot in enumerate(self.plan.slots_in(group)):
-                rows[slot] = family.mask_for(local)
-        return tuple(rows)  # type: ignore[arg-type]
+        """All masks in slot order, each expanded from its share: O(n·k)."""
+        return tuple(share.row() for share in self.shares)
 
     def verify_sum_zero(self) -> bool:
         """Each subgroup independently sums to zero (hence so does the whole)."""
@@ -179,20 +253,21 @@ class GroupedSumZeroMasks:
         return True
 
 
-def apply_mask(encoded: Sequence[int], mask: Sequence[int]) -> list[int]:
+def apply_mask(encoded: Sequence[int], mask: Sequence[int] | MaskShare) -> list[int]:
     """Blind an encoded contribution: ``y_i = x_i + p_i`` in the ring.
 
-    Either side may be packed words (:func:`repro.perf.kernels.as_ring`).
+    Either side may be packed words (:func:`repro.perf.kernels.as_ring`),
+    and the mask a :class:`MaskShare`.
     """
-    encoded, mask = kernels.as_ring(encoded), kernels.as_ring(mask)
+    encoded, mask = kernels.as_ring(encoded), kernels.as_ring(_row_of(mask))
     if len(encoded) != len(mask):
         raise ConfigurationError("mask length does not match vector length")
     return kernels.ring_add(encoded, mask).tolist()
 
 
-def remove_mask(blinded: Sequence[int], mask: Sequence[int]) -> list[int]:
+def remove_mask(blinded: Sequence[int], mask: Sequence[int] | MaskShare) -> list[int]:
     """Inverse of :func:`apply_mask` (used for dropout repair and tests)."""
-    blinded, mask = kernels.as_ring(blinded), kernels.as_ring(mask)
+    blinded, mask = kernels.as_ring(blinded), kernels.as_ring(_row_of(mask))
     if len(blinded) != len(mask):
         raise ConfigurationError("mask length does not match vector length")
     return kernels.ring_sub(blinded, mask).tolist()
@@ -237,9 +312,9 @@ class BlindingService:
         """Open a round whose masks sum to zero inside every subgroup of
         ``plan_subgroups(round_id, num_parties, subgroup_size)``.
 
-        Mask state is one 32-byte seed per subgroup; every later
-        ``mask_for``/``mask_for_dropout`` touches one subgroup's O(g·k)
-        family.
+        Mask state is one 32-byte seed per subgroup, and once a subgroup
+        is touched its slot seeds and last row; every later
+        ``mask_for``/``mask_for_dropout`` hands out one slot's share.
         """
         self._require_unopened(round_id)
         from repro.scale.subgroup import plan_subgroups
@@ -302,17 +377,18 @@ class BlindingService:
             return
         self._round_masks[round_id] = masks
 
-    def mask_for(self, round_id: int, party_index: int) -> bytes:
-        """The raw mask for one party in one round (provisioning-side view),
-        as packed words."""
-        return self._open_masks(round_id).mask_for(party_index)
+    def mask_for(self, round_id: int, party_index: int) -> MaskShare:
+        """One party's mask in one round (provisioning-side view), as the
+        share it is handed out as: its seed, or a last slot's words."""
+        return self._open_masks(round_id).share_for(party_index)
 
-    def mask_for_dropout(self, round_id: int, party_index: int) -> bytes:
+    def mask_for_dropout(self, round_id: int, party_index: int) -> MaskShare:
         """Reveal a dropped-out party's mask so the round sum stays exact.
 
         With the §3 scheme, if client ``i`` never submits, the service's sum
         is off by ``p_i`` (because Σp = 0); the blinding service can
         disclose just that mask (learning nothing about submitted
-        contributions) to repair the round.
+        contributions) to repair the round.  It is disclosed as its share;
+        whoever repairs expands it.
         """
         return self.mask_for(round_id, party_index)

@@ -87,17 +87,21 @@ class Deployment:
         """Stand up the whole cast and (optionally) provision every client.
 
         ``features`` is the published feature list, as pairs; with none,
-        the corpus's bigrams are published.
+        the corpus's bigrams are published.  Given, no corpus is drawn (the
+        deployment has no corpus users; devices come from
+        :meth:`make_client` with their own data), but the corpus's fork is
+        still taken, so every later fork matches a corpus build's.
         """
         rng = HmacDrbg(seed, personalization="deployment")
-        corpus = KeyboardCorpus.generate(
-            num_users, rng.fork("corpus"), sentences_per_user=sentences_per_user
-        )
-        features = (
-            FeatureSpace.from_corpus(corpus.all_sentences(), max_features)
-            if features is None
-            else FeatureSpace(tuple(features))
-        )
+        corpus_rng = rng.fork("corpus")
+        if features is None:
+            corpus = KeyboardCorpus.generate(
+                num_users, corpus_rng, sentences_per_user=sentences_per_user
+            )
+            features = FeatureSpace.from_corpus(corpus.all_sentences(), max_features)
+        else:
+            corpus = KeyboardCorpus(users=[])
+            features = FeatureSpace(tuple(features))
         codec = FixedPointCodec()
         attestation = AttestationService(seed + b":ias")
         vendor = VendorKey.generate(rng.fork("vendor"))

@@ -38,7 +38,3 @@ class Message:
     def with_payload(self, payload: Any) -> "Message":
         """Copy with a replaced payload (tamper adversaries use this)."""
         return replace(self, payload=payload)
-
-    def redirected(self, receiver: str) -> "Message":
-        """Copy addressed to someone else (misrouting attacks)."""
-        return replace(self, receiver=receiver)

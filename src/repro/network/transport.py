@@ -12,8 +12,9 @@ raises :class:`NetworkError` *after* the handler ran — callers that retry
 get at-least-once semantics and handlers must treat retransmissions
 (``Message.attempt > 1``) idempotently.  Responses do not count toward
 ``messages_delivered``/``bytes_delivered`` (those meter request traffic,
-which keeps phase accounting comparable across experiments) but a dropped
-response does count as a drop.
+which keeps phase accounting comparable across experiments); they have
+their own meters, ``replies_delivered`` and ``bytes_replied``.  A dropped
+response counts as a drop.
 
 What crosses is bytes.  Each leg's payload is framed once by
 :mod:`repro.codec`, after the adversary chain, and metered as the frame's
@@ -97,6 +98,8 @@ class Network:
         self.messages_delivered = 0
         self.messages_dropped = 0
         self.bytes_delivered = 0
+        self.bytes_replied = 0
+        """Frame bytes of the responses counted in ``replies_delivered``."""
         self.replies_delivered = 0
         """Responses that survived the adversary chain.  Kept separate
         from ``messages_delivered`` on purpose: request-traffic meters
@@ -268,8 +271,8 @@ class Network:
         cannot tell which, so retried calls must pass an incremented
         ``attempt`` and handlers must answer retransmissions idempotently.
         The response faces the same adversary chain as the request (as its
-        own ``<kind>/reply`` message) but is metered only as latency, not
-        as delivered request traffic.
+        own ``<kind>/reply`` message) and is metered on its own counters,
+        ``replies_delivered`` and ``bytes_replied``, not as request traffic.
         """
         delivered, result = self._transmit(sender, receiver, kind, payload, attempt)
         if not delivered:
@@ -301,6 +304,7 @@ class Network:
             )
         frame = self._crossing(processed, codec.encode, processed.payload)
         self.replies_delivered += 1
+        self.bytes_replied += len(frame)
         self.clock.advance(self._latency_for(receiver, sender, len(frame)))
         self._drain_redeliveries()
         return self._crossing(processed, codec.decode, frame)

@@ -206,29 +206,6 @@ def ring_accumulate(rows, chunk_rows: int = 1024) -> np.ndarray:
     return total
 
 
-def limb_column_sums(
-    rows: np.ndarray | Sequence[Sequence[int]],
-    num_limbs: int,
-    limb_bits: int = 16,
-) -> np.ndarray:
-    """Per-limb column sums of a matrix of ring vectors.
-
-    Returns a ``(num_limbs, length)`` ``np.uint64`` array where entry
-    ``[l][i]`` is ``Σ_rows limb_l(row[i])`` — the quantity the mask
-    commitment scheme publishes per limb column.  Each sum is bounded by
-    ``num_rows · 2^limb_bits``, far inside ``uint64``, so the accumulation
-    is exact and the result is bit-identical to the per-word scalar loop.
-    """
-    matrix = as_ring_rows(rows)
-    limb_mask = U64((1 << limb_bits) - 1)
-    return np.stack(
-        [
-            ((matrix >> U64(limb_bits * l)) & limb_mask).sum(axis=0, dtype=U64)
-            for l in range(num_limbs)
-        ]
-    )
-
-
 # ------------------------------------------------------------- serialization
 
 

@@ -167,6 +167,7 @@ class _RoundRecord:
         self.messages0 = network.messages_delivered + network.messages_dropped
         self.dropped0 = network.messages_dropped
         self.bytes0 = network.bytes_delivered
+        self.replied0 = network.bytes_replied
         self.phases: list[PhaseStats] = []
         self.window: tuple[str, int, int, int, float] | None = None
 
@@ -916,9 +917,9 @@ class RoundEngine:
         """Check a revealed dropout mask against the round's commitments.
 
         The blinder reveals a full
-        :class:`~repro.crypto.commitments.MaskOpening`; the engine verifies
-        it against the slot's published commitment before trusting the
-        mask.  A blinder that reveals a mask other than the one it
+        :class:`~repro.crypto.commitments.MaskOpening` — the slot's seed,
+        or a last slot's words — and the engine expands it and verifies the
+        mask against the slot's published commitment before trusting it.  A blinder that reveals a mask other than the one it
         committed to — or bare words with no opening to check — is
         blamed and the round aborts: §3 repair never silently folds a
         forged mask into the aggregate.  ``preverified`` marks reveals
@@ -1661,6 +1662,7 @@ class RoundEngine:
             - record.messages0,
             messages_dropped=self.network.messages_dropped - record.dropped0,
             bytes_on_wire=self.network.bytes_delivered - record.bytes0,
+            bytes_replied=self.network.bytes_replied - record.replied0,
             latency_ms=self.network.clock.now_ms() - record.opened_at_ms,
             enclave_cycles=cycles,
             phases=tuple(record.phases),

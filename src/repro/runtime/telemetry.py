@@ -121,6 +121,9 @@ class RoundReport:
     submissions_streamed: int = 0
     """Ring payloads folded into a subgroup accumulator and released at
     admission instead of being retained until finalize."""
+    bytes_replied: int = 0
+    """Frame bytes of the replies that reached their callers while the
+    round was open; ``bytes_on_wire`` counts the requests."""
     route_reason: str | None = None
     """First condition that kept the round off a fast path its engine is
     configured for (:class:`~repro.scale.config.RoutePlan.reason`);

@@ -170,7 +170,7 @@ class ClientTask:
     provision: m.ProvisionMask
     contribute: m.ContributeCommand | None  # None: a collect dropout
     leg: Any  # parent-drawn DeliveryLeg (serial slot order)
-    opening: Any  # this slot's MaskOpening
+    opening: Any  # this slot's MaskOpening: its seed (or a last slot's words)
 
     @property
     def slot(self) -> int:

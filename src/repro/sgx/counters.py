@@ -8,8 +8,6 @@ enclave's measurement: another enclave cannot advance or read them.
 
 from __future__ import annotations
 
-from repro.errors import EnclaveError
-
 
 class MonotonicCounter:
     """A counter that only moves forward."""
@@ -27,14 +25,6 @@ class MonotonicCounter:
         """Advance by one and return the new value."""
         self._value += 1
         return self._value
-
-    def assert_at_least(self, expected: int) -> None:
-        """Rollback check: raise if the counter is behind ``expected``."""
-        if self._value < expected:
-            raise EnclaveError(
-                f"rollback detected on counter {self.name!r}: "
-                f"value {self._value} < expected {expected}"
-            )
 
 
 class CounterStore:

@@ -229,9 +229,6 @@ class Enclave:
     def alive(self) -> bool:
         return not self._destroyed
 
-    def entry_points(self) -> list[str]:
-        return sorted(self._entry_points)
-
     def ecall(self, name: str, *args: Any, **kwargs: Any) -> Any:
         """Enter the enclave at a named entry point and return its result.
 

@@ -215,18 +215,3 @@ class EnclaveImage:
         if len(_LAUNCHED) >= _MAX_LAUNCHED:
             _LAUNCHED.clear()
         _LAUNCHED.add(key)
-
-    def rebuilt_with(self, vendor: VendorKey, **overrides) -> "EnclaveImage":
-        """Produce a modified image (tamper experiments use this helper)."""
-        if self.program_class is None:
-            raise ConfigurationError("image has no program class to rebuild")
-        params = {
-            "name": self.name,
-            "version": self.version,
-            "config": self.config,
-            "memory_bytes": self.memory_bytes,
-            "debug": self.debug,
-            "code": self.code,
-        }
-        params.update(overrides)
-        return EnclaveImage.build(self.program_class, vendor, **params)

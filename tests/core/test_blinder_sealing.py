@@ -51,7 +51,10 @@ def test_restart_republishes_the_same_round(blinder, subgroup_size):
     assert isinstance(restored, GroupedSumZeroMasks)
     assert restored == family and restored.seeds == family.seeds
     assert restored.plan.num_groups == (8 if subgroup_size else 1)
-    assert len(restored._cache) <= GroupedSumZeroMasks.CACHE_GROUPS
+    # What stays per subgroup is its shares: slot seeds and one row.
+    for family in restored._families.values():
+        assert sum(share.words is not None for share in family.shares) == 1
+        assert "masks" not in vars(family)  # no row expanded and kept
 
 
 def _flip(blob, _other):

@@ -38,6 +38,7 @@ from repro.crypto.cipher import AuthenticatedCipher
 from repro.crypto.commitments import MaskOpening, decode_mask_payload
 from repro.crypto.dh import OAKLEY_GROUP_1, TEST_GROUP
 from repro.crypto.drbg import HmacDrbg
+from repro.crypto.masking import MaskShare
 from repro.crypto.schnorr import SchnorrKeyPair
 from repro.crypto.secagg import (
     EncryptedShares,
@@ -101,7 +102,9 @@ def _checkpoint_site() -> Site:
         resealed = glimmer.ecall("checkpoint_round", round_id)
         return codec.decode(glimmer._api.unseal(resealed), RoundCheckpoint)
 
-    sample = RoundCheckpoint(7, ((0, (64, W((1, 2)))), (3, (64, W((4, 5))))), 0)
+    sample = RoundCheckpoint(
+        7, ((0, (64, MaskShare(2, seed=b"\x0b" * 32))), (3, (64, MaskShare(2, words=W((4, 5)))))), 0
+    )
     return Site(sample, {"signings": "0"}, EnclaveError, read)
 
 
@@ -229,7 +232,7 @@ def sites() -> dict[str, Site]:
     service_key = SchnorrKeyPair.generate(HmacDrbg(b"layout-config"), TEST_GROUP).public_key
     return {
         "delivery-opening": Site(
-            MaskOpening(W((1, (1 << 64) - 1)), b"\x06" * 32, 9, TEST_GROUP),
+            MaskOpening(MaskShare(2, words=W((1, (1 << 64) - 1))), b"\x06" * 32, 9, TEST_GROUP),
             {"salt": 7},
             MaskVerificationError,
             decode_mask_payload,

@@ -19,8 +19,9 @@ def test_registry_publish_and_lookup():
     registry = VettingRegistry()
     registry.publish("g", b"\x01" * 32)
     assert registry.approved_measurement("g") == b"\x01" * 32
-    assert registry.is_approved(b"\x01" * 32)
-    assert not registry.is_approved(b"\x02" * 32)
+    assert registry.approved_measurement("g") != b"\x02" * 32
+    with pytest.raises(ConfigurationError):
+        registry.approved_measurement("unpublished")
 
 
 def test_registry_idempotent_same_hash():
@@ -75,7 +76,7 @@ def test_blinder_round_masks_sum_zero(fresh_deployment):
     deployment = fresh_deployment
     deployment.blinder_provisioner.open_round(3, 4, len(deployment.features))
     masks = [
-        kernels.as_ring(deployment.blinder_provisioner.blinding.mask_for(3, i)).tolist()
+        kernels.as_ring(deployment.blinder_provisioner.blinding.mask_for(3, i).row()).tolist()
         for i in range(4)
     ]
     for column in zip(*masks):

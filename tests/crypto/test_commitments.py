@@ -23,7 +23,7 @@ from repro.crypto.commitments import (
     weight_digits,
 )
 from repro.crypto.drbg import HmacDrbg
-from repro.crypto.masking import SumZeroMasks
+from repro.crypto.masking import SumZeroMasks, as_share
 from repro.errors import ConfigurationError, MaskVerificationError
 from repro.experiments.common import Deployment
 from repro.perf import kernels
@@ -64,7 +64,7 @@ def test_tampered_mask_fails_its_opening():
     opening = openings[0]
     words = list(opening)
     tampered = dataclasses.replace(
-        opening, mask=kernels.be_words_to_bytes([words[0] ^ 1] + words[1:])
+        opening, share=as_share(kernels.be_words_to_bytes([words[0] ^ 1] + words[1:]))
     )
     with pytest.raises(MaskVerificationError):
         verify_opening(commitments, 0, tampered)
@@ -142,7 +142,7 @@ def test_forged_claims_pass_slot_checks_but_fail_the_homomorphic_check():
     family, honest, _ = _commit()
     masks = [kernels.as_ring(mask) for mask in family.masks]
     masks[0][0] += np.uint64(538)
-    corrupt = SumZeroMasks(masks=tuple(map(kernels.be_words_to_bytes, masks)))
+    corrupt = SumZeroMasks.of_rows(tuple(map(kernels.be_words_to_bytes, masks)))
     assert not corrupt.verify_sum_zero()
     rng = HmacDrbg(b"forge", personalization="forge")
     salts = [rng.generate(32) for _ in range(NUM_SLOTS)]
@@ -154,7 +154,7 @@ def test_forged_claims_pass_slot_checks_but_fail_the_homomorphic_check():
             forged,
             slot,
             MaskOpening(
-                mask=corrupt.masks[slot],
+                share=corrupt.share_for(slot),
                 salt=salts[slot],
                 randomizer=randomizers[slot],
             ),

@@ -1,5 +1,7 @@
 """Tests for the simulated transport, clock, and adversaries."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.crypto.drbg import HmacDrbg
@@ -212,7 +214,7 @@ def test_message_helpers():
     message = Message(sender="a", receiver="b", kind="k", payload=b"p")
     assert message.with_payload(b"q").payload == b"q"
     assert message.with_payload(b"q").sender == "a"
-    assert message.redirected("c").receiver == "c"
+    assert replace(message, receiver="c").receiver == "c"
 
 
 def test_adversary_chain_order():

@@ -38,24 +38,23 @@ def uint64_vector_scalar(rng: HmacDrbg, length: int) -> list[int]:
 def sample_sum_zero_scalar(num_parties: int, length: int, rng: HmacDrbg) -> list[bytes]:
     """Scalar twin of :meth:`SumZeroMasks.sample`, from its definition.
 
-    A 32-byte seed from ``rng`` keys ``SHAKE256(b"sum-zero-masks" ‖
-    seed)``; word ``i`` of mask ``j < N − 1`` is stream word
-    ``j·length + i``, one ``int.from_bytes`` each.
-    The last mask is the ring negation of the running sum.  Masks are
-    returned packed, as the family holds them.
+    A 32-byte family seed from ``rng`` keys every slot but the last: slot
+    ``j``'s seed is ``SHA-256(u16 tag length ‖ b"sum-zero-slot-seed" ‖
+    family seed ‖ j as a u32)``, and word ``i`` of its mask is word ``i``
+    of ``SHAKE256(b"sum-zero-masks" ‖ slot seed)``, one ``int.from_bytes``
+    each.  The last mask is the ring negation of the running sum.  Masks
+    are returned packed, as the family holds them.
     """
-    seed = rng.generate(32)
-    stream = hashlib.shake_256(b"sum-zero-masks" + seed).digest(
-        8 * length * (num_parties - 1)
-    )
+    family_seed = rng.generate(32)
+    tag = b"sum-zero-slot-seed"
     masks: list[bytes] = []
     running = [0] * length
     for j in range(num_parties - 1):
-        base = 8 * length * j
-        mask = [
-            int.from_bytes(stream[base + 8 * i : base + 8 * (i + 1)], "big")
-            for i in range(length)
-        ]
+        seed = hashlib.sha256(
+            len(tag).to_bytes(2, "big") + tag + family_seed + j.to_bytes(4, "big")
+        ).digest()
+        stream = hashlib.shake_256(b"sum-zero-masks" + seed).digest(8 * length)
+        mask = [int.from_bytes(stream[8 * i : 8 * (i + 1)], "big") for i in range(length)]
         for i, value in enumerate(mask):
             running[i] = (running[i] + value) % MODULUS
         masks.append(words_to_bytes_scalar(mask))

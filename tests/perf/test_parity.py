@@ -514,12 +514,16 @@ def test_wide_streamed_round_is_byte_identical_to_recorded():
     signatures cover the narrowed words, and the checkpoints hold each
     mask narrowed, beside its width.  They moved again when that width
     went in bits (42 for these 16 parties, where it had been 6 bytes).
-    ``root`` did not: masks and commitments stay in ``Z/2^64``.
-    ``aggregate`` has never moved.
+    ``root`` did not: masks and commitments stay in ``Z/2^64``.  All three
+    moved when each slot's row became the expansion of its own seed,
+    derived from its subgroup's seed (the masks changed: ``root`` and
+    ``signatures``), and the checkpoints began to seal each mask's share,
+    a seed or a last slot's words, in place of its narrowed words
+    (``sealed``).  ``aggregate`` has never moved.
     """
     assert _wide_streamed_round_digests() == {
-        "root": "b3dd46a86e0ff8861e7ef3bc9d485dc6e0397dfd07a7eeb4cd329a30d849b223",
-        "sealed": "d7b5745cd4254bbf8393125c5878fe32709ab1692d37a8790b315b086326a43b",
-        "signatures": "2db95a99d486da851e7f05af2d0506a04c023b6a3512c24772f7155561a9f5b9",
+        "root": "f66c9afa7ddd0a5787341f4b55236d4b9ee19c822a1a6e0c1915ac10e8b60042",
+        "sealed": "574c2e5d8b2aadb135e211342cf712861cc67fbc61dae77c296302cd594e79fc",
+        "signatures": "bd4dab63837ac254e24ed67a8d3b7df98c0d43de7cd35f2ddab5fd0f3033f139",
         "aggregate": "b8557277e14cafd0f8f2a7befff5613092a335bba97d6d0fa83195c95702b0c2",
     }

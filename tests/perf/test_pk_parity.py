@@ -22,7 +22,7 @@ from repro.crypto.commitments import (
 )
 from repro.crypto.dh import OAKLEY_GROUP_1, TEST_GROUP
 from repro.crypto.drbg import HmacDrbg
-from repro.crypto.masking import SumZeroMasks
+from repro.crypto.masking import SumZeroMasks, as_share
 from repro.crypto.schnorr import SchnorrKeyPair, SchnorrSignature, batch_verify
 from repro.perf import kernels
 from tests.perf import reference
@@ -189,7 +189,7 @@ def test_batch_openings_reject_tampering(field):
     if field == "mask":
         words = list(opening)
         tampered = dataclasses.replace(
-            opening, mask=kernels.be_words_to_bytes([words[0] ^ 1] + words[1:])
+            opening, share=as_share(kernels.be_words_to_bytes([words[0] ^ 1] + words[1:]))
         )
     elif field == "randomizer":
         tampered = dataclasses.replace(opening, randomizer=opening.randomizer + 1)

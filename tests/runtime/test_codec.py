@@ -38,6 +38,7 @@ from repro.crypto.commitments import (
     MaskOpening,
 )
 from repro.crypto.dh import OAKLEY_GROUP_1, TEST_GROUP
+from repro.crypto.masking import MaskShare
 from repro.crypto.schnorr import SchnorrPublicKey, SchnorrSignature
 from repro.crypto.secagg import PeerShares
 from repro.crypto.shamir import ShamirShare
@@ -115,9 +116,10 @@ SAMPLES = {
     SchnorrSignature: SIG,
     Report: REPORT,
     Quote: QUOTE,
+    MaskShare: MaskShare(2, seed=b"\x0b" * 32),
     MaskOpening: MaskOpening(
-        mask=kernels.be_words_to_bytes((0, (1 << 64) - 1)), salt=b"\x06" * 32, randomizer=9,
-        group=TEST_GROUP,
+        share=MaskShare(2, words=kernels.be_words_to_bytes((0, (1 << 64) - 1))),
+        salt=b"\x06" * 32, randomizer=9, group=TEST_GROUP,
     ),
     MaskCommitmentRecord: RECORD,
     MaskCommitmentSet: MaskCommitmentSet(
@@ -159,7 +161,9 @@ SAMPLES = {
     GlimmerConfig: GlimmerConfig(
         "range:0.0:1.0", SERVICE_KEY, SchnorrPublicKey(TEST_GROUP, 49), b"\x0d" * 32, 0.5
     ),
-    RoundCheckpoint: RoundCheckpoint(7, ((0, (64, W((1, 2)))), (3, (64, W((4, 5))))), 2),
+    RoundCheckpoint: RoundCheckpoint(
+        7, ((0, (64, MaskShare(2, seed=b"\x0b" * 32))), (3, (64, MaskShare(2, words=W((4, 5)))))), 2
+    ),
     SealedRound: SealedRound(77, 192, 8, b"\x0e" * 32 * 24, b"\x0f" * 32),
     LinkedContribution: LinkedContribution(7, 2, F((0.5, 0.25)), True, 1.0),
     DetectorWeights: DetectorWeights(),

@@ -293,11 +293,18 @@ def test_malformed_commitment_set_aborts_the_round_blaming_the_blinder(rewrite):
     assert verdict.offenders == (m.BLINDER,)
 
 
+def _ragged(share):
+    """A share one byte short: its seed, or its last word, cut."""
+    if share.seed is not None:
+        return replace(share, seed=share.seed[:-1])
+    return replace(share, words=share.words[:-1])
+
+
 @pytest.mark.parametrize(
     "rewrite",
     [
-        pytest.param(lambda opening: replace(opening, mask=opening.mask[:-1]), id="mask-ragged"),
-        pytest.param(lambda opening: replace(opening, mask=tuple(opening)), id="mask-as-words"),
+        pytest.param(lambda opening: replace(opening, share=_ragged(opening.share)), id="mask-ragged"),
+        pytest.param(lambda opening: replace(opening, share=tuple(opening)), id="mask-as-words"),
         pytest.param(lambda opening: replace(opening, salt=opening.salt[:31]), id="salt-31-bytes"),
         pytest.param(lambda opening: replace(opening, randomizer=-1), id="randomizer-negative"),
     ],

@@ -8,15 +8,15 @@ clients resuming instead of re-running full handshakes.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.crypto import group_ops
-from repro.crypto.commitments import MaskOpening
 from repro.errors import MaskVerificationError, RoundAbortedError
 from repro.experiments.common import Deployment
 from repro.invariants import exact_mean
-from repro.perf import kernels
 from repro.runtime.protocol import VIOLATION_MASK_OPENING
 from repro.scale import ScaleConfig
 
@@ -90,7 +90,8 @@ def _established(parallelism=None):
 
 
 def _lie_about_slot_0_once(provisioner):
-    """The blinder's next slot-0 delivery carries one shifted mask word.
+    """The blinder's next slot-0 delivery carries its seed with one bit
+    flipped (its first word, where slot 0 is a family's last slot).
 
     Patched on the instance, under ``provision_mask``, so the party stays
     stock (pool-eligible) and every driver meets the same lie.  Returns
@@ -105,11 +106,12 @@ def _lie_about_slot_0_once(provisioner):
         asked.append(round_id)
         if len(asked) > 1:
             return opening
-        words = list(opening)
-        mask = kernels.be_words_to_bytes([words[0] ^ 1, *words[1:]])
-        return MaskOpening(
-            mask=mask, salt=opening.salt, randomizer=opening.randomizer
-        )
+        share = opening.share
+        if share.seed is None:
+            share = replace(share, words=bytes([share.words[0] ^ 1]) + share.words[1:])
+        else:
+            share = replace(share, seed=bytes([share.seed[0] ^ 1]) + share.seed[1:])
+        return replace(opening, share=share)
 
     provisioner.mask_opening = mask_opening
     return asked

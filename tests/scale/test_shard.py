@@ -78,20 +78,6 @@ def test_sharded_ring_reducer_rejects_zero_shards():
         ShardedRingReducer(0)
 
 
-# ----------------------------------------------------- limb-column partials
-
-
-def test_limb_column_sums_kernel_matches_manual():
-    matrix = _matrix(5, 9)
-    sums = kernels.limb_column_sums(matrix, 4, 16)
-    assert sums.shape == (4, 9)
-    for limb in range(4):
-        expected = ((matrix >> np.uint64(16 * limb)) & np.uint64(0xFFFF)).sum(
-            axis=0, dtype=np.uint64
-        )
-        assert np.array_equal(sums[limb], expected)
-
-
 # ------------------------------------------------------------------ config
 
 

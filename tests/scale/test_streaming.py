@@ -111,18 +111,21 @@ def test_grouped_masks_sum_to_zero_per_group_and_globally():
         assert len(family.masks) == len(plan.slots_in(group))
 
 
-def test_grouped_masks_cache_stays_bounded():
-    plan = plan_subgroups(5, 64, 4)  # 16 groups, cache holds 4
+def test_grouped_masks_keep_shares_not_rows():
+    """Each subgroup is derived once and kept as its shares: a seed per
+    slot and the last slot's words, one row per subgroup, whatever the
+    number of subgroups."""
+    plan = plan_subgroups(5, 64, 4)  # 16 groups of 4
     masks = GroupedSumZeroMasks.sample(plan, 8, HmacDrbg(b"cache"))
     for group in range(plan.num_groups):
-        masks.group_family(group)
-        assert len(masks._cache) <= GroupedSumZeroMasks.CACHE_GROUPS
-    # Re-expansion is deterministic: evicted families come back identical.
-    assert masks.group_family(0).masks == masks.group_family(0).masks
-    evicted = masks.group_family(0).masks
-    for group in range(plan.num_groups):
-        masks.group_family(group)
-    assert masks.group_family(0).masks == evicted
+        family = masks.group_family(group)
+        assert masks.group_family(group) is family
+        assert [share.seed is not None for share in family.shares] == [True] * 3 + [False]
+        assert family.shares[-1].words is not None
+    assert all("masks" not in vars(family) for family in masks._families.values())
+    # Re-derivation is deterministic: the same seeds give the same rows.
+    again = GroupedSumZeroMasks(plan, masks.seeds, 8)
+    assert again.group_family(0).masks == masks.group_family(0).masks
 
 
 def test_grouped_masks_rows_match_slot_order():

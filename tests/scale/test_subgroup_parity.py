@@ -19,6 +19,7 @@ import pytest
 
 from repro.experiments.common import Deployment
 from repro.scale import RoutePlan, ScaleConfig, plan_subgroups
+from repro.sgx.costs import CostModel
 
 from tests.scale.test_routing import route_of
 
@@ -56,6 +57,13 @@ def _assert_bit_exact(flat, hierarchical):
     hier_cycles = dict(hierarchical.enclave_cycles)
     flat_cycles.pop("boundary-copies", None)
     hier_cycles.pop("boundary-copies", None)
+    # A subgroup's last slot is delivered its words and every other slot
+    # its 32-byte seed, so the routes decrypt different delivery bytes: the
+    # AEAD bucket may differ by whole words-for-seed deliveries (8·k words
+    # in place of a seed, 8·k − 28 bytes each), and by nothing else.
+    extra = hier_cycles.pop("enclave-crypto") - flat_cycles.pop("enclave-crypto")
+    per_delivery = CostModel().aead_cycles_per_byte * (8 * len(flat.aggregate) - 28)
+    assert extra % per_delivery == 0
     assert flat_cycles == hier_cycles
     assert flat.masks_repaired == hierarchical.masks_repaired
     assert flat.num_contributions == hierarchical.num_contributions
