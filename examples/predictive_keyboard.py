@@ -58,7 +58,7 @@ def main() -> None:
     blinded = {}
     for index, (user_id, vector) in enumerate(vectors.items()):
         blinded[user_id] = apply_mask(
-            codec.encode(list(vector)), blinding.mask_for(1, index)
+            codec.encode(list(vector)), blinding.mask_for(1, index).row()
         )
     leaked = attacker.accuracy(
         {u: np.array(codec.decode(b)) for u, b in blinded.items()}, labels
@@ -69,7 +69,7 @@ def main() -> None:
     evil_vector = poisoner.magnitude_attack(
         list(vectors.values())[0], 538.0
     ).vector
-    blinded_evil = apply_mask(codec.encode(list(evil_vector)), blinding.mask_for(1, 0))
+    blinded_evil = apply_mask(codec.encode(list(evil_vector)), blinding.mask_for(1, 0).row())
     total = codec.sum_vectors([blinded_evil] + list(blinded.values())[1:])
     skewed = np.array(codec.decode(total)) / NUM_USERS
     honest_mean = np.mean(np.stack(list(vectors.values())), axis=0)

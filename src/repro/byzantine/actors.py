@@ -68,7 +68,7 @@ from repro.crypto.commitments import (
     scalar_for_mask,
 )
 from repro.crypto.drbg import HmacDrbg
-from repro.crypto.masking import as_share
+from repro.crypto.masking import MaskShare
 from repro.errors import ConfigurationError, NetworkError
 from repro.perf import kernels
 from repro.runtime.endpoints import ClientEndpoint
@@ -210,7 +210,7 @@ class LyingBlinder:
         if self.mode == ATTACK_BLINDER_TAMPER_REVEAL:
             return self._tampered(opening)
         if self.mode == ATTACK_BLINDER_BARE_REVEAL:
-            return self._tampered(opening).mask
+            return self._tampered(opening).share.row()
         return opening
 
     def open_round(self, round_id, num_parties, length, subgroup_size=0):
@@ -245,7 +245,7 @@ class LyingBlinder:
         forged = _forge_commitments(
             self.inner.identity.group,
             honest,
-            [opening.mask for opening in openings],
+            [opening.share.row() for opening in openings],
             [opening.salt for opening in openings],
             [opening.randomizer for opening in openings],
         )
@@ -257,9 +257,11 @@ class LyingBlinder:
 def _shifted(opening: MaskOpening, delta: int) -> MaskOpening:
     """The same opening with its first mask word shifted by ``delta``: its
     share is the shifted row's words, whatever it was."""
-    row = opening.mask
+    share = opening.share
+    row = share.row()
     first = (int.from_bytes(row[:8], "big") + delta) % (1 << 64)
-    return dataclasses.replace(opening, share=as_share(first.to_bytes(8, "big") + row[8:]))
+    words = first.to_bytes(8, "big") + row[8:]
+    return dataclasses.replace(opening, share=MaskShare(share.length, words=words))
 
 
 def _forge_commitments(

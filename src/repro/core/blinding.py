@@ -21,7 +21,7 @@ from typing import Sequence
 
 from repro.crypto.fixedpoint import FixedPointCodec
 from repro.crypto.hashing import hash_items
-from repro.crypto.masking import MaskShare, apply_mask, as_share
+from repro.crypto.masking import MaskShare, apply_mask
 from repro.errors import (
     ConfigurationError,
     CryptoError,
@@ -46,9 +46,10 @@ class BlindingComponent:
     32-byte seed, or a last slot's words — beside the width its round's
     words cross at, which the engine decided at open
     (:func:`~repro.crypto.fixedpoint.ring_width`) and the Glimmer held to
-    its own bound before installing.  The row is expanded where it is
-    used, in :meth:`blind`, and only the blinded words are narrowed to
-    that width.  Reduction mod ``2^width`` keeps the family's sum zero, so
+    its own bound before installing.  The share is expanded once per use:
+    by the install's opening check, whose row the reuse digest reads, and
+    again in :meth:`blind`; only the blinded words are narrowed to that
+    width.  Reduction mod ``2^width`` keeps the family's sum zero, so
     the narrowed masks still cancel.
     """
 
@@ -61,31 +62,32 @@ class BlindingComponent:
         self,
         round_id: int,
         party_index: int,
-        mask: MaskShare | Sequence[int] | bytes,
+        share: MaskShare,
+        row: bytes,
         width: int,
     ) -> None:
-        """Store a delivered mask for one (round, party), as its share
-        (:func:`~repro.crypto.masking.as_share`), with the ``width`` its
-        round's words cross at.
+        """Store a delivered mask for one (round, party) as its ``share``,
+        with the ``width`` its round's words cross at.
 
-        Rejects double install for a slot, and rejects — with
-        :class:`~repro.errors.MaskVerificationError` — any mask whose
-        value this component has seen before under a *different* (round,
+        ``row`` is the share expanded, as the opening check that admitted
+        it built it.  Rejects double install for a slot, and rejects —
+        with :class:`~repro.errors.MaskVerificationError` — any mask whose
+        row this component has seen before under a *different* (round,
         party): mask reuse lets the blinding service difference two of
-        this client's contributions.
+        this client's contributions.  The digest is over the row, not the
+        share, so one row delivered as a seed in one round and as words in
+        another is still caught.  Only the share is kept.
         """
         key = (round_id, party_index)
         if key in self._masks:
             raise CryptoError(
                 f"mask for round {round_id} party {party_index} already installed"
             )
-        share = as_share(mask)
-        packed = share.row()
-        if packed.count(0) != len(packed):
+        if row.count(0) != len(row):
             # The all-zero mask is exempt: a single-party round's sum-zero
             # family is forced to it, so it legitimately recurs — and it
             # blinds nothing, so reusing it differences nothing new.
-            digest = hash_items("blinding-mask-reuse", [packed])
+            digest = hash_items("blinding-mask-reuse", [row])
             prior = self._seen_digests.get(digest)
             if prior is not None and prior != key:
                 raise MaskVerificationError(
@@ -135,10 +137,6 @@ class BlindingComponent:
         for key in stale:
             del self._masks[key]
         return len(stale)
-
-    def open_round_count(self) -> int:
-        """How many (round, party) masks are currently held (test hook)."""
-        return len(self._masks)
 
     def blind(
         self, round_id: int, party_index: int, values: Sequence[float]

@@ -154,7 +154,7 @@ class ConsortiumMember:
         outcome = self._predicate.evaluate(list(values), context, facts)
         if not outcome.passed:
             raise ValidationError(f"{self.name}: {outcome.reason}")
-        mask = kernels.as_ring(masks.mask_for(client_index)).tolist()
+        mask = kernels.as_ring(masks.share_for(client_index).row()).tolist()
         if self._include_plaintext:
             share = apply_mask(self.codec.encode(list(values)), mask)
         else:

@@ -553,8 +553,9 @@ class BlindStep(DeliveryStep):
         this Glimmer's own :attr:`~GlimmerConfig.magnitude`
         (:func:`~repro.crypto.fixedpoint.holds_sum`): an honest cohort's
         sum could wrap at it.  The opening's share — a seed, or a last
-        slot's words — is expanded and checked in ``Z/2^64``; only the
-        share is kept, and :meth:`_blind` expands it again.
+        slot's words — is expanded once and checked in ``Z/2^64``; the
+        reuse check reads that row, only the share is kept, and
+        :meth:`_blind` expands it again.
         """
         if not isinstance(commitment, MaskCommitmentRecord) or (
             commitment.round_id,
@@ -578,8 +579,8 @@ class BlindStep(DeliveryStep):
         )
         opening = decode_mask_payload(plaintext)
         self.api.charge_signature()  # two group exps, priced like a verify
-        verify_opening(commitment, party_index, opening)
-        self._blinding.install_mask(round_id, party_index, opening.share, width)
+        row = verify_opening(commitment, party_index, opening)
+        self._blinding.install_mask(round_id, party_index, opening.share, row, width)
 
     def _blind(
         self, round_id: int, party_index: int, values: Sequence[float]

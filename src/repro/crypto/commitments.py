@@ -78,7 +78,7 @@ from repro.crypto import group_ops
 from repro.crypto.dh import GROUPS, DHGroup
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.hashing import hash_bytes, hash_items, hash_to_int
-from repro.crypto.masking import MaskShare, as_share
+from repro.crypto.masking import MaskShare
 from repro.errors import ConfigurationError, MaskVerificationError, ProtocolViolation
 from repro.perf import kernels
 
@@ -232,30 +232,17 @@ class MaskOpening:
     ``share`` is the slot's :class:`~repro.crypto.masking.MaskShare`: its
     32-byte seed, or a subgroup's last slot's words.  The opening crosses
     to a Glimmer inside :func:`encode_mask_payload` and to the engine as a
-    dropout reveal; whoever holds it expands :attr:`mask` where it is
-    used, and once verified, the engine adds it into the one repair vector
-    ``FinalizeRound`` carries.  Iterating an opening yields the bare mask
-    words, so an in-process caller holding a reveal can hand it straight
-    to ``remove_mask``.  ``group`` is the commitments' group, which the
-    randomizer is spelled in on the wire.
+    dropout reveal.  Its holder expands the share once, in
+    :func:`verify_opening`, which returns the row it checked; the engine
+    adds a verified reveal's row into the one repair vector
+    ``FinalizeRound`` carries.  ``group`` is the commitments' group, which
+    the randomizer is spelled in on the wire.
     """
 
     share: MaskShare
     salt: bytes
     randomizer: int
     group: DHGroup | None = None
-
-    @property
-    def mask(self) -> bytes:
-        """The slot's mask as packed big-endian u64 words, expanded from
-        the share (:meth:`~repro.crypto.masking.MaskShare.row`)."""
-        return self.share.row()
-
-    def __iter__(self):
-        return iter(kernels.be_words(self.mask).tolist())
-
-    def __len__(self) -> int:
-        return self.share.length
 
 
 @wire(
@@ -492,8 +479,9 @@ def _checked_scalar(
     slot: int,
     opening: MaskOpening,
     weights: np.ndarray | None = None,
-) -> tuple[int, int]:
-    """All the cheap per-slot opening checks; ``(scalar, committed point)``.
+) -> tuple[int, int, bytes]:
+    """All the cheap per-slot opening checks; ``(scalar, committed point,
+    row)``, the row being the share expanded once, as the checks read it.
 
     Shape and hash commitment are checked here, the randomizer's range at
     decode (raising :class:`~repro.errors.MaskVerificationError`); the
@@ -541,7 +529,7 @@ def _checked_scalar(
     elif weights is None:
         weights = set_like.weights()
     scalar = _weighted_limb_sum(kernels.be_words(mask), weights, group.subgroup_order)
-    return scalar, point
+    return scalar, point, mask
 
 
 def verify_opening(
@@ -549,14 +537,15 @@ def verify_opening(
     slot: int,
     opening: MaskOpening,
     weights: np.ndarray | None = None,
-) -> None:
-    """Check one slot's delivered mask against the round commitments.
+) -> bytes:
+    """Check one slot's delivered mask against the round commitments, and
+    return the mask as the packed row the check expanded.
 
     Works from the full set (engine, at reveal) or from a single-slot
     record (Glimmer, at install).  Raises
     :class:`~repro.errors.MaskVerificationError` on any mismatch.
     """
-    scalar, point = _checked_scalar(commitments, slot, opening, weights)
+    scalar, point, mask = _checked_scalar(commitments, slot, opening, weights)
     set_like = commitments
     group = set_like.group
     h, u = pedersen_generators(group)
@@ -567,6 +556,7 @@ def verify_opening(
         raise MaskVerificationError(
             f"slot {slot}: delivered mask does not match its Pedersen commitment"
         )
+    return mask
 
 
 def batch_verify_openings(
@@ -605,7 +595,7 @@ def batch_verify_openings(
         return False
     size = group.element_size
     transcript_parts = [commitments.root()]
-    for slot, opening, scalar, point in checked:
+    for slot, opening, scalar, point, _ in checked:
         transcript_parts.append(slot.to_bytes(4, "big"))
         transcript_parts.append(opening.salt)
         transcript_parts.append(scalar.to_bytes(size, "big"))
@@ -614,7 +604,7 @@ def batch_verify_openings(
     scalars = group_ops.batch_scalars(transcript, len(checked))
     s_combined = 0
     r_combined = 0
-    for (slot, opening, scalar, point), z in zip(checked, scalars):
+    for (slot, opening, scalar, point, _), z in zip(checked, scalars):
         s_combined = (s_combined + z * scalar) % q
         r_combined = (r_combined + z * opening.randomizer) % q
     h, u = pedersen_generators(group)
@@ -622,36 +612,31 @@ def batch_verify_openings(
         group.power(h, s_combined) * group.power(u, r_combined)
     ) % group.prime
     rhs = group_ops.multi_power(
-        group.prime, [point for _, _, _, point in checked], scalars
+        group.prime, [point for _, _, _, point, _ in checked], scalars
     )
     return lhs == rhs
-
-
-Mask = MaskShare | bytes | Sequence[int]
-"""A slot's mask as a commitment reads it: its share, or its row."""
 
 
 def commit_masks(
     group: DHGroup,
     round_id: int,
-    masks: Sequence[Mask],
+    shares: Sequence[MaskShare],
     rng: HmacDrbg,
 ) -> tuple[MaskCommitmentSet, tuple[MaskOpening, ...]]:
     """Commit a round's mask family; returns the set and per-slot openings.
 
     The honest-blinder path: the provisioner calls this the moment a
     round's masks are sampled, publishes the set, and delivers each
-    opening (share + salt + randomizer) to its slot's recipient.  A mask
-    given as a share is opened as that share, a row as its words.
+    opening (share + salt + randomizer) to its slot's recipient.
     """
-    if not masks:
+    if not shares:
         raise ConfigurationError("cannot commit an empty mask family")
-    salts = [rng.generate(SALT_SIZE) for _ in range(len(masks))]
-    randomizers = [rng.randint(group.subgroup_order) for _ in range(len(masks))]
-    commitments = _commit_with(group, round_id, masks, salts, randomizers)
+    salts = [rng.generate(SALT_SIZE) for _ in range(len(shares))]
+    randomizers = [rng.randint(group.subgroup_order) for _ in range(len(shares))]
+    commitments = _commit_with(group, round_id, shares, salts, randomizers)
     openings = tuple(
-        MaskOpening(as_share(mask), salt, randomizer, group)
-        for mask, salt, randomizer in zip(masks, salts, randomizers)
+        MaskOpening(share, salt, randomizer, group)
+        for share, salt, randomizer in zip(shares, salts, randomizers)
     )
     return commitments, openings
 
@@ -659,37 +644,37 @@ def commit_masks(
 def recommit_masks(
     group: DHGroup,
     round_id: int,
-    masks: Sequence[Mask],
+    shares: Sequence[MaskShare],
     openings: Sequence[MaskOpening],
 ) -> MaskCommitmentSet:
     """Rebuild the exact commitment set from known openings.
 
-    Deterministic in its arguments: the same masks and openings give the
+    Deterministic in its arguments: the same shares and openings give the
     byte-identical set :func:`commit_masks` published when it drew them.
     """
     salts = [opening.salt for opening in openings]
     randomizers = [opening.randomizer for opening in openings]
-    return _commit_with(group, round_id, masks, salts, randomizers)
+    return _commit_with(group, round_id, shares, salts, randomizers)
 
 
 def _commit_with(
     group: DHGroup,
     round_id: int,
-    masks: Sequence[Mask],
+    shares: Sequence[MaskShare],
     salts: Sequence[bytes],
     randomizers: Sequence[int],
 ) -> MaskCommitmentSet:
-    # One slot at a time: a row is expanded from its share (or read as
-    # given), hashed into its slot's commitment and folded into the
-    # limb-column sums, then dropped.  The sums fix the root, the root the
-    # weights; a second pass expands each row again for its scalar.  So a
-    # round's commit holds one row, never the family.
-    num_slots = len(masks)
+    # One slot at a time: a row is expanded from its share, hashed into
+    # its slot's commitment and folded into the limb-column sums, then
+    # dropped.  The sums fix the root, the root the weights; a second pass
+    # expands each row again for its scalar.  So a round's commit holds
+    # one row, never the family.
+    num_slots = len(shares)
     q = group.subgroup_order
     hash_commitments = []
     limb_sums = None
-    for slot, mask in enumerate(masks):
-        row = as_share(mask).row()
+    for slot, share in enumerate(shares):
+        row = share.row()
         words = kernels.be_words(row)
         if limb_sums is None:
             limb_sums = np.zeros((words.size, LIMBS), dtype=np.uint64)
@@ -715,8 +700,8 @@ def _commit_with(
     h, u = pedersen_generators(group)
     weights = partial.weights()
     points = []
-    for mask, randomizer in zip(masks, randomizers):
-        scalar = scalar_for_mask(partial, as_share(mask).row(), weights)
+    for share, randomizer in zip(shares, randomizers):
+        scalar = scalar_for_mask(partial, share.row(), weights)
         points.append(
             (group.power(h, scalar) * group.power(u, randomizer)) % group.prime
         )

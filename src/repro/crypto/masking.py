@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -89,27 +88,13 @@ class MaskShare:
         return self.words
 
 
-def as_share(mask: MaskShare | bytes | Sequence[int]) -> MaskShare:
-    """A mask as its share: a share as given, a row as its words."""
-    if isinstance(mask, MaskShare):
-        return mask
-    words = kernels.be_words_to_bytes(mask)
-    return MaskShare(len(words) // 8, words=words)
-
-
-def _row_of(mask) -> bytes | Sequence[int]:
-    return mask.row() if isinstance(mask, MaskShare) else mask
-
-
 @dataclass(frozen=True)
 class SumZeroMasks:
     """A family of N ring vectors whose component-wise sum is zero.
 
     The family is its :class:`MaskShare`\\ s: a seed for every slot but the
-    last, the last slot's words.  :attr:`masks` expands them into read-only
-    rows of packed big-endian u64 words, the form every ring vector takes
-    on the bus, once, on first use; a party that only hands shares out
-    (the blinder) never asks for it, so it holds one row per family.
+    last, the last slot's words.  No row is held: whoever uses one expands
+    it from its share (:meth:`MaskShare.row`).
     """
 
     shares: tuple[MaskShare, ...]
@@ -138,20 +123,6 @@ class SumZeroMasks:
             total += kernels.be_words(share.row())
         last = MaskShare(length, words=kernels.be_words_to_bytes(kernels.ring_neg(total)))
         return cls(shares=(*seeded, last))
-
-    @classmethod
-    def of_rows(cls, rows: Sequence[bytes]) -> "SumZeroMasks":
-        """A family given as its packed rows: every share is words."""
-        return cls(tuple(map(as_share, rows)))
-
-    @cached_property
-    def masks(self) -> tuple[bytes, ...]:
-        """Every mask, as its packed row, in slot order."""
-        return tuple(share.row() for share in self.shares)
-
-    def mask_for(self, party_index: int) -> bytes:
-        """One party's mask, as its packed row."""
-        return self.masks[party_index]
 
     def share_for(self, party_index: int) -> MaskShare:
         """One party's mask as it is handed out."""
@@ -232,18 +203,10 @@ class GroupedSumZeroMasks:
         group = self.plan.group_of(party_index)
         return self.group_family(group).share_for(self.plan.local_index(party_index))
 
-    def mask_for(self, party_index: int) -> bytes:
-        return self.share_for(party_index).row()
-
     @property
     def shares(self) -> tuple[MaskShare, ...]:
         """Every slot's share, in slot order: what a round commits to."""
         return tuple(self.share_for(slot) for slot in range(self.plan.num_slots))
-
-    @property
-    def masks(self) -> tuple[bytes, ...]:
-        """All masks in slot order, each expanded from its share: O(n·k)."""
-        return tuple(share.row() for share in self.shares)
 
     def verify_sum_zero(self) -> bool:
         """Each subgroup independently sums to zero (hence so does the whole)."""
@@ -253,21 +216,21 @@ class GroupedSumZeroMasks:
         return True
 
 
-def apply_mask(encoded: Sequence[int], mask: Sequence[int] | MaskShare) -> list[int]:
+def apply_mask(encoded: Sequence[int], mask: Sequence[int]) -> list[int]:
     """Blind an encoded contribution: ``y_i = x_i + p_i`` in the ring.
 
-    Either side may be packed words (:func:`repro.perf.kernels.as_ring`),
-    and the mask a :class:`MaskShare`.
+    Either side may be packed words (:func:`repro.perf.kernels.as_ring`);
+    a mask held as its :class:`MaskShare` is passed as :meth:`MaskShare.row`.
     """
-    encoded, mask = kernels.as_ring(encoded), kernels.as_ring(_row_of(mask))
+    encoded, mask = kernels.as_ring(encoded), kernels.as_ring(mask)
     if len(encoded) != len(mask):
         raise ConfigurationError("mask length does not match vector length")
     return kernels.ring_add(encoded, mask).tolist()
 
 
-def remove_mask(blinded: Sequence[int], mask: Sequence[int] | MaskShare) -> list[int]:
+def remove_mask(blinded: Sequence[int], mask: Sequence[int]) -> list[int]:
     """Inverse of :func:`apply_mask` (used for dropout repair and tests)."""
-    blinded, mask = kernels.as_ring(blinded), kernels.as_ring(_row_of(mask))
+    blinded, mask = kernels.as_ring(blinded), kernels.as_ring(mask)
     if len(blinded) != len(mask):
         raise ConfigurationError("mask length does not match vector length")
     return kernels.ring_sub(blinded, mask).tolist()

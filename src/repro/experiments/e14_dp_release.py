@@ -32,6 +32,7 @@ from repro.experiments.common import Deployment
 from repro.federated.metrics import top1_accuracy
 from repro.federated.model import BigramModel
 from repro.invariants import Verdict, judge
+from repro.runtime.telemetry import RoundReport
 
 #: Seed suffixes of the draws a σ > 0 row averages; σ = 0 is one exact round.
 DRAWS = (b"",) + tuple(b":%d" % draw for draw in range(1, 8))
@@ -87,12 +88,19 @@ def run(
             trending = model.top_prediction("donald") == "trump"
             draws.append((error, top1_accuracy(model, holdout), trending))
         error, utility, share = (float(np.mean(column)) for column in zip(*draws))
-
-        # One user's weights lie in [0,1]^d, so replacing a user moves the
-        # *mean* by at most sqrt(d)/N in L2; per-client noise sigma yields
-        # aggregate noise sigma/sqrt(N).
-        l2_sensitivity = math.sqrt(len(deployment.features)) / num_users
-        aggregate_sigma = sigma / math.sqrt(num_users)
-        epsilon = gaussian_epsilon(l2_sensitivity, aggregate_sigma)
+        epsilon = release_epsilon(deployment.last_report, len(deployment.features), sigma)
         rows.append((sigma, epsilon, error, utility, share, share > 0.5))
     return DpReleaseResult(rows=rows, verdict=verdict)
+
+
+def release_epsilon(report: RoundReport, length: int, sigma: float) -> float:
+    """ε (δ = 1e-5) of one round's released mean, at the noise it carried.
+
+    The mean is over the ``m`` contributions the round counted,
+    ``report.num_contributions``, not over the users asked.  One user's
+    weights lie in ``[0, 1]^length``, so replacing a user moves the mean by
+    at most ``√length/m`` in L2, and ``m`` noise shares of per-client
+    ``sigma`` leave ``sigma/√m`` on it.
+    """
+    counted = report.num_contributions
+    return gaussian_epsilon(math.sqrt(length) / counted, sigma / math.sqrt(counted))

@@ -73,7 +73,7 @@ def _no_glimmer_round(vectors, attacker_ids, magnitude, features, target, codec,
         if user_id in attacker_ids:
             vector = poisoner.magnitude_attack(vector, magnitude).vector
         submitted.append(
-            apply_mask(codec.encode(list(vector)), service.mask_for(1, index))
+            apply_mask(codec.encode(list(vector)), service.mask_for(1, index).row())
         )
     total = codec.sum_vectors(submitted)
     return codec.decode(total) / len(user_ids)

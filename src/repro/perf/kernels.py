@@ -240,15 +240,6 @@ def pack_words(words: Sequence[int] | np.ndarray | bytes, bits: int) -> bytes:
     return np.packbits(np.unpackbits(top, axis=1, count=bits)).tobytes()
 
 
-def bytes_to_be_words(payload: bytes) -> tuple[int, ...]:
-    """Inverse of :func:`be_words_to_bytes`; returns Python ints.
-
-    ``payload`` length must be a multiple of 8 — callers validate framing
-    before parsing, exactly as the scalar loops did.
-    """
-    return tuple(be_words(payload).tolist())
-
-
 def be_doubles_to_bytes(values: Sequence[float] | np.ndarray) -> bytes:
     """``struct.pack(f">{len(values)}d", *values)``, in one pass.
 

@@ -76,7 +76,7 @@ def run_stream_smoke(
     for group in range(plan.num_groups):
         family = masks.group_family(group)
         for local, slot in enumerate(plan.slots_in(group)):
-            mask = kernels.as_ring(family.mask_for(local))
+            mask = kernels.as_ring(family.share_for(local).row())
             if dropout_stride and slot % dropout_stride == 0:
                 # §3 repair: the blinder reveals the dropped slot's mask
                 # and the service folds it; within the slot's subgroup

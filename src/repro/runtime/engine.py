@@ -918,34 +918,35 @@ class RoundEngine:
 
         The blinder reveals a full
         :class:`~repro.crypto.commitments.MaskOpening` — the slot's seed,
-        or a last slot's words — and the engine expands it and verifies the
-        mask against the slot's published commitment before trusting it.  A blinder that reveals a mask other than the one it
-        committed to — or bare words with no opening to check — is
-        blamed and the round aborts: §3 repair never silently folds a
+        or a last slot's words — and the engine verifies the mask against
+        the slot's published commitment before trusting it, then sums the
+        row the check expanded.  A blinder that reveals a mask other than
+        the one it committed to — or bare words with no opening to check —
+        is blamed and the round aborts: §3 repair never silently folds a
         forged mask into the aggregate.  ``preverified`` marks reveals
         already covered by a successful :meth:`_batch_verified_reveals`
         sweep, whose checks subsume this slot's.
         """
-        if not preverified:
-            try:
-                if not isinstance(revealed, MaskOpening):
-                    raise MaskVerificationError(
-                        f"reveal is a {type(revealed).__name__}, not an opening"
-                    )
-                verify_opening(record.commitments, slot, revealed)
-            except MaskVerificationError as exc:
-                self.monitor.record(
-                    record.round_id,
-                    BLINDER,
-                    VIOLATION_MASK_OPENING,
-                    f"dropout reveal for slot {slot}: {exc}",
+        if preverified:
+            return revealed.share.row()
+        try:
+            if not isinstance(revealed, MaskOpening):
+                raise MaskVerificationError(
+                    f"reveal is a {type(revealed).__name__}, not an opening"
                 )
-                raise self._abort(
-                    record,
-                    f"blinding service revealed a mask for slot {slot} "
-                    f"that does not match its commitment: {exc}",
-                )
-        return revealed.mask
+            return verify_opening(record.commitments, slot, revealed)
+        except MaskVerificationError as exc:
+            self.monitor.record(
+                record.round_id,
+                BLINDER,
+                VIOLATION_MASK_OPENING,
+                f"dropout reveal for slot {slot}: {exc}",
+            )
+            raise self._abort(
+                record,
+                f"blinding service revealed a mask for slot {slot} "
+                f"that does not match its commitment: {exc}",
+            )
 
     def _reconcile_consumed(self, record: _RoundRecord) -> None:
         """Adopt acceptances the service holds that the engine never saw.

@@ -10,6 +10,7 @@ from repro.core.glimmer import GlimmerConfig, pack_features
 from repro.crypto.fixedpoint import ring_width
 from repro.errors import ConfigurationError
 from repro.experiments.common import Deployment
+from repro.experiments.e14_dp_release import release_epsilon
 from tests.core.conftest import unblinded
 
 
@@ -84,7 +85,7 @@ def test_noise_is_enclave_private():
     # the codec's own bound needs.
     width = deployment.engine.round_record(1).width
     assert width == ring_width(1)
-    noised = deployment.codec.decode(unblinded(signed.ring_payload, mask.mask, width))
+    noised = deployment.codec.decode(unblinded(signed.ring_payload, mask.share.row(), width))
     # What comes out is x + noise, not x.
     assert float(np.max(np.abs(np.array(noised) - np.array(vector)))) > 0.01
 
@@ -122,6 +123,26 @@ def test_gaussian_epsilon_at_e14s_rows(sigma, epsilon):
     Δ = √77/10, and per-client noise σ gives σ/√10 on the aggregate."""
     exact = gaussian_epsilon(math.sqrt(77) / 10, sigma / math.sqrt(10))
     assert exact == pytest.approx(epsilon, rel=1e-6)
+
+
+def test_e14_epsilon_follows_the_contributions_counted():
+    """Two of ten users drop: the released mean is over eight, so Δ = √k/8
+    and its noise σ/√8, not √k/10 and σ/√10."""
+    deployment = Deployment.build(num_users=10, seed=b"dp-counted", dp_sigma=1.0)
+    users = [user.user_id for user in deployment.corpus.users]
+    report = deployment.engine.run_round(
+        1,
+        users,
+        deployment.local_vectors(),
+        deployment.features.bigrams,
+        dropouts=users[:2],
+        recovery_threshold=0.5,
+    )
+    assert report.num_contributions == 8
+    k = len(deployment.features)
+    epsilon = release_epsilon(report, k, 1.0)
+    assert epsilon == gaussian_epsilon(math.sqrt(k) / 8, 1.0 / math.sqrt(8))
+    assert epsilon > gaussian_epsilon(math.sqrt(k) / 10, 1.0 / math.sqrt(10))
 
 
 @pytest.mark.parametrize("ratio", [0.01, 0.3, 1.0, 4.0, 60.0])

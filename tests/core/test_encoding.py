@@ -28,7 +28,7 @@ def _float_vector(values):
 def _ring_vector(values):
     """Ring words through the codec, as a sequence and packed."""
     packed = codec.decode(codec.encode(kernels.be_words_to_bytes(values)))
-    assert list(kernels.bytes_to_be_words(packed)) == list(values)
+    assert kernels.be_words(packed).tolist() == list(values)
     return codec.decode(codec.encode(list(values)))
 
 

@@ -124,7 +124,7 @@ def test_process_blinded_contribution_hides_values(round_setup):
     assert signed.ring_payload != kernels.pack_words(encoded, width)
     # The mask provisioned for party 0 recovers the true values.
     mask = deployment.blinder_provisioner.reveal_dropout_mask(1, 0)
-    recovered = deployment.codec.decode(unblinded(signed.ring_payload, mask.mask, width))
+    recovered = deployment.codec.decode(unblinded(signed.ring_payload, mask.share.row(), width))
     assert list(recovered) == pytest.approx(values)
 
 

@@ -138,7 +138,7 @@ def test_blinded_round_with_dropout_repair(fresh_deployment):
     dropout_mask = deployment.blinder_provisioner.reveal_dropout_mask(
         1, len(user_ids) - 1
     )
-    repair = kernels.pack_words(dropout_mask.mask, deployment.engine.round_record(1).width)
+    repair = kernels.pack_words(dropout_mask.share.row(), deployment.engine.round_record(1).width)
     result = deployment.service.finalize_blinded_round(1, repair, 1)
     expected = np.mean(np.stack([vectors[u] for u in submitted]), axis=0)
     assert np.allclose(result.aggregate, expected, atol=1e-3)

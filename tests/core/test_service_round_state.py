@@ -85,11 +85,11 @@ def test_finalize_equals_recomputation_and_exact_mean(route, case, reducer):
     assert list(state.counted) == [signed[slot].nonce for slot in counted]
 
     masks = [blinder.reveal_dropout_mask(1, slot) for slot in sorted(repaired)]
-    repair = kernels.ring_accumulate(o.mask for o in masks) if masks else None
+    repair = kernels.ring_accumulate(o.share.row() for o in masks) if masks else None
     result = service.finalize_blinded_round(1, repair, len(masks))
     codec = deployment.codec
     payloads = [signed[slot].ring_payload for slot in counted]
-    openings = [opening.mask for opening in masks]
+    openings = [opening.share.row() for opening in masks]
     width = deployment.engine.round_record(1).width
     assert width == ring_width(USERS, 1.0)
     recomputed = _ring_mean(codec, payloads, openings, len(counted), width)

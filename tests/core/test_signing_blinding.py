@@ -125,10 +125,10 @@ def test_blinding_component_roundtrip():
     codec = FixedPointCodec()
     component = BlindingComponent()
     masks = SumZeroMasks.sample(2, 3, HmacDrbg(b"bl"))
-    component.install_mask(7, 0, masks.mask_for(0), ring_width(2))
+    component.install_mask(7, 0, masks.share_for(0), masks.share_for(0).row(), ring_width(2))
     blinded = component.blind(7, 0, [0.5, -0.25, 1.0])
     assert type(blinded) is bytes and len(blinded) == -(-ring_width(2) * 3 // 8)
-    assert list(codec.decode(unblinded(blinded, masks.mask_for(0), ring_width(2)))) == pytest.approx(
+    assert list(codec.decode(unblinded(blinded, masks.share_for(0).row(), ring_width(2)))) == pytest.approx(
         [0.5, -0.25, 1.0]
     )
 
@@ -136,7 +136,7 @@ def test_blinding_component_roundtrip():
 def test_blinding_mask_single_use():
     component = BlindingComponent()
     masks = SumZeroMasks.sample(2, 2, HmacDrbg(b"bl"))
-    component.install_mask(1, 0, masks.mask_for(0), ring_width(2))
+    component.install_mask(1, 0, masks.share_for(0), masks.share_for(0).row(), ring_width(2))
     component.blind(1, 0, [0.1, 0.2])
     with pytest.raises(CryptoError):
         component.blind(1, 0, [0.1, 0.2])
@@ -145,11 +145,11 @@ def test_blinding_mask_single_use():
 def test_blinding_double_install_rejected():
     component = BlindingComponent()
     masks = SumZeroMasks.sample(2, 2, HmacDrbg(b"bl"))
-    component.install_mask(1, 0, masks.mask_for(0), ring_width(2))
+    component.install_mask(1, 0, masks.share_for(0), masks.share_for(0).row(), ring_width(2))
     with pytest.raises(CryptoError):
-        component.install_mask(1, 0, masks.mask_for(1), ring_width(2))
+        component.install_mask(1, 0, masks.share_for(1), masks.share_for(1).row(), ring_width(2))
     # a different party slot in the same round is fine (shared remote Glimmer)
-    component.install_mask(1, 1, masks.mask_for(1), ring_width(2))
+    component.install_mask(1, 1, masks.share_for(1), masks.share_for(1).row(), ring_width(2))
 
 
 def test_blinding_missing_mask_rejected():
@@ -163,21 +163,21 @@ def test_blinding_length_mismatch_rejected():
     right-length contribution still blinds with it."""
     component = BlindingComponent()
     masks = SumZeroMasks.sample(2, 2, HmacDrbg(b"bl"))
-    component.install_mask(1, 0, masks.mask_for(0), ring_width(2))
+    component.install_mask(1, 0, masks.share_for(0), masks.share_for(0).row(), ring_width(2))
     for wrong in ([0.5, 0.5, 0.5], [0.5]):
         with pytest.raises(ValidationError, match="does not match"):
             component.blind(1, 0, wrong)
         assert component.has_mask(1, 0)
     blinded = component.blind(1, 0, [0.5, 0.25])
     assert not component.has_mask(1, 0)
-    assert list(FixedPointCodec().decode(unblinded(blinded, masks.mask_for(0), ring_width(2)))) == [0.5, 0.25]
+    assert list(FixedPointCodec().decode(unblinded(blinded, masks.share_for(0).row(), ring_width(2)))) == [0.5, 0.25]
 
 
 def test_has_mask():
     component = BlindingComponent()
     assert not component.has_mask(1)
     masks = SumZeroMasks.sample(2, 2, HmacDrbg(b"bl"))
-    component.install_mask(1, 0, masks.mask_for(0), ring_width(2))
+    component.install_mask(1, 0, masks.share_for(0), masks.share_for(0).row(), ring_width(2))
     assert component.has_mask(1)
     assert not component.has_mask(1, party_index=1)
     component.blind(1, 0, [0.1, 0.2])

@@ -106,7 +106,7 @@ def test_split_end_to_end(split_setup):
     request = ProcessRequest(round_id=1, values=VALUES, features=pack_features(FEATURES))
     signed = split.process_contribution(request)
     deployment.signing_keypair.public_key.verify(signed.signed_bytes(), signed.signature)
-    mask = blinder_prov.blinding.mask_for(1, 0)
+    mask = blinder_prov.blinding.mask_for(1, 0).row()
     recovered = deployment.codec.decode(
         unblinded(signed.ring_payload, mask, ring_width(1))
     )
@@ -302,7 +302,7 @@ def test_split_adds_the_measured_dp_noise(split_setup):
         ProcessRequest(round_id=1, values=VALUES, features=pack_features(FEATURES))
     )
     noised = deployment.codec.decode(
-        unblinded(signed.ring_payload, blinder_prov.blinding.mask_for(1, 0), ring_width(1))
+        unblinded(signed.ring_payload, blinder_prov.blinding.mask_for(1, 0).row(), ring_width(1))
     )
     assert list(noised) != pytest.approx([0.5, 0.25, 1.0])
 

@@ -23,7 +23,7 @@ from repro.crypto.commitments import (
     weight_digits,
 )
 from repro.crypto.drbg import HmacDrbg
-from repro.crypto.masking import SumZeroMasks, as_share
+from repro.crypto.masking import MaskShare, SumZeroMasks
 from repro.errors import ConfigurationError, MaskVerificationError
 from repro.experiments.common import Deployment
 from repro.perf import kernels
@@ -42,7 +42,7 @@ def _family(seed: bytes = b"commit-test") -> SumZeroMasks:
 def _commit(seed: bytes = b"commit-test"):
     family = _family(seed)
     commitments, openings = commit_masks(
-        GROUP, 1, family.masks, HmacDrbg(seed, personalization="c")
+        GROUP, 1, family.shares, HmacDrbg(seed, personalization="c")
     )
     return family, commitments, openings
 
@@ -53,19 +53,18 @@ def test_honest_commitments_validate_open_and_sum_to_zero():
         round_id=1, num_slots=NUM_SLOTS, vector_length=LENGTH
     )
     for slot, opening in enumerate(openings):
-        assert opening.mask is family.masks[slot]
-        verify_opening(commitments, slot, opening)
-        verify_opening(commitments.record_for(slot), slot, opening)
+        assert opening.share is family.shares[slot]
+        assert verify_opening(commitments, slot, opening) == opening.share.row()
+        assert verify_opening(commitments.record_for(slot), slot, opening) == opening.share.row()
     commitments.verify_sum_zero()
 
 
 def test_tampered_mask_fails_its_opening():
     _, commitments, openings = _commit()
     opening = openings[0]
-    words = list(opening)
-    tampered = dataclasses.replace(
-        opening, share=as_share(kernels.be_words_to_bytes([words[0] ^ 1] + words[1:]))
-    )
+    words = kernels.be_words(opening.share.row()).tolist()
+    flipped = kernels.be_words_to_bytes([words[0] ^ 1] + words[1:])
+    tampered = dataclasses.replace(opening, share=MaskShare(LENGTH, words=flipped))
     with pytest.raises(MaskVerificationError):
         verify_opening(commitments, 0, tampered)
     with pytest.raises(MaskVerificationError):
@@ -113,7 +112,7 @@ def test_family_summing_to_zero_only_in_a_narrower_ring_fails_structure_validati
     assert all(sum(column) % (1 << 32) == 0 for column in zip(*words))
     assert all(sum(column) % (1 << 64) for column in zip(*words))
     commitments, _ = commit_masks(
-        GROUP, 1, [kernels.be_words_to_bytes(row) for row in words], rng
+        GROUP, 1, [MaskShare(LENGTH, words=kernels.be_words_to_bytes(row)) for row in words], rng
     )
     with pytest.raises(MaskVerificationError, match="violate sum-zero at component 0"):
         commitments.validate_structure(
@@ -140,14 +139,17 @@ def test_forged_claims_pass_slot_checks_but_fail_the_homomorphic_check():
     per-slot, over a family that is NOT sum-zero, must still be caught —
     and only the homomorphic finalize check can catch it."""
     family, honest, _ = _commit()
-    masks = [kernels.as_ring(mask) for mask in family.masks]
+    masks = [kernels.as_ring(share.row()) for share in family.shares]
     masks[0][0] += np.uint64(538)
-    corrupt = SumZeroMasks.of_rows(tuple(map(kernels.be_words_to_bytes, masks)))
+    corrupt = SumZeroMasks(
+        tuple(MaskShare(LENGTH, words=kernels.be_words_to_bytes(mask)) for mask in masks)
+    )
     assert not corrupt.verify_sum_zero()
     rng = HmacDrbg(b"forge", personalization="forge")
     salts = [rng.generate(32) for _ in range(NUM_SLOTS)]
     randomizers = [rng.randint(GROUP.subgroup_order) for _ in range(NUM_SLOTS)]
-    forged = _forge_commitments(GROUP, honest, corrupt.masks, salts, randomizers)
+    rows = [share.row() for share in corrupt.shares]
+    forged = _forge_commitments(GROUP, honest, rows, salts, randomizers)
     forged.validate_structure(round_id=1, num_slots=NUM_SLOTS, vector_length=LENGTH)
     for slot in range(NUM_SLOTS):
         verify_opening(
@@ -165,7 +167,7 @@ def test_forged_claims_pass_slot_checks_but_fail_the_homomorphic_check():
 
 def test_recommit_reproduces_the_exact_set():
     family, commitments, openings = _commit()
-    rebuilt = recommit_masks(GROUP, 1, family.masks, openings)
+    rebuilt = recommit_masks(GROUP, 1, family.shares, openings)
     assert rebuilt == commitments
     assert rebuilt.root() == commitments.root()
 

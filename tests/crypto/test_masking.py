@@ -26,12 +26,13 @@ def test_masks_sum_to_zero():
 
 def test_single_party_mask_is_zero():
     masks = SumZeroMasks.sample(1, 4, rng())
-    assert masks.mask_for(0) == bytes(8 * 4)
+    assert masks.share_for(0).row() == bytes(8 * 4)
 
 
 def test_two_party_masks_negate():
     masks = SumZeroMasks.sample(2, 3, rng())
-    for a, b in zip(kernels.as_ring(masks.mask_for(0)), kernels.as_ring(masks.mask_for(1))):
+    rows = [kernels.as_ring(share.row()) for share in masks.shares]
+    for a, b in zip(*rows):
         assert (int(a) + int(b)) % MODULUS == 0
 
 
@@ -39,9 +40,9 @@ def test_a_family_is_packed_rows():
     """k = 4,096 over 8 slots is 8 read-only rows of 32,768 packed bytes:
     8 bytes a word, and not one Python int per word."""
     masks = SumZeroMasks.sample(8, 4096, rng())
-    assert type(masks.masks) is tuple and len(masks.masks) == 8
-    assert all(type(row) is bytes and len(row) == 32768 for row in masks.masks)
-    assert masks.mask_for(3) is masks.masks[3]
+    assert type(masks.shares) is tuple and len(masks.shares) == 8
+    assert all(type(share.row()) is bytes and len(share.row()) == 32768 for share in masks.shares)
+    assert masks.share_for(3) is masks.shares[3]
     assert masks.verify_sum_zero()
 
 
@@ -55,8 +56,8 @@ def test_invalid_parameters():
 def test_apply_remove_roundtrip():
     masks = SumZeroMasks.sample(3, 5, rng())
     vector = [10, 20, 30, 40, 50]
-    blinded = apply_mask(vector, masks.mask_for(1))
-    assert remove_mask(blinded, masks.mask_for(1)) == vector
+    blinded = apply_mask(vector, masks.share_for(1).row())
+    assert remove_mask(blinded, masks.share_for(1).row()) == vector
 
 
 def test_apply_mask_length_mismatch():
@@ -72,7 +73,7 @@ def test_blinded_sum_equals_true_sum():
     masks = SumZeroMasks.sample(4, 3, rng())
     xs = [[1.0, 2.0, 3.0], [0.5, -1.0, 2.5], [-2.0, 0.0, 1.0], [4.0, 4.0, 4.0]]
     blinded = [
-        apply_mask(codec.encode(x), masks.mask_for(i)) for i, x in enumerate(xs)
+        apply_mask(codec.encode(x), masks.share_for(i).row()) for i, x in enumerate(xs)
     ]
     total = codec.decode(codec.sum_vectors(blinded))
     expect = [sum(col) for col in zip(*xs)]
@@ -84,7 +85,7 @@ def test_single_blinded_vector_hides_contribution():
     codec = FixedPointCodec()
     masks = SumZeroMasks.sample(4, 2, rng())
     x = [0.9, 0.1]
-    blinded = apply_mask(codec.encode(x), masks.mask_for(0))
+    blinded = apply_mask(codec.encode(x), masks.share_for(0).row())
     assert blinded != codec.encode(x)
 
 
@@ -111,13 +112,13 @@ def test_dropout_repair_restores_exact_sum():
     service.open_round(1, num_parties=4, length=2)
     xs = [[1.0, 1.0], [2.0, 2.0], [3.0, 3.0], [4.0, 4.0]]
     blinded = {
-        i: apply_mask(codec.encode(xs[i]), service.mask_for_dropout(1, i))
+        i: apply_mask(codec.encode(xs[i]), service.mask_for_dropout(1, i).row())
         for i in range(4)
     }
     # Party 2 drops: since Σp = 0, the partial sum is off by -p_2, so the
     # repair *adds* the dropped party's mask back in.
     partial = codec.sum_vectors([blinded[i] for i in (0, 1, 3)])
-    repaired = apply_mask(partial, service.mask_for_dropout(1, 2))
+    repaired = apply_mask(partial, service.mask_for_dropout(1, 2).row())
     assert list(codec.decode(repaired)) == pytest.approx([7.0, 7.0])
 
 
@@ -129,5 +130,5 @@ def test_dropout_repair_restores_exact_sum():
 def test_sum_zero_property(num_parties, length):
     masks = SumZeroMasks.sample(num_parties, length, rng())
     assert masks.verify_sum_zero()
-    assert len(masks.masks) == num_parties
-    assert all(len(mask) == 8 * length for mask in masks.masks)
+    assert len(masks.shares) == num_parties
+    assert all(len(share.row()) == 8 * length for share in masks.shares)

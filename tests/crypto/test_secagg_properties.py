@@ -90,12 +90,12 @@ def test_sum_zero_scheme_exact_under_any_dropout(num_parties, length, dropouts, 
         for i in range(num_parties)
     }
     blinded = [
-        apply_mask(codec.encode(values[i]), service.mask_for(1, i))
+        apply_mask(codec.encode(values[i]), service.mask_for(1, i).row())
         for i in survivors
     ]
     total = codec.sum_vectors(blinded)
     for dropped in sorted(dropouts):
-        total = apply_mask(total, service.mask_for_dropout(1, dropped))
+        total = apply_mask(total, service.mask_for_dropout(1, dropped).row())
     recovered = codec.decode(total)
     expected = [sum(values[i][j] for i in survivors) for j in range(length)]
     assert list(recovered) == pytest.approx(expected, abs=1e-3)

@@ -216,7 +216,7 @@ def verify_openings_naive(commitments, openings) -> bool:
     weights = commitments.weights()
     for slot, opening in openings:
         try:
-            scalar, point = _checked_scalar(commitments, slot, opening, weights)
+            scalar, point, _ = _checked_scalar(commitments, slot, opening, weights)
         except MaskVerificationError:
             return False
         expected = (

@@ -114,6 +114,6 @@ def test_root_matches_the_per_item_framing(length, slots, seed):
     is the one that hashing each claim as its own item gives."""
     rng = HmacDrbg(seed.to_bytes(4, "big"), personalization="root")
     family = SumZeroMasks.sample(slots, length, rng)
-    commitments, _ = commit_masks(TEST_GROUP, seed, family.masks, rng)
+    commitments, _ = commit_masks(TEST_GROUP, seed, family.shares, rng)
     assert len(commitments.column_sums) == 8 * length * LIMBS
     assert commitments.root() == reference.commitment_root_scalar(commitments)

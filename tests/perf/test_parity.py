@@ -38,7 +38,13 @@ from repro.core.service import CloudService
 from repro.crypto.dh import TEST_GROUP
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.fixedpoint import FixedPointCodec
-from repro.crypto.masking import BlindingService, SumZeroMasks, apply_mask, remove_mask
+from repro.crypto.masking import (
+    BlindingService,
+    MaskShare,
+    SumZeroMasks,
+    apply_mask,
+    remove_mask,
+)
 from repro.crypto.schnorr import SchnorrKeyPair
 from repro.crypto.secagg import _expand_mask
 from repro.errors import ConfigurationError
@@ -65,7 +71,7 @@ def _words(seed: bytes, length: int) -> list[int]:
 def test_sum_zero_sampling_matches_scalar(length):
     fast = SumZeroMasks.sample(4, length, HmacDrbg(b"parity-sample"))
     slow = reference.sample_sum_zero_scalar(4, length, HmacDrbg(b"parity-sample"))
-    assert list(fast.masks) == slow
+    assert [share.row() for share in fast.shares] == slow
     assert fast.verify_sum_zero()
 
 
@@ -129,7 +135,7 @@ def test_as_ring_reads_packed_bytes_as_be_words():
     assert kernels.as_ring(memoryview(packed)).tolist() == words
     assert kernels.as_ring_rows([packed, packed[::-1]]).tolist() == [
         words,
-        list(kernels.bytes_to_be_words(packed[::-1])),
+        kernels.be_words(packed[::-1]).tolist(),
     ]
     assert kernels.ring_accumulate([packed, packed]).tolist() == [
         (2 * w) % (1 << 64) for w in words
@@ -204,8 +210,8 @@ def test_serialization_round_trip_matches_scalar(length):
     words = _words(b"parity-serial", length)
     payload = kernels.be_words_to_bytes(words)
     assert payload == reference.words_to_bytes_scalar(words)
-    assert kernels.bytes_to_be_words(payload) == tuple(words)
-    assert kernels.bytes_to_be_words(payload) == reference.bytes_to_words_scalar(
+    assert tuple(kernels.be_words(payload).tolist()) == tuple(words)
+    assert tuple(kernels.be_words(payload).tolist()) == reference.bytes_to_words_scalar(
         payload
     )
 
@@ -267,11 +273,11 @@ def test_commitment_column_sums_match_scalar_loop(length):
     group = resolve_group("test-64bit")
     family = SumZeroMasks.sample(3, length, HmacDrbg(b"parity-commit"))
     commitments, openings = commit_masks(
-        group, 5, family.masks, HmacDrbg(b"parity-commit-r")
+        group, 5, family.shares, HmacDrbg(b"parity-commit-r")
     )
     limbs = LIMBS
     limb_cap = (1 << 16) - 1
-    words = [reference.bytes_to_words_scalar(mask) for mask in family.masks]
+    words = [reference.bytes_to_words_scalar(share.row()) for share in family.shares]
     claims = reference.bytes_to_words_scalar(commitments.column_sums)
     for i in range(length):
         expected = tuple(
@@ -284,7 +290,7 @@ def test_commitment_column_sums_match_scalar_loop(length):
     # The digest set is reproducible from the openings with scalar hashing.
     for slot, opening in enumerate(openings):
         assert commitments.hash_commitments[slot] == _scalar_hash_commitment(
-            5, slot, reference.bytes_to_words_scalar(opening.mask), opening.salt
+            5, slot, reference.bytes_to_words_scalar(opening.share.row()), opening.salt
         )
 
 
@@ -321,8 +327,9 @@ def test_commitment_scalars_match_definitional_loop(length):
         [(1 << 64) - 1] * length,
         _words(b"parity-scalar", length),
     ]
+    shares = [MaskShare(length, words=kernels.be_words_to_bytes(mask)) for mask in masks]
     commitments, openings = commit_masks(
-        group, 4, masks, HmacDrbg(b"parity-scalar-r")
+        group, 4, shares, HmacDrbg(b"parity-scalar-r")
     )
     for slot, opening in enumerate(openings):
         expected = _definitional_scalar(commitments.root(), group, masks[slot])
@@ -340,12 +347,12 @@ def test_mask_payload_round_trip_preserves_opening():
     _, openings = commit_masks(
         resolve_group("test-64bit"),
         2,
-        family.masks,
+        family.shares,
         HmacDrbg(b"parity-payload-r"),
     )
     for opening in openings:
         decoded = decode_mask_payload(encode_mask_payload(opening))
-        assert decoded.mask == opening.mask
+        assert decoded.share == opening.share
         assert decoded.salt == opening.salt
         assert decoded.randomizer == opening.randomizer
 
@@ -366,7 +373,7 @@ def test_blinded_round_aggregate_matches_scalar_pipeline():
     masks = SumZeroMasks.sample(num_parties, length, HmacDrbg(b"parity-e2e-m"))
 
     fast_blinded = [
-        apply_mask(codec.encode(vec), masks.mask_for(i))
+        apply_mask(codec.encode(vec), masks.share_for(i).row())
         for i, vec in enumerate(vectors)
     ]
     fast_total = codec.decode(codec.sum_vectors(fast_blinded))
@@ -374,7 +381,7 @@ def test_blinded_round_aggregate_matches_scalar_pipeline():
     slow_blinded = [
         reference.apply_mask_scalar(
             reference.encode_scalar(codec, vec),
-            reference.bytes_to_words_scalar(masks.mask_for(i)),
+            reference.bytes_to_words_scalar(masks.share_for(i).row()),
         )
         for i, vec in enumerate(vectors)
     ]

@@ -22,7 +22,7 @@ from repro.crypto.commitments import (
 )
 from repro.crypto.dh import OAKLEY_GROUP_1, TEST_GROUP
 from repro.crypto.drbg import HmacDrbg
-from repro.crypto.masking import SumZeroMasks, as_share
+from repro.crypto.masking import MaskShare, SumZeroMasks
 from repro.crypto.schnorr import SchnorrKeyPair, SchnorrSignature, batch_verify
 from repro.perf import kernels
 from tests.perf import reference
@@ -171,7 +171,7 @@ def _committed(seed: bytes = b"pk-parity-pedersen", num_slots: int = 4):
         num_slots, 3, HmacDrbg(seed, personalization="family")
     )
     commitments, openings = commit_masks(
-        group, 1, family.masks, HmacDrbg(seed, personalization="commit")
+        group, 1, family.shares, HmacDrbg(seed, personalization="commit")
     )
     return commitments, list(enumerate(openings))
 
@@ -187,10 +187,9 @@ def test_batch_openings_reject_tampering(field):
     commitments, openings = _committed()
     slot, opening = openings[1]
     if field == "mask":
-        words = list(opening)
-        tampered = dataclasses.replace(
-            opening, share=as_share(kernels.be_words_to_bytes([words[0] ^ 1] + words[1:]))
-        )
+        words = kernels.be_words(opening.share.row()).tolist()
+        flipped = kernels.be_words_to_bytes([words[0] ^ 1] + words[1:])
+        tampered = dataclasses.replace(opening, share=MaskShare(len(words), words=flipped))
     elif field == "randomizer":
         tampered = dataclasses.replace(opening, randomizer=opening.randomizer + 1)
     else:

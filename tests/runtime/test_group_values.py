@@ -25,7 +25,7 @@ from repro.core.split import PairingOffer
 from repro.crypto import group_ops
 from repro.crypto.commitments import MaskCommitmentRecord, MaskCommitmentSet, MaskOpening
 from repro.crypto.dh import OAKLEY_GROUP_1, TEST_GROUP
-from repro.crypto.masking import as_share
+from repro.crypto.masking import MaskShare
 from repro.crypto.schnorr import CHALLENGE_BITS, SchnorrPublicKey, SchnorrSignature
 from repro.errors import ProtocolViolation
 from repro.experiments.common import Deployment
@@ -65,7 +65,7 @@ def _records(group):
         (MaskCommitmentSet, "randomizer_sum", SCALAR,
          lambda v: replace(committed, randomizer_sum=v)),
         (MaskOpening, "randomizer", SCALAR,
-         lambda v: MaskOpening(as_share(kernels.be_words_to_bytes((0, 1))), b"\x06" * 32, v, group)),
+         lambda v: MaskOpening(MaskShare(2, words=kernels.be_words_to_bytes((0, 1))), b"\x06" * 32, v, group)),
         (m.MaskRequest, "dh_public", ELEMENT,
          lambda v: m.MaskRequest(b"\x05" * 16, v, QUOTE, 1, 3, group)),
         (KeyDelivery, "peer_dh_public", ELEMENT,

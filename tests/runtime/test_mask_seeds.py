@@ -9,11 +9,14 @@ and the reply leg a round sends is metered beside its requests.
 
 from __future__ import annotations
 
+import sys
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
 from repro import codec
+from repro.crypto import masking
 from repro.crypto.commitments import commit_masks, resolve_group, verify_opening
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.masking import SumZeroMasks, expand_seed
@@ -33,7 +36,9 @@ def test_a_family_is_seeds_and_one_row():
     seeds = [share.seed for share in family.shares[:-1]]
     assert all(len(seed) == 32 for seed in seeds) and len(set(seeds)) == 4
     assert family.shares[-1].seed is None and len(family.shares[-1].words) == 8 * 16
-    assert family.masks[:-1] == tuple(expand_seed(seed, 16) for seed in seeds)
+    assert tuple(share.row() for share in family.shares[:-1]) == tuple(
+        expand_seed(seed, 16) for seed in seeds
+    )
     assert family.verify_sum_zero()
 
 
@@ -70,6 +75,67 @@ def test_a_tampered_seed_aborts_the_round_blaming_the_blinder():
     assert ("blinder", VIOLATION_MASK_OPENING) in {
         (violation.offender, violation.kind) for violation in aborted.value.report.violations
     }
+
+
+#: Where a seed is expanded, by the innermost of these frames it runs in:
+#: the blinder's family draw and commit, a Glimmer's install and blind, and
+#: the engine's per-slot dropout reveal.
+_EXPANSION_SITES = {
+    "sample": "draw",
+    "_commit_with": "commit",
+    "install_blinding_mask": "install",
+    "blind": "blind",
+    "_verified_repair_mask": "reveal",
+}
+
+
+def _expansion_site() -> str:
+    frame = sys._getframe(2)
+    while frame is not None:
+        site = _EXPANSION_SITES.get(frame.f_code.co_name)
+        if site is not None:
+            return site
+        frame = frame.f_back
+    return "elsewhere"
+
+
+def test_a_delivered_seed_is_expanded_once_per_use(monkeypatch):
+    """One collect dropout in a four-slot flat round: slots 0–2 are seeds,
+    slot 0 drops after its install.  Each seed is expanded once at its
+    Glimmer's install (the opening check, whose row the reuse digest
+    reads), once at blind, and once by the engine's per-slot reveal check,
+    whose row the repair sums.  The blinder's open costs three: the
+    family's draw and two commit passes."""
+    deployment = Deployment.build(num_users=4, seed=b"seed-expansions")
+    users = [user.user_id for user in deployment.corpus.users]
+    counted = Counter()
+    expand = masking.expand_seed
+
+    def counting_expand(seed, length):
+        counted[seed, _expansion_site()] += 1
+        return expand(seed, length)
+
+    monkeypatch.setattr(masking, "expand_seed", counting_expand)
+    report = deployment.engine.run_round(
+        1,
+        users,
+        deployment.local_vectors(),
+        deployment.features.bigrams,
+        collect_dropouts=(users[0],),
+        recovery_threshold=0.25,
+    )
+    assert report.masks_repaired == 1
+    seeds = {seed for seed, _ in counted}
+    assert len(seeds) == len(users) - 1
+    revealed = {seed for seed, site in counted if site == "reveal"}
+    assert len(revealed) == 1
+    for seed in seeds:
+        uses = {"install": 1, **({"reveal": 1} if seed in revealed else {"blind": 1})}
+        assert {site: n for (s, site), n in counted.items() if s == seed} == {
+            "draw": 1,
+            "commit": 2,
+            **uses,
+        }
 
 
 def _reachable_bytes(obj, depth=0) -> list[bytes]:

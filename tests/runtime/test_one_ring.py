@@ -26,9 +26,15 @@ class _NarrowRingMasks(masking.GroupedSumZeroMasks):
     """Each subgroup's family sums to zero mod ``2^32`` and not mod ``2^64``."""
 
     def group_family(self, group: int) -> masking.SumZeroMasks:
-        rows = kernels.as_ring_rows(list(super().group_family(group).masks)) & _LOW_32
+        shares = super().group_family(group).shares
+        rows = kernels.as_ring_rows([share.row() for share in shares]) & _LOW_32
         rows[-1] = (np.uint64(0) - rows[:-1].sum(axis=0, dtype=np.uint64)) & _LOW_32
-        return masking.SumZeroMasks.of_rows(tuple(map(kernels.be_words_to_bytes, rows)))
+        return masking.SumZeroMasks(
+            tuple(
+                masking.MaskShare(self.length, words=kernels.be_words_to_bytes(row))
+                for row in rows
+            )
+        )
 
 
 def test_a_blinder_sampling_a_narrow_ring_family_aborts_the_round_at_open(monkeypatch):

@@ -275,7 +275,7 @@ def _aborted_round_with(kind: str, party: str, rewrite):
         ),
         pytest.param(
             lambda published: replace(
-                published, column_sums=kernels.bytes_to_be_words(published.column_sums)
+                published, column_sums=tuple(kernels.be_words(published.column_sums).tolist())
             ),
             id="column-sums-as-words",
         ),
@@ -304,7 +304,12 @@ def _ragged(share):
     "rewrite",
     [
         pytest.param(lambda opening: replace(opening, share=_ragged(opening.share)), id="mask-ragged"),
-        pytest.param(lambda opening: replace(opening, share=tuple(opening)), id="mask-as-words"),
+        pytest.param(
+                lambda opening: replace(
+                    opening, share=tuple(kernels.be_words(opening.share.row()).tolist())
+                ),
+                id="mask-as-words",
+            ),
         pytest.param(lambda opening: replace(opening, salt=opening.salt[:31]), id="salt-31-bytes"),
         pytest.param(lambda opening: replace(opening, randomizer=-1), id="randomizer-negative"),
     ],

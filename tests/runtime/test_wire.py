@@ -713,12 +713,13 @@ def test_the_service_receives_one_repair_vector_and_no_dropout_mask():
     assert finalizes[0].repaired == 2
     width = next(sent.payload.width for sent, _ in delivered if sent.kind == m.KIND_OPEN_SERVICE)
     assert finalizes[0].repair == kernels.pack_words(
-        kernels.ring_accumulate(opening.mask for opening in openings), width
+        kernels.ring_accumulate(opening.share.row() for opening in openings), width
     )
     frames = [codec.encode(sent.payload) for sent, _ in delivered if sent.receiver == m.SERVICE]
     for opening in openings:
-        narrowed = kernels.pack_words(opening.mask, width)
-        assert not any(opening.mask in frame or narrowed in frame for frame in frames)
+        row = opening.share.row()
+        narrowed = kernels.pack_words(row, width)
+        assert not any(row in frame or narrowed in frame for frame in frames)
 
 
 @pytest.mark.parametrize(

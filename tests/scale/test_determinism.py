@@ -37,7 +37,7 @@ def _capture_at_open(deployment):
         opened[round_id] = (
             commitments,
             [
-                provisioner.mask_opening(round_id, slot).mask
+                provisioner.mask_opening(round_id, slot).share.row()
                 for slot in range(commitments.num_slots)
             ],
         )

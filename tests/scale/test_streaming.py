@@ -90,7 +90,7 @@ def test_no_subgroup_is_a_single_slot():
             assert sorted(slot for group in groups for slot in group) == list(range(num_slots))
             masks = blinding.open_round_grouped(round_id, num_slots, 2, group_size)
             for slot in range(num_slots):
-                assert kernels.as_ring(masks.mask_for(slot)).any(), (num_slots, group_size, slot)
+                assert kernels.as_ring(masks.share_for(slot).row()).any(), (num_slots, group_size, slot)
             blinding.close_round(round_id)
 
 
@@ -103,12 +103,12 @@ def test_grouped_masks_sum_to_zero_per_group_and_globally():
     assert masks.verify_sum_zero()
     total = np.zeros(16, dtype=np.uint64)
     for slot in range(20):
-        total += kernels.as_ring(masks.mask_for(slot))
+        total += kernels.as_ring(masks.share_for(slot).row())
     assert not total.any()
     for group in range(plan.num_groups):
         family = masks.group_family(group)
         assert family.verify_sum_zero()
-        assert len(family.masks) == len(plan.slots_in(group))
+        assert len(family.shares) == len(plan.slots_in(group))
 
 
 def test_grouped_masks_keep_shares_not_rows():
@@ -125,16 +125,18 @@ def test_grouped_masks_keep_shares_not_rows():
     assert all("masks" not in vars(family) for family in masks._families.values())
     # Re-derivation is deterministic: the same seeds give the same rows.
     again = GroupedSumZeroMasks(plan, masks.seeds, 8)
-    assert again.group_family(0).masks == masks.group_family(0).masks
+    assert [share.row() for share in again.group_family(0).shares] == [
+        share.row() for share in masks.group_family(0).shares
+    ]
 
 
 def test_grouped_masks_rows_match_slot_order():
     plan = plan_subgroups(7, 15, 4)
     masks = GroupedSumZeroMasks.sample(plan, 8, HmacDrbg(b"rows"))
-    rows = masks.masks
+    rows = [share.row() for share in masks.shares]
     assert len(rows) == 15
     for slot in range(15):
-        assert rows[slot] == masks.mask_for(slot)
+        assert rows[slot] == masks.share_for(slot).row()
 
 
 def test_grouped_masks_compare_by_plan_seeds_and_shape():
@@ -181,7 +183,7 @@ def test_fold_repair_and_masks_telescope():
     dropped = {3, 7}
     accumulator = StreamingSubgroupAccumulator(plan)
     for slot, row in enumerate(rows):
-        mask = kernels.as_ring(masks.mask_for(slot))
+        mask = kernels.as_ring(masks.share_for(slot).row())
         if slot in dropped:
             accumulator.fold_repair(mask, slot=slot)
         else:

@@ -47,7 +47,7 @@ def run_round(deployment, round_id, participants, dropouts=(), poisoners=()):
         for index, user_id in enumerate(participants)
         if user_id not in accepted
     ]
-    repair = kernels.ring_accumulate(o.mask for o in repairs) if repairs else None
+    repair = kernels.ring_accumulate(o.share.row() for o in repairs) if repairs else None
     result = deployment.service.finalize_blinded_round(round_id, repair, len(repairs))
     return result.aggregate, accepted
 
